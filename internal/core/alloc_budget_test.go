@@ -4,15 +4,25 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
+
+	"wsgossip/internal/soap"
 )
 
-// Allocation-budget regression guard for the fan-out hot path, the
-// companion of internal/soap's decode budget: the per-hop cost the paper's
-// scalability argument rests on must not silently regress. The budget is
-// committed in testdata/alloc_budget.json; CI runs this test (and the
+// Allocation-budget regression guards for the per-hop gossip path, the
+// companions of internal/soap's decode budget: the per-hop cost the paper's
+// scalability argument rests on must not silently regress. The budgets are
+// committed in testdata/alloc_budget.json; CI runs these tests (and the
 // -benchmem bench smoke) on every push.
 
-func TestForwardFanoutAllocBudget(t *testing.T) {
+type allocBudget struct {
+	ForwardFanoutF8  float64 `json:"forward_fanout_f8_max_allocs"`
+	DuplicateReceipt float64 `json:"duplicate_receipt_max_allocs"`
+	GossipHeaderFrom float64 `json:"gossip_header_from_max_allocs"`
+	ForwardHeaders   float64 `json:"forward_headers_max_allocs"`
+}
+
+func loadAllocBudget(t *testing.T) allocBudget {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -20,15 +30,27 @@ func TestForwardFanoutAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	var budget struct {
-		MaxAllocs float64 `json:"forward_fanout_f8_max_allocs"`
-	}
+	budget := allocBudget{-1, -1, -1, -1}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	if budget.MaxAllocs <= 0 {
-		t.Fatal("alloc budget missing forward_fanout_f8_max_allocs")
+	if budget.ForwardFanoutF8 <= 0 || budget.DuplicateReceipt < 0 ||
+		budget.GossipHeaderFrom < 0 || budget.ForwardHeaders < 0 {
+		t.Fatalf("alloc budget missing fields: %+v", budget)
 	}
+	return budget
+}
+
+func checkAllocBudget(t *testing.T, what string, allocs, budget float64) {
+	t.Helper()
+	if allocs > budget {
+		t.Errorf("%s = %.1f allocs/op, budget %.0f (testdata/alloc_budget.json)", what, allocs, budget)
+	}
+	t.Logf("%s: %.1f allocs/op (budget %.0f)", what, allocs, budget)
+}
+
+func TestForwardFanoutAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
 	fb := newForwardBench(t, 8, 1<<10)
 	allocs := testing.AllocsPerRun(100, func() {
 		fb.d.forward(fb.ctx, fb.env, fb.gh, fb.state)
@@ -36,9 +58,52 @@ func TestForwardFanoutAllocBudget(t *testing.T) {
 	if stats := fb.d.Stats(); stats.Forwarded == 0 || stats.SendErrors != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if allocs > budget.MaxAllocs {
-		t.Errorf("forward fanout-8 = %.1f allocs/op, budget %.0f (testdata/alloc_budget.json)",
-			allocs, budget.MaxAllocs)
+	checkAllocBudget(t, "forward fanout-8", allocs, budget.ForwardFanoutF8)
+}
+
+// TestDuplicateReceiptAllocBudget: three receipts in four are duplicates
+// (core.dup_share on mem-push-64), and a duplicate must cost the gossip
+// layer no allocation at all — the header is read in place and the seen-set
+// asked with the MessageID bytes.
+func TestDuplicateReceiptAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	fb := newForwardBench(t, 8, 1<<10)
+	req := &soap.Request{Envelope: fb.receivedNotification(t)}
+	fb.d.interactions[fb.gh.InteractionID] = fb.state
+	if _, err := fb.d.intercept(fb.ctx, req, nil); err != nil { // first receipt
+		t.Fatal(err)
 	}
-	t.Logf("forward fanout-8: %.1f allocs/op (budget %.0f)", allocs, budget.MaxAllocs)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := fb.d.intercept(fb.ctx, req, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if stats := fb.d.Stats(); stats.Delivered != 1 || stats.Duplicates < 100 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	checkAllocBudget(t, "duplicate receipt", allocs, budget.DuplicateReceipt)
+}
+
+func TestGossipHeaderFromAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	fb := newForwardBench(t, 8, 1<<10)
+	env := fb.receivedNotification(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if gh, err := GossipHeaderFrom(env); err != nil || gh.MessageID != fb.gh.MessageID {
+			t.Fatalf("header = %+v, %v", gh, err)
+		}
+	})
+	checkAllocBudget(t, "GossipHeaderFrom", allocs, budget.GossipHeaderFrom)
+}
+
+func TestForwardHeadersAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	fb := newForwardBench(t, 8, 1<<10)
+	env := fb.receivedNotification(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := forwardHeaders(env, fb.gh); err != nil {
+			t.Fatal(err)
+		}
+	})
+	checkAllocBudget(t, "Snapshot+SetGossipHeader+SetAddressing", allocs, budget.ForwardHeaders)
 }

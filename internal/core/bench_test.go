@@ -123,3 +123,62 @@ func BenchmarkRetransmit(b *testing.B) {
 		}
 	}
 }
+
+// receivedNotification is fb's notification as a disseminator receives it:
+// encoded, then decoded from a buffer of its own, so every block is a view
+// of that buffer exactly as on the MemBus and HTTP receive paths.
+func (fb *forwardBench) receivedNotification(b testing.TB) *soap.Envelope {
+	b.Helper()
+	data, err := fb.env.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	env, err := soap.Decode(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return env
+}
+
+// forwardHeaders is the per-forward header rewrite: snapshot the received
+// envelope, decrement the hop budget, re-address without To.
+func forwardHeaders(env *soap.Envelope, gh GossipHeader) (*soap.Envelope, error) {
+	out := env.Snapshot()
+	gh.Hops--
+	if err := SetGossipHeader(out, gh); err != nil {
+		return nil, err
+	}
+	err := out.SetAddressing(wsa.Headers{Action: ActionNotify, MessageID: wsa.MessageID(gh.MessageID)})
+	return out, err
+}
+
+// BenchmarkGossipHeaderFrom measures reading the gossip header of a
+// received notification — run on every first receipt, and the whole of what
+// a duplicate receipt costs the gossip layer.
+func BenchmarkGossipHeaderFrom(b *testing.B) {
+	fb := newForwardBench(b, 8, 1<<10)
+	env := fb.receivedNotification(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gh, err := GossipHeaderFrom(env)
+		if err != nil || gh.MessageID != fb.gh.MessageID {
+			b.Fatalf("header = %+v, %v", gh, err)
+		}
+	}
+}
+
+// BenchmarkForwardHeaders measures the header rewrite every forward pays
+// before the encode-once fan-out (BENCH_15.json records it before and after
+// the flat-element writer).
+func BenchmarkForwardHeaders(b *testing.B) {
+	fb := newForwardBench(b, 8, 1<<10)
+	env := fb.receivedNotification(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := forwardHeaders(env, fb.gh); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -83,22 +83,23 @@ type GossipHeader struct {
 }
 
 // SetGossipHeader writes gh into the envelope, replacing any existing gossip
-// header.
+// header. The error is always nil; the signature predates the byte-level
+// writer.
 func SetGossipHeader(env *soap.Envelope, gh GossipHeader) error {
 	env.RemoveHeader(Namespace, "Gossip")
-	return env.AddHeader(gh)
+	env.AddHeaderBlock(gossipBlock(gh))
+	return nil
 }
 
-// GossipHeaderFrom extracts the gossip header, or ErrNoGossipHeader.
+// GossipHeaderFrom extracts the gossip header, or ErrNoGossipHeader. The
+// returned strings are copies: they stay valid after the envelope's receive
+// buffer is recycled.
 func GossipHeaderFrom(env *soap.Envelope) (GossipHeader, error) {
-	var gh GossipHeader
-	if err := env.DecodeHeader(Namespace, "Gossip", &gh); err != nil {
-		if errors.Is(err, soap.ErrHeaderNotFound) {
-			return gh, ErrNoGossipHeader
-		}
-		return gh, err
+	b, ok := env.HeaderBlock(Namespace, "Gossip")
+	if !ok {
+		return GossipHeader{}, ErrNoGossipHeader
 	}
-	return gh, nil
+	return decodeGossipHeader(b)
 }
 
 // GossipParameters is the registration-response extension through which the

@@ -317,13 +317,36 @@ func (d *Disseminator) handleNotify(ctx context.Context, req *soap.Request) (*so
 // intercept implements the gossip layer: dedup, first-contact registration,
 // local delivery, and hop-bounded re-routing.
 func (d *Disseminator) intercept(ctx context.Context, req *soap.Request, app soap.Handler) (*soap.Envelope, error) {
-	gh, err := GossipHeaderFrom(req.Envelope)
-	if err != nil {
+	block, ok := req.Envelope.HeaderBlock(Namespace, "Gossip")
+	if !ok {
 		// Not a gossiped message: hand it to the application untouched.
 		return d.deliver(ctx, req, app)
 	}
+	// Most receipts are duplicates, so the header is first read in place —
+	// views over the request bytes, no allocation — and the seen-set asked
+	// with the MessageID bytes; the header's strings are built (as copies:
+	// the receive buffer is recycled after this delivery) only when that
+	// misses. A header the byte-level reader declines, or whose MessageID is
+	// escaped, is decoded up front as before. The seen-set locks itself, so
+	// the duplicate check runs outside d.mu; the Add that admits a first
+	// receipt stays under it, with the requested-set update it is atomic with.
+	var gh GossipHeader
+	fields, inPlace := scanGossipHeader(block.Raw)
+	if inPlace = inPlace && fields.messageID.IsLiteral(); !inPlace {
+		var err error
+		if gh, err = decodeGossipHeader(block); err != nil {
+			return d.deliver(ctx, req, app) // malformed header: not gossip either
+		}
+	}
 	d.stats.received.Add(1)
 	d.bumpActivity()
+	if inPlace {
+		if d.seen.TouchBytes(fields.messageID) {
+			d.stats.duplicates.Add(1)
+			return nil, nil
+		}
+		gh = fields.header()
+	}
 	d.mu.Lock()
 	if !d.seen.Add(gh.MessageID) {
 		d.mu.Unlock()
@@ -354,8 +377,8 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request, app soa
 	d.mu.Unlock()
 
 	if !known {
-		state, err = d.registerInteraction(ctx, req.Envelope, gh)
-		if err != nil {
+		var err error
+		if state, err = d.registerInteraction(ctx, req.Envelope, gh); err != nil {
 			// Without parameters the node still consumes the message; it
 			// just cannot forward. This degrades, not fails, matching the
 			// epidemic model's tolerance for non-cooperating nodes.

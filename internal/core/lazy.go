@@ -113,22 +113,19 @@ func (d *Disseminator) announce(ctx context.Context, gh GossipHeader, state *int
 		d.stats.sendErrors.Add(int64(len(targets)))
 		return
 	}
-	if err := env.SetBody(Announce{
+	env.SetBodyBlock(announceBlock(Announce{
 		InteractionID: gh.InteractionID,
 		MessageID:     gh.MessageID,
 		Hops:          gh.Hops - 1,
 		Holder:        d.cfg.Address,
-	}); err != nil {
-		d.stats.sendErrors.Add(int64(len(targets)))
-		return
-	}
+	}))
 	d.stats.announced.Add(int64(d.fanout(ctx, env, targets)))
 }
 
 // handleIHave requests the payload of an unseen announced notification.
 func (d *Disseminator) handleIHave(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
-	var ann Announce
-	if err := req.Envelope.DecodeBody(&ann); err != nil {
+	ann, err := announceFrom(req.Envelope)
+	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "malformed Announce: "+err.Error())
 	}
 	d.mu.Lock()
@@ -152,9 +149,7 @@ func (d *Disseminator) handleIHave(ctx context.Context, req *soap.Request) (*soa
 	}); err != nil {
 		return nil, err
 	}
-	if err := env.SetBody(Fetch{MessageID: ann.MessageID, Requester: d.cfg.Address}); err != nil {
-		return nil, err
-	}
+	env.SetBodyBlock(fetchBlock(Fetch{MessageID: ann.MessageID, Requester: d.cfg.Address}))
 	if err := d.cfg.Caller.Send(ctx, ann.Holder, env); err != nil {
 		d.mu.Lock()
 		// Allow a later announcer to retrigger the fetch.
@@ -171,8 +166,8 @@ func (d *Disseminator) handleIHave(ctx context.Context, req *soap.Request) (*soa
 // handleIWant serves a stored notification to the requester with a
 // decremented hop budget.
 func (d *Disseminator) handleIWant(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
-	var fetch Fetch
-	if err := req.Envelope.DecodeBody(&fetch); err != nil {
+	fetch, err := fetchFrom(req.Envelope)
+	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "malformed Fetch: "+err.Error())
 	}
 	d.mu.Lock()

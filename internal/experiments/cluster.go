@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"time"
 
 	"wsgossip/internal/gossip"
@@ -168,11 +169,7 @@ func quantile(vals []float64, q float64) float64 {
 		return 0
 	}
 	sorted := append([]float64(nil), vals...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sort.Float64s(sorted)
 	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if idx < 0 {
 		idx = 0

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"wsgossip/internal/gossip"
 )
@@ -123,5 +124,31 @@ func TestUniformPeersSampling(t *testing.T) {
 		if r1[i] != r2[i] {
 			t.Fatalf("same-seed draws differ: %v vs %v", r1, r2)
 		}
+	}
+}
+
+// quantile runs over every delivery latency of a scale run (10^5 and more
+// values), so it must sort in n·log n: the insertion sort it used to carry
+// took minutes there. Nearest-rank results are pinned on a shuffled
+// permutation, where the answer is known in closed form.
+func TestQuantileLargeInput(t *testing.T) {
+	const n = 100_000
+	vals := make([]float64, n)
+	for i, p := range rand.New(rand.NewSource(7)).Perm(n) {
+		vals[i] = float64(p + 1) // 1..n, shuffled
+	}
+	start := time.Now()
+	p50, p99, max := quantile(vals, 0.5), quantile(vals, 0.99), quantile(vals, 1)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("three quantiles of %d values took %v, want well under a second", n, elapsed)
+	}
+	if p50 != n/2 || p99 != 0.99*n || max != n {
+		t.Errorf("quantiles = %v, %v, %v; want %v, %v, %v", p50, p99, max, n/2, 0.99*n, n)
+	}
+	if vals[0] == 1 && vals[1] == 2 && vals[2] == 3 {
+		t.Error("quantile sorted its input in place")
+	}
+	if got := quantile(nil, 0.5); got != 0 {
+		t.Errorf("quantile of nothing = %v, want 0", got)
 	}
 }

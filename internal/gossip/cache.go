@@ -100,6 +100,20 @@ func (c *seenCache) Add(id string) bool {
 	return true
 }
 
+// TouchBytes is the duplicate half of Add for an identifier still sitting
+// in a message buffer: it reports whether id is present and, if so,
+// refreshes its recency exactly as Add would. The lookup converts in place,
+// so a duplicate — the common case in gossip — costs no string; an absent id
+// is left for the caller to Add once it has built the string.
+func (c *seenCache) TouchBytes(id []byte) bool {
+	i, ok := c.items[string(id)]
+	if ok && c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
+	return ok
+}
+
 // Contains reports whether id is present without refreshing recency.
 func (c *seenCache) Contains(id string) bool {
 	_, ok := c.items[id]

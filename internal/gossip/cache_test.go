@@ -178,6 +178,33 @@ func TestSeenSetDefaultCapacity(t *testing.T) {
 	}
 }
 
+// TestSeenSetTouchBytes: TouchBytes is the duplicate half of Add for an ID
+// still in a message buffer — same answer, same recency refresh, no insert,
+// no allocation, and no reference kept to the buffer.
+func TestSeenSetTouchBytes(t *testing.T) {
+	s := NewSeenSet(3)
+	buf := []byte("a")
+	if s.TouchBytes(buf) || s.Len() != 0 {
+		t.Fatal("TouchBytes of an absent id reported present or inserted it")
+	}
+	s.Add("a")
+	s.Add("b")
+	s.Add("c")
+	if !s.TouchBytes(buf) { // refresh a
+		t.Fatal("TouchBytes missed a present id")
+	}
+	buf[0] = 'z' // the buffer is recycled
+	s.Add("d")   // evicts b, not the refreshed a
+	if !s.Contains("a") || s.Contains("b") || s.Contains("z") {
+		t.Fatalf("after refresh+evict: a=%v b=%v z=%v", s.Contains("a"), s.Contains("b"), s.Contains("z"))
+	}
+	id := []byte("urn:uuid:6ba7b810-9dad-11d1-80b4-00c04fd430c8")
+	s.Add(string(id))
+	if allocs := testing.AllocsPerRun(100, func() { s.TouchBytes(id) }); allocs != 0 {
+		t.Fatalf("TouchBytes allocates %.1f per duplicate", allocs)
+	}
+}
+
 func TestSamplePeersProperties(t *testing.T) {
 	f := func(seed int64, nRaw, kRaw uint8) bool {
 		n := int(nRaw)%20 + 1

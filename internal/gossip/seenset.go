@@ -26,6 +26,15 @@ func (s *SeenSet) Add(id string) bool {
 	return s.c.Add(id)
 }
 
+// TouchBytes reports whether id — viewed in a message buffer, never retained
+// — is present, refreshing its recency exactly as a duplicate Add would,
+// without allocating. A caller that gets false builds the string and Adds it.
+func (s *SeenSet) TouchBytes(id []byte) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.c.TouchBytes(id)
+}
+
 // Contains reports whether id is present.
 func (s *SeenSet) Contains(id string) bool {
 	s.mu.Lock()

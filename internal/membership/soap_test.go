@@ -2,6 +2,7 @@ package membership
 
 import (
 	"context"
+	"encoding/xml"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -127,5 +128,28 @@ func TestSelectPeersAllocationStable(t *testing.T) {
 	svc.Tick(ctx)
 	if got := svc.SelectPeers(rng, 3, "m000"); len(got) != 0 {
 		t.Fatalf("sample from fully-aged view returned %v, want none", got)
+	}
+}
+
+// TestEnvelopeBodyBlockName: soap names the marshaled body from its start
+// tag; it must be the name an xml.Unmarshal probe of the same bytes reports.
+func TestEnvelopeBodyBlockName(t *testing.T) {
+	body := envelopeBody{From: "mem://a", Data: `{"view":["a<b>&c"]}`}
+	raw, err := xml.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var probe struct {
+		XMLName xml.Name
+	}
+	if err := xml.Unmarshal(raw, &probe); err != nil {
+		t.Fatal(err)
+	}
+	env := soap.NewEnvelope()
+	if err := env.SetBody(body); err != nil {
+		t.Fatal(err)
+	}
+	if got := env.BodyName(); got != probe.XMLName {
+		t.Fatalf("body named %v, probe says %v", got, probe.XMLName)
 	}
 }

@@ -2,6 +2,7 @@ package probe
 
 import (
 	"context"
+	"encoding/xml"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -225,5 +226,34 @@ func TestConfirmDedupAndK(t *testing.T) {
 	clk.Advance(2 * time.Second)
 	if len(a.down) != 1 {
 		t.Fatalf("OnDown calls = %v, want exactly one", a.down)
+	}
+}
+
+// TestBodyBlockNames: soap names each marshaled body from its start tag; it
+// must be the name an xml.Unmarshal probe of the same bytes reports.
+func TestBodyBlockNames(t *testing.T) {
+	for _, body := range []any{
+		pingReqBody{Origin: "mem://a", Target: "mem://b", Nonce: "1"},
+		pingBody{From: "mem://a", Nonce: "1"},
+		pingAckBody{From: "mem://b", Nonce: "1"},
+		pingReqAckBody{From: "mem://c", Target: "mem://b", Nonce: "1"},
+	} {
+		raw, err := xml.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var probe struct {
+			XMLName xml.Name
+		}
+		if err := xml.Unmarshal(raw, &probe); err != nil {
+			t.Fatal(err)
+		}
+		env := soap.NewEnvelope()
+		if err := env.SetBody(body); err != nil {
+			t.Fatal(err)
+		}
+		if got := env.BodyName(); got != probe.XMLName {
+			t.Errorf("%T named %v, probe says %v", body, got, probe.XMLName)
+		}
 	}
 }

@@ -20,7 +20,10 @@
 // buffer, Encode splices them into one exactly-sized allocation, and
 // EncodeTemplate/RenderTo serialize a fan-out message once, patching only
 // the wsa:To header per target (soap.Fanout is the shared fan-out ladder).
-// Non-canonical documents transparently fall back to encoding/xml. See
+// Non-canonical documents transparently fall back to encoding/xml. The
+// flat-element codec (AppendFlat*, FlatReader) writes and reads the simple
+// blocks a message carries at every hop — addressing properties, the gossip
+// header — byte-identically to encoding/xml and without its reflection. See
 // DESIGN.md, "The wire path" and "The wire scanner".
 //
 // # Envelope ownership

@@ -122,11 +122,16 @@ func NewEnvelope() *Envelope {
 	return &Envelope{}
 }
 
-// blockOf marshals v into a captured Block.
+// blockOf marshals v into a captured Block. The block's name is read off
+// the start tag xml.Marshal just wrote (blockName); only output the byte walk
+// declines is parsed a second time to learn it.
 func blockOf(v any) (Block, error) {
 	raw, err := xml.Marshal(v)
 	if err != nil {
 		return Block{}, fmt.Errorf("soap: marshal block: %w", err)
+	}
+	if name, ok := blockName(raw); ok {
+		return Block{XMLName: name, Raw: raw}, nil
 	}
 	var probe struct {
 		XMLName xml.Name
@@ -137,18 +142,50 @@ func blockOf(v any) (Block, error) {
 	return Block{XMLName: probe.XMLName, Raw: raw}, nil
 }
 
+// blockName derives the qualified name of the single element in raw from
+// its start tag — `<Local xmlns="uri" …>`, `<Local>`, or self-closing — with
+// the wire scanner's byte walk, which also checks the element is well formed
+// and ends raw, as the xml.Unmarshal probe it replaces did. ok=false (a
+// prefixed or non-ASCII name, an escaped namespace, nesting beyond the
+// scanner's stack, trailing content) sends the caller to that probe, so the
+// name and the accepted inputs are the probe's either way.
+func blockName(raw []byte) (xml.Name, bool) {
+	if len(raw) == 0 || raw[0] != '<' {
+		return xml.Name{}, false
+	}
+	s := wireScanner{data: raw}
+	tag, ok := s.startTag()
+	if !ok || (!tag.selfClose && !s.subtree(s.name(tag))) || s.pos != len(raw) {
+		return xml.Name{}, false
+	}
+	name := xml.Name{Local: internLocal(s.name(tag))}
+	if tag.hasXMLNS {
+		if name.Space, ok = nsValue(s.slice(tag.nsStart, tag.nsEnd)); !ok {
+			return xml.Name{}, false
+		}
+	}
+	return name, true
+}
+
 // AddHeader marshals v and appends it as a header block.
 func (e *Envelope) AddHeader(v any) error {
 	b, err := blockOf(v)
 	if err != nil {
 		return err
 	}
+	e.AddHeaderBlock(b)
+	return nil
+}
+
+// AddHeaderBlock appends an already-built block to the header — the
+// flat-element writer's product, or a block captured from another envelope.
+// The envelope treats b.Raw as immutable from here on.
+func (e *Envelope) AddHeaderBlock(b Block) {
 	if e.Header == nil {
 		e.Header = &Header{}
 	}
 	e.Header.Blocks = append(e.Header.Blocks, b)
 	e.addr.Store(nil)
-	return nil
 }
 
 // HeaderBlock returns the first header block with the given name.
@@ -201,8 +238,14 @@ func (e *Envelope) SetBody(v any) error {
 	if err != nil {
 		return err
 	}
-	e.Body.Blocks = []Block{b}
+	e.SetBodyBlock(b)
 	return nil
+}
+
+// SetBodyBlock replaces the body with an already-built block (see
+// AddHeaderBlock).
+func (e *Envelope) SetBodyBlock(b Block) {
+	e.Body.Blocks = []Block{b}
 }
 
 // BodyName returns the qualified name of the first body child, or a zero
@@ -357,42 +400,96 @@ type (
 )
 
 // SetAddressing writes the WS-Addressing properties into the header,
-// replacing any existing addressing blocks.
+// replacing any existing addressing blocks. The blocks come from the
+// flat-element writer (flat.go) — byte-identical to marshaling the header
+// structs above — and share one backing buffer. The error is always nil; the
+// signature predates the writer.
 func (e *Envelope) SetAddressing(h wsa.Headers) error {
-	for _, local := range []string{"To", "Action", "MessageID", "RelatesTo", "ReplyTo", "From"} {
-		e.RemoveHeader(wsa.Namespace, local)
-	}
-	if h.To != "" {
-		if err := e.AddHeader(toHeader{Value: h.To}); err != nil {
-			return err
+	if e.Header != nil {
+		kept := e.Header.Blocks[:0]
+		for _, b := range e.Header.Blocks {
+			if !isAddressingName(b.XMLName) {
+				kept = append(kept, b)
+			}
 		}
+		e.Header.Blocks = kept
 	}
-	if h.Action != "" {
-		if err := e.AddHeader(actionHeader{Value: h.Action}); err != nil {
-			return err
-		}
-	}
-	if h.MessageID != "" {
-		if err := e.AddHeader(messageIDHeader{Value: string(h.MessageID)}); err != nil {
-			return err
-		}
-	}
-	if h.RelatesTo != "" {
-		if err := e.AddHeader(relatesToHeader{Value: string(h.RelatesTo)}); err != nil {
-			return err
+	e.addr.Store(nil)
+	props := make([]addressingProp, 0, 6)
+	for _, p := range [...]addressingProp{
+		{local: "To", value: h.To},
+		{local: "Action", value: h.Action},
+		{local: "MessageID", value: string(h.MessageID)},
+		{local: "RelatesTo", value: string(h.RelatesTo)},
+	} {
+		if p.value != "" {
+			props = append(props, p)
 		}
 	}
 	if h.ReplyTo != nil {
-		if err := e.AddHeader(replyToHeader{Address: h.ReplyTo.Address}); err != nil {
-			return err
-		}
+		props = append(props, addressingProp{local: "ReplyTo", child: "Address", value: h.ReplyTo.Address})
 	}
 	if h.From != nil {
-		if err := e.AddHeader(fromHeader{Address: h.From.Address}); err != nil {
-			return err
+		props = append(props, addressingProp{local: "From", child: "Address", value: h.From.Address})
+	}
+	if len(props) == 0 {
+		return nil
+	}
+	size := 0
+	for _, p := range props {
+		size += p.size()
+	}
+	if e.Header == nil {
+		e.Header = &Header{}
+	}
+	buf := make([]byte, 0, size)
+	for _, p := range props {
+		start := len(buf)
+		buf = AppendFlatOpen(buf, wsa.Namespace, p.local)
+		if p.child == "" {
+			buf = AppendEscaped(buf, p.value)
+		} else {
+			buf = AppendFlatText(buf, p.child, p.value)
 		}
+		buf = AppendFlatClose(buf, p.local)
+		// Full slice expression: an append to this Raw can never run into
+		// the next block's bytes.
+		e.Header.Blocks = append(e.Header.Blocks, Block{
+			XMLName: xml.Name{Space: wsa.Namespace, Local: p.local},
+			Raw:     buf[start:len(buf):len(buf)],
+		})
 	}
 	return nil
+}
+
+// addressingProp is one addressing block to write: `<local xmlns=wsa>value
+// </local>`, the value wrapped in one child element for the
+// endpoint-reference properties.
+type addressingProp struct {
+	local, child, value string
+}
+
+// size is the block's length when value needs no escaping; SetAddressing
+// sizes its buffer with it and append covers the rare escaped value.
+func (p addressingProp) size() int {
+	n := len(`< xmlns="">`) + len(wsa.Namespace) + len(`</>`) + 2*len(p.local) + len(p.value)
+	if p.child != "" {
+		n += len(`<></>`) + 2*len(p.child)
+	}
+	return n
+}
+
+// isAddressingName reports whether n names one of the WS-Addressing
+// properties SetAddressing owns.
+func isAddressingName(n xml.Name) bool {
+	if n.Space != wsa.Namespace {
+		return false
+	}
+	switch n.Local {
+	case "To", "Action", "MessageID", "RelatesTo", "ReplyTo", "From":
+		return true
+	}
+	return false
 }
 
 // Addressing extracts the WS-Addressing properties from the header. Missing

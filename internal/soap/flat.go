@@ -1,0 +1,215 @@
+package soap
+
+import (
+	"bytes"
+	"encoding/xml"
+	"strconv"
+	"unicode/utf8"
+)
+
+// Flat-element codec.
+//
+// The blocks a gossiped message rewrites or reads at every hop — the gossip
+// header, the WS-Addressing properties, the lazy-push IHAVE/IWANT bodies —
+// all have one shape: a namespaced element whose content is either text or a
+// fixed sequence of text-only children,
+//
+//	<X xmlns="ns">text</X>
+//	<X xmlns="ns"><A>text</A><B>text</B></X>
+//
+// This file writes and reads exactly that shape with byte-level code, so the
+// per-hop path never runs encoding/xml's reflection.
+//
+// The writer is the only way those blocks are produced, and its output is
+// byte-identical to xml.Marshal of the equivalent struct: same start tag,
+// same child order, text escaped through xml.EscapeText.
+//
+// The reader accepts only what the writer emits — the exact start tag,
+// children in the caller's fixed order, text-only leaves, no attributes,
+// comments, CDATA, or whitespace between tags — and reports "not canonical"
+// for everything else, so the caller falls through to Block.Decode. Like the
+// wire scanner it can only make canonical input cheaper; what is accepted,
+// and the values produced, never change. Text is validated as strictly as
+// encoding/xml validates it (the scanner's own text walk), because a block
+// may have been built by hand rather than captured by Decode.
+//
+// Ownership: the reader returns views into the block bytes (FlatText), which
+// alias the transport's pooled receive buffer and die with the delivery.
+// Every string it hands out is a copy.
+
+// AppendFlatOpen appends the start tag `<local xmlns="space">`. space must
+// need no escaping (the protocol namespaces are constants).
+func AppendFlatOpen(dst []byte, space, local string) []byte {
+	dst = append(dst, '<')
+	dst = append(dst, local...)
+	dst = append(dst, ` xmlns="`...)
+	dst = append(dst, space...)
+	return append(dst, `">`...)
+}
+
+// AppendFlatClose appends the end tag `</local>`.
+func AppendFlatClose(dst []byte, local string) []byte {
+	dst = append(dst, '<', '/')
+	dst = append(dst, local...)
+	return append(dst, '>')
+}
+
+// AppendFlatText appends one text-only child, `<name>value</name>`, with
+// value escaped as character data.
+func AppendFlatText(dst []byte, name, value string) []byte {
+	dst = append(dst, '<')
+	dst = append(dst, name...)
+	dst = append(dst, '>')
+	dst = AppendEscaped(dst, value)
+	return AppendFlatClose(dst, name)
+}
+
+// AppendFlatInt appends one integer child, `<name>v</name>`.
+func AppendFlatInt(dst []byte, name string, v int) []byte {
+	dst = append(dst, '<')
+	dst = append(dst, name...)
+	dst = append(dst, '>')
+	dst = strconv.AppendInt(dst, int64(v), 10)
+	return AppendFlatClose(dst, name)
+}
+
+// AppendEscaped appends s escaped as XML character data, byte-identical to
+// xml.EscapeText: text that needs no escaping is copied straight through,
+// anything else goes through xml.EscapeText itself.
+func AppendEscaped(dst []byte, s string) []byte {
+	if plainText(s) {
+		return append(dst, s...)
+	}
+	buf := getBuf()
+	_ = xml.EscapeText(buf, []byte(s)) // writes to a bytes.Buffer cannot fail
+	dst = append(dst, buf.Bytes()...)
+	bufPool.Put(buf)
+	return dst
+}
+
+// plainText reports whether xml.EscapeText would emit s unchanged: no markup
+// characters, no control characters (tab and newlines are escaped too), valid
+// UTF-8, and every rune inside the XML character range.
+func plainText(s string) bool {
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			switch {
+			case c < 0x20, c == '<', c == '>', c == '&', c == '\'', c == '"':
+				return false
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if (r == utf8.RuneError && size == 1) || !xmlCharOK(r) {
+			return false
+		}
+		i += size
+	}
+	return true
+}
+
+// FlatReader walks one canonical flat element. The zero value is not
+// usable; obtain one from OpenFlat. Every method reports false on the first
+// departure from the canonical form, and the caller then decodes the block
+// with encoding/xml instead.
+type FlatReader struct {
+	s wireScanner
+}
+
+// OpenFlat starts reading raw, which must begin with exactly the start tag
+// AppendFlatOpen writes for (space, local).
+func OpenFlat(raw []byte, space, local string) (FlatReader, bool) {
+	r := FlatReader{s: wireScanner{data: raw}}
+	ok := r.lit("<") && r.lit(local) && r.lit(` xmlns="`) && r.lit(space) && r.lit(`">`)
+	return r, ok
+}
+
+// lit consumes the literal p.
+func (r *FlatReader) lit(p string) bool {
+	rest := r.s.data[r.s.pos:]
+	if len(rest) < len(p) || string(rest[:len(p)]) != p {
+		return false
+	}
+	r.s.pos += len(p)
+	return true
+}
+
+// Text consumes the child `<name>text</name>` and returns its character
+// data in place. On false nothing is consumed, so an optional child can be
+// probed for.
+func (r *FlatReader) Text(name string) (FlatText, bool) {
+	mark := r.s.pos
+	if r.lit("<") && r.lit(name) && r.lit(">") {
+		start := r.s.pos
+		if r.s.text() {
+			text := r.s.data[start:r.s.pos]
+			if r.lit("</") && r.lit(name) && r.lit(">") {
+				return text, true
+			}
+		}
+	}
+	r.s.pos = mark
+	return nil, false
+}
+
+// String consumes the child `<name>text</name>` and returns its value as
+// encoding/xml would decode it, in a fresh string.
+func (r *FlatReader) String(name string) (string, bool) {
+	text, ok := r.Text(name)
+	return text.String(), ok
+}
+
+// Int consumes the child `<name>v</name>` where v is a decimal integer as
+// strconv prints one: an optional '-' and one to nine digits (every such
+// value fits an int on any platform and parses identically in encoding/xml).
+func (r *FlatReader) Int(name string) (int, bool) {
+	text, ok := r.Text(name)
+	if !ok {
+		return 0, false
+	}
+	digits := text
+	if len(digits) > 0 && digits[0] == '-' {
+		digits = digits[1:]
+	}
+	if len(digits) == 0 || len(digits) > 9 {
+		return 0, false
+	}
+	v := 0
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int(c-'0')
+	}
+	if len(digits) != len(text) {
+		v = -v
+	}
+	return v, true
+}
+
+// Close consumes the end tag `</local>` and reports whether it ends the
+// block: trailing bytes are not canonical.
+func (r *FlatReader) Close(local string) bool {
+	return r.lit("</") && r.lit(local) && r.lit(">") && r.s.pos == len(r.s.data)
+}
+
+// FlatText is the character data of one child as FlatReader.Text found it:
+// validated, still escaped, and a view into the block — it dies with the
+// delivery's receive buffer.
+type FlatText []byte
+
+// String returns the value encoding/xml would decode — entity references
+// expanded, line endings normalized — always as a fresh copy, never a view.
+func (t FlatText) String() string {
+	s, _ := unescapeText(t) // cannot fail: Text validated every reference
+	return s
+}
+
+// IsLiteral reports whether the bytes stand for themselves — no entity
+// references, no carriage returns to normalize — so they can serve as a
+// lookup key without unescaping.
+func (t FlatText) IsLiteral() bool {
+	return bytes.IndexByte(t, '&') < 0 && bytes.IndexByte(t, '\r') < 0
+}

@@ -30,7 +30,10 @@ const (
 
 var bytePools [maxBufBits - minBufBits + 1]sync.Pool
 
-// getBytes returns a zero-length buffer with capacity at least n.
+// getBytes returns a zero-length buffer with capacity at least n. A miss
+// allocates the whole size class (1<<c), not n: putBytes files a buffer
+// under floor(log2 cap), so a cap-n buffer would land one class below the
+// one the next get of the same size looks in and the pool would never hit.
 func getBytes(n int) []byte {
 	c := bits.Len(uint(n - 1)) // ceil(log2 n); n<=1 yields 0
 	if c < minBufBits {
@@ -45,7 +48,7 @@ func getBytes(n int) []byte {
 		return (*(v.(*[]byte)))[:0]
 	}
 	countPoolGet(false)
-	return make([]byte, 0, n)
+	return make([]byte, 0, 1<<c)
 }
 
 // putBytes recycles a buffer. Callers must hold the only live reference;

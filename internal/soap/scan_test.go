@@ -341,3 +341,28 @@ func TestPoolRoundTrip(t *testing.T) {
 		t.Fatalf("recycled buffer not reset: len=%d", len(again))
 	}
 }
+
+// TestPoolRecyclesOffPowerOfTwoSizes: a buffer obtained for a size that is
+// not a power of two must be filed, on put, under the class the next get of
+// that size looks in. It used not to be — a miss allocated cap n, which put
+// filed one class lower — so rendered fan-out messages never recycled.
+func TestPoolRecyclesOffPowerOfTwoSizes(t *testing.T) {
+	for _, n := range []int{513, 1285, 5000, 1<<16 + 1} {
+		// A pooled size always gets its whole class, so get and put agree.
+		if b := getBytes(n); cap(b)&(cap(b)-1) != 0 || cap(b) < n || cap(b) >= 2*n {
+			t.Fatalf("getBytes(%d): cap %d is not the size class", n, cap(b))
+		}
+		// sync.Pool drops a random fraction of puts under the race detector
+		// (and everything at a GC), so look for one recycle in many cycles.
+		recycled := false
+		for attempt := 0; attempt < 100 && !recycled; attempt++ {
+			b := getBytes(n)[:1]
+			putBytes(b)
+			again := getBytes(n)[:1]
+			recycled = &again[0] == &b[0]
+		}
+		if !recycled {
+			t.Errorf("get→put→get of %d bytes never returned the recycled buffer", n)
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"unicode/utf8"
 
 	"wsgossip/internal/wsa"
 )
@@ -287,23 +286,13 @@ func isXMLSpace(c byte) bool {
 
 // escapeAttr escapes s for use inside a double-quoted attribute value.
 func escapeAttr(s string) string {
-	if !needsEscape(s) && utf8.ValidString(s) {
+	if plainText(s) {
 		return s
 	}
 	buf := getBuf()
 	defer bufPool.Put(buf)
 	_ = xml.EscapeText(buf, []byte(s))
 	return buf.String()
-}
-
-func needsEscape(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '<', '>', '&', '\'', '"', '\t', '\n', '\r':
-			return true
-		}
-	}
-	return false
 }
 
 // spliceParts is the per-block analysis an encode pass reuses.
@@ -472,7 +461,7 @@ func (e *Envelope) encodeTemplate() (*WireTemplate, error) {
 func (t *WireTemplate) RenderTo(addr string) []byte {
 	toLen := len(addr)
 	var esc *bytes.Buffer
-	if needsEscape(addr) || !utf8.ValidString(addr) {
+	if !plainText(addr) {
 		esc = getBuf()
 		_ = xml.EscapeText(esc, []byte(addr))
 		toLen = esc.Len()

@@ -562,6 +562,13 @@ func FuzzDecodeEquivalence(f *testing.F) {
 					env.Addressing(), want.Addressing(), data)
 			}
 		}
+		// The same byte walk names blocks in blockOf: whenever it answers,
+		// the xml.Unmarshal probe it stands in for must answer the same.
+		if name, ok := blockName(data); ok {
+			if want, err := probeName(data); err != nil || name != want {
+				t.Fatalf("blockName = %v, probe = %v, %v for %q", name, want, err, data)
+			}
+		}
 		got, err := Decode(data)
 		if err != nil {
 			return
