@@ -1,11 +1,12 @@
-// Command wsgossip-bench regenerates every experiment table (E0–E10 plus
+// Command wsgossip-bench regenerates every experiment table (E0–E12 plus
 // the A1–A3 ablations). Each table maps to one claim of the paper; the IDs
-// and expected shapes are documented in EXPERIMENTS.md.
+// are indexed in README.md ("Running the experiments") and the expected
+// shapes are discussed in DESIGN.md.
 //
 // Usage:
 //
 //	wsgossip-bench                 # run everything at full size
-//	wsgossip-bench -exp e3         # one experiment (e0..e10, a1..a3)
+//	wsgossip-bench -exp e3         # one experiment (e0..e12, a1..a3)
 //	wsgossip-bench -quick          # reduced sizes (CI)
 //	wsgossip-bench -seed 42        # change the reproducibility seed
 //	wsgossip-bench -list           # list experiment IDs
@@ -33,7 +34,7 @@ func main() {
 
 func run() error {
 	var (
-		exp        = flag.String("exp", "all", "experiment id (e0..e10, a1..a3) or 'all'")
+		exp        = flag.String("exp", "all", "experiment id (e0..e12, a1..a3) or 'all'")
 		seed       = flag.Int64("seed", 1, "reproducibility seed")
 		quick      = flag.Bool("quick", false, "reduced problem sizes")
 		list       = flag.Bool("list", false, "list experiments and exit")

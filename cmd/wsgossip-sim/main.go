@@ -670,17 +670,96 @@ func runChurn(n, fanout int, loss, leaveFrac float64, seed int64, ticks int, dum
 	return finish(reg, dumpReg, float64(covered)/float64(alive), minCov)
 }
 
-// runAggregate drives push-sum aggregation over the simulator.
-func runAggregate(n, fanout int, fnName string, eps float64, maxRounds int, loss float64, seed int64, dumpReg bool, minCov float64) error {
+// aggCluster is the population both aggregate modes drive: n SimNodes over a
+// static peer list on one simulated network, each holding a value drawn from
+// the seed, and the ground truth of the function over those values.
+type aggCluster struct {
+	fn    aggregate.Func
+	reg   *metrics.Registry
+	net   *simnet.Network
+	ftbl  *faults.Table
+	addrs []string
+	nodes []*aggregate.SimNode
+	truth float64
+}
+
+// newAggCluster checks the shared arguments and builds the population. A
+// positive window makes the nodes run the epoch-windowed acked exchange on
+// the network's clock; plan (windowed mode only) is scheduled on it.
+func newAggCluster(n, fanout int, fnName string, loss float64, seed int64, window time.Duration, plan *faults.Plan) (*aggCluster, error) {
 	fn, err := aggregate.ParseFunc(fnName)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if n < 2 || fanout < 1 {
-		return fmt.Errorf("aggregate mode needs n >= 2 and fanout >= 1")
+		return nil, fmt.Errorf("aggregate mode needs n >= 2 and fanout >= 1")
 	}
 	if loss < 0 || loss >= 1 {
-		return fmt.Errorf("loss must be in [0,1)")
+		return nil, fmt.Errorf("loss must be in [0,1)")
+	}
+	c := &aggCluster{
+		fn:    fn,
+		reg:   metrics.NewRegistry(),
+		net:   simnet.New(simnet.DefaultConfig(seed)),
+		addrs: make([]string, n),
+		nodes: make([]*aggregate.SimNode, n),
+	}
+	if c.ftbl, err = installFaults(c.net, plan); err != nil {
+		return nil, err
+	}
+	for i := range c.addrs {
+		c.addrs[i] = fmt.Sprintf("n%05d", i)
+	}
+	peers := gossip.NewStaticPeers(c.addrs)
+	rng := rand.New(rand.NewSource(seed))
+	var truthSum float64
+	truthMin, truthMax := math.Inf(1), math.Inf(-1)
+	for i, addr := range c.addrs {
+		v := rng.Float64() * 1000
+		truthSum += v
+		truthMin = math.Min(truthMin, v)
+		truthMax = math.Max(truthMax, v)
+		node, err := aggregate.NewSimNode(aggregate.SimNodeConfig{
+			Endpoint: c.net.Node(addr),
+			Peers:    peers,
+			Fanout:   fanout,
+			TaskID:   "sim",
+			Func:     fn,
+			Value:    v,
+			Root:     i == 0,
+			RNG:      rand.New(rand.NewSource(seed*6151 + int64(i))),
+			Window:   window,
+			Clock:    c.net,
+		})
+		if err != nil {
+			return nil, err
+		}
+		mux := transport.NewMux()
+		node.Register(mux)
+		mux.Bind(c.net.Node(addr))
+		c.nodes[i] = node
+	}
+	c.net.SetLossRate(loss)
+	switch fn {
+	case aggregate.FuncCount:
+		c.truth = float64(n)
+	case aggregate.FuncSum:
+		c.truth = truthSum
+	case aggregate.FuncAvg:
+		c.truth = truthSum / float64(n)
+	case aggregate.FuncMin:
+		c.truth = truthMin
+	case aggregate.FuncMax:
+		c.truth = truthMax
+	}
+	return c, nil
+}
+
+// runAggregate drives push-sum aggregation over the simulator.
+func runAggregate(n, fanout int, fnName string, eps float64, maxRounds int, loss float64, seed int64, dumpReg bool, minCov float64) error {
+	c, err := newAggCluster(n, fanout, fnName, loss, seed, 0, nil)
+	if err != nil {
+		return err
 	}
 	analytic, err := epidemic.PushSumRoundsToEpsilon(n, fanout, eps)
 	if err != nil {
@@ -690,71 +769,20 @@ func runAggregate(n, fanout int, fnName string, eps float64, maxRounds int, loss
 		maxRounds = 2*analytic + 10
 	}
 
-	reg := metrics.NewRegistry()
-	net := simnet.New(simnet.DefaultConfig(seed))
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("n%05d", i)
-	}
-	peers := gossip.NewStaticPeers(addrs)
-	rng := rand.New(rand.NewSource(seed))
-	nodes := make([]*aggregate.SimNode, n)
-	values := make([]float64, n)
-	var truthSum, truthMin, truthMax float64
-	truthMin, truthMax = math.Inf(1), math.Inf(-1)
-	for i := range addrs {
-		values[i] = rng.Float64() * 1000
-		truthSum += values[i]
-		truthMin = math.Min(truthMin, values[i])
-		truthMax = math.Max(truthMax, values[i])
-		node, err := aggregate.NewSimNode(aggregate.SimNodeConfig{
-			Endpoint: net.Node(addrs[i]),
-			Peers:    peers,
-			Fanout:   fanout,
-			TaskID:   "sim",
-			Func:     fn,
-			Value:    values[i],
-			Root:     i == 0,
-			RNG:      rand.New(rand.NewSource(seed*6151 + int64(i))),
-		})
-		if err != nil {
-			return err
-		}
-		mux := transport.NewMux()
-		node.Register(mux)
-		mux.Bind(net.Node(addrs[i]))
-		nodes[i] = node
-	}
-	net.SetLossRate(loss)
-
-	var truth float64
-	switch fn {
-	case aggregate.FuncCount:
-		truth = float64(n)
-	case aggregate.FuncSum:
-		truth = truthSum
-	case aggregate.FuncAvg:
-		truth = truthSum / float64(n)
-	case aggregate.FuncMin:
-		truth = truthMin
-	case aggregate.FuncMax:
-		truth = truthMax
-	}
-
 	// Exchange rounds fire from per-node self-clocking runners on the
 	// shared virtual clock; the harness only advances time and watches for
 	// convergence.
-	runners, err := startRunners(net, addrs, seed, reg, func(i int) func(context.Context) {
-		return nodes[i].Tick
+	runners, err := startRunners(c.net, c.addrs, seed, c.reg, func(i int) func(context.Context) {
+		return c.nodes[i].Tick
 	})
 	if err != nil {
 		return err
 	}
 	rounds := 0
 	for ; rounds < maxRounds; rounds++ {
-		net.RunFor(roundPeriod)
+		c.net.RunFor(roundPeriod)
 		allConverged := true
-		for _, node := range nodes {
+		for _, node := range c.nodes {
 			if !node.State().Converged(eps) {
 				allConverged = false
 				break
@@ -766,11 +794,11 @@ func runAggregate(n, fanout int, fnName string, eps float64, maxRounds int, loss
 		}
 	}
 	stopRunners(runners)
-	net.Run() // drain in-flight deliveries from the final rounds
+	c.net.Run() // drain in-flight deliveries from the final rounds
 
 	var worstErr, massSum, massWeight float64
 	defined := 0
-	for _, node := range nodes {
+	for _, node := range c.nodes {
 		s, w := node.State().Mass()
 		massSum += s
 		massWeight += w
@@ -779,28 +807,28 @@ func runAggregate(n, fanout int, fnName string, eps float64, maxRounds int, loss
 			continue
 		}
 		defined++
-		relErr := math.Abs(est-truth) / math.Max(math.Abs(truth), 1e-12)
+		relErr := math.Abs(est-c.truth) / math.Max(math.Abs(c.truth), 1e-12)
 		worstErr = math.Max(worstErr, relErr)
 	}
-	st := net.Stats()
+	st := c.net.Stats()
 	fmt.Printf("wsgossip-sim aggregate: N=%d f=%d fn=%s eps=%g loss=%.2f seed=%d\n",
-		n, fanout, fn, eps, loss, seed)
-	fmt.Printf("  ground truth:             %.6f\n", truth)
+		n, fanout, c.fn, eps, loss, seed)
+	fmt.Printf("  ground truth:             %.6f\n", c.truth)
 	fmt.Printf("  rounds run:               %d (analytic ε-rounds: %d, cap %d)\n", rounds, analytic, maxRounds)
 	fmt.Printf("  nodes with estimates:     %d/%d\n", defined, n)
 	fmt.Printf("  worst relative error:     %.3e\n", worstErr)
-	if fn == aggregate.FuncAvg || fn == aggregate.FuncSum || fn == aggregate.FuncCount {
+	if c.fn == aggregate.FuncAvg || c.fn == aggregate.FuncSum || c.fn == aggregate.FuncCount {
 		fmt.Printf("  conserved mass:           sum=%.6f weight=%.6f (loss destroys mass)\n", massSum, massWeight)
 	}
 	fmt.Printf("  network: sent=%d delivered=%d dropped=%d bytes=%d\n", st.Sent, st.Delivered, st.Dropped, st.Bytes)
-	fmt.Printf("  virtual time:             %v\n", net.Now())
-	reg.Counter("net_sent_total").Add(st.Sent)
-	reg.Counter("net_delivered_total").Add(st.Delivered)
-	reg.Counter("net_dropped_total").Add(st.Dropped)
-	reg.FloatGauge("aggregate_worst_rel_error").Set(worstErr)
+	fmt.Printf("  virtual time:             %v\n", c.net.Now())
+	c.reg.Counter("net_sent_total").Add(st.Sent)
+	c.reg.Counter("net_delivered_total").Add(st.Delivered)
+	c.reg.Counter("net_dropped_total").Add(st.Dropped)
+	c.reg.FloatGauge("aggregate_worst_rel_error").Set(worstErr)
 	// Coverage in aggregate mode is the fraction of nodes holding a defined
 	// estimate at the end of the run.
-	return finish(reg, dumpReg, float64(defined)/float64(n), minCov)
+	return finish(c.reg, dumpReg, float64(defined)/float64(n), minCov)
 }
 
 // runWindowedAggregate drives the continuous, epoch-windowed form of
@@ -811,83 +839,21 @@ func runAggregate(n, fanout int, fnName string, eps float64, maxRounds int, loss
 // fails the run with a non-zero exit — this is the CI smoke gate for the
 // loss-tolerance claim.
 func runWindowedAggregate(n, fanout int, fnName string, loss float64, seed int64, dumpReg bool, minCov float64, epochs int, window time.Duration, plan *faults.Plan) error {
-	fn, err := aggregate.ParseFunc(fnName)
-	if err != nil {
-		return err
-	}
-	if n < 2 || fanout < 1 {
-		return fmt.Errorf("aggregate mode needs n >= 2 and fanout >= 1")
-	}
-	if loss < 0 || loss >= 1 {
-		return fmt.Errorf("loss must be in [0,1)")
-	}
 	if window < 4*roundPeriod {
 		return fmt.Errorf("window %v too short: epochs need several %v rounds to mix", window, roundPeriod)
 	}
-
-	reg := metrics.NewRegistry()
-	net := simnet.New(simnet.DefaultConfig(seed))
-	ftbl, err := installFaults(net, plan)
+	c, err := newAggCluster(n, fanout, fnName, loss, seed, window, plan)
 	if err != nil {
 		return err
 	}
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("n%05d", i)
-	}
-	peers := gossip.NewStaticPeers(addrs)
-	rng := rand.New(rand.NewSource(seed))
-	nodes := make([]*aggregate.SimNode, n)
-	var truthSum, truthMin, truthMax float64
-	truthMin, truthMax = math.Inf(1), math.Inf(-1)
-	for i := range addrs {
-		v := rng.Float64() * 1000
-		truthSum += v
-		truthMin = math.Min(truthMin, v)
-		truthMax = math.Max(truthMax, v)
-		node, err := aggregate.NewSimNode(aggregate.SimNodeConfig{
-			Endpoint: net.Node(addrs[i]),
-			Peers:    peers,
-			Fanout:   fanout,
-			TaskID:   "sim",
-			Func:     fn,
-			Value:    v,
-			Root:     i == 0,
-			RNG:      rand.New(rand.NewSource(seed*6151 + int64(i))),
-			Window:   window,
-			Clock:    net,
-		})
-		if err != nil {
-			return err
-		}
-		mux := transport.NewMux()
-		node.Register(mux)
-		mux.Bind(net.Node(addrs[i]))
-		nodes[i] = node
-	}
-	net.SetLossRate(loss)
-	var truth float64
-	switch fn {
-	case aggregate.FuncCount:
-		truth = float64(n)
-	case aggregate.FuncSum:
-		truth = truthSum
-	case aggregate.FuncAvg:
-		truth = truthSum / float64(n)
-	case aggregate.FuncMin:
-		truth = truthMin
-	case aggregate.FuncMax:
-		truth = truthMax
-	}
-
-	runners, err := startRunners(net, addrs, seed, reg, func(i int) func(context.Context) {
-		return nodes[i].Tick
+	runners, err := startRunners(c.net, c.addrs, seed, c.reg, func(i int) func(context.Context) {
+		return c.nodes[i].Tick
 	})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("wsgossip-sim aggregate (windowed): N=%d f=%d fn=%s epochs=%d window=%v loss=%.2f seed=%d faults=%v\n",
-		n, fanout, fn, epochs, window, loss, seed, ftbl != nil)
+		n, fanout, c.fn, epochs, window, loss, seed, c.ftbl != nil)
 
 	// Sample the conservation residual every round on every node; the gate
 	// is exact zero at every instant, which is what the acked exchange
@@ -895,7 +861,7 @@ func runWindowedAggregate(n, fanout int, fnName string, loss float64, seed int64
 	massViolations := 0
 	var worstMassErr float64
 	sampleMass := func() {
-		for _, node := range nodes {
+		for _, node := range c.nodes {
 			if e := node.MassError(); e != 0 {
 				massViolations++
 				worstMassErr = math.Max(worstMassErr, math.Abs(e))
@@ -907,29 +873,29 @@ func runWindowedAggregate(n, fanout int, fnName string, loss float64, seed int64
 		// rolled and frozen it (runner jitter keeps ticks within one period
 		// of the boundary).
 		target := time.Duration(e)*window + 2*roundPeriod
-		for net.Now() < target {
-			net.RunFor(roundPeriod)
+		for c.net.Now() < target {
+			c.net.RunFor(roundPeriod)
 			sampleMass()
 		}
 		defined := 0
 		var worstErr float64
-		for _, node := range nodes {
+		for _, node := range c.nodes {
 			fr, ok := node.Frozen()
 			if !ok || fr.Epoch != uint64(e) || !fr.Defined {
 				continue
 			}
 			defined++
-			worstErr = math.Max(worstErr, math.Abs(fr.Estimate-truth)/math.Max(math.Abs(truth), 1e-12))
+			worstErr = math.Max(worstErr, math.Abs(fr.Estimate-c.truth)/math.Max(math.Abs(c.truth), 1e-12))
 		}
 		fmt.Printf("  epoch %d: estimates %d/%d defined, worst rel err %.3e\n", e, defined, n, worstErr)
-		reg.FloatGauge("aggregate_worst_rel_error").Set(worstErr)
+		c.reg.FloatGauge("aggregate_worst_rel_error").Set(worstErr)
 	}
 	stopRunners(runners)
-	net.Run() // drain in-flight shares and acks from the final rounds
+	c.net.Run() // drain in-flight shares and acks from the final rounds
 	sampleMass()
 
 	var stats aggregate.SimNodeStats
-	for _, node := range nodes {
+	for _, node := range c.nodes {
 		st := node.SimStats()
 		stats.SharesSent += st.SharesSent
 		stats.SharesAbsorbed += st.SharesAbsorbed
@@ -940,25 +906,25 @@ func runWindowedAggregate(n, fanout int, fnName string, loss float64, seed int64
 		stats.Recovered += st.Recovered
 		stats.UnackedDiscarded += st.UnackedDiscarded
 	}
-	st := net.Stats()
+	st := c.net.Stats()
 	fmt.Printf("  exchange: sent=%d absorbed=%d committed=%d retried=%d dup=%d stale=%d recovered=%d retired=%d\n",
 		stats.SharesSent, stats.SharesAbsorbed, stats.Commits, stats.Retries,
 		stats.Duplicates, stats.Stale, stats.Recovered, stats.UnackedDiscarded)
 	fmt.Printf("  mass error: %d violation(s), worst %g (gate: exactly 0 everywhere, always)\n",
 		massViolations, worstMassErr)
 	fmt.Printf("  network: sent=%d delivered=%d dropped=%d bytes=%d\n", st.Sent, st.Delivered, st.Dropped, st.Bytes)
-	fmt.Printf("  virtual time:             %v\n", net.Now())
-	if ftbl != nil {
-		reg.Counter("net_fault_refused_total").Add(st.FaultRefused)
-		reg.Counter("net_fault_dropped_total").Add(st.FaultDropped)
-		if err := reportFaults(ftbl, st); err != nil {
+	fmt.Printf("  virtual time:             %v\n", c.net.Now())
+	if c.ftbl != nil {
+		c.reg.Counter("net_fault_refused_total").Add(st.FaultRefused)
+		c.reg.Counter("net_fault_dropped_total").Add(st.FaultDropped)
+		if err := reportFaults(c.ftbl, st); err != nil {
 			return err
 		}
 	}
-	reg.Counter("net_sent_total").Add(st.Sent)
-	reg.Counter("net_delivered_total").Add(st.Delivered)
-	reg.Counter("net_dropped_total").Add(st.Dropped)
-	reg.FloatGauge("aggregate_mass_error").Set(worstMassErr)
+	c.reg.Counter("net_sent_total").Add(st.Sent)
+	c.reg.Counter("net_delivered_total").Add(st.Delivered)
+	c.reg.Counter("net_dropped_total").Add(st.Dropped)
+	c.reg.FloatGauge("aggregate_mass_error").Set(worstMassErr)
 	if massViolations > 0 {
 		return fmt.Errorf("mass conservation violated %d time(s), worst residual %g: the acked exchange must hold aggregate_mass_error at exactly 0 under loss",
 			massViolations, worstMassErr)
@@ -966,10 +932,10 @@ func runWindowedAggregate(n, fanout int, fnName string, loss float64, seed int64
 	// Coverage is the fraction of nodes whose final epoch froze with a
 	// defined estimate.
 	finalDefined := 0
-	for _, node := range nodes {
+	for _, node := range c.nodes {
 		if fr, ok := node.Frozen(); ok && fr.Epoch == uint64(epochs) && fr.Defined {
 			finalDefined++
 		}
 	}
-	return finish(reg, dumpReg, float64(finalDefined)/float64(n), minCov)
+	return finish(c.reg, dumpReg, float64(finalDefined)/float64(n), minCov)
 }

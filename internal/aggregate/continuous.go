@@ -10,265 +10,87 @@ import (
 	"wsgossip/internal/wscoord"
 )
 
-// contState is the epoch-windowed side of a task: which epoch the node is
-// in, which split shares are still awaiting their ack, which (sender, seq)
-// pairs have already been absorbed this epoch, and the last closed epoch's
-// frozen estimate.
-type contState struct {
-	window time.Duration
-	root   string
-	metric string
-	// epoch is the 1-based live epoch; 0 until the first roll.
-	epoch uint64
-	// contributeFrom is the first epoch this node contributes its local
-	// value (and anchor weight, if root) into. A node that joins through
-	// the start flood contributes immediately; one that joins through a
-	// stray share stays passive for the remainder of the current window
-	// and is absorbed at the next boundary.
-	contributeFrom uint64
-	// nextSeq allocates per-task share sequence numbers. Never reset: a
-	// seq identifies one transfer attempt across retries and epochs.
-	nextSeq uint64
-	// pending holds split shares not yet acknowledged, keyed by seq.
-	pending map[uint64]*pendingShare
-	// seen dedups absorbed shares per sender for the live epoch.
-	seen map[string]map[uint64]struct{}
-	// frozen is the last closed epoch's final estimate.
-	frozen *EpochEstimate
-	// contributed is the weight this node injected into the live epoch
-	// (contribution plus anchor) — the conservation tests' ground truth.
-	contributed float64
-}
+// The Service binding of the windowed exchange (exchange.go): locking, the
+// task map, first-contact registration, target selection, the local value
+// lookup, SOAP envelopes and sends outside the lock. Every protocol decision
+// is the machine's.
 
-// pendingShare is one outstanding transfer: the share as sent (so retries
-// are byte-identical) and how often it has been retried.
-type pendingShare struct {
-	to    string
-	epoch uint64
-	share Share
-	tries int
-}
-
-// contSend is one continuous-mode wire operation staged under the lock and
-// sent outside it.
+// contSend is one windowed wire operation staged under the lock and sent
+// outside it.
 type contSend struct {
 	taskID string
 	cctx   wscoord.CoordinationContext
-	share  Share
-	to     string
-	seq    uint64
-	// retry marks a re-send: a synchronous failure must not recover the
-	// mass, because an earlier attempt may have been delivered.
+	p      *pendingShare
+	// retry is p.retry() as read under the lock.
 	retry bool
 }
 
-// newContState builds the continuous side of a task from a start message.
-// addr is the local node, which contributes from the current epoch onward
-// (contributeFrom 0 = immediately at the first roll).
-func newContState(start Start, addr string) *contState {
-	return &contState{
-		window:  time.Duration(start.WindowMillis) * time.Millisecond,
-		root:    start.Root,
-		metric:  start.Metric,
-		pending: make(map[uint64]*pendingShare),
-		seen:    make(map[string]map[uint64]struct{}),
+// newContinuousTask builds a windowed task that has not rolled yet. Its
+// contribution at each roll is the metric's local value source (the named
+// entry in Values, else the default Value, else none: passive) and the
+// anchor weight if this node is the root. Value sources run under s.mu.
+func (s *Service) newContinuousTask(taskID string, fn Func, window time.Duration, root, metric string, params core.AggregateParameters, cctx wscoord.CoordinationContext) *task {
+	x := newExchange(taskID, s.cfg.Address, NewState(fn, 0, false, true))
+	x.window, x.root, x.metric = window, root, metric
+	x.contribute = func() (float64, bool, bool) {
+		isRoot := x.root != "" && x.root == s.cfg.Address
+		f := s.cfg.Value
+		if named := s.cfg.Values[x.metric]; x.metric != "" && named != nil {
+			f = named
+		}
+		if f == nil {
+			return 0, isRoot, false
+		}
+		return f(), isRoot, true
 	}
+	return &task{x: x, params: params, cctx: cctx}
 }
 
-// valueForLocked resolves the local value source for a metric name: the
-// named entry in Values, else the default Value, else none (passive).
-func (s *Service) valueForLocked(metric string) (func() float64, bool) {
-	if metric != "" && s.cfg.Values != nil {
-		if f, ok := s.cfg.Values[metric]; ok && f != nil {
-			return f, true
-		}
-	}
-	if s.cfg.Value != nil {
-		return s.cfg.Value, true
-	}
-	return nil, false
-}
-
-// rollTaskLocked retires the task's live epoch and enters epoch k. The old
-// epoch's outstanding shares, dedup state, and ledger are discarded as a
-// unit — its balance was zero, so removing all of it keeps the gauge at
-// zero, and any absorbed-but-unacked ambiguity dies with the epoch. The
-// node then re-contributes its local value (and anchor weight if it is the
-// root) into the fresh state. Caller holds s.mu and re-evaluates the gauge.
-func (s *Service) rollTaskLocked(t *task, k uint64, now time.Duration) {
-	c := t.cont
-	if k <= c.epoch {
-		return
-	}
-	if c.epoch != 0 {
-		est, ok := t.state.Estimate()
-		_, w := t.state.Mass()
-		c.frozen = &EpochEstimate{
-			Epoch:    c.epoch,
-			Estimate: est,
-			Defined:  ok,
-			Weight:   w,
-			Rounds:   t.state.Rounds(),
-			ClosedAt: now,
-		}
-	}
-	if n := len(c.pending); n > 0 {
-		s.stats.unacked.Add(int64(n))
-	}
-	c.pending = make(map[uint64]*pendingShare)
-	c.seen = make(map[string]map[uint64]struct{})
-	t.led = ledger{}
-	c.contributed = 0
-	c.epoch = k
-
-	passive := true
-	var value float64
-	if k >= c.contributeFrom {
-		if vf, ok := s.valueForLocked(c.metric); ok {
-			passive = false
-			value = vf()
-		}
-	}
-	root := c.root != "" && c.root == s.cfg.Address && k >= c.contributeFrom
-	t.state = NewState(t.state.Func(), value, root, passive)
-	_, w := t.state.Mass()
-	t.led.in += w
-	c.contributed = w
-	s.stats.epochs.Inc()
-}
-
-// tickContinuousLocked runs one continuous-task round: roll the epoch if
-// the clock crossed a boundary, stage retries for every outstanding share,
-// then split fresh shares for sampled targets (skipping targets whose
-// oldest pending share has timed out — see suspectTries). Caller holds
-// s.mu; the staged sends go out after the lock is released.
-func (s *Service) tickContinuousLocked(t *task, id string) []contSend {
-	c := t.cont
-	now := s.clk.Now()
-	if k := EpochAt(now, c.window); k > c.epoch {
-		s.rollTaskLocked(t, k, now)
-	}
-	var sends []contSend
-	// Retry every outstanding share in seq order (determinism). The
-	// receiver dedups on (From, Seq), so a share whose first copy arrived
-	// but whose ack was lost is absorbed exactly once and simply re-acked.
-	if len(c.pending) > 0 {
-		seqs := make([]uint64, 0, len(c.pending))
-		for q := range c.pending {
-			seqs = append(seqs, q)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, q := range seqs {
-			p := c.pending[q]
-			p.tries++
-			s.stats.retries.Inc()
-			sends = append(sends, contSend{
-				taskID: id, cctx: t.cctx, share: p.share, to: p.to, seq: q, retry: true,
-			})
-		}
-	}
+// continuousTargetsLocked samples a windowed task's exchange targets for one
+// round. A passive joiner whose registration failed has no parameters; with
+// a live view (or assigned targets) it still relays at the default fanout.
+// Caller holds s.mu.
+func (s *Service) continuousTargetsLocked(t *task) []string {
 	fanout := t.params.Fanout
 	if fanout <= 0 {
 		if s.cfg.Peers == nil && len(t.params.Targets) == 0 {
-			return sends
+			return nil
 		}
 		fanout = passiveFanout
 	}
-	targets := core.SelectTargets(s.cfg.Peers, s.rng, fanout, s.cfg.Address, t.params.Targets)
-	if len(c.pending) > 0 {
-		suspect := make(map[string]bool)
-		for _, p := range c.pending {
-			if p.tries >= suspectTries {
-				suspect[p.to] = true
-			}
-		}
-		if len(suspect) > 0 {
-			kept := targets[:0]
-			for _, tg := range targets {
-				if !suspect[tg] {
-					kept = append(kept, tg)
-				}
-			}
-			targets = kept
-		}
-	}
-	if len(targets) == 0 {
-		return sends
-	}
-	t.state.BeginRound()
-	s.stats.rounds.Inc()
-	shareSum, shareWeight := t.state.Split(len(targets))
-	for _, tg := range targets {
-		c.nextSeq++
-		sh := t.state.share(id, s.cfg.Address, shareSum, shareWeight)
-		sh.WindowMillis = c.window.Milliseconds()
-		sh.Epoch = c.epoch
-		sh.Seq = c.nextSeq
-		sh.Root = c.root
-		sh.Metric = c.metric
-		c.pending[c.nextSeq] = &pendingShare{to: tg, epoch: c.epoch, share: sh}
-		// Outstanding is charged per share (not batched) so a later
-		// per-share recovery or commit cancels its entry term-for-term.
-		t.led.outstanding += shareWeight
-		sends = append(sends, contSend{
-			taskID: id, cctx: t.cctx, share: sh, to: tg, seq: sh.Seq,
-		})
-	}
-	return sends
+	return core.SelectTargets(s.cfg.Peers, s.rng, fanout, s.cfg.Address, t.params.Targets)
 }
 
-// sendContinuous performs the staged continuous sends outside the service
-// lock. A synchronous refusal on a share's first send proves it was never
-// delivered, so its mass is recovered immediately; a refused retry proves
-// nothing (an earlier copy may have arrived) and the share stays pending
-// until its ack or the epoch boundary.
+// sendContinuous performs the staged windowed sends outside the service
+// lock. A refused first send goes back to the machine, which reclaims the
+// mass; a refused retry only counts.
 func (s *Service) sendContinuous(ctx context.Context, sends []contSend) {
 	for _, cs := range sends {
-		env, err := buildMessage(ActionExchange, cs.cctx, cs.share)
-		if err != nil {
-			if !cs.retry {
-				s.recoverPending(cs.taskID, cs.seq)
-			}
-			continue
+		env, err := newMessage(ActionExchange, cs.cctx)
+		if err == nil {
+			env.SetBodyBlock(shareBlock(&cs.p.share))
+			err = s.cfg.Caller.Send(ctx, cs.p.to, env)
 		}
-		if err := s.cfg.Caller.Send(ctx, cs.to, env); err != nil {
-			if cs.retry {
-				s.stats.sendErrors.Inc()
-			} else {
-				s.recoverPending(cs.taskID, cs.seq)
-			}
-			continue
+		switch {
+		case err == nil:
+			s.stats.sharesSent.Inc()
+		case cs.retry:
+			s.stats.sendErrors.Inc()
+		default:
+			s.reclaim(cs.taskID, cs.p)
 		}
-		s.stats.sharesSent.Inc()
 	}
 }
 
-// recoverPending reclaims the mass of a share whose first send was refused
-// synchronously: the share provably never left this node, so absorbing it
-// back and cancelling its outstanding entry keeps the ledger exact.
-func (s *Service) recoverPending(taskID string, seq uint64) {
+// reclaim hands a share whose first send was refused back to its task.
+func (s *Service) reclaim(taskID string, p *pendingShare) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.tasks[taskID]
-	if !ok || t.cont == nil {
+	if !ok || !t.x.reclaim(p) {
 		return
 	}
-	p, ok := t.cont.pending[seq]
-	if !ok || p.epoch != t.cont.epoch {
-		return
-	}
-	delete(t.cont.pending, seq)
-	t.state.Absorb(Share{
-		Sum:         p.share.Sum,
-		Weight:      p.share.Weight,
-		HasExtremes: p.share.HasExtremes,
-		Min:         p.share.Min,
-		Max:         p.share.Max,
-	})
-	// The mass moves straight from outstanding back to held: in/out are
-	// untouched, so the cancellation stays term-exact.
-	t.led.outstanding -= p.share.Weight
-	s.stats.recovered.Inc()
+	s.stats.drain(&t.x.counts)
 	s.stats.sendErrors.Inc()
 	s.evalMassLocked()
 }
@@ -292,68 +114,34 @@ func (s *Service) handleContinuousShare(ctx context.Context, req *soap.Request, 
 		// Registration can fail (coordinator down); the node still holds
 		// the mass it absorbs, so the totals stay conserved.
 		params, _ := s.registerTask(ctx, cctx)
-		c := newContState(Start{
-			WindowMillis: share.WindowMillis,
-			Root:         share.Root,
-			Metric:       share.Metric,
-		}, s.cfg.Address)
-		t = &task{state: NewState(fn, 0, false, true), params: params, cctx: cctx, cont: c}
+		window := time.Duration(share.WindowMillis) * time.Millisecond
+		t = s.newContinuousTask(share.TaskID, fn, window, share.Root, share.Metric, params, cctx)
 		s.mu.Lock()
 		if existing, raced := s.tasks[share.TaskID]; raced {
 			t = existing
 		} else {
 			// Mid-window joiner: relay passively for the rest of this
 			// window, contribute from the next boundary on.
-			now := s.clk.Now()
-			c.contributeFrom = EpochAt(now, c.window) + 1
+			t.x.contributeFrom = EpochAt(s.clk.Now(), window) + 1
 			s.tasks[share.TaskID] = t
 			s.stats.passiveJoins.Inc()
 		}
 		s.mu.Unlock()
 	}
 	s.mu.Lock()
-	c := t.cont
-	if c == nil {
+	if !t.x.windowed() {
 		s.mu.Unlock()
 		return nil, soap.NewFault(soap.CodeSender, "continuous share for one-shot task "+share.TaskID)
 	}
-	now := s.clk.Now()
-	k := EpochAt(now, c.window)
-	if share.Epoch > k {
-		k = share.Epoch
-	}
-	if k > c.epoch {
-		s.rollTaskLocked(t, k, now)
-	}
-	switch {
-	case share.Epoch == c.epoch:
-		m := c.seen[share.From]
-		if m == nil {
-			m = make(map[uint64]struct{})
-			c.seen[share.From] = m
-		}
-		if _, dup := m[share.Seq]; dup {
-			s.stats.dups.Inc()
-		} else {
-			m[share.Seq] = struct{}{}
-			t.state.Absorb(share)
-			t.led.in += share.Weight
-			s.stats.sharesAbsorbed.Inc()
-		}
-	default:
-		// share.Epoch < c.epoch: the sender is still in a retired epoch.
-		// Ack without absorbing — the mass died with that epoch everywhere,
-		// and the ack both stops the retries and rolls the sender forward.
-		s.stats.stale.Inc()
-	}
-	ackEpoch := c.epoch
+	ack, reply := t.x.absorb(s.clk.Now(), &share)
+	s.stats.drain(&t.x.counts)
 	cctx := t.cctx
 	s.evalMassLocked()
 	s.mu.Unlock()
 	s.bumpActivity()
-	if share.From != "" && share.From != s.cfg.Address {
-		ack := ExchangeAck{TaskID: share.TaskID, From: s.cfg.Address, Epoch: ackEpoch, Seq: share.Seq}
-		if env, err := buildMessage(ActionExchangeAck, cctx, ack); err == nil {
+	if reply {
+		if env, err := newMessage(ActionExchangeAck, cctx); err == nil {
+			env.SetBodyBlock(ackBlock(&ack))
 			if s.cfg.Caller.Send(ctx, share.From, env) == nil {
 				s.stats.acksSent.Inc()
 			} else {
@@ -364,33 +152,20 @@ func (s *Service) handleContinuousShare(ctx context.Context, req *soap.Request, 
 	return nil, nil
 }
 
-// handleExchangeAck commits one outstanding transfer: the share's mass
-// moves from the outstanding account to the committed-out ledger at the
-// moment the ack arrives — the commit point the mass-error gauge is
-// re-evaluated at. An ack from a later epoch also rolls this node forward.
+// handleExchangeAck commits one outstanding transfer — the commit point the
+// mass-error gauge is re-evaluated at.
 func (s *Service) handleExchangeAck(_ context.Context, req *soap.Request) (*soap.Envelope, error) {
-	var ack ExchangeAck
-	if err := req.Envelope.DecodeBody(&ack); err != nil {
+	ack, err := decodeAck(bodyRaw(req.Envelope))
+	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "malformed AggregateExchangeAck: "+err.Error())
 	}
 	s.mu.Lock()
-	t, ok := s.tasks[ack.TaskID]
-	if !ok || t.cont == nil {
-		s.mu.Unlock()
-		return nil, nil
+	defer s.mu.Unlock()
+	if t, ok := s.tasks[ack.TaskID]; ok && t.x.windowed() {
+		t.x.commit(s.clk.Now(), &ack)
+		s.stats.drain(&t.x.counts)
+		s.evalMassLocked()
 	}
-	c := t.cont
-	if p, ok := c.pending[ack.Seq]; ok && p.epoch == c.epoch {
-		delete(c.pending, ack.Seq)
-		t.led.outstanding -= p.share.Weight
-		t.led.out += p.share.Weight
-		s.stats.commits.Inc()
-	}
-	if ack.Epoch > c.epoch {
-		s.rollTaskLocked(t, ack.Epoch, s.clk.Now())
-	}
-	s.evalMassLocked()
-	s.mu.Unlock()
 	return nil, nil
 }
 
@@ -398,20 +173,16 @@ func (s *Service) handleExchangeAck(_ context.Context, req *soap.Request) (*soap
 // Querier's path): the node is the root, contributes immediately, and rolls
 // into the current epoch on the spot.
 func (s *Service) startContinuousLocal(taskID string, fn Func, cctx wscoord.CoordinationContext, params core.AggregateParameters, window time.Duration, metric string) {
+	t := s.newContinuousTask(taskID, fn, window, s.cfg.Address, metric, params, cctx)
 	s.mu.Lock()
 	if _, ok := s.tasks[taskID]; ok {
 		s.mu.Unlock()
 		return
 	}
-	c := newContState(Start{
-		WindowMillis: window.Milliseconds(),
-		Root:         s.cfg.Address,
-		Metric:       metric,
-	}, s.cfg.Address)
-	t := &task{state: NewState(fn, 0, false, true), params: params, cctx: cctx, cont: c}
 	s.tasks[taskID] = t
 	now := s.clk.Now()
-	s.rollTaskLocked(t, EpochAt(now, window), now)
+	t.x.roll(EpochAt(now, window), now)
+	s.stats.drain(&t.x.counts)
 	s.stats.started.Inc()
 	s.evalMassLocked()
 	s.mu.Unlock()
@@ -443,25 +214,25 @@ func (s *Service) ContinuousEstimates() []ContinuousEstimate {
 	out := make([]ContinuousEstimate, 0)
 	ids := make([]string, 0, len(s.tasks))
 	for id, t := range s.tasks {
-		if t.cont != nil {
+		if t.x.windowed() {
 			ids = append(ids, id)
 		}
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		t := s.tasks[id]
-		live, ok := t.state.Estimate()
+		x := s.tasks[id].x
+		live, ok := x.state.Estimate()
 		ce := ContinuousEstimate{
 			TaskID:      id,
-			Metric:      t.cont.metric,
-			Function:    t.state.Func(),
-			Window:      t.cont.window,
-			Epoch:       t.cont.epoch,
+			Metric:      x.metric,
+			Function:    x.state.Func(),
+			Window:      x.window,
+			Epoch:       x.epoch,
 			Live:        live,
 			LiveDefined: ok,
 		}
-		if t.cont.frozen != nil {
-			f := *t.cont.frozen
+		if x.frozen != nil {
+			f := *x.frozen
 			ce.Frozen = &f
 		}
 		out = append(out, ce)
@@ -474,8 +245,8 @@ func (s *Service) ContinuousEstimates() []ContinuousEstimate {
 func (s *Service) EpochOf(taskID string) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t, ok := s.tasks[taskID]; ok && t.cont != nil {
-		return t.cont.epoch
+	if t, ok := s.tasks[taskID]; ok {
+		return t.x.epoch
 	}
 	return 0
 }
@@ -485,8 +256,8 @@ func (s *Service) EpochOf(taskID string) uint64 {
 func (s *Service) FrozenEstimate(taskID string) (EpochEstimate, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t, ok := s.tasks[taskID]; ok && t.cont != nil && t.cont.frozen != nil {
-		return *t.cont.frozen, true
+	if t, ok := s.tasks[taskID]; ok && t.x.frozen != nil {
+		return *t.x.frozen, true
 	}
 	return EpochEstimate{}, false
 }
@@ -497,8 +268,8 @@ func (s *Service) FrozenEstimate(taskID string) (EpochEstimate, bool) {
 func (s *Service) Outstanding(taskID string) (outstanding, contributed float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t, ok := s.tasks[taskID]; ok && t.cont != nil {
-		return t.led.outstanding, t.cont.contributed
+	if t, ok := s.tasks[taskID]; ok {
+		return t.x.led.outstanding, t.x.contributed
 	}
 	return 0, 0
 }

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,6 +43,10 @@ type ackGate struct {
 	inner soap.Caller
 	hold  bool
 	held  []func() error
+	// refuse, when set, is asked about every exchange share; true refuses
+	// the send synchronously, as an unreachable peer would.
+	refuse  func(Share) bool
+	refused int
 }
 
 func (g *ackGate) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.Envelope, error) {
@@ -49,6 +54,16 @@ func (g *ackGate) Call(ctx context.Context, to string, env *soap.Envelope) (*soa
 }
 
 func (g *ackGate) Send(ctx context.Context, to string, env *soap.Envelope) error {
+	if g.refuse != nil && env.Addressing().Action == ActionExchange {
+		var sh Share
+		if err := env.DecodeBody(&sh); err != nil {
+			return err
+		}
+		if g.refuse(sh) {
+			g.refused++
+			return errors.New("ackGate: connection refused")
+		}
+	}
 	if g.hold && env.Addressing().Action == ActionExchangeAck {
 		e := env.Clone()
 		g.held = append(g.held, func() error {
@@ -358,6 +373,98 @@ func TestContinuousShareSemantics(t *testing.T) {
 	if got := svc.Stats().StaleShares; got != staleBefore+1 {
 		t.Fatalf("stale counter = %d, want %d", got, staleBefore+1)
 	}
+}
+
+// TestContinuousReclaimAsymmetry pins the Service side of the one rule that
+// lets mass come back mid-epoch: a synchronously refused FIRST send proves
+// the share never left, so its mass is reclaimed on the spot; a refused RETRY
+// proves nothing (the first copy may have arrived), so the share stays
+// pending until its ack or the epoch boundary.
+func TestContinuousReclaimAsymmetry(t *testing.T) {
+	// Two services plus the querier: at most two targets per round, so the
+	// outstanding account returns to zero exactly, not merely within an ulp.
+	c := newContCluster(t, 2, 53, time.Second)
+	ctx := context.Background()
+	c.step(ctx, 50*time.Millisecond) // starts the queries; services hold nothing pending yet
+	tk, ok := c.window.Task("load")
+	if !ok {
+		t.Fatal("load query not started")
+	}
+	svc := c.services[0]
+	_, w0, _ := svc.Mass(tk.ID)
+
+	// Every share of this round is a first send, and every one is refused.
+	before := svc.Stats()
+	c.gate.refuse = func(Share) bool { return true }
+	svc.Tick(ctx)
+	after := svc.Stats()
+	if c.gate.refused == 0 {
+		t.Fatal("no share was offered to the caller; the round did not run")
+	}
+	if got := after.Recovered - before.Recovered; got != int64(c.gate.refused) {
+		t.Fatalf("recovered %d shares, want every one of the %d refused first sends", got, c.gate.refused)
+	}
+	if after.SharesSent != before.SharesSent {
+		t.Fatalf("shares sent moved %d -> %d though every send was refused", before.SharesSent, after.SharesSent)
+	}
+	if o, _ := svc.Outstanding(tk.ID); o != 0 {
+		t.Fatalf("outstanding = %g after reclaim, want exactly 0", o)
+	}
+	if _, w1, _ := svc.Mass(tk.ID); math.Abs(w1-w0) > 1e-12 {
+		t.Fatalf("held weight %g -> %g: refused shares did not return their mass", w0, w1)
+	}
+	c.assertGaugesZero(t, "after refused first sends")
+
+	// Now let first sends through with their acks parked, so they stay
+	// pending, and refuse exactly the re-sends.
+	type transfer struct {
+		task string
+		seq  uint64
+	}
+	sent := map[transfer]bool{}
+	c.gate.refuse = func(sh Share) bool {
+		if sh.From != svc.Address() {
+			return false
+		}
+		id := transfer{sh.TaskID, sh.Seq}
+		retry := sent[id]
+		sent[id] = true
+		return retry
+	}
+	c.gate.hold, c.gate.refused = true, 0
+	svc.Tick(ctx) // nothing left to retry: the reclaimed shares are gone, not pending
+	if c.gate.refused != 0 || svc.Stats().Retries != after.Retries {
+		t.Fatalf("reclaimed shares were retried (%d refused, retries %d -> %d)", c.gate.refused, after.Retries, svc.Stats().Retries)
+	}
+	pending, _ := svc.Outstanding(tk.ID)
+	if pending == 0 {
+		t.Fatal("no outstanding mass while acks are withheld")
+	}
+	before = svc.Stats()
+	svc.Tick(ctx) // retries refused; this round's fresh shares go out
+	after = svc.Stats()
+	if c.gate.refused == 0 || after.Retries-before.Retries != int64(c.gate.refused) {
+		t.Fatalf("refused %d sends but retried %d: the gate did not refuse exactly the retries", c.gate.refused, after.Retries-before.Retries)
+	}
+	if after.Recovered != before.Recovered {
+		t.Fatalf("a refused retry recovered mass (%d -> %d)", before.Recovered, after.Recovered)
+	}
+	if got := after.SendErrors - before.SendErrors; got != int64(c.gate.refused) {
+		t.Fatalf("send errors moved by %d, want %d (one per refused retry)", got, c.gate.refused)
+	}
+	if o, _ := svc.Outstanding(tk.ID); o < pending {
+		t.Fatalf("outstanding fell %g -> %g: a refused retry released its share", pending, o)
+	}
+	c.assertGaugesZero(t, "after refused retries")
+
+	// The parked acks of the first copies settle the very shares whose
+	// retries were refused.
+	c.gate.refuse, c.gate.hold = nil, false
+	c.gate.release()
+	if got := svc.Stats().Commits - after.Commits; got < int64(c.gate.refused) {
+		t.Fatalf("commits moved by %d, want at least the %d shares whose retry was refused", got, c.gate.refused)
+	}
+	c.assertGaugesZero(t, "after ack release")
 }
 
 // TestContinuousPassiveJoinContributesNextEpoch pins the churn-absorption

@@ -46,8 +46,19 @@
 // until the receiver's ack commits it, absorb+ack is idempotent under
 // (sender, seq) dedup, and only a synchronous first-send failure may
 // recover mass locally (a retry failure never does — an earlier attempt
-// may have been delivered). The aggregate_mass_error gauge is evaluated at
-// every commit point and reads exactly zero at every observable instant;
-// the property-based suite in internal/scenario holds it there under
-// generated loss/churn/partition schedules.
+// may have been delivered). The aggregate_mass_error gauge is evaluated
+// after every transition and reads exactly zero at every observable
+// instant; the property-based suite in internal/scenario holds it there
+// under generated loss/churn/partition schedules.
+//
+// The protocol is written once. The unexported exchange type (exchange.go)
+// is one task's State, ledger, epoch, pending and seen shares and event
+// counts behind the transitions roll, tick, absorb, commit and reclaim (and
+// split, take, giveBack for one-shot tasks), with no lock, clock or I/O.
+// Service and SimNode are bindings of it: they choose targets, supply the
+// contribution at a roll, read the clock and move bytes — the Service under
+// its mutex with sends outside the lock, the SimNode inline on the
+// simulator's event loop. A share and its ack have one wire form (wire.go),
+// on soap's flat-element codec: the Service sends it as the SOAP body, the
+// SimNode as the transport.Message body.
 package aggregate

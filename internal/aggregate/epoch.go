@@ -2,7 +2,6 @@ package aggregate
 
 import (
 	"encoding/xml"
-	"math"
 	"time"
 
 	"wsgossip/internal/core"
@@ -49,35 +48,6 @@ type ExchangeAck struct {
 	Seq uint64 `xml:"Seq"`
 }
 
-// massSnapTol is the relative tolerance below which a task's ledger balance
-// is treated as float residue and snapped to exactly zero. The ledger and
-// the push-sum state apply the same share values through different
-// expression trees, so sub-ulp drift accumulates; real conservation bugs
-// (a lost share's worth of mass) sit many orders of magnitude above this.
-const massSnapTol = 1e-9
-
-// ledger is one task's conservation account. Mass held by the push-sum
-// state plus mass split off but not yet acknowledged (outstanding) must
-// equal everything that entered local custody (in) minus everything whose
-// transfer was committed (out). The aggregate_mass_error gauge is the sum
-// of these balances across tasks, re-evaluated at every commit point.
-type ledger struct {
-	in          float64
-	out         float64
-	outstanding float64
-}
-
-// balance returns the task's conservation error given the weight its state
-// currently holds, with sub-ulp residue snapped to exactly zero.
-func (l *ledger) balance(held float64) float64 {
-	bal := (held + l.outstanding) - (l.in - l.out)
-	scale := math.Max(1, math.Abs(l.in)+math.Abs(l.out))
-	if math.Abs(bal) <= massSnapTol*scale {
-		return 0
-	}
-	return bal
-}
-
 // EpochEstimate is one closed epoch's final local estimate — the stable
 // value consumers read while the next epoch is still mixing.
 type EpochEstimate struct {
@@ -94,11 +64,3 @@ type EpochEstimate struct {
 	// ClosedAt is the clock offset at which the epoch was retired locally.
 	ClosedAt time.Duration
 }
-
-// suspectTries is the per-target timeout, measured in exchange rounds: a
-// target whose oldest unacked share has been retried this many times is
-// excluded from new share fan-out for the rest of the epoch. The pending
-// share itself keeps being retried — if the target heals, the ack commits
-// the transfer; if not, the epoch boundary recovers the mass by retiring
-// the epoch.
-const suspectTries = 3

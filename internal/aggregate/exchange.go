@@ -1,0 +1,314 @@
+package aggregate
+
+import (
+	"cmp"
+	"math"
+	"slices"
+	"time"
+)
+
+// exchange is one task's push-sum custody, written once for both bindings:
+// the State, its conservation ledger, and — for an epoch-windowed task — the
+// seq/ack machinery that makes a transfer pairwise-atomic. It is the sans-IO
+// half of the protocol: no lock, no clock, no sends. A binding (Service under
+// its mutex, SimNode on the simulator's event loop) serializes the calls,
+// passes in the time and the targets it chose, supplies the node's
+// contribution at each roll, and moves the bytes of whatever a transition
+// hands back; everything the protocol decides is decided here.
+//
+// A one-shot task uses split, take and giveBack: fire-and-forget transfers
+// committed at the split. A windowed task (window > 0) uses tick, absorb,
+// commit and reclaim, all of which roll the epoch first when due.
+type exchange struct {
+	// taskID and addr are stamped on every outgoing share and ack.
+	taskID, addr string
+	state        *State
+	led          ledger
+	// counts holds the events since the binding last drained them.
+	counts exchangeCounts
+
+	// Windowed tasks only, from here on. window, root and metric also ride
+	// on every share, so a node that never saw the start can join from one.
+	window       time.Duration
+	root, metric string
+	// contribute is the binding's policy at a roll: the node's local value,
+	// whether it holds the count/sum anchor, and ok=false for a node with no
+	// value source (it relays passively).
+	contribute func() (value float64, root, ok bool)
+	// epoch is the 1-based live epoch; 0 until the first roll.
+	epoch uint64
+	// contributeFrom is the first epoch the node contributes into. A node
+	// that joins mid-window relays passively for the rest of that window and
+	// is absorbed at the next boundary, never retroactively.
+	contributeFrom uint64
+	// nextSeq allocates share sequence numbers. Never reset: a seq names one
+	// transfer across retries and epochs.
+	nextSeq uint64
+	// pending holds split shares not yet acknowledged, keyed by seq.
+	pending map[uint64]*pendingShare
+	// seen dedups absorbed shares per sender for the live epoch.
+	seen map[string]map[uint64]struct{}
+	// frozen is the last closed epoch's final estimate.
+	frozen *EpochEstimate
+	// contributed is the weight this node injected into the live epoch
+	// (contribution plus anchor) — the conservation tests' ground truth.
+	contributed float64
+}
+
+// pendingShare is one outstanding transfer: the share as sent (so retries are
+// byte-identical), and how often it has been retried.
+type pendingShare struct {
+	to    string
+	share Share
+	tries int
+}
+
+// retry reports whether a staged send re-sends a share that already went out
+// once. A refused retry proves nothing — an earlier copy may have arrived —
+// so only a refused first send may be reclaimed.
+func (p *pendingShare) retry() bool { return p.tries > 0 }
+
+// exchangeCounts counts the protocol events of one exchange.
+type exchangeCounts struct {
+	epochs, rounds, absorbed, dups, stale, commits, retries, recovered, unacked int64
+}
+
+// suspectTries is the per-target timeout, measured in exchange rounds: a
+// target whose oldest unacked share has been retried this many times is
+// excluded from new share fan-out for the rest of the epoch. The pending
+// share itself keeps being retried — if the target heals, the ack commits
+// the transfer; if not, the epoch boundary recovers the mass by retiring
+// the epoch.
+const suspectTries = 3
+
+// massSnapTol is the relative tolerance below which a task's ledger balance
+// is treated as float residue and snapped to exactly zero. The ledger and
+// the push-sum state apply the same share values through different
+// expression trees, so sub-ulp drift accumulates; real conservation bugs
+// (a lost share's worth of mass) sit many orders of magnitude above this.
+const massSnapTol = 1e-9
+
+// ledger is one task's conservation account. Mass held by the push-sum
+// state plus mass split off but not yet acknowledged (outstanding) must
+// equal everything that entered local custody (in) minus everything whose
+// transfer was committed (out). A one-shot split commits at once (the
+// fan-out reports failures synchronously); a windowed share sits in
+// outstanding until its ack.
+type ledger struct {
+	in          float64
+	out         float64
+	outstanding float64
+}
+
+// balance returns the task's conservation error given the weight its state
+// currently holds, with sub-ulp residue snapped to exactly zero.
+func (l *ledger) balance(held float64) float64 {
+	bal := (held + l.outstanding) - (l.in - l.out)
+	scale := math.Max(1, math.Abs(l.in)+math.Abs(l.out))
+	if math.Abs(bal) <= massSnapTol*scale {
+		return 0
+	}
+	return bal
+}
+
+// newExchange takes custody of st's initial mass for task taskID at addr.
+func newExchange(taskID, addr string, st *State) *exchange {
+	_, w := st.Mass()
+	return &exchange{taskID: taskID, addr: addr, state: st, led: ledger{in: w}}
+}
+
+// windowed reports whether the task runs the epoch-windowed acked exchange.
+func (x *exchange) windowed() bool { return x.window > 0 }
+
+// massError is the conservation residual: exactly zero at every commit point
+// — contribution, split, absorb, ack commit, reclaim, epoch roll — because
+// mass that is merely in flight sits in the outstanding account.
+func (x *exchange) massError() float64 {
+	_, w := x.state.Mass()
+	return x.led.balance(w)
+}
+
+// split runs one fire-and-forget round over n targets and returns the share
+// each of them gets. The transfer is committed here; copies the fan-out could
+// not deliver come back through giveBack.
+func (x *exchange) split(n int) Share {
+	x.state.BeginRound()
+	x.counts.rounds++
+	sum, w := x.state.Split(n)
+	x.led.out += w * float64(n)
+	return x.state.share(x.taskID, x.addr, sum, w)
+}
+
+// take absorbs one fire-and-forget share.
+func (x *exchange) take(sh *Share) {
+	x.state.Absorb(*sh)
+	x.led.in += sh.Weight
+	x.counts.absorbed++
+}
+
+// giveBack re-absorbs n undeliverable copies of a split share.
+func (x *exchange) giveBack(sh *Share, n int) {
+	for i := 0; i < n; i++ {
+		x.state.Absorb(Share{Sum: sh.Sum, Weight: sh.Weight})
+	}
+	x.led.in += sh.Weight * float64(n)
+}
+
+// upgrade completes a passive one-shot join once the start arrives: the local
+// value (State guards against double counting) and, on the root, the anchor
+// weight enter custody.
+func (x *exchange) upgrade(value float64, hasValue, root bool) {
+	_, w0 := x.state.Mass()
+	if hasValue {
+		x.state.Contribute(value)
+	}
+	if root {
+		x.state.ContributeAnchor()
+	}
+	_, w1 := x.state.Mass()
+	x.led.in += w1 - w0
+}
+
+// roll retires the live epoch and enters epoch k; a k that is not ahead is a
+// no-op. The old epoch's outstanding shares, dedup state and ledger are
+// discarded as a unit — its balance was zero, so removing all of it keeps the
+// residual at zero, and any absorbed-but-unacked ambiguity dies with the
+// epoch. The node then re-contributes into fresh state.
+func (x *exchange) roll(k uint64, now time.Duration) {
+	if k <= x.epoch {
+		return
+	}
+	if x.epoch != 0 {
+		est, ok := x.state.Estimate()
+		_, w := x.state.Mass()
+		x.frozen = &EpochEstimate{
+			Epoch:    x.epoch,
+			Estimate: est,
+			Defined:  ok,
+			Weight:   w,
+			Rounds:   x.state.Rounds(),
+			ClosedAt: now,
+		}
+	}
+	x.counts.unacked += int64(len(x.pending))
+	x.pending = make(map[uint64]*pendingShare)
+	x.seen = make(map[string]map[uint64]struct{})
+	x.epoch = k
+	var value float64
+	root, passive := false, true
+	if k >= x.contributeFrom {
+		var ok bool
+		value, root, ok = x.contribute()
+		passive = !ok
+	}
+	x.state = NewState(x.state.Func(), value, root, passive)
+	_, w := x.state.Mass()
+	x.led = ledger{in: w}
+	x.contributed = w
+	x.counts.epochs++
+}
+
+// tick runs one windowed round at time now and returns the sends to perform,
+// in order: every outstanding share again, in seq order (the receiver dedups
+// on (From, Seq), so a share whose first copy arrived but whose ack was lost
+// is absorbed exactly once and simply re-acked), then one fresh share per
+// target. targets is the binding's sample for this round; it is filtered in
+// place of targets whose oldest pending share has timed out (suspectTries).
+// A send the transport refuses synchronously goes to reclaim unless it is a
+// retry.
+func (x *exchange) tick(now time.Duration, targets []string) []*pendingShare {
+	x.roll(EpochAt(now, x.window), now)
+	sends := make([]*pendingShare, 0, len(x.pending)+len(targets))
+	for _, p := range x.pending {
+		sends = append(sends, p)
+	}
+	slices.SortFunc(sends, func(a, b *pendingShare) int { return cmp.Compare(a.share.Seq, b.share.Seq) })
+	for _, p := range sends {
+		p.tries++
+		if p.tries >= suspectTries {
+			targets = slices.DeleteFunc(targets, func(tg string) bool { return tg == p.to })
+		}
+	}
+	x.counts.retries += int64(len(sends))
+	if len(targets) == 0 {
+		return sends
+	}
+	x.state.BeginRound()
+	x.counts.rounds++
+	sum, w := x.state.Split(len(targets))
+	for _, tg := range targets {
+		x.nextSeq++
+		sh := x.state.share(x.taskID, x.addr, sum, w)
+		sh.WindowMillis = x.window.Milliseconds()
+		sh.Epoch = x.epoch
+		sh.Seq = x.nextSeq
+		sh.Root = x.root
+		sh.Metric = x.metric
+		p := &pendingShare{to: tg, share: sh}
+		x.pending[sh.Seq] = p
+		// Outstanding is charged per share (not batched) so a later
+		// per-share reclaim or commit cancels its entry term-for-term.
+		x.led.outstanding += w
+		sends = append(sends, p)
+	}
+	return sends
+}
+
+// absorb takes one inbound windowed share at time now and returns the ack
+// for it; reply is false when there is nobody to ack (no sender, or the node
+// itself). A share of the live epoch is absorbed once per (From, Seq). A
+// share from a retired epoch is acked without absorbing — its mass died with
+// that epoch everywhere, and the ack both stops the retries and rolls the
+// sender forward. A share from a later epoch rolls this node forward first:
+// epochs spread epidemically, the clock is only the local trigger.
+func (x *exchange) absorb(now time.Duration, sh *Share) (ack ExchangeAck, reply bool) {
+	x.roll(max(EpochAt(now, x.window), sh.Epoch), now)
+	if sh.Epoch == x.epoch {
+		m := x.seen[sh.From]
+		if m == nil {
+			m = make(map[uint64]struct{})
+			x.seen[sh.From] = m
+		}
+		if _, dup := m[sh.Seq]; dup {
+			x.counts.dups++
+		} else {
+			m[sh.Seq] = struct{}{}
+			x.state.Absorb(*sh)
+			x.led.in += sh.Weight
+			x.counts.absorbed++
+		}
+	} else {
+		x.counts.stale++
+	}
+	ack = ExchangeAck{TaskID: x.taskID, From: x.addr, Epoch: x.epoch, Seq: sh.Seq}
+	return ack, sh.From != "" && sh.From != x.addr
+}
+
+// commit settles one outstanding transfer: the share's mass moves from the
+// outstanding account to committed-out at the moment the ack arrives. An ack
+// from a later epoch also rolls this node forward.
+func (x *exchange) commit(now time.Duration, ack *ExchangeAck) {
+	if p, ok := x.pending[ack.Seq]; ok {
+		delete(x.pending, ack.Seq)
+		x.led.outstanding -= p.share.Weight
+		x.led.out += p.share.Weight
+		x.counts.commits++
+	}
+	x.roll(ack.Epoch, now)
+}
+
+// reclaim takes back a share whose first send was refused synchronously: it
+// provably never left this node, so the mass moves straight from outstanding
+// back to held (in/out untouched, the cancellation stays term-exact). It
+// reports false for a share no longer pending — committed, or retired with
+// its epoch, while the send was in progress.
+func (x *exchange) reclaim(p *pendingShare) bool {
+	if x.pending[p.share.Seq] != p {
+		return false
+	}
+	delete(x.pending, p.share.Seq)
+	x.state.Absorb(p.share)
+	x.led.outstanding -= p.share.Weight
+	x.counts.recovered++
+	return true
+}

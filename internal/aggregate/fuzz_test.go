@@ -1,9 +1,10 @@
 package aggregate
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/xml"
 	"math"
-	"strings"
+	"reflect"
 	"testing"
 	"unicode/utf8"
 
@@ -34,11 +35,16 @@ func fuzzableXML(s string) bool {
 // window, seq), encode it, re-decode it through the scanner path, and
 // require the extracted Share to be field-exact. This is the codec contract
 // the acked exchange's retries depend on — a retried share must carry
-// byte-identical semantics or dedup and commit break.
+// byte-identical semantics or dedup and commit break. The same payload pins
+// the flat share/ack codec against encoding/xml, differentially: the writer's
+// bytes are xml.Marshal's, and the reader's value is xml.Unmarshal's.
 func FuzzExchangeRoundTrip(f *testing.F) {
 	f.Add("task-1", "mem://a", "load", "mem://root", "avg", 1.5, 0.25, -3.0, 7.0, true, uint64(3), uint64(41), int64(5000))
 	f.Add("t", "", "", "", "count", 0.0, 0.0, 0.0, 0.0, false, uint64(0), uint64(0), int64(0))
 	f.Add("epoch&window <q>", "mem://ünïcødé", "lag", "mem://r", "max", -0.0, 1e-300, math.MaxFloat64, -math.MaxFloat64, true, uint64(math.MaxUint64), uint64(1), int64(1))
+	negZero := math.Copysign(0, -1)
+	f.Add("", "", "", "", "", negZero, 5e-324, negZero, -5e-324, false, uint64(0), uint64(math.MaxUint64), int64(math.MinInt64))
+	f.Add("t", "a", "", "", "min", math.MaxFloat64, -math.MaxFloat64, 0.0, 2.2250738585072014e-308, true, uint64(1), uint64(0), int64(999_999_999))
 	f.Fuzz(func(t *testing.T, taskID, from, metric, root, fn string,
 		sum, weight, min, max float64, hasExtremes bool,
 		epoch, seq uint64, windowMillis int64) {
@@ -67,15 +73,28 @@ func FuzzExchangeRoundTrip(f *testing.F) {
 			Root:         root,
 			Metric:       metric,
 		}
+		ack := ExchangeAck{TaskID: taskID, From: from, Epoch: epoch, Seq: seq}
+		shareRaw, ackRaw := shareBlock(&in).Raw, ackBlock(&ack).Raw
+		flatMatchesXML(t, &in, shareRaw, func(raw []byte) (any, error) { return decodeShare(raw) })
+		flatMatchesXML(t, &ack, ackRaw, func(raw []byte) (any, error) { return decodeAck(raw) })
+		// The fast reader must take what the writer emits (a window beyond
+		// nine digits is the one canonical share it leaves to encoding/xml).
+		if _, ok := scanShare(shareRaw); !ok && windowMillis > -1e9 && windowMillis < 1e9 {
+			t.Fatalf("flat reader declined its own writer's share: %q", shareRaw)
+		}
+		if _, ok := scanAck(ackRaw); !ok {
+			t.Fatalf("flat reader declined its own writer's ack: %q", ackRaw)
+		}
 		cctx := wscoord.CoordinationContext{
 			Identifier:          "urn:fuzz:task",
 			CoordinationType:    "urn:fuzz:type",
 			RegistrationService: wscoord.ServiceRef{Address: "mem://reg"},
 		}
-		env, err := buildMessage(ActionExchange, cctx, in)
+		env, err := newMessage(ActionExchange, cctx)
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
+		env.SetBodyBlock(shareBlock(&in))
 		data, err := env.Encode()
 		if err != nil {
 			t.Fatalf("encode: %v", err)
@@ -84,8 +103,8 @@ func FuzzExchangeRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("scanner decode: %v\nwire: %q", err, data)
 		}
-		var out Share
-		if err := decoded.DecodeBody(&out); err != nil {
+		out, err := decodeShare(bodyRaw(decoded))
+		if err != nil {
 			t.Fatalf("decode body: %v\nwire: %q", err, data)
 		}
 		out.XMLName = in.XMLName
@@ -95,105 +114,26 @@ func FuzzExchangeRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSimShareCodec is the differential contract for the hand-rolled
-// simulator codec: whenever decodeSimShare accepts an input, encoding/json
-// must accept it too and decode the identical values; and every accepted
-// share must survive append → decode unchanged. (The hand decoder may
-// reject inputs encoding/json would take — the wire only ever carries the
-// hand encoder's output.) The same bytes are also driven through the ack
-// codec under the same contract.
-func FuzzSimShareCodec(f *testing.F) {
-	f.Add([]byte(`{"task":"t1","fn":"avg","s":1.5,"w":0.5}`))
-	f.Add([]byte(`{"task":"t","fn":"max","s":0,"w":0,"he":true,"min":-1e-9,"max":2.75,"e":3,"q":17}`))
-	f.Add([]byte(`{"task":"escA\n\"x\"","fn":"count","s":-0,"w":1e300,"e":18446744073709551615,"q":1}`))
-	f.Add([]byte(`{"task":"surrogate 😀 pair","fn":"sum","s":2,"w":3,"unknown":[{"a":1},null,true,"x"]}`))
-	f.Add([]byte(` { "task" : "ws" , "fn" : "avg" , "s" : 1e2 , "w" : 0.125 } `))
-	f.Add([]byte(`{"task":"a","e":2,"q":9}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var hand simShare
-		if err := decodeSimShare(data, &hand); err == nil {
-			var std simShare
-			if jerr := json.Unmarshal(data, &std); jerr != nil {
-				t.Fatalf("hand decoder accepted what encoding/json rejects (%v):\n%q", jerr, data)
-			}
-			if hand != std {
-				t.Fatalf("value divergence:\nhand: %+v\n std: %+v\ninput: %q", hand, std, data)
-			}
-			// Identity holds for canonical shares: the encoder omits
-			// min/max when HasExtremes is false, because the protocol
-			// ignores (and never sends) extremes without the flag.
-			canon := hand
-			if !canon.HasExtremes {
-				canon.Min, canon.Max = 0, 0
-			}
-			wire := appendSimShare(nil, &canon)
-			var again simShare
-			if err := decodeSimShare(wire, &again); err != nil {
-				t.Fatalf("re-decode of own encoding failed: %v\nwire: %q", err, wire)
-			}
-			if again != canon {
-				t.Fatalf("encode/decode not identity:\nfirst: %+v\nagain: %+v\nwire: %q", canon, again, wire)
-			}
-		}
-		var ack simAck
-		if err := decodeSimAck(data, &ack); err == nil {
-			var std simAck
-			if jerr := json.Unmarshal(data, &std); jerr != nil {
-				t.Fatalf("ack decoder accepted what encoding/json rejects (%v):\n%q", jerr, data)
-			}
-			if ack != std {
-				t.Fatalf("ack value divergence:\nhand: %+v\n std: %+v\ninput: %q", ack, std, data)
-			}
-			wire := appendSimAck(nil, &ack)
-			var again simAck
-			if err := decodeSimAck(wire, &again); err != nil {
-				t.Fatalf("ack re-decode failed: %v\nwire: %q", err, wire)
-			}
-			if again != ack {
-				t.Fatalf("ack encode/decode not identity: %+v vs %+v", ack, again)
-			}
-		}
-	})
-}
-
-// TestSimShareCodecRejects pins decoder strictness on shapes that must not
-// be silently accepted.
-func TestSimShareCodecRejects(t *testing.T) {
-	bad := []string{
-		``,
-		`null`,
-		`[]`,
-		`{"task":"x"} trailing`,
-		`{"task":1}`,
-		`{"s":"1"}`,
-		`{"e":-1}`,
-		`{"e":1.5}`,
-		`{"q":18446744073709551616}`, // uint64 overflow
-		`{"s":01}`,                   // leading zero
-		`{"s":.5}`,                   // bare fraction
-		`{"s":1.}`,                   // dangling dot
-		`{"s":1e}`,                   // dangling exponent
-		`{"s":1e999}`,                // float overflow
-		`{"task":"` + string([]byte{0xff}) + `"}`, // invalid UTF-8
-		`{"task":"unterminated`,
-		`{"task":}`,
-		`{1:2}`,
+// flatMatchesXML requires flat to be xml.Marshal(v) byte for byte, and
+// decode(flat) to yield exactly what xml.Unmarshal yields for those bytes.
+func flatMatchesXML(t *testing.T, v any, flat []byte, decode func([]byte) (any, error)) {
+	t.Helper()
+	want, err := xml.Marshal(v)
+	if err != nil {
+		t.Fatalf("xml.Marshal: %v", err)
 	}
-	for _, in := range bad {
-		var sh simShare
-		if err := decodeSimShare([]byte(in), &sh); err == nil {
-			t.Errorf("decodeSimShare accepted %q", in)
-		}
+	if !bytes.Equal(flat, want) {
+		t.Fatalf("flat writer diverges from xml.Marshal:\nflat: %q\n xml: %q", flat, want)
 	}
-	// strings.Repeat guards against decoder stack depth issues on deep
-	// nesting in skipped unknown fields.
-	deep := `{"task":"x","fn":"avg","s":1,"w":1,"junk":` +
-		strings.Repeat("[", 64) + strings.Repeat("]", 64) + `}`
-	var sh simShare
-	if err := decodeSimShare([]byte(deep), &sh); err != nil {
-		t.Errorf("decodeSimShare rejected deep unknown array: %v", err)
+	got, err := decode(flat)
+	if err != nil {
+		t.Fatalf("flat decode: %v\nwire: %q", err, flat)
 	}
-	if sh.Task != "x" || sh.Sum != 1 {
-		t.Errorf("deep-skip decode mangled fields: %+v", sh)
+	std := reflect.New(reflect.TypeOf(v).Elem())
+	if err := xml.Unmarshal(flat, std.Interface()); err != nil {
+		t.Fatalf("xml.Unmarshal: %v\nwire: %q", err, flat)
+	}
+	if !reflect.DeepEqual(got, std.Elem().Interface()) {
+		t.Fatalf("flat reader diverges from xml.Unmarshal:\nflat: %+v\n xml: %+v\nwire: %q", got, std.Elem().Interface(), flat)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"wsgossip/internal/clock"
 	"wsgossip/internal/core"
@@ -95,19 +96,12 @@ type ServiceConfig struct {
 	Values map[string]func() float64
 }
 
-// task is one aggregation interaction this node participates in.
+// task is one aggregation interaction this node participates in: the
+// exchange machine holding its mass, and what the binding needs to move it.
 type task struct {
-	state  *State
+	x      *exchange
 	params core.AggregateParameters
 	cctx   wscoord.CoordinationContext
-	// led is the task's conservation account (see ledger). For one-shot
-	// tasks out is charged when a share is handed to the fan-out (the
-	// legacy fire-and-forget contract); for continuous tasks a split share
-	// sits in outstanding until its ack commits the transfer.
-	led ledger
-	// cont holds the epoch-windowed state for continuous tasks; nil for
-	// classic one-shot aggregations.
-	cont *contState
 }
 
 // Service is the aggregation participant role: application code supplies
@@ -170,6 +164,22 @@ func newAggCounters(reg *metrics.Registry) aggCounters {
 		dups:            reg.Counter("aggregate_duplicate_shares_total"),
 		unacked:         reg.Counter("aggregate_unacked_discarded_total"),
 	}
+}
+
+// drain moves an exchange's event counts into the registry series. Caller
+// holds the service lock, so a scrape never sees an event the task's state
+// does not yet reflect.
+func (c *aggCounters) drain(n *exchangeCounts) {
+	c.epochs.Add(n.epochs)
+	c.rounds.Add(n.rounds)
+	c.sharesAbsorbed.Add(n.absorbed)
+	c.dups.Add(n.dups)
+	c.stale.Add(n.stale)
+	c.commits.Add(n.commits)
+	c.retries.Add(n.retries)
+	c.recovered.Add(n.recovered)
+	c.unacked.Add(n.unacked)
+	*n = exchangeCounts{}
 }
 
 // NewService returns an aggregation service node.
@@ -277,15 +287,12 @@ func (s *Service) RegisterActions(d *soap.Dispatcher) {
 }
 
 // evalMassLocked re-evaluates the aggregate_mass_error gauge from the
-// per-task ledgers. It runs at every commit point — contribution, split,
-// absorb, ack commit, recovery, epoch roll — so the gauge can never show a
-// stale or phantom value mid-round: mass that is merely in flight sits in a
-// task's outstanding account and balances to zero. Caller holds s.mu.
+// per-task residuals. It runs after every machine transition, so the gauge
+// can never show a stale or phantom value mid-round. Caller holds s.mu.
 func (s *Service) evalMassLocked() {
 	var err float64
 	for _, t := range s.tasks {
-		_, w := t.state.Mass()
-		err += t.led.balance(w)
+		err += t.x.massError()
 	}
 	s.stats.massErr.Set(err)
 }
@@ -310,7 +317,7 @@ func (s *Service) Estimate(taskID string) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return t.state.Estimate()
+	return t.x.state.Estimate()
 }
 
 // Converged reports whether the task's estimate has stabilized to within
@@ -322,7 +329,7 @@ func (s *Service) Converged(taskID string) bool {
 	if !ok {
 		return false
 	}
-	return t.state.Converged(t.params.Epsilon)
+	return t.x.state.Converged(t.params.Epsilon)
 }
 
 // Mass returns the node's conserved (sum, weight) pair for the task.
@@ -333,7 +340,7 @@ func (s *Service) Mass(taskID string) (sum, weight float64, ok bool) {
 	if !found {
 		return 0, 0, false
 	}
-	sum, weight = t.state.Mass()
+	sum, weight = t.x.state.Mass()
 	return sum, weight, true
 }
 
@@ -345,7 +352,7 @@ func (s *Service) Rounds(taskID string) int {
 	if !ok {
 		return 0
 	}
-	return t.state.Rounds()
+	return t.x.state.Rounds()
 }
 
 // handleStart joins an aggregation task: register with the interaction's
@@ -380,29 +387,25 @@ func (s *Service) handleStart(ctx context.Context, req *soap.Request) (*soap.Env
 	if err != nil {
 		return nil, err
 	}
-	passive := s.cfg.Value == nil
-	var value float64
-	if !passive {
-		value = s.cfg.Value()
+	var t *task
+	if start.WindowMillis > 0 {
+		window := time.Duration(start.WindowMillis) * time.Millisecond
+		t = s.newContinuousTask(start.TaskID, fn, window, start.Root, start.Metric, params, cctx)
+	} else {
+		t = s.newTask(start.TaskID, fn, start.Root == s.cfg.Address, params, cctx)
 	}
-	st := NewState(fn, value, start.Root == s.cfg.Address, passive)
 	s.mu.Lock()
 	if _, raced := s.tasks[start.TaskID]; raced {
 		s.mu.Unlock()
 		return nil, nil
 	}
-	t := &task{state: st, params: params, cctx: cctx}
-	if start.WindowMillis > 0 {
-		// A continuous start: the state built above is discarded in favour
-		// of an epoch roll, which contributes the local value into the
-		// current epoch and seeds the anchor if this node is the root.
-		t.state = NewState(fn, 0, false, true)
-		t.cont = newContState(start, s.cfg.Address)
+	if t.x.windowed() {
+		// A continuous start rolls into the current epoch on the spot,
+		// which contributes the local value and seeds the anchor if this
+		// node is the root.
 		now := s.clk.Now()
-		s.rollTaskLocked(t, EpochAt(now, t.cont.window), now)
-	} else {
-		_, w := st.Mass()
-		t.led.in += w
+		t.x.roll(EpochAt(now, t.x.window), now)
+		s.stats.drain(&t.x.counts)
 	}
 	s.tasks[start.TaskID] = t
 	s.stats.started.Inc()
@@ -422,34 +425,26 @@ func (s *Service) handleStart(ctx context.Context, req *soap.Request) (*soap.Env
 func (s *Service) upgradePassiveTask(ctx context.Context, t *task, start Start, cctx wscoord.CoordinationContext) {
 	s.mu.Lock()
 	needTargets := len(t.params.Targets) == 0
-	if t.cont != nil {
+	if t.x.windowed() {
 		// Continuous task that joined through a share: the start only
 		// confirms what the share already carried. The node begins
 		// contributing at the next epoch boundary (set by the passive
 		// join), never retroactively mid-window.
-		if t.cont.root == "" {
-			t.cont.root = start.Root
+		if t.x.root == "" {
+			t.x.root = start.Root
 		}
-		if t.cont.metric == "" {
-			t.cont.metric = start.Metric
+		if t.x.metric == "" {
+			t.x.metric = start.Metric
 		}
 	} else {
-		_, w0 := t.state.Mass()
-		if s.cfg.Value != nil && !t.state.Contributed() {
+		var value float64
+		hasValue := s.cfg.Value != nil && !t.x.state.Contributed()
+		if hasValue {
 			s.mu.Unlock()
-			value := s.cfg.Value()
+			value = s.cfg.Value()
 			s.mu.Lock()
-			// Re-baseline: a share absorbed between the unlock and relock
-			// is already in the ledger; only the contribution delta is new
-			// mass.
-			_, w0 = t.state.Mass()
-			t.state.Contribute(value)
 		}
-		if start.Root == s.cfg.Address {
-			t.state.ContributeAnchor()
-		}
-		_, w1 := t.state.Mass()
-		t.led.in += w1 - w0
+		t.x.upgrade(value, hasValue, start.Root == s.cfg.Address)
 		s.evalMassLocked()
 	}
 	s.mu.Unlock()
@@ -485,10 +480,10 @@ func (s *Service) registerTask(ctx context.Context, cctx wscoord.CoordinationCon
 	return params, nil
 }
 
-// buildMessage assembles one logical multi-target message: addressing with
-// the action and a single message ID but no To (the fan-out splices it per
-// target), the coordination context, and the body.
-func buildMessage(action string, cctx wscoord.CoordinationContext, body any) (*soap.Envelope, error) {
+// newMessage starts one logical multi-target message: addressing with the
+// action and a single message ID but no To (the fan-out splices it per
+// target), and the coordination context. The caller sets the body.
+func newMessage(action string, cctx wscoord.CoordinationContext) (*soap.Envelope, error) {
 	env := soap.NewEnvelope()
 	if err := env.SetAddressing(wsa.Headers{
 		Action:    action,
@@ -497,6 +492,17 @@ func buildMessage(action string, cctx wscoord.CoordinationContext, body any) (*s
 		return nil, err
 	}
 	if err := wscoord.AttachContext(env, cctx); err != nil {
+		return nil, err
+	}
+	return env, nil
+}
+
+// buildMessage is newMessage plus a body marshalled by encoding/xml — the
+// once-per-task messages. Shares and acks carry a flat-codec block instead
+// (wire.go).
+func buildMessage(action string, cctx wscoord.CoordinationContext, body any) (*soap.Envelope, error) {
+	env, err := newMessage(action, cctx)
+	if err != nil {
 		return nil, err
 	}
 	if err := env.SetBody(body); err != nil {
@@ -525,8 +531,8 @@ func (s *Service) forwardStart(ctx context.Context, start Start, cctx wscoord.Co
 // the start still conserves the mass: it registers through the share's
 // coordination context and joins passively.
 func (s *Service) handleExchange(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
-	var share Share
-	if err := req.Envelope.DecodeBody(&share); err != nil {
+	share, err := decodeShare(bodyRaw(req.Envelope))
+	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "malformed AggregateShare: "+err.Error())
 	}
 	if share.WindowMillis > 0 {
@@ -548,7 +554,7 @@ func (s *Service) handleExchange(ctx context.Context, req *soap.Request) (*soap.
 		// the mass so the totals stay conserved — it just cannot relay
 		// until a later start or share brings usable targets.
 		params, _ := s.registerTask(ctx, cctx)
-		t = &task{state: NewState(fn, 0, false, true), params: params, cctx: cctx}
+		t = &task{x: newExchange(share.TaskID, s.cfg.Address, NewState(fn, 0, false, true)), params: params, cctx: cctx}
 		s.mu.Lock()
 		if existing, raced := s.tasks[share.TaskID]; raced {
 			t = existing
@@ -559,9 +565,8 @@ func (s *Service) handleExchange(ctx context.Context, req *soap.Request) (*soap.
 		s.mu.Unlock()
 	}
 	s.mu.Lock()
-	t.state.Absorb(share)
-	t.led.in += share.Weight
-	s.stats.sharesAbsorbed.Inc()
+	t.x.take(&share)
+	s.stats.drain(&t.x.counts)
 	s.evalMassLocked()
 	s.mu.Unlock()
 	s.bumpActivity()
@@ -580,15 +585,15 @@ func (s *Service) handleQuery(_ context.Context, req *soap.Request) (*soap.Envel
 		s.mu.Unlock()
 		return nil, soap.NewFault(soap.CodeSender, fmt.Sprintf("unknown aggregation task %q", q.TaskID))
 	}
-	est, _ := t.state.Estimate()
-	_, weight := t.state.Mass()
+	est, _ := t.x.state.Estimate()
+	_, weight := t.x.state.Mass()
 	result := QueryResult{
 		TaskID:    q.TaskID,
-		Function:  string(t.state.Func()),
+		Function:  string(t.x.state.Func()),
 		Estimate:  est,
 		Weight:    weight,
-		Rounds:    t.state.Rounds(),
-		Converged: t.state.Converged(t.params.Epsilon),
+		Rounds:    t.x.state.Rounds(),
+		Converged: t.x.state.Converged(t.params.Epsilon),
 	}
 	s.stats.queriesServed.Inc()
 	s.mu.Unlock()
@@ -624,8 +629,11 @@ func (s *Service) Tick(ctx context.Context) {
 	sort.Strings(ids)
 	for _, id := range ids {
 		t := s.tasks[id]
-		if t.cont != nil {
-			contSends = append(contSends, s.tickContinuousLocked(t, id)...)
+		if t.x.windowed() {
+			for _, p := range t.x.tick(s.clk.Now(), s.continuousTargetsLocked(t)) {
+				contSends = append(contSends, contSend{taskID: id, cctx: t.cctx, p: p, retry: p.retry()})
+			}
+			s.stats.drain(&t.x.counts)
 			continue
 		}
 		fanout := t.params.Fanout
@@ -641,7 +649,7 @@ func (s *Service) Tick(ctx context.Context) {
 		if s.cfg.Peers == nil && len(t.params.Targets) == 0 {
 			continue
 		}
-		if t.params.MaxRounds > 0 && t.state.Rounds() >= t.params.MaxRounds {
+		if t.params.MaxRounds > 0 && t.x.state.Rounds() >= t.params.MaxRounds {
 			continue
 		}
 		// Sample before starting the round: with a live view that is still
@@ -654,30 +662,28 @@ func (s *Service) Tick(ctx context.Context) {
 		if len(targets) == 0 {
 			continue
 		}
-		t.state.BeginRound()
-		s.stats.rounds.Inc()
-		shareSum, shareWeight := t.state.Split(len(targets))
 		// One-shot contract: the fan-out takes responsibility at split, so
-		// the transfer is committed (out) immediately; failures come back
+		// the transfer is committed immediately; failures come back
 		// synchronously and are re-absorbed by returnShares.
-		t.led.out += shareWeight * float64(len(targets))
 		sends = append(sends, outgoing{
 			taskID:  id,
 			cctx:    t.cctx,
-			share:   t.state.share(id, s.cfg.Address, shareSum, shareWeight),
+			share:   t.x.split(len(targets)),
 			targets: targets,
 		})
+		s.stats.drain(&t.x.counts)
 	}
 	s.evalMassLocked()
 	s.mu.Unlock()
 	for _, out := range sends {
 		// Every target of a round receives the same share, so the exchange
 		// is one logical message: encode once, render per target.
-		env, err := buildMessage(ActionExchange, out.cctx, out.share)
+		env, err := newMessage(ActionExchange, out.cctx)
 		if err != nil {
 			s.returnShares(out.taskID, out.share, len(out.targets))
 			continue
 		}
+		env.SetBodyBlock(shareBlock(&out.share))
 		sent, failed := soap.Fanout(ctx, s.cfg.Caller, env, out.targets)
 		if len(failed) > 0 {
 			// Return the unsent mass to local state: conservation holds
@@ -695,10 +701,7 @@ func (s *Service) returnShares(taskID string, share Share, n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t, ok := s.tasks[taskID]; ok {
-		for i := 0; i < n; i++ {
-			t.state.Absorb(Share{Sum: share.Sum, Weight: share.Weight})
-		}
-		t.led.in += share.Weight * float64(n)
+		t.x.giveBack(&share, n)
 		s.evalMassLocked()
 	}
 	s.stats.sendErrors.Add(int64(n))
@@ -708,27 +711,28 @@ func (s *Service) addSendErrors(n int) {
 	s.stats.sendErrors.Add(int64(n))
 }
 
-// startLocalTask installs a task created by this node itself (the Querier's
-// path: it already holds the parameters from its own registration).
-func (s *Service) startLocalTask(taskID string, fn Func, cctx wscoord.CoordinationContext, params core.AggregateParameters, root bool) {
+// newTask builds a one-shot task holding the node's local value (none:
+// passive) and, on the root, the anchor weight. Call outside s.mu: it runs
+// the value source.
+func (s *Service) newTask(taskID string, fn Func, root bool, params core.AggregateParameters, cctx wscoord.CoordinationContext) *task {
 	passive := s.cfg.Value == nil
 	var value float64
 	if !passive {
 		value = s.cfg.Value()
 	}
+	x := newExchange(taskID, s.cfg.Address, NewState(fn, value, root, passive))
+	return &task{x: x, params: params, cctx: cctx}
+}
+
+// startLocalTask installs a task created by this node itself (the Querier's
+// path: it already holds the parameters from its own registration).
+func (s *Service) startLocalTask(taskID string, fn Func, cctx wscoord.CoordinationContext, params core.AggregateParameters, root bool) {
+	t := s.newTask(taskID, fn, root, params, cctx)
 	s.mu.Lock()
 	if _, ok := s.tasks[taskID]; ok {
 		s.mu.Unlock()
 		return
 	}
-	st := NewState(fn, value, root, passive)
-	t := &task{
-		state:  st,
-		params: params,
-		cctx:   cctx,
-	}
-	_, w := st.Mass()
-	t.led.in += w
 	s.tasks[taskID] = t
 	s.stats.started.Inc()
 	s.evalMassLocked()

@@ -4,55 +4,21 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/transport"
 )
 
-// Transport-level push-sum node: the same State machine as the SOAP-level
+// Transport-level push-sum node: the same exchange machine as the SOAP-level
 // Service, attached directly to a transport.Endpoint. It is what lets
 // cmd/wsgossip-sim drive aggregation over the deterministic simulator at
 // scales (and loss rates) the SOAP harness does not reach, mirroring how
 // the dissemination engine has both a SOAP binding and a simnet binding.
 // With a Window configured it runs the epoch-windowed, acked exchange of
-// the continuous plane instead of one-shot fire-and-forget.
-
-// Wire actions for simulator push-sum exchanges and their acks.
-const (
-	ActionSimExchange    = "urn:wsgossip:aggregate:exchange"
-	ActionSimExchangeAck = "urn:wsgossip:aggregate:exchange-ack"
-)
-
-// simShare is the simulator wire format (JSON, like the gossip engine's).
-// Epoch and Seq are zero on the legacy one-shot path.
-type simShare struct {
-	Task        string  `json:"task"`
-	Function    string  `json:"fn"`
-	Sum         float64 `json:"s"`
-	Weight      float64 `json:"w"`
-	HasExtremes bool    `json:"he,omitempty"`
-	Min         float64 `json:"min,omitempty"`
-	Max         float64 `json:"max,omitempty"`
-	Epoch       uint64  `json:"e,omitempty"`
-	Seq         uint64  `json:"q,omitempty"`
-}
-
-// simAck acknowledges one absorbed (or retired) share. Epoch is the
-// receiver's live epoch, which may roll the sender forward.
-type simAck struct {
-	Task  string `json:"task"`
-	Epoch uint64 `json:"e"`
-	Seq   uint64 `json:"q"`
-}
-
-// simPending is one outstanding windowed transfer awaiting its ack.
-type simPending struct {
-	to    string
-	share Share
-	tries int
-}
+// the continuous plane instead of one-shot fire-and-forget. Either way the
+// protocol is the Service's (exchange.go) and so is the share on the wire
+// (wire.go): the node only samples peers, reads the clock and moves bodies.
 
 // SimNodeStats counts one simulator node's windowed-exchange events.
 type SimNodeStats struct {
@@ -114,26 +80,12 @@ type SimNodeConfig struct {
 // SimNode is one simulator participant. All calls arrive from the
 // simulator's single-threaded event loop, so no locking is needed.
 type SimNode struct {
-	cfg   SimNodeConfig
-	rng   *rand.Rand
-	state *State
-
-	// Windowed-mode machinery; zero-valued and unused in legacy mode.
-	epoch          uint64
-	contributeFrom uint64
-	nextSeq        uint64
-	led            ledger
-	pending        map[uint64]*simPending
-	seen           map[string]map[uint64]struct{}
-	frozen         *EpochEstimate
-	contributed    float64
-	stats          SimNodeStats
+	cfg SimNodeConfig
+	rng *rand.Rand
+	x   *exchange
+	// The transport's verdicts on what the machine asked to send.
+	sharesSent, acksSent, sendErrors int64
 }
-
-// encodeCap sizes encode buffers so a typical share fits in one allocation.
-// Bodies cannot be pooled or reused: the simulator holds the slice until
-// the (possibly much later) delivery timer fires.
-const encodeCap = 160
 
 // NewSimNode validates cfg and returns a node with its initial state.
 func NewSimNode(cfg SimNodeConfig) (*SimNode, error) {
@@ -154,320 +106,153 @@ func NewSimNode(cfg SimNodeConfig) (*SimNode, error) {
 		rng = rand.New(rand.NewSource(1))
 	}
 	n := &SimNode{cfg: cfg, rng: rng}
-	if cfg.Window > 0 {
-		// Passive until the first roll. A node created mid-window is
-		// absorbed at the NEXT epoch boundary: it relays and holds mass for
-		// the in-progress epoch but contributes its own value only from the
-		// first epoch that starts after it exists — the same deferral the
-		// SOAP continuous plane applies to passive joiners, so a joiner
-		// never retroactively pollutes an epoch it did not fully live.
-		n.contributeFrom = EpochAt(cfg.Clock.Now(), cfg.Window)
-		if cfg.Clock.Now()%cfg.Window != 0 {
-			n.contributeFrom++
-		}
-		n.state = NewState(cfg.Func, 0, false, true)
-		n.pending = make(map[uint64]*simPending)
-		n.seen = make(map[string]map[uint64]struct{})
-	} else {
-		n.state = NewState(cfg.Func, cfg.Value, cfg.Root, false)
+	if cfg.Window == 0 {
+		n.x = newExchange(cfg.TaskID, cfg.Endpoint.Addr(), NewState(cfg.Func, cfg.Value, cfg.Root, false))
+		return n, nil
+	}
+	// Passive until the first roll. A node created mid-window is absorbed at
+	// the NEXT epoch boundary: it relays and holds mass for the in-progress
+	// epoch but contributes its own value only from the first epoch that
+	// starts after it exists — the same deferral the Service applies to
+	// passive joiners, so a joiner never retroactively pollutes an epoch it
+	// did not fully live.
+	n.x = newExchange(cfg.TaskID, cfg.Endpoint.Addr(), NewState(cfg.Func, 0, false, true))
+	n.x.window = cfg.Window
+	n.x.contribute = func() (float64, bool, bool) { return n.cfg.Value, n.cfg.Root, true }
+	n.x.contributeFrom = EpochAt(cfg.Clock.Now(), cfg.Window)
+	if cfg.Clock.Now()%cfg.Window != 0 {
+		n.x.contributeFrom++
 	}
 	return n, nil
 }
 
 // Register installs the node's wire actions on the mux.
 func (n *SimNode) Register(mux *transport.Mux) {
-	mux.Handle(ActionSimExchange, n.handleExchange)
-	mux.Handle(ActionSimExchangeAck, n.handleAck)
+	mux.Handle(ActionExchange, n.handleExchange)
+	mux.Handle(ActionExchangeAck, n.handleAck)
 }
 
 // State exposes the node's push-sum state (estimates, mass, convergence).
-func (n *SimNode) State() *State { return n.state }
+func (n *SimNode) State() *State { return n.x.state }
 
 // Epoch returns the live epoch (0 = legacy mode or not yet rolled).
-func (n *SimNode) Epoch() uint64 { return n.epoch }
+func (n *SimNode) Epoch() uint64 { return n.x.epoch }
 
 // Frozen returns the last closed epoch's final estimate.
 func (n *SimNode) Frozen() (EpochEstimate, bool) {
-	if n.frozen == nil {
+	if n.x.frozen == nil {
 		return EpochEstimate{}, false
 	}
-	return *n.frozen, true
+	return *n.x.frozen, true
 }
 
 // Outstanding returns the unacked split weight awaiting commit.
-func (n *SimNode) Outstanding() float64 { return n.led.outstanding }
+func (n *SimNode) Outstanding() float64 { return n.x.led.outstanding }
 
 // Contributed returns the weight this node injected into the live epoch.
-func (n *SimNode) Contributed() float64 { return n.contributed }
+func (n *SimNode) Contributed() float64 { return n.x.contributed }
 
 // SimStats returns the windowed-exchange counters.
-func (n *SimNode) SimStats() SimNodeStats { return n.stats }
+func (n *SimNode) SimStats() SimNodeStats {
+	c := n.x.counts
+	return SimNodeStats{
+		Epochs:           c.epochs,
+		SharesSent:       n.sharesSent,
+		SharesAbsorbed:   c.absorbed,
+		Duplicates:       c.dups,
+		Stale:            c.stale,
+		AcksSent:         n.acksSent,
+		Commits:          c.commits,
+		Retries:          c.retries,
+		Recovered:        c.recovered,
+		UnackedDiscarded: c.unacked,
+		SendErrors:       n.sendErrors,
+	}
+}
 
 // MassError returns the node's conservation residual: held plus outstanding
 // weight minus the ledger's net injections, snapped to exactly zero within
 // float tolerance. Under the acked exchange it must be zero at every commit
 // point regardless of loss — the windowed chaos gates assert exactly that.
-func (n *SimNode) MassError() float64 {
-	_, w := n.state.Mass()
-	return n.led.balance(w)
-}
+func (n *SimNode) MassError() float64 { return n.x.massError() }
 
-// roll retires the live epoch and enters epoch k, mirroring the Service's
-// rollTaskLocked: freeze the closing estimate, discard the old epoch's
-// pending/dedup/ledger state as a unit, then re-contribute the local value
-// (and anchor weight if root) into the fresh state.
-func (n *SimNode) roll(k uint64, now time.Duration) {
-	if k <= n.epoch {
-		return
-	}
-	if n.epoch != 0 {
-		est, ok := n.state.Estimate()
-		_, w := n.state.Mass()
-		n.frozen = &EpochEstimate{
-			Epoch:    n.epoch,
-			Estimate: est,
-			Defined:  ok,
-			Weight:   w,
-			Rounds:   n.state.Rounds(),
-			ClosedAt: now,
-		}
-	}
-	n.stats.UnackedDiscarded += int64(len(n.pending))
-	n.pending = make(map[uint64]*simPending)
-	n.seen = make(map[string]map[uint64]struct{})
-	n.led = ledger{}
-	n.epoch = k
-	if k >= n.contributeFrom {
-		n.state = NewState(n.cfg.Func, n.cfg.Value, n.cfg.Root, false)
-	} else {
-		// Still inside the epoch the node joined mid-window: relay only.
-		n.state = NewState(n.cfg.Func, 0, false, true)
-	}
-	_, w := n.state.Mass()
-	n.led.in += w
-	n.contributed = w
-	n.stats.Epochs++
+// send moves one share or ack body.
+func (n *SimNode) send(ctx context.Context, to, action string, body []byte) error {
+	return n.cfg.Endpoint.Send(ctx, transport.Message{To: to, Action: action, Body: body})
 }
 
 // Tick runs one push-sum round. In legacy mode: split and fire-and-forget.
-// In windowed mode: roll the epoch when the clock crosses a boundary, retry
-// unacked shares, then split fresh acked shares for sampled peers.
+// In windowed mode: the machine's tick — roll when the clock crossed a
+// boundary, retry unacked shares, split fresh acked shares for the sampled
+// peers — with a refused first send handed straight back.
 func (n *SimNode) Tick(ctx context.Context) {
-	if n.cfg.Window > 0 {
-		n.tickWindowed(ctx)
+	peers := n.cfg.Peers.SelectPeers(n.rng, n.cfg.Fanout, n.cfg.Endpoint.Addr())
+	if n.x.windowed() {
+		for _, p := range n.x.tick(n.cfg.Clock.Now(), peers) {
+			switch err := n.send(ctx, p.to, ActionExchange, shareBlock(&p.share).Raw); {
+			case err == nil:
+				n.sharesSent++
+			case p.retry():
+				n.sendErrors++
+			default:
+				n.x.reclaim(p)
+			}
+		}
 		return
 	}
-	n.state.BeginRound()
-	peers := n.cfg.Peers.SelectPeers(n.rng, n.cfg.Fanout, n.cfg.Endpoint.Addr())
 	if len(peers) == 0 {
 		return
 	}
-	shareSum, shareWeight := n.state.Split(len(peers))
-	sh := simShare{
-		Task:        n.cfg.TaskID,
-		Function:    string(n.cfg.Func),
-		Sum:         shareSum,
-		Weight:      shareWeight,
-		HasExtremes: n.state.hasExtremes,
-		Min:         n.state.min,
-		Max:         n.state.max,
-	}
+	sh := n.x.split(len(peers))
 	// One body shared by the whole fanout; never mutated after encode.
-	body := appendSimShare(make([]byte, 0, encodeCap), &sh)
+	body := shareBlock(&sh).Raw
 	for _, p := range peers {
-		msg := transport.Message{To: p, Action: ActionSimExchange, Body: body}
-		if err := n.cfg.Endpoint.Send(ctx, msg); err != nil {
+		if err := n.send(ctx, p, ActionExchange, body); err != nil {
 			// Unreachable peer: reclaim the share so local mass stays
 			// conserved. (Shares lost *in flight* on a lossy network are
 			// gone — that is the protocol's real sensitivity to loss, and
 			// exactly what the simulator measures.)
-			n.state.Absorb(Share{Sum: shareSum, Weight: shareWeight})
+			n.x.giveBack(&sh, 1)
 		}
 	}
-}
-
-func (n *SimNode) tickWindowed(ctx context.Context) {
-	now := n.cfg.Clock.Now()
-	if k := EpochAt(now, n.cfg.Window); k > n.epoch {
-		n.roll(k, now)
-	}
-	// Retry outstanding shares in seq order (determinism). Receivers dedup
-	// on (sender, seq), so a share whose copy already arrived is absorbed
-	// once and simply re-acked; a refused retry proves nothing and must not
-	// recover mass.
-	if len(n.pending) > 0 {
-		seqs := make([]uint64, 0, len(n.pending))
-		for q := range n.pending {
-			seqs = append(seqs, q)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, q := range seqs {
-			p := n.pending[q]
-			p.tries++
-			n.stats.Retries++
-			if err := n.sendShare(ctx, p.to, &p.share); err != nil {
-				n.stats.SendErrors++
-				continue
-			}
-			n.stats.SharesSent++
-		}
-	}
-	peers := n.cfg.Peers.SelectPeers(n.rng, n.cfg.Fanout, n.cfg.Endpoint.Addr())
-	if len(n.pending) > 0 {
-		suspect := make(map[string]bool)
-		for _, p := range n.pending {
-			if p.tries >= suspectTries {
-				suspect[p.to] = true
-			}
-		}
-		if len(suspect) > 0 {
-			kept := peers[:0]
-			for _, p := range peers {
-				if !suspect[p] {
-					kept = append(kept, p)
-				}
-			}
-			peers = kept
-		}
-	}
-	if len(peers) == 0 {
-		return
-	}
-	n.state.BeginRound()
-	shareSum, shareWeight := n.state.Split(len(peers))
-	for _, p := range peers {
-		n.nextSeq++
-		sh := n.state.share(n.cfg.TaskID, n.cfg.Endpoint.Addr(), shareSum, shareWeight)
-		sh.Epoch = n.epoch
-		sh.Seq = n.nextSeq
-		n.pending[sh.Seq] = &simPending{to: p, share: sh}
-		// Charged per share, not batched, so each commit or recovery
-		// cancels its own entry term-for-term.
-		n.led.outstanding += shareWeight
-		if err := n.sendShare(ctx, p, &sh); err != nil {
-			// A refused *first* send proves the share never left this node:
-			// reclaim it. (Retries never recover — see above.)
-			delete(n.pending, sh.Seq)
-			n.state.Absorb(Share{
-				Sum:         sh.Sum,
-				Weight:      sh.Weight,
-				HasExtremes: sh.HasExtremes,
-				Min:         sh.Min,
-				Max:         sh.Max,
-			})
-			n.led.outstanding -= sh.Weight
-			n.stats.Recovered++
-			continue
-		}
-		n.stats.SharesSent++
-	}
-}
-
-// sendShare encodes and sends one windowed share.
-func (n *SimNode) sendShare(ctx context.Context, to string, sh *Share) error {
-	wire := simShare{
-		Task:        n.cfg.TaskID,
-		Function:    string(n.cfg.Func),
-		Sum:         sh.Sum,
-		Weight:      sh.Weight,
-		HasExtremes: sh.HasExtremes,
-		Min:         sh.Min,
-		Max:         sh.Max,
-		Epoch:       sh.Epoch,
-		Seq:         sh.Seq,
-	}
-	body := appendSimShare(make([]byte, 0, encodeCap), &wire)
-	return n.cfg.Endpoint.Send(ctx, transport.Message{To: to, Action: ActionSimExchange, Body: body})
 }
 
 func (n *SimNode) handleExchange(ctx context.Context, msg transport.Message) error {
-	var sh simShare
-	if err := decodeSimShare(msg.Body, &sh); err != nil {
+	sh, err := decodeShare(msg.Body)
+	if err != nil {
 		return err
 	}
-	if sh.Task != n.cfg.TaskID {
+	if sh.TaskID != n.cfg.TaskID {
 		return nil
 	}
-	if n.cfg.Window == 0 {
-		n.state.Absorb(Share{
-			Sum:         sh.Sum,
-			Weight:      sh.Weight,
-			HasExtremes: sh.HasExtremes,
-			Min:         sh.Min,
-			Max:         sh.Max,
-		})
+	if !n.x.windowed() {
+		n.x.take(&sh)
 		return nil
 	}
-	now := n.cfg.Clock.Now()
-	k := EpochAt(now, n.cfg.Window)
-	if sh.Epoch > k {
-		k = sh.Epoch
-	}
-	if k > n.epoch {
-		n.roll(k, now)
-	}
-	switch {
-	case sh.Epoch == n.epoch:
-		m := n.seen[msg.From]
-		if m == nil {
-			m = make(map[uint64]struct{})
-			n.seen[msg.From] = m
-		}
-		if _, dup := m[sh.Seq]; dup {
-			n.stats.Duplicates++
-		} else {
-			m[sh.Seq] = struct{}{}
-			n.state.Absorb(Share{
-				Sum:         sh.Sum,
-				Weight:      sh.Weight,
-				HasExtremes: sh.HasExtremes,
-				Min:         sh.Min,
-				Max:         sh.Max,
-			})
-			n.led.in += sh.Weight
-			n.stats.SharesAbsorbed++
-		}
-	default:
-		// sh.Epoch < n.epoch: the sender is still in a retired epoch. Ack
-		// without absorbing — that epoch's mass died everywhere, and the
-		// ack both stops the retries and rolls the sender forward.
-		n.stats.Stale++
-	}
-	if msg.From == "" || msg.From == n.cfg.Endpoint.Addr() {
+	ack, reply := n.x.absorb(n.cfg.Clock.Now(), &sh)
+	if !reply {
 		return nil
 	}
-	ack := simAck{Task: n.cfg.TaskID, Epoch: n.epoch, Seq: sh.Seq}
-	body := appendSimAck(make([]byte, 0, 64), &ack)
-	if err := n.cfg.Endpoint.Send(ctx, transport.Message{To: msg.From, Action: ActionSimExchangeAck, Body: body}); err != nil {
-		n.stats.SendErrors++
+	if err := n.send(ctx, sh.From, ActionExchangeAck, ackBlock(&ack).Raw); err != nil {
+		n.sendErrors++
 		return nil
 	}
-	n.stats.AcksSent++
+	n.acksSent++
 	return nil
 }
 
 // handleAck commits one outstanding transfer at the moment its ack arrives
-// — the commit point where MassError is defined to be zero. An ack from a
-// later epoch also rolls this node forward.
+// — the commit point where MassError is defined to be zero.
 func (n *SimNode) handleAck(_ context.Context, msg transport.Message) error {
-	if n.cfg.Window == 0 {
+	if !n.x.windowed() {
 		return nil
 	}
-	var ack simAck
-	if err := decodeSimAck(msg.Body, &ack); err != nil {
+	ack, err := decodeAck(msg.Body)
+	if err != nil {
 		return err
 	}
-	if ack.Task != n.cfg.TaskID {
-		return nil
-	}
-	if p, ok := n.pending[ack.Seq]; ok {
-		delete(n.pending, ack.Seq)
-		n.led.outstanding -= p.share.Weight
-		n.led.out += p.share.Weight
-		n.stats.Commits++
-	}
-	if ack.Epoch > n.epoch {
-		n.roll(ack.Epoch, n.cfg.Clock.Now())
+	if ack.TaskID == n.cfg.TaskID {
+		n.x.commit(n.cfg.Clock.Now(), &ack)
 	}
 	return nil
 }

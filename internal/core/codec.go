@@ -30,7 +30,7 @@ func gossipBlock(gh GossipHeader) soap.Block {
 	buf = soap.AppendFlatOpen(buf, Namespace, "Gossip")
 	buf = soap.AppendFlatText(buf, "InteractionID", gh.InteractionID)
 	buf = soap.AppendFlatText(buf, "MessageID", gh.MessageID)
-	buf = soap.AppendFlatInt(buf, "Hops", gh.Hops)
+	buf = soap.AppendFlatInt(buf, "Hops", int64(gh.Hops))
 	if gh.Protocol != "" {
 		buf = soap.AppendFlatText(buf, "Protocol", gh.Protocol)
 	}
@@ -95,7 +95,7 @@ func announceBlock(a Announce) soap.Block {
 	buf = soap.AppendFlatOpen(buf, Namespace, "Announce")
 	buf = soap.AppendFlatText(buf, "InteractionID", a.InteractionID)
 	buf = soap.AppendFlatText(buf, "MessageID", a.MessageID)
-	buf = soap.AppendFlatInt(buf, "Hops", a.Hops)
+	buf = soap.AppendFlatInt(buf, "Hops", int64(a.Hops))
 	buf = soap.AppendFlatText(buf, "Holder", a.Holder)
 	buf = soap.AppendFlatClose(buf, "Announce")
 	return soap.Block{XMLName: announceName, Raw: buf}

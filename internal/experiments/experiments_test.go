@@ -47,9 +47,12 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("experiment %s incomplete", e.ID)
 		}
 	}
-	for _, want := range []string{"e0", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "a1", "a2", "a3"} {
+	for i, want := range []string{"e0", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "a1", "a2", "a3"} {
 		if !ids[want] {
 			t.Fatalf("experiment %s missing from registry", want)
+		}
+		if got := All()[i].ID; got != want {
+			t.Fatalf("registry position %d = %s, want %s (index order, not lexicographic)", i, got, want)
 		}
 	}
 	if _, err := Find("E2"); err != nil {
@@ -377,9 +380,23 @@ func TestE12WindowSizingShape(t *testing.T) {
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
+	// Seed identity: these columns are integer event counts over fixed
+	// divisors, so at the quick size and seed 1 they are exact. Any change to
+	// an RNG draw, the send order or the retry/dedup rules inside the shared
+	// exchange machine moves at least one of them.
+	pinned := [][3]string{
+		{"57.734", "21.875", "10.688"},
+		{"116.328", "47.000", "21.938"},
+		{"229.406", "85.875", "38.312"},
+		{"460.859", "176.438", "84.312"},
+	}
 	for i, fanout := range []string{"1", "2", "4", "8"} {
 		if got := mustCell(t, tab, i, 0); got != fanout {
 			t.Fatalf("row %d fanout = %q", i, got)
+		}
+		got := [3]string{mustCell(t, tab, i, 3), mustCell(t, tab, i, 5), mustCell(t, tab, i, 6)}
+		if got != pinned[i] {
+			t.Fatalf("fanout %s msgs/node/epoch, retries/node, dups/node = %v, want %v", fanout, got, pinned[i])
 		}
 		// The ablation varies share sizing; conservation may not.
 		if got := mustCell(t, tab, i, 2); got != "0" {

@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// Experiment is one runnable entry of the per-experiment index in DESIGN.md.
+// Experiment is one runnable entry of the experiment index in README.md
+// ("Running the experiments").
 type Experiment struct {
-	// ID is the index key ("e0".."e10", "a1".."a3").
+	// ID is the index key ("e0".."e12", "a1".."a3").
 	ID string
 	// Description summarizes what the experiment validates.
 	Description string
@@ -16,9 +16,10 @@ type Experiment struct {
 	Run func(Options) ([]Table, error)
 }
 
-// All returns the full experiment registry, ordered by ID.
+// All returns the full experiment registry in index order: e0 to e12, then
+// the ablations.
 func All() []Experiment {
-	list := []Experiment{
+	return []Experiment{
 		{"e0", "Figure 1 dissemination flow over SOAP", E0Figure1},
 		{"e1", "scalability: latency and rounds vs N", E1Scalability},
 		{"e2", "coverage vs fanout, atomic delivery w.h.p.", E2FanoutCoverage},
@@ -36,8 +37,6 @@ func All() []Experiment {
 		{"a2", "ablation: seen-cache sizing", A2DedupCache},
 		{"a3", "ablation: coordinator target assignment", A3TargetAssignment},
 	}
-	sort.Slice(list, func(i, j int) bool { return list[i].ID < list[j].ID })
-	return list
 }
 
 // Find returns the experiment with the given ID (case-insensitive).

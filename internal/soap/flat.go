@@ -10,9 +10,9 @@ import (
 // Flat-element codec.
 //
 // The blocks a gossiped message rewrites or reads at every hop — the gossip
-// header, the WS-Addressing properties, the lazy-push IHAVE/IWANT bodies —
-// all have one shape: a namespaced element whose content is either text or a
-// fixed sequence of text-only children,
+// header, the WS-Addressing properties, the lazy-push IHAVE/IWANT bodies, the
+// push-sum share and its ack — all have one shape: a namespaced element whose
+// content is either text or a fixed sequence of text-only children,
 //
 //	<X xmlns="ns">text</X>
 //	<X xmlns="ns"><A>text</A><B>text</B></X>
@@ -54,22 +54,44 @@ func AppendFlatClose(dst []byte, local string) []byte {
 	return append(dst, '>')
 }
 
+// appendFlatStart appends a child's start tag `<name>`.
+func appendFlatStart(dst []byte, name string) []byte {
+	dst = append(dst, '<')
+	dst = append(dst, name...)
+	return append(dst, '>')
+}
+
 // AppendFlatText appends one text-only child, `<name>value</name>`, with
 // value escaped as character data.
 func AppendFlatText(dst []byte, name, value string) []byte {
-	dst = append(dst, '<')
-	dst = append(dst, name...)
-	dst = append(dst, '>')
+	dst = appendFlatStart(dst, name)
 	dst = AppendEscaped(dst, value)
 	return AppendFlatClose(dst, name)
 }
 
 // AppendFlatInt appends one integer child, `<name>v</name>`.
-func AppendFlatInt(dst []byte, name string, v int) []byte {
-	dst = append(dst, '<')
-	dst = append(dst, name...)
-	dst = append(dst, '>')
-	dst = strconv.AppendInt(dst, int64(v), 10)
+func AppendFlatInt(dst []byte, name string, v int64) []byte {
+	dst = strconv.AppendInt(appendFlatStart(dst, name), v, 10)
+	return AppendFlatClose(dst, name)
+}
+
+// AppendFlatUint appends one unsigned child, `<name>v</name>`.
+func AppendFlatUint(dst []byte, name string, v uint64) []byte {
+	dst = strconv.AppendUint(appendFlatStart(dst, name), v, 10)
+	return AppendFlatClose(dst, name)
+}
+
+// AppendFlatFloat appends one float64 child in xml.Marshal's form: the
+// shortest decimal that round-trips ('g', -1), NaN and ±Inf included.
+func AppendFlatFloat(dst []byte, name string, v float64) []byte {
+	dst = strconv.AppendFloat(appendFlatStart(dst, name), v, 'g', -1, 64)
+	return AppendFlatClose(dst, name)
+}
+
+// AppendFlatBool appends one boolean child, `<name>true</name>` or
+// `<name>false</name>`.
+func AppendFlatBool(dst []byte, name string, v bool) []byte {
+	dst = strconv.AppendBool(appendFlatStart(dst, name), v)
 	return AppendFlatClose(dst, name)
 }
 
@@ -161,32 +183,79 @@ func (r *FlatReader) String(name string) (string, bool) {
 	return text.String(), ok
 }
 
+// readFlat consumes the child `<name>text</name>` if parse accepts its text.
+// On false nothing is consumed: an optional child can be probed for, and a
+// malformed one stops the next read.
+func readFlat[T any](r *FlatReader, name string, parse func(FlatText) (T, bool)) (v T, ok bool) {
+	mark := r.s.pos
+	if text, found := r.Text(name); found {
+		if v, ok = parse(text); ok {
+			return v, true
+		}
+	}
+	r.s.pos = mark
+	return v, false
+}
+
 // Int consumes the child `<name>v</name>` where v is a decimal integer as
 // strconv prints one: an optional '-' and one to nine digits (every such
 // value fits an int on any platform and parses identically in encoding/xml).
+// On false nothing is consumed.
 func (r *FlatReader) Int(name string) (int, bool) {
-	text, ok := r.Text(name)
-	if !ok {
-		return 0, false
-	}
-	digits := text
-	if len(digits) > 0 && digits[0] == '-' {
-		digits = digits[1:]
-	}
-	if len(digits) == 0 || len(digits) > 9 {
-		return 0, false
-	}
-	v := 0
-	for _, c := range digits {
-		if c < '0' || c > '9' {
+	return readFlat(r, name, func(text FlatText) (int, bool) {
+		digits := text
+		if len(digits) > 0 && digits[0] == '-' {
+			digits = digits[1:]
+		}
+		if len(digits) == 0 || len(digits) > 9 {
 			return 0, false
 		}
-		v = v*10 + int(c-'0')
-	}
-	if len(digits) != len(text) {
-		v = -v
-	}
-	return v, true
+		v := 0
+		for _, c := range digits {
+			if c < '0' || c > '9' {
+				return 0, false
+			}
+			v = v*10 + int(c-'0')
+		}
+		if len(digits) != len(text) {
+			v = -v
+		}
+		return v, true
+	})
+}
+
+// Uint consumes the child `<name>v</name>` where v is an unsigned decimal
+// integer. Like Float it hands the literal text to the strconv function
+// encoding/xml decodes the type with; encoding/xml only trims surrounding
+// whitespace first, which that function rejects, so a value accepted here is
+// the value xml.Unmarshal yields. On false nothing is consumed.
+func (r *FlatReader) Uint(name string) (uint64, bool) {
+	return readFlat(r, name, func(text FlatText) (uint64, bool) {
+		v, err := strconv.ParseUint(string(text), 10, 64)
+		return v, err == nil
+	})
+}
+
+// Float consumes the child `<name>v</name>` where v is a float64 (see Uint).
+func (r *FlatReader) Float(name string) (float64, bool) {
+	return readFlat(r, name, func(text FlatText) (float64, bool) {
+		v, err := strconv.ParseFloat(string(text), 64)
+		return v, err == nil
+	})
+}
+
+// Bool consumes the child `<name>true</name>` or `<name>false</name>`, the
+// two spellings the writer emits. On false nothing is consumed.
+func (r *FlatReader) Bool(name string) (v, ok bool) {
+	return readFlat(r, name, func(text FlatText) (bool, bool) {
+		switch string(text) {
+		case "true":
+			return true, true
+		case "false":
+			return false, true
+		}
+		return false, false
+	})
 }
 
 // Close consumes the end tag `</local>` and reports whether it ends the

@@ -252,7 +252,7 @@ func readFlatDoc(raw []byte) (flatDoc, bool) {
 func writeFlatDoc(d flatDoc) []byte {
 	buf := AppendFlatOpen(nil, "urn:flat", "Doc")
 	buf = AppendFlatText(buf, "A", d.A)
-	buf = AppendFlatInt(buf, "N", d.N)
+	buf = AppendFlatInt(buf, "N", int64(d.N))
 	if d.B != "" {
 		buf = AppendFlatText(buf, "B", d.B)
 	}
@@ -349,6 +349,57 @@ func TestFlatReaderDeclines(t *testing.T) {
 		if got, ok := readFlatDoc([]byte(raw)); ok {
 			t.Errorf("%s: reader accepted %s as %+v", label, raw, got)
 		}
+	}
+}
+
+// TestFlatTypedReadsAgainstEncodingXML pins the number and boolean children:
+// a text the reader accepts decodes to what xml.Unmarshal decodes it to, and
+// a text it declines (padding, entity references, other spellings, overflow
+// — some of which encoding/xml reads happily) consumes nothing, so an
+// optional child can be probed for and a malformed one stops the next read.
+func TestFlatTypedReadsAgainstEncodingXML(t *testing.T) {
+	type typed struct {
+		XMLName xml.Name `xml:"urn:flat T"`
+		F       float64  `xml:"F,omitempty"`
+		U       uint64   `xml:"U,omitempty"`
+		B       bool     `xml:"B,omitempty"`
+		N       int      `xml:"N,omitempty"`
+	}
+	reads := map[string]func(*FlatReader, *typed) bool{
+		"F": func(r *FlatReader, v *typed) (ok bool) { v.F, ok = r.Float("F"); return },
+		"U": func(r *FlatReader, v *typed) (ok bool) { v.U, ok = r.Uint("U"); return },
+		"B": func(r *FlatReader, v *typed) (ok bool) { v.B, ok = r.Bool("B"); return },
+		"N": func(r *FlatReader, v *typed) (ok bool) { v.N, ok = r.Int("N"); return },
+	}
+	texts := []string{
+		"0", "-0", "1", "007", "1.5", "-2.5e-300", "5e-324", "1.7976931348623157e+308", "1e999",
+		"+Inf", "-Inf", "inf", "0x1p-2", "1_0", "+5", "-5", "18446744073709551615",
+		"18446744073709551616", "1234567890", "true", "false", "TRUE", "t", "", " 1", "1 ", "&#49;",
+	}
+	accepted := 0
+	for name, read := range reads {
+		for _, text := range texts {
+			raw := []byte(`<T xmlns="urn:flat"><` + name + `>` + text + `</` + name + `></T>`)
+			r, _ := OpenFlat(raw, "urn:flat", "T")
+			got := typed{XMLName: xml.Name{Space: "urn:flat", Local: "T"}}
+			if !read(&r, &got) {
+				if _, ok := r.Text(name); !ok {
+					t.Fatalf("%s %q: the declined read consumed the child", name, text)
+				}
+				continue
+			}
+			accepted++
+			var want typed
+			if err := xml.Unmarshal(raw, &want); err != nil {
+				t.Fatalf("%s %q: reader accepted what encoding/xml rejects: %v", name, text, err)
+			}
+			if got != want || !r.Close("T") {
+				t.Fatalf("%s %q: reader %+v, encoding/xml %+v", name, text, got, want)
+			}
+		}
+	}
+	if accepted < 30 {
+		t.Fatalf("only %d reads accepted; the table is not exercising the fast path", accepted)
 	}
 }
 
