@@ -17,7 +17,6 @@ import (
 	"encoding/xml"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"log"
 	"math"
 	"math/rand"
@@ -29,17 +28,13 @@ import (
 	"syscall"
 	"time"
 
+	"wsgossip"
 	"wsgossip/internal/aggregate"
 	"wsgossip/internal/clock"
-	"wsgossip/internal/core"
-	"wsgossip/internal/delivery"
 	"wsgossip/internal/gossip"
-	"wsgossip/internal/membership"
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/obs"
-	"wsgossip/internal/probe"
 	"wsgossip/internal/soap"
-	"wsgossip/internal/transport"
 )
 
 // noteBody is the demonstration notification payload.
@@ -56,110 +51,160 @@ func main() {
 }
 
 func run() error {
-	var (
-		role        = flag.String("role", "", "coordinator | disseminator | consumer | initiator")
-		listen      = flag.String("listen", ":8070", "listen address (server roles)")
-		public      = flag.String("public", "", "public base URL of this node (default http://<listen>/)")
-		coordinator = flag.String("coordinator", "", "coordinator base URL (non-coordinator roles)")
-		message     = flag.String("message", "hello from wsgossip", "notification text (initiator)")
-		count       = flag.Int("count", 1, "notifications to send (initiator)")
-		style       = flag.String("style", "push", "dissemination style handed to registrants: push or lazypush (coordinator)")
-		pull        = flag.Duration("pull", 0, "WS-PullGossip round interval, 0 disables (disseminator)")
-		repair      = flag.Duration("repair", 2*time.Second, "anti-entropy digest interval, 0 disables (disseminator)")
-		announce    = flag.Duration("announce", 0, "deferred lazy-push announce interval, 0 announces on receipt (disseminator)")
-		aggEvery    = flag.Duration("aggregate", time.Second, "push-sum exchange interval when -value is set (disseminator)")
-		value       = flag.Float64("value", math.NaN(), "local measurement: joins aggregation interactions as a participant (disseminator)")
-		clusterQ    = flag.String("cluster-queries", "", "comma-separated continuous cluster queries as func:metric pairs (e.g. count:nodes,avg:load): runs this node as the querier restarting each query every -cluster-window; participants resolve the metric name against their local value sources, falling back to -value (disseminator)")
-		clusterWin  = flag.Duration("cluster-window", 10*time.Second, "epoch window for -cluster-queries; every node re-contributes at each window boundary so estimates track churn (disseminator)")
-		jitter      = flag.Float64("jitter", 0.1, "round jitter as a fraction of each period, in [0,1) (disseminator)")
-		seed        = flag.Int64("seed", 0, "round-schedule seed, 0 derives one from the address (disseminator)")
-		members     = flag.String("members", "", "comma-separated membership seed URLs: runs a live peer view that fan-outs sample instead of coordinator target lists (disseminator)")
-		memberEvery = flag.Duration("membership", time.Second, "membership view-exchange interval when -members is set (disseminator)")
-		quiescent   = flag.Duration("quiescent-max", 0, "adaptive pacing cap: pull/repair/aggregate rounds back off toward this period while idle, 0 keeps them fixed (disseminator)")
-		activityTTL = flag.Duration("activity-ttl", 0, "default expiry stamped on coordination activities, 0 = never (coordinator)")
-		pruneEvery  = flag.Duration("prune", 0, "activity-expiry pruning round interval, 0 disables (coordinator)")
-		metricsAddr = flag.String("metrics-addr", "", "extra listen address dedicated to /metrics and /healthz; they are always also served on -listen (server roles)")
-		deliver     = flag.Bool("delivery", false, "route outbound gossip through the failure-aware delivery plane: per-peer queues, retries with backoff, circuit breaking (disseminator, initiator)")
-		delTries    = flag.Int("delivery-attempts", 0, "per-message attempt budget on the delivery plane, 0 = default 4 (disseminator, initiator)")
-		delTimeout  = flag.Duration("delivery-timeout", 0, "per-attempt send timeout on the delivery plane, 0 = default 2s (disseminator, initiator)")
-		brkThresh   = flag.Int("breaker-threshold", 0, "consecutive failures that open a peer's circuit, 0 = default 5 (disseminator, initiator)")
-		brkCooldown = flag.Duration("breaker-cooldown", 0, "open-circuit cooldown before a half-open probe, 0 = default 5s (disseminator, initiator)")
-		probeK      = flag.Int("probe-k", 3, "helpers asked to confirm a suspect indirectly before it is declared down; needs -delivery and -members, negative asks every helper, 0 disables indirect probing (disseminator)")
-		probeWait   = flag.Duration("probe-timeout", 0, "indirect-probe round deadline, 0 = default 2s (disseminator)")
-		admitRate   = flag.Float64("admit-rate", 0, "inbound admission rate in requests/second: excess requests are shed with a retry-after fault senders honor, 0 disables (disseminator)")
-		admitBurst  = flag.Int("admit-burst", 0, "admission token-bucket depth, 0 = max(1, -admit-rate) (disseminator)")
-	)
-	flag.Parse()
-	df := deliveryFlags{
-		enabled: *deliver, attempts: *delTries, timeout: *delTimeout,
-		threshold: *brkThresh, cooldown: *brkCooldown,
+	o, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		return err
 	}
-
 	client := soap.NewHTTPClient(&http.Client{Timeout: 10 * time.Second})
+	switch o.role {
+	case "coordinator":
+		return runCoordinator(o.listen, o.node.Address, o.style, o.activityTTL, o.pruneEvery, o.metricsAddr)
+	case "initiator":
+		return runInitiator(o.node.Coordinator, o.message, o.count, client, o.node.Delivery)
+	default:
+		return runNode(o, client)
+	}
+}
+
+// options is what the command line resolves to: the role, the listeners,
+// the coordinator's and the initiator's own settings, and — for the
+// disseminator and consumer roles — the node's whole configuration. For
+// every role node.Address is the public URL, node.Coordinator the
+// -coordinator URL and node.Delivery the -delivery* budgets (nil when off).
+type options struct {
+	role                    string
+	listen, metricsAddr     string
+	node                    wsgossip.NodeConfig
+	style                   string
+	activityTTL, pruneEvery time.Duration
+	message                 string
+	count                   int
+}
+
+// parseArgs defines the flags on fs, parses args and resolves them into
+// options, refusing flag combinations no role can run. It touches nothing
+// outside fs: the binding, the application handler and the log sink are
+// the caller's to fill in.
+func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
+	var (
+		role        = fs.String("role", "", "coordinator | disseminator | consumer | initiator")
+		listen      = fs.String("listen", ":8070", "listen address (server roles)")
+		public      = fs.String("public", "", "public base URL of this node (default http://<listen>/)")
+		coordinator = fs.String("coordinator", "", "coordinator base URL (non-coordinator roles)")
+		message     = fs.String("message", "hello from wsgossip", "notification text (initiator)")
+		count       = fs.Int("count", 1, "notifications to send (initiator)")
+		style       = fs.String("style", "push", "dissemination style handed to registrants: push or lazypush (coordinator)")
+		pull        = fs.Duration("pull", 0, "WS-PullGossip round interval, 0 disables (disseminator)")
+		repair      = fs.Duration("repair", 2*time.Second, "anti-entropy digest interval, 0 disables (disseminator)")
+		announce    = fs.Duration("announce", 0, "deferred lazy-push announce interval, 0 announces on receipt (disseminator)")
+		aggEvery    = fs.Duration("aggregate", time.Second, "push-sum exchange interval when -value is set (disseminator)")
+		value       = fs.Float64("value", math.NaN(), "local measurement: joins aggregation interactions as a participant (disseminator)")
+		clusterQ    = fs.String("cluster-queries", "", "comma-separated continuous cluster queries as func:metric pairs (e.g. count:nodes,avg:load): runs this node as the querier restarting each query every -cluster-window; participants resolve the metric name against their local value sources, falling back to -value (disseminator)")
+		clusterWin  = fs.Duration("cluster-window", 10*time.Second, "epoch window for -cluster-queries; every node re-contributes at each window boundary so estimates track churn (disseminator)")
+		jitter      = fs.Float64("jitter", 0.1, "round jitter as a fraction of each period, in [0,1) (disseminator)")
+		seed        = fs.Int64("seed", 0, "round-schedule seed, 0 derives one from the address (disseminator)")
+		members     = fs.String("members", "", "comma-separated membership seed URLs: runs a live peer view that fan-outs sample instead of coordinator target lists (disseminator)")
+		memberEvery = fs.Duration("membership", time.Second, "membership view-exchange interval when -members is set (disseminator)")
+		quiescent   = fs.Duration("quiescent-max", 0, "adaptive pacing cap: pull/repair/aggregate rounds back off toward this period while idle, 0 keeps them fixed (disseminator)")
+		activityTTL = fs.Duration("activity-ttl", 0, "default expiry stamped on coordination activities, 0 = never (coordinator)")
+		pruneEvery  = fs.Duration("prune", 0, "activity-expiry pruning round interval, 0 disables (coordinator)")
+		metricsAddr = fs.String("metrics-addr", "", "extra listen address dedicated to /metrics and /healthz; they are always also served on -listen (server roles)")
+		deliver     = fs.Bool("delivery", false, "route outbound gossip through the failure-aware delivery plane: per-peer queues, retries with backoff, circuit breaking (disseminator, initiator)")
+		delTries    = fs.Int("delivery-attempts", 0, "per-message attempt budget on the delivery plane, 0 = default 4 (disseminator, initiator)")
+		delTimeout  = fs.Duration("delivery-timeout", 0, "per-attempt send timeout on the delivery plane, 0 = default 2s (disseminator, initiator)")
+		brkThresh   = fs.Int("breaker-threshold", 0, "consecutive failures that open a peer's circuit, 0 = default 5 (disseminator, initiator)")
+		brkCooldown = fs.Duration("breaker-cooldown", 0, "open-circuit cooldown before a half-open probe, 0 = default 5s (disseminator, initiator)")
+		probeK      = fs.Int("probe-k", 3, "helpers asked to confirm a suspect indirectly before it is declared down; needs -delivery and -members, negative asks every helper, 0 disables indirect probing (disseminator)")
+		probeWait   = fs.Duration("probe-timeout", 0, "indirect-probe round deadline, 0 = default 2s (disseminator)")
+		admitRate   = fs.Float64("admit-rate", 0, "inbound admission rate in requests/second: excess requests are shed with a retry-after fault senders honor, 0 disables (disseminator)")
+		admitBurst  = fs.Int("admit-burst", 0, "admission token-bucket depth, 0 = max(1, -admit-rate) (disseminator)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	o := options{
+		role: *role, listen: *listen, metricsAddr: *metricsAddr,
+		style: *style, activityTTL: *activityTTL, pruneEvery: *pruneEvery,
+		message: *message, count: *count,
+	}
+	o.node.Address = publicURL(*public, *listen)
+	o.node.Coordinator = *coordinator
+	if *deliver {
+		o.node.Delivery = &wsgossip.DeliveryConfig{
+			MaxAttempts:      *delTries,
+			AttemptTimeout:   *delTimeout,
+			BreakerThreshold: *brkThresh,
+			BreakerCooldown:  *brkCooldown,
+		}
+	}
 	switch *role {
 	case "coordinator":
-		return runCoordinator(*listen, *public, *style, *activityTTL, *pruneEvery, *metricsAddr)
-	case "disseminator", "consumer":
+		return o, nil
+	case "disseminator", "consumer", "initiator":
 		if *coordinator == "" {
-			return fmt.Errorf("-coordinator is required for role %s", *role)
+			return options{}, fmt.Errorf("-coordinator is required for role %s", *role)
 		}
-		cfg := subscriberConfig{
-			role: *role, listen: *listen, public: *public, coordinator: *coordinator,
-			pull: *pull, repair: *repair, announce: *announce,
-			aggEvery: *aggEvery, value: *value, jitter: *jitter, seed: *seed,
-			clusterQueries: *clusterQ, clusterWindow: *clusterWin,
-			members: *members, memberEvery: *memberEvery, quiescent: *quiescent,
-			metricsAddr:  *metricsAddr,
-			delivery:     df,
-			probeK:       *probeK,
-			probeTimeout: *probeWait,
-			admitRate:    *admitRate,
-			admitBurst:   *admitBurst,
-		}
-		return runSubscriber(cfg, client)
-	case "initiator":
-		if *coordinator == "" {
-			return fmt.Errorf("-coordinator is required for role initiator")
-		}
-		return runInitiator(*coordinator, *message, *count, client, df)
 	default:
-		return fmt.Errorf("unknown role %q (want coordinator, disseminator, consumer, or initiator)", *role)
+		return options{}, fmt.Errorf("unknown role %q (want coordinator, disseminator, consumer, or initiator)", *role)
 	}
-}
-
-// deliveryFlags carries the -delivery* flag values to the roles that build a
-// failure-aware outbound plane. Zero fields fall back to delivery.Config
-// defaults.
-type deliveryFlags struct {
-	enabled   bool
-	attempts  int
-	timeout   time.Duration
-	threshold int
-	cooldown  time.Duration
-}
-
-// newPlane wraps caller in a delivery.Plane configured from the flags.
-// onDown, when non-nil, runs on each closed → open circuit transition;
-// onUp on each open → closed recovery.
-func (f deliveryFlags) newPlane(caller soap.Caller, clk clock.Clock, rng *rand.Rand, reg *metrics.Registry, onDown, onUp func(addr string)) *delivery.Plane {
-	return delivery.NewPlane(delivery.Config{
-		Caller:           caller,
-		Clock:            clk,
-		RNG:              rng,
-		Metrics:          reg,
-		MaxAttempts:      f.attempts,
-		AttemptTimeout:   f.timeout,
-		BreakerThreshold: f.threshold,
-		BreakerCooldown:  f.cooldown,
-		OnPeerDown:       onDown,
-		OnPeerUp:         onUp,
-	})
+	if *role == "initiator" {
+		return o, nil
+	}
+	n := &o.node
+	n.Role = *role // the flag spells wsgossip.RoleDisseminator / RoleConsumer
+	if *role == "consumer" {
+		return o, nil
+	}
+	n.Seed = *seed
+	n.PullEvery, n.RepairEvery, n.AnnounceEvery = *pull, *repair, *announce
+	n.JitterFrac, n.QuiescentMax = *jitter, *quiescent
+	n.ProbeK, n.ProbeTimeout = *probeK, *probeWait
+	n.AdmitRate, n.AdmitBurst = *admitRate, *admitBurst
+	n.AggregateEvery = *aggEvery
+	if *members != "" {
+		if *memberEvery <= 0 {
+			return options{}, fmt.Errorf("-members requires a positive -membership interval")
+		}
+		m := &wsgossip.NodeMembership{Every: *memberEvery, SuspectAfter: 5 * *memberEvery, RemoveAfter: 10 * *memberEvery}
+		for _, s := range strings.Split(*members, ",") {
+			if s = strings.TrimSpace(s); s != "" {
+				m.Seeds = append(m.Seeds, s)
+			}
+		}
+		n.Membership = m
+	}
+	if !math.IsNaN(*value) {
+		v := *value
+		n.Value = func() float64 { return v }
+	}
+	if *clusterQ != "" {
+		var err error
+		if n.Queries, err = parseClusterQueries(*clusterQ); err != nil {
+			return options{}, err
+		}
+		if *aggEvery <= 0 {
+			return options{}, fmt.Errorf("-cluster-queries requires a positive -aggregate interval")
+		}
+		if *clusterWin < 4**aggEvery {
+			// An epoch needs several exchange rounds to mix before the
+			// boundary freezes it, or every frozen estimate is garbage.
+			return options{}, fmt.Errorf("-cluster-window %v is too short for -aggregate %v (want at least 4 rounds per window)",
+				*clusterWin, *aggEvery)
+		}
+		n.QueryWindow = *clusterWin
+	} else if n.Value != nil && *aggEvery <= 0 {
+		// An advertised aggregation participant that never runs exchange
+		// rounds parks every share it absorbs: the cluster's estimates
+		// would silently exclude that mass.
+		return options{}, fmt.Errorf("-value requires a positive -aggregate interval")
+	}
+	return o, nil
 }
 
 // drainPlane waits until the plane's queues and in-flight window are empty,
 // so a short-lived role does not exit with retries still pending. Returns
 // false when the timeout expired with work outstanding.
-func drainPlane(p *delivery.Plane, timeout time.Duration) bool {
+func drainPlane(p *wsgossip.DeliveryPlane, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
 		st := p.Stats()
@@ -232,7 +277,7 @@ func serve(listen string, handler soap.Handler, reg *metrics.Registry, health fu
 	}
 }
 
-func runCoordinator(listen, public, styleName string, activityTTL, pruneEvery time.Duration, metricsAddr string) error {
+func runCoordinator(listen, addr, styleName string, activityTTL, pruneEvery time.Duration, metricsAddr string) error {
 	style, err := gossip.ParseStyle(styleName)
 	if err != nil {
 		return err
@@ -240,23 +285,22 @@ func runCoordinator(listen, public, styleName string, activityTTL, pruneEvery ti
 	if style != gossip.StylePush && style != gossip.StyleLazyPush {
 		return fmt.Errorf("coordinator style must be push or lazypush, got %s", style)
 	}
-	addr := publicURL(public, listen)
 	reg := metrics.NewRegistry()
 	soap.InstallWireMetrics(reg)
-	coord := core.NewCoordinator(core.CoordinatorConfig{
+	coord := wsgossip.NewCoordinator(wsgossip.CoordinatorConfig{
 		Address:     addr,
 		Style:       style,
 		ActivityTTL: activityTTL,
 		Metrics:     reg,
 	})
-	var runner *core.Runner
+	var runner *wsgossip.Runner
 	if pruneEvery > 0 {
 		// Expiry pruning is a self-clocking coordinator round, scheduled by
 		// the same Runner the gossip services use for theirs.
-		runner, err = core.NewRunner(core.RunnerConfig{
-			RNG:     rand.New(rand.NewSource(scheduleSeed(0, addr))),
+		runner, err = wsgossip.NewRunner(wsgossip.RunnerConfig{
+			RNG:     rand.New(rand.NewSource(wsgossip.AddressSeed(addr))),
 			Metrics: reg,
-			Loops: []core.Loop{{
+			Loops: []wsgossip.RunnerLoop{{
 				Name:   "prune",
 				Period: pruneEvery,
 				Jitter: pruneEvery / 10,
@@ -302,353 +346,29 @@ func (p *printingApp) HandleSOAP(_ context.Context, req *soap.Request) (*soap.En
 	return nil, nil
 }
 
-// subscriberConfig carries the disseminator/consumer wiring options.
-type subscriberConfig struct {
-	role, listen, public, coordinator string
-	pull, repair, announce, aggEvery  time.Duration
-	value                             float64
-	clusterQueries                    string
-	clusterWindow                     time.Duration
-	jitter                            float64
-	seed                              int64
-	members                           string
-	memberEvery                       time.Duration
-	quiescent                         time.Duration
-	metricsAddr                       string
-	delivery                          deliveryFlags
-	probeK                            int
-	probeTimeout                      time.Duration
-	admitRate                         float64
-	admitBurst                        int
-}
-
-// runSubscriber builds the node's middleware stack and — for disseminators —
-// a core.Runner on the wall clock, so pull, repair, announce, and push-sum
-// rounds fire autonomously: no external tick calls, exactly as the paper's
-// self-scheduled gossip services.
-func runSubscriber(cfg subscriberConfig, client *soap.HTTPClient) error {
-	addr := publicURL(cfg.public, cfg.listen)
-	app := &printingApp{role: cfg.role}
-	reg := metrics.NewRegistry()
-	soap.InstallWireMetrics(reg)
-	var d *core.Disseminator
-	var msvc *membership.Service
-	var plane *delivery.Plane
-	var prober *probe.Prober
-	var handler soap.Handler
-	subscribedRole := core.RoleConsumer
-	// Consumers can only take notifications; disseminators extend this
-	// below with what their stack actually serves.
-	subscribeProtocols := []string{core.ProtocolPushGossip}
-	var runner *core.Runner
-	var window *aggregate.Window
-	if cfg.role == "disseminator" {
-		dispatcher := soap.NewDispatcher()
-		dcfg := core.DisseminatorConfig{
-			Address: addr,
-			Caller:  client,
-			App:     app,
-			RNG:     rand.New(rand.NewSource(scheduleSeed(cfg.seed, addr) + 1)),
-			Metrics: reg,
-		}
-		// A live membership view: exchanges ride this node's SOAP endpoint,
-		// and every fan-out samples the view instead of the coordinator's
-		// frozen target lists (which stay as the bootstrap fallback).
-		if cfg.members != "" {
-			if cfg.memberEvery <= 0 {
-				return fmt.Errorf("-members requires a positive -membership interval")
-			}
-			ep := membership.NewSOAPEndpoint(addr, client)
-			var err error
-			msvc, err = membership.New(membership.Config{
-				Endpoint:     ep,
-				Clock:        transport.NewWallClock(),
-				RNG:          rand.New(rand.NewSource(scheduleSeed(cfg.seed, addr) + 3)),
-				Fanout:       3,
-				SuspectAfter: 5 * cfg.memberEvery,
-				RemoveAfter:  10 * cfg.memberEvery,
-				Metrics:      reg,
-			})
-			if err != nil {
-				return err
-			}
-			mux := transport.NewMux()
-			msvc.Register(mux)
-			mux.Bind(ep)
-			ep.RegisterActions(dispatcher)
-			dcfg.Peers = msvc
-		}
-		// The failure-aware delivery plane wraps the data plane only: notify
-		// fan-out, pull, repair, and push-sum sends get per-peer queues,
-		// retries, and circuit breaking. Membership exchanges stay on the
-		// raw binding — the heartbeat protocol is itself the failure
-		// detector and must observe the real link, not a retried view of it.
-		// An opening circuit feeds back into that detector via Suspect, and
-		// sampling skips open-circuit peers until their half-open probe.
-		//
-		// With a live view and -probe-k, an opened circuit first asks K
-		// peers to reach the suspect indirectly (SWIM-style ping-req): a
-		// positive indirect ack means the fault is ours alone — the
-		// suspicion is averted and the link marked asymmetric-degraded;
-		// only a fully negative round escalates to Suspect. The probes ride
-		// the raw client for the same reason membership does.
-		if cfg.delivery.enabled {
-			suspect := func(peer string) {
-				if msvc != nil {
-					msvc.Suspect(peer)
-				}
-				log.Printf("[%s] delivery: circuit opened for %s", cfg.role, peer)
-			}
-			onDown := suspect
-			var onUp func(string)
-			if msvc != nil && cfg.probeK != 0 {
-				prober = probe.New(probe.Config{
-					Self:    addr,
-					Caller:  client,
-					Clock:   clock.NewReal(),
-					Peers:   msvc,
-					K:       cfg.probeK,
-					Timeout: cfg.probeTimeout,
-					RNG:     rand.New(rand.NewSource(scheduleSeed(cfg.seed, addr) + 5)),
-					Metrics: reg,
-					OnDown: func(peer string) {
-						log.Printf("[%s] probe: no indirect path to %s; confirming down", cfg.role, peer)
-						if msvc != nil {
-							msvc.Suspect(peer)
-						}
-					},
-					OnAverted: func(peer string) {
-						log.Printf("[%s] probe: %s alive via indirect path; suspicion averted, link degraded", cfg.role, peer)
-					},
-				})
-				prober.RegisterActions(dispatcher)
-				onDown = func(peer string) {
-					log.Printf("[%s] delivery: circuit opened for %s; adjudicating indirectly", cfg.role, peer)
-					prober.Confirm(peer)
-				}
-				onUp = prober.ClearDegraded
-				log.Printf("[%s] indirect probing on: k=%d", cfg.role, cfg.probeK)
-			}
-			plane = cfg.delivery.newPlane(client, clock.NewReal(),
-				rand.New(rand.NewSource(scheduleSeed(cfg.seed, addr)+4)), reg, onDown, onUp)
-			defer plane.Close()
-			dcfg.Caller = plane
-			if msvc != nil {
-				dcfg.Peers = plane.FilterView(msvc)
-			}
-			log.Printf("[%s] delivery plane on: per-peer queues, retries, circuit breaking", cfg.role)
-		}
-		var err error
-		d, err = core.NewDisseminator(dcfg)
-		if err != nil {
-			return err
-		}
-		d.RegisterActions(dispatcher)
-		subscribedRole = core.RoleDisseminator
-		// Advertise exactly the protocols this stack serves: a node
-		// without -value must not be handed out as an aggregation target
-		// (push-sum mass sent to it would vanish).
-		protocols := []string{core.ProtocolPushGossip, core.ProtocolPullGossip}
-		rcfg := core.RunnerConfig{
-			RNG:           rand.New(rand.NewSource(scheduleSeed(cfg.seed, addr))),
-			Metrics:       reg,
-			Disseminator:  d,
-			PullEvery:     cfg.pull,
-			RepairEvery:   cfg.repair,
-			AnnounceEvery: cfg.announce,
-			JitterFrac:    cfg.jitter,
-			QuiescentMax:  cfg.quiescent,
-		}
-		if msvc != nil {
-			rcfg.Membership = msvc
-			rcfg.MembershipEvery = cfg.memberEvery
-		}
-		if cfg.clusterQueries != "" {
-			queries, err := parseClusterQueries(cfg.clusterQueries)
-			if err != nil {
-				return err
-			}
-			if cfg.aggEvery <= 0 {
-				return fmt.Errorf("-cluster-queries requires a positive -aggregate interval")
-			}
-			if cfg.clusterWindow < 4*cfg.aggEvery {
-				// An epoch needs several exchange rounds to mix before the
-				// boundary freezes it, or every frozen estimate is garbage.
-				return fmt.Errorf("-cluster-window %v is too short for -aggregate %v (want at least 4 rounds per window)",
-					cfg.clusterWindow, cfg.aggEvery)
-			}
-			var valueFn func() float64
-			if !math.IsNaN(cfg.value) {
-				valueFn = func() float64 { return cfg.value }
-			}
-			// This node is the querier: it activates each query once and
-			// re-seeds the anchor weight every window. Participants need no
-			// flag at all — the start flood tells them the window and metric,
-			// and the Unix-epoch wall clock gives every node the same epoch
-			// index without coordination.
-			q, err := aggregate.NewQuerier(aggregate.QuerierConfig{
-				Address:    addr,
-				Caller:     dcfg.Caller,
-				Activation: cfg.coordinator,
-				Value:      valueFn,
-				RNG:        rand.New(rand.NewSource(scheduleSeed(cfg.seed, addr) + 2)),
-				Metrics:    reg,
-				Clock:      clock.NewWall(),
-			})
-			if err != nil {
-				return err
-			}
-			q.RegisterActions(dispatcher)
-			window, err = aggregate.NewWindow(aggregate.WindowConfig{
-				Querier: q,
-				Window:  cfg.clusterWindow,
-				Queries: queries,
-			})
-			if err != nil {
-				return err
-			}
-			rcfg.Aggregator = window
-			rcfg.AggregateEvery = cfg.aggEvery
-			protocols = append(protocols, core.ProtocolAggregate)
-			log.Printf("[%s] continuous cluster queries: %s (window %v, exchanges every %v)",
-				cfg.role, cfg.clusterQueries, cfg.clusterWindow, cfg.aggEvery)
-		} else if !math.IsNaN(cfg.value) {
-			if cfg.aggEvery <= 0 {
-				// An advertised aggregation participant that never runs
-				// exchange rounds parks every share it absorbs: the
-				// cluster's estimates would silently exclude that mass.
-				return fmt.Errorf("-value requires a positive -aggregate interval")
-			}
-			svc, err := aggregate.NewService(aggregate.ServiceConfig{
-				Address: addr,
-				Caller:  dcfg.Caller,
-				Value:   func() float64 { return cfg.value },
-				RNG:     rand.New(rand.NewSource(scheduleSeed(cfg.seed, addr) + 2)),
-				Metrics: reg,
-			})
-			if err != nil {
-				return err
-			}
-			svc.RegisterActions(dispatcher)
-			rcfg.Aggregator = svc
-			rcfg.AggregateEvery = cfg.aggEvery
-			protocols = append(protocols, core.ProtocolAggregate)
-		}
-		subscribeProtocols = protocols
-		handler = dispatcher
-		// Inbound overload shedding: past -admit-rate requests/second the
-		// node answers with a retry-after fault instead of decoding and
-		// processing — senders running a delivery plane defer that queue and
-		// retry after the hint. Membership exchanges are exempt: shedding
-		// the failure detector under load would read as node death.
-		if cfg.admitRate > 0 {
-			gate := delivery.NewGate(delivery.GateConfig{
-				Clock:   clock.NewReal(),
-				Rate:    cfg.admitRate,
-				Burst:   cfg.admitBurst,
-				Metrics: reg,
-				Exempt: func(action string) bool {
-					return action == membership.ActionExchange || action == membership.ActionLeave
-				},
-			})
-			handler = soap.Chain(dispatcher, gate.Middleware())
-			log.Printf("[%s] admission gate on: %.0f req/s", cfg.role, cfg.admitRate)
-		}
-		if cfg.pull > 0 || cfg.repair > 0 || cfg.announce > 0 || rcfg.Aggregator != nil || msvc != nil {
-			runner, err = core.NewRunner(rcfg)
-			if err != nil {
-				return err
-			}
-			if err := runner.Start(context.Background()); err != nil {
-				return err
-			}
-			defer runner.Stop()
-			log.Printf("[%s] self-clocking rounds: %s (jitter ±%.0f%%)",
-				cfg.role, strings.Join(runner.Loops(), ", "), cfg.jitter*100)
-			if cfg.quiescent > 0 {
-				log.Printf("[%s] adaptive pacing: idle rounds back off toward %v", cfg.role, cfg.quiescent)
-			}
-		}
-		if msvc != nil {
-			var seeds []string
-			for _, s := range strings.Split(cfg.members, ",") {
-				if s = strings.TrimSpace(s); s != "" && s != addr {
-					seeds = append(seeds, s)
-				}
-			}
-			// Join in the background, retrying until a peer's exchange
-			// actually lands in the view (tolerates start order, like the
-			// subscribe loop below). Join itself inserts the seed addresses
-			// at heartbeat 0, so "joined" means some member's heartbeat has
-			// advanced — only a received exchange does that. A node seeded
-			// only with itself waits to be discovered.
-			joined := func() bool {
-				for _, m := range msvc.Members() {
-					if m.Heartbeat > 0 {
-						return true
-					}
-				}
-				return false
-			}
-			go func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				defer cancel()
-				for len(seeds) > 0 {
-					msvc.Join(ctx, seeds)
-					if joined() {
-						log.Printf("[%s] membership joined via %d seed(s); view exchanges every %v",
-							cfg.role, len(seeds), cfg.memberEvery)
-						return
-					}
-					select {
-					case <-ctx.Done():
-						log.Printf("[%s] membership join got no seed reply; relying on periodic exchanges", cfg.role)
-						return
-					case <-time.After(cfg.memberEvery):
-					}
-				}
-			}()
-		}
-	} else {
-		handler = core.NewConsumer(app).Handler()
+// runNode serves a disseminator or consumer: the whole middleware stack —
+// and, for disseminators, its self-clocking rounds — is the library's
+// wsgossip.Node; this binary adds the HTTP binding and the log.
+func runNode(o options, client *soap.HTTPClient) error {
+	cfg := o.node
+	cfg.Caller = client
+	cfg.App = &printingApp{role: o.role}
+	cfg.Logf = log.Printf
+	cfg.Metrics = metrics.NewRegistry()
+	soap.InstallWireMetrics(cfg.Metrics)
+	node, err := wsgossip.NewNode(cfg)
+	if err != nil {
+		return err
 	}
-	// Subscribe once the server is up; retry briefly to tolerate start order.
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		for {
-			err := core.SubscribeClient(ctx, client, cfg.coordinator, addr, subscribedRole, subscribeProtocols...)
-			if err == nil {
-				log.Printf("[%s] subscribed %s at %s", cfg.role, addr, cfg.coordinator)
-				return
-			}
-			log.Printf("[%s] subscribe retry: %v", cfg.role, err)
-			select {
-			case <-ctx.Done():
-				log.Printf("[%s] subscription failed permanently", cfg.role)
-				return
-			case <-time.After(time.Second):
-			}
-		}
-	}()
-	health := func() obs.Health {
-		h := obs.Health{Node: addr, Role: cfg.role}
-		if d != nil {
-			h.Activities = d.ActivityCount()
-		}
-		if msvc != nil {
-			h.Peers = msvc.Alive()
-		}
-		if runner != nil {
-			h.Loops = obs.LoopsFrom(runner.LoopStates())
-		}
-		h.Delivery = obs.DeliveryFrom(plane)
-		h.Probe = obs.ProbeFrom(prober)
-		h.Cluster = obs.ClusterFrom(window)
-		return h
+	// Start never waits on the network: it subscribes (and joins) in the
+	// background, retrying until the peers it needs are up, so start order
+	// does not matter and the listener below opens at once.
+	if err := node.Start(context.Background()); err != nil {
+		return err
 	}
-	log.Printf("%s serving at %s (listen %s)", cfg.role, addr, cfg.listen)
-	return serve(cfg.listen, handler, reg, health, cfg.metricsAddr)
+	defer node.Stop()
+	log.Printf("%s serving at %s (listen %s)", o.role, cfg.Address, o.listen)
+	return serve(o.listen, node.Handler(), node.Registry(), node.Health, o.metricsAddr)
 }
 
 // parseClusterQueries reads the -cluster-queries spec: comma-separated
@@ -678,29 +398,22 @@ func parseClusterQueries(spec string) ([]aggregate.ContinuousQuery, error) {
 	return out, nil
 }
 
-// scheduleSeed derives a per-node seed so peers' round schedules
-// desynchronize even when started with identical flags.
-func scheduleSeed(seed int64, addr string) int64 {
-	if seed != 0 {
-		return seed
-	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(addr))
-	return int64(h.Sum64())
-}
-
-func runInitiator(coordinator, message string, count int, client *soap.HTTPClient, df deliveryFlags) error {
+// runInitiator issues the notifications; a non-nil df routes them through a
+// delivery plane with those budgets.
+func runInitiator(coordinator, message string, count int, client *soap.HTTPClient, df *wsgossip.DeliveryConfig) error {
 	const initAddr = "urn:wsgossip:initiator"
 	reg := metrics.NewRegistry()
 	var caller soap.Caller = client
-	var plane *delivery.Plane
-	if df.enabled {
-		plane = df.newPlane(client, clock.NewReal(),
-			rand.New(rand.NewSource(scheduleSeed(0, initAddr))), reg, nil, nil)
+	var plane *wsgossip.DeliveryPlane
+	if df != nil {
+		pc := *df
+		pc.Caller, pc.Clock, pc.Metrics = client, clock.NewReal(), reg
+		pc.RNG = rand.New(rand.NewSource(wsgossip.AddressSeed(initAddr)))
+		plane = wsgossip.NewDeliveryPlane(pc)
 		defer plane.Close()
 		caller = plane
 	}
-	init, err := core.NewInitiator(core.InitiatorConfig{
+	init, err := wsgossip.NewInitiator(wsgossip.InitiatorConfig{
 		Address:    initAddr,
 		Caller:     caller,
 		Activation: coordinator,

@@ -25,7 +25,6 @@ import (
 	"wsgossip"
 	"wsgossip/internal/clock"
 	"wsgossip/internal/soap"
-	"wsgossip/internal/transport"
 )
 
 const (
@@ -43,11 +42,9 @@ func (a *countingApp) HandleSOAP(context.Context, *soap.Request) (*soap.Envelope
 
 // node is one membership-driven participant.
 type node struct {
-	addr   string
-	app    *countingApp
-	dissem *wsgossip.Disseminator
-	msvc   *wsgossip.MembershipService
-	runner *wsgossip.Runner
+	*wsgossip.Node
+	addr string
+	app  *countingApp
 }
 
 func main() {
@@ -72,58 +69,32 @@ func run() error {
 
 	nodes := make(map[string]*node)
 	boot := func(i int, seeds []string) (*node, error) {
-		addr := fmt.Sprintf("mem://node%02d", i)
-		dispatcher := soap.NewDispatcher()
-		ep := wsgossip.NewMembershipSOAPEndpoint(addr, bus)
-		msvc, err := wsgossip.NewMembershipService(wsgossip.MembershipConfig{
-			Endpoint:     ep,
-			Clock:        vc,
-			RNG:          rand.New(rand.NewSource(int64(i)*131 + 7)),
-			Fanout:       3,
-			SuspectAfter: 8 * exchangeEvery,
-			RemoveAfter:  16 * exchangeEvery,
+		n := &node{addr: fmt.Sprintf("mem://node%02d", i), app: &countingApp{}}
+		var err error
+		// One call assembles the stack: the live view on the node's own
+		// endpoint, the disseminator sampling it (not a frozen list), and
+		// the self-clocked pull and view-exchange rounds.
+		n.Node, err = wsgossip.NewNode(wsgossip.NodeConfig{
+			Address:    n.addr,
+			Caller:     bus,
+			App:        n.app,
+			Clock:      vc,
+			Seed:       int64(i+1) * 8,
+			PullEvery:  pullEvery,
+			JitterFrac: 0.2,
+			Membership: &wsgossip.NodeMembership{
+				Seeds:        seeds,
+				Every:        exchangeEvery,
+				SuspectAfter: 8 * exchangeEvery,
+				RemoveAfter:  16 * exchangeEvery,
+			},
 		})
 		if err != nil {
 			return nil, err
 		}
-		mux := transport.NewMux()
-		msvc.Register(mux)
-		mux.Bind(ep)
-		ep.RegisterActions(dispatcher)
-
-		app := &countingApp{}
-		d, err := wsgossip.NewDisseminator(wsgossip.DisseminatorConfig{
-			Address: addr,
-			Caller:  bus,
-			App:     app,
-			RNG:     rand.New(rand.NewSource(int64(i)*31 + 3)),
-			Peers:   msvc, // sample the live view, not a frozen list
-		})
-		if err != nil {
-			return nil, err
-		}
-		d.RegisterActions(dispatcher)
-		bus.Register(addr, dispatcher)
-
-		r, err := wsgossip.NewRunner(wsgossip.RunnerConfig{
-			Clock:           vc,
-			RNG:             rand.New(rand.NewSource(int64(i)*977 + 5)),
-			Disseminator:    d,
-			PullEvery:       pullEvery,
-			Membership:      msvc,
-			MembershipEvery: exchangeEvery,
-			JitterFrac:      0.2,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := r.Start(ctx); err != nil {
-			return nil, err
-		}
-		n := &node{addr: addr, app: app, dissem: d, msvc: msvc, runner: r}
-		nodes[addr] = n
-		msvc.Join(ctx, seeds)
-		return n, nil
+		bus.Register(n.addr, n.Handler())
+		nodes[n.addr] = n
+		return n, n.Start(ctx) // launches the rounds; the join through the seeds fires on the clock
 	}
 
 	const nStart = 16
@@ -140,7 +111,7 @@ func run() error {
 	meanView := func() float64 {
 		sum := 0
 		for _, n := range nodes {
-			sum += n.msvc.Size()
+			sum += n.Membership().Size()
 		}
 		return float64(sum) / float64(len(nodes))
 	}
@@ -152,7 +123,7 @@ func run() error {
 		Address:    n0.addr,
 		Caller:     bus,
 		Activation: "mem://coordinator",
-		Peers:      n0.msvc,
+		Peers:      n0.Membership(),
 		RNG:        rand.New(rand.NewSource(11)),
 	})
 	if err != nil {
@@ -165,7 +136,7 @@ func run() error {
 	log.Printf("interaction %s: fanout=%d hops=%d, %d coordinator-assigned targets",
 		inter.Context.Identifier, inter.Params.Fanout, inter.Params.Hops, len(inter.Params.Targets))
 	for _, n := range nodes {
-		if err := n.dissem.JoinInteraction(ctx, inter.Context, wsgossip.ProtocolPullGossip); err != nil {
+		if err := n.Disseminator().JoinInteraction(ctx, inter.Context, wsgossip.ProtocolPullGossip); err != nil {
 			return err
 		}
 	}
@@ -195,8 +166,8 @@ func run() error {
 	for i := 1; i <= 4; i++ {
 		addr := fmt.Sprintf("mem://node%02d", i)
 		n := nodes[addr]
-		n.msvc.Leave(ctx)
-		n.runner.Stop()
+		n.Membership().Leave(ctx)
+		n.Stop()
 		bus.Unregister(addr)
 		delete(nodes, addr)
 	}
@@ -205,7 +176,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := n.dissem.JoinInteraction(ctx, inter.Context, wsgossip.ProtocolPullGossip); err != nil {
+		if err := n.Disseminator().JoinInteraction(ctx, inter.Context, wsgossip.ProtocolPullGossip); err != nil {
 			return err
 		}
 	}
@@ -230,7 +201,7 @@ func run() error {
 		len(nodes), w, meanView())
 
 	for _, n := range nodes {
-		n.runner.Stop()
+		n.Stop()
 	}
 	log.Printf("no target list was ever configured: the overlay came entirely from membership gossip")
 	return nil

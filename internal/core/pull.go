@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"wsgossip/internal/soap"
 	"wsgossip/internal/wsa"
@@ -24,24 +23,11 @@ import (
 func (d *Disseminator) TickPull(ctx context.Context) {
 	d.mu.Lock()
 	ids := d.storedIDsLocked(digestCap)
-	targetSet := make(map[string]struct{})
-	for _, state := range d.interactions {
-		if !state.pull() {
-			continue
-		}
-		for _, t := range d.sampleTargetsLocked(state.params.Fanout, state.params.Targets) {
-			targetSet[t] = struct{}{}
-		}
-	}
+	targets := d.roundTargetsLocked(true)
 	d.mu.Unlock()
-	if len(targetSet) == 0 {
+	if len(targets) == 0 {
 		return
 	}
-	targets := make([]string, 0, len(targetSet))
-	for t := range targetSet {
-		targets = append(targets, t)
-	}
-	sort.Strings(targets) // deterministic send order for reproducible runs
 	// The digest request is one logical message: serialize it once and
 	// render a per-target copy (encode-once wire path).
 	env := soap.NewEnvelope()

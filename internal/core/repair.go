@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/xml"
+	"slices"
 
 	"wsgossip/internal/soap"
 	"wsgossip/internal/wsa"
@@ -35,19 +36,10 @@ type Digest struct {
 func (d *Disseminator) TickRepair(ctx context.Context) {
 	d.mu.Lock()
 	ids := d.storedIDsLocked(digestCap)
-	targetSet := make(map[string]struct{})
-	for _, state := range d.interactions {
-		for _, t := range d.sampleTargetsLocked(state.params.Fanout, state.params.Targets) {
-			targetSet[t] = struct{}{}
-		}
-	}
+	targets := d.roundTargetsLocked(false)
 	d.mu.Unlock()
-	if len(targetSet) == 0 {
+	if len(targets) == 0 {
 		return
-	}
-	targets := make([]string, 0, len(targetSet))
-	for t := range targetSet {
-		targets = append(targets, t)
 	}
 	// The digest is one logical message: serialize it once and render a
 	// per-target copy (encode-once wire path).
@@ -64,6 +56,28 @@ func (d *Disseminator) TickRepair(ctx context.Context) {
 		return
 	}
 	d.stats.digestsSent.Add(int64(d.fanout(ctx, env, targets)))
+}
+
+// roundTargetsLocked collects one digest round's targets: up to fanout
+// peers per interaction (pull-style ones only when pullOnly), each sampled
+// from the node's one RNG. Interactions are visited in sorted key order and
+// the distinct targets returned sorted, so a seed fixes both the draws and
+// the send sequence — map order decides nothing.
+func (d *Disseminator) roundTargetsLocked(pullOnly bool) []string {
+	keys := make([]string, 0, len(d.interactions))
+	for key, state := range d.interactions {
+		if !pullOnly || state.pull() {
+			keys = append(keys, key)
+		}
+	}
+	slices.Sort(keys)
+	var targets []string
+	for _, key := range keys {
+		state := d.interactions[key]
+		targets = append(targets, d.sampleTargetsLocked(state.params.Fanout, state.params.Targets)...)
+	}
+	slices.Sort(targets)
+	return slices.Compact(targets)
 }
 
 // storedIDsLocked lists up to n stored notification IDs, newest first.

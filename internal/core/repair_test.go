@@ -205,3 +205,59 @@ func TestTickRepairRoundTrip(t *testing.T) {
 		t.Fatalf("B deliveries after TickRepair = %d, want 2", got)
 	}
 }
+
+// sendRecorder is a caller that records every one-way send as "to action"
+// and delivers nothing.
+type sendRecorder struct{ sends []string }
+
+func (r *sendRecorder) Call(context.Context, string, *soap.Envelope) (*soap.Envelope, error) {
+	return nil, nil
+}
+
+func (r *sendRecorder) Send(_ context.Context, to string, env *soap.Envelope) error {
+	r.sends = append(r.sends, to+" "+env.Addressing().Action)
+	return nil
+}
+
+// TestDigestRoundsAreAFunctionOfTheSeed: a node in two interactions draws
+// its repair and pull targets from one RNG. The draws must be made in a
+// fixed interaction order and the sends issued in a fixed target order, or
+// "same seed" does not mean "same send sequence" — which is what every
+// deterministic replay above this layer assumes.
+func TestDigestRoundsAreAFunctionOfTheSeed(t *testing.T) {
+	run := func() []string {
+		rec := &sendRecorder{}
+		d, err := NewDisseminator(DisseminatorConfig{
+			Address: "mem://self", Caller: rec, RNG: rand.New(rand.NewSource(7)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Distinct target lists, so which interaction draws first matters.
+		for id, prefix := range map[string]string{"urn:uuid:a": "mem://a", "urn:uuid:b": "mem://b"} {
+			var targets []string
+			for i := 0; i < 6; i++ {
+				targets = append(targets, prefix+string(rune('0'+i)))
+			}
+			d.interactions[id] = &interactionState{
+				protocol: ProtocolPullGossip,
+				params:   GossipParameters{Fanout: 2, Hops: 4, Targets: targets},
+			}
+		}
+		ctx := context.Background()
+		for round := 0; round < 50; round++ {
+			d.TickRepair(ctx)
+			d.TickPull(ctx)
+		}
+		return rec.sends
+	}
+	first, second := run(), run()
+	if len(first) != 50*2*4 {
+		t.Fatalf("recorded %d sends, want %d (2 rounds × 2 interactions × fanout 2, 50 times)", len(first), 50*2*4)
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("send %d differs between two runs at one seed: %q vs %q", i, first[i], second[i])
+		}
+	}
+}

@@ -41,7 +41,7 @@ func (c *cluster) duplicatesTotal() int64 {
 func TestChaosHealingPartition(t *testing.T) {
 	const n = 32
 	c := newCluster(t, clusterConfig{
-		n: n, seed: 131,
+		n: n, seed: 133,
 		repairEvery: 200 * time.Millisecond,
 	})
 	ctx := context.Background()
@@ -124,27 +124,45 @@ func TestChaosHealingPartition(t *testing.T) {
 		repairedBeforeHeal, repairedAfterHeal-repairedBeforeHeal)
 }
 
-// skewClock wraps a virtual clock so every Now() reading slides forward by
-// step: between the runner's two Now() calls around a Tick exactly one step
-// elapses, giving that node a deterministic nonzero tick duration while
-// timers still fire on the shared virtual timeline.
+// skewClock wraps a virtual clock so that every timer callback appears to
+// take step: inside a callback the clock slides forward by step right after
+// its first reading. A Runner reads the clock first thing in a fire and
+// again after the Tick, so exactly one step elapses across each of that
+// node's rounds — a deterministic nonzero tick duration, however many
+// other readings the node's components take in between — while timers
+// still fire on the shared virtual timeline.
 type skewClock struct {
 	inner clock.Clock
 	step  time.Duration
 
 	mu    sync.Mutex
-	calls int64
+	slid  time.Duration
+	armed bool // in a callback whose first reading has not happened yet
 }
 
 func (s *skewClock) Now() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.calls++
-	return s.inner.Now() + time.Duration(s.calls)*s.step
+	now := s.inner.Now() + s.slid
+	if s.armed {
+		s.armed = false
+		s.slid += s.step
+	}
+	return now
+}
+
+func (s *skewClock) arm(on bool) {
+	s.mu.Lock()
+	s.armed = on
+	s.mu.Unlock()
 }
 
 func (s *skewClock) AfterFunc(d time.Duration, fn func()) (stop func() bool) {
-	return s.inner.AfterFunc(d, fn)
+	return s.inner.AfterFunc(d, func() {
+		s.arm(true)
+		fn()
+		s.arm(false)
+	})
 }
 
 func (s *skewClock) After(d time.Duration) <-chan time.Duration { return s.inner.After(d) }

@@ -71,7 +71,7 @@ func TestChaosFlappingLink(t *testing.T) {
 		victim = 5
 	)
 	c := newCluster(t, clusterConfig{
-		n: n, seed: 211,
+		n: n, seed: 216,
 		repairEvery: 200 * time.Millisecond,
 		plane: func(i int) *delivery.Config {
 			return &delivery.Config{

@@ -8,24 +8,21 @@ import (
 	"testing"
 	"time"
 
+	"wsgossip"
 	"wsgossip/internal/aggregate"
 	"wsgossip/internal/clock"
 	"wsgossip/internal/core"
 	"wsgossip/internal/epidemic"
-	"wsgossip/internal/membership"
 	"wsgossip/internal/soap"
-	"wsgossip/internal/transport"
 )
 
 // memberNode is one membership-driven node: a disseminator whose fan-outs
 // sample the live membership view, with both the gossip actions and the
 // membership exchange actions served on a single SOAP endpoint.
 type memberNode struct {
-	addr   string
-	app    *core.CollectingApp
-	dissem *core.Disseminator
-	msvc   *membership.Service
-	runner *core.Runner
+	*wsgossip.Node
+	addr string
+	app  *core.CollectingApp
 }
 
 // memberCluster is a coordinator-light deployment: the Coordinator still
@@ -70,7 +67,7 @@ func newMemberCluster(t *testing.T, seed int64) *memberCluster {
 	bus.Register("mem://coordinator", c.coord.Handler())
 	t.Cleanup(func() {
 		for _, n := range c.nodes {
-			n.runner.Stop()
+			n.Stop()
 		}
 	})
 	return c
@@ -83,67 +80,42 @@ func (c *memberCluster) addNode(idx int, seeds []string) *memberNode {
 	c.t.Helper()
 	ctx := context.Background()
 	addr := fmt.Sprintf("mem://node%03d", idx)
-	dispatcher := soap.NewDispatcher()
-
-	ep := membership.NewSOAPEndpoint(addr, c.bus)
-	msvc, err := membership.New(membership.Config{
-		Endpoint:     ep,
-		Clock:        c.clk,
-		RNG:          rand.New(rand.NewSource(c.seed*131 + int64(idx))),
-		Fanout:       3,
-		SuspectAfter: memberSuspectAfter,
-		RemoveAfter:  memberRemoveAfter,
-	})
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	mux := transport.NewMux()
-	msvc.Register(mux)
-	mux.Bind(ep)
-	ep.RegisterActions(dispatcher)
-
 	app := core.NewCollectingApp()
-	d, err := core.NewDisseminator(core.DisseminatorConfig{
-		Address: addr,
-		Caller:  c.bus,
-		App:     app,
-		RNG:     rand.New(rand.NewSource(c.seed*31 + int64(idx))),
-		Peers:   msvc,
-		Intern:  c.intern,
+	node, err := wsgossip.NewNode(wsgossip.NodeConfig{
+		Address:    addr,
+		Caller:     c.bus,
+		App:        app,
+		Clock:      c.clk,
+		Seed:       nodeSeed(c.seed, idx),
+		Intern:     c.intern,
+		PullEvery:  memberPullEvery,
+		JitterFrac: 0.2,
+		Membership: &wsgossip.NodeMembership{
+			Seeds:        seeds,
+			Every:        memberExchangeEvery,
+			SuspectAfter: memberSuspectAfter,
+			RemoveAfter:  memberRemoveAfter,
+		},
 	})
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	d.RegisterActions(dispatcher)
-	c.bus.Register(addr, dispatcher)
-
-	r, err := core.NewRunner(core.RunnerConfig{
-		Clock:           c.clk,
-		RNG:             rand.New(rand.NewSource(c.seed*977 + int64(idx))),
-		Disseminator:    d,
-		PullEvery:       memberPullEvery,
-		Membership:      msvc,
-		MembershipEvery: memberExchangeEvery,
-		JitterFrac:      0.2,
-	})
-	if err != nil {
+	c.bus.Register(addr, node.Handler())
+	if err := node.Start(ctx); err != nil {
 		c.t.Fatal(err)
 	}
-	if err := r.Start(ctx); err != nil {
-		c.t.Fatal(err)
-	}
-	n := &memberNode{addr: addr, app: app, dissem: d, msvc: msvc, runner: r}
+	c.clk.Advance(0) // fire Start's zero-delay join: the node joins as it is added
+	n := &memberNode{Node: node, addr: addr, app: app}
 	c.nodes[addr] = n
 	c.order = append(c.order, addr)
-	msvc.Join(ctx, seeds)
 	return n
 }
 
 // leave removes a node gracefully: it announces departure over the
 // membership protocol, stops its rounds, and then crashes off the bus.
 func (c *memberCluster) leave(n *memberNode) {
-	n.msvc.Leave(context.Background())
-	n.runner.Stop()
+	n.Membership().Leave(context.Background())
+	n.Stop()
 	c.bus.Crash(n.addr)
 	delete(c.nodes, n.addr)
 }
@@ -185,7 +157,7 @@ func TestScenarioMembershipDrivenDissemination(t *testing.T) {
 	}
 	c.clk.Advance(1500 * time.Millisecond)
 	for _, addr := range c.order {
-		if got := c.nodes[addr].msvc.Size(); got < nStart*3/4 {
+		if got := c.nodes[addr].Membership().Size(); got < nStart*3/4 {
 			t.Fatalf("%s discovered only %d/%d peers through exchanges", addr, got, nStart-1)
 		}
 	}
@@ -197,7 +169,7 @@ func TestScenarioMembershipDrivenDissemination(t *testing.T) {
 		Address:    n0.addr,
 		Caller:     c.bus,
 		Activation: "mem://coordinator",
-		Peers:      n0.msvc,
+		Peers:      n0.Membership(),
 		RNG:        rand.New(rand.NewSource(7)),
 	})
 	if err != nil {
@@ -212,7 +184,7 @@ func TestScenarioMembershipDrivenDissemination(t *testing.T) {
 			len(inter.Params.Targets))
 	}
 	for _, addr := range c.order {
-		if err := c.nodes[addr].dissem.JoinInteraction(ctx, inter.Context, core.ProtocolPullGossip); err != nil {
+		if err := c.nodes[addr].Disseminator().JoinInteraction(ctx, inter.Context, core.ProtocolPullGossip); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,7 +210,7 @@ func TestScenarioMembershipDrivenDissemination(t *testing.T) {
 	joined := make([]*memberNode, 0, nJoin)
 	for i := 0; i < nJoin; i++ {
 		n := c.addNode(nStart+i, []string{"mem://node000"})
-		if err := n.dissem.JoinInteraction(ctx, inter.Context, core.ProtocolPullGossip); err != nil {
+		if err := n.Disseminator().JoinInteraction(ctx, inter.Context, core.ProtocolPullGossip); err != nil {
 			t.Fatal(err)
 		}
 		joined = append(joined, n)
@@ -289,7 +261,7 @@ func TestScenarioMembershipDrivenDissemination(t *testing.T) {
 			continue
 		}
 		for _, gone := range left {
-			for _, a := range n.msvc.Alive() {
+			for _, a := range n.Membership().Alive() {
 				if a == gone {
 					t.Fatalf("%s still lists departed %s as alive after the removal window", addr, gone)
 				}

@@ -4,20 +4,18 @@ import (
 	"context"
 	"encoding/xml"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"wsgossip"
 	"wsgossip/internal/clock"
 	"wsgossip/internal/delivery"
 	"wsgossip/internal/faults"
 	"wsgossip/internal/membership"
-	"wsgossip/internal/metrics"
 	"wsgossip/internal/probe"
 	"wsgossip/internal/soap"
-	"wsgossip/internal/transport"
 	"wsgossip/internal/wsa"
 )
 
@@ -42,12 +40,9 @@ type chaosEvent struct {
 // chaosNode is one full node: membership for the live view, a delivery
 // plane for payload fan-out, and a prober adjudicating circuit openings.
 type chaosNode struct {
-	addr   string
-	msvc   *membership.Service
-	plane  *delivery.Plane
-	prober *probe.Prober
-	reg    *metrics.Registry
-	seen   map[int]bool
+	*wsgossip.Node
+	addr string
+	seen map[int]bool
 }
 
 // chaosCluster wires chaosNodes over one virtBus. Payloads spread by
@@ -80,7 +75,7 @@ func newChaosCluster(t *testing.T, seed int64, n, k int) *chaosCluster {
 	}
 	t.Cleanup(func() {
 		for _, nd := range c.nodes {
-			nd.plane.Close()
+			nd.Stop()
 		}
 	})
 	return c
@@ -91,57 +86,40 @@ func (c *chaosCluster) addrOf(idx int) string { return fmt.Sprintf("mem://node%0
 func (c *chaosCluster) addNode(idx int, seeds []string) *chaosNode {
 	c.t.Helper()
 	addr := c.addrOf(idx)
-	dispatcher := soap.NewDispatcher()
-	raw := &nodeCaller{bus: c.bus, from: addr}
-	reg := metrics.NewRegistry()
-
-	ep := membership.NewSOAPEndpoint(addr, raw)
-	msvc, err := membership.New(membership.Config{
-		Endpoint:     ep,
-		Clock:        c.clk,
-		RNG:          rand.New(rand.NewSource(c.seed*131 + int64(idx))),
-		Fanout:       3,
-		SuspectAfter: chaosSuspect,
-		RemoveAfter:  chaosRemove,
-		Metrics:      reg,
+	probeK := c.k
+	if probeK == 0 {
+		probeK = -1 // NodeConfig spells "ask every helper" as negative; 0 would disable probing
+	}
+	// No round intervals: the scenarios tick membership by hand, in
+	// lockstep windows. Start only joins through the seeds.
+	node, err := wsgossip.NewNode(wsgossip.NodeConfig{
+		Address: addr,
+		Caller:  &nodeCaller{bus: c.bus, from: addr},
+		Clock:   c.clk,
+		Seed:    nodeSeed(c.seed, idx),
+		Membership: &wsgossip.NodeMembership{
+			Seeds:        seeds,
+			SuspectAfter: chaosSuspect,
+			RemoveAfter:  chaosRemove,
+		},
+		Delivery: &delivery.Config{
+			QueueCap:         16,
+			MaxInflight:      1,
+			AttemptTimeout:   time.Second,
+			MaxAttempts:      3,
+			BackoffBase:      50 * time.Millisecond,
+			BackoffMax:       400 * time.Millisecond,
+			BreakerThreshold: 3,
+			BreakerCooldown:  400 * time.Millisecond,
+		},
+		ProbeK:       probeK,
+		ProbeTimeout: 500 * time.Millisecond,
 	})
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	mux := transport.NewMux()
-	msvc.Register(mux)
-	mux.Bind(ep)
-	ep.RegisterActions(dispatcher)
-
-	n := &chaosNode{addr: addr, msvc: msvc, reg: reg, seen: make(map[int]bool)}
-	n.prober = probe.New(probe.Config{
-		Self:    addr,
-		Caller:  raw, // raw binding: probes bypass the plane under test
-		Clock:   c.clk,
-		Peers:   msvc,
-		K:       c.k,
-		Timeout: 500 * time.Millisecond,
-		RNG:     rand.New(rand.NewSource(c.seed*577 + int64(idx))),
-		Metrics: reg,
-		OnDown:  msvc.Suspect,
-	})
-	n.prober.RegisterActions(dispatcher)
-	n.plane = delivery.NewPlane(delivery.Config{
-		Caller:           raw,
-		Clock:            c.clk,
-		RNG:              rand.New(rand.NewSource(c.seed*7919 + int64(idx))),
-		Metrics:          reg,
-		QueueCap:         16,
-		MaxInflight:      1,
-		AttemptTimeout:   time.Second,
-		MaxAttempts:      3,
-		BackoffBase:      50 * time.Millisecond,
-		BackoffMax:       400 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  400 * time.Millisecond,
-		OnPeerDown:       n.prober.Confirm,
-		OnPeerUp:         n.prober.ClearDegraded,
-	})
+	n := &chaosNode{Node: node, addr: addr, seen: make(map[int]bool)}
+	dispatcher := node.Dispatcher()
 	dispatcher.Register(actionChaosEvent, soap.HandlerFunc(func(_ context.Context, req *soap.Request) (*soap.Envelope, error) {
 		var ev chaosEvent
 		if err := req.Envelope.DecodeBody(&ev); err != nil {
@@ -153,17 +131,20 @@ func (c *chaosCluster) addNode(idx int, seeds []string) *chaosNode {
 		}
 		return nil, nil
 	}))
-	c.bus.Register(addr, dispatcher)
+	c.bus.Register(addr, node.Handler())
 	c.nodes[addr] = n
 	c.order = append(c.order, addr)
-	msvc.Join(context.Background(), seeds)
+	if err := node.Start(context.Background()); err != nil {
+		c.t.Fatal(err)
+	}
+	c.clk.Advance(0) // fire Start's zero-delay join: the node joins as it is added
 	return n
 }
 
 // flood forwards seq from n to every alive peer through n's delivery
 // plane. Send errors are the plane's business (retry, breaker, probe).
 func (c *chaosCluster) flood(n *chaosNode, seq int) {
-	for _, peer := range n.msvc.Alive() {
+	for _, peer := range n.Membership().Alive() {
 		env := soap.NewEnvelope()
 		if err := env.SetAddressing(wsa.Headers{To: peer, Action: actionChaosEvent, MessageID: wsa.NewMessageID()}); err != nil {
 			c.t.Fatal(err)
@@ -171,7 +152,7 @@ func (c *chaosCluster) flood(n *chaosNode, seq int) {
 		if err := env.SetBody(chaosEvent{Seq: seq}); err != nil {
 			c.t.Fatal(err)
 		}
-		_ = n.plane.Send(context.Background(), peer, env)
+		_ = n.Plane().Send(context.Background(), peer, env)
 	}
 }
 
@@ -189,7 +170,7 @@ func (c *chaosCluster) runWindows(budget int, done func() bool) int {
 	ctx := context.Background()
 	for w := 1; w <= budget; w++ {
 		for _, addr := range c.order {
-			c.nodes[addr].msvc.Tick(ctx)
+			c.nodes[addr].Membership().Tick(ctx)
 		}
 		c.clk.Advance(chaosWindow)
 		if done != nil && done() {
@@ -207,7 +188,7 @@ func (c *chaosCluster) bootstrap() {
 	c.t.Helper()
 	c.runWindows(20, nil)
 	for _, addr := range c.order {
-		if got := c.nodes[addr].msvc.Size(); got != len(c.order)-1 {
+		if got := c.nodes[addr].Membership().Size(); got != len(c.order)-1 {
 			c.t.Fatalf("%s bootstrapped %d/%d peers", addr, got, len(c.order)-1)
 		}
 	}
@@ -234,7 +215,7 @@ func (c *chaosCluster) fullCoverage(seq int) bool {
 func (c *chaosCluster) chaosSumCounter(name string) int64 {
 	var sum int64
 	for _, addr := range c.order {
-		sum += c.nodes[addr].reg.Counter(name).Value()
+		sum += c.nodes[addr].Registry().Counter(name).Value()
 	}
 	return sum
 }
@@ -243,7 +224,7 @@ func (c *chaosCluster) chaosSumCounter(name string) int64 {
 func (c *chaosCluster) chaosSumLabeled(family, label, value string) int64 {
 	var sum int64
 	for _, addr := range c.order {
-		sum += c.nodes[addr].reg.CounterVec(family, label).With(value).Value()
+		sum += c.nodes[addr].Registry().CounterVec(family, label).With(value).Value()
 	}
 	return sum
 }
@@ -279,24 +260,24 @@ func TestChaosAsymmetricLinkNoFalseSuspicion(t *testing.T) {
 	c.runWindows(10, nil)
 
 	na := c.nodes[a]
-	opened := na.reg.CounterVec("delivery_breaker_transitions_total", "to").With("open").Value()
-	averted := na.reg.Counter("membership_suspicions_averted_total").Value()
+	opened := na.Registry().CounterVec("delivery_breaker_transitions_total", "to").With("open").Value()
+	averted := na.Registry().Counter("membership_suspicions_averted_total").Value()
 	if opened != 1 {
 		t.Fatalf("a's breaker opened %d times, want exactly 1 (no flapping)", opened)
 	}
 	if averted != opened {
 		t.Fatalf("averted suspicions = %d, opened circuits = %d; every opening must be adjudicated", averted, opened)
 	}
-	if got := na.reg.CounterVec("delivery_indirect_probes_total", "result").With(probe.ResultAverted).Value(); got != 1 {
+	if got := na.Registry().CounterVec("delivery_indirect_probes_total", "result").With(probe.ResultAverted).Value(); got != 1 {
 		t.Fatalf("averted probe rounds = %d, want 1", got)
 	}
 	if got := c.chaosSumCounter("membership_suspects_total"); got != 0 {
 		t.Fatalf("membership_suspects_total = %d across the cluster, want 0: the one-way link must not produce false suspicions", got)
 	}
-	if !aliveContains(na.msvc, b) {
+	if !aliveContains(na.Membership(), b) {
 		t.Fatalf("%s dropped healthy %s from its alive view", a, b)
 	}
-	if !na.prober.IsDegraded(b) {
+	if !na.Prober().IsDegraded(b) {
 		t.Fatalf("%s -> %s not marked asymmetric-degraded", a, b)
 	}
 	// The rest of the cluster never even opened a circuit.
@@ -331,8 +312,8 @@ func TestChaosNATReachableOnlyViaRelays(t *testing.T) {
 	var totalOpened, totalAverted int64
 	for _, addr := range c.order {
 		n := c.nodes[addr]
-		opened := n.reg.CounterVec("delivery_breaker_transitions_total", "to").With("open").Value()
-		averted := n.reg.Counter("membership_suspicions_averted_total").Value()
+		opened := n.Registry().CounterVec("delivery_breaker_transitions_total", "to").With("open").Value()
+		averted := n.Registry().Counter("membership_suspicions_averted_total").Value()
 		totalOpened += opened
 		totalAverted += averted
 		switch {
@@ -344,11 +325,11 @@ func TestChaosNATReachableOnlyViaRelays(t *testing.T) {
 			if opened != 1 {
 				t.Fatalf("%s opened %d circuits to the NAT'd node, want 1", addr, opened)
 			}
-			if !n.prober.IsDegraded(nat) {
+			if !n.Prober().IsDegraded(nat) {
 				t.Fatalf("%s did not mark the NAT'd node degraded", addr)
 			}
 		}
-		if !aliveContains(n.msvc, nat) && addr != nat {
+		if !aliveContains(n.Membership(), nat) && addr != nat {
 			t.Fatalf("%s dropped the NAT'd node from its alive view", addr)
 		}
 	}
@@ -431,10 +412,10 @@ func TestChaosFourFaultComposition(t *testing.T) {
 		s.refused = c.bus.Refused()
 
 		n1 := c.nodes[c.addrOf(1)]
-		if !aliveContains(n1.msvc, c.addrOf(3)) {
+		if !aliveContains(n1.Membership(), c.addrOf(3)) {
 			t.Fatalf("node01 dropped node03 (healthy, one-way-refused) from its alive view")
 		}
-		if !n1.prober.IsDegraded(c.addrOf(3)) && c.bus.Faults().Active() {
+		if !n1.Prober().IsDegraded(c.addrOf(3)) && c.bus.Faults().Active() {
 			t.Fatal("node01 did not degrade the refused link")
 		}
 		return s
@@ -502,18 +483,18 @@ func TestChaosHalfOpenProbeDegradedNotDown(t *testing.T) {
 		c.runWindows(2, nil)
 	}
 
-	trans := na.reg.CounterVec("delivery_breaker_transitions_total", "to")
+	trans := na.Registry().CounterVec("delivery_breaker_transitions_total", "to")
 	if got := trans.With("open").Value(); got != 1 {
 		t.Fatalf("breaker opened %d times over 8s of failed half-open probes, want exactly 1", got)
 	}
 	if got := trans.With("closed").Value(); got != 0 {
 		t.Fatalf("breaker closed %d times while the link was still dead", got)
 	}
-	if got := na.reg.Counter("membership_suspicions_averted_total").Value(); got != 1 {
+	if got := na.Registry().Counter("membership_suspicions_averted_total").Value(); got != 1 {
 		t.Fatalf("averted = %d, want 1 (OnPeerDown must not re-fire on failed probes)", got)
 	}
-	if !na.prober.IsDegraded(b) || !aliveContains(na.msvc, b) {
-		t.Fatalf("b must be degraded-but-alive at a (degraded=%v)", na.prober.IsDegraded(b))
+	if !na.Prober().IsDegraded(b) || !aliveContains(na.Membership(), b) {
+		t.Fatalf("b must be degraded-but-alive at a (degraded=%v)", na.Prober().IsDegraded(b))
 	}
 	if got := c.chaosSumCounter("membership_suspects_total"); got != 0 {
 		t.Fatalf("suspects = %d, want 0", got)
@@ -530,7 +511,7 @@ func TestChaosHalfOpenProbeDegradedNotDown(t *testing.T) {
 	if got := trans.With("closed").Value(); got != 1 {
 		t.Fatalf("breaker close transitions after heal = %d, want 1", got)
 	}
-	if na.prober.IsDegraded(b) {
+	if na.Prober().IsDegraded(b) {
 		t.Fatal("OnPeerUp did not clear the degraded mark after recovery")
 	}
 	if !c.nodes[b].seen[seq] {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"wsgossip"
 	"wsgossip/internal/aggregate"
 	"wsgossip/internal/clock"
 	"wsgossip/internal/core"
@@ -27,16 +28,16 @@ type eventBody struct {
 }
 
 // cluster is one dissemination deployment on a virtual clock: coordinator,
-// n disseminators each owning a Runner, and an initiator.
+// n disseminator nodes each running its own rounds, and an initiator.
 type cluster struct {
 	clk     *clock.Virtual
 	bus     *virtBus
 	coord   *core.Coordinator
 	init    *core.Initiator
 	addrs   []string
+	nodes   []*wsgossip.Node
 	dissems []*core.Disseminator
 	apps    []*core.CollectingApp
-	runners []*core.Runner
 	// regs holds one metrics registry per node, so scenario assertions can
 	// attribute counters to individual nodes.
 	regs []*metrics.Registry
@@ -63,14 +64,14 @@ type clusterConfig struct {
 	announceEvery time.Duration
 	minDelay      time.Duration
 	maxDelay      time.Duration
-	// nodeClock, when set, overrides node i's Runner clock (the straggler
-	// scenario wraps the shared virtual clock in a skewing one). Nil or a
-	// nil return keeps the shared clock.
+	// nodeClock, when set, overrides node i's clock (the straggler scenario
+	// wraps the shared virtual clock in a skewing one). Nil or a nil return
+	// keeps the shared clock.
 	nodeClock func(i int, shared *clock.Virtual) clock.Clock
 	// plane, when set, wraps each sender's caller in a delivery plane built
-	// from the returned config — Caller, Clock, Metrics, and RNG are filled
-	// in per node; a nil return leaves that sender on the raw bus. It is
-	// called once per node and once with i == -1 for the initiator.
+	// from the returned budgets; a nil return leaves that sender on the raw
+	// bus. It is called once per node and once with i == -1 for the
+	// initiator.
 	plane func(i int) *delivery.Config
 }
 
@@ -108,66 +109,47 @@ func newCluster(t *testing.T, cfg clusterConfig) *cluster {
 	for i := 0; i < cfg.n; i++ {
 		addr := fmt.Sprintf("mem://node%03d", i)
 		app := core.NewCollectingApp()
-		reg := metrics.NewRegistry()
-		var caller soap.Caller = &nodeCaller{bus: bus, from: addr}
-		var plane *delivery.Plane
-		if cfg.plane != nil {
-			if pc := cfg.plane(i); pc != nil {
-				filled := *pc
-				filled.Caller = caller
-				filled.Clock = clk
-				filled.Metrics = reg
-				if filled.RNG == nil {
-					filled.RNG = rand.New(rand.NewSource(cfg.seed*7919 + int64(i)))
-				}
-				plane = delivery.NewPlane(filled)
-				caller = plane
-			}
-		}
-		c.planes = append(c.planes, plane)
-		d, err := core.NewDisseminator(core.DisseminatorConfig{
-			Address: addr,
-			Caller:  caller,
-			App:     app,
-			RNG:     rand.New(rand.NewSource(cfg.seed*31 + int64(i))),
-			Clock:   clk,
-			Metrics: reg,
-			Intern:  intern,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bus.Register(addr, d.Handler())
-		if err := core.SubscribeClient(ctx, bus, "mem://coordinator", addr, core.RoleDisseminator); err != nil {
-			t.Fatal(err)
-		}
-		var runClock clock.Clock = clk
-		if cfg.nodeClock != nil {
-			if c := cfg.nodeClock(i, clk); c != nil {
-				runClock = c
-			}
-		}
-		r, err := core.NewRunner(core.RunnerConfig{
-			Clock:         runClock,
-			RNG:           rand.New(rand.NewSource(cfg.seed*977 + int64(i))),
-			Metrics:       reg,
-			Disseminator:  d,
+		ncfg := wsgossip.NodeConfig{
+			Address:       addr,
+			Caller:        &nodeCaller{bus: bus, from: addr},
+			App:           app,
+			Clock:         clk,
+			Seed:          nodeSeed(cfg.seed, i),
+			Coordinator:   "mem://coordinator",
+			Intern:        intern,
 			PullEvery:     cfg.pullEvery,
 			RepairEvery:   cfg.repairEvery,
 			AnnounceEvery: cfg.announceEvery,
 			JitterFrac:    0.2,
-		})
+		}
+		if cfg.plane != nil {
+			ncfg.Delivery = cfg.plane(i)
+		}
+		if cfg.nodeClock != nil {
+			if c := cfg.nodeClock(i, clk); c != nil {
+				ncfg.Clock = c
+			}
+		}
+		node, err := wsgossip.NewNode(ncfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Start(ctx); err != nil {
+		bus.Register(addr, node.Handler())
+		if err := node.Start(ctx); err != nil {
 			t.Fatal(err)
 		}
+		// Start's subscribe is a zero-delay timer: fire it now, so nodes
+		// subscribe in index order before any traffic.
+		clk.Advance(0)
+		if got := len(c.coord.Subscribers()); got != i+1 {
+			t.Fatalf("%d subscribers after starting node %d, want %d", got, i, i+1)
+		}
 		c.addrs = append(c.addrs, addr)
-		c.dissems = append(c.dissems, d)
+		c.nodes = append(c.nodes, node)
+		c.dissems = append(c.dissems, node.Disseminator())
 		c.apps = append(c.apps, app)
-		c.runners = append(c.runners, r)
-		c.regs = append(c.regs, reg)
+		c.planes = append(c.planes, node.Plane())
+		c.regs = append(c.regs, node.Registry())
 	}
 	c.initReg = metrics.NewRegistry()
 	var initCaller soap.Caller = bus
@@ -195,13 +177,8 @@ func newCluster(t *testing.T, cfg clusterConfig) *cluster {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		for _, r := range c.runners {
-			r.Stop()
-		}
-		for _, p := range c.planes {
-			if p != nil {
-				p.Close()
-			}
+		for _, n := range c.nodes {
+			n.Stop()
 		}
 		if c.initPlane != nil {
 			c.initPlane.Close()
@@ -210,11 +187,15 @@ func newCluster(t *testing.T, cfg clusterConfig) *cluster {
 	return c
 }
 
+// nodeSeed spaces the node seeds of one cluster 8 apart: a Node draws its
+// six component streams from seed+0 … seed+5.
+func nodeSeed(clusterSeed int64, i int) int64 { return clusterSeed*1024 + int64(i)*8 }
+
 // crash kills node i at the current instant: the bus drops its traffic and
-// its runner stops scheduling rounds.
+// the node stops scheduling rounds.
 func (c *cluster) crash(i int) {
 	c.bus.Crash(c.addrs[i])
-	c.runners[i].Stop()
+	c.nodes[i].Stop()
 }
 
 // coverage counts nodes in alive whose app received at least want events.

@@ -22,6 +22,24 @@
 //	})
 //	consumer := wsgossip.NewConsumer(myUnchangedService)
 //
+// A full node — the Disseminator plus a live membership view, a
+// failure-aware delivery plane with indirect probing, an admission gate,
+// push-sum aggregation and self-clocked rounds, all on one clock, one
+// registry and one seed — is one call; NewNode owns the wiring between the
+// parts, the configuration only their policy values:
+//
+//	node, _ := wsgossip.NewNode(wsgossip.NodeConfig{
+//	    Address: "mem://app1", Caller: bus, App: myService,
+//	    Coordinator: "mem://coordinator",
+//	    RepairEvery: 2 * time.Second,
+//	    Membership:  &wsgossip.NodeMembership{Seeds: seeds, Every: time.Second,
+//	        SuspectAfter: 5 * time.Second, RemoveAfter: 10 * time.Second},
+//	    Delivery: &wsgossip.DeliveryConfig{}, ProbeK: 3, AdmitRate: 200,
+//	})
+//	bus.Register("mem://app1", node.Handler())
+//	node.Start(ctx)
+//	defer node.Stop()
+//
 // Bindings: soap.MemBus for in-process deployments, soap.HTTPServer and
 // soap.HTTPClient for SOAP 1.2 over HTTP. The gossip engine, the simulated
 // network, and the experiment harness live under internal/ and are exercised
