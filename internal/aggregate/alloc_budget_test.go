@@ -8,8 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"wsgossip/internal/clock"
+	"wsgossip/internal/core"
 	"wsgossip/internal/gossip"
+	"wsgossip/internal/soap"
 	"wsgossip/internal/transport"
+	"wsgossip/internal/wscoord"
 )
 
 // Allocation-budget regression guard for the windowed per-exchange hot
@@ -84,7 +88,14 @@ func newExchangePair(t testing.TB) (*SimNode, *SimNode) {
 	return a, b
 }
 
-func TestWindowedExchangeAllocBudget(t *testing.T) {
+// allocBudget is testdata/alloc_budget.json.
+type allocBudget struct {
+	MaxAllocs        float64 `json:"windowed_exchange_max_allocs"`
+	ServiceMaxAllocs float64 `json:"service_exchange_max_allocs"`
+}
+
+func loadAllocBudget(t *testing.T) allocBudget {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -92,15 +103,18 @@ func TestWindowedExchangeAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	var budget struct {
-		MaxAllocs float64 `json:"windowed_exchange_max_allocs"`
-	}
+	var budget allocBudget
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	if budget.MaxAllocs <= 0 {
-		t.Fatal("alloc budget missing windowed_exchange_max_allocs")
+	if budget.MaxAllocs <= 0 || budget.ServiceMaxAllocs <= 0 {
+		t.Fatalf("alloc budget missing fields: %+v", budget)
 	}
+	return budget
+}
+
+func TestWindowedExchangeAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
 	a, b := newExchangePair(t)
 	ctx := context.Background()
 	// Warm up: first tick rolls the epoch and sizes the maps.
@@ -124,4 +138,97 @@ func TestWindowedExchangeAllocBudget(t *testing.T) {
 			allocs, budget.MaxAllocs)
 	}
 	t.Logf("windowed exchange: %.1f allocs/op (budget %.0f)", allocs, budget.MaxAllocs)
+}
+
+// serviceExchangeTask is the continuous task of newServiceExchangePair.
+const serviceExchangeTask = "urn:uuid:service-exchange"
+
+// newServiceExchangePair is newExchangePair on the production binding: two
+// Services on one MemBus, the clock pinned on an epoch boundary. a roots a
+// continuous task whose only target is b; b learns the task from a's first
+// share — first contact: it reads the coordination context off the message
+// and tries to register, in vain, there being no coordinator, so it joins
+// without targets and from then on only absorbs and acks. One a.Tick is thus
+// exactly one share and its ack, and MemBus drains both before Tick returns.
+func newServiceExchangePair(t testing.TB) (a, b *Service) {
+	t.Helper()
+	bus := soap.NewMemBus()
+	clk := clock.NewVirtual()
+	clk.Advance(2 * time.Second)
+	mk := func(addr string) *Service {
+		svc, err := NewService(ServiceConfig{
+			Address: addr, Caller: bus, Clock: clk,
+			Value: func() float64 { return 1 },
+			RNG:   rand.New(rand.NewSource(1)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bus.Register(addr, svc.Handler())
+		return svc
+	}
+	a, b = mk("mem://a"), mk("mem://b")
+	cctx := wscoord.CoordinationContext{
+		Identifier:          serviceExchangeTask,
+		CoordinationType:    core.CoordinationTypeGossip,
+		RegistrationService: wscoord.ServiceRef{Address: "mem://no-coordinator"},
+	}
+	params := core.AggregateParameters{Fanout: 1, Targets: []string{"mem://b"}}
+	a.startContinuousLocal(serviceExchangeTask, FuncAvg, cctx, params, time.Second, "")
+	return a, b
+}
+
+// checkServiceExchange asserts the pair ran the share → absorb → ack →
+// commit cycle it is meant to measure, n times at least.
+func checkServiceExchange(t testing.TB, a, b *Service, n int64) {
+	t.Helper()
+	sa, sb := a.Stats(), b.Stats()
+	if sa.SharesSent < n || sa.Commits < n || sa.Recovered != 0 || sa.Retries != 0 || sa.SendErrors != 0 {
+		t.Fatalf("sender did not exercise the commit path %d times: %+v", n, sa)
+	}
+	if sb.PassiveJoins != 1 || sb.SharesAbsorbed < n || sb.AcksSent < n || sb.SharesSent != 0 {
+		t.Fatalf("receiver did not absorb and ack %d times: %+v", n, sb)
+	}
+	if out, _ := a.Outstanding(serviceExchangeTask); out != 0 {
+		t.Fatalf("outstanding = %g after synchronous acks, want 0", out)
+	}
+}
+
+// TestServiceExchangeAllocBudget is the Service binding's companion of
+// TestWindowedExchangeAllocBudget: one steady-state share and its ack
+// between two Services over MemBus — envelopes, addressing, the coordination
+// context header, encode, decode and dispatch included. The context block is
+// built once per task and wscoord.ContextFrom runs at first contact only;
+// either one back on the per-message path (an xml.Marshal, an xml.Unmarshal)
+// costs more than the budget's 15 % headroom.
+func TestServiceExchangeAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	a, b := newServiceExchangePair(t)
+	ctx := context.Background()
+	// Warm up: first contact at b, and the maps sized on both sides.
+	a.Tick(ctx)
+	a.Tick(ctx)
+	allocs := testing.AllocsPerRun(200, func() {
+		a.Tick(ctx)
+	})
+	checkServiceExchange(t, a, b, 200)
+	if allocs > budget.ServiceMaxAllocs {
+		t.Errorf("service exchange = %.1f allocs/op, budget %.0f (testdata/alloc_budget.json)",
+			allocs, budget.ServiceMaxAllocs)
+	}
+	t.Logf("service exchange: %.1f allocs/op (budget %.0f)", allocs, budget.ServiceMaxAllocs)
+}
+
+// BenchmarkShareExchangeService measures that same exchange.
+func BenchmarkShareExchangeService(b *testing.B) {
+	a, peer := newServiceExchangePair(b)
+	ctx := context.Background()
+	a.Tick(ctx)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Tick(ctx)
+	}
+	b.StopTimer()
+	checkServiceExchange(b, a, peer, int64(b.N))
 }

@@ -19,7 +19,7 @@ import (
 // outside it.
 type contSend struct {
 	taskID string
-	cctx   wscoord.CoordinationContext
+	cctx   soap.Block
 	p      *pendingShare
 	// retry is p.retry() as read under the lock.
 	retry bool
@@ -43,7 +43,7 @@ func (s *Service) newContinuousTask(taskID string, fn Func, window time.Duration
 		}
 		return f(), isRoot, true
 	}
-	return &task{x: x, params: params, cctx: cctx}
+	return &task{x: x, params: params, ctx: contextBlock(cctx)}
 }
 
 // continuousTargetsLocked samples a windowed task's exchange targets for one
@@ -135,7 +135,7 @@ func (s *Service) handleContinuousShare(ctx context.Context, req *soap.Request, 
 	}
 	ack, reply := t.x.absorb(s.clk.Now(), &share)
 	s.stats.drain(&t.x.counts)
-	cctx := t.cctx
+	cctx := t.ctx
 	s.evalMassLocked()
 	s.mu.Unlock()
 	s.bumpActivity()

@@ -90,7 +90,7 @@ func FuzzExchangeRoundTrip(f *testing.F) {
 			CoordinationType:    "urn:fuzz:type",
 			RegistrationService: wscoord.ServiceRef{Address: "mem://reg"},
 		}
-		env, err := newMessage(ActionExchange, cctx)
+		env, err := newMessage(ActionExchange, contextBlock(cctx))
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -98,10 +99,23 @@ type ServiceConfig struct {
 
 // task is one aggregation interaction this node participates in: the
 // exchange machine holding its mass, and what the binding needs to move it.
+// ctx is the interaction's coordination context as the header block every
+// share and ack carries, built once when the task learns the context.
 type task struct {
 	x      *exchange
 	params core.AggregateParameters
-	cctx   wscoord.CoordinationContext
+	ctx    soap.Block
+}
+
+// contextBlock marshals a task's coordination context into its header block.
+// A context encoding/xml cannot marshal yields the zero block, on which
+// newMessage fails as attaching the context to that message would have.
+func contextBlock(cctx wscoord.CoordinationContext) soap.Block {
+	b, err := wscoord.ContextBlock(cctx)
+	if err != nil {
+		return soap.Block{}
+	}
+	return b
 }
 
 // Service is the aggregation participant role: application code supplies
@@ -458,7 +472,7 @@ func (s *Service) upgradePassiveTask(ctx context.Context, t *task, start Start, 
 	s.mu.Lock()
 	if len(t.params.Targets) == 0 {
 		t.params = params
-		t.cctx = cctx
+		t.ctx = contextBlock(cctx)
 	}
 	s.mu.Unlock()
 	if start.Hops > 0 {
@@ -482,8 +496,12 @@ func (s *Service) registerTask(ctx context.Context, cctx wscoord.CoordinationCon
 
 // newMessage starts one logical multi-target message: addressing with the
 // action and a single message ID but no To (the fan-out splices it per
-// target), and the coordination context. The caller sets the body.
-func newMessage(action string, cctx wscoord.CoordinationContext) (*soap.Envelope, error) {
+// target), and the task's prebuilt coordination-context block. The caller
+// sets the body.
+func newMessage(action string, cctx soap.Block) (*soap.Envelope, error) {
+	if cctx.Raw == nil {
+		return nil, errors.New("aggregate: coordination context did not marshal")
+	}
 	env := soap.NewEnvelope()
 	if err := env.SetAddressing(wsa.Headers{
 		Action:    action,
@@ -491,9 +509,7 @@ func newMessage(action string, cctx wscoord.CoordinationContext) (*soap.Envelope
 	}); err != nil {
 		return nil, err
 	}
-	if err := wscoord.AttachContext(env, cctx); err != nil {
-		return nil, err
-	}
+	wscoord.AttachContextBlock(env, cctx)
 	return env, nil
 }
 
@@ -501,7 +517,7 @@ func newMessage(action string, cctx wscoord.CoordinationContext) (*soap.Envelope
 // once-per-task messages. Shares and acks carry a flat-codec block instead
 // (wire.go).
 func buildMessage(action string, cctx wscoord.CoordinationContext, body any) (*soap.Envelope, error) {
-	env, err := newMessage(action, cctx)
+	env, err := newMessage(action, contextBlock(cctx))
 	if err != nil {
 		return nil, err
 	}
@@ -554,7 +570,7 @@ func (s *Service) handleExchange(ctx context.Context, req *soap.Request) (*soap.
 		// the mass so the totals stay conserved — it just cannot relay
 		// until a later start or share brings usable targets.
 		params, _ := s.registerTask(ctx, cctx)
-		t = &task{x: newExchange(share.TaskID, s.cfg.Address, NewState(fn, 0, false, true)), params: params, cctx: cctx}
+		t = &task{x: newExchange(share.TaskID, s.cfg.Address, NewState(fn, 0, false, true)), params: params, ctx: contextBlock(cctx)}
 		s.mu.Lock()
 		if existing, raced := s.tasks[share.TaskID]; raced {
 			t = existing
@@ -615,7 +631,7 @@ func (s *Service) handleQuery(_ context.Context, req *soap.Request) (*soap.Envel
 func (s *Service) Tick(ctx context.Context) {
 	type outgoing struct {
 		taskID  string
-		cctx    wscoord.CoordinationContext
+		cctx    soap.Block
 		share   Share
 		targets []string
 	}
@@ -631,7 +647,7 @@ func (s *Service) Tick(ctx context.Context) {
 		t := s.tasks[id]
 		if t.x.windowed() {
 			for _, p := range t.x.tick(s.clk.Now(), s.continuousTargetsLocked(t)) {
-				contSends = append(contSends, contSend{taskID: id, cctx: t.cctx, p: p, retry: p.retry()})
+				contSends = append(contSends, contSend{taskID: id, cctx: t.ctx, p: p, retry: p.retry()})
 			}
 			s.stats.drain(&t.x.counts)
 			continue
@@ -667,7 +683,7 @@ func (s *Service) Tick(ctx context.Context) {
 		// synchronously and are re-absorbed by returnShares.
 		sends = append(sends, outgoing{
 			taskID:  id,
-			cctx:    t.cctx,
+			cctx:    t.ctx,
 			share:   t.x.split(len(targets)),
 			targets: targets,
 		})
@@ -721,7 +737,7 @@ func (s *Service) newTask(taskID string, fn Func, root bool, params core.Aggrega
 		value = s.cfg.Value()
 	}
 	x := newExchange(taskID, s.cfg.Address, NewState(fn, value, root, passive))
-	return &task{x: x, params: params, cctx: cctx}
+	return &task{x: x, params: params, ctx: contextBlock(cctx)}
 }
 
 // startLocalTask installs a task created by this node itself (the Querier's

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"testing"
 
 	"wsgossip/internal/soap"
+	"wsgossip/internal/wsa"
 )
 
 // Allocation-budget regression guards for the per-hop gossip path, the
@@ -19,6 +21,8 @@ type allocBudget struct {
 	DuplicateReceipt float64 `json:"duplicate_receipt_max_allocs"`
 	GossipHeaderFrom float64 `json:"gossip_header_from_max_allocs"`
 	ForwardHeaders   float64 `json:"forward_headers_max_allocs"`
+	DigestReceipt    float64 `json:"digest_receipt_nothing_missing_max_allocs"`
+	DigestEnvelope   float64 `json:"tick_repair_digest_envelope_max_allocs"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -30,12 +34,13 @@ func loadAllocBudget(t *testing.T) allocBudget {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	budget := allocBudget{-1, -1, -1, -1}
+	budget := allocBudget{-1, -1, -1, -1, -1, -1}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
 	if budget.ForwardFanoutF8 <= 0 || budget.DuplicateReceipt < 0 ||
-		budget.GossipHeaderFrom < 0 || budget.ForwardHeaders < 0 {
+		budget.GossipHeaderFrom < 0 || budget.ForwardHeaders < 0 ||
+		budget.DigestReceipt < 0 || budget.DigestEnvelope <= 0 {
 		t.Fatalf("alloc budget missing fields: %+v", budget)
 	}
 	return budget
@@ -106,4 +111,58 @@ func TestForwardHeadersAllocBudget(t *testing.T) {
 		}
 	})
 	checkAllocBudget(t, "Snapshot+SetGossipHeader+SetAddressing", allocs, budget.ForwardHeaders)
+}
+
+// asWritten leaves a digest body as the writer spelled it.
+func asWritten(body []byte) []byte { return body }
+
+// fullDigestResponder is a responder holding digestCap notifications and a
+// received repair digest listing all of them — the round with nothing to say
+// — spelled by spell (asWritten, or respell to force the fallback).
+func fullDigestResponder(t testing.TB, spell func([]byte) []byte) (*Disseminator, *soap.Request) {
+	t.Helper()
+	d, _ := newDigestResponder(t, digestCap)
+	for i := 0; i < digestCap; i++ {
+		storeNotification(t, d, string(wsa.NewMessageID()))
+	}
+	d.mu.Lock()
+	ids := d.storedIDsLocked(digestCap)
+	d.mu.Unlock()
+	req, _ := receivedRequest(t, ActionDigest, spell(digestBlock("mem://peer", ids).Raw))
+	return d, req
+}
+
+// TestDigestReceiptAllocBudget: almost every repair digest finds nothing
+// missing, and then it must cost the responder one allocation — the sender's
+// address — however many IDs it lists: they are looked up in the store as
+// they lie in the receive buffer.
+func TestDigestReceiptAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	d, req := fullDigestResponder(t, asWritten)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := d.handleDigest(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if stats := d.Stats(); stats.Repaired != 0 || stats.SendErrors != 0 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	checkAllocBudget(t, "128-ID digest receipt, nothing missing", allocs, budget.DigestReceipt)
+}
+
+// TestDigestEnvelopeAllocBudget: what TickRepair builds once per round —
+// the ID list, the body, the addressing and the envelope around them.
+func TestDigestEnvelopeAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	d, _ := fullDigestResponder(t, asWritten)
+	allocs := testing.AllocsPerRun(100, func() {
+		d.mu.Lock()
+		ids := d.storedIDsLocked(digestCap)
+		d.mu.Unlock()
+		env, err := digestEnvelope(ActionDigest, digestBlock(d.cfg.Address, ids))
+		if err != nil || len(env.Body.Blocks) != 1 {
+			t.Fatalf("digest envelope: %v", err)
+		}
+	})
+	checkAllocBudget(t, "TickRepair digest envelope, 128 IDs", allocs, budget.DigestEnvelope)
 }

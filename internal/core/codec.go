@@ -6,17 +6,20 @@ import (
 	"wsgossip/internal/soap"
 )
 
-// Byte-level codecs for the three blocks the gossip layer reads or writes on
-// every hop — the gossip header and the lazy-push IHAVE/IWANT bodies — on
-// soap's flat-element codec. Each writer is byte-identical to xml.Marshal of
-// the struct; each reader accepts only that canonical form and otherwise
-// reports false, on which the caller decodes the block with encoding/xml
-// (TestFlatCodec*, FuzzGossipHeaderCodec pin both halves).
+// Byte-level codecs for the blocks the gossip layer reads or writes on every
+// hop and every round — the gossip header, the lazy-push IHAVE/IWANT bodies,
+// the repair and pull digests — on soap's flat-element codec. Each writer is
+// byte-identical to xml.Marshal of the struct; each reader accepts only that
+// canonical form and otherwise reports false, on which the caller decodes the
+// block with encoding/xml (TestFlatCodec*, TestDigestCodec*,
+// FuzzGossipHeaderCodec and FuzzDigestCodec pin both halves).
 
 var (
 	gossipName   = xml.Name{Space: Namespace, Local: "Gossip"}
 	announceName = xml.Name{Space: Namespace, Local: "Announce"}
 	fetchName    = xml.Name{Space: Namespace, Local: "Fetch"}
+	digestName   = xml.Name{Space: Namespace, Local: "Digest"}
+	pullName     = xml.Name{Space: Namespace, Local: "PullRequest"}
 )
 
 // flatOverhead bounds the markup of one flat block of up to five children
@@ -173,4 +176,117 @@ func fetchFrom(env *soap.Envelope) (Fetch, error) {
 	var f Fetch
 	err := env.DecodeBody(&f)
 	return f, err
+}
+
+// digestSize sizes the buffer of a digest body listing ids.
+func digestSize(peer string, ids []string) int {
+	n := flatOverhead + len(peer) + len(ids)*len("<MessageID></MessageID>")
+	for _, id := range ids {
+		n += len(id)
+	}
+	return n
+}
+
+// digestBlock writes the anti-entropy Digest body.
+func digestBlock(sender string, ids []string) soap.Block {
+	buf := make([]byte, 0, digestSize(sender, ids))
+	buf = soap.AppendFlatOpen(buf, Namespace, "Digest")
+	buf = soap.AppendFlatText(buf, "Sender", sender)
+	buf = soap.AppendFlatList(buf, "MessageIDs", "MessageID", ids)
+	buf = soap.AppendFlatClose(buf, "Digest")
+	return soap.Block{XMLName: digestName, Raw: buf}
+}
+
+// pullRequestBlock writes the WS-PullGossip PullRequest body.
+func pullRequestBlock(requester string, ids []string, max int) soap.Block {
+	buf := make([]byte, 0, digestSize(requester, ids))
+	buf = soap.AppendFlatOpen(buf, Namespace, "PullRequest")
+	buf = soap.AppendFlatText(buf, "Requester", requester)
+	buf = soap.AppendFlatList(buf, "MessageIDs", "MessageID", ids)
+	buf = soap.AppendFlatInt(buf, "Max", int64(max))
+	buf = soap.AppendFlatClose(buf, "PullRequest")
+	return soap.Block{XMLName: pullName, Raw: buf}
+}
+
+// heldIDs is the ID list of a received digest as the responder consumes it:
+// the canonical body's items in place — views of the receive buffer, which
+// must not outlive the delivery — or the strings encoding/xml decoded from
+// any other spelling.
+type heldIDs struct {
+	flat    soap.FlatList
+	decoded []string
+}
+
+// mark marks every listed ID the store holds as held by the digest's sender.
+// An escaped ID is unescaped first, as encoding/xml would have.
+func (h heldIDs) mark(s *envelopeStore) {
+	for id, ok := h.flat.Next(); ok; id, ok = h.flat.Next() {
+		if id.IsLiteral() {
+			s.markHeldBytes(id)
+		} else {
+			s.markHeld(id.String())
+		}
+	}
+	for _, id := range h.decoded {
+		s.markHeld(id)
+	}
+}
+
+// scanDigest reads a canonical Digest body block in place.
+func scanDigest(raw []byte) (sender soap.FlatText, ids soap.FlatList, ok bool) {
+	r, ok := soap.OpenFlat(raw, Namespace, "Digest")
+	if !ok {
+		return nil, ids, false
+	}
+	if sender, ok = r.Text("Sender"); !ok {
+		return nil, ids, false
+	}
+	if ids, ok = r.List("MessageIDs", "MessageID"); !ok {
+		return nil, ids, false
+	}
+	return sender, ids, r.Close("Digest")
+}
+
+// digestFrom decodes the Digest body of env — the canonical form in place,
+// anything else through encoding/xml — into the sender (a copy) and the IDs
+// it holds.
+func digestFrom(env *soap.Envelope) (string, heldIDs, error) {
+	if len(env.Body.Blocks) > 0 {
+		if sender, ids, ok := scanDigest(env.Body.Blocks[0].Raw); ok {
+			return sender.String(), heldIDs{flat: ids}, nil
+		}
+	}
+	var dig Digest
+	err := env.DecodeBody(&dig)
+	return dig.Sender, heldIDs{decoded: dig.MessageIDs}, err
+}
+
+// scanPullRequest reads a canonical PullRequest body block in place.
+func scanPullRequest(raw []byte) (requester soap.FlatText, ids soap.FlatList, max int, ok bool) {
+	r, ok := soap.OpenFlat(raw, Namespace, "PullRequest")
+	if !ok {
+		return nil, ids, 0, false
+	}
+	if requester, ok = r.Text("Requester"); !ok {
+		return nil, ids, 0, false
+	}
+	if ids, ok = r.List("MessageIDs", "MessageID"); !ok {
+		return nil, ids, 0, false
+	}
+	if max, ok = r.Int("Max"); !ok {
+		return nil, ids, 0, false
+	}
+	return requester, ids, max, r.Close("PullRequest")
+}
+
+// pullRequestFrom decodes the PullRequest body of env like digestFrom.
+func pullRequestFrom(env *soap.Envelope) (string, heldIDs, int, error) {
+	if len(env.Body.Blocks) > 0 {
+		if requester, ids, max, ok := scanPullRequest(env.Body.Blocks[0].Raw); ok {
+			return requester.String(), heldIDs{flat: ids}, max, nil
+		}
+	}
+	var pr PullRequest
+	err := env.DecodeBody(&pr)
+	return pr.Requester, heldIDs{decoded: pr.MessageIDs}, pr.Max, err
 }

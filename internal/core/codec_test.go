@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/xml"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"wsgossip/internal/gossip"
@@ -351,6 +353,240 @@ func FuzzGossipHeaderCodec(f *testing.F) {
 		}
 		if ok, wide := checkReaders(t, written), gh.Hops > 999999999 || gh.Hops < -999999999; ok == wide {
 			t.Fatalf("reader accepted=%v for its own writer's %s", ok, written)
+		}
+	})
+}
+
+// Digest and PullRequest, the repair and pull rounds' bodies, on the same
+// contract. Their ID list is the flat codec's one list construct.
+
+// heldStrings materializes a decoded digest's IDs as encoding/xml would.
+func heldStrings(h heldIDs) []string {
+	out := h.decoded
+	for id, ok := h.flat.Next(); ok; id, ok = h.flat.Next() {
+		out = append(out, id.String())
+	}
+	return out
+}
+
+func sameIDs(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// digestIDLists are the ID lists the digest tables run over: empty (nil and
+// not), one, a full digest, more than digestCap, and every awkward text.
+func digestIDLists() [][]string {
+	ids := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("urn:uuid:%032x", 0x9e3779b97f4a7c15*uint64(i+1))
+		}
+		return out
+	}
+	return [][]string{nil, {}, ids(1), ids(digestCap), ids(digestCap + 72), codecTexts, {"", ""}}
+}
+
+var digestMaxes = []int{0, 1, -1, -5, digestCap, digestCap + 1, 999999999, -999999999, 1 << 40}
+
+func TestDigestCodecWritersMatchMarshal(t *testing.T) {
+	for i, peer := range codecTexts {
+		for _, ids := range digestIDLists() {
+			dig := Digest{Sender: peer, MessageIDs: ids}
+			if got, want := digestBlock(peer, ids), mustMarshal(t, dig); got.XMLName != digestName || !bytes.Equal(got.Raw, want) {
+				t.Fatalf("digest %q, %d ids:\n got %.400s\nwant %.400s", peer, len(ids), got.Raw, want)
+			}
+			max := digestMaxes[i%len(digestMaxes)]
+			pr := PullRequest{Requester: peer, MessageIDs: ids, Max: max}
+			if got, want := pullRequestBlock(peer, ids, max), mustMarshal(t, pr); got.XMLName != pullName || !bytes.Equal(got.Raw, want) {
+				t.Fatalf("pull request %q, %d ids, max %d:\n got %.400s\nwant %.400s", peer, len(ids), max, got.Raw, want)
+			}
+		}
+	}
+	for _, max := range digestMaxes {
+		pr := PullRequest{Requester: "mem://n", MessageIDs: []string{"urn:uuid:1"}, Max: max}
+		if got, want := pullRequestBlock(pr.Requester, pr.MessageIDs, max).Raw, mustMarshal(t, pr); !bytes.Equal(got, want) {
+			t.Fatalf("pull request max %d:\n got %s\nwant %s", max, got, want)
+		}
+	}
+}
+
+// checkDigestReaders runs the Digest and PullRequest readers differentially
+// against xml.Unmarshal on one block: whatever a reader accepts must decode
+// identically, and the decoders with fallback must behave exactly as
+// xml.Unmarshal alone. It reports which in-place readers accepted.
+func checkDigestReaders(t testing.TB, raw []byte) (okDigest, okPull bool) {
+	t.Helper()
+	env := soap.NewEnvelope()
+	env.SetBodyBlock(soap.Block{Raw: raw})
+
+	var refDig Digest
+	errDig := xml.Unmarshal(raw, &refDig)
+	sender, ids, okDigest := scanDigest(raw)
+	if okDigest && (errDig != nil || sender.String() != refDig.Sender || !sameIDs(heldStrings(heldIDs{flat: ids}), refDig.MessageIDs)) {
+		t.Fatalf("digest reader accepted %q as %q %q; encoding/xml: %+v, %v",
+			raw, sender.String(), heldStrings(heldIDs{flat: ids}), refDig, errDig)
+	}
+	from, held, err := digestFrom(env)
+	if (err != nil) != (errDig != nil) || (err == nil && (from != refDig.Sender || !sameIDs(heldStrings(held), refDig.MessageIDs))) {
+		t.Fatalf("digestFrom(%q) = %q %q, %v; encoding/xml: %+v, %v", raw, from, heldStrings(held), err, refDig, errDig)
+	}
+
+	var refPull PullRequest
+	errPull := xml.Unmarshal(raw, &refPull)
+	requester, ids, max, okPull := scanPullRequest(raw)
+	if okPull && (errPull != nil || requester.String() != refPull.Requester || max != refPull.Max ||
+		!sameIDs(heldStrings(heldIDs{flat: ids}), refPull.MessageIDs)) {
+		t.Fatalf("pull reader accepted %q as %q %q max %d; encoding/xml: %+v, %v",
+			raw, requester.String(), heldStrings(heldIDs{flat: ids}), max, refPull, errPull)
+	}
+	from, held, max, err = pullRequestFrom(env)
+	if (err != nil) != (errPull != nil) ||
+		(err == nil && (from != refPull.Requester || max != refPull.Max || !sameIDs(heldStrings(held), refPull.MessageIDs))) {
+		t.Fatalf("pullRequestFrom(%q) = %q %q max %d, %v; encoding/xml: %+v, %v",
+			raw, from, heldStrings(held), max, err, refPull, errPull)
+	}
+	return okDigest, okPull
+}
+
+func TestDigestCodecReadersMatchUnmarshal(t *testing.T) {
+	for _, peer := range codecTexts {
+		for _, ids := range digestIDLists() {
+			raw := digestBlock(peer, ids).Raw
+			if ok, _ := checkDigestReaders(t, raw); !ok {
+				t.Fatalf("digest reader declined its own writer's %.400s", raw)
+			}
+			for _, max := range digestMaxes {
+				raw := pullRequestBlock(peer, ids, max).Raw
+				// Everything the writer emits is read in place, except a Max
+				// wider than the reader's nine digits.
+				if _, ok := checkDigestReaders(t, raw); ok == (max > 999999999) {
+					t.Fatalf("pull reader accepted=%v for %.400s", ok, raw)
+				}
+			}
+		}
+	}
+}
+
+// nonCanonicalDigests are spellings encoding/xml reads (or rejects) that the
+// in-place readers must leave to it. Each is given as a Digest; the test
+// also runs it respelled as a PullRequest.
+var nonCanonicalDigests = map[string]string{
+	"absent wrapper":      `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender></Digest>`,
+	"self-closing list":   `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs/></Digest>`,
+	"padded":              "<Digest xmlns=\"urn:wsgossip:2008\">\n <Sender>s</Sender>\n <MessageIDs>\n  <MessageID>a</MessageID>\n </MessageIDs>\n</Digest>",
+	"space between items": `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>a</MessageID> <MessageID>b</MessageID></MessageIDs></Digest>`,
+	"wrapper attribute":   `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs n="1"><MessageID>a</MessageID></MessageIDs></Digest>`,
+	"item attribute":      `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID n="1">a</MessageID></MessageIDs></Digest>`,
+	"comment":             `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>a</MessageID><!-- c --></MessageIDs></Digest>`,
+	"cdata item":          `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID><![CDATA[a]]></MessageID></MessageIDs></Digest>`,
+	"nested item":         `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID><X>a</X></MessageID></MessageIDs></Digest>`,
+	"two wrappers":        `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>a</MessageID></MessageIDs><MessageIDs><MessageID>b</MessageID></MessageIDs></Digest>`,
+	"list first":          `<Digest xmlns="urn:wsgossip:2008"><MessageIDs><MessageID>a</MessageID></MessageIDs><Sender>s</Sender></Digest>`,
+	"stray sibling":       `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>a</MessageID></MessageIDs><TTL>1</TTL></Digest>`,
+	"prefixed":            `<g:Digest xmlns:g="urn:wsgossip:2008"><g:Sender>s</g:Sender><g:MessageIDs><g:MessageID>a</g:MessageID></g:MessageIDs></g:Digest>`,
+	"no sender":           `<Digest xmlns="urn:wsgossip:2008"><MessageIDs><MessageID>a</MessageID></MessageIDs></Digest>`,
+	"missing item end":    `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>a</MessageIDs></Digest>`,
+	"truncated":           `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>a</Mess`,
+	"trailing bytes":      `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>a</MessageID></MessageIDs></Digest> `,
+	"wrong namespace":     `<Digest xmlns="urn:other"><Sender>s</Sender><MessageIDs><MessageID>a</MessageID></MessageIDs></Digest>`,
+	"unknown entity":      `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>&nbsp;</MessageID></MessageIDs></Digest>`,
+}
+
+// asPullRequest respells a Digest document as the PullRequest with the same
+// peer and IDs and the given Max element.
+func asPullRequest(digest, max string) string {
+	s := strings.NewReplacer("Digest", "PullRequest", "Sender", "Requester").Replace(digest)
+	if i := strings.LastIndex(s, "</"); i >= 0 && strings.HasSuffix(strings.TrimSpace(s), "PullRequest>") {
+		return s[:i] + max + s[i:]
+	}
+	return s + max
+}
+
+// TestDigestCodecDeclinesNonCanonical: each form is declined by the in-place
+// readers, and digestFrom / pullRequestFrom — through the fallback — return
+// exactly what encoding/xml returns for it, error or value.
+func TestDigestCodecDeclinesNonCanonical(t *testing.T) {
+	for label, raw := range nonCanonicalDigests {
+		if ok, _ := checkDigestReaders(t, []byte(raw)); ok {
+			t.Errorf("%s: digest reader accepted %s", label, raw)
+		}
+		pull := asPullRequest(raw, "<Max>7</Max>")
+		if _, ok := checkDigestReaders(t, []byte(pull)); ok {
+			t.Errorf("%s: pull reader accepted %s", label, pull)
+		}
+	}
+	const canonical = `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>a</MessageID></MessageIDs></Digest>`
+	for label, max := range map[string]string{
+		"no max": "", "padded max": "<Max> 7 </Max>", "plus max": "<Max>+7</Max>", "wide max": "<Max>1234567890</Max>",
+		"empty max": "<Max></Max>", "max twice": "<Max>7</Max><Max>8</Max>", "max not a number": "<Max>many</Max>",
+	} {
+		pull := asPullRequest(canonical, max)
+		if _, ok := checkDigestReaders(t, []byte(pull)); ok {
+			t.Errorf("%s: pull reader accepted %s", label, pull)
+		}
+	}
+	for _, max := range []string{"<Max>0</Max>", "<Max>-3</Max>", "<Max>-0</Max>", "<Max>007</Max>", "<Max>999999999</Max>"} {
+		pull := asPullRequest(canonical, max)
+		if _, ok := checkDigestReaders(t, []byte(pull)); !ok {
+			t.Errorf("pull reader declined %s", pull)
+		}
+	}
+}
+
+// FuzzDigestCodec is the differential fuzz of the Digest / PullRequest
+// codecs against encoding/xml:
+//
+//   - whenever an in-place reader accepts, the peer, the IDs and Max equal
+//     xml.Unmarshal's, and the decoders with fallback always behave exactly
+//     as xml.Unmarshal alone (checkDigestReaders);
+//   - whatever encoding/xml decodes, the writer re-serializes byte for byte
+//     as xml.Marshal does, and the reader reads that back.
+//
+// The committed corpus under testdata/fuzz/FuzzDigestCodec runs on every
+// plain `go test`; CI fuzzes for 30 s next to FuzzGossipHeaderCodec.
+func FuzzDigestCodec(f *testing.F) {
+	for i, ids := range digestIDLists() {
+		peer := codecTexts[i%len(codecTexts)]
+		if len(ids) > 4 {
+			ids = ids[:4]
+		}
+		f.Add(digestBlock(peer, ids).Raw)
+		f.Add(pullRequestBlock(peer, ids, digestMaxes[i%len(digestMaxes)]).Raw)
+	}
+	for _, raw := range nonCanonicalDigests {
+		f.Add([]byte(raw))
+		f.Add([]byte(asPullRequest(raw, "<Max>128</Max>")))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		checkDigestReaders(t, raw)
+		var dig Digest
+		if xml.Unmarshal(raw, &dig) == nil {
+			written := digestBlock(dig.Sender, dig.MessageIDs).Raw
+			if want := mustMarshal(t, Digest{Sender: dig.Sender, MessageIDs: dig.MessageIDs}); !bytes.Equal(written, want) {
+				t.Fatalf("digest writer for %+v:\n got %s\nwant %s", dig, written, want)
+			}
+			if ok, _ := checkDigestReaders(t, written); !ok {
+				t.Fatalf("digest reader declined its own writer's %s", written)
+			}
+		}
+		var pr PullRequest
+		if xml.Unmarshal(raw, &pr) == nil {
+			written := pullRequestBlock(pr.Requester, pr.MessageIDs, pr.Max).Raw
+			want := mustMarshal(t, PullRequest{Requester: pr.Requester, MessageIDs: pr.MessageIDs, Max: pr.Max})
+			if !bytes.Equal(written, want) {
+				t.Fatalf("pull writer for %+v:\n got %s\nwant %s", pr, written, want)
+			}
+			if _, ok := checkDigestReaders(t, written); ok == (pr.Max > 999999999 || pr.Max < -999999999) {
+				t.Fatalf("pull reader accepted=%v for its own writer's %s", ok, written)
+			}
 		}
 	})
 }

@@ -199,7 +199,9 @@ type Fetch struct {
 
 // PullRequest is the WS-PullGossip digest request: the puller names the
 // notifications it already holds; the responder retransmits up to Max
-// stored notifications absent from that digest.
+// stored notifications absent from that digest. Like Digest it travels on
+// the flat-element codec (codec.go), and the struct serves the encoding/xml
+// fallback and the tests.
 type PullRequest struct {
 	XMLName    xml.Name `xml:"urn:wsgossip:2008 PullRequest"`
 	Requester  string   `xml:"Requester"`

@@ -24,6 +24,13 @@ type Interaction struct {
 	Context  wscoord.CoordinationContext
 	Protocol string
 	Params   GossipParameters
+
+	// contextBlock is blockContext as the header block every notification
+	// of the interaction carries, built once by StartProtocolInteraction. An
+	// Interaction assembled by hand, or whose Context was changed since, is
+	// marshaled by each Notify instead.
+	contextBlock soap.Block
+	blockContext wscoord.CoordinationContext
 }
 
 // InitiatorConfig configures an Initiator.
@@ -108,7 +115,11 @@ func (i *Initiator) StartProtocolInteraction(ctx context.Context, protocol strin
 	if err != nil {
 		return nil, fmt.Errorf("core: registration response without gossip parameters: %w", err)
 	}
-	return &Interaction{Context: cctx, Protocol: protocol, Params: params}, nil
+	block, err := wscoord.ContextBlock(cctx)
+	if err != nil {
+		return nil, fmt.Errorf("core: coordination context of %s: %w", cctx.Identifier, err)
+	}
+	return &Interaction{Context: cctx, Protocol: protocol, Params: params, contextBlock: block, blockContext: cctx}, nil
 }
 
 // Notify issues a single notification carrying body, fanning it out to the
@@ -165,7 +176,9 @@ func (i *Initiator) buildNotification(inter *Interaction, msgID wsa.MessageID, b
 	}); err != nil {
 		return nil, err
 	}
-	if err := wscoord.AttachContext(env, inter.Context); err != nil {
+	if inter.contextBlock.Raw != nil && inter.blockContext == inter.Context {
+		wscoord.AttachContextBlock(env, inter.contextBlock)
+	} else if err := wscoord.AttachContext(env, inter.Context); err != nil {
 		return nil, err
 	}
 	protocol := inter.Protocol

@@ -9,15 +9,31 @@ import (
 )
 
 // envelopeStore retains recent notification envelopes so a lazy-push node
-// can serve Fetch requests. FIFO eviction, bounded. Entries are never
-// reordered, so insertion order lives in a slice-backed deque (ids[start:],
-// oldest first) instead of a linked list — at one store per simulated node
-// the per-entry list cells were measurable memory.
+// can serve Fetch requests and answer repair and pull digests. FIFO eviction,
+// bounded. Entries are never reordered, so they live in a ring of slots in
+// insertion order — grown by append until it holds cap entries, overwritten
+// oldest-first from then on — and the index maps an ID to its slot, which
+// never moves while the entry lives. No per-entry cell: at one store per
+// simulated node those were measurable memory.
+//
+// Each slot carries the digest responder's mark: the IDs a digest lists are
+// marked with the current generation (markHeld), which beginGen advances once
+// per digest, so no mark is ever cleared and answering a digest costs the
+// store no memory. One generation is one critical section of the caller's
+// lock (Disseminator.mu), from beginGen to the last isHeld.
 type envelopeStore struct {
 	cap   int
-	ids   []string
-	start int
-	items map[string]*soap.Envelope
+	slots []storeSlot
+	head  int // slot of the oldest entry once the ring is full
+	index map[string]uint32
+	gen   uint32
+}
+
+// storeSlot is one retained notification and its digest mark.
+type storeSlot struct {
+	id   string
+	env  *soap.Envelope
+	held uint32 // generation of the last digest that listed id
 }
 
 func newEnvelopeStore(capacity int) *envelopeStore {
@@ -26,43 +42,73 @@ func newEnvelopeStore(capacity int) *envelopeStore {
 	}
 	return &envelopeStore{
 		cap:   capacity,
-		items: make(map[string]*soap.Envelope),
+		index: make(map[string]uint32),
 	}
 }
 
 func (s *envelopeStore) Put(id string, env *soap.Envelope) {
-	if _, ok := s.items[id]; ok {
+	if _, ok := s.index[id]; ok {
 		return
 	}
-	s.items[id] = env
-	s.ids = append(s.ids, id)
-	for len(s.items) > s.cap {
-		delete(s.items, s.ids[s.start])
-		s.ids[s.start] = ""
-		s.start++
+	slot := storeSlot{id: id, env: env}
+	if len(s.slots) < s.cap {
+		s.index[id] = uint32(len(s.slots))
+		s.slots = append(s.slots, slot)
+		return
 	}
-	if s.start > len(s.ids)/2 && s.start > 64 {
-		s.ids = append(s.ids[:0], s.ids[s.start:]...)
-		s.start = 0
-	}
+	delete(s.index, s.slots[s.head].id)
+	s.index[id] = uint32(s.head)
+	s.slots[s.head] = slot
+	s.head = (s.head + 1) % s.cap
 }
 
 func (s *envelopeStore) Get(id string) (*soap.Envelope, bool) {
-	env, ok := s.items[id]
-	return env, ok
+	i, ok := s.index[id]
+	if !ok {
+		return nil, false
+	}
+	return s.slots[i].env, true
 }
 
-func (s *envelopeStore) Len() int { return len(s.items) }
+func (s *envelopeStore) Len() int { return len(s.slots) }
 
-// each calls fn for every stored ID, newest first, stopping when fn returns
-// false.
-func (s *envelopeStore) each(fn func(id string) bool) {
-	for i := len(s.ids) - 1; i >= s.start; i-- {
-		if !fn(s.ids[i]) {
-			return
+// nth returns the k-th newest entry, 0 ≤ k < Len().
+func (s *envelopeStore) nth(k int) *storeSlot {
+	// head is 0 until the ring is full, so the newest entry is the slot
+	// before head either way.
+	n := len(s.slots)
+	return &s.slots[(s.head-1-k+n)%n]
+}
+
+// beginGen starts a new digest: nothing is marked held.
+func (s *envelopeStore) beginGen() {
+	s.gen++
+	if s.gen == 0 { // wrapped: a mark from 2^32 digests ago must not read as current
+		for i := range s.slots {
+			s.slots[i].held = 0
 		}
+		s.gen = 1
 	}
 }
+
+// markHeld records that the current digest lists id; an ID the store does
+// not hold is ignored.
+func (s *envelopeStore) markHeld(id string) {
+	if i, ok := s.index[id]; ok {
+		s.slots[i].held = s.gen
+	}
+}
+
+// markHeldBytes is markHeld for an ID still in the receive buffer: the
+// lookup converts in place and does not allocate.
+func (s *envelopeStore) markHeldBytes(id []byte) {
+	if i, ok := s.index[string(id)]; ok {
+		s.slots[i].held = s.gen
+	}
+}
+
+// isHeld reports whether the current digest listed the slot's entry.
+func (s *envelopeStore) isHeld(slot *storeSlot) bool { return slot.held == s.gen }
 
 // maxPendingAnnounces bounds the deferred-announcement queue. Beyond it new
 // advertisements are dropped (anti-entropy repair closes the residual gap),

@@ -28,17 +28,8 @@ func (d *Disseminator) TickPull(ctx context.Context) {
 	if len(targets) == 0 {
 		return
 	}
-	// The digest request is one logical message: serialize it once and
-	// render a per-target copy (encode-once wire path).
-	env := soap.NewEnvelope()
-	if err := env.SetAddressing(wsa.Headers{
-		Action:    ActionPullRequest,
-		MessageID: wsa.NewMessageID(),
-	}); err != nil {
-		d.stats.sendErrors.Add(int64(len(targets)))
-		return
-	}
-	if err := env.SetBody(PullRequest{Requester: d.cfg.Address, MessageIDs: ids, Max: digestCap}); err != nil {
+	env, err := digestEnvelope(ActionPullRequest, pullRequestBlock(d.cfg.Address, ids, digestCap))
+	if err != nil {
 		d.stats.sendErrors.Add(int64(len(targets)))
 		return
 	}
@@ -47,22 +38,17 @@ func (d *Disseminator) TickPull(ctx context.Context) {
 
 // handlePullRequest retransmits stored notifications the requester lacks.
 func (d *Disseminator) handlePullRequest(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
-	var pr PullRequest
-	if err := req.Envelope.DecodeBody(&pr); err != nil {
+	requester, held, max, err := pullRequestFrom(req.Envelope)
+	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "malformed PullRequest: "+err.Error())
 	}
-	if pr.Requester == "" {
+	if requester == "" {
 		return nil, soap.NewFault(soap.CodeSender, "pull request without requester")
 	}
-	max := pr.Max
 	if max <= 0 || max > digestCap {
 		max = digestCap
 	}
-	have := make(map[string]struct{}, len(pr.MessageIDs))
-	for _, id := range pr.MessageIDs {
-		have[id] = struct{}{}
-	}
-	served := d.retransmitMissing(ctx, pr.Requester, have, max)
+	served := d.retransmitMissing(ctx, requester, held, max)
 	d.stats.pullServed.Add(served)
 	if served > 0 {
 		d.bumpActivity()
@@ -70,27 +56,26 @@ func (d *Disseminator) handlePullRequest(ctx context.Context, req *soap.Request)
 	return nil, nil
 }
 
-// retransmitMissing sends every stored notification absent from have to the
-// given peer (up to max), decrementing each copy's hop budget exactly as an
-// eager transfer would. It returns the number of successful retransmissions.
-// Both anti-entropy repair (handleDigest) and WS-PullGossip
-// (handlePullRequest) converge on this path.
-func (d *Disseminator) retransmitMissing(ctx context.Context, to string, have map[string]struct{}, max int) int64 {
-	d.mu.Lock()
+// retransmitMissing sends every stored notification the digest's sender
+// does not hold to it (up to max, newest first), decrementing each copy's hop
+// budget exactly as an eager transfer would. It returns the number of
+// successful retransmissions. Both anti-entropy repair (handleDigest) and
+// WS-PullGossip (handlePullRequest) converge on this path. The digest is
+// matched against the store inside one critical section — marks of one
+// generation, then the walk over what stayed unmarked — so concurrent digests
+// cannot see each other's marks, and a digest that finds nothing missing
+// allocates nothing. held may alias the request's receive buffer: it is not
+// used after the lock is released.
+func (d *Disseminator) retransmitMissing(ctx context.Context, to string, held heldIDs, max int) int64 {
 	var missing []*soap.Envelope
-	if max <= 0 {
-		d.mu.Unlock()
-		return 0
+	d.mu.Lock()
+	d.store.beginGen()
+	held.mark(d.store)
+	for k := 0; k < d.store.Len() && len(missing) < max; k++ {
+		if slot := d.store.nth(k); !d.store.isHeld(slot) {
+			missing = append(missing, slot.env.Snapshot())
+		}
 	}
-	d.store.each(func(id string) bool {
-		if _, ok := have[id]; ok {
-			return true
-		}
-		if env, ok := d.store.Get(id); ok {
-			missing = append(missing, env.Snapshot())
-		}
-		return len(missing) < max
-	})
 	d.mu.Unlock()
 	var served int64
 	for _, env := range missing {

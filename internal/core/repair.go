@@ -22,7 +22,9 @@ const ActionDigest = Namespace + ":digest"
 // retransmitted per exchange.
 const digestCap = 128
 
-// Digest advertises the notifications a node holds.
+// Digest advertises the notifications a node holds. TickRepair writes it and
+// handleDigest reads it with the flat-element codec (codec.go); the struct is
+// the encoding/xml fallback's target and the tests' oracle.
 type Digest struct {
 	XMLName    xml.Name `xml:"urn:wsgossip:2008 Digest"`
 	Sender     string   `xml:"Sender"`
@@ -41,21 +43,28 @@ func (d *Disseminator) TickRepair(ctx context.Context) {
 	if len(targets) == 0 {
 		return
 	}
-	// The digest is one logical message: serialize it once and render a
-	// per-target copy (encode-once wire path).
-	env := soap.NewEnvelope()
-	if err := env.SetAddressing(wsa.Headers{
-		Action:    ActionDigest,
-		MessageID: wsa.NewMessageID(),
-	}); err != nil {
-		d.stats.sendErrors.Add(int64(len(targets)))
-		return
-	}
-	if err := env.SetBody(Digest{Sender: d.cfg.Address, MessageIDs: ids}); err != nil {
+	env, err := digestEnvelope(ActionDigest, digestBlock(d.cfg.Address, ids))
+	if err != nil {
 		d.stats.sendErrors.Add(int64(len(targets)))
 		return
 	}
 	d.stats.digestsSent.Add(int64(d.fanout(ctx, env, targets)))
+}
+
+// digestEnvelope builds a round's digest message — a repair Digest or a
+// PullRequest — around its prebuilt body. It is one logical message: the
+// addressing omits To, and the fan-out serializes it once and renders a copy
+// per target (encode-once wire path).
+func digestEnvelope(action string, body soap.Block) (*soap.Envelope, error) {
+	env := soap.NewEnvelope()
+	if err := env.SetAddressing(wsa.Headers{
+		Action:    action,
+		MessageID: wsa.NewMessageID(),
+	}); err != nil {
+		return nil, err
+	}
+	env.SetBodyBlock(body)
+	return env, nil
 }
 
 // roundTargetsLocked collects one digest round's targets: up to fanout
@@ -85,11 +94,13 @@ func (d *Disseminator) storedIDsLocked(n int) []string {
 	if n <= 0 {
 		return nil
 	}
-	ids := make([]string, 0, n)
-	d.store.each(func(id string) bool {
-		ids = append(ids, id)
-		return len(ids) < n
-	})
+	if n > d.store.Len() {
+		n = d.store.Len()
+	}
+	ids := make([]string, n)
+	for k := range ids {
+		ids[k] = d.store.nth(k).id
+	}
 	return ids
 }
 
@@ -97,18 +108,14 @@ func (d *Disseminator) storedIDsLocked(n int) []string {
 // Retransmissions consume one hop, like any other transfer, so repaired
 // receivers can still contribute to the epidemic if budget remains.
 func (d *Disseminator) handleDigest(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
-	var dig Digest
-	if err := req.Envelope.DecodeBody(&dig); err != nil {
+	sender, held, err := digestFrom(req.Envelope)
+	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "malformed Digest: "+err.Error())
 	}
-	if dig.Sender == "" {
+	if sender == "" {
 		return nil, soap.NewFault(soap.CodeSender, "digest without sender")
 	}
-	have := make(map[string]struct{}, len(dig.MessageIDs))
-	for _, id := range dig.MessageIDs {
-		have[id] = struct{}{}
-	}
-	repaired := d.retransmitMissing(ctx, dig.Sender, have, digestCap)
+	repaired := d.retransmitMissing(ctx, sender, held, digestCap)
 	d.stats.repaired.Add(repaired)
 	if repaired > 0 {
 		d.bumpActivity()

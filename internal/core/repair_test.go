@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"wsgossip/internal/soap"
@@ -259,5 +262,361 @@ func TestDigestRoundsAreAFunctionOfTheSeed(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatalf("send %d differs between two runs at one seed: %q vs %q", i, first[i], second[i])
 		}
+	}
+}
+
+// retransmitRecorder is a caller that records, in order, the gossip
+// MessageID and the destination of every notification sent through it, and
+// delivers nothing.
+type retransmitRecorder struct {
+	mu  sync.Mutex
+	ids []string
+	to  []string
+}
+
+func (r *retransmitRecorder) Call(context.Context, string, *soap.Envelope) (*soap.Envelope, error) {
+	return nil, nil
+}
+
+func (r *retransmitRecorder) Send(_ context.Context, to string, env *soap.Envelope) error {
+	gh, err := GossipHeaderFrom(env)
+	if err != nil {
+		return nil // not a notification: a forward's fan-out, an IHAVE
+	}
+	r.mu.Lock()
+	r.ids = append(r.ids, gh.MessageID)
+	r.to = append(r.to, to)
+	r.mu.Unlock()
+	return nil
+}
+
+// take returns the IDs recorded for destination to since the last take.
+func (r *retransmitRecorder) take(to string) []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var got, keepIDs, keepTo []string
+	for i, id := range r.ids {
+		if r.to[i] == to {
+			got = append(got, id)
+		} else {
+			keepIDs, keepTo = append(keepIDs, id), append(keepTo, r.to[i])
+		}
+	}
+	r.ids, r.to = keepIDs, keepTo
+	return got
+}
+
+// newDigestResponder builds one disseminator sending into a recorder.
+func newDigestResponder(t testing.TB, storeSize int) (*Disseminator, *retransmitRecorder) {
+	t.Helper()
+	rec := &retransmitRecorder{}
+	d, err := NewDisseminator(DisseminatorConfig{
+		Address: "mem://responder", Caller: rec, RNG: rand.New(rand.NewSource(1)), StoreSize: storeSize,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, rec
+}
+
+// storeNotification puts a gossiped notification with the given ID into d's
+// store, as intercept does on a first receipt.
+func storeNotification(t testing.TB, d *Disseminator, id string) {
+	t.Helper()
+	env := soap.NewEnvelope()
+	if err := SetGossipHeader(env, GossipHeader{InteractionID: "urn:uuid:i", MessageID: id, Hops: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := env.SetBody(quoteBody{Symbol: "DIG", Price: 1}); err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	d.store.Put(id, env)
+	d.mu.Unlock()
+}
+
+// receivedRequest is a digest-style request as the responder receives it:
+// encoded, then decoded from a buffer of its own — which is returned too, so
+// a test can recycle it — so the body is a view of that buffer exactly as on
+// the MemBus and HTTP receive paths.
+func receivedRequest(t testing.TB, action string, body []byte) (*soap.Request, []byte) {
+	name := digestName
+	if action == ActionPullRequest {
+		name = pullName
+	}
+	t.Helper()
+	out := soap.NewEnvelope()
+	if err := out.SetAddressing(addressingFor("mem://responder", action)); err != nil {
+		t.Fatal(err)
+	}
+	out.SetBodyBlock(soap.Block{XMLName: name, Raw: body})
+	wire, err := out.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := soap.Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &soap.Request{Envelope: env}, wire
+}
+
+// respell returns a spelling of a canonical digest body that encoding/xml
+// decodes to the same value and the in-place reader declines: a line break
+// between every pair of tags. (No text in these tests is empty, so no break
+// lands inside a value.)
+func respell(canonical []byte) []byte {
+	return bytes.ReplaceAll(canonical, []byte("><"), []byte(">\n<"))
+}
+
+// TestDigestResponderMatchesAcrossSpellings drives one disseminator with
+// random store contents — fewer than, exactly and more than digestCap
+// entries, with and without eviction — and random digests (subsets,
+// supersets, duplicates, unknown and escaped IDs, the empty digest), each
+// sent as the canonical body the in-place reader takes and as a spelling
+// that forces the encoding/xml fallback. Both must produce the retransmission
+// sequence of the reference model — stored IDs newest first, minus the
+// digest's, cut at the limit — and move the counters by its length.
+func TestDigestResponderMatchesAcrossSpellings(t *testing.T) {
+	rng := rand.New(rand.NewSource(20081201))
+	ctx := context.Background()
+	storeSizes := []int{64, digestCap, 200}
+	fills := []int{0, 1, 40, digestCap - 1, digestCap, digestCap + 1, 150, 260}
+	maxes := []int{0, -4, 1, 5, digestCap, digestCap + 300}
+	for trial := 0; trial < 72; trial++ {
+		storeSize := storeSizes[trial%len(storeSizes)]
+		fill := fills[rng.Intn(len(fills))]
+		d, rec := newDigestResponder(t, storeSize)
+		var stored []string // oldest first, after eviction
+		for i := 0; i < fill; i++ {
+			id := fmt.Sprintf("urn:uuid:%d-%04d", trial, i)
+			if i%17 == 3 {
+				id += "&<escaped>" // travels as entity references
+			}
+			storeNotification(t, d, id)
+			stored = append(stored, id)
+		}
+		if len(stored) > storeSize {
+			stored = stored[len(stored)-storeSize:]
+		}
+		for round := 0; round < 4; round++ {
+			// The digest: each stored ID with probability p (0: the empty
+			// digest; 1: everything, a superset once the unknowns join),
+			// some unknown IDs, some duplicates.
+			p := []float64{0, 0.3, 0.9, 1}[rng.Intn(4)]
+			var ids []string
+			held := map[string]bool{}
+			for _, id := range stored {
+				if rng.Float64() < p {
+					ids = append(ids, id)
+					held[id] = true
+				}
+			}
+			if p > 0 {
+				for k := rng.Intn(4); k > 0; k-- {
+					ids = append(ids, fmt.Sprintf("urn:uuid:unknown-%d", rng.Int()))
+				}
+				for k := rng.Intn(3); k > 0 && len(ids) > 0; k-- {
+					ids = append(ids, ids[rng.Intn(len(ids))])
+				}
+				rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			}
+			pull := rng.Intn(2) == 0
+			max := maxes[rng.Intn(len(maxes))]
+			limit := digestCap
+			if pull && max > 0 && max < digestCap {
+				limit = max
+			}
+			var want []string
+			for i := len(stored) - 1; i >= 0 && len(want) < limit; i-- {
+				if !held[stored[i]] {
+					want = append(want, stored[i])
+				}
+			}
+
+			action, body, handle := ActionDigest, digestBlock("mem://peer", ids).Raw, d.handleDigest
+			counter := func() int64 { return d.Stats().Repaired }
+			if pull {
+				action, body, handle = ActionPullRequest, pullRequestBlock("mem://peer", ids, max).Raw, d.handlePullRequest
+				counter = func() int64 { return d.Stats().PullServed }
+			}
+			for i, spelling := range [][]byte{body, respell(body)} {
+				canonical := i == 0
+				req, _ := receivedRequest(t, action, spelling)
+				// Which path serves it is decided on the bytes as received.
+				if okDigest, okPull := checkDigestReaders(t, req.Envelope.Body.Blocks[0].Raw); (okDigest || okPull) != canonical {
+					t.Fatalf("in-place readers accepted=%v, canonical=%v: %.200s", okDigest || okPull, canonical, spelling)
+				}
+				before := counter()
+				if _, err := handle(ctx, req); err != nil {
+					t.Fatalf("trial %d round %d (pull=%v canonical=%v): %v", trial, round, pull, canonical, err)
+				}
+				if got := rec.take("mem://peer"); !sameIDs(got, want) {
+					t.Fatalf("trial %d round %d (store %d/%d, digest %d ids, pull=%v max=%d, canonical=%v):\n got %q\nwant %q",
+						trial, round, len(stored), storeSize, len(ids), pull, max, canonical, got, want)
+				}
+				if moved := counter() - before; moved != int64(len(want)) {
+					t.Fatalf("trial %d round %d: counter moved %d, want %d", trial, round, moved, len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestDigestNeverAliasesReceiveBuffer: the transport recycles a digest's
+// buffer as soon as the handler returns. Nothing the responder keeps — the
+// store's keys and marks, the sender it retransmitted to — may still point
+// into it, so a later digest is answered from intact state.
+func TestDigestNeverAliasesReceiveBuffer(t *testing.T) {
+	ctx := context.Background()
+	for _, pull := range []bool{false, true} {
+		d, rec := newDigestResponder(t, 16)
+		ids := []string{"urn:uuid:alias-1", "urn:uuid:alias&2", "urn:uuid:alias-3", "urn:uuid:alias-4"}
+		for _, id := range ids {
+			storeNotification(t, d, id)
+		}
+		send := func(held []string) []byte {
+			action, body, handle := ActionDigest, digestBlock("mem://peer", held).Raw, d.handleDigest
+			if pull {
+				action, body, handle = ActionPullRequest, pullRequestBlock("mem://peer", held, 8).Raw, d.handlePullRequest
+			}
+			req, wire := receivedRequest(t, action, body)
+			if _, err := handle(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+			return wire
+		}
+		wire := send(ids[:2]) // the peer holds the two oldest
+		rec.mu.Lock()
+		to := append([]string(nil), rec.to...)
+		rec.mu.Unlock()
+		for i := range wire {
+			wire[i] = '#' // the delivery is over: the buffer goes back to the pool
+		}
+		for _, dest := range to {
+			if dest != "mem://peer" {
+				t.Fatalf("pull=%v: recorded destination changed with the buffer: %q", pull, dest)
+			}
+		}
+		if got, want := rec.take("mem://peer"), []string{ids[3], ids[2]}; !sameIDs(got, want) {
+			t.Fatalf("pull=%v: first digest retransmitted %q, want %q", pull, got, want)
+		}
+		// A later digest, listing different IDs, sees neither the first
+		// one's marks nor anything of its buffer.
+		send([]string{ids[3], ids[1]})
+		if got, want := rec.take("mem://peer"), []string{ids[2], ids[0]}; !sameIDs(got, want) {
+			t.Fatalf("pull=%v: later digest retransmitted %q, want %q", pull, got, want)
+		}
+		for _, id := range ids {
+			if _, ok := d.store.Get(id); !ok {
+				t.Fatalf("pull=%v: store lost %q", pull, id)
+			}
+		}
+	}
+}
+
+// TestDigestMarksSurviveGenerationWrap: the mark is a 32-bit generation; when
+// it wraps, a mark left 2^32 digests ago must not read as current.
+func TestDigestMarksSurviveGenerationWrap(t *testing.T) {
+	d, rec := newDigestResponder(t, 8)
+	storeNotification(t, d, "urn:uuid:a")
+	storeNotification(t, d, "urn:uuid:b")
+	ctx := context.Background()
+	d.retransmitMissing(ctx, "mem://peer", heldIDs{decoded: []string{"urn:uuid:a"}}, digestCap) // a marked at generation 1
+	rec.take("mem://peer")
+	d.mu.Lock()
+	d.store.gen = ^uint32(0) - 1
+	d.mu.Unlock()
+	for i, want := range [][]string{{"urn:uuid:b", "urn:uuid:a"}, {"urn:uuid:b", "urn:uuid:a"}, {"urn:uuid:b", "urn:uuid:a"}} {
+		d.retransmitMissing(ctx, "mem://peer", heldIDs{}, digestCap)
+		if got := rec.take("mem://peer"); !sameIDs(got, want) {
+			t.Fatalf("digest %d around the wrap retransmitted %q, want %q (generation %d)", i, got, want, d.store.gen)
+		}
+	}
+	if d.store.gen != 2 {
+		t.Fatalf("generation after the wrap = %d, want 2", d.store.gen)
+	}
+}
+
+// TestConcurrentDigestsPullsAndNotifies runs handleDigest, handlePullRequest
+// and handleNotify concurrently on one node (run with -race). Every digest's
+// marks live in one critical section, so whatever else runs, a responder
+// never retransmits an ID the digest listed and always retransmits the
+// stored IDs it did not.
+func TestConcurrentDigestsPullsAndNotifies(t *testing.T) {
+	d, rec := newDigestResponder(t, 256) // holds everything below: nothing is evicted or cut at digestCap
+	d.interactions["urn:uuid:i"] = &interactionState{
+		protocol: ProtocolPullGossip, // stored, never forwarded
+		params:   GossipParameters{Fanout: 2, Hops: 3},
+	}
+	var base []string
+	for i := 0; i < 24; i++ {
+		base = append(base, fmt.Sprintf("urn:uuid:base-%02d", i))
+		storeNotification(t, d, base[i])
+	}
+	ctx := context.Background()
+	const workers, rounds = 4, 40
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() { // digests and pull requests, each worker its own peer and its own held set
+			defer wg.Done()
+			peer := fmt.Sprintf("mem://peer-%d", w)
+			held, missing := base[:6*w], base[6*w:] // worker w lacks the newest 24-6w
+			for r := 0; r < rounds; r++ {
+				action, body, handle := ActionDigest, digestBlock(peer, held).Raw, d.handleDigest
+				if r%2 == 1 {
+					action, body, handle = ActionPullRequest, pullRequestBlock(peer, held, digestCap).Raw, d.handlePullRequest
+				}
+				if r%4 >= 2 {
+					body = respell(body)
+				}
+				req, wire := receivedRequest(t, action, body)
+				if _, err := handle(ctx, req); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range wire {
+					wire[i] = '#'
+				}
+				got := map[string]bool{}
+				for _, id := range rec.take(peer) {
+					got[id] = true
+				}
+				for _, id := range held {
+					if got[id] {
+						t.Errorf("worker %d round %d: retransmitted %s, which its digest listed", w, r, id)
+						return
+					}
+				}
+				for _, id := range missing {
+					if !got[id] {
+						t.Errorf("worker %d round %d: did not retransmit %s", w, r, id)
+						return
+					}
+				}
+			}
+		}()
+		wg.Add(1)
+		go func() { // first receipts, growing the store under the digests
+			defer wg.Done()
+			for r := 0; r < rounds/2; r++ {
+				gh := GossipHeader{InteractionID: "urn:uuid:i", MessageID: fmt.Sprintf("urn:uuid:live-%d-%02d", w, r), Hops: 3, Protocol: ProtocolPullGossip}
+				env, err := soap.Decode(capturedNotification(t, gh, "mem://responder"))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := d.handleNotify(ctx, &soap.Request{Envelope: env}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := d.Stats().Delivered, int64(workers*rounds/2); got != want {
+		t.Fatalf("delivered %d notifications, want %d", got, want)
 	}
 }

@@ -33,11 +33,61 @@ type SOAPEndpoint struct {
 var _ transport.Endpoint = (*SOAPEndpoint)(nil)
 
 // envelopeBody is the SOAP body wrapping one transport-level membership
-// message. The serialized view (JSON) rides as escaped character data.
+// message. The serialized view (JSON) rides as escaped character data. The
+// body is written and read by soap's flat-element codec (bodyBlock,
+// scanBody); the struct is the encoding/xml fallback's target and the
+// tests' oracle.
 type envelopeBody struct {
 	XMLName xml.Name `xml:"urn:wsgossip:membership Membership"`
 	From    string   `xml:"From"`
 	Data    string   `xml:"Data"`
+}
+
+// bodyNamespace is the membership body's XML namespace.
+const bodyNamespace = "urn:wsgossip:membership"
+
+var bodyName = xml.Name{Space: bodyNamespace, Local: "Membership"}
+
+// bodyBlock writes the membership body, byte-identical to xml.Marshal of
+// envelopeBody{From: from, Data: string(data)}.
+func bodyBlock(from string, data []byte) soap.Block {
+	// The view JSON is mostly quotes, each escaped to five bytes.
+	buf := make([]byte, 0, 96+len(from)+2*len(data))
+	buf = soap.AppendFlatOpen(buf, bodyNamespace, "Membership")
+	buf = soap.AppendFlatText(buf, "From", from)
+	buf = soap.AppendFlatText(buf, "Data", string(data))
+	buf = soap.AppendFlatClose(buf, "Membership")
+	return soap.Block{XMLName: bodyName, Raw: buf}
+}
+
+// scanBody reads a canonical membership body block; from and data are
+// copies. ok=false sends the caller to encoding/xml.
+func scanBody(raw []byte) (from string, data []byte, ok bool) {
+	r, ok := soap.OpenFlat(raw, bodyNamespace, "Membership")
+	if !ok {
+		return "", nil, false
+	}
+	if from, ok = r.String("From"); !ok {
+		return "", nil, false
+	}
+	text, ok := r.Text("Data")
+	if !ok || !r.Close("Membership") {
+		return "", nil, false
+	}
+	return from, []byte(text.String()), true
+}
+
+// bodyFrom decodes the membership body of env: the canonical form in place,
+// anything else through encoding/xml.
+func bodyFrom(env *soap.Envelope) (from string, data []byte, err error) {
+	if len(env.Body.Blocks) > 0 {
+		if from, data, ok := scanBody(env.Body.Blocks[0].Raw); ok {
+			return from, data, nil
+		}
+	}
+	var body envelopeBody
+	err = env.DecodeBody(&body)
+	return body.From, []byte(body.Data), err
 }
 
 // NewSOAPEndpoint returns an endpoint sending via caller and identifying
@@ -66,9 +116,7 @@ func (e *SOAPEndpoint) Send(ctx context.Context, msg transport.Message) error {
 	}); err != nil {
 		return err
 	}
-	if err := env.SetBody(envelopeBody{From: e.addr, Data: string(msg.Body)}); err != nil {
-		return err
-	}
+	env.SetBodyBlock(bodyBlock(e.addr, msg.Body))
 	return e.caller.Send(ctx, msg.To, env)
 }
 
@@ -85,8 +133,8 @@ func (e *SOAPEndpoint) RegisterActions(d *soap.Dispatcher) {
 // handler. View exchanges are one-way gossip: handler errors are swallowed
 // exactly as a lossy datagram fabric would.
 func (e *SOAPEndpoint) handleSOAP(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
-	var body envelopeBody
-	if err := req.Envelope.DecodeBody(&body); err != nil {
+	from, data, err := bodyFrom(req.Envelope)
+	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "malformed membership body: "+err.Error())
 	}
 	e.mu.Lock()
@@ -95,13 +143,13 @@ func (e *SOAPEndpoint) handleSOAP(ctx context.Context, req *soap.Request) (*soap
 	if h == nil {
 		return nil, nil
 	}
-	// DecodeBody copied the data out of the (possibly pooled) request
+	// Both decoders copied the data out of the (possibly pooled) request
 	// buffer, so the handler may retain it freely.
 	_ = h(ctx, transport.Message{
-		From:   body.From,
+		From:   from,
 		To:     e.addr,
 		Action: req.Addressing().Action,
-		Body:   []byte(body.Data),
+		Body:   data,
 	})
 	return nil, nil
 }

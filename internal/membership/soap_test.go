@@ -11,6 +11,7 @@ import (
 	"wsgossip/internal/clock"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/transport"
+	"wsgossip/internal/wsa"
 )
 
 // soapNode is one membership service riding the in-memory SOAP binding.
@@ -151,5 +152,135 @@ func TestEnvelopeBodyBlockName(t *testing.T) {
 	}
 	if got := env.BodyName(); got != probe.XMLName {
 		t.Fatalf("body named %v, probe says %v", got, probe.XMLName)
+	}
+}
+
+// bodyTexts are the From/Data inputs of the body codec tables: a real view
+// exchange (quotes throughout), markup characters, line endings encoding/xml
+// normalizes, invalid UTF-8, and the empty string.
+var bodyTexts = []string{
+	"",
+	"mem://m00",
+	`{"from":"mem://m00","view":[{"addr":"mem://m01","hb":7,"status":"alive"}]}`,
+	`a<b>c&d"e'f`,
+	"line\r\nending\rand\ttab\n",
+	"&amp; already &#x41; escaped",
+	"bad\xffutf8",
+	"日本語 ✓",
+}
+
+// TestBodyWriterMatchesMarshal: the body block is byte-identical to
+// xml.Marshal of envelopeBody, name included.
+func TestBodyWriterMatchesMarshal(t *testing.T) {
+	for _, from := range bodyTexts {
+		for _, data := range bodyTexts {
+			want, err := xml.Marshal(envelopeBody{From: from, Data: data})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := bodyBlock(from, []byte(data))
+			if got.XMLName != bodyName || string(got.Raw) != string(want) {
+				t.Fatalf("body(%q, %q):\n got %s\nwant %s", from, data, got.Raw, want)
+			}
+		}
+	}
+}
+
+// checkBodyReader runs the body reader differentially against xml.Unmarshal:
+// what it accepts decodes identically, and bodyFrom — reader plus fallback —
+// behaves exactly as xml.Unmarshal alone. It reports whether the in-place
+// reader accepted.
+func checkBodyReader(t *testing.T, raw []byte) bool {
+	t.Helper()
+	var ref envelopeBody
+	refErr := xml.Unmarshal(raw, &ref)
+	from, data, ok := scanBody(raw)
+	if ok && (refErr != nil || from != ref.From || string(data) != ref.Data) {
+		t.Fatalf("reader accepted %q as %q %q; encoding/xml: %+v, %v", raw, from, data, ref, refErr)
+	}
+	env := soap.NewEnvelope()
+	env.SetBodyBlock(soap.Block{Raw: raw})
+	from, data, err := bodyFrom(env)
+	if (err != nil) != (refErr != nil) || (err == nil && (from != ref.From || string(data) != ref.Data)) {
+		t.Fatalf("bodyFrom(%q) = %q %q, %v; encoding/xml: %+v, %v", raw, from, data, err, ref, refErr)
+	}
+	return ok
+}
+
+// TestBodyReaderMatchesUnmarshal: everything the writer emits is read in
+// place and equals xml.Unmarshal; every other spelling is declined and
+// decoded by the fallback, error or value, as before.
+func TestBodyReaderMatchesUnmarshal(t *testing.T) {
+	for _, from := range bodyTexts {
+		for _, data := range bodyTexts {
+			if raw := bodyBlock(from, []byte(data)).Raw; !checkBodyReader(t, raw) {
+				t.Fatalf("reader declined its own writer's %s", raw)
+			}
+		}
+	}
+	const open, end = `<Membership xmlns="urn:wsgossip:membership">`, `</Membership>`
+	for label, raw := range map[string]string{
+		"padded":          open + "\n <From>a</From>\n <Data>d</Data>\n" + end,
+		"reordered":       open + `<Data>d</Data><From>a</From>` + end,
+		"missing data":    open + `<From>a</From>` + end,
+		"extra child":     open + `<From>a</From><Data>d</Data><TTL>1</TTL>` + end,
+		"attribute":       open + `<From id="1">a</From><Data>d</Data>` + end,
+		"cdata":           open + `<From>a</From><Data><![CDATA[{"v":1}]]></Data>` + end,
+		"comment":         open + `<From>a</From><!-- c --><Data>d</Data>` + end,
+		"nested":          open + `<From>a</From><Data><X>d</X></Data>` + end,
+		"prefixed":        `<m:Membership xmlns:m="urn:wsgossip:membership"><m:From>a</m:From><m:Data>d</m:Data></m:Membership>`,
+		"wrong namespace": `<Membership xmlns="urn:other"><From>a</From><Data>d</Data></Membership>`,
+		"trailing bytes":  open + `<From>a</From><Data>d</Data>` + end + "\n",
+		"truncated":       open + `<From>a</From><Data>d</Da`,
+		"unknown entity":  open + `<From>a</From><Data>&nbsp;</Data>` + end,
+	} {
+		if checkBodyReader(t, []byte(raw)) {
+			t.Errorf("%s: in-place reader accepted %s", label, raw)
+		}
+	}
+}
+
+// TestSOAPEndpointDeliversBothSpellings: a canonical body and a padded one a
+// foreign stack might send reach the transport handler identically, and the
+// delivered body does not alias the request buffer.
+func TestSOAPEndpointDeliversBothSpellings(t *testing.T) {
+	const view = `{"view":["a<b>&c","line` + "\r\n" + `end"]}`
+	ep := NewSOAPEndpoint("mem://self", soap.NewMemBus())
+	var got []transport.Message
+	ep.SetHandler(func(_ context.Context, msg transport.Message) error {
+		got = append(got, msg)
+		return nil
+	})
+	canonical := bodyBlock("mem://peer", []byte(view)).Raw
+	padded := []byte("<Membership xmlns=\"urn:wsgossip:membership\">\n  <From>mem://peer</From>\n  <Data>" +
+		`{&#34;view&#34;:[&#34;a&lt;b&gt;&amp;c&#34;,&#34;line&#xD;&#xA;end&#34;]}` + "</Data>\n</Membership>")
+	for _, raw := range [][]byte{canonical, padded} {
+		out := soap.NewEnvelope()
+		if err := out.SetAddressing(wsa.Headers{To: "mem://self", Action: ActionExchange}); err != nil {
+			t.Fatal(err)
+		}
+		out.SetBodyBlock(soap.Block{XMLName: bodyName, Raw: raw})
+		wire, err := out.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := soap.Decode(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ep.handleSOAP(context.Background(), &soap.Request{Envelope: env}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range wire {
+			wire[i] = '#' // the delivery is over: the buffer goes back to the pool
+		}
+	}
+	if len(got) != 2 {
+		t.Fatalf("%d messages delivered", len(got))
+	}
+	for i, msg := range got {
+		if msg.From != "mem://peer" || msg.To != "mem://self" || msg.Action != ActionExchange || string(msg.Body) != view {
+			t.Errorf("message %d = %+v (body %q)", i, msg, msg.Body)
+		}
 	}
 }

@@ -122,10 +122,12 @@ func NewEnvelope() *Envelope {
 	return &Envelope{}
 }
 
-// blockOf marshals v into a captured Block. The block's name is read off
-// the start tag xml.Marshal just wrote (blockName); only output the byte walk
-// declines is parsed a second time to learn it.
-func blockOf(v any) (Block, error) {
+// MarshalBlock marshals v into a captured Block — what AddHeader and SetBody
+// attach, for a caller that attaches the same value to many envelopes and
+// marshals it once (AddHeaderBlock, SetBodyBlock). The block's name is read
+// off the start tag xml.Marshal just wrote (blockName); only output the byte
+// walk declines is parsed a second time to learn it.
+func MarshalBlock(v any) (Block, error) {
 	raw, err := xml.Marshal(v)
 	if err != nil {
 		return Block{}, fmt.Errorf("soap: marshal block: %w", err)
@@ -169,7 +171,7 @@ func blockName(raw []byte) (xml.Name, bool) {
 
 // AddHeader marshals v and appends it as a header block.
 func (e *Envelope) AddHeader(v any) error {
-	b, err := blockOf(v)
+	b, err := MarshalBlock(v)
 	if err != nil {
 		return err
 	}
@@ -234,7 +236,7 @@ func (e *Envelope) RemoveHeader(space, local string) bool {
 
 // SetBody replaces the body with the marshaled form of v.
 func (e *Envelope) SetBody(v any) error {
-	b, err := blockOf(v)
+	b, err := MarshalBlock(v)
 	if err != nil {
 		return err
 	}

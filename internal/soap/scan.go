@@ -607,7 +607,7 @@ func entityLen(b []byte) (n int, r rune) {
 	if body[0] == '#' {
 		num := body[1:]
 		base := rune(10)
-		if len(num) > 0 && (num[0] == 'x' || num[0] == 'X') {
+		if len(num) > 0 && num[0] == 'x' { // lowercase only, as in encoding/xml
 			base = 16
 			num = num[1:]
 		}

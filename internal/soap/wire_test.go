@@ -562,7 +562,7 @@ func FuzzDecodeEquivalence(f *testing.F) {
 					env.Addressing(), want.Addressing(), data)
 			}
 		}
-		// The same byte walk names blocks in blockOf: whenever it answers,
+		// The same byte walk names blocks in MarshalBlock: whenever it answers,
 		// the xml.Unmarshal probe it stands in for must answer the same.
 		if name, ok := blockName(data); ok {
 			if want, err := probeName(data); err != nil || name != want {

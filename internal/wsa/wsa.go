@@ -64,14 +64,23 @@ type MessageID string
 
 // NewMessageID returns a fresh urn:uuid message identifier. Identifiers are
 // random 128-bit values; collisions are negligible at any realistic scale.
+//
+// The digits are encoded straight into the identifier's buffer, so the only
+// allocation is the string (plus the bounce buffer crypto/rand itself makes
+// when rand.Reader has been substituted). Exactly one 16-byte read is made
+// per identifier, so a substituted rand.Reader sees the same stream.
 func NewMessageID() MessageID {
+	const prefix = "urn:uuid:"
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// crypto/rand failure is unrecoverable program state; fall back to a
 		// zero ID rather than panicking in library code.
 		return MessageID("urn:uuid:00000000000000000000000000000000")
 	}
-	return MessageID("urn:uuid:" + hex.EncodeToString(b[:]))
+	var buf [len(prefix) + 2*len(b)]byte
+	copy(buf[:], prefix)
+	hex.Encode(buf[len(prefix):], b[:])
+	return MessageID(buf[:])
 }
 
 // Headers bundles the WS-Addressing message-addressing properties carried in

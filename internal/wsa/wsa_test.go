@@ -1,6 +1,8 @@
 package wsa
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/xml"
 	"strings"
 	"testing"
@@ -149,3 +151,83 @@ func TestEPRRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// countingReader is a deterministic rand.Reader substitute that records the
+// size of every read.
+type countingReader struct {
+	reads []int
+	next  byte
+}
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	r.reads = append(r.reads, len(p))
+	for i := range p {
+		p[i] = r.next
+		r.next += 0x1d
+	}
+	return len(p), nil
+}
+
+// TestNewMessageIDFormatAndStream: an identifier is "urn:uuid:" plus the
+// lowercase hex of exactly one 16-byte read of rand.Reader. bench/fabric
+// substitutes rand.Reader, so the virtual workload's identifiers — and its
+// exact metrics — depend on both.
+func TestNewMessageIDFormatAndStream(t *testing.T) {
+	saved := rand.Reader
+	defer func() { rand.Reader = saved }()
+	src := &countingReader{}
+	rand.Reader = src
+	for i := 0; i < 4; i++ {
+		var want [16]byte
+		ref := countingReader{next: src.next}
+		_, _ = ref.Read(want[:])
+		got := NewMessageID()
+		if exp := MessageID("urn:uuid:" + hex.EncodeToString(want[:])); got != exp {
+			t.Fatalf("id %d = %q, want %q", i, got, exp)
+		}
+	}
+	if len(src.reads) != 4 {
+		t.Fatalf("%d reads for 4 identifiers", len(src.reads))
+	}
+	for _, n := range src.reads {
+		if n != 16 {
+			t.Fatalf("read sizes = %v, want 16 each", src.reads)
+		}
+	}
+}
+
+// TestNewMessageIDAllocBudget: every IHAVE, IWANT, digest, share, ack, probe
+// and membership message draws an identifier, and it costs one allocation:
+// the string. (Under a substituted rand.Reader crypto/rand adds a bounce
+// buffer of its own, for two.)
+func TestNewMessageIDAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const budget = 1
+	allocs := testing.AllocsPerRun(200, func() { sinkID = NewMessageID() })
+	if allocs > budget {
+		t.Errorf("NewMessageID = %.1f allocs/op, budget %d", allocs, budget)
+	}
+	t.Logf("NewMessageID: %.1f allocs/op (budget %d)", allocs, budget)
+
+	saved := rand.Reader
+	defer func() { rand.Reader = saved }()
+	rand.Reader = fixedReader{}
+	allocs = testing.AllocsPerRun(200, func() { sinkID = NewMessageID() })
+	if allocs > budget+1 {
+		t.Errorf("NewMessageID under a substituted reader = %.1f allocs/op, budget %d", allocs, budget+1)
+	}
+}
+
+// fixedReader is an allocation-free rand.Reader substitute.
+type fixedReader struct{}
+
+func (fixedReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 0xa5
+	}
+	return len(p), nil
+}
+
+var sinkID MessageID

@@ -38,7 +38,8 @@ type ServiceRef struct {
 func (s ServiceRef) EPR() wsa.EndpointReference { return wsa.NewEPR(s.Address) }
 
 // CoordinationContext identifies one coordinated activity. It travels as a
-// SOAP header block on every message belonging to the activity.
+// SOAP header block on every message belonging to the activity; a sender
+// marshals it once per activity (ContextBlock) and attaches that block.
 type CoordinationContext struct {
 	XMLName             xml.Name   `xml:"http://docs.oasis-open.org/ws-tx/wscoor/2006/06 CoordinationContext"`
 	Identifier          string     `xml:"Identifier"`
@@ -62,10 +63,28 @@ func (c CoordinationContext) Validate() error {
 }
 
 // AttachContext adds the context as a SOAP header block, replacing any
-// existing context header.
+// existing context header. It marshals ctx; a sender that puts one context
+// on many messages builds the block once (ContextBlock) and attaches that.
 func AttachContext(env *soap.Envelope, ctx CoordinationContext) error {
+	b, err := ContextBlock(ctx)
+	if err != nil {
+		return err
+	}
+	AttachContextBlock(env, b)
+	return nil
+}
+
+// ContextBlock marshals ctx into the header block AttachContext adds. The
+// block is immutable and may be attached to any number of envelopes.
+func ContextBlock(ctx CoordinationContext) (soap.Block, error) {
+	return soap.MarshalBlock(ctx)
+}
+
+// AttachContextBlock adds a block built by ContextBlock as the envelope's
+// context header, replacing any existing one.
+func AttachContextBlock(env *soap.Envelope, b soap.Block) {
 	env.RemoveHeader(Namespace, "CoordinationContext")
-	return env.AddHeader(ctx)
+	env.AddHeaderBlock(b)
 }
 
 // ContextFrom extracts the coordination context header from the envelope.
