@@ -36,8 +36,10 @@
 //     which turns the static coordinator-assigned target list into a mere
 //     bootstrap fallback; membership.Service is the live implementation.
 //
-// The hot send paths run on the encode-once zero-copy wire machinery of
-// package soap (see DESIGN.md, "capture → store → splice → patch").
+// The hot send paths run on package soap's byte-level wire path — scanner
+// capture in, verbatim splice out, one encoding/xml fallback each way for
+// documents that are not in the canonical form (see DESIGN.md, "capture →
+// store → splice → patch").
 //
 // Every role takes an optional Metrics registry (package metrics); nil
 // falls back to a private one, so instrumentation is unconditional. The

@@ -367,6 +367,15 @@ func TestRunnerDeferredAnnounceRounds(t *testing.T) {
 // TestRunnerConcurrentLifecycleRace exercises the wall-clock path under the
 // race detector: runner rounds firing from real timers while subscriptions,
 // notifications, and shutdown run concurrently.
+//
+// The traffic is bounded by construction, not by the machine's speed. A
+// MemBus Send that wins the drain returns only when the queue is empty, and
+// four real-clock Runners refill it for as long as they run, so nothing that
+// sends one-way may be waited for while they do: the test waits for the
+// bounded work that never drains (subscription calls, stats reads), stops
+// every runner at once — a Stop waits for its in-flight round, which may be
+// the drain, so one at a time could wait for ever on the others' traffic —
+// and only then for the notifier, whose drain is finite by then.
 func TestRunnerConcurrentLifecycleRace(t *testing.T) {
 	bus := soap.NewMemBus()
 	coord := NewCoordinator(CoordinatorConfig{
@@ -411,18 +420,19 @@ func TestRunnerConcurrentLifecycleRace(t *testing.T) {
 		dissems = append(dissems, d)
 	}
 
-	var wg sync.WaitGroup
-	wg.Add(3)
+	var bounded, oneWay sync.WaitGroup
+	bounded.Add(2)
+	oneWay.Add(1)
 	go func() { // churn subscriptions
-		defer wg.Done()
+		defer bounded.Done()
 		for i := 0; i < 25; i++ {
 			addr := fmt.Sprintf("mem://late%d", i)
 			_ = SubscribeClient(ctx, bus, "mem://coordinator", addr, RoleConsumer)
 			coord.Unsubscribe(addr)
 		}
 	}()
-	go func() { // notifications racing the rounds
-		defer wg.Done()
+	go func() { // notifications racing the rounds, then the shutdown
+		defer oneWay.Done()
 		init, err := NewInitiator(InitiatorConfig{
 			Address:    "mem://initiator",
 			Caller:     bus,
@@ -445,17 +455,24 @@ func TestRunnerConcurrentLifecycleRace(t *testing.T) {
 		}
 	}()
 	go func() { // stats reads racing the rounds
-		defer wg.Done()
+		defer bounded.Done()
 		for i := 0; i < 100; i++ {
 			for _, d := range dissems {
 				_ = d.Stats()
 			}
 		}
 	}()
-	wg.Wait()
+	bounded.Wait()
+	var stopping sync.WaitGroup
 	for _, r := range runners {
-		r.Stop()
+		stopping.Add(1)
+		go func(r *Runner) {
+			defer stopping.Done()
+			r.Stop()
+		}(r)
 	}
+	stopping.Wait()
+	oneWay.Wait()
 }
 
 func TestRunnerAdaptiveBackoff(t *testing.T) {

@@ -207,19 +207,11 @@ func checkBodyReader(t *testing.T, raw []byte) bool {
 	return ok
 }
 
-// TestBodyReaderMatchesUnmarshal: everything the writer emits is read in
-// place and equals xml.Unmarshal; every other spelling is declined and
-// decoded by the fallback, error or value, as before.
-func TestBodyReaderMatchesUnmarshal(t *testing.T) {
-	for _, from := range bodyTexts {
-		for _, data := range bodyTexts {
-			if raw := bodyBlock(from, []byte(data)).Raw; !checkBodyReader(t, raw) {
-				t.Fatalf("reader declined its own writer's %s", raw)
-			}
-		}
-	}
+// nonCanonicalBodies are spellings of a membership body the in-place reader
+// must decline, leaving the verdict — error or value — to encoding/xml.
+var nonCanonicalBodies = func() map[string]string {
 	const open, end = `<Membership xmlns="urn:wsgossip:membership">`, `</Membership>`
-	for label, raw := range map[string]string{
+	return map[string]string{
 		"padded":          open + "\n <From>a</From>\n <Data>d</Data>\n" + end,
 		"reordered":       open + `<Data>d</Data><From>a</From>` + end,
 		"missing data":    open + `<From>a</From>` + end,
@@ -233,11 +225,54 @@ func TestBodyReaderMatchesUnmarshal(t *testing.T) {
 		"trailing bytes":  open + `<From>a</From><Data>d</Data>` + end + "\n",
 		"truncated":       open + `<From>a</From><Data>d</Da`,
 		"unknown entity":  open + `<From>a</From><Data>&nbsp;</Data>` + end,
-	} {
+	}
+}()
+
+// TestBodyReaderMatchesUnmarshal: everything the writer emits is read in
+// place and equals xml.Unmarshal; every other spelling is declined and
+// decoded by the fallback, error or value, as before.
+func TestBodyReaderMatchesUnmarshal(t *testing.T) {
+	for _, from := range bodyTexts {
+		for _, data := range bodyTexts {
+			if raw := bodyBlock(from, []byte(data)).Raw; !checkBodyReader(t, raw) {
+				t.Fatalf("reader declined its own writer's %s", raw)
+			}
+		}
+	}
+	for label, raw := range nonCanonicalBodies {
 		if checkBodyReader(t, []byte(raw)) {
 			t.Errorf("%s: in-place reader accepted %s", label, raw)
 		}
 	}
+}
+
+// FuzzMembershipBody is the same law under fuzzing, for bytes a peer chose:
+// whenever scanBody accepts, xml.Unmarshal accepts and yields the same From
+// and the same Data bytes; bodyFrom equals xml.Unmarshal alone either way;
+// nothing panics. And whatever encoding/xml can read, the writer spells
+// exactly as xml.Marshal does and the reader takes back in place.
+func FuzzMembershipBody(f *testing.F) {
+	for i, from := range bodyTexts {
+		f.Add(bodyBlock(from, []byte(bodyTexts[(i+3)%len(bodyTexts)])).Raw)
+	}
+	for _, raw := range nonCanonicalBodies {
+		f.Add([]byte(raw))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		checkBodyReader(t, raw)
+		var body envelopeBody
+		if xml.Unmarshal(raw, &body) != nil {
+			return
+		}
+		written := bodyBlock(body.From, []byte(body.Data)).Raw
+		want, err := xml.Marshal(envelopeBody{From: body.From, Data: body.Data})
+		if err != nil || string(written) != string(want) {
+			t.Fatalf("body writer for %+v:\n got %s\nwant %s (%v)", body, written, want, err)
+		}
+		if !checkBodyReader(t, written) {
+			t.Fatalf("reader declined its own writer's %s", written)
+		}
+	})
 }
 
 // TestSOAPEndpointDeliversBothSpellings: a canonical body and a padded one a

@@ -100,6 +100,7 @@ type Prober struct {
 	m   proberMetrics
 
 	mu       sync.Mutex
+	closed   bool
 	rng      *rand.Rand
 	seq      uint64
 	pending  map[string]*pendingConfirm
@@ -117,7 +118,8 @@ type pendingConfirm struct {
 type relayEntry struct {
 	origin string
 	target string
-	nonce  string // the origin's round nonce, echoed back on success
+	nonce  string      // the origin's round nonce, echoed back on success
+	stop   func() bool // cancels the entry's expiry timer
 }
 
 // New returns a Prober for cfg.
@@ -202,7 +204,7 @@ type pingReqAckBody struct {
 // immediately; resolution happens on the clock's firing goroutine.
 func (p *Prober) Confirm(target string) {
 	p.mu.Lock()
-	if _, open := p.pending[target]; open {
+	if _, open := p.pending[target]; open || p.closed {
 		p.mu.Unlock()
 		return
 	}
@@ -297,14 +299,20 @@ func (p *Prober) handleSOAP(_ context.Context, req *soap.Request) (*soap.Envelop
 // and remember the round so the target's ack can be reported back.
 func (p *Prober) relayPing(body pingReqBody) {
 	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return
+	}
 	p.seq++
 	relayNonce := fmt.Sprintf("%s*%d", p.cfg.Self, p.seq)
-	p.relayed[relayNonce] = relayEntry{origin: body.Origin, target: body.Target, nonce: body.Nonce}
-	p.cfg.Clock.AfterFunc(p.cfg.Timeout, func() {
-		p.mu.Lock()
-		delete(p.relayed, relayNonce)
-		p.mu.Unlock()
-	})
+	p.relayed[relayNonce] = relayEntry{
+		origin: body.Origin, target: body.Target, nonce: body.Nonce,
+		stop: p.cfg.Clock.AfterFunc(p.cfg.Timeout, func() {
+			p.mu.Lock()
+			delete(p.relayed, relayNonce)
+			p.mu.Unlock()
+		}),
+	}
 	p.mu.Unlock()
 	p.send(ActionPing, body.Target, pingBody{From: p.cfg.Self, Nonce: relayNonce}, "ping")
 }
@@ -364,6 +372,29 @@ func (p *Prober) send(action, to string, body any, typ string) {
 		return
 	}
 	_ = p.cfg.Caller.Send(context.Background(), to, env)
+}
+
+// Close ends the prober's part in every exchange: the timeout timer of each
+// open confirmation round and of each relayed ping is cancelled, so no round
+// resolves afterwards — neither OnDown nor OnAverted runs again — and later
+// Confirm calls and ping requests are ignored. A node calls it when it stops;
+// it is idempotent.
+func (p *Prober) Close() {
+	p.mu.Lock()
+	p.closed = true
+	stops := make([]func() bool, 0, len(p.pending)+len(p.relayed))
+	for target, pc := range p.pending {
+		stops = append(stops, pc.stop)
+		delete(p.pending, target)
+	}
+	for nonce, e := range p.relayed {
+		stops = append(stops, e.stop)
+		delete(p.relayed, nonce)
+	}
+	p.mu.Unlock()
+	for _, stop := range stops {
+		stop()
+	}
 }
 
 // ClearDegraded drops target from the degraded-link set — wire it to the

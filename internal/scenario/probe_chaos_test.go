@@ -49,16 +49,27 @@ type chaosNode struct {
 // flooding: first receipt forwards to every alive peer through the
 // delivery plane, so every node exercises its breaker against every link.
 type chaosCluster struct {
-	t     *testing.T
-	clk   *clock.Virtual
-	bus   *virtBus
-	seed  int64
-	k     int // prober helper cap; 0 = ask all
+	t    *testing.T
+	clk  *clock.Virtual
+	bus  *virtBus
+	seed int64
+	k    int // prober helper cap; 0 = ask all
+	// shape, when set, edits each node's config before it is built — the
+	// way a scenario switches on the layers the probe scenarios leave off.
+	shape func(idx int, cfg *wsgossip.NodeConfig)
 	nodes map[string]*chaosNode
 	order []string
 }
 
 func newChaosCluster(t *testing.T, seed int64, n, k int) *chaosCluster {
+	t.Helper()
+	c := newChaosFabric(t, seed, k)
+	c.addNodes(n)
+	return c
+}
+
+// newChaosFabric is a chaosCluster with its bus and clock and no nodes yet.
+func newChaosFabric(t *testing.T, seed int64, k int) *chaosCluster {
 	t.Helper()
 	clk := clock.NewVirtual()
 	c := &chaosCluster{
@@ -66,6 +77,17 @@ func newChaosCluster(t *testing.T, seed int64, n, k int) *chaosCluster {
 		bus:   newVirtBus(clk, seed, time.Millisecond, 5*time.Millisecond),
 		nodes: make(map[string]*chaosNode),
 	}
+	t.Cleanup(func() {
+		for _, nd := range c.nodes {
+			nd.Stop()
+		}
+	})
+	return c
+}
+
+// addNodes adds nodes 0…n-1, each joining through node 0.
+func (c *chaosCluster) addNodes(n int) {
+	c.t.Helper()
 	for i := 0; i < n; i++ {
 		var seeds []string
 		if i > 0 {
@@ -73,12 +95,6 @@ func newChaosCluster(t *testing.T, seed int64, n, k int) *chaosCluster {
 		}
 		c.addNode(i, seeds)
 	}
-	t.Cleanup(func() {
-		for _, nd := range c.nodes {
-			nd.Stop()
-		}
-	})
-	return c
 }
 
 func (c *chaosCluster) addrOf(idx int) string { return fmt.Sprintf("mem://node%02d", idx) }
@@ -92,7 +108,7 @@ func (c *chaosCluster) addNode(idx int, seeds []string) *chaosNode {
 	}
 	// No round intervals: the scenarios tick membership by hand, in
 	// lockstep windows. Start only joins through the seeds.
-	node, err := wsgossip.NewNode(wsgossip.NodeConfig{
+	cfg := wsgossip.NodeConfig{
 		Address: addr,
 		Caller:  &nodeCaller{bus: c.bus, from: addr},
 		Clock:   c.clk,
@@ -114,7 +130,11 @@ func (c *chaosCluster) addNode(idx int, seeds []string) *chaosNode {
 		},
 		ProbeK:       probeK,
 		ProbeTimeout: 500 * time.Millisecond,
-	})
+	}
+	if c.shape != nil {
+		c.shape(idx, &cfg)
+	}
+	node, err := wsgossip.NewNode(cfg)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -345,6 +365,18 @@ func TestChaosNATReachableOnlyViaRelays(t *testing.T) {
 	}
 }
 
+// fourFaultPlan composes global loss, an asymmetric refuse link, a partition
+// and crash/recover churn over a ten-node chaosCluster.
+const fourFaultPlan = `
+0ms   loss 0.1
+0ms   refuse mem://node01->mem://node03 name=oneway
+250ms partition mem://node0{0..4} name=split
+300ms crash mem://node07
+450ms heal split
+600ms recover mem://node07
+700ms heal-all
+`
+
 // compoSummary captures everything a composition replay must reproduce.
 type compoSummary struct {
 	sent, dropped, delivered, refused int
@@ -360,19 +392,10 @@ type compoSummary struct {
 // everyone including the recovered node, and (c) the entire composition
 // replays to identical accounting under the same seed.
 func TestChaosFourFaultComposition(t *testing.T) {
-	const plan = `
-0ms   loss 0.1
-0ms   refuse mem://node01->mem://node03 name=oneway
-250ms partition mem://node0{0..4} name=split
-300ms crash mem://node07
-450ms heal split
-600ms recover mem://node07
-700ms heal-all
-`
 	run := func() compoSummary {
 		c := newChaosCluster(t, 1401, 10, 0)
 		c.bootstrap()
-		p, err := faults.ParsePlan(plan)
+		p, err := faults.ParsePlan(fourFaultPlan)
 		if err != nil {
 			t.Fatal(err)
 		}

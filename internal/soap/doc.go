@@ -15,12 +15,17 @@
 //     implement both.
 //   - Fault — SOAP 1.2 faults, with NewFault/AsFault/FaultFrom helpers.
 //
-// The codec is the gossip hot path and avoids encoding/xml on the canonical
-// format: a hand-rolled scanner slices blocks zero-copy out of the input
-// buffer, Encode splices them into one exactly-sized allocation, and
-// EncodeTemplate/RenderTo serialize a fan-out message once, patching only
-// the wsa:To header per target (soap.Fanout is the shared fan-out ladder).
-// Non-canonical documents transparently fall back to encoding/xml. The
+// The codec is the gossip hot path and has two rungs in each direction,
+// picked by the bytes, not by an option. On the canonical format — no
+// namespace prefixes, every block declaring its own default namespace,
+// which is all this stack ever writes — a hand-rolled scanner slices blocks
+// zero-copy out of the input buffer, Encode splices them into one
+// exactly-sized allocation, and EncodeTemplate/RenderTo serialize a fan-out
+// message once, patching only the wsa:To header per target (soap.Fanout is
+// the shared fan-out path). Everything else well-formed — prefixed
+// documents from other SOAP stacks, blocks inheriting an outer namespace,
+// hand-built blocks — takes the one encoding/xml fallback, which accepts
+// whatever encoding/xml accepts and re-encodes each block as it goes. The
 // flat-element codec (AppendFlat*, FlatReader) writes and reads the simple
 // blocks a message carries at every hop — addressing properties, the gossip
 // header — byte-identically to encoding/xml and without its reflection. See

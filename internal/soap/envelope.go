@@ -283,48 +283,31 @@ func (e *Envelope) Encode() ([]byte, error) {
 	return out, err
 }
 
-// Decode parses a serialized envelope through a three-rung ladder. The
-// hand-rolled scanner (scan.go) handles the canonical wire format with a
-// single byte walk; documents it declines go to the encoding/xml zero-copy
-// tokenizer; documents *that* cannot slice self-contained (namespace
-// prefixes, blocks inheriting an outer default namespace) are re-parsed
-// through the legacy encoding/xml path. On the first two rungs each block
-// is a verbatim slice of data, which the envelope keeps alive and must not
-// be modified afterwards.
+// Decode parses a serialized envelope. The hand-rolled scanner (scan.go)
+// takes the canonical wire format — prefix-free, every block declaring its
+// own default namespace — in a single byte walk, and each block is then a
+// verbatim slice of data, which the envelope keeps alive and which must not
+// be modified afterwards. Every document the scanner declines (namespace
+// prefixes, blocks inheriting an outer default namespace, a DOCTYPE, nesting
+// beyond its name stack, malformed bytes) is judged by encoding/xml
+// (decodeLegacy), which copies each block as it re-encodes it.
 func Decode(data []byte) (*Envelope, error) {
 	if len(data) > maxEnvelopeBytes {
 		countDecodeError(true)
 		return nil, fmt.Errorf("soap: envelope of %d bytes exceeds the %d-byte cap", len(data), maxEnvelopeBytes)
 	}
 	if env, ok := decodeScan(data); ok {
-		countDecode(rungScanner, len(data))
+		countDecode(true, len(data))
 		return env, nil
 	}
-	if !bytes.Contains(data, wirePrefixDecl) {
-		env, err := decodeZeroCopy(data)
-		if err == nil {
-			countDecode(rungZeroCopy, len(data))
-			return env, nil
-		}
-		if !errors.Is(err, errNotSelfContained) {
-			// Genuinely malformed input fails the same way on both paths;
-			// keep the cheap error instead of parsing twice.
-			countDecodeError(false)
-			return nil, err
-		}
-	}
 	env, err := decodeLegacy(data)
-	if err == nil {
-		countDecode(rungLegacy, len(data))
-	} else {
+	if err != nil {
 		countDecodeError(false)
+		return nil, err
 	}
-	return env, err
+	countDecode(false, len(data))
+	return env, nil
 }
-
-// wirePrefixDecl gates the zero-copy path: documents declaring namespace
-// prefixes can have block slices that depend on out-of-slice context.
-var wirePrefixDecl = []byte("xmlns:")
 
 // Clone deep-copies the envelope, including the captured block bytes.
 // Fan-out paths use the cheaper Snapshot; Clone is for retention — an

@@ -6,7 +6,7 @@ import (
 	"wsgossip/internal/metrics"
 )
 
-// Wire-path instrumentation. The decode ladder, the buffer pools, and the
+// Wire-path instrumentation. The two decode rungs, the buffer pools, and the
 // encode-once fan-out renderer are package-level machinery with no config
 // object to thread a registry through, so the instrumentation point is
 // process-global: InstallWireMetrics resolves every series once and
@@ -18,15 +18,14 @@ import (
 // wireMetrics holds the pre-resolved series for the wire hot paths.
 type wireMetrics struct {
 	decodeScanner  *metrics.Counter // decode rung taken: hand-rolled scanner
-	decodeZeroCopy *metrics.Counter // decode rung taken: encoding/xml slicer
-	decodeLegacy   *metrics.Counter // decode rung taken: full legacy parse
+	decodeLegacy   *metrics.Counter // decode rung taken: encoding/xml fallback
 	poolHit        *metrics.Counter // getBytes served from a pool
 	poolMiss       *metrics.Counter // getBytes fell back to make
 	bytesIn        *metrics.Counter // serialized bytes entering Decode
 	bytesOut       *metrics.Counter // serialized bytes produced for sending
 	envelopeSize   *metrics.BucketHistogram
 	decodeOversize *metrics.Counter // Decode rejected: envelope over the size cap
-	decodeBad      *metrics.Counter // Decode rejected: malformed on every rung
+	decodeBad      *metrics.Counter // Decode rejected: malformed for encoding/xml too
 	rejectOversize *metrics.Counter // HTTP inbound rejected before decode: oversized
 	rejectTruncate *metrics.Counter // HTTP inbound rejected before decode: truncated body
 	rejectRead     *metrics.Counter // HTTP inbound rejected before decode: read error
@@ -40,8 +39,9 @@ var wireM atomic.Pointer[wireMetrics]
 // host many nodes in one process therefore see the sum over all of them.
 // Passing nil uninstalls.
 //
-// Metric families: soap_decode_total{rung}, soap_pool_gets_total{result},
-// soap_bytes_in_total, soap_bytes_out_total, soap_envelope_bytes.
+// Metric families: soap_decode_total{rung} (scanner or legacy),
+// soap_pool_gets_total{result}, soap_bytes_in_total, soap_bytes_out_total,
+// soap_envelope_bytes.
 func InstallWireMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		wireM.Store(nil)
@@ -53,7 +53,6 @@ func InstallWireMetrics(reg *metrics.Registry) {
 	reject := reg.CounterVec("soap_inbound_rejects_total", "reason")
 	wireM.Store(&wireMetrics{
 		decodeScanner:  rung.With("scanner"),
-		decodeZeroCopy: rung.With("zerocopy"),
 		decodeLegacy:   rung.With("legacy"),
 		poolHit:        pool.With("hit"),
 		poolMiss:       pool.With("miss"),
@@ -70,29 +69,19 @@ func InstallWireMetrics(reg *metrics.Registry) {
 
 // countDecode records one Decode: the rung that produced the envelope and
 // the serialized size.
-func countDecode(rung int, size int) {
+func countDecode(scanner bool, size int) {
 	m := wireM.Load()
 	if m == nil {
 		return
 	}
-	switch rung {
-	case rungScanner:
+	if scanner {
 		m.decodeScanner.Inc()
-	case rungZeroCopy:
-		m.decodeZeroCopy.Inc()
-	default:
+	} else {
 		m.decodeLegacy.Inc()
 	}
 	m.bytesIn.Add(int64(size))
 	m.envelopeSize.Observe(float64(size))
 }
-
-// Decode-rung identifiers for countDecode.
-const (
-	rungScanner = iota
-	rungZeroCopy
-	rungLegacy
-)
 
 // countPoolGet records one getBytes outcome.
 func countPoolGet(hit bool) {

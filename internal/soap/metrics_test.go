@@ -31,22 +31,32 @@ func TestWireMetricsDecodeRungs(t *testing.T) {
 		t.Fatalf("scanner rung = %d, want 1 (snapshot:\n%s)", got, reg.Snapshot())
 	}
 
-	// A prefixed document must fall through to the legacy rung.
+	// Whatever the scanner declines lands on the one other rung: a prefixed
+	// document, and a prefix-free one whose block inherits its namespace.
 	prefixed := []byte(`<?xml version="1.0" encoding="UTF-8"?>` +
 		`<s:Envelope xmlns:s="http://www.w3.org/2003/05/soap-envelope">` +
 		`<s:Body><p:Ping xmlns:p="urn:test"><N>7</N></p:Ping></s:Body></s:Envelope>`)
-	if _, err := Decode(prefixed); err != nil {
-		t.Fatal(err)
+	inherited := []byte(`<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope">` +
+		`<Body><Fault><Code/></Fault></Body></Envelope>`)
+	for _, doc := range [][]byte{prefixed, inherited} {
+		if _, err := Decode(doc); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := rung.With("legacy").Value(); got != 1 {
-		t.Fatalf("legacy rung = %d, want 1", got)
+	if got := rung.With("legacy").Value(); got != 2 {
+		t.Fatalf("legacy rung = %d, want 2", got)
+	}
+	// Two rungs and no third: every decode is on one of them.
+	if snap := reg.Snapshot(); strings.Count(snap, "soap_decode_total{") != 2 {
+		t.Fatalf("soap_decode_total has other than two rung labels:\n%s", snap)
 	}
 
-	if got := reg.Counter("soap_bytes_in_total").Value(); got != int64(len(canonical)+len(prefixed)) {
-		t.Fatalf("bytes in = %d, want %d", got, len(canonical)+len(prefixed))
+	in := int64(len(canonical) + len(prefixed) + len(inherited))
+	if got := reg.Counter("soap_bytes_in_total").Value(); got != in {
+		t.Fatalf("bytes in = %d, want %d", got, in)
 	}
-	if got := reg.BucketHistogram("soap_envelope_bytes", nil).Count(); got != 2 {
-		t.Fatalf("envelope size observations = %d, want 2", got)
+	if got := reg.BucketHistogram("soap_envelope_bytes", nil).Count(); got != 3 {
+		t.Fatalf("envelope size observations = %d, want 3", got)
 	}
 }
 

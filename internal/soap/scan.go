@@ -10,25 +10,26 @@ import (
 
 // Hand-rolled wire scanner.
 //
-// decodeScan is the first rung of the Decode ladder: a direct []byte walk
-// over the canonical wire format — the prefix-free documents the splice
-// serializer emits, where every header/body block carries its own default
-// xmlns declaration — plus the benign variation real peers produce
-// (whitespace, comments, processing instructions, CDATA, character
-// references, attributes with quoted '>' and '/>'). It matches the fixed
-// Envelope/Header/Body scaffolding and slices each child block verbatim,
-// tracking element nesting with a name stack, without ever running the
-// encoding/xml tokenizer.
+// decodeScan is Decode's fast path: a direct []byte walk over the canonical
+// wire format — the prefix-free documents the splice serializer emits, where
+// every header/body block carries its own default xmlns declaration — plus
+// the benign variation real peers produce (whitespace, comments, processing
+// instructions, CDATA, character references, attributes with quoted '>' and
+// '/>'). It matches the fixed Envelope/Header/Body scaffolding and slices
+// each child block verbatim, tracking element nesting with a name stack,
+// without ever running the encoding/xml tokenizer.
 //
 // Correctness is preserved by construction: every deviation from the
-// grammar below returns ok=false and Decode falls back to the existing
-// encoding/xml zero-copy path, so the scanner can only make canonical
-// documents cheaper — it can never change what Decode accepts or produces.
-// Where the scanner does accept, it must agree with the fallback exactly;
-// that equivalence is pinned by TestScannerMatchesZeroCopy and fuzzed by
-// FuzzDecodeEquivalence.
+// grammar below returns ok=false and Decode hands the document to
+// encoding/xml (decodeLegacy), so the scanner can only make canonical
+// documents cheaper — it can never change what Decode accepts. Where the
+// scanner does accept, the fallback must accept too and capture the same
+// blocks: same names, same addressing, semantically equal content, and each
+// scanner Raw a slice of the input. That law is pinned over a hand-built
+// corpus and generated envelopes (scannerAgrees in scan_test.go) and fuzzed
+// by FuzzDecodeEquivalence.
 //
-// Rejected to the fallback (not exhaustive): namespace prefixes (':' in any
+// Declined to the fallback (not exhaustive): namespace prefixes (':' in any
 // element or attribute name, which also covers every "xmlns:" declaration),
 // DOCTYPE and other <!…> directives, blocks without their own default xmlns
 // declaration (they would inherit the envelope namespace and stop being
@@ -36,12 +37,12 @@ import (
 // resolve them structurally (inside an xmlns value), duplicate xmlns
 // attributes on one tag, non-whitespace text between scaffolding elements,
 // non-UTF-8 encoding declarations, xml-declaration PIs outside the prolog
-// (the legacy path cannot re-encode them), and nesting deeper than the
-// fixed name stack. Inside accepted regions the scanner enforces exactly
-// what encoding/xml enforces: valid UTF-8, XML character range, the five
-// named entities plus in-range numeric references, quoted attribute values
-// with no raw '<', no literal "]]>" in character data, matching end tags,
-// and '--'-free comments.
+// (the fallback cannot re-encode them), and nesting deeper than the fixed
+// name stack. Inside accepted regions the scanner enforces exactly what
+// encoding/xml enforces: valid UTF-8, XML character range, the five named
+// entities plus in-range numeric references, quoted attribute values with
+// no raw '<', no literal "]]>" in character data, matching end tags, and
+// '--'-free comments.
 
 const maxScanDepth = 24 // nested elements per block; deeper falls back
 
@@ -51,8 +52,9 @@ var (
 	bodyLocal     = []byte("Body")
 	envelopeNS    = []byte(Namespace)
 
-	soapHeaderName = xml.Name{Space: Namespace, Local: "Header"}
-	soapBodyName   = xml.Name{Space: Namespace, Local: "Body"}
+	soapEnvelopeName = xml.Name{Space: Namespace, Local: "Envelope"}
+	soapHeaderName   = xml.Name{Space: Namespace, Local: "Header"}
+	soapBodyName     = xml.Name{Space: Namespace, Local: "Body"}
 
 	piOpen        = []byte("<?")
 	piClose       = []byte("?>")
@@ -108,8 +110,7 @@ func decodeScan(data []byte) (*Envelope, bool) {
 			if !ok || !bytes.Equal(name, envelopeLocal) {
 				return nil, false
 			}
-			// Like the encoding/xml walk, anything after </Envelope> is
-			// never read.
+			// Like xml.Unmarshal, anything after </Envelope> is never read.
 			return env, true
 		case s.pos+1 < len(s.data) && s.data[s.pos+1] == '!':
 			return nil, false // DOCTYPE or other directive
@@ -220,8 +221,8 @@ func (s *wireScanner) container(local []byte, out *[]Block) bool {
 			}
 			if !tag.hasXMLNS {
 				// The block would inherit the envelope's default namespace
-				// and its verbatim slice would not be self-contained —
-				// exactly the errNotSelfContained case of the fallback.
+				// and its verbatim slice would not be self-contained; the
+				// fallback's re-encode writes the namespace into the block.
 				return false
 			}
 			if !tag.selfClose && !s.subtree(s.name(tag)) {
@@ -460,8 +461,8 @@ func (s *wireScanner) cdata() bool {
 }
 
 // pi consumes "<? … ?>" at pos. Outside the prolog any xml declaration
-// makes the scanner decline: a block containing one would fail the legacy
-// path's token re-encode, so only the fallback ladder may judge it. In the
+// makes the scanner decline: a block containing one fails the fallback's
+// token re-encode, so only the fallback may judge it. In the
 // prolog (allowXMLDecl) it must not declare a non-UTF-8 encoding
 // (encoding/xml would demand a CharsetReader).
 func (s *wireScanner) pi(allowXMLDecl bool) bool {

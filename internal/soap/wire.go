@@ -11,17 +11,11 @@ import (
 	"wsgossip/internal/wsa"
 )
 
-// The zero-copy wire path.
+// The wire path: one byte-level fast path and one encoding/xml fallback in
+// each direction, chosen by what the bytes are — never by an option.
 //
-// A gossiped notification crosses many disseminators, and each hop used to
-// pay for two full encoding/xml passes: capture re-tokenized every header
-// and body block through a fresh decoder+encoder, and serialization ran the
-// whole envelope through xml.NewEncoder again. This file replaces both
-// directions on the canonical wire format:
-//
-//   - capture: Decode walks the token stream once and slices each block
-//     verbatim out of the input buffer via Decoder.InputOffset, so Block.Raw
-//     shares the inbound message's memory (no per-token re-encode);
+//   - capture: Decode's scanner (scan.go) slices each block verbatim out of
+//     the input buffer, so Block.Raw shares the inbound message's memory;
 //   - replay: Encode writes the fixed Envelope/Header/Body scaffolding and
 //     splices each Block.Raw directly into the output, sized exactly, with
 //     sync.Pool scratch for the parts that need buffering;
@@ -31,10 +25,11 @@ import (
 //
 // The canonical format declares every namespace with a default xmlns
 // attribute on the element that introduces it and never uses prefixes.
-// Documents that declare namespace prefixes ("xmlns:"), and blocks whose
-// meaning depends on a default namespace declared outside their own bytes,
-// fall back to the original encoding/xml path, so arbitrary SOAP input
-// remains accepted — it just doesn't get the fast path.
+// Everything else well-formed — namespace prefixes (what most other SOAP
+// stacks emit), blocks whose meaning depends on a default namespace declared
+// outside their own bytes, hand-built blocks — goes through decodeLegacy and
+// encodeLegacy below, so arbitrary SOAP input remains accepted; it just pays
+// encoding/xml's token-by-token re-encode.
 
 // Fixed scaffolding of the canonical wire format. Blocks are spliced
 // between the container tags; Header and Body inherit the envelope's
@@ -55,10 +50,6 @@ const (
 // callers fall back to per-target encoding.
 var ErrNotSpliceable = errors.New("soap: envelope not spliceable")
 
-// errNotSelfContained aborts the zero-copy capture when a block's bytes
-// depend on namespace context declared outside the block.
-var errNotSelfContained = errors.New("soap: block not self-contained")
-
 // bufPool recycles scratch buffers across encodes; rendered messages are
 // copied out exactly sized, so pooled memory never escapes to callers.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -67,129 +58,6 @@ func getBuf() *bytes.Buffer {
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	return buf
-}
-
-// ---------------------------------------------------------------------------
-// Zero-copy capture
-
-var soapEnvelopeName = xml.Name{Space: Namespace, Local: "Envelope"}
-
-// decodeZeroCopy parses data with a single token walk, slicing each header
-// and body block verbatim out of data. Block.Raw aliases data: the buffer
-// must not be modified afterwards (transports hand over ownership).
-func decodeZeroCopy(data []byte) (*Envelope, error) {
-	d := xml.NewDecoder(bytes.NewReader(data))
-	var root xml.StartElement
-	for {
-		tok, err := d.Token()
-		if err != nil {
-			return nil, fmt.Errorf("soap: decode envelope: %w", err)
-		}
-		if se, ok := tok.(xml.StartElement); ok {
-			root = se
-			break
-		}
-	}
-	if root.Name != soapEnvelopeName {
-		return nil, fmt.Errorf("soap: decode envelope: expected {%s}Envelope, got {%s}%s",
-			Namespace, root.Name.Space, root.Name.Local)
-	}
-	env := &Envelope{XMLName: root.Name}
-	for {
-		tok, err := d.Token()
-		if err != nil {
-			return nil, fmt.Errorf("soap: decode envelope: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.EndElement:
-			return env, nil
-		case xml.StartElement:
-			switch {
-			case t.Name.Space == Namespace && t.Name.Local == "Header":
-				if env.Header == nil {
-					env.Header = &Header{XMLName: t.Name}
-				}
-				if err := captureBlocks(d, data, &env.Header.Blocks); err != nil {
-					return nil, err
-				}
-			case t.Name.Space == Namespace && t.Name.Local == "Body":
-				env.Body.XMLName = t.Name
-				if err := captureBlocks(d, data, &env.Body.Blocks); err != nil {
-					return nil, err
-				}
-			default:
-				if err := d.Skip(); err != nil {
-					return nil, fmt.Errorf("soap: decode envelope: %w", err)
-				}
-			}
-		}
-	}
-}
-
-// captureBlocks slices every child element of the container whose start tag
-// the decoder just consumed. Each slice spans the child's start tag through
-// its end tag, verbatim.
-func captureBlocks(d *xml.Decoder, data []byte, out *[]Block) error {
-	for {
-		off := d.InputOffset() // position of '<' once the next token is a start tag
-		tok, err := d.Token()
-		if err != nil {
-			return fmt.Errorf("soap: capture block: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.EndElement:
-			return nil
-		case xml.StartElement:
-			// A namespaced start tag without its own default-xmlns
-			// declaration inherits the container's default namespace, which
-			// a verbatim slice would lose when replayed elsewhere.
-			if t.Name.Space != "" && !hasDefaultNSDecl(t.Attr) {
-				return errNotSelfContained
-			}
-			if err := skipBlock(d); err != nil {
-				return err
-			}
-			*out = append(*out, Block{XMLName: t.Name, Raw: data[off:d.InputOffset()]})
-		}
-	}
-}
-
-// skipBlock consumes a block element like Decoder.Skip, but rejects tokens
-// the legacy path cannot replay — directives and xml-declaration PIs fail
-// Block.UnmarshalXML's re-encode, so a verbatim slice containing one would
-// make Decode accept what the legacy path rejects. Declining to the legacy
-// path keeps both rungs in exact agreement either way.
-func skipBlock(d *xml.Decoder) error {
-	depth := 1
-	for depth > 0 {
-		tok, err := d.Token()
-		if err != nil {
-			return fmt.Errorf("soap: capture block: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			depth++
-		case xml.EndElement:
-			depth--
-		case xml.Directive:
-			return errNotSelfContained
-		case xml.ProcInst:
-			if t.Target == "xml" {
-				return errNotSelfContained
-			}
-		}
-	}
-	return nil
-}
-
-// hasDefaultNSDecl reports whether attrs carry a default xmlns declaration.
-func hasDefaultNSDecl(attrs []xml.Attr) bool {
-	for _, a := range attrs {
-		if a.Name.Space == "" && a.Name.Local == "xmlns" {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -367,8 +235,8 @@ func encodeSplice(e *Envelope) ([]byte, bool) {
 	return out, true
 }
 
-// encodeLegacy is the original encoding/xml serializer, kept as the
-// fallback for splice-resistant envelopes; scratch comes from the pool.
+// encodeLegacy is the encoding/xml serializer, the fallback for
+// splice-resistant envelopes; scratch comes from the pool.
 func (e *Envelope) encodeLegacy() ([]byte, error) {
 	buf := getBuf()
 	defer bufPool.Put(buf)
@@ -385,10 +253,11 @@ func (e *Envelope) encodeLegacy() ([]byte, error) {
 	return out, nil
 }
 
-// decodeLegacy is the original encoding/xml parser: Block.UnmarshalXML
-// re-encodes each block token by token. It remains the fallback for
-// documents the zero-copy walk cannot slice safely (namespace prefixes,
-// context-dependent blocks).
+// decodeLegacy is the encoding/xml parser: Block.UnmarshalXML re-encodes
+// each block token by token, which resolves prefixes and inherited default
+// namespaces into the block's own bytes. It is the fallback for every
+// document the scanner declines, and the oracle the scanner is tested
+// against (FuzzDecodeEquivalence).
 func decodeLegacy(data []byte) (*Envelope, error) {
 	var env Envelope
 	if err := xml.Unmarshal(data, &env); err != nil {

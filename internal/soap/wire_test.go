@@ -14,8 +14,8 @@ import (
 	"wsgossip/internal/wsa"
 )
 
-// Equivalence tests for the zero-copy wire path: the splice serializer and
-// the slice-based capture must agree with the original encoding/xml path on
+// Equivalence tests for the wire path: the splice serializer and the
+// scanner's slice-based capture must agree with the encoding/xml fallback on
 // every envelope either can produce. Byte equivalence to the legacy
 // serializer is deliberately NOT asserted — the legacy encoder emitted a
 // duplicate xmlns attribute per block and grew the message on every
@@ -63,17 +63,19 @@ func blockNode(t *testing.T, b Block) xmlNode {
 	return n
 }
 
+// blocksOf lists e's header blocks, then its body blocks.
+func blocksOf(e *Envelope) []Block {
+	var out []Block
+	if e.Header != nil {
+		out = append(out, e.Header.Blocks...)
+	}
+	return append(out, e.Body.Blocks...)
+}
+
 // equivalent asserts that two envelopes carry the same blocks with the same
 // names and normalized content.
 func equivalent(t *testing.T, label string, a, b *Envelope) {
 	t.Helper()
-	blocksOf := func(e *Envelope) []Block {
-		var out []Block
-		if e.Header != nil {
-			out = append(out, e.Header.Blocks...)
-		}
-		return append(out, e.Body.Blocks...)
-	}
 	ab, bb := blocksOf(a), blocksOf(b)
 	if len(ab) != len(bb) {
 		t.Fatalf("%s: block count %d != %d", label, len(ab), len(bb))
@@ -150,50 +152,52 @@ func TestSpliceMatchesLegacyEncode(t *testing.T) {
 	equivalent(t, "splice vs legacy encode", fastEnv, slowEnv)
 }
 
-// TestZeroCopyMatchesLegacyDecode: both decoders agree on a range of wire
-// documents — attributes, nested blocks, namespaces, CDATA, comments,
-// entities, whitespace.
+// TestZeroCopyMatchesLegacyDecode: the zero-copy capture and the encoding/xml
+// fallback agree on a range of wire documents — attributes, nested blocks,
+// namespaces, CDATA, comments, entities, whitespace — and whichever of the two
+// Decode picked, its envelope survives a wire cycle. legacy marks the
+// documents only the fallback may take.
 func TestZeroCopyMatchesLegacyDecode(t *testing.T) {
-	docs := map[string]string{
-		"canonical": `<?xml version="1.0" encoding="UTF-8"?>` +
+	docs := map[string]struct {
+		doc    string
+		legacy bool
+	}{
+		"canonical": {doc: `<?xml version="1.0" encoding="UTF-8"?>` +
 			`<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Header>` +
 			`<Meta xmlns="urn:wiretest:hdr" Tag="x">hdr</Meta></Header>` +
-			`<Body><Item xmlns="urn:wiretest" attr="v"><Value>a&amp;b</Value></Item></Body></Envelope>`,
-		"cdata": `<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body>` +
-			`<Item xmlns="urn:wiretest"><Value><![CDATA[raw <markup> & stuff]]></Value></Item></Body></Envelope>`,
-		"comments-and-space": "<Envelope xmlns=\"http://www.w3.org/2003/05/soap-envelope\">\n  " +
+			`<Body><Item xmlns="urn:wiretest" attr="v"><Value>a&amp;b</Value></Item></Body></Envelope>`},
+		"cdata": {doc: `<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body>` +
+			`<Item xmlns="urn:wiretest"><Value><![CDATA[raw <markup> & stuff]]></Value></Item></Body></Envelope>`},
+		"comments-and-space": {doc: "<Envelope xmlns=\"http://www.w3.org/2003/05/soap-envelope\">\n  " +
 			"<!-- a comment -->\n  <Header>\n    <Meta xmlns=\"urn:wiretest:hdr\">m</Meta>\n  </Header>\n  " +
-			"<Body>\n    <Item xmlns=\"urn:wiretest\"><Value>v</Value></Item>\n  </Body>\n</Envelope>",
-		"nested-namespaces": `<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body>` +
-			`<Item xmlns="urn:wiretest"><Sub xmlns="urn:other"><Deep>x</Deep></Sub><Value>y</Value></Item></Body></Envelope>`,
-		"entities": `<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body>` +
-			`<Item xmlns="urn:wiretest" attr="&lt;&amp;&gt;"><Value>&#65;&#x42;c &quot;q&quot;</Value></Item></Body></Envelope>`,
-		"empty-body": `<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body></Body></Envelope>`,
-		"no-header-decl-free-block": `<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body>` +
-			`<Plain xmlns="">text</Plain></Body></Envelope>`,
-		"legacy-duplicate-xmlns": `<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope">` +
+			"<Body>\n    <Item xmlns=\"urn:wiretest\"><Value>v</Value></Item>\n  </Body>\n</Envelope>"},
+		"nested-namespaces": {doc: `<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body>` +
+			`<Item xmlns="urn:wiretest"><Sub xmlns="urn:other"><Deep>x</Deep></Sub><Value>y</Value></Item></Body></Envelope>`},
+		"entities": {doc: `<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body>` +
+			`<Item xmlns="urn:wiretest" attr="&lt;&amp;&gt;"><Value>&#65;&#x42;c &quot;q&quot;</Value></Item></Body></Envelope>`},
+		"empty-body": {doc: `<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body></Body></Envelope>`},
+		"no-header-decl-free-block": {doc: `<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body>` +
+			`<Plain xmlns="">text</Plain></Body></Envelope>`},
+		// What encodeLegacy writes: one xmlns attribute too many per block.
+		"legacy-duplicate-xmlns": {legacy: true, doc: `<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope">` +
 			`<Body xmlns="http://www.w3.org/2003/05/soap-envelope">` +
-			`<Item xmlns="urn:wiretest" xmlns="urn:wiretest"><Value>dup</Value></Item></Body></Envelope>`,
-		// Prefixed documents exercise the legacy fallback inside Decode.
-		"prefixed": `<env:Envelope xmlns:env="http://www.w3.org/2003/05/soap-envelope" xmlns:w="urn:wiretest">` +
-			`<env:Body><w:Item attr="v"><w:Value>pfx</w:Value></w:Item></env:Body></env:Envelope>`,
+			`<Item xmlns="urn:wiretest" xmlns="urn:wiretest"><Value>dup</Value></Item></Body></Envelope>`},
+		"prefixed": {legacy: true, doc: `<env:Envelope xmlns:env="http://www.w3.org/2003/05/soap-envelope" xmlns:w="urn:wiretest">` +
+			`<env:Body><w:Item attr="v"><w:Value>pfx</w:Value></w:Item></env:Body></env:Envelope>`},
 		// A block inheriting the envelope's default namespace cannot be
-		// sliced verbatim; the zero-copy walk must hand it to the fallback.
-		"inherited-default-ns": `<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body>` +
-			`<Fault><Code><Value>soapenv</Value></Code></Fault></Body></Envelope>`,
+		// sliced verbatim; only the fallback's re-encode makes it whole.
+		"inherited-default-ns": {legacy: true, doc: `<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body>` +
+			`<Fault><Code><Value>soapenv</Value></Code></Fault></Body></Envelope>`},
 	}
-	for name, doc := range docs {
+	for name, tc := range docs {
 		t.Run(name, func(t *testing.T) {
-			got, err := Decode([]byte(doc))
+			if _, scanned := scannerAgrees(t, name, []byte(tc.doc)); scanned == tc.legacy {
+				t.Fatalf("scanner accepted = %v, want %v", scanned, !tc.legacy)
+			}
+			got, err := Decode([]byte(tc.doc))
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
-			want, err := decodeLegacy([]byte(doc))
-			if err != nil {
-				t.Fatalf("decodeLegacy: %v", err)
-			}
-			equivalent(t, name, got, want)
-			// And the decoded envelope must survive a wire cycle.
 			data, err := got.Encode()
 			if err != nil {
 				t.Fatalf("re-encode: %v", err)
@@ -502,11 +506,12 @@ func TestSendBytes(t *testing.T) {
 	}
 }
 
-// FuzzDecodeEquivalence feeds arbitrary documents down the whole decode
-// ladder: when the hand-rolled scanner accepts, it must agree with the
-// encoding/xml zero-copy path byte for byte; when Decode accepts by any
-// rung, the legacy path must agree semantically; no rung may panic or
-// mis-capture.
+// FuzzDecodeEquivalence feeds arbitrary documents to both of Decode's parse
+// paths: whenever the hand-rolled scanner accepts, the encoding/xml fallback
+// must accept too and capture the same envelope — block names, addressing,
+// semantically equal blocks, every scanner Raw a slice of the input
+// (scannerAgrees); neither path may panic; and whatever Decode captured must
+// re-encode into a document Decode takes back.
 func FuzzDecodeEquivalence(f *testing.F) {
 	f.Add([]byte(`<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Header>` +
 		`<Meta xmlns="urn:wiretest:hdr" Tag="x">hdr</Meta></Header>` +
@@ -533,35 +538,7 @@ func FuzzDecodeEquivalence(f *testing.F) {
 	f.Add([]byte(`<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body>` +
 		`<I xmlns="urn:i">&#55296;&bad;&#x10FFFF;</I></Body></Envelope>`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Differential check of the scanner against the encoding/xml
-		// zero-copy tokenizer: acceptance implies byte-identical capture.
-		if env, ok := decodeScan(data); ok {
-			want, err := decodeZeroCopy(data)
-			if err != nil {
-				t.Fatalf("scanner accepted, zero-copy rejected (%v): %q", err, data)
-			}
-			blocks := func(e *Envelope) []Block {
-				var out []Block
-				if e.Header != nil {
-					out = append(out, e.Header.Blocks...)
-				}
-				return append(out, e.Body.Blocks...)
-			}
-			gb, wb := blocks(env), blocks(want)
-			if len(gb) != len(wb) {
-				t.Fatalf("scanner blocks %d != zero-copy %d for %q", len(gb), len(wb), data)
-			}
-			for i := range gb {
-				if gb[i].XMLName != wb[i].XMLName || !bytes.Equal(gb[i].Raw, wb[i].Raw) {
-					t.Fatalf("scanner block %d (%v, %q) != zero-copy (%v, %q) for %q",
-						i, gb[i].XMLName, gb[i].Raw, wb[i].XMLName, wb[i].Raw, data)
-				}
-			}
-			if !reflect.DeepEqual(env.Addressing(), want.Addressing()) {
-				t.Fatalf("scanner addressing %+v != zero-copy %+v for %q",
-					env.Addressing(), want.Addressing(), data)
-			}
-		}
+		scannerAgrees(t, "fuzz", data)
 		// The same byte walk names blocks in MarshalBlock: whenever it answers,
 		// the xml.Unmarshal probe it stands in for must answer the same.
 		if name, ok := blockName(data); ok {
@@ -573,28 +550,6 @@ func FuzzDecodeEquivalence(f *testing.F) {
 		if err != nil {
 			return
 		}
-		want, err := decodeLegacy(data)
-		if err != nil {
-			// Decode accepted what encoding/xml rejects — the zero-copy
-			// walker must never be more permissive.
-			t.Fatalf("Decode accepted, legacy rejected (%v): %q", err, data)
-		}
-		names := func(e *Envelope) []xml.Name {
-			var out []xml.Name
-			if e.Header != nil {
-				for _, b := range e.Header.Blocks {
-					out = append(out, b.XMLName)
-				}
-			}
-			for _, b := range e.Body.Blocks {
-				out = append(out, b.XMLName)
-			}
-			return out
-		}
-		if !reflect.DeepEqual(names(got), names(want)) {
-			t.Fatalf("block names %v != %v for %q", names(got), names(want), data)
-		}
-		// Whatever was captured must re-encode into a decodable document.
 		out, err := got.Encode()
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)

@@ -567,7 +567,8 @@ func (n *Node) bootstrap(ctx context.Context, period time.Duration, attempt func
 	n.mu.Unlock()
 }
 
-// Stop cancels the bootstrap retries, stops the rounds, waits for whatever
+// Stop cancels the bootstrap retries, stops the rounds, closes the prober (an
+// open confirmation round is abandoned, not resolved), waits for whatever
 // was in flight, and only then closes the delivery plane (a round must not
 // find its caller closed under it). It is idempotent, and safe on a node
 // that was never started.
@@ -590,6 +591,9 @@ func (n *Node) Stop() {
 	}
 	if n.runner != nil {
 		n.runner.Stop()
+	}
+	if n.prober != nil {
+		n.prober.Close()
 	}
 	n.inflight.Wait()
 	if n.plane != nil {

@@ -347,6 +347,37 @@ func TestNodeWiringDeadPeer(t *testing.T) {
 	}
 }
 
+// TestNodeStopAbandonsOpenProbeRound: a confirmation round still open when
+// the node stops is cancelled with everything else — its timeout is not left
+// on the clock to suspect a peer on behalf of a node that is gone.
+func TestNodeStopAbandonsOpenProbeRound(t *testing.T) {
+	c := newWireCluster(t, 4, nil)
+	c.start()
+	n0, a1 := c.nodes[0], addrOf(1)
+	c.w.refuse("*", a1)
+	c.until("n0's circuit to n1 opens", time.Second, func() bool { return opened(n0) == 1 })
+	if got := n0.Prober().Stats().Pending; got != 1 {
+		t.Fatalf("open rounds at Stop = %d, want 1", got)
+	}
+	for _, node := range c.nodes {
+		node.Stop()
+	}
+	if got := n0.Prober().Stats().Pending; got != 0 {
+		t.Fatalf("open rounds after Stop = %d, want 0", got)
+	}
+	n0.Prober().Confirm(a1) // a closed prober opens no new round
+	c.vc.Advance(time.Minute)
+	if got := c.vc.Pending(); got != 0 {
+		t.Fatalf("%d timers still pending on the clock after Stop", got)
+	}
+	if got := labeled(n0, "delivery_indirect_probes_total", "result", "timeout"); got != 0 {
+		t.Fatalf("%d probe rounds timed out on a stopped node", got)
+	}
+	if got := counter(n0, "membership_suspects_total"); got != 0 || !contains(n0.Membership().Alive(), a1) {
+		t.Fatalf("a stopped node suspected its peer: suspects %d, n1 alive %v", got, contains(n0.Membership().Alive(), a1))
+	}
+}
+
 // TestNodeWiringNoProber is edge (b): without indirect probing the opened
 // circuit suspects the peer directly.
 func TestNodeWiringNoProber(t *testing.T) {
@@ -495,7 +526,6 @@ func TestNodeOneClockOneRegistry(t *testing.T) {
 		}
 	}
 
-	c.vc.Advance(wireProbeWait) // let the prober's own (uncancellable) round timers run out
 	for _, node := range c.nodes {
 		node.Stop()
 		node.Stop() // idempotent
