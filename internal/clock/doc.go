@@ -25,7 +25,9 @@
 // across a bounded worker pool; callbacks' own scheduling calls are
 // buffered per worker slot and flushed in slot order, so a multi-worker run
 // is bit-identical to a sequential one provided same-deadline callbacks
-// are mutually independent.
+// are mutually independent. Schedule is AfterFunc without the stop handle,
+// for callers that never cancel (simnet's message deliveries): it fires the
+// caller's own record, so the schedule itself allocates nothing.
 //
 // Times are expressed as offsets (time.Duration) from an arbitrary
 // per-clock epoch rather than as time.Time, matching transport.Clock: an

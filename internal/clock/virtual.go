@@ -62,8 +62,8 @@ const freeListCap = 4096
 // considered; below it dead entries are cheaper to pop than to filter.
 const compactMinLen = 64
 
-// timer is one scheduled callback. A cancelled timer keeps its heap slot
-// with fn nil and is skipped when popped; shards compact lazily when dead
+// timer is one scheduled event. A cancelled timer keeps its heap slot
+// with ev nil and is skipped when popped; shards compact lazily when dead
 // entries dominate. Timers are recycled: gen is bumped on every recycle so
 // stale stop functions from a previous life cannot cancel the current one.
 // A timer is bound to one shard for all its lives — the stop function locks
@@ -71,11 +71,19 @@ const compactMinLen = 64
 type timer struct {
 	at     time.Duration
 	seq    int64
-	fn     func()
+	ev     event
 	shard  int32
 	gen    uint32
 	inHeap bool
 }
+
+// event is what a timer fires. AfterFunc wraps its callback in a funcEvent;
+// Schedule takes the caller's record as it is. Neither conversion allocates.
+type event interface{ Fire() }
+
+type funcEvent func()
+
+func (f funcEvent) Fire() { f() }
 
 type timerHeap []*timer
 
@@ -121,7 +129,7 @@ func (s *timerShard) storeHeadLocked() {
 // compacted away). The generation bump invalidates outstanding stop funcs.
 func (s *timerShard) recycleLocked(t *timer) {
 	t.gen++
-	t.fn = nil
+	t.ev = nil
 	t.inHeap = false
 	if len(s.free) < freeListCap {
 		s.free = append(s.free, t)
@@ -138,7 +146,7 @@ func (s *timerShard) maybeCompactLocked() {
 	}
 	live := s.h[:0]
 	for _, t := range s.h {
-		if t.fn != nil {
+		if t.ev != nil {
 			live = append(live, t)
 		} else {
 			s.recycleLocked(t)
@@ -185,7 +193,11 @@ func (v *Virtual) Now() time.Duration {
 // one) and arms it. The timer is not yet in the shard heap and has no seq.
 // The returned gen is read under the shard lock and identifies this life of
 // the struct; it must be captured before the timer becomes poppable.
-func (v *Virtual) newTimer(at time.Duration, fn func()) (*timer, uint32) {
+func (v *Virtual) newTimer(d time.Duration, ev event) (*timer, uint32) {
+	if d < 0 {
+		d = 0
+	}
+	at := v.Now() + d
 	idx := int32(v.rr.Add(1) & (timerShards - 1))
 	s := &v.shards[idx]
 	s.mu.Lock()
@@ -198,7 +210,7 @@ func (v *Virtual) newTimer(at time.Duration, fn func()) (*timer, uint32) {
 		t = &timer{shard: idx}
 	}
 	t.at = at
-	t.fn = fn
+	t.ev = ev
 	t.inHeap = false
 	gen := t.gen
 	s.mu.Unlock()
@@ -213,7 +225,7 @@ func (v *Virtual) push(t *timer) {
 	s := &v.shards[t.shard]
 	s.mu.Lock()
 	t.inHeap = true
-	if t.fn == nil {
+	if t.ev == nil {
 		s.dead++
 	}
 	heap.Push(&s.h, t)
@@ -227,10 +239,10 @@ func (v *Virtual) stopFunc(t *timer, gen uint32) func() bool {
 	return func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if t.gen != gen || t.fn == nil {
+		if t.gen != gen || t.ev == nil {
 			return false
 		}
-		t.fn = nil
+		t.ev = nil
 		if t.inHeap {
 			s.dead++
 			s.maybeCompactLocked()
@@ -242,24 +254,34 @@ func (v *Virtual) stopFunc(t *timer, gen uint32) func() bool {
 // AfterFunc schedules fn at now+d (d < 0 counts as 0). fn runs inside a
 // future Advance/RunUntil/Step call.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) func() bool {
-	if d < 0 {
-		d = 0
-	}
-	at := v.Now() + d
-	t, gen := v.newTimer(at, fn)
+	t, gen := v.newTimer(d, funcEvent(fn))
 	stop := v.stopFunc(t, gen)
+	v.enqueue(t)
+	return stop
+}
+
+// Schedule is the fire-and-forget AfterFunc: ev.Fire runs at now+d, in the
+// same (deadline, schedule order) sequence as every other timer — a Schedule
+// and an AfterFunc in the same place take the same seq — but the caller gets
+// no stop handle, so the only allocation is whatever ev already is. A fabric
+// scheduling one delivery per message passes a pointer to its delivery record.
+func (v *Virtual) Schedule(d time.Duration, ev interface{ Fire() }) {
+	t, _ := v.newTimer(d, ev)
+	v.enqueue(t)
+}
+
+// enqueue makes an armed timer poppable: at once, or — scheduled from inside
+// a parallel same-deadline batch — deferred into the calling worker's slot
+// buffer; the driver flushes buffers in slot order after the batch joins,
+// assigning seqs exactly as a sequential run of the batch would have.
+func (v *Virtual) enqueue(t *timer) {
 	if v.batch.active.Load() {
 		if ref := v.batch.slotOf(goid()); ref != nil {
-			// Scheduled from inside a parallel same-deadline batch: defer
-			// into the slot buffer; the driver flushes buffers in slot order
-			// after the batch joins, assigning seqs exactly as a sequential
-			// run of the batch would have.
 			*ref.cur = append(*ref.cur, t)
-			return stop
+			return
 		}
 	}
 	v.push(t)
-	return stop
 }
 
 // After returns a channel receiving the virtual fire time once, d from now.
@@ -342,74 +364,72 @@ func (v *Virtual) RunUntil(t time.Duration) {
 // runUntilLocked is RunUntil with runMu already held.
 func (v *Virtual) runUntilLocked(t time.Duration) {
 	for {
-		fn, ok := v.popDue(t, true)
-		if !ok {
+		ev := v.popDue(t, true)
+		if ev == nil {
 			return
 		}
 		if v.workers > 1 {
 			// Collect the rest of the deadline cohort; if the cohort has two
 			// or more members it runs on the worker pool.
-			if batch := v.popDeadlineCohort(fn); len(batch) > 1 {
+			if batch := v.popDeadlineCohort(ev); len(batch) > 1 {
 				v.runBatch(batch)
 				continue
 			}
 		}
-		fn()
+		ev.Fire()
 	}
 }
 
 // popDeadlineCohort pops every already-queued live timer sharing the current
-// deadline (the one the just-popped first callback fired at) and returns the
-// full batch, first callback included, in (deadline, seq) order. Timers the
+// deadline (the one the just-popped first event fired at) and returns the
+// full batch, first event included, in (deadline, seq) order. Timers the
 // batch itself schedules at this same deadline are not part of the cohort:
 // they get later seqs, exactly as in a sequential run, and fire in the next
 // iteration.
-func (v *Virtual) popDeadlineCohort(first func()) []func() {
+func (v *Virtual) popDeadlineCohort(first event) []event {
 	at := v.Now()
-	batch := []func(){first}
+	batch := []event{first}
 	for {
-		fn, ok := v.popAt(at)
-		if !ok {
+		ev := v.popAt(at)
+		if ev == nil {
 			return batch
 		}
-		batch = append(batch, fn)
+		batch = append(batch, ev)
 	}
 }
 
-// popDue pops the next live timer with deadline <= t and advances now to its
-// deadline. When none remains it advances now to t (if later and advance is
-// set) and reports false.
-func (v *Virtual) popDue(t time.Duration, advance bool) (func(), bool) {
+// popDue pops the next live timer with deadline <= t, advances now to its
+// deadline and returns its event. When none remains it advances now to t (if
+// later and advance is set) and returns nil.
+func (v *Virtual) popDue(t time.Duration, advance bool) event {
 	for {
 		best, idx := v.minHead()
 		if best == nil || best.at > t {
 			if advance && v.Now() < t {
 				v.now.Store(int64(t))
 			}
-			return nil, false
+			return nil
 		}
-		fn, ok := v.popVerified(best, idx)
-		if !ok {
+		ev, at := v.popVerified(best, idx)
+		if ev == nil {
 			continue // head moved or was a dead entry; rescan
 		}
-		v.now.Store(int64(best.at))
-		return fn, true
+		v.now.Store(int64(at))
+		return ev
 	}
 }
 
 // popAt pops the next live timer with deadline exactly at; it never moves
 // the clock (the caller is already at that deadline).
-func (v *Virtual) popAt(at time.Duration) (func(), bool) {
+func (v *Virtual) popAt(at time.Duration) event {
 	for {
 		best, idx := v.minHead()
 		if best == nil || best.at != at {
-			return nil, false
+			return nil
 		}
-		fn, ok := v.popVerified(best, idx)
-		if !ok {
-			continue
+		if ev, _ := v.popVerified(best, idx); ev != nil {
+			return ev
 		}
-		return fn, true
 	}
 }
 
@@ -431,24 +451,26 @@ func (v *Virtual) minHead() (*timer, int) {
 }
 
 // popVerified pops want from shard idx if it is still that shard's head,
-// returning its callback. ok is false when the head changed under the scan
-// (rescan) or the entry was dead (discarded; rescan).
-func (v *Virtual) popVerified(want *timer, idx int) (func(), bool) {
+// returning its event and deadline. The event is nil when the head changed
+// under the scan (rescan) or the entry was dead (discarded; rescan). The
+// deadline is read under the shard lock: once the lock is released a
+// concurrent AfterFunc may recycle the timer from the free list and rewrite
+// its fields, so the caller must not look at want again.
+func (v *Virtual) popVerified(want *timer, idx int) (event, time.Duration) {
 	s := &v.shards[idx]
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if len(s.h) == 0 || s.h[0] != want {
-		s.mu.Unlock()
-		return nil, false
+		return nil, 0
 	}
 	heap.Pop(&s.h)
 	s.storeHeadLocked()
-	fn := want.fn
-	if fn == nil {
+	ev, at := want.ev, want.at
+	if ev == nil {
 		s.dead--
 	}
 	s.recycleLocked(want)
-	s.mu.Unlock()
-	return fn, fn != nil
+	return ev, at
 }
 
 // Barrier fires every timer already due at the current virtual time and
@@ -463,11 +485,11 @@ func (v *Virtual) Barrier() {
 func (v *Virtual) Step() bool {
 	v.runMu.Lock()
 	defer v.runMu.Unlock()
-	fn, ok := v.popDue(1<<63-1, false)
-	if !ok {
+	ev := v.popDue(1<<63-1, false)
+	if ev == nil {
 		return false
 	}
-	fn()
+	ev.Fire()
 	return true
 }
 
@@ -522,7 +544,7 @@ func (b *batchState) slotOf(id uint64) *slotRef {
 // run. Workers register their goroutine id so AfterFunc can find the active
 // slot buffer; scheduling from non-worker goroutines during the batch takes
 // the immediate path, exactly as it would have raced a sequential callback.
-func (v *Virtual) runBatch(batch []func()) {
+func (v *Virtual) runBatch(batch []event) {
 	deferred := make([][]*timer, len(batch))
 	v.batch.mu.Lock()
 	v.batch.slots = make(map[uint64]*slotRef, v.workers)
@@ -545,7 +567,7 @@ func (v *Virtual) runBatch(batch []func()) {
 			v.batch.mu.Unlock()
 			for slot := wk; slot < len(batch); slot += w {
 				ref.cur = &deferred[slot]
-				batch[slot]()
+				batch[slot].Fire()
 			}
 			v.batch.mu.Lock()
 			delete(v.batch.slots, id)

@@ -397,3 +397,69 @@ func TestWorkerPoolPreservesScheduleOrder(t *testing.T) {
 		}
 	}
 }
+
+// scheduleOnly routes every timer of the order workload through the
+// fire-and-forget path. Schedule returns no stop handle, so cancellation is a
+// flag the event checks when it fires: a cancelled timer still takes its
+// (deadline, seq) slot, which is all the firing order of the others depends on.
+type scheduleOnly struct{ v *Virtual }
+
+func (c scheduleOnly) Now() time.Duration { return c.v.Now() }
+
+func (c scheduleOnly) AfterFunc(d time.Duration, fn func()) func() bool {
+	live := true // touched only on the driving goroutine
+	c.v.Schedule(d, funcEvent(func() {
+		if live {
+			live = false
+			fn()
+		}
+	}))
+	return func() bool {
+		was := live
+		live = false
+		return was
+	}
+}
+
+// TestScheduleMatchesAfterFuncOrder: Schedule differs from AfterFunc only in
+// returning no handle. The cascading workload driven entirely through it must
+// fire in the single-heap reference's order, and a pool batch's Schedule calls
+// must be flushed in slot order like its AfterFunc calls.
+func TestScheduleMatchesAfterFuncOrder(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		ref := &refClock{}
+		refLog := runOrderWorkload(seed, ref, ref.Advance)
+		v := NewVirtual()
+		gotLog := runOrderWorkload(seed, scheduleOnly{v}, v.Advance)
+		if len(refLog) != len(gotLog) {
+			t.Fatalf("seed %d: fired %d timers, reference fired %d", seed, len(gotLog), len(refLog))
+		}
+		for i := range refLog {
+			if refLog[i] != gotLog[i] {
+				t.Fatalf("seed %d: firing %d diverges: scheduled %q, reference %q", seed, i, gotLog[i], refLog[i])
+			}
+		}
+	}
+
+	const n = 64
+	v := NewVirtual()
+	v.SetWorkers(8)
+	var order []int
+	for i := 0; i < n; i++ {
+		i := i
+		v.Schedule(time.Millisecond, funcEvent(func() { // one 64-wide batch
+			v.Schedule(time.Millisecond, funcEvent(func() { order = append(order, i) }))
+		}))
+	}
+	v.Advance(time.Millisecond) // fire the batch on the pool
+	v.SetWorkers(1)             // echoes fire strictly sequentially
+	v.Advance(time.Millisecond)
+	if len(order) != n {
+		t.Fatalf("fired %d echoes, want %d", len(order), n)
+	}
+	for i, id := range order {
+		if id != i {
+			t.Fatalf("echo %d has id %d: deferred flush broke seq order", i, id)
+		}
+	}
+}

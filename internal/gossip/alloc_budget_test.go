@@ -1,0 +1,169 @@
+package gossip
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"testing"
+
+	"wsgossip/internal/simnet"
+	"wsgossip/internal/transport"
+)
+
+// Allocation budgets for the scale path (sim-push-100k, the million-node
+// result), the companions of internal/core's: what one push costs the engine,
+// on simnet, with the benchmark workload's sizing. The budgets are committed
+// in testdata/alloc_budget.json; CI runs these tests and the -benchmem
+// benchmarks on every push.
+
+type allocBudget struct {
+	DuplicatePush       float64 `json:"duplicate_push_max_allocs"`
+	FirstReceiptForward float64 `json:"first_receipt_forward_f3_max_allocs"`
+	PullReqNothingToSay float64 `json:"pull_request_nothing_missing_max_allocs"`
+}
+
+func loadAllocBudget(t *testing.T) allocBudget {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	raw, err := os.ReadFile("testdata/alloc_budget.json")
+	if err != nil {
+		t.Fatalf("read alloc budget: %v", err)
+	}
+	budget := allocBudget{-1, -1, -1}
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatalf("parse alloc budget: %v", err)
+	}
+	if budget.DuplicatePush < 0 || budget.FirstReceiptForward <= 0 || budget.PullReqNothingToSay < 0 {
+		t.Fatalf("alloc budget missing fields: %+v", budget)
+	}
+	return budget
+}
+
+func checkAllocBudget(t *testing.T, what string, allocs, budget float64) {
+	t.Helper()
+	if allocs > budget {
+		t.Errorf("%s = %.1f allocs/op, budget %.0f (testdata/alloc_budget.json)", what, allocs, budget)
+	}
+	t.Logf("%s: %.1f allocs/op (budget %.0f)", what, allocs, budget)
+}
+
+// pushBench is one push engine at fanout 3 among 64 handler-less simnet
+// nodes, and a supply of distinct single-rumor push bodies as a peer would
+// send them.
+type pushBench struct {
+	net    *simnet.Network
+	eng    *Engine
+	bodies [][]byte
+	next   int
+}
+
+func newPushBench(tb testing.TB, bodies int) *pushBench {
+	tb.Helper()
+	net := simnet.New(simnet.DefaultConfig(1))
+	addrs := make([]string, 64)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("n%07d", i)
+		net.Node(addrs[i])
+	}
+	eng, err := New(Config{
+		Style: StylePush, Fanout: 3, Hops: 19,
+		Endpoint:      net.Node(addrs[0]),
+		Peers:         NewUniformPeers(addrs),
+		RNG:           simnet.NewCompactRNG(1),
+		SeenCacheSize: 256,
+		StoreSize:     64,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pb := &pushBench{net: net, eng: eng, bodies: make([][]byte, bodies)}
+	ids := testRand(1)
+	for i := range pb.bodies {
+		pb.bodies[i] = encodeRumors(Rumor{ID: NewRumorID(ids), Origin: addrs[1], Hops: 12, Payload: []byte("event 1")})
+	}
+	return pb
+}
+
+// receive hands the engine the next body and drains the three forwards.
+func (pb *pushBench) receive(tb testing.TB) {
+	body := pb.bodies[pb.next%len(pb.bodies)]
+	pb.next++
+	if err := pb.eng.handlePush(context.Background(), transport.Message{From: "n0000001", Body: body}); err != nil {
+		tb.Fatal(err)
+	}
+	pb.net.Run()
+}
+
+// TestDuplicatePushAllocBudget: two receipts in three are duplicates on the
+// scale path, and a duplicate is dropped on the ID as it lies in the body —
+// nothing is built.
+func TestDuplicatePushAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	pb := newPushBench(t, 1)
+	pb.receive(t) // first receipt
+	allocs := testing.AllocsPerRun(200, func() { pb.receive(t) })
+	if st := pb.eng.Stats(); st.Delivered != 1 || st.Duplicates < 200 || st.Forwarded != 3 {
+		t.Fatalf("stats = %+v", st)
+	}
+	checkAllocBudget(t, "duplicate push", allocs, budget.DuplicatePush)
+}
+
+// TestFirstReceiptForwardAllocBudget: a first receipt builds the owned rumor
+// (two strings and the payload), picks three peers, encodes one body for all
+// of them, and each send is one delivery record on the clock. The run is long
+// enough to cycle the seen cache and the store many times over, so their
+// evictions and the store's compaction are inside the figure.
+func TestFirstReceiptForwardAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	const runs = 2000
+	pb := newPushBench(t, runs+1)
+	allocs := testing.AllocsPerRun(runs, func() { pb.receive(t) })
+	if st := pb.eng.Stats(); st.Delivered != runs+1 || st.Duplicates != 0 || st.Forwarded != 3*(runs+1) {
+		t.Fatalf("stats = %+v", st)
+	}
+	checkAllocBudget(t, "first receipt + forward f=3", allocs, budget.FirstReceiptForward)
+}
+
+// TestPullRequestNothingMissingAllocBudget: a pull request whose digest lists
+// everything the responder stores — the round with nothing to say — marks the
+// store's slots from the IDs as they lie in the body: no set of strings, no
+// response.
+func TestPullRequestNothingMissingAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	pb := newPushBench(t, 64)
+	for range pb.bodies {
+		pb.receive(t)
+	}
+	digest := transport.Message{From: "n0000001", Body: encodeRefs(pb.eng.store.RecentRefs(64)...)}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := pb.eng.handlePullReq(context.Background(), digest); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st := pb.eng.Stats(); pb.eng.StoreLen() != 64 || st.PullResps != 0 {
+		t.Fatalf("store %d, stats %+v", pb.eng.StoreLen(), st)
+	}
+	checkAllocBudget(t, "pull request, nothing missing", allocs, budget.PullReqNothingToSay)
+}
+
+func BenchmarkDuplicatePush(b *testing.B) {
+	pb := newPushBench(b, 1)
+	pb.receive(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pb.receive(b)
+	}
+}
+
+func BenchmarkFirstReceiptForward(b *testing.B) {
+	pb := newPushBench(b, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pb.receive(b)
+	}
+}

@@ -79,6 +79,13 @@ func (c *seenCache) Add(id string) bool {
 		}
 		return false
 	}
+	c.insert(id)
+	return true
+}
+
+// insert adds an id the caller knows to be absent (Add, or a TouchBytes that
+// just reported false), evicting the least recently used beyond capacity.
+func (c *seenCache) insert(id string) {
 	var i int32
 	if n := len(c.free); n > 0 {
 		i = c.free[n-1]
@@ -97,7 +104,6 @@ func (c *seenCache) Add(id string) bool {
 		c.arena[oldest].id = "" // release the string
 		c.free = append(c.free, oldest)
 	}
-	return true
 }
 
 // TouchBytes is the duplicate half of Add for an identifier still sitting
@@ -120,19 +126,37 @@ func (c *seenCache) Contains(id string) bool {
 	return ok
 }
 
+// ContainsBytes is Contains for an id still in a message buffer.
+func (c *seenCache) ContainsBytes(id []byte) bool {
+	_, ok := c.items[string(id)]
+	return ok
+}
+
 // Len returns the number of cached IDs.
 func (c *seenCache) Len() int { return len(c.items) }
 
 // rumorStore retains recent rumor bodies so the node can answer IWANT and
 // pull requests. It evicts in FIFO order. Entries are never reordered, so
-// the order index is a deque: new IDs append at the end (newest), eviction
+// the store is a deque: new rumors append at the end (newest), eviction
 // advances start past the oldest, and the slice compacts when the dead
-// prefix dominates.
+// prefix dominates. index maps an ID to its insertion number; base is the
+// insertion number of slots[0].
+//
+// Each slot carries the pull responder's mark: the IDs a digest lists are
+// marked with the current generation, which MissingFrom advances once per
+// digest, so no mark is ever cleared and answering a digest builds no set.
 type rumorStore struct {
 	cap   int
-	ids   []string // insertion order; ids[start:] live, oldest first
+	slots []storeSlot // insertion order; slots[start:] live, oldest first
 	start int
-	items map[string]Rumor
+	base  int
+	index map[string]int
+	gen   uint64
+}
+
+type storeSlot struct {
+	r    Rumor
+	held uint64 // generation of the last digest that listed r.ID
 }
 
 func newRumorStore(capacity int) *rumorStore {
@@ -140,64 +164,86 @@ func newRumorStore(capacity int) *rumorStore {
 	// memory at large simulated populations.
 	return &rumorStore{
 		cap:   capacity,
-		items: make(map[string]Rumor),
+		index: make(map[string]int),
 	}
 }
 
 // Put stores r, replacing an existing entry with the same ID (keeping the
 // higher hop budget so repair is as strong as the freshest copy).
 func (s *rumorStore) Put(r Rumor) {
-	if old, ok := s.items[r.ID]; ok {
-		if r.Hops > old.Hops {
-			s.items[r.ID] = r
+	if pos, ok := s.index[r.ID]; ok {
+		if old := &s.slots[pos-s.base].r; r.Hops > old.Hops {
+			*old = r
 		}
 		return
 	}
-	s.items[r.ID] = r
-	s.ids = append(s.ids, r.ID)
-	for len(s.items) > s.cap {
-		delete(s.items, s.ids[s.start])
-		s.ids[s.start] = ""
+	s.index[r.ID] = s.base + len(s.slots)
+	s.slots = append(s.slots, storeSlot{r: r})
+	for len(s.index) > s.cap {
+		delete(s.index, s.slots[s.start].r.ID)
+		s.slots[s.start] = storeSlot{} // release the strings and the payload
 		s.start++
 	}
-	if s.start > len(s.ids)/2 && s.start > 64 {
-		s.ids = append(s.ids[:0], s.ids[s.start:]...)
+	if s.start > len(s.slots)/2 && s.start > 64 {
+		s.slots = append(s.slots[:0], s.slots[s.start:]...)
+		s.base += s.start
 		s.start = 0
 	}
 }
 
 // Get returns the stored rumor by ID.
 func (s *rumorStore) Get(id string) (Rumor, bool) {
-	r, ok := s.items[id]
-	return r, ok
+	pos, ok := s.index[id]
+	return s.at(pos, ok)
+}
+
+// GetBytes is Get for an ID still in a message buffer; it builds no string.
+func (s *rumorStore) GetBytes(id []byte) (Rumor, bool) {
+	pos, ok := s.index[string(id)]
+	return s.at(pos, ok)
+}
+
+// at resolves an index lookup to the rumor it names.
+func (s *rumorStore) at(pos int, ok bool) (Rumor, bool) {
+	if !ok {
+		return Rumor{}, false
+	}
+	return s.slots[pos-s.base].r, true
 }
 
 // Len returns the number of stored rumors.
-func (s *rumorStore) Len() int { return len(s.items) }
+func (s *rumorStore) Len() int { return len(s.index) }
 
 // RecentRefs returns up to n references to the most recent rumors.
 func (s *rumorStore) RecentRefs(n int) []RumorRef {
-	if n <= 0 || n > len(s.items) {
-		n = len(s.items)
+	if n <= 0 || n > len(s.index) {
+		n = len(s.index)
 	}
 	refs := make([]RumorRef, 0, n)
-	for i := len(s.ids) - 1; i >= s.start && len(refs) < n; i-- {
-		id := s.ids[i]
-		refs = append(refs, RumorRef{ID: id, Hops: s.items[id].Hops})
+	for i := len(s.slots) - 1; i >= s.start && len(refs) < n; i-- {
+		r := &s.slots[i].r
+		refs = append(refs, RumorRef{ID: r.ID, Hops: r.Hops})
 	}
 	return refs
 }
 
-// MissingFrom returns stored rumors whose IDs are absent from the given set,
-// newest first, capped at limit.
-func (s *rumorStore) MissingFrom(have map[string]struct{}, limit int) []Rumor {
-	var out []Rumor
-	for i := len(s.ids) - 1; i >= s.start && len(out) < limit; i-- {
-		id := s.ids[i]
-		if _, ok := have[id]; ok {
-			continue
+// MissingFrom returns copies of the stored rumors the digest does not list,
+// newest first, capped at limit. The digest's IDs are looked up as they lie
+// in the message body and mark the slots they name; the walk then collects
+// what stayed unmarked.
+func (s *rumorStore) MissingFrom(digest wireReader, limit int) []Rumor {
+	s.gen++
+	for digest.n > 0 {
+		ref, _ := digest.ref()
+		if pos, ok := s.index[string(ref.id)]; ok {
+			s.slots[pos-s.base].held = s.gen
 		}
-		out = append(out, s.items[id])
+	}
+	var out []Rumor
+	for i := len(s.slots) - 1; i >= s.start && len(out) < limit; i-- {
+		if s.slots[i].held != s.gen {
+			out = append(out, s.slots[i].r)
+		}
 	}
 	return out
 }

@@ -128,8 +128,7 @@ func TestRumorStoreMissingFrom(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Put(Rumor{ID: fmt.Sprintf("r%d", i)})
 	}
-	have := map[string]struct{}{"r1": {}, "r3": {}}
-	missing := s.MissingFrom(have, 10)
+	missing := s.MissingFrom(digestOf(t, "r1", "r3", "r1", "unknown"), 10)
 	if len(missing) != 2 {
 		t.Fatalf("missing = %v", missing)
 	}
@@ -138,7 +137,7 @@ func TestRumorStoreMissingFrom(t *testing.T) {
 			t.Fatalf("returned rumor the peer has: %s", m.ID)
 		}
 	}
-	capped := s.MissingFrom(map[string]struct{}{}, 1)
+	capped := s.MissingFrom(digestOf(t), 1)
 	if len(capped) != 1 {
 		t.Fatalf("cap ignored: %d", len(capped))
 	}

@@ -19,4 +19,22 @@
 //     uniform-without-replacement sampler every layer draws through.
 //   - SeenSet — the bounded duplicate-suppression cache.
 //   - Rumor / Style — the unit of dissemination and the spread discipline.
+//
+// The wire form (wire.go) is one length-prefixed binary codec — a kind byte
+// (rumors | refs), a uvarint count, then per rumor len‖id, len‖origin,
+// uvarint hops, len‖payload and per ref len‖id, uvarint hops — encoded into
+// one exactly-sized buffer. There is no second format and no fallback: the
+// body of a transport.Message is opaque to everything but the engine.
+//
+// The view-reader contract. Handlers do not decode a body into a struct; they
+// walk it with a reader whose fields alias msg.Body. The whole body is
+// validated before the first state change, so a malformed tail never leaves a
+// half-applied message (and a rejection allocates nothing). The seen cache is
+// asked with the ID as it lies in the body, so a duplicate — two receipts in
+// three under push — is dropped before anything is built. Views die with the
+// handler call: whatever reaches the seen cache, the store, the
+// requested/counters maps or Deliver is an owned copy, so nothing the engine
+// retains pins a message body, and Publish/Inject copy the caller's payload
+// for the same reason. Deliver receives the stored rumor and must not modify
+// its Payload.
 package gossip

@@ -158,41 +158,80 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) Style() Style { return e.cfg.Style }
 
 // Publish originates a rumor with the engine's full hop budget, delivers it
-// locally, and starts dissemination per the configured style.
+// locally, and starts dissemination per the configured style. The engine
+// keeps its own copy of payload: the caller may reuse its buffer.
 func (e *Engine) Publish(ctx context.Context, payload []byte) (Rumor, error) {
 	e.mu.Lock()
 	r := Rumor{
 		ID:      NewRumorID(e.rng),
 		Origin:  e.cfg.Endpoint.Addr(),
 		Hops:    e.cfg.Hops,
-		Payload: payload,
+		Payload: ownedPayload(payload),
 	}
 	e.stats.Published++
-	e.acceptLocked(ctx, r, false)
+	e.acceptLocked(ctx, r)
 	e.mu.Unlock()
 	return r, nil
 }
 
 // Inject processes an externally created rumor exactly as if it had been
 // received from a peer. WS-Gossip's Initiator role uses this to hand a
-// coordinator-assigned notification to the local engine.
+// coordinator-assigned notification to the local engine. As with Publish,
+// the engine copies r.Payload.
 func (e *Engine) Inject(ctx context.Context, r Rumor) {
+	r.Payload = ownedPayload(r.Payload)
 	e.mu.Lock()
-	e.acceptLocked(ctx, r, false)
+	e.acceptLocked(ctx, r)
 	e.mu.Unlock()
 }
 
-// acceptLocked is the single entry point for new rumors. viaPull marks
-// rumors learned through anti-entropy, which are stored and delivered but
-// not eagerly re-forwarded (they spread through subsequent pulls).
-func (e *Engine) acceptLocked(ctx context.Context, r Rumor, viaPull bool) {
-	if !e.seen.Add(r.ID) {
-		e.stats.Duplicates++
-		if e.cfg.Style == StyleCounter && !viaPull {
-			e.duplicateFeedbackLocked(ctx, r)
-		}
+// ownedPayload copies a caller's buffer: a stored rumor owns its bytes, so a
+// caller reusing the buffer cannot rewrite what later IWANT and pull
+// responses serve.
+func ownedPayload(p []byte) []byte {
+	if len(p) == 0 {
+		return nil
+	}
+	return append([]byte(nil), p...)
+}
+
+// acceptLocked is the entry point for a rumor the engine already owns
+// (Publish, Inject).
+func (e *Engine) acceptLocked(ctx context.Context, r Rumor) {
+	if e.seen.Add(r.ID) {
+		e.acceptNewLocked(ctx, r, false)
 		return
 	}
+	e.stats.Duplicates++
+	if e.cfg.Style == StyleCounter {
+		e.duplicateFeedbackLocked(ctx, r)
+	}
+}
+
+// receiveLocked is the entry point for a rumor still lying in a message body.
+// The seen cache is asked with the ID in place, so a duplicate is dropped
+// before anything is built; only a new rumor becomes an owned Rumor. viaPull
+// marks rumors learned through anti-entropy, which are stored and delivered
+// but not eagerly re-forwarded (they spread through subsequent pulls).
+func (e *Engine) receiveLocked(ctx context.Context, v rumorView, viaPull bool) {
+	if !e.seen.TouchBytes(v.id) {
+		r := v.rumor()
+		e.seen.insert(r.ID)
+		e.acceptNewLocked(ctx, r, viaPull)
+		return
+	}
+	e.stats.Duplicates++
+	if e.cfg.Style == StyleCounter && !viaPull {
+		// Only a rumor still being mongered is worth an owned copy.
+		if _, active := e.counters[string(v.id)]; active {
+			e.duplicateFeedbackLocked(ctx, v.rumor())
+		}
+	}
+}
+
+// acceptNewLocked stores, delivers and disseminates a rumor whose ID was just
+// added to the seen cache.
+func (e *Engine) acceptNewLocked(ctx context.Context, r Rumor, viaPull bool) {
 	delete(e.requested, r.ID)
 	e.store.Put(r)
 	e.stats.Delivered++
@@ -208,21 +247,17 @@ func (e *Engine) acceptLocked(ctx context.Context, r Rumor, viaPull bool) {
 	}
 	switch e.cfg.Style {
 	case StylePush, StylePushPull:
-		e.forwardLocked(ctx, r)
+		e.forwardLocked(ctx, r, e.cfg.Fanout)
 	case StyleLazyPush:
 		e.announceLocked(ctx, r)
 	case StyleFlood:
-		e.floodLocked(ctx, r)
+		e.forwardLocked(ctx, r, -1) // every known peer
 	case StyleCounter:
 		// First receipt: start mongering. The rumor stays active until
 		// CounterK duplicates are heard; hop budgets are not used, so the
 		// forwarded copy keeps whatever budget it arrived with.
 		e.counters[r.ID] = 0
-		burst := r
-		if burst.Hops <= 0 {
-			burst.Hops = 1 // keep receivers eligible to monger too
-		}
-		e.mongerBurstLocked(ctx, burst)
+		e.mongerBurstLocked(ctx, r)
 	case StylePull:
 		// Pull spreads only through Tick.
 	}
@@ -245,60 +280,33 @@ func (e *Engine) duplicateFeedbackLocked(ctx context.Context, r Rumor) {
 	if stored, ok := e.store.Get(r.ID); ok {
 		r = stored
 	}
-	if r.Hops <= 0 {
-		r.Hops = 1
-	}
 	e.mongerBurstLocked(ctx, r)
 }
 
 // mongerBurstLocked sends the rumor to f random peers without consuming a
 // hop budget (counter mongering terminates by feedback, not hops).
 func (e *Engine) mongerBurstLocked(ctx context.Context, r Rumor) {
-	peers := e.cfg.Peers.SelectPeers(e.rng, e.cfg.Fanout, e.cfg.Endpoint.Addr())
-	body, err := encodeWire(wireMsg{Rumors: []Rumor{r}})
-	if err != nil {
-		e.stats.SendErrors++
-		return
+	if r.Hops <= 0 {
+		r.Hops = 1 // keep receivers eligible to monger too
 	}
-	for _, p := range peers {
-		e.sendLocked(ctx, p, ActionPush, body)
-		e.stats.Forwarded++
-	}
+	e.pushLocked(ctx, r, e.cfg.Fanout)
 }
 
-// forwardLocked sends the payload to f random peers with a decremented hop
-// budget.
-func (e *Engine) forwardLocked(ctx context.Context, r Rumor) {
+// forwardLocked sends the payload to fanout random peers (every known peer
+// when fanout is negative) with a decremented hop budget.
+func (e *Engine) forwardLocked(ctx context.Context, r Rumor, fanout int) {
 	if r.Hops <= 0 {
 		return
 	}
-	next := r
-	next.Hops = r.Hops - 1
-	peers := e.cfg.Peers.SelectPeers(e.rng, e.cfg.Fanout, e.cfg.Endpoint.Addr())
-	body, err := encodeWire(wireMsg{Rumors: []Rumor{next}})
-	if err != nil {
-		e.stats.SendErrors++
-		return
-	}
-	for _, p := range peers {
-		e.sendLocked(ctx, p, ActionPush, body)
-		e.stats.Forwarded++
-	}
+	r.Hops--
+	e.pushLocked(ctx, r, fanout)
 }
 
-// floodLocked sends the payload to every known peer.
-func (e *Engine) floodLocked(ctx context.Context, r Rumor) {
-	if r.Hops <= 0 {
-		return
-	}
-	next := r
-	next.Hops = r.Hops - 1
-	peers := e.cfg.Peers.SelectPeers(e.rng, -1, e.cfg.Endpoint.Addr())
-	body, err := encodeWire(wireMsg{Rumors: []Rumor{next}})
-	if err != nil {
-		e.stats.SendErrors++
-		return
-	}
+// pushLocked sends r as it stands to fanout random peers; the one encoded
+// body is shared by every send.
+func (e *Engine) pushLocked(ctx context.Context, r Rumor, fanout int) {
+	peers := e.cfg.Peers.SelectPeers(e.rng, fanout, e.cfg.Endpoint.Addr())
+	body := encodeRumors(r)
 	for _, p := range peers {
 		e.sendLocked(ctx, p, ActionPush, body)
 		e.stats.Forwarded++
@@ -311,11 +319,7 @@ func (e *Engine) announceLocked(ctx context.Context, r Rumor) {
 		return
 	}
 	peers := e.cfg.Peers.SelectPeers(e.rng, e.cfg.Fanout, e.cfg.Endpoint.Addr())
-	body, err := encodeWire(wireMsg{Refs: []RumorRef{{ID: r.ID, Hops: r.Hops}}})
-	if err != nil {
-		e.stats.SendErrors++
-		return
-	}
+	body := encodeRefs(RumorRef{ID: r.ID, Hops: r.Hops})
 	for _, p := range peers {
 		e.sendLocked(ctx, p, ActionIHave, body)
 		e.stats.IHaveSent++
@@ -329,63 +333,77 @@ func (e *Engine) sendLocked(ctx context.Context, to, action string, body []byte)
 	}
 }
 
+// The five handlers read msg.Body through a wireReader (wire.go states the
+// ownership rule). readWire validates the whole body before the first state
+// change, so a malformed tail never leaves a half-applied message, and a body
+// of the other kind is rejected like any junk.
+
 // handlePush processes an inbound payload message.
 func (e *Engine) handlePush(ctx context.Context, msg transport.Message) error {
-	wm, err := decodeWire(msg.Body)
+	return e.receiveBatch(ctx, msg.Body, false)
+}
+
+// handlePullResp accepts repair rumors without eager re-forwarding.
+func (e *Engine) handlePullResp(ctx context.Context, msg transport.Message) error {
+	return e.receiveBatch(ctx, msg.Body, true)
+}
+
+func (e *Engine) receiveBatch(ctx context.Context, body []byte, viaPull bool) error {
+	rd, err := readWire(body, wireRumors)
 	if err != nil {
 		return err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, r := range wm.Rumors {
-		e.acceptLocked(ctx, r, false)
+	for rd.n > 0 {
+		v, _ := rd.rumor()
+		e.receiveLocked(ctx, v, viaPull)
 	}
 	return nil
 }
 
 // handleIHave answers announcements by requesting unseen rumors.
 func (e *Engine) handleIHave(ctx context.Context, msg transport.Message) error {
-	wm, err := decodeWire(msg.Body)
+	rd, err := readWire(msg.Body, wireRefs)
 	if err != nil {
 		return err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var want []RumorRef
-	for _, ref := range wm.Refs {
-		if e.seen.Contains(ref.ID) {
+	for rd.n > 0 {
+		ref, _ := rd.ref()
+		if e.seen.ContainsBytes(ref.id) {
 			e.stats.Duplicates++
 			continue
 		}
-		if _, pending := e.requested[ref.ID]; pending {
+		if _, pending := e.requested[string(ref.id)]; pending {
 			continue
 		}
-		e.requested[ref.ID] = struct{}{}
-		want = append(want, ref)
+		id := string(ref.id)
+		e.requested[id] = struct{}{}
+		want = append(want, RumorRef{ID: id, Hops: ref.hops})
 	}
 	if len(want) == 0 {
 		return nil
 	}
-	body, err := encodeWire(wireMsg{Refs: want})
-	if err != nil {
-		return err
-	}
-	e.sendLocked(ctx, msg.From, ActionIWant, body)
+	e.sendLocked(ctx, msg.From, ActionIWant, encodeRefs(want...))
 	e.stats.IWantSent++
 	return nil
 }
 
 // handleIWant serves requested rumor bodies with decremented hop budgets.
 func (e *Engine) handleIWant(ctx context.Context, msg transport.Message) error {
-	wm, err := decodeWire(msg.Body)
+	rd, err := readWire(msg.Body, wireRefs)
 	if err != nil {
 		return err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var out []Rumor
-	for _, ref := range wm.Refs {
-		r, ok := e.store.Get(ref.ID)
+	for rd.n > 0 {
+		ref, _ := rd.ref()
+		r, ok := e.store.GetBytes(ref.id)
 		if !ok {
 			continue
 		}
@@ -397,11 +415,7 @@ func (e *Engine) handleIWant(ctx context.Context, msg transport.Message) error {
 	if len(out) == 0 {
 		return nil
 	}
-	body, err := encodeWire(wireMsg{Rumors: out})
-	if err != nil {
-		return err
-	}
-	e.sendLocked(ctx, msg.From, ActionPush, body)
+	e.sendLocked(ctx, msg.From, ActionPush, encodeRumors(out...))
 	e.stats.Forwarded += int64(len(out))
 	return nil
 }
@@ -419,12 +433,7 @@ func (e *Engine) Tick(ctx context.Context) {
 	if len(peers) == 0 {
 		return
 	}
-	refs := e.store.RecentRefs(e.cfg.PullDigestSize)
-	body, err := encodeWire(wireMsg{Refs: refs})
-	if err != nil {
-		e.stats.SendErrors++
-		return
-	}
+	body := encodeRefs(e.store.RecentRefs(e.cfg.PullDigestSize)...)
 	for _, p := range peers {
 		e.sendLocked(ctx, p, ActionPullReq, body)
 		e.stats.PullReqs++
@@ -433,47 +442,23 @@ func (e *Engine) Tick(ctx context.Context) {
 
 // handlePullReq answers a digest with the rumors the requester is missing.
 func (e *Engine) handlePullReq(ctx context.Context, msg transport.Message) error {
-	wm, err := decodeWire(msg.Body)
+	digest, err := readWire(msg.Body, wireRefs)
 	if err != nil {
 		return err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	have := make(map[string]struct{}, len(wm.Refs))
-	for _, ref := range wm.Refs {
-		have[ref.ID] = struct{}{}
-	}
-	missing := e.store.MissingFrom(have, e.cfg.PullBatchSize)
+	missing := e.store.MissingFrom(digest, e.cfg.PullBatchSize)
 	if len(missing) == 0 {
 		return nil
 	}
-	out := make([]Rumor, len(missing))
-	for i, r := range missing {
-		if r.Hops > 0 {
-			r.Hops--
+	for i := range missing {
+		if missing[i].Hops > 0 {
+			missing[i].Hops--
 		}
-		out[i] = r
 	}
-	body, err := encodeWire(wireMsg{Rumors: out})
-	if err != nil {
-		return err
-	}
-	e.sendLocked(ctx, msg.From, ActionPullResp, body)
+	e.sendLocked(ctx, msg.From, ActionPullResp, encodeRumors(missing...))
 	e.stats.PullResps++
-	return nil
-}
-
-// handlePullResp accepts repair rumors without eager re-forwarding.
-func (e *Engine) handlePullResp(ctx context.Context, msg transport.Message) error {
-	wm, err := decodeWire(msg.Body)
-	if err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, r := range wm.Rumors {
-		e.acceptLocked(ctx, r, true)
-	}
 	return nil
 }
 

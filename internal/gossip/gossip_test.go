@@ -22,7 +22,7 @@ type cluster struct {
 	got     []map[string]int // per node: rumor id -> delivery count
 }
 
-func newCluster(t *testing.T, n int, seed int64, mutate func(i int, cfg *Config)) *cluster {
+func newCluster(t testing.TB, n int, seed int64, mutate func(i int, cfg *Config)) *cluster {
 	t.Helper()
 	net := simnet.New(simnet.DefaultConfig(seed))
 	addrs := make([]string, n)

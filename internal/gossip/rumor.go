@@ -2,7 +2,6 @@ package gossip
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 )
@@ -63,15 +62,15 @@ func ParseStyle(name string) (Style, error) {
 // Rumor is one unit of disseminated information.
 type Rumor struct {
 	// ID uniquely identifies the rumor; duplicates are suppressed by ID.
-	ID string `json:"id"`
+	ID string
 	// Origin is the address of the publishing node.
-	Origin string `json:"origin"`
+	Origin string
 	// Hops is the remaining forwarding budget (the paper's rounds r,
 	// decremented at each transfer; a rumor with Hops 0 is delivered but
 	// not forwarded).
-	Hops int `json:"hops"`
+	Hops int
 	// Payload is the application data.
-	Payload []byte `json:"payload,omitempty"`
+	Payload []byte
 }
 
 // NewRumorID draws a 128-bit rumor identifier from rng. Taking the ID from
@@ -97,33 +96,9 @@ const (
 	ActionPullResp = "urn:wsgossip:gossip:pullresp"
 )
 
-// wireMsg is the engine's wire format: either a batch of rumors (push,
-// pull-response) or a batch of rumor references (ihave, iwant, pull-request
-// digests).
-type wireMsg struct {
-	Rumors []Rumor    `json:"rumors,omitempty"`
-	Refs   []RumorRef `json:"refs,omitempty"`
-}
-
 // RumorRef names a rumor without its payload, with the forwarding budget it
 // would be transferred at.
 type RumorRef struct {
-	ID   string `json:"id"`
-	Hops int    `json:"hops"`
-}
-
-func encodeWire(m wireMsg) ([]byte, error) {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("gossip: encode wire message: %w", err)
-	}
-	return data, nil
-}
-
-func decodeWire(data []byte) (wireMsg, error) {
-	var m wireMsg
-	if err := json.Unmarshal(data, &m); err != nil {
-		return wireMsg{}, fmt.Errorf("gossip: decode wire message: %w", err)
-	}
-	return m, nil
+	ID   string
+	Hops int
 }

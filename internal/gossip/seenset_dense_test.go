@@ -148,8 +148,7 @@ func TestRumorStoreDequeCompaction(t *testing.T) {
 	if _, ok := s.Get("r4999"); !ok {
 		t.Fatal("newest rumor missing")
 	}
-	have := map[string]struct{}{"r4999": {}, "r4998": {}}
-	missing := s.MissingFrom(have, 3)
+	missing := s.MissingFrom(digestOf(t, "r4999", "r4998"), 3)
 	if len(missing) != 3 || missing[0].ID != "r4997" || missing[1].ID != "r4996" || missing[2].ID != "r4995" {
 		t.Fatalf("MissingFrom = %v", missing)
 	}

@@ -8,11 +8,51 @@ import (
 	"wsgossip/internal/transport"
 )
 
-// TestMalformedWireMessagesRejected: every engine handler must reject junk
-// bodies with an error and leave state untouched (a byzantine or buggy peer
-// must not crash or corrupt a node).
-func TestMalformedWireMessagesRejected(t *testing.T) {
-	net := simnet.New(simnet.DefaultConfig(1))
+// wireMsg is a decoded body. Only tests build one: the engine reads bodies
+// through views.
+type wireMsg struct {
+	Rumors []Rumor
+	Refs   []RumorRef
+}
+
+func encodeWire(m wireMsg) []byte {
+	if m.Refs != nil {
+		return encodeRefs(m.Refs...)
+	}
+	return encodeRumors(m.Rumors...)
+}
+
+// decodeWire reads a body of either kind into owned values.
+func decodeWire(body []byte) (wireMsg, error) {
+	var m wireMsg
+	if len(body) > 0 && body[0] == wireRefs {
+		rd, err := readWire(body, wireRefs)
+		if err != nil {
+			return m, err
+		}
+		m.Refs = []RumorRef{}
+		for rd.n > 0 {
+			ref, _ := rd.ref()
+			m.Refs = append(m.Refs, RumorRef{ID: string(ref.id), Hops: ref.hops})
+		}
+		return m, nil
+	}
+	rd, err := readWire(body, wireRumors)
+	if err != nil {
+		return m, err
+	}
+	for rd.n > 0 {
+		v, _ := rd.rumor()
+		m.Rumors = append(m.Rumors, v.rumor())
+	}
+	return m, nil
+}
+
+// wireHandlers returns a fresh push engine's five handlers, each with the
+// kind of body it reads.
+func wireHandlers(t testing.TB, seed int64) (*Engine, map[string]transport.Handler, map[string]byte) {
+	t.Helper()
+	net := simnet.New(simnet.DefaultConfig(seed))
 	eng, err := New(Config{
 		Style: StylePush, Fanout: 2, Hops: 4,
 		Endpoint: net.Node("a"),
@@ -21,49 +61,78 @@ func TestMalformedWireMessagesRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	junk := transport.Message{From: "evil", To: "a", Body: []byte("{not json")}
-	ctx := context.Background()
-	for name, h := range map[string]transport.Handler{
+	handlers := map[string]transport.Handler{
 		"push":     eng.handlePush,
 		"ihave":    eng.handleIHave,
 		"iwant":    eng.handleIWant,
 		"pullreq":  eng.handlePullReq,
 		"pullresp": eng.handlePullResp,
-	} {
-		if err := h(ctx, junk); err == nil {
-			t.Errorf("%s accepted junk", name)
+	}
+	kinds := map[string]byte{
+		"push": wireRumors, "pullresp": wireRumors,
+		"ihave": wireRefs, "iwant": wireRefs, "pullreq": wireRefs,
+	}
+	return eng, handlers, kinds
+}
+
+// TestMalformedWireMessagesRejected: every engine handler must reject junk
+// bodies with an error and leave state untouched (a byzantine or buggy peer
+// must not crash or corrupt a node). A body is validated whole before the
+// first state change, so the valid first entry of a bad batch is not applied
+// either; and a body of the other kind (refs sent to handlePush, rumors sent
+// to handleIHave) is an error like any junk, not a no-op.
+func TestMalformedWireMessagesRejected(t *testing.T) {
+	eng, handlers, kinds := wireHandlers(t, 1)
+	good := map[byte][]byte{
+		wireRumors: encodeRumors(Rumor{ID: "r1", Origin: "evil", Hops: 3, Payload: []byte("p")}, Rumor{ID: "r2", Origin: "evil", Hops: 3}),
+		wireRefs:   encodeRefs(RumorRef{ID: "r1", Hops: 3}, RumorRef{ID: "r2", Hops: 3}),
+	}
+	other := map[byte]byte{wireRumors: wireRefs, wireRefs: wireRumors}
+	ctx := context.Background()
+	for name, h := range handlers {
+		kind := kinds[name]
+		valid := good[kind]
+		bodies := map[string][]byte{
+			"nil":             nil,
+			"junk":            []byte("{not json"),
+			"unknown kind":    {9, 0},
+			"wrong kind":      good[other[kind]],
+			"kind only":       {kind},
+			"truncated":       valid[:len(valid)-1],
+			"cut mid-entry":   valid[:6],
+			"trailing byte":   append(append([]byte(nil), valid...), 0),
+			"hostile count":   {kind, 0xff, 0xff, 0xff, 0xff, 0x0f, 2, 'r', '1'},
+			"overlong count":  {kind, 0x80, 0x00},
+			"count too large": append([]byte{kind, 3}, valid[2:]...),
+			"hostile length":  {kind, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+		}
+		for what, body := range bodies {
+			if err := h(ctx, transport.Message{From: "evil", To: "a", Body: body}); err == nil {
+				t.Errorf("%s accepted %s body % x", name, what, body)
+			}
 		}
 	}
-	st := eng.Stats()
-	if st.Delivered != 0 || st.Forwarded != 0 {
+	if st := eng.Stats(); st != (Stats{}) {
 		t.Fatalf("junk mutated stats: %+v", st)
+	}
+	if eng.Seen("r1") || eng.StoreLen() != 0 {
+		t.Fatal("a rejected batch was half applied")
 	}
 }
 
-// TestEmptyWireMessagesHarmless: structurally valid but empty messages are
-// no-ops.
+// TestEmptyWireMessagesHarmless: structurally valid but empty messages — a
+// kind byte and a zero count — are no-ops.
 func TestEmptyWireMessagesHarmless(t *testing.T) {
-	net := simnet.New(simnet.DefaultConfig(2))
-	eng, err := New(Config{
-		Style: StylePush, Fanout: 2, Hops: 4,
-		Endpoint: net.Node("a"),
-		Peers:    NewStaticPeers([]string{"a", "b"}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	empty := transport.Message{From: "peer", To: "a", Body: []byte("{}")}
+	eng, handlers, kinds := wireHandlers(t, 2)
 	ctx := context.Background()
-	for name, h := range map[string]transport.Handler{
-		"push":     eng.handlePush,
-		"ihave":    eng.handleIHave,
-		"iwant":    eng.handleIWant,
-		"pullreq":  eng.handlePullReq,
-		"pullresp": eng.handlePullResp,
-	} {
+	for name, h := range handlers {
+		empty := transport.Message{From: "peer", To: "a", Body: []byte{kinds[name], 0}}
 		if err := h(ctx, empty); err != nil {
 			t.Errorf("%s rejected empty message: %v", name, err)
 		}
+	}
+	if st := eng.Stats(); st != (Stats{}) {
+		t.Fatalf("empty messages mutated stats: %+v", st)
 	}
 }
 
@@ -84,10 +153,7 @@ func TestIWantForUnknownRumorIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := encodeWire(wireMsg{Refs: []RumorRef{{ID: "ghost", Hops: 2}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := encodeRefs(RumorRef{ID: "ghost", Hops: 2})
 	if err := eng.handleIWant(context.Background(), transport.Message{From: "peer", To: "a", Body: body}); err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +184,7 @@ func TestIHaveDuplicateRequestSuppressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := encodeWire(wireMsg{Refs: []RumorRef{{ID: "r1", Hops: 2}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := encodeRefs(RumorRef{ID: "r1", Hops: 2})
 	ctx := context.Background()
 	if err := eng.handleIHave(ctx, transport.Message{From: "p1", To: "a", Body: body}); err != nil {
 		t.Fatal(err)
@@ -170,5 +233,66 @@ func TestPullDigestCapRespected(t *testing.T) {
 	net.Run()
 	if lastDigestLen != 8 {
 		t.Fatalf("digest length = %d, want 8", lastDigestLen)
+	}
+}
+
+// TestStoredRumorOwnsItsBytes: a stored rumor owns its payload. A publisher
+// (or an Inject caller) that reuses its buffer must not rewrite what a later
+// IWANT is served, and a received rumor must not alias the message body it
+// arrived in, which the fabric may hand to other receivers.
+func TestStoredRumorOwnsItsBytes(t *testing.T) {
+	net := simnet.New(simnet.DefaultConfig(6))
+	var served []Rumor
+	net.Node("peer").SetHandler(func(_ context.Context, msg transport.Message) error {
+		if msg.Action == ActionPush {
+			wm, err := decodeWire(msg.Body)
+			if err != nil {
+				return err
+			}
+			served = append(served, wm.Rumors...)
+		}
+		return nil
+	})
+	eng, err := New(Config{
+		Style: StyleLazyPush, Fanout: 1, Hops: 2,
+		Endpoint: net.Node("a"),
+		Peers:    NewStaticPeers([]string{"a", "peer"}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	buf := []byte("first edition")
+	published, err := eng.Publish(ctx, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "REWRITTEN....")
+	injected := []byte("injected text")
+	eng.Inject(ctx, Rumor{ID: "inj", Origin: "elsewhere", Hops: 2, Payload: injected})
+	copy(injected, "REWRITTEN....")
+	body := encodeRumors(Rumor{ID: "rcv", Origin: "elsewhere", Hops: 2, Payload: []byte("received text")})
+	if err := eng.handlePush(ctx, transport.Message{From: "peer", To: "a", Body: body}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range body {
+		body[i] = 0xff
+	}
+
+	want := encodeRefs(RumorRef{ID: published.ID, Hops: 2}, RumorRef{ID: "inj", Hops: 2}, RumorRef{ID: "rcv", Hops: 2})
+	if err := eng.handleIWant(ctx, transport.Message{From: "peer", To: "a", Body: want}); err != nil {
+		t.Fatal(err)
+	}
+	net.Run()
+	if len(served) != 3 {
+		t.Fatalf("served %d rumors, want 3", len(served))
+	}
+	for i, text := range []string{"first edition", "injected text", "received text"} {
+		if got := string(served[i].Payload); got != text {
+			t.Errorf("IWANT served %q for %s, want %q", got, served[i].ID, text)
+		}
+	}
+	if served[2].ID != "rcv" || served[2].Origin != "elsewhere" {
+		t.Errorf("received rumor served as %+v", served[2])
 	}
 }

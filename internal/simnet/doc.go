@@ -24,6 +24,16 @@
 // loss and latency draws a live destination would have, so survivors' random
 // streams are unaffected while the timer queue carries no deliveries into
 // dead nodes — the property that lets churn runs scale to 10^5-10^6 nodes.
+//
+// The fire-and-forget contract. A message in flight is one heap record
+// ({net, dest, msg}) handed to clock.Virtual.Schedule: it takes the same
+// timer and the same (deadline, seq) slot an AfterFunc in its place would —
+// including the deferral inside a parallel same-deadline batch — but no stop
+// handle exists, because nothing ever cancels a delivery: a crash is checked
+// when it lands. The body is delivered as sent, not copied; a sender that
+// fans one body out to f peers shares it among f handlers, which therefore
+// must not modify it or keep it past the call.
+//
 // NewCompactRNG supplies a 16-byte splitmix64 rand.Rand for per-node state
 // at that scale (math/rand's default source is ~5 KiB per instance).
 package simnet

@@ -331,27 +331,36 @@ func (n *Network) send(from string, msg transport.Message) error {
 		latency += n.faults.ExtraDelay(from, msg.To)
 	}
 	msg.From = from
-	n.clk.AfterFunc(latency, func() {
-		n.deliver(dest, msg)
-	})
+	n.clk.Schedule(latency, &delivery{net: n, dest: dest, msg: msg})
 	return nil
 }
 
-func (n *Network) deliver(dest *Node, msg transport.Message) {
+// delivery is one message in flight: the single heap record a send costs.
+// Nobody cancels a delivery (a crash is checked on arrival), so it rides the
+// clock's fire-and-forget path and takes no stop handle.
+type delivery struct {
+	net  *Network
+	dest *Node
+	msg  transport.Message
+}
+
+// Fire hands the message to the destination's handler, if it is still up.
+func (d *delivery) Fire() {
+	n := d.net
 	n.mu.Lock()
-	if n.crashed[dest.addr] {
+	if n.crashed[d.dest.addr] {
 		n.stats.Dropped++
 		n.mu.Unlock()
 		return
 	}
-	h := dest.handler
+	h := d.dest.handler
 	n.stats.Delivered++
 	n.mu.Unlock()
 	if h == nil {
 		return
 	}
 	// Handler errors are protocol-level; the network, like UDP, ignores them.
-	_ = h(context.Background(), msg)
+	_ = h(context.Background(), d.msg)
 }
 
 // Node is one simulated endpoint.
