@@ -4,7 +4,13 @@ import (
 	"context"
 	"encoding/xml"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,11 +47,32 @@ func (a *apiApp) count() int {
 	return len(a.values)
 }
 
+// startAPINode builds a node on bus and vc, serves it and starts it. Start's
+// coordinator subscription is a zero-delay timer: Advance(0) fires it now, so
+// nodes subscribe in the order they are started.
+func startAPINode(t *testing.T, bus *soap.MemBus, vc *clock.Virtual, cfg wsgossip.NodeConfig) *wsgossip.Node {
+	t.Helper()
+	cfg.Caller, cfg.Clock = bus, vc
+	node, err := wsgossip.NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus.Register(cfg.Address, node.Handler())
+	if err := node.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Stop)
+	vc.Advance(0)
+	return node
+}
+
 // TestPublicAPIEndToEnd drives a complete WS-Gossip deployment exclusively
-// through the public wsgossip package.
+// through the public wsgossip package: the Coordinator and the Initiator,
+// and every subscriber a Node.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	bus := soap.NewMemBus()
+	vc := clock.NewVirtual()
 
 	coordinator := wsgossip.NewCoordinator(wsgossip.CoordinatorConfig{
 		Address: "mem://coordinator",
@@ -60,24 +87,20 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	const services = 24
 	apps := make([]*apiApp, services)
 	for i := 0; i < services; i++ {
-		addr := fmt.Sprintf("mem://svc%02d", i)
 		apps[i] = &apiApp{}
-		d, err := wsgossip.NewDisseminator(wsgossip.DisseminatorConfig{
-			Address: addr, Caller: bus, App: apps[i],
-			RNG: rand.New(rand.NewSource(int64(i) + 10)),
+		startAPINode(t, bus, vc, wsgossip.NodeConfig{
+			Address: fmt.Sprintf("mem://svc%02d", i), App: apps[i],
+			Seed:        int64(i) + 9, // the Disseminator draws Seed+1
+			Coordinator: "mem://coordinator",
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bus.Register(addr, d.Handler())
-		if err := wsgossip.Subscribe(ctx, bus, "mem://coordinator", addr, wsgossip.RoleDisseminator); err != nil {
-			t.Fatal(err)
-		}
 	}
 	consumerApp := &apiApp{}
-	bus.Register("mem://consumer", wsgossip.NewConsumer(consumerApp).Handler())
-	if err := wsgossip.Subscribe(ctx, bus, "mem://coordinator", "mem://consumer", wsgossip.RoleConsumer); err != nil {
-		t.Fatal(err)
+	startAPINode(t, bus, vc, wsgossip.NodeConfig{
+		Address: "mem://consumer", Role: wsgossip.RoleConsumer, App: consumerApp,
+		Coordinator: "mem://coordinator",
+	})
+	if got := len(coordinator.Subscribers()); got != services+1 {
+		t.Fatalf("subscribers = %d", got)
 	}
 
 	initiator, err := wsgossip.NewInitiator(wsgossip.InitiatorConfig{
@@ -108,111 +131,75 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if consumerApp.count() < events {
 		t.Fatalf("consumer received %d/%d", consumerApp.count(), events)
 	}
-	if got := len(coordinator.Subscribers()); got != services+1 {
-		t.Fatalf("subscribers = %d", got)
-	}
 }
 
-// TestPublicAPIAggregation drives an aggregation exclusively through the
-// public wsgossip package: coordinator, 16 aggregate services, one querier.
+// TestPublicAPIAggregation checks every aggregate function a NodeConfig
+// query can name: 16 participant Nodes contribute 1..16, a querier Node
+// keeps all five quantities fresh, and each frozen estimate must match the
+// ground truth within 1%.
 func TestPublicAPIAggregation(t *testing.T) {
-	ctx := context.Background()
 	bus := soap.NewMemBus()
+	vc := clock.NewVirtual()
 	coordinator := wsgossip.NewCoordinator(wsgossip.CoordinatorConfig{
 		Address: "mem://coordinator",
 		RNG:     rand.New(rand.NewSource(21)),
 	})
 	bus.Register("mem://coordinator", coordinator.Handler())
 
-	const services = 16
-	svcs := make([]*wsgossip.AggregateService, services)
-	sum := 0.0
+	const (
+		services = 16
+		period   = 50 * time.Millisecond
+		window   = 20 * period
+	)
 	for i := 0; i < services; i++ {
-		addr := fmt.Sprintf("mem://agg%02d", i)
 		v := float64(i + 1)
-		sum += v
-		svc, err := wsgossip.NewAggregateService(wsgossip.AggregateServiceConfig{
-			Address: addr, Caller: bus,
-			Value: func() float64 { return v },
-			RNG:   rand.New(rand.NewSource(int64(i) + 30)),
+		startAPINode(t, bus, vc, wsgossip.NodeConfig{
+			Address:        fmt.Sprintf("mem://agg%02d", i),
+			Seed:           int64(i) + 30,
+			Coordinator:    "mem://coordinator",
+			Value:          func() float64 { return v },
+			AggregateEvery: period,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bus.Register(addr, svc.Handler())
-		svcs[i] = svc
-		if err := wsgossip.Subscribe(ctx, bus, "mem://coordinator", addr,
-			wsgossip.RoleDisseminator, wsgossip.ProtocolAggregate); err != nil {
-			t.Fatal(err)
-		}
 	}
-	querier, err := wsgossip.NewQuerier(wsgossip.QuerierConfig{
-		Address: "mem://querier", Caller: bus, Activation: "mem://coordinator",
-		RNG: rand.New(rand.NewSource(99)),
+	// The querier holds no value, so count and sum cover the services only.
+	querier := startAPINode(t, bus, vc, wsgossip.NodeConfig{
+		Address:     "mem://querier",
+		Seed:        99,
+		Coordinator: "mem://coordinator",
+		Queries: []wsgossip.ContinuousQuery{
+			{Name: "n", Func: wsgossip.FuncCount},
+			{Name: "total", Func: wsgossip.FuncSum},
+			{Name: "mean", Func: wsgossip.FuncAvg},
+			{Name: "low", Func: wsgossip.FuncMin},
+			{Name: "high", Func: wsgossip.FuncMax},
+		},
+		QueryWindow:    window,
+		AggregateEvery: period,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("mem://querier", querier.Handler())
-	if err := wsgossip.Subscribe(ctx, bus, "mem://coordinator", "mem://querier",
-		wsgossip.RoleDisseminator, wsgossip.ProtocolAggregate); err != nil {
-		t.Fatal(err)
-	}
 
-	task, err := querier.StartAggregation(ctx, wsgossip.FuncAvg)
-	if err != nil {
-		t.Fatal(err)
+	truth := map[string]float64{"n": services, "total": services * (services + 1) / 2,
+		"mean": (services + 1) / 2.0, "low": 1, "high": services}
+	vc.Advance(2*window + period) // epoch 1 has closed and frozen
+	ests := querier.Health().Cluster.Queries
+	if len(ests) != len(truth) {
+		t.Fatalf("%d query estimates, want %d", len(ests), len(truth))
 	}
-	for r := 0; r < task.Params.MaxRounds && !querier.Converged(task.ID); r++ {
-		for _, svc := range svcs {
-			svc.Tick(ctx)
+	for _, est := range ests {
+		want := truth[est.Query]
+		if !est.Defined || est.FrozenEpoch < 1 {
+			t.Fatalf("%s: no frozen estimate after two windows: %+v", est.Query, est)
 		}
-		querier.Tick(ctx)
-	}
-	est, ok := querier.Estimate(task.ID)
-	if !ok {
-		t.Fatal("no estimate")
-	}
-	truth := sum / services
-	if diff := est - truth; diff > truth*0.01 || diff < -truth*0.01 {
-		t.Fatalf("estimate %.4f vs truth %.4f beyond 1%%", est, truth)
+		if diff := est.Estimate - want; diff > want*0.01 || diff < -want*0.01 {
+			t.Fatalf("%s: epoch %d estimate %.4f vs truth %.4f beyond 1%%", est.Query, est.FrozenEpoch, est.Estimate, want)
+		}
 	}
 }
 
-func TestEpidemicHelpers(t *testing.T) {
-	cov, err := wsgossip.ExpectedCoverage(1000, 3, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov < 0.9 || cov > 1 {
-		t.Fatalf("coverage = %v", cov)
-	}
-	r, err := wsgossip.RoundsForCoverage(1000, 4, 0.95, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r < 4 || r > 30 {
-		t.Fatalf("rounds = %d", r)
-	}
-	f, h := wsgossip.DefaultParamPolicy(256)
-	if f != 3 || h != 10 {
-		t.Fatalf("policy = (%d, %d)", f, h)
-	}
-	gamma, err := wsgossip.PushSumContraction(256, 3)
-	if err != nil || gamma <= 0 || gamma >= 1 {
-		t.Fatalf("contraction = %v, %v", gamma, err)
-	}
-	pr, err := wsgossip.PushSumRoundsToEpsilon(256, 3, 1e-4)
-	if err != nil || pr < 5 || pr > 40 {
-		t.Fatalf("push-sum rounds = %d, %v", pr, err)
-	}
-}
-
-// TestPublicAPIRunner drives the aggregation flow through the exported
-// Runner on a virtual clock: exchange rounds fire from each participant's
-// own self-clocking loops, the test only advances time.
+// TestPublicAPIRunner keeps a cluster average fresh with no test-driven
+// ticks: 12 participant Nodes contribute a value, a querier Node runs a
+// continuous query, and every push-sum exchange fires from the nodes' own
+// jittered rounds on one virtual clock — the test only advances time.
 func TestPublicAPIRunner(t *testing.T) {
-	ctx := context.Background()
 	bus := soap.NewMemBus()
 	vc := clock.NewVirtual()
 	coordinator := wsgossip.NewCoordinator(wsgossip.CoordinatorConfig{
@@ -224,135 +211,137 @@ func TestPublicAPIRunner(t *testing.T) {
 	const (
 		services = 12
 		period   = 50 * time.Millisecond
+		window   = 20 * period
 	)
-	var runners []*wsgossip.Runner
-	defer func() {
-		for _, r := range runners {
-			r.Stop()
-		}
-	}()
-	startRunner := func(svc interface{ Tick(context.Context) }, seed int64) {
-		t.Helper()
-		r, err := wsgossip.NewRunner(wsgossip.RunnerConfig{
-			Clock:          vc,
-			RNG:            rand.New(rand.NewSource(seed)),
-			Aggregator:     svc,
-			AggregateEvery: period,
-			JitterFrac:     0.2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
-		runners = append(runners, r)
-	}
 	sum := 0.0
 	for i := 0; i < services; i++ {
-		addr := fmt.Sprintf("mem://run%02d", i)
 		v := float64(i + 1)
 		sum += v
-		svc, err := wsgossip.NewAggregateService(wsgossip.AggregateServiceConfig{
-			Address: addr, Caller: bus,
-			Value: func() float64 { return v },
-			RNG:   rand.New(rand.NewSource(int64(i) + 60)),
+		startAPINode(t, bus, vc, wsgossip.NodeConfig{
+			Address:        fmt.Sprintf("mem://run%02d", i),
+			Seed:           int64(i+1) * 8,
+			Coordinator:    "mem://coordinator",
+			JitterFrac:     0.2,
+			Value:          func() float64 { return v },
+			AggregateEvery: period,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bus.Register(addr, svc.Handler())
-		if err := wsgossip.Subscribe(ctx, bus, "mem://coordinator", addr,
-			wsgossip.RoleDisseminator, wsgossip.ProtocolAggregate); err != nil {
-			t.Fatal(err)
-		}
-		startRunner(svc, int64(i)+600)
 	}
-	querier, err := wsgossip.NewQuerier(wsgossip.QuerierConfig{
-		Address: "mem://querier", Caller: bus, Activation: "mem://coordinator",
-		RNG: rand.New(rand.NewSource(66)),
+	querier := startAPINode(t, bus, vc, wsgossip.NodeConfig{
+		Address:        "mem://querier",
+		Seed:           1000,
+		Coordinator:    "mem://coordinator",
+		JitterFrac:     0.2,
+		AggregateEvery: period,
+		Queries:        []wsgossip.ContinuousQuery{{Name: "load", Func: wsgossip.FuncAvg}},
+		QueryWindow:    window,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("mem://querier", querier.Handler())
-	if err := wsgossip.Subscribe(ctx, bus, "mem://coordinator", "mem://querier",
-		wsgossip.RoleDisseminator, wsgossip.ProtocolAggregate); err != nil {
-		t.Fatal(err)
-	}
-	startRunner(querier, 666)
 
-	task, err := querier.StartAggregation(ctx, wsgossip.FuncAvg)
-	if err != nil {
-		t.Fatal(err)
+	for _, est := range querier.Health().Cluster.Queries {
+		if est.Defined {
+			t.Fatalf("estimate before any round fired: %+v", est)
+		}
 	}
-	for r := 0; r < task.Params.MaxRounds && !querier.Converged(task.ID); r++ {
-		vc.Advance(period) // rounds fire from the runners, not the test
-	}
-	if !querier.Converged(task.ID) {
-		t.Fatal("self-clocked aggregation did not converge within the round budget")
-	}
-	est, ok := querier.Estimate(task.ID)
-	if !ok {
-		t.Fatal("no estimate")
+	vc.Advance(2*window + period) // epoch 1 has closed and frozen
+	est := querier.Health().Cluster.Queries[0]
+	if !est.Defined || est.FrozenEpoch < 1 {
+		t.Fatalf("no frozen estimate after two windows: %+v", est)
 	}
 	truth := sum / services
-	if diff := est - truth; diff > truth*0.01 || diff < -truth*0.01 {
-		t.Fatalf("estimate %.4f vs truth %.4f beyond 1%%", est, truth)
+	if diff := est.Estimate - truth; diff > truth*0.01 || diff < -truth*0.01 {
+		t.Fatalf("epoch %d estimate %.4f vs truth %.4f beyond 1%%", est.FrozenEpoch, est.Estimate, truth)
 	}
 }
 
-// apiRefuser fails every send with a connection error and answers no calls;
-// it stands in for a broken direct link in the prober test below.
-type apiRefuser struct{}
-
-func (apiRefuser) Call(context.Context, string, *soap.Envelope) (*soap.Envelope, error) {
-	return nil, fmt.Errorf("refused")
-}
-func (apiRefuser) Send(context.Context, string, *soap.Envelope) error {
-	return fmt.Errorf("refused")
-}
-
-// TestPublicAPIFaultTolerance drives the asymmetric-failure surface through
-// the public package: a parsed fault plan applied to a fault table, and a
-// prober whose helperless round escalates to the down callback.
-func TestPublicAPIFaultTolerance(t *testing.T) {
-	plan, err := wsgossip.ParseFaultPlan("0ms refuse a->b name=oneway\n10ms heal oneway\n")
+func TestEpidemicHelpers(t *testing.T) {
+	r, err := wsgossip.RoundsForCoverage(1000, 4, 0.95, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := wsgossip.NewFaultTable()
-	clk := clock.NewVirtual()
-	if err := plan.Schedule(clk, wsgossip.FaultApplier{Table: tbl}); err != nil {
+	if r < 4 || r > 30 {
+		t.Fatalf("rounds = %d", r)
+	}
+	f, h := wsgossip.DefaultParamPolicy(256)
+	if f != 3 || h != 10 {
+		t.Fatalf("policy = (%d, %d)", f, h)
+	}
+}
+
+// publicSurface is the root package's exported top-level identifiers,
+// sorted. An identifier belongs here only if it is a paper role (Coordinator,
+// Initiator, their configs, Interaction), Node or its configuration, a type
+// or value a NodeConfig field takes, a type a Node accessor returns, or
+// something a non-test caller in examples/ or cmd/ uses. Anything else is
+// reached through internal/ by the code that needs it.
+var publicSurface = []string{
+	"AddressSeed",
+	"AggregateFunc",
+	"ContinuousQuery",
+	"Coordinator",
+	"CoordinatorConfig",
+	"DefaultParamPolicy",
+	"DeliveryConfig",
+	"DeliveryPlane",
+	"Disseminator",
+	"FuncAvg",
+	"FuncCount",
+	"FuncMax",
+	"FuncMin",
+	"FuncSum",
+	"Initiator",
+	"InitiatorConfig",
+	"Interaction",
+	"MembershipService",
+	"NewCoordinator",
+	"NewInitiator",
+	"NewNode",
+	"Node",
+	"NodeConfig",
+	"NodeMembership",
+	"PeerView",
+	"Prober",
+	"ProtocolPullGossip",
+	"RoleConsumer",
+	"RoleDisseminator",
+	"RoundsForCoverage",
+}
+
+// TestPublicSurface pins the root package's exported identifiers: adding or
+// removing one is a deliberate edit of publicSurface.
+func TestPublicSurface(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	clk.Advance(0)
-	if d := tbl.Check("a", "b"); d.Outcome.String() != "refuse" {
-		t.Fatalf("outcome = %v", d.Outcome)
+	var got []string
+	for _, f := range pkgs["wsgossip"].Files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					got = append(got, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							got = append(got, s.Name.Name)
+						}
+					case *ast.ValueSpec:
+						for _, name := range s.Names {
+							if name.IsExported() {
+								got = append(got, name.Name)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
-	if d := tbl.Check("b", "a"); d.Outcome.String() != "deliver" {
-		t.Fatalf("reverse direction = %v, want deliver (the fault is asymmetric)", d.Outcome)
-	}
-	clk.Advance(10 * time.Millisecond)
-	if d := tbl.Check("a", "b"); d.Outcome.String() != "deliver" {
-		t.Fatalf("after heal = %v", d.Outcome)
-	}
-	if tbl.Counts()["oneway"] != 1 {
-		t.Fatalf("counts = %v", tbl.Counts())
-	}
-
-	var down []string
-	prober := wsgossip.NewProber(wsgossip.ProberConfig{
-		Self:   "urn:self",
-		Caller: apiRefuser{},
-		Clock:  clk,
-		OnDown: func(addr string) { down = append(down, addr) },
-	})
-	prober.Confirm("urn:peer") // no helpers: immediate confirmed-down
-	if len(down) != 1 || down[0] != "urn:peer" {
-		t.Fatalf("down = %v", down)
-	}
-	if st := prober.Stats(); st.NoHelpers != 1 {
-		t.Fatalf("stats = %+v", st)
+	slices.Sort(got)
+	if !slices.Equal(got, publicSurface) {
+		t.Fatalf("exported identifiers changed:\n got  %v\n want %v", got, publicSurface)
 	}
 }

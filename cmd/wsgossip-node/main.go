@@ -31,6 +31,8 @@ import (
 	"wsgossip"
 	"wsgossip/internal/aggregate"
 	"wsgossip/internal/clock"
+	"wsgossip/internal/core"
+	"wsgossip/internal/delivery"
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/obs"
@@ -204,7 +206,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
 // drainPlane waits until the plane's queues and in-flight window are empty,
 // so a short-lived role does not exit with retries still pending. Returns
 // false when the timeout expired with work outstanding.
-func drainPlane(p *wsgossip.DeliveryPlane, timeout time.Duration) bool {
+func drainPlane(p *delivery.Plane, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
 		st := p.Stats()
@@ -293,14 +295,14 @@ func runCoordinator(listen, addr, styleName string, activityTTL, pruneEvery time
 		ActivityTTL: activityTTL,
 		Metrics:     reg,
 	})
-	var runner *wsgossip.Runner
+	var runner *core.Runner
 	if pruneEvery > 0 {
 		// Expiry pruning is a self-clocking coordinator round, scheduled by
 		// the same Runner the gossip services use for theirs.
-		runner, err = wsgossip.NewRunner(wsgossip.RunnerConfig{
+		runner, err = core.NewRunner(core.RunnerConfig{
 			RNG:     rand.New(rand.NewSource(wsgossip.AddressSeed(addr))),
 			Metrics: reg,
-			Loops: []wsgossip.RunnerLoop{{
+			Loops: []core.Loop{{
 				Name:   "prune",
 				Period: pruneEvery,
 				Jitter: pruneEvery / 10,
@@ -400,16 +402,16 @@ func parseClusterQueries(spec string) ([]aggregate.ContinuousQuery, error) {
 
 // runInitiator issues the notifications; a non-nil df routes them through a
 // delivery plane with those budgets.
-func runInitiator(coordinator, message string, count int, client *soap.HTTPClient, df *wsgossip.DeliveryConfig) error {
+func runInitiator(coordinator, message string, count int, client *soap.HTTPClient, df *delivery.Config) error {
 	const initAddr = "urn:wsgossip:initiator"
 	reg := metrics.NewRegistry()
 	var caller soap.Caller = client
-	var plane *wsgossip.DeliveryPlane
+	var plane *delivery.Plane
 	if df != nil {
 		pc := *df
 		pc.Caller, pc.Clock, pc.Metrics = client, clock.NewReal(), reg
 		pc.RNG = rand.New(rand.NewSource(wsgossip.AddressSeed(initAddr)))
-		plane = wsgossip.NewDeliveryPlane(pc)
+		plane = delivery.NewPlane(pc)
 		defer plane.Close()
 		caller = plane
 	}

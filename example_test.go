@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"wsgossip"
+	"wsgossip/internal/clock"
 	"wsgossip/internal/soap"
 )
 
@@ -29,11 +30,12 @@ func (a *exampleApp) HandleSOAP(_ context.Context, req *soap.Request) (*soap.Env
 }
 
 // Example shows the paper's Figure 1 in miniature: a Coordinator, one
-// Disseminator, one unchanged Consumer, and an Initiator that issues a
-// single notification.
+// Disseminator and one unchanged Consumer — each a Node — and an Initiator
+// that issues a single notification.
 func Example() {
 	ctx := context.Background()
 	bus := soap.NewMemBus()
+	vc := clock.NewVirtual()
 
 	// Hops 0 keeps the example deterministic: the initiator reaches both
 	// subscribers directly and nobody re-forwards (the unchanged consumer
@@ -46,26 +48,24 @@ func Example() {
 	})
 	bus.Register("mem://coordinator", coordinator.Handler())
 
-	disseminator, err := wsgossip.NewDisseminator(wsgossip.DisseminatorConfig{
-		Address: "mem://service",
-		Caller:  bus,
-		App:     &exampleApp{name: "service"},
-	})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
+	for _, cfg := range []wsgossip.NodeConfig{
+		{Address: "mem://service", App: &exampleApp{name: "service"}},
+		{Address: "mem://viewer", Role: wsgossip.RoleConsumer, App: &exampleApp{name: "viewer"}},
+	} {
+		cfg.Caller, cfg.Clock, cfg.Coordinator = bus, vc, "mem://coordinator"
+		node, err := wsgossip.NewNode(cfg)
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		bus.Register(cfg.Address, node.Handler())
+		if err := node.Start(ctx); err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		defer node.Stop()
 	}
-	bus.Register("mem://service", disseminator.Handler())
-	if err := wsgossip.Subscribe(ctx, bus, "mem://coordinator", "mem://service", wsgossip.RoleDisseminator); err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-
-	bus.Register("mem://viewer", wsgossip.NewConsumer(&exampleApp{name: "viewer"}).Handler())
-	if err := wsgossip.Subscribe(ctx, bus, "mem://coordinator", "mem://viewer", wsgossip.RoleConsumer); err != nil {
-		fmt.Println("error:", err)
-		return
-	}
+	vc.Advance(0) // Start subscribes on the node's clock
 
 	initiator, err := wsgossip.NewInitiator(wsgossip.InitiatorConfig{
 		Address:    "mem://feed",
@@ -90,14 +90,11 @@ func Example() {
 	// viewer received "hello"
 }
 
-// ExampleExpectedCoverage sizes gossip parameters from the analytic model,
-// the way a Coordinator's parameter policy does.
-func ExampleExpectedCoverage() {
-	cov, _ := wsgossip.ExpectedCoverage(1000, 3, 12)
-	fmt.Printf("f=3, r=12, N=1000: expected coverage %.2f\n", cov)
+// ExampleRoundsForCoverage sizes a hop budget from the analytic model, the
+// way a Coordinator's parameter policy does.
+func ExampleRoundsForCoverage() {
 	rounds, _ := wsgossip.RoundsForCoverage(1000, 6, 0.99, 100)
 	fmt.Printf("f=6 reaches 99%% in %d rounds\n", rounds)
 	// Output:
-	// f=3, r=12, N=1000: expected coverage 0.94
 	// f=6 reaches 99% in 6 rounds
 }

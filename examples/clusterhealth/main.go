@@ -1,15 +1,17 @@
-// Cluster health demo: continuous queries over epoch-windowed push-sum.
+// Cluster health demo: push-sum aggregation as continuous queries.
 //
-// A Querier drives three continuous queries — node count, average load, and
-// peak load — through an AggregateWindow: every node restarts push-sum at
-// each 500ms window boundary on the shared clock, so the frozen estimate of
-// the last closed epoch is never more than one window stale and churn is
-// absorbed at the next boundary. Eight services join mid-window and the
-// demo shows exactly when the count re-tracks: the epoch they joined still
-// freezes the old population (joiners relay passively), the one after
-// counts them. The closing act prints the same estimates as the /healthz
-// "cluster" section every wsgossip-node serves when run with
-// -cluster-queries.
+// A querier node keeps three cluster quantities fresh — node count, average
+// load, and peak load — with nothing but gossip exchanges of (sum, weight)
+// shares: every node restarts push-sum at each 500ms window boundary on the
+// shared clock, so the frozen estimate of the last closed epoch is never more
+// than one window stale and churn is absorbed at the next boundary. Each
+// service is a wsgossip.Node with a local value; a live membership view is
+// what every exchange samples, so services that join later are reached too.
+// Eight services join mid-window and the demo shows exactly when the count
+// re-tracks: the epoch they joined still freezes the old population (joiners
+// relay passively), the one after counts them. The closing act prints the
+// "cluster" section of the /healthz document every wsgossip-node serves when
+// run with -cluster-queries.
 //
 //	go run ./examples/clusterhealth
 package main
@@ -21,43 +23,20 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"sync"
 	"time"
 
 	"wsgossip"
 	"wsgossip/internal/clock"
-	"wsgossip/internal/gossip"
-	"wsgossip/internal/obs"
 	"wsgossip/internal/soap"
 )
 
 const (
 	window        = 500 * time.Millisecond // epoch length
 	exchangeEvery = 25 * time.Millisecond  // each node's push-sum round period
+	viewEvery     = 50 * time.Millisecond  // each node's membership exchange period
 	initial       = 24                     // services at activation
 	joiners       = 8                      // services joining mid-window
 )
-
-// view is the demo's stand-in for the membership plane: a mutable peer set
-// every node samples its exchange targets from, so nodes that join after
-// the coordinator handed out target lists still receive shares. A real
-// deployment points AggregateServiceConfig.Peers at a MembershipService.
-type view struct {
-	mu    sync.Mutex
-	addrs []string
-}
-
-func (v *view) SelectPeers(rng *rand.Rand, n int, exclude string) []string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return gossip.SamplePeers(rng, v.addrs, n, exclude)
-}
-
-func (v *view) add(addr string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.addrs = append(v.addrs, addr)
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -70,30 +49,6 @@ func run() error {
 	ctx := context.Background()
 	bus := soap.NewMemBus()
 	vc := clock.NewVirtual()
-	peers := &view{}
-	var runners []*wsgossip.Runner
-	defer func() {
-		for _, r := range runners {
-			r.Stop()
-		}
-	}()
-	startRunner := func(svc interface{ Tick(context.Context) }, seed int64) error {
-		r, err := wsgossip.NewRunner(wsgossip.RunnerConfig{
-			Clock:          vc,
-			RNG:            rand.New(rand.NewSource(seed)),
-			Aggregator:     svc,
-			AggregateEvery: exchangeEvery,
-			JitterFrac:     0.2,
-		})
-		if err != nil {
-			return err
-		}
-		if err := r.Start(ctx); err != nil {
-			return err
-		}
-		runners = append(runners, r)
-		return nil
-	}
 
 	coordinator := wsgossip.NewCoordinator(wsgossip.CoordinatorConfig{
 		Address: "mem://coordinator",
@@ -101,71 +56,69 @@ func run() error {
 	})
 	bus.Register("mem://coordinator", coordinator.Handler())
 
-	// Each service exposes a named "load" source (ContinuousQuery metrics
-	// resolve against Values) plus a default Value the count query falls
-	// back to. Loads are 20..20+n so the expected avg/max are obvious.
-	addService := func(i int) error {
-		addr := fmt.Sprintf("mem://service%02d", i)
-		load := 20 + float64(i)
-		svc, err := wsgossip.NewAggregateService(wsgossip.AggregateServiceConfig{
-			Address: addr,
-			Caller:  bus,
-			Value:   func() float64 { return load },
-			Values:  map[string]func() float64{"load": func() float64 { return load }},
-			RNG:     rand.New(rand.NewSource(int64(i) + 10)),
-			Clock:   vc,
-			Peers:   peers,
-		})
+	// Every node subscribes at the coordinator, joins the membership view
+	// through the querier and runs its own push-sum rounds, all on vc.
+	var nodes []*wsgossip.Node
+	defer func() {
+		for _, node := range nodes {
+			node.Stop()
+		}
+	}()
+	startNode := func(cfg wsgossip.NodeConfig) (*wsgossip.Node, error) {
+		cfg.Caller, cfg.Clock, cfg.Coordinator = bus, vc, "mem://coordinator"
+		cfg.JitterFrac, cfg.AggregateEvery = 0.2, exchangeEvery
+		cfg.Membership = &wsgossip.NodeMembership{
+			Seeds: []string{"mem://querier"}, Every: viewEvery,
+			SuspectAfter: 8 * viewEvery, RemoveAfter: 16 * viewEvery,
+		}
+		node, err := wsgossip.NewNode(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		bus.Register(addr, svc.Handler())
-		if err := wsgossip.Subscribe(ctx, bus, "mem://coordinator", addr,
-			wsgossip.RoleDisseminator, wsgossip.ProtocolAggregate); err != nil {
-			return err
+		bus.Register(cfg.Address, node.Handler())
+		if err := node.Start(ctx); err != nil {
+			return nil, err
 		}
-		peers.add(addr)
-		return startRunner(svc, int64(i)+1000)
-	}
-	for i := 0; i < initial; i++ {
-		if err := addService(i); err != nil {
-			return err
-		}
+		vc.Advance(0) // Start's subscription and join are zero-delay timers
+		nodes = append(nodes, node)
+		return node, nil
 	}
 
-	// The Querier is the root: it activates each query once and re-seeds
-	// the anchor weight every epoch. It holds no load of its own, so the
-	// count query counts exactly the contributing services.
-	querier, err := wsgossip.NewQuerier(wsgossip.QuerierConfig{
-		Address:    "mem://querier",
-		Caller:     bus,
-		Activation: "mem://coordinator",
-		RNG:        rand.New(rand.NewSource(7)),
-		Clock:      vc,
-		Peers:      peers,
-	})
-	if err != nil {
-		return err
-	}
-	bus.Register("mem://querier", querier.Handler())
-	if err := wsgossip.Subscribe(ctx, bus, "mem://coordinator", "mem://querier",
-		wsgossip.RoleDisseminator, wsgossip.ProtocolAggregate); err != nil {
-		return err
-	}
-	peers.add("mem://querier")
-	win, err := wsgossip.NewAggregateWindow(wsgossip.AggregateWindowConfig{
-		Querier: querier,
-		Window:  window,
+	// The querier is the root: it activates each query once and re-seeds the
+	// anchor weight every epoch. It holds no load of its own, so the count
+	// query counts exactly the contributing services, and every query of a
+	// service falls back to its one Value.
+	querier, err := startNode(wsgossip.NodeConfig{
+		Address: "mem://querier",
+		Seed:    8,
 		Queries: []wsgossip.ContinuousQuery{
 			{Name: "nodes", Func: wsgossip.FuncCount},
 			{Name: "load", Func: wsgossip.FuncAvg},
 			{Name: "load-peak", Func: wsgossip.FuncMax},
 		},
+		QueryWindow: window,
 	})
 	if err != nil {
 		return err
 	}
-	if err := startRunner(win, 999); err != nil {
+
+	// Loads are 20..20+n, so the ground truth of n services is obvious.
+	services := 0
+	addServices := func(k int) error {
+		for ; k > 0; k-- {
+			load := 20 + float64(services)
+			if _, err := startNode(wsgossip.NodeConfig{
+				Address: fmt.Sprintf("mem://service%02d", services),
+				Seed:    int64(services+2) * 8,
+				Value:   func() float64 { return load },
+			}); err != nil {
+				return err
+			}
+			services++
+		}
+		return nil
+	}
+	if err := addServices(initial); err != nil {
 		return err
 	}
 
@@ -174,40 +127,40 @@ func run() error {
 			vc.Advance(exchangeEvery)
 		}
 	}
-	show := func(when string) {
+	// show prints each frozen estimate beside the ground truth of the
+	// population that epoch started with.
+	show := func(when string, population int) {
+		n := float64(population)
+		truth := map[string]float64{"nodes": n, "load": 20 + (n-1)/2, "load-peak": 20 + n - 1}
 		log.Printf("%s:", when)
-		for _, est := range win.Estimates() {
-			log.Printf("  %-5s(%-9s) epoch %d frozen: %8.3f (defined=%v)  live: %8.3f",
-				est.Function, est.Query, est.FrozenEpoch, est.Estimate, est.Defined, est.Live)
+		for _, est := range querier.Health().Cluster.Queries {
+			log.Printf("  %-5s(%-9s) epoch %d frozen: %8.3f (truth %6.2f, defined=%v)  live: %8.3f",
+				est.Function, est.Query, est.FrozenEpoch, est.Estimate, truth[est.Query], est.Defined, est.Live)
 		}
 	}
 
 	// Two full windows: epoch 2 is closed, every query has a stable frozen
 	// estimate of the 24-service population.
 	advance(2*window + exchangeEvery)
-	show(fmt.Sprintf("t=%v, %d services", vc.Now(), initial))
+	show(fmt.Sprintf("t=%v, %d services", vc.Now(), initial), initial)
 
 	// Eight services join mid-window. They absorb and relay shares
 	// immediately but contribute only from the next epoch boundary on, so
 	// the epoch in progress still freezes the population it started with.
-	for i := initial; i < initial+joiners; i++ {
-		if err := addService(i); err != nil {
-			return err
-		}
+	if err := addServices(joiners); err != nil {
+		return err
 	}
 	log.Printf("t=%v: %d services joined mid-window", vc.Now(), joiners)
 	advance(window)
-	show(fmt.Sprintf("t=%v, epoch the join landed in (joiners still passive)", vc.Now()))
+	show(fmt.Sprintf("t=%v, epoch the join landed in (joiners still passive)", vc.Now()), initial)
 	advance(window)
-	show(fmt.Sprintf("t=%v, one boundary later (joiners counted)", vc.Now()))
+	show(fmt.Sprintf("t=%v, one boundary later (joiners counted)", vc.Now()), initial+joiners)
 
-	// This is exactly what a wsgossip-node run with -cluster-queries
-	// serves as the "cluster" section of GET /healthz.
-	doc := obs.Health{Node: "mem://querier", Role: "querier", Cluster: obs.ClusterFrom(win)}
-	body, err := json.MarshalIndent(doc, "", "  ")
+	// This is exactly the "cluster" section of the querier's GET /healthz.
+	body, err := json.MarshalIndent(querier.Health().Cluster, "", "  ")
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nGET /healthz →\n%s\n", body)
+	fmt.Printf("\nGET /healthz → \"cluster\":\n%s\n", body)
 	return nil
 }

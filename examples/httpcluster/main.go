@@ -101,52 +101,61 @@ func run() error {
 	coordinator = wsgossip.NewCoordinator(wsgossip.CoordinatorConfig{Address: coordURL})
 	log.Printf("coordinator at %s", coordURL)
 
-	// Six disseminators.
+	// Six disseminators and one unchanged consumer, each a Node served over
+	// HTTP. A node's address is its listener's URL, so the handler is bound
+	// before the node exists. Start subscribes in the background (retrying
+	// until the coordinator answers); wait until all seven have.
 	const disseminators = 6
-	recorders := make([]*recorder, disseminators)
 	var stops []func()
 	defer func() {
 		for _, stop := range stops {
 			stop()
 		}
 	}()
-	for i := 0; i < disseminators; i++ {
-		rec := &recorder{name: fmt.Sprintf("dissem%d", i)}
-		recorders[i] = rec
-		var d *wsgossip.Disseminator
-		handler := soap.HandlerFunc(func(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
-			return d.Handler().HandleSOAP(ctx, req)
-		})
-		url, stop, err := serveSOAP(handler)
+	startNode := func(role string, rec *recorder) (string, error) {
+		var node *wsgossip.Node
+		url, stop, err := serveSOAP(soap.HandlerFunc(func(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
+			return node.Handler().HandleSOAP(ctx, req)
+		}))
 		if err != nil {
-			return err
+			return "", err
 		}
 		stops = append(stops, stop)
-		d, err = wsgossip.NewDisseminator(wsgossip.DisseminatorConfig{
-			Address: url,
-			Caller:  client,
-			App:     rec,
+		node, err = wsgossip.NewNode(wsgossip.NodeConfig{
+			Address:     url,
+			Role:        role,
+			Caller:      client,
+			App:         rec,
+			Coordinator: coordURL,
 		})
 		if err != nil {
-			return err
+			return "", err
 		}
-		if err := wsgossip.Subscribe(ctx, client, coordURL, url, wsgossip.RoleDisseminator); err != nil {
+		stops = append(stops, node.Stop)
+		return url, node.Start(ctx)
+	}
+	recorders := make([]*recorder, disseminators)
+	for i := range recorders {
+		recorders[i] = &recorder{name: fmt.Sprintf("dissem%d", i)}
+		url, err := startNode(wsgossip.RoleDisseminator, recorders[i])
+		if err != nil {
 			return err
 		}
 		log.Printf("disseminator %d at %s", i, url)
 	}
-
-	// One unchanged consumer.
 	consumerRec := &recorder{name: "consumer"}
-	consumerURL, stopConsumer, err := serveSOAP(wsgossip.NewConsumer(consumerRec).Handler())
+	consumerURL, err := startNode(wsgossip.RoleConsumer, consumerRec)
 	if err != nil {
 		return err
 	}
-	defer stopConsumer()
-	if err := wsgossip.Subscribe(ctx, client, coordURL, consumerURL, wsgossip.RoleConsumer); err != nil {
-		return err
-	}
 	log.Printf("consumer at %s", consumerURL)
+	for len(coordinator.Subscribers()) < disseminators+1 {
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("subscriptions incomplete: %w", ctx.Err())
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
 
 	// Initiator.
 	initiator, err := wsgossip.NewInitiator(wsgossip.InitiatorConfig{

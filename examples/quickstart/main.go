@@ -3,9 +3,9 @@
 //
 // A Coordinator hosts Activation/Registration and the subscription list; 30
 // Disseminators (application code untouched, gossip handler in the stack)
-// and one unchanged Consumer subscribe; an Initiator activates a gossip
-// interaction and issues a single notification, which gossip spreads to
-// everyone.
+// and one unchanged Consumer — each a wsgossip.Node — subscribe; an
+// Initiator activates a gossip interaction and issues a single
+// notification, which gossip spreads to everyone.
 //
 //	go run ./examples/quickstart
 package main
@@ -19,6 +19,7 @@ import (
 	"os"
 
 	"wsgossip"
+	"wsgossip/internal/clock"
 	"wsgossip/internal/soap"
 )
 
@@ -66,37 +67,41 @@ func run() error {
 	})
 	bus.Register("mem://coordinator", coordinator.Handler())
 
-	// 2. Thirty Disseminators: each wraps an ordinary application service
-	//    with the gossip middleware handler.
+	// 2. Thirty Disseminators and one completely unchanged Consumer, each a
+	//    Node: the Disseminator wraps an ordinary application service with
+	//    the gossip middleware handler, the Consumer is the service alone.
+	//    Start subscribes on the nodes' shared clock; Advance(0) fires it.
+	vc := clock.NewVirtual()
+	startNode := func(cfg wsgossip.NodeConfig) error {
+		cfg.Caller, cfg.Clock, cfg.Coordinator = bus, vc, "mem://coordinator"
+		node, err := wsgossip.NewNode(cfg)
+		if err != nil {
+			return err
+		}
+		bus.Register(cfg.Address, node.Handler())
+		if err := node.Start(ctx); err != nil {
+			return err
+		}
+		vc.Advance(0)
+		return nil
+	}
 	const disseminators = 30
 	apps := make([]*countingApp, 0, disseminators)
 	for i := 0; i < disseminators; i++ {
 		addr := fmt.Sprintf("mem://service%02d", i)
 		app := &countingApp{name: addr}
-		d, err := wsgossip.NewDisseminator(wsgossip.DisseminatorConfig{
-			Address: addr,
-			Caller:  bus,
-			App:     app,
-			RNG:     rand.New(rand.NewSource(int64(i) + 2)),
-		})
-		if err != nil {
+		// The Disseminator draws from Seed+1.
+		if err := startNode(wsgossip.NodeConfig{Address: addr, App: app, Seed: int64(i) + 1}); err != nil {
 			return err
 		}
-		bus.Register(addr, d.Handler())
 		apps = append(apps, app)
-		if err := wsgossip.Subscribe(ctx, bus, "mem://coordinator", addr, wsgossip.RoleDisseminator); err != nil {
-			return err
-		}
 	}
-
-	// 3. One completely unchanged Consumer.
 	consumerApp := &countingApp{name: "mem://consumer"}
-	bus.Register("mem://consumer", wsgossip.NewConsumer(consumerApp).Handler())
-	if err := wsgossip.Subscribe(ctx, bus, "mem://coordinator", "mem://consumer", wsgossip.RoleConsumer); err != nil {
+	if err := startNode(wsgossip.NodeConfig{Address: "mem://consumer", Role: wsgossip.RoleConsumer, App: consumerApp}); err != nil {
 		return err
 	}
 
-	// 4. The Initiator: the only role whose application code changes.
+	// 3. The Initiator: the only role whose application code changes.
 	initiator, err := wsgossip.NewInitiator(wsgossip.InitiatorConfig{
 		Address:    "mem://initiator",
 		Caller:     bus,

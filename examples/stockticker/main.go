@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"wsgossip"
+	"wsgossip/internal/clock"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/stockfeed"
 )
@@ -85,25 +86,31 @@ func run() error {
 	})
 	bus.Register("mem://coordinator", coordinator.Handler())
 
+	// Each trading service is a Node on one virtual clock; Start subscribes
+	// on that clock, Advance(0) fires the subscription in service order.
+	vc := clock.NewVirtual()
 	apps := make([]*tickerApp, services)
 	dissems := make([]*wsgossip.Disseminator, services)
 	for i := 0; i < services; i++ {
 		addr := fmt.Sprintf("mem://trader%02d", i)
 		apps[i] = newTickerApp()
-		d, err := wsgossip.NewDisseminator(wsgossip.DisseminatorConfig{
-			Address: addr,
-			Caller:  bus,
-			App:     apps[i],
-			RNG:     rand.New(rand.NewSource(100 + int64(i))),
+		node, err := wsgossip.NewNode(wsgossip.NodeConfig{
+			Address:     addr,
+			Caller:      bus,
+			App:         apps[i],
+			Clock:       vc,
+			Seed:        99 + int64(i), // the Disseminator draws Seed+1
+			Coordinator: "mem://coordinator",
 		})
 		if err != nil {
 			return err
 		}
-		dissems[i] = d
-		bus.Register(addr, d.Handler())
-		if err := wsgossip.Subscribe(ctx, bus, "mem://coordinator", addr, wsgossip.RoleDisseminator); err != nil {
+		dissems[i] = node.Disseminator()
+		bus.Register(addr, node.Handler())
+		if err := node.Start(ctx); err != nil {
 			return err
 		}
+		vc.Advance(0)
 	}
 
 	// The market feed is the Initiator.

@@ -105,24 +105,48 @@ func (h *timerHeap) Pop() any {
 	return t
 }
 
-// timerShard is one slice of the event queue. head caches h[0] so the
-// driver's merge scan reads one atomic pointer per shard instead of taking
-// every shard lock per pop.
+// timerShard is one slice of the event queue. The shard publishes its head's
+// (deadline, seq) key so the driver's merge scan takes no shard lock per pop.
+// It publishes the key, not the head timer: a cancelled head can be compacted
+// away and recycled by a concurrent AfterFunc, which rewrites its fields under
+// the lock, so the scan must never read a timer's fields. The key is a
+// seqlock — ver is odd while a store is in progress — so the scan never mixes
+// the deadline of one head with the seq of another.
 type timerShard struct {
-	mu   sync.Mutex
-	h    timerHeap
-	dead int // cancelled entries still occupying heap slots
-	head atomic.Pointer[timer]
-	free []*timer
+	mu      sync.Mutex
+	h       timerHeap
+	dead    int // cancelled entries still occupying heap slots
+	ver     atomic.Uint32
+	headAt  atomic.Int64
+	headSeq atomic.Int64 // 0 when the heap is empty (seqs start at 1)
+	free    []*timer
 }
 
-// storeHeadLocked refreshes the cached head pointer after any heap mutation.
+// storeHeadLocked republishes the head key after any heap mutation. A seq
+// names one life of one timer, so an unchanged seq is an unchanged key.
 func (s *timerShard) storeHeadLocked() {
+	var at, seq int64
 	if len(s.h) > 0 {
-		s.head.Store(s.h[0])
-	} else {
-		s.head.Store(nil)
+		at, seq = int64(s.h[0].at), s.h[0].seq
 	}
+	if seq == s.headSeq.Load() {
+		return
+	}
+	s.ver.Add(1)
+	s.headAt.Store(at)
+	s.headSeq.Store(seq)
+	s.ver.Add(1)
+}
+
+// headKeyLocked is the key as the heap has it, for a reader that overlapped
+// a store (see minHead).
+func (s *timerShard) headKeyLocked() (time.Duration, int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.h) == 0 {
+		return 0, 0
+	}
+	return s.h[0].at, s.h[0].seq
 }
 
 // recycleLocked retires a timer that left the heap (fired, discarded, or
@@ -403,14 +427,14 @@ func (v *Virtual) popDeadlineCohort(first event) []event {
 // later and advance is set) and returns nil.
 func (v *Virtual) popDue(t time.Duration, advance bool) event {
 	for {
-		best, idx := v.minHead()
-		if best == nil || best.at > t {
+		idx, at, seq := v.minHead()
+		if idx < 0 || at > t {
 			if advance && v.Now() < t {
 				v.now.Store(int64(t))
 			}
 			return nil
 		}
-		ev, at := v.popVerified(best, idx)
+		ev := v.popVerified(idx, at, seq)
 		if ev == nil {
 			continue // head moved or was a dead entry; rescan
 		}
@@ -423,54 +447,62 @@ func (v *Virtual) popDue(t time.Duration, advance bool) event {
 // the clock (the caller is already at that deadline).
 func (v *Virtual) popAt(at time.Duration) event {
 	for {
-		best, idx := v.minHead()
-		if best == nil || best.at != at {
+		idx, headAt, seq := v.minHead()
+		if idx < 0 || headAt != at {
 			return nil
 		}
-		if ev, _ := v.popVerified(best, idx); ev != nil {
+		if ev := v.popVerified(idx, at, seq); ev != nil {
 			return ev
 		}
 	}
 }
 
-// minHead scans the cached shard heads and returns the global minimum by
-// (deadline, seq), dead entries included — they are discarded at pop.
-func (v *Virtual) minHead() (*timer, int) {
-	var best *timer
-	idx := -1
+// minHead merges the published shard head keys and returns the shard holding
+// the global minimum by (deadline, seq), dead entries included — they are
+// discarded at pop — or -1 when every shard is empty. A key read that
+// overlaps a store takes the shard lock instead of spinning. Since only the
+// driver pops, every key a shard publishes while the driver scans is at or
+// before its earliest live timer — pushes move the head earlier, compaction
+// only drops dead entries ahead of the live ones — so a "nothing due" or a
+// minimum concluded from these keys holds for every timer already queued.
+func (v *Virtual) minHead() (idx int, at time.Duration, seq int64) {
+	idx = -1
 	for i := range v.shards {
-		h := v.shards[i].head.Load()
-		if h == nil {
+		s := &v.shards[i]
+		ver := s.ver.Load()
+		hAt, hSeq := time.Duration(s.headAt.Load()), s.headSeq.Load()
+		if ver&1 != 0 || s.ver.Load() != ver {
+			hAt, hSeq = s.headKeyLocked()
+		}
+		if hSeq == 0 {
 			continue
 		}
-		if best == nil || h.at < best.at || (h.at == best.at && h.seq < best.seq) {
-			best, idx = h, i
+		if idx < 0 || hAt < at || (hAt == at && hSeq < seq) {
+			idx, at, seq = i, hAt, hSeq
 		}
 	}
-	return best, idx
+	return idx, at, seq
 }
 
-// popVerified pops want from shard idx if it is still that shard's head,
-// returning its event and deadline. The event is nil when the head changed
-// under the scan (rescan) or the entry was dead (discarded; rescan). The
-// deadline is read under the shard lock: once the lock is released a
-// concurrent AfterFunc may recycle the timer from the free list and rewrite
-// its fields, so the caller must not look at want again.
-func (v *Virtual) popVerified(want *timer, idx int) (event, time.Duration) {
+// popVerified pops shard idx's head if its key is still (at, seq) — the key
+// the scan chose — and returns its event. The event is nil when the head
+// changed under the scan (rescan) or the entry was dead (discarded; rescan).
+// The check is made under the shard lock, where the head's fields are stable.
+func (v *Virtual) popVerified(idx int, at time.Duration, seq int64) event {
 	s := &v.shards[idx]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.h) == 0 || s.h[0] != want {
-		return nil, 0
+	if len(s.h) == 0 || s.h[0].at != at || s.h[0].seq != seq {
+		return nil
 	}
-	heap.Pop(&s.h)
+	t := heap.Pop(&s.h).(*timer)
 	s.storeHeadLocked()
-	ev, at := want.ev, want.at
+	ev := t.ev
 	if ev == nil {
 		s.dead--
 	}
-	s.recycleLocked(want)
-	return ev, at
+	s.recycleLocked(t)
+	return ev
 }
 
 // Barrier fires every timer already due at the current virtual time and

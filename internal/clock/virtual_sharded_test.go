@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -287,6 +288,60 @@ func TestStopAfterRecycleIsInert(t *testing.T) {
 	v.Advance(time.Millisecond)
 	if fired != 2*timerShards {
 		t.Fatalf("fired %d of %d timers: a stale stop cancelled a recycled one", fired, 2*timerShards)
+	}
+}
+
+// TestAdvanceUnderConcurrentCompaction pins the merge scan against timer
+// recycling: goroutines schedule and cancel batches big enough to compact
+// every shard — recycling dead heads and rewriting their deadlines from the
+// free list — while the driver schedules and advances. The driver must never
+// read a head a canceller is rewriting (run with -race), and an Advance must
+// never end early on a recycled far-future deadline: each due timer fires in
+// the Advance that reaches it.
+func TestAdvanceUnderConcurrentCompaction(t *testing.T) {
+	const (
+		cancellers = 2
+		perBatch   = timerShards * compactMinLen // every shard crosses the compaction threshold
+		minBatches = 40                          // cancel batches the driver must overlap
+	)
+	v := NewVirtual()
+	var done atomic.Bool
+	var batches atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < cancellers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stops := make([]func() bool, 0, perBatch)
+			for !done.Load() {
+				for j := 0; j < perBatch; j++ {
+					// Half land in front of the driver's due timers, half an
+					// hour out: a recycled head can carry either deadline.
+					d := time.Duration(j%3) * time.Millisecond
+					if j%2 == 1 {
+						d = time.Hour
+					}
+					stops = append(stops, v.AfterFunc(d, func() {}))
+				}
+				for _, stop := range stops {
+					stop()
+				}
+				stops = stops[:0]
+				batches.Add(1)
+			}
+		}()
+	}
+	rounds := 0
+	fired := 0 // callbacks run on this goroutine, inside Advance
+	for ; batches.Load() < minBatches && fired == rounds; rounds++ {
+		d := time.Duration(rounds%3) * time.Millisecond
+		v.AfterFunc(d, func() { fired++ })
+		v.Advance(d)
+	}
+	done.Store(true)
+	wg.Wait()
+	if fired != rounds {
+		t.Fatalf("an Advance ended before its due timer: %d of %d fired in time", fired, rounds)
 	}
 }
 

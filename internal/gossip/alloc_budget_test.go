@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"testing"
 
@@ -21,6 +22,7 @@ type allocBudget struct {
 	DuplicatePush       float64 `json:"duplicate_push_max_allocs"`
 	FirstReceiptForward float64 `json:"first_receipt_forward_f3_max_allocs"`
 	PullReqNothingToSay float64 `json:"pull_request_nothing_missing_max_allocs"`
+	CounterDuplicate    float64 `json:"counter_duplicate_burst_f3_max_allocs"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -32,11 +34,11 @@ func loadAllocBudget(t *testing.T) allocBudget {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	budget := allocBudget{-1, -1, -1}
+	budget := allocBudget{-1, -1, -1, -1}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	if budget.DuplicatePush < 0 || budget.FirstReceiptForward <= 0 || budget.PullReqNothingToSay < 0 {
+	if budget.DuplicatePush < 0 || budget.FirstReceiptForward <= 0 || budget.PullReqNothingToSay < 0 || budget.CounterDuplicate <= 0 {
 		t.Fatalf("alloc budget missing fields: %+v", budget)
 	}
 	return budget
@@ -50,9 +52,10 @@ func checkAllocBudget(t *testing.T, what string, allocs, budget float64) {
 	t.Logf("%s: %.1f allocs/op (budget %.0f)", what, allocs, budget)
 }
 
-// pushBench is one push engine at fanout 3 among 64 handler-less simnet
-// nodes, and a supply of distinct single-rumor push bodies as a peer would
-// send them.
+// pushBench is one engine of the given style at fanout 3 among 64
+// handler-less simnet nodes, and a supply of distinct single-rumor push bodies
+// as a peer would send them. A counter-mongering engine never goes quiescent:
+// every duplicate it hears bursts.
 type pushBench struct {
 	net    *simnet.Network
 	eng    *Engine
@@ -60,7 +63,7 @@ type pushBench struct {
 	next   int
 }
 
-func newPushBench(tb testing.TB, bodies int) *pushBench {
+func newPushBench(tb testing.TB, style Style, bodies int) *pushBench {
 	tb.Helper()
 	net := simnet.New(simnet.DefaultConfig(1))
 	addrs := make([]string, 64)
@@ -69,7 +72,7 @@ func newPushBench(tb testing.TB, bodies int) *pushBench {
 		net.Node(addrs[i])
 	}
 	eng, err := New(Config{
-		Style: StylePush, Fanout: 3, Hops: 19,
+		Style: style, Fanout: 3, Hops: 19, CounterK: math.MaxInt,
 		Endpoint:      net.Node(addrs[0]),
 		Peers:         NewUniformPeers(addrs),
 		RNG:           simnet.NewCompactRNG(1),
@@ -102,7 +105,7 @@ func (pb *pushBench) receive(tb testing.TB) {
 // nothing is built.
 func TestDuplicatePushAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
-	pb := newPushBench(t, 1)
+	pb := newPushBench(t, StylePush, 1)
 	pb.receive(t) // first receipt
 	allocs := testing.AllocsPerRun(200, func() { pb.receive(t) })
 	if st := pb.eng.Stats(); st.Delivered != 1 || st.Duplicates < 200 || st.Forwarded != 3 {
@@ -119,7 +122,7 @@ func TestDuplicatePushAllocBudget(t *testing.T) {
 func TestFirstReceiptForwardAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	const runs = 2000
-	pb := newPushBench(t, runs+1)
+	pb := newPushBench(t, StylePush, runs+1)
 	allocs := testing.AllocsPerRun(runs, func() { pb.receive(t) })
 	if st := pb.eng.Stats(); st.Delivered != runs+1 || st.Duplicates != 0 || st.Forwarded != 3*(runs+1) {
 		t.Fatalf("stats = %+v", st)
@@ -133,7 +136,7 @@ func TestFirstReceiptForwardAllocBudget(t *testing.T) {
 // response.
 func TestPullRequestNothingMissingAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
-	pb := newPushBench(t, 64)
+	pb := newPushBench(t, StylePush, 64)
 	for range pb.bodies {
 		pb.receive(t)
 	}
@@ -149,8 +152,23 @@ func TestPullRequestNothingMissingAllocBudget(t *testing.T) {
 	checkAllocBudget(t, "pull request, nothing missing", allocs, budget.PullReqNothingToSay)
 }
 
+// TestCounterDuplicateAllocBudget: a duplicate of a rumor a counter-mongering
+// engine is still spreading bursts the stored copy — one lookup of the
+// counters, no copy of the body's rumor — so it costs what the burst's sends
+// cost (8 while each duplicate built an owned rumor first).
+func TestCounterDuplicateAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	pb := newPushBench(t, StyleCounter, 1)
+	pb.receive(t) // first receipt: mongering starts
+	allocs := testing.AllocsPerRun(200, func() { pb.receive(t) })
+	if st := pb.eng.Stats(); st.Delivered != 1 || st.Duplicates < 200 || st.Forwarded != 3*(st.Duplicates+1) {
+		t.Fatalf("stats = %+v", st)
+	}
+	checkAllocBudget(t, "counter duplicate burst f=3", allocs, budget.CounterDuplicate)
+}
+
 func BenchmarkDuplicatePush(b *testing.B) {
-	pb := newPushBench(b, 1)
+	pb := newPushBench(b, StylePush, 1)
 	pb.receive(b)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -160,7 +178,7 @@ func BenchmarkDuplicatePush(b *testing.B) {
 }
 
 func BenchmarkFirstReceiptForward(b *testing.B) {
-	pb := newPushBench(b, b.N)
+	pb := newPushBench(b, StylePush, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -204,7 +204,12 @@ func (e *Engine) acceptLocked(ctx context.Context, r Rumor) {
 	}
 	e.stats.Duplicates++
 	if e.cfg.Style == StyleCounter {
-		e.duplicateFeedbackLocked(ctx, r)
+		if count, active := e.counters[r.ID]; active {
+			if stored, ok := e.store.Get(r.ID); ok {
+				r = stored
+			}
+			e.duplicateFeedbackLocked(ctx, r, count)
+		}
 	}
 }
 
@@ -222,9 +227,14 @@ func (e *Engine) receiveLocked(ctx context.Context, v rumorView, viaPull bool) {
 	}
 	e.stats.Duplicates++
 	if e.cfg.Style == StyleCounter && !viaPull {
-		// Only a rumor still being mongered is worth an owned copy.
-		if _, active := e.counters[string(v.id)]; active {
-			e.duplicateFeedbackLocked(ctx, v.rumor())
+		// Only a rumor still being mongered needs a rumor at all, and the
+		// store's copy serves; the view is copied only if it was evicted.
+		if count, active := e.counters[string(v.id)]; active {
+			r, ok := e.store.GetBytes(v.id)
+			if !ok {
+				r = v.rumor()
+			}
+			e.duplicateFeedbackLocked(ctx, r, count)
 		}
 	}
 }
@@ -264,22 +274,16 @@ func (e *Engine) acceptNewLocked(ctx context.Context, r Rumor, viaPull bool) {
 }
 
 // duplicateFeedbackLocked implements counter mongering: each duplicate
-// receipt of a still-active rumor triggers one more burst; after CounterK
-// duplicates the node goes quiescent for that rumor.
-func (e *Engine) duplicateFeedbackLocked(ctx context.Context, r Rumor) {
-	count, active := e.counters[r.ID]
-	if !active {
-		return
-	}
+// receipt of a still-active rumor — count duplicates heard so far, r its
+// stored copy when the store still holds one — triggers one more burst; after
+// CounterK duplicates the node goes quiescent for that rumor.
+func (e *Engine) duplicateFeedbackLocked(ctx context.Context, r Rumor, count int) {
 	count++
 	if count >= e.cfg.CounterK {
 		delete(e.counters, r.ID)
 		return
 	}
 	e.counters[r.ID] = count
-	if stored, ok := e.store.Get(r.ID); ok {
-		r = stored
-	}
 	e.mongerBurstLocked(ctx, r)
 }
 

@@ -6,6 +6,7 @@ package scenario
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -63,15 +64,29 @@ func (c *cluster) queuedTotal() int {
 // stretch: sender planes retry, exhaust per-message budgets, and open the
 // victim's circuit. The transport-failure counters must equal the bus's
 // refused count exactly. After the link heals, half-open probes riding
-// ordinary repair traffic close every opened circuit and anti-entropy
-// completes the victim's coverage.
+// ordinary traffic close every opened circuit and anti-entropy completes the
+// victim's coverage. It holds on every cluster seed of the range, not one
+// lucky one.
 func TestChaosFlappingLink(t *testing.T) {
+	for seed := int64(211); seed <= 230; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runFlappingLink(t, seed) })
+	}
+}
+
+func runFlappingLink(t *testing.T, seed int64) {
 	const (
 		n      = 24
 		victim = 5
+		// maxEvents bounds the post-heal events issued to give every tripped
+		// plane traffic toward the victim.
+		maxEvents = 40
 	)
+	// Every node may target every other: a plane whose circuit opened while
+	// it only answered the victim's digests — the victim absent from its own
+	// target list — would otherwise never again send the victim anything to
+	// probe with.
 	c := newCluster(t, clusterConfig{
-		n: n, seed: 216,
+		n: n, seed: seed, targets: n - 1,
 		repairEvery: 200 * time.Millisecond,
 		plane: func(i int) *delivery.Config {
 			return &delivery.Config{
@@ -89,6 +104,13 @@ func TestChaosFlappingLink(t *testing.T) {
 	inter, err := c.init.StartInteraction(ctx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every node registers up front, so anti-entropy repairs a node the eager
+	// push happened to miss — an unregistered node sends no digests.
+	for _, d := range c.dissems {
+		if err := d.JoinInteraction(ctx, inter.Context, core.ProtocolPushGossip); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Event 1 on a healthy overlay: the planes must be transparent.
 	if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 1}); err != nil {
@@ -142,18 +164,27 @@ func TestChaosFlappingLink(t *testing.T) {
 	}); w > 40 {
 		t.Fatalf("after heal: event 2 covered %d/%d", c.coverage(nil, 2), n)
 	}
-	// Probes ride real traffic, and the initiator only generates traffic
-	// when asked — a third event gives every tripped plane (the periodic
-	// repair senders and the one-shot initiator alike) something to probe
-	// the victim with, so every circuit re-closes.
-	if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 3}); err != nil {
-		t.Fatal(err)
+	// Probes ride real traffic, and a plane only probes a peer it has
+	// something to send: the initiator only when asked, a repair sender only
+	// when its sample picks the victim. One event per window gives every
+	// tripped plane something to probe the victim with until every circuit
+	// has re-closed.
+	last := 2
+	for c.sumGauge("delivery_breaker_open") != 0 {
+		if last-2 == maxEvents {
+			t.Fatalf("after heal: %d circuits still open after %d more events", c.sumGauge("delivery_breaker_open"), maxEvents)
+		}
+		last++
+		if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: last}); err != nil {
+			t.Fatal(err)
+		}
+		c.clk.Advance(200 * time.Millisecond)
 	}
 	if w := advanceUntil(c.clk, 200*time.Millisecond, 60, func() bool {
-		return c.coverage(nil, 3) == n && c.sumGauge("delivery_breaker_open") == 0
+		return c.coverage(nil, last) == n && c.sumGauge("delivery_breaker_open") == 0
 	}); w > 60 {
 		t.Fatalf("after heal: coverage %d/%d, %d circuits still open",
-			c.coverage(nil, 3), n, c.sumGauge("delivery_breaker_open"))
+			c.coverage(nil, last), n, c.sumGauge("delivery_breaker_open"))
 	}
 	closed := c.sumLabeled("delivery_breaker_transitions_total", "to", "closed")
 	openedNow := c.sumLabeled("delivery_breaker_transitions_total", "to", "open")
@@ -164,8 +195,8 @@ func TestChaosFlappingLink(t *testing.T) {
 	if got := c.sumCounter("delivery_deferrals_total"); got != 0 {
 		t.Fatalf("connection refusal produced %d retry-after deferrals", got)
 	}
-	t.Logf("flapping link: %d refused sends, %d circuits opened and all re-closed, victim repaired",
-		c.bus.Refused(), openedNow)
+	t.Logf("flapping link: %d refused sends, %d circuits opened and all re-closed after %d post-heal events, victim repaired",
+		c.bus.Refused(), openedNow, last-2)
 }
 
 // TestChaosSaturatedReceiver is the overload contract end to end: one

@@ -59,6 +59,7 @@ type clusterConfig struct {
 	seed          int64
 	style         string // "" = coordinator default (push); "lazypush"
 	fanout, hops  int
+	targets       int // peers per registration response; 0 = coordinator default (twice the fanout)
 	pullEvery     time.Duration
 	repairEvery   time.Duration
 	announceEvery time.Duration
@@ -88,8 +89,9 @@ func newCluster(t *testing.T, cfg clusterConfig) *cluster {
 	c := &cluster{clk: clk, bus: bus}
 
 	ccfg := core.CoordinatorConfig{
-		Address: "mem://coordinator",
-		RNG:     rand.New(rand.NewSource(cfg.seed)),
+		Address:              "mem://coordinator",
+		RNG:                  rand.New(rand.NewSource(cfg.seed)),
+		TargetsPerRegistrant: cfg.targets,
 	}
 	if cfg.fanout > 0 {
 		f, h := cfg.fanout, cfg.hops

@@ -197,7 +197,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	case RoleDisseminator:
 	case RoleConsumer:
 		n.handler = core.NewConsumer(cfg.App).Handler()
-		n.protocols = []string{ProtocolPushGossip}
+		n.protocols = []string{core.ProtocolPushGossip}
 		return n, nil
 	default:
 		return nil, fmt.Errorf("wsgossip: node role %q (want %s or %s)", n.role, RoleDisseminator, RoleConsumer)
@@ -310,7 +310,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	// Advertise exactly the protocols this stack serves: a node without a
 	// value or a query must not be handed out as an aggregation target
 	// (push-sum mass sent to it would vanish).
-	n.protocols = []string{ProtocolPushGossip, ProtocolPullGossip}
+	n.protocols = []string{core.ProtocolPushGossip, core.ProtocolPullGossip}
 	rcfg := core.RunnerConfig{
 		Clock:         n.clk,
 		RNG:           rng(0),
@@ -375,7 +375,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		rcfg.Aggregator = svc
 	}
 	if rcfg.Aggregator != nil {
-		n.protocols = append(n.protocols, ProtocolAggregate)
+		n.protocols = append(n.protocols, core.ProtocolAggregate)
 		if cfg.AggregateEvery > 0 {
 			rcfg.AggregateEvery = cfg.AggregateEvery
 			loops = true

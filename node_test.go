@@ -12,6 +12,7 @@ import (
 
 	"wsgossip"
 	"wsgossip/internal/clock"
+	"wsgossip/internal/core"
 	"wsgossip/internal/membership"
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/soap"
@@ -299,7 +300,7 @@ func TestNodeWiringBrokenLink(t *testing.T) {
 	if probes := c.w.count(a0, "", isProbe); probes == 0 {
 		t.Fatal("no probe action seen on the raw caller")
 	}
-	for _, action := range []string{wsgossip.ActionNotify, "urn:wsgossip:2008:digest", "urn:wsgossip:2008:aggregate:exchange"} {
+	for _, action := range []string{core.ActionNotify, "urn:wsgossip:2008:digest", "urn:wsgossip:2008:aggregate:exchange"} {
 		if c.w.count(a0, "", func(a string) bool { return a == action }) == 0 {
 			t.Fatalf("n0 never sent %s; the accounting below would prove nothing about it", action)
 		}
@@ -449,10 +450,10 @@ func TestNodeWiringAdvertisedProtocols(t *testing.T) {
 	}
 	for _, sub := range subs {
 		want := sub.Endpoint != addrOf(0)
-		if got := contains(sub.Protocols, wsgossip.ProtocolAggregate); got != want {
+		if got := contains(sub.Protocols, core.ProtocolAggregate); got != want {
 			t.Errorf("%s advertises aggregate = %v, want %v (%v)", sub.Endpoint, got, want, sub.Protocols)
 		}
-		if sub.Role != wsgossip.RoleDisseminator || !contains(sub.Protocols, wsgossip.ProtocolPushGossip) || !contains(sub.Protocols, wsgossip.ProtocolPullGossip) {
+		if sub.Role != wsgossip.RoleDisseminator || !contains(sub.Protocols, core.ProtocolPushGossip) || !contains(sub.Protocols, core.ProtocolPullGossip) {
 			t.Errorf("%s subscribed as %s %v", sub.Endpoint, sub.Role, sub.Protocols)
 		}
 	}
