@@ -139,8 +139,29 @@ func (x *exchange) split(n int) Share {
 	return x.state.share(x.taskID, x.addr, sum, w)
 }
 
+// admissible reports whether every number sh would add to local state is
+// finite and its weight is not negative. A share failing this is dropped
+// unacked at intake: absorbed, it would poison the estimate and the ledger
+// for ever, and every later split would carry the poison on.
+func admissible(sh *Share) bool {
+	finite := func(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+	return finite(sh.Sum) && finite(sh.Weight) && sh.Weight >= 0 &&
+		(!sh.HasExtremes || finite(sh.Min) && finite(sh.Max))
+}
+
+// tooFarAhead reports whether epoch k is more than one past the local epoch
+// at now. A share or ack claiming such an epoch is ignored outright: acted
+// on, one message would roll this node — and through its acks every node it
+// talks to — into an epoch the clock never reaches, freezing the task.
+func (x *exchange) tooFarAhead(now time.Duration, k uint64) bool {
+	return k > EpochAt(now, x.window)+1
+}
+
 // take absorbs one fire-and-forget share.
 func (x *exchange) take(sh *Share) {
+	if !admissible(sh) {
+		return
+	}
 	x.state.Absorb(*sh)
 	x.led.in += sh.Weight
 	x.counts.absorbed++
@@ -259,9 +280,13 @@ func (x *exchange) tick(now time.Duration, targets []string) []*pendingShare {
 // itself). A share of the live epoch is absorbed once per (From, Seq). A
 // share from a retired epoch is acked without absorbing — its mass died with
 // that epoch everywhere, and the ack both stops the retries and rolls the
-// sender forward. A share from a later epoch rolls this node forward first:
-// epochs spread epidemically, the clock is only the local trigger.
+// sender forward. A share from the next epoch rolls this node forward first:
+// epochs spread epidemically, the clock is only the local trigger. A share
+// that is not admissible or is tooFarAhead is ignored and not acked.
 func (x *exchange) absorb(now time.Duration, sh *Share) (ack ExchangeAck, reply bool) {
+	if !admissible(sh) || x.tooFarAhead(now, sh.Epoch) {
+		return ack, false
+	}
 	x.roll(max(EpochAt(now, x.window), sh.Epoch), now)
 	if sh.Epoch == x.epoch {
 		m := x.seen[sh.From]
@@ -286,8 +311,12 @@ func (x *exchange) absorb(now time.Duration, sh *Share) (ack ExchangeAck, reply 
 
 // commit settles one outstanding transfer: the share's mass moves from the
 // outstanding account to committed-out at the moment the ack arrives. An ack
-// from a later epoch also rolls this node forward.
+// from the next epoch also rolls this node forward; one tooFarAhead is
+// ignored.
 func (x *exchange) commit(now time.Duration, ack *ExchangeAck) {
+	if x.tooFarAhead(now, ack.Epoch) {
+		return
+	}
 	if p, ok := x.pending[ack.Seq]; ok {
 		delete(x.pending, ack.Seq)
 		x.led.outstanding -= p.share.Weight

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"wsgossip/internal/clock"
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/transport"
 )
@@ -74,7 +75,7 @@ type SimNodeConfig struct {
 	Window time.Duration
 	// Clock supplies the shared time epochs derive from. Required when
 	// Window is set.
-	Clock transport.Clock
+	Clock clock.Clock
 }
 
 // SimNode is one simulator participant. All calls arrive from the

@@ -3,9 +3,7 @@ package clock
 import "time"
 
 // Clock is the time source and timer factory the runtime schedules on.
-//
-// Both implementations satisfy transport.Clock (Now + AfterFunc), so a
-// Clock can drive the transport-level protocols too.
+// Real, Virtual and simnet.Network satisfy it.
 type Clock interface {
 	// Now returns the current time as an offset from the clock's epoch.
 	Now() time.Duration
@@ -16,22 +14,4 @@ type Clock interface {
 	// goroutine: a timer goroutine for Real, the Advance caller for
 	// Virtual — it must not block indefinitely.
 	AfterFunc(d time.Duration, fn func()) (stop func() bool)
-
-	// After returns a channel that receives the fire time (epoch offset)
-	// once, d from now. The channel is buffered: the send never blocks the
-	// clock.
-	After(d time.Duration) <-chan time.Duration
-
-	// NewTicker returns a ticker that delivers the fire time every d.
-	// Like time.Ticker it drops ticks when the receiver lags (capacity-1
-	// channel) and panics if d <= 0.
-	NewTicker(d time.Duration) Ticker
-}
-
-// Ticker delivers periodic fire times until stopped.
-type Ticker interface {
-	// C returns the delivery channel. Fire times are epoch offsets.
-	C() <-chan time.Duration
-	// Stop cancels future deliveries. It does not drain the channel.
-	Stop()
 }

@@ -103,61 +103,6 @@ func TestVirtualBarrier(t *testing.T) {
 	}
 }
 
-func TestVirtualAfterChannel(t *testing.T) {
-	v := NewVirtual()
-	ch := v.After(25 * time.Millisecond)
-	v.Advance(20 * time.Millisecond)
-	select {
-	case got := <-ch:
-		t.Fatalf("After fired early at %v", got)
-	default:
-	}
-	v.Advance(10 * time.Millisecond)
-	select {
-	case got := <-ch:
-		if got != 25*time.Millisecond {
-			t.Fatalf("After delivered %v, want 25ms", got)
-		}
-	default:
-		t.Fatal("After did not fire")
-	}
-}
-
-func TestVirtualTicker(t *testing.T) {
-	v := NewVirtual()
-	tk := v.NewTicker(10 * time.Millisecond)
-	var got []time.Duration
-	for i := 0; i < 4; i++ {
-		v.Advance(10 * time.Millisecond)
-		select {
-		case at := <-tk.C():
-			got = append(got, at)
-		default:
-			t.Fatalf("tick %d not delivered", i)
-		}
-	}
-	for i, at := range got {
-		if want := time.Duration(i+1) * 10 * time.Millisecond; at != want {
-			t.Fatalf("tick %d at %v, want %v", i, at, want)
-		}
-	}
-	// Undrained ticks are dropped, not queued.
-	v.Advance(50 * time.Millisecond)
-	<-tk.C()
-	select {
-	case <-tk.C():
-		t.Fatal("lagging ticker queued more than one tick")
-	default:
-	}
-	tk.Stop()
-	v.Advance(time.Second)
-	select {
-	case <-tk.C():
-		t.Fatal("stopped ticker delivered")
-	default:
-	}
-}
-
 func TestVirtualStepAndRun(t *testing.T) {
 	v := NewVirtual()
 	var n int
@@ -209,30 +154,51 @@ func TestVirtualConcurrentScheduling(t *testing.T) {
 }
 
 func TestRealClockSmoke(t *testing.T) {
-	r := NewReal()
-	// Now is monotone across an AfterFunc wait — synchronized, no sleeps.
-	a := r.Now()
-	<-r.After(2 * time.Millisecond)
-	if b := r.Now(); b <= a {
-		t.Fatalf("real clock not advancing: %v then %v", a, b)
-	}
-	fired := make(chan struct{})
-	r.AfterFunc(time.Millisecond, func() { close(fired) })
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("real AfterFunc never fired")
+	// NewReal's epoch is its construction time, so Now starts near zero
+	// (NewWall's is the Unix epoch; see TestWallSharedEpochBase).
+	if now := NewReal().Now(); now < 0 || now > time.Minute {
+		t.Fatalf("new real clock at %v, want near 0", now)
 	}
 }
 
-func TestRealTicker(t *testing.T) {
-	r := NewReal()
-	tk := r.NewTicker(time.Millisecond)
-	defer tk.Stop()
+func TestWallClockMonotone(t *testing.T) {
+	c := NewReal()
+	a := c.Now()
+	// Explicit synchronization, no sleep: wait for a short timer to fire.
+	fired := make(chan struct{})
+	c.AfterFunc(2*time.Millisecond, func() { close(fired) })
+	<-fired
+	b := c.Now()
+	if b <= a {
+		t.Fatalf("clock not advancing: %v then %v", a, b)
+	}
+}
+
+func TestWallClockAfterFunc(t *testing.T) {
+	c := NewReal()
+	fired := make(chan struct{})
+	c.AfterFunc(time.Millisecond, func() { close(fired) })
 	select {
-	case <-tk.C():
+	case <-fired:
 	case <-time.After(5 * time.Second):
-		t.Fatal("real ticker never ticked")
+		t.Fatal("timer never fired")
+	}
+}
+
+func TestWallClockAfterFuncCancel(t *testing.T) {
+	c := NewReal()
+	var fired atomic.Bool
+	stop := c.AfterFunc(10*time.Millisecond, func() { fired.Store(true) })
+	if !stop() {
+		t.Fatal("cancel failed")
+	}
+	// A sentinel timer scheduled after the cancelled one bounds the wait:
+	// when it fires, the cancelled timer's slot has long passed.
+	sentinel := make(chan struct{})
+	c.AfterFunc(30*time.Millisecond, func() { close(sentinel) })
+	<-sentinel
+	if fired.Load() {
+		t.Fatal("cancelled timer fired")
 	}
 }
 

@@ -14,27 +14,19 @@
 //     when Advance returns every timer due in the window has fully fired —
 //     the barrier that makes virtual-time tests assertable without sleeps.
 //
-// Virtual is built for simulated populations of 10^5..10^6 nodes: timers
-// spread over sharded heaps (scheduling from many goroutines contends a
-// shard, not the clock), cancelled timers are compacted lazily once they
-// dominate a shard, and fired timers recycle through per-shard free lists
-// guarded by generation counters. A global sequence number keeps the total
-// firing order exactly that of a single heap, so the sharding is invisible
-// to observers. SetWorkers optionally fans same-deadline callbacks — the
-// only cohort whose concurrent execution cannot reorder observable time —
-// across a bounded worker pool; callbacks' own scheduling calls are
-// buffered per worker slot and flushed in slot order, so a multi-worker run
-// is bit-identical to a sequential one provided same-deadline callbacks
-// are mutually independent. Schedule is AfterFunc without the stop handle,
-// for callers that never cancel (simnet's message deliveries): it fires the
-// caller's own record, so the schedule itself allocates nothing.
+// Virtual is built for simulated populations of 10^5..10^6 nodes: one
+// (deadline, seq) heap under one mutex, cancelled timers compacted lazily
+// once they dominate it, and fired timers recycled through a free list
+// guarded by generation counters. Schedule is AfterFunc without the stop
+// handle, for callers that never cancel (simnet's message deliveries): it
+// fires the caller's own record, so the schedule itself allocates nothing.
 //
 // Times are expressed as offsets (time.Duration) from an arbitrary
-// per-clock epoch rather than as time.Time, matching transport.Clock: an
-// epoch-free timeline is the only honest representation a simulation has.
+// per-clock epoch rather than as time.Time: an epoch-free timeline is the
+// only honest representation a simulation has.
 //
-// Key types: Clock (Now / AfterFunc / After / NewTicker), Ticker, Real,
-// Virtual. The paper's protocols are specified in rounds; this package is
-// what lets those rounds be tested in virtual time (internal/scenario) and
-// shipped on real time (cmd/wsgossip-node) from one code path.
+// Key types: Clock (Now / AfterFunc), Real, Virtual. The paper's protocols
+// are specified in rounds; this package is what lets those rounds be tested
+// in virtual time (internal/scenario) and shipped on real time
+// (cmd/wsgossip-node) from one code path.
 package clock

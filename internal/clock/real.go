@@ -1,9 +1,6 @@
 package clock
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Real is a Clock backed by package time. Its epoch is fixed at
 // construction, so Now is monotone and starts near zero.
@@ -38,58 +35,4 @@ func (r *Real) Now() time.Duration { return time.Since(r.epoch) }
 func (r *Real) AfterFunc(d time.Duration, fn func()) func() bool {
 	t := time.AfterFunc(d, fn)
 	return t.Stop
-}
-
-// After returns a channel receiving the fire time once, d from now.
-func (r *Real) After(d time.Duration) <-chan time.Duration {
-	ch := make(chan time.Duration, 1)
-	time.AfterFunc(d, func() { ch <- time.Since(r.epoch) })
-	return ch
-}
-
-// NewTicker returns a wall-clock ticker.
-func (r *Real) NewTicker(d time.Duration) Ticker {
-	if d <= 0 {
-		panic("clock: non-positive ticker period")
-	}
-	rt := &realTicker{
-		epoch: r.epoch,
-		t:     time.NewTicker(d),
-		c:     make(chan time.Duration, 1),
-		done:  make(chan struct{}),
-	}
-	go rt.forward()
-	return rt
-}
-
-// realTicker adapts time.Ticker's time.Time channel to epoch offsets.
-type realTicker struct {
-	epoch time.Time
-	t     *time.Ticker
-	c     chan time.Duration
-	done  chan struct{}
-	once  sync.Once
-}
-
-func (rt *realTicker) forward() {
-	for {
-		select {
-		case tm := <-rt.t.C:
-			select {
-			case rt.c <- tm.Sub(rt.epoch):
-			default: // receiver lags: drop the tick, like time.Ticker
-			}
-		case <-rt.done:
-			return
-		}
-	}
-}
-
-func (rt *realTicker) C() <-chan time.Duration { return rt.c }
-
-func (rt *realTicker) Stop() {
-	rt.once.Do(func() {
-		rt.t.Stop()
-		close(rt.done)
-	})
 }

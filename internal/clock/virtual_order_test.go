@@ -11,10 +11,10 @@ import (
 
 // ---- single-heap reference implementation ----
 //
-// refClock is the pre-sharding clock.Virtual, kept as the ordering oracle:
-// one mutex-guarded heap, (deadline, seq) order, cancelled timers keep their
-// slot until popped. The property test checks the sharded clock fires any
-// workload in the exact order this reference does.
+// refClock is the ordering oracle: one mutex-guarded heap, (deadline, seq)
+// order, cancelled timers keep their slot until popped, no recycling and no
+// compaction. The property test checks that Virtual, which has both, fires
+// any workload in the exact order this reference does.
 
 type refTimer struct {
 	at  time.Duration
@@ -180,9 +180,9 @@ func runOrderWorkload(seed uint64, c schedClock, advance func(time.Duration)) []
 	return log
 }
 
-// TestShardedMatchesSingleHeapOrder is the tentpole property test: the
-// sharded clock must fire a cascading cancel-heavy workload in the exact
-// global (deadline, seq) order of the single-heap reference.
+// TestShardedMatchesSingleHeapOrder is the ordering property test: with timer
+// recycling and lazy compaction in play, Virtual must fire a cascading
+// cancel-heavy workload in the exact (deadline, seq) order of the reference.
 func TestShardedMatchesSingleHeapOrder(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		ref := &refClock{}
@@ -194,7 +194,7 @@ func TestShardedMatchesSingleHeapOrder(t *testing.T) {
 		}
 		for i := range refLog {
 			if refLog[i] != gotLog[i] {
-				t.Fatalf("seed %d: firing %d diverges: sharded %q, reference %q", seed, i, gotLog[i], refLog[i])
+				t.Fatalf("seed %d: firing %d diverges: virtual %q, reference %q", seed, i, gotLog[i], refLog[i])
 			}
 		}
 		if len(refLog) < 300 {
@@ -218,9 +218,9 @@ func TestPendingBoundedUnderCancelChurn(t *testing.T) {
 			t.Fatalf("iteration %d: stop reported already-stopped", i)
 		}
 	}
-	// Per shard, compaction keeps dead <= len/2 once len >= compactMinLen,
-	// so the whole queue is bounded by 2*live + shards*compactMinLen.
-	bound := 2*live + timerShards*compactMinLen
+	// Compaction keeps dead <= len/2 once len >= compactMinLen, so the queue
+	// is bounded by 2*live + compactMinLen.
+	bound := 2*live + compactMinLen
 	if got := v.Pending(); got > bound {
 		t.Fatalf("Pending() = %d after cancel churn, want <= %d", got, bound)
 	}
@@ -275,34 +275,34 @@ func TestRunUntilZeroDelayAtTarget(t *testing.T) {
 func TestStopAfterRecycleIsInert(t *testing.T) {
 	v := NewVirtual()
 	stop := v.AfterFunc(time.Millisecond, func() {})
-	v.Advance(time.Millisecond) // fires; struct returns to its shard free list
+	v.Advance(time.Millisecond) // fires; struct returns to the free list
 	fired := 0
-	// Round-robin placement revisits every shard within timerShards
-	// schedules, so one of these reuses the fired timer's struct.
-	for i := 0; i < 2*timerShards; i++ {
+	// The free list is LIFO, so the next schedule reuses the fired struct.
+	const n = 4
+	for i := 0; i < n; i++ {
 		v.AfterFunc(time.Millisecond, func() { fired++ })
 	}
 	if stop() {
 		t.Fatal("stale stop function reported stopping a recycled timer")
 	}
 	v.Advance(time.Millisecond)
-	if fired != 2*timerShards {
-		t.Fatalf("fired %d of %d timers: a stale stop cancelled a recycled one", fired, 2*timerShards)
+	if fired != n {
+		t.Fatalf("fired %d of %d timers: a stale stop cancelled a recycled one", fired, n)
 	}
 }
 
-// TestAdvanceUnderConcurrentCompaction pins the merge scan against timer
+// TestAdvanceUnderConcurrentCompaction pins the driver's pops against timer
 // recycling: goroutines schedule and cancel batches big enough to compact
-// every shard — recycling dead heads and rewriting their deadlines from the
-// free list — while the driver schedules and advances. The driver must never
-// read a head a canceller is rewriting (run with -race), and an Advance must
-// never end early on a recycled far-future deadline: each due timer fires in
-// the Advance that reaches it.
+// the heap many times over — recycling dead heads and rewriting their
+// deadlines from the free list — while the driver schedules and advances.
+// The driver must never read a head a canceller is rewriting (run with
+// -race), and an Advance must never end early on a recycled far-future
+// deadline: each due timer fires in the Advance that reaches it.
 func TestAdvanceUnderConcurrentCompaction(t *testing.T) {
 	const (
 		cancellers = 2
-		perBatch   = timerShards * compactMinLen // every shard crosses the compaction threshold
-		minBatches = 40                          // cancel batches the driver must overlap
+		perBatch   = 16 * compactMinLen // crosses the compaction threshold repeatedly
+		minBatches = 40                 // cancel batches the driver must overlap
 	)
 	v := NewVirtual()
 	var done atomic.Bool
@@ -345,114 +345,6 @@ func TestAdvanceUnderConcurrentCompaction(t *testing.T) {
 	}
 }
 
-// workerSimNode is one self-clocking node for the worker-pool determinism
-// test: private rng state, private history, rounds aligned so many nodes
-// share deadlines (forming parallel batches), occasional self-cancel and
-// reschedule to exercise the stop path from inside batches.
-type workerSimNode struct {
-	id      int
-	state   uint64
-	history []time.Duration
-	stop    func() bool
-}
-
-// runWorkerSim runs a heavily-colliding multi-round simulation and returns
-// each node's private firing history plus the final clock reading.
-func runWorkerSim(workers int) ([][]time.Duration, time.Duration) {
-	v := NewVirtual()
-	v.SetWorkers(workers)
-	const n = 96
-	nodes := make([]*workerSimNode, n)
-	quantum := time.Millisecond
-	var tick func(nd *workerSimNode)
-	tick = func(nd *workerSimNode) {
-		nd.history = append(nd.history, v.Now())
-		if len(nd.history) >= 40 {
-			return
-		}
-		nd.state = splitmix64(nd.state)
-		// Quantized delays: 1..4ms, so dozens of nodes collide per deadline.
-		d := time.Duration(1+nd.state%4) * quantum
-		nd.stop = v.AfterFunc(d, func() { tick(nd) })
-		if nd.state%9 == 0 {
-			// Cancel and reschedule — only this node's own timer.
-			nd.stop()
-			nd.state = splitmix64(nd.state)
-			nd.stop = v.AfterFunc(time.Duration(1+nd.state%4)*quantum, func() { tick(nd) })
-		}
-	}
-	for i := range nodes {
-		nd := &workerSimNode{id: i, state: splitmix64(uint64(i) + 0xabcdef)}
-		nodes[i] = nd
-		v.AfterFunc(time.Duration(1+nd.state%4)*quantum, func() { tick(nd) })
-	}
-	for v.Pending() > 0 {
-		v.Advance(5 * quantum)
-	}
-	out := make([][]time.Duration, n)
-	for i, nd := range nodes {
-		out[i] = nd.history
-	}
-	return out, v.Now()
-}
-
-// TestWorkerPoolDeterminism checks the worker-pool ordering contract: with
-// mutually independent same-deadline callbacks, a pooled run's trajectory is
-// identical to the sequential clock's. Run with -race -count=5.
-func TestWorkerPoolDeterminism(t *testing.T) {
-	seqHist, seqNow := runWorkerSim(1)
-	for _, workers := range []int{2, 4, 8} {
-		gotHist, gotNow := runWorkerSim(workers)
-		if gotNow != seqNow {
-			t.Fatalf("workers=%d: final Now %v, sequential %v", workers, gotNow, seqNow)
-		}
-		for i := range seqHist {
-			if len(gotHist[i]) != len(seqHist[i]) {
-				t.Fatalf("workers=%d node %d: %d firings, sequential %d", workers, i, len(gotHist[i]), len(seqHist[i]))
-			}
-			for j := range seqHist[i] {
-				if gotHist[i][j] != seqHist[i][j] {
-					t.Fatalf("workers=%d node %d firing %d: at %v, sequential %v", workers, i, j, gotHist[i][j], seqHist[i][j])
-				}
-			}
-		}
-	}
-}
-
-// TestWorkerPoolPreservesScheduleOrder checks, black-box, that timers
-// scheduled from inside a parallel batch are sequenced exactly as a
-// sequential run would: batch callbacks each schedule one echo at a common
-// later deadline, and the echoes (fired sequentially) must come out in the
-// batch's own (deadline, seq) order.
-func TestWorkerPoolPreservesScheduleOrder(t *testing.T) {
-	const n = 64
-	v := NewVirtual()
-	v.SetWorkers(8)
-	var mu sync.Mutex
-	var order []int
-	for i := 0; i < n; i++ {
-		i := i
-		v.AfterFunc(time.Millisecond, func() { // one 64-wide batch
-			v.AfterFunc(time.Millisecond, func() {
-				mu.Lock()
-				order = append(order, i)
-				mu.Unlock()
-			})
-		})
-	}
-	v.Advance(time.Millisecond) // fire the batch on the pool
-	v.SetWorkers(1)             // echoes fire strictly sequentially
-	v.Advance(time.Millisecond)
-	if len(order) != n {
-		t.Fatalf("fired %d echoes, want %d", len(order), n)
-	}
-	for i, id := range order {
-		if id != i {
-			t.Fatalf("echo %d has id %d: deferred flush broke seq order (%v...)", i, id, order[:i+1])
-		}
-	}
-}
-
 // scheduleOnly routes every timer of the order workload through the
 // fire-and-forget path. Schedule returns no stop handle, so cancellation is a
 // flag the event checks when it fires: a cancelled timer still takes its
@@ -478,8 +370,7 @@ func (c scheduleOnly) AfterFunc(d time.Duration, fn func()) func() bool {
 
 // TestScheduleMatchesAfterFuncOrder: Schedule differs from AfterFunc only in
 // returning no handle. The cascading workload driven entirely through it must
-// fire in the single-heap reference's order, and a pool batch's Schedule calls
-// must be flushed in slot order like its AfterFunc calls.
+// fire in the reference's order.
 func TestScheduleMatchesAfterFuncOrder(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		ref := &refClock{}
@@ -493,28 +384,6 @@ func TestScheduleMatchesAfterFuncOrder(t *testing.T) {
 			if refLog[i] != gotLog[i] {
 				t.Fatalf("seed %d: firing %d diverges: scheduled %q, reference %q", seed, i, gotLog[i], refLog[i])
 			}
-		}
-	}
-
-	const n = 64
-	v := NewVirtual()
-	v.SetWorkers(8)
-	var order []int
-	for i := 0; i < n; i++ {
-		i := i
-		v.Schedule(time.Millisecond, funcEvent(func() { // one 64-wide batch
-			v.Schedule(time.Millisecond, funcEvent(func() { order = append(order, i) }))
-		}))
-	}
-	v.Advance(time.Millisecond) // fire the batch on the pool
-	v.SetWorkers(1)             // echoes fire strictly sequentially
-	v.Advance(time.Millisecond)
-	if len(order) != n {
-		t.Fatalf("fired %d echoes, want %d", len(order), n)
-	}
-	for i, id := range order {
-		if id != i {
-			t.Fatalf("echo %d has id %d: deferred flush broke seq order", i, id)
 		}
 	}
 }

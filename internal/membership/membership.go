@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"wsgossip/internal/clock"
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/transport"
@@ -68,7 +69,7 @@ type Config struct {
 	// Endpoint attaches the service to the network. Required.
 	Endpoint transport.Endpoint
 	// Clock supplies time (virtual under simulation). Required.
-	Clock transport.Clock
+	Clock clock.Clock
 	// RNG drives peer selection. Required for reproducibility; nil falls
 	// back to a fixed seed.
 	RNG *rand.Rand
@@ -360,10 +361,16 @@ func (s *Service) handleLeave(_ context.Context, msg transport.Message) error {
 	return nil
 }
 
+// maxHeartbeat bounds an accepted heartbeat; no per-round counter gets near
+// it. Echoed back at us, a MaxUint64 entry would wrap our own heartbeat to 0
+// (we outrun an echo by one) and every peer would then see us as stale.
+const maxHeartbeat = 1 << 62
+
 func (s *Service) mergeLocked(e entry, now time.Duration) {
-	if e.Addr == "" {
+	if e.Addr == "" || e.Heartbeat >= maxHeartbeat {
 		// A malformed or empty address must not become a member: it would
-		// gossip onward and burn a fan-out slot at every sampler.
+		// gossip onward and burn a fan-out slot at every sampler. A
+		// heartbeat that high came from no live counter.
 		return
 	}
 	if e.Addr == s.self.Addr {

@@ -2,7 +2,9 @@ package membership
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -199,8 +201,10 @@ func TestSelectPeersProvider(t *testing.T) {
 	}
 }
 
-func TestSelfHeartbeatOutrunsStaleEcho(t *testing.T) {
-	net := simnet.New(simnet.DefaultConfig(7))
+// newEchoPair returns services a and b, fanout 1, on one network.
+func newEchoPair(t *testing.T) (net *simnet.Network, a, b *Service) {
+	t.Helper()
+	net = simnet.New(simnet.DefaultConfig(7))
 	mk := func(addr string) *Service {
 		svc, err := New(Config{
 			Endpoint: net.Node(addr), Clock: net,
@@ -215,8 +219,11 @@ func TestSelfHeartbeatOutrunsStaleEcho(t *testing.T) {
 		mux.Bind(net.Node(addr))
 		return svc
 	}
-	a := mk("a")
-	b := mk("b")
+	return net, mk("a"), mk("b")
+}
+
+func TestSelfHeartbeatOutrunsStaleEcho(t *testing.T) {
+	net, a, b := newEchoPair(t)
 	ctx := context.Background()
 	b.Join(ctx, []string{"a"})
 	net.Run()
@@ -232,6 +239,54 @@ func TestSelfHeartbeatOutrunsStaleEcho(t *testing.T) {
 		t.Fatal("self heartbeat lost")
 	}
 	_ = a
+}
+
+// TestSelfHeartbeatIgnoresWrapEcho: an echo of our own entry at MaxUint64
+// must not wrap our heartbeat to 0, which would leave every peer seeing us
+// as stale. Any entry that high is ignored, a third party's included.
+func TestSelfHeartbeatIgnoresWrapEcho(t *testing.T) {
+	net, a, b := newEchoPair(t)
+	ctx := context.Background()
+	b.Join(ctx, []string{"a"})
+	net.Run()
+	a.Tick(ctx)
+	net.Run()
+	viewOfA := func() Member {
+		for _, m := range b.Members() {
+			if m.Addr == "a" {
+				return m
+			}
+		}
+		t.Fatal("b does not know a")
+		return Member{}
+	}
+	before, hb := viewOfA(), a.self.Heartbeat
+
+	body, err := json.Marshal(exchangeMsg{Entries: []entry{
+		{Addr: "a", Heartbeat: math.MaxUint64},
+		{Addr: "c", Heartbeat: 1 << 62},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.handleExchange(ctx, transport.Message{From: "b", To: "a", Action: ActionExchange, Body: body}); err != nil {
+		t.Fatal(err)
+	}
+	if a.self.Heartbeat != hb {
+		t.Fatalf("echo moved self heartbeat %d -> %d", hb, a.self.Heartbeat)
+	}
+	for _, m := range a.Members() {
+		if m.Addr == "c" {
+			t.Fatalf("entry at heartbeat %d admitted", m.Heartbeat)
+		}
+	}
+
+	net.RunFor(50 * time.Millisecond)
+	a.Tick(ctx)
+	net.Run()
+	if after := viewOfA(); after.Heartbeat <= before.Heartbeat || after.Refreshed <= before.Refreshed {
+		t.Fatalf("b's view of a not refreshed: %+v -> %+v", before, after)
+	}
 }
 
 func TestViewSizeNeverIncludesDuplicates(t *testing.T) {

@@ -20,7 +20,7 @@ type soapNode struct {
 	ep  *SOAPEndpoint
 }
 
-func newSOAPNode(t *testing.T, bus *soap.MemBus, clk transport.Clock, addr string, seed int64) *soapNode {
+func newSOAPNode(t *testing.T, bus *soap.MemBus, clk clock.Clock, addr string, seed int64) *soapNode {
 	t.Helper()
 	ep := NewSOAPEndpoint(addr, bus)
 	svc, err := New(Config{

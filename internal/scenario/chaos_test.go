@@ -165,10 +165,6 @@ func (s *skewClock) AfterFunc(d time.Duration, fn func()) (stop func() bool) {
 	})
 }
 
-func (s *skewClock) After(d time.Duration) <-chan time.Duration { return s.inner.After(d) }
-
-func (s *skewClock) NewTicker(d time.Duration) clock.Ticker { return s.inner.NewTicker(d) }
-
 // TestChaosStraggler gives one node pull-round ticks that appear to take
 // 50ms (the healthy nodes' ticks are instantaneous on the virtual clock).
 // The tick-duration histogram must expose the straggler's tail, and the

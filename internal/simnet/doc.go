@@ -11,9 +11,9 @@
 // that runs over SOAP/HTTP.
 //
 // Key types: Network (the fabric: Node/Crash/Partition/SetLossRate, with
-// Run/RunFor/Step driving the event loop) and Node (one
-// transport.Endpoint). A Network schedules on a clock.Virtual — its own, or
-// one shared with core.Runner timers via NewOnClock, so thousands of
+// Run/RunFor/Step driving the event loop; itself a clock.Clock) and Node
+// (one transport.Endpoint). A Network schedules on a clock.Virtual — its
+// own, or one shared with core.Runner timers via NewOnClock, so thousands of
 // self-clocking nodes and their link latencies interleave on a single
 // deterministic timeline.
 //
@@ -27,12 +27,11 @@
 //
 // The fire-and-forget contract. A message in flight is one heap record
 // ({net, dest, msg}) handed to clock.Virtual.Schedule: it takes the same
-// timer and the same (deadline, seq) slot an AfterFunc in its place would —
-// including the deferral inside a parallel same-deadline batch — but no stop
-// handle exists, because nothing ever cancels a delivery: a crash is checked
-// when it lands. The body is delivered as sent, not copied; a sender that
-// fans one body out to f peers shares it among f handlers, which therefore
-// must not modify it or keep it past the call.
+// timer and the same (deadline, seq) slot an AfterFunc in its place would,
+// but no stop handle exists, because nothing ever cancels a delivery: a
+// crash is checked when it lands. The body is delivered as sent, not
+// copied; a sender that fans one body out to f peers shares it among f
+// handlers, which therefore must not modify it or keep it past the call.
 //
 // NewCompactRNG supplies a 16-byte splitmix64 rand.Rand for per-node state
 // at that scale (math/rand's default source is ~5 KiB per instance).

@@ -99,7 +99,7 @@ func NewOnClock(cfg Config, clk *clock.Virtual) *Network {
 	}
 }
 
-var _ transport.Clock = (*Network)(nil)
+var _ clock.Clock = (*Network)(nil)
 
 // Clock returns the virtual clock the network schedules on.
 func (n *Network) Clock() *clock.Virtual { return n.clk }

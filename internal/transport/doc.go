@@ -7,7 +7,6 @@
 //
 // Key types: Message (one one-way protocol message), Endpoint (a node's
 // attachment: Send + SetHandler), Mux (action-based demultiplexer so
-// several protocols share one endpoint), Handler, and Clock (the minimal
-// time interface — Now + AfterFunc — that clock.Real, clock.Virtual, and
-// simnet.Network all satisfy).
+// several protocols share one endpoint) and Handler. Time is not this
+// package's concern: protocols that need it take a clock.Clock.
 package transport

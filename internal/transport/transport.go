@@ -3,9 +3,6 @@ package transport
 import (
 	"context"
 	"errors"
-	"time"
-
-	"wsgossip/internal/clock"
 )
 
 // ErrClosed reports a send through a closed transport.
@@ -44,27 +41,4 @@ type Endpoint interface {
 	// SetHandler installs the inbound-message handler. Must be called before
 	// the first delivery.
 	SetHandler(h Handler)
-}
-
-// Clock abstracts time so protocols run identically on the simulator's
-// virtual clock and the wall clock. It is the minimal subset of
-// clock.Clock the transport-level protocols need; clock.Real,
-// clock.Virtual, and simnet.Network all satisfy it.
-type Clock interface {
-	// Now returns the current time as an offset from an arbitrary epoch.
-	Now() time.Duration
-	// AfterFunc schedules fn after d. The returned stop function cancels the
-	// timer if it has not fired; it reports whether cancellation succeeded.
-	AfterFunc(d time.Duration, fn func()) (stop func() bool)
-}
-
-// WallClock is the real-time Clock — clock.Real, which keeps exactly one
-// wall-clock implementation in the tree.
-type WallClock = clock.Real
-
-var _ Clock = (*WallClock)(nil)
-
-// NewWallClock returns a wall clock with its epoch at construction time.
-func NewWallClock() *WallClock {
-	return clock.NewReal()
 }

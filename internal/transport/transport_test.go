@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestMuxDispatch(t *testing.T) {
@@ -90,45 +88,4 @@ func TestMuxConcurrentAccess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestWallClockMonotone(t *testing.T) {
-	c := NewWallClock()
-	a := c.Now()
-	// Explicit synchronization, no sleep: wait for a short timer to fire.
-	fired := make(chan struct{})
-	c.AfterFunc(2*time.Millisecond, func() { close(fired) })
-	<-fired
-	b := c.Now()
-	if b <= a {
-		t.Fatalf("clock not advancing: %v then %v", a, b)
-	}
-}
-
-func TestWallClockAfterFunc(t *testing.T) {
-	c := NewWallClock()
-	fired := make(chan struct{})
-	c.AfterFunc(time.Millisecond, func() { close(fired) })
-	select {
-	case <-fired:
-	case <-time.After(time.Second):
-		t.Fatal("timer never fired")
-	}
-}
-
-func TestWallClockAfterFuncCancel(t *testing.T) {
-	c := NewWallClock()
-	var fired atomic.Bool
-	stop := c.AfterFunc(10*time.Millisecond, func() { fired.Store(true) })
-	if !stop() {
-		t.Fatal("cancel failed")
-	}
-	// A sentinel timer scheduled after the cancelled one bounds the wait:
-	// when it fires, the cancelled timer's slot has long passed.
-	sentinel := make(chan struct{})
-	c.AfterFunc(30*time.Millisecond, func() { close(sentinel) })
-	<-sentinel
-	if fired.Load() {
-		t.Fatal("cancelled timer fired")
-	}
 }
