@@ -17,12 +17,13 @@ import (
 // -benchmem bench smoke) on every push.
 
 type allocBudget struct {
-	ForwardFanoutF8  float64 `json:"forward_fanout_f8_max_allocs"`
-	DuplicateReceipt float64 `json:"duplicate_receipt_max_allocs"`
-	GossipHeaderFrom float64 `json:"gossip_header_from_max_allocs"`
-	ForwardHeaders   float64 `json:"forward_headers_max_allocs"`
-	DigestReceipt    float64 `json:"digest_receipt_nothing_missing_max_allocs"`
-	DigestEnvelope   float64 `json:"tick_repair_digest_envelope_max_allocs"`
+	ForwardFanoutF8   float64 `json:"forward_fanout_f8_max_allocs"`
+	DuplicateReceipt  float64 `json:"duplicate_receipt_max_allocs"`
+	DuplicateDelivery float64 `json:"duplicate_delivery_membus_max_allocs"`
+	GossipHeaderFrom  float64 `json:"gossip_header_from_max_allocs"`
+	ForwardHeaders    float64 `json:"forward_headers_max_allocs"`
+	DigestReceipt     float64 `json:"digest_receipt_nothing_missing_max_allocs"`
+	DigestEnvelope    float64 `json:"tick_repair_digest_envelope_max_allocs"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -34,11 +35,11 @@ func loadAllocBudget(t *testing.T) allocBudget {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	budget := allocBudget{-1, -1, -1, -1, -1, -1}
+	budget := allocBudget{-1, -1, -1, -1, -1, -1, -1}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	if budget.ForwardFanoutF8 <= 0 || budget.DuplicateReceipt < 0 ||
+	if budget.ForwardFanoutF8 <= 0 || budget.DuplicateReceipt < 0 || budget.DuplicateDelivery < 0 ||
 		budget.GossipHeaderFrom < 0 || budget.ForwardHeaders < 0 ||
 		budget.DigestReceipt < 0 || budget.DigestEnvelope <= 0 {
 		t.Fatalf("alloc budget missing fields: %+v", budget)
@@ -87,6 +88,20 @@ func TestDuplicateReceiptAllocBudget(t *testing.T) {
 		t.Fatalf("stats = %+v", stats)
 	}
 	checkAllocBudget(t, "duplicate receipt", allocs, budget.DuplicateReceipt)
+}
+
+// TestDuplicateDeliveryAllocBudget: the same duplicate through the whole
+// receive path — MemBus decode, Dispatcher on the action, intercept, the
+// buffer back to the pool. What remains is the decode's one object.
+func TestDuplicateDeliveryAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	fb := newForwardBench(t, 8, 1<<10)
+	deliver := fb.duplicateDelivery(t)
+	allocs := testing.AllocsPerRun(100, deliver)
+	if stats := fb.d.Stats(); stats.Delivered != 1 || stats.Duplicates < 100 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	checkAllocBudget(t, "duplicate delivery over MemBus", allocs, budget.DuplicateDelivery)
 }
 
 func TestGossipHeaderFromAllocBudget(t *testing.T) {

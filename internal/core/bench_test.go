@@ -140,6 +140,44 @@ func (fb *forwardBench) receivedNotification(b testing.TB) *soap.Envelope {
 	return env
 }
 
+// duplicateDelivery registers fb's disseminator on its bus as mem://self,
+// lets the notification reach it once, and returns one more delivery of it:
+// a freshly rendered, pooled buffer handed to the bus, decoded, dispatched
+// on its action and dropped by intercept as a duplicate — three receipts in
+// four on mem-push-64.
+func (fb *forwardBench) duplicateDelivery(b testing.TB) func() {
+	b.Helper()
+	bus := fb.d.cfg.Caller.(*soap.MemBus)
+	bus.Register("mem://self", fb.d.Handler())
+	fb.d.interactions[fb.gh.InteractionID] = fb.state
+	tmpl, err := fb.env.EncodeTemplate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	deliver := func() {
+		if err := bus.SendEncoded(fb.ctx, "mem://self", tmpl.RenderTo("mem://self")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	deliver() // the first receipt
+	return deliver
+}
+
+// BenchmarkDuplicateDelivery measures a duplicate notification's whole
+// receive path over the in-memory binding.
+func BenchmarkDuplicateDelivery(b *testing.B) {
+	fb := newForwardBench(b, 8, 1<<10)
+	deliver := fb.duplicateDelivery(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deliver()
+	}
+	if stats := fb.d.Stats(); stats.Delivered != 1 || stats.Duplicates != int64(b.N) {
+		b.Fatalf("stats = %+v", stats)
+	}
+}
+
 // forwardHeaders is the per-forward header rewrite: snapshot the received
 // envelope, decrement the hop budget, re-address without To.
 func forwardHeaders(env *soap.Envelope, gh GossipHeader) (*soap.Envelope, error) {

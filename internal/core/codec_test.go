@@ -6,6 +6,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,11 +210,28 @@ func capturedNotification(t testing.TB, gh GossipHeader, to string) []byte {
 	return data
 }
 
+// blockNames lists the names of env's header blocks, then its body blocks.
+func blockNames(env *soap.Envelope) []xml.Name {
+	var out []xml.Name
+	if env.Header != nil {
+		for _, b := range env.Header.Blocks {
+			out = append(out, b.XMLName)
+		}
+	}
+	for _, b := range env.Body.Blocks {
+		out = append(out, b.XMLName)
+	}
+	return out
+}
+
 // TestGossipLayerNeverAliasesReceiveBuffer: the transport recycles a
-// delivery's buffer as soon as the handler returns. Nothing the gossip layer
-// returns or retains — GossipHeaderFrom's strings, the seen-set key, the
-// deferred announcement, the stored envelope — may still point into it.
+// delivery's buffer as soon as the handler returns. Nothing the stack
+// returns or retains — the interned action and block names a handler reads,
+// GossipHeaderFrom's strings, the seen-set key, the deferred announcement,
+// the stored clone — may still point into it. The notification goes the
+// whole receive path: MemBus, Dispatcher, intercept.
 func TestGossipLayerNeverAliasesReceiveBuffer(t *testing.T) {
+	ctx := context.Background()
 	for _, id := range []string{"urn:uuid:alias-1", `urn:uuid:needs&escaping<2>`} {
 		want := GossipHeader{XMLName: gossipName, InteractionID: "urn:interaction:alias", MessageID: id, Hops: 3, Protocol: ProtocolPullGossip}
 		data := capturedNotification(t, want, "mem://self")
@@ -222,17 +240,14 @@ func TestGossipLayerNeverAliasesReceiveBuffer(t *testing.T) {
 				data[i] = '#'
 			}
 		}
+		fresh, err := soap.Decode(capturedNotification(t, want, "mem://self"))
+		if err != nil {
+			t.Fatal(err)
+		}
 
-		env, err := soap.Decode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gh, err := GossipHeaderFrom(env)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bus := soap.NewMemBus()
 		d, err := NewDisseminator(DisseminatorConfig{
-			Address: "mem://self", Caller: soap.NewMemBus(), RNG: rand.New(rand.NewSource(1)),
+			Address: "mem://self", Caller: bus, RNG: rand.New(rand.NewSource(1)),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -242,11 +257,31 @@ func TestGossipLayerNeverAliasesReceiveBuffer(t *testing.T) {
 			protocol: ProtocolPushGossip,
 			params:   GossipParameters{Fanout: 2, Hops: 3, Style: gossip.StyleLazyPush.String(), Targets: []string{"mem://peer"}},
 		}
-		if _, err := d.intercept(context.Background(), &soap.Request{Envelope: env}, nil); err != nil {
+		var (
+			action string
+			names  []xml.Name
+			gh     GossipHeader
+		)
+		dispatcher := d.Handler()
+		bus.Register("mem://self", soap.HandlerFunc(func(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
+			action, names = req.Action(), blockNames(req.Envelope)
+			var err error
+			if gh, err = GossipHeaderFrom(req.Envelope); err != nil {
+				t.Error(err)
+			}
+			return dispatcher.HandleSOAP(ctx, req)
+		}))
+		if err := bus.SendEncoded(ctx, "mem://self", data); err != nil {
 			t.Fatal(err)
 		}
-		scribble() // the delivery is over: the buffer goes back to the pool
+		scribble() // the bus has recycled the buffer: its next user overwrites it
 
+		if action != ActionNotify {
+			t.Errorf("interned action changed with the buffer: %q", action)
+		}
+		if want := blockNames(fresh); !slices.Equal(names, want) {
+			t.Errorf("interned block names changed with the buffer: %v, want %v", names, want)
+		}
 		if gh != want {
 			t.Errorf("GossipHeaderFrom result changed with the buffer: %+v", gh)
 		}
@@ -263,12 +298,11 @@ func TestGossipLayerNeverAliasesReceiveBuffer(t *testing.T) {
 		if sgh, err := GossipHeaderFrom(stored); err != nil || sgh != want {
 			t.Errorf("stored envelope changed with the buffer: %+v, %v", sgh, err)
 		}
-		// A second receipt, from a fresh buffer, is still a duplicate.
-		again, err := soap.Decode(capturedNotification(t, want, "mem://self"))
-		if err != nil {
-			t.Fatal(err)
+		if got, want := stored.Body.Blocks[0].Raw, fresh.Body.Blocks[0].Raw; !bytes.Equal(got, want) {
+			t.Errorf("stored body changed with the buffer: %s, want %s", got, want)
 		}
-		if _, err := d.intercept(context.Background(), &soap.Request{Envelope: again}, nil); err != nil {
+		// A second receipt, from a fresh buffer, is still a duplicate.
+		if err := bus.SendEncoded(ctx, "mem://self", capturedNotification(t, want, "mem://self")); err != nil {
 			t.Fatal(err)
 		}
 		if stats := d.Stats(); stats.Delivered != 1 || stats.Duplicates != 1 {

@@ -104,7 +104,7 @@ func (g *Gate) Shed() int64 { return g.m.shed.Value() }
 func (g *Gate) Middleware() soap.Middleware {
 	return func(next soap.Handler) soap.Handler {
 		return soap.HandlerFunc(func(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
-			if g.cfg.Exempt != nil && g.cfg.Exempt(req.Addressing().Action) {
+			if g.cfg.Exempt != nil && g.cfg.Exempt(req.Action()) {
 				g.m.exempt.Inc()
 				return next.HandleSOAP(ctx, req)
 			}

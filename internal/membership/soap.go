@@ -148,7 +148,7 @@ func (e *SOAPEndpoint) handleSOAP(ctx context.Context, req *soap.Request) (*soap
 	_ = h(ctx, transport.Message{
 		From:   from,
 		To:     e.addr,
-		Action: req.Addressing().Action,
+		Action: req.Action(),
 		Body:   data,
 	})
 	return nil, nil

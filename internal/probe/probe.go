@@ -266,7 +266,7 @@ func (p *Prober) expire(target, nonce string) {
 
 // handleSOAP serves all four probe actions.
 func (p *Prober) handleSOAP(_ context.Context, req *soap.Request) (*soap.Envelope, error) {
-	switch req.Addressing().Action {
+	switch req.Action() {
 	case ActionPingReq:
 		var body pingReqBody
 		if err := req.Envelope.DecodeBody(&body); err != nil {

@@ -14,8 +14,11 @@ import (
 // runs them (and the -benchmem smoke) on every push.
 
 type allocBudget struct {
-	DecodeMaxAllocs float64 `json:"decode_1kib_max_allocs"`
-	EncodeMaxAllocs float64 `json:"encode_1kib_max_allocs"`
+	DecodeMaxAllocs    float64 `json:"decode_1kib_max_allocs"`
+	EncodeMaxAllocs    float64 `json:"encode_1kib_max_allocs"`
+	CloneMaxAllocs     float64 `json:"clone_max_allocs"`
+	SnapshotMaxAllocs  float64 `json:"snapshot_max_allocs"`
+	PoolCycleMaxAllocs float64 `json:"pool_cycle_max_allocs"`
 }
 
 func loadAllocBudget(t *testing.T, path string) allocBudget {
@@ -24,11 +27,12 @@ func loadAllocBudget(t *testing.T, path string) allocBudget {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	var b allocBudget
+	b := allocBudget{-1, -1, -1, -1, -1}
 	if err := json.Unmarshal(raw, &b); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	if b.DecodeMaxAllocs <= 0 || b.EncodeMaxAllocs <= 0 {
+	if b.DecodeMaxAllocs <= 0 || b.EncodeMaxAllocs <= 0 || b.CloneMaxAllocs <= 0 ||
+		b.SnapshotMaxAllocs <= 0 || b.PoolCycleMaxAllocs < 0 {
 		t.Fatalf("alloc budget missing fields: %+v", b)
 	}
 	return b
@@ -116,3 +120,39 @@ func TestDecodeAllocBudgetInstrumented(t *testing.T) {
 	t.Logf("decode bare %.1f vs instrumented %.1f allocs/op; encode instrumented %.1f",
 		bare, instrumented, encodeAllocs)
 }
+
+// TestCopyAndPoolAllocBudget: what a received envelope costs past its
+// decode — the store's Clone, the forward path's Snapshot — and a pooled
+// buffer's way back into the pool and out again.
+func TestCopyAndPoolAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	budget := loadAllocBudget(t, "testdata/alloc_budget.json")
+	data, err := benchEnvelope(t, 1<<10).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		what   string
+		budget float64
+		op     func()
+	}{
+		{"Clone", budget.CloneMaxAllocs, func() { sinkEnv = env.Clone() }},
+		{"Snapshot", budget.SnapshotMaxAllocs, func() { sinkEnv = env.Snapshot() }},
+		{"putBytes→getBytes", budget.PoolCycleMaxAllocs, func() { putBytes(getBytes(4096)) }},
+	} {
+		allocs := testing.AllocsPerRun(200, row.op)
+		if allocs > row.budget {
+			t.Errorf("%s = %.1f allocs/op, budget %.0f (testdata/alloc_budget.json)", row.what, allocs, row.budget)
+		}
+		t.Logf("%s: %.1f allocs/op (budget %.0f)", row.what, allocs, row.budget)
+	}
+}
+
+// sinkEnv keeps a measured copy live, so the compiler cannot elide it.
+var sinkEnv *Envelope

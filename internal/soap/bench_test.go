@@ -78,6 +78,37 @@ func BenchmarkEnvelopeDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkEnvelopeClone and BenchmarkEnvelopeSnapshot measure the two
+// copies of a received 1 KiB notification: Clone for the store, Snapshot
+// for every forward.
+func BenchmarkEnvelopeClone(b *testing.B)    { benchCopy(b, (*Envelope).Clone) }
+func BenchmarkEnvelopeSnapshot(b *testing.B) { benchCopy(b, (*Envelope).Snapshot) }
+
+func benchCopy(b *testing.B, copyOf func(*Envelope) *Envelope) {
+	data, err := benchEnvelope(b, 1<<10).Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	env, err := Decode(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkEnv = copyOf(env)
+	}
+}
+
+// BenchmarkPoolCycle measures a wire buffer's way back into the pool and
+// out again, which every rendered message and every receive buffer takes.
+func BenchmarkPoolCycle(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		putBytes(getBytes(4096))
+	}
+}
+
 // BenchmarkWireRoundTrip measures one decode + re-encode cycle: what every
 // disseminator pays per hop on top of transport costs.
 func BenchmarkWireRoundTrip(b *testing.B) {

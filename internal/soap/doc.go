@@ -39,5 +39,8 @@
 // valid only during HandleSOAP; a handler that retains it past that point
 // must Clone it. Envelope.Snapshot shares the captured bytes and is NOT
 // sufficient for retention; it exists for fan-out paths that re-head an
-// envelope within a delivery.
+// envelope within a delivery. Strings are different: every string the
+// decoder hands out — a block's local name and namespace, Envelope.Action and
+// Request.Action, the Addressing properties — is interned or copied, never a
+// view of the buffer, so a handler may keep them past the delivery.
 package soap

@@ -160,7 +160,7 @@ func blockName(raw []byte) (xml.Name, bool) {
 	if !ok || (!tag.selfClose && !s.subtree(s.name(tag))) || s.pos != len(raw) {
 		return xml.Name{}, false
 	}
-	name := xml.Name{Local: internLocal(s.name(tag))}
+	name := xml.Name{Local: names.intern(s.name(tag))}
 	if tag.hasXMLNS {
 		if name.Space, ok = nsValue(s.slice(tag.nsStart, tag.nsEnd)); !ok {
 			return xml.Name{}, false
@@ -190,12 +190,17 @@ func (e *Envelope) AddHeaderBlock(b Block) {
 	e.addr.Store(nil)
 }
 
+// headerBlocks returns the header's blocks, nil without a header.
+func (e *Envelope) headerBlocks() []Block {
+	if e.Header == nil {
+		return nil
+	}
+	return e.Header.Blocks
+}
+
 // HeaderBlock returns the first header block with the given name.
 func (e *Envelope) HeaderBlock(space, local string) (Block, bool) {
-	if e.Header == nil {
-		return Block{}, false
-	}
-	for _, b := range e.Header.Blocks {
+	for _, b := range e.headerBlocks() {
 		if b.XMLName.Local == local && (space == "" || b.XMLName.Space == space) {
 			return b, true
 		}
@@ -290,15 +295,28 @@ func (e *Envelope) Encode() ([]byte, error) {
 // be modified afterwards. Every document the scanner declines (namespace
 // prefixes, blocks inheriting an outer default namespace, a DOCTYPE, nesting
 // beyond its name stack, malformed bytes) is judged by encoding/xml
-// (decodeLegacy), which copies each block as it re-encodes it.
+// (decodeLegacy), which copies each block as it re-encodes it. A scanned
+// envelope is one allocation: the envelope, its header and its first blocks
+// (see received).
 func Decode(data []byte) (*Envelope, error) {
+	req, err := decodeRequest(data)
+	if err != nil {
+		return nil, err
+	}
+	return req.Envelope, nil
+}
+
+// decodeRequest is Decode for the bindings, which hand the handler a
+// Request: a scanned document's Request is part of its envelope's
+// allocation. The caller fills in Remote.
+func decodeRequest(data []byte) (*Request, error) {
 	if len(data) > maxEnvelopeBytes {
 		countDecodeError(true)
 		return nil, fmt.Errorf("soap: envelope of %d bytes exceeds the %d-byte cap", len(data), maxEnvelopeBytes)
 	}
-	if env, ok := decodeScan(data); ok {
+	if req, ok := decodeScan(data); ok {
 		countDecode(true, len(data))
-		return env, nil
+		return req, nil
 	}
 	env, err := decodeLegacy(data)
 	if err != nil {
@@ -306,20 +324,32 @@ func Decode(data []byte) (*Envelope, error) {
 		return nil, err
 	}
 	countDecode(false, len(data))
-	return env, nil
+	return &Request{Envelope: env}, nil
 }
 
 // Clone deep-copies the envelope, including the captured block bytes.
 // Fan-out paths use the cheaper Snapshot; Clone is for retention — an
 // envelope that must outlive its delivery (and the transport's pooled
 // receive buffer backing it) — and for callers that mutate Raw in place.
+// It is two allocations: Snapshot's, and one slab holding every block's
+// bytes. Each Raw is a full slice expression of the slab, so an append to
+// one can never write into the next.
 func (e *Envelope) Clone() *Envelope {
-	out := &Envelope{XMLName: e.XMLName}
-	if e.Header != nil {
-		out.Header = &Header{XMLName: e.Header.XMLName, Blocks: cloneBlocks(e.Header.Blocks)}
+	out := e.Snapshot()
+	size := 0
+	for _, blocks := range [2][]Block{out.headerBlocks(), out.Body.Blocks} {
+		for _, b := range blocks {
+			size += len(b.Raw)
+		}
 	}
-	out.Body = Body{XMLName: e.Body.XMLName, Blocks: cloneBlocks(e.Body.Blocks)}
-	out.addr.Store(e.addr.Load())
+	slab := make([]byte, 0, size)
+	for _, blocks := range [2][]Block{out.headerBlocks(), out.Body.Blocks} {
+		for i := range blocks {
+			start := len(slab)
+			slab = append(slab, blocks[i].Raw...)
+			blocks[i].Raw = slab[start:len(slab):len(slab)]
+		}
+	}
 	return out
 }
 
@@ -328,31 +358,70 @@ func (e *Envelope) Clone() *Envelope {
 // never affects the other — while the captured Raw bytes are shared. Every
 // mutation in this package replaces whole blocks and treats Raw as
 // immutable, so the fan-out and store paths snapshot instead of
-// deep-copying per target.
+// deep-copying per target. The copy is one allocation (newShell), its
+// block lists sized exactly.
 func (e *Envelope) Snapshot() *Envelope {
-	out := &Envelope{XMLName: e.XMLName}
-	if e.Header != nil {
-		out.Header = &Header{
-			XMLName: e.Header.XMLName,
-			Blocks:  append([]Block(nil), e.Header.Blocks...),
-		}
+	nh := len(e.headerBlocks())
+	out, blocks := newShell(nh + len(e.Body.Blocks))
+	out.XMLName = e.XMLName
+	if e.Header == nil {
+		out.Header = nil
+	} else {
+		out.Header.XMLName = e.Header.XMLName
+		out.Header.Blocks = exactBlocks(blocks[:nh], e.Header.Blocks)
 	}
-	out.Body = Body{
-		XMLName: e.Body.XMLName,
-		Blocks:  append([]Block(nil), e.Body.Blocks...),
-	}
+	out.Body = Body{XMLName: e.Body.XMLName, Blocks: exactBlocks(blocks[nh:], e.Body.Blocks)}
 	out.addr.Store(e.addr.Load())
 	return out
 }
 
-func cloneBlocks(in []Block) []Block {
-	out := make([]Block, len(in))
-	for i, b := range in {
-		raw := make([]byte, len(b.Raw))
-		copy(raw, b.Raw)
-		out[i] = Block{XMLName: b.XMLName, Raw: raw}
+// exactBlocks copies src into dst, which is exactly as long, and returns dst
+// with its capacity cut to that length — or nil for none, as an append-built
+// copy would be.
+func exactBlocks(dst, src []Block) []Block {
+	if len(src) == 0 {
+		return nil
 	}
-	return out
+	copy(dst, src)
+	return dst[:len(src):len(src)]
+}
+
+// newShell allocates an envelope, its header and an n-block array as one
+// object. The array is exactly n blocks for every count up to eight, which
+// covers what the stack sends; a larger array is allocated on its own.
+func newShell(n int) (*Envelope, []Block) {
+	switch n {
+	case 1:
+		return shell(func(a *[1]Block) []Block { return a[:] })
+	case 2:
+		return shell(func(a *[2]Block) []Block { return a[:] })
+	case 3:
+		return shell(func(a *[3]Block) []Block { return a[:] })
+	case 4:
+		return shell(func(a *[4]Block) []Block { return a[:] })
+	case 5:
+		return shell(func(a *[5]Block) []Block { return a[:] })
+	case 6:
+		return shell(func(a *[6]Block) []Block { return a[:] })
+	case 7:
+		return shell(func(a *[7]Block) []Block { return a[:] })
+	case 8:
+		return shell(func(a *[8]Block) []Block { return a[:] })
+	}
+	env, _ := shell(func(*[0]Block) []Block { return nil })
+	return env, make([]Block, n)
+}
+
+// shell allocates an envelope whose Header and block array share its
+// allocation; blocks slices the array.
+func shell[A any](blocks func(*A) []Block) (*Envelope, []Block) {
+	s := new(struct {
+		env    Envelope
+		header Header
+		blocks A
+	})
+	s.env.Header = &s.header
+	return &s.env, blocks(&s.blocks)
 }
 
 // Addressing-header element shapes. WS-Addressing properties are individual
@@ -592,11 +661,44 @@ func (e *Envelope) computeAddressing() wsa.Headers {
 	return h
 }
 
+// Action returns the wsa:Action property — what a dispatcher routes on —
+// without building the rest of Addressing: the text of the first wsa:Action
+// header block is read where it lies and interned, so the result costs no
+// allocation once the action has been seen and never aliases the envelope's
+// bytes. Text that does not stand for itself (entity or character
+// references, carriage returns, child content) takes Addressing's parse.
+func (e *Envelope) Action() string {
+	if h := e.addr.Load(); h != nil {
+		return h.Action
+	}
+	for _, b := range e.headerBlocks() {
+		if b.XMLName.Local != "Action" || b.XMLName.Space != wsa.Namespace {
+			continue
+		}
+		if text, ok := headerChars(b.Raw); ok && FlatText(text).IsLiteral() {
+			return names.intern(text)
+		}
+		return e.Addressing().Action
+	}
+	return ""
+}
+
 // headerText extracts the character content of a simple captured element —
 // no child elements, comments, or CDATA — unescaping entity references and
 // normalizing line endings exactly as encoding/xml chardata capture would.
 // ok=false sends the block to the encoding/xml slow path.
 func headerText(raw []byte) (string, bool) {
+	text, ok := headerChars(raw)
+	if !ok {
+		return "", false
+	}
+	return unescapeText(text)
+}
+
+// headerChars returns the character content of a simple captured element as
+// it lies in raw, still escaped: empty for a self-closing element, ok=false
+// for child elements, comments and CDATA.
+func headerChars(raw []byte) ([]byte, bool) {
 	// Skip the start tag, honouring quoted attribute values (which may
 	// contain '>' and '/>').
 	i := 1
@@ -607,16 +709,16 @@ func headerText(raw []byte) (string, bool) {
 				i++
 			}
 			if i >= len(raw) {
-				return "", false
+				return nil, false
 			}
 		}
 		i++
 	}
 	if i >= len(raw) {
-		return "", false
+		return nil, false
 	}
 	if raw[i-1] == '/' {
-		return "", true // self-closing: empty content
+		return nil, true // self-closing: empty content
 	}
 	i++
 	start := i
@@ -624,15 +726,15 @@ func headerText(raw []byte) (string, bool) {
 		i++
 	}
 	if i+1 >= len(raw) || raw[i+1] != '/' {
-		return "", false // child element, comment, or CDATA: slow path
+		return nil, false // child element, comment, or CDATA: slow path
 	}
-	return unescapeText(raw[start:i])
+	return raw[start:i], true
 }
 
 // unescapeText expands entity references and normalizes \r\n / \r to \n,
 // mirroring encoding/xml's chardata handling. Unknown entities fall back.
 func unescapeText(text []byte) (string, bool) {
-	if bytes.IndexByte(text, '&') < 0 && bytes.IndexByte(text, '\r') < 0 {
+	if FlatText(text).IsLiteral() {
 		return string(text), true
 	}
 	out := make([]byte, 0, len(text))

@@ -173,6 +173,18 @@ func TestEnvelopeClone(t *testing.T) {
 	if err := env.DecodeHeader("urn:test", "Meta", &h); err != nil {
 		t.Fatalf("original corrupted by clone byte mutation: %v", err)
 	}
+	// The clone's blocks share one slab: growing one Raw must not run into
+	// the next, and the block lists hold no spare capacity to retain.
+	cp3 := env.Clone()
+	body := string(cp3.Body.Blocks[0].Raw)
+	_ = append(cp3.Header.Blocks[0].Raw, "spill"...)
+	if string(cp3.Body.Blocks[0].Raw) != body {
+		t.Fatalf("append to a cloned header block overwrote the body: %s", cp3.Body.Blocks[0].Raw)
+	}
+	if cap(cp3.Header.Blocks) != len(cp3.Header.Blocks) || cap(cp3.Body.Blocks) != len(cp3.Body.Blocks) {
+		t.Fatalf("clone block lists not exactly sized: header %d/%d, body %d/%d",
+			len(cp3.Header.Blocks), cap(cp3.Header.Blocks), len(cp3.Body.Blocks), cap(cp3.Body.Blocks))
+	}
 }
 
 func TestAddressingRoundTrip(t *testing.T) {

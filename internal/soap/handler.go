@@ -27,6 +27,15 @@ func (r *Request) Addressing() wsa.Headers {
 	return r.Envelope.Addressing()
 }
 
+// Action returns the request's WS-Addressing action (Envelope.Action): the
+// one property routing needs, read without building the others.
+func (r *Request) Action() string {
+	if r.Envelope == nil {
+		return ""
+	}
+	return r.Envelope.Action()
+}
+
 // Handler processes one SOAP request. A nil response envelope means the
 // exchange is one-way (the HTTP binding answers 202 Accepted).
 //
@@ -103,7 +112,7 @@ func (d *Dispatcher) Actions() []string {
 
 // HandleSOAP dispatches by the request's WS-Addressing action.
 func (d *Dispatcher) HandleSOAP(ctx context.Context, req *Request) (*Envelope, error) {
-	action := req.Addressing().Action
+	action := req.Action()
 	d.mu.RLock()
 	h, ok := d.handlers[action]
 	fb := d.fallback

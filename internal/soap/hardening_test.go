@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,11 +12,56 @@ import (
 	"time"
 
 	"wsgossip/internal/metrics"
+	"wsgossip/internal/wsa"
 )
 
 // Inbound hardening: a misbehaving sender — oversized, truncated, or
 // garbage bytes — must always get a clean Sender fault and a counter
 // bump, never a hang, a partial read, or an unclassified 500.
+
+// TestHostilePeerCannotGrowInternTable: a peer that invents a fresh body
+// namespace and action for every message fills the intern table to its cap
+// and no further, never gets an over-long name into it, and cannot push the
+// protocol's own names out. Every name it sent still reads back exactly.
+func TestHostilePeerCannotGrowInternTable(t *testing.T) {
+	saved := names.m.Load()
+	defer names.m.Store(saved) // the table is process-wide: leave it as found
+
+	bus := NewMemBus()
+	var got struct{ action, space string }
+	bus.Register("mem://victim", HandlerFunc(func(_ context.Context, req *Request) (*Envelope, error) {
+		got.action, got.space = req.Action(), req.Envelope.BodyName().Space
+		return nil, nil
+	}))
+	long := "urn:" + strings.Repeat("x", maxInternLen)
+	send := func(action, space string) {
+		t.Helper()
+		body := fmt.Sprintf(`<Envelope xmlns="%s"><Header><Action xmlns="%s">%s</Action></Header>`+
+			`<Body><Ping xmlns="%s"/></Body></Envelope>`, Namespace, wsa.Namespace, action, space)
+		if err := bus.SendEncoded(context.Background(), "mem://victim", []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		if got.action != action || got.space != space {
+			t.Fatalf("delivered action %q, namespace %q; sent %q, %q", got.action, got.space, action, space)
+		}
+	}
+	send(long, long) // while the table still has room
+	for i := 0; i < 10000; i++ {
+		send(fmt.Sprintf("urn:hostile:action:%d", i), fmt.Sprintf("urn:hostile:ns:%d", i))
+	}
+	table := *names.m.Load()
+	if len(table) != maxInternNames {
+		t.Fatalf("intern table holds %d names after the flood, cap %d", len(table), maxInternNames)
+	}
+	if _, ok := table[long]; ok {
+		t.Fatalf("a %d-byte name was interned (cap %d bytes)", len(long), maxInternLen)
+	}
+	for _, name := range []string{Namespace, wsa.Namespace, "Action", "Gossip"} {
+		if _, ok := table[name]; !ok {
+			t.Fatalf("protocol name %q lost from the table", name)
+		}
+	}
+}
 
 func postRecorded(t *testing.T, body string, contentLength int64) *httptest.ResponseRecorder {
 	t.Helper()

@@ -67,12 +67,12 @@ func (s *HTTPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer putBytes(data)
-	env, err := Decode(data)
+	req, err := decodeRequest(data)
 	if err != nil {
 		writeFault(w, NewFault(CodeSender, err.Error()))
 		return
 	}
-	req := &Request{Envelope: env, Remote: r.RemoteAddr}
+	req.Remote = r.RemoteAddr
 	resp, err := s.handler.HandleSOAP(r.Context(), req)
 	if err != nil {
 		writeFault(w, AsFault(err))

@@ -94,13 +94,12 @@ func (b *MemBus) deliverBytes(ctx context.Context, to string, data []byte) (*Env
 	if err != nil {
 		return nil, err
 	}
-	decoded, err := Decode(data)
+	req, err := decodeRequest(data)
 	if err != nil {
 		return nil, err
 	}
-	// Addressing is parsed lazily (and cached on the envelope) when the
-	// dispatcher or a handler first asks for it.
-	return h.HandleSOAP(ctx, &Request{Envelope: decoded, Remote: "membus"})
+	req.Remote = "membus"
+	return h.HandleSOAP(ctx, req)
 }
 
 // Call performs a request-response exchange. Handler errors are surfaced as

@@ -28,7 +28,14 @@ const (
 	maxBufBits = 20 // largest pooled class: 1 MiB
 )
 
-var bytePools [maxBufBits - minBufBits + 1]sync.Pool
+// A sync.Pool holds pointers, so a pooled buffer rides in a *[]byte holder.
+// Holders circulate instead of being allocated per put: a get hands the
+// emptied holder of the buffer it takes to holders, and a put takes one
+// from there, so a hit in either direction allocates nothing.
+var (
+	bytePools [maxBufBits - minBufBits + 1]sync.Pool // of holders with a buffer
+	holders   sync.Pool                              // of empty holders
+)
 
 // getBytes returns a zero-length buffer with capacity at least n. A miss
 // allocates the whole size class (1<<c), not n: putBytes files a buffer
@@ -45,7 +52,11 @@ func getBytes(n int) []byte {
 	}
 	if v := bytePools[c-minBufBits].Get(); v != nil {
 		countPoolGet(true)
-		return (*(v.(*[]byte)))[:0]
+		h := v.(*[]byte)
+		b := (*h)[:0]
+		*h = nil
+		holders.Put(h)
+		return b
 	}
 	countPoolGet(false)
 	return make([]byte, 0, 1<<c)
@@ -58,6 +69,10 @@ func putBytes(b []byte) {
 	if c < minBufBits || c > maxBufBits {
 		return
 	}
-	b = b[:0]
-	bytePools[c-minBufBits].Put(&b)
+	h, _ := holders.Get().(*[]byte)
+	if h == nil {
+		h = new([]byte)
+	}
+	*h = b[:0]
+	bytePools[c-minBufBits].Put(h)
 }

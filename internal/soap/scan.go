@@ -3,6 +3,8 @@ package soap
 import (
 	"bytes"
 	"encoding/xml"
+	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"wsgossip/internal/wsa"
@@ -64,18 +66,32 @@ var (
 	cdataClose    = []byte("]]>")
 )
 
-// Namespace URIs of the neighbouring protocol layers, kept here purely as
-// string-interning hints for the scanner (values, not dependencies): blocks
-// in these namespaces dominate gossip traffic.
+// Inline block capacity of a scanned envelope. A gossiped notification
+// carries five header blocks (To, Action, MessageID, Gossip,
+// CoordinationContext) and one body child; an envelope with more blocks than
+// this appends past the inline array like any slice.
 const (
-	nsWSGossip = "urn:wsgossip:2008"
-	nsWSCoord  = "http://docs.oasis-open.org/ws-tx/wscoor/2006/06"
+	inlineHeaderBlocks = 7
+	inlineBodyBlocks   = 1
 )
+
+// received is everything decodeScan builds for one document, allocated as a
+// single object: the Request a binding hands its handler, the Envelope, its
+// Header, and the array the header and body block slices start out in. The
+// header gets blocks[:inlineHeaderBlocks] and the body the rest, each through
+// a full slice expression, so an append to one can never write into the
+// other's blocks.
+type received struct {
+	req    Request
+	env    Envelope
+	header Header
+	blocks [inlineHeaderBlocks + inlineBodyBlocks]Block
+}
 
 // decodeScan parses data with a direct byte walk. ok=false means the
 // document strays from the canonical grammar and the caller must fall back;
 // it never implies the document is malformed.
-func decodeScan(data []byte) (*Envelope, bool) {
+func decodeScan(data []byte) (*Request, bool) {
 	s := wireScanner{data: data}
 	if !s.prolog() {
 		return nil, false
@@ -85,9 +101,12 @@ func decodeScan(data []byte) (*Envelope, bool) {
 		!root.hasXMLNS || !bytes.Equal(s.slice(root.nsStart, root.nsEnd), envelopeNS) {
 		return nil, false
 	}
-	env := &Envelope{XMLName: soapEnvelopeName}
+	r := &received{}
+	r.req.Envelope = &r.env
+	env := &r.env
+	env.XMLName = soapEnvelopeName
 	if root.selfClose {
-		return env, true
+		return &r.req, true
 	}
 	for {
 		s.ws()
@@ -111,7 +130,7 @@ func decodeScan(data []byte) (*Envelope, bool) {
 				return nil, false
 			}
 			// Like xml.Unmarshal, anything after </Envelope> is never read.
-			return env, true
+			return &r.req, true
 		case s.pos+1 < len(s.data) && s.data[s.pos+1] == '!':
 			return nil, false // DOCTYPE or other directive
 		default:
@@ -127,14 +146,17 @@ func decodeScan(data []byte) (*Envelope, bool) {
 			switch {
 			case soapScope && bytes.Equal(name, headerLocal):
 				if env.Header == nil {
-					env.Header = &Header{XMLName: soapHeaderName}
+					r.header.XMLName = soapHeaderName
+					env.Header = &r.header
 				}
-				if !tag.selfClose && !s.container(headerLocal, &env.Header.Blocks) {
+				inline := r.blocks[:0:inlineHeaderBlocks]
+				if !tag.selfClose && !s.container(headerLocal, &env.Header.Blocks, inline) {
 					return nil, false
 				}
 			case soapScope && bytes.Equal(name, bodyLocal):
 				env.Body.XMLName = soapBodyName
-				if !tag.selfClose && !s.container(bodyLocal, &env.Body.Blocks) {
+				inline := r.blocks[inlineHeaderBlocks:inlineHeaderBlocks:len(r.blocks)]
+				if !tag.selfClose && !s.container(bodyLocal, &env.Body.Blocks, inline) {
 					return nil, false
 				}
 			default:
@@ -192,8 +214,10 @@ func (s *wireScanner) prolog() bool {
 
 // container captures every child element of a Header or Body whose open tag
 // was just consumed, through the matching end tag. Each captured block is a
-// verbatim slice spanning the child's start tag through its end tag.
-func (s *wireScanner) container(local []byte, out *[]Block) bool {
+// verbatim slice spanning the child's start tag through its end tag. The
+// first block starts *out off at inline (a container without children
+// leaves it nil, as encoding/xml does).
+func (s *wireScanner) container(local []byte, out *[]Block, inline []Block) bool {
 	for {
 		s.ws()
 		if s.pos >= len(s.data) || s.data[s.pos] != '<' {
@@ -233,10 +257,10 @@ func (s *wireScanner) container(local []byte, out *[]Block) bool {
 				return false
 			}
 			if *out == nil {
-				*out = make([]Block, 0, 8)
+				*out = inline
 			}
 			*out = append(*out, Block{
-				XMLName: xml.Name{Space: space, Local: internLocal(s.name(tag))},
+				XMLName: xml.Name{Space: space, Local: names.intern(s.name(tag))},
 				Raw:     s.data[start:s.pos],
 			})
 		}
@@ -687,65 +711,74 @@ func nsValue(b []byte) (string, bool) {
 	if bytes.IndexByte(b, '&') >= 0 || bytes.IndexByte(b, '\r') >= 0 {
 		return "", false
 	}
-	return internSpace(b), true
+	return names.intern(b), true
 }
 
-// internLocal returns the canonical string for frequent wire-format element
-// names without allocating (switch on a string conversion compiles to an
-// allocation-free comparison); unknown names are copied.
-func internLocal(b []byte) string {
-	switch string(b) {
-	case "To":
-		return "To"
-	case "Action":
-		return "Action"
-	case "MessageID":
-		return "MessageID"
-	case "RelatesTo":
-		return "RelatesTo"
-	case "ReplyTo":
-		return "ReplyTo"
-	case "From":
-		return "From"
-	case "Gossip":
-		return "Gossip"
-	case "CoordinationContext":
-		return "CoordinationContext"
-	case "Digest":
-		return "Digest"
-	case "Announce":
-		return "Announce"
-	case "Fetch":
-		return "Fetch"
-	case "PullRequest":
-		return "PullRequest"
-	case "AggregateStart":
-		return "AggregateStart"
-	case "AggregateShare":
-		return "AggregateShare"
-	case "AggregateQuery":
-		return "AggregateQuery"
-	case "AggregateQueryResult":
-		return "AggregateQueryResult"
-	case "Fault":
-		return "Fault"
-	}
-	return string(b)
+// Bounds of the intern table: a hostile peer inventing a fresh name per
+// message can make it learn at most maxInternNames names of at most
+// maxInternLen bytes, once per process; every name past either bound is
+// copied per use.
+const (
+	maxInternNames = 1024
+	maxInternLen   = 256
+)
+
+// names is the intern table of the wire path: block local names, namespace
+// URIs and wsa:Action values. It is seeded with the protocol stack's names
+// (values, not dependencies), so they are interned however full a peer has
+// made the table.
+var names = newInternTable(
+	"", Namespace, wsa.Namespace,
+	"urn:wsgossip:2008", "http://docs.oasis-open.org/ws-tx/wscoor/2006/06",
+	"To", "Action", "MessageID", "RelatesTo", "ReplyTo", "From", "Fault",
+	"Gossip", "CoordinationContext", "Digest", "Announce", "Fetch", "PullRequest",
+	"AggregateStart", "AggregateShare", "AggregateQuery", "AggregateQueryResult",
+)
+
+// internTable maps a name's bytes to one shared string. Lookups take no
+// lock: the map is never written once published, and learning a name
+// publishes a copy with it added (at most maxInternNames copies, ever).
+type internTable struct {
+	m  atomic.Pointer[map[string]string]
+	mu sync.Mutex // serializes learners
 }
 
-// internSpace is internLocal for the namespace URIs of the protocol stack.
-func internSpace(b []byte) string {
-	switch string(b) {
-	case "":
-		return ""
-	case Namespace:
-		return Namespace
-	case wsa.Namespace:
-		return wsa.Namespace
-	case nsWSGossip:
-		return nsWSGossip
-	case nsWSCoord:
-		return nsWSCoord
+func newInternTable(seed ...string) *internTable {
+	m := make(map[string]string, len(seed))
+	for _, s := range seed {
+		m[s] = s
 	}
-	return string(b)
+	t := &internTable{}
+	t.m.Store(&m)
+	return t
+}
+
+// intern returns the table's string for b, learning b while the table has
+// room. The result is never a view of b: interned strings are the table's
+// own, and a name the table will not take is copied.
+func (t *internTable) intern(b []byte) string {
+	m := *t.m.Load()
+	if s, ok := m[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(s) > maxInternLen || len(m) >= maxInternNames {
+		return s
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	m = *t.m.Load()
+	if have, ok := m[s]; ok {
+		return have
+	}
+	if len(m) >= maxInternNames {
+		return s
+	}
+	next := make(map[string]string, len(m)+1)
+	for k, v := range m {
+		next[k] = v
+	}
+	next[s] = s
+	t.m.Store(&next)
+	return s
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -20,18 +21,22 @@ import (
 
 // scannerAgrees checks the scanner's law on doc and reports whether the
 // scanner accepted it. Acceptance obliges decodeLegacy to accept as well and
-// both to agree on header presence, block names, Addressing() and — under
-// equivalent's normalized comparison — every block's content; and every
-// scanner Raw must be a slice of doc itself. Together that pins verbatim,
-// correctly bounded, self-contained capture: a Raw cut one byte off, or one
-// that needed namespace context from outside its own bytes, re-parses to
-// something other than what the fallback's token-by-token re-encode wrote.
+// both to agree on header presence, block names, Addressing(), Action() and
+// — under equivalent's normalized comparison — every block's content; and
+// every scanner Raw must be a slice of doc itself. Together that pins
+// verbatim, correctly bounded, self-contained capture: a Raw cut one byte
+// off, or one that needed namespace context from outside its own bytes,
+// re-parses to something other than what the fallback's token-by-token
+// re-encode wrote. The scanner's envelope also keeps its header and body
+// block lists apart: appending header blocks past the inline array never
+// moves a body block.
 func scannerAgrees(t *testing.T, label string, doc []byte) (*Envelope, bool) {
 	t.Helper()
-	got, ok := decodeScan(doc)
+	req, ok := decodeScan(doc)
 	if !ok {
 		return nil, false
 	}
+	got := req.Envelope
 	want, err := decodeLegacy(doc)
 	if err != nil {
 		t.Fatalf("%s: scanner accepted what encoding/xml rejects (%v):\n%q", label, err, doc)
@@ -42,7 +47,13 @@ func scannerAgrees(t *testing.T, label string, doc []byte) (*Envelope, bool) {
 	if got.Header != nil && len(got.Header.Blocks) != len(want.Header.Blocks) {
 		t.Fatalf("%s: header block count %d != %d", label, len(got.Header.Blocks), len(want.Header.Blocks))
 	}
+	// Action first, while neither envelope has cached its addressing.
+	gotAction, wantAction := got.Action(), want.Action()
 	equivalent(t, label, got, want)
+	if gotAction != got.Addressing().Action || gotAction != want.Addressing().Action || wantAction != gotAction {
+		t.Fatalf("%s: Action() = %q (legacy %q), Addressing().Action = %q (legacy %q)",
+			label, gotAction, wantAction, got.Addressing().Action, want.Addressing().Action)
+	}
 	for i, b := range blocksOf(got) {
 		// Verbatim means aliasing the input, not a copy that happens to match.
 		off := cap(doc) - cap(b.Raw)
@@ -50,7 +61,25 @@ func scannerAgrees(t *testing.T, label string, doc []byte) (*Envelope, bool) {
 			t.Fatalf("%s: block %d (%v) is not a slice of the input", label, i, b.XMLName)
 		}
 	}
+	headerAppendSparesBody(t, label, doc)
 	return got, true
+}
+
+// headerAppendSparesBody decodes doc afresh and appends header blocks until
+// the header has outgrown the inline array; the body's blocks must come
+// through unchanged.
+func headerAppendSparesBody(t *testing.T, label string, doc []byte) {
+	t.Helper()
+	req, _ := decodeScan(doc)
+	env := req.Envelope
+	body := append([]Block(nil), env.Body.Blocks...)
+	extra := Block{XMLName: xml.Name{Space: "urn:extra", Local: "X"}, Raw: []byte(`<X xmlns="urn:extra"/>`)}
+	for i := 0; i <= inlineHeaderBlocks; i++ {
+		env.AddHeaderBlock(extra)
+	}
+	if !reflect.DeepEqual(env.Body.Blocks, body) {
+		t.Fatalf("%s: appending header blocks changed the body: %v != %v", label, env.Body.Blocks, body)
+	}
 }
 
 // scannerAdversarialDocs are canonical documents engineered against the
@@ -93,7 +122,40 @@ func scannerAdversarialDocs() map[string]string {
 			`<Body><!-- c --><I xmlns="urn:i"/></Body></Envelope>`,
 		"unknown-envelope-child": `<Envelope xmlns="` + soapNS + `"><Ignored xmlns="urn:x"><Sub>s</Sub></Ignored>` +
 			`<Body><I xmlns="urn:i">x</I></Body></Envelope>`,
+		// Action() reads the text in place only when it stands for itself;
+		// each of these must still agree with Addressing() and the fallback.
+		"action-escaped": actionDoc(`<Action xmlns="` + wsa.Namespace + `">urn:a&amp;b&#x3C;c</Action>`),
+		"action-cr":      actionDoc("<Action xmlns=\"" + wsa.Namespace + "\">urn:a\r\nb\rc</Action>"),
+		"action-selfclose": actionDoc(`<Action xmlns="` + wsa.Namespace + `"/>` +
+			`<Action xmlns="` + wsa.Namespace + `">urn:second</Action>`),
+		"action-attr-gt": actionDoc(`<Action xmlns="` + wsa.Namespace + `" a="x>y" b='/>'>urn:after-attrs</Action>`),
+		"action-comment": actionDoc(`<Action xmlns="` + wsa.Namespace + `"><!-- c -->urn:commented</Action>`),
+		"action-foreign": actionDoc(`<Action xmlns="urn:not-wsa">urn:foreign</Action>` +
+			`<Action xmlns="` + wsa.Namespace + `">urn:real</Action>`),
+		"more-blocks-than-inline": manyBlocksDoc(inlineHeaderBlocks+3, inlineBodyBlocks+2),
 	}
+}
+
+// actionDoc is a canonical envelope whose header holds the given blocks.
+func actionDoc(header string) string {
+	return `<Envelope xmlns="` + Namespace + `"><Header>` + header + `</Header>` +
+		`<Body><I xmlns="urn:i">x</I></Body></Envelope>`
+}
+
+// manyBlocksDoc is a canonical envelope with the given block counts.
+func manyBlocksDoc(header, body int) string {
+	var sb strings.Builder
+	sb.WriteString(`<Envelope xmlns="` + Namespace + `"><Header>`)
+	sb.WriteString(`<Action xmlns="` + wsa.Namespace + `">urn:many</Action>`)
+	for i := 1; i < header; i++ {
+		fmt.Fprintf(&sb, `<H%d xmlns="urn:h">%d</H%d>`, i, i, i)
+	}
+	sb.WriteString(`</Header><Body>`)
+	for i := 0; i < body; i++ {
+		fmt.Fprintf(&sb, `<B%d xmlns="urn:b">%d</B%d>`, i, i, i)
+	}
+	sb.WriteString(`</Body></Envelope>`)
+	return sb.String()
 }
 
 // TestScannerMatchesZeroCopy: the scanner's zero-copy capture agrees with the
@@ -334,6 +396,41 @@ func TestAddressingTextExtraction(t *testing.T) {
 		if got := env.Addressing().To; got != want.Value {
 			t.Fatalf("To extraction %q != xml %q for %s", got, want.Value, raw)
 		}
+	}
+}
+
+// TestInternTableConcurrent: bindings decode on many goroutines at once, so
+// learners race each other and every reader. Each answer must spell what
+// was asked, and the cap must hold exactly.
+func TestInternTableConcurrent(t *testing.T) {
+	table := newInternTable("seed")
+	const workers, distinct = 8, maxInternNames + 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < distinct; i++ {
+				name := fmt.Sprintf("urn:name:%d", (i*7+w*131)%distinct)
+				if s := table.intern([]byte(name)); s != name {
+					t.Errorf("intern(%q) = %q", name, s)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	m := *table.m.Load()
+	if len(m) != maxInternNames {
+		t.Fatalf("table holds %d names, cap %d", len(m), maxInternNames)
+	}
+	for name, s := range m {
+		if name != s {
+			t.Fatalf("table maps %q to %q", name, s)
+		}
+	}
+	if _, ok := m["seed"]; !ok {
+		t.Fatal("seed name lost")
 	}
 }
 

@@ -169,46 +169,47 @@ type spliceParts struct {
 	insertAt int
 }
 
-// analyzeSplice checks every block of e and returns the per-block splice
-// plan plus the exact serialized size of the variable parts.
-func analyzeSplice(e *Envelope) (header, body []spliceParts, blockBytes int, ok bool) {
-	analyze := func(blocks []Block) ([]spliceParts, bool) {
-		parts := make([]spliceParts, len(blocks))
-		for i, b := range blocks {
+// splicePlanStack is the number of blocks whose splice plan the encoders
+// keep on the stack; a larger envelope's plan grows onto the heap.
+const splicePlanStack = 16
+
+// analyzeSplice checks every block of e — header blocks, then body blocks —
+// appending each one's splice plan to plan, and returns the plan plus the
+// exact serialized size of the variable parts.
+func analyzeSplice(e *Envelope, plan []spliceParts) (_ []spliceParts, blockBytes int, ok bool) {
+	for _, blocks := range [2][]Block{e.headerBlocks(), e.Body.Blocks} {
+		for _, b := range blocks {
 			inject, at, ok := blockSplice(b)
 			if !ok {
-				return nil, false
+				return nil, 0, false
 			}
-			parts[i] = spliceParts{inject: inject, insertAt: at}
+			plan = append(plan, spliceParts{inject: inject, insertAt: at})
 			blockBytes += len(b.Raw) + len(inject)
 		}
-		return parts, true
 	}
-	if e.Header != nil {
-		if header, ok = analyze(e.Header.Blocks); !ok {
-			return nil, nil, 0, false
-		}
-	}
-	if body, ok = analyze(e.Body.Blocks); !ok {
-		return nil, nil, 0, false
-	}
-	return header, body, blockBytes, true
+	return plan, blockBytes, true
 }
 
-// appendBlock splices one block into dst per its splice plan.
-func appendBlock(dst []byte, b Block, p spliceParts) []byte {
-	if p.inject == "" {
-		return append(dst, b.Raw...)
+// appendBlocks splices blocks into dst per their splice plans.
+func appendBlocks(dst []byte, blocks []Block, plan []spliceParts) []byte {
+	for i, b := range blocks {
+		p := plan[i]
+		if p.inject == "" {
+			dst = append(dst, b.Raw...)
+			continue
+		}
+		dst = append(dst, b.Raw[:p.insertAt]...)
+		dst = append(dst, p.inject...)
+		dst = append(dst, b.Raw[p.insertAt:]...)
 	}
-	dst = append(dst, b.Raw[:p.insertAt]...)
-	dst = append(dst, p.inject...)
-	return append(dst, b.Raw[p.insertAt:]...)
+	return dst
 }
 
 // encodeSplice serializes e on the fast path: one exactly-sized allocation,
 // every block spliced verbatim.
 func encodeSplice(e *Envelope) ([]byte, bool) {
-	header, body, blockBytes, ok := analyzeSplice(e)
+	var stack [splicePlanStack]spliceParts
+	plan, blockBytes, ok := analyzeSplice(e, stack[:0])
 	if !ok {
 		return nil, false
 	}
@@ -221,15 +222,12 @@ func encodeSplice(e *Envelope) ([]byte, bool) {
 	out = append(out, wireEnvOpen...)
 	if e.Header != nil {
 		out = append(out, wireHeaderOpen...)
-		for i, b := range e.Header.Blocks {
-			out = appendBlock(out, b, header[i])
-		}
+		out = appendBlocks(out, e.Header.Blocks, plan)
+		plan = plan[len(e.Header.Blocks):]
 		out = append(out, wireHeaderClose...)
 	}
 	out = append(out, wireBodyOpen...)
-	for i, b := range e.Body.Blocks {
-		out = appendBlock(out, b, body[i])
-	}
+	out = appendBlocks(out, e.Body.Blocks, plan)
 	out = append(out, wireBodyClose...)
 	out = append(out, wireEnvClose...)
 	return out, true
@@ -285,18 +283,25 @@ type WireTemplate struct {
 // Splice-resistant envelopes return ErrNotSpliceable; callers fall back to
 // per-target encoding.
 func (e *Envelope) EncodeTemplate() (*WireTemplate, error) {
-	src := e
-	if _, ok := e.HeaderBlock(wsa.Namespace, "To"); ok {
-		src = e.Snapshot()
-		src.RemoveHeader(wsa.Namespace, "To")
-	}
-	return src.encodeTemplate()
-}
-
-func (e *Envelope) encodeTemplate() (*WireTemplate, error) {
-	header, body, blockBytes, ok := analyzeSplice(e)
+	t, ok := e.template()
 	if !ok {
 		return nil, ErrNotSpliceable
+	}
+	return &t, nil
+}
+
+// template is EncodeTemplate returning the template by value, so a caller
+// that renders within its own frame (Fanout) keeps it off the heap: the
+// serialized bytes are its one allocation.
+func (e *Envelope) template() (WireTemplate, bool) {
+	if _, ok := e.HeaderBlock(wsa.Namespace, "To"); ok {
+		e = e.Snapshot()
+		e.RemoveHeader(wsa.Namespace, "To")
+	}
+	var stack [splicePlanStack]spliceParts
+	plan, blockBytes, ok := analyzeSplice(e, stack[:0])
+	if !ok {
+		return WireTemplate{}, false
 	}
 	n := len(xml.Header) + len(wireEnvOpen) + len(wireHeaderOpen) + len(wireHeaderClose) +
 		len(wireBodyOpen) + len(wireBodyClose) + len(wireEnvClose) + blockBytes
@@ -305,19 +310,16 @@ func (e *Envelope) encodeTemplate() (*WireTemplate, error) {
 	backing = append(backing, wireEnvOpen...)
 	backing = append(backing, wireHeaderOpen...)
 	if e.Header != nil {
-		for i, b := range e.Header.Blocks {
-			backing = appendBlock(backing, b, header[i])
-		}
+		backing = appendBlocks(backing, e.Header.Blocks, plan)
+		plan = plan[len(e.Header.Blocks):]
 	}
 	split := len(backing)
 	backing = append(backing, wireHeaderClose...)
 	backing = append(backing, wireBodyOpen...)
-	for i, b := range e.Body.Blocks {
-		backing = appendBlock(backing, b, body[i])
-	}
+	backing = appendBlocks(backing, e.Body.Blocks, plan)
 	backing = append(backing, wireBodyClose...)
 	backing = append(backing, wireEnvClose...)
-	return &WireTemplate{pre: backing[:split], post: backing[split:]}, nil
+	return WireTemplate{pre: backing[:split], post: backing[split:]}, true
 }
 
 // RenderTo returns a complete serialized envelope addressed to addr: the
@@ -395,7 +397,7 @@ func SendBytes(ctx context.Context, caller Caller, to string, data []byte) error
 // rounds — goes through here.
 func Fanout(ctx context.Context, caller Caller, env *Envelope, targets []string) (sent int, failed []string) {
 	if es, ok := caller.(EncodedSender); ok {
-		if tmpl, err := env.EncodeTemplate(); err == nil {
+		if tmpl, ok := env.template(); ok {
 			for i, target := range targets {
 				if ctx.Err() != nil {
 					return sent, append(failed, targets[i:]...)
