@@ -1,0 +1,182 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"wsgossip/internal/soap"
+	"wsgossip/internal/wscoord"
+)
+
+// Wire-identity guard for every message a disseminator or an initiator
+// originates: the bytes each builder puts on the wire, with its message ID
+// replaced by a fixed one, must equal the committed testdata/wire/*.xml —
+// how the message is assembled in memory is free to change, what the peer
+// receives is not.
+
+// wireRecorder is a binding that keeps the bytes of every message sent
+// through it, rendered (SendEncoded) or encoded from the envelope (Send,
+// Call), and delivers nothing.
+type wireRecorder struct{ msgs [][]byte }
+
+func (r *wireRecorder) SendEncoded(_ context.Context, _ string, data []byte) error {
+	r.msgs = append(r.msgs, append([]byte(nil), data...))
+	return nil
+}
+
+func (r *wireRecorder) Send(_ context.Context, _ string, env *soap.Envelope) error {
+	data, err := env.Encode()
+	if err != nil {
+		return err
+	}
+	r.msgs = append(r.msgs, data)
+	return nil
+}
+
+func (r *wireRecorder) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.Envelope, error) {
+	return nil, r.Send(ctx, to, env)
+}
+
+// checkWireGolden compares one message's bytes, its wsa:MessageID fixed,
+// with testdata/wire/name.xml.
+func checkWireGolden(t *testing.T, name string, data []byte) {
+	t.Helper()
+	env, err := soap.Decode(data)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if id := env.Addressing().MessageID; id != "" {
+		data = bytes.ReplaceAll(data, []byte(id), []byte("urn:uuid:fixed-message-id"))
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "wire", name+".xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Errorf("%s on the wire:\n got %s\nwant %s", name, data, want)
+	}
+}
+
+func TestOutboundWireGolden(t *testing.T) {
+	ctx := context.Background()
+	const interaction = "urn:uuid:interaction"
+	newRecorded := func() (*Disseminator, *wireRecorder) {
+		rec := &wireRecorder{}
+		d, err := NewDisseminator(DisseminatorConfig{
+			Address: "mem://self", Caller: rec, RNG: rand.New(rand.NewSource(1)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, rec
+	}
+	only := func(rec *wireRecorder, what string) []byte {
+		t.Helper()
+		if len(rec.msgs) != 1 {
+			t.Fatalf("%s sent %d messages, want 1", what, len(rec.msgs))
+		}
+		return rec.msgs[0]
+	}
+
+	t.Run("initiator", func(t *testing.T) {
+		cctx := wscoord.CoordinationContext{
+			Identifier:          interaction,
+			CoordinationType:    CoordinationTypeGossip,
+			RegistrationService: wscoord.ServiceRef{Address: "mem://coordinator"},
+		}
+		block, err := wscoord.ContextBlock(cctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inter := &Interaction{
+			Context: cctx, Protocol: ProtocolPushGossip, Params: GossipParameters{Fanout: 2, Hops: 4},
+			contextBlock: block, blockContext: cctx,
+		}
+		env, err := (&Initiator{}).buildNotification(inter, "urn:uuid:notification", quoteBody{Symbol: "WSG", Price: 1.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &wireRecorder{}
+		soap.Fanout(ctx, rec, env, []string{"mem://a"})
+		checkWireGolden(t, "notify", only(rec, "Notify"))
+	})
+
+	t.Run("announce", func(t *testing.T) {
+		d, rec := newRecorded()
+		state := &interactionState{params: GossipParameters{Fanout: 1, Hops: 4, Targets: []string{"mem://a"}}}
+		d.announce(ctx, GossipHeader{InteractionID: interaction, MessageID: "urn:uuid:notification", Hops: 4}, state)
+		checkWireGolden(t, "ihave", only(rec, "announce"))
+	})
+
+	t.Run("handleIHave", func(t *testing.T) {
+		d, rec := newRecorded()
+		req := requestWithBody(t, ActionIHave, announceBlock(Announce{
+			InteractionID: interaction, MessageID: "urn:uuid:notification", Hops: 3, Holder: "mem://holder",
+		}))
+		if _, err := d.handleIHave(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		checkWireGolden(t, "iwant", only(rec, "handleIHave"))
+	})
+
+	t.Run("handleIWant", func(t *testing.T) {
+		d, rec := newRecorded()
+		storeNotification(t, d, "urn:uuid:stored")
+		req := requestWithBody(t, ActionIWant, fetchBlock(Fetch{MessageID: "urn:uuid:stored", Requester: "mem://requester"}))
+		if _, err := d.handleIWant(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		checkWireGolden(t, "iwant_response", only(rec, "handleIWant"))
+	})
+
+	t.Run("retransmitMissing", func(t *testing.T) {
+		d, rec := newRecorded()
+		storeNotification(t, d, "urn:uuid:stored")
+		if n := d.retransmitMissing(ctx, "mem://puller", heldIDs{}, 8); n != 1 {
+			t.Fatalf("retransmitted %d, want 1", n)
+		}
+		checkWireGolden(t, "retransmit", only(rec, "retransmitMissing"))
+	})
+
+	for _, tc := range []struct {
+		name, action string
+		body         soap.Block
+	}{
+		{"digest", ActionDigest, digestBlock("mem://self", []string{"urn:uuid:a", "urn:uuid:b"})},
+		{"pull_request", ActionPullRequest, pullRequestBlock("mem://self", []string{"urn:uuid:a"}, digestCap)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, err := digestEnvelope(tc.action, tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &wireRecorder{}
+			soap.Fanout(ctx, rec, env, []string{"mem://a"})
+			checkWireGolden(t, tc.name, only(rec, tc.name))
+		})
+	}
+}
+
+// requestWithBody is a received request for action carrying body, decoded
+// from its wire form as a binding would hand it over.
+func requestWithBody(t *testing.T, action string, body soap.Block) *soap.Request {
+	t.Helper()
+	env := soap.NewEnvelope()
+	if err := env.SetAddressing(addressingFor("mem://self", action)); err != nil {
+		t.Fatal(err)
+	}
+	env.SetBodyBlock(body)
+	data, err := env.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := soap.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &soap.Request{Envelope: back}
+}

@@ -1,0 +1,118 @@
+package delivery
+
+import (
+	"context"
+	"sync"
+	"time"
+
+	"wsgossip/internal/clock"
+)
+
+// attemptCtx is the context one attempt hands its binding: the caller's
+// context, cancelled as well once AttemptTimeout has elapsed on the plane's
+// clock or the attempt has returned. It arms nothing up front. A synchronous
+// binding (MemBus, the virtual fabric) returns without asking for Done, and
+// the attempt then costs no timer and no allocation of its own — the first
+// one lives inside its item. Until then Err works the timeout out from the
+// clock.
+//
+// The first Done builds what every attempt used to build: a
+// context.WithCancel child of the caller's context, and the AttemptTimeout
+// timer (for the time still remaining) that cancels it. Value reads through
+// that child, so a context.WithCancel made from this one — net/http makes
+// one per request — registers with it as with any cancelCtx instead of
+// starting a goroutine to watch a context type it does not know.
+//
+// A context is used for one attempt only — a binding may keep it past
+// return — so a retry draws a fresh one.
+type attemptCtx struct {
+	parent   context.Context
+	clock    clock.Clock
+	deadline time.Duration // clock time at which AttemptTimeout has elapsed
+
+	mu        sync.Mutex
+	ended     bool            // the attempt has returned
+	err       error           // the first non-nil Err, which sticks
+	inner     context.Context // made by the first Done
+	cancel    context.CancelFunc
+	stopTimer func() bool // armed by the first Done: the AttemptTimeout timer
+}
+
+var _ context.Context = (*attemptCtx)(nil)
+
+// begin readies an unused context for an attempt starting now under p's
+// policy, and returns that start time.
+func (c *attemptCtx) begin(p *Plane, parent context.Context) time.Duration {
+	start := p.cfg.Clock.Now()
+	c.parent = orBackground(parent)
+	c.clock = p.cfg.Clock
+	c.deadline = start + p.cfg.AttemptTimeout
+	return start
+}
+
+// Deadline is the caller's: the attempt timeout runs on the plane's clock,
+// which need not be wall time.
+func (c *attemptCtx) Deadline() (time.Time, bool) { return c.parent.Deadline() }
+
+// Value is the caller's, read through the cancelCtx once Done has made it.
+func (c *attemptCtx) Value(key any) any {
+	c.mu.Lock()
+	inner := c.inner
+	c.mu.Unlock()
+	if inner != nil {
+		return inner.Value(key)
+	}
+	return c.parent.Value(key)
+}
+
+// Done returns a channel closed when the attempt is cancelled. The first call
+// makes the cancelCtx and arms the timeout timer, unless the attempt is over
+// already.
+func (c *attemptCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.inner == nil {
+		c.inner, c.cancel = context.WithCancel(c.parent)
+		if remaining := c.deadline - c.clock.Now(); c.ended || c.err != nil || remaining <= 0 {
+			c.cancel()
+		} else {
+			c.stopTimer = c.clock.AfterFunc(remaining, c.cancel)
+		}
+	}
+	return c.inner.Done()
+}
+
+// Err returns the caller's error once its context is done; otherwise
+// context.Canceled once the timeout has elapsed or the attempt has returned,
+// and nil before. The first non-nil result sticks.
+func (c *attemptCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return c.err
+	}
+	switch {
+	case c.inner != nil:
+		c.err = c.inner.Err()
+	case c.parent.Err() != nil:
+		c.err = c.parent.Err()
+	case c.ended || c.clock.Now() >= c.deadline:
+		c.err = context.Canceled
+	}
+	return c.err
+}
+
+// finish ends the attempt: the context is cancelled for good, and any timer
+// is stopped.
+func (c *attemptCtx) finish() {
+	c.mu.Lock()
+	c.ended = true
+	cancel, stopTimer := c.cancel, c.stopTimer
+	c.mu.Unlock()
+	if stopTimer != nil {
+		stopTimer()
+	}
+	if cancel != nil {
+		cancel()
+	}
+}

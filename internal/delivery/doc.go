@@ -25,6 +25,16 @@
 // through flapping links and saturated receivers and assert exact metric
 // counts.
 //
+// The context a binding receives for one attempt carries the caller's
+// values and deadline, and is cancelled when the caller's context ends,
+// when AttemptTimeout has elapsed on the plane's clock, or when the attempt
+// returns. Err reports that without arming anything. The first Done makes
+// a context.WithCancel child of the caller's context and arms the timeout
+// timer that cancels it, so a synchronous binding that never asks for Done
+// (MemBus, the virtual fabric) pays for neither; net/http asks on every
+// request. A binding may keep the context past return: it stays cancelled,
+// and a retry gets a fresh one.
+//
 // Key types:
 //
 //   - Plane — the outbound plane; implements soap.Caller and

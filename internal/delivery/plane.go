@@ -120,6 +120,9 @@ type item struct {
 	// terminal error when the plane gave up. Always invoked outside the
 	// plane lock.
 	settle func(error)
+	// ctx is the first attempt's context (attemptCtx); a retry draws a
+	// fresh one, since a binding may still hold this one.
+	ctx attemptCtx
 }
 
 // takeSettle detaches the settle callback bound to err as a deferred call,
@@ -279,12 +282,10 @@ func (p *Plane) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.
 	p.mu.Unlock()
 
 	p.m.attempts.Inc()
-	actx, cancel := context.WithCancel(orBackground(ctx))
-	stopTimeout := p.cfg.Clock.AfterFunc(p.cfg.AttemptTimeout, cancel)
-	start := p.cfg.Clock.Now()
+	actx := &attemptCtx{}
+	start := actx.begin(p, ctx)
 	resp, err := p.cfg.Caller.Call(actx, to, env)
-	stopTimeout()
-	cancel()
+	actx.finish()
 	p.m.attemptSec.Observe((p.cfg.Clock.Now() - start).Seconds())
 
 	var notify func()
@@ -378,26 +379,27 @@ func (p *Plane) failFast(it *item, err error) error {
 	return err
 }
 
-// attempt performs one real send with the per-attempt timeout. Called
-// without the plane lock; the item is owned by exactly one attempt at a
-// time.
+// attempt performs one real send with the per-attempt timeout (attemptCtx).
+// Called without the plane lock; the item is owned by exactly one attempt at
+// a time.
 func (p *Plane) attempt(ctx context.Context, to string, it *item) error {
 	it.attempts++
 	p.m.attempts.Inc()
 	if it.attempts > 1 {
 		p.m.retries.Inc()
 	}
-	actx, cancel := context.WithCancel(orBackground(ctx))
-	stopTimeout := p.cfg.Clock.AfterFunc(p.cfg.AttemptTimeout, cancel)
-	start := p.cfg.Clock.Now()
+	actx := &it.ctx
+	if it.attempts > 1 {
+		actx = &attemptCtx{}
+	}
+	start := actx.begin(p, ctx)
 	var err error
 	if it.data != nil {
 		err = p.enc.SendEncoded(actx, to, it.data)
 	} else {
 		err = p.cfg.Caller.Send(actx, to, it.env)
 	}
-	stopTimeout()
-	cancel()
+	actx.finish()
 	p.m.attemptSec.Observe((p.cfg.Clock.Now() - start).Seconds())
 	return err
 }

@@ -1,0 +1,71 @@
+package probe
+
+import (
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"wsgossip/internal/clock"
+	"wsgossip/internal/soap"
+)
+
+// Wire-identity guard for the probe messages: each one's encoded bytes, with
+// its message ID replaced by a fixed one, must equal the committed
+// testdata/wire/*.xml.
+
+// envRecorder is a binding that keeps every envelope sent through it.
+type envRecorder struct{ sent []*soap.Envelope }
+
+func (r *envRecorder) Call(context.Context, string, *soap.Envelope) (*soap.Envelope, error) {
+	return nil, nil
+}
+
+func (r *envRecorder) Send(_ context.Context, _ string, env *soap.Envelope) error {
+	r.sent = append(r.sent, env)
+	return nil
+}
+
+// checkWireGolden compares env's encoding, its wsa:MessageID fixed, with
+// testdata/wire/name.xml.
+func checkWireGolden(t *testing.T, name string, env *soap.Envelope) {
+	t.Helper()
+	data, err := env.Encode()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if id := env.Addressing().MessageID; id != "" {
+		data = bytes.ReplaceAll(data, []byte(id), []byte("urn:uuid:fixed-message-id"))
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "wire", name+".xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Errorf("%s on the wire:\n got %s\nwant %s", name, data, want)
+	}
+}
+
+func TestOutboundWireGolden(t *testing.T) {
+	rec := &envRecorder{}
+	p := New(Config{Self: "mem://self", Caller: rec, Clock: clock.NewVirtual(), Timeout: time.Second})
+	defer p.Close()
+	for _, tc := range []struct {
+		name, action, to string
+		body             any
+	}{
+		{"ping", ActionPing, "mem://target", pingBody{From: "mem://self", Nonce: "n1"}},
+		{"ping_ack", ActionPingAck, "mem://origin", pingAckBody{From: "mem://self", Nonce: "n1"}},
+		{"ping_req", ActionPingReq, "mem://helper", pingReqBody{Origin: "mem://self", Target: "mem://target", Nonce: "n2"}},
+		{"ping_req_ack", ActionPingReqAck, "mem://origin", pingReqAckBody{From: "mem://self", Target: "mem://target", Nonce: "n2"}},
+	} {
+		rec.sent = nil
+		p.send(tc.action, tc.to, tc.body, tc.name)
+		if len(rec.sent) != 1 {
+			t.Fatalf("%s: %d messages sent, want 1", tc.name, len(rec.sent))
+		}
+		checkWireGolden(t, tc.name, rec.sent[0])
+	}
+}

@@ -19,6 +19,7 @@ type allocBudget struct {
 	CloneMaxAllocs     float64 `json:"clone_max_allocs"`
 	SnapshotMaxAllocs  float64 `json:"snapshot_max_allocs"`
 	PoolCycleMaxAllocs float64 `json:"pool_cycle_max_allocs"`
+	OutboundMaxAllocs  float64 `json:"outbound_build_max_allocs"`
 }
 
 func loadAllocBudget(t *testing.T, path string) allocBudget {
@@ -27,12 +28,12 @@ func loadAllocBudget(t *testing.T, path string) allocBudget {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	b := allocBudget{-1, -1, -1, -1, -1}
+	b := allocBudget{-1, -1, -1, -1, -1, -1}
 	if err := json.Unmarshal(raw, &b); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
 	if b.DecodeMaxAllocs <= 0 || b.EncodeMaxAllocs <= 0 || b.CloneMaxAllocs <= 0 ||
-		b.SnapshotMaxAllocs <= 0 || b.PoolCycleMaxAllocs < 0 {
+		b.SnapshotMaxAllocs <= 0 || b.PoolCycleMaxAllocs < 0 || b.OutboundMaxAllocs <= 0 {
 		t.Fatalf("alloc budget missing fields: %+v", b)
 	}
 	return b
@@ -152,6 +153,24 @@ func TestCopyAndPoolAllocBudget(t *testing.T) {
 		}
 		t.Logf("%s: %.1f allocs/op (budget %.0f)", row.what, allocs, row.budget)
 	}
+}
+
+// TestOutboundBuildAllocBudget: what every IHAVE, IWANT, digest, share, ack
+// and probe costs to build before it is encoded — NewEnvelope, its
+// addressing, one more header block and the body — is the envelope's one
+// object and the addressing blocks' one buffer.
+func TestOutboundBuildAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	budget := loadAllocBudget(t, "testdata/alloc_budget.json")
+	hdr, body := outboundBlocks(t)
+	allocs := testing.AllocsPerRun(200, func() { sinkEnv = buildOutbound(hdr, body) })
+	if allocs != budget.OutboundMaxAllocs {
+		t.Errorf("outbound build = %.1f allocs/op, budget exactly %.0f (testdata/alloc_budget.json)",
+			allocs, budget.OutboundMaxAllocs)
+	}
+	t.Logf("outbound build: %.1f allocs/op (budget %.0f)", allocs, budget.OutboundMaxAllocs)
 }
 
 // sinkEnv keeps a measured copy live, so the compiler cannot elide it.

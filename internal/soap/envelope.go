@@ -34,6 +34,13 @@ type Envelope struct {
 	// dispatcher, every middleware, and the handler of a delivery. Header
 	// mutations (AddHeader, RemoveHeader, SetAddressing) invalidate it.
 	addr atomic.Pointer[wsa.Headers]
+
+	// spareHeader and spareBody are NewEnvelope's inline slots (outbound),
+	// each taken by the first write that needs it: the header attaches on
+	// the first header block, so an envelope without one still encodes with
+	// no <Header> element.
+	spareHeader *Header
+	spareBody   *[1]Block
 }
 
 // Header is the SOAP header: an ordered sequence of extension blocks.
@@ -117,9 +124,45 @@ func (b Block) Decode(v any) error {
 	return nil
 }
 
-// NewEnvelope returns an empty envelope.
+// Inline block capacity of a built envelope: what the stack's busiest
+// outbound message carries — To, Action, MessageID, a gossip or context
+// header, one more — and its body child. A sixth header block appends past
+// the inline array like any slice.
+const outboundHeaderBlocks = 5
+
+// outbound is what NewEnvelope allocates as one object: the envelope, the
+// header it attaches on its first header write, and the array the header
+// blocks and the body child start out in. The header's slice is a full slice
+// expression of blocks[:outboundHeaderBlocks], so an append to it can never
+// write into the body slot.
+type outbound struct {
+	env    Envelope
+	header Header
+	blocks [outboundHeaderBlocks + 1]Block
+}
+
+// NewEnvelope returns an empty envelope. It is one allocation, and so is
+// everything AddHeaderBlock and SetBodyBlock add to it up to five header
+// blocks and one body child (see outbound).
 func NewEnvelope() *Envelope {
-	return &Envelope{}
+	o := &outbound{}
+	o.header.Blocks = o.blocks[:0:outboundHeaderBlocks]
+	o.env.spareHeader = &o.header
+	o.env.spareBody = (*[1]Block)(o.blocks[outboundHeaderBlocks:])
+	return &o.env
+}
+
+// ensureHeader attaches a header for a header write: NewEnvelope's inline
+// one the first time, a fresh one on an envelope built any other way.
+func (e *Envelope) ensureHeader() {
+	if e.Header != nil {
+		return
+	}
+	if e.spareHeader != nil {
+		e.Header, e.spareHeader = e.spareHeader, nil
+		return
+	}
+	e.Header = &Header{}
 }
 
 // MarshalBlock marshals v into a captured Block — what AddHeader and SetBody
@@ -183,9 +226,7 @@ func (e *Envelope) AddHeader(v any) error {
 // flat-element writer's product, or a block captured from another envelope.
 // The envelope treats b.Raw as immutable from here on.
 func (e *Envelope) AddHeaderBlock(b Block) {
-	if e.Header == nil {
-		e.Header = &Header{}
-	}
+	e.ensureHeader()
 	e.Header.Blocks = append(e.Header.Blocks, b)
 	e.addr.Store(nil)
 }
@@ -250,8 +291,16 @@ func (e *Envelope) SetBody(v any) error {
 }
 
 // SetBodyBlock replaces the body with an already-built block (see
-// AddHeaderBlock).
+// AddHeaderBlock). The first call on a NewEnvelope product fills its inline
+// body slot; any later one allocates, so a slice of the previous body never
+// changes under its holder.
 func (e *Envelope) SetBodyBlock(b Block) {
+	if slot := e.spareBody; slot != nil {
+		e.spareBody = nil
+		slot[0] = b
+		e.Body.Blocks = slot[:]
+		return
+	}
 	e.Body.Blocks = []Block{b}
 }
 
@@ -493,9 +542,7 @@ func (e *Envelope) SetAddressing(h wsa.Headers) error {
 	for _, p := range props {
 		size += p.size()
 	}
-	if e.Header == nil {
-		e.Header = &Header{}
-	}
+	e.ensureHeader()
 	buf := make([]byte, 0, size)
 	for _, p := range props {
 		start := len(buf)

@@ -6,7 +6,9 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
+	"sync"
 )
 
 // Namespace is the WS-Addressing 1.0 namespace URI.
@@ -65,14 +67,17 @@ type MessageID string
 // NewMessageID returns a fresh urn:uuid message identifier. Identifiers are
 // random 128-bit values; collisions are negligible at any realistic scale.
 //
-// The digits are encoded straight into the identifier's buffer, so the only
-// allocation is the string (plus the bounce buffer crypto/rand itself makes
-// when rand.Reader has been substituted). Exactly one 16-byte read is made
-// per identifier, so a substituted rand.Reader sees the same stream.
+// The 16 random bytes are read with exactly one io.ReadFull of rand.Reader
+// into pooled scratch, and the digits are encoded straight into the
+// identifier's buffer, so the only allocation is the string — also when
+// rand.Reader has been substituted, where crypto/rand.Read would bounce
+// through a heap buffer of its own. A substituted reader sees the same
+// stream of 16-byte reads either way.
 func NewMessageID() MessageID {
 	const prefix = "urn:uuid:"
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
+	b := idScratch.Get().(*[16]byte)
+	defer idScratch.Put(b)
+	if _, err := io.ReadFull(rand.Reader, b[:]); err != nil {
 		// crypto/rand failure is unrecoverable program state; fall back to a
 		// zero ID rather than panicking in library code.
 		return MessageID("urn:uuid:00000000000000000000000000000000")
@@ -82,6 +87,10 @@ func NewMessageID() MessageID {
 	hex.Encode(buf[len(prefix):], b[:])
 	return MessageID(buf[:])
 }
+
+// idScratch holds NewMessageID's read buffers: a buffer handed to an
+// arbitrary io.Reader escapes, so it comes from here rather than the stack.
+var idScratch = sync.Pool{New: func() any { return new([16]byte) }}
 
 // Headers bundles the WS-Addressing message-addressing properties carried in
 // a SOAP header block.
