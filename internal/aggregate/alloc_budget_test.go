@@ -92,6 +92,8 @@ func newExchangePair(t testing.TB) (*SimNode, *SimNode) {
 type allocBudget struct {
 	MaxAllocs        float64 `json:"windowed_exchange_max_allocs"`
 	ServiceMaxAllocs float64 `json:"service_exchange_max_allocs"`
+	ShareIntake      float64 `json:"share_intake_max_allocs"`
+	AckIntake        float64 `json:"ack_intake_max_allocs"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -103,11 +105,11 @@ func loadAllocBudget(t *testing.T) allocBudget {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	var budget allocBudget
+	budget := allocBudget{ShareIntake: -1, AckIntake: -1}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	if budget.MaxAllocs <= 0 || budget.ServiceMaxAllocs <= 0 {
+	if budget.MaxAllocs <= 0 || budget.ServiceMaxAllocs <= 0 || budget.ShareIntake < 0 || budget.AckIntake < 0 {
 		t.Fatalf("alloc budget missing fields: %+v", budget)
 	}
 	return budget
@@ -217,6 +219,42 @@ func TestServiceExchangeAllocBudget(t *testing.T) {
 			allocs, budget.ServiceMaxAllocs)
 	}
 	t.Logf("service exchange: %.1f allocs/op (budget %.0f)", allocs, budget.ServiceMaxAllocs)
+}
+
+// TestShareAckIntakeAllocBudget: reading a received share or ack — every
+// field, the text ones naming a function, peer, root and metric the node
+// already knows — allocates only the TaskID's copy: the numbers parse in
+// place and the rest of the text resolves through the intern table.
+func TestShareAckIntakeAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	share := shareBlock(&Share{
+		TaskID: serviceExchangeTask, Function: string(FuncAvg), From: "mem://a", Sum: 1.5, Weight: 0.25,
+		HasExtremes: true, Min: 1, Max: 2, WindowMillis: 1000, Epoch: 7, Seq: 1 << 40,
+		Root: "mem://querier", Metric: "load",
+	}).Raw
+	ack := ackBlock(&ExchangeAck{TaskID: serviceExchangeTask, From: "mem://b", Epoch: 7, Seq: 1 << 40}).Raw
+	for _, row := range []struct {
+		what   string
+		budget float64
+		op     func()
+	}{
+		{"share intake", budget.ShareIntake, func() {
+			if sh, err := decodeShare(share); err != nil || sh.Metric != "load" {
+				t.Fatalf("share = %+v, %v", sh, err)
+			}
+		}},
+		{"ack intake", budget.AckIntake, func() {
+			if a, err := decodeAck(ack); err != nil || a.From != "mem://b" {
+				t.Fatalf("ack = %+v, %v", a, err)
+			}
+		}},
+	} {
+		allocs := testing.AllocsPerRun(200, row.op)
+		if allocs != row.budget {
+			t.Errorf("%s = %.1f allocs/op, budget exactly %.0f (testdata/alloc_budget.json)", row.what, allocs, row.budget)
+		}
+		t.Logf("%s: %.1f allocs/op (budget %.0f)", row.what, allocs, row.budget)
+	}
 }
 
 // BenchmarkShareExchangeService measures that same exchange.

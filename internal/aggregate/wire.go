@@ -67,7 +67,11 @@ func shareBlock(sh *Share) soap.Block {
 
 // scanShare reads a canonical share block. The optional children are probed
 // for in order; one that is present but malformed is left unconsumed and
-// fails the next read.
+// fails the next read. The function, the sender, the root and the metric
+// are drawn from what the deployment configures — its peers and its value
+// sources — so each resolves through the intern table and a known one costs
+// no allocation. The TaskID is copied: one is minted per coordination
+// context, and a long-running node would fill the table with finished tasks.
 func scanShare(raw []byte) (sh Share, ok bool) {
 	r, ok := soap.OpenFlat(raw, core.Namespace, "AggregateShare")
 	if !ok {
@@ -77,10 +81,10 @@ func scanShare(raw []byte) (sh Share, ok bool) {
 	if sh.TaskID, ok = r.String("TaskID"); !ok {
 		return sh, false
 	}
-	if sh.Function, ok = r.String("Function"); !ok {
+	if sh.Function, ok = r.Symbol("Function"); !ok {
 		return sh, false
 	}
-	if sh.From, ok = r.String("From"); !ok {
+	if sh.From, ok = r.Symbol("From"); !ok {
 		return sh, false
 	}
 	if sh.Sum, ok = r.Float("Sum"); !ok {
@@ -99,8 +103,8 @@ func scanShare(raw []byte) (sh Share, ok bool) {
 	}
 	sh.Epoch, _ = r.Uint("Epoch")
 	sh.Seq, _ = r.Uint("Seq")
-	sh.Root, _ = r.String("Root")
-	sh.Metric, _ = r.String("Metric")
+	sh.Root, _ = r.Symbol("Root")
+	sh.Metric, _ = r.Symbol("Metric")
 	return sh, r.Close("AggregateShare")
 }
 
@@ -127,7 +131,8 @@ func ackBlock(a *ExchangeAck) soap.Block {
 	return soap.Block{XMLName: ackName, Raw: buf}
 }
 
-// scanAck reads a canonical ack block.
+// scanAck reads a canonical ack block; its sender resolves through the
+// intern table and its task is copied, as a share's are.
 func scanAck(raw []byte) (a ExchangeAck, ok bool) {
 	r, ok := soap.OpenFlat(raw, core.Namespace, "AggregateExchangeAck")
 	if !ok {
@@ -137,7 +142,7 @@ func scanAck(raw []byte) (a ExchangeAck, ok bool) {
 	if a.TaskID, ok = r.String("TaskID"); !ok {
 		return a, false
 	}
-	if a.From, ok = r.String("From"); !ok {
+	if a.From, ok = r.Symbol("From"); !ok {
 		return a, false
 	}
 	if a.Epoch, ok = r.Uint("Epoch"); !ok {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"math/rand"
 	"os"
 	"testing"
 
@@ -24,6 +25,9 @@ type allocBudget struct {
 	ForwardHeaders    float64 `json:"forward_headers_max_allocs"`
 	DigestReceipt     float64 `json:"digest_receipt_nothing_missing_max_allocs"`
 	DigestEnvelope    float64 `json:"tick_repair_digest_envelope_max_allocs"`
+	IHaveHeld         float64 `json:"ihave_held_max_allocs"`
+	IWantServe        float64 `json:"iwant_serve_max_allocs"`
+	DigestOneMissing  float64 `json:"digest_receipt_one_missing_max_allocs"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -35,13 +39,13 @@ func loadAllocBudget(t *testing.T) allocBudget {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	budget := allocBudget{-1, -1, -1, -1, -1, -1, -1}
+	budget := allocBudget{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
 	if budget.ForwardFanoutF8 <= 0 || budget.DuplicateReceipt < 0 || budget.DuplicateDelivery < 0 ||
 		budget.GossipHeaderFrom < 0 || budget.ForwardHeaders < 0 ||
-		budget.DigestReceipt < 0 || budget.DigestEnvelope <= 0 {
+		budget.DigestReceipt < 0 || budget.DigestEnvelope <= 0 || budget.IHaveHeld < 0 || budget.IWantServe <= 0 || budget.DigestOneMissing <= 0 {
 		t.Fatalf("alloc budget missing fields: %+v", budget)
 	}
 	return budget
@@ -165,6 +169,32 @@ func TestDigestReceiptAllocBudget(t *testing.T) {
 	checkAllocBudget(t, "128-ID digest receipt, nothing missing", allocs, budget.DigestReceipt)
 }
 
+// TestDigestOneMissingAllocBudget: a repair digest that misses one stored
+// notification costs the responder that one retransmission — the missing
+// list and the re-headed copy, whose header is read with the ID its store
+// slot holds — and nothing per listed ID.
+func TestDigestOneMissingAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	d, _ := newDigestResponder(t, digestCap)
+	for i := 0; i < digestCap; i++ {
+		storeNotification(t, d, string(wsa.NewMessageID()))
+	}
+	d.cfg.Caller = dropCaller{}
+	d.mu.Lock()
+	ids := d.storedIDsLocked(digestCap)
+	d.mu.Unlock()
+	req, _ := receivedRequest(t, ActionDigest, digestBlock("mem://peer", ids[1:]).Raw)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := d.handleDigest(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if stats := d.Stats(); stats.Repaired < 100 || stats.SendErrors != 0 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	checkAllocBudget(t, "128-ID digest receipt, one missing", allocs, budget.DigestOneMissing)
+}
+
 // TestDigestEnvelopeAllocBudget: what TickRepair builds once per round —
 // the ID list, the body, the addressing and the envelope around them.
 func TestDigestEnvelopeAllocBudget(t *testing.T) {
@@ -180,4 +210,104 @@ func TestDigestEnvelopeAllocBudget(t *testing.T) {
 		}
 	})
 	checkAllocBudget(t, "TickRepair digest envelope, 128 IDs", allocs, budget.DigestEnvelope)
+}
+
+// dropCaller is a binding whose sends go nowhere.
+type dropCaller struct{}
+
+func (dropCaller) Call(context.Context, string, *soap.Envelope) (*soap.Envelope, error) {
+	return nil, nil
+}
+func (dropCaller) Send(context.Context, string, *soap.Envelope) error { return nil }
+
+// lazyResponder is a node holding one notification, and a received IHAVE
+// announcing it and a received IWANT asking for it, each decoded from a
+// buffer of its own as on the MemBus and HTTP receive paths.
+func lazyResponder(t testing.TB) (d *Disseminator, ihave, iwant *soap.Request) {
+	t.Helper()
+	d, err := NewDisseminator(DisseminatorConfig{
+		Address: "mem://responder", Caller: dropCaller{}, RNG: rand.New(rand.NewSource(1)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := string(wsa.NewMessageID())
+	storeNotification(t, d, id)
+	d.seen.Add(id)
+	received := func(action string, body soap.Block) *soap.Request {
+		out := soap.NewEnvelope()
+		if err := out.SetAddressing(addressingFor("mem://responder", action)); err != nil {
+			t.Fatal(err)
+		}
+		out.SetBodyBlock(body)
+		wire, err := out.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := soap.Decode(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &soap.Request{Envelope: env}
+	}
+	ihave = received(ActionIHave, announceBlock(Announce{InteractionID: "urn:uuid:i", MessageID: id, Hops: 2, Holder: "mem://holder"}))
+	iwant = received(ActionIWant, fetchBlock(Fetch{MessageID: id, Requester: "mem://requester"}))
+	return d, ihave, iwant
+}
+
+// TestIHaveHeldAllocBudget: most announcements name a notification the node
+// already holds, and such an IHAVE costs nothing — the seen-set is asked with
+// the announced ID where it lies in the receive buffer.
+func TestIHaveHeldAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	d, ihave, _ := lazyResponder(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := d.handleIHave(context.Background(), ihave); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if stats := d.Stats(); stats.Fetched != 0 || stats.Duplicates < 100 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	checkAllocBudget(t, "IHAVE for a held notification", allocs, budget.IHaveHeld)
+}
+
+// TestIWantServeAllocBudget: serving an IWANT looks the requested ID up in
+// place and re-heads the stored copy with the ID its store slot holds, so
+// what it costs is the header's InteractionID copy and the retransmission's
+// own snapshot and header buffers.
+func TestIWantServeAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	d, _, iwant := lazyResponder(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := d.handleIWant(context.Background(), iwant); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if stats := d.Stats(); stats.Served < 100 || stats.SendErrors != 0 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	checkAllocBudget(t, "IWANT served", allocs, budget.IWantServe)
+}
+
+func BenchmarkIHaveHeld(b *testing.B) {
+	d, ihave, _ := lazyResponder(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.handleIHave(context.Background(), ihave); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkIWantServe(b *testing.B) {
+	d, _, iwant := lazyResponder(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.handleIWant(context.Background(), iwant); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

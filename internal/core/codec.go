@@ -44,7 +44,7 @@ func gossipBlock(gh GossipHeader) soap.Block {
 // gossipFields is a canonical gossip header read in place: the text fields
 // are views of the block's (still escaped) bytes, which alias the
 // transport's receive buffer and must not outlive the delivery. header
-// copies them out.
+// materializes them.
 type gossipFields struct {
 	interactionID, messageID, protocol soap.FlatText
 	hops                               int
@@ -69,15 +69,25 @@ func scanGossipHeader(raw []byte) (f gossipFields, ok bool) {
 	return f, r.Close("Gossip")
 }
 
-// header materializes the fields as a GossipHeader whose strings are fresh
-// copies, exactly what xml.Unmarshal of the block yields.
+// header materializes the fields as a GossipHeader, exactly what
+// xml.Unmarshal of the block yields. The MessageID and the InteractionID are
+// fresh copies: one is minted per notification, the other per coordination
+// context, so interning either would fill the table with values that stop
+// recurring. The protocol is one of the few the stack defines and resolves
+// through the intern table.
 func (f gossipFields) header() GossipHeader {
+	return f.headerWithID(f.messageID.String())
+}
+
+// headerWithID is header with the MessageID supplied by a caller that
+// already holds it as a string.
+func (f gossipFields) headerWithID(id string) GossipHeader {
 	return GossipHeader{
 		XMLName:       gossipName,
 		InteractionID: f.interactionID.String(),
-		MessageID:     f.messageID.String(),
+		MessageID:     id,
 		Hops:          f.hops,
-		Protocol:      f.protocol.String(),
+		Protocol:      f.protocol.Symbol(),
 	}
 }
 
@@ -92,6 +102,22 @@ func decodeGossipHeader(b soap.Block) (GossipHeader, error) {
 	return gh, err
 }
 
+// heldHeader reads the gossip header of a notification the store holds
+// under id, for a retransmission. A canonical header takes its MessageID
+// from id — the string the store already holds, which the header's equals
+// since the store is keyed by it — so nothing is copied for it; any other
+// spelling decodes through encoding/xml.
+func heldHeader(id string, env *soap.Envelope) (GossipHeader, error) {
+	b, ok := env.HeaderBlock(Namespace, "Gossip")
+	if !ok {
+		return GossipHeader{}, ErrNoGossipHeader
+	}
+	if f, ok := scanGossipHeader(b.Raw); ok {
+		return f.headerWithID(id), nil
+	}
+	return decodeGossipHeader(b)
+}
+
 // announceBlock writes a as a body block.
 func announceBlock(a Announce) soap.Block {
 	buf := make([]byte, 0, flatOverhead+len(a.InteractionID)+len(a.MessageID)+len(a.Holder))
@@ -104,39 +130,48 @@ func announceBlock(a Announce) soap.Block {
 	return soap.Block{XMLName: announceName, Raw: buf}
 }
 
-// scanAnnounce reads a canonical Announce body block.
-func scanAnnounce(raw []byte) (a Announce, ok bool) {
-	r, ok := soap.OpenFlat(raw, Namespace, "Announce")
-	if !ok {
-		return a, false
-	}
-	a.XMLName = announceName
-	if a.InteractionID, ok = r.String("InteractionID"); !ok {
-		return a, false
-	}
-	if a.MessageID, ok = r.String("MessageID"); !ok {
-		return a, false
-	}
-	if a.Hops, ok = r.Int("Hops"); !ok {
-		return a, false
-	}
-	if a.Holder, ok = r.String("Holder"); !ok {
-		return a, false
-	}
-	return a, r.Close("Announce")
+// announceFields is a canonical Announce body read in place, views of the
+// receive buffer like gossipFields.
+type announceFields struct {
+	interactionID, messageID, holder soap.FlatText
+	hops                             int
 }
 
-// announceFrom decodes the Announce body of env: the canonical form in
-// place, anything else through encoding/xml.
-func announceFrom(env *soap.Envelope) (Announce, error) {
+// scanAnnounce reads a canonical Announce body block without allocating.
+func scanAnnounce(raw []byte) (f announceFields, ok bool) {
+	r, ok := soap.OpenFlat(raw, Namespace, "Announce")
+	if !ok {
+		return f, false
+	}
+	if f.interactionID, ok = r.Text("InteractionID"); !ok {
+		return f, false
+	}
+	if f.messageID, ok = r.Text("MessageID"); !ok {
+		return f, false
+	}
+	if f.hops, ok = r.Int("Hops"); !ok {
+		return f, false
+	}
+	if f.holder, ok = r.Text("Holder"); !ok {
+		return f, false
+	}
+	return f, r.Close("Announce")
+}
+
+// announceFrom decodes the Announce body of env into what handleIHave acts
+// on: the announced MessageID as lookup bytes, and the holder, interned. Of
+// a canonical body the ID is read in place (see soap.FlatText.Key), a view
+// that must not outlive the delivery; anything else decodes through
+// encoding/xml.
+func announceFrom(env *soap.Envelope) (id []byte, holder string, err error) {
 	if len(env.Body.Blocks) > 0 {
-		if a, ok := scanAnnounce(env.Body.Blocks[0].Raw); ok {
-			return a, nil
+		if f, ok := scanAnnounce(env.Body.Blocks[0].Raw); ok {
+			return f.messageID.Key(), f.holder.Symbol(), nil
 		}
 	}
 	var a Announce
-	err := env.DecodeBody(&a)
-	return a, err
+	err = env.DecodeBody(&a)
+	return []byte(a.MessageID), a.Holder, err
 }
 
 // fetchBlock writes f as a body block.
@@ -149,33 +184,37 @@ func fetchBlock(f Fetch) soap.Block {
 	return soap.Block{XMLName: fetchName, Raw: buf}
 }
 
-// scanFetch reads a canonical Fetch body block.
-func scanFetch(raw []byte) (f Fetch, ok bool) {
+// fetchFields is a canonical Fetch body read in place.
+type fetchFields struct {
+	messageID, requester soap.FlatText
+}
+
+// scanFetch reads a canonical Fetch body block without allocating.
+func scanFetch(raw []byte) (f fetchFields, ok bool) {
 	r, ok := soap.OpenFlat(raw, Namespace, "Fetch")
 	if !ok {
 		return f, false
 	}
-	f.XMLName = fetchName
-	if f.MessageID, ok = r.String("MessageID"); !ok {
+	if f.messageID, ok = r.Text("MessageID"); !ok {
 		return f, false
 	}
-	if f.Requester, ok = r.String("Requester"); !ok {
+	if f.requester, ok = r.Text("Requester"); !ok {
 		return f, false
 	}
 	return f, r.Close("Fetch")
 }
 
-// fetchFrom decodes the Fetch body of env: the canonical form in place,
-// anything else through encoding/xml.
-func fetchFrom(env *soap.Envelope) (Fetch, error) {
+// fetchFrom decodes the Fetch body of env like announceFrom: the requested
+// MessageID as lookup bytes, and the requester, interned.
+func fetchFrom(env *soap.Envelope) (id []byte, requester string, err error) {
 	if len(env.Body.Blocks) > 0 {
 		if f, ok := scanFetch(env.Body.Blocks[0].Raw); ok {
-			return f, nil
+			return f.messageID.Key(), f.requester.Symbol(), nil
 		}
 	}
 	var f Fetch
-	err := env.DecodeBody(&f)
-	return f, err
+	err = env.DecodeBody(&f)
+	return []byte(f.MessageID), f.Requester, err
 }
 
 // digestSize sizes the buffer of a digest body listing ids.
@@ -221,11 +260,7 @@ type heldIDs struct {
 // An escaped ID is unescaped first, as encoding/xml would have.
 func (h heldIDs) mark(s *envelopeStore) {
 	for id, ok := h.flat.Next(); ok; id, ok = h.flat.Next() {
-		if id.IsLiteral() {
-			s.markHeldBytes(id)
-		} else {
-			s.markHeld(id.String())
-		}
+		s.markHeldBytes(id.Key())
 	}
 	for _, id := range h.decoded {
 		s.markHeld(id)
@@ -248,12 +283,12 @@ func scanDigest(raw []byte) (sender soap.FlatText, ids soap.FlatList, ok bool) {
 }
 
 // digestFrom decodes the Digest body of env — the canonical form in place,
-// anything else through encoding/xml — into the sender (a copy) and the IDs
-// it holds.
+// anything else through encoding/xml — into the sender (interned: a peer
+// sends a digest every round) and the IDs it holds.
 func digestFrom(env *soap.Envelope) (string, heldIDs, error) {
 	if len(env.Body.Blocks) > 0 {
 		if sender, ids, ok := scanDigest(env.Body.Blocks[0].Raw); ok {
-			return sender.String(), heldIDs{flat: ids}, nil
+			return sender.Symbol(), heldIDs{flat: ids}, nil
 		}
 	}
 	var dig Digest
@@ -283,7 +318,7 @@ func scanPullRequest(raw []byte) (requester soap.FlatText, ids soap.FlatList, ma
 func pullRequestFrom(env *soap.Envelope) (string, heldIDs, int, error) {
 	if len(env.Body.Blocks) > 0 {
 		if requester, ids, max, ok := scanPullRequest(env.Body.Blocks[0].Raw); ok {
-			return requester.String(), heldIDs{flat: ids}, max, nil
+			return requester.Symbol(), heldIDs{flat: ids}, max, nil
 		}
 	}
 	var pr PullRequest

@@ -62,12 +62,15 @@ func (s *envelopeStore) Put(id string, env *soap.Envelope) {
 	s.head = (s.head + 1) % s.cap
 }
 
-func (s *envelopeStore) Get(id string) (*soap.Envelope, bool) {
-	i, ok := s.index[id]
+// Get looks id up — a view of a receive buffer will do: the lookup converts
+// in place — and returns the entry with the ID the store holds it under, so
+// a retransmission needs no copy of it.
+func (s *envelopeStore) Get(id []byte) (heldID string, env *soap.Envelope, ok bool) {
+	i, ok := s.index[string(id)]
 	if !ok {
-		return nil, false
+		return "", nil, false
 	}
-	return s.slots[i].env, true
+	return s.slots[i].id, s.slots[i].env, true
 }
 
 func (s *envelopeStore) Len() int { return len(s.slots) }
@@ -168,38 +171,43 @@ func (d *Disseminator) announce(ctx context.Context, gh GossipHeader, state *int
 	d.stats.announced.Add(int64(d.fanout(ctx, env, targets)))
 }
 
-// handleIHave requests the payload of an unseen announced notification.
+// handleIHave requests the payload of an unseen announced notification. The
+// seen-set and the pending requests are asked with the announced ID as it
+// lies in the receive buffer, so an announcement of a notification already
+// held or already requested — most of them — copies nothing; only a first
+// announce makes the ID a string.
 func (d *Disseminator) handleIHave(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
-	ann, err := announceFrom(req.Envelope)
+	announced, holder, err := announceFrom(req.Envelope)
 	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "malformed Announce: "+err.Error())
 	}
 	d.mu.Lock()
-	if d.seen.Contains(ann.MessageID) {
+	if d.seen.ContainsBytes(announced) {
 		d.mu.Unlock()
 		d.stats.duplicates.Add(1)
 		return nil, nil
 	}
-	if _, pending := d.requested[ann.MessageID]; pending {
+	if _, pending := d.requested[string(announced)]; pending {
 		d.mu.Unlock()
 		return nil, nil
 	}
-	d.requested[ann.MessageID] = struct{}{}
+	id := string(announced)
+	d.requested[id] = struct{}{}
 	d.mu.Unlock()
 
 	env := soap.NewEnvelope()
 	if err := env.SetAddressing(wsa.Headers{
-		To:        ann.Holder,
+		To:        holder,
 		Action:    ActionIWant,
 		MessageID: wsa.NewMessageID(),
 	}); err != nil {
 		return nil, err
 	}
-	env.SetBodyBlock(fetchBlock(Fetch{MessageID: ann.MessageID, Requester: d.cfg.Address}))
-	if err := d.cfg.Caller.Send(ctx, ann.Holder, env); err != nil {
+	env.SetBodyBlock(fetchBlock(Fetch{MessageID: id, Requester: d.cfg.Address}))
+	if err := d.cfg.Caller.Send(ctx, holder, env); err != nil {
 		d.mu.Lock()
 		// Allow a later announcer to retrigger the fetch.
-		delete(d.requested, ann.MessageID)
+		delete(d.requested, id)
 		d.mu.Unlock()
 		d.stats.sendErrors.Add(1)
 		return nil, nil
@@ -210,20 +218,21 @@ func (d *Disseminator) handleIHave(ctx context.Context, req *soap.Request) (*soa
 }
 
 // handleIWant serves a stored notification to the requester with a
-// decremented hop budget.
+// decremented hop budget. The requested ID is looked up as it lies in the
+// receive buffer, and the retransmission carries the ID the store holds.
 func (d *Disseminator) handleIWant(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
-	fetch, err := fetchFrom(req.Envelope)
+	requested, requester, err := fetchFrom(req.Envelope)
 	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "malformed Fetch: "+err.Error())
 	}
 	d.mu.Lock()
-	stored, ok := d.store.Get(fetch.MessageID)
+	id, stored, ok := d.store.Get(requested)
 	d.mu.Unlock()
 	if !ok {
 		return nil, soap.NewFault(soap.CodeSender,
-			fmt.Sprintf("notification %q not held", fetch.MessageID))
+			fmt.Sprintf("notification %q not held", requested))
 	}
-	gh, err := GossipHeaderFrom(stored)
+	gh, err := heldHeader(id, stored)
 	if err != nil {
 		return nil, err
 	}
@@ -237,13 +246,13 @@ func (d *Disseminator) handleIWant(ctx context.Context, req *soap.Request) (*soa
 		return nil, err
 	}
 	if err := out.SetAddressing(wsa.Headers{
-		To:        fetch.Requester,
+		To:        requester,
 		Action:    ActionNotify,
 		MessageID: wsa.MessageID(gh.MessageID),
 	}); err != nil {
 		return nil, err
 	}
-	if err := d.cfg.Caller.Send(ctx, fetch.Requester, out); err != nil {
+	if err := d.cfg.Caller.Send(ctx, requester, out); err != nil {
 		d.stats.sendErrors.Add(1)
 		return nil, nil
 	}

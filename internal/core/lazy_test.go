@@ -189,10 +189,10 @@ func TestEnvelopeStore(t *testing.T) {
 		t.Fatalf("len = %d", s.Len())
 	}
 	s.Put("c", mk("c"))
-	if _, ok := s.Get("a"); ok {
+	if _, _, ok := s.Get([]byte("a")); ok {
 		t.Fatal("oldest survived eviction")
 	}
-	if _, ok := s.Get("c"); !ok {
+	if _, _, ok := s.Get([]byte("c")); !ok {
 		t.Fatal("newest missing")
 	}
 	if s := newEnvelopeStore(0); s.cap != 1024 {

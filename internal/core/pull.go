@@ -60,26 +60,29 @@ func (d *Disseminator) handlePullRequest(ctx context.Context, req *soap.Request)
 // does not hold to it (up to max, newest first), decrementing each copy's hop
 // budget exactly as an eager transfer would. It returns the number of
 // successful retransmissions. Both anti-entropy repair (handleDigest) and
-// WS-PullGossip (handlePullRequest) converge on this path. The digest is
+// WS-PullGossip (handlePullRequest) converge on this path. Each copy's
+// header is read with the ID its store slot holds (heldHeader), so nothing
+// is copied for it. The digest is
 // matched against the store inside one critical section — marks of one
 // generation, then the walk over what stayed unmarked — so concurrent digests
 // cannot see each other's marks, and a digest that finds nothing missing
 // allocates nothing. held may alias the request's receive buffer: it is not
 // used after the lock is released.
 func (d *Disseminator) retransmitMissing(ctx context.Context, to string, held heldIDs, max int) int64 {
-	var missing []*soap.Envelope
+	var missing []storeSlot
 	d.mu.Lock()
 	d.store.beginGen()
 	held.mark(d.store)
 	for k := 0; k < d.store.Len() && len(missing) < max; k++ {
 		if slot := d.store.nth(k); !d.store.isHeld(slot) {
-			missing = append(missing, slot.env.Snapshot())
+			missing = append(missing, storeSlot{id: slot.id, env: slot.env.Snapshot()})
 		}
 	}
 	d.mu.Unlock()
 	var served int64
-	for _, env := range missing {
-		gh, err := GossipHeaderFrom(env)
+	for _, slot := range missing {
+		env := slot.env
+		gh, err := heldHeader(slot.id, env)
 		if err != nil {
 			continue
 		}

@@ -508,7 +508,7 @@ func TestDigestNeverAliasesReceiveBuffer(t *testing.T) {
 			t.Fatalf("pull=%v: later digest retransmitted %q, want %q", pull, got, want)
 		}
 		for _, id := range ids {
-			if _, ok := d.store.Get(id); !ok {
+			if _, _, ok := d.store.Get([]byte(id)); !ok {
 				t.Fatalf("pull=%v: store lost %q", pull, id)
 			}
 		}

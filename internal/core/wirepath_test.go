@@ -182,7 +182,7 @@ func TestStoreSharesInboundBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.mu.Lock()
-	stored, ok := d.store.Get(gh.MessageID)
+	_, stored, ok := d.store.Get([]byte(gh.MessageID))
 	d.mu.Unlock()
 	if !ok {
 		t.Fatal("notification not stored")

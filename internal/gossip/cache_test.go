@@ -172,7 +172,7 @@ func TestSeenSetDefaultCapacity(t *testing.T) {
 	if !s.Add("x") || s.Add("x") {
 		t.Fatal("basic add semantics broken")
 	}
-	if !s.Contains("x") {
+	if !s.ContainsBytes([]byte("x")) {
 		t.Fatal("contains broken")
 	}
 }
@@ -194,8 +194,9 @@ func TestSeenSetTouchBytes(t *testing.T) {
 	}
 	buf[0] = 'z' // the buffer is recycled
 	s.Add("d")   // evicts b, not the refreshed a
-	if !s.Contains("a") || s.Contains("b") || s.Contains("z") {
-		t.Fatalf("after refresh+evict: a=%v b=%v z=%v", s.Contains("a"), s.Contains("b"), s.Contains("z"))
+	has := func(id string) bool { return s.ContainsBytes([]byte(id)) }
+	if !has("a") || has("b") || has("z") {
+		t.Fatalf("after refresh+evict: a=%v b=%v z=%v", has("a"), has("b"), has("z"))
 	}
 	id := []byte("urn:uuid:6ba7b810-9dad-11d1-80b4-00c04fd430c8")
 	s.Add(string(id))

@@ -35,11 +35,12 @@ func (s *SeenSet) TouchBytes(id []byte) bool {
 	return s.c.TouchBytes(id)
 }
 
-// Contains reports whether id is present.
-func (s *SeenSet) Contains(id string) bool {
+// ContainsBytes reports whether id — a string's bytes, or an ID viewed in a
+// message buffer, never retained — is present, without allocating.
+func (s *SeenSet) ContainsBytes(id []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.c.Contains(id)
+	return s.c.ContainsBytes(id)
 }
 
 // Len returns the number of tracked identifiers.

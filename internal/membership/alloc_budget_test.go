@@ -1,0 +1,154 @@
+package membership
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"testing"
+	"time"
+
+	"wsgossip/internal/clock"
+	"wsgossip/internal/soap"
+	"wsgossip/internal/transport"
+	"wsgossip/internal/wsa"
+)
+
+// Allocation-budget regression guard for the view exchange every node sends
+// and merges each membership round. The budgets are committed in
+// testdata/alloc_budget.json; CI runs this test on every push.
+
+type allocBudget struct {
+	MergeExchange float64 `json:"merge_exchange_32_max_allocs"`
+	EncodeView    float64 `json:"encode_view_32_max_allocs"`
+}
+
+// dropCaller is a SOAP binding whose sends go nowhere.
+type dropCaller struct{}
+
+func (dropCaller) Call(context.Context, string, *soap.Envelope) (*soap.Envelope, error) {
+	return nil, nil
+}
+func (dropCaller) Send(context.Context, string, *soap.Envelope) error { return nil }
+
+// viewBench is a Service behind its SOAPEndpoint that knows 32 peers, and a
+// received exchange from one of them listing all 32 and the receiver: the
+// steady state of a converged 33-node overlay, where every entry names a
+// member the view already holds.
+type viewBench struct {
+	svc *Service
+	ep  *SOAPEndpoint
+	req *soap.Request
+}
+
+func newViewBench(t testing.TB) *viewBench {
+	t.Helper()
+	ep := NewSOAPEndpoint("mem://self", dropCaller{})
+	svc, err := New(Config{
+		Endpoint: ep, Clock: clock.NewVirtual(),
+		Fanout: 3, SuspectAfter: time.Second, RemoveAfter: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := transport.NewMux()
+	svc.Register(mux)
+	mux.Bind(ep)
+	view := envelopeBody{From: "mem://peer00", Members: []wireEntry{{Addr: "mem://self", Heartbeat: 1}}}
+	for i := 0; i < 32; i++ {
+		view.Members = append(view.Members, wireEntry{Addr: fmt.Sprintf("mem://peer%02d", i), Heartbeat: uint64(100 + i)})
+	}
+	out := soap.NewEnvelope()
+	if err := out.SetAddressing(wsa.Headers{To: "mem://self", Action: ActionExchange, MessageID: wsa.NewMessageID()}); err != nil {
+		t.Fatal(err)
+	}
+	out.SetBodyBlock(soap.Block{XMLName: bodyName, Raw: writeBody(view)})
+	wire, err := out.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := soap.Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &viewBench{svc: svc, ep: ep, req: &soap.Request{Envelope: env}}
+	b.merge(t) // first contact: the 32 peers join the view
+	if got := svc.Size(); got != 32 {
+		t.Fatalf("view holds %d members, want 32", got)
+	}
+	return b
+}
+
+// merge delivers the exchange through the endpoint into the Service.
+func (b *viewBench) merge(t testing.TB) {
+	if _, err := b.ep.handleSOAP(context.Background(), b.req); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// encode writes the view as a round does.
+func (b *viewBench) encode() []byte {
+	b.svc.mu.Lock()
+	defer b.svc.mu.Unlock()
+	return b.svc.encodeViewLocked()
+}
+
+// TestMembershipAllocBudget: merging a 32-entry exchange of known members is
+// the endpoint's one copy of the body — every entry is looked up in place —
+// and writing a 32-member view is its one buffer.
+func TestMembershipAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	raw, err := os.ReadFile("testdata/alloc_budget.json")
+	if err != nil {
+		t.Fatalf("read alloc budget: %v", err)
+	}
+	var budget allocBudget
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatalf("parse alloc budget: %v", err)
+	}
+	if budget.MergeExchange <= 0 || budget.EncodeView <= 0 {
+		t.Fatalf("alloc budget missing fields: %+v", budget)
+	}
+	b := newViewBench(t)
+	exchanges := b.svc.stats.exchanges.Value()
+	for _, row := range []struct {
+		what   string
+		budget float64
+		op     func()
+	}{
+		{"merge a 32-entry exchange of known members", budget.MergeExchange, func() { b.merge(t) }},
+		{"encode a 32-member view", budget.EncodeView, func() { _ = b.encode() }},
+	} {
+		allocs := testing.AllocsPerRun(200, row.op)
+		if allocs != row.budget {
+			t.Errorf("%s = %.1f allocs/op, budget exactly %.0f (testdata/alloc_budget.json)", row.what, allocs, row.budget)
+		}
+		t.Logf("%s: %.1f allocs/op (budget %.0f)", row.what, allocs, row.budget)
+	}
+	if got := b.svc.stats.exchanges.Value() - exchanges; got != 201 {
+		t.Fatalf("%d exchanges merged, want 201", got)
+	}
+	if got := b.svc.Size(); got != 32 {
+		t.Fatalf("view holds %d members after the merges, want 32", got)
+	}
+}
+
+func BenchmarkMembershipMerge(b *testing.B) {
+	vb := newViewBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vb.merge(b)
+	}
+}
+
+func BenchmarkMembershipEncode(b *testing.B) {
+	vb := newViewBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = vb.encode()
+	}
+}

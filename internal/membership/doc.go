@@ -14,7 +14,31 @@
 // become suspects, and within RemoveAfter are removed. Explicit departures
 // (Leave) spread as tombstones. With Config.MaxView set the service behaves
 // as a partial-view peer-sampling service, keeping per-node state O(MaxView)
-// at large scale.
+// at large scale. One leave removes at most one member, the one its message
+// names as From; entries naming anyone else are ignored and counted in
+// membership_leave_rejected_total. That From is the real sender on the
+// simulator's transport, but over SOAPEndpoint it is the body's own From
+// element, which nothing authenticates: there, a peer can still make a
+// receiver tombstone one other member by naming it as From.
+//
+// # Wire form
+//
+// An exchange or a leave is one XML element on soap's flat-element codec,
+//
+//	<Membership xmlns="urn:wsgossip:membership"><From>addr</From><Members>
+//	<M><A>addr</A><H>heartbeat</H></M>…</Members></Membership>
+//
+// without the line breaks: an exchange lists the sender first, then every
+// member it knows in address order; a leave lists the sender alone. The
+// writer is byte-identical to xml.Marshal of the equivalent struct. The
+// Service writes the element once per round as the transport message body,
+// which the simulator's transport carries as it is and SOAPEndpoint as the
+// SOAP body block, so every target of a round shares one buffer. The
+// receiver walks the entries where they lie and copies an address only when
+// it becomes a new member; any other spelling is decoded by encoding/xml and
+// rewritten canonically first. A body that lists no member is malformed:
+// that includes the JSON view a peer from an older build sends inside a
+// Data element, which SOAPEndpoint answers with a Sender fault.
 //
 // Key types:
 //

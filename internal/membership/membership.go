@@ -2,12 +2,12 @@ package membership
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -53,17 +53,6 @@ type Member struct {
 	Refreshed time.Duration
 }
 
-// entry is the wire form of a member row.
-type entry struct {
-	Addr      string `json:"addr"`
-	Heartbeat uint64 `json:"hb"`
-	Left      bool   `json:"left,omitempty"`
-}
-
-type exchangeMsg struct {
-	Entries []entry `json:"entries"`
-}
-
 // Config configures a membership service.
 type Config struct {
 	// Endpoint attaches the service to the network. Required.
@@ -91,8 +80,8 @@ type Config struct {
 	// Metrics is the registry the service resolves its series from
 	// (membership_view_size, membership_exchanges_total,
 	// membership_suspects_total, membership_suspect_unknown_total,
-	// membership_evictions_total, membership_leaves_total). Nil uses a
-	// private registry.
+	// membership_evictions_total, membership_leaves_total,
+	// membership_leave_rejected_total). Nil uses a private registry.
 	Metrics *metrics.Registry
 }
 
@@ -119,7 +108,7 @@ type Service struct {
 
 	mu      sync.Mutex
 	rng     *rand.Rand
-	self    entry
+	self    wireEntry
 	members map[string]*Member
 	left    map[string]struct{} // explicit-leave tombstones
 	// dead maps an evicted member to the heartbeat it stalled at; stale
@@ -133,6 +122,9 @@ type Service struct {
 	// every mutation that can change the alive set.
 	alive      []string
 	aliveValid bool
+	// sorted is encodeViewLocked's scratch: the members in address order,
+	// kept across rounds so writing the view allocates only its buffer.
+	sorted []*Member
 
 	stats svcCounters
 }
@@ -145,6 +137,7 @@ type svcCounters struct {
 	suspectUnknown *metrics.Counter // Suspect calls naming an unknown member
 	evictions      *metrics.Counter // members evicted after RemoveAfter stalls
 	leaves         *metrics.Counter // explicit leave tombstones applied
+	leaveRejected  *metrics.Counter // leave entries naming anyone but the sender
 }
 
 func newSvcCounters(reg *metrics.Registry) svcCounters {
@@ -155,6 +148,7 @@ func newSvcCounters(reg *metrics.Registry) svcCounters {
 		suspectUnknown: reg.Counter("membership_suspect_unknown_total"),
 		evictions:      reg.Counter("membership_evictions_total"),
 		leaves:         reg.Counter("membership_leaves_total"),
+		leaveRejected:  reg.Counter("membership_leave_rejected_total"),
 	}
 }
 
@@ -174,7 +168,7 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:     cfg,
 		rng:     rng,
-		self:    entry{Addr: cfg.Endpoint.Addr(), Heartbeat: 1},
+		self:    wireEntry{Addr: cfg.Endpoint.Addr(), Heartbeat: 1},
 		members: make(map[string]*Member),
 		left:    make(map[string]struct{}),
 		dead:    make(map[string]uint64),
@@ -206,12 +200,9 @@ func (s *Service) Join(ctx context.Context, seeds []string) {
 			s.invalidateAliveLocked()
 		}
 	}
-	body, err := s.encodeViewLocked()
+	body := s.encodeViewLocked()
 	targets := append([]string(nil), seeds...)
 	s.mu.Unlock()
-	if err != nil {
-		return
-	}
 	for _, a := range targets {
 		if a == s.Addr() {
 			continue
@@ -244,26 +235,21 @@ func (s *Service) Tick(ctx context.Context) {
 	}
 	peers := s.alivePeersLocked()
 	targets := gossip.SamplePeers(s.rng, peers, s.cfg.Fanout, s.self.Addr)
-	body, err := s.encodeViewLocked()
+	body := s.encodeViewLocked()
 	s.mu.Unlock()
-	if err != nil {
-		return
-	}
 	for _, p := range targets {
 		_ = s.cfg.Endpoint.Send(ctx, transport.Message{To: p, Action: ActionExchange, Body: body})
 	}
 }
 
 // Leave announces departure to Fanout peers; receivers tombstone the sender.
+// The body lists the sender's own entry, the only one a receiver applies.
 func (s *Service) Leave(ctx context.Context) {
 	s.mu.Lock()
 	peers := s.alivePeersLocked()
 	targets := gossip.SamplePeers(s.rng, peers, s.cfg.Fanout, s.self.Addr)
-	body, err := json.Marshal(exchangeMsg{Entries: []entry{{Addr: s.self.Addr, Heartbeat: s.self.Heartbeat, Left: true}}})
+	body := writeBody(envelopeBody{From: s.self.Addr, Members: []wireEntry{s.self}})
 	s.mu.Unlock()
-	if err != nil {
-		return
-	}
 	for _, p := range targets {
 		_ = s.cfg.Endpoint.Send(ctx, transport.Message{To: p, Action: ActionLeave, Body: body})
 	}
@@ -285,7 +271,7 @@ func (s *Service) alivePeersLocked() []string {
 			out = append(out, addr)
 		}
 	}
-	sort.Strings(out) // deterministic iteration for reproducible sampling
+	slices.Sort(out) // deterministic iteration for reproducible sampling
 	s.alive = out
 	s.aliveValid = true
 	return out
@@ -300,31 +286,46 @@ func (s *Service) invalidateAliveLocked() {
 	s.stats.viewSize.Set(int64(len(s.members)))
 }
 
-func (s *Service) encodeViewLocked() ([]byte, error) {
-	entries := make([]entry, 0, len(s.members)+1)
-	entries = append(entries, s.self)
+// encodeViewLocked writes the whole view as one message body (wire.go): self
+// first, then every member in address order. Receivers merge entries in wire
+// order, and with a capped view each over-cap insert consumes an RNG draw to
+// pick an eviction victim — map-order encoding would make the victim
+// sequence, and hence the whole overlay, nondeterministic per run. The sort
+// runs in a scratch slice kept across rounds, so the body's buffer, which a
+// round sends to every target, is the one allocation.
+func (s *Service) encodeViewLocked() []byte {
+	sorted := s.sorted[:0]
+	addrs := len(s.self.Addr)
 	for _, m := range s.members {
-		entries = append(entries, entry{Addr: m.Addr, Heartbeat: m.Heartbeat})
+		sorted = append(sorted, m)
+		addrs += len(m.Addr)
 	}
-	// Sort the advertised view (self stays first). Receivers merge entries in
-	// wire order, and with a capped view each over-cap insert consumes an RNG
-	// draw to pick an eviction victim — map-order encoding would make the
-	// victim sequence, and hence the whole overlay, nondeterministic per run.
-	sort.Slice(entries[1:], func(i, j int) bool { return entries[1+i].Addr < entries[1+j].Addr })
-	return json.Marshal(exchangeMsg{Entries: entries})
+	slices.SortFunc(sorted, func(a, b *Member) int { return strings.Compare(a.Addr, b.Addr) })
+	buf := appendBodyOpen(make([]byte, 0, bodySize(s.self.Addr, len(sorted)+1, addrs)), s.self.Addr)
+	buf = appendEntry(buf, s.self.Addr, s.self.Heartbeat)
+	for _, m := range sorted {
+		buf = appendEntry(buf, m.Addr, m.Heartbeat)
+	}
+	clear(sorted) // hold no evicted member past the round
+	s.sorted = sorted[:0]
+	return appendBodyClose(buf)
 }
 
+// handleExchange merges a received view entry by entry, read in place: a
+// member the view already holds is looked up with the address bytes, and an
+// address is copied only when it becomes a new member.
 func (s *Service) handleExchange(ctx context.Context, msg transport.Message) error {
-	var em exchangeMsg
-	if err := json.Unmarshal(msg.Body, &em); err != nil {
+	body, _, err := canonicalBody(msg.Body)
+	if err != nil {
 		return fmt.Errorf("membership: decode exchange: %w", err)
 	}
 	s.mu.Lock()
 	s.stats.exchanges.Inc()
 	_, knewSender := s.members[msg.From]
 	now := s.cfg.Clock.Now()
-	for _, e := range em.Entries {
-		s.mergeLocked(e, now)
+	_, r, _ := openBody(body)
+	for addr, hb, ok := nextEntry(&r); ok; addr, hb, ok = nextEntry(&r) {
+		s.mergeLocked(addr.Key(), hb, now)
 	}
 	var reply []byte
 	if !knewSender && msg.From != s.self.Addr {
@@ -332,11 +333,7 @@ func (s *Service) handleExchange(ctx context.Context, msg transport.Message) err
 		// still tiny (with capped views it may know only its seed). Answer
 		// with our view so it bootstraps immediately instead of waiting to
 		// be sampled — the pull half of a view exchange.
-		var err error
-		reply, err = s.encodeViewLocked()
-		if err != nil {
-			reply = nil
-		}
+		reply = s.encodeViewLocked()
 	}
 	s.mu.Unlock()
 	if reply != nil {
@@ -345,16 +342,28 @@ func (s *Service) handleExchange(ctx context.Context, msg transport.Message) err
 	return nil
 }
 
+// handleLeave tombstones msg.From, and nothing else: one leave message
+// removes at most one member, so an entry naming anyone but msg.From is
+// counted in membership_leave_rejected_total and ignored. Who msg.From is
+// depends on the binding. The simulator's transport sets it to the real
+// sender. SOAPEndpoint takes it from the body's own From element, which the
+// sender writes: SOAP carries no authenticated sender, so over SOAP a peer
+// can still name another member as From and tombstone it.
 func (s *Service) handleLeave(_ context.Context, msg transport.Message) error {
-	var em exchangeMsg
-	if err := json.Unmarshal(msg.Body, &em); err != nil {
+	body, _, err := canonicalBody(msg.Body)
+	if err != nil {
 		return fmt.Errorf("membership: decode leave: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range em.Entries {
-		s.left[e.Addr] = struct{}{}
-		delete(s.members, e.Addr)
+	_, r, _ := openBody(body)
+	for addr, _, ok := nextEntry(&r); ok; addr, _, ok = nextEntry(&r) {
+		if string(addr.Key()) != msg.From {
+			s.stats.leaveRejected.Inc()
+			continue
+		}
+		s.left[msg.From] = struct{}{}
+		delete(s.members, msg.From)
 		s.stats.leaves.Inc()
 	}
 	s.invalidateAliveLocked()
@@ -366,41 +375,45 @@ func (s *Service) handleLeave(_ context.Context, msg transport.Message) error {
 // (we outrun an echo by one) and every peer would then see us as stale.
 const maxHeartbeat = 1 << 62
 
-func (s *Service) mergeLocked(e entry, now time.Duration) {
-	if e.Addr == "" || e.Heartbeat >= maxHeartbeat {
+// mergeLocked merges one received entry. addr may be a view of the message
+// body: every lookup converts it in place, and only a new member's address
+// is copied.
+func (s *Service) mergeLocked(addr []byte, hb uint64, now time.Duration) {
+	if len(addr) == 0 || hb >= maxHeartbeat {
 		// A malformed or empty address must not become a member: it would
 		// gossip onward and burn a fan-out slot at every sampler. A
 		// heartbeat that high came from no live counter.
 		return
 	}
-	if e.Addr == s.self.Addr {
+	if string(addr) == s.self.Addr {
 		// Another node may have a stale view of us; outrun it so we do not
 		// get suspected by our own propagated heartbeat.
-		if e.Heartbeat > s.self.Heartbeat {
-			s.self.Heartbeat = e.Heartbeat + 1
+		if hb > s.self.Heartbeat {
+			s.self.Heartbeat = hb + 1
 		}
 		return
 	}
-	if _, gone := s.left[e.Addr]; gone {
+	if _, gone := s.left[string(addr)]; gone {
 		return
 	}
-	if stalled, evicted := s.dead[e.Addr]; evicted {
-		if e.Heartbeat <= stalled {
+	if stalled, evicted := s.dead[string(addr)]; evicted {
+		if hb <= stalled {
 			return
 		}
-		delete(s.dead, e.Addr)
+		delete(s.dead, string(addr))
 	}
-	m, ok := s.members[e.Addr]
+	m, ok := s.members[string(addr)]
 	if !ok {
 		if s.cfg.MaxView > 0 && len(s.members) >= s.cfg.MaxView {
 			s.evictRandomLocked()
 		}
-		s.members[e.Addr] = &Member{Addr: e.Addr, Heartbeat: e.Heartbeat, State: StateAlive, Refreshed: now}
+		a := string(addr)
+		s.members[a] = &Member{Addr: a, Heartbeat: hb, State: StateAlive, Refreshed: now}
 		s.invalidateAliveLocked()
 		return
 	}
-	if e.Heartbeat > m.Heartbeat {
-		m.Heartbeat = e.Heartbeat
+	if hb > m.Heartbeat {
+		m.Heartbeat = hb
 		if m.State != StateAlive {
 			m.State = StateAlive
 			s.invalidateAliveLocked()
@@ -419,7 +432,7 @@ func (s *Service) evictRandomLocked() {
 	for a := range s.members {
 		addrs = append(addrs, a)
 	}
-	sort.Strings(addrs)
+	slices.Sort(addrs)
 	victim := addrs[s.rng.Intn(len(addrs))]
 	delete(s.members, victim)
 	s.invalidateAliveLocked()
@@ -474,7 +487,7 @@ func (s *Service) Members() []Member {
 	for _, m := range s.members {
 		out = append(out, *m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	slices.SortFunc(out, func(a, b Member) int { return strings.Compare(a.Addr, b.Addr) })
 	return out
 }
 

@@ -2,7 +2,6 @@ package membership
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -262,13 +261,10 @@ func TestSelfHeartbeatIgnoresWrapEcho(t *testing.T) {
 	}
 	before, hb := viewOfA(), a.self.Heartbeat
 
-	body, err := json.Marshal(exchangeMsg{Entries: []entry{
+	body := writeBody(envelopeBody{From: "b", Members: []wireEntry{
 		{Addr: "a", Heartbeat: math.MaxUint64},
 		{Addr: "c", Heartbeat: 1 << 62},
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := a.handleExchange(ctx, transport.Message{From: "b", To: "a", Action: ActionExchange, Body: body}); err != nil {
 		t.Fatal(err)
 	}

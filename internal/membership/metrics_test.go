@@ -93,7 +93,7 @@ func TestMembershipMetrics(t *testing.T) {
 	for _, family := range []string{
 		"membership_view_size", "membership_exchanges_total",
 		"membership_suspects_total", "membership_evictions_total",
-		"membership_leaves_total",
+		"membership_leaves_total", "membership_leave_rejected_total",
 	} {
 		if !strings.Contains(sb.String(), family) {
 			t.Fatalf("exposition missing %s:\n%s", family, sb.String())

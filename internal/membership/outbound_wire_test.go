@@ -6,14 +6,15 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"wsgossip/internal/clock"
 	"wsgossip/internal/soap"
-	"wsgossip/internal/transport"
 )
 
-// Wire-identity guard for the view exchange SOAPEndpoint.Send originates:
-// its encoded bytes, with the message ID replaced by a fixed one, must equal
-// the committed testdata/wire/exchange.xml.
+// Wire-identity guard for the view exchange a Service sends through its
+// SOAPEndpoint: its encoded bytes, with the message ID replaced by a fixed
+// one, must equal the committed testdata/wire/exchange.xml.
 
 // envRecorder is a binding that keeps every envelope sent through it.
 type envRecorder struct{ sent []*soap.Envelope }
@@ -27,15 +28,21 @@ func (r *envRecorder) Send(_ context.Context, _ string, env *soap.Envelope) erro
 	return nil
 }
 
+// TestOutboundWireGolden: a Service joins through two seeds, so the first
+// exchange it sends lists itself first at heartbeat 1, then both seeds in
+// address order at heartbeat 0.
 func TestOutboundWireGolden(t *testing.T) {
 	rec := &envRecorder{}
-	ep := NewSOAPEndpoint("mem://self", rec)
-	msg := transport.Message{To: "mem://peer", Action: ActionExchange, Body: []byte(`{"from":"mem://self","view":["mem://a","mem://b"]}`)}
-	if err := ep.Send(context.Background(), msg); err != nil {
+	svc, err := New(Config{
+		Endpoint: NewSOAPEndpoint("mem://self", rec), Clock: clock.NewVirtual(),
+		Fanout: 2, SuspectAfter: time.Second, RemoveAfter: 2 * time.Second,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.sent) != 1 {
-		t.Fatalf("%d messages sent, want 1", len(rec.sent))
+	svc.Join(context.Background(), []string{"mem://peer", "mem://a&b"})
+	if len(rec.sent) != 2 {
+		t.Fatalf("%d messages sent, want 2", len(rec.sent))
 	}
 	env := rec.sent[0]
 	data, err := env.Encode()

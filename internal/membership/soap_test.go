@@ -4,11 +4,14 @@ import (
 	"context"
 	"encoding/xml"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"wsgossip/internal/clock"
+	"wsgossip/internal/simnet"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/transport"
 	"wsgossip/internal/wsa"
@@ -135,7 +138,7 @@ func TestSelectPeersAllocationStable(t *testing.T) {
 // TestEnvelopeBodyBlockName: soap names the marshaled body from its start
 // tag; it must be the name an xml.Unmarshal probe of the same bytes reports.
 func TestEnvelopeBodyBlockName(t *testing.T) {
-	body := envelopeBody{From: "mem://a", Data: `{"view":["a<b>&c"]}`}
+	body := envelopeBody{From: "mem://a", Members: []wireEntry{{Addr: "a<b>&c", Heartbeat: 3}}}
 	raw, err := xml.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
@@ -150,18 +153,18 @@ func TestEnvelopeBodyBlockName(t *testing.T) {
 	if err := env.SetBody(body); err != nil {
 		t.Fatal(err)
 	}
-	if got := env.BodyName(); got != probe.XMLName {
+	if got := env.BodyName(); got != probe.XMLName || got != bodyName {
 		t.Fatalf("body named %v, probe says %v", got, probe.XMLName)
 	}
 }
 
-// bodyTexts are the From/Data inputs of the body codec tables: a real view
-// exchange (quotes throughout), markup characters, line endings encoding/xml
-// normalizes, invalid UTF-8, and the empty string.
+// bodyTexts are the From and address inputs of the body codec tables: a
+// real address, markup characters, line endings encoding/xml normalizes,
+// invalid UTF-8, and the empty string.
 var bodyTexts = []string{
 	"",
 	"mem://m00",
-	`{"from":"mem://m00","view":[{"addr":"mem://m01","hb":7,"status":"alive"}]}`,
+	"http://10.0.0.7:8080/node",
 	`a<b>c&d"e'f`,
 	"line\r\nending\rand\ttab\n",
 	"&amp; already &#x41; escaped",
@@ -169,40 +172,91 @@ var bodyTexts = []string{
 	"日本語 ✓",
 }
 
-// TestBodyWriterMatchesMarshal: the body block is byte-identical to
-// xml.Marshal of envelopeBody, name included.
+// bodyHeartbeats are the heartbeat inputs: small, the merge bound, the
+// largest a uint64 holds.
+var bodyHeartbeats = []uint64{0, 1, 7, maxHeartbeat - 1, maxHeartbeat, math.MaxUint64}
+
+// bodyCases are the bodies the writer/reader tables run over: every text as
+// From with every text as an address, no members, and one long view.
+func bodyCases() []envelopeBody {
+	var out []envelopeBody
+	for i, from := range bodyTexts {
+		var members []wireEntry
+		for j, addr := range bodyTexts {
+			members = append(members, wireEntry{Addr: addr, Heartbeat: bodyHeartbeats[(i+j)%len(bodyHeartbeats)]})
+		}
+		out = append(out, envelopeBody{From: from, Members: members}, envelopeBody{From: from})
+	}
+	var view []wireEntry
+	for i := 0; i < 300; i++ {
+		view = append(view, wireEntry{Addr: fmt.Sprintf("mem://node%03d", i), Heartbeat: uint64(i * 37)})
+	}
+	return append(out, envelopeBody{From: "mem://node000", Members: view})
+}
+
+// TestBodyWriterMatchesMarshal: the body is byte-identical to xml.Marshal of
+// envelopeBody — the nested entry list included, and its empty wrapper for
+// no members.
 func TestBodyWriterMatchesMarshal(t *testing.T) {
-	for _, from := range bodyTexts {
-		for _, data := range bodyTexts {
-			want, err := xml.Marshal(envelopeBody{From: from, Data: data})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := bodyBlock(from, []byte(data))
-			if got.XMLName != bodyName || string(got.Raw) != string(want) {
-				t.Fatalf("body(%q, %q):\n got %s\nwant %s", from, data, got.Raw, want)
-			}
+	for _, b := range bodyCases() {
+		want, err := xml.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := writeBody(b); string(got) != string(want) {
+			t.Fatalf("body %+v:\n got %s\nwant %s", b, got, want)
 		}
 	}
 }
 
+// readBody materializes a body through the in-place reader, walking it the
+// way the Service does, if scanBody accepts it.
+func readBody(raw []byte) (envelopeBody, bool) {
+	if !scanBody(raw) {
+		return envelopeBody{}, false
+	}
+	from, r, _ := openBody(raw)
+	b := envelopeBody{XMLName: bodyName, From: from.String()}
+	for addr, hb, ok := nextEntry(&r); ok; addr, hb, ok = nextEntry(&r) {
+		b.Members = append(b.Members, wireEntry{Addr: string(addr.Key()), Heartbeat: hb})
+	}
+	return b, true
+}
+
+func equalBody(a, b envelopeBody) bool {
+	return a.XMLName == b.XMLName && a.From == b.From && slices.Equal(a.Members, b.Members)
+}
+
 // checkBodyReader runs the body reader differentially against xml.Unmarshal:
-// what it accepts decodes identically, and bodyFrom — reader plus fallback —
-// behaves exactly as xml.Unmarshal alone. It reports whether the in-place
+// what it accepts decodes identically, and canonicalBody — reader plus
+// fallback — behaves exactly as xml.Unmarshal alone plus the one rule of the
+// protocol, that a body lists at least one member; what it returns is raw
+// itself when read in place, else the writer's spelling of the value, and
+// the reader takes it back either way. It reports whether the in-place
 // reader accepted.
 func checkBodyReader(t *testing.T, raw []byte) bool {
 	t.Helper()
 	var ref envelopeBody
 	refErr := xml.Unmarshal(raw, &ref)
-	from, data, ok := scanBody(raw)
-	if ok && (refErr != nil || from != ref.From || string(data) != ref.Data) {
-		t.Fatalf("reader accepted %q as %q %q; encoding/xml: %+v, %v", raw, from, data, ref, refErr)
+	got, ok := readBody(raw)
+	if ok && (refErr != nil || !equalBody(got, ref) || len(ref.Members) == 0) {
+		t.Fatalf("reader accepted %q as %+v; encoding/xml: %+v, %v", raw, got, ref, refErr)
 	}
-	env := soap.NewEnvelope()
-	env.SetBodyBlock(soap.Block{Raw: raw})
-	from, data, err := bodyFrom(env)
-	if (err != nil) != (refErr != nil) || (err == nil && (from != ref.From || string(data) != ref.Data)) {
-		t.Fatalf("bodyFrom(%q) = %q %q, %v; encoding/xml: %+v, %v", raw, from, data, err, ref, refErr)
+	body, inPlace, err := canonicalBody(raw)
+	wantErr := refErr != nil || len(ref.Members) == 0
+	if (err != nil) != wantErr {
+		t.Fatalf("canonicalBody(%q) error %v; encoding/xml: %+v, %v", raw, err, ref, refErr)
+	}
+	if err == nil {
+		if inPlace != ok {
+			t.Fatalf("canonicalBody(%q) in place = %v, the reader accepted = %v", raw, inPlace, ok)
+		}
+		if want := writeBody(ref); ok && string(body) != string(raw) || !ok && string(body) != string(want) {
+			t.Fatalf("canonicalBody(%q) = %s, want raw itself if read in place, else the writer's %s", raw, body, want)
+		}
+		if back, ok := readBody(body); !ok || !equalBody(back, ref) {
+			t.Fatalf("canonical form %s reads back as %+v (%v), want %+v", body, back, ok, ref)
+		}
 	}
 	return ok
 }
@@ -211,32 +265,45 @@ func checkBodyReader(t *testing.T, raw []byte) bool {
 // must decline, leaving the verdict — error or value — to encoding/xml.
 var nonCanonicalBodies = func() map[string]string {
 	const open, end = `<Membership xmlns="urn:wsgossip:membership">`, `</Membership>`
+	const from, entry = `<From>a</From>`, `<M><A>x</A><H>1</H></M>`
 	return map[string]string{
-		"padded":          open + "\n <From>a</From>\n <Data>d</Data>\n" + end,
-		"reordered":       open + `<Data>d</Data><From>a</From>` + end,
-		"missing data":    open + `<From>a</From>` + end,
-		"extra child":     open + `<From>a</From><Data>d</Data><TTL>1</TTL>` + end,
-		"attribute":       open + `<From id="1">a</From><Data>d</Data>` + end,
-		"cdata":           open + `<From>a</From><Data><![CDATA[{"v":1}]]></Data>` + end,
-		"comment":         open + `<From>a</From><!-- c --><Data>d</Data>` + end,
-		"nested":          open + `<From>a</From><Data><X>d</X></Data>` + end,
-		"prefixed":        `<m:Membership xmlns:m="urn:wsgossip:membership"><m:From>a</m:From><m:Data>d</m:Data></m:Membership>`,
-		"wrong namespace": `<Membership xmlns="urn:other"><From>a</From><Data>d</Data></Membership>`,
-		"trailing bytes":  open + `<From>a</From><Data>d</Data>` + end + "\n",
-		"truncated":       open + `<From>a</From><Data>d</Da`,
-		"unknown entity":  open + `<From>a</From><Data>&nbsp;</Data>` + end,
+		"padded":             open + "\n <From>a</From>\n <Members>\n  " + entry + "\n </Members>\n" + end,
+		"reordered":          open + `<Members>` + entry + `</Members>` + from + end,
+		"missing members":    open + from + end,
+		"empty members":      open + from + `<Members></Members>` + end,
+		"self-closing list":  open + from + `<Members/>` + end,
+		"legacy json":        open + from + `<Data>{&#34;entries&#34;:[{&#34;addr&#34;:&#34;a&#34;,&#34;hb&#34;:2}]}</Data>` + end,
+		"extra child":        open + from + `<Members>` + entry + `</Members><TTL>1</TTL>` + end,
+		"entry attribute":    open + from + `<Members><M id="1"><A>x</A><H>1</H></M></Members>` + end,
+		"reordered entry":    open + from + `<Members><M><H>1</H><A>x</A></M></Members>` + end,
+		"missing heartbeat":  open + from + `<Members><M><A>x</A></M></Members>` + end,
+		"padded heartbeat":   open + from + `<Members><M><A>x</A><H> 7 </H></M></Members>` + end,
+		"empty heartbeat":    open + from + `<Members><M><A>x</A><H></H></M></Members>` + end,
+		"wide heartbeat":     open + from + `<Members><M><A>x</A><H>18446744073709551616</H></M></Members>` + end,
+		"negative heartbeat": open + from + `<Members><M><A>x</A><H>-1</H></M></Members>` + end,
+		"nested address":     open + from + `<Members><M><A><X>x</X></A><H>1</H></M></Members>` + end,
+		"text in list":       open + from + `<Members>x` + entry + `</Members>` + end,
+		"cdata":              open + from + `<Members><M><A><![CDATA[x]]></A><H>1</H></M></Members>` + end,
+		"comment":            open + from + `<Members>` + entry + `<!-- c -->` + entry + `</Members>` + end,
+		"two lists":          open + from + `<Members>` + entry + `</Members><Members>` + entry + `</Members>` + end,
+		"prefixed": `<m:Membership xmlns:m="urn:wsgossip:membership"><m:From>a</m:From>` +
+			`<m:Members><m:M><m:A>x</m:A><m:H>1</m:H></m:M></m:Members></m:Membership>`,
+		"wrong namespace": `<Membership xmlns="urn:other">` + from + `<Members>` + entry + `</Members>` + end,
+		"trailing bytes":  open + from + `<Members>` + entry + `</Members>` + end + "\n",
+		"truncated":       open + from + `<Members><M><A>x</A><H>1</H></M></Memb`,
+		"unknown entity":  open + from + `<Members><M><A>&nbsp;</A><H>1</H></M></Members>` + end,
 	}
 }()
 
-// TestBodyReaderMatchesUnmarshal: everything the writer emits is read in
-// place and equals xml.Unmarshal; every other spelling is declined and
-// decoded by the fallback, error or value, as before.
+// TestBodyReaderMatchesUnmarshal: everything the writer emits with at least
+// one member is read in place and equals xml.Unmarshal; every other spelling
+// is declined and decoded by the fallback, error or value — and a body from
+// an older build, whose view rode as JSON in a Data element, is an error.
 func TestBodyReaderMatchesUnmarshal(t *testing.T) {
-	for _, from := range bodyTexts {
-		for _, data := range bodyTexts {
-			if raw := bodyBlock(from, []byte(data)).Raw; !checkBodyReader(t, raw) {
-				t.Fatalf("reader declined its own writer's %s", raw)
-			}
+	for _, b := range bodyCases() {
+		raw := writeBody(b)
+		if ok := checkBodyReader(t, raw); ok != (len(b.Members) > 0) {
+			t.Fatalf("reader accepted=%v for its own writer's %s", ok, raw)
 		}
 	}
 	for label, raw := range nonCanonicalBodies {
@@ -244,16 +311,84 @@ func TestBodyReaderMatchesUnmarshal(t *testing.T) {
 			t.Errorf("%s: in-place reader accepted %s", label, raw)
 		}
 	}
+	if _, _, err := canonicalBody([]byte(nonCanonicalBodies["legacy json"])); err == nil {
+		t.Fatal("a JSON view from an older build was accepted")
+	}
 }
 
+// capturedExchange is a view exchange as a running Service writes it: the
+// body the first of eight nodes sends once the overlay has converged.
+func capturedExchange(t testing.TB) []byte {
+	t.Helper()
+	net := simnet.New(simnet.DefaultConfig(3))
+	var captured []byte
+	for i := 0; i < 8; i++ {
+		addr := fmt.Sprintf("m%03d", i)
+		ep := &tapEndpoint{Endpoint: net.Node(addr)}
+		if i == 0 {
+			ep.tap = func(msg transport.Message) { captured = msg.Body }
+		}
+		svc, err := New(Config{
+			Endpoint: ep, Clock: net, RNG: rand.New(rand.NewSource(int64(i + 1))),
+			Fanout: 2, SuspectAfter: time.Second, RemoveAfter: 2 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mux := transport.NewMux()
+		svc.Register(mux)
+		mux.Bind(ep)
+		if i > 0 {
+			svc.Join(context.Background(), []string{"m000"})
+		}
+	}
+	net.Run()
+	if captured == nil {
+		t.Fatal("no exchange captured")
+	}
+	return captured
+}
+
+// tapEndpoint hands every message a Service sends to tap on its way out.
+type tapEndpoint struct {
+	transport.Endpoint
+	tap func(transport.Message)
+}
+
+func (e *tapEndpoint) Send(ctx context.Context, msg transport.Message) error {
+	if e.tap != nil {
+		e.tap(msg)
+	}
+	return e.Endpoint.Send(ctx, msg)
+}
+
+// nopEndpoint is an endpoint whose sends go nowhere.
+type nopEndpoint struct{ addr string }
+
+func (e nopEndpoint) Addr() string                                { return e.addr }
+func (nopEndpoint) Send(context.Context, transport.Message) error { return nil }
+func (nopEndpoint) SetHandler(transport.Handler)                  {}
+
 // FuzzMembershipBody is the same law under fuzzing, for bytes a peer chose:
-// whenever scanBody accepts, xml.Unmarshal accepts and yields the same From
-// and the same Data bytes; bodyFrom equals xml.Unmarshal alone either way;
-// nothing panics. And whatever encoding/xml can read, the writer spells
-// exactly as xml.Marshal does and the reader takes back in place.
+// whenever the in-place reader accepts, xml.Unmarshal accepts and yields the
+// same From and entries; canonicalBody equals xml.Unmarshal alone either way;
+// nothing panics. Whatever encoding/xml can read, the writer spells exactly
+// as xml.Marshal does and the reader takes back in place. And a Service that
+// merges the body, exchange or leave, admits no empty address and no
+// heartbeat at or past the bound, and never moves its own heartbeat there.
 func FuzzMembershipBody(f *testing.F) {
-	for i, from := range bodyTexts {
-		f.Add(bodyBlock(from, []byte(bodyTexts[(i+3)%len(bodyTexts)])).Raw)
+	f.Add(capturedExchange(f))
+	for _, b := range []envelopeBody{
+		{From: "b", Members: []wireEntry{{Addr: "a", Heartbeat: maxHeartbeat}, {Addr: "c", Heartbeat: math.MaxUint64}}},
+		{From: "b", Members: []wireEntry{{Addr: "", Heartbeat: 3}, {Addr: "c", Heartbeat: 1}}},
+		{From: "b", Members: []wireEntry{{Addr: `mem://a&b<c>"d"`, Heartbeat: 5}}},
+		{From: "b", Members: []wireEntry{{Addr: "c", Heartbeat: 4}, {Addr: "c", Heartbeat: 9}, {Addr: "c", Heartbeat: 2}}},
+		{From: "a", Members: []wireEntry{{Addr: "a", Heartbeat: 1 << 40}}},
+	} {
+		f.Add(writeBody(b))
+	}
+	for _, b := range bodyCases()[:8] {
+		f.Add(writeBody(b))
 	}
 	for _, raw := range nonCanonicalBodies {
 		f.Add([]byte(raw))
@@ -264,31 +399,60 @@ func FuzzMembershipBody(f *testing.F) {
 		if xml.Unmarshal(raw, &body) != nil {
 			return
 		}
-		written := bodyBlock(body.From, []byte(body.Data)).Raw
-		want, err := xml.Marshal(envelopeBody{From: body.From, Data: body.Data})
+		written := writeBody(body)
+		want, err := xml.Marshal(body)
 		if err != nil || string(written) != string(want) {
 			t.Fatalf("body writer for %+v:\n got %s\nwant %s (%v)", body, written, want, err)
 		}
-		if !checkBodyReader(t, written) {
+		if len(body.Members) > 0 && !checkBodyReader(t, written) {
 			t.Fatalf("reader declined its own writer's %s", written)
+		}
+		for _, handle := range []func(*Service) transport.Handler{
+			func(s *Service) transport.Handler { return s.handleExchange },
+			func(s *Service) transport.Handler { return s.handleLeave },
+		} {
+			svc, err := New(Config{
+				Endpoint: nopEndpoint{"a"}, Clock: clock.NewVirtual(),
+				Fanout: 1, SuspectAfter: time.Second, RemoveAfter: 2 * time.Second, MaxView: 4,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = handle(svc)(context.Background(), transport.Message{From: body.From, To: "a", Body: raw})
+			for _, m := range svc.Members() {
+				if m.Addr == "" || m.Heartbeat >= maxHeartbeat {
+					t.Fatalf("merged %+v from %s", m, raw)
+				}
+			}
+			if svc.Size() > 4 || svc.self.Heartbeat > maxHeartbeat {
+				t.Fatalf("view of %d, own heartbeat %d after %s", svc.Size(), svc.self.Heartbeat, raw)
+			}
 		}
 	})
 }
 
 // TestSOAPEndpointDeliversBothSpellings: a canonical body and a padded one a
-// foreign stack might send reach the transport handler identically, and the
-// delivered body does not alias the request buffer.
+// foreign stack might send reach the transport handler identically — as the
+// canonical bytes, with the sender taken from the body — and the delivered
+// body does not alias the request buffer.
 func TestSOAPEndpointDeliversBothSpellings(t *testing.T) {
-	const view = `{"view":["a<b>&c","line` + "\r\n" + `end"]}`
+	view := envelopeBody{From: "mem://peer", Members: []wireEntry{
+		{Addr: "mem://peer", Heartbeat: 9},
+		{Addr: "a<b>&c", Heartbeat: 2},
+		{Addr: "line\r\nend", Heartbeat: 1 << 40},
+	}}
+	canonical := writeBody(view)
+	padded := []byte("<Membership xmlns=\"urn:wsgossip:membership\">\n  <From>mem://peer</From>\n  <Members>\n" +
+		"    <M><A>mem://peer</A><H>9</H></M>\n" +
+		"    <M>\n      <A>a&lt;b&gt;&amp;c</A>\n      <H>2</H>\n    </M>\n" +
+		"    <M><A>line&#xD;&#xA;end</A><H> 1099511627776 </H></M>\n" +
+		"  </Members>\n</Membership>")
 	ep := NewSOAPEndpoint("mem://self", soap.NewMemBus())
 	var got []transport.Message
 	ep.SetHandler(func(_ context.Context, msg transport.Message) error {
 		got = append(got, msg)
 		return nil
 	})
-	canonical := bodyBlock("mem://peer", []byte(view)).Raw
-	padded := []byte("<Membership xmlns=\"urn:wsgossip:membership\">\n  <From>mem://peer</From>\n  <Data>" +
-		`{&#34;view&#34;:[&#34;a&lt;b&gt;&amp;c&#34;,&#34;line&#xD;&#xA;end&#34;]}` + "</Data>\n</Membership>")
 	for _, raw := range [][]byte{canonical, padded} {
 		out := soap.NewEnvelope()
 		if err := out.SetAddressing(wsa.Headers{To: "mem://self", Action: ActionExchange}); err != nil {
@@ -314,8 +478,38 @@ func TestSOAPEndpointDeliversBothSpellings(t *testing.T) {
 		t.Fatalf("%d messages delivered", len(got))
 	}
 	for i, msg := range got {
-		if msg.From != "mem://peer" || msg.To != "mem://self" || msg.Action != ActionExchange || string(msg.Body) != view {
-			t.Errorf("message %d = %+v (body %q)", i, msg, msg.Body)
+		if msg.From != "mem://peer" || msg.To != "mem://self" || msg.Action != ActionExchange || string(msg.Body) != string(canonical) {
+			t.Errorf("message %d = %+v (body %s)", i, msg, msg.Body)
 		}
+	}
+}
+
+// TestSOAPEndpointFaultsLegacyPeer: a peer from an older build sends its view
+// as JSON inside a Data element. encoding/xml reads that as a body without
+// members, which no current peer sends, so it is a Sender fault and the
+// Service never sees it.
+func TestSOAPEndpointFaultsLegacyPeer(t *testing.T) {
+	ep := NewSOAPEndpoint("mem://self", soap.NewMemBus())
+	delivered := 0
+	ep.SetHandler(func(context.Context, transport.Message) error { delivered++; return nil })
+	out := soap.NewEnvelope()
+	if err := out.SetAddressing(wsa.Headers{To: "mem://self", Action: ActionExchange}); err != nil {
+		t.Fatal(err)
+	}
+	out.SetBodyBlock(soap.Block{XMLName: bodyName, Raw: []byte(nonCanonicalBodies["legacy json"])})
+	wire, err := out.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := soap.Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ep.handleSOAP(context.Background(), &soap.Request{Envelope: env})
+	if !soap.IsSenderFault(err) {
+		t.Fatalf("legacy body answered %v, want a Sender fault", err)
+	}
+	if delivered != 0 {
+		t.Fatal("legacy body reached the Service")
 	}
 }

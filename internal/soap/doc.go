@@ -28,7 +28,8 @@
 // whatever encoding/xml accepts and re-encodes each block as it goes. The
 // flat-element codec (AppendFlat*, FlatReader) writes and reads the simple
 // blocks a message carries at every hop — addressing properties, the gossip
-// header — byte-identically to encoding/xml and without its reflection. See
+// header, the protocol bodies down to the membership view's nested entries —
+// byte-identically to encoding/xml and without its reflection. See
 // DESIGN.md, "The wire path" and "The wire scanner".
 //
 // # Envelope ownership
@@ -42,5 +43,11 @@
 // envelope within a delivery. Strings are different: every string the
 // decoder hands out — a block's local name and namespace, Envelope.Action and
 // Request.Action, the Addressing properties — is interned or copied, never a
-// view of the buffer, so a handler may keep them past the delivery.
+// view of the buffer, so a handler may keep them past the delivery. So is
+// every string a flat read returns: FlatReader.String copies, and
+// FlatReader.Symbol / FlatText.Symbol return the intern table's string for a
+// value whose number the deployment bounds (a peer address, an aggregate
+// function, a protocol name) and a copy of anything else; an identifier
+// minted at run time is read with String. The views are FlatText and
+// FlatList, which die with the delivery.
 package soap

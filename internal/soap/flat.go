@@ -24,6 +24,12 @@ import (
 //	<X xmlns="ns"><A>text</A><L><I>text</I><I>text</I></L></X>
 //	<X xmlns="ns"><A>text</A><L></L></X>
 //
+// And a child may nest: an element without attributes holding further
+// children of these kinds — what encoding/xml makes of a struct field, or of
+// a `xml:"L>R"` slice of structs (the membership view's entries),
+//
+//	<X xmlns="ns"><A>text</A><L><R><B>text</B><N>7</N></R><R>…</R></L></X>
+//
 // This file writes and reads exactly that shape with byte-level code, so the
 // per-hop path never runs encoding/xml's reflection.
 //
@@ -42,7 +48,10 @@ import (
 //
 // Ownership: the reader returns views into the block bytes (FlatText), which
 // alias the transport's pooled receive buffer and die with the delivery.
-// Every string it hands out is a copy.
+// Every string it hands out is interned or copied, never a view: String
+// copies, and Symbol returns the wire path's intern-table string for a value
+// the deployment bounds and the node sees again and again (a peer address, an
+// aggregate function, a protocol), so a known value costs nothing.
 
 // AppendFlatOpen appends the start tag `<local xmlns="space">`. space must
 // need no escaping (the protocol namespaces are constants).
@@ -61,8 +70,9 @@ func AppendFlatClose(dst []byte, local string) []byte {
 	return append(dst, '>')
 }
 
-// appendFlatStart appends a child's start tag `<name>`.
-func appendFlatStart(dst []byte, name string) []byte {
+// AppendFlatStart appends a child's start tag `<name>`: the opening of a
+// nested child, which AppendFlatClose ends.
+func AppendFlatStart(dst []byte, name string) []byte {
 	dst = append(dst, '<')
 	dst = append(dst, name...)
 	return append(dst, '>')
@@ -71,7 +81,7 @@ func appendFlatStart(dst []byte, name string) []byte {
 // AppendFlatText appends one text-only child, `<name>value</name>`, with
 // value escaped as character data.
 func AppendFlatText(dst []byte, name, value string) []byte {
-	dst = appendFlatStart(dst, name)
+	dst = AppendFlatStart(dst, name)
 	dst = AppendEscaped(dst, value)
 	return AppendFlatClose(dst, name)
 }
@@ -80,7 +90,7 @@ func AppendFlatText(dst []byte, name, value string) []byte {
 // one item per value; an empty list is the empty wrapper, as xml.Marshal
 // writes it.
 func AppendFlatList(dst []byte, wrapper, item string, values []string) []byte {
-	dst = appendFlatStart(dst, wrapper)
+	dst = AppendFlatStart(dst, wrapper)
 	for _, v := range values {
 		dst = AppendFlatText(dst, item, v)
 	}
@@ -89,27 +99,27 @@ func AppendFlatList(dst []byte, wrapper, item string, values []string) []byte {
 
 // AppendFlatInt appends one integer child, `<name>v</name>`.
 func AppendFlatInt(dst []byte, name string, v int64) []byte {
-	dst = strconv.AppendInt(appendFlatStart(dst, name), v, 10)
+	dst = strconv.AppendInt(AppendFlatStart(dst, name), v, 10)
 	return AppendFlatClose(dst, name)
 }
 
 // AppendFlatUint appends one unsigned child, `<name>v</name>`.
 func AppendFlatUint(dst []byte, name string, v uint64) []byte {
-	dst = strconv.AppendUint(appendFlatStart(dst, name), v, 10)
+	dst = strconv.AppendUint(AppendFlatStart(dst, name), v, 10)
 	return AppendFlatClose(dst, name)
 }
 
 // AppendFlatFloat appends one float64 child in xml.Marshal's form: the
 // shortest decimal that round-trips ('g', -1), NaN and ±Inf included.
 func AppendFlatFloat(dst []byte, name string, v float64) []byte {
-	dst = strconv.AppendFloat(appendFlatStart(dst, name), v, 'g', -1, 64)
+	dst = strconv.AppendFloat(AppendFlatStart(dst, name), v, 'g', -1, 64)
 	return AppendFlatClose(dst, name)
 }
 
 // AppendFlatBool appends one boolean child, `<name>true</name>` or
 // `<name>false</name>`.
 func AppendFlatBool(dst []byte, name string, v bool) []byte {
-	dst = strconv.AppendBool(appendFlatStart(dst, name), v)
+	dst = strconv.AppendBool(AppendFlatStart(dst, name), v)
 	return AppendFlatClose(dst, name)
 }
 
@@ -199,6 +209,35 @@ func (r *FlatReader) Text(name string) (FlatText, bool) {
 func (r *FlatReader) String(name string) (string, bool) {
 	text, ok := r.Text(name)
 	return text.String(), ok
+}
+
+// Symbol is String for a value that recurs on the wire: see FlatText.Symbol.
+func (r *FlatReader) Symbol(name string) (string, bool) {
+	text, ok := r.Text(name)
+	return text.Symbol(), ok
+}
+
+// Enter consumes the start tag `<name>` of a nested child, whose children the
+// caller then reads in their fixed order and Leave ends. On false nothing is
+// consumed, so a run of nested children can be walked by entering until it
+// fails.
+func (r *FlatReader) Enter(name string) bool {
+	mark := r.s.pos
+	if r.lit("<") && r.lit(name) && r.lit(">") {
+		return true
+	}
+	r.s.pos = mark
+	return false
+}
+
+// Leave consumes the end tag `</name>` of the nested child Enter opened.
+func (r *FlatReader) Leave(name string) bool {
+	mark := r.s.pos
+	if r.lit("</") && r.lit(name) && r.lit(">") {
+		return true
+	}
+	r.s.pos = mark
+	return false
 }
 
 // List consumes the list child `<wrapper><item>text</item>…</wrapper>` and
@@ -319,6 +358,25 @@ func (t FlatText) String() string {
 	return s
 }
 
+// Symbol returns the value String would, resolved through the wire path's
+// intern table (the one that holds block names and actions): text that
+// stands for itself is looked up in place, so a value the table holds costs
+// no allocation, and a new one is learned while the table holds fewer than
+// maxInternSymbols names (half its cap, the other half staying for block
+// names and actions). Escaped text is unescaped and copied, never learned.
+// Like String it never returns a view. The table never forgets, so Symbol is
+// only for values whose number the deployment bounds — peer addresses,
+// aggregate functions and metrics, protocol names — and never for an
+// identifier minted at run time: a MessageID (one per notification), a task
+// or an interaction ID (one per coordination context) would fill the table
+// with values that stop recurring, and every value past it would be copied.
+func (t FlatText) Symbol() string {
+	if t.IsLiteral() {
+		return names.symbol(t)
+	}
+	return t.String()
+}
+
 // FlatList is the run of items FlatReader.List validated: like FlatText a
 // view into the block, dying with the delivery's receive buffer. Next walks
 // it front to back; a copy of the value restarts the walk.
@@ -349,4 +407,14 @@ func (l *FlatList) Next() (FlatText, bool) {
 // lookup key without unescaping.
 func (t FlatText) IsLiteral() bool {
 	return bytes.IndexByte(t, '&') < 0 && bytes.IndexByte(t, '\r') < 0
+}
+
+// Key returns the value as bytes to look up with m[string(key)], which does
+// not allocate: the text itself when it stands for itself — a view, dying
+// with the delivery like t — and otherwise its unescaped copy.
+func (t FlatText) Key() []byte {
+	if t.IsLiteral() {
+		return t
+	}
+	return []byte(t.String())
 }

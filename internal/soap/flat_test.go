@@ -3,6 +3,8 @@ package soap
 import (
 	"bytes"
 	"encoding/xml"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -637,5 +639,186 @@ func TestFlatListItemsNeverAlias(t *testing.T) {
 	}
 	if s1 != "one" || s2 != "t&wo" {
 		t.Fatalf("strings changed with the buffer: %q, %q", s1, s2)
+	}
+}
+
+// flatRec and flatNestedDoc are the reference for the nested construct: a
+// `xml:"L>R"` slice of structs (the membership view's entries) and a struct
+// field, each child of them text or a number.
+type flatRec struct {
+	B string `xml:"B"`
+	N uint64 `xml:"N"`
+}
+
+type flatNestedDoc struct {
+	XMLName xml.Name  `xml:"urn:flat NDoc"`
+	A       string    `xml:"A"`
+	Recs    []flatRec `xml:"Rs>R"`
+	C       flatRec   `xml:"C"`
+}
+
+func appendFlatRec(dst []byte, name string, r flatRec) []byte {
+	dst = AppendFlatStart(dst, name)
+	dst = AppendFlatText(dst, "B", r.B)
+	dst = AppendFlatUint(dst, "N", r.N)
+	return AppendFlatClose(dst, name)
+}
+
+func writeFlatNestedDoc(d flatNestedDoc) []byte {
+	buf := AppendFlatOpen(nil, "urn:flat", "NDoc")
+	buf = AppendFlatText(buf, "A", d.A)
+	buf = AppendFlatStart(buf, "Rs")
+	for _, r := range d.Recs {
+		buf = appendFlatRec(buf, "R", r)
+	}
+	buf = AppendFlatClose(buf, "Rs")
+	buf = appendFlatRec(buf, "C", d.C)
+	return AppendFlatClose(buf, "NDoc")
+}
+
+// readFlatRec reads one nested record, consuming nothing unless it is whole.
+func readFlatRec(r *FlatReader, name string) (rec flatRec, ok bool) {
+	mark := *r
+	if r.Enter(name) {
+		if rec.B, ok = r.String("B"); ok {
+			if rec.N, ok = r.Uint("N"); ok && r.Leave(name) {
+				return rec, true
+			}
+		}
+	}
+	*r = mark
+	return flatRec{}, false
+}
+
+// readFlatNestedDoc is a FlatReader client shaped like membership's body
+// reader: enter the list, take records until one fails, leave the list.
+func readFlatNestedDoc(raw []byte) (flatNestedDoc, bool) {
+	d := flatNestedDoc{XMLName: xml.Name{Space: "urn:flat", Local: "NDoc"}}
+	r, ok := OpenFlat(raw, "urn:flat", "NDoc")
+	if !ok {
+		return d, false
+	}
+	if d.A, ok = r.String("A"); !ok || !r.Enter("Rs") {
+		return d, false
+	}
+	for rec, more := readFlatRec(&r, "R"); more; rec, more = readFlatRec(&r, "R") {
+		d.Recs = append(d.Recs, rec)
+	}
+	if !r.Leave("Rs") {
+		return d, false
+	}
+	if d.C, ok = readFlatRec(&r, "C"); !ok {
+		return d, false
+	}
+	return d, r.Close("NDoc")
+}
+
+func equalFlatNestedDoc(a, b flatNestedDoc) bool {
+	return a.XMLName == b.XMLName && a.A == b.A && a.C == b.C && slices.Equal(a.Recs, b.Recs)
+}
+
+// TestFlatNestedAgainstEncodingXML: for lists of 0, 1 and 300 records over
+// every text of codecTexts and a spread of numbers, the writer equals
+// xml.Marshal — the empty list's wrapper included — and the reader equals
+// xml.Unmarshal of those bytes.
+func TestFlatNestedAgainstEncodingXML(t *testing.T) {
+	nums := []uint64{0, 1, 7, 1 << 62, 1<<64 - 1}
+	var all []flatRec
+	for i, s := range codecTexts {
+		all = append(all, flatRec{B: s, N: nums[i%len(nums)]})
+	}
+	var many []flatRec
+	for i := 0; i < 300; i++ {
+		many = append(many, flatRec{B: fmt.Sprintf("mem://node%03d", i), N: uint64(i) * 37})
+	}
+	for i, recs := range [][]flatRec{nil, {}, all[:1], all, many} {
+		d := flatNestedDoc{A: codecTexts[i%len(codecTexts)], Recs: recs, C: all[(i+3)%len(all)]}
+		raw := writeFlatNestedDoc(d)
+		want, err := xml.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, want) {
+			t.Fatalf("writer, %d records:\n got %.400s\nwant %.400s", len(recs), raw, want)
+		}
+		var ref flatNestedDoc
+		if err := xml.Unmarshal(raw, &ref); err != nil {
+			t.Fatalf("encoding/xml rejects writer output %.300s: %v", raw, err)
+		}
+		got, ok := readFlatNestedDoc(raw)
+		if !ok || !equalFlatNestedDoc(got, ref) {
+			t.Fatalf("reader (accepted=%v), %d records:\n got %+v\nwant %+v", ok, len(recs), got, ref)
+		}
+	}
+}
+
+// TestFlatNestedDeclines: the nested construct is accepted only as the
+// writer spells it; every other spelling — most of which encoding/xml reads
+// happily — is declined, and what is accepted decodes as encoding/xml
+// decodes it.
+func TestFlatNestedDeclines(t *testing.T) {
+	const open, c, end = `<NDoc xmlns="urn:flat"><A>x</A>`, `<C><B>c</B><N>1</N></C>`, `</NDoc>`
+	const rec = `<R><B>b</B><N>2</N></R>`
+	canonical := []string{
+		open + `<Rs></Rs>` + c + end,
+		open + `<Rs>` + rec + `</Rs>` + c + end,
+		open + `<Rs>` + rec + `<R><B>a&lt;b&#xD;` + "\r\n" + `</B><N>18446744073709551615</N></R></Rs>` + c + end,
+	}
+	for _, raw := range canonical {
+		var ref flatNestedDoc
+		if err := xml.Unmarshal([]byte(raw), &ref); err != nil {
+			t.Fatalf("encoding/xml rejects %s: %v", raw, err)
+		}
+		if got, ok := readFlatNestedDoc([]byte(raw)); !ok || !equalFlatNestedDoc(got, ref) {
+			t.Errorf("reader = %+v, %v; encoding/xml = %+v for %s", got, ok, ref, raw)
+		}
+	}
+	declined := map[string]string{
+		"absent list":          open + c + end,
+		"self-closing list":    open + `<Rs/>` + c + end,
+		"self-closing record":  open + `<Rs><R/></Rs>` + c + end,
+		"record attribute":     open + `<Rs><R id="1"><B>b</B><N>2</N></R></Rs>` + c + end,
+		"list attribute":       open + `<Rs id="1">` + rec + `</Rs>` + c + end,
+		"padded record":        open + `<Rs><R> <B>b</B><N>2</N></R></Rs>` + c + end,
+		"padded list":          open + `<Rs> ` + rec + `</Rs>` + c + end,
+		"padded record end":    open + `<Rs><R><B>b</B><N>2</N></R ></Rs>` + c + end,
+		"reordered record":     open + `<Rs><R><N>2</N><B>b</B></R></Rs>` + c + end,
+		"missing field":        open + `<Rs><R><B>b</B></R></Rs>` + c + end,
+		"extra field":          open + `<Rs><R><B>b</B><N>2</N><Z>z</Z></R></Rs>` + c + end,
+		"text in record":       open + `<Rs><R>t<B>b</B><N>2</N></R></Rs>` + c + end,
+		"comment in list":      open + `<Rs>` + rec + `<!-- c -->` + rec + `</Rs>` + c + end,
+		"foreign record":       open + `<Rs>` + rec + `<Q><B>b</B><N>2</N></Q></Rs>` + c + end,
+		"padded number":        open + `<Rs><R><B>b</B><N> 2 </N></R></Rs>` + c + end,
+		"wide number":          open + `<Rs><R><B>b</B><N>18446744073709551616</N></R></Rs>` + c + end,
+		"missing struct field": open + `<Rs>` + rec + `</Rs>` + end,
+		"struct self-closing":  open + `<Rs>` + rec + `</Rs><C/>` + end,
+		"unclosed record":      open + `<Rs><R><B>b</B><N>2</N></Rs>` + c + end,
+		"wrong end tag":        open + `<Rs><R><B>b</B><N>2</N></Q></Rs>` + c + end,
+		"trailing bytes":       open + `<Rs>` + rec + `</Rs>` + c + end + " ",
+		"truncated":            open + `<Rs><R><B>b</B><N>2</N></R`,
+	}
+	for label, raw := range declined {
+		if got, ok := readFlatNestedDoc([]byte(raw)); ok {
+			t.Errorf("%s: reader accepted %s as %+v", label, raw, got)
+		}
+	}
+}
+
+// TestFlatEnterLeaveConsumeNothingOnDecline: a declined Enter or Leave
+// leaves the reader where it was.
+func TestFlatEnterLeaveConsumeNothingOnDecline(t *testing.T) {
+	raw := []byte(`<NDoc xmlns="urn:flat"><A>x</A><Rs></Rs><C><B>c</B><N>1</N></C></NDoc>`)
+	r, _ := OpenFlat(raw, "urn:flat", "NDoc")
+	if r.Enter("Rs") || r.Leave("A") || r.Leave("NDoc") {
+		t.Fatal("Enter or Leave matched a tag that is not next")
+	}
+	if a, ok := r.String("A"); !ok || a != "x" {
+		t.Fatal("a declined Enter or Leave consumed something")
+	}
+	if r.Enter("R") || !r.Enter("Rs") || r.Leave("R") || !r.Leave("Rs") {
+		t.Fatal("Enter/Leave matched the wrong tags")
+	}
+	if rec, ok := readFlatRec(&r, "C"); !ok || rec != (flatRec{B: "c", N: 1}) || !r.Close("NDoc") {
+		t.Fatalf("struct field = %+v, %v", rec, ok)
 	}
 }

@@ -717,22 +717,29 @@ func nsValue(b []byte) (string, bool) {
 // Bounds of the intern table: a hostile peer inventing a fresh name per
 // message can make it learn at most maxInternNames names of at most
 // maxInternLen bytes, once per process; every name past either bound is
-// copied per use.
+// copied per use. FlatText.Symbol learns a body value only while the table
+// holds fewer than maxInternSymbols names, so however many peers one
+// process talks to — a simulation of thousands of nodes — their addresses
+// never take the room the block names, namespaces and actions need.
 const (
-	maxInternNames = 1024
-	maxInternLen   = 256
+	maxInternNames   = 1024
+	maxInternLen     = 256
+	maxInternSymbols = maxInternNames / 2
 )
 
 // names is the intern table of the wire path: block local names, namespace
-// URIs and wsa:Action values. It is seeded with the protocol stack's names
-// (values, not dependencies), so they are interned however full a peer has
-// made the table.
+// URIs, wsa:Action values, and the body values FlatText.Symbol reads, whose
+// number the deployment bounds (peer addresses, aggregate functions,
+// metrics, protocols). It is seeded with the protocol stack's names (values,
+// not dependencies), so they are interned however full a peer has made the
+// table.
 var names = newInternTable(
 	"", Namespace, wsa.Namespace,
-	"urn:wsgossip:2008", "http://docs.oasis-open.org/ws-tx/wscoor/2006/06",
+	"urn:wsgossip:2008", "http://docs.oasis-open.org/ws-tx/wscoor/2006/06", "urn:wsgossip:membership",
 	"To", "Action", "MessageID", "RelatesTo", "ReplyTo", "From", "Fault",
 	"Gossip", "CoordinationContext", "Digest", "Announce", "Fetch", "PullRequest",
 	"AggregateStart", "AggregateShare", "AggregateQuery", "AggregateQueryResult",
+	"AggregateExchangeAck", "Membership",
 )
 
 // internTable maps a name's bytes to one shared string. Lookups take no
@@ -756,13 +763,21 @@ func newInternTable(seed ...string) *internTable {
 // intern returns the table's string for b, learning b while the table has
 // room. The result is never a view of b: interned strings are the table's
 // own, and a name the table will not take is copied.
-func (t *internTable) intern(b []byte) string {
+func (t *internTable) intern(b []byte) string { return t.learn(b, maxInternNames) }
+
+// symbol is intern for a body value: it learns b only while the table holds
+// fewer than maxInternSymbols names.
+func (t *internTable) symbol(b []byte) string { return t.learn(b, maxInternSymbols) }
+
+// learn looks b up, and learns it while the table holds fewer than limit
+// names.
+func (t *internTable) learn(b []byte, limit int) string {
 	m := *t.m.Load()
 	if s, ok := m[string(b)]; ok {
 		return s
 	}
 	s := string(b)
-	if len(s) > maxInternLen || len(m) >= maxInternNames {
+	if len(s) > maxInternLen || len(m) >= limit {
 		return s
 	}
 	t.mu.Lock()
@@ -771,7 +786,7 @@ func (t *internTable) intern(b []byte) string {
 	if have, ok := m[s]; ok {
 		return have
 	}
-	if len(m) >= maxInternNames {
+	if len(m) >= limit {
 		return s
 	}
 	next := make(map[string]string, len(m)+1)
