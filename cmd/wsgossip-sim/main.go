@@ -6,16 +6,17 @@
 // Two modes:
 //
 //	wsgossip-sim -n 1024 -fanout 4 -hops 14 -style push -loss 0.2 -crash 0.1
-//	wsgossip-sim -mode aggregate -n 4096 -fanout 3 -agg avg -eps 1e-4
+//	wsgossip-sim -mode aggregate -n 4096 -fanout 3 -agg avg -epochs 3 -loss 0.05
 //
 // Dissemination mode spreads rumors; aggregate mode runs push-sum
-// aggregation (count/sum/avg/min/max) and reports estimate accuracy,
-// convergence rounds vs the analytic variance-decay model, and — on lossy
-// links — how much conserved mass the network destroyed.
+// aggregation (count/sum/avg/min/max) as the one protocol the middleware
+// speaks: the acked exchange, restarted every -window for -epochs epochs. It
+// reports each closed epoch's estimate accuracy and fails the run if any
+// node's conserved mass ever leaves exact zero error, loss or no loss.
 //
-// Gossip and churn modes additionally accept -faults <file>, a fault plan
-// (see internal/faults.ParsePlan for the grammar) scheduled on the
-// simulation clock: directional cuts, connection-refused links, NAT'd
+// Gossip, churn and aggregate modes additionally accept -faults <file>, a
+// fault plan (see internal/faults.ParsePlan for the grammar) scheduled on
+// the simulation clock: directional cuts, connection-refused links, NAT'd
 // nodes, per-link loss and delay, and node crash/recover, all replayable
 // under the run's seed. The report then carries per-rule fault counters,
 // and the run exits non-zero if the table's totals disagree with the
@@ -112,15 +113,13 @@ func run() error {
 		ticks     = flag.Int("ticks", 0, "anti-entropy rounds after the push phase (pull styles)")
 		events    = flag.Int("events", 1, "number of rumors published")
 		aggName   = flag.String("agg", "avg", "aggregate mode function: count, sum, avg, min, max")
-		eps       = flag.Float64("eps", 1e-4, "aggregate mode convergence threshold")
-		maxRounds = flag.Int("rounds", 0, "aggregate mode round cap (0 = 2x analytic prediction + 10)")
-		epochs    = flag.Int("epochs", 0, "aggregate mode: run this many continuous epoch windows (acked, loss-tolerant exchange); 0 = legacy one-shot convergence run")
-		window    = flag.Duration("window", 500*time.Millisecond, "aggregate mode epoch window length (with -epochs)")
+		epochs    = flag.Int("epochs", 3, "aggregate mode: number of epoch windows to run (>= 1)")
+		window    = flag.Duration("window", 500*time.Millisecond, "aggregate mode epoch window length")
 		dumpReg   = flag.Bool("metrics", false, "dump the run's metrics-registry snapshot at end of run")
 		minCov    = flag.Float64("min-coverage", 0, "coverage budget: exit non-zero when the run's coverage falls below this fraction, 0 disables")
 		expName   = flag.String("exp", "", "large-N scaling experiment: coverage (E1-style point) or churn (E9-style point); uses the memory-diet harness, N=10^5..10^6 is the design target")
 		maxRSSMB  = flag.Int("max-rss-mb", 0, "memory budget for -exp runs: exit non-zero when peak RSS (VmHWM) exceeds this many MiB, 0 disables")
-		faultPath = flag.String("faults", "", "fault plan file scheduled on the simulation clock (gossip and churn modes); events apply as virtual time advances, so plan times should land inside the run's horizon")
+		faultPath = flag.String("faults", "", "fault plan file scheduled on the simulation clock (gossip, churn and aggregate modes); events apply as virtual time advances, so plan times should land inside the run's horizon")
 	)
 	flag.Parse()
 	if *minCov < 0 || *minCov > 1 {
@@ -128,8 +127,8 @@ func run() error {
 	}
 	var plan *faults.Plan
 	if *faultPath != "" {
-		if *expName != "" || (*mode == "aggregate" && *epochs == 0) {
-			return fmt.Errorf("-faults applies to gossip, churn, and windowed aggregate (-epochs) modes")
+		if *expName != "" {
+			return fmt.Errorf("-faults applies to gossip, churn, and aggregate modes")
 		}
 		var err error
 		if plan, err = loadFaultPlan(*faultPath); err != nil {
@@ -142,10 +141,7 @@ func run() error {
 	}
 
 	if *mode == "aggregate" {
-		if *epochs > 0 {
-			return runWindowedAggregate(*n, *fanout, *aggName, *loss, *seed, *dumpReg, *minCov, *epochs, *window, plan)
-		}
-		return runAggregate(*n, *fanout, *aggName, *eps, *maxRounds, *loss, *seed, *dumpReg, *minCov)
+		return runAggregate(*n, *fanout, *aggName, *loss, *seed, *dumpReg, *minCov, *epochs, *window, plan)
 	}
 	if *mode == "churn" {
 		return runChurn(*n, *fanout, *loss, *crash, *seed, *ticks, *dumpReg, *minCov, plan)
@@ -670,57 +666,53 @@ func runChurn(n, fanout int, loss, leaveFrac float64, seed int64, ticks int, dum
 	return finish(reg, dumpReg, float64(covered)/float64(alive), minCov)
 }
 
-// aggCluster is the population both aggregate modes drive: n SimNodes over a
-// static peer list on one simulated network, each holding a value drawn from
-// the seed, and the ground truth of the function over those values.
-type aggCluster struct {
-	fn    aggregate.Func
-	reg   *metrics.Registry
-	net   *simnet.Network
-	ftbl  *faults.Table
-	addrs []string
-	nodes []*aggregate.SimNode
-	truth float64
-}
-
-// newAggCluster checks the shared arguments and builds the population. A
-// positive window makes the nodes run the epoch-windowed acked exchange on
-// the network's clock; plan (windowed mode only) is scheduled on it.
-func newAggCluster(n, fanout int, fnName string, loss float64, seed int64, window time.Duration, plan *faults.Plan) (*aggCluster, error) {
+// runAggregate drives aggregate mode: n SimNodes over a static peer list,
+// each holding a value drawn from the seed, run the acked loss-tolerant
+// exchange; push-sum restarts at each multiple of window, and each closed
+// epoch is reported as it freezes. The conservation contract is enforced,
+// not just printed: any node whose mass-error residual leaves exact zero at
+// any sampled instant fails the run with a non-zero exit — this is the CI
+// smoke gate for the loss-tolerance claim. plan is scheduled on the
+// network's clock.
+func runAggregate(n, fanout int, fnName string, loss float64, seed int64, dumpReg bool, minCov float64, epochs int, window time.Duration, plan *faults.Plan) error {
 	fn, err := aggregate.ParseFunc(fnName)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n < 2 || fanout < 1 {
-		return nil, fmt.Errorf("aggregate mode needs n >= 2 and fanout >= 1")
+		return fmt.Errorf("aggregate mode needs n >= 2 and fanout >= 1")
 	}
 	if loss < 0 || loss >= 1 {
-		return nil, fmt.Errorf("loss must be in [0,1)")
+		return fmt.Errorf("loss must be in [0,1)")
 	}
-	c := &aggCluster{
-		fn:    fn,
-		reg:   metrics.NewRegistry(),
-		net:   simnet.New(simnet.DefaultConfig(seed)),
-		addrs: make([]string, n),
-		nodes: make([]*aggregate.SimNode, n),
+	if epochs < 1 {
+		return fmt.Errorf("aggregate mode needs epochs >= 1")
 	}
-	if c.ftbl, err = installFaults(c.net, plan); err != nil {
-		return nil, err
+	if window < 4*roundPeriod {
+		return fmt.Errorf("window %v too short: epochs need several %v rounds to mix", window, roundPeriod)
 	}
-	for i := range c.addrs {
-		c.addrs[i] = fmt.Sprintf("n%05d", i)
+	reg := metrics.NewRegistry()
+	net := simnet.New(simnet.DefaultConfig(seed))
+	ftbl, err := installFaults(net, plan)
+	if err != nil {
+		return err
 	}
-	peers := gossip.NewStaticPeers(c.addrs)
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("n%05d", i)
+	}
+	peers := gossip.NewStaticPeers(addrs)
+	nodes := make([]*aggregate.SimNode, n)
 	rng := rand.New(rand.NewSource(seed))
 	var truthSum float64
 	truthMin, truthMax := math.Inf(1), math.Inf(-1)
-	for i, addr := range c.addrs {
+	for i, addr := range addrs {
 		v := rng.Float64() * 1000
 		truthSum += v
 		truthMin = math.Min(truthMin, v)
 		truthMax = math.Max(truthMax, v)
 		node, err := aggregate.NewSimNode(aggregate.SimNodeConfig{
-			Endpoint: c.net.Node(addr),
+			Endpoint: net.Node(addr),
 			Peers:    peers,
 			Fanout:   fanout,
 			TaskID:   "sim",
@@ -729,131 +721,32 @@ func newAggCluster(n, fanout int, fnName string, loss float64, seed int64, windo
 			Root:     i == 0,
 			RNG:      rand.New(rand.NewSource(seed*6151 + int64(i))),
 			Window:   window,
-			Clock:    c.net,
+			Clock:    net,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		mux := transport.NewMux()
 		node.Register(mux)
-		mux.Bind(c.net.Node(addr))
-		c.nodes[i] = node
+		mux.Bind(net.Node(addr))
+		nodes[i] = node
 	}
-	c.net.SetLossRate(loss)
-	switch fn {
-	case aggregate.FuncCount:
-		c.truth = float64(n)
-	case aggregate.FuncSum:
-		c.truth = truthSum
-	case aggregate.FuncAvg:
-		c.truth = truthSum / float64(n)
-	case aggregate.FuncMin:
-		c.truth = truthMin
-	case aggregate.FuncMax:
-		c.truth = truthMax
-	}
-	return c, nil
-}
-
-// runAggregate drives push-sum aggregation over the simulator.
-func runAggregate(n, fanout int, fnName string, eps float64, maxRounds int, loss float64, seed int64, dumpReg bool, minCov float64) error {
-	c, err := newAggCluster(n, fanout, fnName, loss, seed, 0, nil)
-	if err != nil {
-		return err
-	}
-	analytic, err := epidemic.PushSumRoundsToEpsilon(n, fanout, eps)
-	if err != nil {
-		return err
-	}
-	if maxRounds <= 0 {
-		maxRounds = 2*analytic + 10
-	}
-
-	// Exchange rounds fire from per-node self-clocking runners on the
-	// shared virtual clock; the harness only advances time and watches for
-	// convergence.
-	runners, err := startRunners(c.net, c.addrs, seed, c.reg, func(i int) func(context.Context) {
-		return c.nodes[i].Tick
-	})
-	if err != nil {
-		return err
-	}
-	rounds := 0
-	for ; rounds < maxRounds; rounds++ {
-		c.net.RunFor(roundPeriod)
-		allConverged := true
-		for _, node := range c.nodes {
-			if !node.State().Converged(eps) {
-				allConverged = false
-				break
-			}
-		}
-		if allConverged {
-			rounds++
-			break
-		}
-	}
-	stopRunners(runners)
-	c.net.Run() // drain in-flight deliveries from the final rounds
-
-	var worstErr, massSum, massWeight float64
-	defined := 0
-	for _, node := range c.nodes {
-		s, w := node.State().Mass()
-		massSum += s
-		massWeight += w
-		est, ok := node.State().Estimate()
-		if !ok {
-			continue
-		}
-		defined++
-		relErr := math.Abs(est-c.truth) / math.Max(math.Abs(c.truth), 1e-12)
-		worstErr = math.Max(worstErr, relErr)
-	}
-	st := c.net.Stats()
-	fmt.Printf("wsgossip-sim aggregate: N=%d f=%d fn=%s eps=%g loss=%.2f seed=%d\n",
-		n, fanout, c.fn, eps, loss, seed)
-	fmt.Printf("  ground truth:             %.6f\n", c.truth)
-	fmt.Printf("  rounds run:               %d (analytic ε-rounds: %d, cap %d)\n", rounds, analytic, maxRounds)
-	fmt.Printf("  nodes with estimates:     %d/%d\n", defined, n)
-	fmt.Printf("  worst relative error:     %.3e\n", worstErr)
-	if c.fn == aggregate.FuncAvg || c.fn == aggregate.FuncSum || c.fn == aggregate.FuncCount {
-		fmt.Printf("  conserved mass:           sum=%.6f weight=%.6f (loss destroys mass)\n", massSum, massWeight)
-	}
-	fmt.Printf("  network: sent=%d delivered=%d dropped=%d bytes=%d\n", st.Sent, st.Delivered, st.Dropped, st.Bytes)
-	fmt.Printf("  virtual time:             %v\n", c.net.Now())
-	c.reg.Counter("net_sent_total").Add(st.Sent)
-	c.reg.Counter("net_delivered_total").Add(st.Delivered)
-	c.reg.Counter("net_dropped_total").Add(st.Dropped)
-	c.reg.FloatGauge("aggregate_worst_rel_error").Set(worstErr)
-	// Coverage in aggregate mode is the fraction of nodes holding a defined
-	// estimate at the end of the run.
-	return finish(c.reg, dumpReg, float64(defined)/float64(n), minCov)
-}
-
-// runWindowedAggregate drives the continuous, epoch-windowed form of
-// aggregate mode: every node runs the acked loss-tolerant exchange, push-sum
-// restarts at each multiple of -window, and each closed epoch is reported as
-// it freezes. The conservation contract is enforced, not just printed: any
-// node whose mass-error residual leaves exact zero at any sampled instant
-// fails the run with a non-zero exit — this is the CI smoke gate for the
-// loss-tolerance claim.
-func runWindowedAggregate(n, fanout int, fnName string, loss float64, seed int64, dumpReg bool, minCov float64, epochs int, window time.Duration, plan *faults.Plan) error {
-	if window < 4*roundPeriod {
-		return fmt.Errorf("window %v too short: epochs need several %v rounds to mix", window, roundPeriod)
-	}
-	c, err := newAggCluster(n, fanout, fnName, loss, seed, window, plan)
-	if err != nil {
-		return err
-	}
-	runners, err := startRunners(c.net, c.addrs, seed, c.reg, func(i int) func(context.Context) {
-		return c.nodes[i].Tick
+	net.SetLossRate(loss)
+	truth := map[aggregate.Func]float64{
+		aggregate.FuncCount: float64(n),
+		aggregate.FuncSum:   truthSum,
+		aggregate.FuncAvg:   truthSum / float64(n),
+		aggregate.FuncMin:   truthMin,
+		aggregate.FuncMax:   truthMax,
+	}[fn]
+	runners, err := startRunners(net, addrs, seed, reg, func(i int) func(context.Context) {
+		return nodes[i].Tick
 	})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("wsgossip-sim aggregate (windowed): N=%d f=%d fn=%s epochs=%d window=%v loss=%.2f seed=%d faults=%v\n",
-		n, fanout, c.fn, epochs, window, loss, seed, c.ftbl != nil)
+		n, fanout, fn, epochs, window, loss, seed, ftbl != nil)
 
 	// Sample the conservation residual every round on every node; the gate
 	// is exact zero at every instant, which is what the acked exchange
@@ -861,7 +754,7 @@ func runWindowedAggregate(n, fanout int, fnName string, loss float64, seed int64
 	massViolations := 0
 	var worstMassErr float64
 	sampleMass := func() {
-		for _, node := range c.nodes {
+		for _, node := range nodes {
 			if e := node.MassError(); e != 0 {
 				massViolations++
 				worstMassErr = math.Max(worstMassErr, math.Abs(e))
@@ -873,29 +766,29 @@ func runWindowedAggregate(n, fanout int, fnName string, loss float64, seed int64
 		// rolled and frozen it (runner jitter keeps ticks within one period
 		// of the boundary).
 		target := time.Duration(e)*window + 2*roundPeriod
-		for c.net.Now() < target {
-			c.net.RunFor(roundPeriod)
+		for net.Now() < target {
+			net.RunFor(roundPeriod)
 			sampleMass()
 		}
 		defined := 0
 		var worstErr float64
-		for _, node := range c.nodes {
+		for _, node := range nodes {
 			fr, ok := node.Frozen()
 			if !ok || fr.Epoch != uint64(e) || !fr.Defined {
 				continue
 			}
 			defined++
-			worstErr = math.Max(worstErr, math.Abs(fr.Estimate-c.truth)/math.Max(math.Abs(c.truth), 1e-12))
+			worstErr = math.Max(worstErr, math.Abs(fr.Estimate-truth)/math.Max(math.Abs(truth), 1e-12))
 		}
 		fmt.Printf("  epoch %d: estimates %d/%d defined, worst rel err %.3e\n", e, defined, n, worstErr)
-		c.reg.FloatGauge("aggregate_worst_rel_error").Set(worstErr)
+		reg.FloatGauge("aggregate_worst_rel_error").Set(worstErr)
 	}
 	stopRunners(runners)
-	c.net.Run() // drain in-flight shares and acks from the final rounds
+	net.Run() // drain in-flight shares and acks from the final rounds
 	sampleMass()
 
 	var stats aggregate.SimNodeStats
-	for _, node := range c.nodes {
+	for _, node := range nodes {
 		st := node.SimStats()
 		stats.SharesSent += st.SharesSent
 		stats.SharesAbsorbed += st.SharesAbsorbed
@@ -906,25 +799,25 @@ func runWindowedAggregate(n, fanout int, fnName string, loss float64, seed int64
 		stats.Recovered += st.Recovered
 		stats.UnackedDiscarded += st.UnackedDiscarded
 	}
-	st := c.net.Stats()
+	st := net.Stats()
 	fmt.Printf("  exchange: sent=%d absorbed=%d committed=%d retried=%d dup=%d stale=%d recovered=%d retired=%d\n",
 		stats.SharesSent, stats.SharesAbsorbed, stats.Commits, stats.Retries,
 		stats.Duplicates, stats.Stale, stats.Recovered, stats.UnackedDiscarded)
 	fmt.Printf("  mass error: %d violation(s), worst %g (gate: exactly 0 everywhere, always)\n",
 		massViolations, worstMassErr)
 	fmt.Printf("  network: sent=%d delivered=%d dropped=%d bytes=%d\n", st.Sent, st.Delivered, st.Dropped, st.Bytes)
-	fmt.Printf("  virtual time:             %v\n", c.net.Now())
-	if c.ftbl != nil {
-		c.reg.Counter("net_fault_refused_total").Add(st.FaultRefused)
-		c.reg.Counter("net_fault_dropped_total").Add(st.FaultDropped)
-		if err := reportFaults(c.ftbl, st); err != nil {
+	fmt.Printf("  virtual time:             %v\n", net.Now())
+	if ftbl != nil {
+		reg.Counter("net_fault_refused_total").Add(st.FaultRefused)
+		reg.Counter("net_fault_dropped_total").Add(st.FaultDropped)
+		if err := reportFaults(ftbl, st); err != nil {
 			return err
 		}
 	}
-	c.reg.Counter("net_sent_total").Add(st.Sent)
-	c.reg.Counter("net_delivered_total").Add(st.Delivered)
-	c.reg.Counter("net_dropped_total").Add(st.Dropped)
-	c.reg.FloatGauge("aggregate_mass_error").Set(worstMassErr)
+	reg.Counter("net_sent_total").Add(st.Sent)
+	reg.Counter("net_delivered_total").Add(st.Delivered)
+	reg.Counter("net_dropped_total").Add(st.Dropped)
+	reg.FloatGauge("aggregate_mass_error").Set(worstMassErr)
 	if massViolations > 0 {
 		return fmt.Errorf("mass conservation violated %d time(s), worst residual %g: the acked exchange must hold aggregate_mass_error at exactly 0 under loss",
 			massViolations, worstMassErr)
@@ -932,10 +825,10 @@ func runWindowedAggregate(n, fanout int, fnName string, loss float64, seed int64
 	// Coverage is the fraction of nodes whose final epoch froze with a
 	// defined estimate.
 	finalDefined := 0
-	for _, node := range c.nodes {
+	for _, node := range nodes {
 		if fr, ok := node.Frozen(); ok && fr.Epoch == uint64(epochs) && fr.Defined {
 			finalDefined++
 		}
 	}
-	return finish(c.reg, dumpReg, float64(finalDefined)/float64(n), minCov)
+	return finish(reg, dumpReg, float64(finalDefined)/float64(n), minCov)
 }

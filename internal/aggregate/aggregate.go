@@ -37,10 +37,6 @@ const (
 	ActionStart = core.Namespace + ":aggregate:start"
 	// ActionExchange carries one push-sum share between peers.
 	ActionExchange = core.Namespace + ":aggregate:exchange"
-	// ActionQuery asks a participant for its current estimate.
-	ActionQuery = core.Namespace + ":aggregate:query"
-	// ActionQueryResponse answers ActionQuery.
-	ActionQueryResponse = core.Namespace + ":aggregate:queryResponse"
 )
 
 // Start announces an aggregation task. It travels with the interaction's
@@ -53,11 +49,11 @@ type Start struct {
 	Root string `xml:"Root"`
 	// Hops is the remaining flood budget for re-forwarding the start.
 	Hops int `xml:"Hops"`
-	// WindowMillis, when positive, marks the task continuous: push-sum
-	// restarts every window, and exchanges ride the acked protocol.
+	// WindowMillis is the epoch length: push-sum restarts every window. A
+	// start without a positive one is refused.
 	WindowMillis int64 `xml:"WindowMillis,omitempty"`
-	// Metric names the local value source a continuous task samples each
-	// epoch (resolved against ServiceConfig.Values, falling back to Value).
+	// Metric names the local value source the task samples each epoch
+	// (resolved against ServiceConfig.Values, falling back to Value).
 	Metric string `xml:"Metric,omitempty"`
 }
 
@@ -76,12 +72,11 @@ type Share struct {
 	HasExtremes bool    `xml:"HasExtremes"`
 	Min         float64 `xml:"Min,omitempty"`
 	Max         float64 `xml:"Max,omitempty"`
-	// Continuous-mode fields. WindowMillis > 0 marks the share as part of
-	// an epoch-windowed task; it carries everything a node that never saw
-	// the start needs to join: the window, the epoch, the anchor address,
-	// and the metric name. Seq is the sender's per-task sequence number —
-	// the receiver dedups on (From, Seq) so a retried share is absorbed
-	// exactly once, and the ack quotes it back.
+	// A share carries everything a node that never saw the start needs to
+	// join: the window (a share without a positive one is refused), the
+	// epoch, the anchor address, and the metric name. Seq is the sender's
+	// per-task sequence number — the receiver dedups on (From, Seq) so a
+	// retried share is absorbed exactly once, and the ack quotes it back.
 	WindowMillis int64  `xml:"WindowMillis,omitempty"`
 	Epoch        uint64 `xml:"Epoch,omitempty"`
 	Seq          uint64 `xml:"Seq,omitempty"`
@@ -89,34 +84,12 @@ type Share struct {
 	Metric       string `xml:"Metric,omitempty"`
 }
 
-// Query requests a participant's current estimate.
-type Query struct {
-	XMLName xml.Name `xml:"urn:wsgossip:2008 AggregateQuery"`
-	TaskID  string   `xml:"TaskID"`
-}
-
-// QueryResult is the answer to a Query.
-type QueryResult struct {
-	XMLName   xml.Name `xml:"urn:wsgossip:2008 AggregateQueryResult"`
-	TaskID    string   `xml:"TaskID"`
-	Function  string   `xml:"Function"`
-	Estimate  float64  `xml:"Estimate"`
-	Weight    float64  `xml:"Weight"`
-	Rounds    int      `xml:"Rounds"`
-	Converged bool     `xml:"Converged"`
-}
-
-// convergenceWindow is how many consecutive stable rounds declare
-// convergence.
-const convergenceWindow = 3
-
 // minWeight is the weight below which an estimate is considered undefined
 // (a passive node that has not yet received meaningful mass).
 const minWeight = 1e-12
 
-// State is one node's push-sum state for a single aggregation task. It is
-// pure protocol math — no I/O — so it is shared by the SOAP-level Service
-// and the transport-level SimNode, and unit-testable in isolation.
+// State is one node's push-sum state for one epoch of an aggregation task.
+// It is pure protocol math — no I/O — and unit-testable in isolation.
 type State struct {
 	fn     Func
 	sum    float64
@@ -125,11 +98,7 @@ type State struct {
 	hasExtremes bool
 	min, max    float64
 
-	contributed bool // local value already injected into the mass
-	rooted      bool // anchor weight already seeded
-
-	rounds  int
-	history []float64 // estimates recorded at each round start
+	rounds int
 }
 
 // NewState returns the initial state of one participant.
@@ -140,64 +109,25 @@ type State struct {
 //	min/max:  extremes only; (sum, weight) stay zero.
 //
 // root marks the anchor node (normally the Querier); passive marks a node
-// that joined without a local value (it relays mass but contributes none).
+// that contributes no local value (it relays mass but adds none).
 func NewState(fn Func, value float64, root, passive bool) *State {
 	s := &State{fn: fn}
 	if !passive {
-		s.Contribute(value)
+		switch fn {
+		case FuncAvg:
+			s.sum, s.weight = value, 1
+		case FuncSum:
+			s.sum = value
+		case FuncCount:
+			s.sum = 1
+		case FuncMin, FuncMax:
+			s.hasExtremes, s.min, s.max = true, value, value
+		}
 	}
-	if root {
-		s.weight += anchorWeight(fn)
-		s.rooted = true
+	if root && (fn == FuncSum || fn == FuncCount) {
+		s.weight++
 	}
 	return s
-}
-
-// Contribute injects the node's local value into the conserved mass. It is
-// called once at task creation for nodes that know their value then, and
-// once more by the upgrade path when a node that joined passively (an
-// exchange share outran the start flood) finally receives the start.
-// Contributed guards against double counting.
-func (s *State) Contribute(value float64) {
-	if s.contributed {
-		return
-	}
-	s.contributed = true
-	switch s.fn {
-	case FuncAvg:
-		s.sum += value
-		s.weight++
-	case FuncSum:
-		s.sum += value
-	case FuncCount:
-		s.sum++
-	case FuncMin, FuncMax:
-		s.Absorb(Share{HasExtremes: true, Min: value, Max: value})
-	}
-}
-
-// ContributeAnchor injects the root's anchor weight if it has not been
-// seeded yet (the upgrade path's counterpart for a root that was first
-// reached by an exchange share).
-func (s *State) ContributeAnchor() {
-	if s.rooted {
-		return
-	}
-	s.rooted = true
-	s.weight += anchorWeight(s.fn)
-}
-
-// Contributed reports whether the node's local value is already part of the
-// conserved mass.
-func (s *State) Contributed() bool { return s.contributed }
-
-// anchorWeight is the root's weight contribution per function.
-func anchorWeight(fn Func) float64 {
-	switch fn {
-	case FuncSum, FuncCount:
-		return 1
-	}
-	return 0
 }
 
 // Func returns the task's aggregate function.
@@ -224,13 +154,14 @@ func (s *State) Estimate() (float64, bool) {
 	return s.sum / s.weight, true
 }
 
-// Split carves the state into n+1 equal shares, keeps one, and returns the
-// n outgoing (sum, weight) shares' common value. Extremes are copied, not
-// split — they merge idempotently.
+// Split starts a round: it carves the state into n+1 equal shares, keeps one,
+// and returns the n outgoing (sum, weight) shares' common value. Extremes are
+// copied, not split — they merge idempotently.
 func (s *State) Split(n int) (shareSum, shareWeight float64) {
 	if n <= 0 {
 		return 0, 0
 	}
+	s.rounds++
 	parts := float64(n + 1)
 	shareSum = s.sum / parts
 	shareWeight = s.weight / parts
@@ -252,54 +183,4 @@ func (s *State) Absorb(sh Share) {
 			s.max = math.Max(s.max, sh.Max)
 		}
 	}
-}
-
-// Share builds the wire share for one outgoing transfer.
-func (s *State) share(taskID, from string, shareSum, shareWeight float64) Share {
-	return Share{
-		TaskID:      taskID,
-		Function:    string(s.fn),
-		From:        from,
-		Sum:         shareSum,
-		Weight:      shareWeight,
-		HasExtremes: s.hasExtremes,
-		Min:         s.min,
-		Max:         s.max,
-	}
-}
-
-// BeginRound records the round boundary for convergence detection and
-// returns the round number.
-func (s *State) BeginRound() int {
-	est, ok := s.Estimate()
-	if !ok {
-		est = math.NaN()
-	}
-	s.history = append(s.history, est)
-	if len(s.history) > convergenceWindow {
-		s.history = s.history[len(s.history)-convergenceWindow:]
-	}
-	s.rounds++
-	return s.rounds
-}
-
-// Converged reports whether the estimate has been defined and stable to
-// within relative eps over the last convergenceWindow recorded rounds.
-func (s *State) Converged(eps float64) bool {
-	if len(s.history) < convergenceWindow {
-		return false
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, e := range s.history {
-		if math.IsNaN(e) {
-			return false
-		}
-		lo = math.Min(lo, e)
-		hi = math.Max(hi, e)
-	}
-	scale := math.Max(math.Abs(lo), math.Abs(hi))
-	if scale < minWeight {
-		return true // stable at zero
-	}
-	return (hi-lo)/scale <= eps
 }

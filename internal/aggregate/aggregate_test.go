@@ -5,18 +5,22 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
+	"wsgossip/internal/clock"
 	"wsgossip/internal/core"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/wsa"
-	"wsgossip/internal/wscoord"
 )
 
 // cluster is an N-service aggregation deployment over the in-memory SOAP
-// bus, plus its querier.
+// bus, plus its querier, on one virtual clock that only the tests advance.
 type cluster struct {
 	bus      *soap.MemBus
+	clk      *clock.Virtual
 	coord    *core.Coordinator
 	querier  *Querier
 	services []*Service
@@ -27,7 +31,7 @@ func newCluster(t *testing.T, n int, seed int64, value func(i int) float64) *clu
 	t.Helper()
 	ctx := context.Background()
 	bus := soap.NewMemBus()
-	c := &cluster{bus: bus}
+	c := &cluster{bus: bus, clk: clock.NewVirtual()}
 	c.coord = core.NewCoordinator(core.CoordinatorConfig{
 		Address: "mem://coordinator",
 		RNG:     rand.New(rand.NewSource(seed)),
@@ -42,6 +46,7 @@ func newCluster(t *testing.T, n int, seed int64, value func(i int) float64) *clu
 			Caller:  bus,
 			Value:   func() float64 { return v },
 			RNG:     rand.New(rand.NewSource(seed + 100 + int64(i))),
+			Clock:   c.clk,
 		})
 		if err != nil {
 			t.Fatalf("NewService: %v", err)
@@ -58,6 +63,7 @@ func newCluster(t *testing.T, n int, seed int64, value func(i int) float64) *clu
 		Caller:     bus,
 		Activation: "mem://coordinator",
 		RNG:        rand.New(rand.NewSource(seed + 7)),
+		Clock:      c.clk,
 	})
 	if err != nil {
 		t.Fatalf("NewQuerier: %v", err)
@@ -75,32 +81,55 @@ func addrOf(i int) string {
 	return "mem://agg" + string(rune('a'+i/26)) + string(rune('a'+i%26))
 }
 
-// run starts an aggregation and drives exchange rounds until the querier's
-// estimate converges (or the round budget runs out). Returns the task and
-// the number of driven rounds.
+// clusterWindow is long enough that no epoch closes while a test mixes.
+const clusterWindow = time.Hour
+
+// run starts a query for fn and drives exchange rounds everywhere until the
+// querier's estimate is stable (converged) or maxRounds pass. It returns the
+// task and the number of driven rounds.
 func (c *cluster) run(t *testing.T, fn Func) (*Task, int) {
 	t.Helper()
 	ctx := context.Background()
-	tk, err := c.querier.StartAggregation(ctx, fn)
+	tk, err := c.querier.StartContinuous(ctx, "value", fn, clusterWindow)
 	if err != nil {
-		t.Fatalf("StartAggregation(%s): %v", fn, err)
+		t.Fatalf("StartContinuous(%s): %v", fn, err)
 	}
-	maxRounds := tk.Params.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 100
-	}
+	var stable stability
 	rounds := 0
-	for ; rounds < maxRounds; rounds++ {
+	for rounds < maxRounds {
 		for _, svc := range c.services {
 			svc.Tick(ctx)
 		}
 		c.querier.Tick(ctx)
-		if c.querier.Converged(tk.ID) {
-			rounds++
+		rounds++
+		if stable.converged(c.querier.Estimate(tk.ID)) {
 			break
 		}
 	}
 	return tk, rounds
+}
+
+// maxRounds bounds run: several times the analytic push-sum round count at
+// these sizes.
+const maxRounds = 100
+
+// stability declares an estimate converged once its last three readings are
+// defined and agree within a relative 1e-4.
+type stability struct{ last []float64 }
+
+func (s *stability) converged(est float64, ok bool) bool {
+	if !ok {
+		s.last = s.last[:0]
+		return false
+	}
+	if s.last = append(s.last, est); len(s.last) > 3 {
+		s.last = s.last[1:]
+	}
+	if len(s.last) < 3 {
+		return false
+	}
+	lo, hi := slices.Min(s.last), slices.Max(s.last)
+	return (hi-lo)/math.Max(math.Abs(lo), math.Abs(hi)) <= 1e-4
 }
 
 // participants counts services that joined the task.
@@ -144,6 +173,9 @@ func TestQuerierAvgWithinOnePercentN64(t *testing.T) {
 	if got := c.participants(tk.ID); got != n {
 		t.Fatalf("start dissemination reached %d/%d services", got, n)
 	}
+	if rounds >= maxRounds {
+		t.Fatalf("querier did not converge within %d rounds", maxRounds)
+	}
 	est, ok := c.querier.Estimate(tk.ID)
 	if !ok {
 		t.Fatalf("querier has no defined estimate after %d rounds", rounds)
@@ -153,24 +185,17 @@ func TestQuerierAvgWithinOnePercentN64(t *testing.T) {
 	if relErr > 0.01 {
 		t.Fatalf("avg estimate %.6f vs truth %.6f: relative error %.4f > 1%%", est, truth, relErr)
 	}
-	if !c.querier.Converged(tk.ID) {
-		t.Fatalf("querier did not converge within %d rounds", tk.Params.MaxRounds)
-	}
 }
 
 // TestMassConservation verifies the engine's core invariant: Σs and Σw are
-// unchanged by any number of exchange rounds.
+// unchanged by any number of exchange rounds (every ack has landed when a
+// MemBus round returns, so no mass is outstanding).
 func TestMassConservation(t *testing.T) {
 	const n = 32
 	c := newCluster(t, n, 3, func(i int) float64 { return float64(i * i) })
 	tk, _ := c.run(t, FuncAvg)
 
 	wantSum := 0.0
-	for _, svc := range c.services {
-		if _, _, ok := svc.Mass(tk.ID); ok {
-			_ = svc
-		}
-	}
 	for i, v := range c.values {
 		if _, _, ok := c.services[i].Mass(tk.ID); ok {
 			wantSum += v
@@ -238,56 +263,67 @@ func TestCountSumMinMax(t *testing.T) {
 	}
 }
 
-// TestCollectAgreement drives a task to convergence and checks that sampled
-// peers report estimates agreeing with the querier's.
+// TestCollectAgreement drives a query to convergence, closes its epoch, and
+// checks that every participant froze an estimate agreeing with the
+// querier's.
 func TestCollectAgreement(t *testing.T) {
 	const n = 32
 	c := newCluster(t, n, 5, func(i int) float64 { return 100 + float64(i) })
 	tk, _ := c.run(t, FuncAvg)
-	results, err := c.querier.Collect(context.Background(), tk, 5)
-	if err != nil {
-		t.Fatalf("Collect: %v", err)
+	c.clk.Advance(clusterWindow)
+	ctx := context.Background()
+	for _, svc := range c.services {
+		svc.Tick(ctx)
 	}
-	if len(results) == 0 {
-		t.Fatalf("Collect returned no results")
+	c.querier.Tick(ctx)
+	own, ok := c.querier.FrozenEstimate(tk.ID)
+	if !ok || own.Epoch != 1 || !own.Defined {
+		t.Fatalf("querier froze %+v (ok=%v), want a defined epoch 1", own, ok)
 	}
-	own, _ := c.querier.Estimate(tk.ID)
-	for _, r := range results {
-		if math.Abs(r.Estimate-own)/own > 0.01 {
-			t.Fatalf("peer estimate %.6f disagrees with querier %.6f by >1%%", r.Estimate, own)
+	for i, svc := range c.services {
+		fr, ok := svc.FrozenEstimate(tk.ID)
+		if !ok || fr.Epoch != 1 || !fr.Defined {
+			t.Fatalf("service %d froze %+v (ok=%v), want a defined epoch 1", i, fr, ok)
+		}
+		if math.Abs(fr.Estimate-own.Estimate)/own.Estimate > 0.01 {
+			t.Fatalf("service %d froze %.6f, disagreeing with the querier's %.6f by >1%%", i, fr.Estimate, own.Estimate)
 		}
 	}
 }
 
-// TestQueryUnknownTaskFaults checks the negative path of the query action.
+// TestQueryUnknownTaskFaults: there is no estimate query on the wire — a
+// participant's estimate is read locally or frozen per epoch — so a query
+// action is faulted as one no handler serves.
 func TestQueryUnknownTaskFaults(t *testing.T) {
 	c := newCluster(t, 4, 9, func(i int) float64 { return 1 })
 	env := soap.NewEnvelope()
 	if err := env.SetAddressing(wsa.Headers{
 		To:        addrOf(0),
-		Action:    ActionQuery,
+		Action:    core.Namespace + ":aggregate:query",
 		MessageID: wsa.NewMessageID(),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := env.SetBody(Query{TaskID: "no-such-task"}); err != nil {
+	if err := env.SetBody(Start{TaskID: "no-such-task"}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := c.bus.Call(context.Background(), addrOf(0), env)
 	var fault *soap.Fault
-	if !errors.As(err, &fault) {
-		t.Fatalf("expected SOAP fault, got %v", err)
+	if !errors.As(err, &fault) || fault.Code.Value != soap.CodeSender || !strings.Contains(fault.Reason.Text, "no handler") {
+		t.Fatalf("expected a Sender fault naming no handler, got %v", err)
 	}
 }
 
 // TestPassiveJoinUpgradedByLateStart reproduces an exchange share outrunning
-// the start flood: the node first joins passively (contributing nothing),
-// then the start arrives and must inject the node's local value exactly once.
+// the start flood: the node first joins passively from a share that names
+// no metric (contributing nothing), then the start arrives and names the
+// metric; from the next epoch boundary on, the node contributes that
+// metric's value exactly once.
 func TestPassiveJoinUpgradedByLateStart(t *testing.T) {
 	ctx := context.Background()
 	c := newCluster(t, 4, 13, func(i int) float64 { return 100 })
 	// Activate a real interaction so registration works.
-	tk, err := c.querier.StartAggregation(ctx, FuncAvg)
+	tk, err := c.querier.StartContinuous(ctx, "load", FuncAvg, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,8 +331,9 @@ func TestPassiveJoinUpgradedByLateStart(t *testing.T) {
 	late, err := NewService(ServiceConfig{
 		Address: "mem://late",
 		Caller:  c.bus,
-		Value:   func() float64 { return 42 },
+		Values:  map[string]func() float64{"load": func() float64 { return 42 }},
 		RNG:     rand.New(rand.NewSource(99)),
+		Clock:   c.clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -304,16 +341,8 @@ func TestPassiveJoinUpgradedByLateStart(t *testing.T) {
 	c.bus.Register("mem://late", late.Handler())
 
 	sendTo := func(action string, body any) {
-		env := soap.NewEnvelope()
-		if err := env.SetAddressing(wsa.Headers{
-			To: "mem://late", Action: action, MessageID: wsa.NewMessageID(),
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := wscoord.AttachContext(env, tk.Context); err != nil {
-			t.Fatal(err)
-		}
-		if err := env.SetBody(body); err != nil {
+		env, err := buildMessage(action, tk.Context, body)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := c.bus.Send(ctx, "mem://late", env); err != nil {
@@ -322,23 +351,30 @@ func TestPassiveJoinUpgradedByLateStart(t *testing.T) {
 	}
 
 	// 1. Exchange share arrives first: passive join, no value contributed.
-	sendTo(ActionExchange, Share{TaskID: tk.ID, Function: string(FuncAvg), From: "mem://peer", Sum: 7, Weight: 0.5})
+	sendTo(ActionExchange, Share{TaskID: tk.ID, Function: string(FuncAvg), From: "mem://peer", Sum: 7, Weight: 0.5,
+		WindowMillis: 1000, Epoch: 1, Seq: 1, Root: c.querier.Address()})
 	sum, weight, ok := late.Mass(tk.ID)
 	if !ok || sum != 7 || weight != 0.5 {
 		t.Fatalf("passive join mass = (%v, %v, %v), want (7, 0.5, true)", sum, weight, ok)
 	}
-	// 2. The start finally arrives: the local value must be injected once.
-	start := Start{TaskID: tk.ID, Function: string(FuncAvg), Root: c.querier.Address(), Hops: 0}
+	// 2. The start finally arrives, twice: it names the metric but must not
+	// contribute mid-window.
+	start := Start{TaskID: tk.ID, Function: string(FuncAvg), Root: c.querier.Address(), WindowMillis: 1000, Metric: "load"}
 	sendTo(ActionStart, start)
-	sum, weight, _ = late.Mass(tk.ID)
-	if sum != 7+42 || weight != 1.5 {
-		t.Fatalf("after late start mass = (%v, %v), want (49, 1.5)", sum, weight)
+	sendTo(ActionStart, start)
+	if sum, weight, _ = late.Mass(tk.ID); sum != 7 || weight != 0.5 {
+		t.Fatalf("late start contributed mid-window: mass = (%v, %v), want (7, 0.5)", sum, weight)
 	}
-	// 3. A duplicate start must not double-count.
-	sendTo(ActionStart, start)
-	sum, weight, _ = late.Mass(tk.ID)
-	if sum != 7+42 || weight != 1.5 {
-		t.Fatalf("duplicate start double-counted: mass = (%v, %v)", sum, weight)
+	// 3. The next boundary: the start's metric is contributed once.
+	c.clk.Advance(time.Second)
+	late.Tick(ctx)
+	if _, contributed := late.Outstanding(tk.ID); contributed != 1 {
+		t.Fatalf("joiner contributed weight %g after the boundary, want 1", contributed)
+	}
+	// Only the joiner ticked, so it has absorbed nothing of epoch 2 yet: its
+	// estimate is its own contribution.
+	if est, ok := late.Estimate(tk.ID); !ok || math.Abs(est-42) > 1e-9 {
+		t.Fatalf("joiner's epoch-2 estimate = %v (defined %v), want the start's metric value 42", est, ok)
 	}
 }
 

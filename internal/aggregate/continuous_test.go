@@ -567,3 +567,42 @@ func TestNilClockFallbackSharedEpoch(t *testing.T) {
 		t.Fatalf("implausible epoch index %d for a %v window (saturated clock?)", ka, window)
 	}
 }
+
+// TestStartContinuousFailureLeavesNoTask: a start that reaches none of its
+// targets leaves no task at the querier. The Window retries the query on
+// each later tick, and every failed attempt used to keep its task, which
+// rolled epochs and exchanged its anchor mass for ever.
+func TestStartContinuousFailureLeavesNoTask(t *testing.T) {
+	const n = 3
+	c := newContCluster(t, n, 61, time.Second)
+	ctx := context.Background()
+	w, err := NewWindow(WindowConfig{
+		Querier: c.querier,
+		Window:  time.Second,
+		Queries: []ContinuousQuery{{Name: "ones", Func: FuncCount}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		c.bus.Unregister(addrOf(i))
+	}
+	for tick := 0; tick < 3; tick++ {
+		c.clk.Advance(50 * time.Millisecond)
+		w.Tick(ctx)
+	}
+	if _, ok := w.Task("ones"); ok {
+		t.Fatal("the query started with every participant unreachable")
+	}
+	for i, svc := range c.services {
+		c.bus.Register(addrOf(i), svc.Handler())
+	}
+	c.clk.Advance(50 * time.Millisecond)
+	w.Tick(ctx)
+	if _, ok := w.Task("ones"); !ok {
+		t.Fatal("the query did not start once its participants were reachable")
+	}
+	if got := len(c.querier.svc.ContinuousEstimates()); got != 1 {
+		t.Fatalf("querier holds %d tasks, want exactly the one started query", got)
+	}
+}

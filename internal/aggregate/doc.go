@@ -8,57 +8,57 @@
 //
 // Roles:
 //
-//   - A Service participates: it holds a local value, joins an aggregation
+//   - A Service participates: it holds local values, joins an aggregation
 //     interaction on first contact (registering with the Coordinator's
 //     Registration service exactly like a Disseminator does), and exchanges
 //     push-sum shares each round — with coordinator-assigned peers, or with
 //     peers sampled from a live membership view when ServiceConfig.Peers is
 //     set (core.PeerView).
 //   - A Querier activates an aggregation interaction, seeds the weight that
-//     anchors count/sum queries, disseminates the start message over the
-//     assigned overlay, and collects the converged estimate.
+//     anchors count/sum queries, and disseminates the start message over the
+//     assigned overlay.
+//   - A Window keeps a set of queries (ContinuousQuery) fresh: driven as the
+//     querier's Runner loop, it starts each once and reports the frozen
+//     estimate of every closed epoch.
 //   - A SimNode is the transport-level participant for simulator-scale runs
 //     (cmd/wsgossip-sim -mode aggregate).
-//   - A Window turns one-shot queries into continuous ones: driven as the
-//     querier's Runner loop, it keeps every configured query
-//     (ContinuousQuery) fresh by restarting push-sum each epoch.
 //
 // Exchange rounds fire from a core.Runner (RunnerConfig.Aggregator); with
-// QuiescentMax set the exchange loop backs off exponentially once every
-// task has converged or exhausted its round budget, snapping back when a
-// new task or share arrives (Service.ActivityCount / OnActivity).
+// QuiescentMax set the exchange loop backs off exponentially while no task
+// is exchanging, snapping back when a task or share arrives
+// (Service.ActivityCount / OnActivity).
+//
+// There is one push-sum protocol. Time is cut into epochs on a shared clock
+// (EpochAt: epoch k occupies [(k-1)·w, k·w)), and every task carries its
+// window w. Crossing a boundary freezes the closing epoch's estimate — the
+// stable value consumers read — and re-contributes the node's live local
+// value into fresh state, so the estimate tracks churn window by window; a
+// deployment that wants one answer runs a window longer than it waits. A node
+// that joins mid-window relays passively until the next boundary and only
+// then contributes (contributeFrom), never retroactively.
 //
 // Mass conservation is the engine's invariant: shares are only ever moved,
-// never created or destroyed, so the sums Σsᵢ and Σwᵢ are constant and
-// every estimate sᵢ/wᵢ converges to Σs/Σw. The analytic convergence rate
-// lives in internal/epidemic (PushSumContraction and friends); experiment
-// e10 cross-checks the implementation against it.
-//
-// Continuous tasks extend both halves of that story. Time is cut into
-// epochs on a shared clock (EpochAt: epoch k occupies [(k-1)·w, k·w)):
-// crossing a boundary freezes the closing epoch's estimate — the stable
-// value consumers read — and re-contributes the node's live local value
-// into fresh state, so the estimate tracks churn window by window. A node
-// that joins mid-window relays passively until the next boundary and only
-// then contributes (contributeFrom), never retroactively. And because a
-// long-lived query meets real loss, the continuous exchange is
-// pairwise-atomic: a sent share stays in the sender's outstanding ledger
-// until the receiver's ack commits it, absorb+ack is idempotent under
-// (sender, seq) dedup, and only a synchronous first-send failure may
-// recover mass locally (a retry failure never does — an earlier attempt
-// may have been delivered). The aggregate_mass_error gauge is evaluated
-// after every transition and reads exactly zero at every observable
-// instant; the property-based suite in internal/scenario holds it there
-// under generated loss/churn/partition schedules.
+// never created or destroyed, so within an epoch the sums Σsᵢ and Σwᵢ are
+// constant and every estimate sᵢ/wᵢ converges to Σs/Σw. The analytic
+// convergence rate lives in internal/epidemic (PushSumContraction and
+// friends); experiment e10 cross-checks the implementation against it. It
+// holds under loss because the exchange is pairwise-atomic: a sent share
+// stays in the sender's outstanding ledger until the receiver's ack commits
+// it, absorb+ack is idempotent under (sender, seq) dedup, and only a
+// synchronous first-send failure may recover mass locally (a retry failure
+// never does — an earlier attempt may have been delivered). The
+// aggregate_mass_error gauge is evaluated after every transition and reads
+// exactly zero at every observable instant; the property-based suite in
+// internal/scenario holds it there under generated loss/churn/partition
+// schedules.
 //
 // The protocol is written once. The unexported exchange type (exchange.go)
 // is one task's State, ledger, epoch, pending and seen shares and event
-// counts behind the transitions roll, tick, absorb, commit and reclaim (and
-// split, take, giveBack for one-shot tasks), with no lock, clock or I/O.
-// Service and SimNode are bindings of it: they choose targets, supply the
-// contribution at a roll, read the clock and move bytes — the Service under
-// its mutex with sends outside the lock, the SimNode inline on the
-// simulator's event loop. A share and its ack have one wire form (wire.go),
-// on soap's flat-element codec: the Service sends it as the SOAP body, the
-// SimNode as the transport.Message body.
+// counts behind the transitions roll, tick, absorb, commit and reclaim, with
+// no lock, clock or I/O. Service and SimNode are bindings of it: they choose
+// targets, supply the contribution at a roll, read the clock and move bytes
+// — the Service under its mutex with sends outside the lock, the SimNode
+// inline on the simulator's event loop. A share and its ack have one wire
+// form (wire.go), on soap's flat-element codec: the Service sends it as the
+// SOAP body, the SimNode as the transport.Message body.
 package aggregate

@@ -7,16 +7,15 @@ import (
 	"wsgossip/internal/core"
 )
 
-// Continuous (epoch-windowed) aggregation: instead of converging once and
-// stopping, a continuous task restarts push-sum every window. Epoch identity
+// Epoch-windowed aggregation: instead of converging once and stopping, a
+// task restarts push-sum every window. Epoch identity
 // is a pure function of the shared clock, so every participant rolls into
 // the same epoch without coordinator traffic, and each epoch's mass is
 // accounted for independently — when an epoch closes, its outstanding
 // unacked shares, its dedup state, and its conservation ledger retire as a
 // unit, so nothing ambiguous leaks into the live estimate.
 
-// ActionExchangeAck acknowledges custody transfer of one continuous-mode
-// exchange share. The sender keeps a transferred share's mass in its
+// ActionExchangeAck acknowledges custody transfer of one exchange share. The sender keeps a transferred share's mass in its
 // outstanding ledger until this ack arrives; only then is the transfer
 // committed.
 const ActionExchangeAck = core.Namespace + ":aggregate:exchangeAck"
@@ -34,7 +33,7 @@ func EpochAt(now, window time.Duration) uint64 {
 	return uint64(now/window) + 1
 }
 
-// ExchangeAck is the wire body confirming one continuous exchange share.
+// ExchangeAck is the wire body confirming one exchange share.
 type ExchangeAck struct {
 	XMLName xml.Name `xml:"urn:wsgossip:2008 AggregateExchangeAck"`
 	TaskID  string   `xml:"TaskID"`

@@ -8,17 +8,14 @@ import (
 )
 
 // exchange is one task's push-sum custody, written once for both bindings:
-// the State, its conservation ledger, and — for an epoch-windowed task — the
-// seq/ack machinery that makes a transfer pairwise-atomic. It is the sans-IO
-// half of the protocol: no lock, no clock, no sends. A binding (Service under
-// its mutex, SimNode on the simulator's event loop) serializes the calls,
-// passes in the time and the targets it chose, supplies the node's
-// contribution at each roll, and moves the bytes of whatever a transition
-// hands back; everything the protocol decides is decided here.
-//
-// A one-shot task uses split, take and giveBack: fire-and-forget transfers
-// committed at the split. A windowed task (window > 0) uses tick, absorb,
-// commit and reclaim, all of which roll the epoch first when due.
+// the State, its conservation ledger, the epoch, and the seq/ack machinery
+// that makes a transfer pairwise-atomic. It is the sans-IO half of the
+// protocol: no lock, no clock, no sends. A binding (Service under its mutex,
+// SimNode on the simulator's event loop) serializes the calls, passes in the
+// time and the targets it chose, supplies the node's contribution at each
+// roll, and moves the bytes of whatever a transition hands back; everything
+// the protocol decides is decided here. Every transition — tick, absorb,
+// commit — rolls the epoch first when due; reclaim never does.
 type exchange struct {
 	// taskID and addr are stamped on every outgoing share and ack.
 	taskID, addr string
@@ -27,8 +24,8 @@ type exchange struct {
 	// counts holds the events since the binding last drained them.
 	counts exchangeCounts
 
-	// Windowed tasks only, from here on. window, root and metric also ride
-	// on every share, so a node that never saw the start can join from one.
+	// window, root and metric also ride on every share, so a node that never
+	// saw the start can join from one.
 	window       time.Duration
 	root, metric string
 	// contribute is the binding's policy at a roll: the node's local value,
@@ -91,9 +88,8 @@ const massSnapTol = 1e-9
 // ledger is one task's conservation account. Mass held by the push-sum
 // state plus mass split off but not yet acknowledged (outstanding) must
 // equal everything that entered local custody (in) minus everything whose
-// transfer was committed (out). A one-shot split commits at once (the
-// fan-out reports failures synchronously); a windowed share sits in
-// outstanding until its ack.
+// transfer was committed (out). A split share sits in outstanding until its
+// ack.
 type ledger struct {
 	in          float64
 	out         float64
@@ -111,14 +107,11 @@ func (l *ledger) balance(held float64) float64 {
 	return bal
 }
 
-// newExchange takes custody of st's initial mass for task taskID at addr.
-func newExchange(taskID, addr string, st *State) *exchange {
-	_, w := st.Mass()
-	return &exchange{taskID: taskID, addr: addr, state: st, led: ledger{in: w}}
+// newExchange returns task taskID's machine at addr for function fn, not yet
+// rolled into any epoch: it holds no mass until the first roll contributes.
+func newExchange(taskID, addr string, fn Func, window time.Duration, root, metric string) *exchange {
+	return &exchange{taskID: taskID, addr: addr, state: NewState(fn, 0, false, true), window: window, root: root, metric: metric}
 }
-
-// windowed reports whether the task runs the epoch-windowed acked exchange.
-func (x *exchange) windowed() bool { return x.window > 0 }
 
 // massError is the conservation residual: exactly zero at every commit point
 // — contribution, split, absorb, ack commit, reclaim, epoch roll — because
@@ -126,17 +119,6 @@ func (x *exchange) windowed() bool { return x.window > 0 }
 func (x *exchange) massError() float64 {
 	_, w := x.state.Mass()
 	return x.led.balance(w)
-}
-
-// split runs one fire-and-forget round over n targets and returns the share
-// each of them gets. The transfer is committed here; copies the fan-out could
-// not deliver come back through giveBack.
-func (x *exchange) split(n int) Share {
-	x.state.BeginRound()
-	x.counts.rounds++
-	sum, w := x.state.Split(n)
-	x.led.out += w * float64(n)
-	return x.state.share(x.taskID, x.addr, sum, w)
 }
 
 // admissible reports whether every number sh would add to local state is
@@ -155,39 +137,6 @@ func admissible(sh *Share) bool {
 // talks to — into an epoch the clock never reaches, freezing the task.
 func (x *exchange) tooFarAhead(now time.Duration, k uint64) bool {
 	return k > EpochAt(now, x.window)+1
-}
-
-// take absorbs one fire-and-forget share.
-func (x *exchange) take(sh *Share) {
-	if !admissible(sh) {
-		return
-	}
-	x.state.Absorb(*sh)
-	x.led.in += sh.Weight
-	x.counts.absorbed++
-}
-
-// giveBack re-absorbs n undeliverable copies of a split share.
-func (x *exchange) giveBack(sh *Share, n int) {
-	for i := 0; i < n; i++ {
-		x.state.Absorb(Share{Sum: sh.Sum, Weight: sh.Weight})
-	}
-	x.led.in += sh.Weight * float64(n)
-}
-
-// upgrade completes a passive one-shot join once the start arrives: the local
-// value (State guards against double counting) and, on the root, the anchor
-// weight enter custody.
-func (x *exchange) upgrade(value float64, hasValue, root bool) {
-	_, w0 := x.state.Mass()
-	if hasValue {
-		x.state.Contribute(value)
-	}
-	if root {
-		x.state.ContributeAnchor()
-	}
-	_, w1 := x.state.Mass()
-	x.led.in += w1 - w0
 }
 
 // roll retires the live epoch and enters epoch k; a k that is not ahead is a
@@ -229,10 +178,10 @@ func (x *exchange) roll(k uint64, now time.Duration) {
 	x.counts.epochs++
 }
 
-// tick runs one windowed round at time now and returns the sends to perform,
-// in order: every outstanding share again, in seq order (the receiver dedups
-// on (From, Seq), so a share whose first copy arrived but whose ack was lost
-// is absorbed exactly once and simply re-acked), then one fresh share per
+// tick runs one round at time now and returns the sends to perform, in
+// order: every outstanding share again, in seq order (the receiver dedups on
+// (From, Seq), so a share whose first copy arrived but whose ack was lost is
+// absorbed exactly once and simply re-acked), then one fresh share per
 // target. targets is the binding's sample for this round; it is filtered in
 // place of targets whose oldest pending share has timed out (suspectTries).
 // A send the transport refuses synchronously goes to reclaim unless it is a
@@ -254,19 +203,26 @@ func (x *exchange) tick(now time.Duration, targets []string) []*pendingShare {
 	if len(targets) == 0 {
 		return sends
 	}
-	x.state.BeginRound()
 	x.counts.rounds++
 	sum, w := x.state.Split(len(targets))
 	for _, tg := range targets {
 		x.nextSeq++
-		sh := x.state.share(x.taskID, x.addr, sum, w)
-		sh.WindowMillis = x.window.Milliseconds()
-		sh.Epoch = x.epoch
-		sh.Seq = x.nextSeq
-		sh.Root = x.root
-		sh.Metric = x.metric
-		p := &pendingShare{to: tg, share: sh}
-		x.pending[sh.Seq] = p
+		p := &pendingShare{to: tg, share: Share{
+			TaskID:       x.taskID,
+			Function:     string(x.state.fn),
+			From:         x.addr,
+			Sum:          sum,
+			Weight:       w,
+			HasExtremes:  x.state.hasExtremes,
+			Min:          x.state.min,
+			Max:          x.state.max,
+			WindowMillis: x.window.Milliseconds(),
+			Epoch:        x.epoch,
+			Seq:          x.nextSeq,
+			Root:         x.root,
+			Metric:       x.metric,
+		}}
+		x.pending[x.nextSeq] = p
 		// Outstanding is charged per share (not batched) so a later
 		// per-share reclaim or commit cancels its entry term-for-term.
 		x.led.outstanding += w
@@ -275,8 +231,8 @@ func (x *exchange) tick(now time.Duration, targets []string) []*pendingShare {
 	return sends
 }
 
-// absorb takes one inbound windowed share at time now and returns the ack
-// for it; reply is false when there is nobody to ack (no sender, or the node
+// absorb takes one inbound share at time now and returns the ack for it;
+// reply is false when there is nobody to ack (no sender, or the node
 // itself). A share of the live epoch is absorbed once per (From, Seq). A
 // share from a retired epoch is acked without absorbing — its mass died with
 // that epoch everywhere, and the ack both stops the retries and rolls the

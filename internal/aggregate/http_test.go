@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"wsgossip/internal/clock"
 	"wsgossip/internal/core"
 	"wsgossip/internal/soap"
 )
@@ -42,6 +43,7 @@ func (l *lateBound) HandleSOAP(ctx context.Context, req *soap.Request) (*soap.En
 // path a distributed deployment uses.
 func TestAggregationOverRealHTTP(t *testing.T) {
 	client := soap.NewHTTPClient(&http.Client{Timeout: 5 * time.Second})
+	clk := clock.NewVirtual()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -72,6 +74,7 @@ func TestAggregationOverRealHTTP(t *testing.T) {
 			Caller:  client,
 			Value:   func() float64 { return v },
 			RNG:     rand.New(rand.NewSource(int64(i) + 2)),
+			Clock:   clk,
 		})
 		if err != nil {
 			t.Fatalf("NewService: %v", err)
@@ -91,6 +94,7 @@ func TestAggregationOverRealHTTP(t *testing.T) {
 		Caller:     client,
 		Activation: coordURL,
 		RNG:        rand.New(rand.NewSource(77)),
+		Clock:      clk,
 	})
 	if err != nil {
 		t.Fatalf("NewQuerier: %v", err)
@@ -101,19 +105,19 @@ func TestAggregationOverRealHTTP(t *testing.T) {
 		t.Fatalf("subscribe querier: %v", err)
 	}
 
-	tk, err := q.StartAggregation(ctx, FuncAvg)
+	tk, err := q.StartContinuous(ctx, "value", FuncAvg, clusterWindow)
 	if err != nil {
-		t.Fatalf("StartAggregation: %v", err)
+		t.Fatalf("StartContinuous: %v", err)
 	}
-	maxRounds := tk.Params.MaxRounds
-	if maxRounds <= 0 || maxRounds > 60 {
-		maxRounds = 60
-	}
-	for r := 0; r < maxRounds && !q.Converged(tk.ID); r++ {
+	var stable stability
+	for r := 0; r < 60; r++ {
 		for _, svc := range services {
 			svc.Tick(ctx)
 		}
 		q.Tick(ctx)
+		if stable.converged(q.Estimate(tk.ID)) {
+			break
+		}
 	}
 
 	truth := 0.0
@@ -128,11 +132,10 @@ func TestAggregationOverRealHTTP(t *testing.T) {
 	if relErr := math.Abs(est-truth) / truth; relErr > 0.01 {
 		t.Fatalf("HTTP aggregation estimate %.4f vs truth %.4f: rel err %.4f > 1%%", est, truth, relErr)
 	}
-	results, err := q.Collect(ctx, tk, 3)
-	if err != nil {
-		t.Fatalf("Collect over HTTP: %v", err)
-	}
-	if len(results) == 0 {
-		t.Fatalf("Collect over HTTP returned no results")
+	for i, svc := range services {
+		got, ok := svc.Estimate(tk.ID)
+		if !ok || math.Abs(got-truth)/truth > 0.01 {
+			t.Fatalf("service %d estimate %.4f (defined %v) vs truth %.4f over HTTP", i, got, ok, truth)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -142,9 +143,30 @@ func TestContinuousPoisonShareRejected(t *testing.T) {
 	}
 }
 
-// TestOneShotPoisonShareRejected is the fire-and-forget intake's half, on a
-// min task so a poisoned extreme shows in the estimate.
+// TestOneShotPoisonShareRejected: a share without a window — the
+// fire-and-forget form — is refused whatever it carries: the Service faults
+// it as the sender's error, and the SimNode drops it unabsorbed and unacked,
+// so neither a poisoned nor a healthy one moves mass or a min estimate.
 func TestOneShotPoisonShareRejected(t *testing.T) {
+	c, task, share, _ := intakeCluster(t)
+	svc := c.services[0]
+	sum0, w0, _ := svc.Mass(task)
+	windowless := share
+	windowless.WindowMillis = 0
+	env, err := newMessage(ActionExchange, svc.tasks[task].ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.SetBodyBlock(shareBlock(&windowless))
+	_, err = c.bus.Call(context.Background(), addrOf(0), env)
+	var fault *soap.Fault
+	if !errors.As(err, &fault) || fault.Code.Value != soap.CodeSender {
+		t.Fatalf("windowless share answered %v, want a Sender fault", err)
+	}
+	if sum, w, _ := svc.Mass(task); sum != sum0 || w != w0 {
+		t.Fatalf("windowless share changed mass (%g, %g) -> (%g, %g)", sum0, w0, sum, w)
+	}
+
 	net := simnet.New(simnet.DefaultConfig(1))
 	node, err := NewSimNode(SimNodeConfig{
 		Endpoint: net.Node("a"),
@@ -153,25 +175,35 @@ func TestOneShotPoisonShareRejected(t *testing.T) {
 		TaskID:   "t1",
 		Func:     FuncMin,
 		Value:    4,
+		Window:   time.Second,
+		Clock:    net,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum0, w0 := node.State().Mass()
-	est0, _ := node.State().Estimate()
-	for _, sh := range poisonShares(Share{TaskID: "t1", Function: string(FuncMin), From: "b"}) {
+	node.Tick(context.Background()) // rolls into epoch 1: the node holds its value
+	sum0, w0 = node.State().Mass()
+	est0, ok := node.State().Estimate()
+	if !ok || est0 != 4 {
+		t.Fatalf("min estimate after the first roll = %g (defined %v), want 4", est0, ok)
+	}
+	healthy := Share{TaskID: "t1", Function: string(FuncMin), From: "b", HasExtremes: true, Min: 1, Max: 1}
+	for _, sh := range append(poisonShares(healthy), healthy) {
 		msg := transport.Message{From: "b", To: "a", Action: ActionExchange, Body: shareBlock(&sh).Raw}
 		if err := node.handleExchange(context.Background(), msg); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if sum, w := node.State().Mass(); sum != sum0 || w != w0 {
-		t.Fatalf("poison shares changed mass (%g, %g) -> (%g, %g)", sum0, w0, sum, w)
+		t.Fatalf("windowless shares changed mass (%g, %g) -> (%g, %g)", sum0, w0, sum, w)
 	}
 	if est, _ := node.State().Estimate(); est != est0 {
-		t.Fatalf("poison shares moved the min estimate %g -> %g", est0, est)
+		t.Fatalf("windowless shares moved the min estimate %g -> %g", est0, est)
+	}
+	if st := node.SimStats(); st.SharesAbsorbed != 0 || st.AcksSent != 0 {
+		t.Fatalf("windowless shares were absorbed or acked: %+v", st)
 	}
 	if e := node.MassError(); e != 0 {
-		t.Fatalf("mass error = %g after poison shares, want exactly 0", e)
+		t.Fatalf("mass error = %g after windowless shares, want exactly 0", e)
 	}
 }

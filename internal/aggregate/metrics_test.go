@@ -2,11 +2,11 @@ package aggregate
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"wsgossip/internal/clock"
 	"wsgossip/internal/core"
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/soap"
@@ -14,11 +14,12 @@ import (
 
 // TestAggregateMetricsViews runs an avg aggregation over a small cluster
 // with a per-node registry and checks Stats() is a view over the scraped
-// series, rounds are counted, and the mass-conservation gauge stays at
-// float-rounding scale.
+// series, rounds are counted, and the mass-conservation gauge reads exactly
+// zero.
 func TestAggregateMetricsViews(t *testing.T) {
 	ctx := context.Background()
 	bus := soap.NewMemBus()
+	clk := clock.NewVirtual()
 	coord := core.NewCoordinator(core.CoordinatorConfig{
 		Address: "mem://coordinator",
 		RNG:     rand.New(rand.NewSource(9)),
@@ -38,6 +39,7 @@ func TestAggregateMetricsViews(t *testing.T) {
 			Value:   func() float64 { return v },
 			RNG:     rand.New(rand.NewSource(int64(i) + 100)),
 			Metrics: regs[i],
+			Clock:   clk,
 		})
 		if err != nil {
 			t.Fatalf("NewService: %v", err)
@@ -56,6 +58,7 @@ func TestAggregateMetricsViews(t *testing.T) {
 		Activation: "mem://coordinator",
 		RNG:        rand.New(rand.NewSource(7)),
 		Metrics:    qreg,
+		Clock:      clk,
 	})
 	if err != nil {
 		t.Fatalf("NewQuerier: %v", err)
@@ -66,9 +69,9 @@ func TestAggregateMetricsViews(t *testing.T) {
 		t.Fatalf("subscribe querier: %v", err)
 	}
 
-	tk, err := q.StartAggregation(ctx, FuncAvg)
+	tk, err := q.StartContinuous(ctx, "value", FuncAvg, clusterWindow)
 	if err != nil {
-		t.Fatalf("StartAggregation: %v", err)
+		t.Fatalf("StartContinuous: %v", err)
 	}
 	for r := 0; r < 10; r++ {
 		for _, svc := range svcs {
@@ -96,11 +99,14 @@ func TestAggregateMetricsViews(t *testing.T) {
 		if got := regs[i].Counter("aggregate_shares_absorbed_total").Value(); got != stats.SharesAbsorbed {
 			t.Fatalf("node %d registry absorbed = %d, stats = %d", i, got, stats.SharesAbsorbed)
 		}
-		if got, want := regs[i].Counter("aggregate_rounds_total").Value(), int64(svc.Rounds(tk.ID)); got != want {
+		svc.mu.Lock()
+		want := int64(svc.tasks[tk.ID].x.state.Rounds())
+		svc.mu.Unlock()
+		if got := regs[i].Counter("aggregate_rounds_total").Value(); got != want || want == 0 {
 			t.Fatalf("node %d rounds counter = %d, state rounds = %d", i, got, want)
 		}
-		if e := regs[i].FloatGauge("aggregate_mass_error").Value(); math.Abs(e) > 1e-9 {
-			t.Fatalf("node %d mass-conservation error = %g, want ~0", i, e)
+		if e := regs[i].FloatGauge("aggregate_mass_error").Value(); e != 0 {
+			t.Fatalf("node %d mass-conservation error = %g, want exactly 0", i, e)
 		}
 	}
 

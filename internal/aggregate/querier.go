@@ -4,15 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"wsgossip/internal/clock"
 	"wsgossip/internal/core"
-	"wsgossip/internal/gossip"
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/soap"
-	"wsgossip/internal/wsa"
 	"wsgossip/internal/wscoord"
 )
 
@@ -36,9 +33,9 @@ type QuerierConfig struct {
 	// nil uses a private registry.
 	Metrics *metrics.Registry
 	// Clock, Values, and Peers are forwarded to the embedded Service: the
-	// shared clock continuous epochs derive from, the named local value
-	// sources continuous queries sample, and the live peer view exchange
-	// targets are drawn from (see ServiceConfig).
+	// shared clock epochs derive from, the named local value sources queries
+	// sample, and the live peer view exchange targets are drawn from (see
+	// ServiceConfig).
 	Clock  clock.Clock
 	Values map[string]func() float64
 	Peers  core.PeerView
@@ -46,17 +43,12 @@ type QuerierConfig struct {
 
 // Querier is the aggregation counterpart of the Initiator role: the one
 // node whose application code changes. It activates an aggregation
-// interaction, seeds the anchor weight that count/sum queries need,
-// disseminates the start message, and collects the converged estimate.
+// interaction, seeds the anchor weight that count/sum queries need every
+// epoch, and disseminates the start message.
 type Querier struct {
 	cfg        QuerierConfig
 	svc        *Service
 	activation *wscoord.ActivationClient
-
-	// mu guards rng: the inner service uses its own generator under its
-	// own lock, so Collect can run concurrently with a timer-driven Tick.
-	mu  sync.Mutex
-	rng *rand.Rand
 }
 
 // Task is one activated aggregation interaction as seen by its querier.
@@ -80,6 +72,9 @@ func NewQuerier(cfg QuerierConfig) (*Querier, error) {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
+	// The first draw is skipped: seeded runs are recorded with the service
+	// sampling targets from the second draw on.
+	rng.Int63()
 	svc, err := NewService(ServiceConfig{
 		Address: cfg.Address,
 		Caller:  cfg.Caller,
@@ -97,9 +92,6 @@ func NewQuerier(cfg QuerierConfig) (*Querier, error) {
 		cfg:        cfg,
 		svc:        svc,
 		activation: wscoord.NewActivationClient(cfg.Caller, cfg.Address),
-		// Derived, not shared: the service's generator is guarded by the
-		// service mutex and must not be touched from Collect.
-		rng: rand.New(rand.NewSource(rng.Int63())),
 	}, nil
 }
 
@@ -115,51 +107,14 @@ func (q *Querier) Handler() soap.Handler { return q.svc.Handler() }
 // (e.g. a Disseminator) on one endpoint.
 func (q *Querier) RegisterActions(d *soap.Dispatcher) { q.svc.RegisterActions(d) }
 
-// StartAggregation activates an aggregation interaction for fn, registers
-// the querier (obtaining fanout, epsilon, round budget, and targets), seeds
-// the anchor state, and disseminates the start message over the assigned
-// overlay. Exchange rounds are driven by Tick.
-func (q *Querier) StartAggregation(ctx context.Context, fn Func) (*Task, error) {
-	if _, err := ParseFunc(string(fn)); err != nil {
-		return nil, err
-	}
-	cctx, err := q.activation.Create(ctx, q.cfg.Activation, core.CoordinationTypeGossip)
-	if err != nil {
-		return nil, fmt.Errorf("aggregate: activate interaction: %w", err)
-	}
-	params, err := q.svc.registerTask(ctx, cctx)
-	if err != nil {
-		return nil, fmt.Errorf("aggregate: register querier: %w", err)
-	}
-	q.svc.startLocalTask(cctx.Identifier, fn, cctx, params, true)
-	start := Start{
-		TaskID:   cctx.Identifier,
-		Function: string(fn),
-		Root:     q.cfg.Address,
-		Hops:     params.Hops,
-	}
-	if len(params.Targets) > 0 {
-		// The start flood is one logical message: serialized once, a
-		// per-target copy rendered at wsa:To (encode-once wire path).
-		env, err := buildMessage(ActionStart, cctx, start)
-		if err != nil {
-			return nil, err
-		}
-		sent, failed := soap.Fanout(ctx, q.cfg.Caller, env, params.Targets)
-		q.svc.stats.sendErrors.Add(int64(len(failed)))
-		if sent == 0 {
-			return nil, fmt.Errorf("aggregate: start reached none of %d targets", len(params.Targets))
-		}
-	}
-	return &Task{ID: cctx.Identifier, Func: fn, Params: params, Context: cctx}, nil
-}
-
-// StartContinuous activates an epoch-windowed aggregation: like
-// StartAggregation, but the task never converges-and-stops — every node
-// restarts push-sum at each window boundary on the shared clock, so the
+// StartContinuous activates an epoch-windowed aggregation: it registers
+// the querier (obtaining fanout, hop budget and targets), installs the task
+// as its root, and disseminates the start over the assigned overlay. Every
+// node restarts push-sum at each window boundary on the shared clock, so the
 // estimate tracks churn. name selects the participants' local value source
 // (ServiceConfig.Values) and labels the query for consumers. The querier
-// is the root: it re-seeds the anchor weight every epoch.
+// re-seeds the anchor weight every epoch. A start that reaches none of its
+// targets leaves no task behind.
 func (q *Querier) StartContinuous(ctx context.Context, name string, fn Func, window time.Duration) (*Task, error) {
 	if _, err := ParseFunc(string(fn)); err != nil {
 		return nil, err
@@ -185,13 +140,17 @@ func (q *Querier) StartContinuous(ctx context.Context, name string, fn Func, win
 		Metric:       name,
 	}
 	if len(params.Targets) > 0 {
+		// The start flood is one logical message: serialized once, a
+		// per-target copy rendered at wsa:To (encode-once wire path).
 		env, err := buildMessage(ActionStart, cctx, start)
 		if err != nil {
+			q.svc.dropTask(cctx.Identifier)
 			return nil, err
 		}
 		sent, failed := soap.Fanout(ctx, q.cfg.Caller, env, params.Targets)
 		q.svc.stats.sendErrors.Add(int64(len(failed)))
 		if sent == 0 {
+			q.svc.dropTask(cctx.Identifier)
 			return nil, fmt.Errorf("aggregate: start reached none of %d targets", len(params.Targets))
 		}
 	}
@@ -201,11 +160,11 @@ func (q *Querier) StartContinuous(ctx context.Context, name string, fn Func, win
 // Tick runs one of the querier's own exchange rounds.
 func (q *Querier) Tick(ctx context.Context) { q.svc.Tick(ctx) }
 
-// EpochOf returns the querier's live epoch for a continuous task.
+// EpochOf returns the querier's live epoch for a task.
 func (q *Querier) EpochOf(taskID string) uint64 { return q.svc.EpochOf(taskID) }
 
 // FrozenEstimate returns the querier's last closed-epoch estimate for a
-// continuous task.
+// task.
 func (q *Querier) FrozenEstimate(taskID string) (EpochEstimate, bool) {
 	return q.svc.FrozenEstimate(taskID)
 }
@@ -219,53 +178,8 @@ func (q *Querier) ActivityCount() uint64 { return q.svc.ActivityCount() }
 // Service.OnActivity).
 func (q *Querier) OnActivity(fn func()) { q.svc.OnActivity(fn) }
 
-// Estimate returns the querier's current local estimate for the task.
+// Estimate returns the querier's live local estimate for the task.
 func (q *Querier) Estimate(taskID string) (float64, bool) { return q.svc.Estimate(taskID) }
-
-// Converged reports whether the querier's local estimate has stabilized.
-func (q *Querier) Converged(taskID string) bool { return q.svc.Converged(taskID) }
-
-// Rounds returns how many exchange rounds the querier has run for the task.
-func (q *Querier) Rounds(taskID string) int { return q.svc.Rounds(taskID) }
 
 // Stats returns the querier's participant counters.
 func (q *Querier) Stats() ServiceStats { return q.svc.Stats() }
-
-// Collect queries up to sample peers from the task's overlay for their
-// current estimates — the converged-estimate collection step. The returned
-// results let the caller check population-wide agreement; the querier's own
-// estimate is available via Estimate.
-func (q *Querier) Collect(ctx context.Context, tk *Task, sample int) ([]QueryResult, error) {
-	if tk == nil {
-		return nil, fmt.Errorf("aggregate: collect without a task")
-	}
-	q.mu.Lock()
-	peers := gossip.SamplePeers(q.rng, tk.Params.Targets, sample, q.cfg.Address)
-	q.mu.Unlock()
-	out := make([]QueryResult, 0, len(peers))
-	for _, peer := range peers {
-		env := soap.NewEnvelope()
-		from := wsa.NewEPR(q.cfg.Address)
-		if err := env.SetAddressing(wsa.Headers{
-			To:        peer,
-			Action:    ActionQuery,
-			MessageID: wsa.NewMessageID(),
-			ReplyTo:   &from,
-		}); err != nil {
-			return out, err
-		}
-		if err := env.SetBody(Query{TaskID: tk.ID}); err != nil {
-			return out, err
-		}
-		resp, err := q.cfg.Caller.Call(ctx, peer, env)
-		if err != nil {
-			continue // unreachable or late joiner; gossip tolerates it
-		}
-		var result QueryResult
-		if resp == nil || resp.DecodeBody(&result) != nil {
-			continue
-		}
-		out = append(out, result)
-	}
-	return out, nil
-}

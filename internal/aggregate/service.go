@@ -36,12 +36,9 @@ type ServiceStats struct {
 	SharesAbsorbed int64
 	// StartsForwarded counts start-message re-floods.
 	StartsForwarded int64
-	// QueriesServed counts answered estimate queries.
-	QueriesServed int64
-	// SendErrors counts failed sends (mass in unsent shares is returned
-	// to local state, preserving conservation).
+	// SendErrors counts failed sends.
 	SendErrors int64
-	// Epochs counts continuous-task epoch rolls.
+	// Epochs counts epoch rolls.
 	Epochs int64
 	// AcksSent counts exchange acks sent for absorbed or stale shares.
 	AcksSent int64
@@ -68,8 +65,9 @@ type ServiceConfig struct {
 	Address string
 	// Caller sends SOAP messages.
 	Caller soap.Caller
-	// Value reads the node's local measurement when a task starts (e.g. a
-	// queue depth, a price, a load average). Nil joins tasks passively.
+	// Value reads the node's local measurement at each epoch (e.g. a queue
+	// depth, a price, a load average). Nil, with no entry in Values for a
+	// task's metric, joins the task passively.
 	Value func() float64
 	// RNG drives peer sampling; nil falls back to a fixed seed.
 	RNG *rand.Rand
@@ -84,14 +82,14 @@ type ServiceConfig struct {
 	// aggregate_mass_error gauge). Nil uses a private registry; Stats()
 	// reads the same counters either way.
 	Metrics *metrics.Registry
-	// Clock is the shared time source continuous tasks derive their epoch
-	// index from. Nil falls back to the Unix-epoch wall clock (clock.NewWall),
-	// which is fine for real deployments — all nodes resolve the same epoch
-	// index from synchronized machine clocks — but makes continuous tasks
-	// nondeterministic in virtual-time tests; pass the test clock there.
+	// Clock is the shared time source tasks derive their epoch index from.
+	// Nil falls back to the Unix-epoch wall clock (clock.NewWall), which is
+	// fine for real deployments — all nodes resolve the same epoch index
+	// from synchronized machine clocks — but makes tasks nondeterministic in
+	// virtual-time tests; pass the test clock there.
 	Clock clock.Clock
-	// Values resolves named local value sources for continuous queries
-	// (e.g. "load" → a load sampler). A metric with no entry falls back to
+	// Values resolves named local value sources for queries (e.g. "load" →
+	// a load sampler). A metric with no entry falls back to
 	// Value. Value sources are read under the service lock and must be
 	// fast and must not call back into the service.
 	Values map[string]func() float64
@@ -119,8 +117,8 @@ func contextBlock(cctx wscoord.CoordinationContext) soap.Block {
 }
 
 // Service is the aggregation participant role: application code supplies
-// one local value; the middleware joins aggregation interactions on first
-// contact and gossips push-sum shares until the estimate converges.
+// local values; the middleware joins aggregation interactions on first
+// contact and gossips push-sum shares, restarting every epoch.
 type Service struct {
 	cfg      ServiceConfig
 	register *wscoord.RegistrationClient
@@ -143,19 +141,17 @@ type aggCounters struct {
 	sharesSent      *metrics.Counter
 	sharesAbsorbed  *metrics.Counter
 	startsForwarded *metrics.Counter
-	queriesServed   *metrics.Counter
 	sendErrors      *metrics.Counter
 	rounds          *metrics.Counter
 	massErr         *metrics.FloatGauge
-	// Continuous-mode series.
-	epochs    *metrics.Counter
-	acksSent  *metrics.Counter
-	commits   *metrics.Counter
-	retries   *metrics.Counter
-	recovered *metrics.Counter
-	stale     *metrics.Counter
-	dups      *metrics.Counter
-	unacked   *metrics.Counter
+	epochs          *metrics.Counter
+	acksSent        *metrics.Counter
+	commits         *metrics.Counter
+	retries         *metrics.Counter
+	recovered       *metrics.Counter
+	stale           *metrics.Counter
+	dups            *metrics.Counter
+	unacked         *metrics.Counter
 }
 
 func newAggCounters(reg *metrics.Registry) aggCounters {
@@ -165,7 +161,6 @@ func newAggCounters(reg *metrics.Registry) aggCounters {
 		sharesSent:      reg.Counter("aggregate_shares_sent_total"),
 		sharesAbsorbed:  reg.Counter("aggregate_shares_absorbed_total"),
 		startsForwarded: reg.Counter("aggregate_starts_forwarded_total"),
-		queriesServed:   reg.Counter("aggregate_queries_served_total"),
 		sendErrors:      reg.Counter("aggregate_send_errors_total"),
 		rounds:          reg.Counter("aggregate_rounds_total"),
 		massErr:         reg.FloatGauge("aggregate_mass_error"),
@@ -214,7 +209,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		// Unix-epoch anchored, NOT a zero-value Real: the zero value's
 		// year-1 epoch saturates Now at the Duration maximum, and not a
 		// construction-time epoch either — peers constructed at different
-		// moments must still agree on which continuous epoch is open.
+		// moments must still agree on which epoch is open.
 		clk = clock.NewWall()
 	}
 	return &Service{
@@ -239,7 +234,6 @@ func (s *Service) Stats() ServiceStats {
 		SharesSent:      s.stats.sharesSent.Value(),
 		SharesAbsorbed:  s.stats.sharesAbsorbed.Value(),
 		StartsForwarded: s.stats.startsForwarded.Value(),
-		QueriesServed:   s.stats.queriesServed.Value(),
 		SendErrors:      s.stats.sendErrors.Value(),
 		Epochs:          s.stats.epochs.Value(),
 		AcksSent:        s.stats.acksSent.Value(),
@@ -254,9 +248,8 @@ func (s *Service) Stats() ServiceStats {
 
 // ActivityCount is a monotonic counter of aggregation traffic at this node:
 // tasks joined plus shares absorbed. An adaptive Runner samples it each
-// exchange round — an unchanged count between two fires means every task
-// has gone quiescent (converged or round-capped) and the exchange period
-// may back off.
+// exchange round — an unchanged count between two fires means no task is
+// exchanging (none has started yet) and the exchange period may back off.
 func (s *Service) ActivityCount() uint64 {
 	return uint64(s.stats.started.Value()) +
 		uint64(s.stats.passiveJoins.Value()) +
@@ -297,7 +290,6 @@ func (s *Service) RegisterActions(d *soap.Dispatcher) {
 	d.Register(ActionStart, soap.HandlerFunc(s.handleStart))
 	d.Register(ActionExchange, soap.HandlerFunc(s.handleExchange))
 	d.Register(ActionExchangeAck, soap.HandlerFunc(s.handleExchangeAck))
-	d.Register(ActionQuery, soap.HandlerFunc(s.handleQuery))
 }
 
 // evalMassLocked re-evaluates the aggregate_mass_error gauge from the
@@ -311,18 +303,6 @@ func (s *Service) evalMassLocked() {
 	s.stats.massErr.Set(err)
 }
 
-// Tasks returns the IDs of the tasks the node participates in, sorted.
-func (s *Service) Tasks() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.tasks))
-	for id := range s.tasks {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Estimate returns the node's current estimate for the task.
 func (s *Service) Estimate(taskID string) (float64, bool) {
 	s.mu.Lock()
@@ -332,18 +312,6 @@ func (s *Service) Estimate(taskID string) (float64, bool) {
 		return 0, false
 	}
 	return t.x.state.Estimate()
-}
-
-// Converged reports whether the task's estimate has stabilized to within
-// the coordinator-assigned epsilon.
-func (s *Service) Converged(taskID string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tasks[taskID]
-	if !ok {
-		return false
-	}
-	return t.x.state.Converged(t.params.Epsilon)
 }
 
 // Mass returns the node's conserved (sum, weight) pair for the task.
@@ -358,21 +326,11 @@ func (s *Service) Mass(taskID string) (sum, weight float64, ok bool) {
 	return sum, weight, true
 }
 
-// Rounds returns how many exchange rounds the node has run for the task.
-func (s *Service) Rounds(taskID string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tasks[taskID]
-	if !ok {
-		return 0
-	}
-	return t.x.state.Rounds()
-}
-
 // handleStart joins an aggregation task: register with the interaction's
-// Registration service for the aggregation protocol, contribute the local
-// value, and re-flood the start over the assigned overlay while hop budget
-// remains.
+// Registration service for the aggregation protocol, roll into the current
+// epoch (which contributes the local value), and re-flood the start over the
+// assigned overlay while hop budget remains. A start without a window is
+// refused.
 func (s *Service) handleStart(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
 	var start Start
 	if err := req.Envelope.DecodeBody(&start); err != nil {
@@ -382,6 +340,9 @@ func (s *Service) handleStart(ctx context.Context, req *soap.Request) (*soap.Env
 	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, err.Error())
 	}
+	if start.WindowMillis <= 0 {
+		return nil, soap.NewFault(soap.CodeSender, "aggregate start without a window")
+	}
 	cctx, err := wscoord.ContextFrom(req.Envelope)
 	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "aggregate start without coordination context: "+err.Error())
@@ -390,77 +351,41 @@ func (s *Service) handleStart(ctx context.Context, req *soap.Request) (*soap.Env
 	existing, known := s.tasks[start.TaskID]
 	s.mu.Unlock()
 	if known {
-		// Usually a duplicate flood copy — but if an exchange share
-		// outran the start (passive join), this start is the node's first
-		// chance to contribute its local value and, if registration had
-		// failed back then, to obtain targets.
-		s.upgradePassiveTask(ctx, existing, start, cctx)
+		// Usually a duplicate flood copy — but if an exchange share outran
+		// the start (passive join), this start confirms the root and metric
+		// and, if registration failed back then, brings targets.
+		s.completePassiveJoin(ctx, existing, start, cctx)
 		return nil, nil
 	}
 	params, err := s.registerTask(ctx, cctx)
 	if err != nil {
 		return nil, err
 	}
-	var t *task
-	if start.WindowMillis > 0 {
-		window := time.Duration(start.WindowMillis) * time.Millisecond
-		t = s.newContinuousTask(start.TaskID, fn, window, start.Root, start.Metric, params, cctx)
-	} else {
-		t = s.newTask(start.TaskID, fn, start.Root == s.cfg.Address, params, cctx)
-	}
-	s.mu.Lock()
-	if _, raced := s.tasks[start.TaskID]; raced {
-		s.mu.Unlock()
+	window := time.Duration(start.WindowMillis) * time.Millisecond
+	if !s.install(s.newContinuousTask(start.TaskID, fn, window, start.Root, start.Metric, params, cctx)) {
 		return nil, nil
 	}
-	if t.x.windowed() {
-		// A continuous start rolls into the current epoch on the spot,
-		// which contributes the local value and seeds the anchor if this
-		// node is the root.
-		now := s.clk.Now()
-		t.x.roll(EpochAt(now, t.x.window), now)
-		s.stats.drain(&t.x.counts)
-	}
-	s.tasks[start.TaskID] = t
-	s.stats.started.Inc()
-	s.evalMassLocked()
-	s.mu.Unlock()
-	s.bumpActivity()
 	if start.Hops > 0 {
 		s.forwardStart(ctx, start, cctx, params.Targets)
 	}
 	return nil, nil
 }
 
-// upgradePassiveTask completes a passive join once the start arrives: the
-// node contributes its local value (guarded against double counting), seeds
-// the anchor weight if it is the root, and retries registration when the
-// passive join's attempt failed and left it without targets.
-func (s *Service) upgradePassiveTask(ctx context.Context, t *task, start Start, cctx wscoord.CoordinationContext) {
+// completePassiveJoin is a start's effect on a task the node already holds.
+// A node that joined through a share keeps the contribution deferral the
+// join set (it contributes from the next epoch boundary, never retroactively
+// mid-window); the start only fills in what the share lacked, and retries
+// registration when the passive join's attempt failed and left it without
+// targets.
+func (s *Service) completePassiveJoin(ctx context.Context, t *task, start Start, cctx wscoord.CoordinationContext) {
 	s.mu.Lock()
-	needTargets := len(t.params.Targets) == 0
-	if t.x.windowed() {
-		// Continuous task that joined through a share: the start only
-		// confirms what the share already carried. The node begins
-		// contributing at the next epoch boundary (set by the passive
-		// join), never retroactively mid-window.
-		if t.x.root == "" {
-			t.x.root = start.Root
-		}
-		if t.x.metric == "" {
-			t.x.metric = start.Metric
-		}
-	} else {
-		var value float64
-		hasValue := s.cfg.Value != nil && !t.x.state.Contributed()
-		if hasValue {
-			s.mu.Unlock()
-			value = s.cfg.Value()
-			s.mu.Lock()
-		}
-		t.x.upgrade(value, hasValue, start.Root == s.cfg.Address)
-		s.evalMassLocked()
+	if t.x.root == "" {
+		t.x.root = start.Root
 	}
+	if t.x.metric == "" {
+		t.x.metric = start.Metric
+	}
+	needTargets := len(t.params.Targets) == 0
 	s.mu.Unlock()
 	if !needTargets {
 		return
@@ -535,7 +460,7 @@ func (s *Service) forwardStart(ctx context.Context, start Start, cctx wscoord.Co
 	next.Hops = start.Hops - 1
 	env, err := buildMessage(ActionStart, cctx, next)
 	if err != nil {
-		s.addSendErrors(len(targets))
+		s.stats.sendErrors.Add(int64(len(targets)))
 		return
 	}
 	sent, failed := soap.Fanout(ctx, s.cfg.Caller, env, targets)
@@ -543,16 +468,151 @@ func (s *Service) forwardStart(ctx context.Context, start Start, cctx wscoord.Co
 	s.stats.sendErrors.Add(int64(len(failed)))
 }
 
-// handleExchange absorbs an incoming push-sum share. A node that never saw
-// the start still conserves the mass: it registers through the share's
-// coordination context and joins passively.
+// newContinuousTask builds a task that has not rolled yet. Its contribution
+// at each roll is the metric's local value source (the named entry in
+// Values, else the default Value, else none: passive) and the anchor weight
+// if this node is the root. Value sources run under s.mu.
+func (s *Service) newContinuousTask(taskID string, fn Func, window time.Duration, root, metric string, params core.AggregateParameters, cctx wscoord.CoordinationContext) *task {
+	x := newExchange(taskID, s.cfg.Address, fn, window, root, metric)
+	x.contribute = func() (float64, bool, bool) {
+		isRoot := x.root != "" && x.root == s.cfg.Address
+		f := s.cfg.Value
+		if named := s.cfg.Values[x.metric]; x.metric != "" && named != nil {
+			f = named
+		}
+		if f == nil {
+			return 0, isRoot, false
+		}
+		return f(), isRoot, true
+	}
+	return &task{x: x, params: params, ctx: contextBlock(cctx)}
+}
+
+// startContinuousLocal installs a task created by this node (the Querier's
+// path): the node is the root.
+func (s *Service) startContinuousLocal(taskID string, fn Func, cctx wscoord.CoordinationContext, params core.AggregateParameters, window time.Duration, metric string) {
+	s.install(s.newContinuousTask(taskID, fn, window, s.cfg.Address, metric, params, cctx))
+}
+
+// install adds t unless its task is already known, rolling it into the
+// current epoch on the spot — which contributes the local value and seeds
+// the anchor if this node is the root — and reports whether it did.
+func (s *Service) install(t *task) bool {
+	s.mu.Lock()
+	if _, known := s.tasks[t.x.taskID]; known {
+		s.mu.Unlock()
+		return false
+	}
+	now := s.clk.Now()
+	t.x.roll(EpochAt(now, t.x.window), now)
+	s.stats.drain(&t.x.counts)
+	s.tasks[t.x.taskID] = t
+	s.stats.started.Inc()
+	s.evalMassLocked()
+	s.mu.Unlock()
+	// A new task is traffic too: snap a backed-off exchange loop to base
+	// pace so its first push-sum round is not delayed by a stretched
+	// quiescent interval.
+	s.bumpActivity()
+	return true
+}
+
+// dropTask forgets a task this node started but could not announce.
+func (s *Service) dropTask(taskID string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.tasks, taskID)
+	s.evalMassLocked()
+}
+
+// targetsLocked samples a task's exchange targets for one round. A passive
+// joiner whose registration failed has no parameters; with a live view (or
+// assigned targets) it still relays at the default fanout. Caller holds s.mu.
+func (s *Service) targetsLocked(t *task) []string {
+	fanout := t.params.Fanout
+	if fanout <= 0 {
+		if s.cfg.Peers == nil && len(t.params.Targets) == 0 {
+			return nil
+		}
+		fanout = passiveFanout
+	}
+	return core.SelectTargets(s.cfg.Peers, s.rng, fanout, s.cfg.Address, t.params.Targets)
+}
+
+// staged is one share send chosen under the lock and performed outside it.
+type staged struct {
+	taskID string
+	cctx   soap.Block
+	p      *pendingShare
+	// retry is p.retry() as read under the lock.
+	retry bool
+}
+
+// Tick runs one push-sum round for every task, in task-ID order: the
+// machine rolls the epoch when the clock crossed a boundary, retries unacked
+// shares and splits fresh ones for this round's sampled targets. The sends
+// happen outside the lock; a refused first send goes back to the machine,
+// which reclaims the mass, and a refused retry only counts. Call it from a
+// timer at the deployment's exchange interval.
+func (s *Service) Tick(ctx context.Context) {
+	var sends []staged
+	s.mu.Lock()
+	ids := make([]string, 0, len(s.tasks))
+	for id := range s.tasks {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		t := s.tasks[id]
+		for _, p := range t.x.tick(s.clk.Now(), s.targetsLocked(t)) {
+			sends = append(sends, staged{taskID: id, cctx: t.ctx, p: p, retry: p.retry()})
+		}
+		s.stats.drain(&t.x.counts)
+	}
+	s.evalMassLocked()
+	s.mu.Unlock()
+	for _, st := range sends {
+		env, err := newMessage(ActionExchange, st.cctx)
+		if err == nil {
+			env.SetBodyBlock(shareBlock(&st.p.share))
+			err = s.cfg.Caller.Send(ctx, st.p.to, env)
+		}
+		switch {
+		case err == nil:
+			s.stats.sharesSent.Inc()
+		case st.retry:
+			s.stats.sendErrors.Inc()
+		default:
+			s.reclaim(st.taskID, st.p)
+		}
+	}
+}
+
+// reclaim hands a share whose first send was refused back to its task.
+func (s *Service) reclaim(taskID string, p *pendingShare) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.tasks[taskID]
+	if !ok || !t.x.reclaim(p) {
+		return
+	}
+	s.stats.drain(&t.x.counts)
+	s.stats.sendErrors.Inc()
+	s.evalMassLocked()
+}
+
+// handleExchange absorbs one epoch-tagged share and acks it. A node that
+// never saw the start joins passively — the share carries the window, root,
+// and metric, and the coordination context to register through — and begins
+// contributing at the next epoch boundary. A share without a window is
+// refused.
 func (s *Service) handleExchange(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
 	share, err := decodeShare(bodyRaw(req.Envelope))
 	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "malformed AggregateShare: "+err.Error())
 	}
-	if share.WindowMillis > 0 {
-		return s.handleContinuousShare(ctx, req, share)
+	if share.WindowMillis <= 0 {
+		return nil, soap.NewFault(soap.CodeSender, "aggregate share without a window")
 	}
 	s.mu.Lock()
 	t, known := s.tasks[share.TaskID]
@@ -567,194 +627,55 @@ func (s *Service) handleExchange(ctx context.Context, req *soap.Request) (*soap.
 			return nil, soap.NewFault(soap.CodeSender, "aggregate share without coordination context: "+err.Error())
 		}
 		// Registration can fail (coordinator down); the node still holds
-		// the mass so the totals stay conserved — it just cannot relay
-		// until a later start or share brings usable targets.
+		// the mass it absorbs, so the totals stay conserved.
 		params, _ := s.registerTask(ctx, cctx)
-		t = &task{x: newExchange(share.TaskID, s.cfg.Address, NewState(fn, 0, false, true)), params: params, ctx: contextBlock(cctx)}
+		window := time.Duration(share.WindowMillis) * time.Millisecond
+		t = s.newContinuousTask(share.TaskID, fn, window, share.Root, share.Metric, params, cctx)
 		s.mu.Lock()
 		if existing, raced := s.tasks[share.TaskID]; raced {
 			t = existing
 		} else {
+			// Mid-window joiner: relay passively for the rest of this
+			// window, contribute from the next boundary on.
+			t.x.contributeFrom = EpochAt(s.clk.Now(), window) + 1
 			s.tasks[share.TaskID] = t
 			s.stats.passiveJoins.Inc()
 		}
 		s.mu.Unlock()
 	}
 	s.mu.Lock()
-	t.x.take(&share)
+	ack, reply := t.x.absorb(s.clk.Now(), &share)
 	s.stats.drain(&t.x.counts)
+	cctx := t.ctx
 	s.evalMassLocked()
 	s.mu.Unlock()
 	s.bumpActivity()
+	if reply {
+		if env, err := newMessage(ActionExchangeAck, cctx); err == nil {
+			env.SetBodyBlock(ackBlock(&ack))
+			if s.cfg.Caller.Send(ctx, share.From, env) == nil {
+				s.stats.acksSent.Inc()
+			} else {
+				s.stats.sendErrors.Inc()
+			}
+		}
+	}
 	return nil, nil
 }
 
-// handleQuery answers with the node's current estimate.
-func (s *Service) handleQuery(_ context.Context, req *soap.Request) (*soap.Envelope, error) {
-	var q Query
-	if err := req.Envelope.DecodeBody(&q); err != nil {
-		return nil, soap.NewFault(soap.CodeSender, "malformed AggregateQuery: "+err.Error())
+// handleExchangeAck commits one outstanding transfer — the commit point the
+// mass-error gauge is re-evaluated at.
+func (s *Service) handleExchangeAck(_ context.Context, req *soap.Request) (*soap.Envelope, error) {
+	ack, err := decodeAck(bodyRaw(req.Envelope))
+	if err != nil {
+		return nil, soap.NewFault(soap.CodeSender, "malformed AggregateExchangeAck: "+err.Error())
 	}
-	s.mu.Lock()
-	t, ok := s.tasks[q.TaskID]
-	if !ok {
-		s.mu.Unlock()
-		return nil, soap.NewFault(soap.CodeSender, fmt.Sprintf("unknown aggregation task %q", q.TaskID))
-	}
-	est, _ := t.x.state.Estimate()
-	_, weight := t.x.state.Mass()
-	result := QueryResult{
-		TaskID:    q.TaskID,
-		Function:  string(t.x.state.Func()),
-		Estimate:  est,
-		Weight:    weight,
-		Rounds:    t.x.state.Rounds(),
-		Converged: t.x.state.Converged(t.params.Epsilon),
-	}
-	s.stats.queriesServed.Inc()
-	s.mu.Unlock()
-	resp := soap.NewEnvelope()
-	if err := resp.SetAddressing(req.Addressing().Reply(ActionQueryResponse)); err != nil {
-		return nil, err
-	}
-	if err := resp.SetBody(result); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-// Tick runs one push-sum round for every active task: split the local
-// (sum, weight) into fanout+1 shares, keep one, send one to each of fanout
-// sampled targets. Extremes ride along and merge idempotently. Tasks whose
-// round budget is exhausted go quiescent (they still absorb and answer
-// queries). Call it from a timer at the deployment's exchange interval.
-func (s *Service) Tick(ctx context.Context) {
-	type outgoing struct {
-		taskID  string
-		cctx    soap.Block
-		share   Share
-		targets []string
-	}
-	var sends []outgoing
-	var contSends []contSend
-	s.mu.Lock()
-	ids := make([]string, 0, len(s.tasks))
-	for id := range s.tasks {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		t := s.tasks[id]
-		if t.x.windowed() {
-			for _, p := range t.x.tick(s.clk.Now(), s.continuousTargetsLocked(t)) {
-				contSends = append(contSends, contSend{taskID: id, cctx: t.ctx, p: p, retry: p.retry()})
-			}
-			s.stats.drain(&t.x.counts)
-			continue
-		}
-		fanout := t.params.Fanout
-		if fanout <= 0 {
-			// A passive joiner whose registration failed has no parameters;
-			// with a live view it can still relay at the default fanout so
-			// the mass it holds keeps circulating.
-			if s.cfg.Peers == nil {
-				continue
-			}
-			fanout = passiveFanout
-		}
-		if s.cfg.Peers == nil && len(t.params.Targets) == 0 {
-			continue
-		}
-		if t.params.MaxRounds > 0 && t.x.state.Rounds() >= t.params.MaxRounds {
-			continue
-		}
-		// Sample before starting the round: with a live view that is still
-		// empty (membership bootstrap) a tick must not burn round budget or
-		// convergence history when no exchange can happen. On the static
-		// path an earlier guard covers emptiness and assigned targets never
-		// reduce to only the local address, so the round accounting is
-		// unchanged there.
-		targets := core.SelectTargets(s.cfg.Peers, s.rng, fanout, s.cfg.Address, t.params.Targets)
-		if len(targets) == 0 {
-			continue
-		}
-		// One-shot contract: the fan-out takes responsibility at split, so
-		// the transfer is committed immediately; failures come back
-		// synchronously and are re-absorbed by returnShares.
-		sends = append(sends, outgoing{
-			taskID:  id,
-			cctx:    t.ctx,
-			share:   t.x.split(len(targets)),
-			targets: targets,
-		})
-		s.stats.drain(&t.x.counts)
-	}
-	s.evalMassLocked()
-	s.mu.Unlock()
-	for _, out := range sends {
-		// Every target of a round receives the same share, so the exchange
-		// is one logical message: encode once, render per target.
-		env, err := newMessage(ActionExchange, out.cctx)
-		if err != nil {
-			s.returnShares(out.taskID, out.share, len(out.targets))
-			continue
-		}
-		env.SetBodyBlock(shareBlock(&out.share))
-		sent, failed := soap.Fanout(ctx, s.cfg.Caller, env, out.targets)
-		if len(failed) > 0 {
-			// Return the unsent mass to local state: conservation holds
-			// even when peers are unreachable.
-			s.returnShares(out.taskID, out.share, len(failed))
-		}
-		s.stats.sharesSent.Add(int64(sent))
-	}
-	s.sendContinuous(ctx, contSends)
-}
-
-// returnShares re-absorbs n undeliverable copies of a share and counts the
-// failures, preserving mass conservation.
-func (s *Service) returnShares(taskID string, share Share, n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t, ok := s.tasks[taskID]; ok {
-		t.x.giveBack(&share, n)
+	if t, ok := s.tasks[ack.TaskID]; ok {
+		t.x.commit(s.clk.Now(), &ack)
+		s.stats.drain(&t.x.counts)
 		s.evalMassLocked()
 	}
-	s.stats.sendErrors.Add(int64(n))
-}
-
-func (s *Service) addSendErrors(n int) {
-	s.stats.sendErrors.Add(int64(n))
-}
-
-// newTask builds a one-shot task holding the node's local value (none:
-// passive) and, on the root, the anchor weight. Call outside s.mu: it runs
-// the value source.
-func (s *Service) newTask(taskID string, fn Func, root bool, params core.AggregateParameters, cctx wscoord.CoordinationContext) *task {
-	passive := s.cfg.Value == nil
-	var value float64
-	if !passive {
-		value = s.cfg.Value()
-	}
-	x := newExchange(taskID, s.cfg.Address, NewState(fn, value, root, passive))
-	return &task{x: x, params: params, ctx: contextBlock(cctx)}
-}
-
-// startLocalTask installs a task created by this node itself (the Querier's
-// path: it already holds the parameters from its own registration).
-func (s *Service) startLocalTask(taskID string, fn Func, cctx wscoord.CoordinationContext, params core.AggregateParameters, root bool) {
-	t := s.newTask(taskID, fn, root, params, cctx)
-	s.mu.Lock()
-	if _, ok := s.tasks[taskID]; ok {
-		s.mu.Unlock()
-		return
-	}
-	s.tasks[taskID] = t
-	s.stats.started.Inc()
-	s.evalMassLocked()
-	s.mu.Unlock()
-	// The node's own new task is traffic too: snap a backed-off exchange
-	// loop to base pace so the first push-sum round is not delayed by a
-	// stretched quiescent interval.
-	s.bumpActivity()
+	return nil, nil
 }

@@ -16,12 +16,11 @@ import (
 // cmd/wsgossip-sim drive aggregation over the deterministic simulator at
 // scales (and loss rates) the SOAP harness does not reach, mirroring how
 // the dissemination engine has both a SOAP binding and a simnet binding.
-// With a Window configured it runs the epoch-windowed, acked exchange of
-// the continuous plane instead of one-shot fire-and-forget. Either way the
-// protocol is the Service's (exchange.go) and so is the share on the wire
-// (wire.go): the node only samples peers, reads the clock and moves bodies.
+// The protocol is the Service's (exchange.go) and so is the share on the
+// wire (wire.go): the node only samples peers, reads the clock and moves
+// bodies.
 
-// SimNodeStats counts one simulator node's windowed-exchange events.
+// SimNodeStats counts one simulator node's exchange events.
 type SimNodeStats struct {
 	// Epochs is how many epoch rolls the node has performed.
 	Epochs int64
@@ -69,12 +68,10 @@ type SimNodeConfig struct {
 	Root bool
 	// RNG drives peer selection; nil falls back to a fixed seed.
 	RNG *rand.Rand
-	// Window enables the epoch-windowed continuous mode: push-sum restarts
-	// at every multiple of Window on Clock, and exchanges become acked and
-	// loss-tolerant. Zero keeps the legacy one-shot fire-and-forget mode.
+	// Window is the epoch length: push-sum restarts at every multiple of it
+	// on Clock. Required.
 	Window time.Duration
-	// Clock supplies the shared time epochs derive from. Required when
-	// Window is set.
+	// Clock supplies the shared time epochs derive from. Required.
 	Clock clock.Clock
 }
 
@@ -99,26 +96,21 @@ func NewSimNode(cfg SimNodeConfig) (*SimNode, error) {
 	if _, err := ParseFunc(string(cfg.Func)); err != nil {
 		return nil, err
 	}
-	if cfg.Window > 0 && cfg.Clock == nil {
-		return nil, fmt.Errorf("aggregate: windowed sim node requires a clock")
+	if cfg.Window <= 0 || cfg.Clock == nil {
+		return nil, fmt.Errorf("aggregate: sim node requires a positive window and a clock")
 	}
 	rng := cfg.RNG
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
 	n := &SimNode{cfg: cfg, rng: rng}
-	if cfg.Window == 0 {
-		n.x = newExchange(cfg.TaskID, cfg.Endpoint.Addr(), NewState(cfg.Func, cfg.Value, cfg.Root, false))
-		return n, nil
-	}
 	// Passive until the first roll. A node created mid-window is absorbed at
 	// the NEXT epoch boundary: it relays and holds mass for the in-progress
 	// epoch but contributes its own value only from the first epoch that
 	// starts after it exists — the same deferral the Service applies to
 	// passive joiners, so a joiner never retroactively pollutes an epoch it
 	// did not fully live.
-	n.x = newExchange(cfg.TaskID, cfg.Endpoint.Addr(), NewState(cfg.Func, 0, false, true))
-	n.x.window = cfg.Window
+	n.x = newExchange(cfg.TaskID, cfg.Endpoint.Addr(), cfg.Func, cfg.Window, "", "")
 	n.x.contribute = func() (float64, bool, bool) { return n.cfg.Value, n.cfg.Root, true }
 	n.x.contributeFrom = EpochAt(cfg.Clock.Now(), cfg.Window)
 	if cfg.Clock.Now()%cfg.Window != 0 {
@@ -133,10 +125,10 @@ func (n *SimNode) Register(mux *transport.Mux) {
 	mux.Handle(ActionExchangeAck, n.handleAck)
 }
 
-// State exposes the node's push-sum state (estimates, mass, convergence).
+// State exposes the node's push-sum state for the live epoch.
 func (n *SimNode) State() *State { return n.x.state }
 
-// Epoch returns the live epoch (0 = legacy mode or not yet rolled).
+// Epoch returns the live epoch (0 = not yet rolled).
 func (n *SimNode) Epoch() uint64 { return n.x.epoch }
 
 // Frozen returns the last closed epoch's final estimate.
@@ -153,7 +145,7 @@ func (n *SimNode) Outstanding() float64 { return n.x.led.outstanding }
 // Contributed returns the weight this node injected into the live epoch.
 func (n *SimNode) Contributed() float64 { return n.x.contributed }
 
-// SimStats returns the windowed-exchange counters.
+// SimStats returns the exchange counters.
 func (n *SimNode) SimStats() SimNodeStats {
 	c := n.x.counts
 	return SimNodeStats{
@@ -174,7 +166,7 @@ func (n *SimNode) SimStats() SimNodeStats {
 // MassError returns the node's conservation residual: held plus outstanding
 // weight minus the ledger's net injections, snapped to exactly zero within
 // float tolerance. Under the acked exchange it must be zero at every commit
-// point regardless of loss — the windowed chaos gates assert exactly that.
+// point regardless of loss — the aggregate chaos gates assert exactly that.
 func (n *SimNode) MassError() float64 { return n.x.massError() }
 
 // send moves one share or ack body.
@@ -182,52 +174,31 @@ func (n *SimNode) send(ctx context.Context, to, action string, body []byte) erro
 	return n.cfg.Endpoint.Send(ctx, transport.Message{To: to, Action: action, Body: body})
 }
 
-// Tick runs one push-sum round. In legacy mode: split and fire-and-forget.
-// In windowed mode: the machine's tick — roll when the clock crossed a
-// boundary, retry unacked shares, split fresh acked shares for the sampled
-// peers — with a refused first send handed straight back.
+// Tick runs one push-sum round: the machine's tick — roll when the clock
+// crossed a boundary, retry unacked shares, split fresh acked shares for the
+// sampled peers — with a refused first send handed straight back.
 func (n *SimNode) Tick(ctx context.Context) {
 	peers := n.cfg.Peers.SelectPeers(n.rng, n.cfg.Fanout, n.cfg.Endpoint.Addr())
-	if n.x.windowed() {
-		for _, p := range n.x.tick(n.cfg.Clock.Now(), peers) {
-			switch err := n.send(ctx, p.to, ActionExchange, shareBlock(&p.share).Raw); {
-			case err == nil:
-				n.sharesSent++
-			case p.retry():
-				n.sendErrors++
-			default:
-				n.x.reclaim(p)
-			}
-		}
-		return
-	}
-	if len(peers) == 0 {
-		return
-	}
-	sh := n.x.split(len(peers))
-	// One body shared by the whole fanout; never mutated after encode.
-	body := shareBlock(&sh).Raw
-	for _, p := range peers {
-		if err := n.send(ctx, p, ActionExchange, body); err != nil {
-			// Unreachable peer: reclaim the share so local mass stays
-			// conserved. (Shares lost *in flight* on a lossy network are
-			// gone — that is the protocol's real sensitivity to loss, and
-			// exactly what the simulator measures.)
-			n.x.giveBack(&sh, 1)
+	for _, p := range n.x.tick(n.cfg.Clock.Now(), peers) {
+		switch err := n.send(ctx, p.to, ActionExchange, shareBlock(&p.share).Raw); {
+		case err == nil:
+			n.sharesSent++
+		case p.retry():
+			n.sendErrors++
+		default:
+			n.x.reclaim(p)
 		}
 	}
 }
 
+// handleExchange absorbs one share of the node's task and acks it. A share
+// without a window is dropped unacked.
 func (n *SimNode) handleExchange(ctx context.Context, msg transport.Message) error {
 	sh, err := decodeShare(msg.Body)
 	if err != nil {
 		return err
 	}
-	if sh.TaskID != n.cfg.TaskID {
-		return nil
-	}
-	if !n.x.windowed() {
-		n.x.take(&sh)
+	if sh.TaskID != n.cfg.TaskID || sh.WindowMillis <= 0 {
 		return nil
 	}
 	ack, reply := n.x.absorb(n.cfg.Clock.Now(), &sh)
@@ -245,9 +216,6 @@ func (n *SimNode) handleExchange(ctx context.Context, msg transport.Message) err
 // handleAck commits one outstanding transfer at the moment its ack arrives
 // — the commit point where MassError is defined to be zero.
 func (n *SimNode) handleAck(_ context.Context, msg transport.Message) error {
-	if !n.x.windowed() {
-		return nil
-	}
 	ack, err := decodeAck(msg.Body)
 	if err != nil {
 		return err

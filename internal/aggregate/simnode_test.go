@@ -40,6 +40,9 @@ func TestSimNodePushSumConvergence(t *testing.T) {
 			Func:     FuncAvg,
 			Value:    v,
 			RNG:      rand.New(rand.NewSource(int64(i) + 5)),
+			// One epoch outlasts the run: push-sum never restarts.
+			Window: time.Hour,
+			Clock:  net,
 		})
 		if err != nil {
 			t.Fatalf("NewSimNode: %v", err)
@@ -58,6 +61,7 @@ func TestSimNodePushSumConvergence(t *testing.T) {
 		}
 		net.RunFor(20 * time.Millisecond)
 	}
+	net.Run() // every share and ack lands: no mass is in flight
 
 	var massSum, massWeight float64
 	for _, node := range nodes {

@@ -114,14 +114,13 @@ func (w *Window) Task(name string) (*Task, bool) {
 // exchange round stale, and that a churn event is fully reflected within
 // one epoch of the boundary that follows it.
 type ClusterEstimate struct {
-	Query    string        `json:"query"`
-	Function string        `json:"function"`
-	TaskID   string        `json:"taskId"`
-	Window   string        `json:"window"`
-	Epoch    uint64        `json:"epoch"`
-	Estimate float64       `json:"estimate"`
-	Defined  bool          `json:"defined"`
-	EpochAge time.Duration `json:"-"`
+	Query    string  `json:"query"`
+	Function string  `json:"function"`
+	TaskID   string  `json:"taskId"`
+	Window   string  `json:"window"`
+	Epoch    uint64  `json:"epoch"`
+	Estimate float64 `json:"estimate"`
+	Defined  bool    `json:"defined"`
 	// FrozenEpoch is the closed epoch Estimate came from (0 while the
 	// first window is still open and only Live is available).
 	FrozenEpoch uint64  `json:"frozenEpoch"`

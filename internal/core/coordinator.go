@@ -127,12 +127,6 @@ type CoordinatorConfig struct {
 	// Registry is the protocol registry registrations are validated
 	// against; nil installs the built-in family (push, pull, aggregate).
 	Registry *ProtocolRegistry
-	// AggEpsilon is the aggregation convergence threshold handed to
-	// ProtocolAggregate registrants (0 = DefaultAggEpsilon).
-	AggEpsilon float64
-	// AggMaxRounds caps aggregation exchange rounds (0 = sized from the
-	// analytic push-sum model for the current subscriber count).
-	AggMaxRounds int
 	// Caller and Replicas configure a distributed coordinator: every
 	// accepted subscription is replicated one-way to each replica address.
 	Caller   soap.Caller

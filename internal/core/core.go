@@ -124,15 +124,13 @@ func GossipParametersFrom(env *soap.Envelope) (GossipParameters, error) {
 
 // AggregateParameters is the registration-response extension for the
 // aggregation protocol: exchange fanout, a hop budget for disseminating the
-// start message over the assigned overlay, the convergence criterion, and
-// the peer targets for push-sum exchanges.
+// start message over the assigned overlay, and the peer targets for
+// push-sum exchanges.
 type AggregateParameters struct {
-	XMLName   xml.Name `xml:"urn:wsgossip:2008 AggregateParameters"`
-	Fanout    int      `xml:"Fanout"`
-	Hops      int      `xml:"Hops"`
-	Epsilon   float64  `xml:"Epsilon"`
-	MaxRounds int      `xml:"MaxRounds"`
-	Targets   []string `xml:"Targets>Target"`
+	XMLName xml.Name `xml:"urn:wsgossip:2008 AggregateParameters"`
+	Fanout  int      `xml:"Fanout"`
+	Hops    int      `xml:"Hops"`
+	Targets []string `xml:"Targets>Target"`
 }
 
 // AggregateParametersFrom extracts the aggregation parameter extension.

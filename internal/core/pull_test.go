@@ -259,7 +259,7 @@ func TestProtocolTargetEligibility(t *testing.T) {
 			t.Fatalf("aggregate targets include push-only subscriber %s", target)
 		}
 	}
-	if len(aparams.Targets) == 0 || aparams.Epsilon <= 0 || aparams.MaxRounds <= 0 {
+	if len(aparams.Targets) == 0 || aparams.Fanout <= 0 || aparams.Hops <= 0 {
 		t.Fatalf("aggregate parameters incomplete: %+v", aparams)
 	}
 }

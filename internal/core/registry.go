@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"wsgossip/internal/epidemic"
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/wscoord"
@@ -90,41 +89,16 @@ func pullGossipExtension(c *Coordinator, reg wscoord.Registrant) ([]any, error) 
 	}}, nil
 }
 
-// aggregateExtension configures an aggregation registrant: exchange fanout
-// and targets plus the convergence criterion. MaxRounds is sized from the
-// analytic push-sum variance-decay model with headroom, so a deployment that
-// runs the assigned budget is expected to be well past ε-accuracy.
+// aggregateExtension configures an aggregation registrant: exchange fanout,
+// the start flood's hop budget, and targets.
 func aggregateExtension(c *Coordinator, reg wscoord.Registrant) ([]any, error) {
 	fanout, hops, targets := c.assignLocked(ProtocolAggregate, reg.Service)
-	eps := c.cfg.AggEpsilon
-	if eps <= 0 {
-		eps = DefaultAggEpsilon
-	}
-	maxRounds := c.cfg.AggMaxRounds
-	if maxRounds <= 0 {
-		n := len(c.subs)
-		if n < 2 {
-			n = 2
-		}
-		if r, err := epidemic.PushSumRoundsToEpsilon(n, fanout, eps); err == nil {
-			maxRounds = 2*r + 10
-		} else {
-			maxRounds = 4 * hops
-		}
-	}
 	return []any{AggregateParameters{
-		Fanout:    fanout,
-		Hops:      hops,
-		Epsilon:   eps,
-		MaxRounds: maxRounds,
-		Targets:   targets,
+		Fanout:  fanout,
+		Hops:    hops,
+		Targets: targets,
 	}}, nil
 }
-
-// DefaultAggEpsilon is the default aggregation convergence threshold: an
-// estimate is considered converged when it moves by less than this relative
-// amount over the detection window.
-const DefaultAggEpsilon = 1e-4
 
 // unsupportedProtocolFault is the negative path of the registry check.
 func unsupportedProtocolFault(uri string) *soap.Fault {

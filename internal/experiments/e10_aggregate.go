@@ -5,16 +5,27 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"time"
 
 	"wsgossip/internal/aggregate"
+	"wsgossip/internal/clock"
 	"wsgossip/internal/core"
 	"wsgossip/internal/epidemic"
 	"wsgossip/internal/soap"
 )
 
+// e10Window is the query's epoch length. It outlasts every run, so no epoch
+// closes mid-measurement: push-sum mixes once, as a one-off aggregation.
+const e10Window = time.Hour
+
+// e10Epsilon is the relative movement below which three consecutive
+// readings of the querier's estimate count as converged.
+const e10Epsilon = 1e-4
+
 // e10Deployment is an aggregation deployment over the in-memory SOAP bus:
 // a coordinator, n aggregation services with known local values, and one
-// querier.
+// querier, all on one virtual clock that never reaches the window's end.
 type e10Deployment struct {
 	bus      *soap.MemBus
 	coord    *core.Coordinator
@@ -26,6 +37,7 @@ type e10Deployment struct {
 func newE10Deployment(n int, seed int64) (*e10Deployment, error) {
 	ctx := context.Background()
 	bus := soap.NewMemBus()
+	clk := clock.NewVirtual()
 	d := &e10Deployment{bus: bus}
 	d.coord = core.NewCoordinator(core.CoordinatorConfig{
 		Address: "mem://coordinator",
@@ -43,6 +55,7 @@ func newE10Deployment(n int, seed int64) (*e10Deployment, error) {
 			Caller:  bus,
 			Value:   func() float64 { return value },
 			RNG:     rand.New(rand.NewSource(seed + 100 + int64(i))),
+			Clock:   clk,
 		})
 		if err != nil {
 			return nil, err
@@ -59,6 +72,7 @@ func newE10Deployment(n int, seed int64) (*e10Deployment, error) {
 		Caller:     bus,
 		Activation: "mem://coordinator",
 		RNG:        rand.New(rand.NewSource(seed + 7)),
+		Clock:      clk,
 	})
 	if err != nil {
 		return nil, err
@@ -72,25 +86,31 @@ func newE10Deployment(n int, seed int64) (*e10Deployment, error) {
 	return d, nil
 }
 
-// runAggregation starts an aggregation of fn and drives exchange rounds
-// until the querier converges. Returns (estimate, rounds, participants).
-func (d *e10Deployment) runAggregation(fn aggregate.Func) (float64, int, int, error) {
+// runAggregation starts a query for fn and drives exchange rounds until the
+// querier's estimate is stable: its last three readings, one per round,
+// agree within e10Epsilon. Returns (estimate, rounds, participants).
+func (d *e10Deployment) runAggregation(fn aggregate.Func, maxRounds int) (float64, int, int, error) {
 	ctx := context.Background()
-	tk, err := d.querier.StartAggregation(ctx, fn)
+	tk, err := d.querier.StartContinuous(ctx, "value", fn, e10Window)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	maxRounds := tk.Params.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 100
-	}
+	var readings []float64
 	rounds := 0
 	for ; rounds < maxRounds; rounds++ {
 		for _, svc := range d.services {
 			svc.Tick(ctx)
 		}
 		d.querier.Tick(ctx)
-		if d.querier.Converged(tk.ID) {
+		est, ok := d.querier.Estimate(tk.ID)
+		if !ok {
+			readings = readings[:0]
+			continue
+		}
+		if readings = append(readings, est); len(readings) > 3 {
+			readings = readings[1:]
+		}
+		if stable(readings) {
 			rounds++
 			break
 		}
@@ -105,12 +125,22 @@ func (d *e10Deployment) runAggregation(fn aggregate.Func) (float64, int, int, er
 	return est, rounds, participants, nil
 }
 
+// stable reports whether three readings agree within e10Epsilon, relative
+// to the largest magnitude among them.
+func stable(readings []float64) bool {
+	if len(readings) < 3 {
+		return false
+	}
+	lo, hi := slices.Min(readings), slices.Max(readings)
+	return (hi-lo)/math.Max(math.Abs(lo), math.Abs(hi)) <= e10Epsilon
+}
+
 // E10Aggregation measures gossip aggregation accuracy and convergence vs N:
-// for each population size a Querier activates an aggregation interaction
-// over real SOAP envelopes (in-memory binding), push-sum exchanges run until
-// the querier's estimate stabilizes, and the converged estimate is compared
-// with ground truth and with the analytic variance-decay model's round
-// prediction.
+// for each population size a Querier starts one query over real SOAP
+// envelopes (in-memory binding), acked push-sum exchanges run until the
+// querier's estimate stabilizes, and the converged estimate is compared with
+// ground truth and with the analytic variance-decay model's round
+// prediction, whose double plus ten bounds the run.
 func E10Aggregation(opt Options) ([]Table, error) {
 	sizes := []int{16, 64, 256}
 	if opt.Quick {
@@ -125,11 +155,17 @@ func E10Aggregation(opt Options) ([]Table, error) {
 	}
 	for _, n := range sizes {
 		for _, fn := range []aggregate.Func{aggregate.FuncAvg, aggregate.FuncCount} {
+			// Fanout mirrors what the coordinator assigns (default policy).
+			fanout, _ := core.DefaultParamPolicy(n + 1)
+			analytic, err := epidemic.PushSumRoundsToEpsilon(n+1, fanout, e10Epsilon)
+			if err != nil {
+				return nil, err
+			}
 			d, err := newE10Deployment(n, opt.Seed+int64(n))
 			if err != nil {
 				return nil, err
 			}
-			est, rounds, participants, err := d.runAggregation(fn)
+			est, rounds, participants, err := d.runAggregation(fn, 2*analytic+10)
 			if err != nil {
 				return nil, err
 			}
@@ -147,12 +183,6 @@ func E10Aggregation(opt Options) ([]Table, error) {
 				truth = float64(n)
 			}
 			relErr := math.Abs(est-truth) / math.Max(math.Abs(truth), 1e-12)
-			// Fanout mirrors what the coordinator assigned (default policy).
-			fanout, _ := core.DefaultParamPolicy(n + 1)
-			analytic, err := epidemic.PushSumRoundsToEpsilon(n+1, fanout, core.DefaultAggEpsilon)
-			if err != nil {
-				return nil, err
-			}
 			t.AddRow(i2s(n), string(fn), i2s(participants), f3(truth), f3(est),
 				fmt.Sprintf("%.2e", relErr), i2s(rounds), i2s(analytic))
 		}

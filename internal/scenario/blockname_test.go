@@ -23,7 +23,7 @@ func TestBlockNamesMatchProbe(t *testing.T) {
 	for _, v := range []any{
 		core.GossipHeader{InteractionID: "i", MessageID: "m", Hops: 3, Protocol: core.ProtocolPullGossip},
 		core.GossipParameters{Fanout: 3, Hops: 4, Style: "push", Targets: []string{"mem://a", "mem://b"}},
-		core.AggregateParameters{Fanout: 2, Hops: 4, Epsilon: 1e-6, MaxRounds: 30, Targets: []string{"mem://a"}},
+		core.AggregateParameters{Fanout: 2, Hops: 4, Targets: []string{"mem://a"}},
 		core.SubscribeRequest{Endpoint: "mem://a", Role: core.RoleDisseminator, Protocols: []string{core.ProtocolPushGossip}},
 		core.SubscribeResponse{Accepted: true},
 		core.ReplicateSubscription{Endpoint: "mem://a", Role: core.RoleConsumer},
@@ -40,8 +40,6 @@ func TestBlockNamesMatchProbe(t *testing.T) {
 		wscoord.RegisterResponse{CoordinatorProtocolService: wscoord.ServiceRef{Address: "mem://c"}},
 		aggregate.Start{TaskID: "t", Function: "avg", Root: "mem://a", Hops: 3, WindowMillis: 1000, Metric: "load"},
 		aggregate.Share{TaskID: "t", Function: "avg", From: "mem://a", Sum: 1.5, Weight: 0.5, HasExtremes: true, Min: 1, Max: 2},
-		aggregate.Query{TaskID: "t"},
-		aggregate.QueryResult{TaskID: "t", Function: "avg", Estimate: 3, Weight: 1, Rounds: 9, Converged: true},
 		aggregate.ExchangeAck{TaskID: "t", From: "mem://a", Epoch: 2, Seq: 7},
 		soap.Fault{},
 	} {

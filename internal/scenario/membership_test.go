@@ -544,9 +544,9 @@ func TestScenarioQuiescenceBackoff(t *testing.T) {
 	t.Logf("snap-back: coverage complete in %d windows after %v of quiescence (analytic %d)", windows, idle, analytic)
 }
 
-// TestScenarioQuiescentAggregation is the ROADMAP's singled-out case: the
-// aggregation exchange loop backs off once every task has converged and
-// round budgets are exhausted, and a fresh task snaps it back.
+// TestScenarioQuiescentAggregation: an aggregation exchange loop with
+// nothing to exchange backs off, and a query starting snaps every loop back
+// to base pace while push-sum converges.
 func TestScenarioQuiescentAggregation(t *testing.T) {
 	const (
 		n             = 16
@@ -599,6 +599,7 @@ func TestScenarioQuiescentAggregation(t *testing.T) {
 			Caller:  bus,
 			Value:   func() float64 { return val },
 			RNG:     rand.New(rand.NewSource(401*13 + int64(i))),
+			Clock:   clk,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -611,25 +612,30 @@ func TestScenarioQuiescentAggregation(t *testing.T) {
 		addRunner(svc, 401*17+int64(i))
 	}
 
+	fires := func() int64 {
+		var total int64
+		for _, r := range runners {
+			total += r.FireCount("aggregate")
+		}
+		return total
+	}
 	// Idle before any task: every exchange loop must back off.
 	clk.Advance(10 * time.Second)
-	var idleFires int64
-	for _, r := range runners {
-		idleFires += r.FireCount("aggregate")
-	}
+	idleFires := fires()
 	fixedEstimate := int64(n) * int64(10*time.Second/exchangeEvery)
 	if idleFires*3 > fixedEstimate {
 		t.Fatalf("idle aggregation fired %d exchange rounds (fixed pace would be ~%d); backoff not engaging",
 			idleFires, fixedEstimate)
 	}
 
-	// A task starts: loops snap back, push-sum converges inside the usual
+	// A query starts: loops snap back, push-sum converges inside the usual
 	// analytic budget, estimates land on truth.
 	querier, err := aggregate.NewQuerier(aggregate.QuerierConfig{
 		Address:    "mem://querier",
 		Caller:     bus,
 		Activation: "mem://coordinator",
 		RNG:        rand.New(rand.NewSource(401 * 19)),
+		Clock:      clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -640,18 +646,19 @@ func TestScenarioQuiescentAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	addRunner(querier, 401*23)
-	task, err := querier.StartAggregation(ctx, aggregate.FuncAvg)
+	before := fires()
+	task, err := querier.StartContinuous(ctx, "value", aggregate.FuncAvg, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	analytic, err := epidemic.PushSumRoundsToEpsilon(n+1, task.Params.Fanout, task.Params.Epsilon)
+	analytic, err := epidemic.PushSumRoundsToEpsilon(n+1, task.Params.Fanout, aggEpsilon)
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := 2*analytic + 10
-	windows := advanceUntil(clk, exchangeEvery, budget, func() bool {
-		return querier.Converged(task.ID)
-	})
+	windows := advanceUntil(clk, exchangeEvery, budget, converging(func() (float64, bool) {
+		return querier.Estimate(task.ID)
+	}))
 	if windows > budget {
 		t.Fatalf("adaptive aggregation not converged after %d windows (analytic %d)", budget, analytic)
 	}
@@ -663,23 +670,12 @@ func TestScenarioQuiescentAggregation(t *testing.T) {
 	if rel := math.Abs(est-truth) / truth; rel > 0.02 {
 		t.Fatalf("estimate %.4f vs truth %.4f (rel err %.3e)", est, truth, rel)
 	}
-
-	// Converged and round-capped: the loops go quiescent again.
-	clk.Advance(5 * time.Second)
-	before := int64(0)
-	for _, r := range runners {
-		before += r.FireCount("aggregate")
+	active := fires() - before
+	fixedActive := int64(n+1) * int64(windows)
+	if active*2 < fixedActive {
+		t.Fatalf("a running query fired %d exchange rounds in %d windows (fixed ~%d); loops did not snap back",
+			active, windows, fixedActive)
 	}
-	clk.Advance(10 * time.Second)
-	var tail int64
-	for _, r := range runners {
-		tail += r.FireCount("aggregate")
-	}
-	tail -= before
-	fixedTail := int64(n+1) * int64(10*time.Second/exchangeEvery)
-	if tail*3 > fixedTail {
-		t.Fatalf("post-convergence aggregation fired %d rounds in 10s (fixed ~%d); no re-quiescence", tail, fixedTail)
-	}
-	t.Logf("aggregation: idle fires %d (fixed ~%d), converged in %d windows, tail fires %d (fixed ~%d)",
-		idleFires, fixedEstimate, windows, tail, fixedTail)
+	t.Logf("aggregation: idle fires %d (fixed ~%d), converged in %d windows with %d fires (fixed ~%d)",
+		idleFires, fixedEstimate, windows, active, fixedActive)
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -224,6 +225,31 @@ func advanceUntil(clk *clock.Virtual, window time.Duration, budget int, done fun
 		}
 	}
 	return budget + 1
+}
+
+// aggEpsilon is the relative movement below which an aggregate estimate
+// counts as converged.
+const aggEpsilon = 1e-4
+
+// converging returns a check that holds once est's last three readings are
+// defined and agree within aggEpsilon.
+func converging(est func() (float64, bool)) func() bool {
+	var last []float64
+	return func() bool {
+		v, ok := est()
+		if !ok {
+			last = last[:0]
+			return false
+		}
+		if last = append(last, v); len(last) > 3 {
+			last = last[1:]
+		}
+		if len(last) < 3 {
+			return false
+		}
+		lo, hi := slices.Min(last), slices.Max(last)
+		return (hi-lo)/math.Max(math.Abs(lo), math.Abs(hi)) <= aggEpsilon
+	}
 }
 
 // TestScenarioDissemination is the virtual-time table suite for the
@@ -459,7 +485,8 @@ func TestScenarioDissemination(t *testing.T) {
 // TestScenarioAggregation runs push-sum aggregation end to end on the
 // virtual clock: services join through the coordinator, exchange rounds
 // fire from their runners, and the querier's estimate must reach ground
-// truth within the analytic round budget from internal/epidemic.
+// truth within the analytic round budget from internal/epidemic. The
+// query's window outlasts the run, so push-sum mixes once.
 func TestScenarioAggregation(t *testing.T) {
 	const exchangeEvery = 100 * time.Millisecond
 	cases := []struct {
@@ -523,6 +550,7 @@ func TestScenarioAggregation(t *testing.T) {
 					Caller:  bus,
 					Value:   func() float64 { return val },
 					RNG:     rand.New(rand.NewSource(tc.seed*13 + int64(i))),
+					Clock:   clk,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -539,6 +567,7 @@ func TestScenarioAggregation(t *testing.T) {
 				Caller:     bus,
 				Activation: "mem://coordinator",
 				RNG:        rand.New(rand.NewSource(tc.seed * 19)),
+				Clock:      clk,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -551,18 +580,18 @@ func TestScenarioAggregation(t *testing.T) {
 			startRunner(querier, tc.seed*23)
 
 			bus.SetLoss(tc.loss)
-			task, err := querier.StartAggregation(ctx, tc.fn)
+			task, err := querier.StartContinuous(ctx, "value", tc.fn, time.Hour)
 			if err != nil {
 				t.Fatal(err)
 			}
-			analytic, err := epidemic.PushSumRoundsToEpsilon(tc.n+1, task.Params.Fanout, task.Params.Epsilon)
+			analytic, err := epidemic.PushSumRoundsToEpsilon(tc.n+1, task.Params.Fanout, aggEpsilon)
 			if err != nil {
 				t.Fatal(err)
 			}
 			budget := 2*analytic + 10
-			windows := advanceUntil(clk, exchangeEvery, budget, func() bool {
-				return querier.Converged(task.ID)
-			})
+			windows := advanceUntil(clk, exchangeEvery, budget, converging(func() (float64, bool) {
+				return querier.Estimate(task.ID)
+			}))
 			if windows > budget {
 				t.Fatalf("aggregation not converged after %d windows (analytic %d)", budget, analytic)
 			}

@@ -132,7 +132,7 @@ func (b *virtBus) Refused() int {
 }
 
 // Call is the reliable, synchronous control plane (Activation,
-// Registration, Subscribe, estimate queries).
+// Registration, Subscribe).
 func (b *virtBus) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.Envelope, error) {
 	b.mu.Lock()
 	h := b.handlers[to]

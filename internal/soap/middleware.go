@@ -59,12 +59,15 @@ func MetricsMiddleware(reg *metrics.Registry) Middleware {
 }
 
 // RecoverMiddleware converts handler panics into Receiver faults so one
-// broken service cannot take down the node's whole endpoint.
-func RecoverMiddleware() Middleware {
+// broken service cannot take down the node's whole endpoint, and counts
+// them as soap_handler_panics_total in reg.
+func RecoverMiddleware(reg *metrics.Registry) Middleware {
+	panics := reg.Counter("soap_handler_panics_total")
 	return func(next Handler) Handler {
 		return HandlerFunc(func(ctx context.Context, req *Request) (resp *Envelope, err error) {
 			defer func() {
 				if r := recover(); r != nil {
+					panics.Inc()
 					resp = nil
 					err = NewFault(CodeReceiver, fmt.Sprintf("handler panic: %v", r))
 				}

@@ -738,8 +738,7 @@ var names = newInternTable(
 	"urn:wsgossip:2008", "http://docs.oasis-open.org/ws-tx/wscoor/2006/06", "urn:wsgossip:membership",
 	"To", "Action", "MessageID", "RelatesTo", "ReplyTo", "From", "Fault",
 	"Gossip", "CoordinationContext", "Digest", "Announce", "Fetch", "PullRequest",
-	"AggregateStart", "AggregateShare", "AggregateQuery", "AggregateQueryResult",
-	"AggregateExchangeAck", "Membership",
+	"AggregateStart", "AggregateShare", "AggregateExchangeAck", "Membership",
 )
 
 // internTable maps a name's bytes to one shared string. Lookups take no

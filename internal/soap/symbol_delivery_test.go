@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wsgossip/internal/aggregate"
+	"wsgossip/internal/clock"
 	"wsgossip/internal/core"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/wsa"
@@ -89,7 +90,7 @@ func TestMessageIDsNeverInterned(t *testing.T) {
 func TestTaskIDsNeverInterned(t *testing.T) {
 	bus := soap.NewMemBus()
 	svc, err := aggregate.NewService(aggregate.ServiceConfig{
-		Address: "mem://node", Caller: bus, Value: func() float64 { return 1 },
+		Address: "mem://node", Caller: bus, Value: func() float64 { return 1 }, Clock: clock.NewVirtual(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +108,7 @@ func TestTaskIDsNeverInterned(t *testing.T) {
 		}
 		env.SetBodyBlock(marshalBlock(t, aggregate.Share{
 			TaskID: task, Function: string(aggregate.FuncAvg), From: fmt.Sprintf("mem://peer-%d", i%4),
-			Sum: 1, Weight: 0.5,
+			Sum: 1, Weight: 0.5, WindowMillis: 1000, Epoch: 1, Seq: 1,
 		}))
 		if err := env.SetAddressing(wsa.Headers{To: "mem://node", Action: aggregate.ActionExchange, MessageID: wsa.NewMessageID()}); err != nil {
 			t.Fatal(err)

@@ -140,7 +140,7 @@ const (
 //	                       (no prober: straight to Suspect)
 //	plane circuit closes → prober.ClearDegraded
 //	plane.FilterView(membership) = the peer view of Disseminator AND aggregation
-//	dispatcher ← admission gate (membership actions exempt)
+//	dispatcher ← admission gate (membership actions exempt) ← panic recovery
 //	Runner: pull, repair, announce, aggregate, membership rounds on the one clock
 //
 // Serve Handler on the binding, then Start; Stop tears it all down.
@@ -196,7 +196,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		n.role = RoleDisseminator
 	case RoleDisseminator:
 	case RoleConsumer:
-		n.handler = core.NewConsumer(cfg.App).Handler()
+		n.handler = soap.Chain(core.NewConsumer(cfg.App).Handler(), soap.RecoverMiddleware(n.reg))
 		n.protocols = []string{core.ProtocolPushGossip}
 		return n, nil
 	default:
@@ -382,9 +382,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 	}
 
-	// Inbound overload shedding. Membership is exempt: shedding the
-	// failure detector under load would read as node death.
-	n.handler = n.dispatcher
+	// A panicking handler answers with a Receiver fault, counted, instead of
+	// unwinding into the binding. Inbound overload shedding sits inside it.
+	// Membership is exempt: shedding the failure detector under load would
+	// read as node death.
+	recoverer := soap.RecoverMiddleware(n.reg)
+	n.handler = soap.Chain(n.dispatcher, recoverer)
 	if cfg.AdmitRate > 0 {
 		gate := delivery.NewGate(delivery.GateConfig{
 			Clock:   n.clk,
@@ -395,7 +398,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 				return action == membership.ActionExchange || action == membership.ActionLeave
 			},
 		})
-		n.handler = soap.Chain(n.dispatcher, gate.Middleware())
+		n.handler = soap.Chain(n.dispatcher, recoverer, gate.Middleware())
 		n.logf("admission gate on: %.0f req/s", cfg.AdmitRate)
 	}
 	if loops {
@@ -413,7 +416,8 @@ func (n *Node) logf(format string, args ...any) {
 }
 
 // Handler is what the node's binding serves: the dispatcher carrying every
-// part's actions, behind the admission gate when one is configured.
+// part's actions, behind the admission gate when one is configured, with a
+// handler panic answered as a Receiver fault (soap_handler_panics_total).
 func (n *Node) Handler() soap.Handler { return n.handler }
 
 // Dispatcher is the node's action table, for colocating further services

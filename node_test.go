@@ -608,3 +608,49 @@ func TestNodeStartNeverWaitsOnTheNetwork(t *testing.T) {
 		t.Fatal("Stop did not cancel the in-flight join and subscribe")
 	}
 }
+
+// TestNodeSurvivesHandlerPanic: an App that panics on the first
+// notification costs that notification only. The node answers it with a
+// Receiver fault and counts soap_handler_panics_total instead of unwinding
+// into the binding, so the bus keeps delivering and the second notification
+// reaches the App — for a disseminator and a consumer alike.
+func TestNodeSurvivesHandlerPanic(t *testing.T) {
+	for _, role := range []string{wsgossip.RoleDisseminator, wsgossip.RoleConsumer} {
+		t.Run(role, func(t *testing.T) {
+			ctx := context.Background()
+			bus := soap.NewMemBus()
+			calls := 0
+			app := soap.HandlerFunc(func(context.Context, *soap.Request) (*soap.Envelope, error) {
+				if calls++; calls == 1 {
+					panic("application bug")
+				}
+				return nil, nil
+			})
+			node, err := wsgossip.NewNode(wsgossip.NodeConfig{
+				Address: "mem://node", Caller: bus, Clock: clock.NewVirtual(), Role: role, App: app,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bus.Register("mem://node", node.Handler())
+			for seq := 1; seq <= 2; seq++ {
+				env := soap.NewEnvelope()
+				if err := env.SetAddressing(wsa.Headers{To: "mem://node", Action: core.ActionNotify, MessageID: wsa.NewMessageID()}); err != nil {
+					t.Fatal(err)
+				}
+				if err := env.SetBody(wireNote{Seq: seq}); err != nil {
+					t.Fatal(err)
+				}
+				if err := bus.Send(ctx, "mem://node", env); err != nil {
+					t.Fatalf("notification %d: %v", seq, err)
+				}
+			}
+			if calls != 2 {
+				t.Fatalf("the App saw %d notifications, want both", calls)
+			}
+			if got := counter(node, "soap_handler_panics_total"); got != 1 {
+				t.Fatalf("soap_handler_panics_total = %d, want 1", got)
+			}
+		})
+	}
+}
