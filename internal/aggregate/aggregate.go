@@ -35,7 +35,8 @@ const (
 	// coordinator-assigned overlay (hop-bounded flood, deduplicated per
 	// task).
 	ActionStart = core.Namespace + ":aggregate:start"
-	// ActionExchange carries one push-sum share between peers.
+	// ActionExchange carries push-sum shares from one peer to another: a
+	// Service's round sends every task's shares for a peer in one envelope.
 	ActionExchange = core.Namespace + ":aggregate:exchange"
 )
 

@@ -94,6 +94,7 @@ type allocBudget struct {
 	ServiceMaxAllocs float64 `json:"service_exchange_max_allocs"`
 	ShareIntake      float64 `json:"share_intake_max_allocs"`
 	AckIntake        float64 `json:"ack_intake_max_allocs"`
+	TickTwoTasks     float64 `json:"service_tick_two_tasks_max_allocs"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -109,7 +110,7 @@ func loadAllocBudget(t *testing.T) allocBudget {
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	if budget.MaxAllocs <= 0 || budget.ServiceMaxAllocs <= 0 || budget.ShareIntake < 0 || budget.AckIntake < 0 {
+	if budget.MaxAllocs <= 0 || budget.ServiceMaxAllocs <= 0 || budget.ShareIntake < 0 || budget.AckIntake < 0 || budget.TickTwoTasks <= 0 {
 		t.Fatalf("alloc budget missing fields: %+v", budget)
 	}
 	return budget
@@ -223,8 +224,9 @@ func TestServiceExchangeAllocBudget(t *testing.T) {
 
 // TestShareAckIntakeAllocBudget: reading a received share or ack — every
 // field, the text ones naming a function, peer, root and metric the node
-// already knows — allocates only the TaskID's copy: the numbers parse in
-// place and the rest of the text resolves through the intern table.
+// already knows — allocates nothing: the numbers parse in place, the rest of
+// the text resolves through the intern table, and the TaskID stays on the
+// wire until the binding finds its task with it.
 func TestShareAckIntakeAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	share := shareBlock(&Share{
@@ -239,13 +241,13 @@ func TestShareAckIntakeAllocBudget(t *testing.T) {
 		op     func()
 	}{
 		{"share intake", budget.ShareIntake, func() {
-			if sh, err := decodeShare(share); err != nil || sh.Metric != "load" {
-				t.Fatalf("share = %+v, %v", sh, err)
+			if sh, id, err := decodeShare(share); err != nil || sh.Metric != "load" || string(id) != serviceExchangeTask {
+				t.Fatalf("share = %+v (task %q), %v", sh, id, err)
 			}
 		}},
 		{"ack intake", budget.AckIntake, func() {
-			if a, err := decodeAck(ack); err != nil || a.From != "mem://b" {
-				t.Fatalf("ack = %+v, %v", a, err)
+			if a, id, err := decodeAck(ack); err != nil || a.From != "mem://b" || string(id) != serviceExchangeTask {
+				t.Fatalf("ack = %+v (task %q), %v", a, id, err)
 			}
 		}},
 	} {
@@ -254,6 +256,92 @@ func TestShareAckIntakeAllocBudget(t *testing.T) {
 			t.Errorf("%s = %.1f allocs/op, budget exactly %.0f (testdata/alloc_budget.json)", row.what, allocs, row.budget)
 		}
 		t.Logf("%s: %.1f allocs/op (budget %.0f)", row.what, allocs, row.budget)
+	}
+}
+
+// twoTasks are the tasks of newTwoTaskTick, and of FuzzExchangeBatch's node.
+var twoTasks = [2]string{"urn:uuid:tick-count", "urn:uuid:tick-load"}
+
+// newTwoTaskTick is the batched round on the production binding: a Service
+// rooting two continuous tasks at fanout 3 over a live view of exactly three
+// peers, all on one MemBus with the clock pinned on an epoch boundary. Every
+// round's one sample names all three peers, and each task takes the whole of
+// it. Each peer learns both tasks from the first round's envelope — a
+// passive join through each task's own context, whose registration fails,
+// there being no coordinator — and from then on only absorbs and acks. One
+// a.Tick is thus three exchange envelopes of two shares each and three ack
+// envelopes of two acks each, and MemBus drains them all before it returns.
+func newTwoTaskTick(t testing.TB) (a *Service, peers []*Service) {
+	t.Helper()
+	bus := soap.NewMemBus()
+	clk := clock.NewVirtual()
+	clk.Advance(2 * time.Second)
+	addrs := []string{"mem://b", "mem://c", "mem://d"}
+	mk := func(addr string, view core.PeerView) *Service {
+		svc, err := NewService(ServiceConfig{
+			Address: addr, Caller: bus, Clock: clk, Peers: view,
+			Value: func() float64 { return 1 },
+			RNG:   rand.New(rand.NewSource(1)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bus.Register(addr, svc.Handler())
+		return svc
+	}
+	a = mk("mem://a", gossip.NewStaticPeers(addrs))
+	for _, addr := range addrs {
+		peers = append(peers, mk(addr, nil))
+	}
+	for _, id := range twoTasks {
+		cctx := wscoord.CoordinationContext{
+			Identifier:          id,
+			CoordinationType:    core.CoordinationTypeGossip,
+			RegistrationService: wscoord.ServiceRef{Address: "mem://no-coordinator"},
+		}
+		a.startContinuousLocal(id, FuncAvg, cctx, core.AggregateParameters{Fanout: 3}, time.Second, "")
+	}
+	return a, peers
+}
+
+// TestServiceTickTwoTasksAllocBudget: one round of two tasks at fanout 3 —
+// the shared sample, the six shares split, three batched envelopes built,
+// sent, decoded, absorbed and answered by three ack envelopes, and six acks
+// committed. The budget is exact.
+func TestServiceTickTwoTasksAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	a, peers := newTwoTaskTick(t)
+	ctx := context.Background()
+	a.Tick(ctx)
+	a.Tick(ctx)
+	before := a.Stats()
+	allocs := testing.AllocsPerRun(200, func() {
+		a.Tick(ctx)
+	})
+	after := a.Stats()
+	if got := after.SharesSent - before.SharesSent; got != 201*6 || after.Commits-before.Commits != got || after.Retries != 0 || after.SendErrors != 0 {
+		t.Fatalf("sender did not send and commit six shares a round: %+v -> %+v", before, after)
+	}
+	for i, p := range peers {
+		if st := p.Stats(); st.PassiveJoins != 2 || st.AcksSent != st.SharesAbsorbed || st.SharesSent != 0 {
+			t.Fatalf("peer %d did not join both tasks and only absorb and ack: %+v", i, st)
+		}
+	}
+	if allocs != budget.TickTwoTasks {
+		t.Errorf("two-task tick = %.1f allocs/op, budget exactly %.0f (testdata/alloc_budget.json)", allocs, budget.TickTwoTasks)
+	}
+	t.Logf("two-task tick: %.1f allocs/op (budget %.0f)", allocs, budget.TickTwoTasks)
+}
+
+// BenchmarkServiceTickTwoTasks measures that round.
+func BenchmarkServiceTickTwoTasks(b *testing.B) {
+	a, _ := newTwoTaskTick(b)
+	ctx := context.Background()
+	a.Tick(ctx)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Tick(ctx)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"wsgossip/internal/core"
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/soap"
+	"wsgossip/internal/wscoord"
 )
 
 func TestEpochAt(t *testing.T) {
@@ -43,9 +44,10 @@ type ackGate struct {
 	inner soap.Caller
 	hold  bool
 	held  []func() error
-	// refuse, when set, is asked about every exchange share; true refuses
-	// the send synchronously, as an unreachable peer would.
-	refuse  func(Share) bool
+	// refuse, when set, is asked about every exchange envelope, with the
+	// shares it carries; true refuses the send synchronously, as an
+	// unreachable peer would. refused counts the shares of refused envelopes.
+	refuse  func([]Share) bool
 	refused int
 }
 
@@ -55,12 +57,14 @@ func (g *ackGate) Call(ctx context.Context, to string, env *soap.Envelope) (*soa
 
 func (g *ackGate) Send(ctx context.Context, to string, env *soap.Envelope) error {
 	if g.refuse != nil && env.Addressing().Action == ActionExchange {
-		var sh Share
-		if err := env.DecodeBody(&sh); err != nil {
-			return err
+		shares := make([]Share, len(env.Body.Blocks))
+		for i, b := range env.Body.Blocks {
+			if err := b.Decode(&shares[i]); err != nil {
+				return err
+			}
 		}
-		if g.refuse(sh) {
-			g.refused++
+		if g.refuse(shares) {
+			g.refused += len(shares)
 			return errors.New("ackGate: connection refused")
 		}
 	}
@@ -379,7 +383,9 @@ func TestContinuousShareSemantics(t *testing.T) {
 // lets mass come back mid-epoch: a synchronously refused FIRST send proves
 // the share never left, so its mass is reclaimed on the spot; a refused RETRY
 // proves nothing (the first copy may have arrived), so the share stays
-// pending until its ack or the epoch boundary.
+// pending until its ack or the epoch boundary. A round sends one envelope per
+// peer, and a refusal is the envelope's: each share in it takes the rule by
+// itself, so the gate counts shares, not envelopes.
 func TestContinuousReclaimAsymmetry(t *testing.T) {
 	// Two services plus the querier: at most two targets per round, so the
 	// outstanding account returns to zero exactly, not merely within an ulp.
@@ -395,14 +401,14 @@ func TestContinuousReclaimAsymmetry(t *testing.T) {
 
 	// Every share of this round is a first send, and every one is refused.
 	before := svc.Stats()
-	c.gate.refuse = func(Share) bool { return true }
+	c.gate.refuse = func([]Share) bool { return true }
 	svc.Tick(ctx)
 	after := svc.Stats()
 	if c.gate.refused == 0 {
 		t.Fatal("no share was offered to the caller; the round did not run")
 	}
 	if got := after.Recovered - before.Recovered; got != int64(c.gate.refused) {
-		t.Fatalf("recovered %d shares, want every one of the %d refused first sends", got, c.gate.refused)
+		t.Fatalf("recovered %d shares, want every one of the %d shares refused", got, c.gate.refused)
 	}
 	if after.SharesSent != before.SharesSent {
 		t.Fatalf("shares sent moved %d -> %d though every send was refused", before.SharesSent, after.SharesSent)
@@ -416,20 +422,32 @@ func TestContinuousReclaimAsymmetry(t *testing.T) {
 	c.assertGaugesZero(t, "after refused first sends")
 
 	// Now let first sends through with their acks parked, so they stay
-	// pending, and refuse exactly the re-sends.
+	// pending, and refuse every envelope that re-sends one. Such an envelope
+	// may also carry a fresh share of the other query: that one is a refused
+	// first send like any other.
 	type transfer struct {
 		task string
 		seq  uint64
 	}
 	sent := map[transfer]bool{}
-	c.gate.refuse = func(sh Share) bool {
-		if sh.From != svc.Address() {
+	var retriesRefused, firstsRefused int64
+	c.gate.refuse = func(shares []Share) bool {
+		if shares[0].From != svc.Address() {
 			return false
 		}
-		id := transfer{sh.TaskID, sh.Seq}
-		retry := sent[id]
-		sent[id] = true
-		return retry
+		retries := 0
+		for _, sh := range shares {
+			if sent[transfer{sh.TaskID, sh.Seq}] {
+				retries++
+			}
+			sent[transfer{sh.TaskID, sh.Seq}] = true
+		}
+		if retries == 0 {
+			return false
+		}
+		retriesRefused += int64(retries)
+		firstsRefused += int64(len(shares) - retries)
+		return true
 	}
 	c.gate.hold, c.gate.refused = true, 0
 	svc.Tick(ctx) // nothing left to retry: the reclaimed shares are gone, not pending
@@ -441,16 +459,19 @@ func TestContinuousReclaimAsymmetry(t *testing.T) {
 		t.Fatal("no outstanding mass while acks are withheld")
 	}
 	before = svc.Stats()
-	svc.Tick(ctx) // retries refused; this round's fresh shares go out
+	svc.Tick(ctx) // every envelope holding a retry refused; the others go out
 	after = svc.Stats()
-	if c.gate.refused == 0 || after.Retries-before.Retries != int64(c.gate.refused) {
-		t.Fatalf("refused %d sends but retried %d: the gate did not refuse exactly the retries", c.gate.refused, after.Retries-before.Retries)
+	if retriesRefused == 0 || after.Retries-before.Retries != retriesRefused {
+		t.Fatalf("refused %d retries but retried %d: the gate did not refuse every retry", retriesRefused, after.Retries-before.Retries)
 	}
-	if after.Recovered != before.Recovered {
-		t.Fatalf("a refused retry recovered mass (%d -> %d)", before.Recovered, after.Recovered)
+	if int64(c.gate.refused) != retriesRefused+firstsRefused {
+		t.Fatalf("gate refused %d shares, want %d retries + %d first sends", c.gate.refused, retriesRefused, firstsRefused)
 	}
-	if got := after.SendErrors - before.SendErrors; got != int64(c.gate.refused) {
-		t.Fatalf("send errors moved by %d, want %d (one per refused retry)", got, c.gate.refused)
+	if got := after.Recovered - before.Recovered; got != firstsRefused {
+		t.Fatalf("recovered %d shares, want exactly the %d first sends refused beside a retry", got, firstsRefused)
+	}
+	if got := after.SendErrors - before.SendErrors; got != retriesRefused+firstsRefused {
+		t.Fatalf("send errors moved by %d, want %d (one per refused share)", got, retriesRefused+firstsRefused)
 	}
 	if o, _ := svc.Outstanding(tk.ID); o < pending {
 		t.Fatalf("outstanding fell %g -> %g: a refused retry released its share", pending, o)
@@ -461,10 +482,83 @@ func TestContinuousReclaimAsymmetry(t *testing.T) {
 	// retries were refused.
 	c.gate.refuse, c.gate.hold = nil, false
 	c.gate.release()
-	if got := svc.Stats().Commits - after.Commits; got < int64(c.gate.refused) {
-		t.Fatalf("commits moved by %d, want at least the %d shares whose retry was refused", got, c.gate.refused)
+	if got := svc.Stats().Commits - after.Commits; got < retriesRefused {
+		t.Fatalf("commits moved by %d, want at least the %d shares whose retry was refused", got, retriesRefused)
 	}
 	c.assertGaugesZero(t, "after ack release")
+
+	t.Run("mixed envelope", func(t *testing.T) { checkMixedRefusal(t) })
+}
+
+// checkMixedRefusal: a retry of task A and a first send of task B to the
+// same peer travel in one envelope, and its refusal gives exactly one of
+// each outcome — the retry one send error and nothing more, the first send
+// one reclaim (which counts its own failed send too).
+func checkMixedRefusal(t *testing.T) {
+	bus := soap.NewMemBus()
+	gate := &ackGate{inner: bus}
+	clk := clock.NewVirtual()
+	clk.Advance(2 * time.Second)
+	reg := metrics.NewRegistry()
+	mk := func(addr string, reg *metrics.Registry) *Service {
+		svc, err := NewService(ServiceConfig{
+			Address: addr, Caller: gate, Clock: clk, Metrics: reg,
+			Value: func() float64 { return 1 },
+			RNG:   rand.New(rand.NewSource(1)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bus.Register(addr, svc.Handler())
+		return svc
+	}
+	a, _ := mk("mem://a", reg), mk("mem://b", nil)
+	start := func(id string) {
+		a.startContinuousLocal(id, FuncAvg, wscoord.CoordinationContext{
+			Identifier:          id,
+			CoordinationType:    core.CoordinationTypeGossip,
+			RegistrationService: wscoord.ServiceRef{Address: "mem://no-coordinator"},
+		}, core.AggregateParameters{Fanout: 1, Targets: []string{"mem://b"}}, time.Second, "")
+	}
+	ctx := context.Background()
+	start("urn:uuid:a")
+	gate.hold = true
+	a.Tick(ctx) // A's first share goes out; its ack is parked
+	// A draws no more targets, so its next round is its retry alone.
+	a.mu.Lock()
+	a.tasks["urn:uuid:a"].params = core.AggregateParameters{}
+	a.mu.Unlock()
+	start("urn:uuid:b")
+	var offered []Share
+	gate.refuse = func(shares []Share) bool {
+		offered = shares
+		return true
+	}
+	outA, _ := a.Outstanding("urn:uuid:a")
+	before := a.Stats()
+	a.Tick(ctx)
+	after := a.Stats()
+	if len(offered) != 2 || offered[0].TaskID != "urn:uuid:a" || offered[1].TaskID != "urn:uuid:b" {
+		t.Fatalf("refused envelope carried %+v, want A's retry then B's first share", offered)
+	}
+	if got := after.Retries - before.Retries; got != 1 {
+		t.Fatalf("retries moved by %d, want 1", got)
+	}
+	if got := after.Recovered - before.Recovered; got != 1 {
+		t.Fatalf("recovered %d shares, want exactly B's first send", got)
+	}
+	if got := (after.SendErrors - before.SendErrors) - (after.Recovered - before.Recovered); got != 1 {
+		t.Fatalf("send errors beside the reclaim moved by %d, want exactly A's refused retry", got)
+	}
+	if o, _ := a.Outstanding("urn:uuid:a"); o != outA || o == 0 {
+		t.Fatalf("A's outstanding %g -> %g: a refused retry must stay pending", outA, o)
+	}
+	if o, _ := a.Outstanding("urn:uuid:b"); o != 0 {
+		t.Fatalf("B's outstanding = %g after its refused first send, want 0", o)
+	}
+	if e := reg.FloatGauge("aggregate_mass_error").Value(); e != 0 {
+		t.Fatalf("aggregate_mass_error = %g, want exactly 0", e)
+	}
 }
 
 // TestContinuousPassiveJoinContributesNextEpoch pins the churn-absorption

@@ -59,6 +59,15 @@
 // targets, supply the contribution at a roll, read the clock and move bytes
 // — the Service under its mutex with sends outside the lock, the SimNode
 // inline on the simulator's event loop. A share and its ack have one wire
-// form (wire.go), on soap's flat-element codec: the Service sends it as the
-// SOAP body, the SimNode as the transport.Message body.
+// form (wire.go), on soap's flat-element codec: the SimNode sends one as the
+// transport.Message body, the Service as children of a SOAP body.
+//
+// A Service round is one envelope per peer. Tick draws the round's targets
+// from the live view once, at the largest fanout any task asks for, and
+// each task takes its prefix of that sample; the round's shares for one
+// peer, every task's, travel in one envelope with one coordination-context
+// header per task. The receiver reads every child before applying any — one
+// bad child faults the whole envelope — and answers with one ack envelope
+// without a context. A refused envelope reclaims each first send in it and
+// counts each retry as a send error, the per-share rule above.
 package aggregate

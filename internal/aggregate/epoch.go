@@ -15,9 +15,10 @@ import (
 // unacked shares, its dedup state, and its conservation ledger retire as a
 // unit, so nothing ambiguous leaks into the live estimate.
 
-// ActionExchangeAck acknowledges custody transfer of one exchange share. The sender keeps a transferred share's mass in its
-// outstanding ledger until this ack arrives; only then is the transfer
-// committed.
+// ActionExchangeAck acknowledges custody transfer of exchange shares, one
+// ack per share: a Service answers an exchange envelope with one envelope of
+// acks. The sender keeps a transferred share's mass in its outstanding
+// ledger until its ack arrives; only then is the transfer committed.
 const ActionExchangeAck = core.Namespace + ":aggregate:exchangeAck"
 
 // EpochAt returns the 1-based epoch index at time now for the given window

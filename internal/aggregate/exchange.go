@@ -131,6 +131,16 @@ func admissible(sh *Share) bool {
 		(!sh.HasExtremes || finite(sh.Min) && finite(sh.Max))
 }
 
+// fits reports whether absorbing sh keeps the state's mass and the ledger
+// finite. Admissible shares can still overflow float64 together — no honest
+// node holds mass within orders of magnitude of that — and an infinite sum or
+// weight would poison the task as a non-finite share would, so absorb ignores
+// such a share unacked, like an inadmissible one.
+func (x *exchange) fits(sh *Share) bool {
+	sum, w := x.state.Mass()
+	return !math.IsInf(sum+sh.Sum, 0) && !math.IsInf(w+sh.Weight, 0) && !math.IsInf(x.led.in+sh.Weight, 0)
+}
+
 // tooFarAhead reports whether epoch k is more than one past the local epoch
 // at now. A share or ack claiming such an epoch is ignored outright: acted
 // on, one message would roll this node — and through its acks every node it
@@ -238,7 +248,8 @@ func (x *exchange) tick(now time.Duration, targets []string) []*pendingShare {
 // that epoch everywhere, and the ack both stops the retries and rolls the
 // sender forward. A share from the next epoch rolls this node forward first:
 // epochs spread epidemically, the clock is only the local trigger. A share
-// that is not admissible or is tooFarAhead is ignored and not acked.
+// that is not admissible, is tooFarAhead, or does not fit is ignored and not
+// acked.
 func (x *exchange) absorb(now time.Duration, sh *Share) (ack ExchangeAck, reply bool) {
 	if !admissible(sh) || x.tooFarAhead(now, sh.Epoch) {
 		return ack, false
@@ -252,6 +263,8 @@ func (x *exchange) absorb(now time.Duration, sh *Share) (ack ExchangeAck, reply 
 		}
 		if _, dup := m[sh.Seq]; dup {
 			x.counts.dups++
+		} else if !x.fits(sh) {
+			return ack, false
 		} else {
 			m[sh.Seq] = struct{}{}
 			x.state.Absorb(*sh)

@@ -2,12 +2,19 @@ package aggregate
 
 import (
 	"bytes"
+	"context"
 	"encoding/xml"
+	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 	"unicode/utf8"
 
+	"wsgossip/internal/clock"
+	"wsgossip/internal/core"
+	"wsgossip/internal/metrics"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/wscoord"
 )
@@ -75,14 +82,18 @@ func FuzzExchangeRoundTrip(f *testing.F) {
 		}
 		ack := ExchangeAck{TaskID: taskID, From: from, Epoch: epoch, Seq: seq}
 		shareRaw, ackRaw := shareBlock(&in).Raw, ackBlock(&ack).Raw
-		flatMatchesXML(t, &in, shareRaw, func(raw []byte) (any, error) { return decodeShare(raw) })
-		flatMatchesXML(t, &ack, ackRaw, func(raw []byte) (any, error) { return decodeAck(raw) })
+		flatMatchesXML(t, &in, shareRaw, func(raw []byte) (any, error) { return wholeShare(raw) })
+		flatMatchesXML(t, &ack, ackRaw, func(raw []byte) (any, error) {
+			a, id, err := decodeAck(raw)
+			a.TaskID = string(id)
+			return a, err
+		})
 		// The fast reader must take what the writer emits (a window beyond
 		// nine digits is the one canonical share it leaves to encoding/xml).
-		if _, ok := scanShare(shareRaw); !ok && windowMillis > -1e9 && windowMillis < 1e9 {
+		if _, _, ok := scanShare(shareRaw); !ok && windowMillis > -1e9 && windowMillis < 1e9 {
 			t.Fatalf("flat reader declined its own writer's share: %q", shareRaw)
 		}
-		if _, ok := scanAck(ackRaw); !ok {
+		if _, _, ok := scanAck(ackRaw); !ok {
 			t.Fatalf("flat reader declined its own writer's ack: %q", ackRaw)
 		}
 		cctx := wscoord.CoordinationContext{
@@ -103,7 +114,7 @@ func FuzzExchangeRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("scanner decode: %v\nwire: %q", err, data)
 		}
-		out, err := decodeShare(bodyRaw(decoded))
+		out, err := wholeShare(decoded.Body.Blocks[0].Raw)
 		if err != nil {
 			t.Fatalf("decode body: %v\nwire: %q", err, data)
 		}
@@ -112,6 +123,14 @@ func FuzzExchangeRoundTrip(f *testing.F) {
 			t.Fatalf("share round trip mismatch:\n in: %+v\nout: %+v\nwire: %q", in, out, data)
 		}
 	})
+}
+
+// wholeShare is decodeShare with the TaskID read off the wire put back: the
+// value xml.Unmarshal yields.
+func wholeShare(raw []byte) (Share, error) {
+	sh, id, err := decodeShare(raw)
+	sh.TaskID = string(id)
+	return sh, err
 }
 
 // flatMatchesXML requires flat to be xml.Marshal(v) byte for byte, and
@@ -136,4 +155,115 @@ func flatMatchesXML(t *testing.T, v any, flat []byte, decode func([]byte) (any, 
 	if !reflect.DeepEqual(got, std.Elem().Interface()) {
 		t.Fatalf("flat reader diverges from xml.Unmarshal:\nflat: %+v\n xml: %+v\nwire: %q", got, std.Elem().Interface(), flat)
 	}
+}
+
+// batchContext is the coordination context of a twoTasks entry.
+func batchContext(id string) wscoord.CoordinationContext {
+	return wscoord.CoordinationContext{
+		Identifier:          id,
+		CoordinationType:    "urn:fuzz:type",
+		RegistrationService: wscoord.ServiceRef{Address: "mem://no-coordinator"},
+	}
+}
+
+// batchCaller counts the ack envelopes a Service sends and drops every
+// envelope: shares stay pending, for acks to commit.
+type batchCaller struct{ acks int }
+
+func (c *batchCaller) Call(context.Context, string, *soap.Envelope) (*soap.Envelope, error) {
+	return nil, errors.New("batchCaller: no coordinator")
+}
+
+func (c *batchCaller) Send(_ context.Context, _ string, env *soap.Envelope) error {
+	if env.Action() == ActionExchangeAck {
+		c.acks++
+	}
+	return nil
+}
+
+// FuzzExchangeBatch drives arbitrary multi-child bodies through the
+// Service's batched intake, as an exchange envelope and as an ack envelope
+// carrying both tasks' contexts, at a node holding both tasks with shares
+// pending. The committed corpus holds a two-task exchange body and a
+// two-task ack body captured from newTwoTaskTick's traffic. Whatever the children: no panic; an envelope with a child that is
+// not a share (or not an ack) is a fault that absorbs (or commits) nothing;
+// an exchange envelope is answered by at most one ack envelope; and the mass
+// error stays exactly zero.
+func FuzzExchangeBatch(f *testing.F) {
+	share := func(task string, seq uint64) Share {
+		return Share{TaskID: task, Function: string(FuncAvg), From: "mem://peer", Sum: 1.5, Weight: 0.25,
+			WindowMillis: 1000, Epoch: 3, Seq: seq, Root: "mem://root", Metric: "load"}
+	}
+	body := func(blocks ...soap.Block) []byte {
+		var b []byte
+		for _, bl := range blocks {
+			b = append(b, bl.Raw...)
+		}
+		return b
+	}
+	a, b := share(twoTasks[0], 1), share(twoTasks[1], 2)
+	f.Add(body(shareBlock(&a), shareBlock(&b)))
+	f.Add(body(ackBlock(&ExchangeAck{TaskID: twoTasks[0], From: "mem://peer", Epoch: 3, Seq: 1}),
+		ackBlock(&ExchangeAck{TaskID: twoTasks[1], From: "mem://peer", Epoch: 3, Seq: 1})))
+	huge, huger := a, a
+	huge.Weight, huger.Weight, huger.Seq = math.MaxFloat64, math.MaxFloat64, 7
+	f.Add(body(shareBlock(&huge), shareBlock(&huger)))
+	f.Add(body(shareBlock(&a), soap.Block{Raw: []byte(`<AggregateShare xmlns="urn:wsgossip:2008"><Sum>x</Sum></AggregateShare>`)}))
+	f.Fuzz(func(t *testing.T, children []byte) {
+		reg := metrics.NewRegistry()
+		caller := &batchCaller{}
+		clk := clock.NewVirtual()
+		clk.Advance(2 * time.Second)
+		svc, err := NewService(ServiceConfig{Address: "mem://node", Caller: caller, Clock: clk, Metrics: reg,
+			Value: func() float64 { return 1 }, RNG: rand.New(rand.NewSource(1))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var contexts []soap.Block
+		for _, id := range twoTasks {
+			svc.startContinuousLocal(id, FuncAvg, batchContext(id), core.AggregateParameters{Fanout: 1, Targets: []string{"mem://peer"}}, time.Second, "load")
+			contexts = append(contexts, contextBlock(batchContext(id)))
+		}
+		svc.Tick(context.Background()) // one pending share per task
+		for _, action := range []string{ActionExchange, ActionExchangeAck} {
+			env, err := newMessage(action, contexts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := env.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = bytes.Replace(data, []byte("<Body></Body>"), append(append([]byte("<Body>"), children...), "</Body>"...), 1)
+			decoded, err := soap.Decode(data)
+			if err != nil {
+				return // not a document: no handler would see it
+			}
+			malformed := len(decoded.Body.Blocks) == 0
+			for _, blk := range decoded.Body.Blocks {
+				if action == ActionExchange {
+					_, _, err = decodeShare(blk.Raw)
+				} else {
+					_, _, err = decodeAck(blk.Raw)
+				}
+				malformed = malformed || err != nil
+			}
+			before, acks := svc.Stats(), caller.acks
+			if action == ActionExchange {
+				_, err = svc.handleExchange(context.Background(), &soap.Request{Envelope: decoded})
+			} else {
+				_, err = svc.handleExchangeAck(context.Background(), &soap.Request{Envelope: decoded})
+			}
+			after := svc.Stats()
+			if malformed && (err == nil || after.SharesAbsorbed != before.SharesAbsorbed || after.Commits != before.Commits || caller.acks != acks) {
+				t.Fatalf("%s with a malformed child: err %v, stats %+v -> %+v", action, err, before, after)
+			}
+			if caller.acks > acks+1 {
+				t.Fatalf("one exchange envelope answered by %d ack envelopes", caller.acks-acks)
+			}
+			if e := reg.FloatGauge("aggregate_mass_error").Value(); e != 0 {
+				t.Fatalf("%s: aggregate_mass_error = %g, want exactly 0\nbody: %q", action, e, children)
+			}
+		}
+	})
 }

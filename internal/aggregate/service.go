@@ -1,10 +1,12 @@
 package aggregate
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,6 +14,7 @@ import (
 
 	"wsgossip/internal/clock"
 	"wsgossip/internal/core"
+	"wsgossip/internal/gossip"
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/wsa"
@@ -98,7 +101,8 @@ type ServiceConfig struct {
 // task is one aggregation interaction this node participates in: the
 // exchange machine holding its mass, and what the binding needs to move it.
 // ctx is the interaction's coordination context as the header block every
-// share and ack carries, built once when the task learns the context.
+// envelope carrying the task's shares holds, built once when the task learns
+// the context.
 type task struct {
 	x      *exchange
 	params core.AggregateParameters
@@ -131,6 +135,8 @@ type Service struct {
 	clk   clock.Clock
 	tasks map[string]*task
 	stats aggCounters
+	// scratch holds one task's targets during Tick (targetsLocked).
+	scratch []string
 }
 
 // aggCounters is the aggregation layer's registry-resolved series;
@@ -343,7 +349,7 @@ func (s *Service) handleStart(ctx context.Context, req *soap.Request) (*soap.Env
 	if start.WindowMillis <= 0 {
 		return nil, soap.NewFault(soap.CodeSender, "aggregate start without a window")
 	}
-	cctx, err := wscoord.ContextFrom(req.Envelope)
+	cctx, err := wscoord.ContextFor(req.Envelope, start.TaskID)
 	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "aggregate start without coordination context: "+err.Error())
 	}
@@ -419,14 +425,11 @@ func (s *Service) registerTask(ctx context.Context, cctx wscoord.CoordinationCon
 	return params, nil
 }
 
-// newMessage starts one logical multi-target message: addressing with the
-// action and a single message ID but no To (the fan-out splices it per
-// target), and the task's prebuilt coordination-context block. The caller
-// sets the body.
-func newMessage(action string, cctx soap.Block) (*soap.Envelope, error) {
-	if cctx.Raw == nil {
-		return nil, errors.New("aggregate: coordination context did not marshal")
-	}
+// newMessage starts one aggregation message: addressing with the action and
+// a single message ID but no To (the Caller or the fan-out splices it per
+// target), and one coordination-context header block per task the message
+// carries — the task's prebuilt block (task.ctx). The caller sets the body.
+func newMessage(action string, contexts ...soap.Block) (*soap.Envelope, error) {
 	env := soap.NewEnvelope()
 	if err := env.SetAddressing(wsa.Headers{
 		Action:    action,
@@ -434,13 +437,28 @@ func newMessage(action string, cctx soap.Block) (*soap.Envelope, error) {
 	}); err != nil {
 		return nil, err
 	}
-	wscoord.AttachContextBlock(env, cctx)
+	for _, b := range contexts {
+		if err := addContext(env, b); err != nil {
+			return nil, err
+		}
+	}
 	return env, nil
 }
 
+// addContext adds a task's context block to env's header. The zero block of
+// a context encoding/xml could not marshal fails the message, as attaching
+// that context to it would have.
+func addContext(env *soap.Envelope, cctx soap.Block) error {
+	if cctx.Raw == nil {
+		return errors.New("aggregate: coordination context did not marshal")
+	}
+	env.AddHeaderBlock(cctx)
+	return nil
+}
+
 // buildMessage is newMessage plus a body marshalled by encoding/xml — the
-// once-per-task messages. Shares and acks carry a flat-codec block instead
-// (wire.go).
+// once-per-task messages. Shares and acks carry flat-codec blocks instead
+// (shareEnvelope, ackEnvelope).
 func buildMessage(action string, cctx wscoord.CoordinationContext, body any) (*soap.Envelope, error) {
 	env, err := newMessage(action, contextBlock(cctx))
 	if err != nil {
@@ -449,6 +467,51 @@ func buildMessage(action string, cctx wscoord.CoordinationContext, body any) (*s
 	if err := env.SetBody(body); err != nil {
 		return nil, err
 	}
+	return env, nil
+}
+
+// shareEnvelope builds the one exchange envelope that carries batch, a
+// round's shares for one peer in task-ID order and then machine order: one
+// AggregateShare body child per share, in batch order, and one
+// coordination-context header block per task, in the same order, so a node
+// the share reaches first can join each task through its own context. A
+// batch of one is byte for byte the single-share message.
+func shareEnvelope(batch []staged) (*soap.Envelope, error) {
+	env, err := newMessage(ActionExchange)
+	if err != nil {
+		return nil, err
+	}
+	size := 0
+	for i := range batch {
+		if i == 0 || batch[i].taskID != batch[i-1].taskID {
+			if err := addContext(env, batch[i].cctx); err != nil {
+				return nil, err
+			}
+		}
+		size += shareSize(&batch[i].p.share)
+	}
+	setBody(env, shareName, len(batch), size, func(buf []byte, i int) []byte {
+		return appendShare(buf, &batch[i].p.share)
+	})
+	return env, nil
+}
+
+// ackEnvelope builds the one envelope that answers an exchange envelope: one
+// AggregateExchangeAck body child per ack, in order, and no coordination
+// context — it goes back to the peer that sent the shares, which holds every
+// task they name.
+func ackEnvelope(acks []ExchangeAck) (*soap.Envelope, error) {
+	env, err := newMessage(ActionExchangeAck)
+	if err != nil {
+		return nil, err
+	}
+	size := 0
+	for i := range acks {
+		size += ackSize(&acks[i])
+	}
+	setBody(env, ackName, len(acks), size, func(buf []byte, i int) []byte {
+		return appendAck(buf, &acks[i])
+	})
 	return env, nil
 }
 
@@ -525,18 +588,47 @@ func (s *Service) dropTask(taskID string) {
 	s.evalMassLocked()
 }
 
-// targetsLocked samples a task's exchange targets for one round. A passive
+// fanoutLocked is how many targets a task asks for each round. A passive
 // joiner whose registration failed has no parameters; with a live view (or
 // assigned targets) it still relays at the default fanout. Caller holds s.mu.
-func (s *Service) targetsLocked(t *task) []string {
-	fanout := t.params.Fanout
-	if fanout <= 0 {
-		if s.cfg.Peers == nil && len(t.params.Targets) == 0 {
-			return nil
-		}
-		fanout = passiveFanout
+func (s *Service) fanoutLocked(t *task) int {
+	switch {
+	case t.params.Fanout > 0:
+		return t.params.Fanout
+	case s.cfg.Peers == nil && len(t.params.Targets) == 0:
+		return 0
 	}
-	return core.SelectTargets(s.cfg.Peers, s.rng, fanout, s.cfg.Address, t.params.Targets)
+	return passiveFanout
+}
+
+// sampleLocked draws the round's targets from the live view once: n of
+// them, the largest fanout any task asks for. Each task then takes its
+// prefix (targetsLocked). Every PeerView samples without replacement, one
+// uniform pick after another (gossip.SamplePeers is a partial Fisher–Yates),
+// so each prefix is itself a uniform sample, and a node with one task draws
+// exactly what that task alone would. Nil without a live view, or while it
+// is empty. Caller holds s.mu.
+func (s *Service) sampleLocked(n int) []string {
+	if s.cfg.Peers == nil || n == 0 {
+		return nil
+	}
+	return s.cfg.Peers.SelectPeers(s.rng, n, s.cfg.Address)
+}
+
+// targetsLocked returns a task's exchange targets for one round: its prefix
+// of the round's sample, copied into the service's scratch slice because the
+// machine filters its targets in place, or, without a sample, its own draw
+// from the coordinator-assigned list. Caller holds s.mu.
+func (s *Service) targetsLocked(t *task, sample []string) []string {
+	n := s.fanoutLocked(t)
+	if n == 0 {
+		return nil
+	}
+	if len(sample) > 0 {
+		s.scratch = append(s.scratch[:0], sample[:min(n, len(sample))]...)
+		return s.scratch
+	}
+	return gossip.SamplePeers(s.rng, t.params.Targets, n, s.cfg.Address)
 }
 
 // staged is one share send chosen under the lock and performed outside it.
@@ -546,37 +638,71 @@ type staged struct {
 	p      *pendingShare
 	// retry is p.retry() as read under the lock.
 	retry bool
+	// peer is the index of the round's first send to the same target: the
+	// key that groups the round's sends into one envelope per peer.
+	peer int
 }
 
 // Tick runs one push-sum round for every task, in task-ID order: the
 // machine rolls the epoch when the clock crossed a boundary, retries unacked
-// shares and splits fresh ones for this round's sampled targets. The sends
-// happen outside the lock; a refused first send goes back to the machine,
-// which reclaims the mass, and a refused retry only counts. Call it from a
-// timer at the deployment's exchange interval.
+// shares and splits fresh ones for this round's targets, drawn once for all
+// tasks (sampleLocked). The sends happen outside the lock, one envelope per
+// peer, the peers in the order the round first names them (sendShares). Call
+// it from a timer at the deployment's exchange interval.
 func (s *Service) Tick(ctx context.Context) {
-	var sends []staged
 	s.mu.Lock()
 	ids := make([]string, 0, len(s.tasks))
-	for id := range s.tasks {
+	most, widest := 0, 0 // the round's sends at most; the largest fanout
+	for id, t := range s.tasks {
 		ids = append(ids, id)
+		n := s.fanoutLocked(t)
+		most += len(t.x.pending) + n
+		widest = max(widest, n)
 	}
 	sort.Strings(ids)
+	sends := make([]staged, 0, most)
+	sample := s.sampleLocked(widest)
+	now := s.clk.Now()
 	for _, id := range ids {
 		t := s.tasks[id]
-		for _, p := range t.x.tick(s.clk.Now(), s.targetsLocked(t)) {
+		for _, p := range t.x.tick(now, s.targetsLocked(t, sample)) {
 			sends = append(sends, staged{taskID: id, cctx: t.ctx, p: p, retry: p.retry()})
 		}
 		s.stats.drain(&t.x.counts)
 	}
 	s.evalMassLocked()
 	s.mu.Unlock()
-	for _, st := range sends {
-		env, err := newMessage(ActionExchange, st.cctx)
-		if err == nil {
-			env.SetBodyBlock(shareBlock(&st.p.share))
-			err = s.cfg.Caller.Send(ctx, st.p.to, env)
+	for i := range sends {
+		sends[i].peer = i
+		for j := range i {
+			if sends[j].p.to == sends[i].p.to {
+				sends[i].peer = sends[j].peer
+				break
+			}
 		}
+	}
+	// Stable: each peer's shares stay in task-ID and then machine order.
+	slices.SortStableFunc(sends, func(a, b staged) int { return cmp.Compare(a.peer, b.peer) })
+	for len(sends) > 0 {
+		n := 1
+		for n < len(sends) && sends[n].peer == sends[0].peer {
+			n++
+		}
+		s.sendShares(ctx, sends[:n])
+		sends = sends[n:]
+	}
+}
+
+// sendShares sends one peer's shares of the round in one envelope. The
+// transport's verdict on the envelope is every share's, each taken by the
+// per-share rule: a refused first send goes back to its machine, which
+// reclaims the mass, and a refused retry only counts.
+func (s *Service) sendShares(ctx context.Context, batch []staged) {
+	env, err := shareEnvelope(batch)
+	if err == nil {
+		err = s.cfg.Caller.Send(ctx, batch[0].p.to, env)
+	}
+	for _, st := range batch {
 		switch {
 		case err == nil:
 			s.stats.sharesSent.Inc()
@@ -601,81 +727,196 @@ func (s *Service) reclaim(taskID string, p *pendingShare) {
 	s.evalMassLocked()
 }
 
-// handleExchange absorbs one epoch-tagged share and acks it. A node that
-// never saw the start joins passively — the share carries the window, root,
-// and metric, and the coordination context to register through — and begins
-// contributing at the next epoch boundary. A share without a window is
-// refused.
+// inlineChildren is how many children of an inbound exchange or ack
+// envelope intake reads into arrays on its stack: more tasks than a node
+// usually serves, so reading an envelope allocates nothing.
+const inlineChildren = 4
+
+// shareIn is one child of an inbound exchange envelope: the share, its
+// TaskID's wire bytes (a view into the receive buffer, see scanShare) and,
+// once resolved, its task.
+type shareIn struct {
+	sh Share
+	id []byte
+	t  *task
+}
+
+// handleExchange takes one exchange envelope. It reads every share in it
+// before applying any (readShares) and finds or joins each one's task
+// (resolve): a malformed child, a share without a window, shares from two
+// senders, or a new task without its context faults the whole envelope as
+// the sender's error, with nothing absorbed and no task created. Then it
+// absorbs each share into its task and answers with one ack envelope.
 func (s *Service) handleExchange(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
-	share, err := decodeShare(bodyRaw(req.Envelope))
+	var inline [inlineChildren]shareIn
+	in, err := readShares(req.Envelope.Body.Blocks, inline[:0])
 	if err != nil {
-		return nil, soap.NewFault(soap.CodeSender, "malformed AggregateShare: "+err.Error())
+		return nil, err
 	}
-	if share.WindowMillis <= 0 {
-		return nil, soap.NewFault(soap.CodeSender, "aggregate share without a window")
+	if err := s.resolve(ctx, req.Envelope, in); err != nil {
+		return nil, err
 	}
+	var ackInline [inlineChildren]ExchangeAck
+	acks := ackInline[:0]
 	s.mu.Lock()
-	t, known := s.tasks[share.TaskID]
-	s.mu.Unlock()
-	if !known {
-		fn, err := ParseFunc(share.Function)
-		if err != nil {
-			return nil, soap.NewFault(soap.CodeSender, err.Error())
+	now := s.clk.Now()
+	for i := range in {
+		x := in[i].t.x
+		if ack, reply := x.absorb(now, &in[i].sh); reply {
+			acks = append(acks, ack)
 		}
-		cctx, err := wscoord.ContextFrom(req.Envelope)
-		if err != nil {
-			return nil, soap.NewFault(soap.CodeSender, "aggregate share without coordination context: "+err.Error())
-		}
-		// Registration can fail (coordinator down); the node still holds
-		// the mass it absorbs, so the totals stay conserved.
-		params, _ := s.registerTask(ctx, cctx)
-		window := time.Duration(share.WindowMillis) * time.Millisecond
-		t = s.newContinuousTask(share.TaskID, fn, window, share.Root, share.Metric, params, cctx)
-		s.mu.Lock()
-		if existing, raced := s.tasks[share.TaskID]; raced {
-			t = existing
-		} else {
-			// Mid-window joiner: relay passively for the rest of this
-			// window, contribute from the next boundary on.
-			t.x.contributeFrom = EpochAt(s.clk.Now(), window) + 1
-			s.tasks[share.TaskID] = t
-			s.stats.passiveJoins.Inc()
-		}
-		s.mu.Unlock()
+		s.stats.drain(&x.counts)
 	}
-	s.mu.Lock()
-	ack, reply := t.x.absorb(s.clk.Now(), &share)
-	s.stats.drain(&t.x.counts)
-	cctx := t.ctx
 	s.evalMassLocked()
 	s.mu.Unlock()
 	s.bumpActivity()
-	if reply {
-		if env, err := newMessage(ActionExchangeAck, cctx); err == nil {
-			env.SetBodyBlock(ackBlock(&ack))
-			if s.cfg.Caller.Send(ctx, share.From, env) == nil {
-				s.stats.acksSent.Inc()
-			} else {
-				s.stats.sendErrors.Inc()
-			}
-		}
+	if len(acks) == 0 {
+		return nil, nil
+	}
+	env, err := ackEnvelope(acks)
+	if err == nil {
+		err = s.cfg.Caller.Send(ctx, in[0].sh.From, env)
+	}
+	if err == nil {
+		s.stats.acksSent.Add(int64(len(acks)))
+	} else {
+		s.stats.sendErrors.Add(int64(len(acks)))
 	}
 	return nil, nil
 }
 
-// handleExchangeAck commits one outstanding transfer — the commit point the
-// mass-error gauge is re-evaluated at.
+// readShares reads every child of an exchange body into in. Each must be a
+// share with a window, and all must come from one sender, whom the one ack
+// envelope answers.
+func readShares(blocks []soap.Block, in []shareIn) ([]shareIn, error) {
+	if len(blocks) == 0 {
+		return nil, soap.NewFault(soap.CodeSender, "malformed AggregateShare: empty body")
+	}
+	for i := range blocks {
+		sh, id, err := decodeShare(blocks[i].Raw)
+		if err != nil {
+			return nil, soap.NewFault(soap.CodeSender, "malformed AggregateShare: "+err.Error())
+		}
+		if sh.WindowMillis <= 0 {
+			return nil, soap.NewFault(soap.CodeSender, "aggregate share without a window")
+		}
+		if i > 0 && sh.From != in[0].sh.From {
+			return nil, soap.NewFault(soap.CodeSender, "aggregate shares from more than one sender")
+		}
+		in = append(in, shareIn{sh: sh, id: id})
+	}
+	return in, nil
+}
+
+// resolve points each share at its task. A share of a task the node does
+// not hold joins it passively: the share carries the window, root and
+// metric, and the envelope the context header that names the task, to
+// register through. Every such share is checked before any joins, so a
+// faulted envelope creates no task. Only a join copies the TaskID off the
+// wire: the task's key is its context's Identifier.
+func (s *Service) resolve(ctx context.Context, env *soap.Envelope, in []shareIn) error {
+	missing := false
+	s.mu.Lock()
+	for i := range in {
+		if t, ok := s.tasks[string(in[i].id)]; ok {
+			in[i].t = t
+		} else {
+			missing = true
+		}
+	}
+	s.mu.Unlock()
+	if !missing {
+		return nil
+	}
+	type join struct {
+		fn   Func
+		cctx wscoord.CoordinationContext
+	}
+	joins := make([]join, len(in))
+	for i := range in {
+		if in[i].t != nil {
+			continue
+		}
+		fn, err := ParseFunc(in[i].sh.Function)
+		if err != nil {
+			return soap.NewFault(soap.CodeSender, err.Error())
+		}
+		cctx, err := wscoord.ContextFor(env, string(in[i].id))
+		if err != nil {
+			return soap.NewFault(soap.CodeSender, "aggregate share without coordination context: "+err.Error())
+		}
+		joins[i] = join{fn: fn, cctx: cctx}
+	}
+	for i := range in {
+		if in[i].t == nil {
+			in[i].t = s.joinPassive(ctx, joins[i].fn, &in[i].sh, joins[i].cctx)
+		}
+	}
+	return nil
+}
+
+// joinPassive installs cctx's task, which sh belongs to, as a mid-window
+// joiner that relays passively for the rest of this window and contributes
+// from the next boundary on — unless the node holds the task by now: an
+// earlier share of the same envelope, or a concurrent one, joined it first.
+func (s *Service) joinPassive(ctx context.Context, fn Func, sh *Share, cctx wscoord.CoordinationContext) *task {
+	taskID := cctx.Identifier
+	s.mu.Lock()
+	t, known := s.tasks[taskID]
+	s.mu.Unlock()
+	if known {
+		return t
+	}
+	// Registration can fail (coordinator down); the node still holds the
+	// mass it absorbs, so the totals stay conserved.
+	params, _ := s.registerTask(ctx, cctx)
+	window := time.Duration(sh.WindowMillis) * time.Millisecond
+	t = s.newContinuousTask(taskID, fn, window, sh.Root, sh.Metric, params, cctx)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if existing, raced := s.tasks[taskID]; raced {
+		return existing
+	}
+	t.x.contributeFrom = EpochAt(s.clk.Now(), window) + 1
+	s.tasks[taskID] = t
+	s.stats.passiveJoins.Inc()
+	return t
+}
+
+// ackIn is one child of an inbound ack envelope: the ack and its TaskID's
+// wire bytes.
+type ackIn struct {
+	a  ExchangeAck
+	id []byte
+}
+
+// handleExchangeAck reads every ack in the envelope, then commits each
+// outstanding transfer it names — the commit point the mass-error gauge is
+// re-evaluated at. A malformed child faults the envelope with nothing
+// committed; an ack of a task the node does not hold is ignored.
 func (s *Service) handleExchangeAck(_ context.Context, req *soap.Request) (*soap.Envelope, error) {
-	ack, err := decodeAck(bodyRaw(req.Envelope))
-	if err != nil {
-		return nil, soap.NewFault(soap.CodeSender, "malformed AggregateExchangeAck: "+err.Error())
+	blocks := req.Envelope.Body.Blocks
+	if len(blocks) == 0 {
+		return nil, soap.NewFault(soap.CodeSender, "malformed AggregateExchangeAck: empty body")
+	}
+	var inline [inlineChildren]ackIn
+	in := inline[:0]
+	for i := range blocks {
+		a, id, err := decodeAck(blocks[i].Raw)
+		if err != nil {
+			return nil, soap.NewFault(soap.CodeSender, "malformed AggregateExchangeAck: "+err.Error())
+		}
+		in = append(in, ackIn{a: a, id: id})
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t, ok := s.tasks[ack.TaskID]; ok {
-		t.x.commit(s.clk.Now(), &ack)
-		s.stats.drain(&t.x.counts)
-		s.evalMassLocked()
+	now := s.clk.Now()
+	for i := range in {
+		if t, ok := s.tasks[string(in[i].id)]; ok {
+			t.x.commit(now, &in[i].a)
+			s.stats.drain(&t.x.counts)
+		}
 	}
+	s.evalMassLocked()
 	return nil, nil
 }

@@ -194,11 +194,11 @@ func (n *SimNode) Tick(ctx context.Context) {
 // handleExchange absorbs one share of the node's task and acks it. A share
 // without a window is dropped unacked.
 func (n *SimNode) handleExchange(ctx context.Context, msg transport.Message) error {
-	sh, err := decodeShare(msg.Body)
+	sh, id, err := decodeShare(msg.Body)
 	if err != nil {
 		return err
 	}
-	if sh.TaskID != n.cfg.TaskID || sh.WindowMillis <= 0 {
+	if string(id) != n.cfg.TaskID || sh.WindowMillis <= 0 {
 		return nil
 	}
 	ack, reply := n.x.absorb(n.cfg.Clock.Now(), &sh)
@@ -216,11 +216,11 @@ func (n *SimNode) handleExchange(ctx context.Context, msg transport.Message) err
 // handleAck commits one outstanding transfer at the moment its ack arrives
 // — the commit point where MassError is defined to be zero.
 func (n *SimNode) handleAck(_ context.Context, msg transport.Message) error {
-	ack, err := decodeAck(msg.Body)
+	ack, id, err := decodeAck(msg.Body)
 	if err != nil {
 		return err
 	}
-	if ack.TaskID == n.cfg.TaskID {
+	if string(id) == n.cfg.TaskID {
 		n.x.commit(n.cfg.Clock.Now(), &ack)
 	}
 	return nil

@@ -12,8 +12,9 @@ import (
 // xml.Marshal of the struct, omitted optional fields included; each reader
 // accepts only that canonical form and otherwise reports false, on which the
 // caller decodes with encoding/xml (FuzzExchangeRoundTrip pins both halves).
-// The Service carries the block as a SOAP body, the SimNode as the bare
-// transport.Message body.
+// The Service carries the blocks as the children of a SOAP body — every share
+// a round has for one peer in one envelope, and every ack for it in one
+// answer — the SimNode one block as the bare transport.Message body.
 
 var (
 	shareName = xml.Name{Space: core.Namespace, Local: "AggregateShare"}
@@ -30,9 +31,13 @@ const (
 	ackOverhead   = 168
 )
 
-// shareBlock writes sh as a body block.
-func shareBlock(sh *Share) soap.Block {
-	buf := make([]byte, 0, shareOverhead+len(sh.TaskID)+len(sh.Function)+len(sh.From)+len(sh.Root)+len(sh.Metric))
+// shareSize is the buffer a share's block is written into.
+func shareSize(sh *Share) int {
+	return shareOverhead + len(sh.TaskID) + len(sh.Function) + len(sh.From) + len(sh.Root) + len(sh.Metric)
+}
+
+// appendShare appends sh's block to buf.
+func appendShare(buf []byte, sh *Share) []byte {
 	buf = soap.AppendFlatOpen(buf, core.Namespace, "AggregateShare")
 	buf = soap.AppendFlatText(buf, "TaskID", sh.TaskID)
 	buf = soap.AppendFlatText(buf, "Function", sh.Function)
@@ -61,8 +66,12 @@ func shareBlock(sh *Share) soap.Block {
 	if sh.Metric != "" {
 		buf = soap.AppendFlatText(buf, "Metric", sh.Metric)
 	}
-	buf = soap.AppendFlatClose(buf, "AggregateShare")
-	return soap.Block{XMLName: shareName, Raw: buf}
+	return soap.AppendFlatClose(buf, "AggregateShare")
+}
+
+// shareBlock writes sh as a body block.
+func shareBlock(sh *Share) soap.Block {
+	return soap.Block{XMLName: shareName, Raw: appendShare(make([]byte, 0, shareSize(sh)), sh)}
 }
 
 // scanShare reads a canonical share block. The optional children are probed
@@ -70,31 +79,35 @@ func shareBlock(sh *Share) soap.Block {
 // fails the next read. The function, the sender, the root and the metric
 // are drawn from what the deployment configures — its peers and its value
 // sources — so each resolves through the intern table and a known one costs
-// no allocation. The TaskID is copied: one is minted per coordination
-// context, and a long-running node would fill the table with finished tasks.
-func scanShare(raw []byte) (sh Share, ok bool) {
+// no allocation. The TaskID is neither interned nor copied: one is minted per
+// coordination context, and a long-running node would fill the table with
+// finished tasks. It comes back as id, in place (FlatText.Key: a view into
+// raw unless escaped), and sh.TaskID stays empty: a binding looks its task up
+// with id, and only a share that creates a task copies it.
+func scanShare(raw []byte) (sh Share, id []byte, ok bool) {
 	r, ok := soap.OpenFlat(raw, core.Namespace, "AggregateShare")
 	if !ok {
-		return sh, false
+		return sh, nil, false
 	}
 	sh.XMLName = shareName
-	if sh.TaskID, ok = r.String("TaskID"); !ok {
-		return sh, false
+	text, ok := r.Text("TaskID")
+	if !ok {
+		return sh, nil, false
 	}
 	if sh.Function, ok = r.Symbol("Function"); !ok {
-		return sh, false
+		return sh, nil, false
 	}
 	if sh.From, ok = r.Symbol("From"); !ok {
-		return sh, false
+		return sh, nil, false
 	}
 	if sh.Sum, ok = r.Float("Sum"); !ok {
-		return sh, false
+		return sh, nil, false
 	}
 	if sh.Weight, ok = r.Float("Weight"); !ok {
-		return sh, false
+		return sh, nil, false
 	}
 	if sh.HasExtremes, ok = r.Bool("HasExtremes"); !ok {
-		return sh, false
+		return sh, nil, false
 	}
 	sh.Min, _ = r.Float("Min")
 	sh.Max, _ = r.Float("Max")
@@ -105,71 +118,99 @@ func scanShare(raw []byte) (sh Share, ok bool) {
 	sh.Seq, _ = r.Uint("Seq")
 	sh.Root, _ = r.Symbol("Root")
 	sh.Metric, _ = r.Symbol("Metric")
-	return sh, r.Close("AggregateShare")
+	if !r.Close("AggregateShare") {
+		return sh, nil, false
+	}
+	return sh, text.Key(), true
 }
 
 // decodeShare decodes a share block: the canonical form in place, anything
-// else through encoding/xml.
-func decodeShare(raw []byte) (Share, error) {
-	if sh, ok := scanShare(raw); ok {
-		return sh, nil
+// else through encoding/xml. Either way the TaskID comes back as id and
+// sh.TaskID is empty (see scanShare).
+func decodeShare(raw []byte) (Share, []byte, error) {
+	if sh, id, ok := scanShare(raw); ok {
+		return sh, id, nil
 	}
 	var sh Share
 	err := xml.Unmarshal(raw, &sh)
-	return sh, err
+	id := []byte(sh.TaskID)
+	sh.TaskID = ""
+	return sh, id, err
 }
 
-// ackBlock writes a as a body block.
-func ackBlock(a *ExchangeAck) soap.Block {
-	buf := make([]byte, 0, ackOverhead+len(a.TaskID)+len(a.From))
+// ackSize is the buffer an ack's block is written into.
+func ackSize(a *ExchangeAck) int { return ackOverhead + len(a.TaskID) + len(a.From) }
+
+// appendAck appends a's block to buf.
+func appendAck(buf []byte, a *ExchangeAck) []byte {
 	buf = soap.AppendFlatOpen(buf, core.Namespace, "AggregateExchangeAck")
 	buf = soap.AppendFlatText(buf, "TaskID", a.TaskID)
 	buf = soap.AppendFlatText(buf, "From", a.From)
 	buf = soap.AppendFlatUint(buf, "Epoch", a.Epoch)
 	buf = soap.AppendFlatUint(buf, "Seq", a.Seq)
-	buf = soap.AppendFlatClose(buf, "AggregateExchangeAck")
-	return soap.Block{XMLName: ackName, Raw: buf}
+	return soap.AppendFlatClose(buf, "AggregateExchangeAck")
+}
+
+// ackBlock writes a as a body block.
+func ackBlock(a *ExchangeAck) soap.Block {
+	return soap.Block{XMLName: ackName, Raw: appendAck(make([]byte, 0, ackSize(a)), a)}
 }
 
 // scanAck reads a canonical ack block; its sender resolves through the
-// intern table and its task is copied, as a share's are.
-func scanAck(raw []byte) (a ExchangeAck, ok bool) {
+// intern table and its task comes back in place as id, as a share's does.
+func scanAck(raw []byte) (a ExchangeAck, id []byte, ok bool) {
 	r, ok := soap.OpenFlat(raw, core.Namespace, "AggregateExchangeAck")
 	if !ok {
-		return a, false
+		return a, nil, false
 	}
 	a.XMLName = ackName
-	if a.TaskID, ok = r.String("TaskID"); !ok {
-		return a, false
+	text, ok := r.Text("TaskID")
+	if !ok {
+		return a, nil, false
 	}
 	if a.From, ok = r.Symbol("From"); !ok {
-		return a, false
+		return a, nil, false
 	}
 	if a.Epoch, ok = r.Uint("Epoch"); !ok {
-		return a, false
+		return a, nil, false
 	}
 	if a.Seq, ok = r.Uint("Seq"); !ok {
-		return a, false
+		return a, nil, false
 	}
-	return a, r.Close("AggregateExchangeAck")
+	if !r.Close("AggregateExchangeAck") {
+		return a, nil, false
+	}
+	return a, text.Key(), true
 }
 
 // decodeAck decodes an ack block: the canonical form in place, anything else
-// through encoding/xml.
-func decodeAck(raw []byte) (ExchangeAck, error) {
-	if a, ok := scanAck(raw); ok {
-		return a, nil
+// through encoding/xml; the TaskID comes back as id, as decodeShare's does.
+func decodeAck(raw []byte) (ExchangeAck, []byte, error) {
+	if a, id, ok := scanAck(raw); ok {
+		return a, id, nil
 	}
 	var a ExchangeAck
 	err := xml.Unmarshal(raw, &a)
-	return a, err
+	id := []byte(a.TaskID)
+	a.TaskID = ""
+	return a, id, err
 }
 
-// bodyRaw returns the bytes of env's first body block, or nil for an empty
-// body (which the decoders then report through encoding/xml).
-func bodyRaw(env *soap.Envelope) []byte {
-	if len(env.Body.Blocks) == 0 {
-		return nil
+// setBody makes env's body n children named name, written by put into one
+// buffer of size bytes. One child fills the envelope's inline body slot, as
+// SetBodyBlock does; more take one block slice besides the buffer. Each Raw
+// is a full slice expression, so no child can grow into the next.
+func setBody(env *soap.Envelope, name xml.Name, n, size int, put func(buf []byte, i int) []byte) {
+	buf := make([]byte, 0, size)
+	if n == 1 {
+		env.SetBodyBlock(soap.Block{XMLName: name, Raw: put(buf, 0)})
+		return
 	}
-	return env.Body.Blocks[0].Raw
+	blocks := make([]soap.Block, n)
+	for i := range blocks {
+		start := len(buf)
+		buf = put(buf, i)
+		blocks[i] = soap.Block{XMLName: name, Raw: buf[start:len(buf):len(buf)]}
+	}
+	env.Body.Blocks = blocks
 }

@@ -102,6 +102,32 @@ func ContextFrom(env *soap.Envelope) (CoordinationContext, error) {
 	return ctx, nil
 }
 
+// ContextFor extracts the coordination context header whose Identifier is
+// id. A message that belongs to several activities carries one context per
+// activity, so the first context header need not be the one it is asked
+// about; ContextFrom reads that first one.
+func ContextFor(env *soap.Envelope, id string) (CoordinationContext, error) {
+	if env.Header != nil {
+		for _, b := range env.Header.Blocks {
+			if b.XMLName.Space != Namespace || b.XMLName.Local != "CoordinationContext" {
+				continue
+			}
+			var ctx CoordinationContext
+			if err := b.Decode(&ctx); err != nil {
+				return ctx, err
+			}
+			if ctx.Identifier != id {
+				continue
+			}
+			if err := ctx.Validate(); err != nil {
+				return ctx, fmt.Errorf("wscoord: invalid context header: %w", err)
+			}
+			return ctx, nil
+		}
+	}
+	return CoordinationContext{}, fmt.Errorf("%w for activity %q", ErrNoContext, id)
+}
+
 // CreateCoordinationContext is the Activation request body.
 type CreateCoordinationContext struct {
 	XMLName          xml.Name `xml:"http://docs.oasis-open.org/ws-tx/wscoor/2006/06 CreateCoordinationContext"`

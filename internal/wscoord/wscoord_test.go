@@ -231,6 +231,30 @@ func TestAttachContextReplaces(t *testing.T) {
 	}
 }
 
+// TestContextForPicksTheNamedActivity: with one context header per activity
+// on a message, ContextFor returns the one the caller names, whichever
+// position it holds, and ErrNoContext when none names it.
+func TestContextForPicksTheNamedActivity(t *testing.T) {
+	env := soap.NewEnvelope()
+	for _, id := range []string{"urn:1", "urn:2"} {
+		b, err := ContextBlock(CoordinationContext{Identifier: id, CoordinationType: testType,
+			RegistrationService: ServiceRef{Address: "mem://" + id}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.AddHeaderBlock(b)
+	}
+	for _, id := range []string{"urn:1", "urn:2"} {
+		got, err := ContextFor(env, id)
+		if err != nil || got.Identifier != id || got.RegistrationService.Address != "mem://"+id {
+			t.Fatalf("ContextFor(%s) = %+v, %v", id, got, err)
+		}
+	}
+	if _, err := ContextFor(env, "urn:3"); !errors.Is(err, ErrNoContext) {
+		t.Fatalf("ContextFor of an absent activity: err = %v, want ErrNoContext", err)
+	}
+}
+
 func TestContextValidate(t *testing.T) {
 	valid := CoordinationContext{
 		Identifier:          "urn:1",
