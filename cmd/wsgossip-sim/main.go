@@ -538,14 +538,13 @@ func runChurn(n, fanout int, loss, leaveFrac float64, seed int64, ticks int, dum
 		msvc.Register(mux)
 		mux.Bind(ep)
 		runner, err := core.NewRunner(core.RunnerConfig{
-			Clock:           clk,
-			Metrics:         reg,
-			RNG:             rand.New(rand.NewSource(seed*2693 + int64(i))),
-			Membership:      msvc,
-			MembershipEvery: 2 * roundPeriod,
-			Loops: []core.Loop{{
-				Name: "round", Period: roundPeriod, Jitter: roundJitter, Tick: eng.Tick,
-			}},
+			Clock:   clk,
+			Metrics: reg,
+			RNG:     rand.New(rand.NewSource(seed*2693 + int64(i))),
+			Loops: []core.Loop{
+				{Name: "membership", Period: 2 * roundPeriod, Tick: msvc.Tick},
+				{Name: "round", Period: roundPeriod, Jitter: roundJitter, Tick: eng.Tick},
+			},
 		})
 		if err != nil {
 			return nil, err

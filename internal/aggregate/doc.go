@@ -23,10 +23,10 @@
 //   - A SimNode is the transport-level participant for simulator-scale runs
 //     (cmd/wsgossip-sim -mode aggregate).
 //
-// Exchange rounds fire from a core.Runner (RunnerConfig.Aggregator); with
-// QuiescentMax set the exchange loop backs off exponentially while no task
-// is exchanging, snapping back when a task or share arrives
-// (Service.ActivityCount / OnActivity).
+// Exchange rounds fire from a core.Runner loop that ticks the Service (or
+// the Window); with wsgossip.NodeConfig.QuiescentMax set, NewNode makes that
+// loop back off exponentially while no task is exchanging, snapping back
+// when a task or share arrives (Service.ActivityCount / OnActivity).
 //
 // There is one push-sum protocol. Time is cut into epochs on a shared clock
 // (EpochAt: epoch k occupies [(k-1)·w, k·w)), and every task carries its

@@ -30,7 +30,7 @@ type WindowConfig struct {
 }
 
 // Window is the continuous-query controller: driven as a core.Runner
-// aggregator loop on the shared clock, it starts each configured query
+// aggregate loop on the shared clock, it starts each configured query
 // once (retrying while the coordinator is unreachable) and then ticks the
 // underlying participant, whose epoch machinery restarts push-sum every
 // window. Every node in the deployment ends up holding a fresh estimate of
@@ -91,14 +91,6 @@ func (w *Window) Tick(ctx context.Context) {
 	}
 	w.cfg.Querier.Tick(ctx)
 }
-
-// ActivityCount lets an adaptive Runner pace the window loop (continuous
-// tasks keep absorbing shares, so the loop never backs off while the
-// cluster is alive).
-func (w *Window) ActivityCount() uint64 { return w.cfg.Querier.ActivityCount() }
-
-// OnActivity registers the adaptive Runner's snap-back callback.
-func (w *Window) OnActivity(fn func()) { w.cfg.Querier.OnActivity(fn) }
 
 // Task returns the activated task behind a query name, once started.
 func (w *Window) Task(name string) (*Task, bool) {

@@ -27,10 +27,11 @@
 //   - Runner — the self-clocking round engine: every periodic protocol
 //     round (TickPull, TickRepair, TickAnnounce, aggregation exchanges,
 //     membership view exchanges, coordinator expiry pruning) fires from a
-//     Runner on a pluggable clock.Clock. With RunnerConfig.QuiescentMax
-//     set, the pull/repair/aggregate loops back off exponentially while
-//     the node sees no traffic and snap back (Runner.Wake) when it
-//     returns.
+//     Runner on a pluggable clock.Clock. RunnerConfig is only the clock,
+//     the RNG, the metrics registry and the Loops; the builder (for a
+//     node, wsgossip.NewNode) names the rounds. A Loop with MaxPeriod
+//     backs off exponentially while its Activity counter stands still and
+//     snaps back (Runner.Wake) when traffic returns.
 //   - PeerView — the sample-time peer source. The Disseminator, the
 //     aggregation Service, and the Initiator consult it on every fan-out,
 //     which turns the static coordinator-assigned target list into a mere

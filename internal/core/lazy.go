@@ -121,9 +121,9 @@ const maxPendingAnnounces = 4096
 // DeferAnnouncements switches the node's lazy-push advertisements from the
 // receive path to a timer: instead of sending IHAVE immediately on intake,
 // the gossip layer queues the advertisement and TickAnnounce flushes the
-// queue each announce round. core.Runner calls this when configured with an
-// announce loop; once deferred, the node must be ticked or lazy-push spread
-// stalls at it.
+// queue each announce round. wsgossip.Node.Start calls this when the node
+// has an announce loop; once deferred, the node must be ticked or lazy-push
+// spread stalls at it.
 func (d *Disseminator) DeferAnnouncements() {
 	d.mu.Lock()
 	d.deferAnn = true

@@ -37,78 +37,36 @@ type Loop struct {
 	// and must return; the next fire is scheduled after it does, so a slow
 	// round delays — never overlaps — its own successor.
 	Tick func(ctx context.Context)
-	// MaxPeriod, when > Period, enables quiescence backoff for this loop:
-	// after a round in whose preceding interval Activity did not advance,
-	// the next interval doubles (Period, 2·Period, 4·Period, …) up to
-	// MaxPeriod; any observed activity — or a Wake call — snaps the loop
-	// back to Period. 0 keeps the period fixed.
+	// MaxPeriod, when non-zero, enables quiescence backoff for this loop
+	// and must exceed Period: after a round in whose preceding interval
+	// Activity did not advance, the next interval doubles (Period,
+	// 2·Period, 4·Period, …) up to MaxPeriod; any observed activity — or a
+	// Wake call — snaps the loop back to Period. 0 keeps the period fixed.
 	MaxPeriod time.Duration
 	// Activity is the monotonic traffic counter sampled at every fire to
 	// decide quiescence. Required when MaxPeriod is set.
 	Activity func() uint64
 }
 
-// RunnerConfig configures a Runner. The disseminator and aggregator fields
-// are wiring conveniences for the standard loops; Loops adds arbitrary
-// extra rounds (membership, custom maintenance).
+// RunnerConfig configures a Runner: where its rounds are scheduled, the
+// randomness that desynchronizes them, where they are counted, and the
+// rounds themselves. Which rounds a node runs is its composition root's
+// decision (wsgossip.NewNode); the Runner only schedules them.
 type RunnerConfig struct {
 	// Clock schedules the rounds; nil uses a new clock.Real.
 	Clock clock.Clock
 	// RNG draws jitter and initial phases; nil falls back to a fixed seed.
 	// Give every node its own seed so peers desynchronize.
 	RNG *rand.Rand
-
-	// Disseminator, when set, contributes the standard dissemination
-	// loops selected by the intervals below.
-	Disseminator *Disseminator
-	// PullEvery fires Disseminator.TickPull (WS-PullGossip rounds);
-	// 0 disables.
-	PullEvery time.Duration
-	// RepairEvery fires Disseminator.TickRepair (anti-entropy digests);
-	// 0 disables.
-	RepairEvery time.Duration
-	// AnnounceEvery fires Disseminator.TickAnnounce and switches the
-	// disseminator to deferred lazy-push announcements (IHAVE batches ride
-	// the timer instead of the receive path); 0 disables.
-	AnnounceEvery time.Duration
-
-	// Aggregator, when set with AggregateEvery, fires push-sum exchange
-	// rounds (aggregate.Service satisfies this).
-	Aggregator interface{ Tick(ctx context.Context) }
-	// AggregateEvery is the aggregation exchange interval; 0 disables.
-	AggregateEvery time.Duration
-
-	// Membership, when set with MembershipEvery, fires peer-view exchange
-	// rounds (membership.Service satisfies this): the node's heartbeat and
-	// view dissemination ride this runner's clock like every other round.
-	// The membership loop never backs off — heartbeats are the failure
-	// detector, so a quiescent network must keep exchanging views.
-	Membership interface{ Tick(ctx context.Context) }
-	// MembershipEvery is the membership exchange interval; 0 disables.
-	MembershipEvery time.Duration
-
-	// QuiescentMax, when > 0, enables adaptive pacing for the standard
-	// pull, repair, and aggregate loops: each backs off exponentially
-	// toward QuiescentMax while its node sees no gossip traffic and snaps
-	// back to its base period as soon as traffic returns (the runner
-	// registers its Wake with the disseminator's and aggregator's
-	// OnActivity hooks). Must exceed every enabled standard period.
-	// 0 keeps all periods fixed — the exact pre-adaptive schedule.
-	QuiescentMax time.Duration
-
-	// JitterFrac is the jitter bound for the standard loops as a fraction
-	// of each period, in [0, 1). Explicit Loops carry their own Jitter.
-	JitterFrac float64
-
-	// Loops lists additional custom rounds.
-	Loops []Loop
-
 	// Metrics is the registry the runner resolves its per-loop series from:
 	// runner_fires_total{loop}, runner_tick_seconds{loop},
 	// runner_backoff_level{loop}, runner_wakes_total. FireCount reads the
 	// same counters, so the diagnostic and the scraped metric cannot drift.
 	// Nil uses a private registry; the runner is always instrumented.
 	Metrics *metrics.Registry
+	// Loops lists the rounds, in the order Start draws their initial
+	// phases. At least one is required.
+	Loops []Loop
 }
 
 // Runner states.
@@ -120,7 +78,8 @@ const (
 
 // Runner owns a node's periodic protocol rounds and fires them from a
 // Clock: pull rounds, anti-entropy repair, lazy-push announcements,
-// push-sum aggregation. Start launches the loops; Stop (or cancelling the
+// push-sum aggregation, membership exchanges — whatever Loops its builder
+// lists. Start launches the loops; Stop (or cancelling the
 // Start context) shuts them down cleanly. A Runner runs once: after Stop it
 // cannot be restarted.
 type Runner struct {
@@ -129,8 +88,6 @@ type Runner struct {
 	mu      sync.Mutex
 	rng     *rand.Rand
 	loops   []Loop
-	onStart []func() // mode flips applied once the loops go live
-	onStop  []func() // hook teardown applied when the runner stops
 	state   int
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -194,92 +151,7 @@ func NewRunner(cfg RunnerConfig) (*Runner, error) {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	if cfg.JitterFrac < 0 || cfg.JitterFrac >= 1 {
-		return nil, fmt.Errorf("core: runner jitter fraction %v outside [0,1)", cfg.JitterFrac)
-	}
-	if cfg.QuiescentMax < 0 {
-		return nil, fmt.Errorf("core: runner quiescent max %v negative", cfg.QuiescentMax)
-	}
-	std := func(name string, period time.Duration, tick func(context.Context)) Loop {
-		return Loop{
-			Name:   name,
-			Period: period,
-			Jitter: time.Duration(cfg.JitterFrac * float64(period)),
-			Tick:   tick,
-		}
-	}
-	// adaptive upgrades a standard loop to quiescence backoff when
-	// QuiescentMax is set: the loop's base period doubles toward the cap
-	// while the probe reports no traffic.
-	adaptive := func(l Loop, probe func() uint64) (Loop, error) {
-		if cfg.QuiescentMax == 0 {
-			return l, nil
-		}
-		if cfg.QuiescentMax <= l.Period {
-			return l, fmt.Errorf("core: quiescent max %v does not exceed loop %q period %v",
-				cfg.QuiescentMax, l.Name, l.Period)
-		}
-		l.MaxPeriod = cfg.QuiescentMax
-		l.Activity = probe
-		return l, nil
-	}
-	var loops []Loop
-	var onStart, onStop []func()
-	r := &Runner{clk: clk, rng: rng}
-	if d := cfg.Disseminator; d != nil {
-		if cfg.PullEvery > 0 {
-			l, err := adaptive(std("pull", cfg.PullEvery, d.TickPull), d.ActivityCount)
-			if err != nil {
-				return nil, err
-			}
-			loops = append(loops, l)
-		}
-		if cfg.RepairEvery > 0 {
-			l, err := adaptive(std("repair", cfg.RepairEvery, d.TickRepair), d.ActivityCount)
-			if err != nil {
-				return nil, err
-			}
-			loops = append(loops, l)
-		}
-		if cfg.AnnounceEvery > 0 {
-			// The announce loop stays fixed-period even under QuiescentMax:
-			// deferred IHAVE advertisements must flush promptly or lazy-push
-			// spread stalls at this node.
-			loops = append(loops, std("announce", cfg.AnnounceEvery, d.TickAnnounce))
-			// Deferring announcements only once the loops are live: a
-			// Runner that failed validation or was never started must not
-			// leave the disseminator queueing advertisements nobody flushes.
-			onStart = append(onStart, d.DeferAnnouncements)
-		}
-		if cfg.QuiescentMax > 0 {
-			onStart = append(onStart, func() { d.OnActivity(r.Wake) })
-			onStop = append(onStop, func() { d.OnActivity(nil) })
-		}
-	}
-	if cfg.Aggregator != nil && cfg.AggregateEvery > 0 {
-		l := std("aggregate", cfg.AggregateEvery, cfg.Aggregator.Tick)
-		if cfg.QuiescentMax > 0 {
-			probe, ok := cfg.Aggregator.(interface{ ActivityCount() uint64 })
-			if !ok {
-				return nil, errors.New("core: quiescent max set but aggregator exposes no ActivityCount")
-			}
-			var err error
-			if l, err = adaptive(l, probe.ActivityCount); err != nil {
-				return nil, err
-			}
-			if hook, ok := cfg.Aggregator.(interface{ OnActivity(func()) }); ok {
-				onStart = append(onStart, func() { hook.OnActivity(r.Wake) })
-				onStop = append(onStop, func() { hook.OnActivity(nil) })
-			}
-		}
-		loops = append(loops, l)
-	}
-	if cfg.Membership != nil && cfg.MembershipEvery > 0 {
-		// Never adaptive: view exchanges carry the heartbeats peers use for
-		// failure detection, so they must keep flowing through quiescence.
-		loops = append(loops, std("membership", cfg.MembershipEvery, cfg.Membership.Tick))
-	}
-	loops = append(loops, cfg.Loops...)
+	loops := append([]Loop(nil), cfg.Loops...)
 	if len(loops) == 0 {
 		return nil, errors.New("core: runner configured with no loops")
 	}
@@ -294,17 +166,15 @@ func NewRunner(cfg RunnerConfig) (*Runner, error) {
 			return nil, fmt.Errorf("core: loop %q has no tick function", l.Name)
 		}
 		if l.MaxPeriod != 0 {
-			if l.MaxPeriod < l.Period {
-				return nil, fmt.Errorf("core: loop %q max period %v below period %v", l.Name, l.MaxPeriod, l.Period)
+			if l.MaxPeriod <= l.Period {
+				return nil, fmt.Errorf("core: loop %q max period %v does not exceed period %v", l.Name, l.MaxPeriod, l.Period)
 			}
 			if l.Activity == nil {
 				return nil, fmt.Errorf("core: adaptive loop %q has no activity probe", l.Name)
 			}
 		}
 	}
-	r.loops = loops
-	r.onStart = onStart
-	r.onStop = onStop
+	r := &Runner{clk: clk, rng: rng, loops: loops}
 	r.pending = make([]func() bool, len(loops))
 	r.cur = make([]time.Duration, len(loops))
 	r.lastAct = make([]uint64, len(loops))
@@ -362,9 +232,6 @@ func (r *Runner) Start(ctx context.Context) error {
 	r.ctx = ctx
 	r.cancel = cancel
 	r.state = runnerRunning
-	for _, fn := range r.onStart {
-		fn()
-	}
 	r.fireFns = make([]func(), len(r.loops))
 	for i := range r.loops {
 		i := i
@@ -444,9 +311,10 @@ func (r *Runner) nextDelayLocked(i int) time.Duration {
 // Wake snaps every backed-off adaptive loop to its base period: a loop whose
 // current interval was stretched by quiescence backoff has its pending fire
 // cancelled and rescheduled within one base period of now. Fixed-period
-// loops and loops already at base pace are untouched. The adaptive Runner
-// registers Wake with its services' OnActivity hooks so new traffic is
-// answered at base cadence immediately instead of after a stretched sleep.
+// loops and loops already at base pace are untouched. Whoever builds the
+// adaptive loops registers Wake with the OnActivity hooks of the services
+// they tick (wsgossip.NewNode does), so new traffic is answered at base
+// cadence immediately instead of after a stretched sleep.
 // Safe to call from handler callbacks; a no-op unless running. Wake runs on
 // every gossip intake in adaptive mode, so it first checks a lock-free
 // backed-off count and returns without locking when every loop is already
@@ -549,14 +417,10 @@ func (r *Runner) Stop() {
 			r.pending[i] = nil
 		}
 	}
-	teardown := r.onStop
 	r.mu.Unlock()
 	cancel()
 	for _, stop := range stops {
 		stop()
-	}
-	for _, fn := range teardown {
-		fn()
 	}
 	r.inflight.Wait()
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,10 +39,9 @@ func TestRunnerConfigValidation(t *testing.T) {
 		t.Fatal("nil tick must be rejected")
 	}
 	if _, err := NewRunner(RunnerConfig{
-		JitterFrac: 1.5,
-		Loops:      []Loop{countingLoop("x", time.Second, 0, func(context.Context) {})},
+		Loops: []Loop{countingLoop("x", time.Second, -time.Millisecond, func(context.Context) {})},
 	}); err == nil {
-		t.Fatal("jitter fraction >= 1 must be rejected")
+		t.Fatal("negative jitter must be rejected")
 	}
 }
 
@@ -140,6 +141,51 @@ func TestRunnerPreCancelledContext(t *testing.T) {
 	r.Stop()
 }
 
+// TestRunnerStopLeavesNoGoroutine: on the real clock, a runner shut down by
+// Stop or by cancelling its Start context leaves no goroutine behind — its
+// context watcher exits — and fires no round afterwards.
+func TestRunnerStopLeavesNoGoroutine(t *testing.T) {
+	for _, how := range []string{"Stop", "cancel"} {
+		t.Run(how, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			var rounds atomic.Int64
+			r, err := NewRunner(RunnerConfig{
+				Loops: []Loop{countingLoop("count", time.Millisecond, 0, func(context.Context) { rounds.Add(1) })},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if err := r.Start(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; rounds.Load() < 3; i++ {
+				if i == 1000 {
+					t.Fatal("the runner never fired three rounds")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if how == "Stop" {
+				r.Stop()
+			} else {
+				cancel()
+			}
+			for i := 0; r.Running() || runtime.NumGoroutine() > base; i++ {
+				if i == 200 {
+					t.Fatalf("running %v, %d goroutines after %s, %d before Start", r.Running(), runtime.NumGoroutine(), how, base)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			fired := rounds.Load()
+			time.Sleep(20 * time.Millisecond) // twenty periods
+			if got := rounds.Load(); got != fired {
+				t.Fatalf("%d rounds fired after %s", got-fired, how)
+			}
+		})
+	}
+}
+
 // TestRunnerJitterBounds is the property test for the schedule: every
 // inter-round gap stays within Period ± Jitter, the initial phase within
 // (0, Period], and two loops with private RNG streams desynchronize.
@@ -222,12 +268,12 @@ func TestRunnerSelfClockingDissemination(t *testing.T) {
 			t.Fatal(err)
 		}
 		r, err := NewRunner(RunnerConfig{
-			Clock:        v,
-			RNG:          rand.New(rand.NewSource(int64(i) + 100)),
-			Disseminator: d,
-			PullEvery:    50 * time.Millisecond,
-			RepairEvery:  200 * time.Millisecond,
-			JitterFrac:   0.2,
+			Clock: v,
+			RNG:   rand.New(rand.NewSource(int64(i) + 100)),
+			Loops: []Loop{
+				countingLoop("pull", 50*time.Millisecond, 10*time.Millisecond, d.TickPull),
+				countingLoop("repair", 200*time.Millisecond, 40*time.Millisecond, d.TickRepair),
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -308,16 +354,17 @@ func TestRunnerDeferredAnnounceRounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		r, err := NewRunner(RunnerConfig{
-			Clock:         v,
-			RNG:           rand.New(rand.NewSource(int64(i) + 200)),
-			Disseminator:  d,
-			AnnounceEvery: 30 * time.Millisecond,
-			RepairEvery:   300 * time.Millisecond,
-			JitterFrac:    0.1,
+			Clock: v,
+			RNG:   rand.New(rand.NewSource(int64(i) + 200)),
+			Loops: []Loop{
+				countingLoop("repair", 300*time.Millisecond, 30*time.Millisecond, d.TickRepair),
+				countingLoop("announce", 30*time.Millisecond, 3*time.Millisecond, d.TickAnnounce),
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		d.DeferAnnouncements()
 		if err := r.Start(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -403,12 +450,12 @@ func TestRunnerConcurrentLifecycleRace(t *testing.T) {
 		if err := SubscribeClient(ctx, bus, "mem://coordinator", addr, RoleDisseminator); err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewRunner(RunnerConfig{
-			Disseminator: d, // real clock
-			RNG:          rand.New(rand.NewSource(int64(i) + 300)),
-			PullEvery:    5 * time.Millisecond,
-			RepairEvery:  7 * time.Millisecond,
-			JitterFrac:   0.5,
+		r, err := NewRunner(RunnerConfig{ // real clock
+			RNG: rand.New(rand.NewSource(int64(i) + 300)),
+			Loops: []Loop{
+				countingLoop("pull", 5*time.Millisecond, 2500*time.Microsecond, d.TickPull),
+				countingLoop("repair", 7*time.Millisecond, 3500*time.Microsecond, d.TickRepair),
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -559,27 +606,18 @@ func TestRunnerAdaptiveWakeSnapsBack(t *testing.T) {
 }
 
 func TestRunnerQuiescentMaxValidation(t *testing.T) {
-	d, err := NewDisseminator(DisseminatorConfig{Address: "mem://d", Caller: soap.NewMemBus()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewRunner(RunnerConfig{
-		Disseminator: d,
-		PullEvery:    time.Second,
-		QuiescentMax: time.Second, // must strictly exceed the period
-	}); err == nil {
-		t.Fatal("quiescent max equal to a loop period must be rejected")
-	}
-	if _, err := NewRunner(RunnerConfig{
-		Loops: []Loop{{
-			Name:      "x",
-			Period:    time.Second,
-			MaxPeriod: time.Second / 2,
-			Activity:  func() uint64 { return 0 },
-			Tick:      func(context.Context) {},
-		}},
-	}); err == nil {
-		t.Fatal("max period below period must be rejected")
+	for _, maxPeriod := range []time.Duration{time.Second / 2, time.Second} {
+		if _, err := NewRunner(RunnerConfig{
+			Loops: []Loop{{
+				Name:      "x",
+				Period:    time.Second,
+				MaxPeriod: maxPeriod,
+				Activity:  func() uint64 { return 0 },
+				Tick:      func(context.Context) {},
+			}},
+		}); err == nil {
+			t.Fatalf("max period %v not exceeding the 1s period must be rejected", maxPeriod)
+		}
 	}
 	if _, err := NewRunner(RunnerConfig{
 		Loops: []Loop{{

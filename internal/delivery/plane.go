@@ -49,9 +49,6 @@ type Config struct {
 	Metrics *metrics.Registry
 	// QueueCap bounds each peer's outbound queue. Default 64.
 	QueueCap int
-	// MaxInflight caps concurrent attempts per peer. Default 1, which
-	// also keeps per-peer delivery order FIFO.
-	MaxInflight int
 	// AttemptTimeout cancels a single attempt's context. Default 2s.
 	AttemptTimeout time.Duration
 	// MaxAttempts is the per-message budget, first try included. Default 4.
@@ -83,9 +80,6 @@ func (c *Config) withDefaults() Config {
 	if out.QueueCap <= 0 {
 		out.QueueCap = 64
 	}
-	if out.MaxInflight <= 0 {
-		out.MaxInflight = 1
-	}
 	if out.AttemptTimeout <= 0 {
 		out.AttemptTimeout = 2 * time.Second
 	}
@@ -115,37 +109,20 @@ type item struct {
 	env      *soap.Envelope
 	owned    bool // env is a plane-private Clone, safe to retain
 	attempts int
-	// settle, when set (SendEncodedNotify), is called exactly once at the
-	// message's terminal settlement: nil when an attempt landed, the
-	// terminal error when the plane gave up. Always invoked outside the
-	// plane lock.
-	settle func(error)
 	// ctx is the first attempt's context (attemptCtx); a retry draws a
 	// fresh one, since a binding may still hold this one.
 	ctx attemptCtx
 }
 
-// takeSettle detaches the settle callback bound to err as a deferred call,
-// chained after notify. Detaching under the lock is what makes the
-// exactly-once guarantee hold across retries, pumps, and Close.
-func (it *item) takeSettle(notify func(), err error) func() {
-	if it.settle == nil {
-		return notify
-	}
-	s := it.settle
-	it.settle = nil
-	if notify == nil {
-		return func() { s(err) }
-	}
-	return func() { notify(); s(err) }
-}
-
 // peerState is the per-peer half of the plane: the queue, the in-flight
-// window, the breaker, and the timestamps the pump gates on. All fields
+// attempt, the breaker, and the timestamps the pump gates on. All fields
 // are guarded by Plane.mu.
 type peerState struct {
-	addr         string
-	queue        []*item
+	addr  string
+	queue []*item
+	// inflight counts attempts in progress. A one-way message is attempted
+	// only while it is 0 — one attempt in flight per peer — which is what
+	// keeps per-peer delivery FIFO.
 	inflight     int
 	deferUntil   time.Duration // retry-after deferral from a shedding peer
 	backoffUntil time.Duration // retry backoff from the last transport failure
@@ -234,26 +211,6 @@ func (p *Plane) SendEncoded(ctx context.Context, to string, data []byte) error {
 	return p.submit(ctx, to, &item{data: data})
 }
 
-// SendEncodedNotify is SendEncoded plus a settlement callback: settle runs
-// exactly once when the plane is finally done with the message — with nil
-// once an attempt lands at the binding, or with the terminal error when the
-// plane gives up (fast-fail, retry budget spent, queue overflow, close).
-// The callback fires outside the plane's lock and may re-enter the plane.
-// It is how a sender with its own end-to-end contract (the aggregate
-// exchange's acked shares) learns that a peer is not taking traffic without
-// polling: settlement errors feed suspicion, never mass accounting — only
-// the receiver's protocol-level ack can prove delivery.
-func (p *Plane) SendEncodedNotify(ctx context.Context, to string, data []byte, settle func(error)) error {
-	if p.enc == nil {
-		env, err := soap.Decode(data)
-		if err != nil {
-			return err
-		}
-		return p.submit(ctx, to, &item{env: env, settle: settle})
-	}
-	return p.submit(ctx, to, &item{data: data, settle: settle})
-}
-
 // Call performs a request-response exchange through the breaker (open
 // circuit → ErrCircuitOpen, due circuit → the call is the probe) with the
 // per-attempt timeout applied. Calls are control-plane traffic: they are
@@ -325,7 +282,7 @@ func (p *Plane) submit(ctx context.Context, to string, it *item) error {
 	if p.closed {
 		p.m.dropClosed.Inc()
 		p.mu.Unlock()
-		return p.failFast(it, ErrClosed)
+		return ErrClosed
 	}
 	ps := p.peerLocked(to)
 	now := p.cfg.Clock.Now()
@@ -338,16 +295,16 @@ func (p *Plane) submit(ctx context.Context, to string, it *item) error {
 		} else {
 			p.m.dropCircuit.Inc()
 			p.mu.Unlock()
-			return p.failFast(it, ErrCircuitOpen)
+			return ErrCircuitOpen
 		}
 	}
 	if !ps.br.probing &&
-		(len(ps.queue) > 0 || ps.inflight >= p.cfg.MaxInflight ||
+		(len(ps.queue) > 0 || ps.inflight > 0 ||
 			ps.deferUntil > now || ps.backoffUntil > now) {
 		if !p.enqueueLocked(ps, it, false) {
 			p.m.dropQueueFull.Inc()
 			p.mu.Unlock()
-			return p.failFast(it, ErrQueueFull)
+			return ErrQueueFull
 		}
 		p.schedulePumpLocked(ps, now)
 		p.mu.Unlock()
@@ -368,15 +325,6 @@ func (p *Plane) submit(ctx context.Context, to string, it *item) error {
 		notify()
 	}
 	return ret
-}
-
-// failFast settles a refused message (never enqueued, never attempted)
-// and surfaces the refusal. Called without the lock.
-func (p *Plane) failFast(it *item, err error) error {
-	if fin := it.takeSettle(nil, err); fin != nil {
-		fin()
-	}
-	return err
 }
 
 // attempt performs one real send with the per-attempt timeout (attemptCtx).
@@ -415,7 +363,7 @@ func (p *Plane) settleLocked(ps *peerState, it *item, err error) (ret error, not
 	case err == nil:
 		notify = p.noteSuccessLocked(ps)
 		p.schedulePumpLocked(ps, now)
-		return nil, it.takeSettle(notify, nil)
+		return nil, notify
 	case soap.IsSenderFault(err):
 		// The receiver is alive and rejected these bytes for good: drop
 		// the message, never the peer.
@@ -423,7 +371,7 @@ func (p *Plane) settleLocked(ps *peerState, it *item, err error) (ret error, not
 		p.m.dropSender.Inc()
 		notify = p.noteSuccessLocked(ps)
 		p.schedulePumpLocked(ps, now)
-		return err, it.takeSettle(notify, err)
+		return err, notify
 	default:
 		if hint, ok := soap.RetryAfterHint(err); ok {
 			p.m.failShed.Inc()
@@ -441,10 +389,6 @@ func (p *Plane) settleLocked(ps *peerState, it *item, err error) (ret error, not
 		// queue full): messages behind it must not be stranded — with the
 		// breaker open, fresh sends fast-fail and would never revive them.
 		p.schedulePumpLocked(ps, now)
-		if ret != nil {
-			// Terminal drop: the requeue was refused, the message is gone.
-			notify = it.takeSettle(notify, ret)
-		}
 		return ret, notify
 	}
 }
@@ -560,7 +504,7 @@ func (p *Plane) backoffLocked(attempts int) time.Duration {
 // latest. A pump already armed for an earlier instant is left alone — it
 // re-derives the gates when it fires.
 func (p *Plane) schedulePumpLocked(ps *peerState, now time.Duration) {
-	if p.closed || len(ps.queue) == 0 || ps.inflight >= p.cfg.MaxInflight {
+	if p.closed || len(ps.queue) == 0 || ps.inflight > 0 {
 		return
 	}
 	if ps.br.open && ps.br.probing {
@@ -603,7 +547,7 @@ func (p *Plane) pump(addr string) {
 	ps.pumpAt = 0
 	ps.stopPump = nil
 	for {
-		if p.closed || len(ps.queue) == 0 || ps.inflight >= p.cfg.MaxInflight {
+		if p.closed || len(ps.queue) == 0 || ps.inflight > 0 {
 			break
 		}
 		now := p.cfg.Clock.Now()
@@ -655,13 +599,12 @@ func (p *Plane) peerLocked(addr string) *peerState {
 }
 
 // Close stops every pump timer and drops the queued backlog (counted as
-// delivery_drops_total{reason="closed"}, settled with ErrClosed).
-// Subsequent sends fail with ErrClosed.
+// delivery_drops_total{reason="closed"}). Subsequent sends fail with
+// ErrClosed.
 func (p *Plane) Close() {
-	var settles []func()
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
 		return
 	}
 	p.closed = true
@@ -673,17 +616,8 @@ func (p *Plane) Close() {
 		if n := len(ps.queue); n > 0 {
 			p.m.dropClosed.Add(int64(n))
 			p.m.queueDepth.Add(-int64(n))
-			for _, it := range ps.queue {
-				if fin := it.takeSettle(nil, ErrClosed); fin != nil {
-					settles = append(settles, fin)
-				}
-			}
 			ps.queue = nil
 		}
-	}
-	p.mu.Unlock()
-	for _, fin := range settles {
-		fin()
 	}
 }
 

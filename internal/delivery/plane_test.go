@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -115,7 +116,6 @@ func testConfig(caller soap.Caller, clk clock.Clock, reg *metrics.Registry) Conf
 		RNG:              rand.New(rand.NewSource(42)),
 		Metrics:          reg,
 		QueueCap:         4,
-		MaxInflight:      1,
 		AttemptTimeout:   time.Second,
 		MaxAttempts:      3,
 		BackoffBase:      100 * time.Millisecond,
@@ -131,24 +131,49 @@ func counterValue(reg *metrics.Registry, family, label, value string) int64 {
 	return reg.CounterVec(family, label).With(value).Value()
 }
 
-func TestPlaneSendSuccessInline(t *testing.T) {
-	clk := clock.NewVirtual()
-	reg := metrics.NewRegistry()
-	caller := newScripted()
-	p := NewPlane(testConfig(caller, clk, reg))
+// bindings runs fn once over a plain scripted binding, where the plane
+// queues envelopes and sends with Send, and once over one with the
+// SendEncoded path, where it queues bytes and sends with SendEncoded.
+// bind is what the plane wraps, script its outcomes, and send hands the
+// plane one message for urn:peer the way that binding's callers do.
+func bindings(t *testing.T, fn func(t *testing.T, bind soap.Caller, script *scriptedCaller, send func(*Plane, string) error)) {
+	t.Run("envelope", func(t *testing.T) {
+		c := newScripted()
+		fn(t, c, c, func(p *Plane, text string) error {
+			return p.Send(context.Background(), "urn:peer", testEnv(t, text))
+		})
+	})
+	t.Run("encoded", func(t *testing.T) {
+		c := &encodedScripted{*newScripted()}
+		fn(t, c, &c.scriptedCaller, func(p *Plane, text string) error {
+			data, err := testEnv(t, text).Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p.SendEncoded(context.Background(), "urn:peer", data)
+		})
+	})
+}
 
-	if err := p.Send(context.Background(), "urn:peer", testEnv(t, "hello")); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	if got := caller.deliveredCount("urn:peer"); got != 1 {
-		t.Fatalf("delivered = %d, want 1", got)
-	}
-	if got := reg.Counter("delivery_attempts_total").Value(); got != 1 {
-		t.Fatalf("attempts = %d, want 1", got)
-	}
-	if got := reg.Counter("delivery_retries_total").Value(); got != 0 {
-		t.Fatalf("retries = %d, want 0", got)
-	}
+func TestPlaneSendSuccessInline(t *testing.T) {
+	bindings(t, func(t *testing.T, bind soap.Caller, caller *scriptedCaller, send func(*Plane, string) error) {
+		clk := clock.NewVirtual()
+		reg := metrics.NewRegistry()
+		p := NewPlane(testConfig(bind, clk, reg))
+
+		if err := send(p, "hello"); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		if got := caller.deliveredCount("urn:peer"); got != 1 {
+			t.Fatalf("delivered = %d, want 1", got)
+		}
+		if got := reg.Counter("delivery_attempts_total").Value(); got != 1 {
+			t.Fatalf("attempts = %d, want 1", got)
+		}
+		if got := reg.Counter("delivery_retries_total").Value(); got != 0 {
+			t.Fatalf("retries = %d, want 0", got)
+		}
+	})
 }
 
 func TestPlaneRetriesTransientFailure(t *testing.T) {
@@ -178,31 +203,32 @@ func TestPlaneRetriesTransientFailure(t *testing.T) {
 }
 
 func TestPlaneAttemptBudget(t *testing.T) {
-	clk := clock.NewVirtual()
-	reg := metrics.NewRegistry()
-	caller := newScripted()
-	caller.script("urn:peer", errConnRefused, errConnRefused, errConnRefused, errConnRefused)
-	p := NewPlane(testConfig(caller, clk, reg)) // MaxAttempts: 3
+	bindings(t, func(t *testing.T, bind soap.Caller, caller *scriptedCaller, send func(*Plane, string) error) {
+		clk := clock.NewVirtual()
+		reg := metrics.NewRegistry()
+		caller.script("urn:peer", errConnRefused, errConnRefused, errConnRefused, errConnRefused)
+		p := NewPlane(testConfig(bind, clk, reg)) // MaxAttempts: 3
 
-	if err := p.Send(context.Background(), "urn:peer", testEnv(t, "x")); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	// Drive well past every backoff: the message must stop at 3 attempts.
-	for i := 0; i < 20; i++ {
-		clk.Advance(time.Second)
-	}
-	if got := caller.attemptCount("urn:peer"); got != 3 {
-		t.Fatalf("attempts = %d, want exactly the budget of 3", got)
-	}
-	if got := counterValue(reg, "delivery_drops_total", "reason", "budget"); got != 1 {
-		t.Fatalf("budget drops = %d, want 1", got)
-	}
-	if got := reg.Counter("delivery_retries_total").Value(); got != 2 {
-		t.Fatalf("retries = %d, want 2", got)
-	}
-	if got := reg.Gauge("delivery_queue_depth").Value(); got != 0 {
-		t.Fatalf("queue depth = %d, want 0 after drop", got)
-	}
+		if err := send(p, "x"); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		// Drive well past every backoff: the message must stop at 3 attempts.
+		for i := 0; i < 20; i++ {
+			clk.Advance(time.Second)
+		}
+		if got := caller.attemptCount("urn:peer"); got != 3 {
+			t.Fatalf("attempts = %d, want exactly the budget of 3", got)
+		}
+		if got := counterValue(reg, "delivery_drops_total", "reason", "budget"); got != 1 {
+			t.Fatalf("budget drops = %d, want 1", got)
+		}
+		if got := reg.Counter("delivery_retries_total").Value(); got != 2 {
+			t.Fatalf("retries = %d, want 2", got)
+		}
+		if got := reg.Gauge("delivery_queue_depth").Value(); got != 0 {
+			t.Fatalf("queue depth = %d, want 0 after drop", got)
+		}
+	})
 }
 
 func TestPlaneBreakerOpensAndProbes(t *testing.T) {
@@ -590,25 +616,154 @@ func TestPlaneStatesAndStats(t *testing.T) {
 }
 
 func TestPlaneClose(t *testing.T) {
-	clk := clock.NewVirtual()
-	reg := metrics.NewRegistry()
-	caller := newScripted()
-	caller.script("urn:peer", soap.NewOverloadedFault("busy", time.Second))
-	p := NewPlane(testConfig(caller, clk, reg))
+	bindings(t, func(t *testing.T, bind soap.Caller, caller *scriptedCaller, send func(*Plane, string) error) {
+		clk := clock.NewVirtual()
+		reg := metrics.NewRegistry()
+		caller.script("urn:peer", soap.NewOverloadedFault("busy", time.Second))
+		p := NewPlane(testConfig(bind, clk, reg))
 
-	if err := p.Send(context.Background(), "urn:peer", testEnv(t, "x")); err != nil {
+		if err := send(p, "x"); err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+		if err := send(p, "y"); !errors.Is(err, ErrClosed) {
+			t.Fatalf("send after close = %v, want ErrClosed", err)
+		}
+		if got := counterValue(reg, "delivery_drops_total", "reason", "closed"); got != 2 {
+			t.Fatalf("closed drops = %d, want 2 (1 queued + 1 refused)", got)
+		}
+		clk.Advance(10 * time.Second)
+		if got := caller.attemptCount("urn:peer"); got != 1 {
+			t.Fatalf("attempts after close = %d, want 1", got)
+		}
+	})
+}
+
+func encodedEnv(t *testing.T, text string) []byte {
+	t.Helper()
+	data, err := testEnv(t, text).Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	p.Close()
-	if err := p.Send(context.Background(), "urn:peer", testEnv(t, "y")); !errors.Is(err, ErrClosed) {
-		t.Fatalf("send after close = %v, want ErrClosed", err)
+	return data
+}
+
+// The TestNotify tests pin how a one-way notification sent as bytes
+// (SendEncoded) settles: it lands exactly once, or the plane refuses or
+// drops it and says so — in SendEncoded's return or in a drop counter.
+
+func TestNotifySettlesOnceAfterRetries(t *testing.T) {
+	clk := clock.NewVirtual()
+	reg := metrics.NewRegistry()
+	caller := &encodedScripted{*newScripted()}
+	caller.script("urn:peer", errConnRefused) // first attempt fails, retry lands
+	p := NewPlane(testConfig(caller, clk, reg))
+
+	if err := p.SendEncoded(context.Background(), "urn:peer", encodedEnv(t, "x")); err != nil {
+		t.Fatalf("send: %v", err)
 	}
-	if got := counterValue(reg, "delivery_drops_total", "reason", "closed"); got != 2 {
-		t.Fatalf("closed drops = %d, want 2 (1 queued + 1 refused)", got)
+	if got := caller.deliveredCount("urn:peer"); got != 0 {
+		t.Fatalf("delivered = %d before the retry, want 0", got)
+	}
+	clk.Advance(100 * time.Millisecond)
+	if got := caller.deliveredCount("urn:peer"); got != 1 {
+		t.Fatalf("delivered = %d after the retry, want 1", got)
+	}
+	for i := 0; i < 20; i++ {
+		clk.Advance(time.Second)
+	}
+	if got, want := [2]int{caller.attemptCount("urn:peer"), caller.deliveredCount("urn:peer")}, [2]int{2, 1}; got != want {
+		t.Fatalf("attempts, delivered = %v, want %v: a landed message is never sent again", got, want)
+	}
+	if got := reg.Gauge("delivery_queue_depth").Value(); got != 0 {
+		t.Fatalf("queue depth = %d, want 0 once landed", got)
+	}
+}
+
+func TestNotifyFastFailSettlesAndReturns(t *testing.T) {
+	clk := clock.NewVirtual()
+	reg := metrics.NewRegistry()
+	caller := &encodedScripted{*newScripted()}
+	p := NewPlane(testConfig(caller, clk, reg))
+	p.Close()
+
+	err := p.SendEncoded(context.Background(), "urn:peer", encodedEnv(t, "x"))
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("send on closed plane = %v, want ErrClosed", err)
+	}
+	if got := counterValue(reg, "delivery_drops_total", "reason", "closed"); got != 1 {
+		t.Fatalf("closed drops = %d, want 1", got)
 	}
 	clk.Advance(10 * time.Second)
-	if got := caller.attemptCount("urn:peer"); got != 1 {
-		t.Fatalf("attempts after close = %d, want 1", got)
+	if got := caller.attemptCount("urn:peer"); got != 0 {
+		t.Fatalf("attempts = %d, want 0 for a refused message", got)
+	}
+	if got := reg.Gauge("delivery_queue_depth").Value(); got != 0 {
+		t.Fatalf("queue depth = %d, want 0", got)
+	}
+}
+
+func TestNotifyCloseSettlesQueuedBacklog(t *testing.T) {
+	clk := clock.NewVirtual()
+	reg := metrics.NewRegistry()
+	caller := &encodedScripted{*newScripted()}
+	caller.script("urn:peer", errConnRefused) // park the message in backoff
+	p := NewPlane(testConfig(caller, clk, reg))
+
+	if err := p.SendEncoded(context.Background(), "urn:peer", encodedEnv(t, "x")); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if got := reg.Gauge("delivery_queue_depth").Value(); got != 1 {
+		t.Fatalf("queue depth = %d, want 1 while parked", got)
+	}
+	p.Close()
+	if got := counterValue(reg, "delivery_drops_total", "reason", "closed"); got != 1 {
+		t.Fatalf("closed drops = %d, want 1", got)
+	}
+	if got := reg.Gauge("delivery_queue_depth").Value(); got != 0 {
+		t.Fatalf("queue depth = %d, want 0 after Close", got)
+	}
+	clk.Advance(10 * time.Second)
+	if got, want := [2]int{caller.attemptCount("urn:peer"), caller.deliveredCount("urn:peer")}, [2]int{1, 0}; got != want {
+		t.Fatalf("attempts, delivered = %v, want %v: Close drops the backlog", got, want)
+	}
+}
+
+// TestPlaneCloseLeavesNoGoroutine: on the real clock, Close with a backlog
+// waiting out its retry backoff stops every pump timer — nothing is attempted
+// after Close and no goroutine outlives it.
+func TestPlaneCloseLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	caller := newScripted()
+	cfg := testConfig(caller, clock.NewReal(), nil)
+	cfg.BackoffBase, cfg.BackoffMax = time.Millisecond, time.Millisecond
+	p := NewPlane(cfg)
+	peers := []string{"urn:a", "urn:b", "urn:c"}
+	for _, peer := range peers {
+		caller.script(peer, errConnRefused) // parks the first message in backoff
+		for i := 0; i < 3; i++ {
+			if err := p.Send(context.Background(), peer, testEnv(t, "x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	p.Close()
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 200 {
+			t.Fatalf("%d goroutines after Close, %d before the plane", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// A pump that was mid-attempt at Close has returned by now.
+	attempts := make([]int, len(peers))
+	for i, peer := range peers {
+		attempts[i] = caller.attemptCount(peer)
+	}
+	time.Sleep(20 * cfg.BackoffMax) // every backoff would have expired many times over
+	for i, peer := range peers {
+		if got := caller.attemptCount(peer); got != attempts[i] {
+			t.Fatalf("%s: %d attempts after Close", peer, got-attempts[i])
+		}
 	}
 }
 

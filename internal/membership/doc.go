@@ -43,9 +43,9 @@
 // Key types:
 //
 //   - Service — one node's protocol instance: Join/Tick/Leave drive it,
-//     Alive/Members/SelectPeers read it. Tick satisfies the loop shape
-//     core.RunnerConfig.Membership schedules, so view exchanges self-clock
-//     on the same clock.Clock as every other gossip round.
+//     Alive/Members/SelectPeers read it. Tick is a core.Loop's round body,
+//     so view exchanges self-clock on the same clock.Clock as every other
+//     gossip round.
 //   - SOAPEndpoint — carries the view exchanges over the node's SOAP
 //     binding (MemBus, HTTP, or a test bus), so the membership overlay and
 //     the WS-Gossip services share one endpoint address space.

@@ -328,11 +328,9 @@ func TestScenarioCoordinatorFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 		r, err := core.NewRunner(core.RunnerConfig{
-			Clock:        clk,
-			RNG:          rand.New(rand.NewSource(211*977 + int64(i))),
-			Disseminator: d,
-			RepairEvery:  200 * time.Millisecond,
-			JitterFrac:   0.2,
+			Clock: clk,
+			RNG:   rand.New(rand.NewSource(211*977 + int64(i))),
+			Loops: []core.Loop{{Name: "repair", Period: 200 * time.Millisecond, Jitter: 40 * time.Millisecond, Tick: d.TickRepair}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -436,19 +434,20 @@ func TestScenarioQuiescenceBackoff(t *testing.T) {
 			if err := core.SubscribeClient(context.Background(), bus, "mem://coordinator", addr, core.RoleDisseminator); err != nil {
 				t.Fatal(err)
 			}
-			cfg := core.RunnerConfig{
-				Clock:        clk,
-				RNG:          rand.New(rand.NewSource(303*977 + int64(i))),
-				Disseminator: d,
-				PullEvery:    pullEvery,
-				JitterFrac:   0.2,
-			}
+			pull := core.Loop{Name: "pull", Period: pullEvery, Jitter: pullEvery / 5, Tick: d.TickPull}
 			if adaptive {
-				cfg.QuiescentMax = quiescent
+				pull.MaxPeriod, pull.Activity = quiescent, d.ActivityCount
 			}
-			r, err := core.NewRunner(cfg)
+			r, err := core.NewRunner(core.RunnerConfig{
+				Clock: clk,
+				RNG:   rand.New(rand.NewSource(303*977 + int64(i))),
+				Loops: []core.Loop{pull},
+			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if adaptive {
+				d.OnActivity(r.Wake)
 			}
 			if err := r.Start(context.Background()); err != nil {
 				t.Fatal(err)
@@ -568,19 +567,24 @@ func TestScenarioQuiescentAggregation(t *testing.T) {
 			r.Stop()
 		}
 	}()
-	addRunner := func(svc interface{ Tick(context.Context) }, seed int64) *core.Runner {
+	addRunner := func(svc interface {
+		Tick(context.Context)
+		ActivityCount() uint64
+		OnActivity(func())
+	}, seed int64) *core.Runner {
 		t.Helper()
 		r, err := core.NewRunner(core.RunnerConfig{
-			Clock:          clk,
-			RNG:            rand.New(rand.NewSource(seed)),
-			Aggregator:     svc,
-			AggregateEvery: exchangeEvery,
-			QuiescentMax:   quiescent,
-			JitterFrac:     0.2,
+			Clock: clk,
+			RNG:   rand.New(rand.NewSource(seed)),
+			Loops: []core.Loop{{
+				Name: "aggregate", Period: exchangeEvery, Jitter: exchangeEvery / 5, Tick: svc.Tick,
+				MaxPeriod: quiescent, Activity: svc.ActivityCount,
+			}},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		svc.OnActivity(r.Wake)
 		if err := r.Start(ctx); err != nil {
 			t.Fatal(err)
 		}

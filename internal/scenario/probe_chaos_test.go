@@ -120,7 +120,6 @@ func (c *chaosCluster) addNode(idx int, seeds []string) *chaosNode {
 		},
 		Delivery: &delivery.Config{
 			QueueCap:         16,
-			MaxInflight:      1,
 			AttemptTimeout:   time.Second,
 			MaxAttempts:      3,
 			BackoffBase:      50 * time.Millisecond,

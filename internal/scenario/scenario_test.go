@@ -525,11 +525,9 @@ func TestScenarioAggregation(t *testing.T) {
 			startRunner := func(svc interface{ Tick(context.Context) }, seed int64) {
 				t.Helper()
 				r, err := core.NewRunner(core.RunnerConfig{
-					Clock:          clk,
-					RNG:            rand.New(rand.NewSource(seed)),
-					Aggregator:     svc,
-					AggregateEvery: exchangeEvery,
-					JitterFrac:     0.2,
+					Clock: clk,
+					RNG:   rand.New(rand.NewSource(seed)),
+					Loops: []core.Loop{{Name: "aggregate", Period: exchangeEvery, Jitter: exchangeEvery / 5, Tick: svc.Tick}},
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -28,7 +28,9 @@ import (
 // layers are wired to each other is not configurable — that is NewNode.
 //
 // A zero interval leaves that round to the caller (the Tick methods of the
-// parts are reachable through the accessors); Start schedules the rest.
+// parts are reachable through the accessors); Start schedules the rest. The
+// aggregation participant has no accessor, so a node with a Value or Queries
+// requires AggregateEvery.
 type NodeConfig struct {
 	// Address is the node's endpoint address. Required.
 	Address string
@@ -67,12 +69,14 @@ type NodeConfig struct {
 	Intern *soap.Interner
 
 	// PullEvery, RepairEvery and AnnounceEvery are the dissemination round
-	// intervals (RunnerConfig); 0 disables each.
+	// intervals; 0 disables each.
 	PullEvery, RepairEvery, AnnounceEvery time.Duration
-	// JitterFrac is the per-round jitter as a fraction of each period.
+	// JitterFrac is the per-round jitter as a fraction of each period, in
+	// [0, 1).
 	JitterFrac float64
 	// QuiescentMax, when > 0, backs idle pull/repair/aggregate rounds off
-	// toward this period (RunnerConfig.QuiescentMax).
+	// toward this period (their Loop.MaxPeriod); it must exceed each of
+	// their intervals. Announce and membership rounds keep their pace.
 	QuiescentMax time.Duration
 
 	// Membership, when set, runs a live peer view that every fan-out —
@@ -99,7 +103,8 @@ type NodeConfig struct {
 	// Value, when set, makes the node an aggregation participant
 	// contributing this local measurement.
 	Value func() float64
-	// AggregateEvery is the push-sum exchange interval.
+	// AggregateEvery is the push-sum exchange interval; required with a
+	// Value or Queries.
 	AggregateEvery time.Duration
 	// Queries, when non-empty, makes the node the querier that keeps these
 	// cluster quantities fresh, restarting each every QueryWindow.
@@ -201,6 +206,14 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return n, nil
 	default:
 		return nil, fmt.Errorf("wsgossip: node role %q (want %s or %s)", n.role, RoleDisseminator, RoleConsumer)
+	}
+	// An advertised participant that never exchanges parks every share it
+	// absorbs, and nothing outside the Node could tick it.
+	if (cfg.Value != nil || len(cfg.Queries) > 0) && cfg.AggregateEvery <= 0 {
+		return nil, errors.New("wsgossip: an aggregation node (Value or Queries) requires a positive AggregateEvery")
+	}
+	if cfg.QuiescentMax < 0 {
+		return nil, fmt.Errorf("wsgossip: negative QuiescentMax %v", cfg.QuiescentMax)
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -311,21 +324,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	// value or a query must not be handed out as an aggregation target
 	// (push-sum mass sent to it would vanish).
 	n.protocols = []string{core.ProtocolPushGossip, core.ProtocolPullGossip}
-	rcfg := core.RunnerConfig{
-		Clock:         n.clk,
-		RNG:           rng(0),
-		Metrics:       n.reg,
-		Disseminator:  d,
-		PullEvery:     cfg.PullEvery,
-		RepairEvery:   cfg.RepairEvery,
-		AnnounceEvery: cfg.AnnounceEvery,
-		JitterFrac:    cfg.JitterFrac,
-		QuiescentMax:  cfg.QuiescentMax,
-	}
-	loops := cfg.PullEvery > 0 || cfg.RepairEvery > 0 || cfg.AnnounceEvery > 0
-	if n.msvc != nil && cfg.Membership.Every > 0 {
-		rcfg.Membership, rcfg.MembershipEvery = n.msvc, cfg.Membership.Every
-		loops = true
+	// The aggregation participant: what its loop ticks, and the traffic
+	// counter and wake hook adaptive pacing uses.
+	var aggTick func(context.Context)
+	var participant interface {
+		ActivityCount() uint64
+		OnActivity(func())
 	}
 	switch {
 	case len(cfg.Queries) > 0:
@@ -351,7 +355,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		rcfg.Aggregator = n.window
+		aggTick, participant = n.window.Tick, q
 		names := make([]string, len(cfg.Queries))
 		for i, cq := range cfg.Queries {
 			names[i] = string(cq.Func) + ":" + cq.Name
@@ -372,14 +376,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			return nil, err
 		}
 		svc.RegisterActions(n.dispatcher)
-		rcfg.Aggregator = svc
+		aggTick, participant = svc.Tick, svc
 	}
-	if rcfg.Aggregator != nil {
+	if participant != nil {
 		n.protocols = append(n.protocols, core.ProtocolAggregate)
-		if cfg.AggregateEvery > 0 {
-			rcfg.AggregateEvery = cfg.AggregateEvery
-			loops = true
-		}
 	}
 
 	// A panicking handler answers with a Receiver fault, counted, instead of
@@ -401,9 +401,47 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		n.handler = soap.Chain(n.dispatcher, recoverer, gate.Middleware())
 		n.logf("admission gate on: %.0f req/s", cfg.AdmitRate)
 	}
-	if loops {
-		if n.runner, err = core.NewRunner(rcfg); err != nil {
+
+	// The rounds, in the order the Runner draws their initial phases. Pull,
+	// repair and aggregate back off while idle; announce never does (deferred
+	// IHAVEs must flush promptly or lazy-push spread stalls here), nor does
+	// membership (its exchanges carry the heartbeats failure detection reads).
+	loop := func(name string, period time.Duration, tick func(context.Context)) core.Loop {
+		return core.Loop{Name: name, Period: period, Jitter: time.Duration(cfg.JitterFrac * float64(period)), Tick: tick}
+	}
+	adaptive := func(l core.Loop, activity func() uint64) core.Loop {
+		if cfg.QuiescentMax > 0 {
+			l.MaxPeriod, l.Activity = cfg.QuiescentMax, activity
+		}
+		return l
+	}
+	var loops []core.Loop
+	if cfg.PullEvery > 0 {
+		loops = append(loops, adaptive(loop("pull", cfg.PullEvery, d.TickPull), d.ActivityCount))
+	}
+	if cfg.RepairEvery > 0 {
+		loops = append(loops, adaptive(loop("repair", cfg.RepairEvery, d.TickRepair), d.ActivityCount))
+	}
+	if cfg.AnnounceEvery > 0 {
+		loops = append(loops, loop("announce", cfg.AnnounceEvery, d.TickAnnounce))
+	}
+	if participant != nil {
+		loops = append(loops, adaptive(loop("aggregate", cfg.AggregateEvery, aggTick), participant.ActivityCount))
+	}
+	if n.msvc != nil && cfg.Membership.Every > 0 {
+		loops = append(loops, loop("membership", cfg.Membership.Every, n.msvc.Tick))
+	}
+	if len(loops) > 0 {
+		if n.runner, err = core.NewRunner(core.RunnerConfig{Clock: n.clk, RNG: rng(0), Metrics: n.reg, Loops: loops}); err != nil {
 			return nil, err
+		}
+		// Traffic snaps backed-off rounds to base pace at once; Wake is a
+		// no-op until Start.
+		if cfg.QuiescentMax > 0 {
+			d.OnActivity(n.runner.Wake)
+			if participant != nil {
+				participant.OnActivity(n.runner.Wake)
+			}
 		}
 	}
 	return n, nil
@@ -480,6 +518,10 @@ func (n *Node) Start(ctx context.Context) error {
 	ctx, n.cancel = context.WithCancel(ctx)
 	n.mu.Unlock()
 	if n.runner != nil {
+		if n.cfg.AnnounceEvery > 0 {
+			// IHAVEs now ride the announce loop instead of the receive path.
+			n.dissem.DeferAnnouncements()
+		}
 		if err := n.runner.Start(ctx); err != nil {
 			return err
 		}

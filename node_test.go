@@ -556,6 +556,131 @@ func TestNodeOneClockOneRegistry(t *testing.T) {
 	}
 }
 
+// TestNewNodeRefusesUnschedulableRounds: NewNode refuses a configuration
+// whose rounds cannot run as asked — an aggregation participant with no
+// exchange interval (advertised as a push-sum target, it would park every
+// share it absorbed, and nothing outside the Node can tick it), and a
+// quiescence cap that does not exceed an adaptive round's interval.
+func TestNewNodeRefusesUnschedulableRounds(t *testing.T) {
+	one := func() float64 { return 1 }
+	for name, shape := range map[string]func(*wsgossip.NodeConfig){
+		"value without AggregateEvery": func(cfg *wsgossip.NodeConfig) { cfg.Value = one },
+		"queries without AggregateEvery": func(cfg *wsgossip.NodeConfig) {
+			cfg.Queries = []wsgossip.ContinuousQuery{{Name: "nodes", Func: wsgossip.FuncCount}}
+			cfg.QueryWindow = wireWindow
+		},
+		"QuiescentMax equal to PullEvery": func(cfg *wsgossip.NodeConfig) {
+			cfg.PullEvery, cfg.QuiescentMax = time.Second, time.Second
+		},
+		"QuiescentMax equal to AggregateEvery": func(cfg *wsgossip.NodeConfig) {
+			cfg.Value, cfg.AggregateEvery, cfg.QuiescentMax = one, time.Second, time.Second
+		},
+	} {
+		cfg := wsgossip.NodeConfig{Address: addrOf(0), Caller: soap.NewMemBus(), Clock: clock.NewVirtual(), Coordinator: wireCoordinator}
+		shape(&cfg)
+		if _, err := wsgossip.NewNode(cfg); err == nil {
+			t.Errorf("%s: NewNode accepted it", name)
+		}
+	}
+}
+
+// scheduleGolden is TestNodeScheduleGolden's expected trace: after each step,
+// every loop's name, fire count, current interval and backoff level, in the
+// runner's loop order.
+const scheduleGolden = `start+1s
+  pull fires=3 current=800ms level=3
+  repair fires=2 current=800ms level=2
+  announce fires=20 current=50ms level=0
+  aggregate fires=3 current=800ms level=3
+  membership fires=7 current=150ms level=0
+quiescent+10s
+  pull fires=9 current=1.6s level=4
+  repair fires=9 current=1.6s level=3
+  announce fires=220 current=50ms level=0
+  aggregate fires=9 current=1.6s level=4
+  membership fires=74 current=150ms level=0
+wake+250ms
+  pull fires=11 current=200ms level=1
+  repair fires=10 current=200ms level=0
+  announce fires=225 current=50ms level=0
+  aggregate fires=10 current=200ms level=1
+  membership fires=75 current=150ms level=0
+quiescent+5s
+  pull fires=16 current=1.6s level=4
+  repair fires=15 current=1.6s level=3
+  announce fires=323 current=50ms level=0
+  aggregate fires=15 current=1.6s level=4
+  membership fires=109 current=150ms level=0
+`
+
+// TestNodeScheduleGolden pins the round schedule NewNode builds for one
+// fully configured node at a fixed seed on a virtual clock: the loop order,
+// the seeded phases and jitter, the quiescent backoff of pull, repair and
+// aggregate toward QuiescentMax while announce and membership keep their
+// pace, and the snap-back when a notification wakes the node.
+func TestNodeScheduleGolden(t *testing.T) {
+	vc, bus := clock.NewVirtual(), soap.NewMemBus()
+	coord := wsgossip.NewCoordinator(wsgossip.CoordinatorConfig{
+		Address: wireCoordinator,
+		RNG:     rand.New(rand.NewSource(1)),
+	})
+	bus.Register(wireCoordinator, coord.Handler())
+	node, err := wsgossip.NewNode(wsgossip.NodeConfig{
+		Address:        addrOf(0),
+		Caller:         bus,
+		Clock:          vc,
+		Seed:           77,
+		Coordinator:    wireCoordinator,
+		PullEvery:      100 * time.Millisecond,
+		RepairEvery:    200 * time.Millisecond,
+		AnnounceEvery:  50 * time.Millisecond,
+		JitterFrac:     0.2,
+		QuiescentMax:   1600 * time.Millisecond,
+		Value:          func() float64 { return 1 },
+		AggregateEvery: 100 * time.Millisecond,
+		Membership: &wsgossip.NodeMembership{
+			Every: 150 * time.Millisecond, SuspectAfter: time.Minute, RemoveAfter: 2 * time.Minute,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus.Register(addrOf(0), node.Handler())
+	if err := node.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+
+	var trace strings.Builder
+	step := func(label string, d time.Duration) {
+		vc.Advance(d)
+		fmt.Fprintf(&trace, "%s\n", label)
+		for _, l := range node.Health().Loops {
+			fmt.Fprintf(&trace, "  %s fires=%d current=%s level=%d\n", l.Name, l.Fires, l.Current, l.BackoffLevel)
+		}
+	}
+	step("start+1s", time.Second)
+	step("quiescent+10s", 10*time.Second)
+	init, err := wsgossip.NewInitiator(wsgossip.InitiatorConfig{
+		Address: "mem://init", Caller: bus, Activation: wireCoordinator,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inter, err := init.StartInteraction(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, sent, err := init.Notify(context.Background(), inter, wireNote{Seq: 1}); err != nil || sent != 1 {
+		t.Fatalf("notify: sent %d, err %v", sent, err)
+	}
+	step("wake+250ms", 250*time.Millisecond)
+	step("quiescent+5s", 5*time.Second)
+	if got := trace.String(); got != scheduleGolden {
+		t.Fatalf("schedule trace changed:\n%s\nwant:\n%s", got, scheduleGolden)
+	}
+}
+
 // blackhole is a binding whose every exchange hangs until its context ends —
 // an unreachable seed or coordinator.
 type blackhole struct{ entered chan struct{} }
