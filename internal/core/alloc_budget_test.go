@@ -63,7 +63,7 @@ func TestForwardFanoutAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	fb := newForwardBench(t, 8, 1<<10)
 	allocs := testing.AllocsPerRun(100, func() {
-		fb.d.forward(fb.ctx, fb.env, fb.gh, fb.state)
+		fb.d.transfer(fb.ctx, fb.env, fb.gh, fb.state, pushTransfer)
 	})
 	if stats := fb.d.Stats(); stats.Forwarded == 0 || stats.SendErrors != 0 {
 		t.Fatalf("stats = %+v", stats)
@@ -80,11 +80,11 @@ func TestDuplicateReceiptAllocBudget(t *testing.T) {
 	fb := newForwardBench(t, 8, 1<<10)
 	req := &soap.Request{Envelope: fb.receivedNotification(t)}
 	fb.d.interactions[fb.gh.InteractionID] = fb.state
-	if _, err := fb.d.intercept(fb.ctx, req, nil); err != nil { // first receipt
+	if _, err := fb.d.intercept(fb.ctx, req); err != nil { // first receipt
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := fb.d.intercept(fb.ctx, req, nil); err != nil {
+		if _, err := fb.d.intercept(fb.ctx, req); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -145,7 +145,7 @@ func fullDigestResponder(t testing.TB, spell func([]byte) []byte) (*Disseminator
 		storeNotification(t, d, string(wsa.NewMessageID()))
 	}
 	d.mu.Lock()
-	ids := d.storedIDsLocked(digestCap)
+	ids := d.heldIDsLocked(digestCap)
 	d.mu.Unlock()
 	req, _ := receivedRequest(t, ActionDigest, spell(digestBlock("mem://peer", ids).Raw))
 	return d, req
@@ -181,7 +181,7 @@ func TestDigestOneMissingAllocBudget(t *testing.T) {
 	}
 	d.cfg.Caller = dropCaller{}
 	d.mu.Lock()
-	ids := d.storedIDsLocked(digestCap)
+	ids := d.heldIDsLocked(digestCap)
 	d.mu.Unlock()
 	req, _ := receivedRequest(t, ActionDigest, digestBlock("mem://peer", ids[1:]).Raw)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -202,9 +202,9 @@ func TestDigestEnvelopeAllocBudget(t *testing.T) {
 	d, _ := fullDigestResponder(t, asWritten)
 	allocs := testing.AllocsPerRun(100, func() {
 		d.mu.Lock()
-		ids := d.storedIDsLocked(digestCap)
+		ids := d.heldIDsLocked(digestCap)
 		d.mu.Unlock()
-		env, err := digestEnvelope(ActionDigest, digestBlock(d.cfg.Address, ids))
+		env, err := newMessage(ActionDigest, digestBlock(d.cfg.Address, ids))
 		if err != nil || len(env.Body.Blocks) != 1 {
 			t.Fatalf("digest envelope: %v", err)
 		}
@@ -233,7 +233,7 @@ func lazyResponder(t testing.TB) (d *Disseminator, ihave, iwant *soap.Request) {
 	}
 	id := string(wsa.NewMessageID())
 	storeNotification(t, d, id)
-	d.seen.Add(id)
+	d.m.Admit(id)
 	received := func(action string, body soap.Block) *soap.Request {
 		out := soap.NewEnvelope()
 		if err := out.SetAddressing(addressingFor("mem://responder", action)); err != nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"wsgossip/internal/gossip"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/wsa"
 )
@@ -66,18 +67,18 @@ func newForwardBench(b testing.TB, fanout, payload int) *forwardBench {
 	if err := env.SetBody(benchNote{Data: strings.Repeat("x", payload)}); err != nil {
 		b.Fatal(err)
 	}
-	state := &interactionState{
-		protocol: ProtocolPushGossip,
-		params:   GossipParameters{Fanout: fanout, Hops: 4, Targets: targets},
-	}
+	state := newInteractionState(ProtocolPushGossip, GossipParameters{Fanout: fanout, Hops: 4, Targets: targets})
 	return &forwardBench{
 		d: d, env: env, gh: gh, state: state,
 		ctx: context.Background(), targets: targets,
 	}
 }
 
-// BenchmarkForwardFanout exercises Disseminator.forward at several fanouts
-// with a 1 KiB payload.
+// pushTransfer is the machine's decision for a push-style first receipt.
+var pushTransfer = gossip.Transfer{Send: gossip.SendPayload}
+
+// BenchmarkForwardFanout exercises a push forward at several fanouts with a
+// 1 KiB payload.
 func BenchmarkForwardFanout(b *testing.B) {
 	for _, fanout := range []int{2, 4, 8} {
 		b.Run("f"+strconv.Itoa(fanout), func(b *testing.B) {
@@ -85,7 +86,7 @@ func BenchmarkForwardFanout(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fb.d.forward(fb.ctx, fb.env, fb.gh, fb.state)
+				fb.d.transfer(fb.ctx, fb.env, fb.gh, fb.state, pushTransfer)
 			}
 			stats := fb.d.Stats()
 			if stats.Forwarded == 0 || stats.SendErrors != 0 {
@@ -112,7 +113,7 @@ func BenchmarkRetransmit(b *testing.B) {
 		if err := env.SetBody(benchNote{Data: strings.Repeat("y", 1<<10)}); err != nil {
 			b.Fatal(err)
 		}
-		fb.d.store.Put(gh.MessageID, env)
+		fb.d.m.Hold(heldNotification{id: gh.MessageID, env: env})
 	}
 	var have heldIDs // an empty digest: everything stored is missing
 	b.ReportAllocs()

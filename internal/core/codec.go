@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/xml"
 
+	"wsgossip/internal/gossip"
 	"wsgossip/internal/soap"
 )
 
@@ -256,72 +257,58 @@ type heldIDs struct {
 	decoded []string
 }
 
-// mark marks every listed ID the store holds as held by the digest's sender.
-// An escaped ID is unescaped first, as encoding/xml would have.
-func (h heldIDs) mark(s *envelopeStore) {
+// list hands every listed ID to the machine as the digest's. An escaped ID is
+// unescaped first, as encoding/xml would have.
+func (h heldIDs) list(m *gossip.Machine[heldNotification]) {
 	for id, ok := h.flat.Next(); ok; id, ok = h.flat.Next() {
-		s.markHeldBytes(id.Key())
+		m.Listed(id.Key())
 	}
 	for _, id := range h.decoded {
-		s.markHeld(id)
+		m.Listed([]byte(id))
 	}
 }
 
-// scanDigest reads a canonical Digest body block in place.
-func scanDigest(raw []byte) (sender soap.FlatText, ids soap.FlatList, ok bool) {
-	r, ok := soap.OpenFlat(raw, Namespace, "Digest")
-	if !ok {
-		return nil, ids, false
+// scanDigest reads a canonical digest body block in place: a Digest, or with
+// pull a PullRequest, which names its peer Requester and carries a Max.
+func scanDigest(raw []byte, pull bool) (peer soap.FlatText, ids soap.FlatList, max int, ok bool) {
+	root, peerName := "Digest", "Sender"
+	if pull {
+		root, peerName = "PullRequest", "Requester"
 	}
-	if sender, ok = r.Text("Sender"); !ok {
-		return nil, ids, false
+	r, ok := soap.OpenFlat(raw, Namespace, root)
+	if !ok {
+		return nil, ids, 0, false
+	}
+	if peer, ok = r.Text(peerName); !ok {
+		return nil, ids, 0, false
 	}
 	if ids, ok = r.List("MessageIDs", "MessageID"); !ok {
-		return nil, ids, false
+		return nil, ids, 0, false
 	}
-	return sender, ids, r.Close("Digest")
+	if pull {
+		if max, ok = r.Int("Max"); !ok {
+			return nil, ids, 0, false
+		}
+	}
+	return peer, ids, max, r.Close(root)
 }
 
-// digestFrom decodes the Digest body of env — the canonical form in place,
-// anything else through encoding/xml — into the sender (interned: a peer
-// sends a digest every round) and the IDs it holds.
-func digestFrom(env *soap.Envelope) (string, heldIDs, error) {
+// digestFrom decodes the digest body of env — a Digest, or with pull a
+// PullRequest; the canonical form in place, anything else through
+// encoding/xml — into the peer to answer (interned: a peer sends a digest
+// every round), the IDs it holds and, of a PullRequest, its Max.
+func digestFrom(env *soap.Envelope, pull bool) (peer string, held heldIDs, max int, err error) {
 	if len(env.Body.Blocks) > 0 {
-		if sender, ids, ok := scanDigest(env.Body.Blocks[0].Raw); ok {
-			return sender.Symbol(), heldIDs{flat: ids}, nil
+		if peer, ids, max, ok := scanDigest(env.Body.Blocks[0].Raw, pull); ok {
+			return peer.Symbol(), heldIDs{flat: ids}, max, nil
 		}
+	}
+	if pull {
+		var pr PullRequest
+		err = env.DecodeBody(&pr)
+		return pr.Requester, heldIDs{decoded: pr.MessageIDs}, pr.Max, err
 	}
 	var dig Digest
-	err := env.DecodeBody(&dig)
-	return dig.Sender, heldIDs{decoded: dig.MessageIDs}, err
-}
-
-// scanPullRequest reads a canonical PullRequest body block in place.
-func scanPullRequest(raw []byte) (requester soap.FlatText, ids soap.FlatList, max int, ok bool) {
-	r, ok := soap.OpenFlat(raw, Namespace, "PullRequest")
-	if !ok {
-		return nil, ids, 0, false
-	}
-	if requester, ok = r.Text("Requester"); !ok {
-		return nil, ids, 0, false
-	}
-	if ids, ok = r.List("MessageIDs", "MessageID"); !ok {
-		return nil, ids, 0, false
-	}
-	if max, ok = r.Int("Max"); !ok {
-		return nil, ids, 0, false
-	}
-	return requester, ids, max, r.Close("PullRequest")
-}
-
-// pullRequestFrom decodes the PullRequest body of env like digestFrom.
-func pullRequestFrom(env *soap.Envelope) (string, heldIDs, int, error) {
-	if len(env.Body.Blocks) > 0 {
-		if requester, ids, max, ok := scanPullRequest(env.Body.Blocks[0].Raw); ok {
-			return requester.Symbol(), heldIDs{flat: ids}, max, nil
-		}
-	}
-	var pr PullRequest
-	err := env.DecodeBody(&pr)
-	return pr.Requester, heldIDs{decoded: pr.MessageIDs}, pr.Max, err
+	err = env.DecodeBody(&dig)
+	return dig.Sender, heldIDs{decoded: dig.MessageIDs}, 0, err
 }

@@ -268,10 +268,8 @@ func TestGossipLayerNeverAliasesReceiveBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.DeferAnnouncements()
-		d.interactions[want.InteractionID] = &interactionState{
-			protocol: ProtocolPushGossip,
-			params:   GossipParameters{Fanout: 2, Hops: 3, Style: gossip.StyleLazyPush.String(), Targets: []string{"mem://peer"}},
-		}
+		d.interactions[want.InteractionID] = newInteractionState(ProtocolPushGossip,
+			GossipParameters{Fanout: 2, Hops: 3, Style: gossip.StyleLazyPush.String(), Targets: []string{"mem://peer"}})
 		var (
 			action string
 			names  []xml.Name
@@ -300,13 +298,14 @@ func TestGossipLayerNeverAliasesReceiveBuffer(t *testing.T) {
 		if gh != want {
 			t.Errorf("GossipHeaderFrom result changed with the buffer: %+v", gh)
 		}
-		if !d.seen.ContainsBytes([]byte(id)) {
+		if !d.m.Seen(id) {
 			t.Errorf("seen-set key for %q changed with the buffer", id)
 		}
 		if len(d.pendingAnn) != 1 || d.pendingAnn[0].gh != want {
 			t.Errorf("deferred announcement changed with the buffer: %+v", d.pendingAnn)
 		}
-		_, stored, ok := d.store.Get([]byte(id))
+		held, ok := d.m.Get([]byte(id))
+		stored := held.env
 		if !ok {
 			t.Fatalf("store lost %q", id)
 		}
@@ -487,28 +486,28 @@ func checkDigestReaders(t testing.TB, raw []byte) (okDigest, okPull bool) {
 
 	var refDig Digest
 	errDig := xml.Unmarshal(raw, &refDig)
-	sender, ids, okDigest := scanDigest(raw)
+	sender, ids, _, okDigest := scanDigest(raw, false)
 	if okDigest && (errDig != nil || sender.String() != refDig.Sender || !sameIDs(heldStrings(heldIDs{flat: ids}), refDig.MessageIDs)) {
 		t.Fatalf("digest reader accepted %q as %q %q; encoding/xml: %+v, %v",
 			raw, sender.String(), heldStrings(heldIDs{flat: ids}), refDig, errDig)
 	}
-	from, held, err := digestFrom(env)
+	from, held, _, err := digestFrom(env, false)
 	if (err != nil) != (errDig != nil) || (err == nil && (from != refDig.Sender || !sameIDs(heldStrings(held), refDig.MessageIDs))) {
 		t.Fatalf("digestFrom(%q) = %q %q, %v; encoding/xml: %+v, %v", raw, from, heldStrings(held), err, refDig, errDig)
 	}
 
 	var refPull PullRequest
 	errPull := xml.Unmarshal(raw, &refPull)
-	requester, ids, max, okPull := scanPullRequest(raw)
+	requester, ids, max, okPull := scanDigest(raw, true)
 	if okPull && (errPull != nil || requester.String() != refPull.Requester || max != refPull.Max ||
 		!sameIDs(heldStrings(heldIDs{flat: ids}), refPull.MessageIDs)) {
 		t.Fatalf("pull reader accepted %q as %q %q max %d; encoding/xml: %+v, %v",
 			raw, requester.String(), heldStrings(heldIDs{flat: ids}), max, refPull, errPull)
 	}
-	from, held, max, err = pullRequestFrom(env)
+	from, held, max, err = digestFrom(env, true)
 	if (err != nil) != (errPull != nil) ||
 		(err == nil && (from != refPull.Requester || max != refPull.Max || !sameIDs(heldStrings(held), refPull.MessageIDs))) {
-		t.Fatalf("pullRequestFrom(%q) = %q %q max %d, %v; encoding/xml: %+v, %v",
+		t.Fatalf("digestFrom(%q, pull) = %q %q max %d, %v; encoding/xml: %+v, %v",
 			raw, from, heldStrings(held), max, err, refPull, errPull)
 	}
 	return okDigest, okPull
@@ -569,8 +568,8 @@ func asPullRequest(digest, max string) string {
 }
 
 // TestDigestCodecDeclinesNonCanonical: each form is declined by the in-place
-// readers, and digestFrom / pullRequestFrom — through the fallback — return
-// exactly what encoding/xml returns for it, error or value.
+// readers, and digestFrom — through the fallback — returns exactly what
+// encoding/xml returns for it, error or value.
 func TestDigestCodecDeclinesNonCanonical(t *testing.T) {
 	for label, raw := range nonCanonicalDigests {
 		if ok, _ := checkDigestReaders(t, []byte(raw)); ok {

@@ -1,0 +1,170 @@
+package core
+
+import (
+	"context"
+	"encoding/xml"
+	"slices"
+
+	"wsgossip/internal/soap"
+	"wsgossip/internal/wsa"
+)
+
+// The digest exchange: a node periodically sends a digest of the
+// notifications it holds to drawn peers, and each peer retransmits the stored
+// notifications the digest does not list. Anti-entropy repair — the
+// WS-level analogue of Bimodal Multicast's phase 2 — runs it as a backstop
+// that closes the gaps push leaves under loss and churn; WS-PullGossip runs
+// it as the primary dissemination mechanism. The two differ only in action
+// and body, which interactions a round draws targets from, and counter label.
+
+// ActionDigest is the anti-entropy digest exchange action.
+const ActionDigest = Namespace + ":digest"
+
+// digestCap bounds the message IDs advertised per digest and the envelopes
+// retransmitted per exchange.
+const digestCap = 128
+
+// Digest advertises the notifications a node holds. TickRepair writes it and
+// handleDigest reads it with the flat-element codec (codec.go); the struct is
+// the encoding/xml fallback's target and the tests' oracle.
+type Digest struct {
+	XMLName    xml.Name `xml:"urn:wsgossip:2008 Digest"`
+	Sender     string   `xml:"Sender"`
+	MessageIDs []string `xml:"MessageIDs>MessageID"`
+}
+
+// TickRepair runs one anti-entropy round: the node sends a digest of its
+// stored notifications to up to fanout peers drawn from every interaction it
+// participates in. Call it from a timer at the deployment's repair interval.
+func (d *Disseminator) TickRepair(ctx context.Context) { d.digestRound(ctx, false) }
+
+// TickPull runs one WS-PullGossip round: a PullRequest digest to up to
+// fanout peers drawn from each pulling interaction the node participates in.
+// Call it from a timer at the deployment's pull interval.
+func (d *Disseminator) TickPull(ctx context.Context) { d.digestRound(ctx, true) }
+
+// digestRound sends one round of the repair or (pull) the WS-PullGossip
+// exchange: a digest of the newest held IDs, one logical message serialized
+// once and rendered per target.
+func (d *Disseminator) digestRound(ctx context.Context, pull bool) {
+	d.mu.Lock()
+	ids := d.heldIDsLocked(digestCap)
+	targets := d.roundTargetsLocked(pull)
+	d.mu.Unlock()
+	if len(targets) == 0 {
+		return
+	}
+	action, body, sent := ActionDigest, digestBlock(d.cfg.Address, ids), d.stats.digestsSent
+	if pull {
+		action, body, sent = ActionPullRequest, pullRequestBlock(d.cfg.Address, ids, digestCap), d.stats.pullsSent
+	}
+	env, err := newMessage(action, body)
+	if err != nil {
+		d.stats.sendErrors.Add(int64(len(targets)))
+		return
+	}
+	sent.Add(int64(d.fanout(ctx, env, targets)))
+}
+
+// newMessage builds a fan-out message — a digest, an IHAVE — around its
+// prebuilt body. The addressing omits To: the fan-out serializes it once and
+// renders a copy per target (encode-once wire path).
+func newMessage(action string, body soap.Block) (*soap.Envelope, error) {
+	env := soap.NewEnvelope()
+	if err := env.SetAddressing(wsa.Headers{
+		Action:    action,
+		MessageID: wsa.NewMessageID(),
+	}); err != nil {
+		return nil, err
+	}
+	env.SetBodyBlock(body)
+	return env, nil
+}
+
+// roundTargetsLocked collects one digest round's targets: up to fanout
+// peers per interaction (pulling ones only when pullOnly), each sampled
+// from the node's one RNG. Interactions are visited in sorted key order and
+// the distinct targets returned sorted, so a seed fixes both the draws and
+// the send sequence — map order decides nothing.
+func (d *Disseminator) roundTargetsLocked(pullOnly bool) []string {
+	keys := make([]string, 0, len(d.interactions))
+	for key, state := range d.interactions {
+		if !pullOnly || state.style.Pulls() {
+			keys = append(keys, key)
+		}
+	}
+	slices.Sort(keys)
+	var targets []string
+	for _, key := range keys {
+		state := d.interactions[key]
+		targets = append(targets, d.sampleTargetsLocked(state.params.Fanout, state.params.Targets)...)
+	}
+	slices.Sort(targets)
+	return slices.Compact(targets)
+}
+
+// heldIDsLocked lists up to n held notification IDs, newest first.
+func (d *Disseminator) heldIDsLocked(n int) []string {
+	ids := make([]string, min(n, d.m.Len()))
+	for k := range ids {
+		ids[k] = d.m.Newest(k).id
+	}
+	return ids
+}
+
+// handleDigest answers an anti-entropy Digest.
+func (d *Disseminator) handleDigest(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
+	return d.respond(ctx, req, false)
+}
+
+// handlePullRequest answers a WS-PullGossip PullRequest.
+func (d *Disseminator) handlePullRequest(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
+	return d.respond(ctx, req, true)
+}
+
+// respond is the one digest responder: it retransmits the stored
+// notifications the digest's sender lacks — at most digestCap, or a
+// PullRequest's smaller Max.
+func (d *Disseminator) respond(ctx context.Context, req *soap.Request, pull bool) (*soap.Envelope, error) {
+	body, peerless, served := "Digest", "digest without sender", d.stats.repaired
+	if pull {
+		body, peerless, served = "PullRequest", "pull request without requester", d.stats.pullServed
+	}
+	peer, held, max, err := digestFrom(req.Envelope, pull)
+	if err != nil {
+		return nil, soap.NewFault(soap.CodeSender, "malformed "+body+": "+err.Error())
+	}
+	if peer == "" {
+		return nil, soap.NewFault(soap.CodeSender, peerless)
+	}
+	if max <= 0 || max > digestCap {
+		max = digestCap
+	}
+	if n := d.retransmitMissing(ctx, peer, held, max); n > 0 {
+		served.Add(n)
+		d.bumpActivity()
+	}
+	return nil, nil
+}
+
+// retransmitMissing serves every stored notification the digest's sender
+// does not hold to it (up to max, newest first) and returns the number of
+// successful retransmissions. The digest is matched against the store inside
+// one critical section, so concurrent digests cannot see each other's marks,
+// and a digest that finds nothing missing allocates nothing. held may alias
+// the request's receive buffer: it is not used after the lock is released.
+func (d *Disseminator) retransmitMissing(ctx context.Context, to string, held heldIDs, max int) int64 {
+	d.mu.Lock()
+	held.list(&d.m)
+	missing := d.m.Missing(max)
+	d.mu.Unlock()
+	var served int64
+	for _, h := range missing {
+		if err := d.serve(ctx, to, h); err != nil {
+			d.stats.sendErrors.Add(1)
+			continue
+		}
+		served++
+	}
+	return served
+}

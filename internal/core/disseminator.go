@@ -159,21 +159,47 @@ type DisseminatorConfig struct {
 	Intern *soap.Interner
 }
 
-// interactionState caches the protocol and parameters the Coordinator
-// assigned for one gossip interaction.
+// interactionState caches the parameters the Coordinator assigned for one
+// gossip interaction, and the style they select, parsed once.
 type interactionState struct {
-	protocol string
-	params   GossipParameters
+	params GossipParameters
+	style  gossip.Style
 }
 
-// pull reports whether the interaction spreads through pull rounds only.
-func (s *interactionState) pull() bool {
-	return s.protocol == ProtocolPullGossip || s.params.Style == gossip.StylePull.String()
+// newInteractionState parses the style of an interaction registered for
+// protocol: WS-PullGossip is pull whatever the parameters say, and an unknown
+// style is push.
+func newInteractionState(protocol string, params GossipParameters) *interactionState {
+	style, err := gossip.ParseStyle(params.Style)
+	switch {
+	case protocol == ProtocolPullGossip:
+		style = gossip.StylePull
+	case err != nil:
+		style = gossip.StylePush
+	}
+	return &interactionState{params: params, style: style}
 }
+
+// heldNotification is what a disseminator's store holds: a retained
+// envelope clone, under its notification's MessageID.
+type heldNotification struct {
+	id  string
+	env *soap.Envelope
+}
+
+// HeldID returns the MessageID the notification is held under.
+func (h heldNotification) HeldID() string { return h.id }
+
+// defaultStoreSize is the store's capacity when DisseminatorConfig.StoreSize
+// is zero.
+const defaultStoreSize = 1024
 
 // Disseminator is the paper's Disseminator role: application code untouched,
 // but the middleware stack carries an extra handler — the gossip layer —
 // that intercepts notifications and re-routes them to selected destinations.
+// It is a SOAP binding of gossip.Machine: the machine decides, and the
+// Disseminator decodes, registers on first contact, draws targets, encodes
+// and sends.
 type Disseminator struct {
 	cfg      DisseminatorConfig
 	register *wscoord.RegistrationClient
@@ -183,10 +209,8 @@ type Disseminator struct {
 
 	mu           sync.Mutex
 	rng          *rand.Rand
-	seen         *gossip.SeenSet
+	m            gossip.Machine[heldNotification]
 	interactions map[string]*interactionState
-	store        *envelopeStore
-	requested    map[string]struct{}
 	deferAnn     bool
 	pendingAnn   []pendingAnnounce
 	stats        counters
@@ -198,6 +222,7 @@ type Disseminator struct {
 type pendingAnnounce struct {
 	gh    GossipHeader
 	state *interactionState
+	t     gossip.Transfer
 }
 
 // NewDisseminator returns a disseminator node.
@@ -217,14 +242,16 @@ func NewDisseminator(cfg DisseminatorConfig) (*Disseminator, error) {
 	if clk == nil {
 		clk = clock.NewReal()
 	}
+	storeSize := cfg.StoreSize
+	if storeSize <= 0 {
+		storeSize = defaultStoreSize
+	}
 	return &Disseminator{
 		cfg:          cfg,
 		register:     wscoord.NewRegistrationClient(cfg.Caller, cfg.Address),
 		rng:          rng,
-		seen:         gossip.NewSeenSet(cfg.SeenCacheSize),
+		m:            gossip.NewMachine[heldNotification](cfg.SeenCacheSize, storeSize, 0),
 		interactions: make(map[string]*interactionState),
-		store:        newEnvelopeStore(cfg.StoreSize),
-		requested:    make(map[string]struct{}),
 		stats:        newCounters(reg),
 		now:          clk.Now,
 	}, nil
@@ -293,75 +320,73 @@ func (d *Disseminator) Handler() soap.Handler {
 // dispatcher, for stacks that colocate further services (e.g. an
 // aggregation participant) on one endpoint.
 func (d *Disseminator) RegisterActions(dispatcher *soap.Dispatcher) {
-	dispatcher.Register(ActionNotify, soap.HandlerFunc(d.handleNotify))
+	dispatcher.Register(ActionNotify, soap.HandlerFunc(d.intercept))
 	dispatcher.Register(ActionIHave, soap.HandlerFunc(d.handleIHave))
 	dispatcher.Register(ActionIWant, soap.HandlerFunc(d.handleIWant))
 	dispatcher.Register(ActionDigest, soap.HandlerFunc(d.handleDigest))
 	dispatcher.Register(ActionPullRequest, soap.HandlerFunc(d.handlePullRequest))
 }
 
-// Middleware returns the gossip layer as a reusable soap.Middleware, for
-// stacks that compose their own handler chains.
-func (d *Disseminator) Middleware() soap.Middleware {
-	return func(next soap.Handler) soap.Handler {
-		return soap.HandlerFunc(func(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
-			return d.intercept(ctx, req, next)
-		})
-	}
-}
-
-func (d *Disseminator) handleNotify(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
-	return d.intercept(ctx, req, d.cfg.App)
-}
-
-// intercept implements the gossip layer: dedup, first-contact registration,
-// local delivery, and hop-bounded re-routing.
-func (d *Disseminator) intercept(ctx context.Context, req *soap.Request, app soap.Handler) (*soap.Envelope, error) {
+// intercept is the gossip layer on the notify action: dedup, first-contact
+// registration, local delivery to cfg.App, and re-routing as the machine
+// decides.
+func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
 	block, ok := req.Envelope.HeaderBlock(Namespace, "Gossip")
 	if !ok {
 		// Not a gossiped message: hand it to the application untouched.
-		return d.deliver(ctx, req, app)
+		return d.deliver(ctx, req)
 	}
 	// Most receipts are duplicates, so the header is first read in place —
-	// views over the request bytes, no allocation — and the seen-set asked
+	// views over the request bytes, no allocation — and the machine asked
 	// with the MessageID bytes; the header's strings are built (as copies:
-	// the receive buffer is recycled after this delivery) only when that
-	// misses. A header the byte-level reader declines, or whose MessageID is
-	// escaped, is decoded up front as before. The seen-set locks itself, so
-	// the duplicate check runs outside d.mu; the Add that admits a first
-	// receipt stays under it, with the requested-set update it is atomic with.
+	// the receive buffer is recycled after this delivery) only for a first
+	// receipt. A header the byte-level reader declines, or whose MessageID is
+	// escaped, is decoded up front.
 	var gh GossipHeader
 	fields, inPlace := scanGossipHeader(block.Raw)
 	if inPlace = inPlace && fields.messageID.IsLiteral(); !inPlace {
 		var err error
 		if gh, err = decodeGossipHeader(block); err != nil {
-			return d.deliver(ctx, req, app) // malformed header: not gossip either
+			return d.deliver(ctx, req) // malformed header: not gossip either
 		}
 	}
 	d.stats.received.Add(1)
 	d.bumpActivity()
-	if inPlace {
-		if d.seen.TouchBytes(fields.messageID) {
-			d.stats.duplicates.Add(1)
-			return nil, nil
-		}
-		gh = fields.header()
-	}
 	d.mu.Lock()
-	if !d.seen.Add(gh.MessageID) {
+	dup, t := false, gossip.Transfer{}
+	if inPlace {
+		if dup, t = d.m.Receive(fields.messageID, false); !dup {
+			gh = fields.header()
+		}
+	}
+	if !dup {
+		var first bool
+		first, t = d.m.Admit(gh.MessageID)
+		dup = !first
+	}
+	if dup {
 		d.mu.Unlock()
 		d.stats.duplicates.Add(1)
+		if t.Send != gossip.SendNothing {
+			// Counter mongering: a duplicate of a rumor still being mongered
+			// bursts it again.
+			if inPlace {
+				gh = fields.header()
+			}
+			d.mu.Lock()
+			state := d.interactions[gh.InteractionID]
+			d.mu.Unlock()
+			d.spread(ctx, req.Envelope, gh, state, t)
+		}
 		return nil, nil
 	}
-	delete(d.requested, gh.MessageID)
 	d.mu.Unlock()
-	// Retain the envelope so lazy-push fetches can be served later. The
+	// Retain the envelope so fetches and digests can be served later. The
 	// store outlives this delivery, whose inbound buffer the transport
 	// recycles once the handler returns — so the one retention point in the
 	// stack deep-copies. Paid once per unique message (duplicates, the bulk
 	// of gossip traffic, never get here), and copied outside d.mu so
-	// concurrent deliveries don't serialize behind a payload memcpy; the
-	// seen-set dedup above guarantees a single Put per message ID.
+	// concurrent deliveries don't serialize behind a payload memcpy.
 	var clone *soap.Envelope
 	if d.cfg.Intern != nil {
 		// The stored form varies only by message identity and remaining hop
@@ -372,7 +397,7 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request, app soa
 		clone = req.Envelope.Clone()
 	}
 	d.mu.Lock()
-	d.store.Put(gh.MessageID, clone)
+	d.m.Hold(heldNotification{id: gh.MessageID, env: clone})
 	state, known := d.interactions[gh.InteractionID]
 	d.mu.Unlock()
 
@@ -387,41 +412,24 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request, app soa
 	}
 
 	d.stats.delivered.Add(1)
-	resp, appErr := d.deliver(ctx, req, app)
+	// Gossiped notifications are one-way: the application's response is
+	// suppressed on the gossip path.
+	_, appErr := d.deliver(ctx, req)
 
-	if state != nil && gh.Hops > 0 {
-		switch {
-		case state.pull():
-			// WS-PullGossip never forwards eagerly: the notification is
-			// stored and spreads when peers pull it (TickPull).
-		case state.params.Style == gossip.StyleLazyPush.String():
-			d.mu.Lock()
-			deferred := d.deferAnn
-			if deferred && len(d.pendingAnn) < maxPendingAnnounces {
-				d.pendingAnn = append(d.pendingAnn, pendingAnnounce{gh: gh, state: state})
-			}
-			d.mu.Unlock()
-			if !deferred {
-				d.announce(ctx, gh, state)
-			}
-		default:
-			d.forward(ctx, req.Envelope, gh, state)
-		}
+	if state != nil {
+		d.mu.Lock()
+		t := d.m.Spread(gh.MessageID, state.style, gh.Hops, false)
+		d.mu.Unlock()
+		d.spread(ctx, req.Envelope, gh, state, t)
 	}
-	if appErr != nil {
-		return nil, appErr
-	}
-	// Gossiped notifications are one-way: suppress application responses on
-	// the gossip path.
-	_ = resp
-	return nil, nil
+	return nil, appErr
 }
 
-func (d *Disseminator) deliver(ctx context.Context, req *soap.Request, app soap.Handler) (*soap.Envelope, error) {
-	if app == nil {
+func (d *Disseminator) deliver(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
+	if d.cfg.App == nil {
 		return nil, nil
 	}
-	return app.HandleSOAP(ctx, req)
+	return d.cfg.App.HandleSOAP(ctx, req)
 }
 
 // registerInteraction performs the paper's first-contact handshake: "If
@@ -471,7 +479,7 @@ func (d *Disseminator) registerProtocol(ctx context.Context, cctx wscoord.Coordi
 	if err != nil {
 		return nil, fmt.Errorf("core: registration response without parameters: %w", err)
 	}
-	state := &interactionState{protocol: protocol, params: params}
+	state := newInteractionState(protocol, params)
 	d.mu.Lock()
 	d.interactions[cacheKey] = state
 	d.mu.Unlock()
@@ -494,32 +502,77 @@ func (d *Disseminator) JoinInteraction(ctx context.Context, cctx wscoord.Coordin
 	return err
 }
 
-// forward re-routes a copy of the notification to up to fanout targets with
-// a decremented hop budget. The stable part of the message — gossip header,
-// action, message ID, coordination context, body — is serialized exactly
-// once; only the wsa:To block is rendered per target.
-func (d *Disseminator) forward(ctx context.Context, env *soap.Envelope, gh GossipHeader, state *interactionState) {
+// spread carries out the machine's decision t for a notification of the
+// interaction state: a forward of env, or an IHAVE — queued for the next
+// announce round while announcements are deferred.
+func (d *Disseminator) spread(ctx context.Context, env *soap.Envelope, gh GossipHeader, state *interactionState, t gossip.Transfer) {
+	switch {
+	case state == nil || t.Send == gossip.SendNothing:
+		return
+	case t.Send == gossip.SendAnnounce:
+		d.mu.Lock()
+		deferred := d.deferAnn
+		if deferred && len(d.pendingAnn) < maxPendingAnnounces {
+			d.pendingAnn = append(d.pendingAnn, pendingAnnounce{gh: gh, state: state, t: t})
+		}
+		d.mu.Unlock()
+		if deferred {
+			return
+		}
+	}
+	d.transfer(ctx, env, gh, state, t)
+}
+
+// transfer sends t's copies of a notification to targets drawn now: env's
+// payload re-headed, or an IHAVE naming it, at the hop budget t sets. The
+// stable part of a message is serialized exactly once; only the wsa:To block
+// is rendered per target.
+func (d *Disseminator) transfer(ctx context.Context, env *soap.Envelope, gh GossipHeader, state *interactionState, t gossip.Transfer) {
 	d.mu.Lock()
-	targets := d.sampleTargetsLocked(state.params.Fanout, state.params.Targets)
+	targets := d.sampleTargetsLocked(t.Peers(state.params.Fanout), state.params.Targets)
 	d.mu.Unlock()
 	if len(targets) == 0 {
 		return
 	}
-	next := gh
-	next.Hops = gh.Hops - 1
-	out := env.Snapshot()
-	if err := SetGossipHeader(out, next); err != nil {
+	gh.Hops = t.Hops(gh.Hops)
+	var (
+		out  *soap.Envelope
+		err  error
+		sent = d.stats.forwarded
+	)
+	if t.Send == gossip.SendAnnounce {
+		// Unseen receivers fetch the payload.
+		sent = d.stats.announced
+		out, err = newMessage(ActionIHave, announceBlock(Announce{
+			InteractionID: gh.InteractionID,
+			MessageID:     gh.MessageID,
+			Hops:          gh.Hops,
+			Holder:        d.cfg.Address,
+		}))
+	} else {
+		out, err = renotify(env, gh, "")
+	}
+	if err != nil {
 		d.stats.sendErrors.Add(int64(len(targets)))
 		return
 	}
-	if err := out.SetAddressing(wsa.Headers{
+	sent.Add(int64(d.fanout(ctx, out, targets)))
+}
+
+// renotify re-heads a copy of the notification env for another transfer:
+// gh as its gossip header, and addressing to (empty for a fan-out, which
+// renders To per target) under the notification's own MessageID.
+func renotify(env *soap.Envelope, gh GossipHeader, to string) (*soap.Envelope, error) {
+	out := env.Snapshot()
+	if err := SetGossipHeader(out, gh); err != nil {
+		return nil, err
+	}
+	err := out.SetAddressing(wsa.Headers{
+		To:        to,
 		Action:    ActionNotify,
 		MessageID: wsa.MessageID(gh.MessageID),
-	}); err != nil {
-		d.stats.sendErrors.Add(int64(len(targets)))
-		return
-	}
-	d.stats.forwarded.Add(int64(d.fanout(ctx, out, targets)))
+	})
+	return out, err
 }
 
 // fanout sends env (addressing must omit To) to every target through the

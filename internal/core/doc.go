@@ -20,6 +20,13 @@
 //     coordination protocol URIs (WS-PushGossip, WS-PullGossip, and the
 //     aggregation protocol; see ProtocolPushGossip and friends).
 //
+// The Disseminator is a SOAP binding of gossip.Machine, the one
+// implementation of the dissemination protocol (gossip.Engine is the
+// other): the machine holds the state and decides every spread; the
+// Disseminator decodes, registers on first contact, queues deferred
+// announcements, draws targets, encodes and sends. Anti-entropy repair and
+// WS-PullGossip are one digest exchange (digest.go): one round, one responder.
+//
 // Key types beyond the roles:
 //
 //   - GossipHeader / GossipParameters / AggregateParameters — the SOAP

@@ -10,16 +10,22 @@ import (
 	"wsgossip/internal/soap"
 )
 
-// lazyDeployment builds a WS-Gossip deployment whose Coordinator configures
-// participants for lazy push.
+// newLazyDeployment builds a WS-Gossip deployment whose Coordinator
+// configures participants for lazy push.
 func newLazyDeployment(t *testing.T, nDissem int, seed int64) (*soap.MemBus, *Initiator, []*Disseminator, []*CollectingApp) {
+	return newStyleDeployment(t, nDissem, seed, gossip.StyleLazyPush)
+}
+
+// newStyleDeployment builds a WS-Gossip deployment whose Coordinator
+// configures participants for style.
+func newStyleDeployment(t *testing.T, nDissem int, seed int64, style gossip.Style) (*soap.MemBus, *Initiator, []*Disseminator, []*CollectingApp) {
 	t.Helper()
 	bus := soap.NewMemBus()
 	coord := NewCoordinator(CoordinatorConfig{
 		Address: "mem://coordinator",
 		RNG:     rand.New(rand.NewSource(seed)),
 		Params:  func(int) (int, int) { return 4, 8 },
-		Style:   gossip.StyleLazyPush,
+		Style:   style,
 	})
 	bus.Register("mem://coordinator", coord.Handler())
 	ctx := context.Background()
@@ -92,6 +98,34 @@ func TestLazyPushDissemination(t *testing.T) {
 	// eager push where payloads >> deliveries.
 	if served > int64(len(dissems)) {
 		t.Fatalf("served %d payloads for %d nodes", served, len(dissems))
+	}
+}
+
+// TestFloodAndCounterOverSOAP: the machine's flood and counter-mongering
+// branches run on the SOAP binding too. A flood sends every node's copy to
+// its whole target list; counter mongering re-bursts on duplicates and goes
+// quiescent after CounterK of them, so it spreads and terminates.
+func TestFloodAndCounterOverSOAP(t *testing.T) {
+	ctx := context.Background()
+	for _, style := range []gossip.Style{gossip.StyleFlood, gossip.StyleCounter} {
+		_, init, dissems, apps := newStyleDeployment(t, 20, 33, style)
+		inter, err := init.StartInteraction(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := init.Notify(ctx, inter, quoteBody{Symbol: style.String(), Price: 1}); err != nil {
+			t.Fatal(err)
+		}
+		var reached, forwarded int64
+		for i, d := range dissems {
+			reached += int64(apps[i].Count())
+			forwarded += d.Stats().Forwarded
+		}
+		// Fanout 4: a flood sends past it, and so does mongering, whose
+		// bursts on duplicates stop after CounterK (2) bursts per node.
+		if reached != 20 || forwarded <= 4*reached || (style == gossip.StyleCounter && forwarded > 2*4*reached) {
+			t.Fatalf("%v: reached %d/20, forwarded %d", style, reached, forwarded)
+		}
 	}
 }
 
@@ -175,28 +209,40 @@ func newE0StyleDeployment(nDissem int, seed int64) (*eagerDeployment, error) {
 	return d, nil
 }
 
+// TestEnvelopeStore: a disseminator holds the first envelope stored under an
+// ID, and evicts oldest-first once its store is full — 1024 entries unless
+// configured otherwise.
 func TestEnvelopeStore(t *testing.T) {
-	s := newEnvelopeStore(2)
-	mk := func(id string) *soap.Envelope {
+	mk := func(symbol string) *soap.Envelope {
 		env := soap.NewEnvelope()
-		_ = env.SetBody(quoteBody{Symbol: id})
+		_ = env.SetBody(quoteBody{Symbol: symbol})
 		return env
 	}
-	s.Put("a", mk("a"))
-	s.Put("b", mk("b"))
-	s.Put("a", mk("a2")) // idempotent, no duplicate entry
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
+	symbol := func(env *soap.Envelope) string {
+		var q quoteBody
+		_ = env.DecodeBody(&q)
+		return q.Symbol
 	}
-	s.Put("c", mk("c"))
-	if _, _, ok := s.Get([]byte("a")); ok {
-		t.Fatal("oldest survived eviction")
-	}
-	if _, _, ok := s.Get([]byte("c")); !ok {
-		t.Fatal("newest missing")
-	}
-	if s := newEnvelopeStore(0); s.cap != 1024 {
-		t.Fatalf("default cap = %d", s.cap)
+	for _, tc := range []struct{ size, holds int }{{2, 2}, {0, defaultStoreSize}} {
+		d, err := NewDisseminator(DisseminatorConfig{Address: "mem://d", Caller: soap.NewMemBus(), StoreSize: tc.size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.m.Hold(heldNotification{id: "a", env: mk("a")})
+		d.m.Hold(heldNotification{id: "a", env: mk("a2")}) // idempotent, no duplicate entry
+		for i := 1; i < tc.holds; i++ {
+			d.m.Hold(heldNotification{id: fmt.Sprint("n", i), env: mk("n")})
+		}
+		if held, ok := d.m.Get([]byte("a")); !ok || symbol(held.env) != "a" || d.m.Len() != tc.holds {
+			t.Fatalf("store size %d: a held %v as %q, len %d", tc.size, ok, symbol(held.env), d.m.Len())
+		}
+		d.m.Hold(heldNotification{id: "c", env: mk("c")})
+		if _, ok := d.m.Get([]byte("a")); ok {
+			t.Fatalf("store size %d: oldest survived eviction", tc.size)
+		}
+		if _, ok := d.m.Get([]byte("c")); !ok {
+			t.Fatalf("store size %d: newest missing", tc.size)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"wsgossip/internal/gossip"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/wscoord"
 )
@@ -107,8 +108,9 @@ func TestOutboundWireGolden(t *testing.T) {
 
 	t.Run("announce", func(t *testing.T) {
 		d, rec := newRecorded()
-		state := &interactionState{params: GossipParameters{Fanout: 1, Hops: 4, Targets: []string{"mem://a"}}}
-		d.announce(ctx, GossipHeader{InteractionID: interaction, MessageID: "urn:uuid:notification", Hops: 4}, state)
+		state := newInteractionState(ProtocolPushGossip, GossipParameters{Fanout: 1, Hops: 4, Targets: []string{"mem://a"}})
+		announce := gossip.Transfer{Send: gossip.SendAnnounce}
+		d.transfer(ctx, nil, GossipHeader{InteractionID: interaction, MessageID: "urn:uuid:notification", Hops: 4}, state, announce)
 		checkWireGolden(t, "ihave", only(rec, "announce"))
 	})
 
@@ -150,7 +152,7 @@ func TestOutboundWireGolden(t *testing.T) {
 		{"pull_request", ActionPullRequest, pullRequestBlock("mem://self", []string{"urn:uuid:a"}, digestCap)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			env, err := digestEnvelope(tc.action, tc.body)
+			env, err := newMessage(tc.action, tc.body)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -242,10 +242,7 @@ func TestDigestRoundsAreAFunctionOfTheSeed(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				targets = append(targets, prefix+string(rune('0'+i)))
 			}
-			d.interactions[id] = &interactionState{
-				protocol: ProtocolPullGossip,
-				params:   GossipParameters{Fanout: 2, Hops: 4, Targets: targets},
-			}
+			d.interactions[id] = newInteractionState(ProtocolPullGossip, GossipParameters{Fanout: 2, Hops: 4, Targets: targets})
 		}
 		ctx := context.Background()
 		for round := 0; round < 50; round++ {
@@ -262,6 +259,30 @@ func TestDigestRoundsAreAFunctionOfTheSeed(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatalf("send %d differs between two runs at one seed: %q vs %q", i, first[i], second[i])
 		}
+	}
+}
+
+// TestPullRoundsTakeEveryPullingStyle: a pull round draws from the
+// interactions whose style pulls — WS-PullGossip and push-pull — and not from
+// push or lazy-push ones, which only repair rounds reach.
+func TestPullRoundsTakeEveryPullingStyle(t *testing.T) {
+	rec := &sendRecorder{}
+	d, err := NewDisseminator(DisseminatorConfig{Address: "mem://self", Caller: rec, RNG: rand.New(rand.NewSource(3))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, state := range map[string]*interactionState{
+		"urn:uuid:pull":     newInteractionState(ProtocolPullGossip, GossipParameters{Fanout: 1, Targets: []string{"mem://pull"}}),
+		"urn:uuid:pushpull": newInteractionState(ProtocolPushGossip, GossipParameters{Fanout: 1, Style: "pushpull", Targets: []string{"mem://pushpull"}}),
+		"urn:uuid:push":     newInteractionState(ProtocolPushGossip, GossipParameters{Fanout: 1, Targets: []string{"mem://push"}}),
+		"urn:uuid:lazy":     newInteractionState(ProtocolPushGossip, GossipParameters{Fanout: 1, Style: "lazypush", Targets: []string{"mem://lazy"}}),
+	} {
+		d.interactions[id] = state
+	}
+	d.TickPull(context.Background())
+	want := []string{"mem://pull " + ActionPullRequest, "mem://pushpull " + ActionPullRequest}
+	if !sameIDs(rec.sends, want) {
+		t.Fatalf("pull round sent %q, want %q", rec.sends, want)
 	}
 }
 
@@ -331,7 +352,7 @@ func storeNotification(t testing.TB, d *Disseminator, id string) {
 		t.Fatal(err)
 	}
 	d.mu.Lock()
-	d.store.Put(id, env)
+	d.m.Hold(heldNotification{id: id, env: env})
 	d.mu.Unlock()
 }
 
@@ -508,47 +529,22 @@ func TestDigestNeverAliasesReceiveBuffer(t *testing.T) {
 			t.Fatalf("pull=%v: later digest retransmitted %q, want %q", pull, got, want)
 		}
 		for _, id := range ids {
-			if _, _, ok := d.store.Get([]byte(id)); !ok {
+			if _, ok := d.m.Get([]byte(id)); !ok {
 				t.Fatalf("pull=%v: store lost %q", pull, id)
 			}
 		}
 	}
 }
 
-// TestDigestMarksSurviveGenerationWrap: the mark is a 32-bit generation; when
-// it wraps, a mark left 2^32 digests ago must not read as current.
-func TestDigestMarksSurviveGenerationWrap(t *testing.T) {
-	d, rec := newDigestResponder(t, 8)
-	storeNotification(t, d, "urn:uuid:a")
-	storeNotification(t, d, "urn:uuid:b")
-	ctx := context.Background()
-	d.retransmitMissing(ctx, "mem://peer", heldIDs{decoded: []string{"urn:uuid:a"}}, digestCap) // a marked at generation 1
-	rec.take("mem://peer")
-	d.mu.Lock()
-	d.store.gen = ^uint32(0) - 1
-	d.mu.Unlock()
-	for i, want := range [][]string{{"urn:uuid:b", "urn:uuid:a"}, {"urn:uuid:b", "urn:uuid:a"}, {"urn:uuid:b", "urn:uuid:a"}} {
-		d.retransmitMissing(ctx, "mem://peer", heldIDs{}, digestCap)
-		if got := rec.take("mem://peer"); !sameIDs(got, want) {
-			t.Fatalf("digest %d around the wrap retransmitted %q, want %q (generation %d)", i, got, want, d.store.gen)
-		}
-	}
-	if d.store.gen != 2 {
-		t.Fatalf("generation after the wrap = %d, want 2", d.store.gen)
-	}
-}
-
 // TestConcurrentDigestsPullsAndNotifies runs handleDigest, handlePullRequest
-// and handleNotify concurrently on one node (run with -race). Every digest's
+// and intercept concurrently on one node (run with -race). Every digest's
 // marks live in one critical section, so whatever else runs, a responder
 // never retransmits an ID the digest listed and always retransmits the
 // stored IDs it did not.
 func TestConcurrentDigestsPullsAndNotifies(t *testing.T) {
 	d, rec := newDigestResponder(t, 256) // holds everything below: nothing is evicted or cut at digestCap
-	d.interactions["urn:uuid:i"] = &interactionState{
-		protocol: ProtocolPullGossip, // stored, never forwarded
-		params:   GossipParameters{Fanout: 2, Hops: 3},
-	}
+	// Pull: stored, never forwarded.
+	d.interactions["urn:uuid:i"] = newInteractionState(ProtocolPullGossip, GossipParameters{Fanout: 2, Hops: 3})
 	var base []string
 	for i := 0; i < 24; i++ {
 		base = append(base, fmt.Sprintf("urn:uuid:base-%02d", i))
@@ -608,7 +604,7 @@ func TestConcurrentDigestsPullsAndNotifies(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := d.handleNotify(ctx, &soap.Request{Envelope: env}); err != nil {
+				if _, err := d.intercept(ctx, &soap.Request{Envelope: env}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -64,14 +64,11 @@ func TestForwardEncodeOnce(t *testing.T) {
 	if err := env.SetBody(quoteBody{Symbol: "ENC1", Price: 9.5}); err != nil {
 		t.Fatal(err)
 	}
-	state := &interactionState{
-		protocol: ProtocolPushGossip,
-		params: GossipParameters{
-			Fanout: 4, Hops: 5,
-			Targets: []string{"mem://peer0", "mem://peer1", "mem://peer2", "mem://peer3"},
-		},
-	}
-	d.forward(context.Background(), env, gh, state)
+	state := newInteractionState(ProtocolPushGossip, GossipParameters{
+		Fanout: 4, Hops: 5,
+		Targets: []string{"mem://peer0", "mem://peer1", "mem://peer2", "mem://peer3"},
+	})
+	d.transfer(context.Background(), env, gh, state, pushTransfer)
 
 	if len(received) != 4 {
 		t.Fatalf("deliveries = %d, want 4", len(received))
@@ -139,11 +136,8 @@ func TestForwardSpliceFallback(t *testing.T) {
 	if _, err := env.EncodeTemplate(); err == nil {
 		t.Fatal("prefixed block unexpectedly spliceable; fallback not exercised")
 	}
-	state := &interactionState{
-		protocol: ProtocolPushGossip,
-		params:   GossipParameters{Fanout: 2, Hops: 2, Targets: []string{"mem://peer0", "mem://peer1"}},
-	}
-	d.forward(context.Background(), env, gh, state)
+	state := newInteractionState(ProtocolPushGossip, GossipParameters{Fanout: 2, Hops: 2, Targets: []string{"mem://peer0", "mem://peer1"}})
+	d.transfer(context.Background(), env, gh, state, pushTransfer)
 	if deliveries != 2 {
 		t.Fatalf("fallback deliveries = %d, want 2", deliveries)
 	}
@@ -182,8 +176,9 @@ func TestStoreSharesInboundBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.mu.Lock()
-	_, stored, ok := d.store.Get([]byte(gh.MessageID))
+	held, ok := d.m.Get([]byte(gh.MessageID))
 	d.mu.Unlock()
+	stored := held.env
 	if !ok {
 		t.Fatal("notification not stored")
 	}

@@ -140,7 +140,11 @@ func TestPullRequestNothingMissingAllocBudget(t *testing.T) {
 	for range pb.bodies {
 		pb.receive(t)
 	}
-	digest := transport.Message{From: "n0000001", Body: encodeRefs(pb.eng.store.RecentRefs(64)...)}
+	refs := make([]RumorRef, pb.eng.m.Len())
+	for k := range refs {
+		refs[k] = RumorRef{ID: pb.eng.m.Newest(k).ID, Hops: 1}
+	}
+	digest := transport.Message{From: "n0000001", Body: encodeRefs(refs...)}
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := pb.eng.handlePullReq(context.Background(), digest); err != nil {
 			t.Fatal(err)

@@ -1,12 +1,10 @@
 package gossip
 
-// Both bounded collections here used to ride on container/list, which costs
-// one 48-byte heap node plus a pointer cell per entry. At simulation scales
-// (10^5-10^6 engines, each with a seen cache and a rumor store) that
-// overhead dominated per-node memory, so both are now slice-backed: the LRU
-// is an intrusive doubly-linked list over a contiguous arena addressed by
-// index, and the FIFO is a deque over a plain slice. Semantics are
-// unchanged.
+// The Machine's two bounded collections. Neither keeps a per-entry heap cell:
+// at simulation scales (10^5-10^6 engines, each with a seen cache and a
+// store) those dominated per-node memory. The LRU is an intrusive
+// doubly-linked list over a contiguous arena addressed by index, and the FIFO
+// store is a ring of slots.
 
 const noEntry = int32(-1)
 
@@ -28,12 +26,12 @@ type seenEntry struct {
 	next int32
 }
 
-func newSeenCache(capacity int) *seenCache {
+func newSeenCache(capacity int) seenCache {
 	// No size hint: a hint preallocates buckets up front, and at simulation
 	// scale (10^5..10^6 engines, most of which ever see a handful of rumors)
 	// even a modest hint per engine dominates resident memory. Incremental
 	// map growth costs only amortized rehashing on the nodes that get busy.
-	return &seenCache{
+	return seenCache{
 		cap:   capacity,
 		items: make(map[string]int32),
 		head:  noEntry,
@@ -41,7 +39,7 @@ func newSeenCache(capacity int) *seenCache {
 	}
 }
 
-// unlinkLocked detaches entry i from the recency list.
+// unlink detaches entry i from the recency list.
 func (c *seenCache) unlink(i int32) {
 	e := &c.arena[i]
 	if e.prev != noEntry {
@@ -108,16 +106,20 @@ func (c *seenCache) insert(id string) {
 
 // TouchBytes is the duplicate half of Add for an identifier still sitting
 // in a message buffer: it reports whether id is present and, if so,
-// refreshes its recency exactly as Add would. The lookup converts in place,
-// so a duplicate — the common case in gossip — costs no string; an absent id
-// is left for the caller to Add once it has built the string.
-func (c *seenCache) TouchBytes(id []byte) bool {
+// refreshes its recency exactly as Add would and returns the string the
+// cache holds it under. The lookup converts in place, so a duplicate — the
+// common case in gossip — costs no string; an absent id is left for the
+// caller to Add once it has built the string.
+func (c *seenCache) TouchBytes(id []byte) (key string, ok bool) {
 	i, ok := c.items[string(id)]
-	if ok && c.head != i {
+	if !ok {
+		return "", false
+	}
+	if c.head != i {
 		c.unlink(i)
 		c.pushFront(i)
 	}
-	return ok
+	return c.arena[i].id, true
 }
 
 // Contains reports whether id is present without refreshing recency.
@@ -135,115 +137,107 @@ func (c *seenCache) ContainsBytes(id []byte) bool {
 // Len returns the number of cached IDs.
 func (c *seenCache) Len() int { return len(c.items) }
 
-// rumorStore retains recent rumor bodies so the node can answer IWANT and
-// pull requests. It evicts in FIFO order. Entries are never reordered, so
-// the store is a deque: new rumors append at the end (newest), eviction
-// advances start past the oldest, and the slice compacts when the dead
-// prefix dominates. index maps an ID to its insertion number; base is the
-// insertion number of slots[0].
+// Held is what a Machine's store holds: a value that names the ID it is held
+// under, so the slot need not carry the ID a second time. The engine holds a
+// Rumor; a SOAP disseminator holds its retained envelope clone.
+type Held interface {
+	HeldID() string
+}
+
+// HeldID returns the rumor's ID: a stored Rumor is held under it.
+func (r Rumor) HeldID() string { return r.ID }
+
+// store retains recent values so a node can serve fetches and answer digests;
+// its methods are the Machine's. It evicts in FIFO order and never reorders,
+// so the values live in a ring of slots in insertion order — grown by append
+// until it holds cap entries, overwritten oldest-first from then on — and
+// index maps an ID to its slot, which never moves while the entry lives.
 //
-// Each slot carries the pull responder's mark: the IDs a digest lists are
-// marked with the current generation, which MissingFrom advances once per
-// digest, so no mark is ever cleared and answering a digest builds no set.
-type rumorStore struct {
+// Each slot carries the digest responder's mark: the IDs a digest lists are
+// marked with the current generation, which Missing advances once per digest,
+// so no mark is ever cleared and answering a digest builds no set. The 64-bit
+// generation starts above every fresh slot's mark and does not wrap.
+type store[V Held] struct {
 	cap   int
-	slots []storeSlot // insertion order; slots[start:] live, oldest first
-	start int
-	base  int
-	index map[string]int
+	slots []storeSlot[V]
+	head  int // slot of the oldest entry once the ring is full
+	index map[string]uint32
 	gen   uint64
 }
 
-type storeSlot struct {
-	r    Rumor
-	held uint64 // generation of the last digest that listed r.ID
+// storeSlot is one retained value and its digest mark.
+type storeSlot[V Held] struct {
+	v    V
+	held uint64 // generation of the last digest that listed v's ID
 }
 
-func newRumorStore(capacity int) *rumorStore {
-	// Unhinted for the same reason as newSeenCache: per-engine resident
-	// memory at large simulated populations.
-	return &rumorStore{
-		cap:   capacity,
-		index: make(map[string]int),
-	}
+func newStore[V Held](capacity int) store[V] {
+	// Unhinted for the same reason as newSeenCache: per-node resident memory
+	// at large simulated populations.
+	return store[V]{cap: capacity, index: make(map[string]uint32), gen: 1}
 }
 
-// Put stores r, replacing an existing entry with the same ID (keeping the
-// higher hop budget so repair is as strong as the freshest copy).
-func (s *rumorStore) Put(r Rumor) {
-	if pos, ok := s.index[r.ID]; ok {
-		if old := &s.slots[pos-s.base].r; r.Hops > old.Hops {
-			*old = r
-		}
+// Hold keeps v to serve IWANTs and digests. The first Hold of an ID wins.
+func (s *store[V]) Hold(v V) {
+	id := v.HeldID()
+	if _, ok := s.index[id]; ok {
 		return
 	}
-	s.index[r.ID] = s.base + len(s.slots)
-	s.slots = append(s.slots, storeSlot{r: r})
-	for len(s.index) > s.cap {
-		delete(s.index, s.slots[s.start].r.ID)
-		s.slots[s.start] = storeSlot{} // release the strings and the payload
-		s.start++
+	slot := storeSlot[V]{v: v}
+	if len(s.slots) < s.cap {
+		s.index[id] = uint32(len(s.slots))
+		s.slots = append(s.slots, slot)
+		return
 	}
-	if s.start > len(s.slots)/2 && s.start > 64 {
-		s.slots = append(s.slots[:0], s.slots[s.start:]...)
-		s.base += s.start
-		s.start = 0
+	delete(s.index, s.slots[s.head].v.HeldID())
+	s.index[id] = uint32(s.head)
+	s.slots[s.head] = slot
+	s.head = (s.head + 1) % s.cap
+}
+
+// Get returns the value held for id — a view of a message buffer will do:
+// the lookup converts in place.
+func (s *store[V]) Get(id []byte) (v V, ok bool) {
+	if i, ok := s.index[string(id)]; ok {
+		return s.slots[i].v, true
+	}
+	return v, false
+}
+
+// Len returns the number of held values.
+func (s *store[V]) Len() int { return len(s.slots) }
+
+// Newest returns the k-th newest held value, 0 ≤ k < Len: a digest lists
+// the held IDs newest first.
+func (s *store[V]) Newest(k int) V { return s.nth(k).v }
+
+// nth returns the k-th newest slot, 0 ≤ k < Len.
+func (s *store[V]) nth(k int) *storeSlot[V] {
+	// head is 0 until the ring is full, so the newest entry is the slot
+	// before head either way.
+	n := len(s.slots)
+	return &s.slots[(s.head-1-k+n)%n]
+}
+
+// Listed records that a received digest lists id — a view of the message
+// body will do; nothing is kept of it. A binding lists every ID of one
+// digest and then asks Missing, within one critical section of its lock.
+func (s *store[V]) Listed(id []byte) {
+	if i, ok := s.index[string(id)]; ok {
+		s.slots[i].held = s.gen
 	}
 }
 
-// Get returns the stored rumor by ID.
-func (s *rumorStore) Get(id string) (Rumor, bool) {
-	pos, ok := s.index[id]
-	return s.at(pos, ok)
-}
-
-// GetBytes is Get for an ID still in a message buffer; it builds no string.
-func (s *rumorStore) GetBytes(id []byte) (Rumor, bool) {
-	pos, ok := s.index[string(id)]
-	return s.at(pos, ok)
-}
-
-// at resolves an index lookup to the rumor it names.
-func (s *rumorStore) at(pos int, ok bool) (Rumor, bool) {
-	if !ok {
-		return Rumor{}, false
+// Missing answers the digest whose IDs were just Listed: the held values it
+// does not list, newest first, at most max of them. Nothing is allocated
+// unless something is missing.
+func (s *store[V]) Missing(max int) []V {
+	var out []V
+	for k := 0; k < len(s.slots) && len(out) < max; k++ {
+		if slot := s.nth(k); slot.held != s.gen {
+			out = append(out, slot.v)
+		}
 	}
-	return s.slots[pos-s.base].r, true
-}
-
-// Len returns the number of stored rumors.
-func (s *rumorStore) Len() int { return len(s.index) }
-
-// RecentRefs returns up to n references to the most recent rumors.
-func (s *rumorStore) RecentRefs(n int) []RumorRef {
-	if n <= 0 || n > len(s.index) {
-		n = len(s.index)
-	}
-	refs := make([]RumorRef, 0, n)
-	for i := len(s.slots) - 1; i >= s.start && len(refs) < n; i-- {
-		r := &s.slots[i].r
-		refs = append(refs, RumorRef{ID: r.ID, Hops: r.Hops})
-	}
-	return refs
-}
-
-// MissingFrom returns copies of the stored rumors the digest does not list,
-// newest first, capped at limit. The digest's IDs are looked up as they lie
-// in the message body and mark the slots they name; the walk then collects
-// what stayed unmarked.
-func (s *rumorStore) MissingFrom(digest wireReader, limit int) []Rumor {
 	s.gen++
-	for digest.n > 0 {
-		ref, _ := digest.ref()
-		if pos, ok := s.index[string(ref.id)]; ok {
-			s.slots[pos-s.base].held = s.gen
-		}
-	}
-	var out []Rumor
-	for i := len(s.slots) - 1; i >= s.start && len(out) < limit; i-- {
-		if s.slots[i].held != s.gen {
-			out = append(out, s.slots[i].r)
-		}
-	}
 	return out
 }

@@ -65,81 +65,72 @@ func TestSeenCacheCapacityProperty(t *testing.T) {
 }
 
 func TestRumorStorePutGet(t *testing.T) {
-	s := newRumorStore(4)
-	s.Put(Rumor{ID: "r1", Hops: 3, Payload: []byte("x")})
-	got, ok := s.Get("r1")
+	s := newStore[Rumor](4)
+	s.Hold(Rumor{ID: "r1", Hops: 3, Payload: []byte("x")})
+	got, ok := s.Get([]byte("r1"))
 	if !ok || got.Hops != 3 {
 		t.Fatalf("get = %+v, %v", got, ok)
 	}
-	if _, ok := s.Get("missing"); ok {
+	if _, ok := s.Get([]byte("missing")); ok {
 		t.Fatal("missing rumor found")
 	}
 }
 
-func TestRumorStoreKeepsHigherHops(t *testing.T) {
-	s := newRumorStore(4)
-	s.Put(Rumor{ID: "r1", Hops: 2})
-	s.Put(Rumor{ID: "r1", Hops: 5})
-	if got, _ := s.Get("r1"); got.Hops != 5 {
-		t.Fatalf("hops = %d, want 5", got.Hops)
+// TestStoreFirstPutWins: a second put of a held ID changes nothing, whatever
+// its hop budget.
+func TestStoreFirstPutWins(t *testing.T) {
+	s := newStore[Rumor](4)
+	s.Hold(Rumor{ID: "r1", Hops: 2})
+	s.Hold(Rumor{ID: "r1", Hops: 5})
+	s.Hold(Rumor{ID: "r1", Hops: 1})
+	if got, _ := s.Get([]byte("r1")); got.Hops != 2 {
+		t.Fatalf("hops = %d, want the first put's 2", got.Hops)
 	}
-	s.Put(Rumor{ID: "r1", Hops: 1})
-	if got, _ := s.Get("r1"); got.Hops != 5 {
-		t.Fatalf("hops downgraded to %d", got.Hops)
-	}
-	if s.Len() != 1 {
-		t.Fatalf("len = %d", s.Len())
+	if len(s.slots) != 1 || len(s.index) != 1 {
+		t.Fatalf("slots %d, index %d", len(s.slots), len(s.index))
 	}
 }
 
 func TestRumorStoreFIFOEviction(t *testing.T) {
-	s := newRumorStore(2)
-	s.Put(Rumor{ID: "a"})
-	s.Put(Rumor{ID: "b"})
-	s.Put(Rumor{ID: "c"})
-	if _, ok := s.Get("a"); ok {
+	s := newStore[Rumor](2)
+	s.Hold(Rumor{ID: "a"})
+	s.Hold(Rumor{ID: "b"})
+	s.Hold(Rumor{ID: "c"})
+	if _, ok := s.Get([]byte("a")); ok {
 		t.Fatal("oldest rumor survived")
 	}
-	if _, ok := s.Get("c"); !ok {
+	if _, ok := s.Get([]byte("c")); !ok {
 		t.Fatal("newest rumor evicted")
 	}
 }
 
 func TestRumorStoreRecentRefs(t *testing.T) {
-	s := newRumorStore(8)
+	s := newStore[Rumor](8)
 	for i := 0; i < 5; i++ {
-		s.Put(Rumor{ID: fmt.Sprintf("r%d", i), Hops: i})
+		s.Hold(Rumor{ID: fmt.Sprintf("r%d", i), Hops: i})
 	}
-	refs := s.RecentRefs(3)
-	if len(refs) != 3 {
-		t.Fatalf("refs = %d", len(refs))
+	if len(s.slots) != 5 {
+		t.Fatalf("len = %d", len(s.slots))
 	}
-	if refs[0].ID != "r4" {
-		t.Fatalf("newest ref = %s", refs[0].ID)
-	}
-	all := s.RecentRefs(-1)
-	if len(all) != 5 {
-		t.Fatalf("all refs = %d", len(all))
+	for k := 0; k < 5; k++ {
+		if got, want := s.Newest(k).ID, fmt.Sprintf("r%d", 4-k); got != want {
+			t.Fatalf("newest %d = %s, want %s", k, got, want)
+		}
 	}
 }
 
 func TestRumorStoreMissingFrom(t *testing.T) {
-	s := newRumorStore(8)
+	s := newStore[Rumor](8)
 	for i := 0; i < 4; i++ {
-		s.Put(Rumor{ID: fmt.Sprintf("r%d", i)})
+		s.Hold(Rumor{ID: fmt.Sprintf("r%d", i)})
 	}
-	missing := s.MissingFrom(digestOf(t, "r1", "r3", "r1", "unknown"), 10)
-	if len(missing) != 2 {
-		t.Fatalf("missing = %v", missing)
+	missing := missingFrom(&s, digestOf(t, "r1", "r3", "r1", "unknown"), 10)
+	if len(missing) != 2 || missing[0].ID != "r2" || missing[1].ID != "r0" {
+		t.Fatalf("missing = %v, want r2 r0", missing)
 	}
-	for _, m := range missing {
-		if m.ID == "r1" || m.ID == "r3" {
-			t.Fatalf("returned rumor the peer has: %s", m.ID)
-		}
-	}
-	capped := s.MissingFrom(digestOf(t), 1)
-	if len(capped) != 1 {
-		t.Fatalf("cap ignored: %d", len(capped))
+	capped := missingFrom(&s, digestOf(t), 1)
+	if len(capped) != 1 || capped[0].ID != "r3" {
+		t.Fatalf("capped = %v, want r3", capped)
 	}
 }
 

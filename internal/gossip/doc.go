@@ -11,13 +11,15 @@
 //
 // Key types:
 //
-//   - Engine — one node's dissemination instance over transport.Endpoint;
-//     Publish injects a rumor, Tick runs an anti-entropy round for the pull
-//     styles.
+//   - Machine — the one implementation of the protocol: all dissemination
+//     state and every decision, with no lock, no clock and no I/O.
+//   - Engine — the Machine bound to a transport.Endpoint, what the simulator
+//     runs (core.Disseminator binds it over SOAP); Publish injects a rumor,
+//     Tick runs an anti-entropy round for the styles that pull.
 //   - PeerProvider — the peer source abstraction (StaticPeers for fixed
 //     sets, membership.Service for live views); SamplePeers is the shared
 //     uniform-without-replacement sampler every layer draws through.
-//   - SeenSet — the bounded duplicate-suppression cache.
+//   - SeenSet — a locked, bounded duplicate-suppression set.
 //   - Rumor / Style — the unit of dissemination and the spread discipline.
 //
 // The wire form (wire.go) is one length-prefixed binary codec — a kind byte
@@ -29,12 +31,11 @@
 // The view-reader contract. Handlers do not decode a body into a struct; they
 // walk it with a reader whose fields alias msg.Body. The whole body is
 // validated before the first state change, so a malformed tail never leaves a
-// half-applied message (and a rejection allocates nothing). The seen cache is
+// half-applied message (and a rejection allocates nothing). The Machine is
 // asked with the ID as it lies in the body, so a duplicate — two receipts in
 // three under push — is dropped before anything is built. Views die with the
-// handler call: whatever reaches the seen cache, the store, the
-// requested/counters maps or Deliver is an owned copy, so nothing the engine
-// retains pins a message body, and Publish/Inject copy the caller's payload
-// for the same reason. Deliver receives the stored rumor and must not modify
-// its Payload.
+// handler call: whatever reaches the Machine's state or Deliver is an owned
+// copy, so nothing the engine retains pins a message body, and
+// Publish/Inject copy the caller's payload for the same reason. Deliver
+// receives the stored rumor and must not modify its Payload.
 package gossip

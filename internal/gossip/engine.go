@@ -86,18 +86,16 @@ type Stats struct {
 	SendErrors int64
 }
 
-// Engine is one node's gossip protocol instance. It is safe for concurrent
-// use; in the simulator all calls arrive from the event loop.
+// Engine is one node's gossip protocol instance: the Machine bound to a
+// transport.Endpoint. It is safe for concurrent use; in the simulator all
+// calls arrive from the event loop.
 type Engine struct {
 	cfg Config
 
-	mu        sync.Mutex
-	rng       *rand.Rand
-	seen      *seenCache
-	store     *rumorStore
-	requested map[string]struct{} // outstanding IWANTs
-	counters  map[string]int      // StyleCounter: duplicates heard per active rumor
-	stats     Stats
+	mu    sync.Mutex
+	rng   *rand.Rand
+	m     Machine[Rumor]
+	stats Stats
 }
 
 // New validates cfg and returns an engine. The caller must route the
@@ -126,12 +124,9 @@ func New(cfg Config) (*Engine, error) {
 		rng = rand.New(rand.NewSource(1))
 	}
 	return &Engine{
-		cfg:       cfg,
-		rng:       rng,
-		seen:      newSeenCache(cfg.SeenCacheSize),
-		store:     newRumorStore(cfg.StoreSize),
-		requested: make(map[string]struct{}),
-		counters:  make(map[string]int),
+		cfg: cfg,
+		rng: rng,
+		m:   NewMachine[Rumor](cfg.SeenCacheSize, cfg.StoreSize, cfg.CounterK),
 	}, nil
 }
 
@@ -198,143 +193,87 @@ func ownedPayload(p []byte) []byte {
 // acceptLocked is the entry point for a rumor the engine already owns
 // (Publish, Inject).
 func (e *Engine) acceptLocked(ctx context.Context, r Rumor) {
-	if e.seen.Add(r.ID) {
+	first, t := e.m.Admit(r.ID)
+	if first {
 		e.acceptNewLocked(ctx, r, false)
 		return
 	}
 	e.stats.Duplicates++
-	if e.cfg.Style == StyleCounter {
-		if count, active := e.counters[r.ID]; active {
-			if stored, ok := e.store.Get(r.ID); ok {
-				r = stored
-			}
-			e.duplicateFeedbackLocked(ctx, r, count)
+	if t.Send != SendNothing {
+		if stored, ok := e.m.Get([]byte(r.ID)); ok {
+			r = stored
 		}
+		e.sendLocked(ctx, r, t)
 	}
 }
 
 // receiveLocked is the entry point for a rumor still lying in a message body.
-// The seen cache is asked with the ID in place, so a duplicate is dropped
-// before anything is built; only a new rumor becomes an owned Rumor. viaPull
-// marks rumors learned through anti-entropy, which are stored and delivered
-// but not eagerly re-forwarded (they spread through subsequent pulls).
+// The machine is asked with the ID in place, so a duplicate is dropped before
+// anything is built; only a new rumor becomes an owned Rumor. viaPull marks
+// rumors learned through anti-entropy, which are stored and delivered but not
+// eagerly re-forwarded (they spread through subsequent pulls).
 func (e *Engine) receiveLocked(ctx context.Context, v rumorView, viaPull bool) {
-	if !e.seen.TouchBytes(v.id) {
+	known, t := e.m.Receive(v.id, viaPull)
+	if !known {
 		r := v.rumor()
-		e.seen.insert(r.ID)
+		e.m.Admit(r.ID)
 		e.acceptNewLocked(ctx, r, viaPull)
 		return
 	}
 	e.stats.Duplicates++
-	if e.cfg.Style == StyleCounter && !viaPull {
-		// Only a rumor still being mongered needs a rumor at all, and the
-		// store's copy serves; the view is copied only if it was evicted.
-		if count, active := e.counters[string(v.id)]; active {
-			r, ok := e.store.GetBytes(v.id)
-			if !ok {
-				r = v.rumor()
-			}
-			e.duplicateFeedbackLocked(ctx, r, count)
+	if t.Send != SendNothing {
+		// The store's copy serves; the view is copied only if it was evicted.
+		r, ok := e.m.Get(v.id)
+		if !ok {
+			r = v.rumor()
 		}
+		e.sendLocked(ctx, r, t)
 	}
 }
 
-// acceptNewLocked stores, delivers and disseminates a rumor whose ID was just
-// added to the seen cache.
+// acceptNewLocked holds, delivers and spreads a rumor the machine just
+// admitted.
 func (e *Engine) acceptNewLocked(ctx context.Context, r Rumor, viaPull bool) {
-	delete(e.requested, r.ID)
-	e.store.Put(r)
+	e.m.Hold(r)
 	e.stats.Delivered++
 	if e.cfg.Deliver != nil {
-		deliver := e.cfg.Deliver
-		// Deliver without holding the lock-protected state hostage to
-		// application work would require unlocking; the callback must not
-		// call back into the engine synchronously from another goroutine.
-		deliver(r)
+		// The callback runs under e.mu: it must not call back into the
+		// engine synchronously from another goroutine.
+		e.cfg.Deliver(r)
 	}
-	if viaPull {
+	e.sendLocked(ctx, r, e.m.Spread(r.ID, e.cfg.Style, r.Hops, viaPull))
+}
+
+// sendLocked carries out the machine's decision t for r: the payload, at
+// t's hop budget, or an IHAVE naming it (at the budget it is held with), to
+// t's share of random peers — one encoded body shared by every send.
+func (e *Engine) sendLocked(ctx context.Context, r Rumor, t Transfer) {
+	if t.Send == SendNothing {
 		return
 	}
-	switch e.cfg.Style {
-	case StylePush, StylePushPull:
-		e.forwardLocked(ctx, r, e.cfg.Fanout)
-	case StyleLazyPush:
-		e.announceLocked(ctx, r)
-	case StyleFlood:
-		e.forwardLocked(ctx, r, -1) // every known peer
-	case StyleCounter:
-		// First receipt: start mongering. The rumor stays active until
-		// CounterK duplicates are heard; hop budgets are not used, so the
-		// forwarded copy keeps whatever budget it arrived with.
-		e.counters[r.ID] = 0
-		e.mongerBurstLocked(ctx, r)
-	case StylePull:
-		// Pull spreads only through Tick.
+	peers := e.cfg.Peers.SelectPeers(e.rng, t.Peers(e.cfg.Fanout), e.cfg.Endpoint.Addr())
+	action, sent := ActionPush, &e.stats.Forwarded
+	var body []byte
+	if t.Send == SendAnnounce {
+		action, sent = ActionIHave, &e.stats.IHaveSent
+		body = encodeRefs(RumorRef{ID: r.ID, Hops: r.Hops})
+	} else {
+		r.Hops = t.Hops(r.Hops)
+		body = encodeRumors(r)
 	}
-}
-
-// duplicateFeedbackLocked implements counter mongering: each duplicate
-// receipt of a still-active rumor — count duplicates heard so far, r its
-// stored copy when the store still holds one — triggers one more burst; after
-// CounterK duplicates the node goes quiescent for that rumor.
-func (e *Engine) duplicateFeedbackLocked(ctx context.Context, r Rumor, count int) {
-	count++
-	if count >= e.cfg.CounterK {
-		delete(e.counters, r.ID)
-		return
-	}
-	e.counters[r.ID] = count
-	e.mongerBurstLocked(ctx, r)
-}
-
-// mongerBurstLocked sends the rumor to f random peers without consuming a
-// hop budget (counter mongering terminates by feedback, not hops).
-func (e *Engine) mongerBurstLocked(ctx context.Context, r Rumor) {
-	if r.Hops <= 0 {
-		r.Hops = 1 // keep receivers eligible to monger too
-	}
-	e.pushLocked(ctx, r, e.cfg.Fanout)
-}
-
-// forwardLocked sends the payload to fanout random peers (every known peer
-// when fanout is negative) with a decremented hop budget.
-func (e *Engine) forwardLocked(ctx context.Context, r Rumor, fanout int) {
-	if r.Hops <= 0 {
-		return
-	}
-	r.Hops--
-	e.pushLocked(ctx, r, fanout)
-}
-
-// pushLocked sends r as it stands to fanout random peers; the one encoded
-// body is shared by every send.
-func (e *Engine) pushLocked(ctx context.Context, r Rumor, fanout int) {
-	peers := e.cfg.Peers.SelectPeers(e.rng, fanout, e.cfg.Endpoint.Addr())
-	body := encodeRumors(r)
 	for _, p := range peers {
-		e.sendLocked(ctx, p, ActionPush, body)
-		e.stats.Forwarded++
+		e.sendOneLocked(ctx, p, action, body)
+		*sent++
 	}
 }
 
-// announceLocked advertises the rumor ID to f random peers (lazy push).
-func (e *Engine) announceLocked(ctx context.Context, r Rumor) {
-	if r.Hops <= 0 {
-		return
-	}
-	peers := e.cfg.Peers.SelectPeers(e.rng, e.cfg.Fanout, e.cfg.Endpoint.Addr())
-	body := encodeRefs(RumorRef{ID: r.ID, Hops: r.Hops})
-	for _, p := range peers {
-		e.sendLocked(ctx, p, ActionIHave, body)
-		e.stats.IHaveSent++
-	}
-}
-
-func (e *Engine) sendLocked(ctx context.Context, to, action string, body []byte) {
-	msg := transport.Message{To: to, Action: action, Body: body}
-	if err := e.cfg.Endpoint.Send(ctx, msg); err != nil {
+// sendOneLocked sends one message, counting a failure.
+func (e *Engine) sendOneLocked(ctx context.Context, to, action string, body []byte) error {
+	err := e.cfg.Endpoint.Send(ctx, transport.Message{To: to, Action: action, Body: body})
+	if err != nil {
 		e.stats.SendErrors++
 	}
+	return err
 }
 
 // The five handlers read msg.Body through a wireReader (wire.go states the
@@ -366,7 +305,8 @@ func (e *Engine) receiveBatch(ctx context.Context, body []byte, viaPull bool) er
 	return nil
 }
 
-// handleIHave answers announcements by requesting unseen rumors.
+// handleIHave answers announcements by requesting unseen rumors. A refused
+// IWANT releases its requests, so a later announcer can retrigger them.
 func (e *Engine) handleIHave(ctx context.Context, msg transport.Message) error {
 	rd, err := readWire(msg.Body, wireRefs)
 	if err != nil {
@@ -377,26 +317,27 @@ func (e *Engine) handleIHave(ctx context.Context, msg transport.Message) error {
 	var want []RumorRef
 	for rd.n > 0 {
 		ref, _ := rd.ref()
-		if e.seen.ContainsBytes(ref.id) {
+		id, ok, held := e.m.Want(ref.id)
+		if held {
 			e.stats.Duplicates++
-			continue
 		}
-		if _, pending := e.requested[string(ref.id)]; pending {
-			continue
+		if ok {
+			want = append(want, RumorRef{ID: id, Hops: ref.hops})
 		}
-		id := string(ref.id)
-		e.requested[id] = struct{}{}
-		want = append(want, RumorRef{ID: id, Hops: ref.hops})
 	}
 	if len(want) == 0 {
 		return nil
 	}
-	e.sendLocked(ctx, msg.From, ActionIWant, encodeRefs(want...))
+	if e.sendOneLocked(ctx, msg.From, ActionIWant, encodeRefs(want...)) != nil {
+		for _, ref := range want {
+			e.m.Release(ref.ID)
+		}
+	}
 	e.stats.IWantSent++
 	return nil
 }
 
-// handleIWant serves requested rumor bodies with decremented hop budgets.
+// handleIWant serves requested rumor bodies, each transfer costing one hop.
 func (e *Engine) handleIWant(ctx context.Context, msg transport.Message) error {
 	rd, err := readWire(msg.Body, wireRefs)
 	if err != nil {
@@ -407,28 +348,32 @@ func (e *Engine) handleIWant(ctx context.Context, msg transport.Message) error {
 	var out []Rumor
 	for rd.n > 0 {
 		ref, _ := rd.ref()
-		r, ok := e.store.GetBytes(ref.id)
-		if !ok {
-			continue
+		if r, ok := e.m.Get(ref.id); ok {
+			out = append(out, r)
 		}
-		if r.Hops > 0 {
-			r.Hops--
-		}
-		out = append(out, r)
 	}
-	if len(out) == 0 {
-		return nil
+	if len(out) > 0 {
+		e.serveLocked(ctx, msg.From, ActionPush, out)
+		e.stats.Forwarded += int64(len(out))
 	}
-	e.sendLocked(ctx, msg.From, ActionPush, encodeRumors(out...))
-	e.stats.Forwarded += int64(len(out))
 	return nil
 }
 
-// Tick runs one periodic round. For pull and push-pull styles it starts an
-// anti-entropy exchange with f random peers; for other styles it is a no-op,
-// letting callers drive every engine uniformly.
+// serveLocked sends rs, held copies asked for, in one body, each transfer
+// costing one hop.
+func (e *Engine) serveLocked(ctx context.Context, to, action string, rs []Rumor) {
+	for i := range rs {
+		rs[i].Hops = ServedHops(rs[i].Hops)
+	}
+	e.sendOneLocked(ctx, to, action, encodeRumors(rs...))
+}
+
+// Tick runs one periodic round. For the styles that pull it starts an
+// anti-entropy exchange with f random peers, listing the newest held rumors;
+// for other styles it is a no-op, letting callers drive every engine
+// uniformly.
 func (e *Engine) Tick(ctx context.Context) {
-	if e.cfg.Style != StylePull && e.cfg.Style != StylePushPull {
+	if !e.cfg.Style.Pulls() {
 		return
 	}
 	e.mu.Lock()
@@ -437,14 +382,20 @@ func (e *Engine) Tick(ctx context.Context) {
 	if len(peers) == 0 {
 		return
 	}
-	body := encodeRefs(e.store.RecentRefs(e.cfg.PullDigestSize)...)
+	refs := make([]RumorRef, min(e.cfg.PullDigestSize, e.m.Len()))
+	for k := range refs {
+		r := e.m.Newest(k)
+		refs[k] = RumorRef{ID: r.ID, Hops: r.Hops}
+	}
+	body := encodeRefs(refs...)
 	for _, p := range peers {
-		e.sendLocked(ctx, p, ActionPullReq, body)
+		e.sendOneLocked(ctx, p, ActionPullReq, body)
 		e.stats.PullReqs++
 	}
 }
 
-// handlePullReq answers a digest with the rumors the requester is missing.
+// handlePullReq answers a digest with the rumors the requester is missing,
+// each transfer costing one hop.
 func (e *Engine) handlePullReq(ctx context.Context, msg transport.Message) error {
 	digest, err := readWire(msg.Body, wireRefs)
 	if err != nil {
@@ -452,17 +403,14 @@ func (e *Engine) handlePullReq(ctx context.Context, msg transport.Message) error
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	missing := e.store.MissingFrom(digest, e.cfg.PullBatchSize)
-	if len(missing) == 0 {
-		return nil
+	for digest.n > 0 {
+		ref, _ := digest.ref()
+		e.m.Listed(ref.id)
 	}
-	for i := range missing {
-		if missing[i].Hops > 0 {
-			missing[i].Hops--
-		}
+	if missing := e.m.Missing(e.cfg.PullBatchSize); len(missing) > 0 {
+		e.serveLocked(ctx, msg.From, ActionPullResp, missing)
+		e.stats.PullResps++
 	}
-	e.sendLocked(ctx, msg.From, ActionPullResp, encodeRumors(missing...))
-	e.stats.PullResps++
 	return nil
 }
 
@@ -470,12 +418,12 @@ func (e *Engine) handlePullReq(ctx context.Context, msg transport.Message) error
 func (e *Engine) Seen(id string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.seen.Contains(id)
+	return e.m.Seen(id)
 }
 
 // StoreLen reports the number of retained rumor bodies.
 func (e *Engine) StoreLen() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.store.Len()
+	return e.m.Len()
 }

@@ -11,7 +11,7 @@ func testRand(seed int64) *rand.Rand {
 }
 
 // digestOf returns a reader over a pull digest listing ids, as handlePullReq
-// hands one to the store.
+// hands one to the machine.
 func digestOf(t testing.TB, ids ...string) wireReader {
 	t.Helper()
 	refs := make([]RumorRef, len(ids))
@@ -23,4 +23,14 @@ func digestOf(t testing.TB, ids ...string) wireReader {
 		t.Fatal(err)
 	}
 	return rd
+}
+
+// missingFrom answers a digest from s as handlePullReq does: every listed ID
+// marked, then the walk.
+func missingFrom(s *store[Rumor], digest wireReader, max int) []Rumor {
+	for digest.n > 0 {
+		ref, _ := digest.ref()
+		s.Listed(ref.id)
+	}
+	return s.Missing(max)
 }

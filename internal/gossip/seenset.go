@@ -2,12 +2,12 @@ package gossip
 
 import "sync"
 
-// SeenSet is a concurrency-safe bounded LRU set of message identifiers,
-// exported for higher layers: the WS-Gossip SOAP handler uses one to
-// deduplicate gossiped notifications by WS-Addressing MessageID.
+// SeenSet is a concurrency-safe bounded LRU set of message identifiers — the
+// Machine's seen cache behind a lock of its own, for code that deduplicates
+// without a Machine.
 type SeenSet struct {
 	mu sync.Mutex
-	c  *seenCache
+	c  seenCache
 }
 
 // NewSeenSet returns a set bounded to capacity entries (<=0 uses the
@@ -32,7 +32,8 @@ func (s *SeenSet) Add(id string) bool {
 func (s *SeenSet) TouchBytes(id []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.c.TouchBytes(id)
+	_, ok := s.c.TouchBytes(id)
+	return ok
 }
 
 // ContainsBytes reports whether id — a string's bytes, or an ID viewed in a

@@ -124,32 +124,30 @@ func TestSeenCacheMatchesModel(t *testing.T) {
 	}
 }
 
-// TestRumorStoreDequeCompaction exercises the FIFO deque through enough
-// evictions to trigger prefix compaction and checks order-sensitive reads.
-func TestRumorStoreDequeCompaction(t *testing.T) {
+// TestStoreRingWrap drives the ring through many evictions and checks the
+// order-sensitive reads.
+func TestStoreRingWrap(t *testing.T) {
 	const capacity = 50
-	s := newRumorStore(capacity)
+	s := newStore[Rumor](capacity)
 	for i := 0; i < 5000; i++ {
-		s.Put(Rumor{ID: fmt.Sprintf("r%d", i), Hops: i % 7})
+		s.Hold(Rumor{ID: fmt.Sprintf("r%d", i), Hops: i % 7})
 	}
-	if s.Len() != capacity {
-		t.Fatalf("Len = %d, want %d", s.Len(), capacity)
+	if len(s.slots) != capacity || len(s.index) != capacity {
+		t.Fatalf("slots %d, index %d, want %d", len(s.slots), len(s.index), capacity)
 	}
-	refs := s.RecentRefs(5)
-	for j, ref := range refs {
-		want := fmt.Sprintf("r%d", 4999-j)
-		if ref.ID != want {
-			t.Fatalf("RecentRefs[%d] = %s, want %s (newest first)", j, ref.ID, want)
+	for k := 0; k < 5; k++ {
+		if got, want := s.Newest(k).ID, fmt.Sprintf("r%d", 4999-k); got != want {
+			t.Fatalf("newest %d = %s, want %s", k, got, want)
 		}
 	}
-	if _, ok := s.Get("r0"); ok {
+	if _, ok := s.Get([]byte("r0")); ok {
 		t.Fatal("oldest rumor not evicted")
 	}
-	if _, ok := s.Get("r4999"); !ok {
+	if _, ok := s.Get([]byte("r4999")); !ok {
 		t.Fatal("newest rumor missing")
 	}
-	missing := s.MissingFrom(digestOf(t, "r4999", "r4998"), 3)
+	missing := missingFrom(&s, digestOf(t, "r4999", "r4998"), 3)
 	if len(missing) != 3 || missing[0].ID != "r4997" || missing[1].ID != "r4996" || missing[2].ID != "r4995" {
-		t.Fatalf("MissingFrom = %v", missing)
+		t.Fatalf("missing = %v", missing)
 	}
 }

@@ -84,9 +84,9 @@ func encodeRefs(refs ...RumorRef) []byte {
 // with a wireReader whose views alias msg.Body.
 //
 // Ownership rule: a view dies with the handler call that read it. Anything
-// that reaches seen, store, requested, counters or Deliver is an owned copy
-// (rumorView.rumor, string(ref.id)); map lookups and the seen cache's
-// TouchBytes/ContainsBytes read a view in place and keep nothing. So a
+// that reaches the Machine's state or Deliver is an owned copy
+// (rumorView.rumor, the ID Machine.Want returns); the Machine's lookups read a
+// view in place and keep nothing. So a
 // duplicate — two receipts in three under push — builds nothing at all, and
 // nothing the engine retains pins a message body.
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"wsgossip/internal/faults"
 	"wsgossip/internal/simnet"
 	"wsgossip/internal/transport"
 )
@@ -195,6 +196,29 @@ func TestIHaveDuplicateRequestSuppressed(t *testing.T) {
 	net.Run()
 	if requests != 1 {
 		t.Fatalf("IWANT requests = %d, want 1", requests)
+	}
+}
+
+// TestRefusedIWantReleasesRequest: a fetch whose IWANT cannot be sent must
+// not strand the rumor. c's fetch from a is refused; b's later IHAVE must make
+// c fetch the rumor from b.
+func TestRefusedIWantReleasesRequest(t *testing.T) {
+	c := newCluster(t, 3, 21, func(_ int, cfg *Config) {
+		cfg.Style = StyleLazyPush
+		cfg.Fanout = 2
+	})
+	table := faults.NewTable()
+	table.RefuseLink("c-a", []string{"n002"}, []string{"n000"})
+	c.net.SetFaults(table)
+	r, err := c.engines[0].Publish(context.Background(), []byte("refused once"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.net.Run()
+	// c's two refused sends to a: the first IWANT, and later its own IHAVE.
+	st := c.engines[2].Stats()
+	if st.SendErrors != 2 || st.IWantSent != 2 || st.Delivered != 1 || c.got[2][r.ID] != 1 {
+		t.Fatalf("c stats = %+v, deliveries %d: want one refused IWANT, then a fetch from b", st, c.got[2][r.ID])
 	}
 }
 

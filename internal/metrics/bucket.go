@@ -8,8 +8,7 @@ import (
 
 // BucketHistogram is the bounded-memory histogram for production series:
 // observations land in fixed buckets (typically exponential), so memory is
-// O(buckets) regardless of how long the node runs — unlike the exact
-// Histogram, whose sample slice grows forever. Observe is lock-free (one
+// O(buckets) regardless of how long the node runs. Observe is lock-free (one
 // binary search plus three atomic adds), which keeps it safe on the gossip
 // hot paths. Quantiles are bucket-resolution estimates: the reported value
 // is the upper bound of the bucket holding the requested rank.
@@ -19,8 +18,6 @@ type BucketHistogram struct {
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
 }
-
-var _ Observer = (*BucketHistogram)(nil)
 
 // NewBucketHistogram returns a histogram over the given sorted upper
 // bounds. An implicit +Inf bucket catches observations above the last

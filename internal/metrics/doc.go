@@ -1,15 +1,14 @@
 // Package metrics is the node-wide instrumentation plane: dependency-free
-// counters, gauges, histograms, labeled vectors, and a Registry with
+// counters, gauges, bucket histograms, labeled vectors, and a Registry with
 // Prometheus text exposition. All types are safe for concurrent use and
 // the hot-path write operations (Counter.Inc, Gauge.Set, FloatGauge.Set,
 // BucketHistogram.Observe) are lock-free.
 //
-// Two histogram variants cover the two usage regimes. Histogram keeps
-// every sample and answers exact quantiles — right for bounded runs such
-// as experiments and tests. BucketHistogram lands observations in fixed
+// There is one histogram, BucketHistogram: observations land in fixed
 // (typically exponential) buckets, so memory stays O(buckets) over an
-// unbounded production run; quantiles are bucket-resolution estimates.
-// Both satisfy Observer, so instrumentation points accept either.
+// unbounded run, and quantiles are bucket-resolution estimates. There is
+// deliberately no exact histogram that keeps every sample: its memory would
+// grow with every observation.
 //
 // CounterVec, GaugeVec, and BucketHistogramVec address children by an
 // ordered tuple of label values (e.g. protocol={push,pull,aggregate}).
@@ -21,9 +20,4 @@
 // configured with, Snapshot renders a sorted human-readable dump with
 // p50/p95/max for histograms, and WritePrometheus serves the text
 // exposition format behind a /metrics endpoint.
-//
-// Timer observes elapsed seconds into an Observer through an injected
-// time source: production wires clock.Real's Now, virtual-time scenarios
-// wire clock.Virtual's, which makes latency histograms byte-for-byte
-// deterministic in tests.
 package metrics

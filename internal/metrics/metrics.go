@@ -2,10 +2,7 @@ package metrics
 
 import (
 	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing counter.
@@ -48,161 +45,3 @@ func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the current value.
 func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Observer is anything float64 observations can be recorded into; both
-// histogram variants satisfy it, so instrumentation can take either.
-type Observer interface {
-	Observe(v float64)
-}
-
-// Timer observes elapsed durations, in seconds, into an Observer. The time
-// source is injected — production timers run on clock.Real's Now, while
-// virtual-time deployments hand in clock.Virtual's, which makes latency
-// histograms fully deterministic in scenario tests.
-type Timer struct {
-	now func() time.Duration
-	obs Observer
-}
-
-// NewTimer returns a timer reading now and recording into obs. A Timer with
-// a nil now or obs is inert: Start returns a no-op stop function.
-func NewTimer(now func() time.Duration, obs Observer) Timer {
-	return Timer{now: now, obs: obs}
-}
-
-// Start begins one measurement and returns the function that completes it:
-// calling the returned stop observes the elapsed seconds since Start.
-func (t Timer) Start() (stop func()) {
-	if t.now == nil || t.obs == nil {
-		return func() {}
-	}
-	start := t.now()
-	return func() { t.obs.Observe((t.now() - start).Seconds()) }
-}
-
-// Histogram records float64 observations exactly and reports precise
-// quantiles. It keeps every sample, so memory grows with the observation
-// count: experiments and bounded test runs use it where exactness beats
-// approximation; unbounded production series belong in BucketHistogram.
-type Histogram struct {
-	mu      sync.Mutex
-	samples []float64
-	sorted  bool
-}
-
-var _ Observer = (*Histogram)(nil)
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.samples = append(h.samples, v)
-	h.sorted = false
-}
-
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
-}
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var s float64
-	for _, v := range h.samples {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range h.samples {
-		s += v
-	}
-	return s / float64(len(h.samples))
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) using nearest-rank on the
-// sorted samples, or 0 with no samples.
-//
-// Sorting happens lazily, in place, under h.mu — the same lock Observe
-// takes — so there is no window where a concurrent Observe can see a
-// half-sorted slice or clear the sorted flag mid-sort. The flag only
-// avoids re-sorting across consecutive read calls; an Observe between two
-// Quantile calls clears it and the next read pays one sort again.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
-// quantileLocked is Quantile's body for callers already holding h.mu.
-func (h *Histogram) quantileLocked(q float64) float64 {
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
-	if q <= 0 {
-		return h.samples[0]
-	}
-	if q >= 1 {
-		return h.samples[n-1]
-	}
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return h.samples[idx]
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() float64 { return h.Quantile(0) }
-
-// Max returns the largest sample, or 0 with no samples.
-func (h *Histogram) Max() float64 { return h.Quantile(1) }
-
-// StdDev returns the population standard deviation.
-func (h *Histogram) StdDev() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range h.samples {
-		sum += v
-	}
-	mean := sum / float64(n)
-	var ss float64
-	for _, v := range h.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.samples = h.samples[:0]
-	h.sorted = false
-}

@@ -47,8 +47,12 @@ func TestGauge(t *testing.T) {
 	}
 }
 
+// The histogram tests below hold the one histogram, BucketHistogram, to
+// what an exact histogram would report wherever every sample sits on a
+// bucket bound, and to order and bounds everywhere.
+
 func TestHistogramBasics(t *testing.T) {
-	var h Histogram
+	h := NewBucketHistogram([]float64{1, 2, 3, 4, 5})
 	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
@@ -64,7 +68,7 @@ func TestHistogramBasics(t *testing.T) {
 	if got := h.Sum(); got != 15 {
 		t.Fatalf("sum = %v, want 15", got)
 	}
-	if got := h.Min(); got != 1 {
+	if got := h.Quantile(0); got != 1 {
 		t.Fatalf("min = %v", got)
 	}
 	if got := h.Max(); got != 5 {
@@ -76,7 +80,7 @@ func TestHistogramBasics(t *testing.T) {
 }
 
 func TestHistogramObserveAfterQuantile(t *testing.T) {
-	var h Histogram
+	h := NewBucketHistogram([]float64{1, 5, 9})
 	h.Observe(5)
 	h.Observe(1)
 	if got := h.Quantile(1); got != 5 {
@@ -88,48 +92,31 @@ func TestHistogramObserveAfterQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramStdDev(t *testing.T) {
-	var h Histogram
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		h.Observe(v)
-	}
-	if got := h.StdDev(); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("stddev = %v, want 2", got)
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	var h Histogram
-	h.Observe(1)
-	h.Reset()
-	if h.Count() != 0 {
-		t.Fatalf("count after reset = %d", h.Count())
-	}
-}
-
 func TestHistogramQuantileProperty(t *testing.T) {
+	bounds := ExponentialBuckets(1e-3, 2, 20)
 	f := func(raw []float64) bool {
-		var vals []float64
+		h := NewBucketHistogram(bounds)
+		largest := math.Inf(-1)
 		for _, v := range raw {
 			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				vals = append(vals, v)
+				h.Observe(v)
+				largest = math.Max(largest, v)
 			}
 		}
-		if len(vals) == 0 {
-			return true
+		if h.Count() == 0 {
+			return h.Max() == 0
 		}
-		var h Histogram
-		for _, v := range vals {
-			h.Observe(v)
-		}
-		sorted := append([]float64(nil), vals...)
-		sort.Float64s(sorted)
-		// Quantiles must be actual samples, ordered, and bounded.
+		// Quantiles are bucket bounds, ordered, and the maximum is the
+		// bound of the largest sample's bucket.
 		q25, q50, q99 := h.Quantile(0.25), h.Quantile(0.5), h.Quantile(0.99)
-		if q25 > q50 || q50 > q99 {
+		if q25 > q50 || q50 > q99 || q99 > h.Max() {
 			return false
 		}
-		return h.Min() == sorted[0] && h.Max() == sorted[len(sorted)-1]
+		want := bounds[len(bounds)-1]
+		if i := sort.SearchFloat64s(bounds, largest); i < len(bounds) {
+			want = bounds[i]
+		}
+		return h.Max() == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -146,8 +133,8 @@ func TestRegistry(t *testing.T) {
 	if got := r.Gauge("depth").Value(); got != 7 {
 		t.Fatalf("gauge = %d", got)
 	}
-	r.Histogram("lat").Observe(1.5)
-	if got := r.Histogram("lat").Count(); got != 1 {
+	r.BucketHistogram("lat", DefLatencyBuckets).Observe(1.5)
+	if got := r.BucketHistogram("lat", nil).Count(); got != 1 {
 		t.Fatalf("histogram count = %d", got)
 	}
 	snap := r.Snapshot()

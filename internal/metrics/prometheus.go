@@ -12,8 +12,7 @@ import (
 // WritePrometheus renders every metric in the registry in the Prometheus
 // text exposition format (version 0.0.4), the format a scrape of /metrics
 // serves. Families are emitted in sorted name order with a # TYPE line
-// each; exact histograms are rendered as summaries (precise quantiles),
-// bucket histograms as histograms with cumulative le buckets. The writer
+// each; histograms are rendered with cumulative le buckets. The writer
 // holds the registry lock only to snapshot the metric tables, not while
 // writing, so a slow scraper cannot stall metric creation.
 func (r *Registry) WritePrometheus(w io.Writer) error {
@@ -21,7 +20,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	counters := copyMap(r.counters)
 	gauges := copyMap(r.gauges)
 	floatGauges := copyMap(r.floatGauges)
-	histograms := copyMap(r.histograms)
 	buckets := copyMap(r.buckets)
 	counterVecs := copyMap(r.counterVecs)
 	gaugeVecs := copyMap(r.gaugeVecs)
@@ -55,25 +53,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		name, g := sanitizeName(name), g
 		add(name, func(b *strings.Builder) {
 			fmt.Fprintf(b, "# TYPE %s gauge\n%s %s\n", name, name, formatFloat(g.Value()))
-		})
-	}
-	for name, h := range histograms {
-		name, h := sanitizeName(name), h
-		add(name, func(b *strings.Builder) {
-			h.mu.Lock()
-			count := len(h.samples)
-			var sum float64
-			for _, v := range h.samples {
-				sum += v
-			}
-			q50, q95, q99 := h.quantileLocked(0.5), h.quantileLocked(0.95), h.quantileLocked(0.99)
-			h.mu.Unlock()
-			fmt.Fprintf(b, "# TYPE %s summary\n", name)
-			fmt.Fprintf(b, "%s{quantile=\"0.5\"} %s\n", name, formatFloat(q50))
-			fmt.Fprintf(b, "%s{quantile=\"0.95\"} %s\n", name, formatFloat(q95))
-			fmt.Fprintf(b, "%s{quantile=\"0.99\"} %s\n", name, formatFloat(q99))
-			fmt.Fprintf(b, "%s_sum %s\n", name, formatFloat(sum))
-			fmt.Fprintf(b, "%s_count %d\n", name, count)
 		})
 	}
 	for name, h := range buckets {

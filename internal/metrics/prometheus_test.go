@@ -18,7 +18,7 @@ func goldenRegistry() *Registry {
 	r.Counter("gossip_forwarded_total").Add(42)
 	r.Gauge("membership_view_size").Set(8)
 	r.FloatGauge("aggregate_mass_error").Set(0.125)
-	h := r.Histogram("fanout_latency_seconds")
+	h := r.BucketHistogram("fanout_latency_seconds", []float64{0.001, 0.01})
 	for _, v := range []float64{0.001, 0.002, 0.004, 0.008, 0.1} {
 		h.Observe(v)
 	}
@@ -75,8 +75,8 @@ func TestWritePrometheusShape(t *testing.T) {
 		"# TYPE gossip_forwarded_total counter\ngossip_forwarded_total 42\n",
 		"# TYPE membership_view_size gauge\nmembership_view_size 8\n",
 		"aggregate_mass_error 0.125\n",
-		"# TYPE fanout_latency_seconds summary\n",
-		`fanout_latency_seconds{quantile="0.95"} 0.1`,
+		"# TYPE fanout_latency_seconds histogram\n",
+		`fanout_latency_seconds_bucket{le="0.01"} 4`,
 		"fanout_latency_seconds_count 5\n",
 		`envelope_bytes_bucket{le="+Inf"} 4`,
 		"envelope_bytes_count 4\n",
@@ -101,7 +101,6 @@ func TestConcurrentObserveQuantileWrite(t *testing.T) {
 	// Writers, quantile readers, and exposition scrapers all at once;
 	// run under -race this is the package's thread-safety proof.
 	r := NewRegistry()
-	h := r.Histogram("h")
 	b := r.BucketHistogram("b", DefLatencyBuckets)
 	cv := r.CounterVec("c", "k")
 	var wg sync.WaitGroup
@@ -110,7 +109,6 @@ func TestConcurrentObserveQuantileWrite(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				h.Observe(float64(j % 13))
 				b.Observe(float64(j%13) * 1e-4)
 				cv.With("a").Inc()
 			}
@@ -118,7 +116,6 @@ func TestConcurrentObserveQuantileWrite(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				_ = h.Quantile(0.95)
 				_ = b.Quantile(0.95)
 			}
 		}()
@@ -135,7 +132,7 @@ func TestConcurrentObserveQuantileWrite(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := h.Count(); got != 2000 {
+	if got := b.Count(); got != 2000 {
 		t.Fatalf("histogram count = %d, want 2000", got)
 	}
 	if got := cv.With("a").Value(); got != 2000 {

@@ -18,7 +18,6 @@ type Registry struct {
 	counters    map[string]*Counter
 	gauges      map[string]*Gauge
 	floatGauges map[string]*FloatGauge
-	histograms  map[string]*Histogram
 	buckets     map[string]*BucketHistogram
 	counterVecs map[string]*CounterVec
 	gaugeVecs   map[string]*GaugeVec
@@ -31,7 +30,6 @@ func NewRegistry() *Registry {
 		counters:    make(map[string]*Counter),
 		gauges:      make(map[string]*Gauge),
 		floatGauges: make(map[string]*FloatGauge),
-		histograms:  make(map[string]*Histogram),
 		buckets:     make(map[string]*BucketHistogram),
 		counterVecs: make(map[string]*CounterVec),
 		gaugeVecs:   make(map[string]*GaugeVec),
@@ -73,21 +71,6 @@ func (r *Registry) FloatGauge(name string) *FloatGauge {
 		r.floatGauges[name] = g
 	}
 	return g
-}
-
-// Histogram returns the named exact histogram, creating it on first use.
-// Exact histograms keep every sample: use them for bounded runs
-// (experiments, tests); unbounded production series belong in
-// BucketHistogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = &Histogram{}
-		r.histograms[name] = h
-	}
-	return h
 }
 
 // BucketHistogram returns the named bounded histogram, creating it with
@@ -149,7 +132,7 @@ func (r *Registry) BucketHistogramVec(name string, bounds []float64, labels ...s
 }
 
 // Snapshot renders every metric as "name=value" lines, sorted by name.
-// Histograms (both variants) contribute count, mean, and the p50/p95/max
+// Histograms contribute count, mean, and the p50/p95/max bucket-resolution
 // quantiles an operator or experiment table reads off directly.
 func (r *Registry) Snapshot() string {
 	r.mu.Lock()
@@ -170,20 +153,6 @@ func (r *Registry) Snapshot() string {
 		lines = append(lines, fmt.Sprintf("%s_p50=%.3f", name, p50))
 		lines = append(lines, fmt.Sprintf("%s_p95=%.3f", name, p95))
 		lines = append(lines, fmt.Sprintf("%s_max=%.3f", name, max))
-	}
-	for name, h := range r.histograms {
-		h.mu.Lock()
-		count, mean := len(h.samples), 0.0
-		if count > 0 {
-			var s float64
-			for _, v := range h.samples {
-				s += v
-			}
-			mean = s / float64(count)
-		}
-		p50, p95, max := h.quantileLocked(0.5), h.quantileLocked(0.95), h.quantileLocked(1)
-		h.mu.Unlock()
-		addHist(name, int64(count), mean, p50, p95, max)
 	}
 	for name, h := range r.buckets {
 		addHist(name, h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.95), h.Max())

@@ -84,7 +84,7 @@ func TestVecConcurrentWith(t *testing.T) {
 
 func TestSnapshotIncludesQuantilesAndLabels(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat")
+	h := r.BucketHistogram("lat", []float64{1, 2, 3, 4, 100})
 	for _, v := range []float64{1, 2, 3, 4, 100} {
 		h.Observe(v)
 	}
