@@ -144,17 +144,22 @@ func fullDigestResponder(t testing.TB, spell func([]byte) []byte) (*Disseminator
 	for i := 0; i < digestCap; i++ {
 		storeNotification(t, d, string(wsa.NewMessageID()))
 	}
-	d.mu.Lock()
-	ids := d.heldIDsLocked(digestCap)
-	d.mu.Unlock()
-	req, _ := receivedRequest(t, ActionDigest, spell(digestBlock("mem://peer", ids).Raw))
+	req, _ := receivedRequest(t, ActionDigest, spell(digestBlock("mem://peer", heldSumsOf(d), false).Raw))
 	return d, req
 }
 
+// heldSumsOf is the sum list d's next digest carries.
+func heldSumsOf(d *Disseminator) []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	sums, _ := d.heldSumsLocked(nil)
+	return sums
+}
+
 // TestDigestReceiptAllocBudget: almost every repair digest finds nothing
-// missing, and then it must cost the responder one allocation — the sender's
-// address — however many IDs it lists: they are looked up in the store as
-// they lie in the receive buffer.
+// missing, and then it must cost the responder nothing however many sums it
+// lists: the sender's address resolves through the intern table, and the
+// sums are decoded and sorted in scratch on the stack.
 func TestDigestReceiptAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	d, req := fullDigestResponder(t, asWritten)
@@ -166,13 +171,14 @@ func TestDigestReceiptAllocBudget(t *testing.T) {
 	if stats := d.Stats(); stats.Repaired != 0 || stats.SendErrors != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	checkAllocBudget(t, "128-ID digest receipt, nothing missing", allocs, budget.DigestReceipt)
+	checkAllocBudget(t, "128-sum digest receipt, nothing missing", allocs, budget.DigestReceipt)
 }
 
 // TestDigestOneMissingAllocBudget: a repair digest that misses one stored
 // notification costs the responder that one retransmission — the missing
 // list and the re-headed copy, whose header is read with the ID its store
-// slot holds — and nothing per listed ID.
+// slot holds and the InteractionID its interaction state holds — and nothing
+// per listed sum.
 func TestDigestOneMissingAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	d, _ := newDigestResponder(t, digestCap)
@@ -180,10 +186,8 @@ func TestDigestOneMissingAllocBudget(t *testing.T) {
 		storeNotification(t, d, string(wsa.NewMessageID()))
 	}
 	d.cfg.Caller = dropCaller{}
-	d.mu.Lock()
-	ids := d.heldIDsLocked(digestCap)
-	d.mu.Unlock()
-	req, _ := receivedRequest(t, ActionDigest, digestBlock("mem://peer", ids[1:]).Raw)
+	d.interactions["urn:uuid:i"] = newInteractionState("urn:uuid:i", ProtocolPushGossip, GossipParameters{Fanout: 1, Hops: 3})
+	req, _ := receivedRequest(t, ActionDigest, digestBlock("mem://peer", heldSumsOf(d)[8:], false).Raw)
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := d.handleDigest(context.Background(), req); err != nil {
 			t.Fatal(err)
@@ -192,24 +196,39 @@ func TestDigestOneMissingAllocBudget(t *testing.T) {
 	if stats := d.Stats(); stats.Repaired < 100 || stats.SendErrors != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	checkAllocBudget(t, "128-ID digest receipt, one missing", allocs, budget.DigestOneMissing)
+	checkAllocBudget(t, "128-sum digest receipt, one missing", allocs, budget.DigestOneMissing)
 }
 
-// TestDigestEnvelopeAllocBudget: what TickRepair builds once per round —
-// the ID list, the body, the addressing and the envelope around them.
+// tickRepairDigest builds what TickRepair builds once per round: the sums
+// written from scratch on the stack into the body, the addressing and the
+// envelope around them.
+func tickRepairDigest(tb testing.TB, d *Disseminator) {
+	var scratch [8 * digestCap]byte
+	d.mu.Lock()
+	sums, truncated := d.heldSumsLocked(scratch[:0])
+	d.mu.Unlock()
+	env, err := newMessage(ActionDigest, digestBlock(d.cfg.Address, sums, truncated))
+	if err != nil || len(env.Body.Blocks) != 1 {
+		tb.Fatalf("digest envelope: %v", err)
+	}
+}
+
+// TestDigestEnvelopeAllocBudget: what TickRepair builds once per round for a
+// 128-entry store.
 func TestDigestEnvelopeAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	d, _ := fullDigestResponder(t, asWritten)
-	allocs := testing.AllocsPerRun(100, func() {
-		d.mu.Lock()
-		ids := d.heldIDsLocked(digestCap)
-		d.mu.Unlock()
-		env, err := newMessage(ActionDigest, digestBlock(d.cfg.Address, ids))
-		if err != nil || len(env.Body.Blocks) != 1 {
-			t.Fatalf("digest envelope: %v", err)
-		}
-	})
-	checkAllocBudget(t, "TickRepair digest envelope, 128 IDs", allocs, budget.DigestEnvelope)
+	allocs := testing.AllocsPerRun(100, func() { tickRepairDigest(t, d) })
+	checkAllocBudget(t, "TickRepair digest envelope, 128 sums", allocs, budget.DigestEnvelope)
+}
+
+func BenchmarkTickRepairDigest(b *testing.B) {
+	d, _ := fullDigestResponder(b, asWritten)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tickRepairDigest(b, d)
+	}
 }
 
 // dropCaller is a binding whose sends go nowhere.
@@ -234,6 +253,7 @@ func lazyResponder(t testing.TB) (d *Disseminator, ihave, iwant *soap.Request) {
 	id := string(wsa.NewMessageID())
 	storeNotification(t, d, id)
 	d.m.Admit(id)
+	d.interactions["urn:uuid:i"] = newInteractionState("urn:uuid:i", ProtocolPushGossip, GossipParameters{Fanout: 1, Hops: 3, Style: "lazypush"})
 	received := func(action string, body soap.Block) *soap.Request {
 		out := soap.NewEnvelope()
 		if err := out.SetAddressing(addressingFor("mem://responder", action)); err != nil {
@@ -273,9 +293,9 @@ func TestIHaveHeldAllocBudget(t *testing.T) {
 }
 
 // TestIWantServeAllocBudget: serving an IWANT looks the requested ID up in
-// place and re-heads the stored copy with the ID its store slot holds, so
-// what it costs is the header's InteractionID copy and the retransmission's
-// own snapshot and header buffers.
+// place and re-heads the stored copy with the ID its store slot holds and the
+// InteractionID its interaction state holds, so what it costs is the
+// retransmission's own snapshot and header buffers.
 func TestIWantServeAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	d, _, iwant := lazyResponder(t)

@@ -67,7 +67,7 @@ func newForwardBench(b testing.TB, fanout, payload int) *forwardBench {
 	if err := env.SetBody(benchNote{Data: strings.Repeat("x", payload)}); err != nil {
 		b.Fatal(err)
 	}
-	state := newInteractionState(ProtocolPushGossip, GossipParameters{Fanout: fanout, Hops: 4, Targets: targets})
+	state := newInteractionState(gh.InteractionID, ProtocolPushGossip, GossipParameters{Fanout: fanout, Hops: 4, Targets: targets})
 	return &forwardBench{
 		d: d, env: env, gh: gh, state: state,
 		ctx: context.Background(), targets: targets,
@@ -115,7 +115,7 @@ func BenchmarkRetransmit(b *testing.B) {
 		}
 		fb.d.m.Hold(heldNotification{id: gh.MessageID, env: env})
 	}
-	var have heldIDs // an empty digest: everything stored is missing
+	var have heldSums // an empty digest: everything stored is missing
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -222,7 +222,7 @@ func BenchmarkForwardHeaders(b *testing.B) {
 	}
 }
 
-// BenchmarkDigestReceipt measures a responder taking a 128-ID repair digest
+// BenchmarkDigestReceipt measures a responder taking a 128-sum repair digest
 // that finds nothing missing — what nearly every digest of a steady-state
 // repair round is. "flat" is the digest as TickRepair writes it, read in
 // place; "encoding-xml" is the same digest respelled so that the in-place

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/xml"
+	"errors"
+	"strconv"
 
-	"wsgossip/internal/gossip"
 	"wsgossip/internal/soap"
 )
 
@@ -77,16 +81,16 @@ func scanGossipHeader(raw []byte) (f gossipFields, ok bool) {
 // recurring. The protocol is one of the few the stack defines and resolves
 // through the intern table.
 func (f gossipFields) header() GossipHeader {
-	return f.headerWithID(f.messageID.String())
+	return f.headerWith(f.messageID.String(), f.interactionID.String())
 }
 
-// headerWithID is header with the MessageID supplied by a caller that
-// already holds it as a string.
-func (f gossipFields) headerWithID(id string) GossipHeader {
+// headerWith is header with the MessageID and the InteractionID supplied by
+// a caller that already holds them as strings.
+func (f gossipFields) headerWith(messageID, interactionID string) GossipHeader {
 	return GossipHeader{
 		XMLName:       gossipName,
-		InteractionID: f.interactionID.String(),
-		MessageID:     id,
+		InteractionID: interactionID,
+		MessageID:     messageID,
 		Hops:          f.hops,
 		Protocol:      f.protocol.Symbol(),
 	}
@@ -101,22 +105,6 @@ func decodeGossipHeader(b soap.Block) (GossipHeader, error) {
 	var gh GossipHeader
 	err := b.Decode(&gh)
 	return gh, err
-}
-
-// heldHeader reads the gossip header of a notification the store holds
-// under id, for a retransmission. A canonical header takes its MessageID
-// from id — the string the store already holds, which the header's equals
-// since the store is keyed by it — so nothing is copied for it; any other
-// spelling decodes through encoding/xml.
-func heldHeader(id string, env *soap.Envelope) (GossipHeader, error) {
-	b, ok := env.HeaderBlock(Namespace, "Gossip")
-	if !ok {
-		return GossipHeader{}, ErrNoGossipHeader
-	}
-	if f, ok := scanGossipHeader(b.Raw); ok {
-		return f.headerWithID(id), nil
-	}
-	return decodeGossipHeader(b)
 }
 
 // announceBlock writes a as a body block.
@@ -218,97 +206,141 @@ func fetchFrom(env *soap.Envelope) (id []byte, requester string, err error) {
 	return []byte(f.MessageID), f.Requester, err
 }
 
-// digestSize sizes the buffer of a digest body listing ids.
-func digestSize(peer string, ids []string) int {
-	n := flatOverhead + len(peer) + len(ids)*len("<MessageID></MessageID>")
-	for _, id := range ids {
-		n += len(id)
-	}
-	return n
-}
+// A digest lists each held notification as the sum of its MessageID
+// (gossip.IDSum): the sums, newest first, as big-endian bytes, base64-encoded
+// in one <Sums> text element: 1,368 characters for 128 sums. A digest that
+// lists fewer notifications than its sender holds carries
+// <Truncated>true</Truncated> after the sums.
 
-// digestBlock writes the anti-entropy Digest body.
-func digestBlock(sender string, ids []string) soap.Block {
-	buf := make([]byte, 0, digestSize(sender, ids))
+// digestBlock writes the anti-entropy Digest body: sums is the big-endian
+// list, truncated whether the sender holds more than it lists.
+func digestBlock(sender string, sums []byte, truncated bool) soap.Block {
+	buf := make([]byte, 0, flatOverhead+len(sender)+base64.StdEncoding.EncodedLen(len(sums)))
 	buf = soap.AppendFlatOpen(buf, Namespace, "Digest")
 	buf = soap.AppendFlatText(buf, "Sender", sender)
-	buf = soap.AppendFlatList(buf, "MessageIDs", "MessageID", ids)
+	buf = appendSums(buf, sums, truncated)
 	buf = soap.AppendFlatClose(buf, "Digest")
 	return soap.Block{XMLName: digestName, Raw: buf}
 }
 
 // pullRequestBlock writes the WS-PullGossip PullRequest body.
-func pullRequestBlock(requester string, ids []string, max int) soap.Block {
-	buf := make([]byte, 0, digestSize(requester, ids))
+func pullRequestBlock(requester string, sums []byte, truncated bool, max int) soap.Block {
+	buf := make([]byte, 0, flatOverhead+len(requester)+base64.StdEncoding.EncodedLen(len(sums)))
 	buf = soap.AppendFlatOpen(buf, Namespace, "PullRequest")
 	buf = soap.AppendFlatText(buf, "Requester", requester)
-	buf = soap.AppendFlatList(buf, "MessageIDs", "MessageID", ids)
+	buf = appendSums(buf, sums, truncated)
 	buf = soap.AppendFlatInt(buf, "Max", int64(max))
 	buf = soap.AppendFlatClose(buf, "PullRequest")
 	return soap.Block{XMLName: pullName, Raw: buf}
 }
 
-// heldIDs is the ID list of a received digest as the responder consumes it:
-// the canonical body's items in place — views of the receive buffer, which
-// must not outlive the delivery — or the strings encoding/xml decoded from
-// any other spelling.
-type heldIDs struct {
-	flat    soap.FlatList
-	decoded []string
+// appendSums writes the <Sums> child and, for a truncated digest, the
+// <Truncated> one. Base64 text needs no escaping.
+func appendSums(dst, sums []byte, truncated bool) []byte {
+	dst = soap.AppendFlatStart(dst, "Sums")
+	dst = base64.StdEncoding.AppendEncode(dst, sums)
+	dst = soap.AppendFlatClose(dst, "Sums")
+	if truncated {
+		dst = soap.AppendFlatBool(dst, "Truncated", true)
+	}
+	return dst
 }
 
-// list hands every listed ID to the machine as the digest's. An escaped ID is
-// unescaped first, as encoding/xml would have.
-func (h heldIDs) list(m *gossip.Machine[heldNotification]) {
-	for id, ok := h.flat.Next(); ok; id, ok = h.flat.Next() {
-		m.Listed(id.Key())
+// heldSums is a received digest as the responder consumes it: the sums it
+// lists, newest first, decoded into the responder's scratch, and whether its
+// sender holds more than it lists.
+type heldSums struct {
+	sums      []uint64
+	truncated bool
+}
+
+// Rejections of a <Sums> text are fixed values, like the engine's wire
+// errors: a bad digest costs the responder nothing to refuse.
+var (
+	errSumsBase64 = errors.New("Sums is not base64")
+	errSumsLength = errors.New("Sums is not a whole number of 8-byte sums")
+	errSumsCount  = errors.New("Sums lists more than " + strconv.Itoa(digestCap) + " sums")
+)
+
+// decodeSums decodes a <Sums> text into scratch: at most digestCap sums, or
+// an error. The text is padded base64 with zero trailing bits, as the writer
+// spells it; the line breaks base64 decoders skip are refused too, so the
+// text's length bounds the count.
+func decodeSums(scratch *[digestCap]uint64, text []byte) ([]uint64, error) {
+	if bytes.ContainsAny(text, "\r\n") {
+		return nil, errSumsBase64
 	}
-	for _, id := range h.decoded {
-		m.Listed([]byte(id))
+	if len(text) > base64.StdEncoding.EncodedLen(8*digestCap) {
+		return nil, errSumsCount
 	}
+	var raw [8*digestCap + 2]byte // room for the 2 bytes past 1,024 that 1,368 characters can hold
+	n, err := base64.StdEncoding.Strict().Decode(raw[:], text)
+	if err != nil {
+		return nil, errSumsBase64
+	}
+	if n%8 != 0 {
+		return nil, errSumsLength
+	}
+	sums := scratch[:n/8]
+	for i := range sums {
+		sums[i] = binary.BigEndian.Uint64(raw[8*i:])
+	}
+	return sums, nil
 }
 
 // scanDigest reads a canonical digest body block in place: a Digest, or with
 // pull a PullRequest, which names its peer Requester and carries a Max.
-func scanDigest(raw []byte, pull bool) (peer soap.FlatText, ids soap.FlatList, max int, ok bool) {
+func scanDigest(raw []byte, pull bool) (peer, sums soap.FlatText, truncated bool, max int, ok bool) {
 	root, peerName := "Digest", "Sender"
 	if pull {
 		root, peerName = "PullRequest", "Requester"
 	}
 	r, ok := soap.OpenFlat(raw, Namespace, root)
 	if !ok {
-		return nil, ids, 0, false
+		return nil, nil, false, 0, false
 	}
 	if peer, ok = r.Text(peerName); !ok {
-		return nil, ids, 0, false
+		return nil, nil, false, 0, false
 	}
-	if ids, ok = r.List("MessageIDs", "MessageID"); !ok {
-		return nil, ids, 0, false
+	if sums, ok = r.Text("Sums"); !ok {
+		return nil, nil, false, 0, false
 	}
+	truncated, _ = r.Bool("Truncated") // omitted when false
 	if pull {
 		if max, ok = r.Int("Max"); !ok {
-			return nil, ids, 0, false
+			return nil, nil, false, 0, false
 		}
 	}
-	return peer, ids, max, r.Close(root)
+	return peer, sums, truncated, max, r.Close(root)
 }
 
 // digestFrom decodes the digest body of env — a Digest, or with pull a
 // PullRequest; the canonical form in place, anything else through
 // encoding/xml — into the peer to answer (interned: a peer sends a digest
-// every round), the IDs it holds and, of a PullRequest, its Max.
-func digestFrom(env *soap.Envelope, pull bool) (peer string, held heldIDs, max int, err error) {
+// every round), the sums it lists, decoded into scratch, and, of a
+// PullRequest, its Max.
+func digestFrom(env *soap.Envelope, pull bool, scratch *[digestCap]uint64) (peer string, held heldSums, max int, err error) {
 	if len(env.Body.Blocks) > 0 {
-		if peer, ids, max, ok := scanDigest(env.Body.Blocks[0].Raw, pull); ok {
-			return peer.Symbol(), heldIDs{flat: ids}, max, nil
+		if peer, sums, truncated, max, ok := scanDigest(env.Body.Blocks[0].Raw, pull); ok {
+			held.sums, err = decodeSums(scratch, sums.Key())
+			held.truncated = truncated
+			return peer.Symbol(), held, max, err
 		}
 	}
+	var sums string
 	if pull {
 		var pr PullRequest
-		err = env.DecodeBody(&pr)
-		return pr.Requester, heldIDs{decoded: pr.MessageIDs}, pr.Max, err
+		if err = env.DecodeBody(&pr); err != nil {
+			return "", held, 0, err
+		}
+		peer, sums, held.truncated, max = pr.Requester, pr.Sums, pr.Truncated, pr.Max
+	} else {
+		var dig Digest
+		if err = env.DecodeBody(&dig); err != nil {
+			return "", held, 0, err
+		}
+		peer, sums, held.truncated = dig.Sender, dig.Sums, dig.Truncated
 	}
-	var dig Digest
-	err = env.DecodeBody(&dig)
-	return dig.Sender, heldIDs{decoded: dig.MessageIDs}, 0, err
+	held.sums, err = decodeSums(scratch, []byte(sums))
+	return peer, held, max, err
 }

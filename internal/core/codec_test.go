@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/xml"
 	"fmt"
 	"math/rand"
@@ -268,7 +270,7 @@ func TestGossipLayerNeverAliasesReceiveBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.DeferAnnouncements()
-		d.interactions[want.InteractionID] = newInteractionState(ProtocolPushGossip,
+		d.interactions[want.InteractionID] = newInteractionState(want.InteractionID, ProtocolPushGossip,
 			GossipParameters{Fanout: 2, Hops: 3, Style: gossip.StyleLazyPush.String(), Targets: []string{"mem://peer"}})
 		var (
 			action string
@@ -415,117 +417,151 @@ func FuzzGossipHeaderCodec(f *testing.F) {
 }
 
 // Digest and PullRequest, the repair and pull rounds' bodies, on the same
-// contract. Their ID list is the flat codec's one list construct.
+// contract. Their <Sums> text is then decoded by decodeSums, which
+// sumsOracle holds to an independent reading of the rule.
 
-// heldStrings materializes a decoded digest's IDs as encoding/xml would.
-func heldStrings(h heldIDs) []string {
-	out := h.decoded
-	for id, ok := h.flat.Next(); ok; id, ok = h.flat.Next() {
-		out = append(out, id.String())
+// sumsOf is the <Sums> payload of a digest listing ids, newest first: each
+// ID's sum as eight big-endian bytes.
+func sumsOf(ids ...string) []byte {
+	var out []byte
+	for _, id := range ids {
+		out = binary.BigEndian.AppendUint64(out, gossip.IDSum(id))
 	}
 	return out
 }
 
-func sameIDs(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+// testIDs returns n distinct MessageIDs.
+func testIDs(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("urn:uuid:%032x", 0x9e3779b97f4a7c15*uint64(i+1))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return out
 }
 
-// digestIDLists are the ID lists the digest tables run over: empty (nil and
-// not), one, a full digest, more than digestCap, and every awkward text.
-func digestIDLists() [][]string {
-	ids := func(n int) []string {
-		out := make([]string, n)
-		for i := range out {
-			out[i] = fmt.Sprintf("urn:uuid:%032x", 0x9e3779b97f4a7c15*uint64(i+1))
-		}
-		return out
-	}
-	return [][]string{nil, {}, ids(1), ids(digestCap), ids(digestCap + 72), codecTexts, {"", ""}}
+// digestSumLists are the sum lists the digest tables run over: empty (nil
+// and not), one, a full digest, all-zero and all-one sums, and the sums of
+// every awkward text.
+func digestSumLists() [][]byte {
+	return [][]byte{nil, {}, sumsOf("urn:uuid:a"), sumsOf(testIDs(digestCap)...),
+		make([]byte, 16), bytes.Repeat([]byte{0xff}, 24), sumsOf(codecTexts...)}
 }
 
 var digestMaxes = []int{0, 1, -1, -5, digestCap, digestCap + 1, 999999999, -999999999, 1 << 40}
 
+// sumsOracle reads a <Sums> text by the rule stated on the wire: padded
+// base64 with no line breaks and zero trailing bits, whose bytes are a whole
+// number of 8-byte big-endian sums, at most digestCap of them.
+func sumsOracle(text string) ([]uint64, bool) {
+	if strings.ContainsAny(text, "\r\n") {
+		return nil, false
+	}
+	raw, err := base64.StdEncoding.Strict().DecodeString(text)
+	if err != nil || len(raw)%8 != 0 || len(raw)/8 > digestCap {
+		return nil, false
+	}
+	sums := make([]uint64, len(raw)/8)
+	for i := range sums {
+		sums[i] = binary.BigEndian.Uint64(raw[8*i:])
+	}
+	return sums, true
+}
+
 func TestDigestCodecWritersMatchMarshal(t *testing.T) {
 	for i, peer := range codecTexts {
-		for _, ids := range digestIDLists() {
-			dig := Digest{Sender: peer, MessageIDs: ids}
-			if got, want := digestBlock(peer, ids), mustMarshal(t, dig); got.XMLName != digestName || !bytes.Equal(got.Raw, want) {
-				t.Fatalf("digest %q, %d ids:\n got %.400s\nwant %.400s", peer, len(ids), got.Raw, want)
-			}
-			max := digestMaxes[i%len(digestMaxes)]
-			pr := PullRequest{Requester: peer, MessageIDs: ids, Max: max}
-			if got, want := pullRequestBlock(peer, ids, max), mustMarshal(t, pr); got.XMLName != pullName || !bytes.Equal(got.Raw, want) {
-				t.Fatalf("pull request %q, %d ids, max %d:\n got %.400s\nwant %.400s", peer, len(ids), max, got.Raw, want)
+		for _, sums := range digestSumLists() {
+			for _, truncated := range []bool{false, true} {
+				text := base64.StdEncoding.EncodeToString(sums)
+				dig := Digest{Sender: peer, Sums: text, Truncated: truncated}
+				if got, want := digestBlock(peer, sums, truncated), mustMarshal(t, dig); got.XMLName != digestName || !bytes.Equal(got.Raw, want) {
+					t.Fatalf("digest %q, %d sums:\n got %.400s\nwant %.400s", peer, len(sums)/8, got.Raw, want)
+				}
+				max := digestMaxes[i%len(digestMaxes)]
+				pr := PullRequest{Requester: peer, Sums: text, Truncated: truncated, Max: max}
+				if got, want := pullRequestBlock(peer, sums, truncated, max), mustMarshal(t, pr); got.XMLName != pullName || !bytes.Equal(got.Raw, want) {
+					t.Fatalf("pull request %q, %d sums, max %d:\n got %.400s\nwant %.400s", peer, len(sums)/8, max, got.Raw, want)
+				}
 			}
 		}
 	}
 	for _, max := range digestMaxes {
-		pr := PullRequest{Requester: "mem://n", MessageIDs: []string{"urn:uuid:1"}, Max: max}
-		if got, want := pullRequestBlock(pr.Requester, pr.MessageIDs, max).Raw, mustMarshal(t, pr); !bytes.Equal(got, want) {
+		pr := PullRequest{Requester: "mem://n", Sums: base64.StdEncoding.EncodeToString(sumsOf("urn:uuid:1")), Max: max}
+		if got, want := pullRequestBlock(pr.Requester, sumsOf("urn:uuid:1"), false, max).Raw, mustMarshal(t, pr); !bytes.Equal(got, want) {
 			t.Fatalf("pull request max %d:\n got %s\nwant %s", max, got, want)
 		}
 	}
 }
 
+// TestDigestBodyOfAFullStoreIsSmall: a 128-sum Digest body, as a node with a
+// full store writes it, stays under 1,500 bytes (it was ~8,800 while it
+// listed 128 <MessageID> elements).
+func TestDigestBodyOfAFullStoreIsSmall(t *testing.T) {
+	body := digestBlock("http://127.0.0.1:18072/", sumsOf(testIDs(digestCap)...), false).Raw
+	if len(body) > 1500 {
+		t.Fatalf("a %d-sum digest body is %d bytes, want ≤ 1,500", digestCap, len(body))
+	}
+	t.Logf("a %d-sum digest body is %d bytes", digestCap, len(body))
+}
+
 // checkDigestReaders runs the Digest and PullRequest readers differentially
 // against xml.Unmarshal on one block: whatever a reader accepts must decode
 // identically, and the decoders with fallback must behave exactly as
-// xml.Unmarshal alone. It reports which in-place readers accepted.
+// xml.Unmarshal followed by sumsOracle. It reports which in-place readers
+// accepted.
 func checkDigestReaders(t testing.TB, raw []byte) (okDigest, okPull bool) {
 	t.Helper()
 	env := soap.NewEnvelope()
 	env.SetBodyBlock(soap.Block{Raw: raw})
+	var scratch [digestCap]uint64
 
 	var refDig Digest
 	errDig := xml.Unmarshal(raw, &refDig)
-	sender, ids, _, okDigest := scanDigest(raw, false)
-	if okDigest && (errDig != nil || sender.String() != refDig.Sender || !sameIDs(heldStrings(heldIDs{flat: ids}), refDig.MessageIDs)) {
-		t.Fatalf("digest reader accepted %q as %q %q; encoding/xml: %+v, %v",
-			raw, sender.String(), heldStrings(heldIDs{flat: ids}), refDig, errDig)
+	sender, sums, truncated, _, okDigest := scanDigest(raw, false)
+	if okDigest && (errDig != nil || sender.String() != refDig.Sender || sums.String() != refDig.Sums || truncated != refDig.Truncated) {
+		t.Fatalf("digest reader accepted %q as %q %q %v; encoding/xml: %+v, %v",
+			raw, sender.String(), sums.String(), truncated, refDig, errDig)
 	}
-	from, held, _, err := digestFrom(env, false)
-	if (err != nil) != (errDig != nil) || (err == nil && (from != refDig.Sender || !sameIDs(heldStrings(held), refDig.MessageIDs))) {
-		t.Fatalf("digestFrom(%q) = %q %q, %v; encoding/xml: %+v, %v", raw, from, heldStrings(held), err, refDig, errDig)
+	wantSums, sumsOK := sumsOracle(refDig.Sums)
+	from, held, _, err := digestFrom(env, false, &scratch)
+	if (err == nil) != (errDig == nil && sumsOK) ||
+		(err == nil && (from != refDig.Sender || !slices.Equal(held.sums, wantSums) || held.truncated != refDig.Truncated)) {
+		t.Fatalf("digestFrom(%q) = %q %x %v, %v; encoding/xml: %+v, %v; sums %x, %v",
+			raw, from, held.sums, held.truncated, err, refDig, errDig, wantSums, sumsOK)
 	}
 
 	var refPull PullRequest
 	errPull := xml.Unmarshal(raw, &refPull)
-	requester, ids, max, okPull := scanDigest(raw, true)
-	if okPull && (errPull != nil || requester.String() != refPull.Requester || max != refPull.Max ||
-		!sameIDs(heldStrings(heldIDs{flat: ids}), refPull.MessageIDs)) {
-		t.Fatalf("pull reader accepted %q as %q %q max %d; encoding/xml: %+v, %v",
-			raw, requester.String(), heldStrings(heldIDs{flat: ids}), max, refPull, errPull)
+	requester, sums, truncated, max, okPull := scanDigest(raw, true)
+	if okPull && (errPull != nil || requester.String() != refPull.Requester || sums.String() != refPull.Sums ||
+		truncated != refPull.Truncated || max != refPull.Max) {
+		t.Fatalf("pull reader accepted %q as %q %q %v max %d; encoding/xml: %+v, %v",
+			raw, requester.String(), sums.String(), truncated, max, refPull, errPull)
 	}
-	from, held, max, err = digestFrom(env, true)
-	if (err != nil) != (errPull != nil) ||
-		(err == nil && (from != refPull.Requester || max != refPull.Max || !sameIDs(heldStrings(held), refPull.MessageIDs))) {
-		t.Fatalf("digestFrom(%q, pull) = %q %q max %d, %v; encoding/xml: %+v, %v",
-			raw, from, heldStrings(held), max, err, refPull, errPull)
+	wantSums, sumsOK = sumsOracle(refPull.Sums)
+	from, held, max, err = digestFrom(env, true, &scratch)
+	if (err == nil) != (errPull == nil && sumsOK) ||
+		(err == nil && (from != refPull.Requester || max != refPull.Max || !slices.Equal(held.sums, wantSums) || held.truncated != refPull.Truncated)) {
+		t.Fatalf("digestFrom(%q, pull) = %q %x %v max %d, %v; encoding/xml: %+v, %v; sums %x, %v",
+			raw, from, held.sums, held.truncated, max, err, refPull, errPull, wantSums, sumsOK)
 	}
 	return okDigest, okPull
 }
 
 func TestDigestCodecReadersMatchUnmarshal(t *testing.T) {
 	for _, peer := range codecTexts {
-		for _, ids := range digestIDLists() {
-			raw := digestBlock(peer, ids).Raw
-			if ok, _ := checkDigestReaders(t, raw); !ok {
-				t.Fatalf("digest reader declined its own writer's %.400s", raw)
-			}
-			for _, max := range digestMaxes {
-				raw := pullRequestBlock(peer, ids, max).Raw
-				// Everything the writer emits is read in place, except a Max
-				// wider than the reader's nine digits.
-				if _, ok := checkDigestReaders(t, raw); ok == (max > 999999999) {
-					t.Fatalf("pull reader accepted=%v for %.400s", ok, raw)
+		for _, sums := range digestSumLists() {
+			for _, truncated := range []bool{false, true} {
+				raw := digestBlock(peer, sums, truncated).Raw
+				if ok, _ := checkDigestReaders(t, raw); !ok {
+					t.Fatalf("digest reader declined its own writer's %.400s", raw)
+				}
+				for _, max := range digestMaxes {
+					raw := pullRequestBlock(peer, sums, truncated, max).Raw
+					// Everything the writer emits is read in place, except a Max
+					// wider than the reader's nine digits.
+					if _, ok := checkDigestReaders(t, raw); ok == (max > 999999999) {
+						t.Fatalf("pull reader accepted=%v for %.400s", ok, raw)
+					}
 				}
 			}
 		}
@@ -534,31 +570,46 @@ func TestDigestCodecReadersMatchUnmarshal(t *testing.T) {
 
 // nonCanonicalDigests are spellings encoding/xml reads (or rejects) that the
 // in-place readers must leave to it. Each is given as a Digest; the test
-// also runs it respelled as a PullRequest.
+// also runs it respelled as a PullRequest. AAAAAAAAAAA= is one zero sum.
 var nonCanonicalDigests = map[string]string{
-	"absent wrapper":      `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender></Digest>`,
-	"self-closing list":   `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs/></Digest>`,
-	"padded":              "<Digest xmlns=\"urn:wsgossip:2008\">\n <Sender>s</Sender>\n <MessageIDs>\n  <MessageID>a</MessageID>\n </MessageIDs>\n</Digest>",
-	"space between items": `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>a</MessageID> <MessageID>b</MessageID></MessageIDs></Digest>`,
-	"wrapper attribute":   `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs n="1"><MessageID>a</MessageID></MessageIDs></Digest>`,
-	"item attribute":      `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID n="1">a</MessageID></MessageIDs></Digest>`,
-	"comment":             `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>a</MessageID><!-- c --></MessageIDs></Digest>`,
-	"cdata item":          `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID><![CDATA[a]]></MessageID></MessageIDs></Digest>`,
-	"nested item":         `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID><X>a</X></MessageID></MessageIDs></Digest>`,
-	"two wrappers":        `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>a</MessageID></MessageIDs><MessageIDs><MessageID>b</MessageID></MessageIDs></Digest>`,
-	"list first":          `<Digest xmlns="urn:wsgossip:2008"><MessageIDs><MessageID>a</MessageID></MessageIDs><Sender>s</Sender></Digest>`,
-	"stray sibling":       `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>a</MessageID></MessageIDs><TTL>1</TTL></Digest>`,
-	"prefixed":            `<g:Digest xmlns:g="urn:wsgossip:2008"><g:Sender>s</g:Sender><g:MessageIDs><g:MessageID>a</g:MessageID></g:MessageIDs></g:Digest>`,
-	"no sender":           `<Digest xmlns="urn:wsgossip:2008"><MessageIDs><MessageID>a</MessageID></MessageIDs></Digest>`,
-	"missing item end":    `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>a</MessageIDs></Digest>`,
-	"truncated":           `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>a</Mess`,
-	"trailing bytes":      `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>a</MessageID></MessageIDs></Digest> `,
-	"wrong namespace":     `<Digest xmlns="urn:other"><Sender>s</Sender><MessageIDs><MessageID>a</MessageID></MessageIDs></Digest>`,
-	"unknown entity":      `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>&nbsp;</MessageID></MessageIDs></Digest>`,
+	"absent sums":          `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender></Digest>`,
+	"self-closing sums":    `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums/></Digest>`,
+	"padded":               "<Digest xmlns=\"urn:wsgossip:2008\">\n <Sender>s</Sender>\n <Sums>AAAAAAAAAAA=</Sums>\n</Digest>",
+	"sums attribute":       `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums n="1">AAAAAAAAAAA=</Sums></Digest>`,
+	"comment in sums":      `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums>AAAAAAAA<!-- c -->AAA=</Sums></Digest>`,
+	"cdata sums":           `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums><![CDATA[AAAAAAAAAAA=]]></Sums></Digest>`,
+	"nested in sums":       `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums><X>AAAAAAAAAAA=</X></Sums></Digest>`,
+	"two sums":             `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums>AAAAAAAAAAA=</Sums><Sums>AAAAAAAAAAA=</Sums></Digest>`,
+	"sums first":           `<Digest xmlns="urn:wsgossip:2008"><Sums>AAAAAAAAAAA=</Sums><Sender>s</Sender></Digest>`,
+	"stray sibling":        `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums>AAAAAAAAAAA=</Sums><TTL>1</TTL></Digest>`,
+	"prefixed":             `<g:Digest xmlns:g="urn:wsgossip:2008"><g:Sender>s</g:Sender><g:Sums>AAAAAAAAAAA=</g:Sums></g:Digest>`,
+	"no sender":            `<Digest xmlns="urn:wsgossip:2008"><Sums>AAAAAAAAAAA=</Sums></Digest>`,
+	"missing sums end":     `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums>AAAAAAAAAAA=</Digest>`,
+	"truncated document":   `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums>AAAAAAAAAAA=</Su`,
+	"trailing bytes":       `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums>AAAAAAAAAAA=</Sums></Digest> `,
+	"wrong namespace":      `<Digest xmlns="urn:other"><Sender>s</Sender><Sums>AAAAAAAAAAA=</Sums></Digest>`,
+	"unknown entity":       `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums>&nbsp;</Sums></Digest>`,
+	"truncated first":      `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Truncated>true</Truncated><Sums>AAAAAAAAAAA=</Sums></Digest>`,
+	"truncated twice":      `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums>AAAAAAAAAAA=</Sums><Truncated>true</Truncated><Truncated>true</Truncated></Digest>`,
+	"truncated padded":     `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums>AAAAAAAAAAA=</Sums><Truncated> true </Truncated></Digest>`,
+	"truncated as 1":       `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums>AAAAAAAAAAA=</Sums><Truncated>1</Truncated></Digest>`,
+	"truncated not a bool": `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums>AAAAAAAAAAA=</Sums><Truncated>yes</Truncated></Digest>`,
+}
+
+// badSums are <Sums> texts the in-place readers take — the body is canonical
+// — and digestFrom refuses, whichever reader took them.
+var badSums = map[string]string{
+	"bad base64":              "!!!!AAAAAAA=",
+	"line break":              "AAAAAAAA\nAAA=",
+	"not a multiple of 8":     "AAAAAAAAAA==", // 7 bytes
+	"missing padding":         "AAAAAAAAAAA",
+	"nonzero trailing bits":   "AAAAAAAAAAB=",
+	"more than digestCap":     base64.StdEncoding.EncodeToString(make([]byte, 8*(digestCap+1))),
+	"far more than digestCap": base64.StdEncoding.EncodeToString(make([]byte, 8*10000)),
 }
 
 // asPullRequest respells a Digest document as the PullRequest with the same
-// peer and IDs and the given Max element.
+// peer and sums and the given Max element.
 func asPullRequest(digest, max string) string {
 	s := strings.NewReplacer("Digest", "PullRequest", "Sender", "Requester").Replace(digest)
 	if i := strings.LastIndex(s, "</"); i >= 0 && strings.HasSuffix(strings.TrimSpace(s), "PullRequest>") {
@@ -569,7 +620,8 @@ func asPullRequest(digest, max string) string {
 
 // TestDigestCodecDeclinesNonCanonical: each form is declined by the in-place
 // readers, and digestFrom — through the fallback — returns exactly what
-// encoding/xml returns for it, error or value.
+// encoding/xml and sumsOracle return for it, error or value. Each bad <Sums>
+// text is read in place and refused.
 func TestDigestCodecDeclinesNonCanonical(t *testing.T) {
 	for label, raw := range nonCanonicalDigests {
 		if ok, _ := checkDigestReaders(t, []byte(raw)); ok {
@@ -580,7 +632,7 @@ func TestDigestCodecDeclinesNonCanonical(t *testing.T) {
 			t.Errorf("%s: pull reader accepted %s", label, pull)
 		}
 	}
-	const canonical = `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><MessageIDs><MessageID>a</MessageID></MessageIDs></Digest>`
+	const canonical = `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums>AAAAAAAAAAA=</Sums></Digest>`
 	for label, max := range map[string]string{
 		"no max": "", "padded max": "<Max> 7 </Max>", "plus max": "<Max>+7</Max>", "wide max": "<Max>1234567890</Max>",
 		"empty max": "<Max></Max>", "max twice": "<Max>7</Max><Max>8</Max>", "max not a number": "<Max>many</Max>",
@@ -596,54 +648,89 @@ func TestDigestCodecDeclinesNonCanonical(t *testing.T) {
 			t.Errorf("pull reader declined %s", pull)
 		}
 	}
+	for label, text := range badSums {
+		raw := `<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums>` + text + `</Sums></Digest>`
+		for _, doc := range []string{raw, asPullRequest(raw, "<Max>7</Max>")} {
+			okDigest, okPull := checkDigestReaders(t, []byte(doc))
+			if !okDigest && !okPull {
+				t.Errorf("%s: in-place readers declined %.200s", label, doc)
+			}
+			env := soap.NewEnvelope()
+			env.SetBodyBlock(soap.Block{Raw: []byte(doc)})
+			var scratch [digestCap]uint64
+			if _, _, _, err := digestFrom(env, okPull, &scratch); err == nil {
+				t.Errorf("%s: digestFrom accepted %.200s", label, doc)
+			}
+		}
+	}
 }
 
 // FuzzDigestCodec is the differential fuzz of the Digest / PullRequest
 // codecs against encoding/xml:
 //
-//   - whenever an in-place reader accepts, the peer, the IDs and Max equal
-//     xml.Unmarshal's, and the decoders with fallback always behave exactly
-//     as xml.Unmarshal alone (checkDigestReaders);
-//   - whatever encoding/xml decodes, the writer re-serializes byte for byte
-//     as xml.Marshal does, and the reader reads that back.
+//   - whenever an in-place reader accepts, the peer, the <Sums> text,
+//     Truncated and Max equal xml.Unmarshal's, and the decoders with fallback
+//     always behave exactly as xml.Unmarshal followed by sumsOracle
+//     (checkDigestReaders);
+//   - whatever they decode, the writer re-serializes byte for byte as
+//     xml.Marshal does, and the reader reads that back.
 //
 // The committed corpus under testdata/fuzz/FuzzDigestCodec runs on every
 // plain `go test`; CI fuzzes for 30 s next to FuzzGossipHeaderCodec.
 func FuzzDigestCodec(f *testing.F) {
-	for i, ids := range digestIDLists() {
+	for i, sums := range digestSumLists() {
 		peer := codecTexts[i%len(codecTexts)]
-		if len(ids) > 4 {
-			ids = ids[:4]
+		if len(sums) > 32 {
+			sums = sums[:32]
 		}
-		f.Add(digestBlock(peer, ids).Raw)
-		f.Add(pullRequestBlock(peer, ids, digestMaxes[i%len(digestMaxes)]).Raw)
+		f.Add(digestBlock(peer, sums, i%2 == 1).Raw)
+		f.Add(pullRequestBlock(peer, sums, i%2 == 0, digestMaxes[i%len(digestMaxes)]).Raw)
 	}
 	for _, raw := range nonCanonicalDigests {
 		f.Add([]byte(raw))
 		f.Add([]byte(asPullRequest(raw, "<Max>128</Max>")))
 	}
+	for _, text := range badSums {
+		f.Add([]byte(`<Digest xmlns="urn:wsgossip:2008"><Sender>s</Sender><Sums>` + text + `</Sums></Digest>`))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		checkDigestReaders(t, raw)
 		var dig Digest
 		if xml.Unmarshal(raw, &dig) == nil {
-			written := digestBlock(dig.Sender, dig.MessageIDs).Raw
-			if want := mustMarshal(t, Digest{Sender: dig.Sender, MessageIDs: dig.MessageIDs}); !bytes.Equal(written, want) {
-				t.Fatalf("digest writer for %+v:\n got %s\nwant %s", dig, written, want)
-			}
-			if ok, _ := checkDigestReaders(t, written); !ok {
-				t.Fatalf("digest reader declined its own writer's %s", written)
+			if decoded, ok := sumsOracle(dig.Sums); ok {
+				sums := sumsBytes(decoded)
+				written := digestBlock(dig.Sender, sums, dig.Truncated).Raw
+				want := mustMarshal(t, Digest{Sender: dig.Sender, Sums: base64.StdEncoding.EncodeToString(sums), Truncated: dig.Truncated})
+				if !bytes.Equal(written, want) {
+					t.Fatalf("digest writer for %+v:\n got %s\nwant %s", dig, written, want)
+				}
+				if ok, _ := checkDigestReaders(t, written); !ok {
+					t.Fatalf("digest reader declined its own writer's %s", written)
+				}
 			}
 		}
 		var pr PullRequest
 		if xml.Unmarshal(raw, &pr) == nil {
-			written := pullRequestBlock(pr.Requester, pr.MessageIDs, pr.Max).Raw
-			want := mustMarshal(t, PullRequest{Requester: pr.Requester, MessageIDs: pr.MessageIDs, Max: pr.Max})
-			if !bytes.Equal(written, want) {
-				t.Fatalf("pull writer for %+v:\n got %s\nwant %s", pr, written, want)
-			}
-			if _, ok := checkDigestReaders(t, written); ok == (pr.Max > 999999999 || pr.Max < -999999999) {
-				t.Fatalf("pull reader accepted=%v for its own writer's %s", ok, written)
+			if decoded, ok := sumsOracle(pr.Sums); ok {
+				sums := sumsBytes(decoded)
+				written := pullRequestBlock(pr.Requester, sums, pr.Truncated, pr.Max).Raw
+				want := mustMarshal(t, PullRequest{Requester: pr.Requester, Sums: base64.StdEncoding.EncodeToString(sums), Truncated: pr.Truncated, Max: pr.Max})
+				if !bytes.Equal(written, want) {
+					t.Fatalf("pull writer for %+v:\n got %s\nwant %s", pr, written, want)
+				}
+				if _, ok := checkDigestReaders(t, written); ok == (pr.Max > 999999999 || pr.Max < -999999999) {
+					t.Fatalf("pull reader accepted=%v for its own writer's %s", ok, written)
+				}
 			}
 		}
 	})
+}
+
+// sumsBytes is the big-endian byte form of sums.
+func sumsBytes(sums []uint64) []byte {
+	var out []byte
+	for _, s := range sums {
+		out = binary.BigEndian.AppendUint64(out, s)
+	}
+	return out
 }

@@ -196,13 +196,14 @@ type Fetch struct {
 }
 
 // PullRequest is the WS-PullGossip digest request: the puller names the
-// notifications it already holds; the responder retransmits up to Max
-// stored notifications absent from that digest. Like Digest it travels on
-// the flat-element codec (codec.go), and the struct serves the encoding/xml
-// fallback and the tests.
+// notifications it already holds by their sums, as a Digest does; the
+// responder retransmits up to Max stored notifications absent from that
+// digest. Like Digest it travels on the flat-element codec (codec.go), and
+// the struct serves the encoding/xml fallback and the tests.
 type PullRequest struct {
-	XMLName    xml.Name `xml:"urn:wsgossip:2008 PullRequest"`
-	Requester  string   `xml:"Requester"`
-	MessageIDs []string `xml:"MessageIDs>MessageID"`
-	Max        int      `xml:"Max"`
+	XMLName   xml.Name `xml:"urn:wsgossip:2008 PullRequest"`
+	Requester string   `xml:"Requester"`
+	Sums      string   `xml:"Sums"`
+	Truncated bool     `xml:"Truncated,omitempty"`
+	Max       int      `xml:"Max"`
 }

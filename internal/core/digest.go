@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/xml"
 	"slices"
 
@@ -20,17 +21,21 @@ import (
 // ActionDigest is the anti-entropy digest exchange action.
 const ActionDigest = Namespace + ":digest"
 
-// digestCap bounds the message IDs advertised per digest and the envelopes
-// retransmitted per exchange.
+// digestCap bounds the sums listed per digest and the envelopes retransmitted
+// per exchange.
 const digestCap = 128
 
-// Digest advertises the notifications a node holds. TickRepair writes it and
-// handleDigest reads it with the flat-element codec (codec.go); the struct is
-// the encoding/xml fallback's target and the tests' oracle.
+// Digest advertises the notifications a node holds: Sums is the base64 of
+// their MessageIDs' sums (gossip.IDSum), newest first, as big-endian bytes,
+// and Truncated says the sender holds more than the digestCap it lists.
+// TickRepair writes it and handleDigest reads it with the flat-element codec
+// (codec.go); the struct is the encoding/xml fallback's target and the tests'
+// oracle.
 type Digest struct {
-	XMLName    xml.Name `xml:"urn:wsgossip:2008 Digest"`
-	Sender     string   `xml:"Sender"`
-	MessageIDs []string `xml:"MessageIDs>MessageID"`
+	XMLName   xml.Name `xml:"urn:wsgossip:2008 Digest"`
+	Sender    string   `xml:"Sender"`
+	Sums      string   `xml:"Sums"`
+	Truncated bool     `xml:"Truncated,omitempty"`
 }
 
 // TickRepair runs one anti-entropy round: the node sends a digest of its
@@ -44,19 +49,21 @@ func (d *Disseminator) TickRepair(ctx context.Context) { d.digestRound(ctx, fals
 func (d *Disseminator) TickPull(ctx context.Context) { d.digestRound(ctx, true) }
 
 // digestRound sends one round of the repair or (pull) the WS-PullGossip
-// exchange: a digest of the newest held IDs, one logical message serialized
-// once and rendered per target.
+// exchange: a digest of the newest held sums, one logical message serialized
+// once and rendered per target. The sums are written straight into the body
+// from scratch on the stack.
 func (d *Disseminator) digestRound(ctx context.Context, pull bool) {
+	var scratch [8 * digestCap]byte
 	d.mu.Lock()
-	ids := d.heldIDsLocked(digestCap)
+	sums, truncated := d.heldSumsLocked(scratch[:0])
 	targets := d.roundTargetsLocked(pull)
 	d.mu.Unlock()
 	if len(targets) == 0 {
 		return
 	}
-	action, body, sent := ActionDigest, digestBlock(d.cfg.Address, ids), d.stats.digestsSent
+	action, body, sent := ActionDigest, digestBlock(d.cfg.Address, sums, truncated), d.stats.digestsSent
 	if pull {
-		action, body, sent = ActionPullRequest, pullRequestBlock(d.cfg.Address, ids, digestCap), d.stats.pullsSent
+		action, body, sent = ActionPullRequest, pullRequestBlock(d.cfg.Address, sums, truncated, digestCap), d.stats.pullsSent
 	}
 	env, err := newMessage(action, body)
 	if err != nil {
@@ -103,13 +110,15 @@ func (d *Disseminator) roundTargetsLocked(pullOnly bool) []string {
 	return slices.Compact(targets)
 }
 
-// heldIDsLocked lists up to n held notification IDs, newest first.
-func (d *Disseminator) heldIDsLocked(n int) []string {
-	ids := make([]string, min(n, d.m.Len()))
-	for k := range ids {
-		ids[k] = d.m.Newest(k).id
+// heldSumsLocked appends to dst the sums of up to digestCap held
+// notifications, newest first, as big-endian bytes, and reports whether the
+// store holds more than that.
+func (d *Disseminator) heldSumsLocked(dst []byte) (sums []byte, truncated bool) {
+	n := d.m.Len()
+	for k := range min(n, digestCap) {
+		dst = binary.BigEndian.AppendUint64(dst, d.m.NewestSum(k))
 	}
-	return ids
+	return dst, n > digestCap
 }
 
 // handleDigest answers an anti-entropy Digest.
@@ -124,13 +133,15 @@ func (d *Disseminator) handlePullRequest(ctx context.Context, req *soap.Request)
 
 // respond is the one digest responder: it retransmits the stored
 // notifications the digest's sender lacks — at most digestCap, or a
-// PullRequest's smaller Max.
+// PullRequest's smaller Max. The listed sums are decoded into scratch on the
+// stack.
 func (d *Disseminator) respond(ctx context.Context, req *soap.Request, pull bool) (*soap.Envelope, error) {
 	body, peerless, served := "Digest", "digest without sender", d.stats.repaired
 	if pull {
 		body, peerless, served = "PullRequest", "pull request without requester", d.stats.pullServed
 	}
-	peer, held, max, err := digestFrom(req.Envelope, pull)
+	var scratch [digestCap]uint64
+	peer, held, max, err := digestFrom(req.Envelope, pull, &scratch)
 	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "malformed "+body+": "+err.Error())
 	}
@@ -149,14 +160,11 @@ func (d *Disseminator) respond(ctx context.Context, req *soap.Request, pull bool
 
 // retransmitMissing serves every stored notification the digest's sender
 // does not hold to it (up to max, newest first) and returns the number of
-// successful retransmissions. The digest is matched against the store inside
-// one critical section, so concurrent digests cannot see each other's marks,
-// and a digest that finds nothing missing allocates nothing. held may alias
-// the request's receive buffer: it is not used after the lock is released.
-func (d *Disseminator) retransmitMissing(ctx context.Context, to string, held heldIDs, max int) int64 {
+// successful retransmissions. A digest that finds nothing missing allocates
+// nothing.
+func (d *Disseminator) retransmitMissing(ctx context.Context, to string, held heldSums, max int) int64 {
 	d.mu.Lock()
-	held.list(&d.m)
-	missing := d.m.Missing(max)
+	missing := d.m.Missing(held.sums, held.truncated, max)
 	d.mu.Unlock()
 	var served int64
 	for _, h := range missing {

@@ -160,16 +160,20 @@ type DisseminatorConfig struct {
 }
 
 // interactionState caches the parameters the Coordinator assigned for one
-// gossip interaction, and the style they select, parsed once.
+// gossip interaction, and the style they select, parsed once. id is the
+// InteractionID the state is kept under: a received or served notification of
+// the interaction takes its header's InteractionID from here instead of
+// copying it out of the message.
 type interactionState struct {
+	id     string
 	params GossipParameters
 	style  gossip.Style
 }
 
-// newInteractionState parses the style of an interaction registered for
+// newInteractionState parses the style of the interaction id, registered for
 // protocol: WS-PullGossip is pull whatever the parameters say, and an unknown
 // style is push.
-func newInteractionState(protocol string, params GossipParameters) *interactionState {
+func newInteractionState(id, protocol string, params GossipParameters) *interactionState {
 	style, err := gossip.ParseStyle(params.Style)
 	switch {
 	case protocol == ProtocolPullGossip:
@@ -177,7 +181,17 @@ func newInteractionState(protocol string, params GossipParameters) *interactionS
 	case err != nil:
 		style = gossip.StylePush
 	}
-	return &interactionState{params: params, style: style}
+	return &interactionState{id: id, params: params, style: style}
+}
+
+// interactionIDLocked returns the InteractionID a gossip header names, read
+// in place: the interaction state's own string when the node knows the
+// interaction, so nothing is copied, and a copy otherwise.
+func (d *Disseminator) interactionIDLocked(id soap.FlatText) string {
+	if state, ok := d.interactions[string(id.Key())]; ok {
+		return state.id
+	}
+	return id.String()
 }
 
 // heldNotification is what a disseminator's store holds: a retained
@@ -338,10 +352,11 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.
 	}
 	// Most receipts are duplicates, so the header is first read in place —
 	// views over the request bytes, no allocation — and the machine asked
-	// with the MessageID bytes; the header's strings are built (as copies:
-	// the receive buffer is recycled after this delivery) only for a first
-	// receipt. A header the byte-level reader declines, or whose MessageID is
-	// escaped, is decoded up front.
+	// with the MessageID bytes; the header's strings are built only for a
+	// first receipt: the MessageID as a copy (the receive buffer is recycled
+	// after this delivery), the InteractionID from the interaction state if
+	// the node knows it. A header the byte-level reader declines, or whose
+	// MessageID is escaped, is decoded up front.
 	var gh GossipHeader
 	fields, inPlace := scanGossipHeader(block.Raw)
 	if inPlace = inPlace && fields.messageID.IsLiteral(); !inPlace {
@@ -356,7 +371,7 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.
 	dup, t := false, gossip.Transfer{}
 	if inPlace {
 		if dup, t = d.m.Receive(fields.messageID, false); !dup {
-			gh = fields.header()
+			gh = fields.headerWith(fields.messageID.String(), d.interactionIDLocked(fields.interactionID))
 		}
 	}
 	if !dup {
@@ -479,7 +494,7 @@ func (d *Disseminator) registerProtocol(ctx context.Context, cctx wscoord.Coordi
 	if err != nil {
 		return nil, fmt.Errorf("core: registration response without parameters: %w", err)
 	}
-	state := newInteractionState(protocol, params)
+	state := newInteractionState(cacheKey, protocol, params)
 	d.mu.Lock()
 	d.interactions[cacheKey] = state
 	d.mu.Unlock()

@@ -80,7 +80,8 @@ func (d *Disseminator) handleIHave(ctx context.Context, req *soap.Request) (*soa
 
 // handleIWant serves a stored notification to the requester, the transfer
 // costing one hop. The requested ID is looked up as it lies in the receive
-// buffer, and the retransmission carries the ID the store holds.
+// buffer, and the retransmission carries the ID the store holds and the
+// InteractionID the interaction state holds.
 func (d *Disseminator) handleIWant(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
 	requested, requester, err := fetchFrom(req.Envelope)
 	if err != nil {
@@ -103,10 +104,9 @@ func (d *Disseminator) handleIWant(ctx context.Context, req *soap.Request) (*soa
 }
 
 // serve retransmits a held notification to one peer, the transfer costing
-// one hop. Its header is read with the ID the store slot holds (heldHeader),
-// so nothing is copied for it.
+// one hop.
 func (d *Disseminator) serve(ctx context.Context, to string, h heldNotification) error {
-	gh, err := heldHeader(h.id, h.env)
+	gh, err := d.heldHeader(h)
 	if err != nil {
 		return err
 	}
@@ -116,4 +116,23 @@ func (d *Disseminator) serve(ctx context.Context, to string, h heldNotification)
 		return err
 	}
 	return d.cfg.Caller.Send(ctx, to, out)
+}
+
+// heldHeader reads the gossip header of a held notification, for a
+// retransmission. A canonical header takes its MessageID from the store slot
+// — the header's equals it, since the store is keyed by it — and its
+// InteractionID from the node's interaction state, so neither is copied; any
+// other spelling decodes through encoding/xml.
+func (d *Disseminator) heldHeader(h heldNotification) (GossipHeader, error) {
+	b, ok := h.env.HeaderBlock(Namespace, "Gossip")
+	if !ok {
+		return GossipHeader{}, ErrNoGossipHeader
+	}
+	if f, ok := scanGossipHeader(b.Raw); ok {
+		d.mu.Lock()
+		interaction := d.interactionIDLocked(f.interactionID)
+		d.mu.Unlock()
+		return f.headerWith(h.id, interaction), nil
+	}
+	return decodeGossipHeader(b)
 }

@@ -108,7 +108,7 @@ func TestOutboundWireGolden(t *testing.T) {
 
 	t.Run("announce", func(t *testing.T) {
 		d, rec := newRecorded()
-		state := newInteractionState(ProtocolPushGossip, GossipParameters{Fanout: 1, Hops: 4, Targets: []string{"mem://a"}})
+		state := newInteractionState(interaction, ProtocolPushGossip, GossipParameters{Fanout: 1, Hops: 4, Targets: []string{"mem://a"}})
 		announce := gossip.Transfer{Send: gossip.SendAnnounce}
 		d.transfer(ctx, nil, GossipHeader{InteractionID: interaction, MessageID: "urn:uuid:notification", Hops: 4}, state, announce)
 		checkWireGolden(t, "ihave", only(rec, "announce"))
@@ -138,7 +138,7 @@ func TestOutboundWireGolden(t *testing.T) {
 	t.Run("retransmitMissing", func(t *testing.T) {
 		d, rec := newRecorded()
 		storeNotification(t, d, "urn:uuid:stored")
-		if n := d.retransmitMissing(ctx, "mem://puller", heldIDs{}, 8); n != 1 {
+		if n := d.retransmitMissing(ctx, "mem://puller", heldSums{}, 8); n != 1 {
 			t.Fatalf("retransmitted %d, want 1", n)
 		}
 		checkWireGolden(t, "retransmit", only(rec, "retransmitMissing"))
@@ -148,8 +148,8 @@ func TestOutboundWireGolden(t *testing.T) {
 		name, action string
 		body         soap.Block
 	}{
-		{"digest", ActionDigest, digestBlock("mem://self", []string{"urn:uuid:a", "urn:uuid:b"})},
-		{"pull_request", ActionPullRequest, pullRequestBlock("mem://self", []string{"urn:uuid:a"}, digestCap)},
+		{"digest", ActionDigest, digestBlock("mem://self", sumsOf("urn:uuid:a", "urn:uuid:b"), false)},
+		{"pull_request", ActionPullRequest, pullRequestBlock("mem://self", sumsOf("urn:uuid:a"), true, digestCap)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env, err := newMessage(tc.action, tc.body)

@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -115,7 +118,7 @@ func TestDigestNoRetransmitWhenPeerHasAll(t *testing.T) {
 	if err := env.SetAddressing(addressingFor("mem://a", ActionDigest)); err != nil {
 		t.Fatal(err)
 	}
-	if err := env.SetBody(Digest{Sender: "mem://b", MessageIDs: []string{"urn:uuid:lost-msg"}}); err != nil {
+	if err := env.SetBody(Digest{Sender: "mem://b", Sums: base64.StdEncoding.EncodeToString(sumsOf("urn:uuid:lost-msg"))}); err != nil {
 		t.Fatal(err)
 	}
 	if err := bus.Send(ctx, "mem://a", env); err != nil {
@@ -242,7 +245,7 @@ func TestDigestRoundsAreAFunctionOfTheSeed(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				targets = append(targets, prefix+string(rune('0'+i)))
 			}
-			d.interactions[id] = newInteractionState(ProtocolPullGossip, GossipParameters{Fanout: 2, Hops: 4, Targets: targets})
+			d.interactions[id] = newInteractionState(id, ProtocolPullGossip, GossipParameters{Fanout: 2, Hops: 4, Targets: targets})
 		}
 		ctx := context.Background()
 		for round := 0; round < 50; round++ {
@@ -272,16 +275,16 @@ func TestPullRoundsTakeEveryPullingStyle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, state := range map[string]*interactionState{
-		"urn:uuid:pull":     newInteractionState(ProtocolPullGossip, GossipParameters{Fanout: 1, Targets: []string{"mem://pull"}}),
-		"urn:uuid:pushpull": newInteractionState(ProtocolPushGossip, GossipParameters{Fanout: 1, Style: "pushpull", Targets: []string{"mem://pushpull"}}),
-		"urn:uuid:push":     newInteractionState(ProtocolPushGossip, GossipParameters{Fanout: 1, Targets: []string{"mem://push"}}),
-		"urn:uuid:lazy":     newInteractionState(ProtocolPushGossip, GossipParameters{Fanout: 1, Style: "lazypush", Targets: []string{"mem://lazy"}}),
+		"urn:uuid:pull":     newInteractionState("urn:uuid:pull", ProtocolPullGossip, GossipParameters{Fanout: 1, Targets: []string{"mem://pull"}}),
+		"urn:uuid:pushpull": newInteractionState("urn:uuid:pushpull", ProtocolPushGossip, GossipParameters{Fanout: 1, Style: "pushpull", Targets: []string{"mem://pushpull"}}),
+		"urn:uuid:push":     newInteractionState("urn:uuid:push", ProtocolPushGossip, GossipParameters{Fanout: 1, Targets: []string{"mem://push"}}),
+		"urn:uuid:lazy":     newInteractionState("urn:uuid:lazy", ProtocolPushGossip, GossipParameters{Fanout: 1, Style: "lazypush", Targets: []string{"mem://lazy"}}),
 	} {
 		d.interactions[id] = state
 	}
 	d.TickPull(context.Background())
 	want := []string{"mem://pull " + ActionPullRequest, "mem://pushpull " + ActionPullRequest}
-	if !sameIDs(rec.sends, want) {
+	if !slices.Equal(rec.sends, want) {
 		t.Fatalf("pull round sent %q, want %q", rec.sends, want)
 	}
 }
@@ -384,20 +387,22 @@ func receivedRequest(t testing.TB, action string, body []byte) (*soap.Request, [
 
 // respell returns a spelling of a canonical digest body that encoding/xml
 // decodes to the same value and the in-place reader declines: a line break
-// between every pair of tags. (No text in these tests is empty, so no break
-// lands inside a value.)
+// between every pair of tags, except inside an empty <Sums>, the one text
+// these tests leave empty.
 func respell(canonical []byte) []byte {
-	return bytes.ReplaceAll(canonical, []byte("><"), []byte(">\n<"))
+	spelled := bytes.ReplaceAll(canonical, []byte("><"), []byte(">\n<"))
+	return bytes.ReplaceAll(spelled, []byte("<Sums>\n</Sums>"), []byte("<Sums></Sums>"))
 }
 
 // TestDigestResponderMatchesAcrossSpellings drives one disseminator with
 // random store contents — fewer than, exactly and more than digestCap
 // entries, with and without eviction — and random digests (subsets,
-// supersets, duplicates, unknown and escaped IDs, the empty digest), each
-// sent as the canonical body the in-place reader takes and as a spelling
-// that forces the encoding/xml fallback. Both must produce the retransmission
-// sequence of the reference model — stored IDs newest first, minus the
-// digest's, cut at the limit — and move the counters by its length.
+// supersets, duplicates, unknown and escaped IDs, the empty digest, truncated
+// or not), each sent as the canonical body the in-place reader takes and as a
+// spelling that forces the encoding/xml fallback. Both must produce the
+// retransmission sequence of the reference model, an ID-set oracle — stored
+// IDs newest first, minus the digest's, stopped at a truncated digest's
+// oldest listed ID, cut at the limit — and move the counters by its length.
 func TestDigestResponderMatchesAcrossSpellings(t *testing.T) {
 	rng := rand.New(rand.NewSource(20081201))
 	ctx := context.Background()
@@ -426,11 +431,9 @@ func TestDigestResponderMatchesAcrossSpellings(t *testing.T) {
 			// some unknown IDs, some duplicates.
 			p := []float64{0, 0.3, 0.9, 1}[rng.Intn(4)]
 			var ids []string
-			held := map[string]bool{}
 			for _, id := range stored {
 				if rng.Float64() < p {
 					ids = append(ids, id)
-					held[id] = true
 				}
 			}
 			if p > 0 {
@@ -442,6 +445,12 @@ func TestDigestResponderMatchesAcrossSpellings(t *testing.T) {
 				}
 				rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 			}
+			ids = ids[:min(len(ids), digestCap)]
+			held := map[string]bool{}
+			for _, id := range ids {
+				held[id] = true
+			}
+			truncated := rng.Intn(3) == 0
 			pull := rng.Intn(2) == 0
 			max := maxes[rng.Intn(len(maxes))]
 			limit := digestCap
@@ -450,15 +459,18 @@ func TestDigestResponderMatchesAcrossSpellings(t *testing.T) {
 			}
 			var want []string
 			for i := len(stored) - 1; i >= 0 && len(want) < limit; i-- {
+				if truncated && len(ids) > 0 && stored[i] == ids[len(ids)-1] {
+					break
+				}
 				if !held[stored[i]] {
 					want = append(want, stored[i])
 				}
 			}
 
-			action, body, handle := ActionDigest, digestBlock("mem://peer", ids).Raw, d.handleDigest
+			action, body, handle := ActionDigest, digestBlock("mem://peer", sumsOf(ids...), truncated).Raw, d.handleDigest
 			counter := func() int64 { return d.Stats().Repaired }
 			if pull {
-				action, body, handle = ActionPullRequest, pullRequestBlock("mem://peer", ids, max).Raw, d.handlePullRequest
+				action, body, handle = ActionPullRequest, pullRequestBlock("mem://peer", sumsOf(ids...), truncated, max).Raw, d.handlePullRequest
 				counter = func() int64 { return d.Stats().PullServed }
 			}
 			for i, spelling := range [][]byte{body, respell(body)} {
@@ -472,9 +484,9 @@ func TestDigestResponderMatchesAcrossSpellings(t *testing.T) {
 				if _, err := handle(ctx, req); err != nil {
 					t.Fatalf("trial %d round %d (pull=%v canonical=%v): %v", trial, round, pull, canonical, err)
 				}
-				if got := rec.take("mem://peer"); !sameIDs(got, want) {
-					t.Fatalf("trial %d round %d (store %d/%d, digest %d ids, pull=%v max=%d, canonical=%v):\n got %q\nwant %q",
-						trial, round, len(stored), storeSize, len(ids), pull, max, canonical, got, want)
+				if got := rec.take("mem://peer"); !slices.Equal(got, want) {
+					t.Fatalf("trial %d round %d (store %d/%d, digest %d ids, truncated=%v pull=%v max=%d, canonical=%v):\n got %q\nwant %q",
+						trial, round, len(stored), storeSize, len(ids), truncated, pull, max, canonical, got, want)
 				}
 				if moved := counter() - before; moved != int64(len(want)) {
 					t.Fatalf("trial %d round %d: counter moved %d, want %d", trial, round, moved, len(want))
@@ -497,9 +509,9 @@ func TestDigestNeverAliasesReceiveBuffer(t *testing.T) {
 			storeNotification(t, d, id)
 		}
 		send := func(held []string) []byte {
-			action, body, handle := ActionDigest, digestBlock("mem://peer", held).Raw, d.handleDigest
+			action, body, handle := ActionDigest, digestBlock("mem://peer", sumsOf(held...), false).Raw, d.handleDigest
 			if pull {
-				action, body, handle = ActionPullRequest, pullRequestBlock("mem://peer", held, 8).Raw, d.handlePullRequest
+				action, body, handle = ActionPullRequest, pullRequestBlock("mem://peer", sumsOf(held...), false, 8).Raw, d.handlePullRequest
 			}
 			req, wire := receivedRequest(t, action, body)
 			if _, err := handle(ctx, req); err != nil {
@@ -519,13 +531,13 @@ func TestDigestNeverAliasesReceiveBuffer(t *testing.T) {
 				t.Fatalf("pull=%v: recorded destination changed with the buffer: %q", pull, dest)
 			}
 		}
-		if got, want := rec.take("mem://peer"), []string{ids[3], ids[2]}; !sameIDs(got, want) {
+		if got, want := rec.take("mem://peer"), []string{ids[3], ids[2]}; !slices.Equal(got, want) {
 			t.Fatalf("pull=%v: first digest retransmitted %q, want %q", pull, got, want)
 		}
 		// A later digest, listing different IDs, sees neither the first
 		// one's marks nor anything of its buffer.
 		send([]string{ids[3], ids[1]})
-		if got, want := rec.take("mem://peer"), []string{ids[2], ids[0]}; !sameIDs(got, want) {
+		if got, want := rec.take("mem://peer"), []string{ids[2], ids[0]}; !slices.Equal(got, want) {
 			t.Fatalf("pull=%v: later digest retransmitted %q, want %q", pull, got, want)
 		}
 		for _, id := range ids {
@@ -544,7 +556,7 @@ func TestDigestNeverAliasesReceiveBuffer(t *testing.T) {
 func TestConcurrentDigestsPullsAndNotifies(t *testing.T) {
 	d, rec := newDigestResponder(t, 256) // holds everything below: nothing is evicted or cut at digestCap
 	// Pull: stored, never forwarded.
-	d.interactions["urn:uuid:i"] = newInteractionState(ProtocolPullGossip, GossipParameters{Fanout: 2, Hops: 3})
+	d.interactions["urn:uuid:i"] = newInteractionState("urn:uuid:i", ProtocolPullGossip, GossipParameters{Fanout: 2, Hops: 3})
 	var base []string
 	for i := 0; i < 24; i++ {
 		base = append(base, fmt.Sprintf("urn:uuid:base-%02d", i))
@@ -561,9 +573,9 @@ func TestConcurrentDigestsPullsAndNotifies(t *testing.T) {
 			peer := fmt.Sprintf("mem://peer-%d", w)
 			held, missing := base[:6*w], base[6*w:] // worker w lacks the newest 24-6w
 			for r := 0; r < rounds; r++ {
-				action, body, handle := ActionDigest, digestBlock(peer, held).Raw, d.handleDigest
+				action, body, handle := ActionDigest, digestBlock(peer, sumsOf(held...), false).Raw, d.handleDigest
 				if r%2 == 1 {
-					action, body, handle = ActionPullRequest, pullRequestBlock(peer, held, digestCap).Raw, d.handlePullRequest
+					action, body, handle = ActionPullRequest, pullRequestBlock(peer, sumsOf(held...), false, digestCap).Raw, d.handlePullRequest
 				}
 				if r%4 >= 2 {
 					body = respell(body)
@@ -614,5 +626,72 @@ func TestConcurrentDigestsPullsAndNotifies(t *testing.T) {
 	wg.Wait()
 	if got, want := d.Stats().Delivered, int64(workers*rounds/2); got != want {
 		t.Fatalf("delivered %d notifications, want %d", got, want)
+	}
+}
+
+// TestTruncatedDigestEndsTheRepairStorm: two disseminators with StoreSize
+// 1024 hold the same 300 notifications. B's repair digest lists its newest
+// digestCap sums and says it holds more, so A serves only what is newer, in
+// its own store, than the oldest sum listed: nothing. (While a digest could
+// not say so, everything older than the 128 listed looked missing and A
+// retransmitted 128 duplicates per digest.) A notification newer than that
+// watermark which B lacks is still served.
+func TestTruncatedDigestEndsTheRepairStorm(t *testing.T) {
+	ctx := context.Background()
+	bus := soap.NewMemBus()
+	nodes := map[string]*Disseminator{}
+	apps := map[string]*CollectingApp{}
+	for i, addr := range []string{"mem://a", "mem://b"} {
+		apps[addr] = NewCollectingApp()
+		d, err := NewDisseminator(DisseminatorConfig{
+			Address: addr, Caller: bus, App: apps[addr], RNG: rand.New(rand.NewSource(int64(i) + 1)), StoreSize: 1024,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bus.Register(addr, d.Handler())
+		nodes[addr] = d
+	}
+	a, b := nodes["mem://a"], nodes["mem://b"]
+	for i := 0; i < 300; i++ {
+		id := fmt.Sprintf("urn:uuid:storm-%03d", i)
+		storeNotification(t, a, id)
+		storeNotification(t, b, id)
+	}
+	b.interactions["urn:uuid:i"] = newInteractionState("urn:uuid:i", ProtocolPushGossip,
+		GossipParameters{Fanout: 1, Hops: 3, Targets: []string{"mem://a"}})
+
+	b.TickRepair(ctx)
+	if got := b.Stats().DigestsSent; got != 1 {
+		t.Fatalf("B sent %d digests, want 1", got)
+	}
+	if got := a.Stats().Repaired; got != 0 {
+		t.Fatalf("A retransmitted %d notifications B holds, want 0", got)
+	}
+
+	storeNotification(t, a, "urn:uuid:storm-late")
+	b.TickRepair(ctx)
+	if got := a.Stats().Repaired; got != 1 {
+		t.Fatalf("A retransmitted %d, want the 1 notification B lacks", got)
+	}
+	if got := apps["mem://b"].Count(); got != 1 {
+		t.Fatalf("B delivered %d, want the late notification", got)
+	}
+}
+
+// TestOversizedDigestIsRefused: one Digest listing 10,000 sums, far past
+// digestCap, is answered with a Sender fault, and the responder sends
+// nothing.
+func TestOversizedDigestIsRefused(t *testing.T) {
+	d, rec := newDigestResponder(t, digestCap)
+	storeNotification(t, d, "urn:uuid:held")
+	req, _ := receivedRequest(t, ActionDigest, digestBlock("mem://peer", make([]byte, 8*10000), false).Raw)
+	_, err := d.handleDigest(context.Background(), req)
+	var fault *soap.Fault
+	if !errors.As(err, &fault) || fault.Code.Value != soap.CodeSender {
+		t.Fatalf("a 10,000-sum digest was answered with %v, want a Sender fault", err)
+	}
+	if sent := rec.take("mem://peer"); len(sent) != 0 || d.Stats().Repaired != 0 {
+		t.Fatalf("the responder retransmitted %q", sent)
 	}
 }

@@ -64,7 +64,7 @@ func TestForwardEncodeOnce(t *testing.T) {
 	if err := env.SetBody(quoteBody{Symbol: "ENC1", Price: 9.5}); err != nil {
 		t.Fatal(err)
 	}
-	state := newInteractionState(ProtocolPushGossip, GossipParameters{
+	state := newInteractionState(gh.InteractionID, ProtocolPushGossip, GossipParameters{
 		Fanout: 4, Hops: 5,
 		Targets: []string{"mem://peer0", "mem://peer1", "mem://peer2", "mem://peer3"},
 	})
@@ -136,7 +136,7 @@ func TestForwardSpliceFallback(t *testing.T) {
 	if _, err := env.EncodeTemplate(); err == nil {
 		t.Fatal("prefixed block unexpectedly spliceable; fallback not exercised")
 	}
-	state := newInteractionState(ProtocolPushGossip, GossipParameters{Fanout: 2, Hops: 2, Targets: []string{"mem://peer0", "mem://peer1"}})
+	state := newInteractionState(gh.InteractionID, ProtocolPushGossip, GossipParameters{Fanout: 2, Hops: 2, Targets: []string{"mem://peer0", "mem://peer1"}})
 	d.transfer(context.Background(), env, gh, state, pushTransfer)
 	if deliveries != 2 {
 		t.Fatalf("fallback deliveries = %d, want 2", deliveries)

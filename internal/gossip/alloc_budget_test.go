@@ -130,21 +130,27 @@ func TestFirstReceiptForwardAllocBudget(t *testing.T) {
 	checkAllocBudget(t, "first receipt + forward f=3", allocs, budget.FirstReceiptForward)
 }
 
-// TestPullRequestNothingMissingAllocBudget: a pull request whose digest lists
-// everything the responder stores — the round with nothing to say — marks the
-// store's slots from the IDs as they lie in the body: no set of strings, no
-// response.
-func TestPullRequestNothingMissingAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
-	pb := newPushBench(t, StylePush, 64)
+// fullPullRequest is a push bench whose store is full, and a pull request
+// whose digest lists everything it stores.
+func fullPullRequest(tb testing.TB) (*pushBench, transport.Message) {
+	pb := newPushBench(tb, StylePush, 64)
 	for range pb.bodies {
-		pb.receive(t)
+		pb.receive(tb)
 	}
 	refs := make([]RumorRef, pb.eng.m.Len())
 	for k := range refs {
 		refs[k] = RumorRef{ID: pb.eng.m.Newest(k).ID, Hops: 1}
 	}
-	digest := transport.Message{From: "n0000001", Body: encodeRefs(refs...)}
+	return pb, transport.Message{From: "n0000001", Body: encodeRefs(refs...)}
+}
+
+// TestPullRequestNothingMissingAllocBudget: a pull request whose digest lists
+// everything the responder stores — the round with nothing to say — sums the
+// IDs as they lie in the body into scratch on the stack: no set of strings,
+// no response.
+func TestPullRequestNothingMissingAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	pb, digest := fullPullRequest(t)
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := pb.eng.handlePullReq(context.Background(), digest); err != nil {
 			t.Fatal(err)
@@ -154,6 +160,17 @@ func TestPullRequestNothingMissingAllocBudget(t *testing.T) {
 		t.Fatalf("store %d, stats %+v", pb.eng.StoreLen(), st)
 	}
 	checkAllocBudget(t, "pull request, nothing missing", allocs, budget.PullReqNothingToSay)
+}
+
+func BenchmarkPullRequestNothingMissing(b *testing.B) {
+	pb, digest := fullPullRequest(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pb.eng.handlePullReq(context.Background(), digest); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // TestCounterDuplicateAllocBudget: a duplicate of a rumor a counter-mongering

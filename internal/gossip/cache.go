@@ -1,5 +1,7 @@
 package gossip
 
+import "slices"
+
 // The Machine's two bounded collections. Neither keeps a per-entry heap cell:
 // at simulation scales (10^5-10^6 engines, each with a seen cache and a
 // store) those dominated per-node memory. The LRU is an intrusive
@@ -153,28 +155,26 @@ func (r Rumor) HeldID() string { return r.ID }
 // until it holds cap entries, overwritten oldest-first from then on — and
 // index maps an ID to its slot, which never moves while the entry lives.
 //
-// Each slot carries the digest responder's mark: the IDs a digest lists are
-// marked with the current generation, which Missing advances once per digest,
-// so no mark is ever cleared and answering a digest builds no set. The 64-bit
-// generation starts above every fresh slot's mark and does not wrap.
+// Each slot carries its ID's sum (IDSum), taken once when the value is held:
+// a digest names what its sender holds by those sums, and Missing compares
+// them without hashing the store again.
 type store[V Held] struct {
 	cap   int
 	slots []storeSlot[V]
 	head  int // slot of the oldest entry once the ring is full
 	index map[string]uint32
-	gen   uint64
 }
 
-// storeSlot is one retained value and its digest mark.
+// storeSlot is one retained value and its ID's sum.
 type storeSlot[V Held] struct {
-	v    V
-	held uint64 // generation of the last digest that listed v's ID
+	v   V
+	sum uint64
 }
 
 func newStore[V Held](capacity int) store[V] {
 	// Unhinted for the same reason as newSeenCache: per-node resident memory
 	// at large simulated populations.
-	return store[V]{cap: capacity, index: make(map[string]uint32), gen: 1}
+	return store[V]{cap: capacity, index: make(map[string]uint32)}
 }
 
 // Hold keeps v to serve IWANTs and digests. The first Hold of an ID wins.
@@ -183,7 +183,7 @@ func (s *store[V]) Hold(v V) {
 	if _, ok := s.index[id]; ok {
 		return
 	}
-	slot := storeSlot[V]{v: v}
+	slot := storeSlot[V]{v: v, sum: IDSum(id)}
 	if len(s.slots) < s.cap {
 		s.index[id] = uint32(len(s.slots))
 		s.slots = append(s.slots, slot)
@@ -207,9 +207,12 @@ func (s *store[V]) Get(id []byte) (v V, ok bool) {
 // Len returns the number of held values.
 func (s *store[V]) Len() int { return len(s.slots) }
 
-// Newest returns the k-th newest held value, 0 ≤ k < Len: a digest lists
-// the held IDs newest first.
+// Newest returns the k-th newest held value, 0 ≤ k < Len.
 func (s *store[V]) Newest(k int) V { return s.nth(k).v }
+
+// NewestSum returns the sum of the k-th newest held value's ID, 0 ≤ k < Len:
+// a digest lists the held sums newest first.
+func (s *store[V]) NewestSum(k int) uint64 { return s.nth(k).sum }
 
 // nth returns the k-th newest slot, 0 ≤ k < Len.
 func (s *store[V]) nth(k int) *storeSlot[V] {
@@ -219,25 +222,43 @@ func (s *store[V]) nth(k int) *storeSlot[V] {
 	return &s.slots[(s.head-1-k+n)%n]
 }
 
-// Listed records that a received digest lists id — a view of the message
-// body will do; nothing is kept of it. A binding lists every ID of one
-// digest and then asks Missing, within one critical section of its lock.
-func (s *store[V]) Listed(id []byte) {
-	if i, ok := s.index[string(id)]; ok {
-		s.slots[i].held = s.gen
+// Missing answers a digest that lists sums, newest first: the held values
+// whose ID's sum it does not list, newest first, at most max of them. A
+// truncated digest — its sender holds more than it lists — speaks only for
+// what is newer than its oldest listed sum, so the walk stops at the slot
+// holding that sum; a responder that holds no such slot takes every value as
+// a candidate. Missing sorts sums in place and allocates nothing unless
+// something is missing.
+func (s *store[V]) Missing(sums []uint64, truncated bool, max int) []V {
+	cut := truncated && len(sums) > 0
+	var oldest uint64
+	if cut {
+		oldest = sums[len(sums)-1]
 	}
-}
-
-// Missing answers the digest whose IDs were just Listed: the held values it
-// does not list, newest first, at most max of them. Nothing is allocated
-// unless something is missing.
-func (s *store[V]) Missing(max int) []V {
+	slices.Sort(sums)
 	var out []V
 	for k := 0; k < len(s.slots) && len(out) < max; k++ {
-		if slot := s.nth(k); slot.held != s.gen {
+		slot := s.nth(k)
+		if cut && slot.sum == oldest {
+			break
+		}
+		if _, listed := slices.BinarySearch(sums, slot.sum); !listed {
 			out = append(out, slot.v)
 		}
 	}
-	s.gen++
 	return out
+}
+
+// IDSum is the 64-bit FNV-1a sum of id: what a digest lists for each held
+// value in place of its ID. Two IDs share a sum with probability about
+// 2^-64, so a digest of n sums mistakes one of a responder's m values for a
+// listed one with probability about n·m·2^-64.
+func IDSum[T string | []byte](id T) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for i := 0; i < len(id); i++ {
+		h ^= uint64(id[i])
+		h *= prime
+	}
+	return h
 }

@@ -12,7 +12,11 @@
 // Key types:
 //
 //   - Machine — the one implementation of the protocol: all dissemination
-//     state and every decision, with no lock, no clock and no I/O.
+//     state and every decision, with no lock, no clock and no I/O. Its store
+//     answers a digest from a set of sums (IDSum, the 64-bit FNV-1a of an
+//     ID): Missing returns the held values whose ID's sum is not listed. A
+//     SOAP digest carries the sums; the engine's pull request lists IDs, which
+//     handlePullReq sums as they lie in the body.
 //   - Engine — the Machine bound to a transport.Endpoint, what the simulator
 //     runs (core.Disseminator binds it over SOAP); Publish injects a rumor,
 //     Tick runs an anti-entropy round for the styles that pull.

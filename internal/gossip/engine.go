@@ -395,19 +395,24 @@ func (e *Engine) Tick(ctx context.Context) {
 }
 
 // handlePullReq answers a digest with the rumors the requester is missing,
-// each transfer costing one hop.
+// each transfer costing one hop. The engine's digest lists IDs; their sums,
+// taken as they lie in the body, go to the one Missing the SOAP binding's
+// digests of sums reach too. A digest of up to DefaultPullDigestSize refs
+// sums into scratch on the stack.
 func (e *Engine) handlePullReq(ctx context.Context, msg transport.Message) error {
 	digest, err := readWire(msg.Body, wireRefs)
 	if err != nil {
 		return err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	var scratch [DefaultPullDigestSize]uint64
+	sums := scratch[:0]
 	for digest.n > 0 {
 		ref, _ := digest.ref()
-		e.m.Listed(ref.id)
+		sums = append(sums, IDSum(ref.id))
 	}
-	if missing := e.m.Missing(e.cfg.PullBatchSize); len(missing) > 0 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if missing := e.m.Missing(sums, false, e.cfg.PullBatchSize); len(missing) > 0 {
 		e.serveLocked(ctx, msg.From, ActionPullResp, missing)
 		e.stats.PullResps++
 	}

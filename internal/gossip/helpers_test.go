@@ -25,12 +25,13 @@ func digestOf(t testing.TB, ids ...string) wireReader {
 	return rd
 }
 
-// missingFrom answers a digest from s as handlePullReq does: every listed ID
-// marked, then the walk.
+// missingFrom answers a digest from s as handlePullReq does: the listed IDs'
+// sums, then the walk.
 func missingFrom(s *store[Rumor], digest wireReader, max int) []Rumor {
+	var sums []uint64
 	for digest.n > 0 {
 		ref, _ := digest.ref()
-		s.Listed(ref.id)
+		sums = append(sums, IDSum(ref.id))
 	}
-	return s.Missing(max)
+	return s.Missing(sums, false, max)
 }

@@ -1,10 +1,13 @@
 package gossip
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"wsgossip/internal/transport"
 )
 
 // machineModel is the reference the property test holds a Machine to: an LRU
@@ -50,7 +53,8 @@ func (m *machineModel) hold(id string) {
 //   - nothing is forwarded or announced at hops ≤ 0, and every transfer
 //     costs exactly one hop (counter mongering keeps the budget instead);
 //   - Missing never returns an ID the digest lists, returns the newest first,
-//     and returns at most max;
+//     returns at most max, and of a truncated digest returns only what is
+//     newer than the oldest ID it lists, when that ID is held;
 //   - a request is outstanding at most once until it is admitted or released;
 //   - counter mongering stops after CounterK duplicates.
 func TestMachineProperties(t *testing.T) {
@@ -130,21 +134,25 @@ func TestMachineProperties(t *testing.T) {
 					for k := rng.Intn(alphabet); k > 0; k-- {
 						listed = append(listed, fmt.Sprintf("r%d", rng.Intn(alphabet+3)))
 					}
-					max := rng.Intn(storeCap + 2)
-					for _, l := range listed {
-						m.Listed([]byte(l))
+					max, truncated := rng.Intn(storeCap+2), rng.Intn(3) == 0
+					sums := make([]uint64, len(listed))
+					for i, l := range listed {
+						sums[i] = IDSum(l)
 					}
 					var got, want []string
-					for _, r := range m.Missing(max) {
+					for _, r := range m.Missing(sums, truncated, max) {
 						got = append(got, r.ID)
 					}
 					for i := len(model.stored) - 1; i >= 0 && len(want) < max; i-- {
+						if truncated && len(listed) > 0 && model.stored[i] == listed[len(listed)-1] {
+							break // the truncated digest's oldest listed ID
+						}
 						if !slices.Contains(listed, model.stored[i]) {
 							want = append(want, model.stored[i])
 						}
 					}
 					if !slices.Equal(got, want) {
-						fail("Missing(%d) of %v listing %v = %v, want %v", max, model.stored, listed, got, want)
+						fail("Missing(%d, truncated %v) of %v listing %v = %v, want %v", max, truncated, model.stored, listed, got, want)
 					}
 				}
 				if m.Len() != len(model.stored) {
@@ -208,5 +216,92 @@ func checkDuplicate(t Transfer, model *machineModel, id string, viaPull bool, fa
 	model.counts[id] = count
 	if t.Send != SendPayload || t.Hops(0) != 1 || t.Hops(4) != 4 {
 		fail("duplicate %d of a mongered rumor fed back %+v", count, t)
+	}
+}
+
+// pullTap is an endpoint that keeps every body sent to it and delivers
+// nothing.
+type pullTap struct{ sent []transport.Message }
+
+func (e *pullTap) Addr() string                 { return "responder" }
+func (e *pullTap) SetHandler(transport.Handler) {}
+func (e *pullTap) Send(_ context.Context, msg transport.Message) error {
+	e.sent = append(e.sent, msg)
+	return nil
+}
+
+// TestPullRequestMatchesIDOracle: over random stores, evictions, digests
+// (subsets, unknown IDs, duplicates, the empty digest) and batch sizes, the
+// engine's pull responder — which sums each listed ID and asks the one
+// Missing — serves exactly what an ID-set oracle serves: the stored IDs
+// newest first, minus the digest's, cut at the batch size. The SOAP
+// binding's digests are held to the same oracle in
+// core.TestDigestResponderMatchesAcrossSpellings, and the Machine's own
+// truncation rule in TestMachineProperties.
+func TestPullRequestMatchesIDOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	ctx := context.Background()
+	for trial := 0; trial < 200; trial++ {
+		tap := &pullTap{}
+		storeSize, batch := 1+rng.Intn(40), 1+rng.Intn(50)
+		eng, err := New(Config{
+			Style: StylePull, Fanout: 1, Hops: 3, Endpoint: tap, Peers: NewUniformPeers(nil),
+			StoreSize: storeSize, PullBatchSize: batch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stored []string // oldest first, after eviction
+		for i, n := 0, rng.Intn(80); i < n; i++ {
+			id := fmt.Sprintf("t%d-r%d", trial, i)
+			eng.Inject(ctx, Rumor{ID: id, Origin: "o", Hops: 2})
+			stored = append(stored, id)
+		}
+		stored = stored[max(0, len(stored)-storeSize):]
+		for round := 0; round < 3; round++ {
+			var listed []string
+			p := rng.Float64()
+			for _, id := range stored {
+				if rng.Float64() < p {
+					listed = append(listed, id)
+				}
+			}
+			for k := rng.Intn(3); k > 0; k-- {
+				listed = append(listed, fmt.Sprintf("unknown-%d", rng.Int()))
+			}
+			if len(listed) > 0 && rng.Intn(2) == 0 {
+				listed = append(listed, listed[rng.Intn(len(listed))])
+			}
+			rng.Shuffle(len(listed), func(i, j int) { listed[i], listed[j] = listed[j], listed[i] })
+			var want []string
+			for i := len(stored) - 1; i >= 0 && len(want) < batch; i-- {
+				if !slices.Contains(listed, stored[i]) {
+					want = append(want, stored[i])
+				}
+			}
+			refs := make([]RumorRef, len(listed))
+			for i, id := range listed {
+				refs[i] = RumorRef{ID: id, Hops: 1}
+			}
+			tap.sent = nil
+			if err := eng.handlePullReq(ctx, transport.Message{From: "peer", Body: encodeRefs(refs...)}); err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, msg := range tap.sent {
+				rd, err := readWire(msg.Body, wireRumors)
+				if err != nil || msg.Action != ActionPullResp || msg.To != "peer" {
+					t.Fatalf("sent %s to %s: %v", msg.Action, msg.To, err)
+				}
+				for rd.n > 0 {
+					v, _ := rd.rumor()
+					got = append(got, string(v.id))
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d round %d (store %d of %d, batch %d, %d listed):\n got %q\nwant %q",
+					trial, round, len(stored), storeSize, batch, len(listed), got, want)
+			}
+		}
 	}
 }

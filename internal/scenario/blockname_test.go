@@ -30,8 +30,8 @@ func TestBlockNamesMatchProbe(t *testing.T) {
 		core.ReplicateActivity{Context: cctx},
 		core.Announce{InteractionID: "i", MessageID: "m", Hops: 2, Holder: "mem://a"},
 		core.Fetch{MessageID: "m", Requester: "mem://b"},
-		core.PullRequest{Requester: "mem://b", MessageIDs: []string{"m1", "m2"}, Max: 16},
-		core.Digest{Sender: "mem://a", MessageIDs: []string{"m1"}},
+		core.PullRequest{Requester: "mem://b", Sums: "AAAAAAAAAAA=", Truncated: true, Max: 16},
+		core.Digest{Sender: "mem://a", Sums: "AAAAAAAAAAA="},
 		core.Digest{},
 		cctx,
 		wscoord.CreateCoordinationContext{CoordinationType: core.CoordinationTypeGossip},

@@ -48,6 +48,6 @@
 // FlatReader.Symbol / FlatText.Symbol return the intern table's string for a
 // value whose number the deployment bounds (a peer address, an aggregate
 // function, a protocol name) and a copy of anything else; an identifier
-// minted at run time is read with String. The views are FlatText and
-// FlatList, which die with the delivery.
+// minted at run time is read with String. The views are FlatText, which
+// die with the delivery.
 package soap

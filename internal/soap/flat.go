@@ -17,14 +17,7 @@ import (
 //	<X xmlns="ns">text</X>
 //	<X xmlns="ns"><A>text</A><B>text</B></X>
 //
-// One child may instead be a list: a wrapper holding zero or more text-only
-// items — what encoding/xml makes of a `xml:"L>I"` slice (the repair and pull
-// digests' message IDs); the wrapper is written for the empty list too,
-//
-//	<X xmlns="ns"><A>text</A><L><I>text</I><I>text</I></L></X>
-//	<X xmlns="ns"><A>text</A><L></L></X>
-//
-// And a child may nest: an element without attributes holding further
+// A child may also nest: an element without attributes holding further
 // children of these kinds — what encoding/xml makes of a struct field, or of
 // a `xml:"L>R"` slice of structs (the membership view's entries),
 //
@@ -84,17 +77,6 @@ func AppendFlatText(dst []byte, name, value string) []byte {
 	dst = AppendFlatStart(dst, name)
 	dst = AppendEscaped(dst, value)
 	return AppendFlatClose(dst, name)
-}
-
-// AppendFlatList appends the list child `<wrapper><item>v</item>…</wrapper>`,
-// one item per value; an empty list is the empty wrapper, as xml.Marshal
-// writes it.
-func AppendFlatList(dst []byte, wrapper, item string, values []string) []byte {
-	dst = AppendFlatStart(dst, wrapper)
-	for _, v := range values {
-		dst = AppendFlatText(dst, item, v)
-	}
-	return AppendFlatClose(dst, wrapper)
 }
 
 // AppendFlatInt appends one integer child, `<name>v</name>`.
@@ -240,31 +222,6 @@ func (r *FlatReader) Leave(name string) bool {
 	return false
 }
 
-// List consumes the list child `<wrapper><item>text</item>…</wrapper>` and
-// returns its items in place. The wrapper must be there — the writer emits
-// it for the empty list too — and hold nothing but items: no attributes, no
-// padding or comments between them, nothing nested in one. Otherwise List
-// reports false with nothing consumed, and the caller gives up on the block.
-func (r *FlatReader) List(wrapper, item string) (FlatList, bool) {
-	mark := r.s.pos
-	if r.lit("<") && r.lit(wrapper) && r.lit(">") {
-		l := FlatList{item: item}
-		start := r.s.pos
-		for {
-			if _, ok := r.Text(item); !ok {
-				break
-			}
-			l.n++
-		}
-		l.rest = r.s.data[start:r.s.pos]
-		if r.lit("</") && r.lit(wrapper) && r.lit(">") {
-			return l, true
-		}
-	}
-	r.s.pos = mark
-	return FlatList{}, false
-}
-
 // readFlat consumes the child `<name>text</name>` if parse accepts its text.
 // On false nothing is consumed: an optional child can be probed for, and a
 // malformed one stops the next read.
@@ -375,31 +332,6 @@ func (t FlatText) Symbol() string {
 		return names.symbol(t)
 	}
 	return t.String()
-}
-
-// FlatList is the run of items FlatReader.List validated: like FlatText a
-// view into the block, dying with the delivery's receive buffer. Next walks
-// it front to back; a copy of the value restarts the walk.
-type FlatList struct {
-	rest []byte // `<item>text</item>` repeated, validated by List
-	item string
-	n    int
-}
-
-// Len returns the number of items not yet taken.
-func (l *FlatList) Len() int { return l.n }
-
-// Next returns the next item's character data, and false after the last.
-func (l *FlatList) Next() (FlatText, bool) {
-	if l.n == 0 {
-		return nil, false
-	}
-	// List saw exactly `<item>`, text free of '<', `</item>` here.
-	body := l.rest[len(l.item)+2:]
-	end := bytes.IndexByte(body, '<')
-	l.rest = body[end+len(l.item)+3:]
-	l.n--
-	return body[:end], true
 }
 
 // IsLiteral reports whether the bytes stand for themselves — no entity

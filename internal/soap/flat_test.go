@@ -432,216 +432,6 @@ func TestFlatTextStringNeverAliases(t *testing.T) {
 	}
 }
 
-// flatListDoc is the reference for the list construct: a leading text child,
-// the list (`xml:"L>I"`, whose wrapper encoding/xml writes even when the
-// list is empty) and a trailing integer, the shape of the pull digest.
-type flatListDoc struct {
-	XMLName xml.Name `xml:"urn:flat LDoc"`
-	A       string   `xml:"A"`
-	Items   []string `xml:"L>I"`
-	N       int      `xml:"N"`
-}
-
-func writeFlatListDoc(d flatListDoc) []byte {
-	buf := AppendFlatOpen(nil, "urn:flat", "LDoc")
-	buf = AppendFlatText(buf, "A", d.A)
-	buf = AppendFlatList(buf, "L", "I", d.Items)
-	buf = AppendFlatInt(buf, "N", int64(d.N))
-	return AppendFlatClose(buf, "LDoc")
-}
-
-// readFlatListDoc is a FlatReader client shaped like core's digest readers.
-func readFlatListDoc(raw []byte) (flatListDoc, bool) {
-	d := flatListDoc{XMLName: xml.Name{Space: "urn:flat", Local: "LDoc"}}
-	r, ok := OpenFlat(raw, "urn:flat", "LDoc")
-	if !ok {
-		return d, false
-	}
-	if d.A, ok = r.String("A"); !ok {
-		return d, false
-	}
-	items, ok := r.List("L", "I")
-	if !ok {
-		return d, false
-	}
-	if n := items.Len(); n > 0 {
-		d.Items = make([]string, 0, n)
-	}
-	for it, more := items.Next(); more; it, more = items.Next() {
-		d.Items = append(d.Items, it.String())
-	}
-	if items.Len() != 0 {
-		return d, false
-	}
-	if d.N, ok = r.Int("N"); !ok {
-		return d, false
-	}
-	return d, r.Close("LDoc")
-}
-
-func equalFlatListDoc(a, b flatListDoc) bool {
-	if a.XMLName != b.XMLName || a.A != b.A || a.N != b.N || len(a.Items) != len(b.Items) {
-		return false
-	}
-	for i := range a.Items {
-		if a.Items[i] != b.Items[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestFlatListAgainstEncodingXML: for lists of 0, 1, 128 and 1000 items —
-// plain IDs, and every text of codecTexts as an item — the writer equals
-// xml.Marshal and the reader equals xml.Unmarshal of those bytes.
-func TestFlatListAgainstEncodingXML(t *testing.T) {
-	ids := func(n int) []string {
-		out := make([]string, n)
-		for i := range out {
-			out[i] = "urn:uuid:" + strings.Repeat("0", 28) + string(rune('a'+i%26)) + string(rune('a'+i/26%26)) + string(rune('a'+i/676))
-		}
-		return out
-	}
-	lists := [][]string{nil, {}, ids(1), ids(128), ids(1000), codecTexts, {""}, {"a<b"}, {"", ""}}
-	for _, items := range lists {
-		d := flatListDoc{A: "mem://n1", Items: items, N: len(items)}
-		raw := writeFlatListDoc(d)
-		want, err := xml.Marshal(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(raw, want) {
-			t.Fatalf("writer, %d items:\n got %.300s\nwant %.300s", len(items), raw, want)
-		}
-		if len(items) == 0 && !bytes.Contains(raw, []byte("<L></L>")) {
-			t.Fatalf("empty list without its wrapper: %s", raw)
-		}
-		var ref flatListDoc
-		if err := xml.Unmarshal(raw, &ref); err != nil {
-			t.Fatalf("encoding/xml rejects writer output %.300s: %v", raw, err)
-		}
-		got, ok := readFlatListDoc(raw)
-		if !ok || !equalFlatListDoc(got, ref) {
-			t.Fatalf("reader (accepted=%v), %d items:\n got %.300v\nwant %.300v", ok, len(items), got, ref)
-		}
-	}
-}
-
-// TestFlatListDeclines: the reader accepts the list only as the writer
-// spells it. Every other spelling — most of which encoding/xml reads
-// happily — is declined, and what is accepted decodes as encoding/xml
-// decodes it.
-func TestFlatListDeclines(t *testing.T) {
-	const open, end = `<LDoc xmlns="urn:flat"><A>x</A>`, `<N>3</N></LDoc>`
-	canonical := []string{
-		open + `<L></L>` + end,
-		open + `<L><I>a</I></L>` + end,
-		open + `<L><I></I><I>a&lt;b&#xD;` + "\r\n" + `</I><I> </I></L>` + end,
-	}
-	for _, raw := range canonical {
-		var ref flatListDoc
-		if err := xml.Unmarshal([]byte(raw), &ref); err != nil {
-			t.Fatalf("encoding/xml rejects %s: %v", raw, err)
-		}
-		if got, ok := readFlatListDoc([]byte(raw)); !ok || !equalFlatListDoc(got, ref) {
-			t.Errorf("reader = %+v, %v; encoding/xml = %+v for %s", got, ok, ref, raw)
-		}
-	}
-	declined := map[string]string{
-		"absent wrapper":        open + end, // encoding/xml reads the empty list; the writer never omits it
-		"self-closing wrapper":  open + `<L/>` + end,
-		"wrapper attribute":     open + `<L id="1"><I>a</I></L>` + end,
-		"item attribute":        open + `<L><I id="1">a</I></L>` + end,
-		"space between items":   open + `<L><I>a</I> <I>b</I></L>` + end,
-		"newline before items":  open + "<L>\n<I>a</I></L>" + end,
-		"space after items":     open + `<L><I>a</I> </L>` + end,
-		"comment between items": open + `<L><I>a</I><!-- c --><I>b</I></L>` + end,
-		"comment in item":       open + `<L><I>a<!-- c --></I></L>` + end,
-		"cdata item":            open + `<L><I><![CDATA[a]]></I></L>` + end,
-		"nested in item":        open + `<L><I><X>a</X></I></L>` + end,
-		"self-closing item":     open + `<L><I/></L>` + end,
-		"text in wrapper":       open + `<L>a</L>` + end,
-		"foreign item":          open + `<L><I>a</I><J>b</J></L>` + end,
-		"missing item end tag":  open + `<L><I>a</L>` + end,
-		"missing wrapper end":   open + `<L><I>a</I>` + end,
-		"wrong wrapper end":     open + `<L><I>a</I></M>` + end,
-		"second wrapper":        open + `<L><I>a</I></L><L><I>b</I></L>` + end,
-		"stray sibling after":   open + `<L><I>a</I></L><Z>z</Z>` + end,
-		"stray item after":      open + `<L><I>a</I></L><I>b</I>` + end,
-		"bare item, no wrapper": open + `<I>a</I>` + end,
-		"wrapper before A":      `<LDoc xmlns="urn:flat"><L><I>a</I></L><A>x</A>` + end,
-		"wrapper after N":       open + `<N>3</N><L><I>a</I></L></LDoc>`,
-		"padded item end tag":   open + `<L><I>a</I ></L>` + end,
-		"bad entity in item":    open + `<L><I>&nbsp;</I></L>` + end,
-		"invalid utf8 in item":  open + "<L><I>\xff</I></L>" + end,
-		"truncated in item":     open + `<L><I>a`,
-		"truncated in wrapper":  open + `<L><I>a</I><I`,
-		"trailing bytes":        open + `<L><I>a</I></L>` + end + " ",
-	}
-	for label, raw := range declined {
-		if got, ok := readFlatListDoc([]byte(raw)); ok {
-			t.Errorf("%s: reader accepted %s as %+v", label, raw, got)
-		}
-	}
-}
-
-// TestFlatListConsumesNothingOnDecline: a declined list leaves the reader
-// where it was, so the caller's next read fails on the same bytes rather
-// than resynchronizing somewhere inside them; so does an absent one.
-func TestFlatListConsumesNothingOnDecline(t *testing.T) {
-	raw := []byte(`<LDoc xmlns="urn:flat"><A>x</A><L><I>a</I><!-- c --></L><N>3</N></LDoc>`)
-	r, _ := OpenFlat(raw, "urn:flat", "LDoc")
-	if _, ok := r.String("A"); !ok {
-		t.Fatal("A")
-	}
-	if _, ok := r.List("L", "I"); ok {
-		t.Fatal("list with a comment accepted")
-	}
-	if _, ok := r.Int("N"); ok {
-		t.Fatal("the declined list was consumed: N read")
-	}
-	raw = []byte(`<LDoc xmlns="urn:flat"><A>x</A><N>3</N></LDoc>`)
-	r, _ = OpenFlat(raw, "urn:flat", "LDoc")
-	_, _ = r.String("A")
-	if _, ok := r.List("L", "I"); ok {
-		t.Fatal("absent list accepted")
-	}
-	if n, ok := r.Int("N"); !ok || n != 3 || !r.Close("LDoc") {
-		t.Fatal("the absent list consumed something: N unreadable")
-	}
-}
-
-// TestFlatListItemsNeverAlias: item strings are copies, and a copy of the
-// list value restarts the walk.
-func TestFlatListItemsNeverAlias(t *testing.T) {
-	raw := []byte(`<LDoc xmlns="urn:flat"><A>x</A><L><I>one</I><I>t&amp;wo</I></L><N>3</N></LDoc>`)
-	r, _ := OpenFlat(raw, "urn:flat", "LDoc")
-	_, _ = r.String("A")
-	l, ok := r.List("L", "I")
-	if !ok || l.Len() != 2 {
-		t.Fatalf("list = %d, %v", l.Len(), ok)
-	}
-	again := l
-	first, _ := l.Next()
-	second, _ := l.Next()
-	if _, more := l.Next(); more || l.Len() != 0 {
-		t.Fatal("a third item")
-	}
-	if !first.IsLiteral() || second.IsLiteral() {
-		t.Fatalf("IsLiteral: %v, %v", first.IsLiteral(), second.IsLiteral())
-	}
-	s1, s2 := first.String(), second.String()
-	if f, _ := again.Next(); string(f) != "one" || again.Len() != 1 {
-		t.Fatalf("copied list restarted at %q", f)
-	}
-	for i := range raw {
-		raw[i] = '#'
-	}
-	if s1 != "one" || s2 != "t&wo" {
-		t.Fatalf("strings changed with the buffer: %q, %q", s1, s2)
-	}
-}
-
 // flatRec and flatNestedDoc are the reference for the nested construct: a
 // `xml:"L>R"` slice of structs (the membership view's entries) and a struct
 // field, each child of them text or a number.
