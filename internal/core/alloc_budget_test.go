@@ -152,7 +152,7 @@ func fullDigestResponder(t testing.TB, spell func([]byte) []byte) (*Disseminator
 func heldSumsOf(d *Disseminator) []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	sums, _ := d.heldSumsLocked(nil)
+	sums, _ := d.m.Digest(nil)
 	return sums
 }
 
@@ -205,7 +205,7 @@ func TestDigestOneMissingAllocBudget(t *testing.T) {
 func tickRepairDigest(tb testing.TB, d *Disseminator) {
 	var scratch [8 * digestCap]byte
 	d.mu.Lock()
-	sums, truncated := d.heldSumsLocked(scratch[:0])
+	sums, truncated := d.m.Digest(scratch[:0])
 	d.mu.Unlock()
 	env, err := newMessage(ActionDigest, digestBlock(d.cfg.Address, sums, truncated))
 	if err != nil || len(env.Body.Blocks) != 1 {

@@ -3,11 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/binary"
 	"encoding/xml"
 	"errors"
 	"strconv"
 
+	"wsgossip/internal/gossip"
 	"wsgossip/internal/soap"
 )
 
@@ -254,38 +254,30 @@ type heldSums struct {
 	truncated bool
 }
 
-// Rejections of a <Sums> text are fixed values, like the engine's wire
-// errors: a bad digest costs the responder nothing to refuse.
+// Rejections of a <Sums> text's framing are fixed values, like the sums'
+// own (gossip.ParseSums): a bad digest costs the responder nothing to refuse.
 var (
 	errSumsBase64 = errors.New("Sums is not base64")
-	errSumsLength = errors.New("Sums is not a whole number of 8-byte sums")
-	errSumsCount  = errors.New("Sums lists more than " + strconv.Itoa(digestCap) + " sums")
+	errSumsLong   = errors.New("Sums is longer than " + strconv.Itoa(digestCap) + " sums encode to")
 )
 
 // decodeSums decodes a <Sums> text into scratch: at most digestCap sums, or
 // an error. The text is padded base64 with zero trailing bits, as the writer
 // spells it; the line breaks base64 decoders skip are refused too, so the
-// text's length bounds the count.
+// text's length bounds the bytes it decodes to. gossip.ParseSums reads those.
 func decodeSums(scratch *[digestCap]uint64, text []byte) ([]uint64, error) {
 	if bytes.ContainsAny(text, "\r\n") {
 		return nil, errSumsBase64
 	}
 	if len(text) > base64.StdEncoding.EncodedLen(8*digestCap) {
-		return nil, errSumsCount
+		return nil, errSumsLong
 	}
 	var raw [8*digestCap + 2]byte // room for the 2 bytes past 1,024 that 1,368 characters can hold
 	n, err := base64.StdEncoding.Strict().Decode(raw[:], text)
 	if err != nil {
 		return nil, errSumsBase64
 	}
-	if n%8 != 0 {
-		return nil, errSumsLength
-	}
-	sums := scratch[:n/8]
-	for i := range sums {
-		sums[i] = binary.BigEndian.Uint64(raw[8*i:])
-	}
-	return sums, nil
+	return gossip.ParseSums(scratch, raw[:n])
 }
 
 // scanDigest reads a canonical digest body block in place: a Digest, or with

@@ -2,10 +2,10 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/xml"
 	"slices"
 
+	"wsgossip/internal/gossip"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/wsa"
 )
@@ -22,8 +22,8 @@ import (
 const ActionDigest = Namespace + ":digest"
 
 // digestCap bounds the sums listed per digest and the envelopes retransmitted
-// per exchange.
-const digestCap = 128
+// per exchange: the engine's digests list as many.
+const digestCap = gossip.DigestCap
 
 // Digest advertises the notifications a node holds: Sums is the base64 of
 // their MessageIDs' sums (gossip.IDSum), newest first, as big-endian bytes,
@@ -49,13 +49,13 @@ func (d *Disseminator) TickRepair(ctx context.Context) { d.digestRound(ctx, fals
 func (d *Disseminator) TickPull(ctx context.Context) { d.digestRound(ctx, true) }
 
 // digestRound sends one round of the repair or (pull) the WS-PullGossip
-// exchange: a digest of the newest held sums, one logical message serialized
-// once and rendered per target. The sums are written straight into the body
-// from scratch on the stack.
+// exchange: the machine's digest of the newest held sums, one logical
+// message serialized once and rendered per target. The sums are written
+// straight into the body from scratch on the stack.
 func (d *Disseminator) digestRound(ctx context.Context, pull bool) {
 	var scratch [8 * digestCap]byte
 	d.mu.Lock()
-	sums, truncated := d.heldSumsLocked(scratch[:0])
+	sums, truncated := d.m.Digest(scratch[:0])
 	targets := d.roundTargetsLocked(pull)
 	d.mu.Unlock()
 	if len(targets) == 0 {
@@ -108,17 +108,6 @@ func (d *Disseminator) roundTargetsLocked(pullOnly bool) []string {
 	}
 	slices.Sort(targets)
 	return slices.Compact(targets)
-}
-
-// heldSumsLocked appends to dst the sums of up to digestCap held
-// notifications, newest first, as big-endian bytes, and reports whether the
-// store holds more than that.
-func (d *Disseminator) heldSumsLocked(dst []byte) (sums []byte, truncated bool) {
-	n := d.m.Len()
-	for k := range min(n, digestCap) {
-		dst = binary.BigEndian.AppendUint64(dst, d.m.NewestSum(k))
-	}
-	return dst, n > digestCap
 }
 
 // handleDigest answers an anti-entropy Digest.

@@ -26,10 +26,12 @@
 // Disseminator decodes, registers on first contact, queues deferred
 // announcements, draws targets, encodes and sends. Anti-entropy repair and
 // WS-PullGossip are one digest exchange (digest.go): one round, one responder.
-// A digest names each held notification by the 64-bit sum of its MessageID
-// (gossip.IDSum), base64 in one <Sums> element, and says when its sender
-// holds more than the digestCap it lists; the responder then serves only what
-// is newer than the oldest sum listed (DESIGN.md, "Digests of sums").
+// A digest is the machine's (store.Digest): the 64-bit sums of the newest
+// held MessageIDs (gossip.IDSum), at most gossip.DigestCap, and whether its
+// sender holds more. Core adds only the framing — base64 in one <Sums>
+// element, <Truncated> after it — and reads the sums back through
+// gossip.ParseSums; the responder then serves only what is newer than the
+// oldest sum listed (DESIGN.md, "Digests of sums").
 //
 // Key types beyond the roles:
 //

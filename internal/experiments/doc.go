@@ -8,7 +8,8 @@
 // (the printable result shape). The experiments pin the reproduction to the
 // paper's claims: scalability (E1), coverage vs fanout (E2), resilience vs
 // the WS-Notification baseline (E3), throughput under perturbation vs
-// Bimodal Multicast (E4), load balance (E5), parameter tables vs the
+// Bimodal Multicast (E4, pbcast run as a gossip.Engine configuration against
+// an ACK-based multicast, ackmc.go), load balance (E5), parameter tables vs the
 // analytic model (E6), middleware overhead (E7), distributed coordinators
 // (E8), churn (E9), aggregation (E10), and receiver-bound fan-in (E11).
 // All runs are seeded and deterministic.

@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"time"
 
-	"wsgossip/internal/bimodal"
+	"wsgossip/internal/faults"
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/simnet"
 	"wsgossip/internal/transport"
@@ -17,7 +17,9 @@ import (
 // source of its "stable high throughput" motivation): as a growing fraction
 // of receivers is perturbed (slow, lossy processes), pbcast's healthy-node
 // throughput stays flat while the ACK-based reliable multicast collapses,
-// because its sender waits for the slowest receiver on every message.
+// because its sender waits for the slowest receiver on every message. pbcast
+// is gossip.Engine configured as pbcastGroup; perturbation is a link-loss
+// rule into the perturbed members plus a processing slowdown.
 func E4Throughput(opt Options) ([]Table, error) {
 	n := opt.pick(128, 32)
 	messages := opt.pick(150, 40)
@@ -38,10 +40,7 @@ func E4Throughput(opt Options) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ackTput, err := ackmcRun(n, perturbed, messages, perturbSlow, opt.Seed+int64(pct)+7000)
-		if err != nil {
-			return nil, err
-		}
+		ackTput := ackmcRun(n, perturbed, messages, perturbSlow, opt.Seed+int64(pct)+7000)
 		t.AddRow(i2s(pct)+"%", f2(healthyTput), f3(perturbedDelivery), f2(ackTput))
 	}
 	t.Notes = "pbcast healthy throughput stays ~flat (the sender never waits) and perturbed nodes still recover " +
@@ -50,44 +49,77 @@ func E4Throughput(opt Options) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-// pbcastRun returns healthy-node throughput (unique deliveries per virtual
-// second at healthy nodes) and the mean delivery fraction at perturbed nodes
-// after repair rounds.
-func pbcastRun(n, perturbed, messages int, sendEvery, slow time.Duration, drop float64, seed int64) (float64, float64, error) {
-	net := simnet.New(simnet.DefaultConfig(seed))
+// pbcastGroup is Bimodal Multicast (pbcast) as a configuration of
+// gossip.Engine: n members on net, p0000 the publisher. Phase 1, the
+// unreliable multicast, is the publisher flooding with one hop: one copy to
+// every member, which nobody forwards. Phase 2, anti-entropy, is every other
+// member pulling: it delivers a push without forwarding it, and each Tick
+// sends the digest of its newest held sums to two random members, which serve
+// what it lacks.
+func pbcastGroup(net *simnet.Network, n int, seed int64) ([]*gossip.Engine, error) {
 	addrs := make([]string, n)
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("p%04d", i)
 	}
 	peers := gossip.NewStaticPeers(addrs)
-	nodes := make([]*bimodal.Node, n)
-	for i := range addrs {
-		dropRate := 0.0
-		if i >= n-perturbed && i != 0 {
-			dropRate = drop
-			net.SetSlowdown(addrs[i], slow)
-		}
-		node, err := bimodal.NewNode(bimodal.NodeConfig{
-			Endpoint: net.Node(addrs[i]),
-			Peers:    peers,
+	members := make([]*gossip.Engine, n)
+	for i, addr := range addrs {
+		cfg := gossip.Config{
+			Style:    gossip.StylePull,
 			Fanout:   2,
+			Endpoint: net.Node(addr),
+			Peers:    peers,
 			RNG:      rand.New(rand.NewSource(seed + int64(i))),
-			DropRate: dropRate,
-		})
+		}
+		if i == 0 {
+			cfg.Style, cfg.Hops = gossip.StyleFlood, 1
+		}
+		eng, err := gossip.New(cfg)
 		if err != nil {
-			return 0, 0, err
+			return nil, err
 		}
 		mux := transport.NewMux()
-		node.Register(mux)
-		mux.Bind(net.Node(addrs[i]))
-		nodes[i] = node
+		eng.Register(mux)
+		mux.Bind(net.Node(addr))
+		members[i] = eng
 	}
+	return members, nil
+}
+
+// perturb makes members perturbed processes: each message into one is lost
+// with probability loss (its buffers overflow while it sleeps), and each is
+// delayed by slow. With no members it installs nothing: a rule naming no
+// destination would match every one.
+func perturb(net *simnet.Network, members []*gossip.Engine, loss float64, slow time.Duration) {
+	if len(members) == 0 {
+		return
+	}
+	addrs := make([]string, len(members))
+	for i, m := range members {
+		addrs[i] = m.Addr()
+		net.SetSlowdown(addrs[i], slow)
+	}
+	table := faults.NewTable()
+	table.LinkLoss("perturbed", nil, addrs, loss)
+	net.SetFaults(table)
+}
+
+// pbcastRun returns healthy-node throughput (unique deliveries per virtual
+// second at healthy nodes) and the mean delivery fraction at perturbed nodes
+// after repair rounds.
+func pbcastRun(n, perturbed, messages int, sendEvery, slow time.Duration, drop float64, seed int64) (float64, float64, error) {
+	net := simnet.New(simnet.DefaultConfig(seed))
+	nodes, err := pbcastGroup(net, n, seed)
+	if err != nil {
+		return 0, 0, err
+	}
+	perturb(net, nodes[n-perturbed:], drop, slow)
 	ctx := context.Background()
 	// Sender publishes at a fixed rate; all nodes gossip-repair every 10ms.
 	for m := 0; m < messages; m++ {
 		at := time.Duration(m) * sendEvery
 		net.AfterFunc(at, func() {
-			_, _ = nodes[0].Multicast(ctx, []byte("m"))
+			_, _ = nodes[0].Publish(ctx, []byte("m"))
 		})
 	}
 	span := time.Duration(messages) * sendEvery
@@ -105,7 +137,7 @@ func pbcastRun(n, perturbed, messages int, sendEvery, slow time.Duration, drop f
 	var perturbedSum float64
 	perturbedCount := 0
 	for i := 1; i < n; i++ {
-		frac := float64(nodes[i].DeliveredFrom(addrs[0]))
+		frac := float64(nodes[i].Stats().Delivered)
 		if i >= n-perturbed {
 			perturbedSum += frac / float64(messages)
 			perturbedCount++
@@ -126,40 +158,30 @@ func pbcastRun(n, perturbed, messages int, sendEvery, slow time.Duration, drop f
 }
 
 // ackmcRun returns the ACK-based sender's completed-message throughput.
-func ackmcRun(n, perturbed, messages int, slow time.Duration, seed int64) (float64, error) {
+func ackmcRun(n, perturbed, messages int, slow time.Duration, seed int64) float64 {
 	net := simnet.New(simnet.DefaultConfig(seed))
 	members := make([]string, 0, n-1)
 	for i := 1; i < n; i++ {
 		members = append(members, fmt.Sprintf("r%04d", i))
 	}
-	sender := bimodal.NewAckSender(net.Node("s"), members)
-	smux := transport.NewMux()
-	sender.Register(smux)
-	smux.Bind(net.Node("s"))
+	sender := newAckSender(net.Node("s"), members)
 	for i, m := range members {
-		r := bimodal.NewAckReceiver(net.Node(m))
-		mux := transport.NewMux()
-		r.Register(mux)
-		mux.Bind(net.Node(m))
+		bindAckMember(net.Node(m))
 		if i >= len(members)-perturbed {
 			net.SetSlowdown(m, slow)
 		}
 	}
 	ctx := context.Background()
-	sent := 1
-	sender.SetOnComplete(func(uint64) {
-		if sent < messages {
-			sent++
-			_, _ = sender.Multicast(ctx, []byte("m"))
+	sender.onDone = func() {
+		if sender.seq < uint64(messages) {
+			sender.multicast(ctx)
 		}
-	})
-	if _, err := sender.Multicast(ctx, []byte("m")); err != nil {
-		return 0, err
 	}
+	sender.multicast(ctx)
 	net.Run()
 	elapsed := float64(net.Now()) / float64(time.Second)
 	if elapsed == 0 {
-		return 0, nil
+		return 0
 	}
-	return float64(sender.Completed()) / elapsed, nil
+	return float64(sender.completed) / elapsed
 }

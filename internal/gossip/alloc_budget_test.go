@@ -131,23 +131,18 @@ func TestFirstReceiptForwardAllocBudget(t *testing.T) {
 }
 
 // fullPullRequest is a push bench whose store is full, and a pull request
-// whose digest lists everything it stores.
+// whose digest lists everything it stores, as its own Tick writes it.
 func fullPullRequest(tb testing.TB) (*pushBench, transport.Message) {
 	pb := newPushBench(tb, StylePush, 64)
 	for range pb.bodies {
 		pb.receive(tb)
 	}
-	refs := make([]RumorRef, pb.eng.m.Len())
-	for k := range refs {
-		refs[k] = RumorRef{ID: pb.eng.m.Newest(k).ID, Hops: 1}
-	}
-	return pb, transport.Message{From: "n0000001", Body: encodeRefs(refs...)}
+	return pb, transport.Message{From: "n0000001", Body: encodePull(pb.eng.m.Digest(nil))}
 }
 
 // TestPullRequestNothingMissingAllocBudget: a pull request whose digest lists
-// everything the responder stores — the round with nothing to say — sums the
-// IDs as they lie in the body into scratch on the stack: no set of strings,
-// no response.
+// everything the responder stores — the round with nothing to say — reads
+// the sums into scratch on the stack: no set, no response.
 func TestPullRequestNothingMissingAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	pb, digest := fullPullRequest(t)

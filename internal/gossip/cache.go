@@ -1,6 +1,11 @@
 package gossip
 
-import "slices"
+import (
+	"encoding/binary"
+	"errors"
+	"slices"
+	"strconv"
+)
 
 // The Machine's two bounded collections. Neither keeps a per-entry heap cell:
 // at simulation scales (10^5-10^6 engines, each with a seen cache and a
@@ -207,19 +212,50 @@ func (s *store[V]) Get(id []byte) (v V, ok bool) {
 // Len returns the number of held values.
 func (s *store[V]) Len() int { return len(s.slots) }
 
-// Newest returns the k-th newest held value, 0 ≤ k < Len.
-func (s *store[V]) Newest(k int) V { return s.nth(k).v }
-
-// NewestSum returns the sum of the k-th newest held value's ID, 0 ≤ k < Len:
-// a digest lists the held sums newest first.
-func (s *store[V]) NewestSum(k int) uint64 { return s.nth(k).sum }
-
 // nth returns the k-th newest slot, 0 ≤ k < Len.
 func (s *store[V]) nth(k int) *storeSlot[V] {
 	// head is 0 until the ring is full, so the newest entry is the slot
 	// before head either way.
 	n := len(s.slots)
 	return &s.slots[(s.head-1-k+n)%n]
+}
+
+// DigestCap bounds the sums a digest lists: a node holding more lists its
+// newest DigestCap and says the digest is truncated.
+const DigestCap = 128
+
+// Digest appends to dst what a digest lists — the sums of the newest held
+// values, at most DigestCap, newest first, as big-endian bytes — and reports
+// whether the store holds more than that.
+func (s *store[V]) Digest(dst []byte) (sums []byte, truncated bool) {
+	n := len(s.slots)
+	for k := range min(n, DigestCap) {
+		dst = binary.BigEndian.AppendUint64(dst, s.nth(k).sum)
+	}
+	return dst, n > DigestCap
+}
+
+// Rejections of a digest's sums are fixed values: a bad digest costs the
+// responder nothing to refuse.
+var (
+	errSumsLength = errors.New("digest is not a whole number of 8-byte sums")
+	errSumsCount  = errors.New("digest lists more than " + strconv.Itoa(DigestCap) + " sums")
+)
+
+// ParseSums reads raw, the big-endian sums a digest lists, into scratch: at
+// most DigestCap of them, or an error.
+func ParseSums(scratch *[DigestCap]uint64, raw []byte) ([]uint64, error) {
+	if len(raw)%8 != 0 {
+		return nil, errSumsLength
+	}
+	if len(raw)/8 > DigestCap {
+		return nil, errSumsCount
+	}
+	sums := scratch[:len(raw)/8]
+	for i := range sums {
+		sums[i] = binary.BigEndian.Uint64(raw[8*i:])
+	}
+	return sums, nil
 }
 
 // Missing answers a digest that lists sums, newest first: the held values

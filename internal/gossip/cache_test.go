@@ -113,7 +113,7 @@ func TestRumorStoreRecentRefs(t *testing.T) {
 		t.Fatalf("len = %d", len(s.slots))
 	}
 	for k := 0; k < 5; k++ {
-		if got, want := s.Newest(k).ID, fmt.Sprintf("r%d", 4-k); got != want {
+		if got, want := s.nth(k).v.ID, fmt.Sprintf("r%d", 4-k); got != want {
 			t.Fatalf("newest %d = %s, want %s", k, got, want)
 		}
 	}
@@ -124,11 +124,11 @@ func TestRumorStoreMissingFrom(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Hold(Rumor{ID: fmt.Sprintf("r%d", i)})
 	}
-	missing := missingFrom(&s, digestOf(t, "r1", "r3", "r1", "unknown"), 10)
+	missing := s.Missing(sumsOf("r1", "r3", "r1", "unknown"), false, 10)
 	if len(missing) != 2 || missing[0].ID != "r2" || missing[1].ID != "r0" {
 		t.Fatalf("missing = %v, want r2 r0", missing)
 	}
-	capped := missingFrom(&s, digestOf(t), 1)
+	capped := s.Missing(nil, false, 1)
 	if len(capped) != 1 || capped[0].ID != "r3" {
 		t.Fatalf("capped = %v, want r3", capped)
 	}

@@ -13,13 +13,19 @@
 //
 //   - Machine — the one implementation of the protocol: all dissemination
 //     state and every decision, with no lock, no clock and no I/O. Its store
-//     answers a digest from a set of sums (IDSum, the 64-bit FNV-1a of an
-//     ID): Missing returns the held values whose ID's sum is not listed. A
-//     SOAP digest carries the sums; the engine's pull request lists IDs, which
-//     handlePullReq sums as they lie in the body.
+//     writes the one digest both bindings send (Digest: the sums — IDSum,
+//     the 64-bit FNV-1a of an ID — of the newest DigestCap held values, and
+//     whether it holds more) and answers one: Missing returns the held
+//     values whose ID's sum is not listed, and for a truncated digest only
+//     those newer than its oldest listed sum. ParseSums reads a digest's
+//     sums back. The engine's pull request carries them raw, a SOAP digest
+//     in base64.
 //   - Engine — the Machine bound to a transport.Endpoint, what the simulator
 //     runs (core.Disseminator binds it over SOAP); Publish injects a rumor,
 //     Tick runs an anti-entropy round for the styles that pull.
+//   - Bimodal Multicast (pbcast) is a configuration, not a type: a
+//     StyleFlood publisher with Hops 1 and StylePull receivers
+//     (experiments.pbcastGroup, E4).
 //   - PeerProvider — the peer source abstraction (StaticPeers for fixed
 //     sets, membership.Service for live views); SamplePeers is the shared
 //     uniform-without-replacement sampler every layer draws through.
@@ -28,9 +34,10 @@
 //
 // The wire form (wire.go) is one length-prefixed binary codec — a kind byte
 // (rumors | refs), a uvarint count, then per rumor len‖id, len‖origin,
-// uvarint hops, len‖payload and per ref len‖id, uvarint hops — encoded into
-// one exactly-sized buffer. There is no second format and no fallback: the
-// body of a transport.Message is opaque to everything but the engine.
+// uvarint hops, len‖payload and per ref len‖id, uvarint hops; a pull request
+// is the kind byte, a truncated byte and len‖sums — encoded into one
+// exactly-sized buffer. There is no second format and no fallback: the body
+// of a transport.Message is opaque to everything but the engine.
 //
 // The view-reader contract. Handlers do not decode a body into a struct; they
 // walk it with a reader whose fields alias msg.Body. The whole body is

@@ -12,11 +12,12 @@ import (
 
 // Default engine sizing.
 const (
-	DefaultSeenCacheSize  = 1 << 16
-	DefaultStoreSize      = 1 << 12
-	DefaultPullDigestSize = 128
-	DefaultPullBatchSize  = 64
+	DefaultSeenCacheSize = 1 << 16
+	DefaultStoreSize     = 1 << 12
 )
+
+// pullBatch bounds the rumors one pull response serves.
+const pullBatch = 64
 
 // Config configures an Engine.
 type Config struct {
@@ -41,10 +42,6 @@ type Config struct {
 	// StoreSize bounds the rumor bodies retained for lazy-push and pull
 	// repair (0 = default).
 	StoreSize int
-	// PullDigestSize bounds the IDs advertised per pull request (0 = default).
-	PullDigestSize int
-	// PullBatchSize bounds the rumors returned per pull response (0 = default).
-	PullBatchSize int
 	// CounterK is the quiescence threshold for StyleCounter: a node stops
 	// re-forwarding a rumor after hearing it this many times beyond the
 	// first (0 = 2).
@@ -109,12 +106,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.StoreSize <= 0 {
 		cfg.StoreSize = DefaultStoreSize
-	}
-	if cfg.PullDigestSize <= 0 {
-		cfg.PullDigestSize = DefaultPullDigestSize
-	}
-	if cfg.PullBatchSize <= 0 {
-		cfg.PullBatchSize = DefaultPullBatchSize
 	}
 	if cfg.CounterK <= 0 {
 		cfg.CounterK = 2
@@ -276,10 +267,10 @@ func (e *Engine) sendOneLocked(ctx context.Context, to, action string, body []by
 	return err
 }
 
-// The five handlers read msg.Body through a wireReader (wire.go states the
-// ownership rule). readWire validates the whole body before the first state
-// change, so a malformed tail never leaves a half-applied message, and a body
-// of the other kind is rejected like any junk.
+// The handlers read msg.Body through a wireReader (wire.go states the
+// ownership rule), a pull request through readPull. Either validates the whole
+// body before the first state change, so a malformed tail never leaves a
+// half-applied message, and a body of another kind is rejected like any junk.
 
 // handlePush processes an inbound payload message.
 func (e *Engine) handlePush(ctx context.Context, msg transport.Message) error {
@@ -369,8 +360,9 @@ func (e *Engine) serveLocked(ctx context.Context, to, action string, rs []Rumor)
 }
 
 // Tick runs one periodic round. For the styles that pull it starts an
-// anti-entropy exchange with f random peers, listing the newest held rumors;
-// for other styles it is a no-op, letting callers drive every engine
+// anti-entropy exchange with f random peers, sending the digest a SOAP node
+// sends: the sums of the newest held rumors, written from scratch on the
+// stack. For other styles it is a no-op, letting callers drive every engine
 // uniformly.
 func (e *Engine) Tick(ctx context.Context) {
 	if !e.cfg.Style.Pulls() {
@@ -382,12 +374,8 @@ func (e *Engine) Tick(ctx context.Context) {
 	if len(peers) == 0 {
 		return
 	}
-	refs := make([]RumorRef, min(e.cfg.PullDigestSize, e.m.Len()))
-	for k := range refs {
-		r := e.m.Newest(k)
-		refs[k] = RumorRef{ID: r.ID, Hops: r.Hops}
-	}
-	body := encodeRefs(refs...)
+	var scratch [8 * DigestCap]byte
+	body := encodePull(e.m.Digest(scratch[:0]))
 	for _, p := range peers {
 		e.sendOneLocked(ctx, p, ActionPullReq, body)
 		e.stats.PullReqs++
@@ -395,24 +383,18 @@ func (e *Engine) Tick(ctx context.Context) {
 }
 
 // handlePullReq answers a digest with the rumors the requester is missing,
-// each transfer costing one hop. The engine's digest lists IDs; their sums,
-// taken as they lie in the body, go to the one Missing the SOAP binding's
-// digests of sums reach too. A digest of up to DefaultPullDigestSize refs
-// sums into scratch on the stack.
+// at most pullBatch, each transfer costing one hop. The sums are read into
+// scratch on the stack and go, with the truncated flag, to the one Missing
+// the SOAP binding's digests reach too.
 func (e *Engine) handlePullReq(ctx context.Context, msg transport.Message) error {
-	digest, err := readWire(msg.Body, wireRefs)
+	var scratch [DigestCap]uint64
+	sums, truncated, err := readPull(&scratch, msg.Body)
 	if err != nil {
 		return err
 	}
-	var scratch [DefaultPullDigestSize]uint64
-	sums := scratch[:0]
-	for digest.n > 0 {
-		ref, _ := digest.ref()
-		sums = append(sums, IDSum(ref.id))
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if missing := e.m.Missing(sums, false, e.cfg.PullBatchSize); len(missing) > 0 {
+	if missing := e.m.Missing(sums, truncated, pullBatch); len(missing) > 0 {
 		e.serveLocked(ctx, msg.From, ActionPullResp, missing)
 		e.stats.PullResps++
 	}

@@ -498,9 +498,6 @@ func TestEngineDefaultsApplied(t *testing.T) {
 	if eng.cfg.StoreSize != DefaultStoreSize {
 		t.Fatalf("store default = %d", eng.cfg.StoreSize)
 	}
-	if eng.cfg.PullDigestSize != DefaultPullDigestSize || eng.cfg.PullBatchSize != DefaultPullBatchSize {
-		t.Fatal("pull sizing defaults not applied")
-	}
 }
 
 func TestEngineUnderWallClockTransportSmoke(t *testing.T) {

@@ -12,7 +12,7 @@ package gossip
 // has. V is what a store slot holds: the engine's Rumor, or a SOAP node's
 // retained envelope clone.
 type Machine[V Held] struct {
-	store[V]  // Hold, Get, Len, Newest, NewestSum, Missing
+	store[V]  // Hold, Get, Len, Digest, Missing
 	seen      seenCache
 	requested map[string]struct{} // outstanding IWANTs
 	counters  map[string]int      // StyleCounter: duplicates heard per rumor still mongered

@@ -230,11 +230,12 @@ func (e *pullTap) Send(_ context.Context, msg transport.Message) error {
 	return nil
 }
 
-// TestPullRequestMatchesIDOracle: over random stores, evictions, digests
-// (subsets, unknown IDs, duplicates, the empty digest) and batch sizes, the
-// engine's pull responder — which sums each listed ID and asks the one
+// TestPullRequestMatchesIDOracle: over random stores, evictions and digests
+// (subsets, unknown IDs, duplicates, the empty digest, truncated or not), the
+// engine's pull responder — which reads the listed sums and asks the one
 // Missing — serves exactly what an ID-set oracle serves: the stored IDs
-// newest first, minus the digest's, cut at the batch size. The SOAP
+// newest first, minus the digest's, cut at pullBatch and, for a truncated
+// digest, at its last listed ID. The SOAP
 // binding's digests are held to the same oracle in
 // core.TestDigestResponderMatchesAcrossSpellings, and the Machine's own
 // truncation rule in TestMachineProperties.
@@ -243,16 +244,16 @@ func TestPullRequestMatchesIDOracle(t *testing.T) {
 	ctx := context.Background()
 	for trial := 0; trial < 200; trial++ {
 		tap := &pullTap{}
-		storeSize, batch := 1+rng.Intn(40), 1+rng.Intn(50)
+		storeSize := 1 + rng.Intn(100)
 		eng, err := New(Config{
 			Style: StylePull, Fanout: 1, Hops: 3, Endpoint: tap, Peers: NewUniformPeers(nil),
-			StoreSize: storeSize, PullBatchSize: batch,
+			StoreSize: storeSize,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var stored []string // oldest first, after eviction
-		for i, n := 0, rng.Intn(80); i < n; i++ {
+		for i, n := 0, rng.Intn(160); i < n; i++ {
 			id := fmt.Sprintf("t%d-r%d", trial, i)
 			eng.Inject(ctx, Rumor{ID: id, Origin: "o", Hops: 2})
 			stored = append(stored, id)
@@ -273,18 +274,18 @@ func TestPullRequestMatchesIDOracle(t *testing.T) {
 				listed = append(listed, listed[rng.Intn(len(listed))])
 			}
 			rng.Shuffle(len(listed), func(i, j int) { listed[i], listed[j] = listed[j], listed[i] })
+			truncated := rng.Intn(2) == 0
 			var want []string
-			for i := len(stored) - 1; i >= 0 && len(want) < batch; i-- {
+			for i := len(stored) - 1; i >= 0 && len(want) < pullBatch; i-- {
+				if truncated && len(listed) > 0 && stored[i] == listed[len(listed)-1] {
+					break
+				}
 				if !slices.Contains(listed, stored[i]) {
 					want = append(want, stored[i])
 				}
 			}
-			refs := make([]RumorRef, len(listed))
-			for i, id := range listed {
-				refs[i] = RumorRef{ID: id, Hops: 1}
-			}
 			tap.sent = nil
-			if err := eng.handlePullReq(ctx, transport.Message{From: "peer", Body: encodeRefs(refs...)}); err != nil {
+			if err := eng.handlePullReq(ctx, transport.Message{From: "peer", Body: pullBody(truncated, listed...)}); err != nil {
 				t.Fatal(err)
 			}
 			var got []string
@@ -299,9 +300,41 @@ func TestPullRequestMatchesIDOracle(t *testing.T) {
 				}
 			}
 			if !slices.Equal(got, want) {
-				t.Fatalf("trial %d round %d (store %d of %d, batch %d, %d listed):\n got %q\nwant %q",
-					trial, round, len(stored), storeSize, batch, len(listed), got, want)
+				t.Fatalf("trial %d round %d (store %d of %d, %d listed, truncated %v):\n got %q\nwant %q",
+					trial, round, len(stored), storeSize, len(listed), truncated, got, want)
 			}
 		}
+	}
+}
+
+// TestEnginePullTruncatedDigestEndsTheStorm: two pull engines hold the same
+// 300 rumors in the default store. The requester's digest lists its newest
+// DigestCap and says it holds more, so the responder serves only what is
+// newer than the oldest listed rumor: one pull round retransmits nothing,
+// where an untruncated reading would serve pullBatch rumors the requester
+// already holds. A rumor the requester lacks, newer than its oldest listed
+// one, is still served.
+func TestEnginePullTruncatedDigestEndsTheStorm(t *testing.T) {
+	c := newCluster(t, 2, 38, func(_ int, cfg *Config) {
+		cfg.Style = StylePull
+		cfg.Fanout = 1
+	})
+	requester, responder := c.engines[0], c.engines[1]
+	ctx := context.Background()
+	for i := 0; i < 300; i++ {
+		r := Rumor{ID: fmt.Sprintf("r%03d", i), Origin: "o", Hops: 1}
+		requester.Inject(ctx, r)
+		responder.Inject(ctx, r)
+	}
+	requester.Tick(ctx)
+	c.net.Run()
+	if st := responder.Stats(); st.PullResps != 0 || requester.Stats().Duplicates != 0 {
+		t.Fatalf("a pull round between equal stores retransmitted: responder %+v, requester %+v", st, requester.Stats())
+	}
+	responder.Inject(ctx, Rumor{ID: "fresh", Origin: "o", Hops: 1})
+	requester.Tick(ctx)
+	c.net.Run()
+	if c.got[0]["fresh"] != 1 || requester.Stats().Duplicates != 0 || responder.Stats().PullResps != 1 {
+		t.Fatalf("fresh delivered %d times, requester %+v, responder %+v", c.got[0]["fresh"], requester.Stats(), responder.Stats())
 	}
 }

@@ -136,7 +136,7 @@ func TestStoreRingWrap(t *testing.T) {
 		t.Fatalf("slots %d, index %d, want %d", len(s.slots), len(s.index), capacity)
 	}
 	for k := 0; k < 5; k++ {
-		if got, want := s.Newest(k).ID, fmt.Sprintf("r%d", 4999-k); got != want {
+		if got, want := s.nth(k).v.ID, fmt.Sprintf("r%d", 4999-k); got != want {
 			t.Fatalf("newest %d = %s, want %s", k, got, want)
 		}
 	}
@@ -146,7 +146,7 @@ func TestStoreRingWrap(t *testing.T) {
 	if _, ok := s.Get([]byte("r4999")); !ok {
 		t.Fatal("newest rumor missing")
 	}
-	missing := missingFrom(&s, digestOf(t, "r4999", "r4998"), 3)
+	missing := s.Missing(sumsOf("r4999", "r4998"), false, 3)
 	if len(missing) != 3 || missing[0].ID != "r4997" || missing[1].ID != "r4996" || missing[2].ID != "r4995" {
 		t.Fatalf("missing = %v", missing)
 	}

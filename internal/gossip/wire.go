@@ -14,16 +14,20 @@ import (
 //	body  = kind uvarint(count) entry*
 //	rumor = field(id) field(origin) uvarint(hops) field(payload)   kind = wireRumors
 //	ref   = field(id) uvarint(hops)                                kind = wireRefs
+//	pull  = kind truncated field(sums)                             kind = wirePull
 //	field = uvarint(len) byte*len
 //
-// Push and pull-response bodies carry rumors; IHAVE, IWANT and pull-request
-// digests carry refs. Uvarints are minimal (a decoder accepts exactly the
-// bytes an encoder writes), a negative hop budget travels as 0 (every hop test
-// in the engine is "> 0"), and a count or length larger than the bytes that
-// remain is rejected before anything is built from it.
+// Push and pull-response bodies carry rumors; IHAVE and IWANT bodies carry
+// refs. A pull request is the digest a SOAP node sends too: the sums of the
+// newest held IDs, 8 big-endian bytes each (store.Digest), at most DigestCap
+// of them, and a truncated byte, 0 or 1. Uvarints are minimal (a decoder
+// accepts exactly the bytes an encoder writes), a negative hop budget travels
+// as 0 (every hop test in the engine is "> 0"), and a count or length larger
+// than the bytes that remain is rejected before anything is built from it.
 const (
 	wireRumors byte = 1
 	wireRefs   byte = 2
+	wirePull   byte = 3
 )
 
 // maxWireHops bounds a decoded hop budget so it fits an int everywhere.
@@ -78,6 +82,41 @@ func encodeRefs(refs ...RumorRef) []byte {
 		b = binary.AppendUvarint(b, wireHops(refs[i].Hops))
 	}
 	return b
+}
+
+// encodePull renders a pull request listing sums, a digest's big-endian
+// bytes.
+func encodePull(sums []byte, truncated bool) []byte {
+	b := make([]byte, 0, 2+fieldLen(len(sums)))
+	b = append(b, wirePull, 0)
+	if truncated {
+		b[1] = 1
+	}
+	b = binary.AppendUvarint(b, uint64(len(sums)))
+	return append(b, sums...)
+}
+
+// readPull validates a pull request whole and reads its sums into scratch.
+func readPull(scratch *[DigestCap]uint64, body []byte) (sums []uint64, truncated bool, err error) {
+	if len(body) == 0 {
+		return nil, false, errWireEmpty
+	}
+	if body[0] != wirePull {
+		return nil, false, errWireKind
+	}
+	if len(body) < 2 || body[1] > 1 {
+		return nil, false, errWireFlag
+	}
+	rd := wireReader{rest: body[2:]}
+	raw, ok := rd.field()
+	if !ok {
+		return nil, false, errWireEntry
+	}
+	if len(rd.rest) != 0 {
+		return nil, false, errWireTrailing
+	}
+	sums, err = ParseSums(scratch, raw)
+	return sums, body[1] == 1, err
 }
 
 // The view reader. Handlers never decode a body into a struct: they walk it
@@ -161,6 +200,7 @@ var (
 	errWireCount    = errors.New("gossip: decode wire message: bad entry count")
 	errWireEntry    = errors.New("gossip: decode wire message: truncated or malformed entry")
 	errWireTrailing = errors.New("gossip: decode wire message: trailing bytes")
+	errWireFlag     = errors.New("gossip: decode wire message: truncated flag is neither 0 nor 1")
 )
 
 // uvarint reads one minimally encoded uvarint.

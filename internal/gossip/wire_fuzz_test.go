@@ -68,14 +68,22 @@ func FuzzGossipWire(f *testing.F) {
 	f.Add([]byte{wireRefs, 0x81, 0x00, 1, 'x', 0})                            // overlong uvarint
 	f.Add([]byte{})                                                           // empty body
 	f.Add([]byte{wireRumors, 0})                                              // empty batch
+	for _, bad := range badPullRequests() {
+		f.Add(bad.body)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		m, err := decodeWire(body)
 		if !raceEnabled {
-			kind := wireRumors
+			read := func() { _, _ = readWire(body, wireRumors) }
 			if len(body) > 0 && body[0] == wireRefs {
-				kind = wireRefs
+				read = func() { _, _ = readWire(body, wireRefs) }
+			} else if len(body) > 0 && body[0] == wirePull {
+				read = func() {
+					var scratch [DigestCap]uint64
+					_, _, _ = readPull(&scratch, body)
+				}
 			}
-			if allocs := testing.AllocsPerRun(1, func() { _, _ = readWire(body, kind) }); allocs > 0 {
+			if allocs := testing.AllocsPerRun(1, read); allocs > 0 {
 				t.Fatalf("readWire allocated %.0f times on % x (err %v)", allocs, body, err)
 			}
 		}
@@ -102,4 +110,43 @@ func FuzzGossipWire(f *testing.F) {
 			t.Fatalf("decode(encode(m)) = %+v, %v; m = %+v", m2, err, m)
 		}
 	})
+}
+
+// badPullRequest is a malformed pull request and the fixed error that
+// refuses it.
+type badPullRequest struct {
+	what string
+	body []byte
+	err  error
+}
+
+func badPullRequests() []badPullRequest {
+	full := pullBody(false, "a", "b")
+	return []badPullRequest{
+		{"more than DigestCap sums", encodePull(make([]byte, 8*(DigestCap+1)), true), errSumsCount},
+		{"length not a multiple of 8", encodePull(make([]byte, 12), false), errSumsLength},
+		{"flag neither 0 nor 1", append([]byte{wirePull, 2}, full[2:]...), errWireFlag},
+		{"trailing bytes", append(append([]byte(nil), full...), 0), errWireTrailing},
+		{"sums cut short", full[:len(full)-1], errWireEntry},
+		{"no flag", []byte{wirePull}, errWireFlag},
+	}
+}
+
+// TestPullRequestRefusals: each malformed pull request is refused with its
+// fixed error, and the engine sends nothing.
+func TestPullRequestRefusals(t *testing.T) {
+	tap := &pullTap{}
+	eng, err := New(Config{Style: StylePull, Fanout: 1, Endpoint: tap, Peers: NewUniformPeers(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Inject(context.Background(), Rumor{ID: "held", Origin: "o", Hops: 1})
+	for _, bad := range badPullRequests() {
+		if err := eng.handlePullReq(context.Background(), transport.Message{From: "peer", Body: bad.body}); err != bad.err {
+			t.Errorf("%s: got %v, want %v", bad.what, err, bad.err)
+		}
+	}
+	if len(tap.sent) != 0 {
+		t.Fatalf("refused pull requests were answered: %d sends", len(tap.sent))
+	}
 }

@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"context"
+	"encoding/binary"
 	"testing"
 
 	"wsgossip/internal/faults"
@@ -14,18 +15,51 @@ import (
 type wireMsg struct {
 	Rumors []Rumor
 	Refs   []RumorRef
+	Pull   *pullMsg
+}
+
+// pullMsg is a decoded pull request.
+type pullMsg struct {
+	Sums      []uint64
+	Truncated bool
+}
+
+// sumBytes renders sums as a digest lists them: 8 big-endian bytes each.
+func sumBytes(sums []uint64) []byte {
+	b := make([]byte, 0, 8*len(sums))
+	for _, s := range sums {
+		b = binary.BigEndian.AppendUint64(b, s)
+	}
+	return b
+}
+
+// pullBody is a pull request listing the sums of ids.
+func pullBody(truncated bool, ids ...string) []byte {
+	return encodePull(sumBytes(sumsOf(ids...)), truncated)
 }
 
 func encodeWire(m wireMsg) []byte {
-	if m.Refs != nil {
+	switch {
+	case m.Pull != nil:
+		return encodePull(sumBytes(m.Pull.Sums), m.Pull.Truncated)
+	case m.Refs != nil:
 		return encodeRefs(m.Refs...)
 	}
 	return encodeRumors(m.Rumors...)
 }
 
-// decodeWire reads a body of either kind into owned values.
+// decodeWire reads a body of any kind into owned values.
 func decodeWire(body []byte) (wireMsg, error) {
 	var m wireMsg
+	if len(body) > 0 && body[0] == wirePull {
+		var scratch [DigestCap]uint64
+		sums, truncated, err := readPull(&scratch, body)
+		if err != nil {
+			return m, err
+		}
+		m.Pull = &pullMsg{Sums: append([]uint64{}, sums...), Truncated: truncated}
+		return m, nil
+	}
 	if len(body) > 0 && body[0] == wireRefs {
 		rd, err := readWire(body, wireRefs)
 		if err != nil {
@@ -71,7 +105,7 @@ func wireHandlers(t testing.TB, seed int64) (*Engine, map[string]transport.Handl
 	}
 	kinds := map[string]byte{
 		"push": wireRumors, "pullresp": wireRumors,
-		"ihave": wireRefs, "iwant": wireRefs, "pullreq": wireRefs,
+		"ihave": wireRefs, "iwant": wireRefs, "pullreq": wirePull,
 	}
 	return eng, handlers, kinds
 }
@@ -80,15 +114,16 @@ func wireHandlers(t testing.TB, seed int64) (*Engine, map[string]transport.Handl
 // bodies with an error and leave state untouched (a byzantine or buggy peer
 // must not crash or corrupt a node). A body is validated whole before the
 // first state change, so the valid first entry of a bad batch is not applied
-// either; and a body of the other kind (refs sent to handlePush, rumors sent
+// either; and a body of another kind (refs sent to handlePush, rumors sent
 // to handleIHave) is an error like any junk, not a no-op.
 func TestMalformedWireMessagesRejected(t *testing.T) {
 	eng, handlers, kinds := wireHandlers(t, 1)
 	good := map[byte][]byte{
 		wireRumors: encodeRumors(Rumor{ID: "r1", Origin: "evil", Hops: 3, Payload: []byte("p")}, Rumor{ID: "r2", Origin: "evil", Hops: 3}),
 		wireRefs:   encodeRefs(RumorRef{ID: "r1", Hops: 3}, RumorRef{ID: "r2", Hops: 3}),
+		wirePull:   pullBody(false, "r1", "r2"),
 	}
-	other := map[byte]byte{wireRumors: wireRefs, wireRefs: wireRumors}
+	other := map[byte]byte{wireRumors: wireRefs, wireRefs: wirePull, wirePull: wireRumors}
 	ctx := context.Background()
 	for name, h := range handlers {
 		kind := kinds[name]
@@ -122,12 +157,13 @@ func TestMalformedWireMessagesRejected(t *testing.T) {
 }
 
 // TestEmptyWireMessagesHarmless: structurally valid but empty messages — a
-// kind byte and a zero count — are no-ops.
+// kind byte and a zero count, or a pull request listing no sums — are no-ops.
 func TestEmptyWireMessagesHarmless(t *testing.T) {
 	eng, handlers, kinds := wireHandlers(t, 2)
 	ctx := context.Background()
+	empties := map[byte][]byte{wireRumors: {wireRumors, 0}, wireRefs: {wireRefs, 0}, wirePull: pullBody(false)}
 	for name, h := range handlers {
-		empty := transport.Message{From: "peer", To: "a", Body: []byte{kinds[name], 0}}
+		empty := transport.Message{From: "peer", To: "a", Body: empties[kinds[name]]}
 		if err := h(ctx, empty); err != nil {
 			t.Errorf("%s rejected empty message: %v", name, err)
 		}
@@ -222,41 +258,46 @@ func TestRefusedIWantReleasesRequest(t *testing.T) {
 	}
 }
 
-// TestPullDigestCapRespected: pull requests advertise at most
-// PullDigestSize recent rumor IDs.
+// TestPullDigestCapRespected: a pull request lists the sums of at most
+// DigestCap rumors, the newest first, and says when its sender holds more.
 func TestPullDigestCapRespected(t *testing.T) {
-	net := simnet.New(simnet.DefaultConfig(5))
-	var lastDigestLen int
-	net.Node("peer").SetHandler(func(_ context.Context, msg transport.Message) error {
-		if msg.Action == ActionPullReq {
-			wm, err := decodeWire(msg.Body)
-			if err != nil {
-				return err
+	for _, held := range []int{DigestCap - 1, DigestCap, DigestCap + 20} {
+		net := simnet.New(simnet.DefaultConfig(5))
+		var digest *pullMsg
+		net.Node("peer").SetHandler(func(_ context.Context, msg transport.Message) error {
+			if msg.Action == ActionPullReq {
+				wm, err := decodeWire(msg.Body)
+				if err != nil {
+					return err
+				}
+				digest = wm.Pull
 			}
-			lastDigestLen = len(wm.Refs)
-		}
-		return nil
-	})
-	eng, err := New(Config{
-		Style: StylePull, Fanout: 1, Hops: 2,
-		Endpoint:       net.Node("a"),
-		Peers:          NewStaticPeers([]string{"a", "peer"}),
-		PullDigestSize: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < 20; i++ {
-		if _, err := eng.Publish(ctx, []byte{byte(i)}); err != nil {
+			return nil
+		})
+		eng, err := New(Config{
+			Style: StylePull, Fanout: 1, Hops: 2,
+			Endpoint: net.Node("a"),
+			Peers:    NewStaticPeers([]string{"a", "peer"}),
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	net.Run()
-	eng.Tick(ctx)
-	net.Run()
-	if lastDigestLen != 8 {
-		t.Fatalf("digest length = %d, want 8", lastDigestLen)
+		ctx := context.Background()
+		var newest Rumor
+		for i := 0; i < held; i++ {
+			if newest, err = eng.Publish(ctx, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net.Run()
+		eng.Tick(ctx)
+		net.Run()
+		if digest == nil {
+			t.Fatalf("holding %d: no pull request", held)
+		}
+		if len(digest.Sums) != min(held, DigestCap) || digest.Truncated != (held > DigestCap) || digest.Sums[0] != IDSum(newest.ID) {
+			t.Fatalf("holding %d: digest lists %d sums, truncated %v", held, len(digest.Sums), digest.Truncated)
+		}
 	}
 }
 
