@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 
+	"wsgossip/internal/gossip"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/wsa"
 )
@@ -28,6 +30,7 @@ type allocBudget struct {
 	IHaveHeld         float64 `json:"ihave_held_max_allocs"`
 	IWantServe        float64 `json:"iwant_serve_max_allocs"`
 	DigestOneMissing  float64 `json:"digest_receipt_one_missing_max_allocs"`
+	FirstReceipt      float64 `json:"first_receipt_known_interaction_max_allocs"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -39,13 +42,13 @@ func loadAllocBudget(t *testing.T) allocBudget {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	budget := allocBudget{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
+	budget := allocBudget{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
 	if budget.ForwardFanoutF8 <= 0 || budget.DuplicateReceipt < 0 || budget.DuplicateDelivery < 0 ||
 		budget.GossipHeaderFrom < 0 || budget.ForwardHeaders < 0 ||
-		budget.DigestReceipt < 0 || budget.DigestEnvelope <= 0 || budget.IHaveHeld < 0 || budget.IWantServe <= 0 || budget.DigestOneMissing <= 0 {
+		budget.DigestReceipt < 0 || budget.DigestEnvelope <= 0 || budget.IHaveHeld < 0 || budget.IWantServe <= 0 || budget.DigestOneMissing <= 0 || budget.FirstReceipt <= 0 {
 		t.Fatalf("alloc budget missing fields: %+v", budget)
 	}
 	return budget
@@ -63,7 +66,7 @@ func TestForwardFanoutAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	fb := newForwardBench(t, 8, 1<<10)
 	allocs := testing.AllocsPerRun(100, func() {
-		fb.d.transfer(fb.ctx, fb.env, fb.gh, fb.state, pushTransfer)
+		fb.d.transfer(fb.ctx, fb.env, fb.n, fb.state, pushTransfer)
 	})
 	if stats := fb.d.Stats(); stats.Forwarded == 0 || stats.SendErrors != 0 {
 		t.Fatalf("stats = %+v", stats)
@@ -71,10 +74,97 @@ func TestForwardFanoutAllocBudget(t *testing.T) {
 	checkAllocBudget(t, "forward fanout-8", allocs, budget.ForwardFanoutF8)
 }
 
+// sinkCaller is a binding that takes pre-serialized messages and sends them
+// nowhere, dropping each buffer where a transport would recycle it.
+type sinkCaller struct{ dropCaller }
+
+func (sinkCaller) SendEncoded(context.Context, string, []byte) error { return nil }
+
+// firstReceiptSeen is the seen-cache size of firstReceipts' node.
+const firstReceiptSeen = 64
+
+// firstReceipts is a node that knows one push interaction, forwarding to one
+// peer through sinkCaller, and a ring of notifications of that interaction,
+// each decoded from a buffer of its own as on the MemBus and HTTP receive
+// paths. receive takes the next one through intercept. The ring is twice the
+// seen cache, which evicts each notification before it comes round again, so
+// every receipt is a first one; the ring has gone round once on return, so
+// the seen cache and the store are full.
+func firstReceipts(tb testing.TB) (d *Disseminator, receive func()) {
+	tb.Helper()
+	d, err := NewDisseminator(DisseminatorConfig{
+		Address: "mem://self", Caller: sinkCaller{}, RNG: rand.New(rand.NewSource(1)),
+		SeenCacheSize: firstReceiptSeen, StoreSize: 16,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const interaction = "urn:bench:interaction"
+	d.interactions[interaction] = newInteractionState(interaction, ProtocolPushGossip, GossipParameters{Fanout: 1, Hops: 4, Targets: []string{"mem://peer"}})
+	reqs := make([]*soap.Request, 2*firstReceiptSeen)
+	for i := range reqs {
+		gh := GossipHeader{InteractionID: interaction, MessageID: string(wsa.NewMessageID()), Hops: 4}
+		env := soap.NewEnvelope()
+		if err := env.SetAddressing(wsa.Headers{To: "mem://self", Action: ActionNotify, MessageID: wsa.MessageID(gh.MessageID)}); err != nil {
+			tb.Fatal(err)
+		}
+		if err := SetGossipHeader(env, gh); err != nil {
+			tb.Fatal(err)
+		}
+		if err := env.SetBody(benchNote{Data: strings.Repeat("x", 256)}); err != nil {
+			tb.Fatal(err)
+		}
+		wire, err := env.Encode()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if env, err = soap.Decode(wire); err != nil {
+			tb.Fatal(err)
+		}
+		reqs[i] = &soap.Request{Envelope: env}
+	}
+	next := 0
+	receive = func() {
+		if _, err := d.intercept(context.Background(), reqs[next%len(reqs)]); err != nil {
+			tb.Fatal(err)
+		}
+		next++
+	}
+	for range reqs {
+		receive()
+	}
+	return d, receive
+}
+
+// TestFirstReceiptAllocBudget: the path every delivery pays — intercept
+// taking a notification of a known interaction it has not seen — reads the
+// header in place and builds no MessageID: the store's clone (two objects),
+// the target list, and the forward's snapshot, gossip header, addressing and
+// one rendered copy, the ID written into both from the received header's
+// bytes.
+func TestFirstReceiptAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	d, receive := firstReceipts(t)
+	allocs := testing.AllocsPerRun(100, receive)
+	if stats := d.Stats(); stats.Delivered != 2*firstReceiptSeen+101 || stats.Duplicates != 0 || stats.Forwarded != stats.Delivered {
+		t.Fatalf("stats = %+v", stats)
+	}
+	checkAllocBudget(t, "first receipt of a known interaction", allocs, budget.FirstReceipt)
+}
+
+func BenchmarkFirstReceipt(b *testing.B) {
+	_, receive := firstReceipts(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		receive()
+	}
+}
+
 // TestDuplicateReceiptAllocBudget: three receipts in four are duplicates
 // (core.dup_share on mem-push-64), and a duplicate must cost the gossip
-// layer no allocation at all — the header is read in place and the seen-set
-// asked with the MessageID bytes.
+// layer no allocation at all — the header is read in place and the seen
+// cache asked with the sum of the MessageID bytes.
 func TestDuplicateReceiptAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	fb := newForwardBench(t, 8, 1<<10)
@@ -252,7 +342,7 @@ func lazyResponder(t testing.TB) (d *Disseminator, ihave, iwant *soap.Request) {
 	}
 	id := string(wsa.NewMessageID())
 	storeNotification(t, d, id)
-	d.m.Admit(id)
+	d.m.Receive(gossip.IDSum(id), false)
 	d.interactions["urn:uuid:i"] = newInteractionState("urn:uuid:i", ProtocolPushGossip, GossipParameters{Fanout: 1, Hops: 3, Style: "lazypush"})
 	received := func(action string, body soap.Block) *soap.Request {
 		out := soap.NewEnvelope()
@@ -270,14 +360,14 @@ func lazyResponder(t testing.TB) (d *Disseminator, ihave, iwant *soap.Request) {
 		}
 		return &soap.Request{Envelope: env}
 	}
-	ihave = received(ActionIHave, announceBlock(Announce{InteractionID: "urn:uuid:i", MessageID: id, Hops: 2, Holder: "mem://holder"}))
-	iwant = received(ActionIWant, fetchBlock(Fetch{MessageID: id, Requester: "mem://requester"}))
+	ihave = received(ActionIHave, announceOf(Announce{InteractionID: "urn:uuid:i", MessageID: id, Hops: 2, Holder: "mem://holder"}))
+	iwant = received(ActionIWant, fetchOf(Fetch{MessageID: id, Requester: "mem://requester"}))
 	return d, ihave, iwant
 }
 
 // TestIHaveHeldAllocBudget: most announcements name a notification the node
-// already holds, and such an IHAVE costs nothing — the seen-set is asked with
-// the announced ID where it lies in the receive buffer.
+// already holds, and such an IHAVE costs nothing — the seen cache is asked
+// with the sum of the announced ID where it lies in the receive buffer.
 func TestIHaveHeldAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	d, ihave, _ := lazyResponder(t)
@@ -292,10 +382,10 @@ func TestIHaveHeldAllocBudget(t *testing.T) {
 	checkAllocBudget(t, "IHAVE for a held notification", allocs, budget.IHaveHeld)
 }
 
-// TestIWantServeAllocBudget: serving an IWANT looks the requested ID up in
-// place and re-heads the stored copy with the ID its store slot holds and the
-// InteractionID its interaction state holds, so what it costs is the
-// retransmission's own snapshot and header buffers.
+// TestIWantServeAllocBudget: serving an IWANT looks the requested ID's sum up
+// and re-heads the stored copy with the MessageID read in place from its
+// header and the InteractionID its interaction state holds, so what it costs
+// is the retransmission's own snapshot and header buffers.
 func TestIWantServeAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	d, _, iwant := lazyResponder(t)

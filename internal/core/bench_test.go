@@ -23,6 +23,7 @@ type forwardBench struct {
 	d       *Disseminator
 	env     *soap.Envelope
 	gh      GossipHeader
+	n       notice // gh as a transfer acts on it
 	state   *interactionState
 	ctx     context.Context
 	targets []string
@@ -69,7 +70,7 @@ func newForwardBench(b testing.TB, fanout, payload int) *forwardBench {
 	}
 	state := newInteractionState(gh.InteractionID, ProtocolPushGossip, GossipParameters{Fanout: fanout, Hops: 4, Targets: targets})
 	return &forwardBench{
-		d: d, env: env, gh: gh, state: state,
+		d: d, env: env, gh: gh, n: noticeOf(gh), state: state,
 		ctx: context.Background(), targets: targets,
 	}
 }
@@ -86,7 +87,7 @@ func BenchmarkForwardFanout(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fb.d.transfer(fb.ctx, fb.env, fb.gh, fb.state, pushTransfer)
+				fb.d.transfer(fb.ctx, fb.env, fb.n, fb.state, pushTransfer)
 			}
 			stats := fb.d.Stats()
 			if stats.Forwarded == 0 || stats.SendErrors != 0 {
@@ -113,7 +114,7 @@ func BenchmarkRetransmit(b *testing.B) {
 		if err := env.SetBody(benchNote{Data: strings.Repeat("y", 1<<10)}); err != nil {
 			b.Fatal(err)
 		}
-		fb.d.m.Hold(heldNotification{id: gh.MessageID, env: env})
+		fb.d.m.Hold(gossip.IDSum(gh.MessageID), env)
 	}
 	var have heldSums // an empty digest: everything stored is missing
 	b.ReportAllocs()

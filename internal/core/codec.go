@@ -32,15 +32,16 @@ var (
 // plus the text lengths, and append covers escaped text.
 const flatOverhead = 160
 
-// gossipBlock writes gh as a header block.
-func gossipBlock(gh GossipHeader) soap.Block {
-	buf := make([]byte, 0, flatOverhead+len(gh.InteractionID)+len(gh.MessageID)+len(gh.Protocol))
+// gossipBlock writes a gossip header block; the MessageID may be given as a
+// string (a GossipHeader's) or as the bytes of a header read in place.
+func gossipBlock[ID string | []byte](interactionID string, messageID ID, hops int, protocol string) soap.Block {
+	buf := make([]byte, 0, flatOverhead+len(interactionID)+len(messageID)+len(protocol))
 	buf = soap.AppendFlatOpen(buf, Namespace, "Gossip")
-	buf = soap.AppendFlatText(buf, "InteractionID", gh.InteractionID)
-	buf = soap.AppendFlatText(buf, "MessageID", gh.MessageID)
-	buf = soap.AppendFlatInt(buf, "Hops", int64(gh.Hops))
-	if gh.Protocol != "" {
-		buf = soap.AppendFlatText(buf, "Protocol", gh.Protocol)
+	buf = soap.AppendFlatText(buf, "InteractionID", interactionID)
+	buf = soap.AppendFlatText(buf, "MessageID", messageID)
+	buf = soap.AppendFlatInt(buf, "Hops", int64(hops))
+	if protocol != "" {
+		buf = soap.AppendFlatText(buf, "Protocol", protocol)
 	}
 	buf = soap.AppendFlatClose(buf, "Gossip")
 	return soap.Block{XMLName: gossipName, Raw: buf}
@@ -81,19 +82,39 @@ func scanGossipHeader(raw []byte) (f gossipFields, ok bool) {
 // recurring. The protocol is one of the few the stack defines and resolves
 // through the intern table.
 func (f gossipFields) header() GossipHeader {
-	return f.headerWith(f.messageID.String(), f.interactionID.String())
-}
-
-// headerWith is header with the MessageID and the InteractionID supplied by
-// a caller that already holds them as strings.
-func (f gossipFields) headerWith(messageID, interactionID string) GossipHeader {
 	return GossipHeader{
 		XMLName:       gossipName,
-		InteractionID: interactionID,
-		MessageID:     messageID,
+		InteractionID: f.interactionID.String(),
+		MessageID:     f.messageID.String(),
 		Hops:          f.hops,
 		Protocol:      f.protocol.Symbol(),
 	}
+}
+
+// notice is a notification's gossip header as the gossip layer forwards or
+// serves it: the MessageID as bytes — a view of the header it was read from,
+// the received one (dying with the delivery) or a stored clone's — so a
+// transfer writes it without building a string. The InteractionID comes
+// from the interaction state at the point of writing.
+type notice struct {
+	messageID []byte
+	hops      int
+	protocol  string
+}
+
+// readNotice reads a gossip header block into the InteractionID to look the
+// interaction up with and the notice to act on: the canonical form in place,
+// its IDs views of the block (copied only to unescape), anything else
+// through encoding/xml.
+func readNotice(b soap.Block) (interaction []byte, n notice, err error) {
+	if f, ok := scanGossipHeader(b.Raw); ok {
+		return f.interactionID.Key(), notice{f.messageID.Key(), f.hops, f.protocol.Symbol()}, nil
+	}
+	var gh GossipHeader
+	if err = b.Decode(&gh); err != nil {
+		return nil, n, err
+	}
+	return []byte(gh.InteractionID), notice{[]byte(gh.MessageID), gh.Hops, gh.Protocol}, nil
 }
 
 // decodeGossipHeader decodes a gossip header block: the canonical form in
@@ -107,14 +128,15 @@ func decodeGossipHeader(b soap.Block) (GossipHeader, error) {
 	return gh, err
 }
 
-// announceBlock writes a as a body block.
-func announceBlock(a Announce) soap.Block {
-	buf := make([]byte, 0, flatOverhead+len(a.InteractionID)+len(a.MessageID)+len(a.Holder))
+// announceBlock writes an Announce body block; the MessageID is a string or
+// bytes, as gossipBlock's.
+func announceBlock[ID string | []byte](interactionID string, messageID ID, hops int, holder string) soap.Block {
+	buf := make([]byte, 0, flatOverhead+len(interactionID)+len(messageID)+len(holder))
 	buf = soap.AppendFlatOpen(buf, Namespace, "Announce")
-	buf = soap.AppendFlatText(buf, "InteractionID", a.InteractionID)
-	buf = soap.AppendFlatText(buf, "MessageID", a.MessageID)
-	buf = soap.AppendFlatInt(buf, "Hops", int64(a.Hops))
-	buf = soap.AppendFlatText(buf, "Holder", a.Holder)
+	buf = soap.AppendFlatText(buf, "InteractionID", interactionID)
+	buf = soap.AppendFlatText(buf, "MessageID", messageID)
+	buf = soap.AppendFlatInt(buf, "Hops", int64(hops))
+	buf = soap.AppendFlatText(buf, "Holder", holder)
 	buf = soap.AppendFlatClose(buf, "Announce")
 	return soap.Block{XMLName: announceName, Raw: buf}
 }
@@ -163,12 +185,13 @@ func announceFrom(env *soap.Envelope) (id []byte, holder string, err error) {
 	return []byte(a.MessageID), a.Holder, err
 }
 
-// fetchBlock writes f as a body block.
-func fetchBlock(f Fetch) soap.Block {
-	buf := make([]byte, 0, flatOverhead+len(f.MessageID)+len(f.Requester))
+// fetchBlock writes a Fetch body block; the MessageID is a string or bytes,
+// as gossipBlock's.
+func fetchBlock[ID string | []byte](messageID ID, requester string) soap.Block {
+	buf := make([]byte, 0, flatOverhead+len(messageID)+len(requester))
 	buf = soap.AppendFlatOpen(buf, Namespace, "Fetch")
-	buf = soap.AppendFlatText(buf, "MessageID", f.MessageID)
-	buf = soap.AppendFlatText(buf, "Requester", f.Requester)
+	buf = soap.AppendFlatText(buf, "MessageID", messageID)
+	buf = soap.AppendFlatText(buf, "Requester", requester)
 	buf = soap.AppendFlatClose(buf, "Fetch")
 	return soap.Block{XMLName: fetchName, Raw: buf}
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -53,17 +54,27 @@ func TestFlatCodecWritersMatchMarshal(t *testing.T) {
 			other := codecTexts[(i+1)%len(codecTexts)]
 			for _, protocol := range []string{"", ProtocolPullGossip, s} {
 				gh := GossipHeader{InteractionID: s, MessageID: other, Hops: hops, Protocol: protocol}
-				if got, want := gossipBlock(gh), mustMarshal(t, gh); got.XMLName != gossipName || !bytes.Equal(got.Raw, want) {
-					t.Fatalf("gossip header %+v:\n got %s\nwant %s", gh, got.Raw, want)
+				want := mustMarshal(t, gh)
+				// The MessageID given as a string and as bytes read in place.
+				for _, got := range []soap.Block{headerBlock(gh), gossipBlock(s, []byte(other), hops, protocol)} {
+					if got.XMLName != gossipName || !bytes.Equal(got.Raw, want) {
+						t.Fatalf("gossip header %+v:\n got %s\nwant %s", gh, got.Raw, want)
+					}
 				}
 			}
 			ann := Announce{InteractionID: s, MessageID: other, Hops: hops, Holder: s}
-			if got, want := announceBlock(ann), mustMarshal(t, ann); got.XMLName != announceName || !bytes.Equal(got.Raw, want) {
-				t.Fatalf("announce %+v:\n got %s\nwant %s", ann, got.Raw, want)
+			want := mustMarshal(t, ann)
+			for _, got := range []soap.Block{announceOf(ann), announceBlock(s, []byte(other), hops, s)} {
+				if got.XMLName != announceName || !bytes.Equal(got.Raw, want) {
+					t.Fatalf("announce %+v:\n got %s\nwant %s", ann, got.Raw, want)
+				}
 			}
 			fetch := Fetch{MessageID: s, Requester: other}
-			if got, want := fetchBlock(fetch), mustMarshal(t, fetch); got.XMLName != fetchName || !bytes.Equal(got.Raw, want) {
-				t.Fatalf("fetch %+v:\n got %s\nwant %s", fetch, got.Raw, want)
+			want = mustMarshal(t, fetch)
+			for _, got := range []soap.Block{fetchOf(fetch), fetchBlock([]byte(s), other)} {
+				if got.XMLName != fetchName || !bytes.Equal(got.Raw, want) {
+					t.Fatalf("fetch %+v:\n got %s\nwant %s", fetch, got.Raw, want)
+				}
 			}
 		}
 	}
@@ -129,15 +140,15 @@ func TestFlatCodecReadersMatchUnmarshal(t *testing.T) {
 			gh := GossipHeader{InteractionID: s, MessageID: other, Hops: hops, Protocol: codecTexts[(i+2)%len(codecTexts)]}
 			// Everything the writer emits is read in place, except hop
 			// counts wider than the reader's nine digits.
-			if ok, wide := checkReaders(t, gossipBlock(gh).Raw), hops > 999999999; ok == wide {
-				t.Fatalf("gossip reader accepted=%v for %s", ok, gossipBlock(gh).Raw)
+			if ok, wide := checkReaders(t, headerBlock(gh).Raw), hops > 999999999; ok == wide {
+				t.Fatalf("gossip reader accepted=%v for %s", ok, headerBlock(gh).Raw)
 			}
-			raw := announceBlock(Announce{InteractionID: s, MessageID: other, Hops: hops, Holder: s}).Raw
+			raw := announceOf(Announce{InteractionID: s, MessageID: other, Hops: hops, Holder: s}).Raw
 			checkReaders(t, raw)
 			if _, ok := scanAnnounce(raw); ok == (hops > 999999999) {
 				t.Fatalf("announce reader accepted=%v for %s", ok, raw)
 			}
-			raw = fetchBlock(Fetch{MessageID: s, Requester: other}).Raw
+			raw = fetchOf(Fetch{MessageID: s, Requester: other}).Raw
 			checkReaders(t, raw)
 			if _, ok := scanFetch(raw); !ok {
 				t.Fatalf("fetch reader declined %s", raw)
@@ -244,7 +255,7 @@ func blockNames(env *soap.Envelope) []xml.Name {
 // TestGossipLayerNeverAliasesReceiveBuffer: the transport recycles a
 // delivery's buffer as soon as the handler returns. Nothing the stack
 // returns or retains — the interned action and block names a handler reads,
-// GossipHeaderFrom's strings, the seen-set key, the deferred announcement,
+// GossipHeaderFrom's strings, the seen cache's entry, the deferred announcement,
 // the stored clone — may still point into it. The notification goes the
 // whole receive path: MemBus, Dispatcher, intercept.
 func TestGossipLayerNeverAliasesReceiveBuffer(t *testing.T) {
@@ -300,14 +311,13 @@ func TestGossipLayerNeverAliasesReceiveBuffer(t *testing.T) {
 		if gh != want {
 			t.Errorf("GossipHeaderFrom result changed with the buffer: %+v", gh)
 		}
-		if !d.m.Seen(id) {
-			t.Errorf("seen-set key for %q changed with the buffer", id)
+		if !d.m.Seen(gossip.IDSum(id)) {
+			t.Errorf("seen cache lost %q once the buffer changed", id)
 		}
-		if len(d.pendingAnn) != 1 || d.pendingAnn[0].gh != want {
+		if len(d.pendingAnn) != 1 || !reflect.DeepEqual(d.pendingAnn[0].n, noticeOf(want)) || d.pendingAnn[0].state.id != want.InteractionID {
 			t.Errorf("deferred announcement changed with the buffer: %+v", d.pendingAnn)
 		}
-		held, ok := d.m.Get([]byte(id))
-		stored := held.env
+		stored, ok := d.m.Get(gossip.IDSum(id))
 		if !ok {
 			t.Fatalf("store lost %q", id)
 		}
@@ -337,11 +347,11 @@ func TestGossipLayerNeverAliasesReceiveBuffer(t *testing.T) {
 		check func(env *soap.Envelope) (idPeer, error)
 		want  idPeer
 	}{
-		{announceBlock(ann), func(env *soap.Envelope) (idPeer, error) {
+		{announceOf(ann), func(env *soap.Envelope) (idPeer, error) {
 			id, holder, err := announceFrom(env)
 			return idPeer{string(id), holder}, err
 		}, idPeer{ann.MessageID, ann.Holder}},
-		{fetchBlock(fetch), func(env *soap.Envelope) (idPeer, error) {
+		{fetchOf(fetch), func(env *soap.Envelope) (idPeer, error) {
 			id, requester, err := fetchFrom(env)
 			return idPeer{string(id), requester}, err
 		}, idPeer{fetch.MessageID, fetch.Requester}},
@@ -393,8 +403,8 @@ func FuzzGossipHeaderCodec(f *testing.F) {
 			f.Fatal("captured notification without a gossip header")
 		}
 		f.Add(b.Raw)
-		f.Add(announceBlock(Announce{InteractionID: s, MessageID: gh.MessageID, Hops: gh.Hops, Holder: s}).Raw)
-		f.Add(fetchBlock(Fetch{MessageID: s, Requester: gh.MessageID}).Raw)
+		f.Add(announceOf(Announce{InteractionID: s, MessageID: gh.MessageID, Hops: gh.Hops, Holder: s}).Raw)
+		f.Add(fetchOf(Fetch{MessageID: s, Requester: gh.MessageID}).Raw)
 	}
 	for _, raw := range nonCanonicalGossipHeaders {
 		f.Add([]byte(raw))
@@ -406,7 +416,7 @@ func FuzzGossipHeaderCodec(f *testing.F) {
 			return
 		}
 		gh.XMLName = xml.Name{} // as callers build one
-		written := gossipBlock(gh).Raw
+		written := headerBlock(gh).Raw
 		if want := mustMarshal(t, gh); !bytes.Equal(written, want) {
 			t.Fatalf("writer for %+v:\n got %s\nwant %s", gh, written, want)
 		}
@@ -733,4 +743,21 @@ func sumsBytes(sums []uint64) []byte {
 		out = binary.BigEndian.AppendUint64(out, s)
 	}
 	return out
+}
+
+// headerBlock, announceOf and fetchOf write a header or body struct through
+// the byte-level writers.
+func headerBlock(gh GossipHeader) soap.Block {
+	return gossipBlock(gh.InteractionID, gh.MessageID, gh.Hops, gh.Protocol)
+}
+
+func announceOf(a Announce) soap.Block {
+	return announceBlock(a.InteractionID, a.MessageID, a.Hops, a.Holder)
+}
+
+func fetchOf(f Fetch) soap.Block { return fetchBlock(f.MessageID, f.Requester) }
+
+// noticeOf is the notice a transfer of gh's notification acts on.
+func noticeOf(gh GossipHeader) notice {
+	return notice{messageID: []byte(gh.MessageID), hops: gh.Hops, protocol: gh.Protocol}
 }

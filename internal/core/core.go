@@ -87,7 +87,7 @@ type GossipHeader struct {
 // writer.
 func SetGossipHeader(env *soap.Envelope, gh GossipHeader) error {
 	env.RemoveHeader(Namespace, "Gossip")
-	env.AddHeaderBlock(gossipBlock(gh))
+	env.AddHeaderBlock(gossipBlock(gh.InteractionID, gh.MessageID, gh.Hops, gh.Protocol))
 	return nil
 }
 

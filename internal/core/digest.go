@@ -156,8 +156,8 @@ func (d *Disseminator) retransmitMissing(ctx context.Context, to string, held he
 	missing := d.m.Missing(held.sums, held.truncated, max)
 	d.mu.Unlock()
 	var served int64
-	for _, h := range missing {
-		if err := d.serve(ctx, to, h); err != nil {
+	for _, held := range missing {
+		if err := d.serve(ctx, to, held); err != nil {
 			d.stats.sendErrors.Add(1)
 			continue
 		}

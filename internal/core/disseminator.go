@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -184,25 +185,15 @@ func newInteractionState(id, protocol string, params GossipParameters) *interact
 	return &interactionState{id: id, params: params, style: style}
 }
 
-// interactionIDLocked returns the InteractionID a gossip header names, read
-// in place: the interaction state's own string when the node knows the
-// interaction, so nothing is copied, and a copy otherwise.
-func (d *Disseminator) interactionIDLocked(id soap.FlatText) string {
-	if state, ok := d.interactions[string(id.Key())]; ok {
+// interactionIDLocked returns the InteractionID a gossip header names, given
+// as the bytes read from it: the interaction state's own string when the node
+// knows the interaction, so nothing is copied, and a copy otherwise.
+func (d *Disseminator) interactionIDLocked(id []byte) string {
+	if state, ok := d.interactions[string(id)]; ok {
 		return state.id
 	}
-	return id.String()
+	return string(id)
 }
-
-// heldNotification is what a disseminator's store holds: a retained
-// envelope clone, under its notification's MessageID.
-type heldNotification struct {
-	id  string
-	env *soap.Envelope
-}
-
-// HeldID returns the MessageID the notification is held under.
-func (h heldNotification) HeldID() string { return h.id }
 
 // defaultStoreSize is the store's capacity when DisseminatorConfig.StoreSize
 // is zero.
@@ -223,7 +214,7 @@ type Disseminator struct {
 
 	mu           sync.Mutex
 	rng          *rand.Rand
-	m            gossip.Machine[heldNotification]
+	m            gossip.Machine[*soap.Envelope] // holds retained envelope clones
 	interactions map[string]*interactionState
 	deferAnn     bool
 	pendingAnn   []pendingAnnounce
@@ -232,9 +223,10 @@ type Disseminator struct {
 }
 
 // pendingAnnounce is one lazy-push advertisement queued for the next
-// announce round (deferred mode, see DeferAnnouncements).
+// announce round (deferred mode, see DeferAnnouncements). It outlives the
+// delivery that queued it, so its notice owns its MessageID.
 type pendingAnnounce struct {
-	gh    GossipHeader
+	n     notice
 	state *interactionState
 	t     gossip.Transfer
 }
@@ -264,7 +256,7 @@ func NewDisseminator(cfg DisseminatorConfig) (*Disseminator, error) {
 		cfg:          cfg,
 		register:     wscoord.NewRegistrationClient(cfg.Caller, cfg.Address),
 		rng:          rng,
-		m:            gossip.NewMachine[heldNotification](cfg.SeenCacheSize, storeSize, 0),
+		m:            gossip.NewMachine[*soap.Envelope](cfg.SeenCacheSize, storeSize, 0),
 		interactions: make(map[string]*interactionState),
 		stats:        newCounters(reg),
 		now:          clk.Now,
@@ -350,52 +342,31 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.
 		// Not a gossiped message: hand it to the application untouched.
 		return d.deliver(ctx, req)
 	}
-	// Most receipts are duplicates, so the header is first read in place —
-	// views over the request bytes, no allocation — and the machine asked
-	// with the MessageID bytes; the header's strings are built only for a
-	// first receipt: the MessageID as a copy (the receive buffer is recycled
-	// after this delivery), the InteractionID from the interaction state if
-	// the node knows it. A header the byte-level reader declines, or whose
-	// MessageID is escaped, is decoded up front.
-	var gh GossipHeader
-	fields, inPlace := scanGossipHeader(block.Raw)
-	if inPlace = inPlace && fields.messageID.IsLiteral(); !inPlace {
-		var err error
-		if gh, err = decodeGossipHeader(block); err != nil {
-			return d.deliver(ctx, req) // malformed header: not gossip either
-		}
+	// The header is read in place — views over the request bytes, no
+	// allocation — and the machine asked with the sum of the MessageID as it
+	// lies there, and the interaction looked up with its ID there too. Most
+	// receipts are duplicates and stop at that; a first receipt builds no
+	// MessageID either: the store keeps the envelope's clone, and a forward
+	// writes the ID from the view. A header the byte-level reader declines is
+	// decoded up front.
+	interaction, n, err := readNotice(block)
+	if err != nil {
+		return d.deliver(ctx, req) // malformed header: not gossip either
 	}
+	sum := gossip.IDSum(n.messageID)
 	d.stats.received.Add(1)
 	d.bumpActivity()
 	d.mu.Lock()
-	dup, t := false, gossip.Transfer{}
-	if inPlace {
-		if dup, t = d.m.Receive(fields.messageID, false); !dup {
-			gh = fields.headerWith(fields.messageID.String(), d.interactionIDLocked(fields.interactionID))
-		}
-	}
-	if !dup {
-		var first bool
-		first, t = d.m.Admit(gh.MessageID)
-		dup = !first
-	}
-	if dup {
-		d.mu.Unlock()
+	first, t := d.m.Receive(sum, false)
+	state := d.interactions[string(interaction)]
+	d.mu.Unlock()
+	if !first {
 		d.stats.duplicates.Add(1)
-		if t.Send != gossip.SendNothing {
-			// Counter mongering: a duplicate of a rumor still being mongered
-			// bursts it again.
-			if inPlace {
-				gh = fields.header()
-			}
-			d.mu.Lock()
-			state := d.interactions[gh.InteractionID]
-			d.mu.Unlock()
-			d.spread(ctx, req.Envelope, gh, state, t)
-		}
+		// Counter mongering: a duplicate of a rumor still being mongered
+		// bursts it again.
+		d.spread(ctx, req.Envelope, n, state, t)
 		return nil, nil
 	}
-	d.mu.Unlock()
 	// Retain the envelope so fetches and digests can be served later. The
 	// store outlives this delivery, whose inbound buffer the transport
 	// recycles once the handler returns — so the one retention point in the
@@ -407,18 +378,16 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.
 		// The stored form varies only by message identity and remaining hop
 		// budget (forwarding decrements Hops before re-rendering), so that
 		// pair keys the shared clone across every store on this interner.
-		clone = d.cfg.Intern.Clone(gh.MessageID+"\x00"+strconv.Itoa(gh.Hops), req.Envelope)
+		clone = d.cfg.Intern.Clone(string(n.messageID)+"\x00"+strconv.Itoa(n.hops), req.Envelope)
 	} else {
 		clone = req.Envelope.Clone()
 	}
 	d.mu.Lock()
-	d.m.Hold(heldNotification{id: gh.MessageID, env: clone})
-	state, known := d.interactions[gh.InteractionID]
+	d.m.Hold(sum, clone)
 	d.mu.Unlock()
 
-	if !known {
-		var err error
-		if state, err = d.registerInteraction(ctx, req.Envelope, gh); err != nil {
+	if state == nil {
+		if state, err = d.registerInteraction(ctx, req.Envelope, string(interaction), n.protocol); err != nil {
 			// Without parameters the node still consumes the message; it
 			// just cannot forward. This degrades, not fails, matching the
 			// epidemic model's tolerance for non-cooperating nodes.
@@ -433,9 +402,9 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.
 
 	if state != nil {
 		d.mu.Lock()
-		t := d.m.Spread(gh.MessageID, state.style, gh.Hops, false)
+		t := d.m.Spread(sum, state.style, n.hops, false)
 		d.mu.Unlock()
-		d.spread(ctx, req.Envelope, gh, state, t)
+		d.spread(ctx, req.Envelope, n, state, t)
 	}
 	return nil, appErr
 }
@@ -451,18 +420,17 @@ func (d *Disseminator) deliver(ctx context.Context, req *soap.Request) (*soap.En
 // this is an unknown gossip interaction, it registers itself with the
 // Registration service, thus obtaining gossip targets to which it will
 // forward the message."
-func (d *Disseminator) registerInteraction(ctx context.Context, env *soap.Envelope, gh GossipHeader) (*interactionState, error) {
+func (d *Disseminator) registerInteraction(ctx context.Context, env *soap.Envelope, interaction, protocol string) (*interactionState, error) {
 	cctx, err := wscoord.ContextFrom(env)
 	if err != nil {
 		return nil, fmt.Errorf("core: gossiped message without coordination context: %w", err)
 	}
-	protocol := gh.Protocol
 	if protocol == "" {
 		protocol = ProtocolPushGossip
 	}
 	// Cache under the header's interaction ID — the key intercept looks
 	// up — even if a sender's coordination-context identifier differs.
-	return d.registerProtocol(ctx, cctx, protocol, gh.InteractionID)
+	return d.registerProtocol(ctx, cctx, protocol, interaction)
 }
 
 // registerProtocol performs the Register call for one (interaction,
@@ -519,8 +487,9 @@ func (d *Disseminator) JoinInteraction(ctx context.Context, cctx wscoord.Coordin
 
 // spread carries out the machine's decision t for a notification of the
 // interaction state: a forward of env, or an IHAVE — queued for the next
-// announce round while announcements are deferred.
-func (d *Disseminator) spread(ctx context.Context, env *soap.Envelope, gh GossipHeader, state *interactionState, t gossip.Transfer) {
+// announce round while announcements are deferred, with its own copy of the
+// MessageID.
+func (d *Disseminator) spread(ctx context.Context, env *soap.Envelope, n notice, state *interactionState, t gossip.Transfer) {
 	switch {
 	case state == nil || t.Send == gossip.SendNothing:
 		return
@@ -528,66 +497,52 @@ func (d *Disseminator) spread(ctx context.Context, env *soap.Envelope, gh Gossip
 		d.mu.Lock()
 		deferred := d.deferAnn
 		if deferred && len(d.pendingAnn) < maxPendingAnnounces {
-			d.pendingAnn = append(d.pendingAnn, pendingAnnounce{gh: gh, state: state, t: t})
+			n.messageID = bytes.Clone(n.messageID)
+			d.pendingAnn = append(d.pendingAnn, pendingAnnounce{n: n, state: state, t: t})
 		}
 		d.mu.Unlock()
 		if deferred {
 			return
 		}
 	}
-	d.transfer(ctx, env, gh, state, t)
+	d.transfer(ctx, env, n, state, t)
 }
 
-// transfer sends t's copies of a notification to targets drawn now: env's
-// payload re-headed, or an IHAVE naming it, at the hop budget t sets. The
-// stable part of a message is serialized exactly once; only the wsa:To block
-// is rendered per target.
-func (d *Disseminator) transfer(ctx context.Context, env *soap.Envelope, gh GossipHeader, state *interactionState, t gossip.Transfer) {
+// transfer sends t's copies of a notification of the interaction state to
+// targets drawn now: env's payload re-headed, or an IHAVE naming it, at the
+// hop budget t sets. The stable part of a message is serialized exactly once;
+// only the wsa:To block is rendered per target.
+func (d *Disseminator) transfer(ctx context.Context, env *soap.Envelope, n notice, state *interactionState, t gossip.Transfer) {
 	d.mu.Lock()
 	targets := d.sampleTargetsLocked(t.Peers(state.params.Fanout), state.params.Targets)
 	d.mu.Unlock()
 	if len(targets) == 0 {
 		return
 	}
-	gh.Hops = t.Hops(gh.Hops)
-	var (
-		out  *soap.Envelope
-		err  error
-		sent = d.stats.forwarded
-	)
-	if t.Send == gossip.SendAnnounce {
-		// Unseen receivers fetch the payload.
-		sent = d.stats.announced
-		out, err = newMessage(ActionIHave, announceBlock(Announce{
-			InteractionID: gh.InteractionID,
-			MessageID:     gh.MessageID,
-			Hops:          gh.Hops,
-			Holder:        d.cfg.Address,
-		}))
-	} else {
-		out, err = renotify(env, gh, "")
+	n.hops = t.Hops(n.hops)
+	if t.Send != gossip.SendAnnounce {
+		d.stats.forwarded.Add(int64(d.fanout(ctx, renotify(env, state.id, n, ""), targets)))
+		return
 	}
+	// Unseen receivers fetch the payload.
+	out, err := newMessage(ActionIHave, announceBlock(state.id, n.messageID, n.hops, d.cfg.Address))
 	if err != nil {
 		d.stats.sendErrors.Add(int64(len(targets)))
 		return
 	}
-	sent.Add(int64(d.fanout(ctx, out, targets)))
+	d.stats.announced.Add(int64(d.fanout(ctx, out, targets)))
 }
 
-// renotify re-heads a copy of the notification env for another transfer:
-// gh as its gossip header, and addressing to (empty for a fan-out, which
-// renders To per target) under the notification's own MessageID.
-func renotify(env *soap.Envelope, gh GossipHeader, to string) (*soap.Envelope, error) {
+// renotify re-heads a copy of the notification env for another transfer: a
+// gossip header naming interaction and carrying n, and addressing to (empty
+// for a fan-out, which renders To per target) under the notification's own
+// MessageID, written from n's bytes.
+func renotify(env *soap.Envelope, interaction string, n notice, to string) *soap.Envelope {
 	out := env.Snapshot()
-	if err := SetGossipHeader(out, gh); err != nil {
-		return nil, err
-	}
-	err := out.SetAddressing(wsa.Headers{
-		To:        to,
-		Action:    ActionNotify,
-		MessageID: wsa.MessageID(gh.MessageID),
-	})
-	return out, err
+	out.RemoveHeader(Namespace, "Gossip")
+	out.AddHeaderBlock(gossipBlock(interaction, n.messageID, n.hops, n.protocol))
+	out.SetAddressingID(wsa.Headers{To: to, Action: ActionNotify}, n.messageID)
+	return out
 }
 
 // fanout sends env (addressing must omit To) to every target through the

@@ -33,6 +33,15 @@
 // gossip.ParseSums; the responder then serves only what is newer than the
 // oldest sum listed (DESIGN.md, "Digests of sums").
 //
+// The machine knows a notification only by that sum. intercept takes it from
+// the MessageID where it lies in the received header, so a first receipt,
+// like a duplicate, builds no MessageID string: the store holds the
+// envelope's clone, and a forward, a served copy, an IHAVE and the IWANT
+// that answers one write the ID from bytes already held — the received
+// header's, or the stored clone's (notice). Only a deferred announcement,
+// which outlives its delivery, copies the ID, and GossipHeaderFrom still
+// returns strings (DESIGN.md, "One identity per notification").
+//
 // Key types beyond the roles:
 //
 //   - GossipHeader / GossipParameters / AggregateParameters — the SOAP

@@ -36,23 +36,23 @@ func (d *Disseminator) TickAnnounce(ctx context.Context) {
 	d.pendingAnn = nil
 	d.mu.Unlock()
 	for _, p := range queued {
-		d.transfer(ctx, nil, p.gh, p.state, p.t)
+		d.transfer(ctx, nil, p.n, p.state, p.t)
 	}
 }
 
 // handleIHave requests the payload of an unseen announced notification. The
-// machine is asked with the announced ID as it lies in the receive buffer,
-// so an announcement of a notification already held or already requested —
-// most of them — copies nothing; only a first announce makes the ID a
-// string. A fetch that cannot be sent is released, so a later announcer
+// machine is asked with the sum of the announced ID as it lies in the receive
+// buffer, and the IWANT written from it there, so an announcement copies
+// nothing. A fetch that cannot be sent is released, so a later announcer
 // retriggers it.
 func (d *Disseminator) handleIHave(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
 	announced, holder, err := announceFrom(req.Envelope)
 	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "malformed Announce: "+err.Error())
 	}
+	sum := gossip.IDSum(announced)
 	d.mu.Lock()
-	id, want, held := d.m.Want(announced)
+	want, held := d.m.Want(sum)
 	d.mu.Unlock()
 	if held {
 		d.stats.duplicates.Add(1)
@@ -61,14 +61,14 @@ func (d *Disseminator) handleIHave(ctx context.Context, req *soap.Request) (*soa
 		return nil, nil
 	}
 	env := soap.NewEnvelope()
-	env.SetBodyBlock(fetchBlock(Fetch{MessageID: id, Requester: d.cfg.Address}))
+	env.SetBodyBlock(fetchBlock(announced, d.cfg.Address))
 	err = env.SetAddressing(wsa.Headers{To: holder, Action: ActionIWant, MessageID: wsa.NewMessageID()})
 	if err == nil {
 		err = d.cfg.Caller.Send(ctx, holder, env)
 	}
 	if err != nil {
 		d.mu.Lock()
-		d.m.Release(id)
+		d.m.Release(sum)
 		d.mu.Unlock()
 		d.stats.sendErrors.Add(1)
 		return nil, nil
@@ -79,16 +79,17 @@ func (d *Disseminator) handleIHave(ctx context.Context, req *soap.Request) (*soa
 }
 
 // handleIWant serves a stored notification to the requester, the transfer
-// costing one hop. The requested ID is looked up as it lies in the receive
-// buffer, and the retransmission carries the ID the store holds and the
-// InteractionID the interaction state holds.
+// costing one hop. The store is asked with the sum of the requested ID as it
+// lies in the receive buffer, and the retransmission carries the ID its
+// stored clone's header holds and the InteractionID the interaction state
+// holds.
 func (d *Disseminator) handleIWant(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
 	requested, requester, err := fetchFrom(req.Envelope)
 	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "malformed Fetch: "+err.Error())
 	}
 	d.mu.Lock()
-	held, ok := d.m.Get(requested)
+	held, ok := d.m.Get(gossip.IDSum(requested))
 	d.mu.Unlock()
 	if !ok {
 		return nil, soap.NewFault(soap.CodeSender,
@@ -104,35 +105,21 @@ func (d *Disseminator) handleIWant(ctx context.Context, req *soap.Request) (*soa
 }
 
 // serve retransmits a held notification to one peer, the transfer costing
-// one hop.
-func (d *Disseminator) serve(ctx context.Context, to string, h heldNotification) error {
-	gh, err := d.heldHeader(h)
-	if err != nil {
-		return err
-	}
-	gh.Hops = gossip.ServedHops(gh.Hops)
-	out, err := renotify(h.env, gh, to)
-	if err != nil {
-		return err
-	}
-	return d.cfg.Caller.Send(ctx, to, out)
-}
-
-// heldHeader reads the gossip header of a held notification, for a
-// retransmission. A canonical header takes its MessageID from the store slot
-// — the header's equals it, since the store is keyed by it — and its
-// InteractionID from the node's interaction state, so neither is copied; any
-// other spelling decodes through encoding/xml.
-func (d *Disseminator) heldHeader(h heldNotification) (GossipHeader, error) {
-	b, ok := h.env.HeaderBlock(Namespace, "Gossip")
+// one hop. Its gossip header is read from the stored clone: the MessageID in
+// place, the InteractionID the node's interaction state holds for it (a copy
+// only for an interaction the node does not know).
+func (d *Disseminator) serve(ctx context.Context, to string, held *soap.Envelope) error {
+	b, ok := held.HeaderBlock(Namespace, "Gossip")
 	if !ok {
-		return GossipHeader{}, ErrNoGossipHeader
+		return ErrNoGossipHeader
 	}
-	if f, ok := scanGossipHeader(b.Raw); ok {
-		d.mu.Lock()
-		interaction := d.interactionIDLocked(f.interactionID)
-		d.mu.Unlock()
-		return f.headerWith(h.id, interaction), nil
+	interaction, n, err := readNotice(b)
+	if err != nil {
+		return err
 	}
-	return decodeGossipHeader(b)
+	d.mu.Lock()
+	id := d.interactionIDLocked(interaction)
+	d.mu.Unlock()
+	n.hops = gossip.ServedHops(n.hops)
+	return d.cfg.Caller.Send(ctx, to, renotify(held, id, n, to))
 }

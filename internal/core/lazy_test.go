@@ -228,19 +228,19 @@ func TestEnvelopeStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.m.Hold(heldNotification{id: "a", env: mk("a")})
-		d.m.Hold(heldNotification{id: "a", env: mk("a2")}) // idempotent, no duplicate entry
+		d.m.Hold(gossip.IDSum("a"), mk("a"))
+		d.m.Hold(gossip.IDSum("a"), mk("a2")) // idempotent, no duplicate entry
 		for i := 1; i < tc.holds; i++ {
-			d.m.Hold(heldNotification{id: fmt.Sprint("n", i), env: mk("n")})
+			d.m.Hold(gossip.IDSum(fmt.Sprint("n", i)), mk("n"))
 		}
-		if held, ok := d.m.Get([]byte("a")); !ok || symbol(held.env) != "a" || d.m.Len() != tc.holds {
-			t.Fatalf("store size %d: a held %v as %q, len %d", tc.size, ok, symbol(held.env), d.m.Len())
+		if held, ok := d.m.Get(gossip.IDSum("a")); !ok || symbol(held) != "a" || d.m.Len() != tc.holds {
+			t.Fatalf("store size %d: a held %v as %q, len %d", tc.size, ok, symbol(held), d.m.Len())
 		}
-		d.m.Hold(heldNotification{id: "c", env: mk("c")})
-		if _, ok := d.m.Get([]byte("a")); ok {
+		d.m.Hold(gossip.IDSum("c"), mk("c"))
+		if _, ok := d.m.Get(gossip.IDSum("a")); ok {
 			t.Fatalf("store size %d: oldest survived eviction", tc.size)
 		}
-		if _, ok := d.m.Get([]byte("c")); !ok {
+		if _, ok := d.m.Get(gossip.IDSum("c")); !ok {
 			t.Fatalf("store size %d: newest missing", tc.size)
 		}
 	}

@@ -110,13 +110,13 @@ func TestOutboundWireGolden(t *testing.T) {
 		d, rec := newRecorded()
 		state := newInteractionState(interaction, ProtocolPushGossip, GossipParameters{Fanout: 1, Hops: 4, Targets: []string{"mem://a"}})
 		announce := gossip.Transfer{Send: gossip.SendAnnounce}
-		d.transfer(ctx, nil, GossipHeader{InteractionID: interaction, MessageID: "urn:uuid:notification", Hops: 4}, state, announce)
+		d.transfer(ctx, nil, noticeOf(GossipHeader{InteractionID: interaction, MessageID: "urn:uuid:notification", Hops: 4}), state, announce)
 		checkWireGolden(t, "ihave", only(rec, "announce"))
 	})
 
 	t.Run("handleIHave", func(t *testing.T) {
 		d, rec := newRecorded()
-		req := requestWithBody(t, ActionIHave, announceBlock(Announce{
+		req := requestWithBody(t, ActionIHave, announceOf(Announce{
 			InteractionID: interaction, MessageID: "urn:uuid:notification", Hops: 3, Holder: "mem://holder",
 		}))
 		if _, err := d.handleIHave(ctx, req); err != nil {
@@ -128,7 +128,7 @@ func TestOutboundWireGolden(t *testing.T) {
 	t.Run("handleIWant", func(t *testing.T) {
 		d, rec := newRecorded()
 		storeNotification(t, d, "urn:uuid:stored")
-		req := requestWithBody(t, ActionIWant, fetchBlock(Fetch{MessageID: "urn:uuid:stored", Requester: "mem://requester"}))
+		req := requestWithBody(t, ActionIWant, fetchOf(Fetch{MessageID: "urn:uuid:stored", Requester: "mem://requester"}))
 		if _, err := d.handleIWant(ctx, req); err != nil {
 			t.Fatal(err)
 		}

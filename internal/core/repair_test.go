@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"wsgossip/internal/gossip"
 	"wsgossip/internal/soap"
 )
 
@@ -355,7 +356,7 @@ func storeNotification(t testing.TB, d *Disseminator, id string) {
 		t.Fatal(err)
 	}
 	d.mu.Lock()
-	d.m.Hold(heldNotification{id: id, env: env})
+	d.m.Hold(gossip.IDSum(id), env)
 	d.mu.Unlock()
 }
 
@@ -541,7 +542,7 @@ func TestDigestNeverAliasesReceiveBuffer(t *testing.T) {
 			t.Fatalf("pull=%v: later digest retransmitted %q, want %q", pull, got, want)
 		}
 		for _, id := range ids {
-			if _, ok := d.m.Get([]byte(id)); !ok {
+			if _, ok := d.m.Get(gossip.IDSum(id)); !ok {
 				t.Fatalf("pull=%v: store lost %q", pull, id)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"wsgossip/internal/gossip"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/wsa"
 )
@@ -68,7 +69,7 @@ func TestForwardEncodeOnce(t *testing.T) {
 		Fanout: 4, Hops: 5,
 		Targets: []string{"mem://peer0", "mem://peer1", "mem://peer2", "mem://peer3"},
 	})
-	d.transfer(context.Background(), env, gh, state, pushTransfer)
+	d.transfer(context.Background(), env, noticeOf(gh), state, pushTransfer)
 
 	if len(received) != 4 {
 		t.Fatalf("deliveries = %d, want 4", len(received))
@@ -137,7 +138,7 @@ func TestForwardSpliceFallback(t *testing.T) {
 		t.Fatal("prefixed block unexpectedly spliceable; fallback not exercised")
 	}
 	state := newInteractionState(gh.InteractionID, ProtocolPushGossip, GossipParameters{Fanout: 2, Hops: 2, Targets: []string{"mem://peer0", "mem://peer1"}})
-	d.transfer(context.Background(), env, gh, state, pushTransfer)
+	d.transfer(context.Background(), env, noticeOf(gh), state, pushTransfer)
 	if deliveries != 2 {
 		t.Fatalf("fallback deliveries = %d, want 2", deliveries)
 	}
@@ -176,9 +177,8 @@ func TestStoreSharesInboundBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.mu.Lock()
-	held, ok := d.m.Get([]byte(gh.MessageID))
+	stored, ok := d.m.Get(gossip.IDSum(gh.MessageID))
 	d.mu.Unlock()
-	stored := held.env
 	if !ok {
 		t.Fatal("notification not stored")
 	}

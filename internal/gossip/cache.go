@@ -3,6 +3,7 @@ package gossip
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 	"slices"
 	"strconv"
 )
@@ -10,40 +11,77 @@ import (
 // The Machine's two bounded collections. Neither keeps a per-entry heap cell:
 // at simulation scales (10^5-10^6 engines, each with a seen cache and a
 // store) those dominated per-node memory. The LRU is an intrusive
-// doubly-linked list over a contiguous arena addressed by index, and the FIFO
-// store is a ring of slots.
+// doubly-linked list over a contiguous arena, found through a table of arena
+// indices, and the FIFO store is a ring of slots.
 
 const noEntry = int32(-1)
 
-// seenCache is a bounded LRU set of rumor IDs used for duplicate
+// seenCache is a bounded LRU set of ID sums (IDSum) used for duplicate
 // suppression. Bounding it is what makes long-running disseminators safe;
 // ablation A2 measures the duplicate-delivery cost of undersizing it.
+//
+// An entry is its sum and two links in the arena, plus a 4-byte slot of a
+// table kept at most half full: about 24 bytes in a full cache, and no ID
+// string. The table
+// is linear-probed from a sum's home slot, and an eviction shifts the rest of
+// its cluster back, so it holds no tombstones. Both start empty and double:
+// most engines of a large simulation see a handful of rumors.
 type seenCache struct {
 	cap   int
-	items map[string]int32 // id -> arena index
+	slots []uint32 // arena index + 1, or 0 for empty; a power of two long
+	shift uint8    // 64 - log2(len(slots))
 	arena []seenEntry
-	free  []int32
 	head  int32 // most recently used
 	tail  int32 // least recently used
 }
 
 type seenEntry struct {
-	id   string
+	sum  uint64
 	prev int32
 	next int32
 }
 
 func newSeenCache(capacity int) seenCache {
-	// No size hint: a hint preallocates buckets up front, and at simulation
-	// scale (10^5..10^6 engines, most of which ever see a handful of rumors)
-	// even a modest hint per engine dominates resident memory. Incremental
-	// map growth costs only amortized rehashing on the nodes that get busy.
-	return seenCache{
-		cap:   capacity,
-		items: make(map[string]int32),
-		head:  noEntry,
-		tail:  noEntry,
+	return seenCache{cap: capacity, head: noEntry, tail: noEntry}
+}
+
+// home is sum's first probe slot, taken from the top bits of a Fibonacci
+// multiple so that sums differing only in their low bits spread too.
+func (c *seenCache) home(sum uint64) int {
+	return int((sum * 0x9e3779b97f4a7c15) >> c.shift)
+}
+
+// find returns the slot holding sum and its arena index, or the empty slot
+// where its probe ended and noEntry.
+func (c *seenCache) find(sum uint64) (pos int, i int32) {
+	if len(c.slots) == 0 {
+		return 0, noEntry
 	}
+	mask := len(c.slots) - 1
+	for pos = c.home(sum); ; pos = (pos + 1) & mask {
+		if s := c.slots[pos]; s == 0 || c.arena[s-1].sum == sum {
+			return pos, int32(s) - 1
+		}
+	}
+}
+
+// place files arena entry i, whose sum the table lacks, where its probe ends.
+func (c *seenCache) place(i int32) {
+	pos, _ := c.find(c.arena[i].sum)
+	c.slots[pos] = uint32(i) + 1
+}
+
+// vacate empties slot pos, moving into the hole each later entry of its
+// cluster whose home does not lie between the hole and it, so no probe stops
+// short of its entry.
+func (c *seenCache) vacate(pos int) {
+	mask := len(c.slots) - 1
+	for next := (pos + 1) & mask; c.slots[next] != 0; next = (next + 1) & mask {
+		if home := c.home(c.arena[c.slots[next]-1].sum); (next-home)&mask >= (next-pos)&mask {
+			c.slots[pos], pos = c.slots[next], next
+		}
+	}
+	c.slots[pos] = 0
 }
 
 // unlink detaches entry i from the recency list.
@@ -75,135 +113,101 @@ func (c *seenCache) pushFront(i int32) {
 	}
 }
 
-// Add inserts id and reports whether it was not already present.
-func (c *seenCache) Add(id string) bool {
-	if i, ok := c.items[id]; ok {
+// Add inserts sum and reports whether it was not already present; a sum
+// already present becomes the most recently used. At capacity the least
+// recently used is evicted and its arena entry reused.
+func (c *seenCache) Add(sum uint64) bool {
+	if _, i := c.find(sum); i != noEntry {
 		if c.head != i {
 			c.unlink(i)
 			c.pushFront(i)
 		}
 		return false
 	}
-	c.insert(id)
+	i := c.tail
+	if len(c.arena) < c.cap {
+		if size := len(c.slots); 2*len(c.arena)+2 > size {
+			c.slots = make([]uint32, max(8, 2*size))
+			c.shift = uint8(64 - bits.TrailingZeros(uint(len(c.slots))))
+			for i := range c.arena {
+				c.place(int32(i))
+			}
+		}
+		if len(c.arena) == cap(c.arena) { // double, up to capacity
+			c.arena = append(make([]seenEntry, 0, min(max(4, 2*len(c.arena)), c.cap)), c.arena...)
+		}
+		i = int32(len(c.arena))
+		c.arena = append(c.arena, seenEntry{})
+	} else {
+		c.unlink(i)
+		pos, _ := c.find(c.arena[i].sum)
+		c.vacate(pos)
+	}
+	c.arena[i].sum = sum
+	c.place(i)
+	c.pushFront(i)
 	return true
 }
 
-// insert adds an id the caller knows to be absent (Add, or a TouchBytes that
-// just reported false), evicting the least recently used beyond capacity.
-func (c *seenCache) insert(id string) {
-	var i int32
-	if n := len(c.free); n > 0 {
-		i = c.free[n-1]
-		c.free = c.free[:n-1]
-		c.arena[i] = seenEntry{id: id}
-	} else {
-		i = int32(len(c.arena))
-		c.arena = append(c.arena, seenEntry{id: id})
-	}
-	c.items[id] = i
-	c.pushFront(i)
-	for len(c.items) > c.cap {
-		oldest := c.tail
-		c.unlink(oldest)
-		delete(c.items, c.arena[oldest].id)
-		c.arena[oldest].id = "" // release the string
-		c.free = append(c.free, oldest)
-	}
+// Contains reports whether sum is present without refreshing recency.
+func (c *seenCache) Contains(sum uint64) bool {
+	_, i := c.find(sum)
+	return i != noEntry
 }
 
-// TouchBytes is the duplicate half of Add for an identifier still sitting
-// in a message buffer: it reports whether id is present and, if so,
-// refreshes its recency exactly as Add would and returns the string the
-// cache holds it under. The lookup converts in place, so a duplicate — the
-// common case in gossip — costs no string; an absent id is left for the
-// caller to Add once it has built the string.
-func (c *seenCache) TouchBytes(id []byte) (key string, ok bool) {
-	i, ok := c.items[string(id)]
-	if !ok {
-		return "", false
-	}
-	if c.head != i {
-		c.unlink(i)
-		c.pushFront(i)
-	}
-	return c.arena[i].id, true
-}
-
-// Contains reports whether id is present without refreshing recency.
-func (c *seenCache) Contains(id string) bool {
-	_, ok := c.items[id]
-	return ok
-}
-
-// ContainsBytes is Contains for an id still in a message buffer.
-func (c *seenCache) ContainsBytes(id []byte) bool {
-	_, ok := c.items[string(id)]
-	return ok
-}
-
-// Len returns the number of cached IDs.
-func (c *seenCache) Len() int { return len(c.items) }
-
-// Held is what a Machine's store holds: a value that names the ID it is held
-// under, so the slot need not carry the ID a second time. The engine holds a
-// Rumor; a SOAP disseminator holds its retained envelope clone.
-type Held interface {
-	HeldID() string
-}
-
-// HeldID returns the rumor's ID: a stored Rumor is held under it.
-func (r Rumor) HeldID() string { return r.ID }
+// Len returns the number of cached sums.
+func (c *seenCache) Len() int { return len(c.arena) }
 
 // store retains recent values so a node can serve fetches and answer digests;
 // its methods are the Machine's. It evicts in FIFO order and never reorders,
 // so the values live in a ring of slots in insertion order — grown by append
 // until it holds cap entries, overwritten oldest-first from then on — and
-// index maps an ID to its slot, which never moves while the entry lives.
+// index maps an ID's sum (IDSum) to its slot, which never moves while the
+// entry lives.
 //
-// Each slot carries its ID's sum (IDSum), taken once when the value is held:
-// a digest names what its sender holds by those sums, and Missing compares
-// them without hashing the store again.
-type store[V Held] struct {
+// Each slot carries the sum it is held under: a digest names what its sender
+// holds by those sums, and Missing compares them without hashing the store
+// again.
+type store[V any] struct {
 	cap   int
 	slots []storeSlot[V]
 	head  int // slot of the oldest entry once the ring is full
-	index map[string]uint32
+	index map[uint64]uint32
 }
 
 // storeSlot is one retained value and its ID's sum.
-type storeSlot[V Held] struct {
+type storeSlot[V any] struct {
 	v   V
 	sum uint64
 }
 
-func newStore[V Held](capacity int) store[V] {
+func newStore[V any](capacity int) store[V] {
 	// Unhinted for the same reason as newSeenCache: per-node resident memory
 	// at large simulated populations.
-	return store[V]{cap: capacity, index: make(map[string]uint32)}
+	return store[V]{cap: capacity, index: make(map[uint64]uint32)}
 }
 
-// Hold keeps v to serve IWANTs and digests. The first Hold of an ID wins.
-func (s *store[V]) Hold(v V) {
-	id := v.HeldID()
-	if _, ok := s.index[id]; ok {
+// Hold keeps v, whose ID's sum is sum, to serve IWANTs and digests. The first
+// Hold of a sum wins.
+func (s *store[V]) Hold(sum uint64, v V) {
+	if _, ok := s.index[sum]; ok {
 		return
 	}
-	slot := storeSlot[V]{v: v, sum: IDSum(id)}
+	slot := storeSlot[V]{v: v, sum: sum}
 	if len(s.slots) < s.cap {
-		s.index[id] = uint32(len(s.slots))
+		s.index[sum] = uint32(len(s.slots))
 		s.slots = append(s.slots, slot)
 		return
 	}
-	delete(s.index, s.slots[s.head].v.HeldID())
-	s.index[id] = uint32(s.head)
+	delete(s.index, s.slots[s.head].sum)
+	s.index[sum] = uint32(s.head)
 	s.slots[s.head] = slot
 	s.head = (s.head + 1) % s.cap
 }
 
-// Get returns the value held for id — a view of a message buffer will do:
-// the lookup converts in place.
-func (s *store[V]) Get(id []byte) (v V, ok bool) {
-	if i, ok := s.index[string(id)]; ok {
+// Get returns the value held under sum.
+func (s *store[V]) Get(sum uint64) (v V, ok bool) {
+	if i, ok := s.index[sum]; ok {
 		return s.slots[i].v, true
 	}
 	return v, false
@@ -285,10 +289,14 @@ func (s *store[V]) Missing(sums []uint64, truncated bool, max int) []V {
 	return out
 }
 
-// IDSum is the 64-bit FNV-1a sum of id: what a digest lists for each held
-// value in place of its ID. Two IDs share a sum with probability about
-// 2^-64, so a digest of n sums mistakes one of a responder's m values for a
-// listed one with probability about n·m·2^-64.
+// IDSum is the 64-bit FNV-1a sum of id: the one identity a node keys a
+// notification by — in its seen cache, store, outstanding requests and
+// counter-mongering counts — and what a digest lists for each held value. It
+// is computed from the ID's bytes where they lie, so asking about a received
+// ID builds nothing. Two IDs share a sum with probability about 2^-64: a
+// digest of n sums mistakes one of a responder's m values for a listed one
+// with probability about n·m·2^-64, and a receipt against a full seen cache of
+// c sums is taken for a duplicate with probability about c·2^-64.
 func IDSum[T string | []byte](id T) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
@@ -296,5 +304,9 @@ func IDSum[T string | []byte](id T) uint64 {
 		h ^= uint64(id[i])
 		h *= prime
 	}
-	return h
+	return h & sumMask
 }
+
+// sumMask narrows every IDSum. It is all ones; a test narrows it to make IDs
+// collide and watch what a collision costs.
+var sumMask = ^uint64(0)

@@ -12,14 +12,19 @@
 // Key types:
 //
 //   - Machine — the one implementation of the protocol: all dissemination
-//     state and every decision, with no lock, no clock and no I/O. Its store
-//     writes the one digest both bindings send (Digest: the sums — IDSum,
-//     the 64-bit FNV-1a of an ID — of the newest DigestCap held values, and
-//     whether it holds more) and answers one: Missing returns the held
-//     values whose ID's sum is not listed, and for a truncated digest only
-//     those newer than its oldest listed sum. ParseSums reads a digest's
-//     sums back. The engine's pull request carries them raw, a SOAP digest
-//     in base64.
+//     state and every decision, with no lock, no clock and no I/O. It knows
+//     a notification by one 64-bit identity, IDSum (the FNV-1a of its ID),
+//     which a binding takes from the ID's bytes where they lie: the seen
+//     cache, the store, the outstanding requests and the counter-mongering
+//     counts are all keyed by it, every method takes it, and no ID string
+//     is kept. Two IDs with one sum are one notification to it — a missed
+//     delivery, never a duplicate one. Its store writes the one digest both
+//     bindings send (Digest: the sums of the newest DigestCap held values,
+//     and whether it holds more) and answers one: Missing returns the held
+//     values whose sum is not listed, and for a truncated digest only those
+//     newer than its oldest listed sum. ParseSums reads a digest's sums
+//     back. The engine's pull request carries them raw, a SOAP digest in
+//     base64.
 //   - Engine — the Machine bound to a transport.Endpoint, what the simulator
 //     runs (core.Disseminator binds it over SOAP); Publish injects a rumor,
 //     Tick runs an anti-entropy round for the styles that pull.
@@ -29,7 +34,8 @@
 //   - PeerProvider — the peer source abstraction (StaticPeers for fixed
 //     sets, membership.Service for live views); SamplePeers is the shared
 //     uniform-without-replacement sampler every layer draws through.
-//   - SeenSet — a locked, bounded duplicate-suppression set.
+//   - SeenSet — the machine's seen cache behind a lock of its own, for
+//     deduplication without a machine.
 //   - Rumor / Style — the unit of dissemination and the spread discipline.
 //
 // The wire form (wire.go) is one length-prefixed binary codec — a kind byte
@@ -45,8 +51,8 @@
 // half-applied message (and a rejection allocates nothing). The Machine is
 // asked with the ID as it lies in the body, so a duplicate — two receipts in
 // three under push — is dropped before anything is built. Views die with the
-// handler call: whatever reaches the Machine's state or Deliver is an owned
-// copy, so nothing the engine retains pins a message body, and
-// Publish/Inject copy the caller's payload for the same reason. Deliver
-// receives the stored rumor and must not modify its Payload.
+// handler call: the Machine keeps only their sums, and whatever reaches the
+// store or Deliver is an owned copy, so nothing the engine retains pins a
+// message body, and Publish/Inject copy the caller's payload for the same
+// reason. Deliver receives the stored rumor and must not modify its Payload.
 package gossip

@@ -184,14 +184,15 @@ func ownedPayload(p []byte) []byte {
 // acceptLocked is the entry point for a rumor the engine already owns
 // (Publish, Inject).
 func (e *Engine) acceptLocked(ctx context.Context, r Rumor) {
-	first, t := e.m.Admit(r.ID)
+	sum := IDSum(r.ID)
+	first, t := e.m.Receive(sum, false)
 	if first {
-		e.acceptNewLocked(ctx, r, false)
+		e.acceptNewLocked(ctx, r, sum, false)
 		return
 	}
 	e.stats.Duplicates++
 	if t.Send != SendNothing {
-		if stored, ok := e.m.Get([]byte(r.ID)); ok {
+		if stored, ok := e.m.Get(sum); ok {
 			r = stored
 		}
 		e.sendLocked(ctx, r, t)
@@ -199,22 +200,22 @@ func (e *Engine) acceptLocked(ctx context.Context, r Rumor) {
 }
 
 // receiveLocked is the entry point for a rumor still lying in a message body.
-// The machine is asked with the ID in place, so a duplicate is dropped before
-// anything is built; only a new rumor becomes an owned Rumor. viaPull marks
-// rumors learned through anti-entropy, which are stored and delivered but not
-// eagerly re-forwarded (they spread through subsequent pulls).
+// The machine is asked with the sum of the ID in place, so a duplicate is
+// dropped before anything is built; only a new rumor becomes an owned Rumor.
+// viaPull marks rumors learned through anti-entropy, which are stored and
+// delivered but not eagerly re-forwarded (they spread through subsequent
+// pulls).
 func (e *Engine) receiveLocked(ctx context.Context, v rumorView, viaPull bool) {
-	known, t := e.m.Receive(v.id, viaPull)
-	if !known {
-		r := v.rumor()
-		e.m.Admit(r.ID)
-		e.acceptNewLocked(ctx, r, viaPull)
+	sum := IDSum(v.id)
+	first, t := e.m.Receive(sum, viaPull)
+	if first {
+		e.acceptNewLocked(ctx, v.rumor(), sum, viaPull)
 		return
 	}
 	e.stats.Duplicates++
 	if t.Send != SendNothing {
 		// The store's copy serves; the view is copied only if it was evicted.
-		r, ok := e.m.Get(v.id)
+		r, ok := e.m.Get(sum)
 		if !ok {
 			r = v.rumor()
 		}
@@ -222,17 +223,17 @@ func (e *Engine) receiveLocked(ctx context.Context, v rumorView, viaPull bool) {
 	}
 }
 
-// acceptNewLocked holds, delivers and spreads a rumor the machine just
-// admitted.
-func (e *Engine) acceptNewLocked(ctx context.Context, r Rumor, viaPull bool) {
-	e.m.Hold(r)
+// acceptNewLocked holds, delivers and spreads a rumor the machine just took
+// as a first receipt of sum.
+func (e *Engine) acceptNewLocked(ctx context.Context, r Rumor, sum uint64, viaPull bool) {
+	e.m.Hold(sum, r)
 	e.stats.Delivered++
 	if e.cfg.Deliver != nil {
 		// The callback runs under e.mu: it must not call back into the
 		// engine synchronously from another goroutine.
 		e.cfg.Deliver(r)
 	}
-	e.sendLocked(ctx, r, e.m.Spread(r.ID, e.cfg.Style, r.Hops, viaPull))
+	e.sendLocked(ctx, r, e.m.Spread(sum, e.cfg.Style, r.Hops, viaPull))
 }
 
 // sendLocked carries out the machine's decision t for r: the payload, at
@@ -308,12 +309,12 @@ func (e *Engine) handleIHave(ctx context.Context, msg transport.Message) error {
 	var want []RumorRef
 	for rd.n > 0 {
 		ref, _ := rd.ref()
-		id, ok, held := e.m.Want(ref.id)
+		ok, held := e.m.Want(IDSum(ref.id))
 		if held {
 			e.stats.Duplicates++
 		}
 		if ok {
-			want = append(want, RumorRef{ID: id, Hops: ref.hops})
+			want = append(want, RumorRef{ID: string(ref.id), Hops: ref.hops})
 		}
 	}
 	if len(want) == 0 {
@@ -321,7 +322,7 @@ func (e *Engine) handleIHave(ctx context.Context, msg transport.Message) error {
 	}
 	if e.sendOneLocked(ctx, msg.From, ActionIWant, encodeRefs(want...)) != nil {
 		for _, ref := range want {
-			e.m.Release(ref.ID)
+			e.m.Release(IDSum(ref.ID))
 		}
 	}
 	e.stats.IWantSent++
@@ -339,7 +340,7 @@ func (e *Engine) handleIWant(ctx context.Context, msg transport.Message) error {
 	var out []Rumor
 	for rd.n > 0 {
 		ref, _ := rd.ref()
-		if r, ok := e.m.Get(ref.id); ok {
+		if r, ok := e.m.Get(IDSum(ref.id)); ok {
 			out = append(out, r)
 		}
 	}
@@ -405,7 +406,7 @@ func (e *Engine) handlePullReq(ctx context.Context, msg transport.Message) error
 func (e *Engine) Seen(id string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.m.Seen(id)
+	return e.m.Seen(IDSum(id))
 }
 
 // StoreLen reports the number of retained rumor bodies.

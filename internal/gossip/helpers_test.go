@@ -15,3 +15,6 @@ func sumsOf(ids ...string) []uint64 {
 	}
 	return sums
 }
+
+// holdRumor holds r in s under the sum of its ID, as the engine does.
+func holdRumor(s *store[Rumor], r Rumor) { s.Hold(IDSum(r.ID), r) }

@@ -7,22 +7,28 @@ package gossip
 // its own mutex and keeps only decoding, target sampling, encoding, sending
 // and its counters: Engine on a transport.Endpoint, core.Disseminator on SOAP.
 //
+// The machine knows a notification by one 64-bit identity, the sum of its ID
+// (IDSum), which the binding takes once per receipt from the ID's bytes where
+// they lie. Every question takes that sum, so no state here holds an ID
+// string, and asking about a received ID — first receipt or duplicate —
+// builds nothing.
+//
 // Every decision comes back as a value (Transfer), never as a list of sends,
 // so each binding draws its targets at the point in its RNG stream it always
 // has. V is what a store slot holds: the engine's Rumor, or a SOAP node's
 // retained envelope clone.
-type Machine[V Held] struct {
+type Machine[V any] struct {
 	store[V]  // Hold, Get, Len, Digest, Missing
 	seen      seenCache
-	requested map[string]struct{} // outstanding IWANTs
-	counters  map[string]int      // StyleCounter: duplicates heard per rumor still mongered
+	requested map[uint64]struct{} // outstanding IWANTs
+	counters  map[uint64]int      // StyleCounter: duplicates heard per rumor still mongered
 	counterK  int
 }
 
-// NewMachine returns a machine holding seenCap IDs and storeCap values,
+// NewMachine returns a machine holding seenCap sums and storeCap values,
 // whose counter mongering goes quiescent after counterK duplicates.
 // Non-positive values take DefaultSeenCacheSize, DefaultStoreSize and 2.
-func NewMachine[V Held](seenCap, storeCap, counterK int) Machine[V] {
+func NewMachine[V any](seenCap, storeCap, counterK int) Machine[V] {
 	if seenCap <= 0 {
 		seenCap = DefaultSeenCacheSize
 	}
@@ -32,13 +38,9 @@ func NewMachine[V Held](seenCap, storeCap, counterK int) Machine[V] {
 	if counterK <= 0 {
 		counterK = 2
 	}
-	return Machine[V]{
-		store:     newStore[V](storeCap),
-		seen:      newSeenCache(seenCap),
-		requested: make(map[string]struct{}),
-		counters:  make(map[string]int),
-		counterK:  counterK,
-	}
+	// requested and counters stay nil until a style writes them: most
+	// engines of a large simulation push, and never do.
+	return Machine[V]{store: newStore[V](storeCap), seen: newSeenCache(seenCap), counterK: counterK}
 }
 
 // Send is what a Transfer puts on the wire.
@@ -94,59 +96,48 @@ func ServedHops(hops int) int {
 // repair half of push-pull.
 func (s Style) Pulls() bool { return s == StylePull || s == StylePushPull }
 
-// Receive takes a receipt of id — viewed in a message buffer, never
-// retained — and reports whether the seen cache knows it, refreshing its
-// recency and building nothing. A binding that gets false builds the owned ID
-// and Admits it. A duplicate's t is as Admit's, but a copy that arrived
-// through anti-entropy triggers nothing.
-func (m *Machine[V]) Receive(id []byte, viaPull bool) (known bool, t Transfer) {
-	key, known := m.seen.TouchBytes(id)
-	if !known || viaPull {
-		return known, Transfer{}
-	}
-	// key is the seen cache's own string: keying the count by it copies
-	// nothing.
-	return true, m.feedback(key)
-}
-
-// Admit takes a receipt of an owned id and reports whether it is the first
-// while the seen cache holds the ID; a first receipt settles any IWANT
-// outstanding for it. For a duplicate, t is the feedback it triggers: a
-// rumor still being mongered bursts once more, until CounterK duplicates send
-// it quiescent; under every other style a duplicate triggers nothing.
-func (m *Machine[V]) Admit(id string) (first bool, t Transfer) {
-	if m.seen.Add(id) {
-		delete(m.requested, id)
+// Receive takes a receipt of the notification whose ID sums to sum and
+// reports whether it is the first while the seen cache holds the sum; either
+// way the sum becomes the seen cache's most recently used. A first receipt
+// settles any IWANT outstanding for it. For a duplicate, t is the feedback it
+// triggers: a rumor still being mongered bursts once more, until CounterK
+// duplicates send it quiescent; under every other style, and for a copy that
+// arrived through anti-entropy (viaPull), a duplicate triggers nothing.
+//
+// Two IDs with one sum are one notification here: the later one's first
+// receipt is taken for a duplicate — a missed delivery, which anti-entropy
+// repairs — never a second delivery of either.
+func (m *Machine[V]) Receive(sum uint64, viaPull bool) (first bool, t Transfer) {
+	if m.seen.Add(sum) {
+		delete(m.requested, sum)
 		return true, Transfer{}
 	}
-	return false, m.feedback(id)
-}
-
-// feedback is counter mongering's answer to a duplicate of id.
-func (m *Machine[V]) feedback(id string) Transfer {
-	count, active := m.counters[id]
-	if !active {
-		return Transfer{}
+	count, active := m.counters[sum]
+	if viaPull || !active {
+		return false, Transfer{}
 	}
 	if count++; count >= m.counterK {
-		delete(m.counters, id)
-		return Transfer{}
+		delete(m.counters, sum)
+		return false, Transfer{}
 	}
-	m.counters[id] = count
-	return Transfer{Send: SendPayload, monger: true}
+	m.counters[sum] = count
+	return false, Transfer{Send: SendPayload, monger: true}
 }
 
-// Spread decides how a rumor admitted with hops remaining spreads under
-// style; it is the one switch on Style. viaPull marks a rumor that arrived
-// through anti-entropy: it is delivered but not forwarded, and spreads
-// through later digests.
-func (m *Machine[V]) Spread(id string, style Style, hops int, viaPull bool) Transfer {
+// Spread decides how a rumor received first with hops remaining spreads
+// under style; it is the one switch on Style. viaPull marks a rumor that
+// arrived through anti-entropy: it is delivered but not forwarded, and
+// spreads through later digests.
+func (m *Machine[V]) Spread(sum uint64, style Style, hops int, viaPull bool) Transfer {
 	switch {
 	case viaPull || style == StylePull:
 		return Transfer{}
 	case style == StyleCounter:
 		// Mongering starts, active until CounterK duplicates are heard.
-		m.counters[id] = 0
+		if m.counters == nil {
+			m.counters = make(map[uint64]int)
+		}
+		m.counters[sum] = 0
 		return Transfer{Send: SendPayload, monger: true}
 	case hops <= 0:
 		return Transfer{}
@@ -160,26 +151,28 @@ func (m *Machine[V]) Spread(id string, style Style, hops int, viaPull bool) Tran
 	return Transfer{}
 }
 
-// Want decides an announcement of id, viewed in place. held reports that the
-// seen cache holds it: the announcement is a duplicate. want reports that it
-// should be fetched — neither held nor already requested — and the request is
-// then outstanding under the returned owned ID until Admit or Release
-// settles it.
-func (m *Machine[V]) Want(id []byte) (owned string, want, held bool) {
-	if m.seen.ContainsBytes(id) {
-		return "", false, true
+// Want decides an announcement of the notification whose ID sums to sum.
+// held reports that the seen cache holds it: the announcement is a
+// duplicate. want reports that it should be fetched — neither held nor
+// already requested — and the request is then outstanding until Receive or
+// Release settles it.
+func (m *Machine[V]) Want(sum uint64) (want, held bool) {
+	if m.seen.Contains(sum) {
+		return false, true
 	}
-	if _, pending := m.requested[string(id)]; pending {
-		return "", false, false
+	if _, pending := m.requested[sum]; pending {
+		return false, false
 	}
-	owned = string(id)
-	m.requested[owned] = struct{}{}
-	return owned, true, false
+	if m.requested == nil {
+		m.requested = make(map[uint64]struct{})
+	}
+	m.requested[sum] = struct{}{}
+	return true, false
 }
 
 // Release settles a request whose IWANT could not be sent, so a later
 // announcement of the rumor fetches it again.
-func (m *Machine[V]) Release(id string) { delete(m.requested, id) }
+func (m *Machine[V]) Release(sum uint64) { delete(m.requested, sum) }
 
-// Seen reports whether the seen cache holds id, without refreshing it.
-func (m *Machine[V]) Seen(id string) bool { return m.seen.Contains(id) }
+// Seen reports whether the seen cache holds sum, without refreshing it.
+func (m *Machine[V]) Seen(sum uint64) bool { return m.seen.Contains(sum) }

@@ -12,34 +12,44 @@ import (
 
 // machineModel is the reference the property test holds a Machine to: an LRU
 // list for the seen cache, a FIFO list for the store, the outstanding
-// requests and the counter-mongering counts, all as plain slices and maps.
+// requests and the counter-mongering counts, all as plain slices and maps
+// keyed, as the machine is, by ID sums. delivered is the same seen cache
+// read by ID: the IDs whose first receipt was delivered and whose sum the
+// cache has held ever since.
 type machineModel struct {
 	seenCap, storeCap, counterK int
-	seen                        []string // most recently used first
-	stored                      []string // oldest first
-	outstanding                 map[string]bool
-	counts                      map[string]int
+	seen                        []uint64 // most recently used first
+	stored                      []uint64 // oldest first
+	outstanding                 map[uint64]bool
+	counts                      map[uint64]int
+	delivered                   map[string]bool
 }
 
-func (m *machineModel) holds(id string) bool { return slices.Contains(m.seen, id) }
+func (m *machineModel) holds(sum uint64) bool { return slices.Contains(m.seen, sum) }
 
-// touch refreshes a held ID, or admits a new one, evicting the least
-// recently used beyond capacity.
-func (m *machineModel) touch(id string) {
-	if i := slices.Index(m.seen, id); i >= 0 {
+// touch refreshes a held sum, or admits a new one, evicting the least
+// recently used beyond capacity, and with it every ID delivered under it.
+func (m *machineModel) touch(sum uint64) {
+	if i := slices.Index(m.seen, sum); i >= 0 {
 		m.seen = slices.Delete(m.seen, i, i+1)
 	}
-	m.seen = slices.Insert(m.seen, 0, id)
+	m.seen = slices.Insert(m.seen, 0, sum)
 	if len(m.seen) > m.seenCap {
+		evicted := m.seen[m.seenCap]
 		m.seen = m.seen[:m.seenCap]
+		for id := range m.delivered {
+			if IDSum(id) == evicted {
+				delete(m.delivered, id)
+			}
+		}
 	}
 }
 
-func (m *machineModel) hold(id string) {
-	if slices.Contains(m.stored, id) {
+func (m *machineModel) hold(sum uint64) {
+	if slices.Contains(m.stored, sum) {
 		return
 	}
-	m.stored = append(m.stored, id)
+	m.stored = append(m.stored, sum)
 	if len(m.stored) > m.storeCap {
 		m.stored = m.stored[1:]
 	}
@@ -49,123 +59,137 @@ func (m *machineModel) hold(id string) {
 // alphabet through random first receipts, duplicates, IHAVEs, released
 // fetches, IWANTs and digests under every style, checking each answer
 // against machineModel:
-//   - an ID is admitted (delivered) once while the seen cache holds it;
+//   - an ID is delivered once while the seen cache holds its sum;
 //   - nothing is forwarded or announced at hops ≤ 0, and every transfer
 //     costs exactly one hop (counter mongering keeps the budget instead);
-//   - Missing never returns an ID the digest lists, returns the newest first,
-//     returns at most max, and of a truncated digest returns only what is
-//     newer than the oldest ID it lists, when that ID is held;
-//   - a request is outstanding at most once until it is admitted or released;
+//   - Missing never returns a value whose sum the digest lists, returns the
+//     newest first, returns at most max, and of a truncated digest returns
+//     only what is newer than the oldest sum it lists, when that sum is held;
+//   - a request is outstanding at most once until it is received or released;
 //   - counter mongering stops after CounterK duplicates.
+//
+// It runs once more with sums narrowed to three bits, so that the ten IDs
+// collide, and holds the machine to the failure mode a collision is allowed:
+// an ID whose sum the seen cache holds for another ID is taken for a
+// duplicate — a missed delivery, which must happen in the run — and no ID is
+// ever delivered twice while its sum is held.
 func TestMachineProperties(t *testing.T) {
+	for _, style := range []Style{StylePush, StylePull, StylePushPull, StyleLazyPush, StyleFlood, StyleCounter} {
+		t.Run(style.String(), func(t *testing.T) {
+			if missed := runMachineModel(t, style); missed != 0 {
+				t.Fatalf("%d first receipts missed without a collision", missed)
+			}
+		})
+	}
+	t.Run("colliding", func(t *testing.T) {
+		defer func(mask uint64) { sumMask = mask }(sumMask)
+		sumMask = 7
+		for _, style := range []Style{StylePush, StyleLazyPush, StyleCounter} {
+			t.Run(style.String(), func(t *testing.T) {
+				if missed := runMachineModel(t, style); missed == 0 {
+					t.Fatal("no first receipt collided with a held sum")
+				}
+			})
+		}
+	})
+}
+
+// runMachineModel is one TestMachineProperties run under style; it returns
+// how many first receipts of an ID were taken for duplicates of another.
+func runMachineModel(t *testing.T, style Style) (missed int) {
 	const (
 		seenCap, storeCap, counterK = 6, 4, 3
 		alphabet, steps             = 10, 4000
 	)
-	for _, style := range []Style{StylePush, StylePull, StylePushPull, StyleLazyPush, StyleFlood, StyleCounter} {
-		t.Run(style.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(style) * 7919))
-			m := NewMachine[Rumor](seenCap, storeCap, counterK)
-			model := &machineModel{
-				seenCap: seenCap, storeCap: storeCap, counterK: counterK,
-				outstanding: map[string]bool{}, counts: map[string]int{},
-			}
-			for step := 0; step < steps; step++ {
-				id := fmt.Sprintf("r%d", rng.Intn(alphabet))
-				fail := func(format string, args ...any) {
-					t.Helper()
-					t.Fatalf("step %d, %s: %s", step, id, fmt.Sprintf(format, args...))
-				}
-				switch op := rng.Intn(6); op {
-				case 0, 1: // a receipt: first or duplicate
-					hops, viaPull := rng.Intn(5)-1, rng.Intn(8) == 0
-					known, t := m.Receive([]byte(id), viaPull)
-					if known != model.holds(id) {
-						fail("Receive = %v, model holds %v", known, model.holds(id))
-					}
-					if known {
-						model.touch(id)
-						checkDuplicate(t, model, id, viaPull, fail)
-						continue
-					}
-					if first, _ := m.Admit(id); !first {
-						fail("Admit of an ID the seen cache lacks reported a duplicate")
-					}
-					model.touch(id)
-					delete(model.outstanding, id)
-					m.Hold(Rumor{ID: id, Hops: hops})
-					model.hold(id)
-					checkSpread(m.Spread(id, style, hops, viaPull), model, style, id, hops, viaPull, fail)
-				case 2: // a duplicate whose ID is already a string (Publish, Inject)
-					if !model.holds(id) {
-						continue
-					}
-					first, t := m.Admit(id)
-					if first {
-						fail("Admit of a held ID reported a first receipt")
-					}
-					model.touch(id)
-					checkDuplicate(t, model, id, false, fail)
-				case 3: // an IHAVE, and sometimes its IWANT refused
-					owned, want, held := m.Want([]byte(id))
-					if held != model.holds(id) || want != (!held && !model.outstanding[id]) {
-						fail("Want = (%v, held %v), model holds %v, outstanding %v", want, held, model.holds(id), model.outstanding[id])
-					}
-					if want {
-						if owned != id {
-							fail("Want owned %q", owned)
-						}
-						model.outstanding[id] = true
-						if rng.Intn(3) == 0 {
-							m.Release(owned)
-							delete(model.outstanding, id)
-						}
-					}
-				case 4: // an IWANT served
-					r, ok := m.Get([]byte(id))
-					if ok != slices.Contains(model.stored, id) || (ok && r.ID != id) {
-						fail("Get = %+v, %v; model stores %v", r, ok, model.stored)
-					}
-					if ok && r.Hops > 0 && ServedHops(r.Hops) != r.Hops-1 {
-						fail("serving at %d hops costs %d", r.Hops, r.Hops-ServedHops(r.Hops))
-					}
-				case 5: // a digest
-					var listed []string
-					for k := rng.Intn(alphabet); k > 0; k-- {
-						listed = append(listed, fmt.Sprintf("r%d", rng.Intn(alphabet+3)))
-					}
-					max, truncated := rng.Intn(storeCap+2), rng.Intn(3) == 0
-					sums := make([]uint64, len(listed))
-					for i, l := range listed {
-						sums[i] = IDSum(l)
-					}
-					var got, want []string
-					for _, r := range m.Missing(sums, truncated, max) {
-						got = append(got, r.ID)
-					}
-					for i := len(model.stored) - 1; i >= 0 && len(want) < max; i-- {
-						if truncated && len(listed) > 0 && model.stored[i] == listed[len(listed)-1] {
-							break // the truncated digest's oldest listed ID
-						}
-						if !slices.Contains(listed, model.stored[i]) {
-							want = append(want, model.stored[i])
-						}
-					}
-					if !slices.Equal(got, want) {
-						fail("Missing(%d, truncated %v) of %v listing %v = %v, want %v", max, truncated, model.stored, listed, got, want)
-					}
-				}
-				if m.Len() != len(model.stored) {
-					fail("Len = %d, model stores %d", m.Len(), len(model.stored))
-				}
-			}
-		})
+	rng := rand.New(rand.NewSource(int64(style) * 7919))
+	m := NewMachine[Rumor](seenCap, storeCap, counterK)
+	model := &machineModel{
+		seenCap: seenCap, storeCap: storeCap, counterK: counterK,
+		outstanding: map[uint64]bool{}, counts: map[uint64]int{}, delivered: map[string]bool{},
 	}
+	for step := 0; step < steps; step++ {
+		id := fmt.Sprintf("r%d", rng.Intn(alphabet))
+		sum := IDSum(id)
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("step %d, %s: %s", step, id, fmt.Sprintf(format, args...))
+		}
+		switch op := rng.Intn(6); op {
+		case 0, 1, 2: // a receipt: first or duplicate, in a body or (Publish, Inject) owned
+			hops, viaPull := rng.Intn(5)-1, op == 0 && rng.Intn(3) == 0
+			held := model.holds(sum)
+			first, t := m.Receive(sum, viaPull)
+			if first && model.delivered[id] {
+				fail("delivered twice while its sum is held")
+			}
+			if first == held {
+				fail("Receive = first %v, model holds the sum %v", first, held)
+			}
+			model.touch(sum)
+			if !first {
+				if !model.delivered[id] {
+					missed++
+				}
+				checkDuplicate(t, model, sum, viaPull, fail)
+				continue
+			}
+			model.delivered[id] = true
+			delete(model.outstanding, sum)
+			m.Hold(sum, Rumor{ID: id, Hops: hops})
+			model.hold(sum)
+			checkSpread(m.Spread(sum, style, hops, viaPull), model, style, sum, hops, viaPull, fail)
+		case 3: // an IHAVE, and sometimes its IWANT refused
+			want, held := m.Want(sum)
+			if held != model.holds(sum) || want != (!held && !model.outstanding[sum]) {
+				fail("Want = (%v, held %v), model holds %v, outstanding %v", want, held, model.holds(sum), model.outstanding[sum])
+			}
+			if want {
+				model.outstanding[sum] = true
+				if rng.Intn(3) == 0 {
+					m.Release(sum)
+					delete(model.outstanding, sum)
+				}
+			}
+		case 4: // an IWANT served
+			r, ok := m.Get(sum)
+			if ok != slices.Contains(model.stored, sum) || (ok && IDSum(r.ID) != sum) {
+				fail("Get = %+v, %v; model stores %v", r, ok, model.stored)
+			}
+			if ok && r.Hops > 0 && ServedHops(r.Hops) != r.Hops-1 {
+				fail("serving at %d hops costs %d", r.Hops, r.Hops-ServedHops(r.Hops))
+			}
+		case 5: // a digest
+			var listed []uint64
+			for k := rng.Intn(alphabet); k > 0; k-- {
+				listed = append(listed, IDSum(fmt.Sprintf("r%d", rng.Intn(alphabet+3))))
+			}
+			max, truncated := rng.Intn(storeCap+2), rng.Intn(3) == 0
+			var got, want []uint64
+			for _, r := range m.Missing(slices.Clone(listed), truncated, max) {
+				got = append(got, IDSum(r.ID))
+			}
+			for i := len(model.stored) - 1; i >= 0 && len(want) < max; i-- {
+				if truncated && len(listed) > 0 && model.stored[i] == listed[len(listed)-1] {
+					break // the truncated digest's oldest listed sum
+				}
+				if !slices.Contains(listed, model.stored[i]) {
+					want = append(want, model.stored[i])
+				}
+			}
+			if !slices.Equal(got, want) {
+				fail("Missing(%d, truncated %v) of %v listing %v = %v, want %v", max, truncated, model.stored, listed, got, want)
+			}
+		}
+		if m.Len() != len(model.stored) {
+			fail("Len = %d, model stores %d", m.Len(), len(model.stored))
+		}
+	}
+	return missed
 }
 
 // checkSpread holds a first receipt's decision to the hop rule and the style
 // switch.
-func checkSpread(t Transfer, model *machineModel, style Style, id string, hops int, viaPull bool, fail func(string, ...any)) {
+func checkSpread(t Transfer, model *machineModel, style Style, sum uint64, hops int, viaPull bool, fail func(string, ...any)) {
 	const fanout = 3
 	switch {
 	case viaPull || style == StylePull:
@@ -173,7 +197,7 @@ func checkSpread(t Transfer, model *machineModel, style Style, id string, hops i
 			fail("spread %v under %v (via pull %v)", t, style, viaPull)
 		}
 	case style == StyleCounter:
-		model.counts[id] = 0
+		model.counts[sum] = 0
 		if t.Send != SendPayload || t.Peers(fanout) != fanout || t.Hops(hops) != max(hops, 1) {
 			fail("counter spread %+v at %d hops", t, hops)
 		}
@@ -198,8 +222,8 @@ func checkSpread(t Transfer, model *machineModel, style Style, id string, hops i
 // checkDuplicate holds a duplicate's feedback to counter mongering: a rumor
 // being mongered bursts, keeping its budget, on each of its first CounterK-1
 // duplicates and goes quiescent on the CounterK-th.
-func checkDuplicate(t Transfer, model *machineModel, id string, viaPull bool, fail func(string, ...any)) {
-	count, active := model.counts[id]
+func checkDuplicate(t Transfer, model *machineModel, sum uint64, viaPull bool, fail func(string, ...any)) {
+	count, active := model.counts[sum]
 	if viaPull || !active {
 		if t.Send != SendNothing {
 			fail("duplicate fed back %+v (active %v, via pull %v)", t, active, viaPull)
@@ -207,13 +231,13 @@ func checkDuplicate(t Transfer, model *machineModel, id string, viaPull bool, fa
 		return
 	}
 	if count++; count >= model.counterK {
-		delete(model.counts, id)
+		delete(model.counts, sum)
 		if t.Send != SendNothing {
 			fail("duplicate %d of a mongered rumor still bursts", count)
 		}
 		return
 	}
-	model.counts[id] = count
+	model.counts[sum] = count
 	if t.Send != SendPayload || t.Hops(0) != 1 || t.Hops(4) != 4 {
 		fail("duplicate %d of a mongered rumor fed back %+v", count, t)
 	}

@@ -4,7 +4,8 @@ import "sync"
 
 // SeenSet is a concurrency-safe bounded LRU set of message identifiers — the
 // Machine's seen cache behind a lock of its own, for code that deduplicates
-// without a Machine.
+// without a Machine. Like the Machine it keeps each identifier's sum
+// (IDSum), not the identifier.
 type SeenSet struct {
 	mu sync.Mutex
 	c  seenCache
@@ -21,27 +22,10 @@ func NewSeenSet(capacity int) *SeenSet {
 
 // Add inserts id and reports whether it was not already present.
 func (s *SeenSet) Add(id string) bool {
+	sum := IDSum(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.c.Add(id)
-}
-
-// TouchBytes reports whether id — viewed in a message buffer, never retained
-// — is present, refreshing its recency exactly as a duplicate Add would,
-// without allocating. A caller that gets false builds the string and Adds it.
-func (s *SeenSet) TouchBytes(id []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.c.TouchBytes(id)
-	return ok
-}
-
-// ContainsBytes reports whether id — a string's bytes, or an ID viewed in a
-// message buffer, never retained — is present, without allocating.
-func (s *SeenSet) ContainsBytes(id []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.c.ContainsBytes(id)
+	return s.c.Add(sum)
 }
 
 // Len returns the number of tracked identifiers.

@@ -110,7 +110,7 @@ func TestSeenCacheMatchesModel(t *testing.T) {
 		h = h*6364136223846793005 + 1442695040888963407
 		id := fmt.Sprintf("r%d", h%100) // heavy reuse to exercise LRU moves
 		want := touch(id)
-		if got := c.Add(id); got != want {
+		if got := c.Add(IDSum(id)); got != want {
 			t.Fatalf("step %d Add(%s) = %v, model %v", i, id, got, want)
 		}
 		if c.Len() != len(model) {
@@ -118,7 +118,7 @@ func TestSeenCacheMatchesModel(t *testing.T) {
 		}
 	}
 	for id := range model {
-		if !c.Contains(id) {
+		if !c.Contains(IDSum(id)) {
 			t.Fatalf("model retains %s, cache does not", id)
 		}
 	}
@@ -130,7 +130,7 @@ func TestStoreRingWrap(t *testing.T) {
 	const capacity = 50
 	s := newStore[Rumor](capacity)
 	for i := 0; i < 5000; i++ {
-		s.Hold(Rumor{ID: fmt.Sprintf("r%d", i), Hops: i % 7})
+		holdRumor(&s, Rumor{ID: fmt.Sprintf("r%d", i), Hops: i % 7})
 	}
 	if len(s.slots) != capacity || len(s.index) != capacity {
 		t.Fatalf("slots %d, index %d, want %d", len(s.slots), len(s.index), capacity)
@@ -140,10 +140,10 @@ func TestStoreRingWrap(t *testing.T) {
 			t.Fatalf("newest %d = %s, want %s", k, got, want)
 		}
 	}
-	if _, ok := s.Get([]byte("r0")); ok {
+	if _, ok := s.Get(IDSum("r0")); ok {
 		t.Fatal("oldest rumor not evicted")
 	}
-	if _, ok := s.Get([]byte("r4999")); !ok {
+	if _, ok := s.Get(IDSum("r4999")); !ok {
 		t.Fatal("newest rumor missing")
 	}
 	missing := s.Missing(sumsOf("r4999", "r4998"), false, 3)

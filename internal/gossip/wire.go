@@ -122,12 +122,11 @@ func readPull(scratch *[DigestCap]uint64, body []byte) (sums []uint64, truncated
 // The view reader. Handlers never decode a body into a struct: they walk it
 // with a wireReader whose views alias msg.Body.
 //
-// Ownership rule: a view dies with the handler call that read it. Anything
-// that reaches the Machine's state or Deliver is an owned copy
-// (rumorView.rumor, the ID Machine.Want returns); the Machine's lookups read a
-// view in place and keep nothing. So a
-// duplicate — two receipts in three under push — builds nothing at all, and
-// nothing the engine retains pins a message body.
+// Ownership rule: a view dies with the handler call that read it. The
+// Machine is asked with the sum of a view's ID and keeps nothing of it;
+// anything that reaches the store or Deliver is an owned copy
+// (rumorView.rumor). So a duplicate — two receipts in three under push —
+// builds nothing at all, and nothing the engine retains pins a message body.
 
 // rumorView is one rumor as it lies in a message body.
 type rumorView struct {

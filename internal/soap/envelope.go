@@ -508,6 +508,22 @@ type (
 // structs above — and share one backing buffer. The error is always nil; the
 // signature predates the writer.
 func (e *Envelope) SetAddressing(h wsa.Headers) error {
+	e.setAddressing(h, nil)
+	return nil
+}
+
+// SetAddressingID is SetAddressing with the MessageID property written from
+// id, in place of h.MessageID: a caller re-heading a message under an
+// identifier it holds as bytes — read in place from a received header —
+// builds no string for it. id is copied.
+func (e *Envelope) SetAddressingID(h wsa.Headers, id []byte) {
+	h.MessageID = ""
+	e.setAddressing(h, id)
+}
+
+// setAddressing writes h, and id after h.MessageID as the MessageID
+// property's text: one of the two is empty.
+func (e *Envelope) setAddressing(h wsa.Headers, id []byte) {
 	if e.Header != nil {
 		kept := e.Header.Blocks[:0]
 		for _, b := range e.Header.Blocks {
@@ -522,10 +538,10 @@ func (e *Envelope) SetAddressing(h wsa.Headers) error {
 	for _, p := range [...]addressingProp{
 		{local: "To", value: h.To},
 		{local: "Action", value: h.Action},
-		{local: "MessageID", value: string(h.MessageID)},
+		{local: "MessageID", value: string(h.MessageID), id: id},
 		{local: "RelatesTo", value: string(h.RelatesTo)},
 	} {
-		if p.value != "" {
+		if p.value != "" || len(p.id) > 0 {
 			props = append(props, p)
 		}
 	}
@@ -536,7 +552,7 @@ func (e *Envelope) SetAddressing(h wsa.Headers) error {
 		props = append(props, addressingProp{local: "From", child: "Address", value: h.From.Address})
 	}
 	if len(props) == 0 {
-		return nil
+		return
 	}
 	size := 0
 	for _, p := range props {
@@ -548,7 +564,7 @@ func (e *Envelope) SetAddressing(h wsa.Headers) error {
 		start := len(buf)
 		buf = AppendFlatOpen(buf, wsa.Namespace, p.local)
 		if p.child == "" {
-			buf = AppendEscaped(buf, p.value)
+			buf = AppendEscaped(AppendEscaped(buf, p.value), p.id)
 		} else {
 			buf = AppendFlatText(buf, p.child, p.value)
 		}
@@ -560,20 +576,21 @@ func (e *Envelope) SetAddressing(h wsa.Headers) error {
 			Raw:     buf[start:len(buf):len(buf)],
 		})
 	}
-	return nil
 }
 
 // addressingProp is one addressing block to write: `<local xmlns=wsa>value
 // </local>`, the value wrapped in one child element for the
-// endpoint-reference properties.
+// endpoint-reference properties. A MessageID may come as id, its bytes, with
+// value empty.
 type addressingProp struct {
 	local, child, value string
+	id                  []byte
 }
 
 // size is the block's length when value needs no escaping; SetAddressing
 // sizes its buffer with it and append covers the rare escaped value.
 func (p addressingProp) size() int {
-	n := len(`< xmlns="">`) + len(wsa.Namespace) + len(`</>`) + 2*len(p.local) + len(p.value)
+	n := len(`< xmlns="">`) + len(wsa.Namespace) + len(`</>`) + 2*len(p.local) + len(p.value) + len(p.id)
 	if p.child != "" {
 		n += len(`<></>`) + 2*len(p.child)
 	}

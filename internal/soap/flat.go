@@ -72,8 +72,8 @@ func AppendFlatStart(dst []byte, name string) []byte {
 }
 
 // AppendFlatText appends one text-only child, `<name>value</name>`, with
-// value escaped as character data.
-func AppendFlatText(dst []byte, name, value string) []byte {
+// value — a string, or bytes — escaped as character data.
+func AppendFlatText[T string | []byte](dst []byte, name string, value T) []byte {
 	dst = AppendFlatStart(dst, name)
 	dst = AppendEscaped(dst, value)
 	return AppendFlatClose(dst, name)
@@ -105,10 +105,11 @@ func AppendFlatBool(dst []byte, name string, v bool) []byte {
 	return AppendFlatClose(dst, name)
 }
 
-// AppendEscaped appends s escaped as XML character data, byte-identical to
-// xml.EscapeText: text that needs no escaping is copied straight through,
-// anything else goes through xml.EscapeText itself.
-func AppendEscaped(dst []byte, s string) []byte {
+// AppendEscaped appends s — a string, or bytes such as an identifier read in
+// place — escaped as XML character data, byte-identical to xml.EscapeText:
+// text that needs no escaping is copied straight through, anything else goes
+// through xml.EscapeText itself.
+func AppendEscaped[T string | []byte](dst []byte, s T) []byte {
 	if plainText(s) {
 		return append(dst, s...)
 	}
@@ -122,7 +123,7 @@ func AppendEscaped(dst []byte, s string) []byte {
 // plainText reports whether xml.EscapeText would emit s unchanged: no markup
 // characters, no control characters (tab and newlines are escaped too), valid
 // UTF-8, and every rune inside the XML character range.
-func plainText(s string) bool {
+func plainText[T string | []byte](s T) bool {
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c < utf8.RuneSelf {
@@ -133,7 +134,7 @@ func plainText(s string) bool {
 			i++
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 		if (r == utf8.RuneError && size == 1) || !xmlCharOK(r) {
 			return false
 		}

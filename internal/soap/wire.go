@@ -283,7 +283,7 @@ type WireTemplate struct {
 // Splice-resistant envelopes return ErrNotSpliceable; callers fall back to
 // per-target encoding.
 func (e *Envelope) EncodeTemplate() (*WireTemplate, error) {
-	t, ok := e.template()
+	t, ok := e.template(false)
 	if !ok {
 		return nil, ErrNotSpliceable
 	}
@@ -291,9 +291,11 @@ func (e *Envelope) EncodeTemplate() (*WireTemplate, error) {
 }
 
 // template is EncodeTemplate returning the template by value, so a caller
-// that renders within its own frame (Fanout) keeps it off the heap: the
-// serialized bytes are its one allocation.
-func (e *Envelope) template() (WireTemplate, bool) {
+// that renders within its own frame (Fanout) keeps it off the heap. With
+// pooled the serialized bytes come from the wire buffer pool, and the caller
+// hands them back (putBytes(t.pre)) once its last RenderTo has copied them;
+// otherwise they are the template's one allocation.
+func (e *Envelope) template(pooled bool) (WireTemplate, bool) {
 	if _, ok := e.HeaderBlock(wsa.Namespace, "To"); ok {
 		e = e.Snapshot()
 		e.RemoveHeader(wsa.Namespace, "To")
@@ -305,7 +307,12 @@ func (e *Envelope) template() (WireTemplate, bool) {
 	}
 	n := len(xml.Header) + len(wireEnvOpen) + len(wireHeaderOpen) + len(wireHeaderClose) +
 		len(wireBodyOpen) + len(wireBodyClose) + len(wireEnvClose) + blockBytes
-	backing := make([]byte, 0, n)
+	var backing []byte
+	if pooled {
+		backing = getBytes(n)
+	} else {
+		backing = make([]byte, 0, n)
+	}
 	backing = append(backing, xml.Header...)
 	backing = append(backing, wireEnvOpen...)
 	backing = append(backing, wireHeaderOpen...)
@@ -394,10 +401,13 @@ func SendBytes(ctx context.Context, caller Caller, to string, data []byte) error
 // the not-yet-attempted targets are reported as failed so the caller's
 // accounting stays exact. Every multi-target send in the stack — gossip
 // forward/announce/repair/pull and the aggregation floods and exchange
-// rounds — goes through here.
+// rounds — goes through here. The template's bytes come from the wire buffer
+// pool and go back to it when the last copy is rendered: RenderTo copies
+// them, so nothing refers to them afterwards.
 func Fanout(ctx context.Context, caller Caller, env *Envelope, targets []string) (sent int, failed []string) {
 	if es, ok := caller.(EncodedSender); ok {
-		if tmpl, ok := env.template(); ok {
+		if tmpl, ok := env.template(true); ok {
+			defer putBytes(tmpl.pre)
 			for i, target := range targets {
 				if ctx.Err() != nil {
 					return sent, append(failed, targets[i:]...)
