@@ -46,7 +46,7 @@ func loadAllocBudget(t *testing.T) allocBudget {
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	if budget.ForwardFanoutF8 <= 0 || budget.DuplicateReceipt < 0 || budget.DuplicateDelivery < 0 ||
+	if budget.ForwardFanoutF8 < 0 || budget.DuplicateReceipt < 0 || budget.DuplicateDelivery < 0 ||
 		budget.GossipHeaderFrom < 0 || budget.ForwardHeaders < 0 ||
 		budget.DigestReceipt < 0 || budget.DigestEnvelope <= 0 || budget.IHaveHeld < 0 || budget.IWantServe <= 0 || budget.DigestOneMissing <= 0 || budget.FirstReceipt <= 0 {
 		t.Fatalf("alloc budget missing fields: %+v", budget)
@@ -138,10 +138,11 @@ func firstReceipts(tb testing.TB) (d *Disseminator, receive func()) {
 
 // TestFirstReceiptAllocBudget: the path every delivery pays — intercept
 // taking a notification of a known interaction it has not seen — reads the
-// header in place and builds no MessageID: the store's clone (two objects),
-// the target list, and the forward's snapshot, gossip header, addressing and
-// one rendered copy, the ID written into both from the received header's
-// bytes.
+// header in place and builds no MessageID. What it keeps is the store's clone
+// (two objects); the target is drawn on the stack, and the forward written
+// from the received blocks into the pooled template, so the only other
+// allocation is the one rendered copy, which this binding drops where a
+// transport would recycle it.
 func TestFirstReceiptAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	d, receive := firstReceipts(t)
@@ -185,8 +186,8 @@ func TestDuplicateReceiptAllocBudget(t *testing.T) {
 }
 
 // TestDuplicateDeliveryAllocBudget: the same duplicate through the whole
-// receive path — MemBus decode, Dispatcher on the action, intercept, the
-// buffer back to the pool. What remains is the decode's one object.
+// one-way receive path — MemBus decode, Dispatcher on the action, intercept,
+// the buffer and the decoded request back to their pools — allocates nothing.
 func TestDuplicateDeliveryAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	fb := newForwardBench(t, 8, 1<<10)

@@ -180,8 +180,9 @@ func BenchmarkDuplicateDelivery(b *testing.B) {
 	}
 }
 
-// forwardHeaders is the per-forward header rewrite: snapshot the received
-// envelope, decrement the hop budget, re-address without To.
+// forwardHeaders is the header rewrite of a forward's slow path (a block the
+// splice serializer declines, or a binding without SendEncoded): snapshot the
+// received envelope, decrement the hop budget, re-address without To.
 func forwardHeaders(env *soap.Envelope, gh GossipHeader) (*soap.Envelope, error) {
 	out := env.Snapshot()
 	gh.Hops--
@@ -208,9 +209,10 @@ func BenchmarkGossipHeaderFrom(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardHeaders measures the header rewrite every forward pays
-// before the encode-once fan-out (BENCH_15.json records it before and after
-// the flat-element writer).
+// BenchmarkForwardHeaders measures the header rewrite of a forward's slow
+// path, which every forward paid before soap.Forward wrote the copy straight
+// into its template (BENCH_15.json records it before and after the
+// flat-element writer).
 func BenchmarkForwardHeaders(b *testing.B) {
 	fb := newForwardBench(b, 8, 1<<10)
 	env := fb.receivedNotification(b)

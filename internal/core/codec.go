@@ -36,15 +36,19 @@ const flatOverhead = 160
 // string (a GossipHeader's) or as the bytes of a header read in place.
 func gossipBlock[ID string | []byte](interactionID string, messageID ID, hops int, protocol string) soap.Block {
 	buf := make([]byte, 0, flatOverhead+len(interactionID)+len(messageID)+len(protocol))
-	buf = soap.AppendFlatOpen(buf, Namespace, "Gossip")
-	buf = soap.AppendFlatText(buf, "InteractionID", interactionID)
-	buf = soap.AppendFlatText(buf, "MessageID", messageID)
-	buf = soap.AppendFlatInt(buf, "Hops", int64(hops))
+	return soap.Block{XMLName: gossipName, Raw: appendGossipBlock(buf, interactionID, messageID, hops, protocol)}
+}
+
+// appendGossipBlock writes gossipBlock's bytes to dst.
+func appendGossipBlock[ID string | []byte](dst []byte, interactionID string, messageID ID, hops int, protocol string) []byte {
+	dst = soap.AppendFlatOpen(dst, Namespace, "Gossip")
+	dst = soap.AppendFlatText(dst, "InteractionID", interactionID)
+	dst = soap.AppendFlatText(dst, "MessageID", messageID)
+	dst = soap.AppendFlatInt(dst, "Hops", int64(hops))
 	if protocol != "" {
-		buf = soap.AppendFlatText(buf, "Protocol", protocol)
+		dst = soap.AppendFlatText(dst, "Protocol", protocol)
 	}
-	buf = soap.AppendFlatClose(buf, "Gossip")
-	return soap.Block{XMLName: gossipName, Raw: buf}
+	return soap.AppendFlatClose(dst, "Gossip")
 }
 
 // gossipFields is a canonical gossip header read in place: the text fields

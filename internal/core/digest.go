@@ -104,7 +104,7 @@ func (d *Disseminator) roundTargetsLocked(pullOnly bool) []string {
 	var targets []string
 	for _, key := range keys {
 		state := d.interactions[key]
-		targets = append(targets, d.sampleTargetsLocked(state.params.Fanout, state.params.Targets)...)
+		targets = append(targets, SelectTargets(nil, d.cfg.Peers, d.rng, state.params.Fanout, d.cfg.Address, state.params.Targets)...)
 	}
 	slices.Sort(targets)
 	return slices.Compact(targets)
@@ -157,7 +157,7 @@ func (d *Disseminator) retransmitMissing(ctx context.Context, to string, held he
 	d.mu.Unlock()
 	var served int64
 	for _, held := range missing {
-		if err := d.serve(ctx, to, held); err != nil {
+		if !d.serve(ctx, to, held) {
 			d.stats.sendErrors.Add(1)
 			continue
 		}

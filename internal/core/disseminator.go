@@ -14,7 +14,6 @@ import (
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/soap"
-	"wsgossip/internal/wsa"
 	"wsgossip/internal/wscoord"
 )
 
@@ -306,14 +305,6 @@ func (d *Disseminator) bumpActivity() {
 	}
 }
 
-// sampleTargetsLocked draws up to n fan-out targets for one interaction:
-// from the live peer view when one is installed (and non-empty), else from
-// the interaction's coordinator-assigned static list. Callers hold d.mu,
-// which guards the rng.
-func (d *Disseminator) sampleTargetsLocked(n int, static []string) []string {
-	return SelectTargets(d.cfg.Peers, d.rng, n, d.cfg.Address, static)
-}
-
 // Handler returns the node's SOAP handler: the application service wrapped
 // by the gossip layer middleware on the notify action.
 func (d *Disseminator) Handler() soap.Handler {
@@ -510,18 +501,22 @@ func (d *Disseminator) spread(ctx context.Context, env *soap.Envelope, n notice,
 
 // transfer sends t's copies of a notification of the interaction state to
 // targets drawn now: env's payload re-headed, or an IHAVE naming it, at the
-// hop budget t sets. The stable part of a message is serialized exactly once;
-// only the wsa:To block is rendered per target.
+// hop budget t sets. The targets are drawn from the live peer view when one
+// is installed (and non-empty), else from the interaction's
+// coordinator-assigned static list, into a buffer on the stack.
 func (d *Disseminator) transfer(ctx context.Context, env *soap.Envelope, n notice, state *interactionState, t gossip.Transfer) {
+	var scratch [16]string
 	d.mu.Lock()
-	targets := d.sampleTargetsLocked(t.Peers(state.params.Fanout), state.params.Targets)
+	targets := SelectTargets(scratch[:], d.cfg.Peers, d.rng, t.Peers(state.params.Fanout), d.cfg.Address, state.params.Targets)
 	d.mu.Unlock()
 	if len(targets) == 0 {
 		return
 	}
 	n.hops = t.Hops(n.hops)
 	if t.Send != gossip.SendAnnounce {
-		d.stats.forwarded.Add(int64(d.fanout(ctx, renotify(env, state.id, n, ""), targets)))
+		start := d.now()
+		sent, failed := d.forward(ctx, env, state.id, n, false, targets)
+		d.stats.forwarded.Add(int64(d.fanned(start, sent, failed)))
 		return
 	}
 	// Unseen receivers fetch the payload.
@@ -533,24 +528,30 @@ func (d *Disseminator) transfer(ctx context.Context, env *soap.Envelope, n notic
 	d.stats.announced.Add(int64(d.fanout(ctx, out, targets)))
 }
 
-// renotify re-heads a copy of the notification env for another transfer: a
-// gossip header naming interaction and carrying n, and addressing to (empty
-// for a fan-out, which renders To per target) under the notification's own
-// MessageID, written from n's bytes.
-func renotify(env *soap.Envelope, interaction string, n notice, to string) *soap.Envelope {
-	out := env.Snapshot()
-	out.RemoveHeader(Namespace, "Gossip")
-	out.AddHeaderBlock(gossipBlock(interaction, n.messageID, n.hops, n.protocol))
-	out.SetAddressingID(wsa.Headers{To: to, Action: ActionNotify}, n.messageID)
-	return out
+// forward is the one way a notification travels on: a copy of env re-headed
+// for another transfer — a gossip header naming interaction and carrying n,
+// the notify action and the notification's own MessageID, written from n's
+// bytes — sent to targets through soap.Forward. direct marks a
+// retransmission to one peer (soap.Rehead.Direct). The gossip header is
+// written into scratch on the stack; soap.Forward copies it where it goes.
+func (d *Disseminator) forward(ctx context.Context, env *soap.Envelope, interaction string, n notice, direct bool, targets []string) (sent int, failed []string) {
+	var scratch [512]byte
+	rh := soap.Rehead{Name: gossipName, Action: ActionNotify, ID: n.messageID, Direct: direct}
+	return soap.Forward(ctx, d.cfg.Caller, env, rh, appendGossipBlock(scratch[:0], interaction, n.messageID, n.hops, n.protocol), targets)
 }
 
 // fanout sends env (addressing must omit To) to every target through the
-// shared encode-once ladder (soap.Fanout), bumping sendErrors for failures
-// and returning the number of successful sends.
+// shared encode-once ladder (soap.Fanout) and returns the number of
+// successful sends.
 func (d *Disseminator) fanout(ctx context.Context, env *soap.Envelope, targets []string) int {
 	start := d.now()
 	sent, failed := soap.Fanout(ctx, d.cfg.Caller, env, targets)
+	return d.fanned(start, sent, failed)
+}
+
+// fanned accounts for one fan-out begun at start: its latency, and a send
+// error per failed target. It returns sent.
+func (d *Disseminator) fanned(start time.Duration, sent int, failed []string) int {
 	d.stats.fanoutSeconds.Observe((d.now() - start).Seconds())
 	if len(failed) > 0 {
 		d.stats.sendErrors.Add(int64(len(failed)))

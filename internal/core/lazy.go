@@ -95,7 +95,7 @@ func (d *Disseminator) handleIWant(ctx context.Context, req *soap.Request) (*soa
 		return nil, soap.NewFault(soap.CodeSender,
 			fmt.Sprintf("notification %q not held", requested))
 	}
-	if err := d.serve(ctx, requester, held); err != nil {
+	if !d.serve(ctx, requester, held) {
 		d.stats.sendErrors.Add(1)
 		return nil, nil
 	}
@@ -105,21 +105,23 @@ func (d *Disseminator) handleIWant(ctx context.Context, req *soap.Request) (*soa
 }
 
 // serve retransmits a held notification to one peer, the transfer costing
-// one hop. Its gossip header is read from the stored clone: the MessageID in
-// place, the InteractionID the node's interaction state holds for it (a copy
-// only for an interaction the node does not know).
-func (d *Disseminator) serve(ctx context.Context, to string, held *soap.Envelope) error {
+// one hop, and reports whether the copy went out. Its gossip header is read
+// from the stored clone: the MessageID in place, the InteractionID the
+// node's interaction state holds for it (a copy only for an interaction the
+// node does not know).
+func (d *Disseminator) serve(ctx context.Context, to string, held *soap.Envelope) bool {
 	b, ok := held.HeaderBlock(Namespace, "Gossip")
 	if !ok {
-		return ErrNoGossipHeader
+		return false
 	}
 	interaction, n, err := readNotice(b)
 	if err != nil {
-		return err
+		return false
 	}
 	d.mu.Lock()
 	id := d.interactionIDLocked(interaction)
 	d.mu.Unlock()
 	n.hops = gossip.ServedHops(n.hops)
-	return d.cfg.Caller.Send(ctx, to, renotify(held, id, n, to))
+	sent, _ := d.forward(ctx, held, id, n, true, []string{to})
+	return sent == 1
 }

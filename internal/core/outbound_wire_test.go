@@ -10,6 +10,7 @@ import (
 
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/soap"
+	"wsgossip/internal/wsa"
 	"wsgossip/internal/wscoord"
 )
 
@@ -181,4 +182,73 @@ func requestWithBody(t *testing.T, action string, body soap.Block) *soap.Request
 		t.Fatal(err)
 	}
 	return &soap.Request{Envelope: back}
+}
+
+// TestForwardMatchesRenotify: a forward — a push to two peers, and a
+// retransmission to one — puts on the wire the bytes the re-head it replaced
+// put there: a Snapshot with the gossip header removed and written anew and
+// SetAddressingID under the notification's MessageID, then Fanout, or Send to
+// the one peer. The notification is the one the initiator sends, as the
+// scanner decodes it, and the same notification spelled with namespace
+// prefixes, which the scanner declines and the forward's slow path takes.
+func TestForwardMatchesRenotify(t *testing.T) {
+	ctx := context.Background()
+	canonical, err := os.ReadFile(filepath.Join("testdata", "wire", "notify.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixed := []byte(`<s:Envelope xmlns:s="http://www.w3.org/2003/05/soap-envelope" xmlns:a="http://www.w3.org/2005/08/addressing"><s:Header>` +
+		`<a:Action>urn:wsgossip:2008:notify</a:Action><a:MessageID>urn:uuid:m</a:MessageID>` +
+		`<g:Gossip xmlns:g="urn:wsgossip:2008"><g:InteractionID>urn:uuid:interaction</g:InteractionID><g:MessageID>urn:uuid:m</g:MessageID><g:Hops>4</g:Hops></g:Gossip>` +
+		`<a:To>mem://self</a:To></s:Header><s:Body><q:Quote xmlns:q="urn:example:stock"><q:Symbol>WSG</q:Symbol></q:Quote></s:Body></s:Envelope>`)
+	for name, doc := range map[string][]byte{"canonical": canonical, "prefixed": prefixed} {
+		env, err := soap.Decode(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, ok := env.HeaderBlock(Namespace, "Gossip")
+		if !ok {
+			t.Fatalf("%s: no gossip header", name)
+		}
+		interaction, n, err := readNotice(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.hops--
+		renotify := func(to string) *soap.Envelope {
+			out := env.Snapshot()
+			out.RemoveHeader(Namespace, "Gossip")
+			out.AddHeaderBlock(gossipBlock(string(interaction), n.messageID, n.hops, n.protocol))
+			out.SetAddressingID(wsa.Headers{To: to, Action: ActionNotify}, n.messageID)
+			return out
+		}
+		for _, direct := range []bool{false, true} {
+			targets := []string{"mem://a", "mem://b"}
+			want := &wireRecorder{}
+			if direct {
+				targets = targets[:1]
+				if err := want.Send(ctx, targets[0], renotify(targets[0])); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				soap.Fanout(ctx, want, renotify(""), targets)
+			}
+			got := &wireRecorder{}
+			d, err := NewDisseminator(DisseminatorConfig{Address: "mem://self", Caller: got})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sent, failed := d.forward(ctx, env, string(interaction), n, direct, targets); sent != len(targets) || failed != nil {
+				t.Fatalf("%s: forward sent %d, failed %v", name, sent, failed)
+			}
+			if len(got.msgs) != len(want.msgs) {
+				t.Fatalf("%s (direct %v): %d messages, want %d", name, direct, len(got.msgs), len(want.msgs))
+			}
+			for i := range want.msgs {
+				if !bytes.Equal(got.msgs[i], want.msgs[i]) {
+					t.Errorf("%s (direct %v) copy %d:\n got %s\nwant %s", name, direct, i, got.msgs[i], want.msgs[i])
+				}
+			}
+		}
+	}
 }

@@ -41,11 +41,16 @@ var (
 // the node when the Coordinator already assigned it peers) and makes the
 // static list the exact zero-churn behaviour: with view == nil the call is
 // byte-for-byte the pre-PeerView sampling, drawing identically from rng.
-func SelectTargets(view PeerView, rng *rand.Rand, n int, exclude string, static []string) []string {
+//
+// A draw from the static list is made in scratch's room, so a buffer on the
+// caller's stack with room for the list costs nothing. A view draws into a
+// slice of its own: scratch handed to it through the interface would escape
+// to the heap.
+func SelectTargets(scratch []string, view PeerView, rng *rand.Rand, n int, exclude string, static []string) []string {
 	if view != nil {
 		if picked := view.SelectPeers(rng, n, exclude); len(picked) > 0 {
 			return picked
 		}
 	}
-	return gossip.SamplePeers(rng, static, n, exclude)
+	return gossip.AppendSample(scratch[:0], rng, static, n, exclude)
 }

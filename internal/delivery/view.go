@@ -28,14 +28,33 @@ var _ gossip.PeerProvider = (*filteredView)(nil)
 // SelectPeers draws up to n healthy peers: the inner provider's full
 // eligible set, minus open circuits, re-sampled uniformly.
 func (v *filteredView) SelectPeers(rng *rand.Rand, n int, exclude string) []string {
-	all := v.inner.SelectPeers(rng, -1, exclude)
-	healthy := make([]string, 0, len(all))
-	for _, addr := range all {
+	return v.AppendPeers(nil, rng, n, exclude)
+}
+
+// peerAppender is a provider that draws into a caller's buffer, as
+// membership.Service does.
+type peerAppender interface {
+	AppendPeers(dst []string, rng *rand.Rand, n int, exclude string) []string
+}
+
+// AppendPeers is SelectPeers appending its draw to dst, with the same draws
+// from rng: the inner provider's whole shuffled set is staged in dst, and
+// filtered and re-sampled there in place, so an inner provider that appends
+// (membership.Service) makes the draw cost at most one growth of dst.
+func (v *filteredView) AppendPeers(dst []string, rng *rand.Rand, n int, exclude string) []string {
+	base := len(dst)
+	if a, ok := v.inner.(peerAppender); ok {
+		dst = a.AppendPeers(dst, rng, -1, exclude)
+	} else {
+		dst = append(dst, v.inner.SelectPeers(rng, -1, exclude)...)
+	}
+	healthy := dst[:base]
+	for _, addr := range dst[base:] {
 		if v.plane.admissible(addr) {
 			healthy = append(healthy, addr)
 		}
 	}
-	return gossip.SamplePeers(rng, healthy, n, "")
+	return gossip.AppendSample(dst[:base], rng, healthy[base:], n, "")
 }
 
 // admissible reports whether sends to addr are currently worth issuing:

@@ -115,8 +115,9 @@ func TestDuplicatePushAllocBudget(t *testing.T) {
 }
 
 // TestFirstReceiptForwardAllocBudget: a first receipt builds the owned rumor
-// (two strings and the payload), picks three peers, encodes one body for all
-// of them, and each send is one delivery record on the clock. The run is long
+// (two strings and the payload) and encodes one body for its three sends;
+// the peers are drawn on the stack and each send's delivery record comes
+// from the fabric's pool. The run is long
 // enough to cycle the seen cache and the store many times over, so their
 // evictions and the store's compaction are inside the figure.
 func TestFirstReceiptForwardAllocBudget(t *testing.T) {
@@ -170,8 +171,8 @@ func BenchmarkPullRequestNothingMissing(b *testing.B) {
 
 // TestCounterDuplicateAllocBudget: a duplicate of a rumor a counter-mongering
 // engine is still spreading bursts the stored copy — one lookup of the
-// counters, no copy of the body's rumor — so it costs what the burst's sends
-// cost (8 while each duplicate built an owned rumor first).
+// counters, no copy of the body's rumor — so it costs the burst's one
+// encoded body (8 while each duplicate built an owned rumor first).
 func TestCounterDuplicateAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	pb := newPushBench(t, StyleCounter, 1)

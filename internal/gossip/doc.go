@@ -32,8 +32,12 @@
 //     StyleFlood publisher with Hops 1 and StylePull receivers
 //     (experiments.pbcastGroup, E4).
 //   - PeerProvider — the peer source abstraction (StaticPeers for fixed
-//     sets, membership.Service for live views); SamplePeers is the shared
-//     uniform-without-replacement sampler every layer draws through.
+//     sets, UniformPeers at simulator scale, membership.Service for live
+//     views); SamplePeers is the shared uniform-without-replacement sampler
+//     every layer draws through, and AppendSample the same draw into a
+//     caller's buffer. The Engine draws a send's peers from a UniformPeers
+//     into a buffer on its stack (UniformPeers.AppendPeers), so a forward
+//     allocates only its rumor and the body its sends share.
 //   - SeenSet — the machine's seen cache behind a lock of its own, for
 //     deduplication without a machine.
 //   - Rumor / Style — the unit of dissemination and the spread discipline.

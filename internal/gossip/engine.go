@@ -243,7 +243,8 @@ func (e *Engine) sendLocked(ctx context.Context, r Rumor, t Transfer) {
 	if t.Send == SendNothing {
 		return
 	}
-	peers := e.cfg.Peers.SelectPeers(e.rng, t.Peers(e.cfg.Fanout), e.cfg.Endpoint.Addr())
+	var buf [8]string
+	peers := e.selectPeersLocked(&buf, t.Peers(e.cfg.Fanout))
 	action, sent := ActionPush, &e.stats.Forwarded
 	var body []byte
 	if t.Send == SendAnnounce {
@@ -257,6 +258,17 @@ func (e *Engine) sendLocked(ctx context.Context, r Rumor, t Transfer) {
 		e.sendOneLocked(ctx, p, action, body)
 		*sent++
 	}
+}
+
+// selectPeersLocked draws up to n peers. A UniformPeers, the provider of
+// the simulator at scale, draws into buf, so a draw that fits costs nothing;
+// it is asked by its concrete type because a buffer handed through the
+// PeerProvider interface would escape to the heap.
+func (e *Engine) selectPeersLocked(buf *[8]string, n int) []string {
+	if u, ok := e.cfg.Peers.(*UniformPeers); ok {
+		return u.AppendPeers(buf[:0], e.rng, n, e.cfg.Endpoint.Addr())
+	}
+	return e.cfg.Peers.SelectPeers(e.rng, n, e.cfg.Endpoint.Addr())
 }
 
 // sendOneLocked sends one message, counting a failure.
@@ -371,7 +383,8 @@ func (e *Engine) Tick(ctx context.Context) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	peers := e.cfg.Peers.SelectPeers(e.rng, e.cfg.Fanout, e.cfg.Endpoint.Addr())
+	var buf [8]string
+	peers := e.selectPeersLocked(&buf, e.cfg.Fanout)
 	if len(peers) == 0 {
 		return
 	}

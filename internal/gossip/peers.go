@@ -1,6 +1,9 @@
 package gossip
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // PeerProvider supplies gossip targets. In WS-Gossip the Coordinator's
 // Registration service plays this role ("capable of providing adequate
@@ -76,38 +79,60 @@ func (p *UniformPeers) SelectPeers(rng *rand.Rand, n int, exclude string) []stri
 	if n < 0 || n*4 >= len(p.addrs) {
 		return SamplePeers(rng, p.addrs, n, exclude)
 	}
-	if n == 0 || len(p.addrs) == 0 {
+	if n == 0 {
 		return nil
+	}
+	return p.AppendPeers(make([]string, 0, n), rng, n, exclude)
+}
+
+// AppendPeers is SelectPeers appending its draw to dst, with the same draws
+// from rng: a caller drawing into a buffer on its stack allocates nothing
+// while the draw fits in it.
+func (p *UniformPeers) AppendPeers(dst []string, rng *rand.Rand, n int, exclude string) []string {
+	if n < 0 || n*4 >= len(p.addrs) {
+		return AppendSample(dst, rng, p.addrs, n, exclude)
 	}
 	// n*4 < len(addrs), so n distinct non-excluded picks always exist and
 	// each draw succeeds with probability > 1/2.
-	out := make([]string, 0, n)
+	base := len(dst)
 draw:
-	for len(out) < n {
+	for len(dst)-base < n {
 		a := p.addrs[rng.Intn(len(p.addrs))]
 		if a == exclude {
 			continue
 		}
-		for _, picked := range out {
+		for _, picked := range dst[base:] {
 			if picked == a {
 				continue draw
 			}
 		}
-		out = append(out, a)
+		dst = append(dst, a)
 	}
-	return out
+	return dst
 }
 
 // SamplePeers draws up to n distinct addresses from addrs excluding exclude,
 // uniformly without replacement, via a partial Fisher-Yates shuffle. n < 0
 // returns all eligible addresses in shuffled order. addrs is not modified.
 func SamplePeers(rng *rand.Rand, addrs []string, n int, exclude string) []string {
-	eligible := make([]string, 0, len(addrs))
+	return AppendSample(nil, rng, addrs, n, exclude)
+}
+
+// AppendSample is SamplePeers appending its draw to dst, with the same draws
+// from rng. The eligible addresses are staged in dst past its length, so a
+// dst with room for all of them allocates nothing, and any other grows once.
+// addrs may be that very room, dst[len(dst):len(dst)+len(addrs)]: each
+// address is staged at or before where it is read from, so the sample is
+// drawn in place.
+func AppendSample(dst []string, rng *rand.Rand, addrs []string, n int, exclude string) []string {
+	dst = slices.Grow(dst, len(addrs))
+	base := len(dst)
 	for _, a := range addrs {
 		if a != exclude {
-			eligible = append(eligible, a)
+			dst = append(dst, a)
 		}
 	}
+	eligible := dst[base:]
 	if n < 0 || n > len(eligible) {
 		n = len(eligible)
 	}
@@ -115,5 +140,5 @@ func SamplePeers(rng *rand.Rand, addrs []string, n int, exclude string) []string
 		j := i + rng.Intn(len(eligible)-i)
 		eligible[i], eligible[j] = eligible[j], eligible[i]
 	}
-	return eligible[:n]
+	return dst[:base+n]
 }

@@ -504,7 +504,14 @@ var _ gossip.PeerProvider = (*Service)(nil)
 // happens under the lock: the alive snapshot's backing array is pooled, so a
 // concurrent view mutation may rewrite it the moment the lock is released.
 func (s *Service) SelectPeers(rng *rand.Rand, n int, exclude string) []string {
+	return s.AppendPeers(nil, rng, n, exclude)
+}
+
+// AppendPeers is SelectPeers appending its draw to dst, with the same draws
+// from rng (gossip.AppendSample): a dst with room for the alive view costs
+// nothing.
+func (s *Service) AppendPeers(dst []string, rng *rand.Rand, n int, exclude string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return gossip.SamplePeers(rng, s.alivePeersLocked(), n, exclude)
+	return gossip.AppendSample(dst, rng, s.alivePeersLocked(), n, exclude)
 }

@@ -36,10 +36,11 @@ func (sb *sendDeliverBench) sendDeliver(tb testing.TB) {
 	sb.net.Run()
 }
 
-// TestSendDeliverAllocBudget: a message in flight is one heap record — the
-// delivery the clock fires — on a recycled timer, with no closure, no escaped
-// message copy and no stop handle. The budget is committed in
-// testdata/alloc_budget.json.
+// TestSendDeliverAllocBudget: a message in flight is a pooled record — the
+// delivery the clock fires, back in the pool before the handler runs — on a
+// recycled timer, with no closure, no escaped message copy and no stop
+// handle, so a send and its delivery allocate nothing. The budget is
+// committed in testdata/alloc_budget.json.
 func TestSendDeliverAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -25,11 +25,13 @@
 // streams are unaffected while the timer queue carries no deliveries into
 // dead nodes — the property that lets churn runs scale to 10^5-10^6 nodes.
 //
-// The fire-and-forget contract. A message in flight is one heap record
-// ({net, dest, msg}) handed to clock.Virtual.Schedule: it takes the same
-// timer and the same (deadline, seq) slot an AfterFunc in its place would,
-// but no stop handle exists, because nothing ever cancels a delivery: a
-// crash is checked when it lands. The body is delivered as sent, not
+// The fire-and-forget contract. A message in flight is one record ({net,
+// dest, msg}) handed to clock.Virtual.Schedule: it takes the same timer and
+// the same (deadline, seq) slot an AfterFunc in its place would, but no stop
+// handle exists, because nothing ever cancels a delivery: a crash is checked
+// when it lands. Nothing refers to the record once it has fired, so Fire
+// copies the message out and returns the record to a pool before the
+// handler runs: a steady stream of sends reuses the same few records. The body is delivered as sent, not
 // copied; a sender that fans one body out to f peers shares it among f
 // handlers, which therefore must not modify it or keep it past the call.
 //

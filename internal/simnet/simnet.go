@@ -331,36 +331,44 @@ func (n *Network) send(from string, msg transport.Message) error {
 		latency += n.faults.ExtraDelay(from, msg.To)
 	}
 	msg.From = from
-	n.clk.Schedule(latency, &delivery{net: n, dest: dest, msg: msg})
+	d := deliveryPool.Get().(*delivery)
+	*d = delivery{net: n, dest: dest, msg: msg}
+	n.clk.Schedule(latency, d)
 	return nil
 }
 
-// delivery is one message in flight: the single heap record a send costs.
-// Nobody cancels a delivery (a crash is checked on arrival), so it rides the
-// clock's fire-and-forget path and takes no stop handle.
+// delivery is one message in flight. Nobody cancels a delivery (a crash is
+// checked on arrival), so it rides the clock's fire-and-forget path and
+// takes no stop handle; and nothing refers to it once it has fired, so the
+// record goes back to deliveryPool before the handler runs, and a steady
+// stream of messages reuses the same few records.
 type delivery struct {
 	net  *Network
 	dest *Node
 	msg  transport.Message
 }
 
+var deliveryPool = sync.Pool{New: func() any { return new(delivery) }}
+
 // Fire hands the message to the destination's handler, if it is still up.
 func (d *delivery) Fire() {
-	n := d.net
+	n, dest, msg := d.net, d.dest, d.msg
+	*d = delivery{}
+	deliveryPool.Put(d)
 	n.mu.Lock()
-	if n.crashed[d.dest.addr] {
+	if n.crashed[dest.addr] {
 		n.stats.Dropped++
 		n.mu.Unlock()
 		return
 	}
-	h := d.dest.handler
+	h := dest.handler
 	n.stats.Delivered++
 	n.mu.Unlock()
 	if h == nil {
 		return
 	}
 	// Handler errors are protocol-level; the network, like UDP, ignores them.
-	_ = h(context.Background(), d.msg)
+	_ = h(context.Background(), msg)
 }
 
 // Node is one simulated endpoint.

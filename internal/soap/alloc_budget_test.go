@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"testing"
@@ -20,6 +21,7 @@ type allocBudget struct {
 	SnapshotMaxAllocs  float64 `json:"snapshot_max_allocs"`
 	PoolCycleMaxAllocs float64 `json:"pool_cycle_max_allocs"`
 	OutboundMaxAllocs  float64 `json:"outbound_build_max_allocs"`
+	OneWayMaxAllocs    float64 `json:"membus_one_way_delivery_max_allocs"`
 }
 
 func loadAllocBudget(t *testing.T, path string) allocBudget {
@@ -28,12 +30,12 @@ func loadAllocBudget(t *testing.T, path string) allocBudget {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	b := allocBudget{-1, -1, -1, -1, -1, -1}
+	b := allocBudget{-1, -1, -1, -1, -1, -1, -1}
 	if err := json.Unmarshal(raw, &b); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
 	if b.DecodeMaxAllocs <= 0 || b.EncodeMaxAllocs <= 0 || b.CloneMaxAllocs <= 0 ||
-		b.SnapshotMaxAllocs <= 0 || b.PoolCycleMaxAllocs < 0 || b.OutboundMaxAllocs <= 0 {
+		b.SnapshotMaxAllocs <= 0 || b.PoolCycleMaxAllocs < 0 || b.OutboundMaxAllocs <= 0 || b.OneWayMaxAllocs < 0 {
 		t.Fatalf("alloc budget missing fields: %+v", b)
 	}
 	return b
@@ -51,7 +53,7 @@ func TestDecodeAllocBudget(t *testing.T) {
 	}
 	// The canonical wire format must take the scanner path at all — a
 	// budget met by accident on the fallback would hide a broken scanner.
-	if _, ok := decodeScan(data); !ok {
+	if _, ok := decodeScan(data, false); !ok {
 		t.Fatalf("canonical envelope rejected by the scanner:\n%s", data)
 	}
 	decodeAllocs := testing.AllocsPerRun(200, func() {
@@ -171,6 +173,46 @@ func TestOutboundBuildAllocBudget(t *testing.T) {
 			allocs, budget.OutboundMaxAllocs)
 	}
 	t.Logf("outbound build: %.1f allocs/op (budget %.0f)", allocs, budget.OutboundMaxAllocs)
+}
+
+// oneWayDelivery is a bus with one endpoint whose handler reads what a
+// dispatcher reads, and a one-way delivery to it: a freshly rendered, pooled
+// buffer handed to SendEncoded, decoded, handled, and recycled with its
+// request.
+func oneWayDelivery(tb testing.TB) func() {
+	tb.Helper()
+	bus := NewMemBus()
+	bus.Register("mem://target", HandlerFunc(func(_ context.Context, req *Request) (*Envelope, error) {
+		if req.Action() != "urn:bench:op" || req.Envelope.BodyName().Local != "Payload" {
+			tb.Fatalf("delivered %q with body %v", req.Action(), req.Envelope.BodyName())
+		}
+		return nil, nil
+	}))
+	tmpl, err := benchEnvelope(tb, 1<<10).EncodeTemplate()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		if err := bus.SendEncoded(context.Background(), "mem://target", tmpl.RenderTo("mem://target")); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestMemBusOneWayAllocBudget: a one-way delivery over MemBus allocates
+// nothing — its buffer and its decoded request both come from a pool and go
+// back once the handler returns.
+func TestMemBusOneWayAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	budget := loadAllocBudget(t, "testdata/alloc_budget.json")
+	allocs := testing.AllocsPerRun(200, oneWayDelivery(t))
+	if allocs != budget.OneWayMaxAllocs {
+		t.Errorf("one-way MemBus delivery = %.1f allocs/op, budget exactly %.0f (testdata/alloc_budget.json)",
+			allocs, budget.OneWayMaxAllocs)
+	}
+	t.Logf("one-way MemBus delivery: %.1f allocs/op (budget %.0f)", allocs, budget.OneWayMaxAllocs)
 }
 
 // sinkEnv keeps a measured copy live, so the compiler cannot elide it.

@@ -167,3 +167,15 @@ func BenchmarkOutboundBuild(b *testing.B) {
 		sinkEnv = buildOutbound(hdr, body)
 	}
 }
+
+// BenchmarkMemBusOneWay measures a one-way delivery over MemBus: render,
+// decode, a handler that reads the action and body name, and both the buffer
+// and the request back to their pools.
+func BenchmarkMemBusOneWay(b *testing.B) {
+	deliver := oneWayDelivery(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		deliver()
+	}
+}

@@ -22,7 +22,8 @@
 // zero-copy out of the input buffer, Encode splices them into one
 // exactly-sized allocation, and EncodeTemplate/RenderTo serialize a fan-out
 // message once, patching only the wsa:To header per target (soap.Fanout is
-// the shared fan-out path). Everything else well-formed — prefixed
+// the shared fan-out path, and Forward the re-headed one). Everything else
+// well-formed — prefixed
 // documents from other SOAP stacks, blocks inheriting an outer namespace,
 // hand-built blocks — takes the one encoding/xml fallback, which accepts
 // whatever encoding/xml accepts and re-encodes each block as it goes. The
@@ -34,13 +35,20 @@
 //
 // # Envelope ownership
 //
-// Receive and render buffers are pooled: the transport recycles a
-// delivery's buffer once its handler returns. The contract (documented on
-// Handler) is that a request envelope — including every Block.Raw — is
-// valid only during HandleSOAP; a handler that retains it past that point
-// must Clone it. Envelope.Snapshot shares the captured bytes and is NOT
+// Receive and render buffers are pooled, and so are decoded requests: a
+// binding's one-way delivery (MemBus.SendEncoded, and every exchange the
+// HTTPServer serves) draws its Request, Envelope, Header and first blocks
+// from a pool and hands them back, zeroed, with the buffer once its handler
+// has returned and any response has been written. The contract (documented
+// on Handler) is that a request — the Request, its Envelope and every
+// Block.Raw — is valid only during HandleSOAP; a handler that retains it past
+// that point must Clone it, and one that keeps the pointer finds the
+// envelope empty. Envelope.Snapshot shares the captured bytes and is NOT
 // sufficient for retention; it exists for fan-out paths that re-head an
-// envelope within a delivery. Strings are different: every string the
+// envelope within a delivery. What the caller asked for is the caller's: a
+// Call's request and response, and whatever Decode returns, are never
+// recycled. A forward re-heads nothing in memory at all: Forward writes the
+// copy from the received blocks straight into the pooled fan-out template. Strings are different: every string the
 // decoder hands out — a block's local name and namespace, Envelope.Action and
 // Request.Action, the Addressing properties — is interned or copied, never a
 // view of the buffer, so a handler may keep them past the delivery. So is

@@ -346,9 +346,10 @@ func (e *Envelope) Encode() ([]byte, error) {
 // beyond its name stack, malformed bytes) is judged by encoding/xml
 // (decodeLegacy), which copies each block as it re-encodes it. A scanned
 // envelope is one allocation: the envelope, its header and its first blocks
-// (see received).
+// (see received). The envelope belongs to the caller: unlike a binding's
+// one-way request, it is never recycled.
 func Decode(data []byte) (*Envelope, error) {
-	req, err := decodeRequest(data)
+	req, _, err := decodeRequest(data, false)
 	if err != nil {
 		return nil, err
 	}
@@ -356,24 +357,27 @@ func Decode(data []byte) (*Envelope, error) {
 }
 
 // decodeRequest is Decode for the bindings, which hand the handler a
-// Request: a scanned document's Request is part of its envelope's
-// allocation. The caller fills in Remote.
-func decodeRequest(data []byte) (*Request, error) {
+// Request: a scanned document's Request is part of its envelope's object,
+// rec, which pooled draws from receivedPool. A binding that asks for a
+// pooled one hands rec back with release once the handler has returned; a
+// document the fallback decoded has a Request of its own and a nil rec. The
+// caller fills in Remote.
+func decodeRequest(data []byte, pooled bool) (req *Request, rec *received, err error) {
 	if len(data) > maxEnvelopeBytes {
 		countDecodeError(true)
-		return nil, fmt.Errorf("soap: envelope of %d bytes exceeds the %d-byte cap", len(data), maxEnvelopeBytes)
+		return nil, nil, fmt.Errorf("soap: envelope of %d bytes exceeds the %d-byte cap", len(data), maxEnvelopeBytes)
 	}
-	if req, ok := decodeScan(data); ok {
+	if rec, ok := decodeScan(data, pooled); ok {
 		countDecode(true, len(data))
-		return req, nil
+		return &rec.req, rec, nil
 	}
 	env, err := decodeLegacy(data)
 	if err != nil {
 		countDecodeError(false)
-		return nil, err
+		return nil, nil, err
 	}
 	countDecode(false, len(data))
-	return &Request{Envelope: env}, nil
+	return &Request{Envelope: env}, nil, nil
 }
 
 // Clone deep-copies the envelope, including the captured block bytes.
@@ -562,13 +566,7 @@ func (e *Envelope) setAddressing(h wsa.Headers, id []byte) {
 	buf := make([]byte, 0, size)
 	for _, p := range props {
 		start := len(buf)
-		buf = AppendFlatOpen(buf, wsa.Namespace, p.local)
-		if p.child == "" {
-			buf = AppendEscaped(AppendEscaped(buf, p.value), p.id)
-		} else {
-			buf = AppendFlatText(buf, p.child, p.value)
-		}
-		buf = AppendFlatClose(buf, p.local)
+		buf = p.append(buf)
 		// Full slice expression: an append to this Raw can never run into
 		// the next block's bytes.
 		e.Header.Blocks = append(e.Header.Blocks, Block{
@@ -585,6 +583,17 @@ func (e *Envelope) setAddressing(h wsa.Headers, id []byte) {
 type addressingProp struct {
 	local, child, value string
 	id                  []byte
+}
+
+// append writes the block to dst.
+func (p addressingProp) append(dst []byte) []byte {
+	dst = AppendFlatOpen(dst, wsa.Namespace, p.local)
+	if p.child == "" {
+		dst = AppendEscaped(AppendEscaped(dst, p.value), p.id)
+	} else {
+		dst = AppendFlatText(dst, p.child, p.value)
+	}
+	return AppendFlatClose(dst, p.local)
 }
 
 // size is the block's length when value needs no escaping; SetAddressing

@@ -8,7 +8,10 @@ import (
 	"wsgossip/internal/wsa"
 )
 
-// Request is an inbound SOAP message.
+// Request is an inbound SOAP message. A binding's one-way request is drawn
+// from a pool with its envelope and goes back, zeroed, once the handler has
+// returned (see Handler); a handler that keeps anything of it past that
+// point clones it.
 type Request struct {
 	// Envelope is the full inbound envelope (headers and body).
 	Envelope *Envelope
@@ -39,10 +42,12 @@ func (r *Request) Action() string {
 // Handler processes one SOAP request. A nil response envelope means the
 // exchange is one-way (the HTTP binding answers 202 Accepted).
 //
-// Ownership: the request envelope — including every Block.Raw, which may
-// alias a pooled transport buffer — is valid only until HandleSOAP returns.
-// A handler that retains the envelope past that point must Clone it
-// (Snapshot is not enough: it shares the captured bytes).
+// Ownership: the request and its envelope — including every Block.Raw,
+// which may alias a pooled transport buffer — are valid only until
+// HandleSOAP returns: a one-way binding then recycles the request and its
+// buffer. A handler that retains the envelope past that point must Clone it
+// (Snapshot is not enough: it shares the captured bytes). Strings the
+// envelope hands out are the handler's to keep.
 type Handler interface {
 	HandleSOAP(ctx context.Context, req *Request) (*Envelope, error)
 }

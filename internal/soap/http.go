@@ -38,10 +38,10 @@ func NewHTTPServer(h Handler) *HTTPServer {
 // actual) body, a body shorter than its Content-Length, a mid-body read
 // error — are rejected with a Sender fault and a reject counter bump
 // before any decode work. The request body is read into a pooled buffer
-// that the decoded envelope aliases for the duration of the exchange; by
-// the time the buffer is recycled the handler has returned and any
-// response has been serialized (copying whatever blocks it shared), so no
-// pooled memory escapes.
+// that the decoded envelope aliases for the duration of the exchange, and a
+// scanned request is drawn from its pool; both go back once the handler has
+// returned and its response has been written (copying whatever blocks it
+// shared), so a handler that keeps its request must Clone it.
 func (s *HTTPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "soap endpoint requires POST", http.StatusMethodNotAllowed)
@@ -66,14 +66,25 @@ func (s *HTTPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, NewFault(CodeSender, "read request: "+err.Error()))
 		return
 	}
-	defer putBytes(data)
-	req, err := decodeRequest(data)
+	req, rec, err := decodeRequest(data, true)
 	if err != nil {
+		putBytes(data)
 		writeFault(w, NewFault(CodeSender, err.Error()))
 		return
 	}
 	req.Remote = r.RemoteAddr
 	resp, err := s.handler.HandleSOAP(r.Context(), req)
+	writeResponse(w, resp, err)
+	// The response is on the wire, so nothing refers to the request or its
+	// bytes any more. A handler that panics skips this: its request and
+	// buffer are left to the GC.
+	rec.release()
+	putBytes(data)
+}
+
+// writeResponse writes a handler's outcome: a fault, 202 Accepted for a
+// one-way exchange, or the response envelope.
+func writeResponse(w http.ResponseWriter, resp *Envelope, err error) {
 	if err != nil {
 		writeFault(w, AsFault(err))
 		return

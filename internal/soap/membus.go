@@ -86,15 +86,11 @@ func (b *MemBus) deliver(ctx context.Context, to string, env *Envelope) (*Envelo
 	if err != nil {
 		return nil, err
 	}
-	return b.deliverBytes(ctx, to, data)
-}
-
-func (b *MemBus) deliverBytes(ctx context.Context, to string, data []byte) (*Envelope, error) {
 	h, err := b.lookup(to)
 	if err != nil {
 		return nil, err
 	}
-	req, err := decodeRequest(data)
+	req, _, err := decodeRequest(data, false)
 	if err != nil {
 		return nil, err
 	}
@@ -129,10 +125,14 @@ func (b *MemBus) Send(ctx context.Context, to string, env *Envelope) error {
 
 // SendEncoded performs a one-way exchange with an already-serialized
 // envelope, skipping the redundant encode of the fan-out hot path. On
-// success the bus takes full ownership of data (see EncodedSender): after
-// the delivery completes — during which the handler sees an envelope
-// aliasing it — the buffer is recycled into the wire buffer pool, so
-// handlers that retain their request envelope must Clone it.
+// success the bus takes full ownership of data (see EncodedSender). The
+// delivery's request lives until its handler returns: then the request goes
+// back to its pool, zeroed, and data to the wire buffer pool, so a handler
+// that retains its request envelope must Clone it.
+//
+// A handler that panics unwinds through the top-level SendEncoded that is
+// draining; its message's buffer and request are not recycled, and the
+// messages queued behind it go out with the bus's next wave.
 func (b *MemBus) SendEncoded(ctx context.Context, to string, data []byte) error {
 	if _, err := b.lookup(to); err != nil {
 		return AsFault(err) // ownership stays with the caller on error
@@ -144,22 +144,56 @@ func (b *MemBus) SendEncoded(ctx context.Context, to string, data []byte) error 
 		return nil
 	}
 	b.draining = true
+	b.qmu.Unlock()
+	b.drain(ctx)
+	return nil
+}
+
+// drain delivers the queue in FIFO order, including what the deliveries
+// enqueue. A handler panic ends the wave in the deferred cleanup, which
+// leaves the bus idle rather than draining with nobody to drain.
+func (b *MemBus) drain(ctx context.Context) {
+	finished := false
+	defer func() {
+		if !finished {
+			b.qmu.Lock()
+			b.draining = false
+			b.qmu.Unlock()
+		}
+	}()
+	b.qmu.Lock()
 	for b.head < len(b.queue) {
 		p := b.queue[b.head]
 		b.queue[b.head] = pendingSend{}
 		b.head++
 		b.qmu.Unlock()
-		// Endpoints may unregister (crash injection) between enqueue and
-		// delivery; drop silently like a network would.
-		_, _ = b.deliverBytes(ctx, p.to, p.data)
-		// The wave delivered (or dropped) this buffer exactly once and the
-		// handler has returned; recycle it.
-		putBytes(p.data)
+		b.deliverOneWay(ctx, p)
 		b.qmu.Lock()
 	}
 	b.queue = b.queue[:0]
 	b.head = 0
 	b.draining = false
 	b.qmu.Unlock()
-	return nil
+	finished = true
+}
+
+// deliverOneWay hands one queued message to its endpoint and recycles its
+// request and buffer once the handler has returned. Endpoints may unregister
+// (crash injection) between enqueue and delivery; the message is dropped
+// silently like a network would.
+func (b *MemBus) deliverOneWay(ctx context.Context, p pendingSend) {
+	h, err := b.lookup(p.to)
+	if err != nil {
+		putBytes(p.data)
+		return
+	}
+	req, rec, err := decodeRequest(p.data, true)
+	if err != nil {
+		putBytes(p.data)
+		return
+	}
+	req.Remote = "membus"
+	_, _ = h.HandleSOAP(ctx, req)
+	rec.release()
+	putBytes(p.data)
 }

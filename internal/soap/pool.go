@@ -16,7 +16,9 @@ import (
 // Block.Raw slice of it) past HandleSOAP returning — retention requires
 // Envelope.Clone. Under that contract MemBus recycles each one-way
 // delivery buffer exactly once, after the handler returns, and the HTTP
-// server recycles its request-read buffer once the response is encoded.
+// server recycles its request-read buffer once the response is written;
+// each recycles the decoded request (receivedPool) at the same point. A
+// handler that panics leaves both to the GC.
 // HTTPClient.SendEncoded deliberately does NOT recycle the buffers it is
 // handed: net/http's transport can still be draining the request-body
 // reader when Do returns (early server responses, redirect GetBody

@@ -81,6 +81,10 @@ const (
 // header gets blocks[:inlineHeaderBlocks] and the body the rest, each through
 // a full slice expression, so an append to one can never write into the
 // other's blocks.
+//
+// A binding's one-way delivery draws it from receivedPool and hands it back
+// with release once the handler has returned; Decode's and a Call's are the
+// caller's and never go back.
 type received struct {
 	req    Request
 	env    Envelope
@@ -88,10 +92,24 @@ type received struct {
 	blocks [inlineHeaderBlocks + inlineBodyBlocks]Block
 }
 
-// decodeScan parses data with a direct byte walk. ok=false means the
-// document strays from the canonical grammar and the caller must fall back;
-// it never implies the document is malformed.
-func decodeScan(data []byte) (*Request, bool) {
+var receivedPool = sync.Pool{New: func() any { return new(received) }}
+
+// release zeroes r, so a handler that kept its request finds it empty rather
+// than reading the next delivery, and returns it to receivedPool. A nil r (a
+// document the fallback decoded) is a no-op.
+func (r *received) release() {
+	if r == nil {
+		return
+	}
+	*r = received{}
+	receivedPool.Put(r)
+}
+
+// decodeScan parses data with a direct byte walk into a received object,
+// drawn from receivedPool when pooled. ok=false means the document strays
+// from the canonical grammar and the caller must fall back; it never implies
+// the document is malformed.
+func decodeScan(data []byte, pooled bool) (*received, bool) {
 	s := wireScanner{data: data}
 	if !s.prolog() {
 		return nil, false
@@ -101,42 +119,53 @@ func decodeScan(data []byte) (*Request, bool) {
 		!root.hasXMLNS || !bytes.Equal(s.slice(root.nsStart, root.nsEnd), envelopeNS) {
 		return nil, false
 	}
-	r := &received{}
-	r.req.Envelope = &r.env
-	env := &r.env
-	env.XMLName = soapEnvelopeName
-	if root.selfClose {
-		return &r.req, true
+	var r *received
+	if pooled {
+		r = receivedPool.Get().(*received)
+	} else {
+		r = new(received)
 	}
+	r.req.Envelope = &r.env
+	r.env.XMLName = soapEnvelopeName
+	if !root.selfClose && !s.envelope(r) {
+		if pooled {
+			r.release()
+		}
+		return nil, false
+	}
+	return r, true
+}
+
+// envelope captures the children of the Envelope element whose open tag was
+// just consumed into r, through its end tag.
+func (s *wireScanner) envelope(r *received) bool {
+	env := &r.env
 	for {
 		s.ws()
 		if s.pos >= len(s.data) || s.data[s.pos] != '<' {
 			// EOF inside the envelope, or loose text between scaffolding
 			// elements (which could carry entities to validate): fall back.
-			return nil, false
+			return false
 		}
 		switch {
 		case s.lookingAt(commentOpen):
 			if !s.comment() {
-				return nil, false
+				return false
 			}
 		case s.lookingAt(piOpen):
 			if !s.pi(false) {
-				return nil, false
+				return false
 			}
 		case s.pos+1 < len(s.data) && s.data[s.pos+1] == '/':
 			name, ok := s.endTag()
-			if !ok || !bytes.Equal(name, envelopeLocal) {
-				return nil, false
-			}
 			// Like xml.Unmarshal, anything after </Envelope> is never read.
-			return &r.req, true
+			return ok && bytes.Equal(name, envelopeLocal)
 		case s.pos+1 < len(s.data) && s.data[s.pos+1] == '!':
-			return nil, false // DOCTYPE or other directive
+			return false // DOCTYPE or other directive
 		default:
 			tag, ok := s.startTag()
 			if !ok {
-				return nil, false
+				return false
 			}
 			name := s.name(tag)
 			// Header/Body inherit the envelope default namespace unless the
@@ -151,17 +180,17 @@ func decodeScan(data []byte) (*Request, bool) {
 				}
 				inline := r.blocks[:0:inlineHeaderBlocks]
 				if !tag.selfClose && !s.container(headerLocal, &env.Header.Blocks, inline) {
-					return nil, false
+					return false
 				}
 			case soapScope && bytes.Equal(name, bodyLocal):
 				env.Body.XMLName = soapBodyName
 				inline := r.blocks[inlineHeaderBlocks:inlineHeaderBlocks:len(r.blocks)]
 				if !tag.selfClose && !s.container(bodyLocal, &env.Body.Blocks, inline) {
-					return nil, false
+					return false
 				}
 			default:
 				if !tag.selfClose && !s.subtree(name) {
-					return nil, false
+					return false
 				}
 			}
 		}

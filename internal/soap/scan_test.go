@@ -32,11 +32,11 @@ import (
 // moves a body block.
 func scannerAgrees(t *testing.T, label string, doc []byte) (*Envelope, bool) {
 	t.Helper()
-	req, ok := decodeScan(doc)
+	rec, ok := decodeScan(doc, false)
 	if !ok {
 		return nil, false
 	}
-	got := req.Envelope
+	got := rec.req.Envelope
 	want, err := decodeLegacy(doc)
 	if err != nil {
 		t.Fatalf("%s: scanner accepted what encoding/xml rejects (%v):\n%q", label, err, doc)
@@ -70,8 +70,8 @@ func scannerAgrees(t *testing.T, label string, doc []byte) (*Envelope, bool) {
 // through unchanged.
 func headerAppendSparesBody(t *testing.T, label string, doc []byte) {
 	t.Helper()
-	req, _ := decodeScan(doc)
-	env := req.Envelope
+	rec, _ := decodeScan(doc, false)
+	env := rec.req.Envelope
 	body := append([]Block(nil), env.Body.Blocks...)
 	extra := Block{XMLName: xml.Name{Space: "urn:extra", Local: "X"}, Raw: []byte(`<X xmlns="urn:extra"/>`)}
 	for i := 0; i <= inlineHeaderBlocks; i++ {
@@ -237,7 +237,7 @@ func TestScannerRejects(t *testing.T) {
 	}
 	for name, tc := range docs {
 		t.Run(name, func(t *testing.T) {
-			if _, ok := decodeScan([]byte(tc.doc)); ok {
+			if _, ok := decodeScan([]byte(tc.doc), false); ok {
 				t.Fatalf("scanner accepted non-canonical document:\n%s", tc.doc)
 			}
 			reg := metrics.NewRegistry()
@@ -317,7 +317,7 @@ func TestScannerDeepNesting(t *testing.T) {
 	}
 	sb.WriteString(`</I></Body></Envelope>`)
 	doc := []byte(sb.String())
-	if _, ok := decodeScan(doc); ok {
+	if _, ok := decodeScan(doc, false); ok {
 		t.Fatal("scanner accepted nesting beyond its stack depth")
 	}
 	env, err := Decode(doc)

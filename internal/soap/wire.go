@@ -193,16 +193,19 @@ func analyzeSplice(e *Envelope, plan []spliceParts) (_ []spliceParts, blockBytes
 // appendBlocks splices blocks into dst per their splice plans.
 func appendBlocks(dst []byte, blocks []Block, plan []spliceParts) []byte {
 	for i, b := range blocks {
-		p := plan[i]
-		if p.inject == "" {
-			dst = append(dst, b.Raw...)
-			continue
-		}
-		dst = append(dst, b.Raw[:p.insertAt]...)
-		dst = append(dst, p.inject...)
-		dst = append(dst, b.Raw[p.insertAt:]...)
+		dst = appendBlock(dst, b, plan[i])
 	}
 	return dst
+}
+
+// appendBlock splices b into dst per its splice plan p.
+func appendBlock(dst []byte, b Block, p spliceParts) []byte {
+	if p.inject == "" {
+		return append(dst, b.Raw...)
+	}
+	dst = append(dst, b.Raw[:p.insertAt]...)
+	dst = append(dst, p.inject...)
+	return append(dst, b.Raw[p.insertAt:]...)
 }
 
 // encodeSplice serializes e on the fast path: one exactly-sized allocation,
@@ -363,6 +366,23 @@ func (t *WireTemplate) RenderTo(addr string) []byte {
 // excluding the per-target To block.
 func (t *WireTemplate) Size() int { return len(t.pre) + len(t.post) }
 
+// sendAll renders t once per target and hands each copy to es, with
+// Fanout's accounting: a ctx cancelled mid-way stops issuing sends, and the
+// targets not yet attempted are reported as failed.
+func (t *WireTemplate) sendAll(ctx context.Context, es EncodedSender, targets []string) (sent int, failed []string) {
+	for i, target := range targets {
+		if ctx.Err() != nil {
+			return sent, append(failed, targets[i:]...)
+		}
+		if err := es.SendEncoded(ctx, target, t.RenderTo(target)); err != nil {
+			failed = append(failed, target)
+			continue
+		}
+		sent++
+	}
+	return sent, failed
+}
+
 // ---------------------------------------------------------------------------
 // Encoded send path
 
@@ -371,7 +391,10 @@ func (t *WireTemplate) Size() int { return len(t.pre) + len(t.post) }
 // SendEncoded takes full ownership of data: the binding may retain it or
 // recycle it into the wire buffer pool after delivery, so the caller must
 // not read or modify it afterwards, and must not pass the same buffer to
-// two sends. On error the buffer stays with the caller.
+// two sends. On error the buffer stays with the caller. A binding that
+// delivers in process (MemBus) also recycles the request it decodes from
+// data once the handler has returned. Fanout and Forward write through
+// SendEncoded whenever the binding offers it.
 type EncodedSender interface {
 	SendEncoded(ctx context.Context, to string, data []byte) error
 }
@@ -408,17 +431,7 @@ func Fanout(ctx context.Context, caller Caller, env *Envelope, targets []string)
 	if es, ok := caller.(EncodedSender); ok {
 		if tmpl, ok := env.template(true); ok {
 			defer putBytes(tmpl.pre)
-			for i, target := range targets {
-				if ctx.Err() != nil {
-					return sent, append(failed, targets[i:]...)
-				}
-				if err := es.SendEncoded(ctx, target, tmpl.RenderTo(target)); err != nil {
-					failed = append(failed, target)
-					continue
-				}
-				sent++
-			}
-			return sent, failed
+			return tmpl.sendAll(ctx, es, targets)
 		}
 	}
 	a := env.Addressing()
