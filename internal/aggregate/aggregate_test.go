@@ -341,7 +341,7 @@ func TestPassiveJoinUpgradedByLateStart(t *testing.T) {
 	c.bus.Register("mem://late", late.Handler())
 
 	sendTo := func(action string, body any) {
-		env, err := buildMessage(action, tk.Context, body)
+		env, err := handMarshalled(action, tk.Context, body)
 		if err != nil {
 			t.Fatal(err)
 		}

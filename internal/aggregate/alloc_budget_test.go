@@ -95,6 +95,8 @@ type allocBudget struct {
 	ShareIntake      float64 `json:"share_intake_max_allocs"`
 	AckIntake        float64 `json:"ack_intake_max_allocs"`
 	TickTwoTasks     float64 `json:"service_tick_two_tasks_max_allocs"`
+	ExchangeSend     float64 `json:"exchange_send_max_allocs"`
+	AckSend          float64 `json:"ack_send_max_allocs"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -106,11 +108,12 @@ func loadAllocBudget(t *testing.T) allocBudget {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	budget := allocBudget{ShareIntake: -1, AckIntake: -1}
+	budget := allocBudget{ShareIntake: -1, AckIntake: -1, ExchangeSend: -1, AckSend: -1}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	if budget.MaxAllocs <= 0 || budget.ServiceMaxAllocs <= 0 || budget.ShareIntake < 0 || budget.AckIntake < 0 || budget.TickTwoTasks <= 0 {
+	if budget.MaxAllocs <= 0 || budget.ServiceMaxAllocs <= 0 || budget.ShareIntake < 0 || budget.AckIntake < 0 || budget.TickTwoTasks <= 0 ||
+		budget.ExchangeSend < 0 || budget.AckSend < 0 {
 		t.Fatalf("alloc budget missing fields: %+v", budget)
 	}
 	return budget
@@ -305,7 +308,7 @@ func newTwoTaskTick(t testing.TB) (a *Service, peers []*Service) {
 }
 
 // TestServiceTickTwoTasksAllocBudget: one round of two tasks at fanout 3 —
-// the shared sample, the six shares split, three batched envelopes built,
+// the shared sample, the six shares split, three batched envelopes written,
 // sent, decoded, absorbed and answered by three ack envelopes, and six acks
 // committed. The budget is exact.
 func TestServiceTickTwoTasksAllocBudget(t *testing.T) {
@@ -357,4 +360,84 @@ func BenchmarkShareExchangeService(b *testing.B) {
 	}
 	b.StopTimer()
 	checkServiceExchange(b, a, peer, int64(b.N))
+}
+
+// exchangeSends is what a round sends one peer, and what the peer answers:
+// two tasks' shares in one exchange envelope, and their two acks in one ack
+// envelope, each sent over a MemBus on which the peer is a no-op handler.
+func exchangeSends(tb testing.TB) (shares func(), acks func()) {
+	tb.Helper()
+	bus := soap.NewMemBus()
+	bus.Register("mem://b", soap.HandlerFunc(func(context.Context, *soap.Request) (*soap.Envelope, error) {
+		return nil, nil
+	}))
+	ctx := context.Background()
+	var batch []staged
+	var answers []ExchangeAck
+	for i, id := range twoTasks {
+		cctx := wscoord.CoordinationContext{
+			Identifier:          id,
+			CoordinationType:    core.CoordinationTypeGossip,
+			RegistrationService: wscoord.ServiceRef{Address: "mem://coordinator"},
+		}
+		sh := Share{
+			TaskID: id, Function: string(FuncAvg), From: "mem://a", Sum: 1.5, Weight: 0.25,
+			WindowMillis: 1000, Epoch: 7, Seq: uint64(i + 1), Root: "mem://a",
+		}
+		batch = append(batch, staged{taskID: id, cctx: contextBlock(cctx), p: &pendingShare{to: "mem://b", share: sh}})
+		answers = append(answers, ExchangeAck{TaskID: id, From: "mem://b", Epoch: 7, Seq: uint64(i + 1)})
+	}
+	shares = func() {
+		if err := sendShareBatch(ctx, bus, batch); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	acks = func() {
+		if err := sendAcks(ctx, bus, "mem://b", answers); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return shares, acks
+}
+
+// TestExchangeSendAllocBudget: an exchange envelope of two shares and an ack
+// envelope of two acks are each written — the message ID, the tasks'
+// prebuilt context blocks, and every share or ack from its fields — straight
+// into one pooled wire buffer, which the bus recycles. The sends allocate
+// nothing; each row's one allocation is the receiver's, whose decoded request
+// holds one body child inline and grows its body list for the second. The
+// budgets are exact.
+func TestExchangeSendAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	shares, acks := exchangeSends(t)
+	for _, row := range []struct {
+		what   string
+		budget float64
+		op     func()
+	}{
+		{"exchange send", budget.ExchangeSend, shares},
+		{"ack send", budget.AckSend, acks},
+	} {
+		allocs := testing.AllocsPerRun(200, row.op)
+		if allocs != row.budget {
+			t.Errorf("%s = %.1f allocs/op, budget exactly %.0f (testdata/alloc_budget.json)", row.what, allocs, row.budget)
+		}
+		t.Logf("%s: %.1f allocs/op (budget %.0f)", row.what, allocs, row.budget)
+	}
+}
+
+func BenchmarkExchangeSend(b *testing.B) {
+	shares, _ := exchangeSends(b)
+	b.ReportAllocs()
+	for range b.N {
+		shares()
+	}
+}
+
+func BenchmarkAckSend(b *testing.B) {
+	_, acks := exchangeSends(b)
+	b.ReportAllocs()
+	for range b.N {
+		acks()
+	}
 }

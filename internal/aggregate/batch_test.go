@@ -357,7 +357,7 @@ func TestExchangeEnvelopeFaultsWhole(t *testing.T) {
 			before := svc.Stats()
 			sum0, w0, _ := svc.Mass(task)
 			osum0, ow0, _ := svc.Mass(other.ID)
-			env, err := newMessage(ActionExchange, contextBlock(tk.Context), contextBlock(other.Context))
+			env, err := handBuilt(ActionExchange, contextBlock(tk.Context), contextBlock(other.Context))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -407,7 +407,7 @@ func TestPassiveJoinUsesTheSharesContext(t *testing.T) {
 	ctx := context.Background()
 
 	late := fresh("mem://late")
-	env, err := newMessage(ActionExchange, contextBlock(other.Context), contextBlock(tk.Context))
+	env, err := handBuilt(ActionExchange, contextBlock(other.Context), contextBlock(tk.Context))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestPassiveJoinUsesTheSharesContext(t *testing.T) {
 	}
 
 	orphan := fresh("mem://orphan")
-	if env, err = newMessage(ActionExchange, contextBlock(other.Context)); err != nil {
+	if env, err = handBuilt(ActionExchange, contextBlock(other.Context)); err != nil {
 		t.Fatal(err)
 	}
 	env.SetBodyBlock(shareBlock(&share))
@@ -469,7 +469,7 @@ func TestIntakeDoesNotAliasTheReceiveBuffer(t *testing.T) {
 	})
 	deliver := func(action string, body soap.Block, handle soap.HandlerFunc) {
 		t.Helper()
-		env, err := newMessage(action, cctx)
+		env, err := handBuilt(action, cctx)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -327,7 +327,7 @@ func TestContinuousShareSemantics(t *testing.T) {
 		Root:         "mem://querier",
 		Metric:       "load",
 	}
-	env, err := buildMessage(ActionExchange, tk.Context, share)
+	env, err := handMarshalled(ActionExchange, tk.Context, share)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestContinuousShareSemantics(t *testing.T) {
 		stale.Epoch = svc.EpochOf(tk.ID) - 1
 		_, w2, _ = svc.Mass(tk.ID)
 	}
-	staleEnv, err := buildMessage(ActionExchange, tk.Context, stale)
+	staleEnv, err := handMarshalled(ActionExchange, tk.Context, stale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +605,7 @@ func TestContinuousPassiveJoinContributesNextEpoch(t *testing.T) {
 		Root:         "mem://querier",
 		Metric:       "load",
 	}
-	env, err := buildMessage(ActionExchange, tk.Context, share)
+	env, err := handMarshalled(ActionExchange, tk.Context, share)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func FuzzExchangeRoundTrip(f *testing.F) {
 			CoordinationType:    "urn:fuzz:type",
 			RegistrationService: wscoord.ServiceRef{Address: "mem://reg"},
 		}
-		env, err := newMessage(ActionExchange, contextBlock(cctx))
+		env, err := handBuilt(ActionExchange, contextBlock(cctx))
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
@@ -226,7 +226,7 @@ func FuzzExchangeBatch(f *testing.F) {
 		}
 		svc.Tick(context.Background()) // one pending share per task
 		for _, action := range []string{ActionExchange, ActionExchangeAck} {
-			env, err := newMessage(action, contexts...)
+			env, err := handBuilt(action, contexts...)
 			if err != nil {
 				t.Fatal(err)
 			}

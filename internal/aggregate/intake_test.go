@@ -63,7 +63,7 @@ func intakeCluster(t *testing.T) (*contCluster, string, Share, func(action strin
 	}
 	deliver := func(action string, body soap.Block) {
 		t.Helper()
-		env, err := newMessage(action, contextBlock(tk.Context))
+		env, err := handBuilt(action, contextBlock(tk.Context))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestOneShotPoisonShareRejected(t *testing.T) {
 	sum0, w0, _ := svc.Mass(task)
 	windowless := share
 	windowless.WindowMillis = 0
-	env, err := newMessage(ActionExchange, svc.tasks[task].ctx)
+	env, err := handBuilt(ActionExchange, svc.tasks[task].ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

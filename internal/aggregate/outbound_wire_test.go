@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 
 	"wsgossip/internal/core"
 	"wsgossip/internal/soap"
+	"wsgossip/internal/wsa"
 	"wsgossip/internal/wscoord"
 )
 
@@ -21,11 +23,11 @@ import (
 
 var updateWire = flag.Bool("update", false, "rewrite testdata/wire/*.xml")
 
-// checkWireGolden compares env's encoding, its wsa:MessageID fixed, with
-// testdata/wire/name.xml.
-func checkWireGolden(t *testing.T, name string, env *soap.Envelope) {
+// checkWireGolden compares one message's bytes, its wsa:MessageID fixed,
+// with testdata/wire/name.xml.
+func checkWireGolden(t *testing.T, name string, data []byte) {
 	t.Helper()
-	data, err := env.Encode()
+	env, err := soap.Decode(data)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -47,7 +49,34 @@ func checkWireGolden(t *testing.T, name string, env *soap.Envelope) {
 	}
 }
 
+// wireRecorder is a binding without SendEncoded that keeps the bytes of
+// every message sent through it, encoded from the envelope Send is handed,
+// and delivers nothing.
+type wireRecorder struct{ msgs [][]byte }
+
+func (r *wireRecorder) Send(_ context.Context, _ string, env *soap.Envelope) error {
+	data, err := env.Encode()
+	if err != nil {
+		return err
+	}
+	r.msgs = append(r.msgs, data)
+	return nil
+}
+
+func (r *wireRecorder) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.Envelope, error) {
+	return nil, r.Send(ctx, to, env)
+}
+
+// encodedRecorder is a wireRecorder that also takes messages as written.
+type encodedRecorder struct{ wireRecorder }
+
+func (r *encodedRecorder) SendEncoded(_ context.Context, _ string, data []byte) error {
+	r.msgs = append(r.msgs, bytes.Clone(data))
+	return nil
+}
+
 func TestOutboundWireGolden(t *testing.T) {
+	ctx := context.Background()
 	task := func(id string) wscoord.CoordinationContext {
 		return wscoord.CoordinationContext{
 			Identifier:          id,
@@ -64,18 +93,28 @@ func TestOutboundWireGolden(t *testing.T) {
 	stage := func(c wscoord.CoordinationContext, sh Share) staged {
 		return staged{taskID: c.Identifier, cctx: contextBlock(c), p: &pendingShare{to: "mem://b", share: sh}}
 	}
-	check := func(name string, env *soap.Envelope, err error) {
+	// check sends one message through a binding that takes it as written and
+	// through one that takes the envelope: both put the golden bytes on the
+	// wire.
+	check := func(name string, send func(soap.Caller) error) {
 		t.Helper()
-		if err != nil {
-			t.Fatal(err)
+		encoded, plain := &encodedRecorder{}, &wireRecorder{}
+		for _, rec := range []struct {
+			caller soap.Caller
+			msgs   *[][]byte
+		}{{encoded, &encoded.msgs}, {plain, &plain.msgs}} {
+			if err := send(rec.caller); err != nil {
+				t.Fatal(err)
+			}
+			if len(*rec.msgs) != 1 {
+				t.Fatalf("%s: %d messages sent, want 1", name, len(*rec.msgs))
+			}
+			checkWireGolden(t, name, (*rec.msgs)[0])
 		}
-		checkWireGolden(t, name, env)
 	}
-	env, err := shareEnvelope([]staged{stage(cctx, share)})
-	check("share", env, err)
+	check("share", func(c soap.Caller) error { return sendShareBatch(ctx, c, []staged{stage(cctx, share)}) })
 	ack := ExchangeAck{TaskID: cctx.Identifier, From: "mem://b", Epoch: 7, Seq: 42}
-	env, err = ackEnvelope([]ExchangeAck{ack})
-	check("ack", env, err)
+	check("ack", func(c soap.Caller) error { return sendAcks(ctx, c, "mem://a", []ExchangeAck{ack}) })
 
 	// A round's shares for one peer: a retry and a fresh share of one task,
 	// then a fresh share of another count task — one context per task.
@@ -84,17 +123,53 @@ func TestOutboundWireGolden(t *testing.T) {
 		Sum: 0.5, Weight: 0.25, WindowMillis: 1000, Epoch: 7, Seq: 9, Root: "mem://root", Metric: "nodes",
 	}
 	retry.Seq, retry.Sum, retry.Weight = 41, 2.5, 1
-	env, err = shareEnvelope([]staged{stage(cctx, retry), stage(cctx, share), stage(other, count)})
-	check("share_batch", env, err)
+	check("share_batch", func(c soap.Caller) error {
+		return sendShareBatch(ctx, c, []staged{stage(cctx, retry), stage(cctx, share), stage(other, count)})
+	})
 	acks := []ExchangeAck{
 		{TaskID: cctx.Identifier, From: "mem://b", Epoch: 7, Seq: 41},
 		ack,
 		{TaskID: other.Identifier, From: "mem://b", Epoch: 7, Seq: 9},
 	}
-	env, err = ackEnvelope(acks)
-	check("ack_batch", env, err)
+	check("ack_batch", func(c soap.Caller) error { return sendAcks(ctx, c, "mem://a", acks) })
 
+	// The start flood renders each target's To; the message it renders is
+	// the golden one.
 	start := Start{TaskID: cctx.Identifier, Function: string(FuncSum), Root: "mem://root", Hops: 3}
-	env, err = buildMessage(ActionStart, cctx, start)
-	check("start", env, err)
+	check("start", func(c soap.Caller) error {
+		m, err := startMessage(cctx, start, []byte(wsa.NewMessageID()))
+		if err != nil {
+			return err
+		}
+		return m.Send(ctx, c, "mem://b")
+	})
+}
+
+// handBuilt is an aggregation message built by hand, as a test sends it: the
+// action and a message ID, and the given context blocks after them.
+func handBuilt(action string, contexts ...soap.Block) (*soap.Envelope, error) {
+	env := soap.NewEnvelope()
+	if err := env.SetAddressing(wsa.Headers{Action: action, MessageID: wsa.NewMessageID()}); err != nil {
+		return nil, err
+	}
+	for _, b := range contexts {
+		if err := checkContext(b); err != nil {
+			return nil, err
+		}
+		env.AddHeaderBlock(b)
+	}
+	return env, nil
+}
+
+// handMarshalled is handBuilt with cctx's block and body marshalled by
+// encoding/xml.
+func handMarshalled(action string, cctx wscoord.CoordinationContext, body any) (*soap.Envelope, error) {
+	env, err := handBuilt(action, contextBlock(cctx))
+	if err != nil {
+		return nil, err
+	}
+	if err := env.SetBody(body); err != nil {
+		return nil, err
+	}
+	return env, nil
 }

@@ -140,14 +140,13 @@ func (q *Querier) StartContinuous(ctx context.Context, name string, fn Func, win
 		Metric:       name,
 	}
 	if len(params.Targets) > 0 {
-		// The start flood is one logical message: serialized once, a
+		// The start flood is one logical message: written once, a
 		// per-target copy rendered at wsa:To (encode-once wire path).
-		env, err := buildMessage(ActionStart, cctx, start)
+		sent, failed, err := floodStart(ctx, q.cfg.Caller, cctx, start, params.Targets)
 		if err != nil {
 			q.svc.dropTask(cctx.Identifier)
 			return nil, err
 		}
-		sent, failed := soap.Fanout(ctx, q.cfg.Caller, env, params.Targets)
 		q.svc.stats.sendErrors.Add(int64(len(failed)))
 		if sent == 0 {
 			q.svc.dropTask(cctx.Identifier)

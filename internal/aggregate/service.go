@@ -110,8 +110,8 @@ type task struct {
 }
 
 // contextBlock marshals a task's coordination context into its header block.
-// A context encoding/xml cannot marshal yields the zero block, on which
-// newMessage fails as attaching the context to that message would have.
+// A context encoding/xml cannot marshal yields the zero block, on which a
+// message that would carry it fails (checkContext).
 func contextBlock(cctx wscoord.CoordinationContext) soap.Block {
 	b, err := wscoord.ContextBlock(cctx)
 	if err != nil {
@@ -425,108 +425,98 @@ func (s *Service) registerTask(ctx context.Context, cctx wscoord.CoordinationCon
 	return params, nil
 }
 
-// newMessage starts one aggregation message: addressing with the action and
-// a single message ID but no To (the Caller or the fan-out splices it per
-// target), and one coordination-context header block per task the message
-// carries — the task's prebuilt block (task.ctx). The caller sets the body.
-func newMessage(action string, contexts ...soap.Block) (*soap.Envelope, error) {
-	env := soap.NewEnvelope()
-	if err := env.SetAddressing(wsa.Headers{
-		Action:    action,
-		MessageID: wsa.NewMessageID(),
-	}); err != nil {
-		return nil, err
-	}
-	for _, b := range contexts {
-		if err := addContext(env, b); err != nil {
-			return nil, err
-		}
-	}
-	return env, nil
-}
+// errContext fails a message that would carry a coordination context
+// encoding/xml could not marshal: contextBlock's zero block.
+var errContext = errors.New("aggregate: coordination context did not marshal")
 
-// addContext adds a task's context block to env's header. The zero block of
-// a context encoding/xml could not marshal fails the message, as attaching
-// that context to it would have.
-func addContext(env *soap.Envelope, cctx soap.Block) error {
+// checkContext fails the zero block of a context that did not marshal.
+func checkContext(cctx soap.Block) error {
 	if cctx.Raw == nil {
-		return errors.New("aggregate: coordination context did not marshal")
+		return errContext
 	}
-	env.AddHeaderBlock(cctx)
 	return nil
 }
 
-// buildMessage is newMessage plus a body marshalled by encoding/xml — the
-// once-per-task messages. Shares and acks carry flat-codec blocks instead
-// (shareEnvelope, ackEnvelope).
-func buildMessage(action string, cctx wscoord.CoordinationContext, body any) (*soap.Envelope, error) {
-	env, err := newMessage(action, contextBlock(cctx))
+// startMessage is the start flood's message: the action and id, cctx's
+// block as its one header block after them, and start marshalled by
+// encoding/xml as its body. It is sent to every target with no To of its
+// own, each copy's rendered per target.
+func startMessage(cctx wscoord.CoordinationContext, start Start, id []byte) (soap.Message, error) {
+	block := contextBlock(cctx)
+	if err := checkContext(block); err != nil {
+		return soap.Message{}, err
+	}
+	body, err := soap.MarshalBlock(start)
 	if err != nil {
-		return nil, err
+		return soap.Message{}, err
 	}
-	if err := env.SetBody(body); err != nil {
-		return nil, err
-	}
-	return env, nil
+	return soap.Message{Action: ActionStart, ID: id, Header: []soap.Block{block}, Body: []soap.Block{body}}, nil
 }
 
-// shareEnvelope builds the one exchange envelope that carries batch, a
-// round's shares for one peer in task-ID order and then machine order: one
-// AggregateShare body child per share, in batch order, and one
-// coordination-context header block per task, in the same order, so a node
-// the share reaches first can join each task through its own context. A
-// batch of one is byte for byte the single-share message.
-func shareEnvelope(batch []staged) (*soap.Envelope, error) {
-	env, err := newMessage(ActionExchange)
+// floodStart sends start to every target through caller: one logical
+// message, written once and rendered per target.
+func floodStart(ctx context.Context, caller soap.Caller, cctx wscoord.CoordinationContext, start Start, targets []string) (sent int, failed []string, err error) {
+	var id [wsa.MessageIDLen]byte
+	m, err := startMessage(cctx, start, wsa.AppendMessageID(id[:0]))
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	size := 0
+	sent, failed = m.Fanout(ctx, caller, targets)
+	return sent, failed, nil
+}
+
+// sendShareBatch sends the one exchange envelope that carries batch, a
+// round's shares for one peer in task-ID order and then machine order,
+// through caller: one AggregateShare body child per share, in batch order,
+// and one coordination-context header block per task, in the same order
+// after the addressing, so a node the share reaches first can join each task
+// through its own context. It carries no To. The shares are written straight
+// into the wire buffer. A batch of one is byte for byte the single-share
+// message.
+func sendShareBatch(ctx context.Context, caller soap.Caller, batch []staged) error {
+	var id [wsa.MessageIDLen]byte
+	m := soap.Message{Action: ActionExchange, ID: wsa.AppendMessageID(id[:0])}
+	var inline [inlineChildren]soap.Block
+	contexts := inline[:0]
 	for i := range batch {
 		if i == 0 || batch[i].taskID != batch[i-1].taskID {
-			if err := addContext(env, batch[i].cctx); err != nil {
-				return nil, err
+			if err := checkContext(batch[i].cctx); err != nil {
+				return err
 			}
+			contexts = append(contexts, batch[i].cctx)
 		}
-		size += shareSize(&batch[i].p.share)
+		m.Size += shareSize(&batch[i].p.share)
 	}
-	setBody(env, shareName, len(batch), size, func(buf []byte, i int) []byte {
-		return appendShare(buf, &batch[i].p.share)
-	})
-	return env, nil
+	m.Header, m.Name, m.Parts = contexts, shareName, len(batch)
+	m.Write = func(dst []byte, i int) []byte { return appendShare(dst, &batch[i].p.share) }
+	return m.Send(ctx, caller, batch[0].p.to)
 }
 
-// ackEnvelope builds the one envelope that answers an exchange envelope: one
-// AggregateExchangeAck body child per ack, in order, and no coordination
-// context — it goes back to the peer that sent the shares, which holds every
-// task they name.
-func ackEnvelope(acks []ExchangeAck) (*soap.Envelope, error) {
-	env, err := newMessage(ActionExchangeAck)
-	if err != nil {
-		return nil, err
-	}
-	size := 0
+// sendAcks sends the one envelope that answers an exchange envelope through
+// caller to to: one AggregateExchangeAck body child per ack, in order,
+// written straight into the wire buffer, and no coordination context — it
+// goes back to the peer that sent the shares, which holds every task they
+// name — and no To.
+func sendAcks(ctx context.Context, caller soap.Caller, to string, acks []ExchangeAck) error {
+	var id [wsa.MessageIDLen]byte
+	m := soap.Message{Action: ActionExchangeAck, ID: wsa.AppendMessageID(id[:0]), Name: ackName, Parts: len(acks)}
 	for i := range acks {
-		size += ackSize(&acks[i])
+		m.Size += ackSize(&acks[i])
 	}
-	setBody(env, ackName, len(acks), size, func(buf []byte, i int) []byte {
-		return appendAck(buf, &acks[i])
-	})
-	return env, nil
+	m.Write = func(dst []byte, i int) []byte { return appendAck(dst, &acks[i]) }
+	return m.Send(ctx, caller, to)
 }
 
 // forwardStart re-floods the start to every assigned target with a
 // decremented hop budget; receivers that already know the task drop it.
-// The flood is one logical message, serialized once.
 func (s *Service) forwardStart(ctx context.Context, start Start, cctx wscoord.CoordinationContext, targets []string) {
 	next := start
 	next.Hops = start.Hops - 1
-	env, err := buildMessage(ActionStart, cctx, next)
+	sent, failed, err := floodStart(ctx, s.cfg.Caller, cctx, next, targets)
 	if err != nil {
 		s.stats.sendErrors.Add(int64(len(targets)))
 		return
 	}
-	sent, failed := soap.Fanout(ctx, s.cfg.Caller, env, targets)
 	s.stats.startsForwarded.Add(int64(sent))
 	s.stats.sendErrors.Add(int64(len(failed)))
 }
@@ -698,10 +688,7 @@ func (s *Service) Tick(ctx context.Context) {
 // per-share rule: a refused first send goes back to its machine, which
 // reclaims the mass, and a refused retry only counts.
 func (s *Service) sendShares(ctx context.Context, batch []staged) {
-	env, err := shareEnvelope(batch)
-	if err == nil {
-		err = s.cfg.Caller.Send(ctx, batch[0].p.to, env)
-	}
+	err := sendShareBatch(ctx, s.cfg.Caller, batch)
 	for _, st := range batch {
 		switch {
 		case err == nil:
@@ -773,11 +760,7 @@ func (s *Service) handleExchange(ctx context.Context, req *soap.Request) (*soap.
 	if len(acks) == 0 {
 		return nil, nil
 	}
-	env, err := ackEnvelope(acks)
-	if err == nil {
-		err = s.cfg.Caller.Send(ctx, in[0].sh.From, env)
-	}
-	if err == nil {
+	if err := sendAcks(ctx, s.cfg.Caller, in[0].sh.From, acks); err == nil {
 		s.stats.acksSent.Add(int64(len(acks)))
 	} else {
 		s.stats.sendErrors.Add(int64(len(acks)))

@@ -195,22 +195,3 @@ func decodeAck(raw []byte) (ExchangeAck, []byte, error) {
 	a.TaskID = ""
 	return a, id, err
 }
-
-// setBody makes env's body n children named name, written by put into one
-// buffer of size bytes. One child fills the envelope's inline body slot, as
-// SetBodyBlock does; more take one block slice besides the buffer. Each Raw
-// is a full slice expression, so no child can grow into the next.
-func setBody(env *soap.Envelope, name xml.Name, n, size int, put func(buf []byte, i int) []byte) {
-	buf := make([]byte, 0, size)
-	if n == 1 {
-		env.SetBodyBlock(soap.Block{XMLName: name, Raw: put(buf, 0)})
-		return
-	}
-	blocks := make([]soap.Block, n)
-	for i := range blocks {
-		start := len(buf)
-		buf = put(buf, i)
-		blocks[i] = soap.Block{XMLName: name, Raw: buf[start:len(buf):len(buf)]}
-	}
-	env.Body.Blocks = blocks
-}

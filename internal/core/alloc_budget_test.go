@@ -31,6 +31,8 @@ type allocBudget struct {
 	IWantServe        float64 `json:"iwant_serve_max_allocs"`
 	DigestOneMissing  float64 `json:"digest_receipt_one_missing_max_allocs"`
 	FirstReceipt      float64 `json:"first_receipt_known_interaction_max_allocs"`
+	IHaveAnnounce     float64 `json:"ihave_announce_f8_max_allocs"`
+	IWantSend         float64 `json:"iwant_send_max_allocs"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -42,13 +44,14 @@ func loadAllocBudget(t *testing.T) allocBudget {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	budget := allocBudget{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
+	budget := allocBudget{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
 	if budget.ForwardFanoutF8 < 0 || budget.DuplicateReceipt < 0 || budget.DuplicateDelivery < 0 ||
 		budget.GossipHeaderFrom < 0 || budget.ForwardHeaders < 0 ||
-		budget.DigestReceipt < 0 || budget.DigestEnvelope <= 0 || budget.IHaveHeld < 0 || budget.IWantServe <= 0 || budget.DigestOneMissing <= 0 || budget.FirstReceipt <= 0 {
+		budget.DigestReceipt < 0 || budget.DigestEnvelope < 0 || budget.IHaveHeld < 0 || budget.IWantServe < 0 ||
+		budget.DigestOneMissing <= 0 || budget.FirstReceipt <= 0 || budget.IHaveAnnounce < 0 || budget.IWantSend < 0 {
 		t.Fatalf("alloc budget missing fields: %+v", budget)
 	}
 	return budget
@@ -290,31 +293,45 @@ func TestDigestOneMissingAllocBudget(t *testing.T) {
 	checkAllocBudget(t, "128-sum digest receipt, one missing", allocs, budget.DigestOneMissing)
 }
 
-// tickRepairDigest builds what TickRepair builds once per round: the sums
-// written from scratch on the stack into the body, the addressing and the
-// envelope around them.
+// tickRepairDigest sends what TickRepair sends once per round to one peer
+// over MemBus: the sums written from the store into scratch on the stack, and
+// from there, with the message ID, straight into the wire buffer, which the
+// bus recycles once the peer's no-op handler has returned.
 func tickRepairDigest(tb testing.TB, d *Disseminator) {
 	var scratch [8 * digestCap]byte
 	d.mu.Lock()
 	sums, truncated := d.m.Digest(scratch[:0])
 	d.mu.Unlock()
-	env, err := newMessage(ActionDigest, digestBlock(d.cfg.Address, sums, truncated))
-	if err != nil || len(env.Body.Blocks) != 1 {
-		tb.Fatalf("digest envelope: %v", err)
-	}
+	d.sendDigest(context.Background(), false, sums, truncated, []string{"mem://peer"})
 }
 
-// TestDigestEnvelopeAllocBudget: what TickRepair builds once per round for a
-// 128-entry store.
+// digestSender is d sending through a MemBus on which mem://peer is a no-op
+// handler.
+func digestSender(d *Disseminator) *Disseminator {
+	bus := soap.NewMemBus()
+	bus.Register("mem://peer", soap.HandlerFunc(func(context.Context, *soap.Request) (*soap.Envelope, error) {
+		return nil, nil
+	}))
+	d.cfg.Caller = bus
+	return d
+}
+
+// TestDigestEnvelopeAllocBudget: what TickRepair writes and sends once per
+// round for a 128-entry store.
 func TestDigestEnvelopeAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	d, _ := fullDigestResponder(t, asWritten)
+	digestSender(d)
 	allocs := testing.AllocsPerRun(100, func() { tickRepairDigest(t, d) })
-	checkAllocBudget(t, "TickRepair digest envelope, 128 sums", allocs, budget.DigestEnvelope)
+	if sent := d.Stats().DigestsSent; sent != 101 {
+		t.Fatalf("%d digests sent, want 101", sent)
+	}
+	checkAllocBudget(t, "TickRepair digest, 128 sums, to one peer", allocs, budget.DigestEnvelope)
 }
 
 func BenchmarkTickRepairDigest(b *testing.B) {
 	d, _ := fullDigestResponder(b, asWritten)
+	digestSender(d)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -331,12 +348,21 @@ func (dropCaller) Call(context.Context, string, *soap.Envelope) (*soap.Envelope,
 func (dropCaller) Send(context.Context, string, *soap.Envelope) error { return nil }
 
 // lazyResponder is a node holding one notification, and a received IHAVE
-// announcing it and a received IWANT asking for it, each decoded from a
-// buffer of its own as on the MemBus and HTTP receive paths.
-func lazyResponder(t testing.TB) (d *Disseminator, ihave, iwant *soap.Request) {
+// announcing it, a received IHAVE announcing one it does not hold, and a
+// received IWANT asking for the one it holds, each decoded from a buffer of
+// its own as on the MemBus and HTTP receive paths. The node sends through a
+// MemBus on which the holder and the requester are no-op handlers, so what
+// it sends is recycled as a transport would.
+func lazyResponder(t testing.TB) (d *Disseminator, ihave, ihaveNew, iwant *soap.Request) {
 	t.Helper()
+	bus := soap.NewMemBus()
+	noop := soap.HandlerFunc(func(context.Context, *soap.Request) (*soap.Envelope, error) {
+		return nil, nil
+	})
+	bus.Register("mem://holder", noop)
+	bus.Register("mem://requester", noop)
 	d, err := NewDisseminator(DisseminatorConfig{
-		Address: "mem://responder", Caller: dropCaller{}, RNG: rand.New(rand.NewSource(1)),
+		Address: "mem://responder", Caller: bus, RNG: rand.New(rand.NewSource(1)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -362,8 +388,24 @@ func lazyResponder(t testing.TB) (d *Disseminator, ihave, iwant *soap.Request) {
 		return &soap.Request{Envelope: env}
 	}
 	ihave = received(ActionIHave, announceOf(Announce{InteractionID: "urn:uuid:i", MessageID: id, Hops: 2, Holder: "mem://holder"}))
+	ihaveNew = received(ActionIHave, announceOf(Announce{InteractionID: "urn:uuid:i", MessageID: newID, Hops: 2, Holder: "mem://holder"}))
 	iwant = received(ActionIWant, fetchOf(Fetch{MessageID: id, Requester: "mem://requester"}))
-	return d, ihave, iwant
+	return d, ihave, ihaveNew, iwant
+}
+
+// newID is the notification lazyResponder's node does not hold.
+const newID = "urn:uuid:not-held"
+
+// fetchNew is handleIHave on an announcement of a notification the node does
+// not hold: it sends the holder an IWANT. The fetch is then released, so
+// the next announcement asks again.
+func fetchNew(tb testing.TB, d *Disseminator, ihaveNew *soap.Request) {
+	if _, err := d.handleIHave(context.Background(), ihaveNew); err != nil {
+		tb.Fatal(err)
+	}
+	d.mu.Lock()
+	d.m.Release(gossip.IDSum(newID))
+	d.mu.Unlock()
 }
 
 // TestIHaveHeldAllocBudget: most announcements name a notification the node
@@ -371,7 +413,7 @@ func lazyResponder(t testing.TB) (d *Disseminator, ihave, iwant *soap.Request) {
 // with the sum of the announced ID where it lies in the receive buffer.
 func TestIHaveHeldAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
-	d, ihave, _ := lazyResponder(t)
+	d, ihave, _, _ := lazyResponder(t)
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := d.handleIHave(context.Background(), ihave); err != nil {
 			t.Fatal(err)
@@ -385,11 +427,13 @@ func TestIHaveHeldAllocBudget(t *testing.T) {
 
 // TestIWantServeAllocBudget: serving an IWANT looks the requested ID's sum up
 // and re-heads the stored copy with the MessageID read in place from its
-// header and the InteractionID its interaction state holds, so what it costs
-// is the retransmission's own snapshot and header buffers.
+// header and the InteractionID its interaction state holds, so what it costs,
+// through a binding without SendEncoded, is the retransmission's own
+// snapshot and header buffers.
 func TestIWantServeAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
-	d, _, iwant := lazyResponder(t)
+	d, _, _, iwant := lazyResponder(t)
+	d.cfg.Caller = dropCaller{}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := d.handleIWant(context.Background(), iwant); err != nil {
 			t.Fatal(err)
@@ -402,7 +446,7 @@ func TestIWantServeAllocBudget(t *testing.T) {
 }
 
 func BenchmarkIHaveHeld(b *testing.B) {
-	d, ihave, _ := lazyResponder(b)
+	d, ihave, _, _ := lazyResponder(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -413,12 +457,65 @@ func BenchmarkIHaveHeld(b *testing.B) {
 }
 
 func BenchmarkIWantServe(b *testing.B) {
-	d, _, iwant := lazyResponder(b)
+	d, _, _, iwant := lazyResponder(b)
+	d.cfg.Caller = dropCaller{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.handleIWant(context.Background(), iwant); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestIWantSendAllocBudget: an announcement of a notification the node does
+// not hold is answered with an IWANT, its message ID and body written from
+// the announced ID as it lies in the receive buffer straight into a pooled
+// wire buffer, which the bus recycles.
+func TestIWantSendAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	d, _, ihaveNew, _ := lazyResponder(t)
+	allocs := testing.AllocsPerRun(100, func() { fetchNew(t, d, ihaveNew) })
+	if stats := d.Stats(); stats.Fetched != 101 || stats.SendErrors != 0 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	checkAllocBudget(t, "IWANT sent", allocs, budget.IWantSend)
+}
+
+func BenchmarkIWantSend(b *testing.B) {
+	d, _, ihaveNew, _ := lazyResponder(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fetchNew(b, d, ihaveNew)
+	}
+}
+
+// announceTransfer is the machine's decision for a lazy-push receipt.
+var announceTransfer = gossip.Transfer{Send: gossip.SendAnnounce}
+
+// TestIHaveAnnounceAllocBudget: a lazy-push transfer to 8 peers over MemBus.
+// The targets are drawn on the stack, and the IHAVE — its message ID and
+// its body, naming the notification with the ID it was received under — is
+// written once straight into a pooled template and rendered per peer into
+// pooled buffers the bus recycles.
+func TestIHaveAnnounceAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	fb := newForwardBench(t, 8, 1<<10)
+	allocs := testing.AllocsPerRun(100, func() {
+		fb.d.transfer(fb.ctx, nil, fb.n, fb.state, announceTransfer)
+	})
+	if stats := fb.d.Stats(); stats.Announced != 8*101 || stats.SendErrors != 0 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	checkAllocBudget(t, "IHAVE announced to 8 peers", allocs, budget.IHaveAnnounce)
+}
+
+func BenchmarkIHaveAnnounce(b *testing.B) {
+	fb := newForwardBench(b, 8, 1<<10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fb.d.transfer(fb.ctx, nil, fb.n, fb.state, announceTransfer)
 	}
 }

@@ -132,17 +132,15 @@ func decodeGossipHeader(b soap.Block) (GossipHeader, error) {
 	return gh, err
 }
 
-// announceBlock writes an Announce body block; the MessageID is a string or
-// bytes, as gossipBlock's.
-func announceBlock[ID string | []byte](interactionID string, messageID ID, hops int, holder string) soap.Block {
-	buf := make([]byte, 0, flatOverhead+len(interactionID)+len(messageID)+len(holder))
-	buf = soap.AppendFlatOpen(buf, Namespace, "Announce")
-	buf = soap.AppendFlatText(buf, "InteractionID", interactionID)
-	buf = soap.AppendFlatText(buf, "MessageID", messageID)
-	buf = soap.AppendFlatInt(buf, "Hops", int64(hops))
-	buf = soap.AppendFlatText(buf, "Holder", holder)
-	buf = soap.AppendFlatClose(buf, "Announce")
-	return soap.Block{XMLName: announceName, Raw: buf}
+// appendAnnounce writes an Announce body block to dst; the MessageID is a
+// string or bytes, as gossipBlock's.
+func appendAnnounce[ID string | []byte](dst []byte, interactionID string, messageID ID, hops int, holder string) []byte {
+	dst = soap.AppendFlatOpen(dst, Namespace, "Announce")
+	dst = soap.AppendFlatText(dst, "InteractionID", interactionID)
+	dst = soap.AppendFlatText(dst, "MessageID", messageID)
+	dst = soap.AppendFlatInt(dst, "Hops", int64(hops))
+	dst = soap.AppendFlatText(dst, "Holder", holder)
+	return soap.AppendFlatClose(dst, "Announce")
 }
 
 // announceFields is a canonical Announce body read in place, views of the
@@ -189,15 +187,13 @@ func announceFrom(env *soap.Envelope) (id []byte, holder string, err error) {
 	return []byte(a.MessageID), a.Holder, err
 }
 
-// fetchBlock writes a Fetch body block; the MessageID is a string or bytes,
-// as gossipBlock's.
-func fetchBlock[ID string | []byte](messageID ID, requester string) soap.Block {
-	buf := make([]byte, 0, flatOverhead+len(messageID)+len(requester))
-	buf = soap.AppendFlatOpen(buf, Namespace, "Fetch")
-	buf = soap.AppendFlatText(buf, "MessageID", messageID)
-	buf = soap.AppendFlatText(buf, "Requester", requester)
-	buf = soap.AppendFlatClose(buf, "Fetch")
-	return soap.Block{XMLName: fetchName, Raw: buf}
+// appendFetch writes a Fetch body block to dst; the MessageID is a string or
+// bytes, as gossipBlock's.
+func appendFetch[ID string | []byte](dst []byte, messageID ID, requester string) []byte {
+	dst = soap.AppendFlatOpen(dst, Namespace, "Fetch")
+	dst = soap.AppendFlatText(dst, "MessageID", messageID)
+	dst = soap.AppendFlatText(dst, "Requester", requester)
+	return soap.AppendFlatClose(dst, "Fetch")
 }
 
 // fetchFields is a canonical Fetch body read in place.
@@ -239,26 +235,28 @@ func fetchFrom(env *soap.Envelope) (id []byte, requester string, err error) {
 // lists fewer notifications than its sender holds carries
 // <Truncated>true</Truncated> after the sums.
 
-// digestBlock writes the anti-entropy Digest body: sums is the big-endian
-// list, truncated whether the sender holds more than it lists.
-func digestBlock(sender string, sums []byte, truncated bool) soap.Block {
-	buf := make([]byte, 0, flatOverhead+len(sender)+base64.StdEncoding.EncodedLen(len(sums)))
-	buf = soap.AppendFlatOpen(buf, Namespace, "Digest")
-	buf = soap.AppendFlatText(buf, "Sender", sender)
-	buf = appendSums(buf, sums, truncated)
-	buf = soap.AppendFlatClose(buf, "Digest")
-	return soap.Block{XMLName: digestName, Raw: buf}
+// appendDigest writes the anti-entropy Digest body to dst: sums is the
+// big-endian list, truncated whether the sender holds more than it lists.
+func appendDigest(dst []byte, sender string, sums []byte, truncated bool) []byte {
+	dst = soap.AppendFlatOpen(dst, Namespace, "Digest")
+	dst = soap.AppendFlatText(dst, "Sender", sender)
+	dst = appendSums(dst, sums, truncated)
+	return soap.AppendFlatClose(dst, "Digest")
 }
 
-// pullRequestBlock writes the WS-PullGossip PullRequest body.
-func pullRequestBlock(requester string, sums []byte, truncated bool, max int) soap.Block {
-	buf := make([]byte, 0, flatOverhead+len(requester)+base64.StdEncoding.EncodedLen(len(sums)))
-	buf = soap.AppendFlatOpen(buf, Namespace, "PullRequest")
-	buf = soap.AppendFlatText(buf, "Requester", requester)
-	buf = appendSums(buf, sums, truncated)
-	buf = soap.AppendFlatInt(buf, "Max", int64(max))
-	buf = soap.AppendFlatClose(buf, "PullRequest")
-	return soap.Block{XMLName: pullName, Raw: buf}
+// appendPullRequest writes the WS-PullGossip PullRequest body to dst.
+func appendPullRequest(dst []byte, requester string, sums []byte, truncated bool, max int) []byte {
+	dst = soap.AppendFlatOpen(dst, Namespace, "PullRequest")
+	dst = soap.AppendFlatText(dst, "Requester", requester)
+	dst = appendSums(dst, sums, truncated)
+	dst = soap.AppendFlatInt(dst, "Max", int64(max))
+	return soap.AppendFlatClose(dst, "PullRequest")
+}
+
+// digestSize is what a digest body listing sums takes besides its peer's
+// address, which sizes the wire buffer it is written into.
+func digestSize(sums []byte) int {
+	return flatOverhead + base64.StdEncoding.EncodedLen(len(sums))
 }
 
 // appendSums writes the <Sums> child and, for a truncated digest, the

@@ -757,6 +757,25 @@ func announceOf(a Announce) soap.Block {
 
 func fetchOf(f Fetch) soap.Block { return fetchBlock(f.MessageID, f.Requester) }
 
+// announceBlock, fetchBlock, digestBlock and pullRequestBlock are the body
+// blocks the disseminator writes straight into its wire buffers, as blocks of
+// their own.
+func announceBlock[ID string | []byte](interactionID string, messageID ID, hops int, holder string) soap.Block {
+	return soap.Block{XMLName: announceName, Raw: appendAnnounce(nil, interactionID, messageID, hops, holder)}
+}
+
+func fetchBlock[ID string | []byte](messageID ID, requester string) soap.Block {
+	return soap.Block{XMLName: fetchName, Raw: appendFetch(nil, messageID, requester)}
+}
+
+func digestBlock(sender string, sums []byte, truncated bool) soap.Block {
+	return soap.Block{XMLName: digestName, Raw: appendDigest(nil, sender, sums, truncated)}
+}
+
+func pullRequestBlock(requester string, sums []byte, truncated bool, max int) soap.Block {
+	return soap.Block{XMLName: pullName, Raw: appendPullRequest(nil, requester, sums, truncated, max)}
+}
+
 // noticeOf is the notice a transfer of gh's notification acts on.
 func noticeOf(gh GossipHeader) notice {
 	return notice{messageID: []byte(gh.MessageID), hops: gh.Hops, protocol: gh.Protocol}

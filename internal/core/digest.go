@@ -49,43 +49,39 @@ func (d *Disseminator) TickRepair(ctx context.Context) { d.digestRound(ctx, fals
 func (d *Disseminator) TickPull(ctx context.Context) { d.digestRound(ctx, true) }
 
 // digestRound sends one round of the repair or (pull) the WS-PullGossip
-// exchange: the machine's digest of the newest held sums, one logical
-// message serialized once and rendered per target. The sums are written
-// straight into the body from scratch on the stack.
+// exchange: the machine's digest of the newest held sums, written into
+// scratch on the stack, to the round's targets.
 func (d *Disseminator) digestRound(ctx context.Context, pull bool) {
 	var scratch [8 * digestCap]byte
 	d.mu.Lock()
 	sums, truncated := d.m.Digest(scratch[:0])
 	targets := d.roundTargetsLocked(pull)
 	d.mu.Unlock()
-	if len(targets) == 0 {
-		return
+	if len(targets) > 0 {
+		d.sendDigest(ctx, pull, sums, truncated, targets)
 	}
-	action, body, sent := ActionDigest, digestBlock(d.cfg.Address, sums, truncated), d.stats.digestsSent
-	if pull {
-		action, body, sent = ActionPullRequest, pullRequestBlock(d.cfg.Address, sums, truncated, digestCap), d.stats.pullsSent
-	}
-	env, err := newMessage(action, body)
-	if err != nil {
-		d.stats.sendErrors.Add(int64(len(targets)))
-		return
-	}
-	sent.Add(int64(d.fanout(ctx, env, targets)))
 }
 
-// newMessage builds a fan-out message — a digest, an IHAVE — around its
-// prebuilt body. The addressing omits To: the fan-out serializes it once and
-// renders a copy per target (encode-once wire path).
-func newMessage(action string, body soap.Block) (*soap.Envelope, error) {
-	env := soap.NewEnvelope()
-	if err := env.SetAddressing(wsa.Headers{
-		Action:    action,
-		MessageID: wsa.NewMessageID(),
-	}); err != nil {
-		return nil, err
+// sendDigest sends a digest of sums — a Digest, or with pull a PullRequest —
+// to targets: one logical message, its message ID and body written straight
+// into the wire buffer once and rendered per target.
+func (d *Disseminator) sendDigest(ctx context.Context, pull bool, sums []byte, truncated bool, targets []string) {
+	var id [wsa.MessageIDLen]byte
+	m := soap.Message{
+		Action: ActionDigest, ID: wsa.AppendMessageID(id[:0]),
+		Name: digestName, Parts: 1, Size: digestSize(sums) + len(d.cfg.Address),
+		Write: func(dst []byte, _ int) []byte { return appendDigest(dst, d.cfg.Address, sums, truncated) },
 	}
-	env.SetBodyBlock(body)
-	return env, nil
+	sent := d.stats.digestsSent
+	if pull {
+		m.Action, m.Name, sent = ActionPullRequest, pullName, d.stats.pullsSent
+		m.Write = func(dst []byte, _ int) []byte {
+			return appendPullRequest(dst, d.cfg.Address, sums, truncated, digestCap)
+		}
+	}
+	start := d.now()
+	n, failed := m.Fanout(ctx, d.cfg.Caller, targets)
+	sent.Add(int64(d.fanned(start, n, failed)))
 }
 
 // roundTargetsLocked collects one digest round's targets: up to fanout
@@ -104,7 +100,7 @@ func (d *Disseminator) roundTargetsLocked(pullOnly bool) []string {
 	var targets []string
 	for _, key := range keys {
 		state := d.interactions[key]
-		targets = append(targets, SelectTargets(nil, d.cfg.Peers, d.rng, state.params.Fanout, d.cfg.Address, state.params.Targets)...)
+		targets = append(targets, SelectTargets(nil, &d.live, d.cfg.Peers, d.rng, state.params.Fanout, d.cfg.Address, state.params.Targets)...)
 	}
 	slices.Sort(targets)
 	return slices.Compact(targets)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -14,6 +13,7 @@ import (
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/soap"
+	"wsgossip/internal/wsa"
 	"wsgossip/internal/wscoord"
 )
 
@@ -71,6 +71,7 @@ type counters struct {
 	pullsSent     *metrics.Counter // gossip_sends_total{protocol="pull"}
 	pullServed    *metrics.Counter // gossip_retransmits_total{protocol="pull"}
 	failovers     *metrics.Counter // registrations served by a successor coordinator
+	annDropped    *metrics.Counter // deferred announcements beyond maxPendingAnnounces
 	fanoutSeconds *metrics.BucketHistogram
 }
 
@@ -86,6 +87,7 @@ func newCounters(reg *metrics.Registry) counters {
 		sendErrors:    reg.Counter("gossip_send_errors_total"),
 		fetched:       reg.Counter("gossip_fetches_total"),
 		failovers:     reg.Counter("gossip_failover_registrations_total"),
+		annDropped:    reg.Counter("gossip_announce_dropped_total"),
 		forwarded:     sends.With("push"),
 		announced:     sends.With("lazypush"),
 		pullsSent:     sends.With("pull"),
@@ -215,15 +217,22 @@ type Disseminator struct {
 	rng          *rand.Rand
 	m            gossip.Machine[*soap.Envelope] // holds retained envelope clones
 	interactions map[string]*interactionState
-	deferAnn     bool
-	pendingAnn   []pendingAnnounce
-	stats        counters
-	now          func() time.Duration
+	// live is the buffer a live view draws targets into (SelectTargets).
+	live     []string
+	deferAnn bool
+	// pendingAnn is the deferred-announcement queue, and annIDs the arena
+	// its MessageIDs are copied into; each round hands both back emptied
+	// (TickAnnounce).
+	pendingAnn []pendingAnnounce
+	annIDs     []byte
+	stats      counters
+	now        func() time.Duration
 }
 
 // pendingAnnounce is one lazy-push advertisement queued for the next
 // announce round (deferred mode, see DeferAnnouncements). It outlives the
-// delivery that queued it, so its notice owns its MessageID.
+// delivery that queued it, so its notice's MessageID is a copy, in the
+// queue's arena.
 type pendingAnnounce struct {
 	n     notice
 	state *interactionState
@@ -478,20 +487,30 @@ func (d *Disseminator) JoinInteraction(ctx context.Context, cctx wscoord.Coordin
 
 // spread carries out the machine's decision t for a notification of the
 // interaction state: a forward of env, or an IHAVE — queued for the next
-// announce round while announcements are deferred, with its own copy of the
-// MessageID.
+// announce round while announcements are deferred, with a copy of the
+// MessageID in the queue's arena, or dropped and counted when the queue is
+// full.
 func (d *Disseminator) spread(ctx context.Context, env *soap.Envelope, n notice, state *interactionState, t gossip.Transfer) {
 	switch {
 	case state == nil || t.Send == gossip.SendNothing:
 		return
 	case t.Send == gossip.SendAnnounce:
 		d.mu.Lock()
-		deferred := d.deferAnn
-		if deferred && len(d.pendingAnn) < maxPendingAnnounces {
-			n.messageID = bytes.Clone(n.messageID)
-			d.pendingAnn = append(d.pendingAnn, pendingAnnounce{n: n, state: state, t: t})
+		deferred, dropped := d.deferAnn, false
+		if deferred {
+			if dropped = len(d.pendingAnn) >= maxPendingAnnounces; !dropped {
+				// A growth of the arena leaves the IDs queued before it
+				// where they are, in the arena's previous array.
+				start := len(d.annIDs)
+				d.annIDs = append(d.annIDs, n.messageID...)
+				n.messageID = d.annIDs[start:len(d.annIDs):len(d.annIDs)]
+				d.pendingAnn = append(d.pendingAnn, pendingAnnounce{n: n, state: state, t: t})
+			}
 		}
 		d.mu.Unlock()
+		if dropped {
+			d.stats.annDropped.Inc()
+		}
 		if deferred {
 			return
 		}
@@ -507,7 +526,7 @@ func (d *Disseminator) spread(ctx context.Context, env *soap.Envelope, n notice,
 func (d *Disseminator) transfer(ctx context.Context, env *soap.Envelope, n notice, state *interactionState, t gossip.Transfer) {
 	var scratch [16]string
 	d.mu.Lock()
-	targets := SelectTargets(scratch[:], d.cfg.Peers, d.rng, t.Peers(state.params.Fanout), d.cfg.Address, state.params.Targets)
+	targets := SelectTargets(scratch[:], &d.live, d.cfg.Peers, d.rng, t.Peers(state.params.Fanout), d.cfg.Address, state.params.Targets)
 	d.mu.Unlock()
 	if len(targets) == 0 {
 		return
@@ -519,13 +538,20 @@ func (d *Disseminator) transfer(ctx context.Context, env *soap.Envelope, n notic
 		d.stats.forwarded.Add(int64(d.fanned(start, sent, failed)))
 		return
 	}
-	// Unseen receivers fetch the payload.
-	out, err := newMessage(ActionIHave, announceBlock(state.id, n.messageID, n.hops, d.cfg.Address))
-	if err != nil {
-		d.stats.sendErrors.Add(int64(len(targets)))
-		return
+	// Unseen receivers fetch the payload. The IHAVE is written once, its
+	// message ID and body straight into the wire buffer, and rendered per
+	// target.
+	var id [wsa.MessageIDLen]byte
+	m := soap.Message{
+		Action: ActionIHave, ID: wsa.AppendMessageID(id[:0]),
+		Name: announceName, Parts: 1, Size: flatOverhead + len(state.id) + len(n.messageID) + len(d.cfg.Address),
+		Write: func(dst []byte, _ int) []byte {
+			return appendAnnounce(dst, state.id, n.messageID, n.hops, d.cfg.Address)
+		},
 	}
-	d.stats.announced.Add(int64(d.fanout(ctx, out, targets)))
+	start := d.now()
+	sent, failed := m.Fanout(ctx, d.cfg.Caller, targets)
+	d.stats.announced.Add(int64(d.fanned(start, sent, failed)))
 }
 
 // forward is the one way a notification travels on: a copy of env re-headed
@@ -538,15 +564,6 @@ func (d *Disseminator) forward(ctx context.Context, env *soap.Envelope, interact
 	var scratch [512]byte
 	rh := soap.Rehead{Name: gossipName, Action: ActionNotify, ID: n.messageID, Direct: direct}
 	return soap.Forward(ctx, d.cfg.Caller, env, rh, appendGossipBlock(scratch[:0], interaction, n.messageID, n.hops, n.protocol), targets)
-}
-
-// fanout sends env (addressing must omit To) to every target through the
-// shared encode-once ladder (soap.Fanout) and returns the number of
-// successful sends.
-func (d *Disseminator) fanout(ctx context.Context, env *soap.Envelope, targets []string) int {
-	start := d.now()
-	sent, failed := soap.Fanout(ctx, d.cfg.Caller, env, targets)
-	return d.fanned(start, sent, failed)
 }
 
 // fanned accounts for one fan-out begun at start: its latency, and a send

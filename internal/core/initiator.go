@@ -163,7 +163,7 @@ func (i *Initiator) seedTargets(inter *Interaction) []string {
 	}
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return SelectTargets(nil, i.cfg.Peers, i.rng, want, i.cfg.Address, inter.Params.Targets)
+	return SelectTargets(nil, nil, i.cfg.Peers, i.rng, want, i.cfg.Address, inter.Params.Targets)
 }
 
 // buildNotification assembles the target-independent notification: the

@@ -10,8 +10,9 @@ import (
 )
 
 // maxPendingAnnounces bounds the deferred-announcement queue. Beyond it new
-// advertisements are dropped (anti-entropy repair closes the residual gap),
-// which keeps a node that stopped ticking from buffering without bound.
+// advertisements are dropped and counted (gossip_announce_dropped_total;
+// anti-entropy repair closes the residual gap), which keeps a node that
+// stopped ticking from buffering without bound.
 const maxPendingAnnounces = 4096
 
 // DeferAnnouncements switches the node's lazy-push advertisements from the
@@ -30,21 +31,32 @@ func (d *Disseminator) DeferAnnouncements() {
 // notification taken in since the previous round is announced to freshly
 // sampled peers. Call it from a timer at the deployment's announce interval
 // (core.Runner's announce loop does).
+//
+// The round takes the queue and the arena its MessageIDs were copied into,
+// and hands both back, emptied, for the next round to fill — unless an
+// announcement was queued while it ran (a synchronous binding can deliver
+// back into this node), which keeps the buffers it started.
 func (d *Disseminator) TickAnnounce(ctx context.Context) {
 	d.mu.Lock()
-	queued := d.pendingAnn
-	d.pendingAnn = nil
+	queued, ids := d.pendingAnn, d.annIDs
+	d.pendingAnn, d.annIDs = nil, nil
 	d.mu.Unlock()
 	for _, p := range queued {
 		d.transfer(ctx, nil, p.n, p.state, p.t)
 	}
+	clear(queued) // the interaction states go with their interactions
+	d.mu.Lock()
+	if d.pendingAnn == nil {
+		d.pendingAnn, d.annIDs = queued[:0], ids[:0]
+	}
+	d.mu.Unlock()
 }
 
 // handleIHave requests the payload of an unseen announced notification. The
 // machine is asked with the sum of the announced ID as it lies in the receive
-// buffer, and the IWANT written from it there, so an announcement copies
-// nothing. A fetch that cannot be sent is released, so a later announcer
-// retriggers it.
+// buffer, and the IWANT written from it there straight into the wire buffer,
+// so an announcement copies nothing. A fetch that cannot be sent is
+// released, so a later announcer retriggers it.
 func (d *Disseminator) handleIHave(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
 	announced, holder, err := announceFrom(req.Envelope)
 	if err != nil {
@@ -60,13 +72,13 @@ func (d *Disseminator) handleIHave(ctx context.Context, req *soap.Request) (*soa
 	if !want {
 		return nil, nil
 	}
-	env := soap.NewEnvelope()
-	env.SetBodyBlock(fetchBlock(announced, d.cfg.Address))
-	err = env.SetAddressing(wsa.Headers{To: holder, Action: ActionIWant, MessageID: wsa.NewMessageID()})
-	if err == nil {
-		err = d.cfg.Caller.Send(ctx, holder, env)
+	var id [wsa.MessageIDLen]byte
+	m := soap.Message{
+		To: holder, Action: ActionIWant, ID: wsa.AppendMessageID(id[:0]),
+		Name: fetchName, Parts: 1, Size: flatOverhead + len(announced) + len(d.cfg.Address),
+		Write: func(dst []byte, _ int) []byte { return appendFetch(dst, announced, d.cfg.Address) },
 	}
-	if err != nil {
+	if err := m.Send(ctx, d.cfg.Caller, holder); err != nil {
 		d.mu.Lock()
 		d.m.Release(sum)
 		d.mu.Unlock()

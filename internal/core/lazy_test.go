@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"wsgossip/internal/gossip"
+	"wsgossip/internal/metrics"
 	"wsgossip/internal/soap"
 )
 
@@ -262,5 +263,66 @@ func TestHandleIWantUnknownMessage(t *testing.T) {
 	}
 	if _, err := bus.Call(context.Background(), "mem://d", env); err == nil {
 		t.Fatal("fetch of unknown message succeeded")
+	}
+}
+
+// TestFullAnnounceQueueCountsDrops: with announcements deferred and no round
+// ticking, the queue holds maxPendingAnnounces advertisements; the next one
+// is dropped and counted in gossip_announce_dropped_total. The round then
+// announces the queued ones, in the order they were queued, and a second
+// round — refilling the buffers the first one handed back — announces its
+// own, not the first round's.
+func TestFullAnnounceQueueCountsDrops(t *testing.T) {
+	ctx := context.Background()
+	reg := metrics.NewRegistry()
+	rec := &wireRecorder{}
+	d, err := NewDisseminator(DisseminatorConfig{
+		Address: "mem://self", Caller: rec, RNG: rand.New(rand.NewSource(1)), Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.DeferAnnouncements()
+	state := newInteractionState("urn:uuid:i", ProtocolPushGossip, GossipParameters{Fanout: 1, Hops: 4, Targets: []string{"mem://a"}})
+	announce := func(round, n int) {
+		for i := range n {
+			// The ID's buffer is the delivery's: it is overwritten once
+			// spread returns, so the queue must have copied it.
+			id := []byte(fmt.Sprintf("urn:uuid:%d-%d", round, i))
+			d.spread(ctx, nil, notice{messageID: id, hops: 3}, state, announceTransfer)
+			copy(id, "XXXXXXXXXXXX")
+		}
+	}
+	announced := func(round, n int) {
+		t.Helper()
+		if len(rec.msgs) != n {
+			t.Fatalf("round %d: %d announcements, want %d", round, len(rec.msgs), n)
+		}
+		for i, data := range rec.msgs {
+			env, err := soap.Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, _, err := announceFrom(env)
+			if want := fmt.Sprintf("urn:uuid:%d-%d", round, i); err != nil || string(id) != want {
+				t.Fatalf("round %d announcement %d names %q (%v), want %q", round, i, id, err, want)
+			}
+		}
+		rec.msgs = nil
+	}
+	dropped := reg.Counter("gossip_announce_dropped_total")
+
+	announce(0, maxPendingAnnounces+1)
+	if got := dropped.Value(); got != 1 {
+		t.Fatalf("gossip_announce_dropped_total = %d, want 1", got)
+	}
+	d.TickAnnounce(ctx)
+	announced(0, maxPendingAnnounces)
+
+	announce(1, 3)
+	d.TickAnnounce(ctx)
+	announced(1, 3)
+	if got := dropped.Value(); got != 1 {
+		t.Fatalf("gossip_announce_dropped_total = %d after a round within bounds, want 1", got)
 	}
 }

@@ -146,19 +146,17 @@ func TestOutboundWireGolden(t *testing.T) {
 	})
 
 	for _, tc := range []struct {
-		name, action string
-		body         soap.Block
+		name      string
+		pull      bool
+		sums      []byte
+		truncated bool
 	}{
-		{"digest", ActionDigest, digestBlock("mem://self", sumsOf("urn:uuid:a", "urn:uuid:b"), false)},
-		{"pull_request", ActionPullRequest, pullRequestBlock("mem://self", sumsOf("urn:uuid:a"), true, digestCap)},
+		{"digest", false, sumsOf("urn:uuid:a", "urn:uuid:b"), false},
+		{"pull_request", true, sumsOf("urn:uuid:a"), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			env, err := newMessage(tc.action, tc.body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := &wireRecorder{}
-			soap.Fanout(ctx, rec, env, []string{"mem://a"})
+			d, rec := newRecorded()
+			d.sendDigest(ctx, tc.pull, tc.sums, tc.truncated, []string{"mem://a"})
 			checkWireGolden(t, tc.name, only(rec, tc.name))
 		})
 	}

@@ -42,15 +42,28 @@ var (
 // static list the exact zero-churn behaviour: with view == nil the call is
 // byte-for-byte the pre-PeerView sampling, drawing identically from rng.
 //
-// A draw from the static list is made in scratch's room, so a buffer on the
-// caller's stack with room for the list costs nothing. A view draws into a
-// slice of its own: scratch handed to it through the interface would escape
-// to the heap.
-func SelectTargets(scratch []string, view PeerView, rng *rand.Rand, n int, exclude string, static []string) []string {
+// The draw is made in scratch's room, so a buffer on the caller's stack with
+// room for it costs nothing. A view that appends (membership.Service, the
+// delivery plane's filtered view) draws into live instead, a buffer its
+// caller keeps across draws, and the draw is copied into scratch: scratch
+// handed to the view through the interface would escape to the heap. A view
+// without AppendPeers, or a nil live, draws a slice of its own. Either way
+// the view draws from rng exactly as SelectPeers does.
+func SelectTargets(scratch []string, live *[]string, view PeerView, rng *rand.Rand, n int, exclude string, static []string) []string {
 	if view != nil {
-		if picked := view.SelectPeers(rng, n, exclude); len(picked) > 0 {
+		if a, ok := view.(peerAppender); ok && live != nil {
+			*live = a.AppendPeers((*live)[:0], rng, n, exclude)
+			if len(*live) > 0 {
+				return append(scratch[:0], *live...)
+			}
+		} else if picked := view.SelectPeers(rng, n, exclude); len(picked) > 0 {
 			return picked
 		}
 	}
 	return gossip.AppendSample(scratch[:0], rng, static, n, exclude)
+}
+
+// peerAppender is a PeerView that draws into a caller's buffer.
+type peerAppender interface {
+	AppendPeers(dst []string, rng *rand.Rand, n int, exclude string) []string
 }

@@ -28,11 +28,11 @@ func TestPlaneAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	var budget allocBudget
+	budget := allocBudget{SendEncodedMaxAllocs: -1, CallMaxAllocs: -1}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	if budget.SendEncodedMaxAllocs <= 0 || budget.CallMaxAllocs <= 0 {
+	if budget.SendEncodedMaxAllocs < 0 || budget.CallMaxAllocs < 0 {
 		t.Fatalf("alloc budget missing fields: %+v", budget)
 	}
 	reg := metrics.NewRegistry()
@@ -76,4 +76,19 @@ func (syncBinding) Send(context.Context, string, *soap.Envelope) error { return 
 func (syncBinding) SendEncoded(context.Context, string, []byte) error  { return nil }
 func (syncBinding) Call(context.Context, string, *soap.Envelope) (*soap.Envelope, error) {
 	return nil, nil
+}
+
+// BenchmarkPlaneSendEncoded measures one SendEncoded that lands at once
+// through a synchronous binding.
+func BenchmarkPlaneSendEncoded(b *testing.B) {
+	p := NewPlane(testConfig(syncBinding{}, clock.NewVirtual(), metrics.NewRegistry()))
+	defer p.Close()
+	ctx := context.Background()
+	data := []byte("<x/>")
+	b.ReportAllocs()
+	for range b.N {
+		if err := p.SendEncoded(ctx, "urn:peer", data); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -12,9 +12,9 @@ import (
 // context, cancelled as well once AttemptTimeout has elapsed on the plane's
 // clock or the attempt has returned. It arms nothing up front. A synchronous
 // binding (MemBus, the virtual fabric) returns without asking for Done, and
-// the attempt then costs no timer and no allocation of its own — the first
-// one lives inside its item. Until then Err works the timeout out from the
-// clock.
+// the attempt then costs no timer and no allocation of its own: the context
+// is carved from a slab (newAttemptCtx). Until then Err works the timeout
+// out from the clock.
 //
 // The first Done builds what every attempt used to build: a
 // context.WithCancel child of the caller's context, and the AttemptTimeout
@@ -39,6 +39,33 @@ type attemptCtx struct {
 }
 
 var _ context.Context = (*attemptCtx)(nil)
+
+// ctxSlab is a run of attempt contexts allocated as one object, handed out
+// one by one (newAttemptCtx).
+type ctxSlab struct {
+	ctxs [64]attemptCtx
+	next int
+}
+
+// ctxSlabs holds the slabs with contexts left. A slab is taken out while one
+// is handed out, so no two attempts share a context, and no context is ever
+// handed out twice: a binding may hold one for good. A slab costs one
+// allocation per 64 attempts, and is garbage once the pool has dropped it
+// and no binding holds any of its contexts.
+var ctxSlabs sync.Pool
+
+// newAttemptCtx returns an unused attempt context.
+func newAttemptCtx() *attemptCtx {
+	s, _ := ctxSlabs.Get().(*ctxSlab)
+	if s == nil {
+		s = new(ctxSlab)
+	}
+	c := &s.ctxs[s.next]
+	if s.next++; s.next < len(s.ctxs) {
+		ctxSlabs.Put(s)
+	}
+	return c
+}
 
 // begin readies an unused context for an attempt starting now under p's
 // policy, and returns that start time.

@@ -33,7 +33,12 @@
 // timer that cancels it, so a synchronous binding that never asks for Done
 // (MemBus, the virtual fabric) pays for neither; net/http asks on every
 // request. A binding may keep the context past return: it stays cancelled,
-// and a retry gets a fresh one.
+// and a retry gets a fresh one. So no context is ever handed out twice; each
+// is carved from a slab of 64, so an attempt does not allocate one of its
+// own. The item that carries a message through its peer's queue never
+// reaches a binding, and is recycled through the plane's free list once the
+// message settles: a send that lands through a synchronous binding
+// allocates nothing.
 //
 // Key types:
 //

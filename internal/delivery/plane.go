@@ -104,14 +104,18 @@ func (c *Config) withDefaults() Config {
 // item is one queued message: encoded bytes when the binding supports
 // SendEncoded (retries reuse the buffer — on attempt failure the binding
 // leaves ownership with us, on success it recycles), an envelope otherwise.
+//
+// Items never reach a binding, so the plane recycles them through its free
+// list (releaseLocked) once the message settles: landed, refused for good by
+// its receiver, or dropped on budget or queue. The attempt contexts a
+// binding is handed are not recycled: a binding may keep one past return
+// and use it any time later, so each attempt's is an object of its own,
+// carved from a slab (newAttemptCtx).
 type item struct {
 	data     []byte
 	env      *soap.Envelope
 	owned    bool // env is a plane-private Clone, safe to retain
 	attempts int
-	// ctx is the first attempt's context (attemptCtx); a retry draws a
-	// fresh one, since a binding may still hold this one.
-	ctx attemptCtx
 }
 
 // peerState is the per-peer half of the plane: the queue, the in-flight
@@ -141,6 +145,12 @@ type peerState struct {
 // budget. An error return means the plane refused (queue full, circuit
 // open, closed) or the receiver permanently rejected the bytes (Sender
 // fault); the message will not be retried.
+//
+// Ownership: a message's bytes go to the binding with the attempt that
+// lands them, and back to the caller with an error return; the plane's own
+// record of a message (item) is recycled once the message settles, and the
+// context each attempt hands its binding is never reused, since a binding
+// may keep it.
 type Plane struct {
 	cfg Config
 	enc soap.EncodedSender // non-nil when cfg.Caller supports it
@@ -149,8 +159,13 @@ type Plane struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	peers  map[string]*peerState
+	free   []*item // settled items, for the next sends
 	closed bool
 }
+
+// maxFreeItems bounds the plane's free list: a burst beyond it leaves its
+// items to the GC.
+const maxFreeItems = 256
 
 var (
 	_ soap.Caller        = (*Plane)(nil)
@@ -192,13 +207,16 @@ func (p *Plane) Send(ctx context.Context, to string, env *soap.Envelope) error {
 		}
 		return p.SendEncoded(ctx, to, data)
 	}
-	return p.submit(ctx, to, &item{env: env})
+	return p.submit(ctx, to, nil, env)
 }
 
 // SendEncoded routes an already-serialized message. Ownership follows the
 // soap.EncodedSender contract: on a nil return the plane owns data (and
 // passes ownership on to the binding when the attempt lands); on an error
-// return data stays with the caller.
+// return data stays with the caller. The item that carries data through the
+// queue comes from the plane's free list and goes back to it once the
+// message settles (see item), so a send that lands through a synchronous
+// binding allocates nothing.
 func (p *Plane) SendEncoded(ctx context.Context, to string, data []byte) error {
 	if p.enc == nil {
 		// Underlying binding can't take bytes; decode back to an envelope.
@@ -206,9 +224,9 @@ func (p *Plane) SendEncoded(ctx context.Context, to string, data []byte) error {
 		if err != nil {
 			return err
 		}
-		return p.submit(ctx, to, &item{env: env})
+		return p.submit(ctx, to, nil, env)
 	}
-	return p.submit(ctx, to, &item{data: data})
+	return p.submit(ctx, to, data, nil)
 }
 
 // Call performs a request-response exchange through the breaker (open
@@ -239,7 +257,7 @@ func (p *Plane) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.
 	p.mu.Unlock()
 
 	p.m.attempts.Inc()
-	actx := &attemptCtx{}
+	actx := newAttemptCtx()
 	start := actx.begin(p, ctx)
 	resp, err := p.cfg.Caller.Call(actx, to, env)
 	actx.finish()
@@ -276,8 +294,10 @@ func (p *Plane) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.
 }
 
 // submit is the shared one-way entry: decide inline attempt vs queue vs
-// fast-fail under the lock, attempt outside it.
-func (p *Plane) submit(ctx context.Context, to string, it *item) error {
+// fast-fail under the lock, attempt outside it. The message's item — data
+// when the binding takes bytes, env otherwise — is drawn once the plane has
+// not refused it outright.
+func (p *Plane) submit(ctx context.Context, to string, data []byte, env *soap.Envelope) error {
 	p.mu.Lock()
 	if p.closed {
 		p.m.dropClosed.Inc()
@@ -298,11 +318,13 @@ func (p *Plane) submit(ctx context.Context, to string, it *item) error {
 			return ErrCircuitOpen
 		}
 	}
+	it := p.itemLocked(data, env)
 	if !ps.br.probing &&
 		(len(ps.queue) > 0 || ps.inflight > 0 ||
 			ps.deferUntil > now || ps.backoffUntil > now) {
 		if !p.enqueueLocked(ps, it, false) {
 			p.m.dropQueueFull.Inc()
+			p.releaseLocked(it)
 			p.mu.Unlock()
 			return ErrQueueFull
 		}
@@ -327,19 +349,16 @@ func (p *Plane) submit(ctx context.Context, to string, it *item) error {
 	return ret
 }
 
-// attempt performs one real send with the per-attempt timeout (attemptCtx).
-// Called without the plane lock; the item is owned by exactly one attempt at
-// a time.
+// attempt performs one real send with the per-attempt timeout: a context of
+// its own (newAttemptCtx). Called without the plane lock; the item is owned
+// by exactly one attempt at a time.
 func (p *Plane) attempt(ctx context.Context, to string, it *item) error {
 	it.attempts++
 	p.m.attempts.Inc()
 	if it.attempts > 1 {
 		p.m.retries.Inc()
 	}
-	actx := &it.ctx
-	if it.attempts > 1 {
-		actx = &attemptCtx{}
-	}
+	actx := newAttemptCtx()
 	start := actx.begin(p, ctx)
 	var err error
 	if it.data != nil {
@@ -362,6 +381,7 @@ func (p *Plane) settleLocked(ps *peerState, it *item, err error) (ret error, not
 	switch {
 	case err == nil:
 		notify = p.noteSuccessLocked(ps)
+		p.releaseLocked(it)
 		p.schedulePumpLocked(ps, now)
 		return nil, notify
 	case soap.IsSenderFault(err):
@@ -370,6 +390,7 @@ func (p *Plane) settleLocked(ps *peerState, it *item, err error) (ret error, not
 		p.m.failSender.Inc()
 		p.m.dropSender.Inc()
 		notify = p.noteSuccessLocked(ps)
+		p.releaseLocked(it)
 		p.schedulePumpLocked(ps, now)
 		return err, notify
 	default:
@@ -394,14 +415,17 @@ func (p *Plane) settleLocked(ps *peerState, it *item, err error) (ret error, not
 }
 
 // requeueLocked puts a failed item back at the head of its peer's queue
-// for the next pump, unless its budget is spent or the queue is full.
+// for the next pump, unless its budget is spent or the queue is full, when
+// the item is released.
 func (p *Plane) requeueLocked(ps *peerState, it *item, now time.Duration) error {
 	if it.attempts >= p.cfg.MaxAttempts {
 		p.m.dropBudget.Inc()
+		p.releaseLocked(it)
 		return ErrBudgetExhausted
 	}
 	if !p.enqueueLocked(ps, it, true) {
 		p.m.dropQueueFull.Inc()
+		p.releaseLocked(it)
 		return ErrQueueFull
 	}
 	p.schedulePumpLocked(ps, now)
@@ -428,6 +452,31 @@ func (p *Plane) enqueueLocked(ps *peerState, it *item, front bool) bool {
 	}
 	p.m.queueDepth.Add(1)
 	return true
+}
+
+// itemLocked returns an item for a message: one from the free list, or a
+// new one.
+func (p *Plane) itemLocked(data []byte, env *soap.Envelope) *item {
+	var it *item
+	if n := len(p.free); n > 0 {
+		it = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	} else {
+		it = new(item)
+	}
+	it.data, it.env = data, env
+	return it
+}
+
+// releaseLocked hands a settled item back to the free list, zeroed. The
+// item must not be used afterwards.
+func (p *Plane) releaseLocked(it *item) {
+	if len(p.free) >= maxFreeItems {
+		return
+	}
+	*it = item{}
+	p.free = append(p.free, it)
 }
 
 // noteSuccessLocked resets the peer's failure streak and closes an open

@@ -21,6 +21,7 @@ import (
 type allocBudget struct {
 	MergeExchange float64 `json:"merge_exchange_32_max_allocs"`
 	EncodeView    float64 `json:"encode_view_32_max_allocs"`
+	SendExchange  float64 `json:"send_exchange_32_max_allocs"`
 }
 
 // dropCaller is a SOAP binding whose sends go nowhere.
@@ -95,7 +96,9 @@ func (b *viewBench) encode() []byte {
 
 // TestMembershipAllocBudget: merging a 32-entry exchange of known members is
 // the endpoint's one copy of the body — every entry is looked up in place —
-// and writing a 32-member view is its one buffer.
+// and writing a 32-member view is its one buffer. Sending that view through
+// an endpoint over MemBus costs nothing more: the message ID and the body are
+// written straight into a pooled wire buffer, which the bus recycles.
 func TestMembershipAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -104,14 +107,15 @@ func TestMembershipAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	var budget allocBudget
+	budget := allocBudget{SendExchange: -1}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	if budget.MergeExchange <= 0 || budget.EncodeView <= 0 {
+	if budget.MergeExchange <= 0 || budget.EncodeView <= 0 || budget.SendExchange < 0 {
 		t.Fatalf("alloc budget missing fields: %+v", budget)
 	}
 	b := newViewBench(t)
+	send := viewSender(t, b.encode())
 	exchanges := b.svc.stats.exchanges.Value()
 	for _, row := range []struct {
 		what   string
@@ -120,6 +124,7 @@ func TestMembershipAllocBudget(t *testing.T) {
 	}{
 		{"merge a 32-entry exchange of known members", budget.MergeExchange, func() { b.merge(t) }},
 		{"encode a 32-member view", budget.EncodeView, func() { _ = b.encode() }},
+		{"send a 32-member view", budget.SendExchange, send},
 	} {
 		allocs := testing.AllocsPerRun(200, row.op)
 		if allocs != row.budget {
@@ -150,5 +155,29 @@ func BenchmarkMembershipEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = vb.encode()
+	}
+}
+
+// viewSender is a send of body, a view, as a round's exchange through an
+// endpoint over MemBus to a peer whose handler does nothing.
+func viewSender(tb testing.TB, body []byte) func() {
+	bus := soap.NewMemBus()
+	bus.Register("mem://peer", soap.HandlerFunc(func(context.Context, *soap.Request) (*soap.Envelope, error) {
+		return nil, nil
+	}))
+	ep := NewSOAPEndpoint("mem://self", bus)
+	return func() {
+		if err := ep.Send(context.Background(), transport.Message{To: "mem://peer", Action: ActionExchange, Body: body}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMembershipSend(b *testing.B) {
+	send := viewSender(b, newViewBench(b).encode())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
 	}
 }

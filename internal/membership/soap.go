@@ -49,20 +49,18 @@ func (e *SOAPEndpoint) SetHandler(h transport.Handler) {
 	e.handler = h
 }
 
-// Send wraps msg in a one-way SOAP envelope and sends it through the caller.
-// msg.Body is the membership body block the Service wrote; it goes on the
-// wire as it is, so one body serves every target of a round.
+// Send sends msg as a one-way SOAP message through the caller: msg.To as its
+// wsa:To, the membership action, a fresh message ID, and msg.Body — the
+// membership body block the Service wrote — as its body, as it is, so one
+// body serves every target of a round. The message is written straight into
+// the binding's wire buffer (soap.Message).
 func (e *SOAPEndpoint) Send(ctx context.Context, msg transport.Message) error {
-	env := soap.NewEnvelope()
-	if err := env.SetAddressing(wsa.Headers{
-		To:        msg.To,
-		Action:    msg.Action,
-		MessageID: wsa.NewMessageID(),
-	}); err != nil {
-		return err
+	var id [wsa.MessageIDLen]byte
+	m := soap.Message{
+		To: msg.To, Action: msg.Action, ID: wsa.AppendMessageID(id[:0]),
+		Body: []soap.Block{{XMLName: bodyName, Raw: msg.Body}},
 	}
-	env.SetBodyBlock(soap.Block{XMLName: bodyName, Raw: msg.Body})
-	return e.caller.Send(ctx, msg.To, env)
+	return m.Send(ctx, e.caller, msg.To)
 }
 
 // RegisterActions installs the membership wire actions on the node's SOAP

@@ -12,9 +12,10 @@ import (
 	"wsgossip/internal/soap"
 )
 
-// Wire-identity guard for the probe messages: each one's encoded bytes, with
-// its message ID replaced by a fixed one, must equal the committed
-// testdata/wire/*.xml.
+// Wire-identity guard for the probe messages: each one's bytes, with its
+// message ID replaced by a fixed one, must equal the committed
+// testdata/wire/*.xml — as written for a binding that takes bytes, and as
+// encoded from the envelope a binding without SendEncoded is handed.
 
 // envRecorder is a binding that keeps every envelope sent through it.
 type envRecorder struct{ sent []*soap.Envelope }
@@ -28,11 +29,23 @@ func (r *envRecorder) Send(_ context.Context, _ string, env *soap.Envelope) erro
 	return nil
 }
 
-// checkWireGolden compares env's encoding, its wsa:MessageID fixed, with
-// testdata/wire/name.xml.
-func checkWireGolden(t *testing.T, name string, env *soap.Envelope) {
+// byteRecorder is a binding that keeps the bytes of every message sent
+// through it as written.
+type byteRecorder struct {
+	envRecorder
+	msgs [][]byte
+}
+
+func (r *byteRecorder) SendEncoded(_ context.Context, _ string, data []byte) error {
+	r.msgs = append(r.msgs, bytes.Clone(data))
+	return nil
+}
+
+// checkWireGolden compares one message's bytes, its wsa:MessageID fixed,
+// with testdata/wire/name.xml.
+func checkWireGolden(t *testing.T, name string, data []byte) {
 	t.Helper()
-	data, err := env.Encode()
+	env, err := soap.Decode(data)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -49,9 +62,11 @@ func checkWireGolden(t *testing.T, name string, env *soap.Envelope) {
 }
 
 func TestOutboundWireGolden(t *testing.T) {
-	rec := &envRecorder{}
+	rec, written := &envRecorder{}, &byteRecorder{}
 	p := New(Config{Self: "mem://self", Caller: rec, Clock: clock.NewVirtual(), Timeout: time.Second})
 	defer p.Close()
+	w := New(Config{Self: "mem://self", Caller: written, Clock: clock.NewVirtual(), Timeout: time.Second})
+	defer w.Close()
 	for _, tc := range []struct {
 		name, action, to string
 		body             any
@@ -61,11 +76,17 @@ func TestOutboundWireGolden(t *testing.T) {
 		{"ping_req", ActionPingReq, "mem://helper", pingReqBody{Origin: "mem://self", Target: "mem://target", Nonce: "n2"}},
 		{"ping_req_ack", ActionPingReqAck, "mem://origin", pingReqAckBody{From: "mem://self", Target: "mem://target", Nonce: "n2"}},
 	} {
-		rec.sent = nil
+		rec.sent, written.msgs = nil, nil
 		p.send(tc.action, tc.to, tc.body, tc.name)
-		if len(rec.sent) != 1 {
-			t.Fatalf("%s: %d messages sent, want 1", tc.name, len(rec.sent))
+		w.send(tc.action, tc.to, tc.body, tc.name)
+		if len(rec.sent) != 1 || len(written.msgs) != 1 {
+			t.Fatalf("%s: %d envelopes and %d written messages sent, want 1 each", tc.name, len(rec.sent), len(written.msgs))
 		}
-		checkWireGolden(t, tc.name, rec.sent[0])
+		data, err := rec.sent[0].Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWireGolden(t, tc.name, data)
+		checkWireGolden(t, tc.name, written.msgs[0])
 	}
 }

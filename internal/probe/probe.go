@@ -355,23 +355,21 @@ func (p *Prober) avert(body pingReqAckBody) {
 	}
 }
 
-// send builds and fires one one-way probe message, counting it by type.
+// send writes and fires one one-way probe message, counting it by type.
 // Send errors are swallowed: a refused ping is exactly the negative signal
-// the protocol's timeouts encode.
+// the protocol's timeouts encode. The body is marshalled by encoding/xml,
+// once per confirmation round; the message around it is written straight
+// into the binding's wire buffer (soap.Message).
 func (p *Prober) send(action, to string, body any, typ string) {
 	p.m.msgs.With(typ).Inc()
-	env := soap.NewEnvelope()
-	if err := env.SetAddressing(wsa.Headers{
-		To:        to,
-		Action:    action,
-		MessageID: wsa.NewMessageID(),
-	}); err != nil {
+	var id [wsa.MessageIDLen]byte
+	m := soap.Message{To: to, Action: action, ID: wsa.AppendMessageID(id[:0])}
+	b, err := soap.MarshalBlock(body)
+	if err != nil {
 		return
 	}
-	if err := env.SetBody(body); err != nil {
-		return
-	}
-	_ = p.cfg.Caller.Send(context.Background(), to, env)
+	m.Body = []soap.Block{b}
+	_ = m.Send(context.Background(), p.cfg.Caller, to)
 }
 
 // Close ends the prober's part in every exchange: the timeout timer of each

@@ -22,7 +22,14 @@
 // zero-copy out of the input buffer, Encode splices them into one
 // exactly-sized allocation, and EncodeTemplate/RenderTo serialize a fan-out
 // message once, patching only the wsa:To header per target (soap.Fanout is
-// the shared fan-out path, and Forward the re-headed one). Everything else
+// the shared fan-out path, and Forward the re-headed one). One writer does
+// all of that: Encode, a fan-out template, Forward's re-head and a Message —
+// a one-way message the stack originates, described by its action, ID, To,
+// header blocks and body — go through the same scaffold. A Message is
+// written from its fields straight into a pooled wire buffer and handed to
+// SendEncoded, with no Envelope built on the way; a binding without
+// SendEncoded, or a block the splice declines, gets the Envelope it
+// describes instead, which puts the same bytes on the wire. Everything else
 // well-formed — prefixed
 // documents from other SOAP stacks, blocks inheriting an outer namespace,
 // hand-built blocks — takes the one encoding/xml fallback, which accepts
@@ -48,7 +55,9 @@
 // envelope within a delivery. What the caller asked for is the caller's: a
 // Call's request and response, and whatever Decode returns, are never
 // recycled. A forward re-heads nothing in memory at all: Forward writes the
-// copy from the received blocks straight into the pooled fan-out template. Strings are different: every string the
+// copy from the received blocks straight into the pooled fan-out template,
+// and a Message is written from its fields, read during the call only.
+// Strings are different: every string the
 // decoder hands out — a block's local name and namespace, Envelope.Action and
 // Request.Action, the Addressing properties — is interned or copied, never a
 // view of the buffer, so a handler may keep them past the delivery. So is

@@ -538,23 +538,30 @@ func (e *Envelope) setAddressing(h wsa.Headers, id []byte) {
 		e.Header.Blocks = kept
 	}
 	e.addr.Store(nil)
-	props := make([]addressingProp, 0, 6)
+	// The properties are kept in an array by index: an append could grow
+	// onto the heap, and would take id's bytes with it.
+	var all [6]addressingProp
+	n := 0
 	for _, p := range [...]addressingProp{
-		{local: "To", value: h.To},
-		{local: "Action", value: h.Action},
-		{local: "MessageID", value: string(h.MessageID), id: id},
-		{local: "RelatesTo", value: string(h.RelatesTo)},
+		{kind: propTo, value: h.To},
+		{kind: propAction, value: h.Action},
+		{kind: propMessageID, value: string(h.MessageID), id: id},
+		{kind: propRelatesTo, value: string(h.RelatesTo)},
 	} {
 		if p.value != "" || len(p.id) > 0 {
-			props = append(props, p)
+			all[n] = p
+			n++
 		}
 	}
 	if h.ReplyTo != nil {
-		props = append(props, addressingProp{local: "ReplyTo", child: "Address", value: h.ReplyTo.Address})
+		all[n] = addressingProp{kind: propReplyTo, value: h.ReplyTo.Address}
+		n++
 	}
 	if h.From != nil {
-		props = append(props, addressingProp{local: "From", child: "Address", value: h.From.Address})
+		all[n] = addressingProp{kind: propFrom, value: h.From.Address}
+		n++
 	}
+	props := all[:n]
 	if len(props) == 0 {
 		return
 	}
@@ -570,38 +577,64 @@ func (e *Envelope) setAddressing(h wsa.Headers, id []byte) {
 		// Full slice expression: an append to this Raw can never run into
 		// the next block's bytes.
 		e.Header.Blocks = append(e.Header.Blocks, Block{
-			XMLName: xml.Name{Space: wsa.Namespace, Local: p.local},
+			XMLName: xml.Name{Space: wsa.Namespace, Local: addressingLocals[p.kind]},
 			Raw:     buf[start:len(buf):len(buf)],
 		})
 	}
 }
 
+// The addressing properties, in the order SetAddressing writes them, and
+// their element names; the last two are endpoint references, whose address is
+// wrapped in one child element.
+const (
+	propTo = iota
+	propAction
+	propMessageID
+	propRelatesTo
+	propReplyTo
+	propFrom
+)
+
+var addressingLocals = [...]string{"To", "Action", "MessageID", "RelatesTo", "ReplyTo", "From"}
+
 // addressingProp is one addressing block to write: `<local xmlns=wsa>value
-// </local>`, the value wrapped in one child element for the
+// </local>`, the value wrapped in an <Address> child for the
 // endpoint-reference properties. A MessageID may come as id, its bytes, with
-// value empty.
+// value empty. The name is looked up by kind rather than held: a string
+// field kept from here would, to escape analysis, take id's bytes to the
+// heap with it.
 type addressingProp struct {
-	local, child, value string
-	id                  []byte
+	kind  int
+	value string
+	id    []byte
 }
 
 // append writes the block to dst.
 func (p addressingProp) append(dst []byte) []byte {
-	dst = AppendFlatOpen(dst, wsa.Namespace, p.local)
-	if p.child == "" {
-		dst = AppendEscaped(AppendEscaped(dst, p.value), p.id)
+	local := addressingLocals[p.kind]
+	dst = AppendFlatOpen(dst, wsa.Namespace, local)
+	if p.kind < propReplyTo {
+		dst = AppendEscaped(dst, p.value)
+		// An ID that needs escaping is copied first: handed to the escaper
+		// as it is, it would leak to the heap, and an ID a sender wrote on
+		// its stack with it.
+		if plainText(p.id) {
+			dst = append(dst, p.id...)
+		} else {
+			dst = AppendEscaped(dst, bytes.Clone(p.id))
+		}
 	} else {
-		dst = AppendFlatText(dst, p.child, p.value)
+		dst = AppendFlatText(dst, "Address", p.value)
 	}
-	return AppendFlatClose(dst, p.local)
+	return AppendFlatClose(dst, local)
 }
 
 // size is the block's length when value needs no escaping; SetAddressing
 // sizes its buffer with it and append covers the rare escaped value.
 func (p addressingProp) size() int {
-	n := len(`< xmlns="">`) + len(wsa.Namespace) + len(`</>`) + 2*len(p.local) + len(p.value) + len(p.id)
-	if p.child != "" {
-		n += len(`<></>`) + 2*len(p.child)
+	n := len(`< xmlns="">`) + len(wsa.Namespace) + len(`</>`) + 2*len(addressingLocals[p.kind]) + len(p.value) + len(p.id)
+	if p.kind >= propReplyTo {
+		n += len(`<Address></Address>`)
 	}
 	return n
 }

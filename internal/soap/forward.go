@@ -74,84 +74,17 @@ func (rh *Rehead) apply(env *Envelope, block []byte, to string) *Envelope {
 	return out
 }
 
-// drops reports whether the copy leaves out env's header block b: rh.apply
-// removes it by name, or SetAddressingID replaces it.
-func (rh *Rehead) drops(b Block) bool {
-	return isAddressingName(b.XMLName) ||
-		b.XMLName.Local == rh.Name.Local && (rh.Name.Space == "" || b.XMLName.Space == rh.Name.Space)
-}
-
 // template writes the re-headed copy of env as a fan-out template whose
 // backing comes from the wire buffer pool, with the per-target To insertion
 // point where rh.Direct puts it. ok=false when the splice serializer declines
 // one of the blocks.
 func (rh *Rehead) template(env *Envelope, block []byte) (WireTemplate, bool) {
-	replacement := Block{XMLName: rh.Name, Raw: block}
-	var stack [splicePlanStack]spliceParts
-	plan := stack[:0]
-	size := 0
-	for _, b := range env.headerBlocks() {
-		if rh.drops(b) {
-			continue
-		}
-		inject, at, ok := blockSplice(b)
-		if !ok {
-			return WireTemplate{}, false
-		}
-		plan = append(plan, spliceParts{inject: inject, insertAt: at})
-		size += len(b.Raw) + len(inject)
+	d := draft{
+		lead: env.headerBlocks(), drop: rh.Name, dropAddressing: true,
+		own:    []Block{{XMLName: rh.Name, Raw: block}},
+		action: rh.Action, id: rh.ID,
+		body:   env.Body.Blocks,
+		header: true, splitAtAddressing: rh.Direct,
 	}
-	inject, at, ok := blockSplice(replacement)
-	if !ok {
-		return WireTemplate{}, false
-	}
-	plan = append(plan, spliceParts{inject: inject, insertAt: at})
-	size += len(block) + len(inject)
-	for _, b := range env.Body.Blocks {
-		inject, at, ok := blockSplice(b)
-		if !ok {
-			return WireTemplate{}, false
-		}
-		plan = append(plan, spliceParts{inject: inject, insertAt: at})
-		size += len(b.Raw) + len(inject)
-	}
-	// The properties SetAddressingID writes, and skips when empty.
-	var props [2]addressingProp
-	addr := props[:0]
-	if rh.Action != "" {
-		addr = append(addr, addressingProp{local: "Action", value: rh.Action})
-	}
-	if len(rh.ID) > 0 {
-		addr = append(addr, addressingProp{local: "MessageID", id: rh.ID})
-	}
-	for _, p := range addr {
-		size += p.size()
-	}
-
-	backing := getBytes(len(xml.Header) + len(wireEnvOpen) + len(wireHeaderOpen) + len(wireHeaderClose) +
-		len(wireBodyOpen) + len(wireBodyClose) + len(wireEnvClose) + size)
-	backing = append(backing, xml.Header...)
-	backing = append(backing, wireEnvOpen...)
-	backing = append(backing, wireHeaderOpen...)
-	for _, b := range env.headerBlocks() {
-		if !rh.drops(b) {
-			backing = appendBlock(backing, b, plan[0])
-			plan = plan[1:]
-		}
-	}
-	backing = appendBlock(backing, replacement, plan[0])
-	plan = plan[1:]
-	split := len(backing)
-	for _, p := range addr {
-		backing = p.append(backing)
-	}
-	if !rh.Direct {
-		split = len(backing)
-	}
-	backing = append(backing, wireHeaderClose...)
-	backing = append(backing, wireBodyOpen...)
-	backing = appendBlocks(backing, env.Body.Blocks, plan)
-	backing = append(backing, wireBodyClose...)
-	backing = append(backing, wireEnvClose...)
-	return WireTemplate{pre: backing[:split], post: backing[split:]}, true
+	return d.template(true)
 }

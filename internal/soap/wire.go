@@ -169,32 +169,34 @@ type spliceParts struct {
 	insertAt int
 }
 
-// splicePlanStack is the number of blocks whose splice plan the encoders
-// keep on the stack; a larger envelope's plan grows onto the heap.
+// splicePlanStack is the number of blocks whose splice plan the writer keeps
+// on the stack; a larger message's plan grows onto the heap.
 const splicePlanStack = 16
 
-// analyzeSplice checks every block of e — header blocks, then body blocks —
-// appending each one's splice plan to plan, and returns the plan plus the
-// exact serialized size of the variable parts.
-func analyzeSplice(e *Envelope, plan []spliceParts) (_ []spliceParts, blockBytes int, ok bool) {
-	for _, blocks := range [2][]Block{e.headerBlocks(), e.Body.Blocks} {
-		for _, b := range blocks {
-			inject, at, ok := blockSplice(b)
-			if !ok {
-				return nil, 0, false
-			}
-			plan = append(plan, spliceParts{inject: inject, insertAt: at})
-			blockBytes += len(b.Raw) + len(inject)
-		}
-	}
-	return plan, blockBytes, true
+// splicePlan is the writer's first pass over a message's blocks: each one's
+// splice plan, in writing order, and their spliced size.
+type splicePlan struct {
+	parts []spliceParts
+	size  int
 }
 
-// appendBlocks splices blocks into dst per their splice plans.
-func appendBlocks(dst []byte, blocks []Block, plan []spliceParts) []byte {
-	for i, b := range blocks {
-		dst = appendBlock(dst, b, plan[i])
+// add returns p with b planned; false when b resists splicing. It returns the
+// plan rather than growing it through a pointer, so the parts stay on the
+// writer's stack.
+func (p splicePlan) add(b Block) (splicePlan, bool) {
+	inject, at, ok := blockSplice(b)
+	if !ok {
+		return p, false
 	}
+	p.parts = append(p.parts, spliceParts{inject: inject, insertAt: at})
+	p.size += len(b.Raw) + len(inject)
+	return p, true
+}
+
+// put splices b, the next block planned, into dst.
+func (p *splicePlan) put(dst []byte, b Block) []byte {
+	dst = appendBlock(dst, b, p.parts[0])
+	p.parts = p.parts[1:]
 	return dst
 }
 
@@ -208,32 +210,125 @@ func appendBlock(dst []byte, b Block, p spliceParts) []byte {
 	return append(dst, b.Raw[p.insertAt:]...)
 }
 
-// encodeSplice serializes e on the fast path: one exactly-sized allocation,
-// every block spliced verbatim.
-func encodeSplice(e *Envelope) ([]byte, bool) {
+// draft is a message as the one wire writer takes it — what Encode, a
+// fan-out template, Forward's re-head and a Message all write through. Its
+// header is, in order: lead; own; the addressing properties To, Action and
+// MessageID, each only when set; then tail. The blocks drops names are left
+// out of lead and tail, and without header there is no Header element at
+// all. Its body is body, then the parts children write appends. Every block
+// is spliced verbatim into the canonical scaffold (blockSplice); what write
+// appends is the caller's own canonical bytes.
+type draft struct {
+	lead []Block
+	// drop names the blocks of lead and tail to leave out (Local "" leaves
+	// out none), and dropAddressing their WS-Addressing properties too.
+	drop           xml.Name
+	dropAddressing bool
+	own            []Block
+	to, action     string
+	id             []byte
+	tail           []Block
+	body           []Block
+	// parts children written by write, each appending child i to dst; size
+	// estimates their length, which sizes a pooled buffer.
+	parts  int
+	size   int
+	write  func(dst []byte, i int) []byte
+	header bool
+	// splitAtAddressing puts the per-target To's insertion point before the
+	// addressing properties instead of at the end of the header.
+	splitAtAddressing bool
+}
+
+// drops reports whether b, one of lead's or tail's blocks, is left out.
+func (d *draft) drops(b Block) bool {
+	return d.dropAddressing && isAddressingName(b.XMLName) ||
+		d.drop.Local != "" && b.XMLName.Local == d.drop.Local && (d.drop.Space == "" || b.XMLName.Space == d.drop.Space)
+}
+
+// encode writes d in two passes: the first plans every block's splice and
+// sizes the message, the second writes it into a buffer from the wire buffer
+// pool when pooled, else into one exactly sized. split is the offset of the
+// per-target To's insertion point. ok=false when a block resists splicing;
+// nothing is written then.
+func (d *draft) encode(pooled bool) (out []byte, split int, ok bool) {
 	var stack [splicePlanStack]spliceParts
-	plan, blockBytes, ok := analyzeSplice(e, stack[:0])
-	if !ok {
-		return nil, false
+	plan := splicePlan{parts: stack[:0]}
+	filtered := [4]bool{true, false, true, false} // lead and tail leave out what drops names
+	for i, blocks := range [4][]Block{d.lead, d.own, d.tail, d.body} {
+		for _, b := range blocks {
+			if filtered[i] && d.drops(b) {
+				continue
+			}
+			if plan, ok = plan.add(b); !ok {
+				return nil, 0, false
+			}
+		}
 	}
-	n := len(xml.Header) + len(wireEnvOpen) + len(wireBodyOpen) + len(wireBodyClose) + len(wireEnvClose) + blockBytes
-	if e.Header != nil {
+	// The properties are kept in an array by index: an append could grow
+	// onto the heap, and would take the ID's bytes with it.
+	var props [3]addressingProp
+	np := 0
+	for _, p := range [...]addressingProp{{kind: propTo, value: d.to}, {kind: propAction, value: d.action}, {kind: propMessageID, id: d.id}} {
+		if p.value != "" || len(p.id) > 0 {
+			props[np] = p
+			np++
+			plan.size += p.size()
+		}
+	}
+	n := len(xml.Header) + len(wireEnvOpen) + len(wireBodyOpen) + len(wireBodyClose) + len(wireEnvClose) + plan.size + d.size
+	if d.header {
 		n += len(wireHeaderOpen) + len(wireHeaderClose)
 	}
-	out := make([]byte, 0, n)
+	if pooled {
+		out = getBytes(n)
+	} else {
+		out = make([]byte, 0, n)
+	}
 	out = append(out, xml.Header...)
 	out = append(out, wireEnvOpen...)
-	if e.Header != nil {
+	if d.header {
 		out = append(out, wireHeaderOpen...)
-		out = appendBlocks(out, e.Header.Blocks, plan)
-		plan = plan[len(e.Header.Blocks):]
+		for _, b := range d.lead {
+			if !d.drops(b) {
+				out = plan.put(out, b)
+			}
+		}
+		for _, b := range d.own {
+			out = plan.put(out, b)
+		}
+		split = len(out)
+		for _, p := range props[:np] {
+			out = p.append(out)
+		}
+		for _, b := range d.tail {
+			if !d.drops(b) {
+				out = plan.put(out, b)
+			}
+		}
+		if !d.splitAtAddressing {
+			split = len(out)
+		}
 		out = append(out, wireHeaderClose...)
 	}
 	out = append(out, wireBodyOpen...)
-	out = appendBlocks(out, e.Body.Blocks, plan)
+	for _, b := range d.body {
+		out = plan.put(out, b)
+	}
+	for i := range d.parts {
+		out = d.write(out, i)
+	}
 	out = append(out, wireBodyClose...)
 	out = append(out, wireEnvClose...)
-	return out, true
+	return out, split, true
+}
+
+// encodeSplice serializes e on the fast path: one exactly-sized allocation,
+// every block spliced verbatim.
+func encodeSplice(e *Envelope) ([]byte, bool) {
+	d := draft{lead: e.headerBlocks(), body: e.Body.Blocks, header: e.Header != nil}
+	out, _, ok := d.encode(false)
+	return out, ok
 }
 
 // encodeLegacy is the encoding/xml serializer, the fallback for
@@ -297,39 +392,20 @@ func (e *Envelope) EncodeTemplate() (*WireTemplate, error) {
 // that renders within its own frame (Fanout) keeps it off the heap. With
 // pooled the serialized bytes come from the wire buffer pool, and the caller
 // hands them back (putBytes(t.pre)) once its last RenderTo has copied them;
-// otherwise they are the template's one allocation.
+// otherwise they are the template's one allocation. A wsa:To block is left
+// out where it lies, so the envelope is not copied to drop it.
 func (e *Envelope) template(pooled bool) (WireTemplate, bool) {
-	if _, ok := e.HeaderBlock(wsa.Namespace, "To"); ok {
-		e = e.Snapshot()
-		e.RemoveHeader(wsa.Namespace, "To")
-	}
-	var stack [splicePlanStack]spliceParts
-	plan, blockBytes, ok := analyzeSplice(e, stack[:0])
+	d := draft{lead: e.headerBlocks(), drop: xml.Name{Space: wsa.Namespace, Local: "To"}, body: e.Body.Blocks, header: true}
+	return d.template(pooled)
+}
+
+// template writes d as a fan-out template.
+func (d *draft) template(pooled bool) (WireTemplate, bool) {
+	out, split, ok := d.encode(pooled)
 	if !ok {
 		return WireTemplate{}, false
 	}
-	n := len(xml.Header) + len(wireEnvOpen) + len(wireHeaderOpen) + len(wireHeaderClose) +
-		len(wireBodyOpen) + len(wireBodyClose) + len(wireEnvClose) + blockBytes
-	var backing []byte
-	if pooled {
-		backing = getBytes(n)
-	} else {
-		backing = make([]byte, 0, n)
-	}
-	backing = append(backing, xml.Header...)
-	backing = append(backing, wireEnvOpen...)
-	backing = append(backing, wireHeaderOpen...)
-	if e.Header != nil {
-		backing = appendBlocks(backing, e.Header.Blocks, plan)
-		plan = plan[len(e.Header.Blocks):]
-	}
-	split := len(backing)
-	backing = append(backing, wireHeaderClose...)
-	backing = append(backing, wireBodyOpen...)
-	backing = appendBlocks(backing, e.Body.Blocks, plan)
-	backing = append(backing, wireBodyClose...)
-	backing = append(backing, wireEnvClose...)
-	return WireTemplate{pre: backing[:split], post: backing[split:]}, true
+	return WireTemplate{pre: out[:split], post: out[split:]}, true
 }
 
 // RenderTo returns a complete serialized envelope addressed to addr: the
@@ -393,8 +469,9 @@ func (t *WireTemplate) sendAll(ctx context.Context, es EncodedSender, targets []
 // not read or modify it afterwards, and must not pass the same buffer to
 // two sends. On error the buffer stays with the caller. A binding that
 // delivers in process (MemBus) also recycles the request it decodes from
-// data once the handler has returned. Fanout and Forward write through
-// SendEncoded whenever the binding offers it.
+// data once the handler has returned. Fanout, Forward and every Message the
+// stack originates write through SendEncoded whenever the binding offers it,
+// each into a buffer drawn from the wire buffer pool.
 type EncodedSender interface {
 	SendEncoded(ctx context.Context, to string, data []byte) error
 }
@@ -422,9 +499,10 @@ func SendBytes(ctx context.Context, caller Caller, to string, data []byte) error
 // wire path. Returns the successful send count and the targets that failed
 // (nil when none did). A ctx cancelled mid-fanout stops issuing new sends;
 // the not-yet-attempted targets are reported as failed so the caller's
-// accounting stays exact. Every multi-target send in the stack — gossip
-// forward/announce/repair/pull and the aggregation floods and exchange
-// rounds — goes through here. The template's bytes come from the wire buffer
+// accounting stays exact. The multi-target sends the stack originates go
+// through Message.Fanout, and forwards through Forward, which render the same
+// way; this is the path for an envelope already built, such as the
+// Initiator's notification. The template's bytes come from the wire buffer
 // pool and go back to it when the last copy is rendered: RenderTo copies
 // them, so nothing refers to them afterwards.
 func Fanout(ctx context.Context, caller Caller, env *Envelope, targets []string) (sent int, failed []string) {

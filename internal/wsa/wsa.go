@@ -66,29 +66,40 @@ type MessageID string
 
 // NewMessageID returns a fresh urn:uuid message identifier. Identifiers are
 // random 128-bit values; collisions are negligible at any realistic scale.
+// It is AppendMessageID's text as a string, that string its one allocation.
+func NewMessageID() MessageID {
+	var buf [MessageIDLen]byte
+	return MessageID(AppendMessageID(buf[:0]))
+}
+
+// MessageIDLen is the length of the text AppendMessageID writes: a buffer of
+// this size on a sender's stack holds one identifier.
+const MessageIDLen = len(idPrefix) + 2*16
+
+const idPrefix = "urn:uuid:"
+
+// AppendMessageID appends a fresh urn:uuid message identifier's text to dst:
+// what a sender that writes the identifier straight onto the wire uses, so
+// the identifier costs no allocation.
 //
 // The 16 random bytes are read with exactly one io.ReadFull of rand.Reader
-// into pooled scratch, and the digits are encoded straight into the
-// identifier's buffer, so the only allocation is the string — also when
-// rand.Reader has been substituted, where crypto/rand.Read would bounce
+// into pooled scratch, and the digits are encoded straight into dst — also
+// when rand.Reader has been substituted, where crypto/rand.Read would bounce
 // through a heap buffer of its own. A substituted reader sees the same
 // stream of 16-byte reads either way.
-func NewMessageID() MessageID {
-	const prefix = "urn:uuid:"
+func AppendMessageID(dst []byte) []byte {
 	b := idScratch.Get().(*[16]byte)
 	defer idScratch.Put(b)
 	if _, err := io.ReadFull(rand.Reader, b[:]); err != nil {
 		// crypto/rand failure is unrecoverable program state; fall back to a
 		// zero ID rather than panicking in library code.
-		return MessageID("urn:uuid:00000000000000000000000000000000")
+		return append(dst, "urn:uuid:00000000000000000000000000000000"...)
 	}
-	var buf [len(prefix) + 2*len(b)]byte
-	copy(buf[:], prefix)
-	hex.Encode(buf[len(prefix):], b[:])
-	return MessageID(buf[:])
+	dst = append(dst, idPrefix...)
+	return hex.AppendEncode(dst, b[:])
 }
 
-// idScratch holds NewMessageID's read buffers: a buffer handed to an
+// idScratch holds AppendMessageID's read buffers: a buffer handed to an
 // arbitrary io.Reader escapes, so it comes from here rather than the stack.
 var idScratch = sync.Pool{New: func() any { return new([16]byte) }}
 

@@ -169,9 +169,11 @@ func (r *countingReader) Read(p []byte) (int, error) {
 }
 
 // TestNewMessageIDFormatAndStream: an identifier is "urn:uuid:" plus the
-// lowercase hex of exactly one 16-byte read of rand.Reader. bench/fabric
-// substitutes rand.Reader, so the virtual workload's identifiers — and its
-// exact metrics — depend on both.
+// lowercase hex of exactly one 16-byte read of rand.Reader, whether it is
+// drawn as a string (NewMessageID) or appended to a buffer (AppendMessageID),
+// so the two interleave on one stream. bench/fabric substitutes rand.Reader,
+// so the virtual workload's identifiers — and its exact metrics — depend on
+// both.
 func TestNewMessageIDFormatAndStream(t *testing.T) {
 	saved := rand.Reader
 	defer func() { rand.Reader = saved }()
@@ -181,8 +183,14 @@ func TestNewMessageIDFormatAndStream(t *testing.T) {
 		var want [16]byte
 		ref := countingReader{next: src.next}
 		_, _ = ref.Read(want[:])
-		got := NewMessageID()
-		if exp := MessageID("urn:uuid:" + hex.EncodeToString(want[:])); got != exp {
+		exp := MessageID("urn:uuid:" + hex.EncodeToString(want[:]))
+		if i%2 == 1 {
+			if got := AppendMessageID([]byte("kept")); string(got) != "kept"+string(exp) {
+				t.Fatalf("appended id %d = %q, want %q after the kept bytes", i, got, exp)
+			}
+			continue
+		}
+		if got := NewMessageID(); got != exp {
 			t.Fatalf("id %d = %q, want %q", i, got, exp)
 		}
 	}
@@ -217,6 +225,17 @@ func TestNewMessageIDAllocBudget(t *testing.T) {
 	allocs = testing.AllocsPerRun(200, func() { sinkID = NewMessageID() })
 	if allocs > budget {
 		t.Errorf("NewMessageID under a substituted reader = %.1f allocs/op, budget %d", allocs, budget)
+	}
+	// Appended to a buffer on the stack, as a sender writing the identifier
+	// onto the wire does, it costs nothing.
+	allocs = testing.AllocsPerRun(200, func() {
+		var buf [MessageIDLen]byte
+		if len(AppendMessageID(buf[:0])) != MessageIDLen {
+			t.Fatal("identifier length")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendMessageID = %.1f allocs/op, want 0", allocs)
 	}
 }
 
