@@ -102,6 +102,15 @@ func (c *recordingCaller) Send(ctx context.Context, to string, env *soap.Envelop
 	return c.log.bus.Send(ctx, to, env)
 }
 
+// SendEncoded records and delivers data as Send does the envelope it holds.
+func (c *recordingCaller) SendEncoded(ctx context.Context, to string, data []byte) error {
+	env, err := soap.Decode(data)
+	if err != nil {
+		return err
+	}
+	return c.Send(ctx, to, env)
+}
+
 // batchCluster is n Services and a querier keeping three continuous queries,
 // all sampling targets from one live view of the whole cluster, on a shared
 // virtual clock over a recording MemBus.

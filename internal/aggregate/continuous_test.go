@@ -78,6 +78,15 @@ func (g *ackGate) Send(ctx context.Context, to string, env *soap.Envelope) error
 	return g.inner.Send(ctx, to, env)
 }
 
+// SendEncoded gates data as Send does the envelope it holds.
+func (g *ackGate) SendEncoded(ctx context.Context, to string, data []byte) error {
+	env, err := soap.Decode(data)
+	if err != nil {
+		return err
+	}
+	return g.Send(ctx, to, env)
+}
+
 func (g *ackGate) release() {
 	held := g.held
 	g.held = nil

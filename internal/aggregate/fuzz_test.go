@@ -181,6 +181,14 @@ func (c *batchCaller) Send(_ context.Context, _ string, env *soap.Envelope) erro
 	return nil
 }
 
+func (c *batchCaller) SendEncoded(ctx context.Context, to string, data []byte) error {
+	env, err := soap.Decode(data)
+	if err != nil {
+		return err
+	}
+	return c.Send(ctx, to, env)
+}
+
 // FuzzExchangeBatch drives arbitrary multi-child bodies through the
 // Service's batched intake, as an exchange envelope and as an ack envelope
 // carrying both tasks' contexts, at a node holding both tasks with shares

@@ -49,30 +49,52 @@ func checkWireGolden(t *testing.T, name string, data []byte) {
 	}
 }
 
-// wireRecorder is a binding without SendEncoded that keeps the bytes of
-// every message sent through it, encoded from the envelope Send is handed,
-// and delivers nothing.
+// wireRecorder is a binding that keeps the bytes of every message sent
+// through it as written, and delivers nothing.
 type wireRecorder struct{ msgs [][]byte }
 
-func (r *wireRecorder) Send(_ context.Context, _ string, env *soap.Envelope) error {
+func (r *wireRecorder) SendEncoded(_ context.Context, _ string, data []byte) error {
+	r.msgs = append(r.msgs, bytes.Clone(data))
+	return nil
+}
+
+func (r *wireRecorder) Send(ctx context.Context, to string, env *soap.Envelope) error {
 	data, err := env.Encode()
 	if err != nil {
 		return err
 	}
-	r.msgs = append(r.msgs, data)
-	return nil
+	return r.SendEncoded(ctx, to, data)
 }
 
 func (r *wireRecorder) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.Envelope, error) {
 	return nil, r.Send(ctx, to, env)
 }
 
-// encodedRecorder is a wireRecorder that also takes messages as written.
-type encodedRecorder struct{ wireRecorder }
-
-func (r *encodedRecorder) SendEncoded(_ context.Context, _ string, data []byte) error {
-	r.msgs = append(r.msgs, bytes.Clone(data))
-	return nil
+// fieldBuilt is the envelope a sender built field by field before messages
+// were written: the action and id, a header block per context, and each
+// body child marshalled by encoding/xml.
+func fieldBuilt(action, id string, contexts []wscoord.CoordinationContext, body ...any) (*soap.Envelope, error) {
+	env := soap.NewEnvelope()
+	if err := env.SetAddressing(wsa.Headers{Action: action, MessageID: wsa.MessageID(id)}); err != nil {
+		return nil, err
+	}
+	for _, c := range contexts {
+		env.AddHeaderBlock(contextBlock(c))
+	}
+	blocks := make([]soap.Block, len(body))
+	for i, v := range body {
+		b, err := soap.MarshalBlock(v)
+		if err != nil {
+			return nil, err
+		}
+		blocks[i] = b
+	}
+	if len(blocks) == 1 {
+		env.SetBodyBlock(blocks[0])
+	} else {
+		env.Body.Blocks = blocks
+	}
+	return env, nil
 }
 
 func TestOutboundWireGolden(t *testing.T) {
@@ -93,28 +115,42 @@ func TestOutboundWireGolden(t *testing.T) {
 	stage := func(c wscoord.CoordinationContext, sh Share) staged {
 		return staged{taskID: c.Identifier, cctx: contextBlock(c), p: &pendingShare{to: "mem://b", share: sh}}
 	}
-	// check sends one message through a binding that takes it as written and
-	// through one that takes the envelope: both put the golden bytes on the
-	// wire.
-	check := func(name string, send func(soap.Caller) error) {
+	// check sends one message and holds what it put on the wire to the
+	// golden bytes, and to ref: the envelope built field by field under the
+	// written message's ID, encoded.
+	check := func(name string, send func(soap.Caller) error, ref func(id string) (*soap.Envelope, error)) {
 		t.Helper()
-		encoded, plain := &encodedRecorder{}, &wireRecorder{}
-		for _, rec := range []struct {
-			caller soap.Caller
-			msgs   *[][]byte
-		}{{encoded, &encoded.msgs}, {plain, &plain.msgs}} {
-			if err := send(rec.caller); err != nil {
-				t.Fatal(err)
-			}
-			if len(*rec.msgs) != 1 {
-				t.Fatalf("%s: %d messages sent, want 1", name, len(*rec.msgs))
-			}
-			checkWireGolden(t, name, (*rec.msgs)[0])
+		rec := &wireRecorder{}
+		if err := send(rec); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.msgs) != 1 {
+			t.Fatalf("%s: %d messages sent, want 1", name, len(rec.msgs))
+		}
+		written := rec.msgs[0]
+		checkWireGolden(t, name, written)
+		env, err := soap.Decode(written)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := ref(string(env.Addressing().MessageID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := built.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(written, want) {
+			t.Errorf("%s as written:\n got %s\nwant %s", name, written, want)
 		}
 	}
-	check("share", func(c soap.Caller) error { return sendShareBatch(ctx, c, []staged{stage(cctx, share)}) })
+	one, both := []wscoord.CoordinationContext{cctx}, []wscoord.CoordinationContext{cctx, other}
+	check("share", func(c soap.Caller) error { return sendShareBatch(ctx, c, []staged{stage(cctx, share)}) },
+		func(id string) (*soap.Envelope, error) { return fieldBuilt(ActionExchange, id, one, share) })
 	ack := ExchangeAck{TaskID: cctx.Identifier, From: "mem://b", Epoch: 7, Seq: 42}
-	check("ack", func(c soap.Caller) error { return sendAcks(ctx, c, "mem://a", []ExchangeAck{ack}) })
+	check("ack", func(c soap.Caller) error { return sendAcks(ctx, c, "mem://a", []ExchangeAck{ack}) },
+		func(id string) (*soap.Envelope, error) { return fieldBuilt(ActionExchangeAck, id, nil, ack) })
 
 	// A round's shares for one peer: a retry and a fresh share of one task,
 	// then a fresh share of another count task — one context per task.
@@ -125,13 +161,18 @@ func TestOutboundWireGolden(t *testing.T) {
 	retry.Seq, retry.Sum, retry.Weight = 41, 2.5, 1
 	check("share_batch", func(c soap.Caller) error {
 		return sendShareBatch(ctx, c, []staged{stage(cctx, retry), stage(cctx, share), stage(other, count)})
+	}, func(id string) (*soap.Envelope, error) {
+		return fieldBuilt(ActionExchange, id, both, retry, share, count)
 	})
 	acks := []ExchangeAck{
 		{TaskID: cctx.Identifier, From: "mem://b", Epoch: 7, Seq: 41},
 		ack,
 		{TaskID: other.Identifier, From: "mem://b", Epoch: 7, Seq: 9},
 	}
-	check("ack_batch", func(c soap.Caller) error { return sendAcks(ctx, c, "mem://a", acks) })
+	check("ack_batch", func(c soap.Caller) error { return sendAcks(ctx, c, "mem://a", acks) },
+		func(id string) (*soap.Envelope, error) {
+			return fieldBuilt(ActionExchangeAck, id, nil, acks[0], acks[1], acks[2])
+		})
 
 	// The start flood renders each target's To; the message it renders is
 	// the golden one.
@@ -142,7 +183,7 @@ func TestOutboundWireGolden(t *testing.T) {
 			return err
 		}
 		return m.Send(ctx, c, "mem://b")
-	})
+	}, func(id string) (*soap.Envelope, error) { return fieldBuilt(ActionStart, id, one, start) })
 }
 
 // handBuilt is an aggregation message built by hand, as a test sends it: the

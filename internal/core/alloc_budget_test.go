@@ -77,17 +77,11 @@ func TestForwardFanoutAllocBudget(t *testing.T) {
 	checkAllocBudget(t, "forward fanout-8", allocs, budget.ForwardFanoutF8)
 }
 
-// sinkCaller is a binding that takes pre-serialized messages and sends them
-// nowhere, dropping each buffer where a transport would recycle it.
-type sinkCaller struct{ dropCaller }
-
-func (sinkCaller) SendEncoded(context.Context, string, []byte) error { return nil }
-
 // firstReceiptSeen is the seen-cache size of firstReceipts' node.
 const firstReceiptSeen = 64
 
 // firstReceipts is a node that knows one push interaction, forwarding to one
-// peer through sinkCaller, and a ring of notifications of that interaction,
+// peer through dropCaller, and a ring of notifications of that interaction,
 // each decoded from a buffer of its own as on the MemBus and HTTP receive
 // paths. receive takes the next one through intercept. The ring is twice the
 // seen cache, which evicts each notification before it comes round again, so
@@ -96,7 +90,7 @@ const firstReceiptSeen = 64
 func firstReceipts(tb testing.TB) (d *Disseminator, receive func()) {
 	tb.Helper()
 	d, err := NewDisseminator(DisseminatorConfig{
-		Address: "mem://self", Caller: sinkCaller{}, RNG: rand.New(rand.NewSource(1)),
+		Address: "mem://self", Caller: dropCaller{}, RNG: rand.New(rand.NewSource(1)),
 		SeenCacheSize: firstReceiptSeen, StoreSize: 16,
 	})
 	if err != nil {
@@ -271,8 +265,8 @@ func TestDigestReceiptAllocBudget(t *testing.T) {
 // TestDigestOneMissingAllocBudget: a repair digest that misses one stored
 // notification costs the responder that one retransmission — the missing
 // list and the re-headed copy, whose header is read with the ID its store
-// slot holds and the InteractionID its interaction state holds — and nothing
-// per listed sum.
+// slot holds and the InteractionID its interaction state holds, rendered
+// once for a binding that drops it — and nothing per listed sum.
 func TestDigestOneMissingAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	d, _ := newDigestResponder(t, digestCap)
@@ -339,13 +333,15 @@ func BenchmarkTickRepairDigest(b *testing.B) {
 	}
 }
 
-// dropCaller is a binding whose sends go nowhere.
+// dropCaller is a binding whose sends go nowhere: it drops each buffer it is
+// handed where a transport would recycle it.
 type dropCaller struct{}
 
 func (dropCaller) Call(context.Context, string, *soap.Envelope) (*soap.Envelope, error) {
 	return nil, nil
 }
 func (dropCaller) Send(context.Context, string, *soap.Envelope) error { return nil }
+func (dropCaller) SendEncoded(context.Context, string, []byte) error  { return nil }
 
 // lazyResponder is a node holding one notification, and a received IHAVE
 // announcing it, a received IHAVE announcing one it does not hold, and a
@@ -426,10 +422,10 @@ func TestIHaveHeldAllocBudget(t *testing.T) {
 }
 
 // TestIWantServeAllocBudget: serving an IWANT looks the requested ID's sum up
-// and re-heads the stored copy with the MessageID read in place from its
-// header and the InteractionID its interaction state holds, so what it costs,
-// through a binding without SendEncoded, is the retransmission's own
-// snapshot and header buffers.
+// and writes the stored copy, re-headed with the MessageID read in place from
+// its header and the InteractionID its interaction state holds, into a
+// pooled template, so what it costs, through a binding that drops what it is
+// sent, is the one rendered copy a transport would recycle.
 func TestIWantServeAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	d, _, _, iwant := lazyResponder(t)

@@ -180,9 +180,9 @@ func BenchmarkDuplicateDelivery(b *testing.B) {
 	}
 }
 
-// forwardHeaders is the header rewrite of a forward's slow path (a block the
-// splice serializer declines, or a binding without SendEncoded): snapshot the
-// received envelope, decrement the hop budget, re-address without To.
+// forwardHeaders is the header rewrite of a forward's slow path, which a
+// block the splice serializer declines takes: snapshot the received envelope,
+// decrement the hop budget, re-address without To.
 func forwardHeaders(env *soap.Envelope, gh GossipHeader) (*soap.Envelope, error) {
 	out := env.Snapshot()
 	gh.Hops--

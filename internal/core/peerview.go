@@ -18,21 +18,9 @@ import (
 //
 // Implementations: membership.Service (the live, gossip-maintained view —
 // the WS-Membership deployment of reference [10]) and gossip.StaticPeers
-// (a fixed set). The interface is satisfied by anything implementing
-// gossip.PeerProvider; it is re-declared here so the framework layer does
-// not force its callers through the engine package.
-type PeerView interface {
-	// SelectPeers returns up to n distinct peer addresses, excluding the
-	// given address (normally the sampling node itself). n < 0 requests all
-	// known peers. The rng makes selection reproducible.
-	SelectPeers(rng *rand.Rand, n int, exclude string) []string
-}
-
-// PeerView and gossip.PeerProvider are intentionally interchangeable.
-var (
-	_ PeerView            = (gossip.PeerProvider)(nil)
-	_ gossip.PeerProvider = (PeerView)(nil)
-)
+// (a fixed set). It is gossip.PeerProvider under the framework layer's name,
+// so the framework's callers need not go through the engine package.
+type PeerView = gossip.PeerProvider
 
 // SelectTargets draws up to n fan-out targets: from the live view when one
 // is installed and currently non-empty, otherwise from the static

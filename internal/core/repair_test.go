@@ -226,6 +226,15 @@ func (r *sendRecorder) Send(_ context.Context, to string, env *soap.Envelope) er
 	return nil
 }
 
+// SendEncoded records data as Send does the envelope it holds.
+func (r *sendRecorder) SendEncoded(ctx context.Context, to string, data []byte) error {
+	env, err := soap.Decode(data)
+	if err != nil {
+		return err
+	}
+	return r.Send(ctx, to, env)
+}
+
 // TestDigestRoundsAreAFunctionOfTheSeed: a node in two interactions draws
 // its repair and pull targets from one RNG. The draws must be made in a
 // fixed interaction order and the sends issued in a fixed target order, or
@@ -313,6 +322,15 @@ func (r *retransmitRecorder) Send(_ context.Context, to string, env *soap.Envelo
 	r.to = append(r.to, to)
 	r.mu.Unlock()
 	return nil
+}
+
+// SendEncoded records data as Send does the envelope it holds.
+func (r *retransmitRecorder) SendEncoded(ctx context.Context, to string, data []byte) error {
+	env, err := soap.Decode(data)
+	if err != nil {
+		return err
+	}
+	return r.Send(ctx, to, env)
 }
 
 // take returns the IDs recorded for destination to since the last take.

@@ -12,9 +12,9 @@ import (
 	"wsgossip/internal/soap"
 )
 
-// ctxBinding is a synchronous EncodedSender and Caller that hands every
-// attempt's context to a test-supplied function and returns its error. It
-// records the contexts it was given, in attempt order.
+// ctxBinding is a synchronous Caller that hands every attempt's context to a
+// test-supplied function and returns its error. It records the contexts it
+// was given, in attempt order.
 type ctxBinding struct {
 	mu   sync.Mutex
 	ctxs []context.Context

@@ -42,8 +42,9 @@
 //
 // Key types:
 //
-//   - Plane — the outbound plane; implements soap.Caller and
-//     soap.EncodedSender. FilterView demotes open-circuit peers from peer
+//   - Plane — the outbound plane; implements soap.Caller, and queues and
+//     retries a message as the bytes it was handed (an envelope is encoded
+//     once, on the way in). FilterView demotes open-circuit peers from peer
 //     sampling; OnPeerDown reports breaker trips to the membership layer
 //     (repeated delivery failure → suspect).
 //   - Gate — the inbound half: a token-bucket admission gate, exposed as

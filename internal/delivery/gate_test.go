@@ -124,14 +124,10 @@ func TestGateMiddlewareShedsWithFault(t *testing.T) {
 // a POST and a fault comes back as the response status.
 type syncBus struct{ handlers map[string]soap.Handler }
 
-func (b *syncBus) route(ctx context.Context, to string, env *soap.Envelope) (*soap.Envelope, error) {
+func (b *syncBus) route(ctx context.Context, to string, data []byte) (*soap.Envelope, error) {
 	h, ok := b.handlers[to]
 	if !ok {
 		return nil, soap.ErrUnknownEndpoint
-	}
-	data, err := env.Encode()
-	if err != nil {
-		return nil, err
 	}
 	decoded, err := soap.Decode(data)
 	if err != nil {
@@ -141,11 +137,20 @@ func (b *syncBus) route(ctx context.Context, to string, env *soap.Envelope) (*so
 }
 
 func (b *syncBus) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.Envelope, error) {
-	return b.route(ctx, to, env)
+	data, err := env.Encode()
+	if err != nil {
+		return nil, err
+	}
+	return b.route(ctx, to, data)
 }
 
 func (b *syncBus) Send(ctx context.Context, to string, env *soap.Envelope) error {
-	_, err := b.route(ctx, to, env)
+	_, err := b.Call(ctx, to, env)
+	return err
+}
+
+func (b *syncBus) SendEncoded(ctx context.Context, to string, data []byte) error {
+	_, err := b.route(ctx, to, data)
 	return err
 }
 

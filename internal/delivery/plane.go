@@ -34,9 +34,8 @@ var (
 // Config parameterizes a Plane. Caller and Clock are required; every
 // numeric field falls back to the listed default when zero.
 type Config struct {
-	// Caller is the underlying binding. When it also implements
-	// soap.EncodedSender the plane encodes once and retries the same
-	// buffer; otherwise it retains a Clone of queued envelopes.
+	// Caller is the underlying binding. The plane hands it bytes, and
+	// retries the same buffer.
 	Caller soap.Caller
 	// Clock drives every policy timer (backoff, cooldown, deferral,
 	// attempt timeout). Under clock.Virtual the whole plane is
@@ -101,9 +100,9 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// item is one queued message: encoded bytes when the binding supports
-// SendEncoded (retries reuse the buffer — on attempt failure the binding
-// leaves ownership with us, on success it recycles), an envelope otherwise.
+// item is one queued message: its encoded bytes (retries reuse the buffer —
+// on attempt failure the binding leaves ownership with us, on success it
+// recycles).
 //
 // Items never reach a binding, so the plane recycles them through its free
 // list (releaseLocked) once the message settles: landed, refused for good by
@@ -113,8 +112,6 @@ func (c *Config) withDefaults() Config {
 // carved from a slab (newAttemptCtx).
 type item struct {
 	data     []byte
-	env      *soap.Envelope
-	owned    bool // env is a plane-private Clone, safe to retain
 	attempts int
 }
 
@@ -136,9 +133,9 @@ type peerState struct {
 }
 
 // Plane is the failure-aware outbound delivery plane. It implements
-// soap.Caller and soap.EncodedSender, so it slots between any role and the
-// real binding: role code keeps calling Send/Fanout, the plane decides
-// what "send" means for each peer right now.
+// soap.Caller, so it slots between any role and the real binding: role code
+// keeps calling Send/Fanout, the plane decides what "send" means for each
+// peer right now.
 //
 // Send semantics: a nil return means the plane took responsibility — the
 // message was delivered, or is queued and will be retried within its
@@ -153,7 +150,6 @@ type peerState struct {
 // may keep it.
 type Plane struct {
 	cfg Config
-	enc soap.EncodedSender // non-nil when cfg.Caller supports it
 	m   *planeMetrics
 
 	mu     sync.Mutex
@@ -167,10 +163,7 @@ type Plane struct {
 // items to the GC.
 const maxFreeItems = 256
 
-var (
-	_ soap.Caller        = (*Plane)(nil)
-	_ soap.EncodedSender = (*Plane)(nil)
-)
+var _ soap.Caller = (*Plane)(nil)
 
 // NewPlane wraps cfg.Caller in a delivery plane.
 func NewPlane(cfg Config) *Plane {
@@ -189,44 +182,18 @@ func NewPlane(cfg Config) *Plane {
 	if p.rng == nil {
 		p.rng = rand.New(rand.NewSource(1))
 	}
-	if es, ok := cfg.Caller.(soap.EncodedSender); ok {
-		p.enc = es
-	}
 	return p
 }
 
 // Send routes a one-way message through the peer's queue/retry/breaker
-// policy. See Plane for the nil-vs-error contract. The envelope is not
-// retained unless it must be queued, in which case the plane keeps a
-// private Clone.
+// policy, encoded once: see SendEncoded, and Plane for the nil-vs-error
+// contract. The envelope is not retained.
 func (p *Plane) Send(ctx context.Context, to string, env *soap.Envelope) error {
-	if p.enc != nil {
-		data, err := env.Encode()
-		if err != nil {
-			return err
-		}
-		return p.SendEncoded(ctx, to, data)
+	data, err := env.Encode()
+	if err != nil {
+		return err
 	}
-	return p.submit(ctx, to, nil, env)
-}
-
-// SendEncoded routes an already-serialized message. Ownership follows the
-// soap.EncodedSender contract: on a nil return the plane owns data (and
-// passes ownership on to the binding when the attempt lands); on an error
-// return data stays with the caller. The item that carries data through the
-// queue comes from the plane's free list and goes back to it once the
-// message settles (see item), so a send that lands through a synchronous
-// binding allocates nothing.
-func (p *Plane) SendEncoded(ctx context.Context, to string, data []byte) error {
-	if p.enc == nil {
-		// Underlying binding can't take bytes; decode back to an envelope.
-		env, err := soap.Decode(data)
-		if err != nil {
-			return err
-		}
-		return p.submit(ctx, to, nil, env)
-	}
-	return p.submit(ctx, to, data, nil)
+	return p.SendEncoded(ctx, to, data)
 }
 
 // Call performs a request-response exchange through the breaker (open
@@ -293,11 +260,16 @@ func (p *Plane) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.
 	return resp, err
 }
 
-// submit is the shared one-way entry: decide inline attempt vs queue vs
-// fast-fail under the lock, attempt outside it. The message's item — data
-// when the binding takes bytes, env otherwise — is drawn once the plane has
-// not refused it outright.
-func (p *Plane) submit(ctx context.Context, to string, data []byte, env *soap.Envelope) error {
+// SendEncoded routes an already-serialized message: it decides inline
+// attempt vs queue vs fast-fail under the lock, and attempts outside it.
+// Ownership follows the soap.EncodedSender contract: on a nil return the
+// plane owns data (and passes ownership on to the binding when the attempt
+// lands); on an error return data stays with the caller. The item that
+// carries data through the queue is drawn, once the plane has not refused
+// the message outright, from the plane's free list and goes back to it once
+// the message settles (see item), so a send that lands through a
+// synchronous binding allocates nothing.
+func (p *Plane) SendEncoded(ctx context.Context, to string, data []byte) error {
 	p.mu.Lock()
 	if p.closed {
 		p.m.dropClosed.Inc()
@@ -318,7 +290,7 @@ func (p *Plane) submit(ctx context.Context, to string, data []byte, env *soap.En
 			return ErrCircuitOpen
 		}
 	}
-	it := p.itemLocked(data, env)
+	it := p.itemLocked(data)
 	if !ps.br.probing &&
 		(len(ps.queue) > 0 || ps.inflight > 0 ||
 			ps.deferUntil > now || ps.backoffUntil > now) {
@@ -360,12 +332,7 @@ func (p *Plane) attempt(ctx context.Context, to string, it *item) error {
 	}
 	actx := newAttemptCtx()
 	start := actx.begin(p, ctx)
-	var err error
-	if it.data != nil {
-		err = p.enc.SendEncoded(actx, to, it.data)
-	} else {
-		err = p.cfg.Caller.Send(actx, to, it.env)
-	}
+	err := p.cfg.Caller.SendEncoded(actx, to, it.data)
 	actx.finish()
 	p.m.attemptSec.Observe((p.cfg.Clock.Now() - start).Seconds())
 	return err
@@ -433,15 +400,10 @@ func (p *Plane) requeueLocked(ps *peerState, it *item, now time.Duration) error 
 }
 
 // enqueueLocked appends (or, for retries, prepends — preserving FIFO
-// delivery order) it to the peer's bounded queue, cloning a caller-owned
-// envelope on first retention.
+// delivery order) it to the peer's bounded queue.
 func (p *Plane) enqueueLocked(ps *peerState, it *item, front bool) bool {
 	if len(ps.queue) >= p.cfg.QueueCap {
 		return false
-	}
-	if it.env != nil && !it.owned {
-		it.env = it.env.Clone()
-		it.owned = true
 	}
 	if front {
 		ps.queue = append(ps.queue, nil)
@@ -456,7 +418,7 @@ func (p *Plane) enqueueLocked(ps *peerState, it *item, front bool) bool {
 
 // itemLocked returns an item for a message: one from the free list, or a
 // new one.
-func (p *Plane) itemLocked(data []byte, env *soap.Envelope) *item {
+func (p *Plane) itemLocked(data []byte) *item {
 	var it *item
 	if n := len(p.free); n > 0 {
 		it = p.free[n-1]
@@ -465,7 +427,7 @@ func (p *Plane) itemLocked(data []byte, env *soap.Envelope) *item {
 	} else {
 		it = new(item)
 	}
-	it.data, it.env = data, env
+	it.data = data
 	return it
 }
 

@@ -18,7 +18,7 @@ import (
 
 // scriptedCaller is a Caller whose per-target outcomes are scripted: each
 // attempt pops the next error from the target's queue (empty queue =
-// success). Successful deliveries are recorded in order.
+// success). Successful deliveries are recorded in order, decoded.
 type scriptedCaller struct {
 	mu        sync.Mutex
 	outcomes  map[string][]error
@@ -75,11 +75,7 @@ func (c *scriptedCaller) Send(_ context.Context, to string, env *soap.Envelope) 
 	return c.pop(to, env)
 }
 
-// encodedScripted adds the EncodedSender path: attempts pop the same
-// script, successful sends decode and record the envelope.
-type encodedScripted struct{ scriptedCaller }
-
-func (c *encodedScripted) SendEncoded(_ context.Context, to string, data []byte) error {
+func (c *scriptedCaller) SendEncoded(_ context.Context, to string, data []byte) error {
 	env, err := soap.Decode(data)
 	if err != nil {
 		return err
@@ -87,10 +83,7 @@ func (c *encodedScripted) SendEncoded(_ context.Context, to string, data []byte)
 	return c.pop(to, env.Clone())
 }
 
-var (
-	_ soap.Caller        = (*scriptedCaller)(nil)
-	_ soap.EncodedSender = (*encodedScripted)(nil)
-)
+var _ soap.Caller = (*scriptedCaller)(nil)
 
 type note struct {
 	XMLName struct{} `xml:"urn:test Note"`
@@ -131,11 +124,11 @@ func counterValue(reg *metrics.Registry, family, label, value string) int64 {
 	return reg.CounterVec(family, label).With(value).Value()
 }
 
-// bindings runs fn once over a plain scripted binding, where the plane
-// queues envelopes and sends with Send, and once over one with the
-// SendEncoded path, where it queues bytes and sends with SendEncoded.
-// bind is what the plane wraps, script its outcomes, and send hands the
-// plane one message for urn:peer the way that binding's callers do.
+// bindings runs fn once with the plane handed envelopes (Send, which encodes
+// them on the way in) and once with it handed bytes (SendEncoded); either
+// way it queues bytes and attempts them with SendEncoded. bind is what the
+// plane wraps, script its outcomes, and send hands the plane one message
+// for urn:peer.
 func bindings(t *testing.T, fn func(t *testing.T, bind soap.Caller, script *scriptedCaller, send func(*Plane, string) error)) {
 	t.Run("envelope", func(t *testing.T) {
 		c := newScripted()
@@ -144,8 +137,8 @@ func bindings(t *testing.T, fn func(t *testing.T, bind soap.Caller, script *scri
 		})
 	})
 	t.Run("encoded", func(t *testing.T) {
-		c := &encodedScripted{*newScripted()}
-		fn(t, c, &c.scriptedCaller, func(p *Plane, text string) error {
+		c := newScripted()
+		fn(t, c, c, func(p *Plane, text string) error {
 			data, err := testEnv(t, text).Encode()
 			if err != nil {
 				t.Fatal(err)
@@ -422,7 +415,7 @@ func TestPlaneQueueBound(t *testing.T) {
 
 func TestPlaneFIFOAcrossRetry(t *testing.T) {
 	clk := clock.NewVirtual()
-	caller := newScripted() // plain Caller: envelopes delivered in order
+	caller := newScripted()
 	caller.script("urn:peer", errConnRefused)
 	p := NewPlane(testConfig(caller, clk, nil))
 
@@ -452,7 +445,8 @@ func TestPlaneFIFOAcrossRetry(t *testing.T) {
 }
 
 // TestPlaneClonesQueuedEnvelope: a queued envelope must be immune to
-// caller-side mutation after Send returns (retention requires Clone).
+// caller-side mutation after Send returns: the plane queues the bytes Send
+// encoded, not the envelope.
 func TestPlaneClonesQueuedEnvelope(t *testing.T) {
 	clk := clock.NewVirtual()
 	caller := newScripted()
@@ -484,7 +478,7 @@ func TestPlaneClonesQueuedEnvelope(t *testing.T) {
 func TestPlaneEncodedSenderRetriesSameBytes(t *testing.T) {
 	clk := clock.NewVirtual()
 	reg := metrics.NewRegistry()
-	caller := &encodedScripted{*newScripted()}
+	caller := newScripted()
 	caller.script("urn:peer", errConnRefused)
 	p := NewPlane(testConfig(caller, clk, reg))
 
@@ -655,7 +649,7 @@ func encodedEnv(t *testing.T, text string) []byte {
 func TestNotifySettlesOnceAfterRetries(t *testing.T) {
 	clk := clock.NewVirtual()
 	reg := metrics.NewRegistry()
-	caller := &encodedScripted{*newScripted()}
+	caller := newScripted()
 	caller.script("urn:peer", errConnRefused) // first attempt fails, retry lands
 	p := NewPlane(testConfig(caller, clk, reg))
 
@@ -683,7 +677,7 @@ func TestNotifySettlesOnceAfterRetries(t *testing.T) {
 func TestNotifyFastFailSettlesAndReturns(t *testing.T) {
 	clk := clock.NewVirtual()
 	reg := metrics.NewRegistry()
-	caller := &encodedScripted{*newScripted()}
+	caller := newScripted()
 	p := NewPlane(testConfig(caller, clk, reg))
 	p.Close()
 
@@ -706,7 +700,7 @@ func TestNotifyFastFailSettlesAndReturns(t *testing.T) {
 func TestNotifyCloseSettlesQueuedBacklog(t *testing.T) {
 	clk := clock.NewVirtual()
 	reg := metrics.NewRegistry()
-	caller := &encodedScripted{*newScripted()}
+	caller := newScripted()
 	caller.script("urn:peer", errConnRefused) // park the message in backoff
 	p := NewPlane(testConfig(caller, clk, reg))
 

@@ -31,6 +31,7 @@ func (dropCaller) Call(context.Context, string, *soap.Envelope) (*soap.Envelope,
 	return nil, nil
 }
 func (dropCaller) Send(context.Context, string, *soap.Envelope) error { return nil }
+func (dropCaller) SendEncoded(context.Context, string, []byte) error  { return nil }
 
 // viewBench is a Service behind its SOAPEndpoint that knows 32 peers, and a
 // received exchange from one of them listing all 32 and the receiver: the

@@ -163,6 +163,7 @@ func (okCaller) Call(context.Context, string, *soap.Envelope) (*soap.Envelope, e
 	return nil, nil
 }
 func (okCaller) Send(context.Context, string, *soap.Envelope) error { return nil }
+func (okCaller) SendEncoded(context.Context, string, []byte) error  { return nil }
 
 // TestDeliverySection checks the health document carries real delivery-plane
 // posture end to end through the JSON encoding.

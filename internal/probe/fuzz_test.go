@@ -25,6 +25,11 @@ func (c *countingCaller) Send(context.Context, string, *soap.Envelope) error {
 	return nil
 }
 
+func (c *countingCaller) SendEncoded(context.Context, string, []byte) error {
+	c.sends++
+	return nil
+}
+
 // fuzzTimeout is the prober's probe timeout in FuzzProbeActions.
 const fuzzTimeout = time.Second
 

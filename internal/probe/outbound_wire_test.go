@@ -10,30 +10,28 @@ import (
 
 	"wsgossip/internal/clock"
 	"wsgossip/internal/soap"
+	"wsgossip/internal/wsa"
 )
 
-// Wire-identity guard for the probe messages: each one's bytes, with its
-// message ID replaced by a fixed one, must equal the committed
-// testdata/wire/*.xml — as written for a binding that takes bytes, and as
-// encoded from the envelope a binding without SendEncoded is handed.
-
-// envRecorder is a binding that keeps every envelope sent through it.
-type envRecorder struct{ sent []*soap.Envelope }
-
-func (r *envRecorder) Call(context.Context, string, *soap.Envelope) (*soap.Envelope, error) {
-	return nil, nil
-}
-
-func (r *envRecorder) Send(_ context.Context, _ string, env *soap.Envelope) error {
-	r.sent = append(r.sent, env)
-	return nil
-}
+// Wire-identity guard for the probe messages: each one's bytes as written,
+// with its message ID replaced by a fixed one, must equal the committed
+// testdata/wire/*.xml, and equal the envelope built field by field: To,
+// Action and the same MessageID, and the body marshalled by encoding/xml.
 
 // byteRecorder is a binding that keeps the bytes of every message sent
 // through it as written.
-type byteRecorder struct {
-	envRecorder
-	msgs [][]byte
+type byteRecorder struct{ msgs [][]byte }
+
+func (r *byteRecorder) Call(context.Context, string, *soap.Envelope) (*soap.Envelope, error) {
+	return nil, nil
+}
+
+func (r *byteRecorder) Send(ctx context.Context, to string, env *soap.Envelope) error {
+	data, err := env.Encode()
+	if err != nil {
+		return err
+	}
+	return r.SendEncoded(ctx, to, data)
 }
 
 func (r *byteRecorder) SendEncoded(_ context.Context, _ string, data []byte) error {
@@ -62,11 +60,9 @@ func checkWireGolden(t *testing.T, name string, data []byte) {
 }
 
 func TestOutboundWireGolden(t *testing.T) {
-	rec, written := &envRecorder{}, &byteRecorder{}
-	p := New(Config{Self: "mem://self", Caller: rec, Clock: clock.NewVirtual(), Timeout: time.Second})
+	written := &byteRecorder{}
+	p := New(Config{Self: "mem://self", Caller: written, Clock: clock.NewVirtual(), Timeout: time.Second})
 	defer p.Close()
-	w := New(Config{Self: "mem://self", Caller: written, Clock: clock.NewVirtual(), Timeout: time.Second})
-	defer w.Close()
 	for _, tc := range []struct {
 		name, action, to string
 		body             any
@@ -76,17 +72,30 @@ func TestOutboundWireGolden(t *testing.T) {
 		{"ping_req", ActionPingReq, "mem://helper", pingReqBody{Origin: "mem://self", Target: "mem://target", Nonce: "n2"}},
 		{"ping_req_ack", ActionPingReqAck, "mem://origin", pingReqAckBody{From: "mem://self", Target: "mem://target", Nonce: "n2"}},
 	} {
-		rec.sent, written.msgs = nil, nil
+		written.msgs = nil
 		p.send(tc.action, tc.to, tc.body, tc.name)
-		w.send(tc.action, tc.to, tc.body, tc.name)
-		if len(rec.sent) != 1 || len(written.msgs) != 1 {
-			t.Fatalf("%s: %d envelopes and %d written messages sent, want 1 each", tc.name, len(rec.sent), len(written.msgs))
+		if len(written.msgs) != 1 {
+			t.Fatalf("%s: %d messages written, want 1", tc.name, len(written.msgs))
 		}
-		data, err := rec.sent[0].Encode()
+		data := written.msgs[0]
+		checkWireGolden(t, tc.name, data)
+		env, err := soap.Decode(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkWireGolden(t, tc.name, data)
-		checkWireGolden(t, tc.name, written.msgs[0])
+		built := soap.NewEnvelope()
+		if err := built.SetAddressing(wsa.Headers{To: tc.to, Action: tc.action, MessageID: env.Addressing().MessageID}); err != nil {
+			t.Fatal(err)
+		}
+		if err := built.SetBody(tc.body); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := built.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, ref) {
+			t.Errorf("%s as written:\n got %s\nwant %s", tc.name, data, ref)
+		}
 	}
 }

@@ -55,6 +55,15 @@ func (c *netCaller) Send(ctx context.Context, to string, env *soap.Envelope) err
 	return err
 }
 
+// SendEncoded delivers data as Send does the envelope it holds.
+func (c *netCaller) SendEncoded(ctx context.Context, to string, data []byte) error {
+	env, err := soap.Decode(data)
+	if err != nil {
+		return err
+	}
+	return c.Send(ctx, to, env)
+}
+
 // probeRig is one node: a prober with its dispatcher on the shared net.
 type probeRig struct {
 	p    *Prober

@@ -46,10 +46,7 @@ type virtBus struct {
 	sent, dropped, delivered, refused int
 }
 
-var (
-	_ soap.Caller        = (*virtBus)(nil)
-	_ soap.EncodedSender = (*virtBus)(nil)
-)
+var _ soap.Caller = (*virtBus)(nil)
 
 func newVirtBus(clk *clock.Virtual, seed int64, minDelay, maxDelay time.Duration) *virtBus {
 	if maxDelay < minDelay {
@@ -247,10 +244,7 @@ type nodeCaller struct {
 	from string
 }
 
-var (
-	_ soap.Caller        = (*nodeCaller)(nil)
-	_ soap.EncodedSender = (*nodeCaller)(nil)
-)
+var _ soap.Caller = (*nodeCaller)(nil)
 
 func (c *nodeCaller) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.Envelope, error) {
 	return c.bus.Call(ctx, to, env)

@@ -11,8 +11,9 @@
 //   - Handler / Middleware / Dispatcher — the server-side stack. The
 //     paper's Disseminator is exactly a Middleware: application code
 //     unchanged, gossip layer interposed.
-//   - Caller / EncodedSender — the client side; HTTPClient and MemBus
-//     implement both.
+//   - Caller — the client side, which HTTPClient and MemBus implement. Every
+//     Caller takes bytes (its EncodedSender half): what the stack sends is
+//     written into a pooled buffer and handed to SendEncoded.
 //   - Fault — SOAP 1.2 faults, with NewFault/AsFault/FaultFrom helpers.
 //
 // The codec is the gossip hot path and has two rungs in each direction,
@@ -27,10 +28,9 @@
 // a one-way message the stack originates, described by its action, ID, To,
 // header blocks and body — go through the same scaffold. A Message is
 // written from its fields straight into a pooled wire buffer and handed to
-// SendEncoded, with no Envelope built on the way; a binding without
-// SendEncoded, or a block the splice declines, gets the Envelope it
-// describes instead, which puts the same bytes on the wire. Everything else
-// well-formed — prefixed
+// SendEncoded, with no Envelope built on the way; a block the splice
+// declines sends the Envelope it describes through Send instead, which puts
+// the same bytes on the wire. Everything else well-formed — prefixed
 // documents from other SOAP stacks, blocks inheriting an outer namespace,
 // hand-built blocks — takes the one encoding/xml fallback, which accepts
 // whatever encoding/xml accepts and re-encodes each block as it goes. The

@@ -2,6 +2,7 @@ package soap
 
 import (
 	"context"
+	"encoding/xml"
 	"errors"
 	"fmt"
 	"sync"
@@ -52,11 +53,7 @@ func (s *stubSender) Send(_ context.Context, to string, _ *Envelope) error {
 	return s.send(to)
 }
 
-// encodedStubSender adds the EncodedSender fast path so Fanout takes the
-// encode-once template branch.
-type encodedStubSender struct{ stubSender }
-
-func (s *encodedStubSender) SendEncoded(_ context.Context, to string, data []byte) error {
+func (s *stubSender) SendEncoded(_ context.Context, to string, data []byte) error {
 	if err := s.send(to); err != nil {
 		return err // buffer stays with the caller, per the contract
 	}
@@ -64,10 +61,7 @@ func (s *encodedStubSender) SendEncoded(_ context.Context, to string, data []byt
 	return nil
 }
 
-var (
-	_ Caller        = (*stubSender)(nil)
-	_ EncodedSender = (*encodedStubSender)(nil)
-)
+var _ Caller = (*stubSender)(nil)
 
 func fanoutEnv(t *testing.T) *Envelope {
 	t.Helper()
@@ -80,6 +74,26 @@ func fanoutEnv(t *testing.T) *Envelope {
 		t.Fatal(err)
 	}
 	return env
+}
+
+// declinedEnv is fanoutEnv with a prefixed header block, which the splice
+// serializer declines: Fanout sends it per target through Send.
+func declinedEnv(t *testing.T) *Envelope {
+	t.Helper()
+	env := fanoutEnv(t)
+	env.AddHeaderBlock(Block{XMLName: xml.Name{Space: "urn:p", Local: "Meta"}, Raw: []byte(`<p:Meta xmlns:p="urn:p">m</p:Meta>`)})
+	if _, ok := env.template(false); ok {
+		t.Fatal("the prefixed block was spliced")
+	}
+	return env
+}
+
+// fanoutEnvs are Fanout's two paths: encoded, the template rendered per
+// target and handed over as bytes, and plain, the per-target Snapshot a
+// declined block sends through Send.
+var fanoutEnvs = map[string]func(*testing.T) *Envelope{
+	"encoded": fanoutEnv,
+	"plain":   declinedEnv,
 }
 
 func sameStrings(a, b []string) bool {
@@ -96,12 +110,10 @@ func sameStrings(a, b []string) bool {
 
 func TestFanoutPartialFailureExact(t *testing.T) {
 	targets := []string{"urn:p1", "urn:p2", "urn:p3", "urn:p4", "urn:p5", "urn:p6"}
-	for name, caller := range map[string]Caller{
-		"encoded": &encodedStubSender{stubSender{fail: map[string]bool{"urn:p2": true, "urn:p5": true}}},
-		"plain":   &stubSender{fail: map[string]bool{"urn:p2": true, "urn:p5": true}},
-	} {
+	for name, env := range fanoutEnvs {
 		t.Run(name, func(t *testing.T) {
-			sent, failed := Fanout(context.Background(), caller, fanoutEnv(t), targets)
+			caller := &stubSender{fail: map[string]bool{"urn:p2": true, "urn:p5": true}}
+			sent, failed := Fanout(context.Background(), caller, env(t), targets)
 			if sent != 4 {
 				t.Fatalf("sent = %d, want 4", sent)
 			}
@@ -125,16 +137,14 @@ func TestFanoutCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	targets := []string{"urn:a", "urn:b", "urn:c"}
-	for name, caller := range map[string]Caller{
-		"encoded": &encodedStubSender{},
-		"plain":   &stubSender{},
-	} {
+	for name, env := range fanoutEnvs {
 		t.Run(name, func(t *testing.T) {
-			sent, failed := Fanout(ctx, caller, fanoutEnv(t), targets)
+			caller := &stubSender{}
+			sent, failed := Fanout(ctx, caller, env(t), targets)
 			if sent != 0 || !sameStrings(failed, targets) {
 				t.Fatalf("sent = %d, failed = %v, want all targets failed", sent, failed)
 			}
-			if n := caller.(interface{ attemptCount() int }).attemptCount(); n != 0 {
+			if n := caller.attemptCount(); n != 0 {
 				t.Fatalf("issued %d sends after cancellation", n)
 			}
 		})
@@ -143,38 +153,30 @@ func TestFanoutCancelledBeforeStart(t *testing.T) {
 
 func TestFanoutCancelMidway(t *testing.T) {
 	targets := []string{"urn:p1", "urn:p2", "urn:p3", "urn:p4", "urn:p5"}
-	run := func(t *testing.T, mk func(onSend func(string)) Caller) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		caller := mk(func(to string) {
-			if to == "urn:p3" {
-				cancel() // cancelled during the third send
+	for name, env := range fanoutEnvs {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			caller := &stubSender{onSend: func(to string) {
+				if to == "urn:p3" {
+					cancel() // cancelled during the third send
+				}
+			}}
+			sent, failed := Fanout(ctx, caller, env(t), targets)
+			if sent != 3 {
+				t.Fatalf("sent = %d, want 3 (p3's send completes, p4/p5 never start)", sent)
+			}
+			if !sameStrings(failed, []string{"urn:p4", "urn:p5"}) {
+				t.Fatalf("failed = %v, want the never-attempted tail", failed)
+			}
+			if got := caller.attemptCount(); got != 3 {
+				t.Fatalf("attempts = %d, want 3", got)
+			}
+			if sent+len(failed) != len(targets) {
+				t.Fatalf("accounting leak: sent %d + failed %d != %d targets", sent, len(failed), len(targets))
 			}
 		})
-		sent, failed := Fanout(ctx, caller, fanoutEnv(t), targets)
-		if sent != 3 {
-			t.Fatalf("sent = %d, want 3 (p3's send completes, p4/p5 never start)", sent)
-		}
-		if !sameStrings(failed, []string{"urn:p4", "urn:p5"}) {
-			t.Fatalf("failed = %v, want the never-attempted tail", failed)
-		}
-		if got := caller.(interface{ attemptCount() int }).attemptCount(); got != 3 {
-			t.Fatalf("attempts = %d, want 3", got)
-		}
-		if sent+len(failed) != len(targets) {
-			t.Fatalf("accounting leak: sent %d + failed %d != %d targets", sent, len(failed), len(targets))
-		}
 	}
-	t.Run("encoded", func(t *testing.T) {
-		run(t, func(onSend func(string)) Caller {
-			return &encodedStubSender{stubSender{onSend: onSend}}
-		})
-	})
-	t.Run("plain", func(t *testing.T) {
-		run(t, func(onSend func(string)) Caller {
-			return &stubSender{onSend: onSend}
-		})
-	})
 }
 
 // TestFanoutConcurrentExactness runs many concurrent Fanouts over one
@@ -182,7 +184,7 @@ func TestFanoutCancelMidway(t *testing.T) {
 // list must be exact regardless of interleaving (-race pins the data-race
 // half of the claim).
 func TestFanoutConcurrentExactness(t *testing.T) {
-	caller := &encodedStubSender{stubSender{fail: map[string]bool{"urn:p1": true, "urn:p4": true}}}
+	caller := &stubSender{fail: map[string]bool{"urn:p1": true, "urn:p4": true}}
 	targets := []string{"urn:p0", "urn:p1", "urn:p2", "urn:p3", "urn:p4"}
 	env := fanoutEnv(t)
 	var wg sync.WaitGroup

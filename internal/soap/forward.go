@@ -34,18 +34,15 @@ type Rehead struct {
 // it is a parameter of its own, apart from rh, because escape analysis would
 // send it to the heap with rh's strings.
 //
-// On an EncodedSender binding the copy is written once, from env's blocks
-// straight into the pooled template Fanout renders from, and nothing else is
-// built. A block the splice serializer declines, or a binding without
-// SendEncoded, takes the slow path: a Snapshot of env re-headed with
-// RemoveHeader, AddHeaderBlock and SetAddressingID, which puts the same bytes
-// on the wire through Fanout, or through Send when Direct.
+// The copy is written once, from env's blocks straight into the pooled
+// template Fanout renders from, and nothing else is built. A block the
+// splice serializer declines takes the slow path: a Snapshot of env
+// re-headed with RemoveHeader, AddHeaderBlock and SetAddressingID, which puts
+// the same bytes on the wire through Fanout, or through Send when Direct.
 func Forward(ctx context.Context, caller Caller, env *Envelope, rh Rehead, block []byte, targets []string) (sent int, failed []string) {
-	if es, ok := caller.(EncodedSender); ok {
-		if tmpl, ok := rh.template(env, block); ok {
-			defer putBytes(tmpl.pre)
-			return tmpl.sendAll(ctx, es, targets)
-		}
+	if tmpl, ok := rh.template(env, block); ok {
+		defer putBytes(tmpl.pre)
+		return tmpl.sendAll(ctx, caller, targets)
 	}
 	if !rh.Direct {
 		return Fanout(ctx, caller, rh.apply(env, block, ""), targets)

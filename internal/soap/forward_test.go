@@ -21,8 +21,7 @@ import (
 // scanner's documents and the fallback's alike.
 
 // wireLog is a binding that records each message it is given, rendered or
-// encoded from its envelope, with its destination. Without encoded it is a
-// plain Caller, on which Forward takes its slow path.
+// encoded from its envelope, with its destination.
 type wireLog struct {
 	msgs []string
 }
@@ -42,9 +41,7 @@ func (l *wireLog) Send(_ context.Context, to string, env *Envelope) error {
 	return nil
 }
 
-type encodedWireLog struct{ wireLog }
-
-func (l *encodedWireLog) SendEncoded(_ context.Context, to string, data []byte) error {
+func (l *wireLog) SendEncoded(_ context.Context, to string, data []byte) error {
 	l.record(to, data)
 	return nil
 }
@@ -138,28 +135,21 @@ func TestForwardMatchesReheadReference(t *testing.T) {
 				if direct {
 					targets = targets[:1]
 				}
-				for _, encoded := range []bool{true, false} {
-					var got, want Caller
-					gotLog, wantLog := &encodedWireLog{}, &encodedWireLog{}
-					got, want = gotLog, wantLog
-					if !encoded {
-						got, want = &gotLog.wireLog, &wantLog.wireLog
-					}
-					if sent, failed := Forward(ctx, got, c.env, rh, block.Raw, targets); sent != len(targets) || failed != nil {
-						t.Fatalf("%s: Forward sent %d, failed %v", c.what, sent, failed)
-					}
-					if direct {
-						for _, to := range targets {
-							if err := want.Send(ctx, to, reheadRef(c.env, block, rh.Action, rh.ID, to)); err != nil {
-								t.Fatal(err)
-							}
+				got, want := &wireLog{}, &wireLog{}
+				if sent, failed := Forward(ctx, got, c.env, rh, block.Raw, targets); sent != len(targets) || failed != nil {
+					t.Fatalf("%s: Forward sent %d, failed %v", c.what, sent, failed)
+				}
+				if direct {
+					for _, to := range targets {
+						if err := want.Send(ctx, to, reheadRef(c.env, block, rh.Action, rh.ID, to)); err != nil {
+							t.Fatal(err)
 						}
-					} else {
-						Fanout(ctx, want, reheadRef(c.env, block, rh.Action, rh.ID, ""), targets)
 					}
-					if strings.Join(gotLog.msgs, "\n--\n") != strings.Join(wantLog.msgs, "\n--\n") {
-						t.Errorf("%s (direct %v, encoded %v):\n got %q\nwant %q", c.what, direct, encoded, gotLog.msgs, wantLog.msgs)
-					}
+				} else {
+					Fanout(ctx, want, reheadRef(c.env, block, rh.Action, rh.ID, ""), targets)
+				}
+				if strings.Join(got.msgs, "\n--\n") != strings.Join(want.msgs, "\n--\n") {
+					t.Errorf("%s (direct %v):\n got %q\nwant %q", c.what, direct, got.msgs, want.msgs)
 				}
 			}
 		}
@@ -181,7 +171,7 @@ func TestForwardLeavesEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	rh := Rehead{Name: xml.Name{Space: "urn:wsgossip:2008", Local: "Gossip"}, Action: "urn:a", ID: []byte("urn:uuid:x")}
-	Forward(context.Background(), &encodedWireLog{}, env, rh, []byte(`<Gossip xmlns="urn:wsgossip:2008"/>`), []string{"mem://a"})
+	Forward(context.Background(), &wireLog{}, env, rh, []byte(`<Gossip xmlns="urn:wsgossip:2008"/>`), []string{"mem://a"})
 	after, err := env.Encode()
 	if err != nil {
 		t.Fatal(err)

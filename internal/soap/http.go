@@ -191,10 +191,15 @@ func writeFault(w http.ResponseWriter, f *Fault) {
 
 // Caller sends SOAP messages to endpoint addresses. It is implemented by the
 // HTTP client and by the in-memory bus, so role code is binding-agnostic.
+// Every binding takes bytes through the EncodedSender it embeds: the
+// messages the stack originates and forwards are written into pooled
+// buffers and handed to SendEncoded, and Send is the envelope's way onto
+// the same wire.
 type Caller interface {
+	EncodedSender
 	// Call performs a request-response exchange.
 	Call(ctx context.Context, to string, env *Envelope) (*Envelope, error)
-	// Send performs a one-way exchange.
+	// Send performs a one-way exchange of an envelope already built.
 	Send(ctx context.Context, to string, env *Envelope) error
 }
 
@@ -203,10 +208,7 @@ type HTTPClient struct {
 	hc *http.Client
 }
 
-var (
-	_ Caller        = (*HTTPClient)(nil)
-	_ EncodedSender = (*HTTPClient)(nil)
-)
+var _ Caller = (*HTTPClient)(nil)
 
 // NewHTTPClient wraps hc (nil means http.DefaultClient).
 func NewHTTPClient(hc *http.Client) *HTTPClient {

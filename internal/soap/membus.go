@@ -34,10 +34,7 @@ type pendingSend struct {
 	data []byte
 }
 
-var (
-	_ Caller        = (*MemBus)(nil)
-	_ EncodedSender = (*MemBus)(nil)
-)
+var _ Caller = (*MemBus)(nil)
 
 // NewMemBus returns an empty bus.
 func NewMemBus() *MemBus {
@@ -56,17 +53,6 @@ func (b *MemBus) Unregister(addr string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	delete(b.endpoints, addr)
-}
-
-// Endpoints returns the registered addresses.
-func (b *MemBus) Endpoints() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]string, 0, len(b.endpoints))
-	for a := range b.endpoints {
-		out = append(out, a)
-	}
-	return out
 }
 
 func (b *MemBus) lookup(addr string) (Handler, error) {
@@ -125,10 +111,10 @@ func (b *MemBus) Send(ctx context.Context, to string, env *Envelope) error {
 
 // SendEncoded performs a one-way exchange with an already-serialized
 // envelope, skipping the redundant encode of the fan-out hot path. On
-// success the bus takes full ownership of data (see EncodedSender). The
-// delivery's request lives until its handler returns: then the request goes
-// back to its pool, zeroed, and data to the wire buffer pool, so a handler
-// that retains its request envelope must Clone it.
+// success the bus takes full ownership of data (see EncodedSender's
+// contract). The delivery's request lives until its handler returns: then
+// the request goes back to its pool, zeroed, and data to the wire buffer
+// pool, so a handler that retains its request envelope must Clone it.
 //
 // A handler that panics unwinds through the top-level SendEncoded that is
 // draining; its message's buffer and request are not recycled, and the

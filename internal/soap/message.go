@@ -19,9 +19,9 @@ import (
 // block and SetBodyBlock (or a Body.Blocks list for more than one child), and
 // then sent, or fanned out, like any other.
 //
-// A binding without SendEncoded, or a Header or Body block blockSplice
-// declines (one captured from a prefixed document, say), takes the slow path:
-// that envelope is built as just described and handed to Send or Fanout.
+// A Header or Body block blockSplice declines (one captured from a prefixed
+// document, say) takes the slow path: that envelope is built as just
+// described and handed to Send or Fanout.
 type Message struct {
 	// To is the wsa:To property, written first; empty writes none. A fan-out
 	// writes each target's To at the end of the header instead, and leaves
@@ -58,35 +58,31 @@ func (m *Message) draft() draft {
 	}
 }
 
-// Send writes m and sends it to to through caller: on an EncodedSender in
-// one pooled buffer, handed over with SendEncoded (the binding owns it once
-// the send succeeds), otherwise as the envelope m describes, through Send.
+// Send writes m into one pooled buffer and hands it to caller with
+// SendEncoded (the binding owns it once the send succeeds); a declined block
+// sends the envelope m describes through Send.
 func (m *Message) Send(ctx context.Context, caller Caller, to string) error {
-	if es, ok := caller.(EncodedSender); ok {
-		d := m.draft()
-		if out, _, ok := d.encode(true); ok {
-			countBytesOut(len(out))
-			return es.SendEncoded(ctx, to, out)
-		}
+	d := m.draft()
+	if out, _, ok := d.encode(true); ok {
+		countBytesOut(len(out))
+		return caller.SendEncoded(ctx, to, out)
 	}
 	return caller.Send(ctx, to, m.envelope())
 }
 
 // Fanout writes m once and sends a copy to every target, each with its own
-// wsa:To, as soap.Fanout does an envelope: on an EncodedSender the pooled
-// template is rendered per target, and goes back to the pool after the last
-// copy; otherwise soap.Fanout takes the envelope m describes. m.To must be
-// empty. It returns what soap.Fanout returns.
+// wsa:To, as soap.Fanout does an envelope: the pooled template is rendered
+// per target, and goes back to the pool after the last copy; a declined
+// block hands soap.Fanout the envelope m describes. m.To must be empty. It
+// returns what soap.Fanout returns.
 func (m *Message) Fanout(ctx context.Context, caller Caller, targets []string) (sent int, failed []string) {
-	if es, ok := caller.(EncodedSender); ok {
-		// Each copy's To goes in the header, and replaces any To block
-		// m.Header holds, as Fanout's template does.
-		d := m.draft()
-		d.header, d.drop = true, xml.Name{Space: wsa.Namespace, Local: "To"}
-		if tmpl, ok := d.template(true); ok {
-			defer putBytes(tmpl.pre)
-			return tmpl.sendAll(ctx, es, targets)
-		}
+	// Each copy's To goes in the header, and replaces any To block m.Header
+	// holds, as Fanout's template does.
+	d := m.draft()
+	d.header, d.drop = true, xml.Name{Space: wsa.Namespace, Local: "To"}
+	if tmpl, ok := d.template(true); ok {
+		defer putBytes(tmpl.pre)
+		return tmpl.sendAll(ctx, caller, targets)
 	}
 	return Fanout(ctx, caller, m.envelope(), targets)
 }

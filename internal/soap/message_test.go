@@ -14,10 +14,9 @@ import (
 // sender put there when it built the message as an Envelope: NewEnvelope,
 // SetAddressing with To, Action and MessageID, AddHeaderBlock for each header
 // block, SetBodyBlock (or a Body.Blocks list for more than one child), then
-// Send, or Fanout, which renders each copy from its template. Both through a
-// binding that takes bytes, where the writer writes them, and through one
-// that takes envelopes, where it builds that envelope itself; blocks the
-// splice serializer declines send both onto the slow path.
+// Send, or Fanout, which renders each copy from its template. The writer
+// writes the bytes itself; blocks the splice serializer declines send it onto
+// the slow path, where it builds that envelope.
 
 // byteRecorder takes messages as bytes; its Send encodes the envelope.
 type byteRecorder struct{ msgs [][]byte }
@@ -38,17 +37,6 @@ func (r *byteRecorder) Send(_ context.Context, _ string, env *Envelope) error {
 
 func (r *byteRecorder) Call(ctx context.Context, to string, env *Envelope) (*Envelope, error) {
 	return nil, r.Send(ctx, to, env)
-}
-
-// envRecorder takes messages as envelopes only, and keeps their encoding.
-type envRecorder struct{ rec byteRecorder }
-
-func (r *envRecorder) Send(ctx context.Context, to string, env *Envelope) error {
-	return r.rec.Send(ctx, to, env)
-}
-
-func (r *envRecorder) Call(ctx context.Context, to string, env *Envelope) (*Envelope, error) {
-	return r.rec.Call(ctx, to, env)
 }
 
 // fuzzBlock is one of the block shapes the stack sends, picked by kind: a
@@ -141,38 +129,27 @@ func FuzzMessageWriter(f *testing.F) {
 		ctx := context.Background()
 		targets := []string{target, target + "/2"}
 
-		for _, encoded := range []bool{true, false} {
-			var got, want *byteRecorder
-			var gotCaller, wantCaller Caller
-			if encoded {
-				got, want = &byteRecorder{}, &byteRecorder{}
-				gotCaller, wantCaller = got, want
-			} else {
-				g, w := &envRecorder{}, &envRecorder{}
-				got, want = &g.rec, &w.rec
-				gotCaller, wantCaller = g, w
-			}
-			if err := m.Send(ctx, gotCaller, target); err != nil {
-				t.Fatal(err)
-			}
-			if err := wantCaller.Send(ctx, target, builtEnvelope(m)); err != nil {
-				t.Fatal(err)
-			}
-			// A fan-out renders each target's To, so the message has none.
-			fan := *m
-			fan.To = ""
-			sent, failed := fan.Fanout(ctx, gotCaller, targets)
-			wantSent, wantFailed := Fanout(ctx, wantCaller, builtEnvelope(&fan), targets)
-			if sent != wantSent || len(failed) != len(wantFailed) {
-				t.Fatalf("encoded %v: fan-out sent %d, failed %v; want %d, %v", encoded, sent, failed, wantSent, wantFailed)
-			}
-			if len(got.msgs) != len(want.msgs) {
-				t.Fatalf("encoded %v: %d messages, want %d", encoded, len(got.msgs), len(want.msgs))
-			}
-			for i := range want.msgs {
-				if !bytes.Equal(got.msgs[i], want.msgs[i]) {
-					t.Fatalf("encoded %v, message %d:\n got %q\nwant %q", encoded, i, got.msgs[i], want.msgs[i])
-				}
+		got, want := &byteRecorder{}, &byteRecorder{}
+		if err := m.Send(ctx, got, target); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Send(ctx, target, builtEnvelope(m)); err != nil {
+			t.Fatal(err)
+		}
+		// A fan-out renders each target's To, so the message has none.
+		fan := *m
+		fan.To = ""
+		sent, failed := fan.Fanout(ctx, got, targets)
+		wantSent, wantFailed := Fanout(ctx, want, builtEnvelope(&fan), targets)
+		if sent != wantSent || len(failed) != len(wantFailed) {
+			t.Fatalf("fan-out sent %d, failed %v; want %d, %v", sent, failed, wantSent, wantFailed)
+		}
+		if len(got.msgs) != len(want.msgs) {
+			t.Fatalf("%d messages, want %d", len(got.msgs), len(want.msgs))
+		}
+		for i := range want.msgs {
+			if !bytes.Equal(got.msgs[i], want.msgs[i]) {
+				t.Fatalf("message %d:\n got %q\nwant %q", i, got.msgs[i], want.msgs[i])
 			}
 		}
 	})

@@ -442,15 +442,15 @@ func (t *WireTemplate) RenderTo(addr string) []byte {
 // excluding the per-target To block.
 func (t *WireTemplate) Size() int { return len(t.pre) + len(t.post) }
 
-// sendAll renders t once per target and hands each copy to es, with
-// Fanout's accounting: a ctx cancelled mid-way stops issuing sends, and the
-// targets not yet attempted are reported as failed.
-func (t *WireTemplate) sendAll(ctx context.Context, es EncodedSender, targets []string) (sent int, failed []string) {
+// sendAll renders t once per target and hands each copy to caller's
+// SendEncoded, with Fanout's accounting: a ctx cancelled mid-way stops
+// issuing sends, and the targets not yet attempted are reported as failed.
+func (t *WireTemplate) sendAll(ctx context.Context, caller Caller, targets []string) (sent int, failed []string) {
 	for i, target := range targets {
 		if ctx.Err() != nil {
 			return sent, append(failed, targets[i:]...)
 		}
-		if err := es.SendEncoded(ctx, target, t.RenderTo(target)); err != nil {
+		if err := caller.SendEncoded(ctx, target, t.RenderTo(target)); err != nil {
 			failed = append(failed, target)
 			continue
 		}
@@ -462,43 +462,28 @@ func (t *WireTemplate) sendAll(ctx context.Context, es EncodedSender, targets []
 // ---------------------------------------------------------------------------
 // Encoded send path
 
-// EncodedSender is implemented by bindings that accept a pre-serialized
-// envelope, skipping the redundant Encode inside Send. A successful
-// SendEncoded takes full ownership of data: the binding may retain it or
-// recycle it into the wire buffer pool after delivery, so the caller must
-// not read or modify it afterwards, and must not pass the same buffer to
-// two sends. On error the buffer stays with the caller. A binding that
-// delivers in process (MemBus) also recycles the request it decodes from
-// data once the handler has returned. Fanout, Forward and every Message the
-// stack originates write through SendEncoded whenever the binding offers it,
-// each into a buffer drawn from the wire buffer pool.
+// EncodedSender is the half of Caller that takes a pre-serialized envelope,
+// skipping the redundant Encode inside Send; every binding implements it. A
+// successful SendEncoded takes full ownership of data: the binding may
+// retain it or recycle it into the wire buffer pool after delivery, so the
+// caller must not read or modify it afterwards, and must not pass the same
+// buffer to two sends. On error the buffer stays with the caller. A binding
+// that delivers in process (MemBus) also recycles the request it decodes
+// from data once the handler has returned. Fanout, Forward and every Message
+// the stack originates write through SendEncoded, each into a buffer drawn
+// from the wire buffer pool.
 type EncodedSender interface {
 	SendEncoded(ctx context.Context, to string, data []byte) error
 }
 
-// SendBytes sends a pre-serialized envelope through caller: directly when
-// the binding implements EncodedSender, otherwise by decoding once and
-// using the plain Send path.
-func SendBytes(ctx context.Context, caller Caller, to string, data []byte) error {
-	if es, ok := caller.(EncodedSender); ok {
-		return es.SendEncoded(ctx, to, data)
-	}
-	env, err := Decode(data)
-	if err != nil {
-		return err
-	}
-	return caller.Send(ctx, to, env)
-}
-
 // Fanout sends one logical envelope (addressing must omit To) to every
-// target. On an EncodedSender binding the message is serialized exactly
-// once (EncodeTemplate) and a per-target copy rendered at the wsa:To
-// insertion point; plain Callers, and splice-resistant envelopes — e.g.
-// blocks captured from documents with prefixed namespace declarations —
-// take the per-target encode the fan-out paths ran before the encode-once
-// wire path. Returns the successful send count and the targets that failed
-// (nil when none did). A ctx cancelled mid-fanout stops issuing new sends;
-// the not-yet-attempted targets are reported as failed so the caller's
+// target. The message is serialized exactly once (EncodeTemplate) and a
+// per-target copy rendered at the wsa:To insertion point; a splice-resistant
+// envelope — e.g. blocks captured from documents with prefixed namespace
+// declarations — takes a per-target Snapshot through Send instead. Returns
+// the successful send count and the targets that failed (nil when none
+// did). A ctx cancelled mid-fanout stops issuing new sends; the
+// not-yet-attempted targets are reported as failed so the caller's
 // accounting stays exact. The multi-target sends the stack originates go
 // through Message.Fanout, and forwards through Forward, which render the same
 // way; this is the path for an envelope already built, such as the
@@ -506,11 +491,9 @@ func SendBytes(ctx context.Context, caller Caller, to string, data []byte) error
 // pool and go back to it when the last copy is rendered: RenderTo copies
 // them, so nothing refers to them afterwards.
 func Fanout(ctx context.Context, caller Caller, env *Envelope, targets []string) (sent int, failed []string) {
-	if es, ok := caller.(EncodedSender); ok {
-		if tmpl, ok := env.template(true); ok {
-			defer putBytes(tmpl.pre)
-			return tmpl.sendAll(ctx, es, targets)
-		}
+	if tmpl, ok := env.template(true); ok {
+		defer putBytes(tmpl.pre)
+		return tmpl.sendAll(ctx, caller, targets)
 	}
 	a := env.Addressing()
 	for i, target := range targets {

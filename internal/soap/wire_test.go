@@ -2,7 +2,6 @@ package soap
 
 import (
 	"bytes"
-	"context"
 	"encoding/xml"
 	"fmt"
 	"reflect"
@@ -444,66 +443,6 @@ func validXMLString(s string) bool {
 		}
 	}
 	return true
-}
-
-// plainCaller hides MemBus's EncodedSender so SendBytes exercises its
-// decode-and-Send fallback.
-type plainCaller struct{ bus *MemBus }
-
-func (c plainCaller) Call(ctx context.Context, to string, env *Envelope) (*Envelope, error) {
-	return c.bus.Call(ctx, to, env)
-}
-func (c plainCaller) Send(ctx context.Context, to string, env *Envelope) error {
-	return c.bus.Send(ctx, to, env)
-}
-
-// TestSendBytes: pre-serialized sends arrive identically through an
-// EncodedSender binding and through the decode-and-Send fallback. The
-// handler decodes inside the delivery (SendEncoded hands buffer ownership
-// to the bus, which recycles it after the wave — retaining the request
-// envelope would need Clone), and each send encodes afresh for the same
-// reason.
-func TestSendBytes(t *testing.T) {
-	env := buildWireEnvelope(t, "bytes")
-	for _, tc := range []struct {
-		name string
-		wrap func(*MemBus) Caller
-	}{
-		{"encoded-sender", func(b *MemBus) Caller { return b }},
-		{"fallback", func(b *MemBus) Caller { return plainCaller{bus: b} }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			bus := NewMemBus()
-			var got *wireBody
-			bus.Register("mem://peer", HandlerFunc(func(_ context.Context, req *Request) (*Envelope, error) {
-				var out wireBody
-				if err := req.Envelope.DecodeBody(&out); err != nil {
-					return nil, err
-				}
-				got = &out
-				return nil, nil
-			}))
-			data, err := env.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := SendBytes(context.Background(), tc.wrap(bus), "mem://peer", data); err != nil {
-				t.Fatal(err)
-			}
-			if got == nil {
-				t.Fatal("message not delivered")
-			}
-			if got.Value != "bytes" {
-				t.Fatalf("delivered body = %+v", got)
-			}
-			if data, err = env.Encode(); err != nil {
-				t.Fatal(err)
-			}
-			if SendBytes(context.Background(), tc.wrap(bus), "mem://missing", data) == nil {
-				t.Fatal("send to unknown endpoint succeeded")
-			}
-		})
-	}
 }
 
 // FuzzDecodeEquivalence feeds arbitrary documents to both of Decode's parse

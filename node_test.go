@@ -88,6 +88,17 @@ func (l link) Send(ctx context.Context, to string, env *soap.Envelope) error {
 	return l.w.bus.Send(ctx, to, env)
 }
 
+func (l link) SendEncoded(ctx context.Context, to string, data []byte) error {
+	env, err := soap.Decode(data)
+	if err != nil {
+		return err
+	}
+	if l.note(to, env) {
+		return fmt.Errorf("wire: connection refused: %s -> %s", l.from, to)
+	}
+	return l.w.bus.SendEncoded(ctx, to, data)
+}
+
 func isMembership(a string) bool { return strings.HasPrefix(a, "urn:wsgossip:membership:") }
 func isProbe(a string) bool      { return strings.HasPrefix(a, "urn:wsgossip:probe:") }
 func isSubscribe(a string) bool  { return strings.HasSuffix(a, ":subscribe") }
@@ -687,6 +698,10 @@ type blackhole struct{ entered chan struct{} }
 
 func (b blackhole) Call(ctx context.Context, _ string, _ *soap.Envelope) (*soap.Envelope, error) {
 	return nil, b.Send(ctx, "", nil)
+}
+
+func (b blackhole) SendEncoded(ctx context.Context, _ string, _ []byte) error {
+	return b.Send(ctx, "", nil)
 }
 
 func (b blackhole) Send(ctx context.Context, _ string, _ *soap.Envelope) error {
