@@ -180,9 +180,10 @@ func BenchmarkDuplicateDelivery(b *testing.B) {
 	}
 }
 
-// forwardHeaders is the header rewrite of a forward's slow path, which a
-// block the splice serializer declines takes: snapshot the received envelope,
-// decrement the hop budget, re-address without To.
+// forwardHeaders re-heads a received envelope in memory: snapshot it,
+// decrement the hop budget, re-address without To. No forward runs it —
+// soap.Forward writes the re-headed copy straight into its template — and
+// its budget row keeps what an in-memory re-head costs.
 func forwardHeaders(env *soap.Envelope, gh GossipHeader) (*soap.Envelope, error) {
 	out := env.Snapshot()
 	gh.Hops--

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -124,9 +126,6 @@ type CoordinatorConfig struct {
 	// configured with (default push; lazy push trades payload traffic for
 	// an extra announce/fetch round-trip).
 	Style gossip.Style
-	// Registry is the protocol registry registrations are validated
-	// against; nil installs the built-in family (push, pull, aggregate).
-	Registry *ProtocolRegistry
 	// Caller and Replicas configure a distributed coordinator: every
 	// accepted subscription is replicated one-way to each replica address.
 	Caller   soap.Caller
@@ -170,9 +169,8 @@ type assignState struct {
 // Coordinator is the WS-Gossip Coordinator role: WS-Coordination Activation
 // and Registration services plus the subscription list.
 type Coordinator struct {
-	cfg      CoordinatorConfig
-	wc       *wscoord.Coordinator
-	registry *ProtocolRegistry
+	cfg CoordinatorConfig
+	wc  *wscoord.Coordinator
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -191,21 +189,16 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	registry := cfg.Registry
-	if registry == nil {
-		registry = defaultRegistry()
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	c := &Coordinator{
-		cfg:      cfg,
-		registry: registry,
-		rng:      rng,
-		index:    make(map[string]int),
-		assign:   make(map[string]*assignState),
-		stats:    newCoordCounters(reg),
+		cfg:    cfg,
+		rng:    rng,
+		index:  make(map[string]int),
+		assign: make(map[string]*assignState),
+		stats:  newCoordCounters(reg),
 	}
 	c.wc = wscoord.NewCoordinator(wscoord.Config{
 		Address:              cfg.Address,
@@ -318,7 +311,9 @@ func (c *Coordinator) Subscribers() []Subscription {
 
 // SupportedProtocols returns the protocol URIs registrations are accepted
 // for, sorted.
-func (c *Coordinator) SupportedProtocols() []string { return c.registry.URIs() }
+func (c *Coordinator) SupportedProtocols() []string {
+	return slices.Sorted(maps.Keys(protocolExtensions))
+}
 
 // SubscribeLocal records a subscription without a SOAP round-trip (used by
 // colocated deployments and tests; the SOAP path ends up here too).
@@ -340,7 +335,7 @@ func (c *Coordinator) addSubscription(endpoint, role string, protocols []string,
 		return fmt.Errorf("core: subscribe with unknown role %q", role)
 	}
 	for _, p := range protocols {
-		if _, ok := c.registry.Lookup(p); !ok {
+		if _, ok := protocolExtensions[p]; !ok {
 			return fmt.Errorf("core: subscribe advertising unsupported protocol %q", p)
 		}
 	}
@@ -461,11 +456,11 @@ func (c *Coordinator) CreateActivity() (wscoord.CoordinationContext, error) {
 }
 
 // registrationExtension validates the registration against the protocol
-// registry and delegates to the matching protocol's extension. Unknown
-// protocol URIs are answered with a Sender fault — the registry's negative
-// path.
+// table (protocolExtensions) and delegates to the matching protocol's
+// extension. Unknown protocol URIs are answered with a Sender fault — the
+// table's negative path.
 func (c *Coordinator) registrationExtension(_ *wscoord.Activity, reg wscoord.Registrant) ([]any, error) {
-	ext, ok := c.registry.Lookup(reg.Protocol)
+	ext, ok := protocolExtensions[reg.Protocol]
 	if !ok {
 		return nil, unsupportedProtocolFault(reg.Protocol)
 	}

@@ -13,7 +13,7 @@ const Namespace = "urn:wsgossip:2008"
 
 // Coordination protocol identifiers. The paper frames WS-Gossip as a family
 // of gossip-structured protocols; the Coordinator validates registrations
-// against a registry of these URIs (see ProtocolRegistry).
+// against a fixed table of these URIs (SupportedProtocols lists them).
 const (
 	// CoordinationTypeGossip is the WS-Gossip coordination type URI used
 	// with WS-Coordination Activation.

@@ -16,7 +16,7 @@
 //   - A Consumer is completely unchanged: the gossip header passes through
 //     its stack unexamined.
 //   - The Coordinator hosts Activation/Registration plus the subscription
-//     list, validating registrations against a ProtocolRegistry of the
+//     list, validating registrations against a fixed table of the
 //     coordination protocol URIs (WS-PushGossip, WS-PullGossip, and the
 //     aggregation protocol; see ProtocolPushGossip and friends).
 //

@@ -185,10 +185,10 @@ func requestWithBody(t *testing.T, action string, body soap.Block) *soap.Request
 // TestForwardMatchesRenotify: a forward — a push to two peers, and a
 // retransmission to one — puts on the wire the bytes the re-head it replaced
 // put there: a Snapshot with the gossip header removed and written anew and
-// SetAddressingID under the notification's MessageID, then Fanout, or Send to
+// SetAddressing under the notification's MessageID, then Fanout, or Send to
 // the one peer. The notification is the one the initiator sends, as the
 // scanner decodes it, and the same notification spelled with namespace
-// prefixes, which the scanner declines and the forward's slow path takes.
+// prefixes, which the scanner declines and the fallback decoder captures.
 func TestForwardMatchesRenotify(t *testing.T) {
 	ctx := context.Background()
 	canonical, err := os.ReadFile(filepath.Join("testdata", "wire", "notify.xml"))
@@ -217,7 +217,7 @@ func TestForwardMatchesRenotify(t *testing.T) {
 			out := env.Snapshot()
 			out.RemoveHeader(Namespace, "Gossip")
 			out.AddHeaderBlock(gossipBlock(string(interaction), n.messageID, n.hops, n.protocol))
-			out.SetAddressingID(wsa.Headers{To: to, Action: ActionNotify}, n.messageID)
+			_ = out.SetAddressing(wsa.Headers{To: to, Action: ActionNotify, MessageID: wsa.MessageID(n.messageID)})
 			return out
 		}
 		for _, direct := range []bool{false, true} {

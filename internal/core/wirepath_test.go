@@ -1,20 +1,27 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/xml"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
 
 	"wsgossip/internal/gossip"
+	"wsgossip/internal/metrics"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/wsa"
 )
 
 // Tests of the encode-once wire path at the gossip layer: template fan-out,
-// the splice-resistant fallback, and the lock-free stats counters.
+// a forward of a notification the fallback decoder captured, and the
+// lock-free stats counters.
 
 // TestForwardEncodeOnce: a forwarded notification reaches every sampled
 // target with the right hop budget, per-target To, and an intact body.
@@ -92,58 +99,124 @@ func TestForwardEncodeOnce(t *testing.T) {
 	}
 }
 
-// TestForwardSpliceFallback: an envelope whose body carries prefixed
-// namespace declarations cannot go through the verbatim splice template;
-// the fan-out must fall back to per-target encoding and still deliver.
+// TestForwardSpliceFallback: a notification from another SOAP stack —
+// prefixed, so the scanner declines it and the fallback decoder captures it —
+// forwards through the same splice template as any other. Both peers deliver
+// it once, and the forwarded bytes pass a strict well-formedness check; the
+// document carrying no namespaced attributes, the peers decode them on the
+// scanner.
 func TestForwardSpliceFallback(t *testing.T) {
+	reg := metrics.NewRegistry()
+	soap.InstallWireMetrics(reg)
+	defer soap.InstallWireMetrics(nil)
+	legacy := reg.CounterVec("soap_decode_total", "rung").With("legacy")
 	bus := soap.NewMemBus()
 	var mu sync.Mutex
-	deliveries := 0
-	handler := soap.HandlerFunc(func(_ context.Context, req *soap.Request) (*soap.Envelope, error) {
-		var v struct {
-			XMLName xml.Name `xml:"urn:px Data"`
-			Value   string   `xml:",chardata"`
-		}
-		if err := req.Envelope.DecodeBody(&v); err != nil {
-			t.Errorf("fallback body: %v", err)
+	deliveries := map[string]int{}
+	for _, peer := range []string{"mem://peer0", "mem://peer1"} {
+		bus.Register(peer, soap.HandlerFunc(func(_ context.Context, req *soap.Request) (*soap.Envelope, error) {
+			var v struct {
+				XMLName xml.Name `xml:"urn:px Data"`
+				Value   string   `xml:",chardata"`
+			}
+			if err := req.Envelope.DecodeBody(&v); err != nil || v.Value != "pfx" {
+				t.Errorf("%s: body %+v, %v", peer, v, err)
+			}
+			mu.Lock()
+			deliveries[peer]++
+			mu.Unlock()
 			return nil, nil
-		}
-		if v.Value != "pfx" {
-			t.Errorf("fallback body value = %q", v.Value)
-		}
-		mu.Lock()
-		deliveries++
-		mu.Unlock()
-		return nil, nil
-	})
-	bus.Register("mem://peer0", handler)
-	bus.Register("mem://peer1", handler)
+		}))
+	}
+	wire := &wireTap{Caller: bus}
 	d, err := NewDisseminator(DisseminatorConfig{
-		Address: "mem://self", Caller: bus, RNG: rand.New(rand.NewSource(4)),
+		Address: "mem://self", Caller: wire, RNG: rand.New(rand.NewSource(4)),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gh := GossipHeader{InteractionID: "urn:i", MessageID: "urn:uuid:pfx", Hops: 2}
-	env := soap.NewEnvelope()
-	if err := SetGossipHeader(env, gh); err != nil {
+	env, err := soap.Decode([]byte(`<s:Envelope xmlns:s="http://www.w3.org/2003/05/soap-envelope" xmlns:a="` + wsa.Namespace + `" xmlns:g="` + Namespace + `"><s:Header>` +
+		`<a:Action>` + ActionNotify + `</a:Action><a:MessageID>urn:uuid:pfx</a:MessageID>` +
+		`<g:Gossip><g:InteractionID>urn:i</g:InteractionID><g:MessageID>urn:uuid:pfx</g:MessageID><g:Hops>2</g:Hops></g:Gossip>` +
+		`</s:Header><s:Body><p:Data xmlns:p="urn:px">pfx</p:Data></s:Body></s:Envelope>`))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Hand-built block with a prefixed declaration: splice-resistant.
-	env.Body.Blocks = []soap.Block{{
-		XMLName: xml.Name{Space: "urn:px", Local: "Data"},
-		Raw:     []byte(`<p:Data xmlns:p="urn:px">pfx</p:Data>`),
-	}}
-	if _, err := env.EncodeTemplate(); err == nil {
-		t.Fatal("prefixed block unexpectedly spliceable; fallback not exercised")
+	if legacy.Value() != 1 {
+		t.Fatal("the prefixed notification was not decoded by the fallback")
+	}
+	gh, err := GossipHeaderFrom(env)
+	if err != nil {
+		t.Fatal(err)
 	}
 	state := newInteractionState(gh.InteractionID, ProtocolPushGossip, GossipParameters{Fanout: 2, Hops: 2, Targets: []string{"mem://peer0", "mem://peer1"}})
 	d.transfer(context.Background(), env, noticeOf(gh), state, pushTransfer)
-	if deliveries != 2 {
-		t.Fatalf("fallback deliveries = %d, want 2", deliveries)
+	if deliveries["mem://peer0"] != 1 || deliveries["mem://peer1"] != 1 {
+		t.Fatalf("deliveries = %v, want one at each peer", deliveries)
 	}
 	if s := d.Stats(); s.Forwarded != 2 || s.SendErrors != 0 {
 		t.Fatalf("stats = %+v", s)
+	}
+	if n := legacy.Value(); n != 1 {
+		t.Fatalf("the peers decoded %d forwards on the fallback, want none", n-1)
+	}
+	if len(wire.msgs) != 2 {
+		t.Fatalf("%d messages on the wire, want 2", len(wire.msgs))
+	}
+	for _, msg := range wire.msgs {
+		if err := strictWellFormed(msg); err != nil {
+			t.Fatalf("forwarded bytes: %v\n%s", err, msg)
+		}
+	}
+}
+
+// wireTap is a Caller that keeps a copy of every message it passes on.
+type wireTap struct {
+	soap.Caller
+	msgs [][]byte
+}
+
+func (w *wireTap) SendEncoded(ctx context.Context, to string, data []byte) error {
+	w.msgs = append(w.msgs, bytes.Clone(data))
+	return w.Caller.SendEncoded(ctx, to, data)
+}
+
+// strictWellFormed is the soap package's strict oracle (wellFormed in its
+// tests), for bytes core sends: Go's decoder takes a start tag that repeats
+// an attribute, and a prefix nobody declared, and other XML stacks do not.
+func strictWellFormed(data []byte) error {
+	d := xml.NewDecoder(bytes.NewReader(data))
+	var scopes [][]string // the prefixes each open element declares
+	for {
+		tok, err := d.RawToken()
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			var declared []string
+			for i, a := range t.Attr {
+				if slices.ContainsFunc(t.Attr[:i], func(b xml.Attr) bool { return b.Name == a.Name }) {
+					return fmt.Errorf("<%s> repeats attribute %s:%s", t.Name.Local, a.Name.Space, a.Name.Local)
+				}
+				if a.Name.Space == "xmlns" {
+					declared = append(declared, a.Name.Local)
+				}
+			}
+			scopes = append(scopes, declared)
+			inScope := func(prefix string) bool {
+				return prefix == "" || prefix == "xml" || prefix == "xmlns" ||
+					slices.ContainsFunc(scopes, func(s []string) bool { return slices.Contains(s, prefix) })
+			}
+			if !inScope(t.Name.Space) || slices.ContainsFunc(t.Attr, func(a xml.Attr) bool { return !inScope(a.Name.Space) }) {
+				return fmt.Errorf("<%s> uses an undeclared prefix", t.Name.Local)
+			}
+		case xml.EndElement:
+			scopes = scopes[:len(scopes)-1]
+		}
 	}
 }
 

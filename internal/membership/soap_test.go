@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,10 +95,11 @@ func TestSOAPEndpointUnknownPeer(t *testing.T) {
 	bus := soap.NewMemBus()
 	ep := NewSOAPEndpoint("mem://only", bus)
 	err := ep.Send(context.Background(), transport.Message{
-		To: "mem://nowhere", Action: ActionExchange, Body: []byte("{}"),
+		To: "mem://nowhere", Action: ActionExchange, Body: writeBody(envelopeBody{From: "mem://only"}),
 	})
-	if err == nil {
-		t.Fatal("send to unregistered endpoint must error")
+	// MemBus answers the unknown endpoint with a Receiver fault naming it.
+	if err == nil || !strings.Contains(err.Error(), soap.ErrUnknownEndpoint.Error()) {
+		t.Fatalf("send to unregistered endpoint = %v, want %v", err, soap.ErrUnknownEndpoint)
 	}
 }
 

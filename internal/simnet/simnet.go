@@ -22,9 +22,6 @@ type Config struct {
 	MaxLatency time.Duration
 	// LossRate is the probability in [0,1] that any message is dropped.
 	LossRate float64
-	// ProcDelay is added to delivery time per message at the receiver,
-	// modeling service processing cost.
-	ProcDelay time.Duration
 }
 
 // DefaultConfig returns a LAN-like configuration: 1-5 ms links, no loss.
@@ -326,7 +323,7 @@ func (n *Network) send(from string, msg transport.Message) error {
 		n.stats.Dropped++
 		return nil
 	}
-	latency += n.cfg.ProcDelay + n.slowdown[msg.To]
+	latency += n.slowdown[msg.To]
 	if n.faults != nil {
 		latency += n.faults.ExtraDelay(from, msg.To)
 	}

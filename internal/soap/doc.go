@@ -16,24 +16,24 @@
 //     written into a pooled buffer and handed to SendEncoded.
 //   - Fault — SOAP 1.2 faults, with NewFault/AsFault/FaultFrom helpers.
 //
-// The codec is the gossip hot path and has two rungs in each direction,
-// picked by the bytes, not by an option. On the canonical format — no
-// namespace prefixes, every block declaring its own default namespace,
-// which is all this stack ever writes — a hand-rolled scanner slices blocks
-// zero-copy out of the input buffer, Encode splices them into one
-// exactly-sized allocation, and EncodeTemplate/RenderTo serialize a fan-out
-// message once, patching only the wsa:To header per target (soap.Fanout is
-// the shared fan-out path, and Forward the re-headed one). One writer does
-// all of that: Encode, a fan-out template, Forward's re-head and a Message —
-// a one-way message the stack originates, described by its action, ID, To,
-// header blocks and body — go through the same scaffold. A Message is
-// written from its fields straight into a pooled wire buffer and handed to
-// SendEncoded, with no Envelope built on the way; a block the splice
-// declines sends the Envelope it describes through Send instead, which puts
-// the same bytes on the wire. Everything else well-formed — prefixed
-// documents from other SOAP stacks, blocks inheriting an outer namespace,
-// hand-built blocks — takes the one encoding/xml fallback, which accepts
-// whatever encoding/xml accepts and re-encodes each block as it goes. The
+// The codec is the gossip hot path. It has one writer out, and one scanner
+// plus one fallback capture in, picked by the bytes, not by an option. On
+// the canonical format — every block declaring its own default namespace and
+// any prefix it uses, which is all this stack ever writes — a hand-rolled
+// scanner slices blocks zero-copy out of the input buffer. Every other
+// well-formed document — prefixed documents from other SOAP stacks, blocks
+// inheriting an outer namespace — takes the one encoding/xml fallback, which
+// accepts whatever encoding/xml accepts and captures each block anew as one
+// self-contained element in that same canonical form (Block.UnmarshalXML).
+// The one writer splices blocks, whichever way they came in, into the
+// canonical scaffold: Encode in one exactly-sized allocation,
+// EncodeTemplate/RenderTo a fan-out message once, patching only the wsa:To
+// header per target (soap.Fanout is the shared fan-out path, and Forward the
+// re-headed one), and a Message — a one-way message the stack originates,
+// described by its action, ID, To, header blocks and body — from its fields
+// straight into a pooled wire buffer handed to SendEncoded, with no Envelope
+// built on the way. A block the splice declines, which only a hand can
+// build, is ErrNotSpliceable: nothing is re-encoded another way. The
 // flat-element codec (AppendFlat*, FlatReader) writes and reads the simple
 // blocks a message carries at every hop — addressing properties, the gossip
 // header, the protocol bodies down to the membership view's nested entries —

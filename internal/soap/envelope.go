@@ -5,7 +5,9 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
-	"io"
+	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"unicode/utf8"
 
@@ -55,65 +57,142 @@ type Body struct {
 	Blocks  []Block  `xml:",any"`
 }
 
-// Block is one XML element captured verbatim, preserving attributes and
-// children, so that header blocks a node does not understand pass through
-// untouched (the paper's Consumer role depends on this).
+// Block is one XML element, preserving attributes and children, so that
+// header blocks a node does not understand pass through untouched (the
+// paper's Consumer role depends on this): sliced verbatim out of the input
+// by the scanner, or written anew by the fallback decoder, self-contained
+// and with every name in the namespace it had.
 type Block struct {
 	XMLName xml.Name
 	Raw     []byte
 }
 
-var (
-	_ xml.Unmarshaler = (*Block)(nil)
-	_ xml.Marshaler   = Block{}
-)
+var _ xml.Unmarshaler = (*Block)(nil)
 
-// UnmarshalXML captures the complete element, including its start tag.
+// UnmarshalXML captures the element whole, as the fallback decoder's block,
+// in the form the splice writer takes: one well-formed element that needs
+// nothing from outside its own bytes. The root declares its default
+// namespace, and an element below it declares one wherever its namespace
+// differs from its parent's (xmlns="" included); the input's own namespace
+// declarations are not echoed. A namespaced attribute is written under a
+// prefix declared on its own element (xml:lang stays xml:lang), and an
+// attribute repeated under one expanded name keeps its first value. Text is
+// escaped so that it reads back the same, and comments and processing
+// instructions are kept; a directive or an xml declaration inside the element
+// is refused.
 func (b *Block) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
 	b.XMLName = start.Name
-	var buf bytes.Buffer
-	enc := xml.NewEncoder(&buf)
-	if err := enc.EncodeToken(start); err != nil {
-		return fmt.Errorf("soap: capture block start: %w", err)
-	}
-	depth := 1
-	for depth > 0 {
+	raw, ok := appendCaptureStart(nil, start, "", true)
+	spaces := []string{start.Name.Space} // the namespace of each open element
+	for ok && len(spaces) > 0 {
 		tok, err := d.Token()
 		if err != nil {
 			return fmt.Errorf("soap: capture block token: %w", err)
 		}
-		switch tok.(type) {
+		switch t := tok.(type) {
 		case xml.StartElement:
-			depth++
+			raw, ok = appendCaptureStart(raw, t, spaces[len(spaces)-1], false)
+			spaces = append(spaces, t.Name.Space)
 		case xml.EndElement:
-			depth--
-		}
-		if err := enc.EncodeToken(tok); err != nil {
-			return fmt.Errorf("soap: re-encode block token: %w", err)
+			raw = AppendFlatClose(raw, t.Name.Local)
+			spaces = spaces[:len(spaces)-1]
+		case xml.CharData:
+			raw = appendCharData(raw, t)
+		case xml.Comment:
+			raw = append(append(append(raw, "<!--"...), t...), "-->"...)
+		case xml.ProcInst:
+			if strings.EqualFold(t.Target, "xml") {
+				return fmt.Errorf("soap: capture block %s: xml declaration inside the element", start.Name.Local)
+			}
+			raw = append(append(raw, "<?"...), t.Target...)
+			if len(t.Inst) > 0 {
+				raw = append(append(raw, ' '), t.Inst...)
+			}
+			raw = append(raw, "?>"...)
+		case xml.Directive:
+			return fmt.Errorf("soap: capture block %s: directive inside the element", start.Name.Local)
 		}
 	}
-	if err := enc.Flush(); err != nil {
-		return fmt.Errorf("soap: flush block: %w", err)
+	if !ok {
+		return fmt.Errorf("soap: capture block %s: a colon in a name outside a namespace prefix", start.Name.Local)
 	}
-	b.Raw = buf.Bytes()
+	b.Raw = raw
 	return nil
 }
 
-// MarshalXML replays the captured element verbatim.
-func (b Block) MarshalXML(e *xml.Encoder, _ xml.StartElement) error {
-	d := xml.NewDecoder(bytes.NewReader(b.Raw))
-	for {
-		tok, err := d.Token()
-		if errors.Is(err, io.EOF) {
-			return nil
+// xmlSpace is the namespace the reserved xml prefix is bound to.
+const xmlSpace = "http://www.w3.org/XML/1998/namespace"
+
+// appendCaptureStart appends t's start tag as UnmarshalXML captures it: its
+// default namespace declared at the root or where it differs from parent's,
+// then its attributes without namespace declarations, the first of each
+// expanded name only, the namespaced ones under prefixes p0, p1, … declared
+// on the tag in order of first use. ok is false for a local name with a
+// colon in it, which encoding/xml leaves where a prefix is empty or doubled:
+// no namespace-well-formed tag can carry it.
+func appendCaptureStart(dst []byte, t xml.StartElement, parent string, root bool) (_ []byte, ok bool) {
+	if strings.Contains(t.Name.Local, ":") || slices.ContainsFunc(t.Attr, func(a xml.Attr) bool { return strings.Contains(a.Name.Local, ":") }) {
+		return dst, false
+	}
+	dst = append(dst, '<')
+	dst = append(dst, t.Name.Local...)
+	if root || t.Name.Space != parent {
+		dst = appendAttr(dst, "", "xmlns", t.Name.Space)
+	}
+	var prefixed []string // the attribute namespaces declared so far
+	for i, a := range t.Attr {
+		if a.Name.Space == "xmlns" || a.Name.Space == "" && a.Name.Local == "xmlns" ||
+			slices.ContainsFunc(t.Attr[:i], func(o xml.Attr) bool { return o.Name == a.Name }) {
+			continue
 		}
-		if err != nil {
-			return fmt.Errorf("soap: replay block: %w", err)
-		}
-		if err := e.EncodeToken(tok); err != nil {
-			return fmt.Errorf("soap: emit block token: %w", err)
+		switch a.Name.Space {
+		case "":
+			dst = appendAttr(dst, "", a.Name.Local, a.Value)
+		case xmlSpace:
+			dst = appendAttr(dst, "xml", a.Name.Local, a.Value)
+		default:
+			n := slices.Index(prefixed, a.Name.Space)
+			if n < 0 {
+				n = len(prefixed)
+				prefixed = append(prefixed, a.Name.Space)
+				dst = appendAttr(dst, "xmlns", "p"+strconv.Itoa(n), a.Name.Space)
+			}
+			dst = appendAttr(dst, "p"+strconv.Itoa(n), a.Name.Local, a.Value)
 		}
 	}
+	return append(dst, '>'), true
+}
+
+// appendAttr appends ` prefix:local="value"` (` local="value"` without a
+// prefix), the value escaped.
+func appendAttr(dst []byte, prefix, local, value string) []byte {
+	dst = append(dst, ' ')
+	if prefix != "" {
+		dst = append(append(dst, prefix...), ':')
+	}
+	dst = append(append(dst, local...), `="`...)
+	return append(AppendEscaped(dst, value), '"')
+}
+
+// appendCharData appends text escaped as character data that reads back the
+// same: markup characters and carriage returns escaped, newlines and tabs
+// kept as they are.
+func appendCharData(dst, text []byte) []byte {
+	for _, c := range text {
+		switch c {
+		case '&':
+			dst = append(dst, "&amp;"...)
+		case '<':
+			dst = append(dst, "&lt;"...)
+		case '>':
+			dst = append(dst, "&gt;"...)
+		case '\r':
+			dst = append(dst, "&#xD;"...)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
 // Decode decodes v from the captured element.
@@ -321,20 +400,18 @@ func (e *Envelope) DecodeBody(v any) error {
 	return e.Body.Blocks[0].Decode(v)
 }
 
-// Encode serializes the envelope with an XML declaration. The fast path
-// splices every captured Block.Raw verbatim into the canonical scaffold in
-// one exactly-sized allocation (see wire.go); envelopes that resist
-// splicing run through the original encoding/xml serializer.
+// Encode serializes the envelope with an XML declaration: the canonical
+// scaffold with every block spliced verbatim into it (see wire.go), in one
+// exactly sized allocation. A block the splice writer declines — only a
+// hand-built one can be — makes it ErrNotSpliceable.
 func (e *Envelope) Encode() ([]byte, error) {
-	if out, ok := encodeSplice(e); ok {
-		countBytesOut(len(out))
-		return out, nil
+	d := draft{lead: e.headerBlocks(), body: e.Body.Blocks, header: e.Header != nil}
+	out, _, ok := d.encode(false)
+	if !ok {
+		return nil, ErrNotSpliceable
 	}
-	out, err := e.encodeLegacy()
-	if err == nil {
-		countBytesOut(len(out))
-	}
-	return out, err
+	countBytesOut(len(out))
+	return out, nil
 }
 
 // Decode parses a serialized envelope. The hand-rolled scanner (scan.go)
@@ -344,7 +421,8 @@ func (e *Envelope) Encode() ([]byte, error) {
 // be modified afterwards. Every document the scanner declines (namespace
 // prefixes, blocks inheriting an outer default namespace, a DOCTYPE, nesting
 // beyond its name stack, malformed bytes) is judged by encoding/xml
-// (decodeLegacy), which copies each block as it re-encodes it. A scanned
+// (decodeLegacy), which writes each block anew, self-contained, in the form
+// the scanner slices (Block.UnmarshalXML). A scanned
 // envelope is one allocation: the envelope, its header and its first blocks
 // (see received). The envelope belongs to the caller: unlike a binding's
 // one-way request, it is never recycled.
@@ -512,22 +590,6 @@ type (
 // structs above — and share one backing buffer. The error is always nil; the
 // signature predates the writer.
 func (e *Envelope) SetAddressing(h wsa.Headers) error {
-	e.setAddressing(h, nil)
-	return nil
-}
-
-// SetAddressingID is SetAddressing with the MessageID property written from
-// id, in place of h.MessageID: a caller re-heading a message under an
-// identifier it holds as bytes — read in place from a received header —
-// builds no string for it. id is copied.
-func (e *Envelope) SetAddressingID(h wsa.Headers, id []byte) {
-	h.MessageID = ""
-	e.setAddressing(h, id)
-}
-
-// setAddressing writes h, and id after h.MessageID as the MessageID
-// property's text: one of the two is empty.
-func (e *Envelope) setAddressing(h wsa.Headers, id []byte) {
 	if e.Header != nil {
 		kept := e.Header.Blocks[:0]
 		for _, b := range e.Header.Blocks {
@@ -538,17 +600,15 @@ func (e *Envelope) setAddressing(h wsa.Headers, id []byte) {
 		e.Header.Blocks = kept
 	}
 	e.addr.Store(nil)
-	// The properties are kept in an array by index: an append could grow
-	// onto the heap, and would take id's bytes with it.
 	var all [6]addressingProp
 	n := 0
 	for _, p := range [...]addressingProp{
 		{kind: propTo, value: h.To},
 		{kind: propAction, value: h.Action},
-		{kind: propMessageID, value: string(h.MessageID), id: id},
+		{kind: propMessageID, value: string(h.MessageID)},
 		{kind: propRelatesTo, value: string(h.RelatesTo)},
 	} {
-		if p.value != "" || len(p.id) > 0 {
+		if p.value != "" {
 			all[n] = p
 			n++
 		}
@@ -563,7 +623,7 @@ func (e *Envelope) setAddressing(h wsa.Headers, id []byte) {
 	}
 	props := all[:n]
 	if len(props) == 0 {
-		return
+		return nil
 	}
 	size := 0
 	for _, p := range props {
@@ -581,6 +641,7 @@ func (e *Envelope) setAddressing(h wsa.Headers, id []byte) {
 			Raw:     buf[start:len(buf):len(buf)],
 		})
 	}
+	return nil
 }
 
 // The addressing properties, in the order SetAddressing writes them, and

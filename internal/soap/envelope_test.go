@@ -241,34 +241,6 @@ func TestSetAddressingReplaces(t *testing.T) {
 	}
 }
 
-// TestSetAddressingIDMatchesSetAddressing: writing the MessageID from bytes
-// produces exactly the blocks SetAddressing writes from the string, escaping
-// included, and replaces a MessageID already present.
-func TestSetAddressingIDMatchesSetAddressing(t *testing.T) {
-	for _, id := range []string{"urn:uuid:1234", `urn:uuid:needs&escaping<2>"\t`, "urn:uuid:é"} {
-		h := wsa.Headers{To: "mem://svc", Action: "urn:op", MessageID: wsa.MessageID(id)}
-		want, got := NewEnvelope(), NewEnvelope()
-		if err := want.SetAddressing(h); err != nil {
-			t.Fatal(err)
-		}
-		if err := got.SetAddressing(wsa.Headers{Action: "urn:old", MessageID: "urn:uuid:old"}); err != nil {
-			t.Fatal(err)
-		}
-		got.SetAddressingID(wsa.Headers{To: h.To, Action: h.Action, MessageID: "urn:uuid:ignored"}, []byte(id))
-		if len(got.Header.Blocks) != len(want.Header.Blocks) {
-			t.Fatalf("%q: %d blocks, want %d", id, len(got.Header.Blocks), len(want.Header.Blocks))
-		}
-		for i, b := range want.Header.Blocks {
-			if g := got.Header.Blocks[i]; g.XMLName != b.XMLName || !bytes.Equal(g.Raw, b.Raw) {
-				t.Fatalf("%q: block %d = %s, want %s", id, i, g.Raw, b.Raw)
-			}
-		}
-		if a := got.Addressing(); string(a.MessageID) != id {
-			t.Fatalf("%q: MessageID read back as %q", id, a.MessageID)
-		}
-	}
-}
-
 func TestBodyRoundTripProperty(t *testing.T) {
 	f := func(value string, n int) bool {
 		for _, r := range value {

@@ -76,24 +76,25 @@ func fanoutEnv(t *testing.T) *Envelope {
 	return env
 }
 
-// declinedEnv is fanoutEnv with a prefixed header block, which the splice
-// serializer declines: Fanout sends it per target through Send.
-func declinedEnv(t *testing.T) *Envelope {
+// capturedEnv is an envelope as the fallback decoder captures it from
+// prefixed bytes, with a namespaced attribute: its blocks are spliced like
+// any other.
+func capturedEnv(t *testing.T) *Envelope {
 	t.Helper()
-	env := fanoutEnv(t)
-	env.AddHeaderBlock(Block{XMLName: xml.Name{Space: "urn:p", Local: "Meta"}, Raw: []byte(`<p:Meta xmlns:p="urn:p">m</p:Meta>`)})
-	if _, ok := env.template(false); ok {
-		t.Fatal("the prefixed block was spliced")
+	env, err := Decode([]byte(`<s:Envelope xmlns:s="` + Namespace + `" xmlns:a="` + wsa.Namespace + `" xmlns:p="urn:p"><s:Header>` +
+		`<a:Action>urn:test</a:Action><p:Meta s:mustUnderstand="true">m</p:Meta></s:Header>` +
+		`<s:Body><p:Item>payload</p:Item></s:Body></s:Envelope>`))
+	if err != nil {
+		t.Fatal(err)
 	}
 	return env
 }
 
-// fanoutEnvs are Fanout's two paths: encoded, the template rendered per
-// target and handed over as bytes, and plain, the per-target Snapshot a
-// declined block sends through Send.
+// fanoutEnvs are the envelopes Fanout renders from its template: one built,
+// and one captured by the fallback decoder.
 var fanoutEnvs = map[string]func(*testing.T) *Envelope{
-	"encoded": fanoutEnv,
-	"plain":   declinedEnv,
+	"encoded":  fanoutEnv,
+	"captured": capturedEnv,
 }
 
 func sameStrings(a, b []string) bool {
@@ -121,6 +122,41 @@ func TestFanoutPartialFailureExact(t *testing.T) {
 				t.Fatalf("failed = %v, want [urn:p2 urn:p5]", failed)
 			}
 		})
+	}
+}
+
+// TestDeclinedBlockIsAnError: a hand-built block the splice writer declines
+// is an error on every send path — no path re-encodes it another way — and
+// the fan-out paths count every target as failed without sending.
+func TestDeclinedBlockIsAnError(t *testing.T) {
+	ctx := context.Background()
+	declined := Block{XMLName: xml.Name{Space: "urn:p", Local: "Meta"}, Raw: []byte(`<p:Meta xmlns:p="urn:p">m</p:Meta>`)}
+	env := fanoutEnv(t)
+	env.AddHeaderBlock(declined)
+	if _, err := env.Encode(); !errors.Is(err, ErrNotSpliceable) {
+		t.Errorf("Encode: %v, want ErrNotSpliceable", err)
+	}
+	if _, err := env.EncodeTemplate(); !errors.Is(err, ErrNotSpliceable) {
+		t.Errorf("EncodeTemplate: %v, want ErrNotSpliceable", err)
+	}
+	m := Message{Action: "urn:test", Body: []Block{declined}}
+	caller := &stubSender{}
+	if err := m.Send(ctx, caller, "urn:a"); !errors.Is(err, ErrNotSpliceable) {
+		t.Errorf("Message.Send: %v, want ErrNotSpliceable", err)
+	}
+	targets := []string{"urn:a", "urn:b"}
+	rh := Rehead{Name: xml.Name{Space: "urn:g", Local: "G"}, Action: "urn:test"}
+	for name, send := range map[string]func() (int, []string){
+		"Fanout":         func() (int, []string) { return Fanout(ctx, caller, env, targets) },
+		"Message.Fanout": func() (int, []string) { return m.Fanout(ctx, caller, targets) },
+		"Forward":        func() (int, []string) { return Forward(ctx, caller, env, rh, []byte(`<G xmlns="urn:g"/>`), targets) },
+	} {
+		if sent, failed := send(); sent != 0 || !sameStrings(failed, targets) {
+			t.Errorf("%s: sent %d, failed %v; want every target failed", name, sent, failed)
+		}
+	}
+	if n := caller.attemptCount(); n != 0 {
+		t.Fatalf("%d sends issued for a declined block", n)
 	}
 }
 

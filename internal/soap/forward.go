@@ -1,11 +1,8 @@
 package soap
 
 import (
-	"bytes"
 	"context"
 	"encoding/xml"
-
-	"wsgossip/internal/wsa"
 )
 
 // Rehead is how Forward re-heads a received envelope for another transfer:
@@ -29,53 +26,15 @@ type Rehead struct {
 // is env's header blocks other than the WS-Addressing properties and those
 // named rh.Name, verbatim and in order, then block (an element named
 // rh.Name), then Action and MessageID, plus each target's To (see
-// Rehead.Direct); its body is env's. It returns what Fanout returns. block is
-// read during the call only, so it may live in scratch on the caller's stack:
-// it is a parameter of its own, apart from rh, because escape analysis would
-// send it to the heap with rh's strings.
+// Rehead.Direct); its body is env's. It returns what Fanout returns, a block
+// the splice writer declines failing every target. block is read during the
+// call only, so it may live in scratch on the caller's stack: it is a
+// parameter of its own, apart from rh, because escape analysis would send it
+// to the heap with rh's strings.
 //
 // The copy is written once, from env's blocks straight into the pooled
-// template Fanout renders from, and nothing else is built. A block the
-// splice serializer declines takes the slow path: a Snapshot of env
-// re-headed with RemoveHeader, AddHeaderBlock and SetAddressingID, which puts
-// the same bytes on the wire through Fanout, or through Send when Direct.
+// template Fanout renders from, and nothing else is built.
 func Forward(ctx context.Context, caller Caller, env *Envelope, rh Rehead, block []byte, targets []string) (sent int, failed []string) {
-	if tmpl, ok := rh.template(env, block); ok {
-		defer putBytes(tmpl.pre)
-		return tmpl.sendAll(ctx, caller, targets)
-	}
-	if !rh.Direct {
-		return Fanout(ctx, caller, rh.apply(env, block, ""), targets)
-	}
-	for i, to := range targets {
-		if ctx.Err() != nil {
-			return sent, append(failed, targets[i:]...)
-		}
-		if err := caller.Send(ctx, to, rh.apply(env, block, to)); err != nil {
-			failed = append(failed, to)
-			continue
-		}
-		sent++
-	}
-	return sent, failed
-}
-
-// apply is the slow path's re-head: a Snapshot of env with rh and a copy of
-// block written into it, addressed to to (empty for a fan-out, which renders
-// To per target).
-func (rh *Rehead) apply(env *Envelope, block []byte, to string) *Envelope {
-	out := env.Snapshot()
-	out.RemoveHeader(rh.Name.Space, rh.Name.Local)
-	out.AddHeaderBlock(Block{XMLName: rh.Name, Raw: bytes.Clone(block)})
-	out.SetAddressingID(wsa.Headers{To: to, Action: rh.Action}, rh.ID)
-	return out
-}
-
-// template writes the re-headed copy of env as a fan-out template whose
-// backing comes from the wire buffer pool, with the per-target To insertion
-// point where rh.Direct puts it. ok=false when the splice serializer declines
-// one of the blocks.
-func (rh *Rehead) template(env *Envelope, block []byte) (WireTemplate, bool) {
 	d := draft{
 		lead: env.headerBlocks(), drop: rh.Name, dropAddressing: true,
 		own:    []Block{{XMLName: rh.Name, Raw: block}},
@@ -83,5 +42,5 @@ func (rh *Rehead) template(env *Envelope, block []byte) (WireTemplate, bool) {
 		body:   env.Body.Blocks,
 		header: true, splitAtAddressing: rh.Direct,
 	}
-	return d.template(true)
+	return d.fanout(ctx, caller, targets)
 }

@@ -15,9 +15,9 @@ import (
 
 // Forward writes a re-headed copy straight from the received blocks. Its
 // reference is the re-head the fan-out paths ran before Forward existed —
-// Snapshot, RemoveHeader, AddHeaderBlock and SetAddressingID, sent through
-// Fanout, or through Send to one addressed peer — and the two must put the
-// same bytes on the wire for every envelope Decode hands a handler, on the
+// Snapshot, RemoveHeader, AddHeaderBlock and SetAddressing, sent through
+// Fanout, or encoded for one addressed peer — and the two must put the same
+// bytes on the wire for every envelope Decode hands a handler, on the
 // scanner's documents and the fallback's alike.
 
 // wireLog is a binding that records each message it is given, rendered or
@@ -28,6 +28,12 @@ type wireLog struct {
 
 func (l *wireLog) record(to string, data []byte) {
 	l.msgs = append(l.msgs, to+"\n"+string(data))
+}
+
+// data is message i's bytes, without its destination.
+func (l *wireLog) data(i int) []byte {
+	_, data, _ := strings.Cut(l.msgs[i], "\n")
+	return []byte(data)
 }
 
 func (l *wireLog) Call(context.Context, string, *Envelope) (*Envelope, error) { return nil, nil }
@@ -53,7 +59,7 @@ func reheadRef(env *Envelope, block Block, action string, id []byte, to string) 
 	out := env.Snapshot()
 	out.RemoveHeader(block.XMLName.Space, block.XMLName.Local)
 	out.AddHeaderBlock(block)
-	out.SetAddressingID(wsa.Headers{To: to, Action: action}, id)
+	_ = out.SetAddressing(wsa.Headers{To: to, Action: action, MessageID: wsa.MessageID(id)})
 	return out
 }
 
@@ -150,6 +156,9 @@ func TestForwardMatchesReheadReference(t *testing.T) {
 				}
 				if strings.Join(got.msgs, "\n--\n") != strings.Join(want.msgs, "\n--\n") {
 					t.Errorf("%s (direct %v):\n got %q\nwant %q", c.what, direct, got.msgs, want.msgs)
+				}
+				for i := range got.msgs {
+					mustBeWellFormed(t, c.what, got.data(i))
 				}
 			}
 		}

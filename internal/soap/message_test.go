@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/xml"
+	"errors"
 	"testing"
 
 	"wsgossip/internal/wsa"
@@ -14,9 +15,9 @@ import (
 // sender put there when it built the message as an Envelope: NewEnvelope,
 // SetAddressing with To, Action and MessageID, AddHeaderBlock for each header
 // block, SetBodyBlock (or a Body.Blocks list for more than one child), then
-// Send, or Fanout, which renders each copy from its template. The writer
-// writes the bytes itself; blocks the splice serializer declines send it onto
-// the slow path, where it builds that envelope.
+// Encode, or Fanout, which renders each copy from its template. The writer
+// writes the bytes itself; a block the splice writer declines is the same
+// error either way, and every output passes the strict oracle.
 
 // byteRecorder takes messages as bytes; its Send encodes the envelope.
 type byteRecorder struct{ msgs [][]byte }
@@ -41,8 +42,9 @@ func (r *byteRecorder) Call(ctx context.Context, to string, env *Envelope) (*Env
 
 // fuzzBlock is one of the block shapes the stack sends, picked by kind: a
 // canonical block, one that declares no namespace (the writer injects it),
-// one with a prefixed name and one with a prefixed attribute (both of which
-// the splice serializer declines), and a wsa:To, which a fan-out replaces.
+// one with a prefixed name (which the splice writer declines, and only a
+// hand builds), one with a prefixed attribute declared on its own tag (as
+// the fallback decoder captures one), and a wsa:To, which a fan-out replaces.
 func fuzzBlock(kind byte, name, text string) Block {
 	const space = "urn:fuzz"
 	local := "B" + name
@@ -130,11 +132,9 @@ func FuzzMessageWriter(f *testing.F) {
 		targets := []string{target, target + "/2"}
 
 		got, want := &byteRecorder{}, &byteRecorder{}
-		if err := m.Send(ctx, got, target); err != nil {
-			t.Fatal(err)
-		}
-		if err := want.Send(ctx, target, builtEnvelope(m)); err != nil {
-			t.Fatal(err)
+		err := m.Send(ctx, got, target)
+		if wantErr := want.Send(ctx, target, builtEnvelope(m)); err != wantErr {
+			t.Fatalf("Send: %v, want %v", err, wantErr)
 		}
 		// A fan-out renders each target's To, so the message has none.
 		fan := *m
@@ -151,25 +151,27 @@ func FuzzMessageWriter(f *testing.F) {
 			if !bytes.Equal(got.msgs[i], want.msgs[i]) {
 				t.Fatalf("message %d:\n got %q\nwant %q", i, got.msgs[i], want.msgs[i])
 			}
+			mustBeWellFormed(t, "message", got.msgs[i])
 		}
 	})
 }
 
-// TestMessageWriterSplicesOrDeclines: the canonical and the declaration-free
-// blocks are written on the fast path, and a prefixed block, in the header or
-// the body, sends the message to the slow path — an envelope handed to Send.
+// TestMessageWriterSplicesOrDeclines: the canonical, the declaration-free
+// and the prefixed-attribute blocks are written and sent as bytes, and a
+// block with a prefixed name, in the header or the body, is ErrNotSpliceable
+// with nothing sent.
 func TestMessageWriterSplicesOrDeclines(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name         string
 		header, body byte
-		fast         bool
+		spliced      bool
 	}{
 		{"canonical", 0, 0, true},
 		{"declaration-free", 1, 1, true},
 		{"prefixed header", 2, 0, false},
 		{"prefixed body", 0, 2, false},
-		{"prefixed attribute", 3, 0, false},
+		{"prefixed attribute", 3, 0, true},
 	} {
 		m := Message{
 			Action: "urn:a", ID: []byte("urn:uuid:1"),
@@ -177,11 +179,12 @@ func TestMessageWriterSplicesOrDeclines(t *testing.T) {
 			Body:   []Block{fuzzBlock(tc.body, "C", "c")},
 		}
 		rec := &countingRecorder{}
-		if err := m.Send(ctx, rec, "mem://a"); err != nil {
-			t.Fatal(err)
+		err := m.Send(ctx, rec, "mem://a")
+		if tc.spliced && (err != nil || rec.encoded != 1) || !tc.spliced && (!errors.Is(err, ErrNotSpliceable) || rec.encoded != 0) {
+			t.Errorf("%s: %v, %d written; want spliced %v", tc.name, err, rec.encoded, tc.spliced)
 		}
-		if fast := rec.encoded == 1 && rec.envelopes == 0; fast != tc.fast {
-			t.Errorf("%s: %d written, %d envelopes; want the fast path %v", tc.name, rec.encoded, rec.envelopes, tc.fast)
+		if rec.envelopes != 0 {
+			t.Errorf("%s: %d envelopes sent", tc.name, rec.envelopes)
 		}
 	}
 }

@@ -29,16 +29,3 @@ func RecoverMiddleware(reg *metrics.Registry) Middleware {
 		})
 	}
 }
-
-// RequireAddressing rejects requests whose mandatory WS-Addressing
-// properties are missing, before they reach the application.
-func RequireAddressing() Middleware {
-	return func(next Handler) Handler {
-		return HandlerFunc(func(ctx context.Context, req *Request) (*Envelope, error) {
-			if err := req.Addressing().Validate(); err != nil {
-				return nil, NewFault(CodeSender, err.Error())
-			}
-			return next.HandleSOAP(ctx, req)
-		})
-	}
-}

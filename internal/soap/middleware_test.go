@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"wsgossip/internal/metrics"
-	"wsgossip/internal/wsa"
 )
 
 func TestRecoverMiddleware(t *testing.T) {
@@ -26,25 +25,5 @@ func TestRecoverMiddleware(t *testing.T) {
 	}
 	if got := reg.Counter("soap_handler_panics_total").Value(); got != 1 {
 		t.Fatalf("soap_handler_panics_total = %d, want 1", got)
-	}
-}
-
-func TestRequireAddressing(t *testing.T) {
-	okHandler := HandlerFunc(func(context.Context, *Request) (*Envelope, error) { return nil, nil })
-	h := Chain(okHandler, RequireAddressing())
-	// Valid request passes.
-	if _, err := h.HandleSOAP(context.Background(), reqWithAction(t, "urn:x")); err != nil {
-		t.Fatal(err)
-	}
-	// Missing action rejected.
-	env := NewEnvelope()
-	if err := env.SetAddressing(wsa.Headers{To: "mem://svc"}); err != nil {
-		t.Fatal(err)
-	}
-	bad := &Request{Envelope: env}
-	_, err := h.HandleSOAP(context.Background(), bad)
-	var f *Fault
-	if !errors.As(err, &f) || f.Code.Value != CodeSender {
-		t.Fatalf("err = %v, want sender fault", err)
 	}
 }

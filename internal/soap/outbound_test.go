@@ -101,9 +101,6 @@ func TestNewEnvelopeBodyOnlyHasNoHeader(t *testing.T) {
 	if bytes.Contains(out, []byte("Header")) {
 		t.Fatalf("body-only envelope encodes a Header element:\n%s", out)
 	}
-	if legacy, err := env.encodeLegacy(); err != nil || bytes.Contains(legacy, []byte("Header")) {
-		t.Fatalf("legacy encode of a body-only envelope: %v\n%s", err, legacy)
-	}
 	// A removal that empties nothing attaches nothing either.
 	env.RemoveHeader(wsa.Namespace, "To")
 	if env.Header != nil {

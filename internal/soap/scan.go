@@ -39,7 +39,7 @@ import (
 // resolve them structurally (inside an xmlns value), duplicate xmlns
 // attributes on one tag, non-whitespace text between scaffolding elements,
 // non-UTF-8 encoding declarations, xml-declaration PIs outside the prolog
-// (the fallback cannot re-encode them), and nesting deeper than the fixed
+// (the fallback's capture refuses them), and nesting deeper than the fixed
 // name stack. Inside accepted regions the scanner enforces exactly what
 // encoding/xml enforces: valid UTF-8, XML character range, the five named
 // entities plus in-range numeric references, quoted attribute values with
@@ -275,7 +275,7 @@ func (s *wireScanner) container(local []byte, out *[]Block, inline []Block) bool
 			if !tag.hasXMLNS {
 				// The block would inherit the envelope's default namespace
 				// and its verbatim slice would not be self-contained; the
-				// fallback's re-encode writes the namespace into the block.
+				// fallback's capture writes the namespace into the block.
 				return false
 			}
 			if !tag.selfClose && !s.subtree(s.name(tag)) {
@@ -514,8 +514,8 @@ func (s *wireScanner) cdata() bool {
 }
 
 // pi consumes "<? … ?>" at pos. Outside the prolog any xml declaration
-// makes the scanner decline: a block containing one fails the fallback's
-// token re-encode, so only the fallback may judge it. In the
+// makes the scanner decline: the fallback's capture refuses a block
+// containing one, so only the fallback may judge it. In the
 // prolog (allowXMLDecl) it must not declare a non-UTF-8 encoding
 // (encoding/xml would demand a CharsetReader).
 func (s *wireScanner) pi(allowXMLDecl bool) bool {

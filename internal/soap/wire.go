@@ -6,30 +6,34 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"wsgossip/internal/wsa"
 )
 
-// The wire path: one byte-level fast path and one encoding/xml fallback in
-// each direction, chosen by what the bytes are — never by an option.
+// The wire path: one writer out, and one scanner plus one fallback capture
+// in, chosen by what the bytes are — never by an option.
 //
-//   - capture: Decode's scanner (scan.go) slices each block verbatim out of
-//     the input buffer, so Block.Raw shares the inbound message's memory;
-//   - replay: Encode writes the fixed Envelope/Header/Body scaffolding and
-//     splices each Block.Raw directly into the output, sized exactly, with
-//     sync.Pool scratch for the parts that need buffering;
-//   - fan-out: EncodeTemplate serializes an envelope once, leaving a single
-//     insertion point inside the Header; RenderTo then produces a complete
-//     per-target message by splicing only the wsa:To block.
+//   - in: Decode's scanner (scan.go) slices each block verbatim out of the
+//     input buffer, so Block.Raw shares the inbound message's memory. Every
+//     document it declines — namespace prefixes (what most other SOAP stacks
+//     emit), blocks whose namespace is declared outside their own bytes —
+//     goes to decodeLegacy, whose capture (Block.UnmarshalXML) writes each
+//     block as one self-contained element in the form the scanner slices;
+//   - out: the one writer, draft.encode, writes the fixed
+//     Envelope/Header/Body scaffolding and splices each Block.Raw directly
+//     into the output, sized exactly. Encode, a fan-out template
+//     (EncodeTemplate, Fanout), Forward's re-head and a Message all write
+//     through it; RenderTo then produces a complete per-target message by
+//     splicing only the wsa:To block.
 //
 // The canonical format declares every namespace with a default xmlns
-// attribute on the element that introduces it and never uses prefixes.
-// Everything else well-formed — namespace prefixes (what most other SOAP
-// stacks emit), blocks whose meaning depends on a default namespace declared
-// outside their own bytes, hand-built blocks — goes through decodeLegacy and
-// encodeLegacy below, so arbitrary SOAP input remains accepted; it just pays
-// encoding/xml's token-by-token re-encode.
+// attribute on the element that introduces it; the only prefixes in it are
+// those a block declares for its own attributes. Every block the stack can
+// hold — scanned, captured by the fallback, flat-written, or from
+// MarshalBlock — is spliced; a block the splice declines, which only a hand
+// can build, is an error (ErrNotSpliceable), never a re-encode.
 
 // Fixed scaffolding of the canonical wire format. Blocks are spliced
 // between the container tags; Header and Body inherit the envelope's
@@ -45,9 +49,11 @@ const (
 	wireToClose     = `</To>`
 )
 
-// ErrNotSpliceable reports an envelope that cannot go through the verbatim
-// splice serializer (e.g. a block captured from a prefixed document);
-// callers fall back to per-target encoding.
+// ErrNotSpliceable reports a message holding a block the splice writer
+// declines (blockSplice): a hand-built one whose start tag is prefixed or
+// malformed, or does not name the block. Encode, EncodeTemplate and
+// Message.Send return it; Fanout, Message.Fanout and Forward count every
+// target as failed.
 var ErrNotSpliceable = errors.New("soap: envelope not spliceable")
 
 // bufPool recycles scratch buffers across encodes; rendered messages are
@@ -66,8 +72,11 @@ func getBuf() *bytes.Buffer {
 // blockSplice analyzes b's start tag for verbatim splicing into the
 // canonical scaffold. inject is the default-xmlns declaration to insert
 // after the tag name ("" when raw already declares one) and insertAt its
-// byte offset in Raw. ok is false when the block resists splicing (prefixed
-// names, malformed or hand-built raw) and the legacy encoder must run.
+// byte offset in Raw. Attributes may be prefixed — a captured block declares
+// its attribute prefixes on its own tags — but the tag name must be b's
+// unprefixed local name. ok is false when the block resists splicing
+// (a prefixed or mismatched tag name, malformed raw), which only a
+// hand-built block can.
 func blockSplice(b Block) (inject string, insertAt int, ok bool) {
 	raw := b.Raw
 	if len(raw) < 3 || raw[0] != '<' {
@@ -85,8 +94,7 @@ func blockSplice(b Block) (inject string, insertAt int, ok bool) {
 		return "", 0, false
 	}
 	insertAt = i
-	// Attribute scan: find a default xmlns declaration, reject prefixed
-	// declarations or attributes.
+	// Attribute scan: find a default xmlns declaration.
 	hasDecl := false
 	for i < len(raw) {
 		for i < len(raw) && isXMLSpace(raw[i]) {
@@ -101,12 +109,9 @@ func blockSplice(b Block) (inject string, insertAt int, ok bool) {
 		if raw[i] == '/' { // self-closing: <Name .../>
 			break
 		}
-		// Attribute name.
+		// Attribute name, prefixed or not.
 		nameStart := i
 		for i < len(raw) && raw[i] != '=' && !isXMLSpace(raw[i]) && raw[i] != '>' {
-			if raw[i] == ':' {
-				return "", 0, false
-			}
 			i++
 		}
 		name := string(raw[nameStart:i])
@@ -323,34 +328,8 @@ func (d *draft) encode(pooled bool) (out []byte, split int, ok bool) {
 	return out, split, true
 }
 
-// encodeSplice serializes e on the fast path: one exactly-sized allocation,
-// every block spliced verbatim.
-func encodeSplice(e *Envelope) ([]byte, bool) {
-	d := draft{lead: e.headerBlocks(), body: e.Body.Blocks, header: e.Header != nil}
-	out, _, ok := d.encode(false)
-	return out, ok
-}
-
-// encodeLegacy is the encoding/xml serializer, the fallback for
-// splice-resistant envelopes; scratch comes from the pool.
-func (e *Envelope) encodeLegacy() ([]byte, error) {
-	buf := getBuf()
-	defer bufPool.Put(buf)
-	buf.WriteString(xml.Header)
-	enc := xml.NewEncoder(buf)
-	if err := enc.Encode(e); err != nil {
-		return nil, fmt.Errorf("soap: encode envelope: %w", err)
-	}
-	if err := enc.Flush(); err != nil {
-		return nil, fmt.Errorf("soap: flush envelope: %w", err)
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out, nil
-}
-
-// decodeLegacy is the encoding/xml parser: Block.UnmarshalXML re-encodes
-// each block token by token, which resolves prefixes and inherited default
+// decodeLegacy is the encoding/xml parser: Block.UnmarshalXML writes each
+// block anew from its tokens, which resolves prefixes and inherited default
 // namespaces into the block's own bytes. It is the fallback for every
 // document the scanner declines, and the oracle the scanner is tested
 // against (FuzzDecodeEquivalence).
@@ -378,34 +357,45 @@ type WireTemplate struct {
 // its header blocks. Any existing wsa:To header is excluded from the
 // template — RenderTo supplies the per-target To, and a stale block would
 // win the receiver's first-match header lookup and misaddress every copy.
-// Splice-resistant envelopes return ErrNotSpliceable; callers fall back to
-// per-target encoding.
+// A block the splice writer declines makes it ErrNotSpliceable.
 func (e *Envelope) EncodeTemplate() (*WireTemplate, error) {
-	t, ok := e.template(false)
+	d := e.templateDraft()
+	t, ok := d.template(false)
 	if !ok {
 		return nil, ErrNotSpliceable
 	}
 	return &t, nil
 }
 
-// template is EncodeTemplate returning the template by value, so a caller
-// that renders within its own frame (Fanout) keeps it off the heap. With
-// pooled the serialized bytes come from the wire buffer pool, and the caller
-// hands them back (putBytes(t.pre)) once its last RenderTo has copied them;
-// otherwise they are the template's one allocation. A wsa:To block is left
+// templateDraft is e as a fan-out template's draft: a wsa:To block is left
 // out where it lies, so the envelope is not copied to drop it.
-func (e *Envelope) template(pooled bool) (WireTemplate, bool) {
-	d := draft{lead: e.headerBlocks(), drop: xml.Name{Space: wsa.Namespace, Local: "To"}, body: e.Body.Blocks, header: true}
-	return d.template(pooled)
+func (e *Envelope) templateDraft() draft {
+	return draft{lead: e.headerBlocks(), drop: xml.Name{Space: wsa.Namespace, Local: "To"}, body: e.Body.Blocks, header: true}
 }
 
-// template writes d as a fan-out template.
+// template writes d as a fan-out template, by value, so a caller that renders
+// within its own frame keeps it off the heap. With pooled the serialized
+// bytes come from the wire buffer pool, and the caller hands them back
+// (putBytes(t.pre)) once its last RenderTo has copied them; otherwise they
+// are the template's one allocation.
 func (d *draft) template(pooled bool) (WireTemplate, bool) {
 	out, split, ok := d.encode(pooled)
 	if !ok {
 		return WireTemplate{}, false
 	}
 	return WireTemplate{pre: out[:split], post: out[split:]}, true
+}
+
+// fanout writes d once as a pooled template and sends a copy to every target
+// (sendAll); the template goes back to the pool after the last copy, since
+// RenderTo copies it. A block the splice writer declines fails every target.
+func (d *draft) fanout(ctx context.Context, caller Caller, targets []string) (sent int, failed []string) {
+	t, ok := d.template(true)
+	if !ok {
+		return 0, slices.Clone(targets)
+	}
+	defer putBytes(t.pre)
+	return t.sendAll(ctx, caller, targets)
 }
 
 // RenderTo returns a complete serialized envelope addressed to addr: the
@@ -477,40 +467,16 @@ type EncodedSender interface {
 }
 
 // Fanout sends one logical envelope (addressing must omit To) to every
-// target. The message is serialized exactly once (EncodeTemplate) and a
-// per-target copy rendered at the wsa:To insertion point; a splice-resistant
-// envelope — e.g. blocks captured from documents with prefixed namespace
-// declarations — takes a per-target Snapshot through Send instead. Returns
-// the successful send count and the targets that failed (nil when none
-// did). A ctx cancelled mid-fanout stops issuing new sends; the
-// not-yet-attempted targets are reported as failed so the caller's
-// accounting stays exact. The multi-target sends the stack originates go
-// through Message.Fanout, and forwards through Forward, which render the same
-// way; this is the path for an envelope already built, such as the
-// Initiator's notification. The template's bytes come from the wire buffer
-// pool and go back to it when the last copy is rendered: RenderTo copies
-// them, so nothing refers to them afterwards.
+// target. The message is serialized exactly once, into a pooled template,
+// and a per-target copy rendered at the wsa:To insertion point. Returns the
+// successful send count and the targets that failed (nil when none did); a
+// block the splice writer declines fails them all. A ctx cancelled
+// mid-fanout stops issuing new sends; the not-yet-attempted targets are
+// reported as failed so the caller's accounting stays exact. The
+// multi-target sends the stack originates go through Message.Fanout, and
+// forwards through Forward, which render the same way; this is the path for
+// an envelope already built, such as the Initiator's notification.
 func Fanout(ctx context.Context, caller Caller, env *Envelope, targets []string) (sent int, failed []string) {
-	if tmpl, ok := env.template(true); ok {
-		defer putBytes(tmpl.pre)
-		return tmpl.sendAll(ctx, caller, targets)
-	}
-	a := env.Addressing()
-	for i, target := range targets {
-		if ctx.Err() != nil {
-			return sent, append(failed, targets[i:]...)
-		}
-		out := env.Snapshot()
-		a.To = target
-		if err := out.SetAddressing(a); err != nil {
-			failed = append(failed, target)
-			continue
-		}
-		if err := caller.Send(ctx, target, out); err != nil {
-			failed = append(failed, target)
-			continue
-		}
-		sent++
-	}
-	return sent, failed
+	d := env.templateDraft()
+	return d.fanout(ctx, caller, targets)
 }

@@ -5,9 +5,6 @@ import (
 	"errors"
 )
 
-// ErrClosed reports a send through a closed transport.
-var ErrClosed = errors.New("transport: closed")
-
 // ErrUnreachable reports a send to an unknown or unreachable address.
 var ErrUnreachable = errors.New("transport: unreachable")
 
