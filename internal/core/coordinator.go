@@ -14,6 +14,7 @@ import (
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/soap"
+	"wsgossip/internal/wsa"
 	"wsgossip/internal/wscoord"
 )
 
@@ -166,24 +167,44 @@ type assignState struct {
 	cursor int
 }
 
+// activity is one coordination activity the Coordinator serves: its
+// context, and when it was created or imported (where its Expires window
+// starts).
+type activity struct {
+	ctx     wscoord.CoordinationContext
+	created time.Time
+}
+
+// expired reports whether the activity's Expires window has elapsed at now.
+// An activity without Expires never expires.
+func (a activity) expired(now time.Time) bool {
+	if a.ctx.ExpiresMillis == 0 {
+		return false
+	}
+	return !now.Before(a.created.Add(time.Duration(a.ctx.ExpiresMillis) * time.Millisecond))
+}
+
 // Coordinator is the WS-Gossip Coordinator role: WS-Coordination Activation
 // and Registration services plus the subscription list.
 type Coordinator struct {
 	cfg CoordinatorConfig
-	wc  *wscoord.Coordinator
 
-	mu     sync.Mutex
-	rng    *rand.Rand
-	subs   []Subscription
-	index  map[string]int          // endpoint -> position in subs
-	assign map[string]*assignState // protocol URI -> balanced rotation
-	stats  coordCounters
+	mu         sync.Mutex
+	rng        *rand.Rand
+	activities map[string]activity // context Identifier -> activity
+	subs       []Subscription
+	index      map[string]int          // endpoint -> position in subs
+	assign     map[string]*assignState // protocol URI -> balanced rotation
+	stats      coordCounters
 }
 
 // NewCoordinator returns a coordinator serving at cfg.Address.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.Params == nil {
 		cfg.Params = DefaultParamPolicy
+	}
+	if cfg.Now == nil {
+		cfg.Now = time.Now
 	}
 	rng := cfg.RNG
 	if rng == nil {
@@ -193,57 +214,45 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	c := &Coordinator{
-		cfg:    cfg,
-		rng:    rng,
-		index:  make(map[string]int),
-		assign: make(map[string]*assignState),
-		stats:  newCoordCounters(reg),
+	return &Coordinator{
+		cfg:        cfg,
+		rng:        rng,
+		activities: make(map[string]activity),
+		index:      make(map[string]int),
+		assign:     make(map[string]*assignState),
+		stats:      newCoordCounters(reg),
 	}
-	c.wc = wscoord.NewCoordinator(wscoord.Config{
-		Address:              cfg.Address,
-		SupportedTypes:       []string{CoordinationTypeGossip},
-		Extension:            c.registrationExtension,
-		Now:                  cfg.Now,
-		DefaultExpiresMillis: uint64(cfg.ActivityTTL / time.Millisecond),
-		OnCreate: func(act *wscoord.Activity) {
-			c.stats.activations.Inc()
-			c.stats.liveActivities.Set(int64(c.LiveActivities()))
-			c.replicateActivity(act)
-		},
-	})
-	return c
 }
 
-// replicateTimeout bounds how long a single activity-replication send may
-// stall the creating request when a replica is unreachable: replication
-// exists to survive coordinator failure, so a dead replica must not hold
-// the live primary's activation path for the caller's full timeout.
+// replicateTimeout bounds how long a single replication send may stall the
+// request that caused it when a replica is unreachable: replication exists
+// to survive coordinator failure, so a dead replica must not hold the live
+// primary's request path for the caller's full timeout.
 const replicateTimeout = 2 * time.Second
 
-// replicateActivity best-effort copies a created activity to the replica
-// coordinators so any of them can serve registrations for it if this
-// coordinator fails (ReplicateActivities mode). Sends are one-way,
-// individually deadline-bounded, and deliberately sequential on the
-// creating request path: asynchronous replication would make the delivery
-// order race the virtual clock in deterministic deployments, and an
-// activity must reach the successors before the registrants who will fail
-// over to them. The worst-case stall is replicateTimeout per dead replica,
-// so keep successor lists short (one or two is the intended shape).
-func (c *Coordinator) replicateActivity(act *wscoord.Activity) {
-	if !c.cfg.ReplicateActivities || c.cfg.Caller == nil || len(c.cfg.Replicas) == 0 {
+// replicate best-effort copies one record (a subscription or a created
+// activity) to every replica coordinator. Sends are one-way, each bounded
+// by replicateTimeout, and deliberately sequential on the request path:
+// asynchronous replication would make the delivery order race the virtual
+// clock in deterministic deployments, and an activity must reach the
+// successors before the registrants who will fail over to them. The
+// worst-case stall is replicateTimeout per dead replica, so keep replica
+// lists short (one or two is the intended shape). Anti-entropy between
+// coordinators would repair gaps in a long-lived deployment.
+func (c *Coordinator) replicate(ctx context.Context, action string, body any) {
+	if c.cfg.Caller == nil {
 		return
 	}
 	for _, replica := range c.cfg.Replicas {
 		env := soap.NewEnvelope()
-		if err := env.SetAddressing(addressingFor(replica, ActionReplicateActivity)); err != nil {
+		if err := env.SetAddressing(addressingFor(replica, action)); err != nil {
 			continue
 		}
-		if err := env.SetBody(ReplicateActivity{Context: act.Context}); err != nil {
+		if err := env.SetBody(body); err != nil {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), replicateTimeout)
-		_ = c.cfg.Caller.Send(ctx, replica, env)
+		sctx, cancel := context.WithTimeout(ctx, replicateTimeout)
+		_ = c.cfg.Caller.Send(sctx, replica, env)
 		cancel()
 	}
 }
@@ -251,29 +260,36 @@ func (c *Coordinator) replicateActivity(act *wscoord.Activity) {
 // Tick runs one coordinator housekeeping round (activity expiry pruning) —
 // the loop shape core.Runner schedules, so a coordinator node's maintenance
 // self-clocks exactly like the gossip rounds.
-func (c *Coordinator) Tick(ctx context.Context) {
-	_ = ctx
-	now := time.Now()
-	if c.cfg.Now != nil {
-		now = c.cfg.Now()
-	}
-	c.PruneExpired(now)
+func (c *Coordinator) Tick(context.Context) {
+	c.PruneExpired(c.cfg.Now())
 }
 
 // PruneExpired removes expired activities at the given instant and returns
 // how many were removed.
 func (c *Coordinator) PruneExpired(now time.Time) int {
-	removed := c.wc.PruneExpired(now)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	removed := 0
+	for id, act := range c.activities {
+		if act.expired(now) {
+			delete(c.activities, id)
+			removed++
+		}
+	}
 	if removed > 0 {
 		c.stats.prunes.Add(int64(removed))
 	}
-	c.stats.liveActivities.Set(int64(c.LiveActivities()))
+	c.stats.liveActivities.Set(int64(len(c.activities)))
 	return removed
 }
 
 // LiveActivities returns the number of live (unpruned) coordination
 // activities.
-func (c *Coordinator) LiveActivities() int { return len(c.wc.ActivityIDs()) }
+func (c *Coordinator) LiveActivities() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.activities)
+}
 
 // Address returns the coordinator endpoint address.
 func (c *Coordinator) Address() string { return c.cfg.Address }
@@ -282,7 +298,8 @@ func (c *Coordinator) Address() string { return c.cfg.Address }
 // Subscribe, and replica ingestion.
 func (c *Coordinator) Handler() soap.Handler {
 	d := soap.NewDispatcher()
-	c.wc.RegisterActions(d)
+	d.Register(wscoord.ActionCreate, soap.HandlerFunc(c.handleCreate))
+	d.Register(wscoord.ActionRegister, soap.HandlerFunc(c.handleRegister))
 	d.Register(ActionSubscribe, soap.HandlerFunc(c.handleSubscribe))
 	d.Register(ActionReplicate, soap.HandlerFunc(c.handleReplicate))
 	d.Register(ActionReplicateActivity, soap.HandlerFunc(c.handleReplicateActivity))
@@ -323,7 +340,7 @@ func (c *Coordinator) SubscribeLocal(ctx context.Context, endpoint, role string,
 	if err := c.addSubscription(endpoint, role, protocols, true); err != nil {
 		return err
 	}
-	c.replicate(ctx, endpoint, role, protocols)
+	c.replicate(ctx, ActionReplicate, ReplicateSubscription{Endpoint: endpoint, Role: role, Protocols: protocols})
 	return nil
 }
 
@@ -375,24 +392,6 @@ func (c *Coordinator) Unsubscribe(endpoint string) {
 	c.assign = make(map[string]*assignState)
 }
 
-func (c *Coordinator) replicate(ctx context.Context, endpoint, role string, protocols []string) {
-	if c.cfg.Caller == nil || len(c.cfg.Replicas) == 0 {
-		return
-	}
-	for _, replica := range c.cfg.Replicas {
-		env := soap.NewEnvelope()
-		if err := env.SetAddressing(addressingFor(replica, ActionReplicate)); err != nil {
-			continue
-		}
-		if err := env.SetBody(ReplicateSubscription{Endpoint: endpoint, Role: role, Protocols: protocols}); err != nil {
-			continue
-		}
-		// Replication is best-effort one-way; anti-entropy between
-		// coordinators would repair gaps in a long-lived deployment.
-		_ = c.cfg.Caller.Send(ctx, replica, env)
-	}
-}
-
 func (c *Coordinator) handleSubscribe(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
 	var body SubscribeRequest
 	if err := req.Envelope.DecodeBody(&body); err != nil {
@@ -401,7 +400,7 @@ func (c *Coordinator) handleSubscribe(ctx context.Context, req *soap.Request) (*
 	if err := c.addSubscription(body.Endpoint, body.Role, body.Protocols, true); err != nil {
 		return nil, soap.NewFault(soap.CodeSender, err.Error())
 	}
-	c.replicate(ctx, body.Endpoint, body.Role, body.Protocols)
+	c.replicate(ctx, ActionReplicate, ReplicateSubscription{Endpoint: body.Endpoint, Role: body.Role, Protocols: body.Protocols})
 	resp := soap.NewEnvelope()
 	if err := resp.SetAddressing(req.Addressing().Reply(ActionSubscribeResponse)); err != nil {
 		return nil, err
@@ -427,9 +426,14 @@ func (c *Coordinator) handleReplicateActivity(_ context.Context, req *soap.Reque
 	if err := body.Context.Validate(); err != nil {
 		return nil, soap.NewFault(soap.CodeSender, err.Error())
 	}
-	c.wc.ImportActivity(body.Context)
+	act := activity{ctx: body.Context, created: c.cfg.Now()}
+	c.mu.Lock()
+	if _, ok := c.activities[act.ctx.Identifier]; !ok {
+		c.activities[act.ctx.Identifier] = act
+	}
+	c.stats.liveActivities.Set(int64(len(c.activities)))
+	c.mu.Unlock()
 	c.stats.replications.Inc()
-	c.stats.liveActivities.Set(int64(c.LiveActivities()))
 	return nil, nil
 }
 
@@ -446,28 +450,112 @@ func (c *Coordinator) handleReplicate(_ context.Context, req *soap.Request) (*so
 }
 
 // CreateActivity starts a gossip coordination activity (Activation service,
-// in-process form).
-func (c *Coordinator) CreateActivity() (wscoord.CoordinationContext, error) {
-	act, err := c.wc.CreateActivity(CoordinationTypeGossip, 0)
-	if err != nil {
-		return wscoord.CoordinationContext{}, err
-	}
-	return act.Context, nil
+// in-process form) with the default expiry, ActivityTTL.
+func (c *Coordinator) CreateActivity() wscoord.CoordinationContext {
+	return c.createActivity(context.Background(), 0)
 }
 
-// registrationExtension validates the registration against the protocol
-// table (protocolExtensions) and delegates to the matching protocol's
-// extension. Unknown protocol URIs are answered with a Sender fault — the
-// table's negative path.
-func (c *Coordinator) registrationExtension(_ *wscoord.Activity, reg wscoord.Registrant) ([]any, error) {
-	ext, ok := protocolExtensions[reg.Protocol]
-	if !ok {
-		return nil, unsupportedProtocolFault(reg.Protocol)
+// createActivity stores a new gossip activity, stamped with expiresMillis or,
+// when that is 0, with ActivityTTL, and replicates it to the ensemble
+// (ReplicateActivities) before returning its context.
+func (c *Coordinator) createActivity(ctx context.Context, expiresMillis uint64) wscoord.CoordinationContext {
+	if expiresMillis == 0 {
+		expiresMillis = uint64(c.cfg.ActivityTTL / time.Millisecond)
 	}
+	cctx := wscoord.CoordinationContext{
+		Identifier:          string(wsa.NewMessageID()),
+		ExpiresMillis:       expiresMillis,
+		CoordinationType:    CoordinationTypeGossip,
+		RegistrationService: wscoord.ServiceRef{Address: c.cfg.Address},
+	}
+	act := activity{ctx: cctx, created: c.cfg.Now()}
+	c.mu.Lock()
+	c.activities[cctx.Identifier] = act
+	c.stats.liveActivities.Set(int64(len(c.activities)))
+	c.mu.Unlock()
+	c.stats.activations.Inc()
+	if c.cfg.ReplicateActivities {
+		c.replicate(ctx, ActionReplicateActivity, ReplicateActivity{Context: cctx})
+	}
+	return cctx
+}
+
+// handleCreate is the Activation service: it accepts only the gossip
+// coordination type.
+func (c *Coordinator) handleCreate(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
+	var body wscoord.CreateCoordinationContext
+	if err := req.Envelope.DecodeBody(&body); err != nil {
+		return nil, soap.NewFault(soap.CodeSender, "malformed CreateCoordinationContext: "+err.Error())
+	}
+	if body.CoordinationType != CoordinationTypeGossip {
+		return nil, soap.NewFault(soap.CodeSender,
+			fmt.Sprintf("unsupported coordination type %q", body.CoordinationType))
+	}
+	cctx := c.createActivity(ctx, body.ExpiresMillis)
+	resp := soap.NewEnvelope()
+	if err := resp.SetAddressing(req.Addressing().Reply(wscoord.ActionCreateResponse)); err != nil {
+		return nil, err
+	}
+	if err := resp.SetBody(wscoord.CreateCoordinationContextResponse{CoordinationContext: cctx}); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// handleRegister is the Registration service: it answers a Register for a
+// live activity and a protocol in protocolExtensions with that protocol's
+// parameter block as an extra header.
+func (c *Coordinator) handleRegister(_ context.Context, req *soap.Request) (*soap.Envelope, error) {
+	var body wscoord.Register
+	if err := req.Envelope.DecodeBody(&body); err != nil {
+		return nil, soap.NewFault(soap.CodeSender, "malformed Register: "+err.Error())
+	}
+	cctx, err := wscoord.ContextFrom(req.Envelope)
+	if err != nil {
+		return nil, soap.NewFault(soap.CodeSender, err.Error())
+	}
+	params, err := c.register(cctx.Identifier, body.ProtocolIdentifier, body.ParticipantProtocolService.Address)
+	if err != nil {
+		return nil, err
+	}
+	resp := soap.NewEnvelope()
+	if err := resp.SetAddressing(req.Addressing().Reply(wscoord.ActionRegisterResponse)); err != nil {
+		return nil, err
+	}
+	if err := resp.SetBody(wscoord.RegisterResponse{
+		CoordinatorProtocolService: wscoord.ServiceRef{Address: c.cfg.Address},
+	}); err != nil {
+		return nil, err
+	}
+	if err := resp.AddHeader(params); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// register admits service to activity id under protocol and returns the
+// protocol's parameter block. An unknown activity, an expired one (which
+// is forgotten here) and a protocol outside protocolExtensions are Sender
+// faults.
+func (c *Coordinator) register(id, protocol, service string) (any, error) {
+	now := c.cfg.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	act, ok := c.activities[id]
+	if !ok {
+		return nil, soap.NewFault(soap.CodeSender, fmt.Sprintf("%v: %s", wscoord.ErrUnknownActivity, id))
+	}
+	if act.expired(now) {
+		delete(c.activities, id)
+		c.stats.liveActivities.Set(int64(len(c.activities)))
+		return nil, soap.NewFault(soap.CodeSender, fmt.Sprintf("%v: %s (expired)", wscoord.ErrUnknownActivity, id))
+	}
+	ext, ok := protocolExtensions[protocol]
+	if !ok {
+		return nil, unsupportedProtocolFault(protocol)
+	}
 	c.stats.registrations.Inc()
-	return ext(c, reg)
+	return ext(c, service), nil
 }
 
 // assignLocked computes (fanout, hops) from the parameter policy and hands

@@ -405,12 +405,9 @@ func TestDefaultParamPolicy(t *testing.T) {
 func TestRegistrationRejectsUnknownProtocol(t *testing.T) {
 	f := newFigure1(t, 10)
 	ctx := context.Background()
-	cctx, err := f.coord.CreateActivity()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cctx := f.coord.CreateActivity()
 	reg := wscoord.NewRegistrationClient(f.bus, "mem://x")
-	_, err = reg.Register(ctx, cctx, "urn:other:protocol", "mem://x")
+	_, err := reg.Register(ctx, cctx, "urn:other:protocol", "mem://x")
 	if err == nil {
 		t.Fatal("unknown protocol accepted")
 	}

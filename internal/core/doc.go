@@ -15,10 +15,15 @@
 //     the message locally, and re-routes copies to selected peers.
 //   - A Consumer is completely unchanged: the gossip header passes through
 //     its stack unexamined.
-//   - The Coordinator hosts Activation/Registration plus the subscription
-//     list, validating registrations against a fixed table of the
-//     coordination protocol URIs (WS-PushGossip, WS-PullGossip, and the
-//     aggregation protocol; see ProtocolPushGossip and friends).
+//   - The Coordinator serves WS-Coordination's Activation and Registration
+//     services (package wscoord holds only their message types and
+//     clients) plus the subscription list. It keeps one activity table,
+//     keyed by context Identifier, with each activity's expiry; it accepts
+//     only the gossip coordination type, and it validates registrations
+//     against a fixed table of the coordination protocol URIs
+//     (WS-PushGossip, WS-PullGossip, and the aggregation protocol; see
+//     ProtocolPushGossip and friends), answering each with that protocol's
+//     parameters and peers.
 //
 // The Disseminator is a SOAP binding of gossip.Machine, the one
 // implementation of the dissemination protocol (gossip.Engine is the

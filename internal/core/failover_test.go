@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"wsgossip/internal/soap"
+	"wsgossip/internal/wscoord"
 )
 
 // TestCoordinatorActivityReplicationAndFailover proves the failover path:
@@ -86,9 +88,7 @@ func TestCoordinatorActivityReplicationAndFailover(t *testing.T) {
 		Replicas:            []string{"mem://coord-c"},
 		ReplicateActivities: true,
 	})
-	if _, err := outsider.CreateActivity(); err != nil {
-		t.Fatal(err)
-	}
+	outsider.CreateActivity()
 	if got := loner.LiveActivities(); got != 0 {
 		t.Fatalf("non-replicating coordinator imported %d activities, want 0", got)
 	}
@@ -104,12 +104,8 @@ func TestCoordinatorActivityTTLPruning(t *testing.T) {
 		Now:         func() time.Time { return now },
 		ActivityTTL: time.Second,
 	})
-	if _, err := c.CreateActivity(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.CreateActivity(); err != nil {
-		t.Fatal(err)
-	}
+	c.CreateActivity()
+	c.CreateActivity()
 	if got := c.LiveActivities(); got != 2 {
 		t.Fatalf("live activities %d, want 2", got)
 	}
@@ -122,5 +118,95 @@ func TestCoordinatorActivityTTLPruning(t *testing.T) {
 	c.Tick(context.Background())
 	if got := c.LiveActivities(); got != 0 {
 		t.Fatalf("expired activities survive the prune round: %d live, want 0", got)
+	}
+}
+
+// deadlineCaller records, for every one-way send, its action and how long
+// its context gave it from the moment of the send (-1 for no deadline).
+type deadlineCaller struct {
+	soap.Caller
+	actions []string
+	budgets []time.Duration
+}
+
+func (d *deadlineCaller) Send(ctx context.Context, _ string, env *soap.Envelope) error {
+	budget := time.Duration(-1)
+	if deadline, ok := ctx.Deadline(); ok {
+		budget = time.Until(deadline)
+	}
+	d.actions = append(d.actions, env.Action())
+	d.budgets = append(d.budgets, budget)
+	return nil
+}
+
+// TestReplicationSendsAreDeadlineBounded: every replication send, of a
+// subscription or of an activity, has at most replicateTimeout, even when
+// the request that caused it carries no deadline at all, so a dead replica
+// cannot hold the primary's request path.
+func TestReplicationSendsAreDeadlineBounded(t *testing.T) {
+	caller := &deadlineCaller{}
+	c := NewCoordinator(CoordinatorConfig{
+		Address:             "mem://coord-a",
+		Caller:              caller,
+		Replicas:            []string{"mem://coord-b", "mem://coord-c"},
+		ReplicateActivities: true,
+	})
+	if err := c.SubscribeLocal(context.Background(), "mem://n1", RoleDisseminator); err != nil {
+		t.Fatal(err)
+	}
+	c.CreateActivity()
+	want := []string{ActionReplicate, ActionReplicate, ActionReplicateActivity, ActionReplicateActivity}
+	if len(caller.actions) != len(want) {
+		t.Fatalf("replication sends = %v, want %v", caller.actions, want)
+	}
+	for i, action := range caller.actions {
+		if action != want[i] {
+			t.Fatalf("send %d action = %s, want %s", i, action, want[i])
+		}
+		if b := caller.budgets[i]; b < 0 || b > replicateTimeout {
+			t.Fatalf("%s send %d has budget %v, want a deadline within %v", action, i, b, replicateTimeout)
+		}
+	}
+}
+
+// TestCoordinatorRefusesStrangerActivities: a coordinator outside a
+// replicating ensemble answers an activity import with a Sender fault, and
+// one inside it still refuses a context that fails Validate; neither grows
+// the activity table. (TestImportActivity in package wscoord checks that an
+// accepted import is idempotent and serves registrations.)
+func TestCoordinatorRefusesStrangerActivities(t *testing.T) {
+	valid := wscoord.CoordinationContext{
+		Identifier:          "urn:stranger",
+		CoordinationType:    CoordinationTypeGossip,
+		RegistrationService: wscoord.ServiceRef{Address: "mem://stranger"},
+	}
+	invalid := valid
+	invalid.RegistrationService.Address = ""
+	for _, tc := range []struct {
+		name      string
+		replicate bool
+		cctx      wscoord.CoordinationContext
+	}{
+		{"outside the ensemble", false, valid},
+		{"invalid context", true, invalid},
+	} {
+		c := NewCoordinator(CoordinatorConfig{Address: "mem://coord", ReplicateActivities: tc.replicate})
+		bus := soap.NewMemBus()
+		bus.Register("mem://coord", c.Handler())
+		env := soap.NewEnvelope()
+		if err := env.SetAddressing(addressingFor("mem://coord", ActionReplicateActivity)); err != nil {
+			t.Fatal(err)
+		}
+		if err := env.SetBody(ReplicateActivity{Context: tc.cctx}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := bus.Call(context.Background(), "mem://coord", env)
+		var f *soap.Fault
+		if !errors.As(err, &f) || f.Code.Value != soap.CodeSender {
+			t.Fatalf("%s: import answered %v, want a Sender fault", tc.name, err)
+		}
+		if got := c.LiveActivities(); got != 0 {
+			t.Fatalf("%s: refused import stored %d activities", tc.name, got)
+		}
 	}
 }

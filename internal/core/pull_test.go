@@ -170,10 +170,7 @@ func TestPullRequestNegativePath(t *testing.T) {
 func TestRegistryAcceptsKnownProtocolsAndFaultsUnknown(t *testing.T) {
 	ctx := context.Background()
 	c := newPullCluster(t, 4, 5)
-	cctx, err := c.coord.CreateActivity()
-	if err != nil {
-		t.Fatalf("CreateActivity: %v", err)
-	}
+	cctx := c.coord.CreateActivity()
 	client := wscoord.NewRegistrationClient(c.bus, "mem://registrant")
 	for _, protocol := range []string{ProtocolPushGossip, ProtocolPullGossip, ProtocolAggregate} {
 		resp, err := client.Register(ctx, cctx, protocol, "mem://pull00")
@@ -184,7 +181,7 @@ func TestRegistryAcceptsKnownProtocolsAndFaultsUnknown(t *testing.T) {
 			t.Fatalf("registration for %s returned no response", protocol)
 		}
 	}
-	_, err = client.Register(ctx, cctx, Namespace+":gossip:bogus", "mem://pull00")
+	_, err := client.Register(ctx, cctx, Namespace+":gossip:bogus", "mem://pull00")
 	var fault *soap.Fault
 	if !errors.As(err, &fault) {
 		t.Fatalf("expected SOAP fault for unknown protocol, got %v", err)
@@ -228,10 +225,7 @@ func TestProtocolTargetEligibility(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cctx, err := coord.CreateActivity()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cctx := coord.CreateActivity()
 	client := wscoord.NewRegistrationClient(bus, "mem://registrant")
 	resp, err := client.Register(ctx, cctx, ProtocolPushGossip, "mem://registrant")
 	if err != nil {

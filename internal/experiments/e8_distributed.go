@@ -75,10 +75,7 @@ func runE8(k, subscribers, activities, regsPerActivity int, seed int64) ([]strin
 	// own coordinator (the context pins the Registration service).
 	for a := 0; a < activities; a++ {
 		owner := coords[a%k]
-		cctx, err := owner.CreateActivity()
-		if err != nil {
-			return nil, err
-		}
+		cctx := owner.CreateActivity()
 		for r := 0; r < regsPerActivity; r++ {
 			participant := fmt.Sprintf("mem://sub%04d", (a*regsPerActivity+r)%subscribers)
 			regClient := wscoord.NewRegistrationClient(bus, participant)

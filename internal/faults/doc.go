@@ -11,8 +11,7 @@
 //     asymmetric failures — the one-way-dead link that makes naive failure
 //     detectors falsely suspect healthy peers — are native, not simulated
 //     by hand. A NAT matrix marks nodes reachable only from designated
-//     relay senders, and predicate hooks keep the old closure-style test
-//     rules expressible. Every decision is counted per rule, so harnesses
+//     relay senders. Every decision is counted per rule, so harnesses
 //     assert exact fault↔counter accounting.
 //
 //   - Plan: a declarative timeline of fault events (see ParsePlan for the

@@ -90,11 +90,11 @@ func (r *rule) matches(from, to string) bool {
 }
 
 // Table is a directional link-fault model: an ordered set of per-direction
-// refuse/cut/loss/delay rules, a NAT reachability matrix, predicate hooks
-// for ad-hoc test rules, and a global loss probability. It decides, per
-// (from, to) send, whether the message is refused, dropped, lost, or
-// delayed — and counts every decision per rule, so a harness can assert
-// exact fault↔counter accounting against its own fabric counters.
+// refuse/cut/loss/delay rules, a NAT reachability matrix, and a global
+// loss probability. It decides, per (from, to) send, whether the message is
+// refused, dropped, lost, or delayed — and counts every decision per rule,
+// so a harness can assert exact fault↔counter accounting against its own
+// fabric counters.
 //
 // Determinism: the table itself draws no randomness. Lossy consumes exactly
 // one draw from the caller's seeded RNG per call, whether or not any loss
@@ -102,14 +102,12 @@ func (r *rule) matches(from, to string) bool {
 // random stream the surrounding fabric (virtBus, simnet) sees for
 // unaffected traffic.
 type Table struct {
-	mu          sync.Mutex
-	loss        float64
-	partitionFn func(from, to string) bool
-	refuseFn    func(from, to string) bool
-	rules       []*rule
-	nat         map[string]map[string]bool // node -> senders allowed in
-	counts      map[string]int64
-	totals      Totals
+	mu     sync.Mutex
+	loss   float64
+	rules  []*rule
+	nat    map[string]map[string]bool // node -> senders allowed in
+	counts map[string]int64
+	totals Totals
 }
 
 // NewTable returns an empty table: every send delivers.
@@ -205,8 +203,6 @@ func (t *Table) HealAll() {
 	t.rules = nil
 	t.nat = make(map[string]map[string]bool)
 	t.loss = 0
-	t.partitionFn = nil
-	t.refuseFn = nil
 }
 
 // SetLoss sets the global one-way loss probability.
@@ -245,29 +241,8 @@ func (t *Table) ClearNAT(node string) {
 	delete(t.nat, node)
 }
 
-// SetPartitionFunc installs (or, with nil, heals) a predicate partition:
-// sends for which fn returns true are silently dropped. This is the
-// ad-hoc-test escape hatch the scenario suite's virtBus.SetPartition rides.
-func (t *Table) SetPartitionFunc(fn func(from, to string) bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.partitionFn = fn
-}
-
-// SetRefuseFunc installs (or, with nil, heals) a predicate connection
-// fault: sends for which fn returns true fail synchronously.
-func (t *Table) SetRefuseFunc(fn func(from, to string) bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.refuseFn = fn
-}
-
-// Names of the predicate and global pseudo-rules in Counts.
+// Names of the global pseudo-rules in Counts.
 const (
-	// RulePartitionFunc attributes drops decided by SetPartitionFunc.
-	RulePartitionFunc = "partition-fn"
-	// RuleRefuseFunc attributes refusals decided by SetRefuseFunc.
-	RuleRefuseFunc = "refuse-fn"
 	// RuleLoss attributes losses drawn against the global loss probability.
 	RuleLoss = "loss"
 	// RuleNATPrefix prefixes the NAT'd node's address in NAT refusal counts.
@@ -281,9 +256,6 @@ const (
 func (t *Table) Check(from, to string) Decision {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.refuseFn != nil && t.refuseFn(from, to) {
-		return t.countLocked(Refuse, RuleRefuseFunc)
-	}
 	for _, r := range t.rules {
 		if r.kind == kindRefuse && r.matches(from, to) {
 			return t.countLocked(Refuse, r.name)
@@ -291,9 +263,6 @@ func (t *Table) Check(from, to string) Decision {
 	}
 	if allowed, natted := t.nat[to]; natted && !allowed[from] {
 		return t.countLocked(Refuse, RuleNATPrefix+to)
-	}
-	if t.partitionFn != nil && t.partitionFn(from, to) {
-		return t.countLocked(Drop, RulePartitionFunc)
 	}
 	for _, r := range t.rules {
 		if (r.kind == kindCut || r.kind == kindPartition) && r.matches(from, to) {
@@ -375,11 +344,10 @@ func (t *Table) Totals() Totals {
 	return t.totals
 }
 
-// Active reports whether any rule, NAT entry, predicate, or global loss is
-// currently installed.
+// Active reports whether any rule, NAT entry, or global loss is currently
+// installed.
 func (t *Table) Active() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.rules) > 0 || len(t.nat) > 0 || t.loss > 0 ||
-		t.partitionFn != nil || t.refuseFn != nil
+	return len(t.rules) > 0 || len(t.nat) > 0 || t.loss > 0
 }

@@ -86,23 +86,6 @@ func TestTableNAT(t *testing.T) {
 	}
 }
 
-func TestTablePredicateHooks(t *testing.T) {
-	tbl := NewTable()
-	tbl.SetPartitionFunc(func(from, to string) bool { return to == "v" })
-	tbl.SetRefuseFunc(func(from, to string) bool { return to == "w" })
-	if d := tbl.Check("a", "v"); d.Outcome != Drop || d.Rule != RulePartitionFunc {
-		t.Fatalf("a->v = %+v", d)
-	}
-	if d := tbl.Check("a", "w"); d.Outcome != Refuse || d.Rule != RuleRefuseFunc {
-		t.Fatalf("a->w = %+v", d)
-	}
-	tbl.SetPartitionFunc(nil)
-	tbl.SetRefuseFunc(nil)
-	if d := tbl.Check("a", "v"); d.Outcome != Deliver {
-		t.Fatalf("healed a->v = %+v", d)
-	}
-}
-
 // TestTableLossyStreamInvariant pins the determinism contract: Lossy always
 // consumes exactly one RNG draw, so a table with no loss configured leaves
 // the caller's random stream identical to not consulting it at all.
@@ -172,7 +155,6 @@ func TestTableHealAll(t *testing.T) {
 	tbl.Cut("c", []string{"a"}, []string{"b"})
 	tbl.SetNAT("x", "r")
 	tbl.SetLoss(0.5)
-	tbl.SetPartitionFunc(func(string, string) bool { return true })
 	if !tbl.Active() {
 		t.Fatal("table with rules reports inactive")
 	}

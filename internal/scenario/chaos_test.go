@@ -62,15 +62,7 @@ func TestChaosHealingPartition(t *testing.T) {
 
 	// Partition: nodes 0..15 plus the (unstamped) initiator on side A,
 	// nodes 16..31 on side B. The control plane stays connected.
-	side := func(addr string) int {
-		for _, a := range c.addrs[n/2:] {
-			if a == addr {
-				return 1
-			}
-		}
-		return 0
-	}
-	c.bus.SetPartition(func(from, to string) bool { return side(from) != side(to) })
+	c.bus.Faults().Partition("split", c.addrs[n/2:])
 
 	if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 2}); err != nil {
 		t.Fatal(err)
@@ -95,7 +87,7 @@ func TestChaosHealingPartition(t *testing.T) {
 
 	// Heal. Cross-side repair digests now land and retransmits close the
 	// other half within the repair budget.
-	c.bus.SetPartition(nil)
+	c.bus.Faults().Heal("split")
 	if w := advanceUntil(c.clk, 200*time.Millisecond, 30, func() bool {
 		return c.coverage(nil, 2) == n
 	}); w > 30 {

@@ -127,7 +127,7 @@ func runFlappingLink(t *testing.T, seed int64) {
 
 	// The victim's inbound link starts refusing connections.
 	victimAddr := c.addrs[victim]
-	c.bus.SetRefuse(func(_, to string) bool { return to == victimAddr })
+	c.bus.Faults().RefuseLink("victim", nil, []string{victimAddr})
 	if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func runFlappingLink(t *testing.T, seed int64) {
 
 	// Heal. Repair digests reach the victim again and anti-entropy delivers
 	// the missed event.
-	c.bus.SetRefuse(nil)
+	c.bus.Faults().Heal("victim")
 	if w := advanceUntil(c.clk, 200*time.Millisecond, 40, func() bool {
 		return c.coverage(nil, 2) == n
 	}); w > 40 {

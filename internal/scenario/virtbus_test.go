@@ -86,25 +86,13 @@ func (b *virtBus) Recover(addr string) {
 }
 
 // Faults exposes the bus's fault table: the full directional rule set —
-// cuts, NAT, per-link loss and delay, named rules, fault plans — beyond
-// the predicate shorthands below.
+// partitions, refusals, cuts, NAT, per-link loss and delay, fault plans.
+// It covers the one-way gossip path only; the control plane (Call) stays
+// connected, since the coordinator is not the component under stress.
 func (b *virtBus) Faults() *faults.Table { return b.faults }
 
 // SetLoss changes the one-way message loss probability.
 func (b *virtBus) SetLoss(p float64) { b.faults.SetLoss(p) }
-
-// SetPartition installs (or, with nil, heals) a link-level partition over
-// the one-way gossip path. The control plane (Call) stays connected: the
-// coordinator is not the component under stress.
-func (b *virtBus) SetPartition(p func(from, to string) bool) {
-	b.faults.SetPartitionFunc(p)
-}
-
-// SetRefuse installs (or, with nil, heals) a link-level connection fault:
-// matching one-way sends fail synchronously back to the sender.
-func (b *virtBus) SetRefuse(f func(from, to string) bool) {
-	b.faults.SetRefuseFunc(f)
-}
 
 // SetSync switches one-way delivery between the default delayed/lossy mode
 // and the synchronous fault-propagating mode.

@@ -104,17 +104,6 @@ func (d *Dispatcher) SetFallback(h Handler) {
 	d.fallback = h
 }
 
-// Actions lists the registered action URIs.
-func (d *Dispatcher) Actions() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.handlers))
-	for a := range d.handlers {
-		out = append(out, a)
-	}
-	return out
-}
-
 // HandleSOAP dispatches by the request's WS-Addressing action.
 func (d *Dispatcher) HandleSOAP(ctx context.Context, req *Request) (*Envelope, error) {
 	action := req.Action()

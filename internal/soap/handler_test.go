@@ -66,15 +66,6 @@ func TestDispatcherFallback(t *testing.T) {
 	}
 }
 
-func TestDispatcherActions(t *testing.T) {
-	d := NewDispatcher()
-	d.Register("urn:a", HandlerFunc(func(context.Context, *Request) (*Envelope, error) { return nil, nil }))
-	d.Register("urn:b", HandlerFunc(func(context.Context, *Request) (*Envelope, error) { return nil, nil }))
-	if got := len(d.Actions()); got != 2 {
-		t.Fatalf("actions = %d", got)
-	}
-}
-
 func TestChainOrder(t *testing.T) {
 	var order []string
 	mk := func(name string) Middleware {

@@ -11,7 +11,6 @@ import (
 type Mux struct {
 	mu       sync.RWMutex
 	handlers map[string]Handler
-	fallback Handler
 }
 
 // NewMux returns an empty mux.
@@ -26,23 +25,12 @@ func (m *Mux) Handle(action string, h Handler) {
 	m.handlers[action] = h
 }
 
-// SetFallback installs the handler used for unmatched actions.
-func (m *Mux) SetFallback(h Handler) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.fallback = h
-}
-
 // Dispatch routes msg to the handler registered for its action.
 func (m *Mux) Dispatch(ctx context.Context, msg Message) error {
 	m.mu.RLock()
 	h, ok := m.handlers[msg.Action]
-	fb := m.fallback
 	m.mu.RUnlock()
 	if !ok {
-		if fb != nil {
-			return fb(ctx, msg)
-		}
 		return fmt.Errorf("transport: no handler for action %q", msg.Action)
 	}
 	return h(ctx, msg)

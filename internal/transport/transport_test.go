@@ -33,21 +33,6 @@ func TestMuxUnknownAction(t *testing.T) {
 	}
 }
 
-func TestMuxFallback(t *testing.T) {
-	m := NewMux()
-	called := false
-	m.SetFallback(func(context.Context, Message) error {
-		called = true
-		return nil
-	})
-	if err := m.Dispatch(context.Background(), Message{Action: "anything"}); err != nil {
-		t.Fatal(err)
-	}
-	if !called {
-		t.Fatal("fallback not called")
-	}
-}
-
 func TestMuxHandlerErrorPropagates(t *testing.T) {
 	m := NewMux()
 	boom := errors.New("boom")

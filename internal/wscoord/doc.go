@@ -1,24 +1,19 @@
-// Package wscoord implements the WS-Coordination 1.1 subset WS-Gossip is
-// built on (reference [1] of the paper): the Activation service
-// (CreateCoordinationContext), the Registration service (Register), and the
-// CoordinationContext header that ties an activity's messages together.
+// Package wscoord is the WS-Coordination 1.1 subset WS-Gossip is built on
+// (reference [1] of the paper), as a protocol package: the message types
+// of the Activation service (CreateCoordinationContext) and the
+// Registration service (Register), the CoordinationContext header that ties
+// an activity's messages together, and the caller side of both services.
 //
 // Key types:
 //
-//   - Coordinator — serves both Activation and Registration on one
-//     endpoint, dispatching by WS-Addressing action. A
-//     RegistrationExtension hook is how the WS-Gossip layer (core's
-//     Coordinator) enriches registration responses with gossip parameters
-//     and peer targets.
-//   - Activity / Registrant — one coordinated activity and its registered
-//     participants. Activities created without an explicit expiry can be
-//     stamped with Config.DefaultExpiresMillis; Tick prunes expired ones,
-//     in the loop shape core.Runner schedules, so a long-lived coordinator
-//     sheds abandoned interactions as a self-clocking housekeeping round.
-//   - CoordinationContext — the context header; AttachContext/ContextFrom
-//     move it between envelopes and values.
+//   - CoordinationContext — the context header; ContextBlock marshals it
+//     once per activity, AttachContext/AttachContextBlock put it on an
+//     envelope, and ContextFrom/ContextFor read it back.
+//   - CreateCoordinationContext, Register and their responses — the
+//     request and response bodies.
 //   - ActivationClient / RegistrationClient — the caller side.
 //
-// Time is injectable (Config.Now) so activity stamps and expiry run on the
-// shared virtual clock in deterministic tests.
+// The services themselves are the WS-Gossip Coordinator's: core.Coordinator
+// serves Activation and Registration, holds the activities and their
+// expiry, and answers each Register with gossip parameters and peers.
 package wscoord
