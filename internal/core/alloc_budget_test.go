@@ -86,7 +86,8 @@ const firstReceiptSeen = 64
 // paths. receive takes the next one through intercept. The ring is twice the
 // seen cache, which evicts each notification before it comes round again, so
 // every receipt is a first one; the ring has gone round once on return, so
-// the seen cache and the store are full.
+// the seen cache and the store are full, and each receipt refills the slot of
+// the entry it evicts.
 func firstReceipts(tb testing.TB) (d *Disseminator, receive func()) {
 	tb.Helper()
 	d, err := NewDisseminator(DisseminatorConfig{
@@ -135,16 +136,26 @@ func firstReceipts(tb testing.TB) (d *Disseminator, receive func()) {
 
 // TestFirstReceiptAllocBudget: the path every delivery pays — intercept
 // taking a notification of a known interaction it has not seen — reads the
-// header in place and builds no MessageID. What it keeps is the store's clone
-// (two objects); the target is drawn on the stack, and the forward written
-// from the received blocks into the pooled template, so the only other
-// allocation is the one rendered copy, which this binding drops where a
-// transport would recycle it.
+// header in place and builds no MessageID. The store is full, so what it
+// keeps refills the slot of the entry it evicts and allocates nothing; the
+// target is drawn on the stack, and the forward written from the received
+// blocks into the pooled template, so the one allocation is the rendered
+// copy, which this binding drops where a transport would recycle it.
 func TestFirstReceiptAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	d, receive := firstReceipts(t)
+	d.mu.Lock()
+	evictee, full := d.m.Evictee()
+	d.mu.Unlock()
+	receive()
+	d.mu.Lock()
+	newest := d.m.Missing(nil, nil, false, 1)
+	d.mu.Unlock()
+	if !full || len(newest) != 1 || newest[0] != evictee {
+		t.Fatalf("the receipt did not refill the evicted slot (store full %v)", full)
+	}
 	allocs := testing.AllocsPerRun(100, receive)
-	if stats := d.Stats(); stats.Delivered != 2*firstReceiptSeen+101 || stats.Duplicates != 0 || stats.Forwarded != stats.Delivered {
+	if stats := d.Stats(); stats.Delivered != 2*firstReceiptSeen+102 || stats.Duplicates != 0 || stats.Forwarded != stats.Delivered {
 		t.Fatalf("stats = %+v", stats)
 	}
 	checkAllocBudget(t, "first receipt of a known interaction", allocs, budget.FirstReceipt)
@@ -263,10 +274,11 @@ func TestDigestReceiptAllocBudget(t *testing.T) {
 }
 
 // TestDigestOneMissingAllocBudget: a repair digest that misses one stored
-// notification costs the responder that one retransmission — the missing
-// list and the re-headed copy, whose header is read with the ID its store
-// slot holds and the InteractionID its interaction state holds, rendered
-// once for a binding that drops it — and nothing per listed sum.
+// notification costs the responder that one retransmission — the re-headed
+// copy, whose header is read with the ID its store slot holds and the
+// InteractionID its interaction state holds, rendered once for a binding that
+// drops it — and nothing per listed sum: the missing list is collected on the
+// stack.
 func TestDigestOneMissingAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	d, _ := newDigestResponder(t, digestCap)

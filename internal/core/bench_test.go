@@ -114,7 +114,7 @@ func BenchmarkRetransmit(b *testing.B) {
 		if err := env.SetBody(benchNote{Data: strings.Repeat("y", 1<<10)}); err != nil {
 			b.Fatal(err)
 		}
-		fb.d.m.Hold(gossip.IDSum(gh.MessageID), env)
+		fb.d.m.Hold(gossip.IDSum(gh.MessageID), storedOf(env))
 	}
 	var have heldSums // an empty digest: everything stored is missing
 	b.ReportAllocs()

@@ -97,7 +97,7 @@ func (f gossipFields) header() GossipHeader {
 
 // notice is a notification's gossip header as the gossip layer forwards or
 // serves it: the MessageID as bytes — a view of the header it was read from,
-// the received one (dying with the delivery) or a stored clone's — so a
+// the received one (dying with the delivery) or a stored copy's — so a
 // transfer writes it without building a string. The InteractionID comes
 // from the interaction state at the point of writing.
 type notice struct {

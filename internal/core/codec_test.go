@@ -317,10 +317,11 @@ func TestGossipLayerNeverAliasesReceiveBuffer(t *testing.T) {
 		if len(d.pendingAnn) != 1 || !reflect.DeepEqual(d.pendingAnn[0].n, noticeOf(want)) || d.pendingAnn[0].state.id != want.InteractionID {
 			t.Errorf("deferred announcement changed with the buffer: %+v", d.pendingAnn)
 		}
-		stored, ok := d.m.Get(gossip.IDSum(id))
+		held, ok := d.m.Get(gossip.IDSum(id))
 		if !ok {
 			t.Fatalf("store lost %q", id)
 		}
+		stored := held.Envelope()
 		if sgh, err := GossipHeaderFrom(stored); err != nil || sgh != want {
 			t.Errorf("stored envelope changed with the buffer: %+v, %v", sgh, err)
 		}

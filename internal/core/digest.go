@@ -144,20 +144,30 @@ func (d *Disseminator) respond(ctx context.Context, req *soap.Request, pull bool
 }
 
 // retransmitMissing serves every stored notification the digest's sender
-// does not hold to it (up to max, newest first) and returns the number of
-// successful retransmissions. A digest that finds nothing missing allocates
-// nothing.
+// does not hold to it (up to max ≤ digestCap, newest first) and returns the
+// number of successful retransmissions. The missing slots are collected into
+// scratch on the stack and referenced until the last is served, so no first
+// receipt refills one under a serve. A digest allocates nothing of its own.
 func (d *Disseminator) retransmitMissing(ctx context.Context, to string, held heldSums, max int) int64 {
+	var scratch [digestCap]*stored
 	d.mu.Lock()
-	missing := d.m.Missing(held.sums, held.truncated, max)
+	missing := d.m.Missing(scratch[:0], held.sums, held.truncated, max)
+	for _, slot := range missing {
+		slot.refs++
+	}
 	d.mu.Unlock()
 	var served int64
-	for _, held := range missing {
-		if !d.serve(ctx, to, held) {
+	for _, slot := range missing {
+		if !d.serve(ctx, to, slot) {
 			d.stats.sendErrors.Add(1)
 			continue
 		}
 		served++
 	}
+	d.mu.Lock()
+	for _, slot := range missing {
+		slot.refs--
+	}
+	d.mu.Unlock()
 	return served
 }

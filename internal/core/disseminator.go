@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,8 +140,8 @@ type DisseminatorConfig struct {
 	Coordinators []string
 	// SeenCacheSize bounds the duplicate-suppression cache (0 = default).
 	SeenCacheSize int
-	// StoreSize bounds the retained notification envelopes that serve
-	// lazy-push fetches (0 = 1024).
+	// StoreSize bounds the retained notifications that serve lazy-push
+	// fetches and answer repair and pull digests (0 = 1024).
 	StoreSize int
 	// Metrics is the registry the gossip layer resolves its counters from;
 	// Stats() reads the same series. Nil uses a private registry, so the
@@ -153,12 +152,6 @@ type DisseminatorConfig struct {
 	// Clock supplies timestamps for the fan-out latency histogram; on a
 	// virtual clock the histogram is deterministic. Nil uses wall time.
 	Clock clock.Clock
-	// Intern, when set, deduplicates the retained envelope clones that
-	// serve lazy-push fetches: nodes sharing one Interner (a simulated
-	// cluster) hold a single deep copy per (message, hop count) instead of
-	// one per store. Stored envelopes are only ever read via Snapshot, so
-	// sharing is safe. Nil keeps private per-store clones.
-	Intern *soap.Interner
 }
 
 // interactionState caches the parameters the Coordinator assigned for one
@@ -215,7 +208,7 @@ type Disseminator struct {
 
 	mu           sync.Mutex
 	rng          *rand.Rand
-	m            gossip.Machine[*soap.Envelope] // holds retained envelope clones
+	m            gossip.Machine[*stored]
 	interactions map[string]*interactionState
 	// live is the buffer a live view draws targets into (SelectTargets).
 	live     []string
@@ -264,7 +257,7 @@ func NewDisseminator(cfg DisseminatorConfig) (*Disseminator, error) {
 		cfg:          cfg,
 		register:     wscoord.NewRegistrationClient(cfg.Caller, cfg.Address),
 		rng:          rng,
-		m:            gossip.NewMachine[*soap.Envelope](cfg.SeenCacheSize, storeSize, 0),
+		m:            gossip.NewMachine[*stored](cfg.SeenCacheSize, storeSize, 0),
 		interactions: make(map[string]*interactionState),
 		stats:        newCounters(reg),
 		now:          clk.Now,
@@ -346,7 +339,7 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.
 	// allocation — and the machine asked with the sum of the MessageID as it
 	// lies there, and the interaction looked up with its ID there too. Most
 	// receipts are duplicates and stop at that; a first receipt builds no
-	// MessageID either: the store keeps the envelope's clone, and a forward
+	// MessageID either: the store keeps a copy of the envelope, and a forward
 	// writes the ID from the view. A header the byte-level reader declines is
 	// decoded up front.
 	interaction, n, err := readNotice(block)
@@ -359,6 +352,9 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.
 	d.mu.Lock()
 	first, t := d.m.Receive(sum, false)
 	state := d.interactions[string(interaction)]
+	if first {
+		d.retainLocked(sum, req.Envelope)
+	}
 	d.mu.Unlock()
 	if !first {
 		d.stats.duplicates.Add(1)
@@ -367,24 +363,6 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.
 		d.spread(ctx, req.Envelope, n, state, t)
 		return nil, nil
 	}
-	// Retain the envelope so fetches and digests can be served later. The
-	// store outlives this delivery, whose inbound buffer the transport
-	// recycles once the handler returns — so the one retention point in the
-	// stack deep-copies. Paid once per unique message (duplicates, the bulk
-	// of gossip traffic, never get here), and copied outside d.mu so
-	// concurrent deliveries don't serialize behind a payload memcpy.
-	var clone *soap.Envelope
-	if d.cfg.Intern != nil {
-		// The stored form varies only by message identity and remaining hop
-		// budget (forwarding decrements Hops before re-rendering), so that
-		// pair keys the shared clone across every store on this interner.
-		clone = d.cfg.Intern.Clone(string(n.messageID)+"\x00"+strconv.Itoa(n.hops), req.Envelope)
-	} else {
-		clone = req.Envelope.Clone()
-	}
-	d.mu.Lock()
-	d.m.Hold(sum, clone)
-	d.mu.Unlock()
 
 	if state == nil {
 		if state, err = d.registerInteraction(ctx, req.Envelope, string(interaction), n.protocol); err != nil {
@@ -407,6 +385,39 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.
 		d.spread(ctx, req.Envelope, n, state, t)
 	}
 	return nil, appErr
+}
+
+// stored is one store slot: a retained notification, kept so fetches and
+// digests can be served later, as a copy that is refilled in place when its
+// entry is evicted. refs counts the serves reading the copy; the slot is
+// refilled only while it is zero. Both refs and the refill are guarded by
+// d.mu.
+type stored struct {
+	soap.Retained
+	refs int
+}
+
+// retainLocked keeps a copy of env, the first receipt of the notification
+// whose ID's sum is sum. The store outlives this delivery, whose inbound
+// buffer the transport recycles once the handler returns, so the one
+// retention point in the stack copies what a retransmission reads (see
+// soap.Retained). Once the store is full the copy refills the slot of the
+// entry it evicts, unless a serve is still reading that one, which is then
+// left to the GC. A notification the store already holds — the seen cache
+// may have forgotten it first — keeps its copy, and the evictee is another
+// entry's. The copy, about a kilobyte, is made under d.mu: it is paid once
+// per unique message, duplicates, the bulk of gossip traffic, never get
+// here, and a refill must not overlap the serves that check refs.
+func (d *Disseminator) retainLocked(sum uint64, env *soap.Envelope) {
+	if _, held := d.m.Get(sum); held {
+		return
+	}
+	slot, ok := d.m.Evictee()
+	if !ok || slot.refs > 0 {
+		slot = new(stored)
+	}
+	slot.Retain(env)
+	d.m.Hold(sum, slot)
 }
 
 func (d *Disseminator) deliver(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {

@@ -40,10 +40,11 @@
 //
 // The machine knows a notification only by that sum. intercept takes it from
 // the MessageID where it lies in the received header, so a first receipt,
-// like a duplicate, builds no MessageID string: the store holds the
-// envelope's clone, and a forward, a served copy, an IHAVE and the IWANT
-// that answers one write the ID from bytes already held — the received
-// header's, or the stored clone's (notice). Only a deferred announcement,
+// like a duplicate, builds no MessageID string: the store holds a copy of
+// the envelope, refilled in place once the store is full, and a forward, a
+// served copy, an IHAVE and the IWANT that answers one write the ID from
+// bytes already held — the received header's, or the stored copy's
+// (notice). Only a deferred announcement,
 // which outlives its delivery, copies the ID, and GossipHeaderFrom still
 // returns strings (DESIGN.md, "One identity per notification").
 //

@@ -93,8 +93,9 @@ func (d *Disseminator) handleIHave(ctx context.Context, req *soap.Request) (*soa
 // handleIWant serves a stored notification to the requester, the transfer
 // costing one hop. The store is asked with the sum of the requested ID as it
 // lies in the receive buffer, and the retransmission carries the ID its
-// stored clone's header holds and the InteractionID the interaction state
-// holds.
+// stored copy's header holds and the InteractionID the interaction state
+// holds. The slot is referenced while it is served, so no first receipt
+// refills it under the serve.
 func (d *Disseminator) handleIWant(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
 	requested, requester, err := fetchFrom(req.Envelope)
 	if err != nil {
@@ -102,12 +103,19 @@ func (d *Disseminator) handleIWant(ctx context.Context, req *soap.Request) (*soa
 	}
 	d.mu.Lock()
 	held, ok := d.m.Get(gossip.IDSum(requested))
+	if ok {
+		held.refs++
+	}
 	d.mu.Unlock()
 	if !ok {
 		return nil, soap.NewFault(soap.CodeSender,
 			fmt.Sprintf("notification %q not held", requested))
 	}
-	if !d.serve(ctx, requester, held) {
+	served := d.serve(ctx, requester, held)
+	d.mu.Lock()
+	held.refs--
+	d.mu.Unlock()
+	if !served {
 		d.stats.sendErrors.Add(1)
 		return nil, nil
 	}
@@ -117,12 +125,14 @@ func (d *Disseminator) handleIWant(ctx context.Context, req *soap.Request) (*soa
 }
 
 // serve retransmits a held notification to one peer, the transfer costing
-// one hop, and reports whether the copy went out. Its gossip header is read
-// from the stored clone: the MessageID in place, the InteractionID the
-// node's interaction state holds for it (a copy only for an interaction the
-// node does not know).
-func (d *Disseminator) serve(ctx context.Context, to string, held *soap.Envelope) bool {
-	b, ok := held.HeaderBlock(Namespace, "Gossip")
+// one hop, and reports whether the copy went out. The caller holds a
+// reference to the slot (stored.refs). Its gossip header is read from the
+// stored copy: the MessageID in place, the InteractionID the node's
+// interaction state holds for it (a copy only for an interaction the node
+// does not know).
+func (d *Disseminator) serve(ctx context.Context, to string, held *stored) bool {
+	env := held.Envelope()
+	b, ok := env.HeaderBlock(Namespace, "Gossip")
 	if !ok {
 		return false
 	}
@@ -134,6 +144,6 @@ func (d *Disseminator) serve(ctx context.Context, to string, held *soap.Envelope
 	id := d.interactionIDLocked(interaction)
 	d.mu.Unlock()
 	n.hops = gossip.ServedHops(n.hops)
-	sent, _ := d.forward(ctx, held, id, n, true, []string{to})
+	sent, _ := d.forward(ctx, env, id, n, true, []string{to})
 	return sent == 1
 }

@@ -214,14 +214,16 @@ func newE0StyleDeployment(nDissem int, seed int64) (*eagerDeployment, error) {
 // ID, and evicts oldest-first once its store is full — 1024 entries unless
 // configured otherwise.
 func TestEnvelopeStore(t *testing.T) {
-	mk := func(symbol string) *soap.Envelope {
+	mk := func(symbol string) *stored {
 		env := soap.NewEnvelope()
 		_ = env.SetBody(quoteBody{Symbol: symbol})
-		return env
+		return storedOf(env)
 	}
-	symbol := func(env *soap.Envelope) string {
+	symbol := func(held *stored) string {
 		var q quoteBody
-		_ = env.DecodeBody(&q)
+		if held != nil {
+			_ = held.Envelope().DecodeBody(&q)
+		}
 		return q.Symbol
 	}
 	for _, tc := range []struct{ size, holds int }{{2, 2}, {0, defaultStoreSize}} {

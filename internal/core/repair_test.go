@@ -374,8 +374,16 @@ func storeNotification(t testing.TB, d *Disseminator, id string) {
 		t.Fatal(err)
 	}
 	d.mu.Lock()
-	d.m.Hold(gossip.IDSum(id), env)
+	d.m.Hold(gossip.IDSum(id), storedOf(env))
 	d.mu.Unlock()
+}
+
+// storedOf is a store slot holding a copy of env, as a first receipt keeps
+// it.
+func storedOf(env *soap.Envelope) *stored {
+	s := new(stored)
+	s.Retain(env)
+	return s
 }
 
 // receivedRequest is a digest-style request as the responder receives it:

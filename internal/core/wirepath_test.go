@@ -220,10 +220,9 @@ func strictWellFormed(data []byte) error {
 	}
 }
 
-// TestStoreSharesInboundBytes: the envelope store keeps a snapshot sharing
-// the inbound capture, not a deep copy, and still serves intact fetches
-// after the request envelope's headers are replaced (the forward path
-// mutates block lists, never block bytes).
+// TestStoreSharesInboundBytes: what the store keeps of a notification
+// delivered over MemBus — its gossip header and body — is intact after the
+// bus has recycled the inbound buffer and its decoded request.
 func TestStoreSharesInboundBytes(t *testing.T) {
 	bus := soap.NewMemBus()
 	d, err := NewDisseminator(DisseminatorConfig{
@@ -250,11 +249,12 @@ func TestStoreSharesInboundBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.mu.Lock()
-	stored, ok := d.m.Get(gossip.IDSum(gh.MessageID))
+	held, ok := d.m.Get(gossip.IDSum(gh.MessageID))
 	d.mu.Unlock()
 	if !ok {
 		t.Fatal("notification not stored")
 	}
+	stored := held.Envelope()
 	var q quoteBody
 	if err := stored.DecodeBody(&q); err != nil {
 		t.Fatal(err)

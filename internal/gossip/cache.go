@@ -205,6 +205,18 @@ func (s *store[V]) Hold(sum uint64, v V) {
 	s.head = (s.head + 1) % s.cap
 }
 
+// Evictee returns the value the next Hold of a sum not held overwrites — the
+// oldest, once the store is full — so a binding can reuse its storage for
+// the value it is about to hold. ok is false while the store is still
+// growing. A Hold of a held sum overwrites nothing, so a caller asks Get
+// first.
+func (s *store[V]) Evictee() (v V, ok bool) {
+	if len(s.slots) < s.cap {
+		return v, false
+	}
+	return s.slots[s.head].v, true
+}
+
 // Get returns the value held under sum.
 func (s *store[V]) Get(sum uint64) (v V, ok bool) {
 	if i, ok := s.index[sum]; ok {
@@ -262,31 +274,31 @@ func ParseSums(scratch *[DigestCap]uint64, raw []byte) ([]uint64, error) {
 	return sums, nil
 }
 
-// Missing answers a digest that lists sums, newest first: the held values
-// whose ID's sum it does not list, newest first, at most max of them. A
-// truncated digest — its sender holds more than it lists — speaks only for
-// what is newer than its oldest listed sum, so the walk stops at the slot
-// holding that sum; a responder that holds no such slot takes every value as
-// a candidate. Missing sorts sums in place and allocates nothing unless
-// something is missing.
-func (s *store[V]) Missing(sums []uint64, truncated bool, max int) []V {
+// Missing answers a digest that lists sums, newest first: it appends to dst
+// the held values whose ID's sum the digest does not list, newest first, at
+// most max of them. A truncated digest — its sender holds more than it lists
+// — speaks only for what is newer than its oldest listed sum, so the walk
+// stops at the slot holding that sum; a responder that holds no such slot
+// takes every value as a candidate. Missing sorts sums in place and
+// allocates nothing unless dst must grow.
+func (s *store[V]) Missing(dst []V, sums []uint64, truncated bool, max int) []V {
 	cut := truncated && len(sums) > 0
 	var oldest uint64
 	if cut {
 		oldest = sums[len(sums)-1]
 	}
 	slices.Sort(sums)
-	var out []V
-	for k := 0; k < len(s.slots) && len(out) < max; k++ {
+	for k, found := 0, 0; k < len(s.slots) && found < max; k++ {
 		slot := s.nth(k)
 		if cut && slot.sum == oldest {
 			break
 		}
 		if _, listed := slices.BinarySearch(sums, slot.sum); !listed {
-			out = append(out, slot.v)
+			dst = append(dst, slot.v)
+			found++
 		}
 	}
-	return out
+	return dst
 }
 
 // IDSum is the 64-bit FNV-1a sum of id: the one identity a node keys a

@@ -125,13 +125,48 @@ func TestRumorStoreMissingFrom(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		holdRumor(&s, Rumor{ID: fmt.Sprintf("r%d", i)})
 	}
-	missing := s.Missing(sumsOf("r1", "r3", "r1", "unknown"), false, 10)
+	missing := s.Missing(nil, sumsOf("r1", "r3", "r1", "unknown"), false, 10)
 	if len(missing) != 2 || missing[0].ID != "r2" || missing[1].ID != "r0" {
 		t.Fatalf("missing = %v, want r2 r0", missing)
 	}
-	capped := s.Missing(nil, false, 1)
+	capped := s.Missing(nil, nil, false, 1)
 	if len(capped) != 1 || capped[0].ID != "r3" {
 		t.Fatalf("capped = %v, want r3", capped)
+	}
+	// Missing appends to what the caller's buffer holds, max counting only
+	// what it appends.
+	var scratch [4]Rumor
+	appended := s.Missing(append(scratch[:0], Rumor{ID: "kept"}), nil, false, 2)
+	if len(appended) != 3 || appended[0].ID != "kept" || appended[1].ID != "r3" || appended[2].ID != "r2" || &appended[0] != &scratch[0] {
+		t.Fatalf("appended = %v, want kept r3 r2 in the caller's buffer", appended)
+	}
+}
+
+// TestStoreEvictee: while the store grows nothing is evicted; once it is full
+// Evictee names the oldest value, which the next Hold of a new sum replaces.
+func TestStoreEvictee(t *testing.T) {
+	s := newStore[Rumor](3)
+	for i := 0; i < 3; i++ {
+		if r, ok := s.Evictee(); ok {
+			t.Fatalf("store of %d: evictee %v before it is full", i, r)
+		}
+		holdRumor(&s, Rumor{ID: fmt.Sprintf("r%d", i)})
+	}
+	for i := 3; i < 8; i++ {
+		r, ok := s.Evictee()
+		if want := fmt.Sprintf("r%d", i-3); !ok || r.ID != want {
+			t.Fatalf("evictee = %v, %v; want %s", r, ok, want)
+		}
+		holdRumor(&s, Rumor{ID: fmt.Sprintf("r%d", i)})
+		if _, held := s.Get(IDSum(r.ID)); held {
+			t.Fatalf("%s still held after the next Hold", r.ID)
+		}
+	}
+	// A Hold of a held sum keeps the store as it was: the evictee stays.
+	before, _ := s.Evictee()
+	holdRumor(&s, Rumor{ID: "r7", Hops: 9})
+	if after, _ := s.Evictee(); after.ID != before.ID || s.Len() != 3 {
+		t.Fatalf("evictee %v after a re-Hold, want %v", after, before)
 	}
 }
 

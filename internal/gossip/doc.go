@@ -55,8 +55,8 @@
 // half-applied message (and a rejection allocates nothing). The Machine is
 // asked with the ID as it lies in the body, so a duplicate — two receipts in
 // three under push — is dropped before anything is built. Views die with the
-// handler call: the Machine keeps only their sums, and whatever reaches the
-// store or Deliver is an owned copy, so nothing the engine retains pins a
-// message body, and Publish/Inject copy the caller's payload for the same
-// reason. Deliver receives the stored rumor and must not modify its Payload.
+// handler call: the Machine keeps only their sums, and the rumor the engine
+// stores and hands to Deliver is built at first receipt from copies of the
+// ID and payload, so nothing the engine retains pins a message body, and
+// Publish/Inject copy the caller's payload for the same reason. Deliver receives the stored rumor and must not modify its Payload.
 package gossip

@@ -408,7 +408,7 @@ func (e *Engine) handlePullReq(ctx context.Context, msg transport.Message) error
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if missing := e.m.Missing(sums, truncated, pullBatch); len(missing) > 0 {
+	if missing := e.m.Missing(nil, sums, truncated, pullBatch); len(missing) > 0 {
 		e.serveLocked(ctx, msg.From, ActionPullResp, missing)
 		e.stats.PullResps++
 	}

@@ -16,9 +16,9 @@ package gossip
 // Every decision comes back as a value (Transfer), never as a list of sends,
 // so each binding draws its targets at the point in its RNG stream it always
 // has. V is what a store slot holds: the engine's Rumor, or a SOAP node's
-// retained envelope clone.
+// slot record, whose copy of the envelope is refilled in place (Evictee).
 type Machine[V any] struct {
-	store[V]  // Hold, Get, Len, Digest, Missing
+	store[V]  // Hold, Evictee, Get, Len, Digest, Missing
 	seen      seenCache
 	requested map[uint64]struct{} // outstanding IWANTs
 	counters  map[uint64]int      // StyleCounter: duplicates heard per rumor still mongered

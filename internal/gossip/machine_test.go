@@ -165,7 +165,7 @@ func runMachineModel(t *testing.T, style Style) (missed int) {
 			}
 			max, truncated := rng.Intn(storeCap+2), rng.Intn(3) == 0
 			var got, want []uint64
-			for _, r := range m.Missing(slices.Clone(listed), truncated, max) {
+			for _, r := range m.Missing(nil, slices.Clone(listed), truncated, max) {
 				got = append(got, IDSum(r.ID))
 			}
 			for i := len(model.stored) - 1; i >= 0 && len(want) < max; i-- {

@@ -146,7 +146,7 @@ func TestStoreRingWrap(t *testing.T) {
 	if _, ok := s.Get(IDSum("r4999")); !ok {
 		t.Fatal("newest rumor missing")
 	}
-	missing := s.Missing(sumsOf("r4999", "r4998"), false, 3)
+	missing := s.Missing(nil, sumsOf("r4999", "r4998"), false, 3)
 	if len(missing) != 3 || missing[0].ID != "r4997" || missing[1].ID != "r4996" || missing[2].ID != "r4995" {
 		t.Fatalf("missing = %v", missing)
 	}

@@ -13,7 +13,6 @@ import (
 	"wsgossip/internal/clock"
 	"wsgossip/internal/core"
 	"wsgossip/internal/epidemic"
-	"wsgossip/internal/soap"
 )
 
 // memberNode is one membership-driven node: a disseminator whose fan-outs
@@ -30,14 +29,13 @@ type memberNode struct {
 // subscribers, so every registration returns an empty target list and all
 // dissemination targets come from the membership overlay.
 type memberCluster struct {
-	t      *testing.T
-	clk    *clock.Virtual
-	bus    *virtBus
-	coord  *core.Coordinator
-	seed   int64
-	nodes  map[string]*memberNode
-	order  []string // insertion-ordered addresses for deterministic asserts
-	intern *soap.Interner
+	t     *testing.T
+	clk   *clock.Virtual
+	bus   *virtBus
+	coord *core.Coordinator
+	seed  int64
+	nodes map[string]*memberNode
+	order []string // insertion-ordered addresses for deterministic asserts
 }
 
 const (
@@ -53,8 +51,7 @@ func newMemberCluster(t *testing.T, seed int64) *memberCluster {
 	bus := newVirtBus(clk, seed, time.Millisecond, 5*time.Millisecond)
 	c := &memberCluster{
 		t: t, clk: clk, bus: bus, seed: seed,
-		nodes:  make(map[string]*memberNode),
-		intern: soap.NewInterner(0),
+		nodes: make(map[string]*memberNode),
 	}
 	c.coord = core.NewCoordinator(core.CoordinatorConfig{
 		Address: "mem://coordinator",
@@ -87,7 +84,6 @@ func (c *memberCluster) addNode(idx int, seeds []string) *memberNode {
 		App:        app,
 		Clock:      c.clk,
 		Seed:       nodeSeed(c.seed, idx),
-		Intern:     c.intern,
 		PullEvery:  memberPullEvery,
 		JitterFrac: 0.2,
 		Membership: &wsgossip.NodeMembership{

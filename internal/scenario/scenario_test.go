@@ -50,8 +50,6 @@ type cluster struct {
 	// initReg is the initiator's own metrics registry (the initiator is not
 	// a cluster node but its plane's counters matter to delivery accounting).
 	initReg *metrics.Registry
-	// intern is the cluster-wide envelope interner every node's store shares.
-	intern *soap.Interner
 }
 
 // clusterConfig selects the deployment shape for one scenario.
@@ -104,10 +102,6 @@ func newCluster(t *testing.T, cfg clusterConfig) *cluster {
 	c.coord = core.NewCoordinator(ccfg)
 	bus.Register("mem://coordinator", c.coord.Handler())
 
-	// One interner per cluster: every node's lazy/pull store shares a single
-	// deep clone of each gossiped notification instead of holding its own.
-	intern := soap.NewInterner(0)
-	c.intern = intern
 	ctx := context.Background()
 	for i := 0; i < cfg.n; i++ {
 		addr := fmt.Sprintf("mem://node%03d", i)
@@ -119,7 +113,6 @@ func newCluster(t *testing.T, cfg clusterConfig) *cluster {
 			Clock:         clk,
 			Seed:          nodeSeed(cfg.seed, i),
 			Coordinator:   "mem://coordinator",
-			Intern:        intern,
 			PullEvery:     cfg.pullEvery,
 			RepairEvery:   cfg.repairEvery,
 			AnnounceEvery: cfg.announceEvery,

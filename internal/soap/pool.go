@@ -13,8 +13,8 @@ import (
 // Ownership discipline: a buffer may be recycled only by the party that
 // provably holds the last reference. SendEncoded hands ownership to the
 // binding, and a handler must not retain its request envelope (or any
-// Block.Raw slice of it) past HandleSOAP returning — retention requires
-// Envelope.Clone. Under that contract MemBus recycles each one-way
+// Block.Raw slice of it) past HandleSOAP returning — retention requires a
+// copy (Envelope.Clone, or a Retained refilled in place). Under that contract MemBus recycles each one-way
 // delivery buffer exactly once, after the handler returns, and the HTTP
 // server recycles its request-read buffer once the response is written;
 // each recycles the decoded request (receivedPool) at the same point. A

@@ -64,10 +64,6 @@ type NodeConfig struct {
 	// there (retrying in the background for 30 s) and continuous queries
 	// activate there. Empty skips the subscription.
 	Coordinator string
-	// Intern is DisseminatorConfig.Intern: one interner shared by the
-	// nodes of a simulated cluster.
-	Intern *soap.Interner
-
 	// PullEvery, RepairEvery and AnnounceEvery are the dissemination round
 	// intervals; 0 disables each.
 	PullEvery, RepairEvery, AnnounceEvery time.Duration
@@ -312,7 +308,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		Peers:   n.view,
 		Metrics: n.reg,
 		Clock:   n.clk,
-		Intern:  cfg.Intern,
 	})
 	if err != nil {
 		return nil, err
