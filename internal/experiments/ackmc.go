@@ -42,6 +42,8 @@ func newAckSender(ep transport.Endpoint, members []string) *ackSender {
 func bindAckMember(ep transport.Endpoint) {
 	mux := transport.NewMux()
 	mux.Handle(actionAckData, func(ctx context.Context, msg transport.Message) error {
+		// Echoing msg.Body is within the handler's lease on it: Send copies
+		// what it delivers, so the ack does not outlive the buffer.
 		return ep.Send(ctx, transport.Message{To: msg.From, Action: actionAck, Body: msg.Body})
 	})
 	mux.Bind(ep)

@@ -3,6 +3,7 @@ package faults
 import (
 	"bufio"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,6 +19,7 @@ type Event struct {
 	// Op is the canonical source text of the operation, for reports.
 	Op string
 
+	line         int // source line, which a rule's default name carries
 	needsCrash   bool
 	needsRecover bool
 	apply        func(a Applier)
@@ -51,6 +53,27 @@ func (p *Plan) Events() []Event {
 	out := make([]Event, len(p.events))
 	copy(out, p.events)
 	return out
+}
+
+// String writes the plan in the grammar ParsePlan reads, such that
+// ParsePlan(p.String()) yields the same events: the same times, operations
+// and rule names, in the same fire order. A rule's default name is
+// "<op>@<line>", so each event is written on the line it was read from, in
+// source order, with the lines between left blank; no name= is added that
+// the source did not have.
+func (p *Plan) String() string {
+	events := slices.Clone(p.events)
+	slices.SortFunc(events, func(a, b Event) int { return a.line - b.line })
+	var b strings.Builder
+	line := 1
+	for _, ev := range events {
+		for ; line < ev.line; line++ {
+			b.WriteByte('\n')
+		}
+		fmt.Fprintf(&b, "%v %s\n", ev.At, ev.Op)
+		line++
+	}
+	return b.String()
 }
 
 // Duration returns the fire time of the last event.
@@ -152,6 +175,9 @@ func parseEvent(fields []string, line int) (Event, error) {
 	if err != nil || at < 0 {
 		return Event{}, fmt.Errorf("bad time %q", fields[0])
 	}
+	if len(fields) < 2 {
+		return Event{}, fmt.Errorf("no operation after %q", fields[0])
+	}
 	op := fields[1]
 	args := fields[2:]
 	name := fmt.Sprintf("%s@%d", op, line)
@@ -162,7 +188,7 @@ func parseEvent(fields []string, line int) (Event, error) {
 		}
 		args = args[:n-1]
 	}
-	ev := Event{At: at, Op: strings.Join(fields[1:], " ")}
+	ev := Event{At: at, Op: strings.Join(fields[1:], " "), line: line}
 
 	arg1 := func() (string, error) {
 		if len(args) != 1 {

@@ -1,7 +1,13 @@
 package faults
 
 import (
+	"maps"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -38,6 +44,7 @@ func TestParsePlanErrors(t *testing.T) {
 		"1s cut *<->b",        // '*' cannot be bidirectional
 		"1s cut n{9..2}->b",   // inverted range
 		"1s heal-all surplus", // surplus argument
+		"1s",                  // no operation
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Fatalf("ParsePlan(%q) accepted", bad)
@@ -131,37 +138,47 @@ func TestPlanValidateMissingHooks(t *testing.T) {
 	}
 }
 
-// TestPlanReplayDeterminism applies the same plan over the same seeded
-// traffic twice and requires identical per-rule accounting — the property
-// the simulator's byte-identical-report CI check rests on.
-func TestPlanReplayDeterminism(t *testing.T) {
-	const src = `
+// replaySrc heals a rule by its default name, so it replays identically only
+// if that name, which carries the rule's source line, survives.
+const replaySrc = `
 0ms   loss 0.2
 10ms  cut a->b
 20ms  link-loss b->a 0.4 name=lb
 30ms  heal cut@3
 `
+
+// replay runs plan over a fixed stream of seeded traffic and returns the
+// table's accounting.
+func replay(t *testing.T, plan *Plan) (Totals, map[string]int64) {
+	t.Helper()
+	clk := clock.NewVirtual()
+	tbl := NewTable()
+	if err := plan.Schedule(clk, Applier{Table: tbl}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for step := 0; step < 50; step++ {
+		clk.Advance(time.Millisecond)
+		for _, link := range [][2]string{{"a", "b"}, {"b", "a"}, {"a", "c"}} {
+			if d := tbl.Check(link[0], link[1]); d.Outcome != Deliver {
+				continue
+			}
+			tbl.Lossy(link[0], link[1], rng)
+		}
+	}
+	return tbl.Totals(), tbl.Counts()
+}
+
+// TestPlanReplayDeterminism applies the same plan over the same seeded
+// traffic twice and requires identical per-rule accounting — the property
+// the simulator's byte-identical-report CI check rests on.
+func TestPlanReplayDeterminism(t *testing.T) {
 	run := func() (Totals, map[string]int64) {
-		plan, err := ParsePlan(src)
+		plan, err := ParsePlan(replaySrc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		clk := clock.NewVirtual()
-		tbl := NewTable()
-		if err := plan.Schedule(clk, Applier{Table: tbl}); err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(7))
-		for step := 0; step < 50; step++ {
-			clk.Advance(time.Millisecond)
-			for _, link := range [][2]string{{"a", "b"}, {"b", "a"}, {"a", "c"}} {
-				if d := tbl.Check(link[0], link[1]); d.Outcome != Deliver {
-					continue
-				}
-				tbl.Lossy(link[0], link[1], rng)
-			}
-		}
-		return tbl.Totals(), tbl.Counts()
+		return replay(t, plan)
 	}
 	t1, c1 := run()
 	t2, c2 := run()
@@ -179,4 +196,104 @@ func TestPlanReplayDeterminism(t *testing.T) {
 	if t1.Sum() == 0 {
 		t.Fatal("plan affected no traffic; the determinism check proved nothing")
 	}
+}
+
+// committedPlans returns the fault plans the repository ships, by name.
+func committedPlans(tb testing.TB) map[string]string {
+	tb.Helper()
+	files, err := filepath.Glob("../../examples/faultplans/*.plan")
+	if err != nil || len(files) == 0 {
+		tb.Fatalf("no committed plans: %v", err)
+	}
+	plans := map[string]string{"replay": replaySrc}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		plans[filepath.Base(f)] = string(src)
+	}
+	return plans
+}
+
+// checkRoundTrip requires ParsePlan(p.String()) to yield p's events, and
+// printing that plan again to give the same text.
+func checkRoundTrip(t *testing.T, p *Plan) *Plan {
+	t.Helper()
+	text := p.String()
+	q, err := ParsePlan(text)
+	if err != nil {
+		t.Fatalf("ParsePlan(String()) = %v\n%s", err, text)
+	}
+	same := func(a, b Event) bool {
+		return a.At == b.At && a.Op == b.Op && a.line == b.line && a.needsCrash == b.needsCrash && a.needsRecover == b.needsRecover
+	}
+	if !slices.EqualFunc(p.events, q.events, same) {
+		t.Fatalf("round trip changed the plan:\n%s\nbecame\n%s", text, q.String())
+	}
+	if again := q.String(); again != text {
+		t.Fatalf("printing is not a fixpoint:\n%s\nthen\n%s", text, again)
+	}
+	return q
+}
+
+// TestPlanStringRoundTrip: every committed plan prints to text that parses
+// back to the same events, and the reprinted replay plan heals its rule by
+// the same default name, so it drives the same traffic to the same counts.
+func TestPlanStringRoundTrip(t *testing.T) {
+	for name, src := range committedPlans(t) {
+		p, err := ParsePlan(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkRoundTrip(t, p)
+	}
+	p, err := ParsePlan(replaySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, c1 := replay(t, p)
+	t2, c2 := replay(t, checkRoundTrip(t, p))
+	if t1 != t2 || !maps.Equal(c1, c2) {
+		t.Fatalf("reprinted plan replays differently: %+v %v vs %+v %v", t1, c1, t2, c2)
+	}
+	if (&Plan{}).String() != "" {
+		t.Fatal("an empty plan prints text")
+	}
+}
+
+// ranges finds the "{lo..hi}" ranges of a source.
+var ranges = regexp.MustCompile(`\{(\d+)\.\.(\d+)\}`)
+
+// expandsLarge reports whether src holds a range naming more than a thousand
+// addresses: a fuzzed plan that expands one only spends the fuzzer's memory.
+func expandsLarge(src string) bool {
+	for _, m := range ranges.FindAllStringSubmatch(src, -1) {
+		lo, err1 := strconv.Atoi(m[1])
+		hi, err2 := strconv.Atoi(m[2])
+		if err1 != nil || err2 != nil || hi-lo > 1000 {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzPlanRoundTrip: whatever plan ParsePlan accepts, String prints text that
+// parses back to the same events and prints again to the same text. Seeded
+// from the committed plans.
+func FuzzPlanRoundTrip(f *testing.F) {
+	for _, src := range committedPlans(f) {
+		f.Add(src)
+	}
+	f.Add("1s cut a->b\n\n\n# gap\n0s heal cut@1\n2.5s crash n{08..11}\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		if expandsLarge(src) {
+			t.Skip("range too large to expand")
+		}
+		p, err := ParsePlan(src)
+		if err != nil {
+			return
+		}
+		checkRoundTrip(t, p)
+	})
 }

@@ -21,6 +21,7 @@ import (
 type allocBudget struct {
 	DuplicatePush       float64 `json:"duplicate_push_max_allocs"`
 	FirstReceiptForward float64 `json:"first_receipt_forward_f3_max_allocs"`
+	FirstReceiptDeliver float64 `json:"first_receipt_deliver_f3_max_allocs"`
 	PullReqNothingToSay float64 `json:"pull_request_nothing_missing_max_allocs"`
 	CounterDuplicate    float64 `json:"counter_duplicate_burst_f3_max_allocs"`
 }
@@ -34,11 +35,11 @@ func loadAllocBudget(t *testing.T) allocBudget {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	budget := allocBudget{-1, -1, -1, -1}
+	budget := allocBudget{-1, -1, -1, -1, -1}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	if budget.DuplicatePush < 0 || budget.FirstReceiptForward <= 0 || budget.PullReqNothingToSay < 0 || budget.CounterDuplicate <= 0 {
+	if budget.DuplicatePush < 0 || budget.FirstReceiptForward < 0 || budget.FirstReceiptDeliver < 0 || budget.PullReqNothingToSay < 0 || budget.CounterDuplicate < 0 {
 		t.Fatalf("alloc budget missing fields: %+v", budget)
 	}
 	return budget
@@ -64,6 +65,11 @@ type pushBench struct {
 }
 
 func newPushBench(tb testing.TB, style Style, bodies int) *pushBench {
+	return newDeliveringPushBench(tb, style, bodies, nil)
+}
+
+// newDeliveringPushBench is newPushBench with a Deliver callback.
+func newDeliveringPushBench(tb testing.TB, style Style, bodies int, deliver func(Rumor)) *pushBench {
 	tb.Helper()
 	net := simnet.New(simnet.DefaultConfig(1))
 	addrs := make([]string, 64)
@@ -78,6 +84,7 @@ func newPushBench(tb testing.TB, style Style, bodies int) *pushBench {
 		RNG:           simnet.NewCompactRNG(1),
 		SeenCacheSize: 256,
 		StoreSize:     64,
+		Deliver:       deliver,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -114,12 +121,12 @@ func TestDuplicatePushAllocBudget(t *testing.T) {
 	checkAllocBudget(t, "duplicate push", allocs, budget.DuplicatePush)
 }
 
-// TestFirstReceiptForwardAllocBudget: a first receipt builds the owned rumor
-// (two strings and the payload) and encodes one body for its three sends;
-// the peers are drawn on the stack and each send's delivery record comes
-// from the fabric's pool. The run is long
-// enough to cycle the seen cache and the store many times over, so their
-// evictions and the store's compaction are inside the figure.
+// TestFirstReceiptForwardAllocBudget: a first receipt copies the rumor into
+// the store slot it evicts, whose slab it reuses, and writes one body for its
+// three sends into a pooled buffer; the peers are drawn on the stack and each
+// send's delivery record and the copy of the body it carries come from the
+// fabric's pool. The run is long enough to cycle the seen cache and the store
+// many times over, so their evictions are inside the figure.
 func TestFirstReceiptForwardAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	const runs = 2000
@@ -129,6 +136,22 @@ func TestFirstReceiptForwardAllocBudget(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	checkAllocBudget(t, "first receipt + forward f=3", allocs, budget.FirstReceiptForward)
+}
+
+// TestFirstReceiptDeliverAllocBudget: the same push, with a Deliver
+// callback that keeps the ID as the harnesses do. The Rumor it is handed is
+// built from the slot: ID and Origin are substrings of one new string, the
+// one allocation a delivery pins; Payload aliases the slab.
+func TestFirstReceiptDeliverAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	const runs = 2000
+	var last string
+	pb := newDeliveringPushBench(t, StylePush, runs+1, func(r Rumor) { last = r.ID })
+	allocs := testing.AllocsPerRun(runs, func() { pb.receive(t) })
+	if st := pb.eng.Stats(); st.Delivered != runs+1 || st.Duplicates != 0 || st.Forwarded != 3*(runs+1) || len(last) != 32 {
+		t.Fatalf("stats = %+v, last delivered %q", st, last)
+	}
+	checkAllocBudget(t, "first receipt + deliver + forward f=3", allocs, budget.FirstReceiptDeliver)
 }
 
 // fullPullRequest is a push bench whose store is full, and a pull request
@@ -171,8 +194,9 @@ func BenchmarkPullRequestNothingMissing(b *testing.B) {
 
 // TestCounterDuplicateAllocBudget: a duplicate of a rumor a counter-mongering
 // engine is still spreading bursts the stored copy — one lookup of the
-// counters, no copy of the body's rumor — so it costs the burst's one
-// encoded body (8 while each duplicate built an owned rumor first).
+// counters, no copy of the body's rumor — written into a pooled buffer, so
+// it costs nothing (1 while each burst encoded a body of its own; 8 while
+// each duplicate built an owned rumor first).
 func TestCounterDuplicateAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	pb := newPushBench(t, StyleCounter, 1)
@@ -201,4 +225,15 @@ func BenchmarkFirstReceiptForward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pb.receive(b)
 	}
+}
+
+func BenchmarkFirstReceiptDeliver(b *testing.B) {
+	var last string
+	pb := newDeliveringPushBench(b, StylePush, b.N, func(r Rumor) { last = r.ID })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pb.receive(b)
+	}
+	_ = last
 }

@@ -133,9 +133,7 @@ func (c *seenCache) Add(sum uint64) bool {
 				c.place(int32(i))
 			}
 		}
-		if len(c.arena) == cap(c.arena) { // double, up to capacity
-			c.arena = append(make([]seenEntry, 0, min(max(4, 2*len(c.arena)), c.cap)), c.arena...)
-		}
+		c.arena = roomForOne(c.arena, c.cap)
 		i = int32(len(c.arena))
 		c.arena = append(c.arena, seenEntry{})
 	} else {
@@ -149,6 +147,15 @@ func (c *seenCache) Add(sum uint64) bool {
 	return true
 }
 
+// roomForOne returns s with room for one more element, growing a full s to 4
+// elements and then by doubling, never past limit.
+func roomForOne[T any](s []T, limit int) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	return append(make([]T, 0, min(max(4, 2*len(s)), limit)), s...)
+}
+
 // Contains reports whether sum is present without refreshing recency.
 func (c *seenCache) Contains(sum uint64) bool {
 	_, i := c.find(sum)
@@ -160,8 +167,9 @@ func (c *seenCache) Len() int { return len(c.arena) }
 
 // store retains recent values so a node can serve fetches and answer digests;
 // its methods are the Machine's. It evicts in FIFO order and never reorders,
-// so the values live in a ring of slots in insertion order — grown by append
-// until it holds cap entries, overwritten oldest-first from then on — and
+// so the values live in a ring of slots in insertion order — grown until it
+// holds cap entries, from 4 slots and doubling as the seen cache's arena
+// does (roomForOne), overwritten oldest-first from then on — and
 // index maps an ID's sum (IDSum) to its slot, which never moves while the
 // entry lives.
 //
@@ -195,6 +203,7 @@ func (s *store[V]) Hold(sum uint64, v V) {
 	}
 	slot := storeSlot[V]{v: v, sum: sum}
 	if len(s.slots) < s.cap {
+		s.slots = roomForOne(s.slots, s.cap)
 		s.index[sum] = uint32(len(s.slots))
 		s.slots = append(s.slots, slot)
 		return

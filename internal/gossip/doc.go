@@ -37,7 +37,7 @@
 //     every layer draws through, and AppendSample the same draw into a
 //     caller's buffer. The Engine draws a send's peers from a UniformPeers
 //     into a buffer on its stack (UniformPeers.AppendPeers), so a forward
-//     allocates only its rumor and the body its sends share.
+//     allocates nothing once its store slot and body buffer are reused.
 //   - SeenSet — the machine's seen cache behind a lock of its own, for
 //     deduplication without a machine.
 //   - Rumor / Style — the unit of dissemination and the spread discipline.
@@ -45,8 +45,8 @@
 // The wire form (wire.go) is one length-prefixed binary codec — a kind byte
 // (rumors | refs), a uvarint count, then per rumor len‖id, len‖origin,
 // uvarint hops, len‖payload and per ref len‖id, uvarint hops; a pull request
-// is the kind byte, a truncated byte and len‖sums — encoded into one
-// exactly-sized buffer. There is no second format and no fallback: the body
+// is the kind byte, a truncated byte and len‖sums — appended to a caller's
+// buffer, a pooled one in the engine. There is no second format and no fallback: the body
 // of a transport.Message is opaque to everything but the engine.
 //
 // The view-reader contract. Handlers do not decode a body into a struct; they
@@ -54,9 +54,18 @@
 // validated before the first state change, so a malformed tail never leaves a
 // half-applied message (and a rejection allocates nothing). The Machine is
 // asked with the ID as it lies in the body, so a duplicate — two receipts in
-// three under push — is dropped before anything is built. Views die with the
-// handler call: the Machine keeps only their sums, and the rumor the engine
-// stores and hands to Deliver is built at first receipt from copies of the
-// ID and payload, so nothing the engine retains pins a message body, and
-// Publish/Inject copy the caller's payload for the same reason. Deliver receives the stored rumor and must not modify its Payload.
+// three under push — is dropped before anything is built.
+//
+// The ownership rule is transport's: a body is lent, never given. A handler's
+// msg.Body is valid only during the call, so views die with it: the Machine
+// keeps only their sums, and a first receipt is copied once into a store slot
+// that owns one slab, ID | origin | payload, refilled in place when the store
+// evicts it. Publish and Inject copy the caller's payload the same way.
+// Deliver is handed a Rumor built from the slot: its ID and Origin are
+// substrings of one new string, which a callback may keep, and its Payload
+// aliases the slab, valid only during the callback. Send does not keep the
+// body it is handed, so the engine writes every body it sends into a pooled
+// buffer, zeroed and returned once its sends are done, and IWANT and pull
+// responses are written straight from the slots. No reference into a slab
+// outlives the engine's lock, which is why a slot needs no reference count.
 package gossip

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"wsgossip/internal/transport"
@@ -32,7 +33,9 @@ type Config struct {
 	// Peers supplies gossip targets. Required.
 	Peers PeerProvider
 	// Deliver is invoked exactly once per unique rumor (never for
-	// duplicates). Optional.
+	// duplicates), under the engine's lock. The Rumor's ID and Origin may be
+	// kept; its Payload is the engine's stored copy, valid only during the
+	// callback: copy it to keep it, and never modify it. Optional.
 	Deliver func(Rumor)
 	// RNG drives peer selection and rumor IDs. Required for reproducible
 	// experiments; nil falls back to a fixed-seed source.
@@ -91,8 +94,77 @@ type Engine struct {
 
 	mu    sync.Mutex
 	rng   *rand.Rand
-	m     Machine[Rumor]
+	m     Machine[held]
 	stats Stats
+}
+
+// held is a rumor the engine's store holds: one slab, ID | origin | payload,
+// and the hop budget it arrived with, in a 40-byte value (48 with the store
+// slot's sum). A first receipt copies the rumor into a slot once; when the
+// store is full, the slot it evicts is refilled in place if its slab is large
+// enough (newHeld).
+//
+// Nothing outlives e.mu with a reference into a slab: Deliver's Payload is
+// valid only during the callback, every serve writes the slots' bytes into a
+// body before it unlocks, and Endpoint.Send does not keep that body
+// (transport.Message). So a slab is never in use when it is refilled, and no
+// reference count is kept.
+type held struct {
+	slab      []byte
+	idLen     uint32
+	originLen uint32
+	hops      int
+}
+
+// newHeld copies a rumor into slab, reused when its capacity fits; a new slab
+// takes its whole size class.
+func newHeld[T string | []byte](slab []byte, id, origin T, hops int, payload []byte) held {
+	slab = slices.Grow(slab[:0], len(id)+len(origin)+len(payload))
+	slab = append(slab, id...)
+	slab = append(slab, origin...)
+	slab = append(slab, payload...)
+	return held{slab: slab, idLen: uint32(len(id)), originLen: uint32(len(origin)), hops: hops}
+}
+
+// view returns h as it would lie in a message body, aliasing the slab.
+func (h *held) view() rumorView {
+	n := h.idLen + h.originLen
+	return rumorView{id: h.slab[:h.idLen], origin: h.slab[h.idLen:n], payload: h.payload(), hops: h.hops}
+}
+
+func (h *held) payload() []byte {
+	n := int(h.idLen + h.originLen)
+	if len(h.slab) == n {
+		return nil
+	}
+	return h.slab[n:len(h.slab):len(h.slab)]
+}
+
+// rumor returns h as Deliver sees it: ID and Origin are substrings of one new
+// string, so a callback may keep them; Payload aliases the slab.
+func (h *held) rumor() Rumor {
+	s := string(h.slab[:h.idLen+h.originLen])
+	return Rumor{ID: s[:h.idLen], Origin: s[h.idLen:], Hops: h.hops, Payload: h.payload()}
+}
+
+// bodyPool recycles the buffers the engine writes its bodies into. Send does
+// not keep a body after it returns (transport.Message), so a buffer goes back
+// as soon as its sends are done. It is zeroed first, so a binding that kept a
+// body finds it zeroed rather than intact; one that grew past maxPooledBody
+// (a large pull batch) is left to the GC.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 16 << 10
+
+func getBody() *[]byte { return bodyPool.Get().(*[]byte) }
+
+func putBody(bp *[]byte, body []byte) {
+	clear(body)
+	*bp = nil
+	if cap(body) <= maxPooledBody {
+		*bp = body[:0]
+	}
+	bodyPool.Put(bp)
 }
 
 // New validates cfg and returns an engine. The caller must route the
@@ -117,7 +189,7 @@ func New(cfg Config) (*Engine, error) {
 	return &Engine{
 		cfg: cfg,
 		rng: rng,
-		m:   NewMachine[Rumor](cfg.SeenCacheSize, cfg.StoreSize, cfg.CounterK),
+		m:   NewMachine[held](cfg.SeenCacheSize, cfg.StoreSize, cfg.CounterK),
 	}, nil
 }
 
@@ -145,17 +217,13 @@ func (e *Engine) Style() Style { return e.cfg.Style }
 
 // Publish originates a rumor with the engine's full hop budget, delivers it
 // locally, and starts dissemination per the configured style. The engine
-// keeps its own copy of payload: the caller may reuse its buffer.
+// keeps its own copy of payload: the caller may reuse its buffer. The rumor
+// returned carries the caller's payload.
 func (e *Engine) Publish(ctx context.Context, payload []byte) (Rumor, error) {
 	e.mu.Lock()
-	r := Rumor{
-		ID:      NewRumorID(e.rng),
-		Origin:  e.cfg.Endpoint.Addr(),
-		Hops:    e.cfg.Hops,
-		Payload: ownedPayload(payload),
-	}
+	r := Rumor{ID: NewRumorID(e.rng), Origin: e.cfg.Endpoint.Addr(), Hops: e.cfg.Hops, Payload: payload}
 	e.stats.Published++
-	e.acceptLocked(ctx, r)
+	receiveLocked(e, ctx, r.ID, r.Origin, r.Hops, r.Payload, false)
 	e.mu.Unlock()
 	return r, nil
 }
@@ -165,99 +233,78 @@ func (e *Engine) Publish(ctx context.Context, payload []byte) (Rumor, error) {
 // coordinator-assigned notification to the local engine. As with Publish,
 // the engine copies r.Payload.
 func (e *Engine) Inject(ctx context.Context, r Rumor) {
-	r.Payload = ownedPayload(r.Payload)
 	e.mu.Lock()
-	e.acceptLocked(ctx, r)
+	receiveLocked(e, ctx, r.ID, r.Origin, r.Hops, r.Payload, false)
 	e.mu.Unlock()
 }
 
-// ownedPayload copies a caller's buffer: a stored rumor owns its bytes, so a
-// caller reusing the buffer cannot rewrite what later IWANT and pull
-// responses serve.
-func ownedPayload(p []byte) []byte {
-	if len(p) == 0 {
-		return nil
-	}
-	return append([]byte(nil), p...)
-}
-
-// acceptLocked is the entry point for a rumor the engine already owns
-// (Publish, Inject).
-func (e *Engine) acceptLocked(ctx context.Context, r Rumor) {
-	sum := IDSum(r.ID)
-	first, t := e.m.Receive(sum, false)
-	if first {
-		e.acceptNewLocked(ctx, r, sum, false)
-		return
-	}
-	e.stats.Duplicates++
-	if t.Send != SendNothing {
-		if stored, ok := e.m.Get(sum); ok {
-			r = stored
-		}
-		e.sendLocked(ctx, r, t)
-	}
-}
-
-// receiveLocked is the entry point for a rumor still lying in a message body.
-// The machine is asked with the sum of the ID in place, so a duplicate is
-// dropped before anything is built; only a new rumor becomes an owned Rumor.
-// viaPull marks rumors learned through anti-entropy, which are stored and
-// delivered but not eagerly re-forwarded (they spread through subsequent
-// pulls).
-func (e *Engine) receiveLocked(ctx context.Context, v rumorView, viaPull bool) {
-	sum := IDSum(v.id)
+// receiveLocked takes one receipt of a rumor: one published or injected, or
+// one still lying in a message body. The machine is asked with the sum of the
+// ID where it lies, so a duplicate is dropped before anything is built; a
+// first receipt is copied once, into the store's slot, and delivered and
+// spread from there. viaPull marks rumors learned through anti-entropy, which
+// are stored and delivered but not eagerly re-forwarded (they spread through
+// subsequent pulls).
+func receiveLocked[T string | []byte](e *Engine, ctx context.Context, id, origin T, hops int, payload []byte, viaPull bool) {
+	sum := IDSum(id)
 	first, t := e.m.Receive(sum, viaPull)
-	if first {
-		e.acceptNewLocked(ctx, v.rumor(), sum, viaPull)
+	if !first {
+		e.stats.Duplicates++
+		if t.Send != SendNothing {
+			// The store's copy serves; the receipt is copied only if it was
+			// evicted.
+			h, ok := e.m.Get(sum)
+			if !ok {
+				h = newHeld(nil, id, origin, hops, payload)
+			}
+			e.sendLocked(ctx, h.view(), t)
+		}
 		return
 	}
-	e.stats.Duplicates++
-	if t.Send != SendNothing {
-		// The store's copy serves; the view is copied only if it was evicted.
-		r, ok := e.m.Get(sum)
-		if !ok {
-			r = v.rumor()
+	// Hold is a no-op on a sum the store still holds (the seen cache forgot
+	// it first), so the evictee is reused only for a sum Hold will take.
+	var slab []byte
+	if _, ok := e.m.Get(sum); !ok {
+		if ev, ok := e.m.Evictee(); ok {
+			slab = ev.slab
 		}
-		e.sendLocked(ctx, r, t)
 	}
-}
-
-// acceptNewLocked holds, delivers and spreads a rumor the machine just took
-// as a first receipt of sum.
-func (e *Engine) acceptNewLocked(ctx context.Context, r Rumor, sum uint64, viaPull bool) {
-	e.m.Hold(sum, r)
+	h := newHeld(slab, id, origin, hops, payload)
+	e.m.Hold(sum, h)
 	e.stats.Delivered++
 	if e.cfg.Deliver != nil {
 		// The callback runs under e.mu: it must not call back into the
 		// engine synchronously from another goroutine.
-		e.cfg.Deliver(r)
+		e.cfg.Deliver(h.rumor())
 	}
-	e.sendLocked(ctx, r, e.m.Spread(sum, e.cfg.Style, r.Hops, viaPull))
+	e.sendLocked(ctx, h.view(), e.m.Spread(sum, e.cfg.Style, hops, viaPull))
 }
 
-// sendLocked carries out the machine's decision t for r: the payload, at
+// sendLocked carries out the machine's decision t for v: the payload, at
 // t's hop budget, or an IHAVE naming it (at the budget it is held with), to
-// t's share of random peers — one encoded body shared by every send.
-func (e *Engine) sendLocked(ctx context.Context, r Rumor, t Transfer) {
+// t's share of random peers — one body, written into a pooled buffer, shared
+// by every send.
+func (e *Engine) sendLocked(ctx context.Context, v rumorView, t Transfer) {
 	if t.Send == SendNothing {
 		return
 	}
 	var buf [8]string
 	peers := e.selectPeersLocked(&buf, t.Peers(e.cfg.Fanout))
 	action, sent := ActionPush, &e.stats.Forwarded
+	bp := getBody()
 	var body []byte
 	if t.Send == SendAnnounce {
 		action, sent = ActionIHave, &e.stats.IHaveSent
-		body = encodeRefs(RumorRef{ID: r.ID, Hops: r.Hops})
+		body = appendRef(appendBatch(*bp, wireRefs, 1), v.id, v.hops)
 	} else {
-		r.Hops = t.Hops(r.Hops)
-		body = encodeRumors(r)
+		v.hops = t.Hops(v.hops)
+		body = appendRumor(appendBatch(*bp, wireRumors, 1), v)
 	}
 	for _, p := range peers {
 		e.sendOneLocked(ctx, p, action, body)
 		*sent++
 	}
+	putBody(bp, body)
 }
 
 // selectPeersLocked draws up to n peers. A UniformPeers, the provider of
@@ -304,7 +351,7 @@ func (e *Engine) receiveBatch(ctx context.Context, body []byte, viaPull bool) er
 	defer e.mu.Unlock()
 	for rd.n > 0 {
 		v, _ := rd.rumor()
-		e.receiveLocked(ctx, v, viaPull)
+		receiveLocked(e, ctx, v.id, v.origin, v.hops, v.payload, viaPull)
 	}
 	return nil
 }
@@ -318,25 +365,32 @@ func (e *Engine) handleIHave(ctx context.Context, msg transport.Message) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var want []RumorRef
+	var spare [8]refView
+	want := spare[:0]
 	for rd.n > 0 {
 		ref, _ := rd.ref()
-		ok, held := e.m.Want(IDSum(ref.id))
-		if held {
+		ok, seen := e.m.Want(IDSum(ref.id))
+		if seen {
 			e.stats.Duplicates++
 		}
 		if ok {
-			want = append(want, RumorRef{ID: string(ref.id), Hops: ref.hops})
+			want = append(want, ref)
 		}
 	}
 	if len(want) == 0 {
 		return nil
 	}
-	if e.sendOneLocked(ctx, msg.From, ActionIWant, encodeRefs(want...)) != nil {
+	bp := getBody()
+	body := appendBatch(*bp, wireRefs, len(want))
+	for _, ref := range want {
+		body = appendRef(body, ref.id, ref.hops)
+	}
+	if e.sendOneLocked(ctx, msg.From, ActionIWant, body) != nil {
 		for _, ref := range want {
-			e.m.Release(IDSum(ref.ID))
+			e.m.Release(IDSum(ref.id))
 		}
 	}
+	putBody(bp, body)
 	e.stats.IWantSent++
 	return nil
 }
@@ -349,11 +403,12 @@ func (e *Engine) handleIWant(ctx context.Context, msg transport.Message) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var out []Rumor
+	var spare [8]held
+	out := spare[:0]
 	for rd.n > 0 {
 		ref, _ := rd.ref()
-		if r, ok := e.m.Get(IDSum(ref.id)); ok {
-			out = append(out, r)
+		if h, ok := e.m.Get(IDSum(ref.id)); ok {
+			out = append(out, h)
 		}
 	}
 	if len(out) > 0 {
@@ -363,13 +418,18 @@ func (e *Engine) handleIWant(ctx context.Context, msg transport.Message) error {
 	return nil
 }
 
-// serveLocked sends rs, held copies asked for, in one body, each transfer
-// costing one hop.
-func (e *Engine) serveLocked(ctx context.Context, to, action string, rs []Rumor) {
-	for i := range rs {
-		rs[i].Hops = ServedHops(rs[i].Hops)
+// serveLocked sends hs, held rumors asked for, in one body written straight
+// from their slots, each transfer costing one hop.
+func (e *Engine) serveLocked(ctx context.Context, to, action string, hs []held) {
+	bp := getBody()
+	body := appendBatch(*bp, wireRumors, len(hs))
+	for i := range hs {
+		v := hs[i].view()
+		v.hops = ServedHops(v.hops)
+		body = appendRumor(body, v)
 	}
-	e.sendOneLocked(ctx, to, action, encodeRumors(rs...))
+	e.sendOneLocked(ctx, to, action, body)
+	putBody(bp, body)
 }
 
 // Tick runs one periodic round. For the styles that pull it starts an
@@ -389,11 +449,14 @@ func (e *Engine) Tick(ctx context.Context) {
 		return
 	}
 	var scratch [8 * DigestCap]byte
-	body := encodePull(e.m.Digest(scratch[:0]))
+	sums, truncated := e.m.Digest(scratch[:0])
+	bp := getBody()
+	body := appendPull(*bp, sums, truncated)
 	for _, p := range peers {
 		e.sendOneLocked(ctx, p, ActionPullReq, body)
 		e.stats.PullReqs++
 	}
+	putBody(bp, body)
 }
 
 // handlePullReq answers a digest with the rumors the requester is missing,
@@ -408,7 +471,8 @@ func (e *Engine) handlePullReq(ctx context.Context, msg transport.Message) error
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if missing := e.m.Missing(nil, sums, truncated, pullBatch); len(missing) > 0 {
+	var spare [pullBatch]held
+	if missing := e.m.Missing(spare[:0], sums, truncated, pullBatch); len(missing) > 0 {
 		e.serveLocked(ctx, msg.From, ActionPullResp, missing)
 		e.stats.PullResps++
 	}

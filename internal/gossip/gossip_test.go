@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -568,6 +569,9 @@ func (e *loopbackEP) Send(ctx context.Context, msg transport.Message) error {
 		return transport.ErrUnreachable
 	}
 	msg.From = e.addr
+	// The handler runs after Send returns, so it gets a copy: the sender
+	// reuses its buffer.
+	msg.Body = bytes.Clone(msg.Body)
 	go func() { _ = dest.handler(ctx, msg) }()
 	return nil
 }

@@ -15,8 +15,9 @@ package gossip
 //
 // Every decision comes back as a value (Transfer), never as a list of sends,
 // so each binding draws its targets at the point in its RNG stream it always
-// has. V is what a store slot holds: the engine's Rumor, or a SOAP node's
-// slot record, whose copy of the envelope is refilled in place (Evictee).
+// has. V is what a store slot holds: the engine's held rumor, one slab, or a
+// SOAP node's slot record, its copy of the envelope; both are refilled in
+// place when evicted (Evictee).
 type Machine[V any] struct {
 	store[V]  // Hold, Evictee, Get, Len, Digest, Missing
 	seen      seenCache

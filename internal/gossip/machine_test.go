@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -243,13 +244,14 @@ func checkDuplicate(t Transfer, model *machineModel, sum uint64, viaPull bool, f
 	}
 }
 
-// pullTap is an endpoint that keeps every body sent to it and delivers
-// nothing.
+// pullTap is an endpoint that keeps a copy of every message sent to it and
+// delivers nothing.
 type pullTap struct{ sent []transport.Message }
 
 func (e *pullTap) Addr() string                 { return "responder" }
 func (e *pullTap) SetHandler(transport.Handler) {}
 func (e *pullTap) Send(_ context.Context, msg transport.Message) error {
+	msg.Body = bytes.Clone(msg.Body)
 	e.sent = append(e.sent, msg)
 	return nil
 }

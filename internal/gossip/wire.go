@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"math/bits"
 )
 
 // The engine's wire form. The body of a transport.Message is opaque to
@@ -33,10 +32,6 @@ const (
 // maxWireHops bounds a decoded hop budget so it fits an int everywhere.
 const maxWireHops = math.MaxInt32
 
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-func fieldLen(n int) int { return uvarintLen(uint64(n)) + n }
-
 func wireHops(h int) uint64 {
 	if h < 0 {
 		return 0
@@ -44,56 +39,39 @@ func wireHops(h int) uint64 {
 	return uint64(h)
 }
 
-// encodeRumors renders a rumor batch into one exactly-sized buffer.
-func encodeRumors(rs ...Rumor) []byte {
-	size := 1 + uvarintLen(uint64(len(rs)))
-	for i := range rs {
-		r := &rs[i]
-		size += fieldLen(len(r.ID)) + fieldLen(len(r.Origin)) + uvarintLen(wireHops(r.Hops)) + fieldLen(len(r.Payload))
-	}
-	b := make([]byte, 0, size)
-	b = append(b, wireRumors)
-	b = binary.AppendUvarint(b, uint64(len(rs)))
-	for i := range rs {
-		r := &rs[i]
-		b = binary.AppendUvarint(b, uint64(len(r.ID)))
-		b = append(b, r.ID...)
-		b = binary.AppendUvarint(b, uint64(len(r.Origin)))
-		b = append(b, r.Origin...)
-		b = binary.AppendUvarint(b, wireHops(r.Hops))
-		b = binary.AppendUvarint(b, uint64(len(r.Payload)))
-		b = append(b, r.Payload...)
-	}
-	return b
+// The writers append to a caller's buffer: the engine writes every body into
+// a pooled one (engine.go, bodyPool).
+
+// appendBatch appends the head of a batch of n entries of kind.
+func appendBatch(dst []byte, kind byte, n int) []byte {
+	return binary.AppendUvarint(append(dst, kind), uint64(n))
 }
 
-// encodeRefs renders a reference batch into one exactly-sized buffer.
-func encodeRefs(refs ...RumorRef) []byte {
-	size := 1 + uvarintLen(uint64(len(refs)))
-	for i := range refs {
-		size += fieldLen(len(refs[i].ID)) + uvarintLen(wireHops(refs[i].Hops))
-	}
-	b := make([]byte, 0, size)
-	b = append(b, wireRefs)
-	b = binary.AppendUvarint(b, uint64(len(refs)))
-	for i := range refs {
-		b = binary.AppendUvarint(b, uint64(len(refs[i].ID)))
-		b = append(b, refs[i].ID...)
-		b = binary.AppendUvarint(b, wireHops(refs[i].Hops))
-	}
-	return b
+// appendRumor appends one rumor entry.
+func appendRumor(dst []byte, v rumorView) []byte {
+	dst = appendField(dst, v.id)
+	dst = appendField(dst, v.origin)
+	dst = binary.AppendUvarint(dst, wireHops(v.hops))
+	return appendField(dst, v.payload)
 }
 
-// encodePull renders a pull request listing sums, a digest's big-endian
+// appendRef appends one reference entry.
+func appendRef(dst, id []byte, hops int) []byte {
+	return binary.AppendUvarint(appendField(dst, id), wireHops(hops))
+}
+
+func appendField(dst, f []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(f))), f...)
+}
+
+// appendPull appends a pull request listing sums, a digest's big-endian
 // bytes.
-func encodePull(sums []byte, truncated bool) []byte {
-	b := make([]byte, 0, 2+fieldLen(len(sums)))
-	b = append(b, wirePull, 0)
+func appendPull(dst, sums []byte, truncated bool) []byte {
+	flag := byte(0)
 	if truncated {
-		b[1] = 1
+		flag = 1
 	}
-	b = binary.AppendUvarint(b, uint64(len(sums)))
-	return append(b, sums...)
+	return appendField(append(dst, wirePull, flag), sums)
 }
 
 // readPull validates a pull request whole and reads its sums into scratch.
@@ -122,26 +100,17 @@ func readPull(scratch *[DigestCap]uint64, body []byte) (sums []uint64, truncated
 // The view reader. Handlers never decode a body into a struct: they walk it
 // with a wireReader whose views alias msg.Body.
 //
-// Ownership rule: a view dies with the handler call that read it. The
-// Machine is asked with the sum of a view's ID and keeps nothing of it;
-// anything that reaches the store or Deliver is an owned copy
-// (rumorView.rumor). So a duplicate — two receipts in three under push —
+// Ownership rule: a view dies with the handler call that read it, since
+// msg.Body is valid only during the call (transport.Message). The Machine is
+// asked with the sum of a view's ID and keeps nothing of it; what reaches the
+// store is a copy in a slot's own slab (held), and what reaches Deliver is
+// built from that slot. So a duplicate — two receipts in three under push —
 // builds nothing at all, and nothing the engine retains pins a message body.
 
-// rumorView is one rumor as it lies in a message body.
+// rumorView is one rumor as it lies in a message body or a held slab.
 type rumorView struct {
 	id, origin, payload []byte
 	hops                int
-}
-
-// rumor returns the owned copy of v: two strings and, if there is one, the
-// payload.
-func (v rumorView) rumor() Rumor {
-	r := Rumor{ID: string(v.id), Origin: string(v.origin), Hops: v.hops}
-	if len(v.payload) > 0 {
-		r.Payload = append([]byte(nil), v.payload...)
-	}
-	return r
 }
 
 // refView is one rumor reference as it lies in a message body.

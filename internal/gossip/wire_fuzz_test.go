@@ -9,7 +9,8 @@ import (
 	"wsgossip/internal/transport"
 )
 
-// tapEndpoint records the first body an engine sends under each action.
+// tapEndpoint records a copy of the first body an engine sends under each
+// action: the engine reuses its buffer once Send is back.
 type tapEndpoint struct {
 	transport.Endpoint
 	bodies map[string][]byte
@@ -17,7 +18,7 @@ type tapEndpoint struct {
 
 func (e *tapEndpoint) Send(ctx context.Context, msg transport.Message) error {
 	if _, ok := e.bodies[msg.Action]; !ok {
-		e.bodies[msg.Action] = msg.Body
+		e.bodies[msg.Action] = bytes.Clone(msg.Body)
 	}
 	return e.Endpoint.Send(ctx, msg)
 }

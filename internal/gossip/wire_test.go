@@ -1,8 +1,10 @@
 package gossip
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"wsgossip/internal/faults"
@@ -31,6 +33,36 @@ func sumBytes(sums []uint64) []byte {
 		b = binary.BigEndian.AppendUint64(b, s)
 	}
 	return b
+}
+
+// encodeRumors writes a rumor batch as a peer sends it.
+func encodeRumors(rs ...Rumor) []byte {
+	b := appendBatch(nil, wireRumors, len(rs))
+	for _, r := range rs {
+		b = appendRumor(b, rumorView{id: []byte(r.ID), origin: []byte(r.Origin), hops: r.Hops, payload: r.Payload})
+	}
+	return b
+}
+
+// encodeRefs writes a reference batch as a peer sends it.
+func encodeRefs(refs ...RumorRef) []byte {
+	b := appendBatch(nil, wireRefs, len(refs))
+	for _, ref := range refs {
+		b = appendRef(b, []byte(ref.ID), ref.Hops)
+	}
+	return b
+}
+
+// encodePull writes a pull request listing sums, a digest's big-endian bytes.
+func encodePull(sums []byte, truncated bool) []byte { return appendPull(nil, sums, truncated) }
+
+// ownedRumor copies v out of the body it lies in.
+func ownedRumor(v rumorView) Rumor {
+	r := Rumor{ID: string(v.id), Origin: string(v.origin), Hops: v.hops}
+	if len(v.payload) > 0 {
+		r.Payload = append([]byte(nil), v.payload...)
+	}
+	return r
 }
 
 // pullBody is a pull request listing the sums of ids.
@@ -78,7 +110,7 @@ func decodeWire(body []byte) (wireMsg, error) {
 	}
 	for rd.n > 0 {
 		v, _ := rd.rumor()
-		m.Rumors = append(m.Rumors, v.rumor())
+		m.Rumors = append(m.Rumors, ownedRumor(v))
 	}
 	return m, nil
 }
@@ -297,6 +329,60 @@ func TestPullDigestCapRespected(t *testing.T) {
 		}
 		if len(digest.Sums) != min(held, DigestCap) || digest.Truncated != (held > DigestCap) || digest.Sums[0] != IDSum(newest.ID) {
 			t.Fatalf("holding %d: digest lists %d sums, truncated %v", held, len(digest.Sums), digest.Truncated)
+		}
+	}
+}
+
+// keeper is an endpoint that breaks the ownership rule on purpose: it keeps
+// every body it is lent, without copying.
+type keeper struct {
+	transport.Endpoint
+	kept [][]byte
+}
+
+func (e *keeper) Send(ctx context.Context, msg transport.Message) error {
+	e.kept = append(e.kept, msg.Body)
+	return e.Endpoint.Send(ctx, msg)
+}
+
+// TestSentBodyIsLent: the engine writes a forward's body into a pooled
+// buffer and takes it back, zeroed, once its sends are done. A binding that
+// keeps a body past Send finds it zeroed rather than intact; what the fabric
+// delivers is its own copy.
+func TestSentBodyIsLent(t *testing.T) {
+	net := simnet.New(simnet.DefaultConfig(7))
+	var got []string
+	net.Node("peer").SetHandler(func(_ context.Context, msg transport.Message) error {
+		wm, err := decodeWire(msg.Body)
+		if err != nil {
+			return err
+		}
+		for _, r := range wm.Rumors {
+			got = append(got, string(r.Payload))
+		}
+		return nil
+	})
+	ep := &keeper{Endpoint: net.Node("a")}
+	eng, err := New(Config{Style: StylePush, Fanout: 1, Hops: 2, Endpoint: ep, Peers: NewStaticPeers([]string{"a", "peer"})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{"first", "second"} {
+		if _, err := eng.Publish(context.Background(), []byte(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Run()
+	slices.Sort(got)
+	if len(got) != 2 || got[0] != "first" || got[1] != "second" {
+		t.Fatalf("peer received %q, want the two payloads", got)
+	}
+	if len(ep.kept) != 2 {
+		t.Fatalf("%d sends, want 2", len(ep.kept))
+	}
+	for i, body := range ep.kept {
+		if len(body) == 0 || !bytes.Equal(body, make([]byte, len(body))) {
+			t.Fatalf("body %d kept past Send reads %q, want zeros", i, body)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"bytes"
 	"context"
 	"encoding/xml"
 	"fmt"
@@ -351,7 +352,8 @@ func capturedExchange(t testing.TB) []byte {
 	return captured
 }
 
-// tapEndpoint hands every message a Service sends to tap on its way out.
+// tapEndpoint hands every message a Service sends to tap on its way out,
+// with a copy of its body: Send does not keep the body it is lent.
 type tapEndpoint struct {
 	transport.Endpoint
 	tap func(transport.Message)
@@ -359,7 +361,9 @@ type tapEndpoint struct {
 
 func (e *tapEndpoint) Send(ctx context.Context, msg transport.Message) error {
 	if e.tap != nil {
-		e.tap(msg)
+		kept := msg
+		kept.Body = bytes.Clone(msg.Body)
+		e.tap(kept)
 	}
 	return e.Endpoint.Send(ctx, msg)
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -14,8 +15,8 @@ import (
 // members besides its sender, and a leave that names another member as its
 // sender.
 
-// lastExchange is an endpoint that keeps the body of the last view exchange
-// its Service sent.
+// lastExchange is an endpoint that keeps a copy of the body of the last view
+// exchange its Service sent.
 type lastExchange struct {
 	*membership.SOAPEndpoint
 	body []byte
@@ -23,7 +24,7 @@ type lastExchange struct {
 
 func (e *lastExchange) Send(ctx context.Context, msg transport.Message) error {
 	if msg.Action == membership.ActionExchange {
-		e.body = msg.Body
+		e.body = bytes.Clone(msg.Body)
 	}
 	return e.SOAPEndpoint.Send(ctx, msg)
 }

@@ -37,9 +37,10 @@ func (sb *sendDeliverBench) sendDeliver(tb testing.TB) {
 }
 
 // TestSendDeliverAllocBudget: a message in flight is a pooled record — the
-// delivery the clock fires, back in the pool before the handler runs — on a
-// recycled timer, with no closure, no escaped message copy and no stop
-// handle, so a send and its delivery allocate nothing. The budget is
+// delivery the clock fires, whose own buffer holds the copied body, back in
+// the pool once the handler returns — on a recycled timer, with no closure,
+// no escaped message copy and no stop handle, so a send and its delivery
+// allocate nothing. The budget is
 // committed in testdata/alloc_budget.json.
 func TestSendDeliverAllocBudget(t *testing.T) {
 	if raceEnabled {

@@ -26,14 +26,18 @@
 // dead nodes — the property that lets churn runs scale to 10^5-10^6 nodes.
 //
 // The fire-and-forget contract. A message in flight is one record ({net,
-// dest, msg}) handed to clock.Virtual.Schedule: it takes the same timer and
-// the same (deadline, seq) slot an AfterFunc in its place would, but no stop
-// handle exists, because nothing ever cancels a delivery: a crash is checked
-// when it lands. Nothing refers to the record once it has fired, so Fire
-// copies the message out and returns the record to a pool before the
-// handler runs: a steady stream of sends reuses the same few records. The body is delivered as sent, not
-// copied; a sender that fans one body out to f peers shares it among f
-// handlers, which therefore must not modify it or keep it past the call.
+// dest, msg} and a body buffer) handed to clock.Virtual.Schedule: it takes
+// the same timer and the same (deadline, seq) slot an AfterFunc in its place
+// would, but no stop handle exists, because nothing ever cancels a delivery:
+// a crash is checked when it lands. Records come from a pool, and so do their
+// bodies: Send copies msg.Body into the record's own buffer (transport's
+// ownership rule: Send keeps nothing of the sender's), the handler reads that
+// buffer, and when the handler returns the buffer is zeroed and the record
+// goes back to the pool. A steady stream of sends reuses the same few records
+// and buffers, and a sender may reuse its buffer as soon as Send is back. A
+// handler that keeps msg.Body past its return finds it zeroed at once (and
+// later reused), so the mistake shows in the first test that reads it. A
+// record keeps a buffer only up to maxKeptBody bytes.
 //
 // NewCompactRNG supplies a 16-byte splitmix64 rand.Rand for per-node state
 // at that scale (math/rand's default source is ~5 KiB per instance).

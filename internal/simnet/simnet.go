@@ -329,29 +329,42 @@ func (n *Network) send(from string, msg transport.Message) error {
 	}
 	msg.From = from
 	d := deliveryPool.Get().(*delivery)
-	*d = delivery{net: n, dest: dest, msg: msg}
+	d.net, d.dest = n, dest
+	if len(msg.Body) > 0 {
+		// Send does not keep the sender's buffer (transport.Message): the
+		// message flies as the record's own copy.
+		d.buf = append(d.buf[:0], msg.Body...)
+		msg.Body = d.buf
+	}
+	d.msg = msg
 	n.clk.Schedule(latency, d)
 	return nil
 }
 
-// delivery is one message in flight. Nobody cancels a delivery (a crash is
-// checked on arrival), so it rides the clock's fire-and-forget path and
-// takes no stop handle; and nothing refers to it once it has fired, so the
-// record goes back to deliveryPool before the handler runs, and a steady
-// stream of messages reuses the same few records.
+// delivery is one message in flight and the buffer its body is copied into.
+// Nobody cancels a delivery (a crash is checked on arrival), so it rides the
+// clock's fire-and-forget path and takes no stop handle. The record goes back
+// to deliveryPool once the handler has returned, since msg.Body is its buffer
+// until then, so a steady stream of messages reuses the same few records and
+// their buffers.
 type delivery struct {
 	net  *Network
 	dest *Node
 	msg  transport.Message
+	buf  []byte
 }
+
+// maxKeptBody bounds the buffer a pooled record keeps: a push fits, while a
+// membership view or a pull batch does not pin its bytes in the pool.
+const maxKeptBody = 512
 
 var deliveryPool = sync.Pool{New: func() any { return new(delivery) }}
 
-// Fire hands the message to the destination's handler, if it is still up.
+// Fire hands the message to the destination's handler, if it is still up,
+// and recycles the record when the handler is back.
 func (d *delivery) Fire() {
-	n, dest, msg := d.net, d.dest, d.msg
-	*d = delivery{}
-	deliveryPool.Put(d)
+	defer d.recycle()
+	n, dest := d.net, d.dest
 	n.mu.Lock()
 	if n.crashed[dest.addr] {
 		n.stats.Dropped++
@@ -365,7 +378,20 @@ func (d *delivery) Fire() {
 		return
 	}
 	// Handler errors are protocol-level; the network, like UDP, ignores them.
-	_ = h(context.Background(), msg)
+	_ = h(context.Background(), d.msg)
+}
+
+// recycle zeroes the body and returns the record to the pool. The zeroing is
+// what makes a handler that kept msg.Body past its return fail loudly: it
+// reads zeros, not the message, until a later message reuses the buffer.
+func (d *delivery) recycle() {
+	buf := d.buf
+	clear(buf)
+	if cap(buf) > maxKeptBody {
+		buf = nil
+	}
+	*d = delivery{buf: buf[:0]}
+	deliveryPool.Put(d)
 }
 
 // Node is one simulated endpoint.

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"testing/quick"
@@ -256,6 +257,37 @@ func TestReentrantSendFromHandler(t *testing.T) {
 	net.Run()
 	if !got {
 		t.Fatal("relayed message not delivered")
+	}
+}
+
+// TestBodyIsLent: Send copies the body, so the sender may rewrite its buffer
+// as soon as Send is back; and a handler's msg.Body is the delivery record's
+// buffer, lent for the call. This handler breaks the rule on purpose and keeps
+// the body: once the handler has returned it reads zeros, not its message —
+// nor a later one, which it would if the record went back to the pool, and
+// on to the next send, before its handler ran.
+func TestBodyIsLent(t *testing.T) {
+	net := New(lossless(1))
+	a := net.Node("a")
+	var during string
+	var kept []byte
+	net.Node("b").SetHandler(func(_ context.Context, msg transport.Message) error {
+		during, kept = string(msg.Body), msg.Body
+		return nil
+	})
+	for _, text := range []string{"first message", "later message"} {
+		buf := []byte(text)
+		if err := a.Send(context.Background(), transport.Message{To: "b", Body: buf}); err != nil {
+			t.Fatal(err)
+		}
+		copy(buf, "XXXXXXXXXXXXX")
+		net.Run()
+		if during != text {
+			t.Fatalf("handler read %q, want %q", during, text)
+		}
+		if !bytes.Equal(kept, make([]byte, len(text))) {
+			t.Fatalf("body kept past its handler reads %q, want zeros", kept)
+		}
 	}
 }
 

@@ -9,4 +9,10 @@
 // attachment: Send + SetHandler), Mux (action-based demultiplexer so
 // several protocols share one endpoint) and Handler. Time is not this
 // package's concern: protocols that need it take a clock.Clock.
+//
+// A message body is lent, never given: Send does not keep msg.Body after it
+// returns, and a handler's msg.Body is valid only during the call (Message
+// states the rule). So a sender writes its bodies into a reused buffer, and a
+// fabric delivers from a buffer of its own that it reuses once the handler is
+// back.
 package transport
