@@ -133,7 +133,7 @@ func (c *seenCache) Add(sum uint64) bool {
 				c.place(int32(i))
 			}
 		}
-		c.arena = roomForOne(c.arena, c.cap)
+		c.arena = roomForOne(c.arena, 4, c.cap)
 		i = int32(len(c.arena))
 		c.arena = append(c.arena, seenEntry{})
 	} else {
@@ -147,13 +147,17 @@ func (c *seenCache) Add(sum uint64) bool {
 	return true
 }
 
-// roomForOne returns s with room for one more element, growing a full s to 4
-// elements and then by doubling, never past limit.
-func roomForOne[T any](s []T, limit int) []T {
+// roomForOne returns s with room for one more element, never past limit: an
+// empty s gets room for first, a full one grows to 4 and then by doubling.
+func roomForOne[T any](s []T, first, limit int) []T {
 	if len(s) < cap(s) {
 		return s
 	}
-	return append(make([]T, 0, min(max(4, 2*len(s)), limit)), s...)
+	n := first
+	if len(s) > 0 {
+		n = max(4, 2*len(s))
+	}
+	return append(make([]T, 0, min(n, limit)), s...)
 }
 
 // Contains reports whether sum is present without refreshing recency.
@@ -168,10 +172,15 @@ func (c *seenCache) Len() int { return len(c.arena) }
 // store retains recent values so a node can serve fetches and answer digests;
 // its methods are the Machine's. It evicts in FIFO order and never reorders,
 // so the values live in a ring of slots in insertion order — grown until it
-// holds cap entries, from 4 slots and doubling as the seen cache's arena
-// does (roomForOne), overwritten oldest-first from then on — and
-// index maps an ID's sum (IDSum) to its slot, which never moves while the
-// entry lives.
+// holds cap entries, overwritten oldest-first from then on — and index maps
+// an ID's sum (IDSum) to its slot, which never moves while the entry lives.
+//
+// The ring's first allocation holds one slot, and a second Hold grows it to
+// 4, doubling from there (roomForOne). One slot is what every node of a
+// one-event run needs, and the million-node coverage run is such a run: 4
+// slots there would be 144 bytes more per node, about 9 % of its peak RSS.
+// A node that holds a second value pays one more allocation. The seen
+// cache's entries are a third of a slot's size, and its arena starts at 4.
 //
 // Each slot carries the sum it is held under: a digest names what its sender
 // holds by those sums, and Missing compares them without hashing the store
@@ -203,7 +212,7 @@ func (s *store[V]) Hold(sum uint64, v V) {
 	}
 	slot := storeSlot[V]{v: v, sum: sum}
 	if len(s.slots) < s.cap {
-		s.slots = roomForOne(s.slots, s.cap)
+		s.slots = roomForOne(s.slots, 1, s.cap)
 		s.index[sum] = uint32(len(s.slots))
 		s.slots = append(s.slots, slot)
 		return

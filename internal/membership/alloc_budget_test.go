@@ -95,9 +95,9 @@ func (b *viewBench) encode() []byte {
 	return b.svc.encodeViewLocked()
 }
 
-// TestMembershipAllocBudget: merging a 32-entry exchange of known members is
-// the endpoint's one copy of the body — every entry is looked up in place —
-// and writing a 32-member view is its one buffer. Sending that view through
+// TestMembershipAllocBudget: merging a 32-entry exchange of known members
+// allocates nothing — the Service reads the request's own bytes during the
+// call and looks every entry up in place — and writing a 32-member view is its one buffer. Sending that view through
 // an endpoint over MemBus costs nothing more: the message ID and the body are
 // written straight into a pooled wire buffer, which the bus recycles.
 func TestMembershipAllocBudget(t *testing.T) {
@@ -108,11 +108,11 @@ func TestMembershipAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	budget := allocBudget{SendExchange: -1}
+	budget := allocBudget{MergeExchange: -1, SendExchange: -1}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	if budget.MergeExchange <= 0 || budget.EncodeView <= 0 || budget.SendExchange < 0 {
+	if budget.MergeExchange < 0 || budget.EncodeView <= 0 || budget.SendExchange < 0 {
 		t.Fatalf("alloc budget missing fields: %+v", budget)
 	}
 	b := newViewBench(t)

@@ -1,7 +1,6 @@
 package membership
 
 import (
-	"bytes"
 	"context"
 	"sync"
 
@@ -83,14 +82,12 @@ func (e *SOAPEndpoint) handleSOAP(ctx context.Context, req *soap.Request) (*soap
 	if blocks := req.Envelope.Body.Blocks; len(blocks) > 0 {
 		raw = blocks[0].Raw
 	}
-	body, inPlace, err := canonicalBody(raw)
+	// A canonical body is the request's own (possibly pooled) buffer, which
+	// dies with the delivery; the handler reads it during the call only, as
+	// transport.Handler's msg.Body.
+	body, _, err := canonicalBody(raw)
 	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "malformed membership body: "+err.Error())
-	}
-	if inPlace {
-		// The request's (possibly pooled) buffer dies with the delivery: the
-		// handler gets a copy it may retain, one per exchange.
-		body = bytes.Clone(body)
 	}
 	e.mu.Lock()
 	h := e.handler

@@ -18,14 +18,14 @@ type sendDeliverBench struct {
 	delivered int
 }
 
-func newSendDeliverBench() *sendDeliverBench {
+func newSendDeliverBench(bodyLen int) *sendDeliverBench {
 	sb := &sendDeliverBench{net: New(DefaultConfig(1))}
 	sb.from = sb.net.Node("a")
 	sb.net.Node("b").SetHandler(func(context.Context, transport.Message) error {
 		sb.delivered++
 		return nil
 	})
-	sb.msg = transport.Message{To: "b", Action: "urn:test", Body: make([]byte, 64)}
+	sb.msg = transport.Message{To: "b", Action: "urn:test", Body: make([]byte, bodyLen)}
 	return sb
 }
 
@@ -40,7 +40,10 @@ func (sb *sendDeliverBench) sendDeliver(tb testing.TB) {
 // delivery the clock fires, whose own buffer holds the copied body, back in
 // the pool once the handler returns — on a recycled timer, with no closure,
 // no escaped message copy and no stop handle, so a send and its delivery
-// allocate nothing. The budget is
+// allocate nothing. That holds for every body size the simulator's
+// workloads send: a push (under 64 bytes), a full pull digest (DigestCap
+// sums, about 1 KiB) and a membership view (up to about 5 KiB in the churn
+// mode) each ride a record of their own size class. The budget is
 // committed in testdata/alloc_budget.json.
 func TestSendDeliverAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -56,19 +59,21 @@ func TestSendDeliverAllocBudget(t *testing.T) {
 	if err := json.Unmarshal(raw, &budget); err != nil || budget.SendDeliver < 0 {
 		t.Fatalf("parse alloc budget: %+v, %v", budget, err)
 	}
-	sb := newSendDeliverBench()
-	allocs := testing.AllocsPerRun(200, func() { sb.sendDeliver(t) })
-	if sb.delivered != 201 {
-		t.Fatalf("delivered %d of 201", sb.delivered)
+	for _, bodyLen := range []int{64, 1 << 10, 5 << 10} {
+		sb := newSendDeliverBench(bodyLen)
+		allocs := testing.AllocsPerRun(200, func() { sb.sendDeliver(t) })
+		if sb.delivered != 201 {
+			t.Fatalf("%d-byte body: delivered %d of 201", bodyLen, sb.delivered)
+		}
+		if allocs > budget.SendDeliver {
+			t.Errorf("%d-byte body: send + deliver = %.1f allocs/op, budget %.0f (testdata/alloc_budget.json)", bodyLen, allocs, budget.SendDeliver)
+		}
+		t.Logf("%d-byte body: send + deliver: %.1f allocs/op (budget %.0f)", bodyLen, allocs, budget.SendDeliver)
 	}
-	if allocs > budget.SendDeliver {
-		t.Errorf("send + deliver = %.1f allocs/op, budget %.0f (testdata/alloc_budget.json)", allocs, budget.SendDeliver)
-	}
-	t.Logf("send + deliver: %.1f allocs/op (budget %.0f)", allocs, budget.SendDeliver)
 }
 
 func BenchmarkSendDeliver(b *testing.B) {
-	sb := newSendDeliverBench()
+	sb := newSendDeliverBench(64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

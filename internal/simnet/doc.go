@@ -29,15 +29,15 @@
 // dest, msg} and a body buffer) handed to clock.Virtual.Schedule: it takes
 // the same timer and the same (deadline, seq) slot an AfterFunc in its place
 // would, but no stop handle exists, because nothing ever cancels a delivery:
-// a crash is checked when it lands. Records come from a pool, and so do their
-// bodies: Send copies msg.Body into the record's own buffer (transport's
-// ownership rule: Send keeps nothing of the sender's), the handler reads that
-// buffer, and when the handler returns the buffer is zeroed and the record
-// goes back to the pool. A steady stream of sends reuses the same few records
+// a crash is checked when it lands. Records come from pools, one per body
+// size class from 64 bytes to 1 MiB, and so do their bodies: Send copies
+// msg.Body into the record's own buffer (transport's ownership rule: Send
+// keeps nothing of the sender's), the handler reads that buffer, and when
+// the handler returns the buffer is zeroed and the record goes back to its
+// pool. A steady stream of sends reuses the same few records
 // and buffers, and a sender may reuse its buffer as soon as Send is back. A
 // handler that keeps msg.Body past its return finds it zeroed at once (and
-// later reused), so the mistake shows in the first test that reads it. A
-// record keeps a buffer only up to maxKeptBody bytes.
+// later reused), so the mistake shows in the first test that reads it.
 //
 // NewCompactRNG supplies a 16-byte splitmix64 rand.Rand for per-node state
 // at that scale (math/rand's default source is ~5 KiB per instance).

@@ -3,6 +3,7 @@ package simnet
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"time"
@@ -328,7 +329,7 @@ func (n *Network) send(from string, msg transport.Message) error {
 		latency += n.faults.ExtraDelay(from, msg.To)
 	}
 	msg.From = from
-	d := deliveryPool.Get().(*delivery)
+	d := getDelivery(len(msg.Body))
 	d.net, d.dest = n, dest
 	if len(msg.Body) > 0 {
 		// Send does not keep the sender's buffer (transport.Message): the
@@ -344,21 +345,62 @@ func (n *Network) send(from string, msg transport.Message) error {
 // delivery is one message in flight and the buffer its body is copied into.
 // Nobody cancels a delivery (a crash is checked on arrival), so it rides the
 // clock's fire-and-forget path and takes no stop handle. The record goes back
-// to deliveryPool once the handler has returned, since msg.Body is its buffer
+// to its pool once the handler has returned, since msg.Body is its buffer
 // until then, so a steady stream of messages reuses the same few records and
 // their buffers.
 type delivery struct {
-	net  *Network
-	dest *Node
-	msg  transport.Message
-	buf  []byte
+	net   *Network
+	dest  *Node
+	msg   transport.Message
+	buf   []byte
+	small [minBody]byte // buf's backing array in the smallest class
 }
 
-// maxKeptBody bounds the buffer a pooled record keeps: a push fits, while a
-// membership view or a pull batch does not pin its bytes in the pool.
-const maxKeptBody = 512
+// Records are pooled by the capacity of the buffer they carry, one pool per
+// power of two from minBody to maxBody bytes, and a send takes a record of
+// the smallest class its body fits. So every body the simulator's workloads
+// send is pooled, and a record never carries much more buffer than its
+// message: a membership view (about 36 bytes a member in the churn mode,
+// whose views are uncapped: 4.7 KiB at 128 nodes, 14.6 KiB at 400) or a
+// full pull digest (DigestCap sums, 1 KiB) does not ride along under every
+// later push. A push, a pull request or an IHAVE (under 64 bytes on every
+// workload) fits the record's inline buffer, so a record that misses its
+// pool costs one allocation. A body over maxBody is copied into a buffer of
+// its own that is not pooled.
+const (
+	minBody     = 64
+	maxBody     = 1 << 20
+	bodyClasses = 15 // minBody << (bodyClasses-1) == maxBody
+)
 
-var deliveryPool = sync.Pool{New: func() any { return new(delivery) }}
+var deliveryPools [bodyClasses]sync.Pool
+
+// bodyClass returns the smallest class whose buffers hold n bytes; it is
+// bodyClasses or more for a body over maxBody.
+func bodyClass(n int) int {
+	if n <= minBody {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - bits.Len(minBody-1)
+}
+
+// getDelivery returns a record whose buffer holds n bytes without growing.
+func getDelivery(n int) *delivery {
+	c := bodyClass(n)
+	if c >= bodyClasses {
+		return new(delivery)
+	}
+	if d, ok := deliveryPools[c].Get().(*delivery); ok {
+		return d
+	}
+	d := new(delivery)
+	if c == 0 {
+		d.buf = d.small[:0]
+	} else {
+		d.buf = make([]byte, 0, minBody<<c)
+	}
+	return d
+}
 
 // Fire hands the message to the destination's handler, if it is still up,
 // and recycles the record when the handler is back.
@@ -381,17 +423,17 @@ func (d *delivery) Fire() {
 	_ = h(context.Background(), d.msg)
 }
 
-// recycle zeroes the body and returns the record to the pool. The zeroing is
-// what makes a handler that kept msg.Body past its return fail loudly: it
-// reads zeros, not the message, until a later message reuses the buffer.
+// recycle zeroes the body and returns the record to its class's pool. The
+// zeroing is what makes a handler that kept msg.Body past its return fail
+// loudly: it reads zeros, not the message, until a later message reuses the
+// buffer.
 func (d *delivery) recycle() {
 	buf := d.buf
 	clear(buf)
-	if cap(buf) > maxKeptBody {
-		buf = nil
+	d.net, d.dest, d.msg, d.buf = nil, nil, transport.Message{}, buf[:0]
+	if c := bodyClass(cap(buf)); c < bodyClasses {
+		deliveryPools[c].Put(d)
 	}
-	*d = delivery{buf: buf[:0]}
-	deliveryPool.Put(d)
 }
 
 // Node is one simulated endpoint.

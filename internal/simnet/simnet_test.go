@@ -265,29 +265,54 @@ func TestReentrantSendFromHandler(t *testing.T) {
 // buffer, lent for the call. This handler breaks the rule on purpose and keeps
 // the body: once the handler has returned it reads zeros, not its message —
 // nor a later one, which it would if the record went back to the pool, and
-// on to the next send, before its handler ran.
+// on to the next send, before its handler ran. Each size is sent twice, so
+// the second message rides the first's recycled record: the record's inline
+// buffer, a pooled larger one, and a body over maxBody, which gets a buffer
+// of its own.
 func TestBodyIsLent(t *testing.T) {
 	net := New(lossless(1))
 	a := net.Node("a")
-	var during string
+	var during []byte
 	var kept []byte
 	net.Node("b").SetHandler(func(_ context.Context, msg transport.Message) error {
-		during, kept = string(msg.Body), msg.Body
+		during, kept = bytes.Clone(msg.Body), msg.Body
 		return nil
 	})
-	for _, text := range []string{"first message", "later message"} {
-		buf := []byte(text)
-		if err := a.Send(context.Background(), transport.Message{To: "b", Body: buf}); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{13, 1000, maxBody + 1} {
+		for _, fill := range []byte{'a', 'b'} {
+			text := bytes.Repeat([]byte{fill}, n)
+			buf := bytes.Clone(text)
+			if err := a.Send(context.Background(), transport.Message{To: "b", Body: buf}); err != nil {
+				t.Fatal(err)
+			}
+			clear(buf)
+			net.Run()
+			if !bytes.Equal(during, text) {
+				t.Fatalf("%d-byte body: handler read %.20q…, want %.20q…", n, during, text)
+			}
+			if !bytes.Equal(kept, make([]byte, n)) {
+				t.Fatalf("%d-byte body kept past its handler reads %.20q…, want zeros", n, kept)
+			}
 		}
-		copy(buf, "XXXXXXXXXXXXX")
-		net.Run()
-		if during != text {
-			t.Fatalf("handler read %q, want %q", during, text)
+	}
+}
+
+// TestBodyClass pins the size classes: the smallest class is the record's
+// inline buffer, each class doubles, and a body over maxBody has none.
+func TestBodyClass(t *testing.T) {
+	for _, tc := range []struct{ n, class int }{
+		{0, 0}, {1, 0}, {minBody, 0}, {minBody + 1, 1}, {2 * minBody, 1},
+		{1 << 10, 4}, {5 << 10, 7}, {maxBody, bodyClasses - 1}, {maxBody + 1, bodyClasses},
+	} {
+		if got := bodyClass(tc.n); got != tc.class {
+			t.Errorf("bodyClass(%d) = %d, want %d", tc.n, got, tc.class)
 		}
-		if !bytes.Equal(kept, make([]byte, len(text))) {
-			t.Fatalf("body kept past its handler reads %q, want zeros", kept)
+		if tc.class < bodyClasses && (tc.n > minBody<<tc.class) {
+			t.Errorf("class %d's buffers (%d bytes) do not hold %d", tc.class, minBody<<tc.class, tc.n)
 		}
+	}
+	if minBody<<(bodyClasses-1) != maxBody {
+		t.Errorf("the largest class holds %d bytes, want maxBody %d", minBody<<(bodyClasses-1), maxBody)
 	}
 }
 
