@@ -107,7 +107,7 @@ func run() error {
 		fanout    = flag.Int("fanout", 3, "gossip fanout f")
 		hops      = flag.Int("hops", 0, "hop budget r (0 = ceil(log2 n)+2)")
 		styleName = flag.String("style", "push", "gossip style: push, pull, pushpull, lazypush, flood")
-		loss      = flag.Float64("loss", 0, "message loss probability [0,1)")
+		loss      = flag.Float64("loss", 0, "message loss probability [0,1); not with -faults, whose plan sets loss with a '0s loss <p>' op")
 		crash     = flag.Float64("crash", 0, "crashed-node fraction [0,1)")
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		ticks     = flag.Int("ticks", 0, "anti-entropy rounds after the push phase (pull styles)")
@@ -129,6 +129,9 @@ func run() error {
 	if *faultPath != "" {
 		if *expName != "" {
 			return fmt.Errorf("-faults applies to gossip, churn, and aggregate modes")
+		}
+		if *loss != 0 {
+			return fmt.Errorf("-loss and -faults both set the network's loss: put a '0s loss %g' op in the plan instead", *loss)
 		}
 		var err error
 		if plan, err = loadFaultPlan(*faultPath); err != nil {
@@ -167,8 +170,7 @@ func run() error {
 
 	reg := metrics.NewRegistry()
 	net := simnet.New(simnet.DefaultConfig(*seed))
-	ftbl, err := installFaults(net, plan)
-	if err != nil {
+	if err := installFaults(net, plan); err != nil {
 		return err
 	}
 	addrs := make([]string, *n)
@@ -202,7 +204,7 @@ func run() error {
 		mux.Bind(net.Node(addrs[i]))
 		engines[i] = eng
 	}
-	net.SetLossRate(*loss)
+	net.Faults().SetLoss(*loss)
 	rng := rand.New(rand.NewSource(*seed))
 	crashed := gossip.SamplePeers(rng, addrs, int(float64(*n)**crash), addrs[0])
 	for _, a := range crashed {
@@ -289,10 +291,10 @@ func run() error {
 	fmt.Printf("  control msgs:             %d\n", total.IHaveSent+total.IWantSent+total.PullReqs+total.PullResps)
 	fmt.Printf("  network: sent=%d delivered=%d dropped=%d bytes=%d\n", st.Sent, st.Delivered, st.Dropped, st.Bytes)
 	fmt.Printf("  virtual time:             %v\n", net.Now())
-	if ftbl != nil {
+	if plan != nil {
 		reg.Counter("net_fault_refused_total").Add(st.FaultRefused)
 		reg.Counter("net_fault_dropped_total").Add(st.FaultDropped)
-		if err := reportFaults(ftbl, st); err != nil {
+		if err := reportFaults(net.Faults(), st); err != nil {
 			return err
 		}
 	}
@@ -318,26 +320,18 @@ func loadFaultPlan(path string) (*faults.Plan, error) {
 	return plan, nil
 }
 
-// installFaults puts a fresh fault table on the network and schedules the
-// plan's timeline on the simulation clock, binding crash/recover ops to the
-// fabric's node lifecycle. A nil plan installs nothing (and costs nothing:
-// without a table the network's RNG stream is byte-identical to pre-fault
-// builds).
-func installFaults(net *simnet.Network, plan *faults.Plan) (*faults.Table, error) {
+// installFaults schedules the plan's timeline, if there is one, on the
+// simulation clock, writing its link ops to the network's fault table and
+// binding its crash/recover ops to the fabric's node lifecycle.
+func installFaults(net *simnet.Network, plan *faults.Plan) error {
 	if plan == nil {
-		return nil, nil
+		return nil
 	}
-	tbl := faults.NewTable()
-	net.SetFaults(tbl)
-	err := plan.Schedule(net.Clock(), faults.Applier{
-		Table:   tbl,
+	return plan.Schedule(net.Clock(), faults.Applier{
+		Table:   net.Faults(),
 		Crash:   net.Crash,
 		Recover: net.Recover,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return tbl, nil
 }
 
 // reportFaults prints the per-rule fault counters (sorted by rule name) and
@@ -492,8 +486,7 @@ func runChurn(n, fanout int, loss, leaveFrac float64, seed int64, ticks int, dum
 	reg := metrics.NewRegistry()
 	net := simnet.New(simnet.DefaultConfig(seed))
 	clk := net.Clock()
-	ftbl, err := installFaults(net, plan)
-	if err != nil {
+	if err := installFaults(net, plan); err != nil {
 		return err
 	}
 
@@ -578,7 +571,7 @@ func runChurn(n, fanout int, loss, leaveFrac float64, seed int64, ticks int, dum
 		}
 		return float64(sum) / float64(len(ns))
 	}
-	net.SetLossRate(loss)
+	net.Faults().SetLoss(loss)
 	net.RunFor(time.Duration(ticks) * roundPeriod) // views assemble
 	viewBefore := meanView(nodes)
 
@@ -652,10 +645,10 @@ func runChurn(n, fanout int, loss, leaveFrac float64, seed int64, ticks int, dum
 	fmt.Printf("  post-churn coverage:      %d/%d alive (%d/%d joiners)\n", covered, alive, joinCovered, joiners)
 	fmt.Printf("  network: sent=%d delivered=%d dropped=%d bytes=%d\n", st.Sent, st.Delivered, st.Dropped, st.Bytes)
 	fmt.Printf("  virtual time:             %v\n", net.Now())
-	if ftbl != nil {
+	if plan != nil {
 		reg.Counter("net_fault_refused_total").Add(st.FaultRefused)
 		reg.Counter("net_fault_dropped_total").Add(st.FaultDropped)
-		if err := reportFaults(ftbl, st); err != nil {
+		if err := reportFaults(net.Faults(), st); err != nil {
 			return err
 		}
 	}
@@ -692,8 +685,7 @@ func runAggregate(n, fanout int, fnName string, loss float64, seed int64, dumpRe
 	}
 	reg := metrics.NewRegistry()
 	net := simnet.New(simnet.DefaultConfig(seed))
-	ftbl, err := installFaults(net, plan)
-	if err != nil {
+	if err := installFaults(net, plan); err != nil {
 		return err
 	}
 	addrs := make([]string, n)
@@ -730,7 +722,7 @@ func runAggregate(n, fanout int, fnName string, loss float64, seed int64, dumpRe
 		mux.Bind(net.Node(addr))
 		nodes[i] = node
 	}
-	net.SetLossRate(loss)
+	net.Faults().SetLoss(loss)
 	truth := map[aggregate.Func]float64{
 		aggregate.FuncCount: float64(n),
 		aggregate.FuncSum:   truthSum,
@@ -745,7 +737,7 @@ func runAggregate(n, fanout int, fnName string, loss float64, seed int64, dumpRe
 		return err
 	}
 	fmt.Printf("wsgossip-sim aggregate (windowed): N=%d f=%d fn=%s epochs=%d window=%v loss=%.2f seed=%d faults=%v\n",
-		n, fanout, fn, epochs, window, loss, seed, ftbl != nil)
+		n, fanout, fn, epochs, window, loss, seed, plan != nil)
 
 	// Sample the conservation residual every round on every node; the gate
 	// is exact zero at every instant, which is what the acked exchange
@@ -806,10 +798,10 @@ func runAggregate(n, fanout int, fnName string, loss float64, seed int64, dumpRe
 		massViolations, worstMassErr)
 	fmt.Printf("  network: sent=%d delivered=%d dropped=%d bytes=%d\n", st.Sent, st.Delivered, st.Dropped, st.Bytes)
 	fmt.Printf("  virtual time:             %v\n", net.Now())
-	if ftbl != nil {
+	if plan != nil {
 		reg.Counter("net_fault_refused_total").Add(st.FaultRefused)
 		reg.Counter("net_fault_dropped_total").Add(st.FaultDropped)
-		if err := reportFaults(ftbl, st); err != nil {
+		if err := reportFaults(net.Faults(), st); err != nil {
 			return err
 		}
 	}

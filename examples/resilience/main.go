@@ -39,7 +39,7 @@ func run() error {
 	)
 	ctx := context.Background()
 	net := simnet.New(simnet.DefaultConfig(seed))
-	net.SetLossRate(loss)
+	net.Faults().SetLoss(loss)
 
 	addrs := make([]string, n)
 	for i := range addrs {
@@ -121,7 +121,7 @@ func run() error {
 
 	// The centralized baseline under the same loss (broker survives).
 	bNet := simnet.New(simnet.DefaultConfig(seed + 1))
-	bNet.SetLossRate(loss)
+	bNet.Faults().SetLoss(loss)
 	broker := wsn.NewBroker(bNet.Node("broker"))
 	bmux := transport.NewMux()
 	broker.Register(bmux)

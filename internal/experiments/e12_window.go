@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"wsgossip/internal/aggregate"
-	"wsgossip/internal/faults"
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/simnet"
 	"wsgossip/internal/transport"
@@ -43,9 +42,7 @@ func E12WindowSizing(opt Options) ([]Table, error) {
 	}
 	for _, fanout := range []int{1, 2, 4, 8} {
 		net := simnet.New(simnet.DefaultConfig(opt.Seed + int64(fanout)))
-		tbl := faults.NewTable()
-		tbl.SetLoss(lossRate)
-		net.SetFaults(tbl)
+		net.Faults().SetLoss(lossRate)
 		addrs := make([]string, n)
 		for i := range addrs {
 			addrs[i] = fmt.Sprintf("e12n%04d", i)

@@ -115,7 +115,7 @@ func gossipUnderLoss(n int, seed int64, loss float64, trials int, style gossip.S
 		if err != nil {
 			return 0, err
 		}
-		c.net.SetLossRate(loss)
+		c.net.Faults().SetLoss(loss)
 		r, err := c.engines[0].Publish(context.Background(), []byte("evt"))
 		if err != nil {
 			return 0, err
@@ -155,7 +155,7 @@ func brokerUnderCrash(n int, seed int64, crashPct, trials int, loss float64) (fl
 		for _, a := range crashed {
 			net.Crash(a)
 		}
-		net.SetLossRate(loss)
+		net.Faults().SetLoss(loss)
 		if err := broker.Publish(context.Background(), wsn.Notification{ID: "evt"}); err != nil {
 			return 0, err
 		}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"wsgossip/internal/faults"
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/simnet"
 	"wsgossip/internal/transport"
@@ -19,7 +18,8 @@ import (
 // throughput stays flat while the ACK-based reliable multicast collapses,
 // because its sender waits for the slowest receiver on every message. pbcast
 // is gossip.Engine configured as pbcastGroup; perturbation is a link-loss
-// rule into the perturbed members plus a processing slowdown.
+// rule and a link-delay rule (the processing slowdown) into the perturbed
+// members.
 func E4Throughput(opt Options) ([]Table, error) {
 	n := opt.pick(128, 32)
 	messages := opt.pick(150, 40)
@@ -97,11 +97,9 @@ func perturb(net *simnet.Network, members []*gossip.Engine, loss float64, slow t
 	addrs := make([]string, len(members))
 	for i, m := range members {
 		addrs[i] = m.Addr()
-		net.SetSlowdown(addrs[i], slow)
 	}
-	table := faults.NewTable()
-	table.LinkLoss("perturbed", nil, addrs, loss)
-	net.SetFaults(table)
+	net.Faults().LinkDelay("perturbed", nil, addrs, slow)
+	net.Faults().LinkLoss("perturbed", nil, addrs, loss)
 }
 
 // pbcastRun returns healthy-node throughput (unique deliveries per virtual
@@ -165,11 +163,11 @@ func ackmcRun(n, perturbed, messages int, slow time.Duration, seed int64) float6
 		members = append(members, fmt.Sprintf("r%04d", i))
 	}
 	sender := newAckSender(net.Node("s"), members)
-	for i, m := range members {
+	for _, m := range members {
 		bindAckMember(net.Node(m))
-		if i >= len(members)-perturbed {
-			net.SetSlowdown(m, slow)
-		}
+	}
+	if perturbed > 0 { // a rule naming no destination would match every one
+		net.Faults().LinkDelay("perturbed", nil, members[len(members)-perturbed:], slow)
 	}
 	ctx := context.Background()
 	sender.onDone = func() {

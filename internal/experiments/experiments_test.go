@@ -385,10 +385,10 @@ func TestE12WindowSizingShape(t *testing.T) {
 	// an RNG draw, the send order or the retry/dedup rules inside the shared
 	// exchange machine moves at least one of them.
 	pinned := [][3]string{
-		{"57.734", "21.875", "10.688"},
-		{"116.328", "47.000", "21.938"},
-		{"229.406", "85.875", "38.312"},
-		{"460.859", "176.438", "84.312"},
+		{"57.328", "20.812", "10.000"},
+		{"115.500", "44.562", "20.750"},
+		{"230.531", "86.750", "42.312"},
+		{"458.609", "170.875", "81.125"},
 	}
 	for i, fanout := range []string{"1", "2", "4", "8"} {
 		if got := mustCell(t, tab, i, 0); got != fanout {

@@ -68,7 +68,7 @@ func TestPbcastPullRoundsNeverRedeliver(t *testing.T) {
 
 func TestPbcastRepairsGlobalLoss(t *testing.T) {
 	net, members := newPbcast(t, 24, 2)
-	net.SetLossRate(0.35)
+	net.Faults().SetLoss(0.35)
 	publishN(t, members[0], 10)
 	net.Run()
 	missing := 0
@@ -78,7 +78,7 @@ func TestPbcastRepairsGlobalLoss(t *testing.T) {
 	if missing == 0 {
 		t.Fatal("loss injection produced no gaps; test setup broken")
 	}
-	net.SetLossRate(0)
+	net.Faults().SetLoss(0)
 	pullRounds(net, members, 15)
 	var served int64
 	for i, m := range members {
@@ -166,7 +166,7 @@ func TestAckMulticastThrottledBySlowReceiver(t *testing.T) {
 	run := func(slow time.Duration) time.Duration {
 		net := simnet.New(simnet.Config{Seed: 7, MinLatency: time.Millisecond, MaxLatency: time.Millisecond})
 		sender := ackGroup(net)
-		net.SetSlowdown("r2", slow)
+		net.Faults().LinkDelay("slow", nil, []string{"r2"}, slow)
 		runAckStream(net, sender, 20)
 		if sender.completed != 20 {
 			t.Fatalf("completed = %d", sender.completed)

@@ -184,7 +184,7 @@ func ScaleCoverage(opt ScaleOptions) (*ScaleSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.net.SetLossRate(opt.Loss)
+	p.net.Faults().SetLoss(opt.Loss)
 	ctx := context.Background()
 	keys := make([]int, 0, opt.Events)
 	for e := 0; e < opt.Events; e++ {
@@ -258,7 +258,7 @@ func ScaleChurn(opt ScaleOptions) (*ScaleChurnSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.net.SetLossRate(opt.Loss)
+	p.net.Faults().SetLoss(opt.Loss)
 	ctx := context.Background()
 
 	// Event 1 on the intact population.

@@ -286,9 +286,9 @@ func (t *Table) countLocked(o Outcome, name string) Decision {
 // Lossy draws the per-message loss verdict for one send that passed Check,
 // combining the global loss with every matching link-loss rule as
 // independent events. It always consumes exactly one draw from rng — even
-// with no loss configured — so the caller's random stream is identical
-// whether or not a table is installed in place of a raw loss field. A hit
-// is counted against the first matching link rule, or RuleLoss.
+// with no loss configured — so a fabric that calls it once per send draws
+// the same stream whatever rules are installed on other links. A hit is
+// counted against the first matching link rule, or RuleLoss.
 func (t *Table) Lossy(from, to string, rng *rand.Rand) bool {
 	t.mu.Lock()
 	p := t.loss

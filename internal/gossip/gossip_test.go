@@ -304,14 +304,14 @@ func TestPushPullRepairsLoss(t *testing.T) {
 		cfg.Fanout = 2
 		cfg.Hops = 6
 	})
-	c.net.SetLossRate(0.4)
+	c.net.Faults().SetLoss(0.4)
 	r, err := c.engines[0].Publish(context.Background(), []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.net.Run()
 	lossyCov := c.coverage(r.ID)
-	c.net.SetLossRate(0)
+	c.net.Faults().SetLoss(0)
 	c.tickAll(context.Background(), 25)
 	finalCov := c.coverage(r.ID)
 	if finalCov < 0.99 {

@@ -196,7 +196,7 @@ func TestPartitionHealRepair(t *testing.T) {
 	}
 	// Partition off the last third before publishing.
 	minority := addrs[20:]
-	net.Partition(minority)
+	net.Faults().Partition("split", minority)
 	ctx := context.Background()
 	r, err := engines[0].Publish(ctx, []byte("split"))
 	if err != nil {
@@ -209,7 +209,7 @@ func TestPartitionHealRepair(t *testing.T) {
 		}
 	}
 	// Heal and run anti-entropy.
-	net.Heal()
+	net.Faults().Heal("split")
 	for round := 0; round < 15; round++ {
 		for _, e := range engines {
 			e.Tick(ctx)

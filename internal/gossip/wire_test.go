@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"wsgossip/internal/faults"
 	"wsgossip/internal/simnet"
 	"wsgossip/internal/transport"
 )
@@ -275,9 +274,7 @@ func TestRefusedIWantReleasesRequest(t *testing.T) {
 		cfg.Style = StyleLazyPush
 		cfg.Fanout = 2
 	})
-	table := faults.NewTable()
-	table.RefuseLink("c-a", []string{"n002"}, []string{"n000"})
-	c.net.SetFaults(table)
+	c.net.Faults().RefuseLink("c-a", []string{"n002"}, []string{"n000"})
 	r, err := c.engines[0].Publish(context.Background(), []byte("refused once"))
 	if err != nil {
 		t.Fatal(err)

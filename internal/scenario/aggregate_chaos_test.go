@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"wsgossip/internal/aggregate"
-	"wsgossip/internal/faults"
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/simnet"
 	"wsgossip/internal/transport"
@@ -218,9 +217,8 @@ func TestAggregateChaosSustainedLinkLoss(t *testing.T) {
 		lossRate = 0.10
 	)
 	net := simnet.New(simnet.DefaultConfig(seed))
-	tbl := faults.NewTable()
+	tbl := net.Faults()
 	tbl.SetLoss(lossRate)
-	net.SetFaults(tbl)
 	addrs := make([]string, n)
 	for i := range addrs {
 		addrs[i] = consAddr(i)

@@ -75,15 +75,15 @@ func consAddr(i int) string { return fmt.Sprintf("agg%03d", i) }
 func newAggCluster(t *testing.T, seed int64, nodes, late int, window time.Duration) *aggCluster {
 	t.Helper()
 	total := nodes + late
+	net := simnet.New(simnet.DefaultConfig(seed))
 	c := &aggCluster{
 		t:     t,
-		net:   simnet.New(simnet.DefaultConfig(seed)),
-		tbl:   faults.NewTable(),
+		net:   net,
+		tbl:   net.Faults(),
 		addrs: make([]string, total),
 		nodes: make([]*aggregate.SimNode, total),
 		down:  make(map[string]bool),
 	}
-	c.net.SetFaults(c.tbl)
 	for i := range c.addrs {
 		c.addrs[i] = consAddr(i)
 	}

@@ -1,18 +1,19 @@
 // Package simnet is a deterministic discrete-event network simulator. It
 // provides transport.Endpoint attachments for protocol nodes, a virtual
-// clock, and fault injection (message loss, crash faults, partitions,
-// per-node slowdown). All randomness flows from a single seeded source and
-// events are totally ordered by (time, sequence), so every experiment is
-// exactly reproducible.
+// clock, crash and departure of nodes, and link faults through one
+// faults.Table per network (loss, cuts, partitions, refusals, NAT, extra
+// delay). All randomness flows from a single seeded source and events are
+// totally ordered by (time, sequence), so every experiment is exactly
+// reproducible.
 //
 // The WS-Gossip paper claims behaviour at "very large numbers of services";
 // simnet is the substitute for the testbed we do not have (see DESIGN.md §2):
 // the protocol code above the transport interface is identical to the code
 // that runs over SOAP/HTTP.
 //
-// Key types: Network (the fabric: Node/Crash/Partition/SetLossRate, with
-// Run/RunFor/Step driving the event loop; itself a clock.Clock) and Node
-// (one transport.Endpoint). A Network schedules on a clock.Virtual — its
+// Key types: Network (the fabric: Node/Crash/Depart/Recover, Faults for its
+// link model, and Run/RunFor/Step driving the event loop; itself a
+// clock.Clock) and Node (one transport.Endpoint). A Network schedules on a clock.Virtual — its
 // own, or one shared with core.Runner timers via NewOnClock, so thousands of
 // self-clocking nodes and their link latencies interleave on a single
 // deterministic timeline.

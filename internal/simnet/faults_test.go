@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"context"
+	"encoding/binary"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -9,8 +11,8 @@ import (
 	"wsgossip/internal/transport"
 )
 
-// faultRig is a three-node network with a fault table installed and
-// per-node delivery counts.
+// faultRig is a three-node network, its fault table, and per-node delivery
+// counts.
 type faultRig struct {
 	net   *Network
 	tbl   *faults.Table
@@ -20,13 +22,13 @@ type faultRig struct {
 
 func newFaultRig(t *testing.T, seed int64) *faultRig {
 	t.Helper()
+	net := New(lossless(seed))
 	r := &faultRig{
-		net:   New(lossless(seed)),
-		tbl:   faults.NewTable(),
+		net:   net,
+		tbl:   net.Faults(),
 		nodes: map[string]*Node{},
 		recvd: map[string]int{},
 	}
-	r.net.SetFaults(r.tbl)
 	for _, a := range []string{"a", "b", "c"} {
 		a := a
 		r.nodes[a] = r.net.Node(a)
@@ -181,32 +183,66 @@ func TestFaultPlanOverNetwork(t *testing.T) {
 	}
 }
 
-// TestEmptyFaultTableIsTransparent pins that an installed-but-empty table
-// does not change delivery outcomes under global loss: the table consumes
-// one extra draw per send from the shared RNG (documented on SetFaults),
-// but refuses and drops nothing of its own, and two identical runs stay
-// deterministic.
-func TestEmptyFaultTableIsTransparent(t *testing.T) {
-	run := func() Stats {
-		net := New(Config{Seed: 9, MinLatency: time.Millisecond, MaxLatency: 5 * time.Millisecond, LossRate: 0.3})
-		net.SetFaults(faults.NewTable())
+// TestOneLossDrawPerSend pins the link model's random stream: a send the
+// table lets through draws one Float64 for loss and, unless that loses it,
+// one Int63n for latency — nothing else. The expected stream is replayed on
+// a parallel source with the network's seed, and the dropped set and every
+// delivery time must match it. Loss set through Config.LossRate and through
+// the table before any traffic is the same loss.
+func TestOneLossDrawPerSend(t *testing.T) {
+	const (
+		seed  = 9
+		p     = 0.3
+		sends = 200
+		min   = time.Millisecond
+		max   = 5 * time.Millisecond
+	)
+	run := func(cfg Config, setup func(*Network)) (Stats, map[int]time.Duration) {
+		net := New(cfg)
+		setup(net)
+		at := map[int]time.Duration{}
 		a := net.Node("a")
-		net.Node("b").SetHandler(func(context.Context, transport.Message) error { return nil })
-		for i := 0; i < 200; i++ {
-			_ = a.Send(context.Background(), transport.Message{To: "b"})
+		net.Node("b").SetHandler(func(_ context.Context, msg transport.Message) error {
+			at[int(binary.BigEndian.Uint16(msg.Body))] = net.Now()
+			return nil
+		})
+		for i := 0; i < sends; i++ {
+			body := binary.BigEndian.AppendUint16(nil, uint16(i))
+			if err := a.Send(context.Background(), transport.Message{To: "b", Body: body}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		net.Run()
-		return net.Stats()
+		return net.Stats(), at
 	}
-	st1 := run()
-	st2 := run()
-	if st1 != st2 {
-		t.Fatalf("runs differ: %+v vs %+v", st1, st2)
+
+	st, at := run(Config{Seed: seed, MinLatency: min, MaxLatency: max, LossRate: p}, func(*Network) {})
+	replay := rand.New(rand.NewSource(seed))
+	lost := 0
+	for i := 0; i < sends; i++ {
+		if replay.Float64() < p {
+			lost++
+			if got, ok := at[i]; ok {
+				t.Fatalf("send %d: the replay loses it, the network delivered it at %v", i, got)
+			}
+			continue
+		}
+		want := min + time.Duration(replay.Int63n(int64(max-min)+1))
+		if got, ok := at[i]; !ok || got != want {
+			t.Fatalf("send %d: delivered=%v at %v, the replay delivers it at %v", i, ok, got, want)
+		}
 	}
-	if st1.FaultRefused != 0 || st1.FaultDropped != 0 {
-		t.Fatalf("empty table touched traffic: %+v", st1)
+	if lost == 0 || lost == sends {
+		t.Fatalf("the replay lost %d of %d sends: the loss draw exercised nothing", lost, sends)
 	}
-	if st1.Dropped == 0 || st1.Delivered == 0 {
-		t.Fatalf("loss rate exercised nothing: %+v", st1)
+	if st.Dropped != int64(lost) || st.FaultDropped != int64(lost) || st.Delivered != int64(sends-lost) {
+		t.Fatalf("stats %+v, want %d dropped by the fault table and %d delivered", st, lost, sends-lost)
+	}
+
+	viaTable, _ := run(Config{Seed: seed, MinLatency: min, MaxLatency: max}, func(net *Network) {
+		net.Faults().SetLoss(p)
+	})
+	if viaTable != st {
+		t.Fatalf("loss set on the table %+v, loss set in Config %+v", viaTable, st)
 	}
 }

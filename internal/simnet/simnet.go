@@ -21,7 +21,8 @@ type Config struct {
 	// MinLatency and MaxLatency bound per-message link delay (uniform).
 	MinLatency time.Duration
 	MaxLatency time.Duration
-	// LossRate is the probability in [0,1] that any message is dropped.
+	// LossRate is the probability in [0,1] that any message is dropped: the
+	// initial global loss of the network's fault table.
 	LossRate float64
 }
 
@@ -43,8 +44,10 @@ type Stats struct {
 	// FaultRefused counts sends refused synchronously by the fault table
 	// (refuse rules and NAT) — the sender saw a connection error.
 	FaultRefused int64
-	// FaultDropped counts sends silently dropped by the fault table (cut,
-	// partition, and link-loss rules). Also included in Dropped.
+	// FaultDropped counts sends silently dropped by the fault table: cut
+	// and partition rules, link-loss rules and the global loss. Also
+	// included in Dropped, which further counts sends to an unknown, crashed
+	// or departed node.
 	FaultDropped int64
 }
 
@@ -55,20 +58,16 @@ type Stats struct {
 // order. Handlers execute inside the goroutine that drives Run/Step/RunFor.
 // The mutex guards cross-goroutine inspection of stats and topology.
 type Network struct {
-	cfg Config
-	clk *clock.Virtual
+	cfg    Config
+	clk    *clock.Virtual
+	faults *faults.Table
 
-	mu        sync.Mutex
-	rng       *rand.Rand
-	nodes     map[string]*Node
-	crashed   map[string]bool
-	departed  map[string]bool
-	slowdown  map[string]time.Duration
-	partition map[string]int // addr -> group id; absent means group 0
-	split     bool
-	lossRate  float64
-	faults    *faults.Table
-	stats     Stats
+	mu       sync.Mutex
+	rng      *rand.Rand
+	nodes    map[string]*Node
+	crashed  map[string]bool
+	departed map[string]bool
+	stats    Stats
 }
 
 // New returns an empty network with the given configuration, on its own
@@ -79,21 +78,22 @@ func New(cfg Config) *Network {
 
 // NewOnClock returns an empty network scheduling on clk. Attach protocol
 // runtimes (core.Runner) to the same clock to run self-clocking nodes and
-// the fabric on one shared virtual timeline.
+// the fabric on one shared virtual timeline. Its fault table starts with
+// cfg.LossRate as the global loss and no rules.
 func NewOnClock(cfg Config, clk *clock.Virtual) *Network {
 	if cfg.MaxLatency < cfg.MinLatency {
 		cfg.MaxLatency = cfg.MinLatency
 	}
+	tbl := faults.NewTable()
+	tbl.SetLoss(cfg.LossRate)
 	return &Network{
-		cfg:       cfg,
-		clk:       clk,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		nodes:     make(map[string]*Node),
-		crashed:   make(map[string]bool),
-		departed:  make(map[string]bool),
-		slowdown:  make(map[string]time.Duration),
-		partition: make(map[string]int),
-		lossRate:  cfg.LossRate,
+		cfg:      cfg,
+		clk:      clk,
+		faults:   tbl,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		nodes:    make(map[string]*Node),
+		crashed:  make(map[string]bool),
+		departed: make(map[string]bool),
 	}
 }
 
@@ -179,62 +179,10 @@ func (n *Network) Departed(addr string) bool {
 	return n.departed[addr]
 }
 
-// SetFaults installs (or, with nil, removes) a fault table consulted on
-// every send. A nil or inactive table leaves the network's behaviour and
-// seeded random stream exactly as before: the table's link-loss evaluation
-// costs one RNG draw per send only while a table is installed, so
-// no-faults runs stay byte-identical to pre-fault builds.
-func (n *Network) SetFaults(t *faults.Table) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.faults = t
-}
-
-// Faults returns the installed fault table, or nil.
-func (n *Network) Faults() *faults.Table {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.faults
-}
-
-// SetLossRate changes the global message loss probability.
-func (n *Network) SetLossRate(rate float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.lossRate = rate
-}
-
-// SetSlowdown adds extra per-message processing delay at addr, modeling the
-// perturbed ("slow") nodes of the Bimodal Multicast experiment.
-func (n *Network) SetSlowdown(addr string, d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if d <= 0 {
-		delete(n.slowdown, addr)
-		return
-	}
-	n.slowdown[addr] = d
-}
-
-// Partition splits the network: nodes in group receive group id 1, all
-// others stay in group 0; messages cross groups only after Heal.
-func (n *Network) Partition(group []string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.partition = make(map[string]int, len(group))
-	for _, a := range group {
-		n.partition[a] = 1
-	}
-	n.split = true
-}
-
-// Heal removes any partition.
-func (n *Network) Heal() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.split = false
-	n.partition = make(map[string]int)
-}
+// Faults returns the network's fault table, the one model of its links:
+// global loss, per-link loss, cuts, partitions, refusals, NAT and extra
+// delay. It is never nil; rules written to it apply from the next send.
+func (n *Network) Faults() *faults.Table { return n.faults }
 
 // Stats returns a copy of the aggregate counters.
 func (n *Network) Stats() Stats {
@@ -270,14 +218,11 @@ func (n *Network) RunUntil(t time.Duration) { n.clk.RunUntil(t) }
 // timer slots not yet popped) on the network's clock.
 func (n *Network) Pending() int { return n.clk.Pending() }
 
-func (n *Network) reachableLocked(from, to string) bool {
-	if !n.split {
-		return true
-	}
-	return n.partition[from] == n.partition[to]
-}
-
-// send implements the link model: loss, partition, crash, latency.
+// send implements the link model: the sender's crash, the fault table's
+// verdict, one loss draw, one latency draw, the destination's departure and
+// the table's extra delay, in that order. A refusal, cut or partition
+// consumes no draw, and every send the table lets through draws loss and then
+// latency, so rules touching other links never shift a message's stream.
 func (n *Network) send(from string, msg transport.Message) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -291,22 +236,16 @@ func (n *Network) send(from string, msg transport.Message) error {
 	}
 	n.stats.Sent++
 	n.stats.Bytes += int64(len(msg.Body))
-	if n.faults != nil {
-		switch d := n.faults.Check(from, msg.To); d.Outcome {
-		case faults.Refuse:
-			n.stats.FaultRefused++
-			return fmt.Errorf("%w: connection refused: %s -> %s", transport.ErrUnreachable, from, msg.To)
-		case faults.Drop:
-			n.stats.FaultDropped++
-			n.stats.Dropped++
-			return nil
-		}
-	}
-	if !n.reachableLocked(from, msg.To) || n.rng.Float64() < n.lossRate {
+	switch d := n.faults.Check(from, msg.To); d.Outcome {
+	case faults.Refuse:
+		n.stats.FaultRefused++
+		return fmt.Errorf("%w: connection refused: %s -> %s", transport.ErrUnreachable, from, msg.To)
+	case faults.Drop:
+		n.stats.FaultDropped++
 		n.stats.Dropped++
 		return nil
 	}
-	if n.faults != nil && n.faults.Lossy(from, msg.To, n.rng) {
+	if n.faults.Lossy(from, msg.To, n.rng) {
 		n.stats.FaultDropped++
 		n.stats.Dropped++
 		return nil
@@ -324,10 +263,7 @@ func (n *Network) send(from string, msg transport.Message) error {
 		n.stats.Dropped++
 		return nil
 	}
-	latency += n.slowdown[msg.To]
-	if n.faults != nil {
-		latency += n.faults.ExtraDelay(from, msg.To)
-	}
+	latency += n.faults.ExtraDelay(from, msg.To)
 	msg.From = from
 	d := getDelivery(len(msg.Body))
 	d.net, d.dest = n, dest
@@ -459,7 +395,3 @@ func (nd *Node) SetHandler(h transport.Handler) {
 func (nd *Node) Send(_ context.Context, msg transport.Message) error {
 	return nd.net.send(nd.addr, msg)
 }
-
-// RNG exposes the simulation's seeded random source so protocols share one
-// deterministic stream. Use only from the event loop goroutine.
-func (n *Network) RNG() *rand.Rand { return n.rng }

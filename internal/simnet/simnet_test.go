@@ -186,7 +186,7 @@ func TestPartitionBlocksCrossGroupTraffic(t *testing.T) {
 			return nil
 		})
 	}
-	net.Partition([]string{"c"}) // {a,b} | {c}
+	net.Faults().Partition("split", []string{"c"}) // {a,b} | {c}
 	_ = a.Send(context.Background(), transport.Message{To: "b"})
 	_ = a.Send(context.Background(), transport.Message{To: "c"})
 	net.Run()
@@ -196,7 +196,7 @@ func TestPartitionBlocksCrossGroupTraffic(t *testing.T) {
 	if counts["c"] != 0 {
 		t.Fatalf("cross-partition delivery occurred: %v", counts)
 	}
-	net.Heal()
+	net.Faults().Heal("split")
 	_ = a.Send(context.Background(), transport.Message{To: "c"})
 	net.Run()
 	if counts["c"] != 1 {
@@ -325,13 +325,13 @@ func TestSlowdownDelaysDelivery(t *testing.T) {
 		at = net.Now()
 		return nil
 	})
-	net.SetSlowdown("b", 100*time.Millisecond)
+	net.Faults().LinkDelay("slow", nil, []string{"b"}, 100*time.Millisecond)
 	_ = a.Send(context.Background(), transport.Message{To: "b"})
 	net.Run()
 	if at != 101*time.Millisecond {
 		t.Fatalf("delivery at %v, want 101ms", at)
 	}
-	net.SetSlowdown("b", 0)
+	net.Faults().Heal("slow")
 	_ = a.Send(context.Background(), transport.Message{To: "b"})
 	net.Run()
 	if at != 102*time.Millisecond {

@@ -132,7 +132,7 @@ func TestBrokerLossLosesNotifications(t *testing.T) {
 		_ = cons.Subscribe(ctx, "broker")
 	}
 	c.net.Run()
-	c.net.SetLossRate(0.3)
+	c.net.Faults().SetLoss(0.3)
 	_ = c.broker.Publish(ctx, Notification{ID: "frail"})
 	c.net.Run()
 	missed := 0
