@@ -119,10 +119,20 @@ func NewSimNode(cfg SimNodeConfig) (*SimNode, error) {
 	return n, nil
 }
 
-// Register installs the node's wire actions on the mux.
+// simActions are a SimNode's wire actions, which Register binds as one route.
+var simActions = []string{ActionExchange, ActionExchangeAck}
+
+// Register installs the node's wire actions on the mux, as one route.
 func (n *SimNode) Register(mux *transport.Mux) {
-	mux.Handle(ActionExchange, n.handleExchange)
-	mux.Handle(ActionExchangeAck, n.handleAck)
+	mux.Route(simActions, n.handle)
+}
+
+// handle is the node's route: it passes msg to its action's handler.
+func (n *SimNode) handle(ctx context.Context, msg transport.Message) error {
+	if msg.Action == ActionExchangeAck {
+		return n.handleAck(ctx, msg)
+	}
+	return n.handleExchange(ctx, msg)
 }
 
 // State exposes the node's push-sum state for the live epoch.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"testing"
 
 	"wsgossip/internal/simnet"
@@ -24,6 +25,7 @@ type allocBudget struct {
 	FirstReceiptDeliver float64 `json:"first_receipt_deliver_f3_max_allocs"`
 	PullReqNothingToSay float64 `json:"pull_request_nothing_missing_max_allocs"`
 	CounterDuplicate    float64 `json:"counter_duplicate_burst_f3_max_allocs"`
+	EngineFootprint     float64 `json:"engine_footprint_max_bytes"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -35,11 +37,11 @@ func loadAllocBudget(t *testing.T) allocBudget {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	budget := allocBudget{-1, -1, -1, -1, -1}
+	budget := allocBudget{-1, -1, -1, -1, -1, -1}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	if budget.DuplicatePush < 0 || budget.FirstReceiptForward < 0 || budget.FirstReceiptDeliver < 0 || budget.PullReqNothingToSay < 0 || budget.CounterDuplicate < 0 {
+	if budget.DuplicatePush < 0 || budget.FirstReceiptForward < 0 || budget.FirstReceiptDeliver < 0 || budget.PullReqNothingToSay < 0 || budget.CounterDuplicate < 0 || budget.EngineFootprint < 0 {
 		t.Fatalf("alloc budget missing fields: %+v", budget)
 	}
 	return budget
@@ -236,4 +238,70 @@ func BenchmarkFirstReceiptDeliver(b *testing.B) {
 		pb.receive(b)
 	}
 	_ = last
+}
+
+// TestEngineFootprintAllocBudget: what a simulated node keeps, wired as
+// sim-push-100k wires each of its 100,000 — a simnet node, a compact RNG, a
+// shared UniformPeers, a seen cache of 256, a store of 64, and a Mux of its
+// own that the engine registers on as one route — once one rumor has spread
+// to quiescence. The heap 20,000 such engines retain, per engine, is held to
+// the budget: the wiring is a constant four objects, and the seen cache and
+// the store index their entries in 4-byte table cells. A Mux keyed by a map
+// retains about 210 bytes more per engine, 270 with a closure per action.
+func TestEngineFootprintAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	const nodes = 20000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	cfg := simnet.DefaultConfig(1)
+	cfg.LossRate = 0.01
+	net := simnet.New(cfg)
+	addrs := make([]string, nodes)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("n%07d", i)
+	}
+	peers := NewUniformPeers(addrs)
+	engines := make([]*Engine, nodes)
+	delivered := 0
+	for i := range engines {
+		ep := net.Node(addrs[i])
+		eng, err := New(Config{
+			Style: StylePush, Fanout: 3, Hops: int(math.Ceil(math.Log2(nodes))) + 2,
+			Endpoint:      ep,
+			Peers:         peers,
+			RNG:           simnet.NewCompactRNG(7919 + int64(i)),
+			SeenCacheSize: 256,
+			StoreSize:     64,
+			Deliver:       func(Rumor) { delivered++ },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mux := transport.NewMux()
+		eng.Register(mux)
+		mux.Bind(ep)
+		engines[i] = eng
+	}
+	if _, err := engines[0].Publish(context.Background(), []byte("event 0")); err != nil {
+		t.Fatal(err)
+	}
+	net.Run()
+
+	// Twice: what the first collection leaves in sync.Pool victim caches,
+	// the second frees.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEngine := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / nodes
+	runtime.KeepAlive(engines)
+	runtime.KeepAlive(net)
+	if delivered < nodes*9/10 {
+		t.Fatalf("one rumor reached %d of %d engines", delivered, nodes)
+	}
+	if perEngine > budget.EngineFootprint {
+		t.Errorf("an engine retains %.0f B of heap, budget %.0f (testdata/alloc_budget.json)", perEngine, budget.EngineFootprint)
+	}
+	t.Logf("an engine retains %.0f B of heap (budget %.0f)", perEngine, budget.EngineFootprint)
 }

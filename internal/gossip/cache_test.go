@@ -87,8 +87,8 @@ func TestStoreFirstPutWins(t *testing.T) {
 	if got, _ := s.Get(IDSum("r1")); got.Hops != 2 {
 		t.Fatalf("hops = %d, want the first put's 2", got.Hops)
 	}
-	if len(s.slots) != 1 || len(s.index) != 1 {
-		t.Fatalf("slots %d, index %d", len(s.slots), len(s.index))
+	if len(s.ring) != 1 || s.index.filed() != 1 {
+		t.Fatalf("slots %d, index %d", len(s.ring), s.index.filed())
 	}
 }
 
@@ -110,8 +110,8 @@ func TestRumorStoreRecentRefs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		holdRumor(&s, Rumor{ID: fmt.Sprintf("r%d", i), Hops: i})
 	}
-	if len(s.slots) != 5 {
-		t.Fatalf("len = %d", len(s.slots))
+	if len(s.ring) != 5 {
+		t.Fatalf("len = %d", len(s.ring))
 	}
 	for k := 0; k < 5; k++ {
 		if got, want := s.nth(k).v.ID, fmt.Sprintf("r%d", 4-k); got != want {

@@ -193,13 +193,29 @@ func New(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// Register installs the engine's wire actions on the mux.
+// actions are the engine's wire actions, which Register binds as one route.
+var actions = []string{ActionPush, ActionIHave, ActionIWant, ActionPullReq, ActionPullResp}
+
+// Register installs the engine's wire actions on the mux, as one route.
 func (e *Engine) Register(mux *transport.Mux) {
-	mux.Handle(ActionPush, e.handlePush)
-	mux.Handle(ActionIHave, e.handleIHave)
-	mux.Handle(ActionIWant, e.handleIWant)
-	mux.Handle(ActionPullReq, e.handlePullReq)
-	mux.Handle(ActionPullResp, e.handlePullResp)
+	mux.Route(actions, e.handle)
+}
+
+// handle is the engine's route: it passes msg to its action's handler.
+func (e *Engine) handle(ctx context.Context, msg transport.Message) error {
+	switch msg.Action {
+	case ActionPush:
+		return e.handlePush(ctx, msg)
+	case ActionIHave:
+		return e.handleIHave(ctx, msg)
+	case ActionIWant:
+		return e.handleIWant(ctx, msg)
+	case ActionPullReq:
+		return e.handlePullReq(ctx, msg)
+	case ActionPullResp:
+		return e.handlePullResp(ctx, msg)
+	}
+	return fmt.Errorf("gossip: no handler for action %q", msg.Action)
 }
 
 // Addr returns the engine's endpoint address.

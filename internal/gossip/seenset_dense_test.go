@@ -132,8 +132,8 @@ func TestStoreRingWrap(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		holdRumor(&s, Rumor{ID: fmt.Sprintf("r%d", i), Hops: i % 7})
 	}
-	if len(s.slots) != capacity || len(s.index) != capacity {
-		t.Fatalf("slots %d, index %d, want %d", len(s.slots), len(s.index), capacity)
+	if len(s.ring) != capacity || s.index.filed() != capacity {
+		t.Fatalf("slots %d, index %d, want %d", len(s.ring), s.index.filed(), capacity)
 	}
 	for k := 0; k < 5; k++ {
 		if got, want := s.nth(k).v.ID, fmt.Sprintf("r%d", 4999-k); got != want {

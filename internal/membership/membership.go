@@ -177,10 +177,20 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Register installs the service's wire actions on the mux.
+// actions are the service's wire actions, which Register binds as one route.
+var actions = []string{ActionExchange, ActionLeave}
+
+// Register installs the service's wire actions on the mux, as one route.
 func (s *Service) Register(mux *transport.Mux) {
-	mux.Handle(ActionExchange, s.handleExchange)
-	mux.Handle(ActionLeave, s.handleLeave)
+	mux.Route(actions, s.handle)
+}
+
+// handle is the service's route: it passes msg to its action's handler.
+func (s *Service) handle(ctx context.Context, msg transport.Message) error {
+	if msg.Action == ActionLeave {
+		return s.handleLeave(ctx, msg)
+	}
+	return s.handleExchange(ctx, msg)
 }
 
 // Addr returns the local address.

@@ -49,10 +49,21 @@ func NewBroker(ep transport.Endpoint) *Broker {
 	return &Broker{ep: ep, subs: make(map[string]struct{})}
 }
 
-// Register installs the broker's wire actions on the mux.
+// brokerActions are the broker's wire actions, which Register binds as one
+// route.
+var brokerActions = []string{ActionSubscribe, ActionPublish}
+
+// Register installs the broker's wire actions on the mux, as one route.
 func (b *Broker) Register(mux *transport.Mux) {
-	mux.Handle(ActionSubscribe, b.handleSubscribe)
-	mux.Handle(ActionPublish, b.handlePublish)
+	mux.Route(brokerActions, b.handle)
+}
+
+// handle is the broker's route: it passes msg to its action's handler.
+func (b *Broker) handle(ctx context.Context, msg transport.Message) error {
+	if msg.Action == ActionPublish {
+		return b.handlePublish(ctx, msg)
+	}
+	return b.handleSubscribe(ctx, msg)
 }
 
 // Addr returns the broker's address.
