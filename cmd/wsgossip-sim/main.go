@@ -22,6 +22,11 @@
 // and the run exits non-zero if the table's totals disagree with the
 // network's fault-attributed stats — exact fault↔counter accounting is a
 // gate, not a printout.
+//
+// Any run can be profiled, as wsgossip-bench's can (inspect with go tool
+// pprof):
+//
+//	wsgossip-sim -exp coverage -n 1000000 -seed 3 -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -32,6 +37,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -102,26 +108,53 @@ func main() {
 
 func run() error {
 	var (
-		mode      = flag.String("mode", "gossip", "workload: gossip (dissemination), aggregate (push-sum), or churn (membership-driven dissemination under join/leave)")
-		n         = flag.Int("n", 256, "number of nodes")
-		fanout    = flag.Int("fanout", 3, "gossip fanout f")
-		hops      = flag.Int("hops", 0, "hop budget r (0 = ceil(log2 n)+2)")
-		styleName = flag.String("style", "push", "gossip style: push, pull, pushpull, lazypush, flood")
-		loss      = flag.Float64("loss", 0, "message loss probability [0,1); not with -faults, whose plan sets loss with a '0s loss <p>' op")
-		crash     = flag.Float64("crash", 0, "crashed-node fraction [0,1)")
-		seed      = flag.Int64("seed", 1, "simulation seed")
-		ticks     = flag.Int("ticks", 0, "anti-entropy rounds after the push phase (pull styles)")
-		events    = flag.Int("events", 1, "number of rumors published")
-		aggName   = flag.String("agg", "avg", "aggregate mode function: count, sum, avg, min, max")
-		epochs    = flag.Int("epochs", 3, "aggregate mode: number of epoch windows to run (>= 1)")
-		window    = flag.Duration("window", 500*time.Millisecond, "aggregate mode epoch window length")
-		dumpReg   = flag.Bool("metrics", false, "dump the run's metrics-registry snapshot at end of run")
-		minCov    = flag.Float64("min-coverage", 0, "coverage budget: exit non-zero when the run's coverage falls below this fraction, 0 disables")
-		expName   = flag.String("exp", "", "large-N scaling experiment: coverage (E1-style point) or churn (E9-style point); uses the memory-diet harness, N=10^5..10^6 is the design target")
-		maxRSSMB  = flag.Int("max-rss-mb", 0, "memory budget for -exp runs: exit non-zero when peak RSS (VmHWM) exceeds this many MiB, 0 disables")
-		faultPath = flag.String("faults", "", "fault plan file scheduled on the simulation clock (gossip, churn and aggregate modes); events apply as virtual time advances, so plan times should land inside the run's horizon")
+		mode       = flag.String("mode", "gossip", "workload: gossip (dissemination), aggregate (push-sum), or churn (membership-driven dissemination under join/leave)")
+		n          = flag.Int("n", 256, "number of nodes")
+		fanout     = flag.Int("fanout", 3, "gossip fanout f")
+		hops       = flag.Int("hops", 0, "hop budget r (0 = ceil(log2 n)+2)")
+		styleName  = flag.String("style", "push", "gossip style: push, pull, pushpull, lazypush, flood")
+		loss       = flag.Float64("loss", 0, "message loss probability [0,1); not with -faults, whose plan sets loss with a '0s loss <p>' op")
+		crash      = flag.Float64("crash", 0, "crashed-node fraction [0,1)")
+		seed       = flag.Int64("seed", 1, "simulation seed")
+		ticks      = flag.Int("ticks", 0, "anti-entropy rounds after the push phase (pull styles)")
+		events     = flag.Int("events", 1, "number of rumors published")
+		aggName    = flag.String("agg", "avg", "aggregate mode function: count, sum, avg, min, max")
+		epochs     = flag.Int("epochs", 3, "aggregate mode: number of epoch windows to run (>= 1)")
+		window     = flag.Duration("window", 500*time.Millisecond, "aggregate mode epoch window length")
+		dumpReg    = flag.Bool("metrics", false, "dump the run's metrics-registry snapshot at end of run")
+		minCov     = flag.Float64("min-coverage", 0, "coverage budget: exit non-zero when the run's coverage falls below this fraction, 0 disables")
+		expName    = flag.String("exp", "", "large-N scaling experiment: coverage (E1-style point) or churn (E9-style point); uses the memory-diet harness, N=10^5..10^6 is the design target")
+		maxRSSMB   = flag.Int("max-rss-mb", 0, "memory budget for -exp runs: exit non-zero when peak RSS (VmHWM) exceeds this many MiB, 0 disables")
+		faultPath  = flag.String("faults", "", "fault plan file scheduled on the simulation clock (gossip, churn and aggregate modes); events apply as virtual time advances, so plan times should land inside the run's horizon")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	flag.Parse()
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			return fmt.Errorf("create cpu profile: %w", err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fmt.Errorf("start cpu profile: %w", err)
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memprofile != "" {
+		defer func() {
+			f, err := os.Create(*memprofile)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "wsgossip-sim: create mem profile:", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // materialize the live-heap picture
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintln(os.Stderr, "wsgossip-sim: write mem profile:", err)
+			}
+		}()
+	}
 	if *minCov < 0 || *minCov > 1 {
 		return fmt.Errorf("min-coverage must be in [0,1]")
 	}

@@ -26,10 +26,13 @@ import (
 //
 // The event queue is one (deadline, seq) heap under one mutex. Fired and
 // cancelled timers are recycled through a free list, so steady-state timer
-// churn (a core.Runner rescheduling every round for a million nodes) does not
-// allocate. Cancelled timers keep their heap slot until popped or until they
-// make up more than half the heap, at which point it compacts — Pending stays
-// bounded under cancel/reschedule churn (adaptive pacing's Wake storms).
+// churn (a core.Runner rescheduling every round for a million nodes) reuses
+// its timers; each AfterFunc still allocates its stop closure, and a timer
+// drawn from an empty free list is a new one. A Schedule whose event embeds a
+// Slot uses the timer inside it and allocates nothing. Cancelled timers keep
+// their heap slot until popped or until they make up more than half the heap,
+// at which point it compacts — Pending stays bounded under cancel/reschedule
+// churn (adaptive pacing's Wake storms).
 type Virtual struct {
 	runMu sync.Mutex   // serializes drivers
 	now   atomic.Int64 // current virtual time, as time.Duration; stored under mu
@@ -54,13 +57,28 @@ const compactMinLen = 64
 // timer is one scheduled event. A cancelled timer keeps its heap slot with
 // ev nil and is skipped when popped; the heap compacts lazily when dead
 // entries dominate. Timers are recycled: gen is bumped on every recycle so
-// stale stop functions from a previous life cannot cancel the current one.
+// stale stop functions from a previous life cannot cancel the current one. A
+// timer inside a Slot (inSlot) belongs to its event and is never recycled.
 type timer struct {
-	at  time.Duration
-	seq int64
-	ev  event
-	gen uint32
+	at     time.Duration
+	seq    int64
+	ev     event
+	gen    uint32
+	inSlot bool
 }
+
+// Slot is the timer an event carries inside itself. An event type that embeds
+// a Slot and is passed to Schedule by pointer is scheduled on that timer, not
+// on one from the free list, so scheduling it allocates nothing and nothing
+// is left on the free list once it has fired. Such an event must not be
+// scheduled again before it has fired (Schedule panics), and a Slot is for
+// events nobody cancels; AfterFunc keeps its own timers.
+type Slot struct{ t timer }
+
+func (s *Slot) slotTimer() *timer { return &s.t }
+
+// slotted is an event that embeds a Slot.
+type slotted interface{ slotTimer() *timer }
 
 // event is what a timer fires. AfterFunc wraps its callback in a funcEvent;
 // Schedule takes the caller's record as it is. Neither conversion allocates.
@@ -100,17 +118,22 @@ func (v *Virtual) Now() time.Duration {
 	return time.Duration(v.now.Load())
 }
 
-// schedule draws a timer from the free list (or allocates one), arms it at
-// now+d (d < 0 counts as 0) with the next seq and pushes it. The returned gen
-// identifies this life of the struct for its stop function.
-func (v *Virtual) schedule(d time.Duration, ev event) (*timer, uint32) {
+// schedule arms t, or a timer from the free list (allocating one if it is
+// empty) when t is nil, at now+d (d < 0 counts as 0) with the next seq and
+// pushes it. The returned gen identifies this life of the struct for its stop
+// function.
+func (v *Virtual) schedule(d time.Duration, ev event, t *timer) (*timer, uint32) {
 	if d < 0 {
 		d = 0
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	var t *timer
-	if n := len(v.free); n > 0 {
+	if t != nil {
+		if t.ev != nil {
+			panic("clock: Schedule of an event whose Slot is still pending")
+		}
+		t.inSlot = true
+	} else if n := len(v.free); n > 0 {
 		t = v.free[n-1]
 		v.free[n-1] = nil
 		v.free = v.free[:n-1]
@@ -124,11 +147,12 @@ func (v *Virtual) schedule(d time.Duration, ev event) (*timer, uint32) {
 }
 
 // recycleLocked retires a timer that left the heap (fired, discarded, or
-// compacted away). The generation bump invalidates outstanding stop funcs.
+// compacted away). The generation bump invalidates outstanding stop funcs. A
+// Slot's timer goes back to its event, not to the free list.
 func (v *Virtual) recycleLocked(t *timer) {
 	t.gen++
 	t.ev = nil
-	if len(v.free) < freeListCap {
+	if !t.inSlot && len(v.free) < freeListCap {
 		v.free = append(v.free, t)
 	}
 }
@@ -159,7 +183,7 @@ func (v *Virtual) maybeCompactLocked() {
 // AfterFunc schedules fn at now+d (d < 0 counts as 0). fn runs inside a
 // future Advance/RunUntil/Step call.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) func() bool {
-	t, gen := v.schedule(d, funcEvent(fn))
+	t, gen := v.schedule(d, funcEvent(fn), nil)
 	return func() bool {
 		v.mu.Lock()
 		defer v.mu.Unlock()
@@ -176,10 +200,16 @@ func (v *Virtual) AfterFunc(d time.Duration, fn func()) func() bool {
 // Schedule is the fire-and-forget AfterFunc: ev.Fire runs at now+d, in the
 // same (deadline, schedule order) sequence as every other timer — a Schedule
 // and an AfterFunc in the same place take the same seq — but the caller gets
-// no stop handle, so the only allocation is whatever ev already is. A fabric
-// scheduling one delivery per message passes a pointer to its delivery record.
+// no stop handle. An ev that embeds a Slot is armed on the Slot's timer and
+// allocates nothing; any other ev takes a timer from the free list, a new
+// one when the list is empty. A fabric scheduling one delivery per message
+// passes a pointer to its delivery record, which embeds a Slot.
 func (v *Virtual) Schedule(d time.Duration, ev interface{ Fire() }) {
-	v.schedule(d, ev)
+	var t *timer
+	if s, ok := ev.(slotted); ok {
+		t = s.slotTimer()
+	}
+	v.schedule(d, ev, t)
 }
 
 // Advance moves the clock forward by d, firing every timer due in the

@@ -368,21 +368,73 @@ func (c scheduleOnly) AfterFunc(d time.Duration, fn func()) func() bool {
 	}
 }
 
+// slotOnly routes the order workload through Schedule as scheduleOnly does,
+// but every every-th timer is an event that embeds a Slot, which the clock
+// arms on the event's own timer instead of one from its free list (every 1:
+// all of them). n counts the timers scheduled.
+type slotOnly struct {
+	v     *Virtual
+	every int
+	n     *int
+}
+
+// flaggedSlot is scheduleOnly's cancellable callback, carrying its timer.
+type flaggedSlot struct {
+	Slot
+	live bool // touched only on the driving goroutine
+	fn   func()
+}
+
+func (e *flaggedSlot) Fire() {
+	if e.live {
+		e.live = false
+		e.fn()
+	}
+}
+
+func (c slotOnly) Now() time.Duration { return c.v.Now() }
+
+func (c slotOnly) AfterFunc(d time.Duration, fn func()) func() bool {
+	*c.n++
+	if *c.n%c.every != 0 {
+		return scheduleOnly{c.v}.AfterFunc(d, fn)
+	}
+	ev := &flaggedSlot{live: true, fn: fn}
+	c.v.Schedule(d, ev)
+	return func() bool {
+		was := ev.live
+		ev.live = false
+		return was
+	}
+}
+
 // TestScheduleMatchesAfterFuncOrder: Schedule differs from AfterFunc only in
-// returning no handle. The cascading workload driven entirely through it must
-// fire in the reference's order.
+// returning no handle, and an event carrying its own Slot only in where its
+// timer lives. The cascading workload driven entirely through Schedule —
+// plain events, Slot-carrying events, and the two interleaved — must fire in
+// the reference's order.
 func TestScheduleMatchesAfterFuncOrder(t *testing.T) {
+	inputs := []struct {
+		name string
+		mk   func(*Virtual) schedClock
+	}{
+		{"plain", func(v *Virtual) schedClock { return scheduleOnly{v} }},
+		{"slot", func(v *Virtual) schedClock { return slotOnly{v, 1, new(int)} }},
+		{"mixed", func(v *Virtual) schedClock { return slotOnly{v, 2, new(int)} }},
+	}
 	for seed := uint64(1); seed <= 3; seed++ {
 		ref := &refClock{}
 		refLog := runOrderWorkload(seed, ref, ref.Advance)
-		v := NewVirtual()
-		gotLog := runOrderWorkload(seed, scheduleOnly{v}, v.Advance)
-		if len(refLog) != len(gotLog) {
-			t.Fatalf("seed %d: fired %d timers, reference fired %d", seed, len(gotLog), len(refLog))
-		}
-		for i := range refLog {
-			if refLog[i] != gotLog[i] {
-				t.Fatalf("seed %d: firing %d diverges: scheduled %q, reference %q", seed, i, gotLog[i], refLog[i])
+		for _, in := range inputs {
+			v := NewVirtual()
+			gotLog := runOrderWorkload(seed, in.mk(v), v.Advance)
+			if len(refLog) != len(gotLog) {
+				t.Fatalf("%s, seed %d: fired %d timers, reference fired %d", in.name, seed, len(gotLog), len(refLog))
+			}
+			for i := range refLog {
+				if refLog[i] != gotLog[i] {
+					t.Fatalf("%s, seed %d: firing %d diverges: scheduled %q, reference %q", in.name, seed, i, gotLog[i], refLog[i])
+				}
 			}
 		}
 	}

@@ -123,12 +123,13 @@ func TestDuplicatePushAllocBudget(t *testing.T) {
 	checkAllocBudget(t, "duplicate push", allocs, budget.DuplicatePush)
 }
 
-// TestFirstReceiptForwardAllocBudget: a first receipt copies the rumor into
-// the store slot it evicts, whose slab it reuses, and writes one body for its
-// three sends into a pooled buffer; the peers are drawn on the stack and each
-// send's delivery record and the copy of the body it carries come from the
-// fabric's pool. The run is long enough to cycle the seen cache and the store
-// many times over, so their evictions are inside the figure.
+// TestFirstReceiptForwardAllocBudget: on an engine without a Deliver
+// callback, a first receipt copies the rumor into the store slot it evicts,
+// whose slab it reuses, and writes one body for its three sends into a pooled
+// buffer; the peers are drawn on the stack and each send's delivery record,
+// the copy of the body it carries and the clock timer it is armed on come
+// from the fabric's pool. The run is long enough to cycle the seen cache and
+// the store many times over, so their evictions are inside the figure.
 func TestFirstReceiptForwardAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	const runs = 2000
@@ -141,9 +142,10 @@ func TestFirstReceiptForwardAllocBudget(t *testing.T) {
 }
 
 // TestFirstReceiptDeliverAllocBudget: the same push, with a Deliver
-// callback that keeps the ID as the harnesses do. The Rumor it is handed is
-// built from the slot: ID and Origin are substrings of one new string, the
-// one allocation a delivery pins; Payload aliases the slab.
+// callback that keeps the ID as the harnesses do. An engine with Deliver
+// never refills a slab, so the rumor is copied into a new one, the one
+// allocation: the Rumor the callback is handed is views of that slab (ID,
+// Origin and Payload), and the kept ID pins it.
 func TestFirstReceiptDeliverAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	const runs = 2000

@@ -59,13 +59,16 @@
 // The ownership rule is transport's: a body is lent, never given. A handler's
 // msg.Body is valid only during the call, so views die with it: the Machine
 // keeps only their sums, and a first receipt is copied once into a store slot
-// that owns one slab, ID | origin | payload, refilled in place when the store
-// evicts it. Publish and Inject copy the caller's payload the same way.
-// Deliver is handed a Rumor built from the slot: its ID and Origin are
-// substrings of one new string, which a callback may keep, and its Payload
-// aliases the slab, valid only during the callback. Send does not keep the
-// body it is handed, so the engine writes every body it sends into a pooled
-// buffer, zeroed and returned once its sends are done, and IWANT and pull
-// responses are written straight from the slots. No reference into a slab
-// outlives the engine's lock, which is why a slot needs no reference count.
+// that owns one slab, ID | origin | payload. Publish and Inject copy the
+// caller's payload the same way. Deliver is handed a Rumor built from the
+// slot: its ID and Origin are views of the slab, strings over its bytes
+// rather than copies, which a callback may keep, and its Payload aliases the
+// slab, valid only during the callback. A kept ID keeps its rumor's whole
+// slab alive. A delivered slab is never rewritten: an engine with a Deliver
+// callback writes each slab once, and only an engine without one refills the
+// slab of the slot its store evicts in place. Send does not keep the body it
+// is handed, so the engine writes every body it sends into a pooled buffer,
+// zeroed and returned once its sends are done, and IWANT and pull responses
+// are written straight from the slots. So no slab is rewritten while anything
+// reads it, which is why a slot needs no reference count.
 package gossip

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"wsgossip/internal/transport"
 )
@@ -33,9 +34,12 @@ type Config struct {
 	// Peers supplies gossip targets. Required.
 	Peers PeerProvider
 	// Deliver is invoked exactly once per unique rumor (never for
-	// duplicates), under the engine's lock. The Rumor's ID and Origin may be
-	// kept; its Payload is the engine's stored copy, valid only during the
-	// callback: copy it to keep it, and never modify it. Optional.
+	// duplicates), under the engine's lock. The Rumor's ID and Origin are
+	// views of the stored slab, not copies, and may be kept: an engine with
+	// a Deliver callback never rewrites a slab it has delivered, and a kept
+	// ID keeps its rumor's whole slab (ID, origin and payload) alive. Its
+	// Payload is the engine's stored copy, valid only during the callback:
+	// copy it to keep it, and never modify it. Optional.
 	Deliver func(Rumor)
 	// RNG drives peer selection and rumor IDs. Required for reproducible
 	// experiments; nil falls back to a fixed-seed source.
@@ -101,13 +105,15 @@ type Engine struct {
 // held is a rumor the engine's store holds: one slab, ID | origin | payload,
 // and the hop budget it arrived with, in a 40-byte value (48 with the store
 // slot's sum). A first receipt copies the rumor into a slot once; when the
-// store is full, the slot it evicts is refilled in place if its slab is large
-// enough (newHeld).
+// store is full, an engine without a Deliver callback refills the slot it
+// evicts in place if its slab is large enough (newHeld).
 //
-// Nothing outlives e.mu with a reference into a slab: Deliver's Payload is
-// valid only during the callback, every serve writes the slots' bytes into a
-// body before it unlocks, and Endpoint.Send does not keep that body
-// (transport.Message). So a slab is never in use when it is refilled, and no
+// An engine with a Deliver callback writes each slab once and never refills
+// it: Deliver's ID and Origin are views of the slab (rumor), which the
+// callback may keep. Without Deliver nothing outlives e.mu with a reference
+// into a slab: every serve writes the slots' bytes into a body before it
+// unlocks, and Endpoint.Send does not keep that body (transport.Message). So
+// a slab is either never refilled or never in use when it is, and no
 // reference count is kept.
 type held struct {
 	slab      []byte
@@ -140,11 +146,20 @@ func (h *held) payload() []byte {
 	return h.slab[n:len(h.slab):len(h.slab)]
 }
 
-// rumor returns h as Deliver sees it: ID and Origin are substrings of one new
-// string, so a callback may keep them; Payload aliases the slab.
+// rumor returns h as Deliver sees it: ID and Origin are strings over the
+// slab's own bytes, not copies of them, and Payload aliases the slab. This is
+// the module's one use of unsafe, and it rests on the write-once rule: an
+// engine with a Deliver callback never refills a slab (receiveLocked), so the
+// bytes under a string it hands out never change, and a callback may keep
+// them. What it keeps pins the whole slab.
 func (h *held) rumor() Rumor {
-	s := string(h.slab[:h.idLen+h.originLen])
-	return Rumor{ID: s[:h.idLen], Origin: s[h.idLen:], Hops: h.hops, Payload: h.payload()}
+	id, origin := h.slab[:h.idLen], h.slab[h.idLen:h.idLen+h.originLen]
+	return Rumor{
+		ID:      unsafe.String(unsafe.SliceData(id), len(id)),
+		Origin:  unsafe.String(unsafe.SliceData(origin), len(origin)),
+		Hops:    h.hops,
+		Payload: h.payload(),
+	}
 }
 
 // bodyPool recycles the buffers the engine writes its bodies into. Send does
@@ -278,9 +293,10 @@ func receiveLocked[T string | []byte](e *Engine, ctx context.Context, id, origin
 		return
 	}
 	// Hold is a no-op on a sum the store still holds (the seen cache forgot
-	// it first), so the evictee is reused only for a sum Hold will take.
+	// it first), so the evictee is reused only for a sum Hold will take, and
+	// never under a Deliver callback, which may keep views of its slab.
 	var slab []byte
-	if _, ok := e.m.Get(sum); !ok {
+	if _, ok := e.m.Get(sum); !ok && e.cfg.Deliver == nil {
 		if ev, ok := e.m.Evictee(); ok {
 			slab = ev.slab
 		}

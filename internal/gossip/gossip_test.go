@@ -174,6 +174,60 @@ func TestDeliverExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestDeliveredIDsSurviveStoreWraps: Deliver's ID and Origin are views of
+// the stored slab, so an engine with a Deliver callback must never refill a
+// slab it has delivered. A four-slot store takes 64 rumors, wrapping 16
+// times; every ID and origin the callback kept as a map key must still read
+// as sent and still find its entry.
+func TestDeliveredIDsSurviveStoreWraps(t *testing.T) {
+	const rumors = 64
+	net := simnet.New(simnet.DefaultConfig(1))
+	addrs := []string{"n0", "n1", "n2", "n3"}
+	for _, a := range addrs {
+		net.Node(a)
+	}
+	var keptIDs, keptOrigins []string
+	byID, byOrigin := map[string]int{}, map[string]int{}
+	eng, err := New(Config{
+		Style: StylePush, Fanout: 2, Hops: 3,
+		Endpoint:  net.Node(addrs[0]),
+		Peers:     NewStaticPeers(addrs),
+		RNG:       testRand(1),
+		StoreSize: 4,
+		Deliver: func(r Rumor) {
+			byID[r.ID], byOrigin[r.Origin] = len(keptIDs), len(keptOrigins)
+			keptIDs, keptOrigins = append(keptIDs, r.ID), append(keptOrigins, r.Origin)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := testRand(2)
+	sent := make([]Rumor, rumors)
+	for i := range sent {
+		// Equal lengths, so every evicted slab would fit the next rumor.
+		sent[i] = Rumor{ID: NewRumorID(ids), Origin: fmt.Sprintf("origin-%02d", i), Hops: 3, Payload: []byte("payload")}
+		if err := eng.handlePush(context.Background(), transport.Message{From: addrs[1], Body: encodeRumors(sent[i])}); err != nil {
+			t.Fatal(err)
+		}
+		net.Run()
+	}
+	if eng.StoreLen() != 4 || len(keptIDs) != rumors {
+		t.Fatalf("store holds %d, delivered %d; want 4 and %d", eng.StoreLen(), len(keptIDs), rumors)
+	}
+	for i, r := range sent {
+		if keptIDs[i] != r.ID || keptOrigins[i] != r.Origin {
+			t.Fatalf("rumor %d kept as (%q, %q), sent as (%q, %q)", i, keptIDs[i], keptOrigins[i], r.ID, r.Origin)
+		}
+		if j, ok := byID[r.ID]; !ok || j != i {
+			t.Fatalf("rumor %d: its ID finds entry %d, %v", i, j, ok)
+		}
+		if j, ok := byOrigin[r.Origin]; !ok || j != i {
+			t.Fatalf("rumor %d: its origin finds entry %d, %v", i, j, ok)
+		}
+	}
+}
+
 func TestHopBudgetLimitsSpread(t *testing.T) {
 	// Hops=1: origin forwards to fanout peers; they deliver but do not
 	// forward further (hops reaches 0 at receivers).

@@ -38,8 +38,9 @@ func (sb *sendDeliverBench) sendDeliver(tb testing.TB) {
 
 // TestSendDeliverAllocBudget: a message in flight is a pooled record — the
 // delivery the clock fires, whose own buffer holds the copied body, back in
-// the pool once the handler returns — on a recycled timer, with no closure,
-// no escaped message copy and no stop handle, so a send and its delivery
+// the pool once the handler returns — armed on the timer its embedded
+// clock.Slot carries, with no closure, no escaped message copy, no stop
+// handle and no timer from the clock's free list, so a send and its delivery
 // allocate nothing. That holds for every body size the simulator's
 // workloads send: a push (under 64 bytes), a full pull digest (DigestCap
 // sums, about 1 KiB) and a membership view (up to about 5 KiB in the churn

@@ -26,17 +26,19 @@
 // streams are unaffected while the timer queue carries no deliveries into
 // dead nodes — the property that lets churn runs scale to 10^5-10^6 nodes.
 //
-// The fire-and-forget contract. A message in flight is one record ({net,
-// dest, msg} and a body buffer) handed to clock.Virtual.Schedule: it takes
-// the same timer and the same (deadline, seq) slot an AfterFunc in its place
-// would, but no stop handle exists, because nothing ever cancels a delivery:
-// a crash is checked when it lands. Records come from pools, one per body
-// size class from 64 bytes to 1 MiB, and so do their bodies: Send copies
-// msg.Body into the record's own buffer (transport's ownership rule: Send
-// keeps nothing of the sender's), the handler reads that buffer, and when
-// the handler returns the buffer is zeroed and the record goes back to its
-// pool. A steady stream of sends reuses the same few records
-// and buffers, and a sender may reuse its buffer as soon as Send is back. A
+// The fire-and-forget contract. A message in flight is one record handed to
+// clock.Virtual.Schedule: an embedded clock.Slot (the timer it is armed on),
+// the destination node, the sender's address, the action and a body buffer.
+// It takes the same (deadline, seq) slot an AfterFunc in its place would, but
+// no stop handle exists, because nothing ever cancels a delivery: a crash is
+// checked when it lands. So a message in flight is one 176-byte record and
+// no clock timer beside it. Records come from pools, one per body size class
+// from 64 bytes to 1 MiB, and so do their bodies: Send copies msg.Body into
+// the record's own buffer (transport's ownership rule: Send keeps nothing of
+// the sender's), the handler reads that buffer, and when the handler returns
+// the buffer is zeroed and the record goes back to its pool. A steady stream
+// of sends reuses the same few records and buffers, and a sender may reuse
+// its buffer as soon as Send is back. A
 // handler that keeps msg.Body past its return finds it zeroed at once (and
 // later reused), so the mistake shows in the first test that reads it.
 //

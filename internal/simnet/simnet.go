@@ -264,32 +264,31 @@ func (n *Network) send(from string, msg transport.Message) error {
 		return nil
 	}
 	latency += n.faults.ExtraDelay(from, msg.To)
-	msg.From = from
 	d := getDelivery(len(msg.Body))
-	d.net, d.dest = n, dest
-	if len(msg.Body) > 0 {
-		// Send does not keep the sender's buffer (transport.Message): the
-		// message flies as the record's own copy.
-		d.buf = append(d.buf[:0], msg.Body...)
-		msg.Body = d.buf
-	}
-	d.msg = msg
+	d.dest, d.from, d.action = dest, from, msg.Action
+	// Send does not keep the sender's buffer (transport.Message): the message
+	// flies as the record's own copy.
+	d.buf = append(d.buf[:0], msg.Body...)
 	n.clk.Schedule(latency, d)
 	return nil
 }
 
-// delivery is one message in flight and the buffer its body is copied into.
-// Nobody cancels a delivery (a crash is checked on arrival), so it rides the
-// clock's fire-and-forget path and takes no stop handle. The record goes back
-// to its pool once the handler has returned, since msg.Body is its buffer
-// until then, so a steady stream of messages reuses the same few records and
-// their buffers.
+// delivery is one message in flight and the buffer its body is copied into:
+// only what Fire needs to rebuild the message, the destination (whose node
+// knows its network and address), sender, action and body. Nobody cancels a
+// delivery (a crash is checked on arrival), so it rides the clock's
+// fire-and-forget path, armed on the timer its embedded Slot carries: a
+// message in flight is this one 176-byte record and no clock timer beside
+// it. The record goes back to its pool once the handler has returned, since
+// the message's body is its buffer until then, so a steady stream of
+// messages reuses the same few records and their buffers.
 type delivery struct {
-	net   *Network
-	dest  *Node
-	msg   transport.Message
-	buf   []byte
-	small [minBody]byte // buf's backing array in the smallest class
+	clock.Slot
+	dest   *Node
+	from   string
+	action string
+	buf    []byte
+	small  [minBody]byte // buf's backing array in the smallest class
 }
 
 // Records are pooled by the capacity of the buffer they carry, one pool per
@@ -342,7 +341,7 @@ func getDelivery(n int) *delivery {
 // and recycles the record when the handler is back.
 func (d *delivery) Fire() {
 	defer d.recycle()
-	n, dest := d.net, d.dest
+	dest, n := d.dest, d.dest.net
 	n.mu.Lock()
 	if n.crashed[dest.addr] {
 		n.stats.Dropped++
@@ -356,7 +355,7 @@ func (d *delivery) Fire() {
 		return
 	}
 	// Handler errors are protocol-level; the network, like UDP, ignores them.
-	_ = h(context.Background(), d.msg)
+	_ = h(context.Background(), transport.Message{From: d.from, To: dest.addr, Action: d.action, Body: d.buf})
 }
 
 // recycle zeroes the body and returns the record to its class's pool. The
@@ -366,7 +365,7 @@ func (d *delivery) Fire() {
 func (d *delivery) recycle() {
 	buf := d.buf
 	clear(buf)
-	d.net, d.dest, d.msg, d.buf = nil, nil, transport.Message{}, buf[:0]
+	d.dest, d.from, d.action, d.buf = nil, "", "", buf[:0]
 	if c := bodyClass(cap(buf)); c < bodyClasses {
 		deliveryPools[c].Put(d)
 	}
