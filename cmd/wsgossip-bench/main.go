@@ -18,11 +18,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"wsgossip/internal/experiments"
+	"wsgossip/internal/profile"
 )
 
 func main() {
@@ -50,31 +49,11 @@ func run() error {
 		return nil
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return fmt.Errorf("create cpu profile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("start cpu profile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := profile.Start(*cpuprofile, *memprofile, "wsgossip-bench")
+	if err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "wsgossip-bench: create mem profile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the live-heap picture
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "wsgossip-bench: write mem profile:", err)
-			}
-		}()
-	}
+	defer stop()
 
 	opt := experiments.Options{Seed: *seed, Quick: *quick}
 	start := time.Now()

@@ -37,7 +37,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -50,6 +49,7 @@ import (
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/membership"
 	"wsgossip/internal/metrics"
+	"wsgossip/internal/profile"
 	"wsgossip/internal/simnet"
 	"wsgossip/internal/transport"
 )
@@ -130,31 +130,11 @@ func run() error {
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	flag.Parse()
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return fmt.Errorf("create cpu profile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("start cpu profile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := profile.Start(*cpuprofile, *memprofile, "wsgossip-sim")
+	if err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "wsgossip-sim: create mem profile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the live-heap picture
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "wsgossip-sim: write mem profile:", err)
-			}
-		}()
-	}
+	defer stop()
 	if *minCov < 0 || *minCov > 1 {
 		return fmt.Errorf("min-coverage must be in [0,1]")
 	}

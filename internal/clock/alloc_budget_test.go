@@ -13,42 +13,31 @@ type slotCounter struct {
 
 func (e *slotCounter) Fire() { e.fired++ }
 
-// plainCounter is an event without one.
-type plainCounter struct{ fired int }
-
-func (e *plainCounter) Fire() { e.fired++ }
-
-// TestScheduleSlotAllocBudget: with the free list empty, a Schedule of an
-// event that embeds a Slot is armed on the Slot's timer and allocates
-// nothing, and firing it leaves nothing on the free list. A plain event takes
-// a new timer there, which is why simnet's delivery record carries a Slot.
+// TestScheduleSlotAllocBudget: with the free list empty, Schedule arms an
+// event on the timer in its Slot and allocates nothing, and firing it leaves
+// nothing on the free list. That is why simnet's delivery record carries a
+// Slot: a message in flight is one record, not a record and a timer.
 func TestScheduleSlotAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	v := NewVirtual()
-	scheduleOne := func(ev interface{ Fire() }) {
+	ev := &slotCounter{}
+	allocs := testing.AllocsPerRun(100, func() {
 		clear(v.free)
 		v.free = v.free[:0]
 		v.Schedule(time.Millisecond, ev)
 		v.Advance(time.Millisecond)
-	}
-	slot, plain := &slotCounter{}, &plainCounter{}
-	slotAllocs := testing.AllocsPerRun(100, func() { scheduleOne(slot) })
+	})
 	if v.FreeLen() != 0 {
 		t.Fatalf("a Slot's timer went onto the free list: %d entries", v.FreeLen())
 	}
-	plainAllocs := testing.AllocsPerRun(100, func() { scheduleOne(plain) })
-	if slot.fired != 101 || plain.fired != 101 || v.Pending() != 0 {
-		t.Fatalf("fired %d slot and %d plain events, %d pending; want 101, 101, 0", slot.fired, plain.fired, v.Pending())
+	if ev.fired != 101 || v.Pending() != 0 {
+		t.Fatalf("fired %d events, %d pending; want 101, 0", ev.fired, v.Pending())
 	}
-	if slotAllocs != 0 {
-		t.Errorf("Schedule + fire of a Slot-carrying event = %.1f allocs/op, want 0", slotAllocs)
+	if allocs != 0 {
+		t.Errorf("Schedule + fire of a Slot-carrying event = %.1f allocs/op, want 0", allocs)
 	}
-	if plainAllocs != 1 {
-		t.Errorf("Schedule + fire of a plain event on an empty free list = %.1f allocs/op, want 1 (its timer)", plainAllocs)
-	}
-	t.Logf("Schedule + fire, free list empty: %.1f allocs/op with a Slot, %.1f without", slotAllocs, plainAllocs)
 }
 
 // TestScheduleSlotTwicePanics: a Slot holds one timer, so an event cannot be

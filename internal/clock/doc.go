@@ -19,17 +19,17 @@
 // once they dominate it, and fired timers recycled through a free list
 // guarded by generation counters. Schedule is AfterFunc without the stop
 // handle, for callers that never cancel (simnet's message deliveries): it
-// fires the caller's own record. It allocates nothing only when that record
-// embeds a Slot, the timer it is armed on; any other event takes a timer from
-// the free list, and a new one when the list is empty. AfterFunc allocates
-// its stop closure every time.
+// fires the caller's own record, which must embed a Slot (the SlotEvent
+// interface), and arms the timer inside it, so it allocates nothing.
+// AfterFunc takes its timer from the free list, a new one when the list is
+// empty, and allocates its stop closure every time.
 //
 // Times are expressed as offsets (time.Duration) from an arbitrary
 // per-clock epoch rather than as time.Time: an epoch-free timeline is the
 // only honest representation a simulation has.
 //
-// Key types: Clock (Now / AfterFunc), Real, Virtual, Slot. The paper's
-// protocols are specified in rounds; this package is what lets those rounds
-// be tested in virtual time (internal/scenario) and shipped on real time
-// (cmd/wsgossip-node) from one code path.
+// Key types: Clock (Now / AfterFunc), Real, Virtual, Slot, SlotEvent. The
+// paper's protocols are specified in rounds; this package is what lets those
+// rounds be tested in virtual time (internal/scenario) and shipped on real
+// time (cmd/wsgossip-node) from one code path.
 package clock

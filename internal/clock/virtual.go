@@ -28,11 +28,11 @@ import (
 // cancelled timers are recycled through a free list, so steady-state timer
 // churn (a core.Runner rescheduling every round for a million nodes) reuses
 // its timers; each AfterFunc still allocates its stop closure, and a timer
-// drawn from an empty free list is a new one. A Schedule whose event embeds a
-// Slot uses the timer inside it and allocates nothing. Cancelled timers keep
-// their heap slot until popped or until they make up more than half the heap,
-// at which point it compacts — Pending stays bounded under cancel/reschedule
-// churn (adaptive pacing's Wake storms).
+// drawn from an empty free list is a new one. Schedule takes an event that
+// embeds a Slot and arms the timer inside it, so it allocates nothing.
+// Cancelled timers keep their heap slot until popped or until they make up
+// more than half the heap, at which point it compacts — Pending stays bounded
+// under cancel/reschedule churn (adaptive pacing's Wake storms).
 type Virtual struct {
 	runMu sync.Mutex   // serializes drivers
 	now   atomic.Int64 // current virtual time, as time.Duration; stored under mu
@@ -68,20 +68,24 @@ type timer struct {
 }
 
 // Slot is the timer an event carries inside itself. An event type that embeds
-// a Slot and is passed to Schedule by pointer is scheduled on that timer, not
-// on one from the free list, so scheduling it allocates nothing and nothing
-// is left on the free list once it has fired. Such an event must not be
-// scheduled again before it has fired (Schedule panics), and a Slot is for
-// events nobody cancels; AfterFunc keeps its own timers.
+// a Slot satisfies SlotEvent and is scheduled on that timer, not on one from
+// the free list, so scheduling it allocates nothing and nothing is left on the
+// free list once it has fired. Such an event must not be scheduled again
+// before it has fired (Schedule panics), and a Slot is for events nobody
+// cancels; AfterFunc keeps its own timers.
 type Slot struct{ t timer }
 
 func (s *Slot) slotTimer() *timer { return &s.t }
 
-// slotted is an event that embeds a Slot.
-type slotted interface{ slotTimer() *timer }
+// SlotEvent is what Schedule fires: an event that embeds a Slot, passed by
+// pointer. Only a Slot supplies slotTimer, so the compiler rejects any other.
+type SlotEvent interface {
+	Fire()
+	slotTimer() *timer
+}
 
 // event is what a timer fires. AfterFunc wraps its callback in a funcEvent;
-// Schedule takes the caller's record as it is. Neither conversion allocates.
+// Schedule takes the caller's SlotEvent as it is. Neither conversion allocates.
 type event interface{ Fire() }
 
 type funcEvent func()
@@ -118,32 +122,15 @@ func (v *Virtual) Now() time.Duration {
 	return time.Duration(v.now.Load())
 }
 
-// schedule arms t, or a timer from the free list (allocating one if it is
-// empty) when t is nil, at now+d (d < 0 counts as 0) with the next seq and
-// pushes it. The returned gen identifies this life of the struct for its stop
-// function.
-func (v *Virtual) schedule(d time.Duration, ev event, t *timer) (*timer, uint32) {
+// pushLocked arms t to fire ev at now+d (d < 0 counts as 0) with the next
+// seq and pushes it onto the heap.
+func (v *Virtual) pushLocked(t *timer, d time.Duration, ev event) {
 	if d < 0 {
 		d = 0
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if t != nil {
-		if t.ev != nil {
-			panic("clock: Schedule of an event whose Slot is still pending")
-		}
-		t.inSlot = true
-	} else if n := len(v.free); n > 0 {
-		t = v.free[n-1]
-		v.free[n-1] = nil
-		v.free = v.free[:n-1]
-	} else {
-		t = &timer{}
 	}
 	v.seq++
 	t.at, t.seq, t.ev = v.Now()+d, v.seq, ev
 	heap.Push(&v.h, t)
-	return t, t.gen
 }
 
 // recycleLocked retires a timer that left the heap (fired, discarded, or
@@ -181,9 +168,21 @@ func (v *Virtual) maybeCompactLocked() {
 }
 
 // AfterFunc schedules fn at now+d (d < 0 counts as 0). fn runs inside a
-// future Advance/RunUntil/Step call.
+// future Advance/RunUntil/Step call. Its timer comes from the free list, or
+// is a new one when the list is empty.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) func() bool {
-	t, gen := v.schedule(d, funcEvent(fn), nil)
+	v.mu.Lock()
+	var t *timer
+	if n := len(v.free); n > 0 {
+		t = v.free[n-1]
+		v.free[n-1] = nil
+		v.free = v.free[:n-1]
+	} else {
+		t = &timer{}
+	}
+	v.pushLocked(t, d, funcEvent(fn))
+	gen := t.gen
+	v.mu.Unlock()
 	return func() bool {
 		v.mu.Lock()
 		defer v.mu.Unlock()
@@ -200,16 +199,18 @@ func (v *Virtual) AfterFunc(d time.Duration, fn func()) func() bool {
 // Schedule is the fire-and-forget AfterFunc: ev.Fire runs at now+d, in the
 // same (deadline, schedule order) sequence as every other timer — a Schedule
 // and an AfterFunc in the same place take the same seq — but the caller gets
-// no stop handle. An ev that embeds a Slot is armed on the Slot's timer and
-// allocates nothing; any other ev takes a timer from the free list, a new
-// one when the list is empty. A fabric scheduling one delivery per message
-// passes a pointer to its delivery record, which embeds a Slot.
-func (v *Virtual) Schedule(d time.Duration, ev interface{ Fire() }) {
-	var t *timer
-	if s, ok := ev.(slotted); ok {
-		t = s.slotTimer()
+// no stop handle. ev is armed on the timer in its Slot, so Schedule allocates
+// nothing. A fabric scheduling one delivery per message passes a pointer to
+// its delivery record, which embeds a Slot.
+func (v *Virtual) Schedule(d time.Duration, ev SlotEvent) {
+	t := ev.slotTimer()
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if t.ev != nil {
+		panic("clock: Schedule of an event whose Slot is still pending")
 	}
-	v.schedule(d, ev, t)
+	t.inSlot = true
+	v.pushLocked(t, d, ev)
 }
 
 // Advance moves the clock forward by d, firing every timer due in the

@@ -345,40 +345,14 @@ func TestAdvanceUnderConcurrentCompaction(t *testing.T) {
 	}
 }
 
-// scheduleOnly routes every timer of the order workload through the
-// fire-and-forget path. Schedule returns no stop handle, so cancellation is a
-// flag the event checks when it fires: a cancelled timer still takes its
-// (deadline, seq) slot, which is all the firing order of the others depends on.
-type scheduleOnly struct{ v *Virtual }
+// slotOnly routes every timer of the order workload through the
+// fire-and-forget path: each is an event that embeds a Slot, armed on its own
+// timer. Schedule returns no stop handle, so cancellation is a flag the event
+// checks when it fires: a cancelled timer still takes its (deadline, seq)
+// slot, which is all the firing order of the others depends on.
+type slotOnly struct{ v *Virtual }
 
-func (c scheduleOnly) Now() time.Duration { return c.v.Now() }
-
-func (c scheduleOnly) AfterFunc(d time.Duration, fn func()) func() bool {
-	live := true // touched only on the driving goroutine
-	c.v.Schedule(d, funcEvent(func() {
-		if live {
-			live = false
-			fn()
-		}
-	}))
-	return func() bool {
-		was := live
-		live = false
-		return was
-	}
-}
-
-// slotOnly routes the order workload through Schedule as scheduleOnly does,
-// but every every-th timer is an event that embeds a Slot, which the clock
-// arms on the event's own timer instead of one from its free list (every 1:
-// all of them). n counts the timers scheduled.
-type slotOnly struct {
-	v     *Virtual
-	every int
-	n     *int
-}
-
-// flaggedSlot is scheduleOnly's cancellable callback, carrying its timer.
+// flaggedSlot is slotOnly's cancellable callback, carrying its timer.
 type flaggedSlot struct {
 	Slot
 	live bool // touched only on the driving goroutine
@@ -395,10 +369,6 @@ func (e *flaggedSlot) Fire() {
 func (c slotOnly) Now() time.Duration { return c.v.Now() }
 
 func (c slotOnly) AfterFunc(d time.Duration, fn func()) func() bool {
-	*c.n++
-	if *c.n%c.every != 0 {
-		return scheduleOnly{c.v}.AfterFunc(d, fn)
-	}
 	ev := &flaggedSlot{live: true, fn: fn}
 	c.v.Schedule(d, ev)
 	return func() bool {
@@ -409,32 +379,21 @@ func (c slotOnly) AfterFunc(d time.Duration, fn func()) func() bool {
 }
 
 // TestScheduleMatchesAfterFuncOrder: Schedule differs from AfterFunc only in
-// returning no handle, and an event carrying its own Slot only in where its
-// timer lives. The cascading workload driven entirely through Schedule —
-// plain events, Slot-carrying events, and the two interleaved — must fire in
-// the reference's order.
+// returning no handle and in arming the timer the event carries. The
+// cascading workload driven entirely through Schedule must fire in the
+// reference's order.
 func TestScheduleMatchesAfterFuncOrder(t *testing.T) {
-	inputs := []struct {
-		name string
-		mk   func(*Virtual) schedClock
-	}{
-		{"plain", func(v *Virtual) schedClock { return scheduleOnly{v} }},
-		{"slot", func(v *Virtual) schedClock { return slotOnly{v, 1, new(int)} }},
-		{"mixed", func(v *Virtual) schedClock { return slotOnly{v, 2, new(int)} }},
-	}
 	for seed := uint64(1); seed <= 3; seed++ {
 		ref := &refClock{}
 		refLog := runOrderWorkload(seed, ref, ref.Advance)
-		for _, in := range inputs {
-			v := NewVirtual()
-			gotLog := runOrderWorkload(seed, in.mk(v), v.Advance)
-			if len(refLog) != len(gotLog) {
-				t.Fatalf("%s, seed %d: fired %d timers, reference fired %d", in.name, seed, len(gotLog), len(refLog))
-			}
-			for i := range refLog {
-				if refLog[i] != gotLog[i] {
-					t.Fatalf("%s, seed %d: firing %d diverges: scheduled %q, reference %q", in.name, seed, i, gotLog[i], refLog[i])
-				}
+		v := NewVirtual()
+		gotLog := runOrderWorkload(seed, slotOnly{v}, v.Advance)
+		if len(refLog) != len(gotLog) {
+			t.Fatalf("seed %d: fired %d timers, reference fired %d", seed, len(gotLog), len(refLog))
+		}
+		for i := range refLog {
+			if refLog[i] != gotLog[i] {
+				t.Fatalf("seed %d: firing %d diverges: scheduled %q, reference %q", seed, i, gotLog[i], refLog[i])
 			}
 		}
 	}
