@@ -50,8 +50,12 @@ func (s Subscription) serves(protocol string) bool {
 // configurations" — this is that policy, pluggable per deployment.
 type ParamPolicy func(subscribers int) (fanout, hops int)
 
-// DefaultParamPolicy returns fanout 3 and hops ceil(log2 n)+2, the standard
-// epidemic sizing for near-certain full coverage (Eugster et al. 2004).
+// DefaultParamPolicy returns fanout 3 and hops ceil(log2 n)+2. That does not
+// reach everyone: infect-and-die push at a constant fanout f converges to the
+// final size z = 1 - e^(-f·z), about 0.940 of the group at f = 3 whatever the
+// hop budget, and epidemic.ExpectedCoverage gives 0.950, 0.943 and 0.941 at
+// n = 16, 64 and 1000. The other 5–6 % of the subscribers are left to repair
+// and pull rounds.
 func DefaultParamPolicy(subscribers int) (int, int) {
 	if subscribers < 2 {
 		return 1, 1

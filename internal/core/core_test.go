@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"wsgossip/internal/epidemic"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/wscoord"
 )
@@ -399,6 +400,24 @@ func TestDefaultParamPolicy(t *testing.T) {
 	}
 	if h != 12 { // ceil(log2(1024)) + 2
 		t.Fatalf("hops = %d, want 12", h)
+	}
+	// The coverage DefaultParamPolicy's doc states, and the infect-and-die
+	// ceiling it converges to (a million nodes, hops past convergence).
+	for _, c := range []struct {
+		n, hops int
+		want    string
+	}{{16, 0, "0.950"}, {64, 0, "0.943"}, {1000, 0, "0.941"}, {1000000, 100, "0.940"}} {
+		f, h := DefaultParamPolicy(c.n)
+		if c.hops > 0 {
+			h = c.hops
+		}
+		cov, err := epidemic.ExpectedCoverage(c.n, f, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%.3f", cov); got != c.want {
+			t.Errorf("n=%d (f=%d, hops=%d): model coverage %s, the doc says %s", c.n, f, h, got, c.want)
+		}
 	}
 }
 

@@ -4,26 +4,39 @@
 // epidemic redundancy will repair; under production load a node also needs
 // bounded buffering, bounded retry, and a way to stop hammering peers that
 // are down or drowning. Plane supplies exactly that, as a transparent
-// soap.Caller wrapper, so every existing fan-out — gossip
-// forward/announce/repair/pull, aggregation floods, membership exchanges —
-// routes through it unchanged.
+// soap.Caller wrapper, so the data plane's fan-outs — gossip
+// forward/announce/repair/pull and push-sum traffic — route through it
+// unchanged. Membership exchanges and indirect probes do not: a Node puts
+// them on the raw binding on purpose, because the failure detector must see
+// the real link, not a retried view of it.
 //
-// Per peer, a Plane keeps a bounded FIFO queue with a capped in-flight
-// window, attempts each message with a per-attempt timeout, retries
-// transient failures on jittered exponential backoff up to a per-message
-// attempt budget, and runs a circuit breaker: consecutive transport
-// failures open the circuit (fast-failing fresh sends so epidemic
+// Per peer, a Plane keeps a bounded FIFO queue with at most one one-way
+// attempt in flight (which is what keeps delivery FIFO; Calls bypass the
+// queue and that limit), attempts each message with a per-attempt timeout,
+// retries transient failures on jittered exponential backoff up to a
+// per-message attempt budget, and runs a circuit breaker: consecutive
+// transport failures open the circuit (fast-failing fresh sends so epidemic
 // redundancy reroutes while queued messages wait), a cooldown later one
 // half-open probe decides between closing and re-opening. A receiver that
 // sheds load with a retry-after fault (soap.NewOverloadedFault, produced
 // by Gate) defers the peer's whole queue for the hinted duration instead
 // of counting toward the breaker — an overloaded peer is alive, just busy.
 //
+// That policy is a machine with no I/O (machine.go): per-peer queue,
+// in-flight count, deferral, backoff and breaker, with every instant passed
+// in. It decides admission (attempt now, as the half-open probe, queue, or
+// refuse), the outcome of an attempt (landed, rejected, shed or failed, with
+// any circuit transition and the message's fate) and the instant the head of
+// a queue is next due, each in one place. The Plane is its binding: the
+// mutex, one pump timer per peer armed at the machine's next-due instant,
+// the attempts and their contexts, the item free list, the metrics and the
+// OnPeerDown/OnPeerUp hooks.
+//
 // Every policy timer rides the shared clock.Clock, so the full retry /
 // backoff / breaker / deferral state machine is deterministic under
 // clock.Virtual — the chaos scenarios in internal/scenario drive it
 // through flapping links and saturated receivers and assert exact metric
-// counts.
+// counts, and TestPlaneLaws holds it to its laws over random schedules.
 //
 // The context a binding receives for one attempt carries the caller's
 // values and deadline, and is cancelled when the caller's context ends,

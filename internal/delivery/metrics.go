@@ -57,6 +57,46 @@ func newPlaneMetrics(reg *metrics.Registry) *planeMetrics {
 	}
 }
 
+// settled counts one attempt's outcome and its circuit transition.
+func (m *planeMetrics) settled(o outcome, t transition) {
+	switch o {
+	case rejected:
+		m.failSender.Inc()
+	case shed:
+		m.failShed.Inc()
+		m.deferrals.Inc()
+	case failed:
+		m.failTransport.Inc()
+	}
+	switch t {
+	case wentDown:
+		m.transOpen.Inc()
+		m.breakerOpen.Add(1)
+	case wentUp:
+		m.transClosed.Inc()
+		m.breakerOpen.Add(-1)
+	}
+}
+
+// drop counts a message the plane refused or dropped, by the error it
+// surfaced: one of the sentinels, or a receiver's Sender fault. nil counts
+// nothing.
+func (m *planeMetrics) drop(err error) {
+	switch err {
+	case nil:
+	case ErrClosed:
+		m.dropClosed.Inc()
+	case ErrCircuitOpen:
+		m.dropCircuit.Inc()
+	case ErrQueueFull:
+		m.dropQueueFull.Inc()
+	case ErrBudgetExhausted:
+		m.dropBudget.Inc()
+	default:
+		m.dropSender.Inc()
+	}
+}
+
 // gateMetrics holds the admission gate's pre-resolved series.
 type gateMetrics struct {
 	shed     *metrics.Counter // delivery_shed_total

@@ -97,6 +97,9 @@ func (c *Config) withDefaults() Config {
 	if out.BreakerCooldown <= 0 {
 		out.BreakerCooldown = 5 * time.Second
 	}
+	if out.RNG == nil {
+		out.RNG = rand.New(rand.NewSource(1))
+	}
 	return out
 }
 
@@ -115,23 +118,6 @@ type item struct {
 	attempts int
 }
 
-// peerState is the per-peer half of the plane: the queue, the in-flight
-// attempt, the breaker, and the timestamps the pump gates on. All fields
-// are guarded by Plane.mu.
-type peerState struct {
-	addr  string
-	queue []*item
-	// inflight counts attempts in progress. A one-way message is attempted
-	// only while it is 0 — one attempt in flight per peer — which is what
-	// keeps per-peer delivery FIFO.
-	inflight     int
-	deferUntil   time.Duration // retry-after deferral from a shedding peer
-	backoffUntil time.Duration // retry backoff from the last transport failure
-	pumpAt       time.Duration // fire time of the scheduled pump, if any
-	stopPump     func() bool
-	br           breaker
-}
-
 // Plane is the failure-aware outbound delivery plane. It implements
 // soap.Caller, so it slots between any role and the real binding: role code
 // keeps calling Send/Fanout, the plane decides what "send" means for each
@@ -148,15 +134,17 @@ type peerState struct {
 // record of a message (item) is recycled once the message settles, and the
 // context each attempt hands its binding is never reused, since a binding
 // may keep it.
+//
+// The policy — what to attempt, when, and what an outcome means — is the
+// machine's; the Plane is its binding: the lock, the pump timers, the
+// attempts, the free list, the metrics and the hooks.
 type Plane struct {
 	cfg Config
 	m   *planeMetrics
 
-	mu     sync.Mutex
-	rng    *rand.Rand
-	peers  map[string]*peerState
-	free   []*item // settled items, for the next sends
-	closed bool
+	mu   sync.Mutex
+	mach *machine
+	free []*item // settled items, for the next sends
 }
 
 // maxFreeItems bounds the plane's free list: a burst beyond it leaves its
@@ -173,16 +161,12 @@ func NewPlane(cfg Config) *Plane {
 	if cfg.Clock == nil {
 		panic("delivery: Config.Clock is required")
 	}
-	p := &Plane{
-		cfg:   cfg.withDefaults(),
-		m:     newPlaneMetrics(cfg.Metrics),
-		rng:   cfg.RNG,
-		peers: make(map[string]*peerState),
+	cfg = cfg.withDefaults()
+	return &Plane{
+		cfg:  cfg,
+		m:    newPlaneMetrics(cfg.Metrics),
+		mach: &machine{cfg: cfg, peers: make(map[string]*peer)},
 	}
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(1))
-	}
-	return p
 }
 
 // Send routes a one-way message through the peer's queue/retry/breaker
@@ -203,217 +187,117 @@ func (p *Plane) Send(ctx context.Context, to string, env *soap.Envelope) error {
 // response is needed now or not at all.
 func (p *Plane) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.Envelope, error) {
 	p.mu.Lock()
-	if p.closed {
-		p.m.dropClosed.Inc()
-		p.mu.Unlock()
-		return nil, ErrClosed
-	}
-	ps := p.peerLocked(to)
-	now := p.cfg.Clock.Now()
-	if ps.br.open {
-		if ps.br.probeDue(now) && ps.inflight == 0 && len(ps.queue) == 0 {
-			ps.br.probing = true
-		} else {
-			p.m.dropCircuit.Inc()
-			p.mu.Unlock()
-			return nil, ErrCircuitOpen
-		}
-	}
-	ps.inflight++
-	p.m.inflight.Add(1)
+	pe, err := p.admitLocked(to, nil)
 	p.mu.Unlock()
-
-	p.m.attempts.Inc()
-	actx := newAttemptCtx()
-	start := actx.begin(p, ctx)
-	resp, err := p.cfg.Caller.Call(actx, to, env)
-	actx.finish()
-	p.m.attemptSec.Observe((p.cfg.Clock.Now() - start).Seconds())
-
-	var notify func()
-	p.mu.Lock()
-	ps.inflight--
-	p.m.inflight.Add(-1)
-	now = p.cfg.Clock.Now()
-	switch {
-	case err == nil:
-		notify = p.noteSuccessLocked(ps)
-	case soap.IsSenderFault(err):
-		p.m.failSender.Inc()
-		notify = p.noteSuccessLocked(ps) // the peer answered; our request was bad
-	default:
-		if hint, ok := soap.RetryAfterHint(err); ok {
-			p.m.failShed.Inc()
-			p.m.deferrals.Inc()
-			p.deferLocked(ps, now, hint)
-			notify = p.noteSuccessLocked(ps) // overloaded ≠ down
-		} else {
-			p.m.failTransport.Inc()
-			notify = p.noteFailureLocked(ps, now)
-		}
+	if pe == nil {
+		return nil, err
 	}
-	p.schedulePumpLocked(ps, now)
-	p.mu.Unlock()
-	if notify != nil {
-		notify()
-	}
+	resp, err := p.attempt(ctx, pe, nil, env)
+	p.settle(pe, nil, err)
 	return resp, err
 }
 
-// SendEncoded routes an already-serialized message: it decides inline
-// attempt vs queue vs fast-fail under the lock, and attempts outside it.
-// Ownership follows the soap.EncodedSender contract: on a nil return the
+// SendEncoded routes an already-serialized message: the machine decides
+// attempt vs queue vs fast-fail under the lock, and the attempt runs outside
+// it. Ownership follows the soap.EncodedSender contract: on a nil return the
 // plane owns data (and passes ownership on to the binding when the attempt
 // lands); on an error return data stays with the caller. The item that
-// carries data through the queue is drawn, once the plane has not refused
-// the message outright, from the plane's free list and goes back to it once
-// the message settles (see item), so a send that lands through a
-// synchronous binding allocates nothing.
+// carries data through the queue is drawn from the plane's free list and goes
+// back to it once the message settles (see item), so a send that lands
+// through a synchronous binding allocates nothing.
 func (p *Plane) SendEncoded(ctx context.Context, to string, data []byte) error {
 	p.mu.Lock()
-	if p.closed {
-		p.m.dropClosed.Inc()
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	ps := p.peerLocked(to)
-	now := p.cfg.Clock.Now()
-	if ps.br.open {
-		// A due circuit with nothing queued lets the fresh message probe;
-		// otherwise fresh sends fast-fail so the fan-out reroutes while
-		// the queued backlog waits for its pump.
-		if ps.br.probeDue(now) && len(ps.queue) == 0 && ps.inflight == 0 {
-			ps.br.probing = true
-		} else {
-			p.m.dropCircuit.Inc()
-			p.mu.Unlock()
-			return ErrCircuitOpen
-		}
-	}
 	it := p.itemLocked(data)
-	if !ps.br.probing &&
-		(len(ps.queue) > 0 || ps.inflight > 0 ||
-			ps.deferUntil > now || ps.backoffUntil > now) {
-		if !p.enqueueLocked(ps, it, false) {
-			p.m.dropQueueFull.Inc()
-			p.releaseLocked(it)
-			p.mu.Unlock()
-			return ErrQueueFull
-		}
-		p.schedulePumpLocked(ps, now)
-		p.mu.Unlock()
-		return nil
-	}
-	ps.inflight++
-	p.m.inflight.Add(1)
+	pe, err := p.admitLocked(to, it)
 	p.mu.Unlock()
-
-	err := p.attempt(ctx, to, it)
-
-	p.mu.Lock()
-	ps.inflight--
-	p.m.inflight.Add(-1)
-	ret, notify := p.settleLocked(ps, it, err)
-	p.mu.Unlock()
-	if notify != nil {
-		notify()
+	if pe == nil {
+		return err
 	}
-	return ret
+	_, err = p.attempt(ctx, pe, it, nil)
+	return p.settle(pe, it, err)
 }
 
-// attempt performs one real send with the per-attempt timeout: a context of
-// its own (newAttemptCtx). Called without the plane lock; the item is owned
-// by exactly one attempt at a time.
-func (p *Plane) attempt(ctx context.Context, to string, it *item) error {
-	it.attempts++
+// admitLocked carries out the machine's admission of fresh traffic to addr:
+// it returns the peer when an attempt starts now, and otherwise nil with the
+// refusal, or with nil when the message was queued.
+func (p *Plane) admitLocked(addr string, it *item) (*peer, error) {
+	now := p.cfg.Clock.Now()
+	pe, start, err := p.mach.admit(addr, it, now)
+	switch {
+	case start:
+		p.m.inflight.Add(1)
+		return pe, nil
+	case err != nil:
+		p.m.drop(err)
+		if it != nil {
+			p.releaseLocked(it)
+		}
+	default:
+		p.m.queueDepth.Add(1)
+		p.armLocked(pe, now)
+	}
+	return nil, err
+}
+
+// attempt performs one real send to pe with the per-attempt timeout: the
+// bytes of it, or env as a Call when it is nil. Called without the plane
+// lock; an item is owned by exactly one attempt at a time.
+func (p *Plane) attempt(ctx context.Context, pe *peer, it *item, env *soap.Envelope) (resp *soap.Envelope, err error) {
 	p.m.attempts.Inc()
-	if it.attempts > 1 {
+	if it != nil && it.attempts > 1 {
 		p.m.retries.Inc()
 	}
 	actx := newAttemptCtx()
 	start := actx.begin(p, ctx)
-	err := p.cfg.Caller.SendEncoded(actx, to, it.data)
+	if it == nil {
+		resp, err = p.cfg.Caller.Call(actx, pe.addr, env)
+	} else {
+		err = p.cfg.Caller.SendEncoded(actx, pe.addr, it.data)
+	}
 	actx.finish()
 	p.m.attemptSec.Observe((p.cfg.Clock.Now() - start).Seconds())
-	return err
+	return resp, err
 }
 
-// settleLocked classifies one attempt's outcome and updates the breaker,
-// deferral, and queue accordingly. It returns the error the submitter
-// should surface (nil when the plane keeps responsibility) and the
-// OnPeerDown/OnPeerUp hook to run after unlocking, if the circuit just
-// transitioned.
-func (p *Plane) settleLocked(ps *peerState, it *item, err error) (ret error, notify func()) {
+// settle settles an attempt made outside the lock, and runs its hook.
+func (p *Plane) settle(pe *peer, it *item, err error) error {
+	p.mu.Lock()
+	ret, hook := p.settleLocked(pe, it, err)
+	p.mu.Unlock()
+	if hook != nil {
+		hook(pe.addr)
+	}
+	return ret
+}
+
+// settleLocked carries out the machine's settlement of one attempt: it
+// counts the outcome, recycles an item that is not requeued, and re-arms the
+// pump. It returns the error the submitter should surface (nil when the
+// plane keeps responsibility) and the OnPeerDown/OnPeerUp hook to run after
+// unlocking, if the circuit just changed state.
+func (p *Plane) settleLocked(pe *peer, it *item, err error) (ret error, hook func(addr string)) {
 	now := p.cfg.Clock.Now()
+	o, t, ret, requeued := p.mach.settle(pe, it, err, now)
+	p.m.inflight.Add(-1)
+	p.m.settled(o, t)
+	p.m.drop(ret)
 	switch {
-	case err == nil:
-		notify = p.noteSuccessLocked(ps)
+	case requeued:
+		p.m.queueDepth.Add(1)
+	case it != nil:
 		p.releaseLocked(it)
-		p.schedulePumpLocked(ps, now)
-		return nil, notify
-	case soap.IsSenderFault(err):
-		// The receiver is alive and rejected these bytes for good: drop
-		// the message, never the peer.
-		p.m.failSender.Inc()
-		p.m.dropSender.Inc()
-		notify = p.noteSuccessLocked(ps)
-		p.releaseLocked(it)
-		p.schedulePumpLocked(ps, now)
-		return err, notify
-	default:
-		if hint, ok := soap.RetryAfterHint(err); ok {
-			p.m.failShed.Inc()
-			p.m.deferrals.Inc()
-			p.deferLocked(ps, now, hint)
-			notify = p.noteSuccessLocked(ps)
-			ret = p.requeueLocked(ps, it, now)
-		} else {
-			p.m.failTransport.Inc()
-			notify = p.noteFailureLocked(ps, now)
-			ps.backoffUntil = now + p.backoffLocked(it.attempts)
-			ret = p.requeueLocked(ps, it, now)
-		}
-		// Re-arm the pump even when this item was dropped (budget spent,
-		// queue full): messages behind it must not be stranded — with the
-		// breaker open, fresh sends fast-fail and would never revive them.
-		p.schedulePumpLocked(ps, now)
-		return ret, notify
 	}
-}
-
-// requeueLocked puts a failed item back at the head of its peer's queue
-// for the next pump, unless its budget is spent or the queue is full, when
-// the item is released.
-func (p *Plane) requeueLocked(ps *peerState, it *item, now time.Duration) error {
-	if it.attempts >= p.cfg.MaxAttempts {
-		p.m.dropBudget.Inc()
-		p.releaseLocked(it)
-		return ErrBudgetExhausted
+	// Re-arm the pump even when this item was dropped (budget spent,
+	// queue full): messages behind it must not be stranded — with the
+	// breaker open, fresh sends fast-fail and would never revive them.
+	p.armLocked(pe, now)
+	switch t {
+	case wentDown:
+		hook = p.cfg.OnPeerDown
+	case wentUp:
+		hook = p.cfg.OnPeerUp
 	}
-	if !p.enqueueLocked(ps, it, true) {
-		p.m.dropQueueFull.Inc()
-		p.releaseLocked(it)
-		return ErrQueueFull
-	}
-	p.schedulePumpLocked(ps, now)
-	return nil
-}
-
-// enqueueLocked appends (or, for retries, prepends — preserving FIFO
-// delivery order) it to the peer's bounded queue.
-func (p *Plane) enqueueLocked(ps *peerState, it *item, front bool) bool {
-	if len(ps.queue) >= p.cfg.QueueCap {
-		return false
-	}
-	if front {
-		ps.queue = append(ps.queue, nil)
-		copy(ps.queue[1:], ps.queue)
-		ps.queue[0] = it
-	} else {
-		ps.queue = append(ps.queue, it)
-	}
-	p.m.queueDepth.Add(1)
-	return true
+	return ret, hook
 }
 
 // itemLocked returns an item for a message: one from the free list, or a
@@ -441,193 +325,74 @@ func (p *Plane) releaseLocked(it *item) {
 	p.free = append(p.free, it)
 }
 
-// noteSuccessLocked resets the peer's failure streak and closes an open
-// circuit (successful half-open probe, or a send that landed anyway). It
-// returns the OnPeerUp hook to run after unlocking when the circuit just
-// closed.
-func (p *Plane) noteSuccessLocked(ps *peerState) (up func()) {
-	ps.br.fails = 0
-	if ps.br.open {
-		ps.br.open = false
-		ps.br.probing = false
-		p.m.transClosed.Inc()
-		p.m.breakerOpen.Add(-1)
-		if hook := p.cfg.OnPeerUp; hook != nil {
-			addr := ps.addr
-			return func() { hook(addr) }
-		}
-	}
-	return nil
-}
-
-// noteFailureLocked records a transport failure against the breaker and
-// returns the OnPeerDown hook when this failure opened the circuit.
-func (p *Plane) noteFailureLocked(ps *peerState, now time.Duration) (down func()) {
-	ps.br.fails++
-	if ps.br.open {
-		if ps.br.probing {
-			// Failed half-open probe: stay open, restart the cooldown.
-			ps.br.probing = false
-			ps.br.openUntil = now + p.cfg.BreakerCooldown
-		}
-		return nil
-	}
-	if ps.br.fails >= p.cfg.BreakerThreshold {
-		ps.br.open = true
-		ps.br.openUntil = now + p.cfg.BreakerCooldown
-		p.m.transOpen.Inc()
-		p.m.breakerOpen.Add(1)
-		if hook := p.cfg.OnPeerDown; hook != nil {
-			addr := ps.addr
-			return func() { hook(addr) }
-		}
-	}
-	return nil
-}
-
-// deferLocked extends the peer's retry-after deferral window.
-func (p *Plane) deferLocked(ps *peerState, now time.Duration, hint time.Duration) {
-	if until := now + hint; until > ps.deferUntil {
-		ps.deferUntil = until
-	}
-}
-
-// backoffLocked returns the jittered exponential delay before retry number
-// attempts+1: nominal base<<(attempts-1) capped at BackoffMax, drawn
-// uniformly from [d/2, d].
-func (p *Plane) backoffLocked(attempts int) time.Duration {
-	d := p.cfg.BackoffMax
-	if attempts < 20 {
-		if nominal := p.cfg.BackoffBase << (attempts - 1); nominal < d {
-			d = nominal
-		}
-	}
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	return half + time.Duration(p.rng.Int63n(int64(half)+1))
-}
-
-// schedulePumpLocked (re)arms the peer's pump timer for the earliest
-// instant its head-of-queue message may be attempted: now, or when the
-// deferral / retry backoff / breaker cooldown expires, whichever is
-// latest. A pump already armed for an earlier instant is left alone — it
-// re-derives the gates when it fires.
-func (p *Plane) schedulePumpLocked(ps *peerState, now time.Duration) {
-	if p.closed || len(ps.queue) == 0 || ps.inflight > 0 {
+// armLocked (re)arms the peer's pump timer for the instant the machine says
+// its head of queue is due. A pump already armed for that instant or an
+// earlier one is left alone — the machine re-derives the gates when it fires.
+func (p *Plane) armLocked(pe *peer, now time.Duration) {
+	at, ok := p.mach.due(pe, now)
+	if !ok {
 		return
 	}
-	if ps.br.open && ps.br.probing {
-		return // the in-flight probe's outcome reschedules
-	}
-	at := now
-	if ps.deferUntil > at {
-		at = ps.deferUntil
-	}
-	if ps.backoffUntil > at {
-		at = ps.backoffUntil
-	}
-	if ps.br.open && ps.br.openUntil > at {
-		at = ps.br.openUntil
-	}
-	if ps.stopPump != nil {
-		if ps.pumpAt <= at {
+	if pe.stopPump != nil {
+		if pe.pumpAt <= at {
 			return
 		}
-		ps.stopPump()
+		pe.stopPump()
 	}
-	addr := ps.addr
-	ps.pumpAt = at
-	ps.stopPump = p.cfg.Clock.AfterFunc(at-now, func() { p.pump(addr) })
+	pe.pumpAt = at
+	pe.stopPump = p.cfg.Clock.AfterFunc(at-now, func() { p.pump(pe) })
 }
 
-// pump drains a peer's queue: attempt the head message, and on success
-// keep going; on failure settleLocked has already armed the backoff /
-// cooldown / deferral pump, so stop. Runs on the clock's firing goroutine
-// — under clock.Virtual that is the Advance caller, which is what makes
-// the whole retry schedule deterministic.
-func (p *Plane) pump(addr string) {
-	var notifies []func()
+// pump drains a peer's queue: attempt the head message while the machine
+// says it is due, and on success keep going; on failure settleLocked has
+// already armed the backoff / cooldown / deferral pump, so stop. Runs on the
+// clock's firing goroutine — under clock.Virtual that is the Advance caller,
+// which is what makes the whole retry schedule deterministic.
+func (p *Plane) pump(pe *peer) {
+	var hooks []func(string)
 	p.mu.Lock()
-	ps, ok := p.peers[addr]
-	if !ok {
-		p.mu.Unlock()
-		return
-	}
-	ps.pumpAt = 0
-	ps.stopPump = nil
+	pe.pumpAt, pe.stopPump = 0, nil
 	for {
-		if p.closed || len(ps.queue) == 0 || ps.inflight > 0 {
-			break
-		}
 		now := p.cfg.Clock.Now()
-		if ps.deferUntil > now || ps.backoffUntil > now {
-			p.schedulePumpLocked(ps, now)
+		it := p.mach.next(pe, now)
+		if it == nil {
+			p.armLocked(pe, now)
 			break
 		}
-		if ps.br.open {
-			if !ps.br.probeDue(now) {
-				p.schedulePumpLocked(ps, now)
-				break
-			}
-			ps.br.probing = true
-		}
-		it := ps.queue[0]
-		ps.queue = ps.queue[1:]
 		p.m.queueDepth.Add(-1)
-		ps.inflight++
 		p.m.inflight.Add(1)
 		p.mu.Unlock()
 
-		err := p.attempt(context.Background(), addr, it)
+		_, err := p.attempt(context.Background(), pe, it, nil)
 
 		p.mu.Lock()
-		ps.inflight--
-		p.m.inflight.Add(-1)
-		_, notify := p.settleLocked(ps, it, err)
-		if notify != nil {
-			notifies = append(notifies, notify)
+		if _, hook := p.settleLocked(pe, it, err); hook != nil {
+			hooks = append(hooks, hook)
 		}
 		if err != nil {
 			break
 		}
 	}
 	p.mu.Unlock()
-	for _, notify := range notifies {
-		notify()
+	for _, hook := range hooks {
+		hook(pe.addr)
 	}
-}
-
-// peerLocked returns (creating on first use) the peer's state.
-func (p *Plane) peerLocked(addr string) *peerState {
-	ps, ok := p.peers[addr]
-	if !ok {
-		ps = &peerState{addr: addr}
-		p.peers[addr] = ps
-	}
-	return ps
 }
 
 // Close stops every pump timer and drops the queued backlog (counted as
 // delivery_drops_total{reason="closed"}). Subsequent sends fail with
-// ErrClosed.
+// ErrClosed, and so does a message whose attempt was in flight at Close and
+// failed.
 func (p *Plane) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return
-	}
-	p.closed = true
-	for _, ps := range p.peers {
-		if ps.stopPump != nil {
-			ps.stopPump()
-			ps.stopPump = nil
-		}
-		if n := len(ps.queue); n > 0 {
-			p.m.dropClosed.Add(int64(n))
-			p.m.queueDepth.Add(-int64(n))
-			ps.queue = nil
+	n := int64(p.mach.close())
+	p.m.dropClosed.Add(n)
+	p.m.queueDepth.Add(-n)
+	for _, pe := range p.mach.peers {
+		if pe.stopPump != nil {
+			pe.stopPump()
+			pe.stopPump = nil
 		}
 	}
 }
@@ -653,17 +418,23 @@ func (p *Plane) States() []PeerState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := p.cfg.Clock.Now()
-	out := make([]PeerState, 0, len(p.peers))
-	for _, ps := range p.peers {
+	out := make([]PeerState, 0, len(p.mach.peers))
+	for _, pe := range p.mach.peers {
 		st := PeerState{
-			Addr:             ps.addr,
-			Queued:           len(ps.queue),
-			Inflight:         ps.inflight,
-			Breaker:          ps.br.label(),
-			ConsecutiveFails: ps.br.fails,
+			Addr:             pe.addr,
+			Queued:           len(pe.queue),
+			Inflight:         pe.inflight,
+			Breaker:          "closed",
+			ConsecutiveFails: pe.br.fails,
 		}
-		if ps.deferUntil > now {
-			st.DeferredFor = ps.deferUntil - now
+		switch {
+		case pe.br.probing:
+			st.Breaker = "half-open"
+		case pe.br.open:
+			st.Breaker = "open"
+		}
+		if pe.deferUntil > now {
+			st.DeferredFor = pe.deferUntil - now
 		}
 		out = append(out, st)
 	}
@@ -690,14 +461,14 @@ func (p *Plane) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := p.cfg.Clock.Now()
-	st := Stats{Peers: len(p.peers)}
-	for _, ps := range p.peers {
-		st.Queued += len(ps.queue)
-		st.Inflight += ps.inflight
-		if ps.br.open {
+	st := Stats{Peers: len(p.mach.peers)}
+	for _, pe := range p.mach.peers {
+		st.Queued += len(pe.queue)
+		st.Inflight += pe.inflight
+		if pe.br.open {
 			st.OpenCircuits++
 		}
-		if ps.deferUntil > now {
+		if pe.deferUntil > now {
 			st.Deferred++
 		}
 	}

@@ -3,6 +3,7 @@ package delivery
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -633,6 +634,37 @@ func TestPlaneClose(t *testing.T) {
 	})
 }
 
+// closingBinding closes its plane in the middle of every attempt, which
+// then fails.
+type closingBinding struct{ p *Plane }
+
+func (b closingBinding) Send(context.Context, string, *soap.Envelope) error { return nil }
+func (b closingBinding) Call(context.Context, string, *soap.Envelope) (*soap.Envelope, error) {
+	return nil, nil
+}
+func (b closingBinding) SendEncoded(context.Context, string, []byte) error {
+	b.p.Close()
+	return errConnRefused
+}
+
+// TestPlaneCloseDropsAttemptInFlight: a message whose attempt was in flight
+// at Close and failed is dropped as closed, not requeued into a plane whose
+// pumps are stopped.
+func TestPlaneCloseDropsAttemptInFlight(t *testing.T) {
+	reg := metrics.NewRegistry()
+	b := &closingBinding{}
+	b.p = NewPlane(testConfig(b, clock.NewVirtual(), reg))
+	if err := b.p.SendEncoded(context.Background(), "urn:peer", encodedEnv(t, "x")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("send = %v, want ErrClosed", err)
+	}
+	if got := counterValue(reg, "delivery_drops_total", "reason", "closed"); got != 1 {
+		t.Fatalf("closed drops = %d, want 1", got)
+	}
+	if st := b.p.Stats(); st.Queued != 0 || reg.Gauge("delivery_queue_depth").Value() != 0 {
+		t.Fatalf("stats %+v, queue depth %d: nothing may stay queued after Close", st, reg.Gauge("delivery_queue_depth").Value())
+	}
+}
+
 func encodedEnv(t *testing.T, text string) []byte {
 	t.Helper()
 	data, err := testEnv(t, text).Encode()
@@ -783,5 +815,138 @@ func TestPlaneDeterministic(t *testing.T) {
 	first, second := run(), run()
 	if first != second {
 		t.Fatalf("runs diverged:\n--- run 1\n%s\n--- run 2\n%s", first, second)
+	}
+}
+
+// stressBinding lands, rejects, sheds or fails each attempt by a seeded
+// draw per peer, from any goroutine, and records every message that lands.
+type stressBinding struct {
+	mu     sync.Mutex
+	rng    map[string]*rand.Rand
+	landed map[string]bool
+	twice  []string
+}
+
+func (b *stressBinding) outcome(to string) error {
+	b.mu.Lock()
+	r := b.rng[to].Intn(10)
+	b.mu.Unlock()
+	runtime.Gosched()
+	switch {
+	case r < 5:
+		return nil
+	case r < 6:
+		return soap.NewFault(soap.CodeSender, "rejected")
+	case r < 7:
+		return soap.NewOverloadedFault("busy", 2*time.Millisecond)
+	}
+	return errConnRefused
+}
+
+func (b *stressBinding) Send(context.Context, string, *soap.Envelope) error { return nil }
+
+func (b *stressBinding) Call(_ context.Context, to string, _ *soap.Envelope) (*soap.Envelope, error) {
+	return nil, b.outcome(to)
+}
+
+func (b *stressBinding) SendEncoded(_ context.Context, to string, data []byte) error {
+	if err := b.outcome(to); err != nil {
+		return err
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.landed[string(data)] {
+		b.twice = append(b.twice, string(data))
+	}
+	b.landed[string(data)] = true
+	return nil
+}
+
+// TestPlaneConcurrentSendersAndCalls sends and calls to three peers from
+// eight goroutines at once, on the real clock with millisecond backoffs and
+// cooldowns, through a binding that lands, rejects, sheds and fails on a
+// seeded schedule. Once the plane has drained, every message it accepted has
+// landed exactly once or been dropped with a counted reason, and no message
+// whose send was refused has landed. CI runs it under -race on 1 to 8 CPUs.
+func TestPlaneConcurrentSendersAndCalls(t *testing.T) {
+	peers := []string{"urn:a", "urn:b", "urn:c"}
+	b := &stressBinding{rng: map[string]*rand.Rand{}, landed: map[string]bool{}}
+	for i, peer := range peers {
+		b.rng[peer] = rand.New(rand.NewSource(int64(i + 1)))
+	}
+	reg := metrics.NewRegistry()
+	cfg := testConfig(b, clock.NewReal(), reg)
+	cfg.BackoffBase, cfg.BackoffMax, cfg.BreakerCooldown = time.Millisecond, 4*time.Millisecond, 5*time.Millisecond
+	p := NewPlane(cfg)
+	defer p.Close()
+
+	const senders, ops = 8, 200
+	accepted := make([][]string, senders)
+	refused := make([]int64, senders)
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + g)))
+			for i := 0; i < ops; i++ {
+				peer := peers[rng.Intn(len(peers))]
+				if rng.Intn(5) == 0 {
+					_, err := p.Call(context.Background(), peer, nil)
+					if errors.Is(err, ErrCircuitOpen) {
+						refused[g]++
+					}
+					continue
+				}
+				id := fmt.Sprintf("g%d/%d", g, i)
+				if err := p.SendEncoded(context.Background(), peer, []byte(id)); err != nil {
+					refused[g]++
+				} else {
+					accepted[g] = append(accepted[g], id)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; ; i++ {
+		if st := p.Stats(); st.Queued == 0 && st.Inflight == 0 {
+			break
+		}
+		if i == 2000 {
+			t.Fatalf("plane not drained: %+v", p.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.twice) > 0 {
+		t.Fatalf("landed twice: %v", b.twice)
+	}
+	var lost, refusals int64
+	ok := map[string]bool{}
+	for g := range accepted {
+		refusals += refused[g]
+		for _, id := range accepted[g] {
+			ok[id] = true
+			if !b.landed[id] {
+				lost++
+			}
+		}
+	}
+	for id := range b.landed {
+		if !ok[id] {
+			t.Fatalf("%s landed but its send was refused", id)
+		}
+	}
+	var drops int64
+	for _, reason := range dropReasons {
+		drops += counterValue(reg, "delivery_drops_total", "reason", reason)
+	}
+	if lost != drops-refusals {
+		t.Fatalf("%d accepted messages never landed, %d drops counted after acceptance", lost, drops-refusals)
+	}
+	if lost == 0 || len(b.landed) == 0 {
+		t.Fatalf("schedule too tame: %d landed, %d lost", len(b.landed), lost)
 	}
 }

@@ -48,24 +48,17 @@ func (v *filteredView) AppendPeers(dst []string, rng *rand.Rand, n int, exclude 
 	} else {
 		dst = append(dst, v.inner.SelectPeers(rng, -1, exclude)...)
 	}
+	// The machine's open-circuit rule, which a circuit due for its probe
+	// passes.
+	p := v.plane
 	healthy := dst[:base]
+	p.mu.Lock()
+	now := p.cfg.Clock.Now()
 	for _, addr := range dst[base:] {
-		if v.plane.admissible(addr) {
+		if p.mach.admits(addr, now) {
 			healthy = append(healthy, addr)
 		}
 	}
+	p.mu.Unlock()
 	return gossip.AppendSample(dst[:base], rng, healthy[base:], n, "")
-}
-
-// admissible reports whether sends to addr are currently worth issuing:
-// true unless the peer's circuit is open with its cooldown still running
-// or its probe already in flight.
-func (p *Plane) admissible(addr string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ps, ok := p.peers[addr]
-	if !ok || !ps.br.open {
-		return true
-	}
-	return ps.br.probeDue(p.cfg.Clock.Now())
 }

@@ -139,8 +139,12 @@ type (
 	PeerView = core.PeerView
 )
 
-// DefaultParamPolicy is the standard epidemic sizing: fanout 3, hops
-// ceil(log2 n)+2. A CoordinatorConfig.Params policy can start from it.
+// DefaultParamPolicy is fanout 3, hops ceil(log2 n)+2. Push alone then
+// reaches an expected 0.950, 0.943 and 0.941 of n = 16, 64 and 1000
+// subscribers (epidemic.ExpectedCoverage), and never more than the
+// infect-and-die ceiling of about 0.940 at large n, whatever the hops; repair
+// or pull rounds fetch the rest. A CoordinatorConfig.Params policy can start
+// from it.
 func DefaultParamPolicy(subscribers int) (fanout, hops int) {
 	return core.DefaultParamPolicy(subscribers)
 }
