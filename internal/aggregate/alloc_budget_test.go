@@ -404,9 +404,8 @@ func exchangeSends(tb testing.TB) (shares func(), acks func()) {
 // envelope of two acks are each written — the message ID, the tasks'
 // prebuilt context blocks, and every share or ack from its fields — straight
 // into one pooled wire buffer, which the bus recycles. The sends allocate
-// nothing; each row's one allocation is the receiver's, whose decoded request
-// holds one body child inline and grows its body list for the second. The
-// budgets are exact.
+// nothing, and neither does the receiver, whose decoded request holds the
+// two body children inline. The budgets are exact.
 func TestExchangeSendAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	shares, acks := exchangeSends(t)

@@ -33,6 +33,8 @@ type allocBudget struct {
 	FirstReceipt      float64 `json:"first_receipt_known_interaction_max_allocs"`
 	IHaveAnnounce     float64 `json:"ihave_announce_f8_max_allocs"`
 	IWantSend         float64 `json:"iwant_send_max_allocs"`
+	AnnounceRound     float64 `json:"announce_round4_f8_max_allocs"`
+	IHaveRoundHeld    float64 `json:"ihave_round4_held_max_allocs"`
 }
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -44,14 +46,15 @@ func loadAllocBudget(t *testing.T) allocBudget {
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	budget := allocBudget{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
+	budget := allocBudget{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
 	if budget.ForwardFanoutF8 < 0 || budget.DuplicateReceipt < 0 || budget.DuplicateDelivery < 0 ||
 		budget.GossipHeaderFrom < 0 || budget.ForwardHeaders < 0 ||
 		budget.DigestReceipt < 0 || budget.DigestEnvelope < 0 || budget.IHaveHeld < 0 || budget.IWantServe < 0 ||
-		budget.DigestOneMissing <= 0 || budget.FirstReceipt <= 0 || budget.IHaveAnnounce < 0 || budget.IWantSend < 0 {
+		budget.DigestOneMissing <= 0 || budget.FirstReceipt <= 0 || budget.IHaveAnnounce < 0 || budget.IWantSend < 0 ||
+		budget.AnnounceRound < 0 || budget.IHaveRoundHeld < 0 {
 		t.Fatalf("alloc budget missing fields: %+v", budget)
 	}
 	return budget
@@ -526,4 +529,64 @@ func BenchmarkIHaveAnnounce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fb.d.transfer(fb.ctx, nil, fb.n, fb.state, announceTransfer)
 	}
+}
+
+// TestAnnounceRoundAllocBudget: an announce round of 4 notifications at
+// fanout 8 over MemBus. The round's targets are drawn once, on the stack,
+// and each peer's IHAVE — one Announce child per notification — is written
+// once straight into a pooled template and rendered per peer into pooled
+// buffers the bus recycles: 8 envelopes, not 32.
+func TestAnnounceRoundAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	fb := newForwardBench(t, 8, 1<<10)
+	round := announceRoundOf(fb, 4)
+	allocs := testing.AllocsPerRun(100, func() { fb.d.announce(fb.ctx, round) })
+	if stats := fb.d.Stats(); stats.Announced != 8*101 || stats.SendErrors != 0 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	checkAllocBudget(t, "announce round of 4 to 8 peers", allocs, budget.AnnounceRound)
+}
+
+func BenchmarkAnnounceRound(b *testing.B) {
+	fb := newForwardBench(b, 8, 1<<10)
+	round := announceRoundOf(fb, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fb.d.announce(fb.ctx, round)
+	}
+}
+
+// announceRoundOf is a round of n queued announcements of fb's interaction.
+func announceRoundOf(fb *forwardBench, n int) []pendingAnnounce {
+	round := make([]pendingAnnounce, n)
+	for i := range round {
+		round[i] = pendingAnnounce{n: notice{messageID: []byte(string(wsa.NewMessageID())), hops: 4}, state: fb.state, t: announceTransfer}
+	}
+	return round
+}
+
+// TestIHaveRoundHeldAllocBudget: an IHAVE listing 4 notifications the node
+// already holds costs nothing — the children are read into an array on the
+// stack, and the seen cache asked with the sum of each announced ID where it
+// lies in the receive buffer.
+func TestIHaveRoundHeldAllocBudget(t *testing.T) {
+	budget := loadAllocBudget(t)
+	d, _, _, _ := lazyResponder(t)
+	children := make([]soap.Block, 4)
+	for i := range children {
+		id := string(wsa.NewMessageID())
+		d.m.Receive(gossip.IDSum(id), false)
+		children[i] = announceOf(Announce{InteractionID: "urn:uuid:i", MessageID: id, Hops: 2, Holder: "mem://holder"})
+	}
+	ihave := ihaveRequest(t, children...)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := d.handleIHave(context.Background(), ihave); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if stats := d.Stats(); stats.Fetched != 0 || stats.Duplicates != 4*101 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	checkAllocBudget(t, "IHAVE of 4 held notifications", allocs, budget.IHaveRoundHeld)
 }

@@ -171,20 +171,67 @@ func scanAnnounce(raw []byte) (f announceFields, ok bool) {
 	return f, r.Close("Announce")
 }
 
-// announceFrom decodes the Announce body of env into what handleIHave acts
-// on: the announced MessageID as lookup bytes, and the holder, interned. Of
-// a canonical body the ID is read in place (see soap.FlatText.Key), a view
-// that must not outlive the delivery; anything else decodes through
-// encoding/xml.
-func announceFrom(env *soap.Envelope) (id []byte, holder string, err error) {
-	if len(env.Body.Blocks) > 0 {
-		if f, ok := scanAnnounce(env.Body.Blocks[0].Raw); ok {
-			return f.messageID.Key(), f.holder.Symbol(), nil
+// Rejections of an IHAVE's shape are fixed values, like a digest's.
+var (
+	errAnnouncesLong   = errors.New("IHAVE lists more than " + strconv.Itoa(digestCap) + " notifications")
+	errAnnounceHolders = errors.New("IHAVE names more than one holder")
+)
+
+// announcesFrom decodes the Announce children of env's body into what
+// handleIHave acts on: the announced MessageIDs as lookup bytes, appended to
+// dst in body order, and the holder they name, interned. Of a canonical
+// child the ID is read in place (see soap.FlatText.Key), a view that must
+// not outlive the delivery; any other child decodes through encoding/xml.
+// An IHAVE lists at most gossip.DigestCap notifications, all held by one
+// peer, whom the IWANTs go to: any other body, like an empty one or a
+// malformed child, is an error, and nothing of it is returned.
+func announcesFrom(env *soap.Envelope, dst [][]byte) (ids [][]byte, holder string, err error) {
+	blocks := env.Body.Blocks
+	switch {
+	case len(blocks) == 0:
+		return nil, "", soap.ErrEmptyBody
+	case len(blocks) > digestCap:
+		return nil, "", errAnnouncesLong
+	}
+	var first []byte // the first child's holder, as lookup bytes
+	for i := range blocks {
+		id, by, err := readAnnounce(blocks[i], i == 0)
+		if err != nil {
+			return nil, "", err
 		}
+		if i == 0 {
+			first, holder = by.key, by.name
+		} else if !bytes.Equal(by.key, first) {
+			return nil, "", errAnnounceHolders
+		}
+		dst = append(dst, id)
+	}
+	return dst, holder, nil
+}
+
+// announceHolder is an Announce child's Holder: as lookup bytes, and, when
+// asked for, as the interned string an IWANT is sent to.
+type announceHolder struct {
+	key  []byte
+	name string
+}
+
+// readAnnounce reads one Announce child: the canonical form in place,
+// anything else through encoding/xml. The holder is interned only with
+// name.
+func readAnnounce(b soap.Block, name bool) (id []byte, holder announceHolder, err error) {
+	if f, ok := scanAnnounce(b.Raw); ok {
+		holder.key = f.holder.Key()
+		if name {
+			holder.name = f.holder.Symbol()
+		}
+		return f.messageID.Key(), holder, nil
 	}
 	var a Announce
-	err = env.DecodeBody(&a)
-	return []byte(a.MessageID), a.Holder, err
+	if err = b.Decode(&a); err != nil {
+		return nil, holder, err
+	}
+	return []byte(a.MessageID), announceHolder{[]byte(a.Holder), a.Holder}, nil
 }
 
 // appendFetch writes a Fetch body block to dst; the MessageID is a string or

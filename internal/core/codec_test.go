@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -104,9 +105,9 @@ func checkReaders(t testing.TB, raw []byte) bool {
 	if f, ok := scanAnnounce(raw); ok && (errAnn != nil || f.announce() != refAnn) {
 		t.Fatalf("announce reader accepted %q as %+v; encoding/xml: %+v, %v", raw, f.announce(), refAnn, errAnn)
 	}
-	if id, holder, err := announceFrom(env); (err != nil) != (errAnn != nil) ||
-		(err == nil && (string(id) != refAnn.MessageID || holder != refAnn.Holder)) {
-		t.Fatalf("announceFrom(%q) = %q %q, %v; encoding/xml: %+v, %v", raw, id, holder, err, refAnn, errAnn)
+	if ids, holder, err := announcesFrom(env, nil); (err != nil) != (errAnn != nil) ||
+		(err == nil && (len(ids) != 1 || string(ids[0]) != refAnn.MessageID || holder != refAnn.Holder)) {
+		t.Fatalf("announcesFrom(%q) = %q %q, %v; encoding/xml: %+v, %v", raw, ids, holder, err, refAnn, errAnn)
 	}
 	var refFetch Fetch
 	errFetch := xml.Unmarshal(raw, &refFetch)
@@ -349,8 +350,11 @@ func TestGossipLayerNeverAliasesReceiveBuffer(t *testing.T) {
 		want  idPeer
 	}{
 		{announceOf(ann), func(env *soap.Envelope) (idPeer, error) {
-			id, holder, err := announceFrom(env)
-			return idPeer{string(id), holder}, err
+			ids, holder, err := announcesFrom(env, nil)
+			if err != nil {
+				return idPeer{}, err
+			}
+			return idPeer{string(ids[0]), holder}, nil
 		}, idPeer{ann.MessageID, ann.Holder}},
 		{fetchOf(fetch), func(env *soap.Envelope) (idPeer, error) {
 			id, requester, err := fetchFrom(env)
@@ -423,6 +427,75 @@ func FuzzGossipHeaderCodec(f *testing.F) {
 		}
 		if ok, wide := checkReaders(t, written), gh.Hops > 999999999 || gh.Hops < -999999999; ok == wide {
 			t.Fatalf("reader accepted=%v for its own writer's %s", ok, written)
+		}
+	})
+}
+
+// FuzzAnnounceCodec holds the IHAVE reader to encoding/xml on bodies of
+// several children: n children alternating between two fuzzed ones. Each
+// child must read as xml.Unmarshal reads it — the flat reader in place when
+// it accepts the child, encoding/xml otherwise — and the body is refused
+// exactly when it has more than gossip.DigestCap children, a child that does
+// not decode, or children naming different holders. handleIHave then sends
+// one IWANT per distinct announced notification, and none for a refused
+// body, which it answers with a Sender fault.
+func FuzzAnnounceCodec(f *testing.F) {
+	for i, s := range codecTexts {
+		other := codecTexts[(i+1)%len(codecTexts)]
+		one := announceOf(Announce{InteractionID: s, MessageID: other, Hops: codecHops[i%len(codecHops)], Holder: "mem://holder"}).Raw
+		two := announceOf(Announce{InteractionID: other, MessageID: s, Hops: codecHops[(i+1)%len(codecHops)], Holder: "mem://holder"}).Raw
+		f.Add(one, two, uint8(2))
+		f.Add(one, one, uint8(1))
+	}
+	canonical := announceOf(Announce{InteractionID: "i", MessageID: "m", Hops: 3, Holder: "h"}).Raw
+	f.Add(canonical, []byte(`<Announce xmlns="urn:wsgossip:2008"><Holder>h</Holder><MessageID>n</MessageID><InteractionID>i</InteractionID><Hops>3</Hops></Announce>`), uint8(3))
+	f.Add(canonical, announceOf(Announce{InteractionID: "i", MessageID: "n", Hops: 3, Holder: "other"}).Raw, uint8(2))
+	f.Add(canonical, []byte(`<Announce xmlns="urn:wsgossip:2008"><Hops>x</Hops></Announce>`), uint8(2))
+	f.Add(canonical, canonical, uint8(gossip.DigestCap))
+	f.Add(canonical, announceOf(Announce{InteractionID: "i", MessageID: "n", Hops: 3, Holder: "h"}).Raw, uint8(gossip.DigestCap+1))
+	f.Fuzz(func(t *testing.T, one, two []byte, n uint8) {
+		n = max(n, 1)
+		env := soap.NewEnvelope()
+		refs := make([]Announce, n)
+		refused := int(n) > gossip.DigestCap
+		for i := range int(n) {
+			raw := one
+			if i%2 == 1 {
+				raw = two
+			}
+			env.Body.Blocks = append(env.Body.Blocks, soap.Block{XMLName: announceName, Raw: raw})
+			if xml.Unmarshal(raw, &refs[i]) != nil || refs[i].Holder != refs[0].Holder {
+				refused = true
+			}
+			if fields, ok := scanAnnounce(raw); ok && fields.announce() != refs[i] {
+				t.Fatalf("announce reader accepted %q as %+v; encoding/xml: %+v", raw, fields.announce(), refs[i])
+			}
+		}
+		ids, holder, err := announcesFrom(env, nil)
+		if (err != nil) != refused {
+			t.Fatalf("announcesFrom of %d children = %v, want refused %v", n, err, refused)
+		}
+		distinct := map[uint64]bool{}
+		if !refused {
+			if len(ids) != int(n) || holder != refs[0].Holder {
+				t.Fatalf("announcesFrom = %d IDs by %q, want %d by %q", len(ids), holder, n, refs[0].Holder)
+			}
+			for i, id := range ids {
+				if string(id) != refs[i].MessageID {
+					t.Fatalf("child %d announces %q; encoding/xml: %q", i, id, refs[i].MessageID)
+				}
+				distinct[gossip.IDSum(id)] = true
+			}
+		}
+		rec := &wireRecorder{}
+		d, err := NewDisseminator(DisseminatorConfig{Address: "mem://self", Caller: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = d.handleIHave(context.Background(), &soap.Request{Envelope: env})
+		var fault *soap.Fault
+		if refused != (errors.As(err, &fault) && fault.Code.Value == soap.CodeSender) || len(rec.msgs) != len(distinct) {
+			t.Fatalf("handleIHave = %v with %d IWANTs; want refused %v, %d IWANTs", err, len(rec.msgs), refused, len(distinct))
 		}
 	})
 }

@@ -36,7 +36,8 @@ const (
 	// ActionNotify is the disseminated application operation ("op" in
 	// Figure 1).
 	ActionNotify = Namespace + ":notify"
-	// ActionIHave announces a notification's availability (lazy push).
+	// ActionIHave announces the availability of an announce round's
+	// notifications (lazy push).
 	ActionIHave = Namespace + ":ihave"
 	// ActionIWant requests an announced notification (lazy push).
 	ActionIWant = Namespace + ":iwant"
@@ -177,8 +178,9 @@ type ReplicateActivity struct {
 	Context wscoord.CoordinationContext
 }
 
-// Announce is the lazy-push IHAVE body: it names a notification without its
-// payload; unseen receivers fetch it with Fetch.
+// Announce is one child of the lazy-push IHAVE body, which holds one per
+// notification of the sender's announce round: it names a notification
+// without its payload; unseen receivers fetch it with Fetch.
 type Announce struct {
 	XMLName       xml.Name `xml:"urn:wsgossip:2008 Announce"`
 	InteractionID string   `xml:"InteractionID"`

@@ -12,7 +12,6 @@ import (
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/soap"
-	"wsgossip/internal/wsa"
 	"wsgossip/internal/wscoord"
 )
 
@@ -231,6 +230,10 @@ type pendingAnnounce struct {
 	state *interactionState
 	t     gossip.Transfer
 }
+
+// fanout is how many peers the advertisement goes to; an announcement never
+// floods (gossip.Machine.Spread), so it is the interaction's fanout.
+func (p *pendingAnnounce) fanout() int { return p.t.Peers(p.state.params.Fanout) }
 
 // NewDisseminator returns a disseminator node.
 func NewDisseminator(cfg DisseminatorConfig) (*Disseminator, error) {
@@ -529,12 +532,18 @@ func (d *Disseminator) spread(ctx context.Context, env *soap.Envelope, n notice,
 	d.transfer(ctx, env, n, state, t)
 }
 
-// transfer sends t's copies of a notification of the interaction state to
-// targets drawn now: env's payload re-headed, or an IHAVE naming it, at the
-// hop budget t sets. The targets are drawn from the live peer view when one
-// is installed (and non-empty), else from the interaction's
-// coordinator-assigned static list, into a buffer on the stack.
+// transfer sends t's copies of a notification of the interaction state: an
+// IHAVE naming it, as a round of one (announce), or env's payload re-headed,
+// at the hop budget t sets, to targets drawn now. The targets are drawn from
+// the live peer view when one is installed (and non-empty), else from the
+// interaction's coordinator-assigned static list, into a buffer on the
+// stack.
 func (d *Disseminator) transfer(ctx context.Context, env *soap.Envelope, n notice, state *interactionState, t gossip.Transfer) {
+	if t.Send == gossip.SendAnnounce {
+		one := [1]pendingAnnounce{{n: n, state: state, t: t}}
+		d.announce(ctx, one[:])
+		return
+	}
 	var scratch [16]string
 	d.mu.Lock()
 	targets := SelectTargets(scratch[:], &d.live, d.cfg.Peers, d.rng, t.Peers(state.params.Fanout), d.cfg.Address, state.params.Targets)
@@ -543,26 +552,9 @@ func (d *Disseminator) transfer(ctx context.Context, env *soap.Envelope, n notic
 		return
 	}
 	n.hops = t.Hops(n.hops)
-	if t.Send != gossip.SendAnnounce {
-		start := d.now()
-		sent, failed := d.forward(ctx, env, state.id, n, false, targets)
-		d.stats.forwarded.Add(int64(d.fanned(start, sent, failed)))
-		return
-	}
-	// Unseen receivers fetch the payload. The IHAVE is written once, its
-	// message ID and body straight into the wire buffer, and rendered per
-	// target.
-	var id [wsa.MessageIDLen]byte
-	m := soap.Message{
-		Action: ActionIHave, ID: wsa.AppendMessageID(id[:0]),
-		Name: announceName, Parts: 1, Size: flatOverhead + len(state.id) + len(n.messageID) + len(d.cfg.Address),
-		Write: func(dst []byte, _ int) []byte {
-			return appendAnnounce(dst, state.id, n.messageID, n.hops, d.cfg.Address)
-		},
-	}
 	start := d.now()
-	sent, failed := m.Fanout(ctx, d.cfg.Caller, targets)
-	d.stats.announced.Add(int64(d.fanned(start, sent, failed)))
+	sent, failed := d.forward(ctx, env, state.id, n, false, targets)
+	d.stats.forwarded.Add(int64(d.fanned(start, sent, failed)))
 }
 
 // forward is the one way a notification travels on: a copy of env re-headed

@@ -29,7 +29,12 @@
 // implementation of the dissemination protocol (gossip.Engine is the
 // other): the machine holds the state and decides every spread; the
 // Disseminator decodes, registers on first contact, queues deferred
-// announcements, draws targets, encodes and sends. Anti-entropy repair and
+// announcements, draws targets, encodes and sends. An announce round
+// (TickAnnounce) draws its targets once and sends each peer one IHAVE whose
+// body holds one Announce child per notification addressed to it, at most
+// gossip.DigestCap of them and all naming one holder; a peer fetches each
+// unseen one with an IWANT of its own (DESIGN.md, "An announce round is one
+// envelope per peer"). Anti-entropy repair and
 // WS-PullGossip are one digest exchange (digest.go): one round, one responder.
 // A digest is the machine's (store.Digest): the 64-bit sums of the newest
 // held MessageIDs (gossip.IDSum), at most gossip.DigestCap, and whether its

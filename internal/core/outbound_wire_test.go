@@ -115,6 +115,17 @@ func TestOutboundWireGolden(t *testing.T) {
 		checkWireGolden(t, "ihave", only(rec, "announce"))
 	})
 
+	t.Run("announce round", func(t *testing.T) {
+		d, rec := newRecorded()
+		state := newInteractionState(interaction, ProtocolPushGossip, GossipParameters{Fanout: 1, Hops: 4, Targets: []string{"mem://a"}})
+		announce := gossip.Transfer{Send: gossip.SendAnnounce}
+		d.announce(ctx, []pendingAnnounce{
+			{n: noticeOf(GossipHeader{InteractionID: interaction, MessageID: "urn:uuid:notification", Hops: 4}), state: state, t: announce},
+			{n: noticeOf(GossipHeader{InteractionID: interaction, MessageID: "urn:uuid:notification-2", Hops: 2}), state: state, t: announce},
+		})
+		checkWireGolden(t, "ihave_round", only(rec, "announce round"))
+	})
+
 	t.Run("handleIHave", func(t *testing.T) {
 		d, rec := newRecorded()
 		req := requestWithBody(t, ActionIHave, announceOf(Announce{

@@ -464,17 +464,20 @@ func (e *Engine) serveLocked(ctx context.Context, to, action string, hs []held) 
 	putBody(bp, body)
 }
 
-// Tick runs one periodic round. For the styles that pull it starts an
-// anti-entropy exchange with f random peers, sending the digest a SOAP node
-// sends: the sums of the newest held rumors, written from scratch on the
-// stack. For other styles it is a no-op, letting callers drive every engine
-// uniformly.
+// Tick runs one periodic round. It releases the IWANTs unanswered since
+// before the previous round (Machine.ReleaseStale), so a lost request or
+// answer does not keep a lazy-push engine from fetching the rumor when it is
+// next announced. For the styles that pull it then starts an anti-entropy
+// exchange with f random peers, sending the digest a SOAP node sends: the
+// sums of the newest held rumors, written from scratch on the stack. Callers
+// drive every engine uniformly.
 func (e *Engine) Tick(ctx context.Context) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.m.ReleaseStale()
 	if !e.cfg.Style.Pulls() {
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var buf [8]string
 	peers := e.selectPeersLocked(&buf, e.cfg.Fanout)
 	if len(peers) == 0 {

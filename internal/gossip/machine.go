@@ -1,5 +1,7 @@
 package gossip
 
+import "math"
+
 // Machine is one node's dissemination protocol with no lock, no clock and no
 // I/O. It owns all dissemination state — the seen cache, the store, the
 // outstanding IWANTs and the counter-mongering counts — and makes every
@@ -21,14 +23,16 @@ package gossip
 type Machine[V any] struct {
 	store[V]  // Hold, Evictee, Get, Len, Digest, Missing
 	seen      seenCache
-	requested map[uint64]struct{} // outstanding IWANTs
-	counters  map[uint64]int      // StyleCounter: duplicates heard per rumor still mongered
-	counterK  int
+	requested map[uint64]uint32 // outstanding IWANTs, each with the round it was made in
+	counters  map[uint64]int    // StyleCounter: duplicates heard per rumor still mongered
+	counterK  int32
+	round     uint32 // advanced by ReleaseStale
 }
 
 // NewMachine returns a machine holding seenCap sums and storeCap values,
-// whose counter mongering goes quiescent after counterK duplicates.
-// Non-positive values take DefaultSeenCacheSize, DefaultStoreSize and 2.
+// whose counter mongering goes quiescent after counterK duplicates (at most
+// math.MaxInt32 of them). Non-positive values take DefaultSeenCacheSize,
+// DefaultStoreSize and 2.
 func NewMachine[V any](seenCap, storeCap, counterK int) Machine[V] {
 	if seenCap <= 0 {
 		seenCap = DefaultSeenCacheSize
@@ -41,7 +45,7 @@ func NewMachine[V any](seenCap, storeCap, counterK int) Machine[V] {
 	}
 	// requested and counters stay nil until a style writes them: most
 	// engines of a large simulation push, and never do.
-	return Machine[V]{store: newStore[V](storeCap), seen: newSeenCache(seenCap), counterK: counterK}
+	return Machine[V]{store: newStore[V](storeCap), seen: newSeenCache(seenCap), counterK: int32(min(counterK, math.MaxInt32))}
 }
 
 // Send is what a Transfer puts on the wire.
@@ -117,7 +121,7 @@ func (m *Machine[V]) Receive(sum uint64, viaPull bool) (first bool, t Transfer) 
 	if viaPull || !active {
 		return false, Transfer{}
 	}
-	if count++; count >= m.counterK {
+	if count++; count >= int(m.counterK) {
 		delete(m.counters, sum)
 		return false, Transfer{}
 	}
@@ -155,8 +159,8 @@ func (m *Machine[V]) Spread(sum uint64, style Style, hops int, viaPull bool) Tra
 // Want decides an announcement of the notification whose ID sums to sum.
 // held reports that the seen cache holds it: the announcement is a
 // duplicate. want reports that it should be fetched — neither held nor
-// already requested — and the request is then outstanding until Receive or
-// Release settles it.
+// already requested — and the request is then outstanding until Receive,
+// Release or ReleaseStale settles it.
 func (m *Machine[V]) Want(sum uint64) (want, held bool) {
 	if m.seen.Contains(sum) {
 		return false, true
@@ -165,15 +169,29 @@ func (m *Machine[V]) Want(sum uint64) (want, held bool) {
 		return false, false
 	}
 	if m.requested == nil {
-		m.requested = make(map[uint64]struct{})
+		m.requested = make(map[uint64]uint32)
 	}
-	m.requested[sum] = struct{}{}
+	m.requested[sum] = m.round
 	return true, false
 }
 
 // Release settles a request whose IWANT could not be sent, so a later
 // announcement of the rumor fetches it again.
 func (m *Machine[V]) Release(sum uint64) { delete(m.requested, sum) }
+
+// ReleaseStale ends a request round: it settles every request made before
+// the previous call, whose IWANT or answer has had a whole round to arrive
+// and is taken for lost, so a later announcement of the rumor fetches it
+// again. A request outlives at least one full round. A binding calls it once
+// per announce round.
+func (m *Machine[V]) ReleaseStale() {
+	for sum, round := range m.requested {
+		if round != m.round {
+			delete(m.requested, sum)
+		}
+	}
+	m.round++
+}
 
 // Seen reports whether the seen cache holds sum, without refreshing it.
 func (m *Machine[V]) Seen(sum uint64) bool { return m.seen.Contains(sum) }

@@ -19,9 +19,10 @@ import (
 // cache has held ever since.
 type machineModel struct {
 	seenCap, storeCap, counterK int
-	seen                        []uint64 // most recently used first
-	stored                      []uint64 // oldest first
-	outstanding                 map[uint64]bool
+	seen                        []uint64       // most recently used first
+	stored                      []uint64       // oldest first
+	outstanding                 map[uint64]int // the round each request was made in
+	round                       int
 	counts                      map[uint64]int
 	delivered                   map[string]bool
 }
@@ -66,7 +67,9 @@ func (m *machineModel) hold(sum uint64) {
 //   - Missing never returns a value whose sum the digest lists, returns the
 //     newest first, returns at most max, and of a truncated digest returns
 //     only what is newer than the oldest sum it lists, when that sum is held;
-//   - a request is outstanding at most once until it is received or released;
+//   - a request is outstanding at most once until it is received or
+//     released, and a round's end releases exactly the requests made before
+//     the previous round's end;
 //   - counter mongering stops after CounterK duplicates.
 //
 // It runs once more with sums narrowed to three bits, so that the ten IDs
@@ -106,7 +109,7 @@ func runMachineModel(t *testing.T, style Style) (missed int) {
 	m := NewMachine[Rumor](seenCap, storeCap, counterK)
 	model := &machineModel{
 		seenCap: seenCap, storeCap: storeCap, counterK: counterK,
-		outstanding: map[uint64]bool{}, counts: map[uint64]int{}, delivered: map[string]bool{},
+		outstanding: map[uint64]int{}, counts: map[uint64]int{}, delivered: map[string]bool{},
 	}
 	for step := 0; step < steps; step++ {
 		id := fmt.Sprintf("r%d", rng.Intn(alphabet))
@@ -115,7 +118,7 @@ func runMachineModel(t *testing.T, style Style) (missed int) {
 			t.Helper()
 			t.Fatalf("step %d, %s: %s", step, id, fmt.Sprintf(format, args...))
 		}
-		switch op := rng.Intn(6); op {
+		switch op := rng.Intn(7); op {
 		case 0, 1, 2: // a receipt: first or duplicate, in a body or (Publish, Inject) owned
 			hops, viaPull := rng.Intn(5)-1, op == 0 && rng.Intn(3) == 0
 			held := model.holds(sum)
@@ -141,11 +144,12 @@ func runMachineModel(t *testing.T, style Style) (missed int) {
 			checkSpread(m.Spread(sum, style, hops, viaPull), model, style, sum, hops, viaPull, fail)
 		case 3: // an IHAVE, and sometimes its IWANT refused
 			want, held := m.Want(sum)
-			if held != model.holds(sum) || want != (!held && !model.outstanding[sum]) {
-				fail("Want = (%v, held %v), model holds %v, outstanding %v", want, held, model.holds(sum), model.outstanding[sum])
+			_, pending := model.outstanding[sum]
+			if held != model.holds(sum) || want != (!held && !pending) {
+				fail("Want = (%v, held %v), model holds %v, outstanding %v", want, held, model.holds(sum), pending)
 			}
 			if want {
-				model.outstanding[sum] = true
+				model.outstanding[sum] = model.round
 				if rng.Intn(3) == 0 {
 					m.Release(sum)
 					delete(model.outstanding, sum)
@@ -158,6 +162,17 @@ func runMachineModel(t *testing.T, style Style) (missed int) {
 			}
 			if ok && r.Hops > 0 && ServedHops(r.Hops) != r.Hops-1 {
 				fail("serving at %d hops costs %d", r.Hops, r.Hops-ServedHops(r.Hops))
+			}
+		case 6: // an announce round ends
+			m.ReleaseStale()
+			for sum, round := range model.outstanding {
+				if round < model.round {
+					delete(model.outstanding, sum)
+				}
+			}
+			model.round++
+			if len(m.requested) != len(model.outstanding) {
+				fail("%d requests outstanding after a round, model has %d", len(m.requested), len(model.outstanding))
 			}
 		case 5: // a digest
 			var listed []uint64

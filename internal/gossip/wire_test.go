@@ -266,6 +266,45 @@ func TestIHaveDuplicateRequestSuppressed(t *testing.T) {
 	}
 }
 
+// TestUnansweredIWantReleasedByTick: an IWANT whose answer never comes is
+// outstanding for at least one whole round; at the end of the next round
+// (Tick) it is released, and the next announcement fetches the rumor again.
+func TestUnansweredIWantReleasedByTick(t *testing.T) {
+	net := simnet.New(simnet.DefaultConfig(4))
+	requests := 0
+	for _, p := range []string{"p1", "p2"} {
+		net.Node(p).SetHandler(func(_ context.Context, msg transport.Message) error {
+			if msg.Action == ActionIWant {
+				requests++
+			}
+			return nil
+		})
+	}
+	eng, err := New(Config{
+		Style: StyleLazyPush, Fanout: 1, Hops: 2,
+		Endpoint: net.Node("a"),
+		Peers:    NewStaticPeers([]string{"a", "p1", "p2"}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := encodeRefs(RumorRef{ID: "r1", Hops: 2})
+	ctx := context.Background()
+	for i, from := range []string{"p1", "p2", "tick", "p2", "tick", "p2"} {
+		if from == "tick" {
+			eng.Tick(ctx)
+			continue
+		}
+		if err := eng.handleIHave(ctx, transport.Message{From: from, To: "a", Body: body}); err != nil {
+			t.Fatal(err)
+		}
+		net.Run()
+		if want := 1 + i/5; requests != want {
+			t.Fatalf("after step %d: %d IWANTs, want %d", i, requests, want)
+		}
+	}
+}
+
 // TestRefusedIWantReleasesRequest: a fetch whose IWANT cannot be sent must
 // not strand the rumor. c's fetch from a is refused; b's later IHAVE must make
 // c fetch the rumor from b.

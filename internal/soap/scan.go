@@ -68,11 +68,13 @@ var (
 
 // Inline block capacity of a scanned envelope. A gossiped notification
 // carries five header blocks (To, Action, MessageID, Gossip,
-// CoordinationContext) and one body child; an envelope with more blocks than
-// this appends past the inline array like any slice.
+// CoordinationContext) and one body child; a batch — an IHAVE listing an
+// announce round, a push-sum exchange or ack envelope — carries a few body
+// children. An envelope with more blocks than this appends past the inline
+// array like any slice.
 const (
 	inlineHeaderBlocks = 7
-	inlineBodyBlocks   = 1
+	inlineBodyBlocks   = 4
 )
 
 // received is everything decodeScan builds for one document, allocated as a
