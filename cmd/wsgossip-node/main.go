@@ -17,7 +17,7 @@ import (
 	"encoding/xml"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"math"
 	"math/rand"
 	"net"
@@ -46,6 +46,7 @@ type noteBody struct {
 }
 
 func main() {
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug})))
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "wsgossip-node:", err)
 		os.Exit(1)
@@ -85,8 +86,8 @@ type options struct {
 
 // parseArgs defines the flags on fs, parses args and resolves them into
 // options, refusing flag combinations no role can run. It touches nothing
-// outside fs: the binding, the application handler and the log sink are
-// the caller's to fill in.
+// outside fs: the binding and the application handler are the caller's to
+// fill in.
 func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
 	var (
 		role        = fs.String("role", "", "coordinator | disseminator | consumer | initiator")
@@ -258,7 +259,7 @@ func serve(listen string, handler soap.Handler, reg *metrics.Registry, health fu
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() { errCh <- msrv.ListenAndServe() }()
-		log.Printf("metrics at http://%s/metrics (health at /healthz)", metricsAddr)
+		slog.Info("metrics at /metrics, health at /healthz", "addr", metricsAddr)
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -316,7 +317,7 @@ func runCoordinator(listen, addr, styleName string, activityTTL, pruneEvery time
 			return err
 		}
 		defer runner.Stop()
-		log.Printf("coordinator pruning expired activities every %v (ttl %v)", pruneEvery, activityTTL)
+		slog.Info("coordinator pruning expired activities", "every", pruneEvery, "ttl", activityTTL)
 	}
 	health := func() obs.Health {
 		h := obs.Health{
@@ -329,7 +330,7 @@ func runCoordinator(listen, addr, styleName string, activityTTL, pruneEvery time
 		}
 		return h
 	}
-	log.Printf("coordinator serving at %s (listen %s, style %s)", addr, listen, style)
+	slog.Info("coordinator serving", "addr", addr, "listen", listen, "style", style)
 	return serve(listen, coord.Handler(), reg, health, metricsAddr)
 }
 
@@ -341,21 +342,20 @@ type printingApp struct {
 func (p *printingApp) HandleSOAP(_ context.Context, req *soap.Request) (*soap.Envelope, error) {
 	var note noteBody
 	if err := req.Envelope.DecodeBody(&note); err != nil {
-		log.Printf("[%s] notification with unreadable body: %v", p.role, err)
+		slog.Warn("notification with unreadable body", "role", p.role, "err", err)
 		return nil, nil
 	}
-	log.Printf("[%s] delivered: %q (message %s)", p.role, note.Text, req.Addressing().MessageID)
+	slog.Info("delivered", "role", p.role, "text", note.Text, "message", req.Addressing().MessageID)
 	return nil, nil
 }
 
 // runNode serves a disseminator or consumer: the whole middleware stack —
 // and, for disseminators, its self-clocking rounds — is the library's
-// wsgossip.Node; this binary adds the HTTP binding and the log.
+// wsgossip.Node; this binary adds the HTTP binding and the log handler.
 func runNode(o options, client *soap.HTTPClient) error {
 	cfg := o.node
 	cfg.Caller = client
 	cfg.App = &printingApp{role: o.role}
-	cfg.Logf = log.Printf
 	cfg.Metrics = metrics.NewRegistry()
 	soap.InstallWireMetrics(cfg.Metrics)
 	node, err := wsgossip.NewNode(cfg)
@@ -369,7 +369,7 @@ func runNode(o options, client *soap.HTTPClient) error {
 		return err
 	}
 	defer node.Stop()
-	log.Printf("%s serving at %s (listen %s)", o.role, cfg.Address, o.listen)
+	slog.Info("serving", "role", o.role, "addr", cfg.Address, "listen", o.listen)
 	return serve(o.listen, node.Handler(), node.Registry(), node.Health, o.metricsAddr)
 }
 
@@ -430,8 +430,8 @@ func runInitiator(coordinator, message string, count int, client *soap.HTTPClien
 	if err != nil {
 		return err
 	}
-	log.Printf("interaction %s: fanout=%d hops=%d targets=%v",
-		inter.Context.Identifier, inter.Params.Fanout, inter.Params.Hops, inter.Params.Targets)
+	slog.Info("interaction started", "id", inter.Context.Identifier,
+		"fanout", inter.Params.Fanout, "hops", inter.Params.Hops, "targets", inter.Params.Targets)
 	for i := 0; i < count; i++ {
 		text := message
 		if count > 1 {
@@ -441,7 +441,7 @@ func runInitiator(coordinator, message string, count int, client *soap.HTTPClien
 		if err != nil {
 			return err
 		}
-		log.Printf("notified %d targets (message %s)", sent, msgID)
+		slog.Info("notified", "targets", sent, "message", msgID)
 	}
 	if plane != nil {
 		// A plane Send returning nil may mean "queued for retry": hold the
@@ -449,11 +449,11 @@ func runInitiator(coordinator, message string, count int, client *soap.HTTPClien
 		// abandoned by exit.
 		if !drainPlane(plane, 30*time.Second) {
 			st := plane.Stats()
-			log.Printf("delivery: exiting with %d message(s) undelivered (%d open circuit(s))",
-				st.Queued+st.Inflight, st.OpenCircuits)
+			slog.Warn("delivery: exiting with messages undelivered",
+				"undelivered", st.Queued+st.Inflight, "open_circuits", st.OpenCircuits)
 		}
 		if retries := reg.Counter("delivery_retries_total").Value(); retries > 0 {
-			log.Printf("delivery: %d retried attempt(s) during fan-out", retries)
+			slog.Info("delivery: retried attempts during fan-out", "retries", retries)
 		}
 	}
 	return nil

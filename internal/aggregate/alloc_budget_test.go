@@ -2,9 +2,7 @@ package aggregate
 
 import (
 	"context"
-	"encoding/json"
 	"math/rand"
-	"os"
 	"testing"
 	"time"
 
@@ -12,6 +10,7 @@ import (
 	"wsgossip/internal/core"
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/soap"
+	"wsgossip/internal/testkit"
 	"wsgossip/internal/transport"
 	"wsgossip/internal/wscoord"
 )
@@ -99,28 +98,8 @@ type allocBudget struct {
 	AckSend          float64 `json:"ack_send_max_allocs"`
 }
 
-func loadAllocBudget(t *testing.T) allocBudget {
-	t.Helper()
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	raw, err := os.ReadFile("testdata/alloc_budget.json")
-	if err != nil {
-		t.Fatalf("read alloc budget: %v", err)
-	}
-	budget := allocBudget{ShareIntake: -1, AckIntake: -1, ExchangeSend: -1, AckSend: -1}
-	if err := json.Unmarshal(raw, &budget); err != nil {
-		t.Fatalf("parse alloc budget: %v", err)
-	}
-	if budget.MaxAllocs <= 0 || budget.ServiceMaxAllocs <= 0 || budget.ShareIntake < 0 || budget.AckIntake < 0 || budget.TickTwoTasks <= 0 ||
-		budget.ExchangeSend < 0 || budget.AckSend < 0 {
-		t.Fatalf("alloc budget missing fields: %+v", budget)
-	}
-	return budget
-}
-
 func TestWindowedExchangeAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	a, b := newExchangePair(t)
 	ctx := context.Background()
 	// Warm up: first tick rolls the epoch and sizes the maps.
@@ -208,7 +187,7 @@ func checkServiceExchange(t testing.TB, a, b *Service, n int64) {
 // either one back on the per-message path (an xml.Marshal, an xml.Unmarshal)
 // costs more than the budget's 15 % headroom.
 func TestServiceExchangeAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	a, b := newServiceExchangePair(t)
 	ctx := context.Background()
 	// Warm up: first contact at b, and the maps sized on both sides.
@@ -231,7 +210,7 @@ func TestServiceExchangeAllocBudget(t *testing.T) {
 // the text resolves through the intern table, and the TaskID stays on the
 // wire until the binding finds its task with it.
 func TestShareAckIntakeAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	share := shareBlock(&Share{
 		TaskID: serviceExchangeTask, Function: string(FuncAvg), From: "mem://a", Sum: 1.5, Weight: 0.25,
 		HasExtremes: true, Min: 1, Max: 2, WindowMillis: 1000, Epoch: 7, Seq: 1 << 40,
@@ -312,7 +291,7 @@ func newTwoTaskTick(t testing.TB) (a *Service, peers []*Service) {
 // sent, decoded, absorbed and answered by three ack envelopes, and six acks
 // committed. The budget is exact.
 func TestServiceTickTwoTasksAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	a, peers := newTwoTaskTick(t)
 	ctx := context.Background()
 	a.Tick(ctx)
@@ -407,7 +386,7 @@ func exchangeSends(tb testing.TB) (shares func(), acks func()) {
 // nothing, and neither does the receiver, whose decoded request holds the
 // two body children inline. The budgets are exact.
 func TestExchangeSendAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	shares, acks := exchangeSends(t)
 	for _, row := range []struct {
 		what   string

@@ -3,6 +3,8 @@ package clock
 import (
 	"testing"
 	"time"
+
+	"wsgossip/internal/testkit"
 )
 
 // slotCounter is an event that carries its own timer.
@@ -18,7 +20,7 @@ func (e *slotCounter) Fire() { e.fired++ }
 // nothing on the free list. That is why simnet's delivery record carries a
 // Slot: a message in flight is one record, not a record and a timer.
 func TestScheduleSlotAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	v := NewVirtual()

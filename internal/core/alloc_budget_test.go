@@ -2,14 +2,13 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/soap"
+	"wsgossip/internal/testkit"
 	"wsgossip/internal/wsa"
 )
 
@@ -37,29 +36,6 @@ type allocBudget struct {
 	IHaveRoundHeld    float64 `json:"ihave_round4_held_max_allocs"`
 }
 
-func loadAllocBudget(t *testing.T) allocBudget {
-	t.Helper()
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	raw, err := os.ReadFile("testdata/alloc_budget.json")
-	if err != nil {
-		t.Fatalf("read alloc budget: %v", err)
-	}
-	budget := allocBudget{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1}
-	if err := json.Unmarshal(raw, &budget); err != nil {
-		t.Fatalf("parse alloc budget: %v", err)
-	}
-	if budget.ForwardFanoutF8 < 0 || budget.DuplicateReceipt < 0 || budget.DuplicateDelivery < 0 ||
-		budget.GossipHeaderFrom < 0 || budget.ForwardHeaders < 0 ||
-		budget.DigestReceipt < 0 || budget.DigestEnvelope < 0 || budget.IHaveHeld < 0 || budget.IWantServe < 0 ||
-		budget.DigestOneMissing <= 0 || budget.FirstReceipt <= 0 || budget.IHaveAnnounce < 0 || budget.IWantSend < 0 ||
-		budget.AnnounceRound < 0 || budget.IHaveRoundHeld < 0 {
-		t.Fatalf("alloc budget missing fields: %+v", budget)
-	}
-	return budget
-}
-
 func checkAllocBudget(t *testing.T, what string, allocs, budget float64) {
 	t.Helper()
 	if allocs > budget {
@@ -69,7 +45,7 @@ func checkAllocBudget(t *testing.T, what string, allocs, budget float64) {
 }
 
 func TestForwardFanoutAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	fb := newForwardBench(t, 8, 1<<10)
 	allocs := testing.AllocsPerRun(100, func() {
 		fb.d.transfer(fb.ctx, fb.env, fb.n, fb.state, pushTransfer)
@@ -145,7 +121,7 @@ func firstReceipts(tb testing.TB) (d *Disseminator, receive func()) {
 // blocks into the pooled template, so the one allocation is the rendered
 // copy, which this binding drops where a transport would recycle it.
 func TestFirstReceiptAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	d, receive := firstReceipts(t)
 	d.mu.Lock()
 	evictee, full := d.m.Evictee()
@@ -178,7 +154,7 @@ func BenchmarkFirstReceipt(b *testing.B) {
 // layer no allocation at all — the header is read in place and the seen
 // cache asked with the sum of the MessageID bytes.
 func TestDuplicateReceiptAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	fb := newForwardBench(t, 8, 1<<10)
 	req := &soap.Request{Envelope: fb.receivedNotification(t)}
 	fb.d.interactions[fb.gh.InteractionID] = fb.state
@@ -200,7 +176,7 @@ func TestDuplicateReceiptAllocBudget(t *testing.T) {
 // one-way receive path — MemBus decode, Dispatcher on the action, intercept,
 // the buffer and the decoded request back to their pools — allocates nothing.
 func TestDuplicateDeliveryAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	fb := newForwardBench(t, 8, 1<<10)
 	deliver := fb.duplicateDelivery(t)
 	allocs := testing.AllocsPerRun(100, deliver)
@@ -211,7 +187,7 @@ func TestDuplicateDeliveryAllocBudget(t *testing.T) {
 }
 
 func TestGossipHeaderFromAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	fb := newForwardBench(t, 8, 1<<10)
 	env := fb.receivedNotification(t)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -223,7 +199,7 @@ func TestGossipHeaderFromAllocBudget(t *testing.T) {
 }
 
 func TestForwardHeadersAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	fb := newForwardBench(t, 8, 1<<10)
 	env := fb.receivedNotification(t)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -263,7 +239,7 @@ func heldSumsOf(d *Disseminator) []byte {
 // lists: the sender's address resolves through the intern table, and the
 // sums are decoded and sorted in scratch on the stack.
 func TestDigestReceiptAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	d, req := fullDigestResponder(t, asWritten)
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := d.handleDigest(context.Background(), req); err != nil {
@@ -283,7 +259,7 @@ func TestDigestReceiptAllocBudget(t *testing.T) {
 // drops it — and nothing per listed sum: the missing list is collected on the
 // stack.
 func TestDigestOneMissingAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	d, _ := newDigestResponder(t, digestCap)
 	for i := 0; i < digestCap; i++ {
 		storeNotification(t, d, string(wsa.NewMessageID()))
@@ -328,7 +304,7 @@ func digestSender(d *Disseminator) *Disseminator {
 // TestDigestEnvelopeAllocBudget: what TickRepair writes and sends once per
 // round for a 128-entry store.
 func TestDigestEnvelopeAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	d, _ := fullDigestResponder(t, asWritten)
 	digestSender(d)
 	allocs := testing.AllocsPerRun(100, func() { tickRepairDigest(t, d) })
@@ -423,7 +399,7 @@ func fetchNew(tb testing.TB, d *Disseminator, ihaveNew *soap.Request) {
 // already holds, and such an IHAVE costs nothing — the seen cache is asked
 // with the sum of the announced ID where it lies in the receive buffer.
 func TestIHaveHeldAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	d, ihave, _, _ := lazyResponder(t)
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := d.handleIHave(context.Background(), ihave); err != nil {
@@ -442,7 +418,7 @@ func TestIHaveHeldAllocBudget(t *testing.T) {
 // pooled template, so what it costs, through a binding that drops what it is
 // sent, is the one rendered copy a transport would recycle.
 func TestIWantServeAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	d, _, _, iwant := lazyResponder(t)
 	d.cfg.Caller = dropCaller{}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -484,7 +460,7 @@ func BenchmarkIWantServe(b *testing.B) {
 // the announced ID as it lies in the receive buffer straight into a pooled
 // wire buffer, which the bus recycles.
 func TestIWantSendAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	d, _, ihaveNew, _ := lazyResponder(t)
 	allocs := testing.AllocsPerRun(100, func() { fetchNew(t, d, ihaveNew) })
 	if stats := d.Stats(); stats.Fetched != 101 || stats.SendErrors != 0 {
@@ -511,7 +487,7 @@ var announceTransfer = gossip.Transfer{Send: gossip.SendAnnounce}
 // written once straight into a pooled template and rendered per peer into
 // pooled buffers the bus recycles.
 func TestIHaveAnnounceAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	fb := newForwardBench(t, 8, 1<<10)
 	allocs := testing.AllocsPerRun(100, func() {
 		fb.d.transfer(fb.ctx, nil, fb.n, fb.state, announceTransfer)
@@ -537,7 +513,7 @@ func BenchmarkIHaveAnnounce(b *testing.B) {
 // once straight into a pooled template and rendered per peer into pooled
 // buffers the bus recycles: 8 envelopes, not 32.
 func TestAnnounceRoundAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	fb := newForwardBench(t, 8, 1<<10)
 	round := announceRoundOf(fb, 4)
 	allocs := testing.AllocsPerRun(100, func() { fb.d.announce(fb.ctx, round) })
@@ -571,7 +547,7 @@ func announceRoundOf(fb *forwardBench, n int) []pendingAnnounce {
 // stack, and the seen cache asked with the sum of each announced ID where it
 // lies in the receive buffer.
 func TestIHaveRoundHeldAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	d, _, _, _ := lazyResponder(t)
 	children := make([]soap.Block, 4)
 	for i := range children {

@@ -2,13 +2,12 @@ package delivery
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
 
 	"wsgossip/internal/clock"
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/soap"
+	"wsgossip/internal/testkit"
 )
 
 // Allocation-budget regression guard for the plane's attempt path, which
@@ -21,20 +20,7 @@ type allocBudget struct {
 }
 
 func TestPlaneAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	raw, err := os.ReadFile("testdata/alloc_budget.json")
-	if err != nil {
-		t.Fatalf("read alloc budget: %v", err)
-	}
-	budget := allocBudget{SendEncodedMaxAllocs: -1, CallMaxAllocs: -1}
-	if err := json.Unmarshal(raw, &budget); err != nil {
-		t.Fatalf("parse alloc budget: %v", err)
-	}
-	if budget.SendEncodedMaxAllocs < 0 || budget.CallMaxAllocs < 0 {
-		t.Fatalf("alloc budget missing fields: %+v", budget)
-	}
+	budget := testkit.LoadBudget[allocBudget](t)
 	reg := metrics.NewRegistry()
 	p := NewPlane(testConfig(syncBinding{}, clock.NewVirtual(), reg))
 	defer p.Close()

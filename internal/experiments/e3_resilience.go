@@ -76,7 +76,21 @@ func E3Resilience(opt Options) ([]Table, error) {
 }
 
 func gossipUnderCrash(n int, seed int64, crashPct, trials int, style gossip.Style, repair bool) (float64, error) {
+	covs, err := crashTrials(n, seed, crashPct, trials, style, repair)
+	if err != nil {
+		return 0, err
+	}
 	var sum float64
+	for _, c := range covs {
+		sum += c
+	}
+	return sum / float64(trials), nil
+}
+
+// crashTrials runs trials publications among n engines with crashPct percent
+// of them crashed, and returns each trial's delivery ratio among survivors.
+func crashTrials(n int, seed int64, crashPct, trials int, style gossip.Style, repair bool) ([]float64, error) {
+	covs := make([]float64, 0, trials)
 	for trial := 0; trial < trials; trial++ {
 		c, err := newEngineCluster(n, seed+int64(trial)*31, engineParams{
 			style:  style,
@@ -84,7 +98,7 @@ func gossipUnderCrash(n int, seed int64, crashPct, trials int, style gossip.Styl
 			hops:   defaultHops(n) + 2,
 		})
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		rng := rand.New(rand.NewSource(seed + int64(trial)))
 		crashed := gossip.SamplePeers(rng, c.addrs, n*crashPct/100, c.addrs[0])
@@ -93,15 +107,15 @@ func gossipUnderCrash(n int, seed int64, crashPct, trials int, style gossip.Styl
 		}
 		r, err := c.engines[0].Publish(context.Background(), []byte("evt"))
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		c.net.Run()
 		if repair {
 			c.tickAll(context.Background(), 10, 20*time.Millisecond)
 		}
-		sum += c.coverage(r.ID)
+		covs = append(covs, c.coverage(r.ID))
 	}
-	return sum / float64(trials), nil
+	return covs, nil
 }
 
 func gossipUnderLoss(n int, seed int64, loss float64, trials int, style gossip.Style, repair bool) (float64, error) {

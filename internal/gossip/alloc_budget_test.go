@@ -2,14 +2,13 @@ package gossip
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"testing"
 
 	"wsgossip/internal/simnet"
+	"wsgossip/internal/testkit"
 	"wsgossip/internal/transport"
 )
 
@@ -26,25 +25,6 @@ type allocBudget struct {
 	PullReqNothingToSay float64 `json:"pull_request_nothing_missing_max_allocs"`
 	CounterDuplicate    float64 `json:"counter_duplicate_burst_f3_max_allocs"`
 	EngineFootprint     float64 `json:"engine_footprint_max_bytes"`
-}
-
-func loadAllocBudget(t *testing.T) allocBudget {
-	t.Helper()
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	raw, err := os.ReadFile("testdata/alloc_budget.json")
-	if err != nil {
-		t.Fatalf("read alloc budget: %v", err)
-	}
-	budget := allocBudget{-1, -1, -1, -1, -1, -1}
-	if err := json.Unmarshal(raw, &budget); err != nil {
-		t.Fatalf("parse alloc budget: %v", err)
-	}
-	if budget.DuplicatePush < 0 || budget.FirstReceiptForward < 0 || budget.FirstReceiptDeliver < 0 || budget.PullReqNothingToSay < 0 || budget.CounterDuplicate < 0 || budget.EngineFootprint < 0 {
-		t.Fatalf("alloc budget missing fields: %+v", budget)
-	}
-	return budget
 }
 
 func checkAllocBudget(t *testing.T, what string, allocs, budget float64) {
@@ -113,7 +93,7 @@ func (pb *pushBench) receive(tb testing.TB) {
 // scale path, and a duplicate is dropped on the ID as it lies in the body —
 // nothing is built.
 func TestDuplicatePushAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	pb := newPushBench(t, StylePush, 1)
 	pb.receive(t) // first receipt
 	allocs := testing.AllocsPerRun(200, func() { pb.receive(t) })
@@ -131,7 +111,7 @@ func TestDuplicatePushAllocBudget(t *testing.T) {
 // from the fabric's pool. The run is long enough to cycle the seen cache and
 // the store many times over, so their evictions are inside the figure.
 func TestFirstReceiptForwardAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	const runs = 2000
 	pb := newPushBench(t, StylePush, runs+1)
 	allocs := testing.AllocsPerRun(runs, func() { pb.receive(t) })
@@ -147,7 +127,7 @@ func TestFirstReceiptForwardAllocBudget(t *testing.T) {
 // allocation: the Rumor the callback is handed is views of that slab (ID,
 // Origin and Payload), and the kept ID pins it.
 func TestFirstReceiptDeliverAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	const runs = 2000
 	var last string
 	pb := newDeliveringPushBench(t, StylePush, runs+1, func(r Rumor) { last = r.ID })
@@ -172,7 +152,7 @@ func fullPullRequest(tb testing.TB) (*pushBench, transport.Message) {
 // everything the responder stores — the round with nothing to say — reads
 // the sums into scratch on the stack: no set, no response.
 func TestPullRequestNothingMissingAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	pb, digest := fullPullRequest(t)
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := pb.eng.handlePullReq(context.Background(), digest); err != nil {
@@ -202,7 +182,7 @@ func BenchmarkPullRequestNothingMissing(b *testing.B) {
 // it costs nothing (1 while each burst encoded a body of its own; 8 while
 // each duplicate built an owned rumor first).
 func TestCounterDuplicateAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	pb := newPushBench(t, StyleCounter, 1)
 	pb.receive(t) // first receipt: mongering starts
 	allocs := testing.AllocsPerRun(200, func() { pb.receive(t) })
@@ -251,7 +231,7 @@ func BenchmarkFirstReceiptDeliver(b *testing.B) {
 // the store index their entries in 4-byte table cells. A Mux keyed by a map
 // retains about 210 bytes more per engine, 270 with a closure per action.
 func TestEngineFootprintAllocBudget(t *testing.T) {
-	budget := loadAllocBudget(t)
+	budget := testkit.LoadBudget[allocBudget](t)
 	const nodes = 20000
 	var before, after runtime.MemStats
 	runtime.GC()

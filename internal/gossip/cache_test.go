@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"wsgossip/internal/testkit"
 )
 
 func TestSeenCacheAddAndContains(t *testing.T) {
@@ -207,7 +209,7 @@ func TestSeenSetDefaultCapacity(t *testing.T) {
 // drop, costs at most 40 B of heap per entry once they are collected; a
 // cache keyed by the IDs themselves kept every string alive, 127 B an entry.
 func TestSeenCacheHoldsNoIDs(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("heap sizes are not meaningful under the race detector")
 	}
 	const entries, perEntry = DefaultSeenCacheSize, 40

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"wsgossip/internal/testkit"
 	"wsgossip/internal/transport"
 )
 
@@ -74,7 +75,7 @@ func FuzzGossipWire(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		m, err := decodeWire(body)
-		if !raceEnabled {
+		if !testkit.Race {
 			read := func() { _, _ = readWire(body, wireRumors) }
 			if len(body) > 0 && body[0] == wireRefs {
 				read = func() { _, _ = readWire(body, wireRefs) }

@@ -2,14 +2,13 @@ package membership
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
 	"wsgossip/internal/clock"
 	"wsgossip/internal/soap"
+	"wsgossip/internal/testkit"
 	"wsgossip/internal/transport"
 	"wsgossip/internal/wsa"
 )
@@ -92,7 +91,7 @@ func (b *viewBench) merge(t testing.TB) {
 func (b *viewBench) encode() []byte {
 	b.svc.mu.Lock()
 	defer b.svc.mu.Unlock()
-	return b.svc.encodeViewLocked()
+	return b.svc.m.view()
 }
 
 // TestMembershipAllocBudget: merging a 32-entry exchange of known members
@@ -101,20 +100,7 @@ func (b *viewBench) encode() []byte {
 // an endpoint over MemBus costs nothing more: the message ID and the body are
 // written straight into a pooled wire buffer, which the bus recycles.
 func TestMembershipAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	raw, err := os.ReadFile("testdata/alloc_budget.json")
-	if err != nil {
-		t.Fatalf("read alloc budget: %v", err)
-	}
-	budget := allocBudget{MergeExchange: -1, SendExchange: -1}
-	if err := json.Unmarshal(raw, &budget); err != nil {
-		t.Fatalf("parse alloc budget: %v", err)
-	}
-	if budget.MergeExchange < 0 || budget.EncodeView <= 0 || budget.SendExchange < 0 {
-		t.Fatalf("alloc budget missing fields: %+v", budget)
-	}
+	budget := testkit.LoadBudget[allocBudget](t)
 	b := newViewBench(t)
 	send := viewSender(t, b.encode())
 	exchanges := b.svc.stats.exchanges.Value()

@@ -14,7 +14,8 @@
 // become suspects, and within RemoveAfter are removed. Explicit departures
 // (Leave) spread as tombstones. With Config.MaxView set the service behaves
 // as a partial-view peer-sampling service, keeping per-node state O(MaxView)
-// at large scale. One leave removes at most one member, the one its message
+// at large scale: a join through more seeds than the cap evicts as a merge
+// does. One leave removes at most one member, the one its message
 // names as From; entries naming anyone else are ignored and counted in
 // membership_leave_rejected_total. That From is the real sender on the
 // simulator's transport, but over SOAPEndpoint it is the body's own From
@@ -42,10 +43,16 @@
 //
 // Key types:
 //
-//   - Service — one node's protocol instance: Join/Tick/Leave drive it,
-//     Alive/Members/SelectPeers read it. Tick is a core.Loop's round body,
-//     so view exchanges self-clock on the same clock.Clock as every other
-//     gossip round.
+//   - machine — the protocol without I/O (machine.go): the view, the
+//     tombstones and the evictions, and one method per rule — join, tick,
+//     exchange, leave, suspect — each taking now and returning its outcome,
+//     plus what an exchange and a leave carry. It draws only a capped view's
+//     eviction victim, from the Service's RNG.
+//   - Service — one node's protocol instance, the machine's binding: its
+//     lock, clock, endpoint, counters and fan-out draws. Join/Tick/Leave
+//     drive it, Alive/Members/SelectPeers read it. Tick is a core.Loop's
+//     round body, so view exchanges self-clock on the same clock.Clock as
+//     every other gossip round.
 //   - SOAPEndpoint — carries the view exchanges over the node's SOAP
 //     binding (MemBus, HTTP, or a test bus), so the membership overlay and
 //     the WS-Gossip services share one endpoint address space.

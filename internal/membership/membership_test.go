@@ -5,9 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"wsgossip/internal/clock"
+	"wsgossip/internal/metrics"
 	"wsgossip/internal/simnet"
 	"wsgossip/internal/transport"
 )
@@ -234,7 +238,7 @@ func TestSelfHeartbeatOutrunsStaleEcho(t *testing.T) {
 	}
 	a.Tick(ctx)
 	net.Run()
-	if a.self.Heartbeat == 0 {
+	if a.m.self.Heartbeat == 0 {
 		t.Fatal("self heartbeat lost")
 	}
 	_ = a
@@ -259,17 +263,17 @@ func TestSelfHeartbeatIgnoresWrapEcho(t *testing.T) {
 		t.Fatal("b does not know a")
 		return Member{}
 	}
-	before, hb := viewOfA(), a.self.Heartbeat
+	before, hb := viewOfA(), a.m.self.Heartbeat
 
 	body := writeBody(envelopeBody{From: "b", Members: []wireEntry{
 		{Addr: "a", Heartbeat: math.MaxUint64},
 		{Addr: "c", Heartbeat: 1 << 62},
 	}})
-	if err := a.handleExchange(ctx, transport.Message{From: "b", To: "a", Action: ActionExchange, Body: body}); err != nil {
+	if err := a.handle(ctx, transport.Message{From: "b", To: "a", Action: ActionExchange, Body: body}); err != nil {
 		t.Fatal(err)
 	}
-	if a.self.Heartbeat != hb {
-		t.Fatalf("echo moved self heartbeat %d -> %d", hb, a.self.Heartbeat)
+	if a.m.self.Heartbeat != hb {
+		t.Fatalf("echo moved self heartbeat %d -> %d", hb, a.m.self.Heartbeat)
 	}
 	for _, m := range a.Members() {
 		if m.Addr == "c" {
@@ -463,5 +467,156 @@ func TestSuspectEvictedWhenSilent(t *testing.T) {
 	}
 	if got := s.Size(); got != 0 {
 		t.Fatalf("view size = %d, want 0 after the silent suspect ages out", got)
+	}
+}
+
+// TestJoinRespectsMaxView: a capped view joined through more seeds than its
+// cap holds no more members than the cap, as a merge would leave it.
+func TestJoinRespectsMaxView(t *testing.T) {
+	net := simnet.New(simnet.DefaultConfig(1))
+	svc, err := New(Config{
+		Endpoint: net.Node("a"), Clock: net, RNG: rand.New(rand.NewSource(1)), Fanout: 1,
+		SuspectAfter: time.Second, RemoveAfter: 2 * time.Second, MaxView: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Join(context.Background(), []string{"s1", "s2", "s3", "s4"})
+	if got := svc.Size(); got > 2 {
+		t.Fatalf("view of %d after joining through 4 seeds, MaxView 2", got)
+	}
+}
+
+// loopback is an endpoint that delivers each send at once, in the sender's
+// goroutine, to the handler of the service at its address, and counts the
+// messages each address is sent by action. The maps are written before the
+// services run and only read after.
+type loopback struct {
+	addr  string
+	peers map[string]transport.Handler
+	sent  map[string]*[2]atomic.Int64 // by address: exchanges, leaves
+}
+
+type depthKey struct{}
+
+func (e *loopback) Addr() string                 { return e.addr }
+func (e *loopback) SetHandler(transport.Handler) {}
+func (e *loopback) Send(ctx context.Context, msg transport.Message) error {
+	msg.From = e.addr
+	return e.deliver(ctx, msg)
+}
+
+// deliver hands msg to the handler at msg.To and counts it. An address no
+// service has drops it, and so does a delivery four deep in one goroutine:
+// two services that tombstoned each other answer each other's exchanges
+// without end.
+func (e *loopback) deliver(ctx context.Context, msg transport.Message) error {
+	depth, _ := ctx.Value(depthKey{}).(int)
+	if e.peers[msg.To] == nil || depth == 4 {
+		return nil
+	}
+	ctx = context.WithValue(ctx, depthKey{}, depth+1)
+	if msg.Action == ActionLeave {
+		e.sent[msg.To][1].Add(1)
+	} else {
+		e.sent[msg.To][0].Add(1)
+	}
+	return e.peers[msg.To](ctx, msg)
+}
+
+// TestServiceConcurrentUse drives four services, two of them capped, from
+// eight goroutines at once on the real clock, over a loopback endpoint that
+// delivers every send synchronously: ticks, leaves, exchanges and forged
+// leaves handed to the route, suspicions, and reads of the view. Every
+// message delivered is counted exactly once, and each view ends within its
+// cap, without self, and with its gauge at its size. CI runs it under -race
+// on 1 to 8 CPUs.
+func TestServiceConcurrentUse(t *testing.T) {
+	addrs := []string{"c0", "c1", "c2", "c3"}
+	peers := map[string]transport.Handler{}
+	sent := map[string]*[2]atomic.Int64{}
+	regs := make([]*metrics.Registry, len(addrs))
+	svcs := make([]*Service, len(addrs))
+	for i, addr := range addrs {
+		regs[i] = metrics.NewRegistry()
+		svc, err := New(Config{
+			Endpoint: &loopback{addr: addr, peers: peers, sent: sent}, Clock: clock.NewReal(),
+			RNG: rand.New(rand.NewSource(int64(i + 1))), Fanout: 2, MaxView: []int{0, 2}[i%2],
+			SuspectAfter: 2 * time.Millisecond, RemoveAfter: 5 * time.Millisecond, Metrics: regs[i],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svcs[i], peers[addr], sent[addr] = svc, svc.handle, new([2]atomic.Int64)
+	}
+	for _, s := range svcs[1:] {
+		s.Join(context.Background(), addrs[:1])
+	}
+
+	const workers, ops = 8, 1000
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(int64(100 + g)))
+			var dst []string
+			for i := 0; i < ops; i++ {
+				s := svcs[rng.Intn(len(svcs))]
+				ep := s.cfg.Endpoint.(*loopback)
+				other := addrs[rng.Intn(len(addrs))]
+				switch rng.Intn(8) {
+				case 0, 1:
+					s.Tick(ctx)
+				case 2:
+					body := writeBody(envelopeBody{From: other, Members: []wireEntry{
+						{Addr: addrs[rng.Intn(len(addrs))], Heartbeat: uint64(rng.Intn(1000))},
+						{Addr: fmt.Sprintf("x%d", rng.Intn(6)), Heartbeat: uint64(rng.Intn(1000))},
+					}})
+					_ = ep.deliver(ctx, transport.Message{From: other, To: s.Addr(), Action: ActionExchange, Body: body})
+				case 3:
+					named := addrs[rng.Intn(len(addrs))]
+					body := writeBody(envelopeBody{From: other, Members: []wireEntry{{Addr: named, Heartbeat: 1}}})
+					_ = ep.deliver(ctx, transport.Message{From: other, To: s.Addr(), Action: ActionLeave, Body: body})
+				case 4:
+					if rng.Intn(20) == 0 {
+						s.Leave(ctx)
+					}
+				case 5:
+					s.Suspect(other)
+				case 6:
+					dst = s.AppendPeers(dst[:0], rand.New(rand.NewSource(int64(i))), 2, "")
+				default:
+					_, _ = s.Members(), s.Alive()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for i, s := range svcs {
+		exchanges, leaves := sent[s.Addr()][0].Load(), sent[s.Addr()][1].Load()
+		if got := regs[i].Counter("membership_exchanges_total").Value(); got != exchanges {
+			t.Errorf("%s counted %d exchanges, was sent %d", s.Addr(), got, exchanges)
+		}
+		applied := regs[i].Counter("membership_leaves_total").Value()
+		if rejected := regs[i].Counter("membership_leave_rejected_total").Value(); applied+rejected != leaves {
+			t.Errorf("%s counted %d+%d leave entries, was sent %d one-entry leaves", s.Addr(), applied, rejected, leaves)
+		}
+		if got := regs[i].Gauge("membership_view_size").Value(); got != int64(s.Size()) {
+			t.Errorf("%s view-size gauge %d, size %d", s.Addr(), got, s.Size())
+		}
+		if max := s.cfg.MaxView; max > 0 && s.Size() > max {
+			t.Errorf("%s view of %d exceeds MaxView %d", s.Addr(), s.Size(), max)
+		}
+		for _, m := range s.Members() {
+			if m.Addr == s.Addr() {
+				t.Errorf("%s lists itself", s.Addr())
+			}
+		}
+		if exchanges == 0 || leaves == 0 {
+			t.Errorf("%s was sent %d exchanges and %d leaves: schedule too tame", s.Addr(), exchanges, leaves)
+		}
 	}
 }

@@ -368,20 +368,14 @@ func (e *tapEndpoint) Send(ctx context.Context, msg transport.Message) error {
 	return e.Endpoint.Send(ctx, msg)
 }
 
-// nopEndpoint is an endpoint whose sends go nowhere.
-type nopEndpoint struct{ addr string }
-
-func (e nopEndpoint) Addr() string                                { return e.addr }
-func (nopEndpoint) Send(context.Context, transport.Message) error { return nil }
-func (nopEndpoint) SetHandler(transport.Handler)                  {}
-
 // FuzzMembershipBody is the same law under fuzzing, for bytes a peer chose:
 // whenever the in-place reader accepts, xml.Unmarshal accepts and yields the
 // same From and entries; canonicalBody equals xml.Unmarshal alone either way;
 // nothing panics. Whatever encoding/xml can read, the writer spells exactly
-// as xml.Marshal does and the reader takes back in place. And a Service that
-// merges the body, exchange or leave, admits no empty address and no
-// heartbeat at or past the bound, and never moves its own heartbeat there.
+// as xml.Marshal does and the reader takes back in place. And a Service's
+// machine, fed the body as the route feeds it (canonical, as an exchange or
+// a leave), admits no empty address and no heartbeat at or past the bound,
+// and never moves its own heartbeat there.
 func FuzzMembershipBody(f *testing.F) {
 	f.Add(capturedExchange(f))
 	for _, b := range []envelopeBody{
@@ -413,25 +407,23 @@ func FuzzMembershipBody(f *testing.F) {
 		if len(body.Members) > 0 && !checkBodyReader(t, written) {
 			t.Fatalf("reader declined its own writer's %s", written)
 		}
-		for _, handle := range []func(*Service) transport.Handler{
-			func(s *Service) transport.Handler { return s.handleExchange },
-			func(s *Service) transport.Handler { return s.handleLeave },
+		canon, _, err := canonicalBody(raw)
+		if err != nil {
+			return // the Service refuses the body before its machine sees it
+		}
+		for _, apply := range []func(*machine){
+			func(m *machine) { m.exchange(body.From, canon, 0) },
+			func(m *machine) { m.leave(body.From, canon) },
 		} {
-			svc, err := New(Config{
-				Endpoint: nopEndpoint{"a"}, Clock: clock.NewVirtual(),
-				Fanout: 1, SuspectAfter: time.Second, RemoveAfter: 2 * time.Second, MaxView: 4,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_ = handle(svc)(context.Background(), transport.Message{From: body.From, To: "a", Body: raw})
-			for _, m := range svc.Members() {
-				if m.Addr == "" || m.Heartbeat >= maxHeartbeat {
-					t.Fatalf("merged %+v from %s", m, raw)
+			m := newMachine(Config{SuspectAfter: time.Second, RemoveAfter: 2 * time.Second, MaxView: 4}, "a", rand.New(rand.NewSource(1)))
+			apply(m)
+			for _, mb := range m.snapshot() {
+				if mb.Addr == "" || mb.Heartbeat >= maxHeartbeat {
+					t.Fatalf("merged %+v from %s", mb, raw)
 				}
 			}
-			if svc.Size() > 4 || svc.self.Heartbeat > maxHeartbeat {
-				t.Fatalf("view of %d, own heartbeat %d after %s", svc.Size(), svc.self.Heartbeat, raw)
+			if len(m.members) > 4 || m.self.Heartbeat > maxHeartbeat {
+				t.Fatalf("view of %d, own heartbeat %d after %s", len(m.members), m.self.Heartbeat, raw)
 			}
 		}
 	})

@@ -2,10 +2,9 @@ package simnet
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
 
+	"wsgossip/internal/testkit"
 	"wsgossip/internal/transport"
 )
 
@@ -47,19 +46,9 @@ func (sb *sendDeliverBench) sendDeliver(tb testing.TB) {
 // mode) each ride a record of their own size class. The budget is
 // committed in testdata/alloc_budget.json.
 func TestSendDeliverAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	raw, err := os.ReadFile("testdata/alloc_budget.json")
-	if err != nil {
-		t.Fatalf("read alloc budget: %v", err)
-	}
-	budget := struct {
+	budget := testkit.LoadBudget[struct {
 		SendDeliver float64 `json:"send_deliver_max_allocs"`
-	}{-1}
-	if err := json.Unmarshal(raw, &budget); err != nil || budget.SendDeliver < 0 {
-		t.Fatalf("parse alloc budget: %+v, %v", budget, err)
-	}
+	}](t)
 	for _, bodyLen := range []int{64, 1 << 10, 5 << 10} {
 		sb := newSendDeliverBench(bodyLen)
 		allocs := testing.AllocsPerRun(200, func() { sb.sendDeliver(t) })

@@ -2,11 +2,10 @@ package soap
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
 
 	"wsgossip/internal/metrics"
+	"wsgossip/internal/testkit"
 )
 
 // Allocation-budget regression guard. BENCH_04 drove the canonical decode
@@ -24,28 +23,8 @@ type allocBudget struct {
 	OneWayMaxAllocs    float64 `json:"membus_one_way_delivery_max_allocs"`
 }
 
-func loadAllocBudget(t *testing.T, path string) allocBudget {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read alloc budget: %v", err)
-	}
-	b := allocBudget{-1, -1, -1, -1, -1, -1, -1}
-	if err := json.Unmarshal(raw, &b); err != nil {
-		t.Fatalf("parse alloc budget: %v", err)
-	}
-	if b.DecodeMaxAllocs <= 0 || b.EncodeMaxAllocs <= 0 || b.CloneMaxAllocs <= 0 ||
-		b.SnapshotMaxAllocs <= 0 || b.PoolCycleMaxAllocs < 0 || b.OutboundMaxAllocs <= 0 || b.OneWayMaxAllocs < 0 {
-		t.Fatalf("alloc budget missing fields: %+v", b)
-	}
-	return b
-}
-
 func TestDecodeAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	budget := loadAllocBudget(t, "testdata/alloc_budget.json")
+	budget := testkit.LoadBudget[allocBudget](t)
 	env := benchEnvelope(t, 1<<10)
 	data, err := env.Encode()
 	if err != nil {
@@ -83,10 +62,7 @@ func TestDecodeAllocBudget(t *testing.T) {
 // the SAME budgets, and the per-op delta versus the uninstrumented path
 // must stay within one alloc.
 func TestDecodeAllocBudgetInstrumented(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	budget := loadAllocBudget(t, "testdata/alloc_budget.json")
+	budget := testkit.LoadBudget[allocBudget](t)
 	env := benchEnvelope(t, 1<<10)
 	data, err := env.Encode()
 	if err != nil {
@@ -128,10 +104,7 @@ func TestDecodeAllocBudgetInstrumented(t *testing.T) {
 // decode — the store's Clone, the forward path's Snapshot — and a pooled
 // buffer's way back into the pool and out again.
 func TestCopyAndPoolAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	budget := loadAllocBudget(t, "testdata/alloc_budget.json")
+	budget := testkit.LoadBudget[allocBudget](t)
 	data, err := benchEnvelope(t, 1<<10).Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -162,10 +135,7 @@ func TestCopyAndPoolAllocBudget(t *testing.T) {
 // addressing, one more header block and the body — is the envelope's one
 // object and the addressing blocks' one buffer.
 func TestOutboundBuildAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	budget := loadAllocBudget(t, "testdata/alloc_budget.json")
+	budget := testkit.LoadBudget[allocBudget](t)
 	hdr, body := outboundBlocks(t)
 	allocs := testing.AllocsPerRun(200, func() { sinkEnv = buildOutbound(hdr, body) })
 	if allocs != budget.OutboundMaxAllocs {
@@ -203,10 +173,7 @@ func oneWayDelivery(tb testing.TB) func() {
 // nothing — its buffer and its decoded request both come from a pool and go
 // back once the handler returns.
 func TestMemBusOneWayAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	budget := loadAllocBudget(t, "testdata/alloc_budget.json")
+	budget := testkit.LoadBudget[allocBudget](t)
 	allocs := testing.AllocsPerRun(200, oneWayDelivery(t))
 	if allocs != budget.OneWayMaxAllocs {
 		t.Errorf("one-way MemBus delivery = %.1f allocs/op, budget exactly %.0f (testdata/alloc_budget.json)",

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"wsgossip/internal/testkit"
 	"wsgossip/internal/wsa"
 )
 
@@ -81,7 +82,7 @@ func TestRetainedKeepsWhatForwardReads(t *testing.T) {
 // same size allocates nothing, and a larger one grows the slab once; what
 // the copy held before leaves no block behind.
 func TestRetainedRefillsInPlace(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	a, _ := retainSource(t, 200)

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"wsgossip/internal/testkit"
 )
 
 func TestNewEPR(t *testing.T) {
@@ -209,7 +211,7 @@ func TestNewMessageIDFormatAndStream(t *testing.T) {
 // the string — under the default rand.Reader and under a substituted one,
 // which is how every seeded run draws its identifiers.
 func TestNewMessageIDAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const budget = 1

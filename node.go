@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"math/rand"
 	"strings"
 	"sync"
@@ -56,9 +57,6 @@ type NodeConfig struct {
 	// schedule, disseminator, aggregation, membership, delivery plane,
 	// prober. Space the seeds of co-simulated nodes at least 6 apart.
 	Seed int64
-	// Logf, when set, narrates wiring decisions and failure-detector
-	// verdicts (circuit opened, suspicion averted, subscribed, …).
-	Logf func(format string, args ...any)
 
 	// Coordinator is the Coordinator's address: Start subscribes the node
 	// there (retrying in the background for 30 s) and continuous queries
@@ -144,12 +142,16 @@ const (
 //	dispatcher ← admission gate (membership actions exempt) ← panic recovery
 //	Runner: pull, repair, announce, aggregate, membership rounds on the one clock
 //
-// Serve Handler on the binding, then Start; Stop tears it all down.
+// Serve Handler on the binding, then Start; Stop tears it all down. The
+// node narrates its wiring decisions and failure-detector verdicts (circuit
+// opened, suspicion averted, subscribed, …) at Debug through slog.Default,
+// with node and role attributes.
 type Node struct {
 	cfg  NodeConfig
 	clk  clock.Clock
 	reg  *metrics.Registry
 	role string
+	log  *slog.Logger
 
 	dispatcher *soap.Dispatcher
 	handler    soap.Handler
@@ -192,9 +194,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if n.reg == nil {
 		n.reg = metrics.NewRegistry()
 	}
-	switch n.role {
-	case "":
+	if n.role == "" {
 		n.role = RoleDisseminator
+	}
+	n.log = slog.Default().With("node", cfg.Address, "role", n.role)
+	switch n.role {
 	case RoleDisseminator:
 	case RoleConsumer:
 		n.handler = soap.Chain(core.NewConsumer(cfg.App).Handler(), soap.RecoverMiddleware(n.reg))
@@ -261,7 +265,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 		pc.Caller, pc.Clock, pc.RNG, pc.Metrics = cfg.Caller, n.clk, rng(4), n.reg
 		pc.OnPeerDown = func(peer string) {
-			n.logf("delivery: circuit opened for %s", peer)
+			n.log.Debug("delivery: circuit opened", "peer", peer)
 			if n.msvc != nil {
 				n.msvc.Suspect(peer)
 			}
@@ -277,27 +281,27 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 				RNG:     rng(5),
 				Metrics: n.reg,
 				OnDown: func(peer string) {
-					n.logf("probe: no indirect path to %s; confirming down", peer)
+					n.log.Debug("probe: no indirect path; confirming down", "peer", peer)
 					n.msvc.Suspect(peer)
 				},
 				OnAverted: func(peer string) {
-					n.logf("probe: %s alive via indirect path; suspicion averted, link degraded", peer)
+					n.log.Debug("probe: alive via indirect path; suspicion averted, link degraded", "peer", peer)
 				},
 			})
 			n.prober.RegisterActions(n.dispatcher)
 			pc.OnPeerDown = func(peer string) {
-				n.logf("delivery: circuit opened for %s; adjudicating indirectly", peer)
+				n.log.Debug("delivery: circuit opened; adjudicating indirectly", "peer", peer)
 				n.prober.Confirm(peer)
 			}
 			pc.OnPeerUp = n.prober.ClearDegraded
-			n.logf("indirect probing on: k=%d", cfg.ProbeK)
+			n.log.Debug("indirect probing on", "k", cfg.ProbeK)
 		}
 		n.plane = delivery.NewPlane(pc)
 		caller = n.plane
 		if n.msvc != nil {
 			n.view = n.plane.FilterView(n.msvc)
 		}
-		n.logf("delivery plane on: per-peer queues, retries, circuit breaking")
+		n.log.Debug("delivery plane on: per-peer queues, retries, circuit breaking")
 	}
 
 	d, err := core.NewDisseminator(core.DisseminatorConfig{
@@ -355,8 +359,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		for i, cq := range cfg.Queries {
 			names[i] = string(cq.Func) + ":" + cq.Name
 		}
-		n.logf("continuous cluster queries: %s (window %v, exchanges every %v)",
-			strings.Join(names, ","), cfg.QueryWindow, cfg.AggregateEvery)
+		n.log.Debug("continuous cluster queries", "queries", strings.Join(names, ","), "window", cfg.QueryWindow, "every", cfg.AggregateEvery)
 	case cfg.Value != nil:
 		svc, err := aggregate.NewService(aggregate.ServiceConfig{
 			Address: cfg.Address,
@@ -394,7 +397,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			},
 		})
 		n.handler = soap.Chain(n.dispatcher, recoverer, gate.Middleware())
-		n.logf("admission gate on: %.0f req/s", cfg.AdmitRate)
+		n.log.Debug("admission gate on", "rate", cfg.AdmitRate)
 	}
 
 	// The rounds, in the order the Runner draws their initial phases. Pull,
@@ -440,12 +443,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 	}
 	return n, nil
-}
-
-func (n *Node) logf(format string, args ...any) {
-	if n.cfg.Logf != nil {
-		n.cfg.Logf("["+n.role+"] "+format, args...)
-	}
 }
 
 // Handler is what the node's binding serves: the dispatcher carrying every
@@ -520,9 +517,9 @@ func (n *Node) Start(ctx context.Context) error {
 		if err := n.runner.Start(ctx); err != nil {
 			return err
 		}
-		n.logf("self-clocking rounds: %s (jitter ±%.0f%%)", strings.Join(n.runner.Loops(), ", "), n.cfg.JitterFrac*100)
+		n.log.Debug("self-clocking rounds", "loops", strings.Join(n.runner.Loops(), ","), "jitter", n.cfg.JitterFrac)
 		if n.cfg.QuiescentMax > 0 {
-			n.logf("adaptive pacing: idle rounds back off toward %v", n.cfg.QuiescentMax)
+			n.log.Debug("adaptive pacing: idle rounds back off", "max", n.cfg.QuiescentMax)
 		}
 	}
 	if len(n.seeds) > 0 {
@@ -537,7 +534,7 @@ func (n *Node) Start(ctx context.Context) error {
 			if !n.joined() {
 				return false
 			}
-			n.logf("membership joined via %d seed(s); view exchanges every %v", len(n.seeds), every)
+			n.log.Debug("membership joined", "seeds", len(n.seeds), "every", every)
 			return true
 		}, "membership join got no seed reply; relying on periodic exchanges")
 	}
@@ -545,10 +542,10 @@ func (n *Node) Start(ctx context.Context) error {
 		n.bootstrap(ctx, subscribeRetryEvery, func(ctx context.Context) bool {
 			err := core.SubscribeClient(ctx, n.cfg.Caller, n.cfg.Coordinator, n.cfg.Address, n.role, n.protocols...)
 			if err != nil {
-				n.logf("subscribe retry: %v", err)
+				n.log.Debug("subscribe retry", "err", err)
 				return false
 			}
-			n.logf("subscribed %s at %s", n.cfg.Address, n.cfg.Coordinator)
+			n.log.Debug("subscribed", "coordinator", n.cfg.Coordinator)
 			return true
 		}, "subscription failed permanently")
 	}
@@ -591,7 +588,7 @@ func (n *Node) bootstrap(ctx context.Context, period time.Duration, attempt func
 			return
 		}
 		if n.clk.Now() >= deadline {
-			n.logf("%s", gaveUp)
+			n.log.Debug(gaveUp)
 			return
 		}
 		n.mu.Lock()
