@@ -98,14 +98,16 @@ func (m *machine) tick(now time.Duration) (o outcome) {
 // exchange merges body, a canonical view from sender from, at now. A sender
 // the view did not hold is likely a newcomer whose view is still tiny, so
 // reply is the view to answer it with — the pull half of a view exchange —
-// and nil otherwise.
+// and nil otherwise. Only a sender the merge admitted is answered: one held
+// off by a tombstone or an eviction would answer the reply in turn, and two
+// such nodes would trade views without end.
 func (m *machine) exchange(from string, body []byte, now time.Duration) (reply []byte, o outcome) {
 	_, knew := m.members[from]
 	_, r, _ := openBody(body)
 	for addr, hb, ok := nextEntry(&r); ok; addr, hb, ok = nextEntry(&r) {
 		m.merge(addr.Key(), hb, now)
 	}
-	if !knew && from != m.self.Addr {
+	if _, admitted := m.members[from]; admitted && !knew {
 		reply = m.view()
 	}
 	return reply, outcome{exchanges: 1}

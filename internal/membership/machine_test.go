@@ -223,3 +223,49 @@ func cloneMachine(m *machine) *machine {
 	c.alive, c.aliveValid, c.sorted = nil, false, nil
 	return &c
 }
+
+// TestExchangeAnswersOnlyAdmittedSenders: two machines that hold each other
+// as tombstones, or as evicted at a heartbeat the sender has not passed, and
+// one exchange between them. A reply goes only to a sender the merge
+// admitted, so the exchange draws no reply at all; were a sender the view
+// cannot admit answered, each reply would be answered in turn without end.
+func TestExchangeAnswersOnlyAdmittedSenders(t *testing.T) {
+	cfg := Config{SuspectAfter: time.Second, RemoveAfter: 2 * time.Second}
+	for _, tc := range []struct {
+		name  string
+		apart func(m *machine, other string)
+	}{
+		{"tombstoned", func(m *machine, other string) {
+			m.leave(other, exchangeBody(t, other, []wireEntry{{Addr: other, Heartbeat: 1}}))
+		}},
+		{"evicted", func(m *machine, other string) {
+			// A third party's echo lifted other past any heartbeat it has
+			// reached, and other was then evicted there.
+			m.exchange("c", exchangeBody(t, "c", []wireEntry{{Addr: other, Heartbeat: 100}}), 0)
+			m.tick(cfg.RemoveAfter)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newMachine(cfg, "a", rand.New(rand.NewSource(1)))
+			b := newMachine(cfg, "b", rand.New(rand.NewSource(2)))
+			tc.apart(a, "b")
+			tc.apart(b, "a")
+			from, to, msg := a, b, a.view()
+			replies := -1 // the first message is the exchange itself
+			for ; msg != nil && replies < 10; replies++ {
+				msg, _ = to.exchange(from.self.Addr, msg, cfg.RemoveAfter)
+				from, to = to, from
+			}
+			if replies > 0 {
+				t.Fatalf("one exchange drew %d replies between machines that hold each other apart, want none", replies)
+			}
+		})
+	}
+	// An honest first contact lists its sender, which the merge admits: it is
+	// still answered.
+	a := newMachine(cfg, "a", rand.New(rand.NewSource(1)))
+	b := newMachine(cfg, "b", rand.New(rand.NewSource(2)))
+	if reply, _ := b.exchange("a", a.view(), 0); reply == nil {
+		t.Fatal("a newcomer's first exchange was not answered")
+	}
+}

@@ -72,35 +72,34 @@ func (e *SOAPEndpoint) RegisterActions(d *soap.Dispatcher) {
 }
 
 // handleSOAP unwraps one membership envelope and hands it to the transport
-// handler: the body in its canonical form, the sender from its From. SOAP
-// carries no authenticated sender, so that From is the one the body itself
-// declares. A body no decoder can read — a JSON view from an older build
-// included — is a Sender fault. View exchanges are one-way gossip: handler
-// errors are swallowed exactly as a lossy datagram fabric would.
+// handler with its sender, the From the body itself declares (SOAP carries no
+// authenticated sender). A canonical body goes as it is, for the route's one
+// walk to check; any other spelling is canonicalized first. A body no decoder
+// can read — a JSON view from an older build included — is a Sender fault.
 func (e *SOAPEndpoint) handleSOAP(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
 	var raw []byte
 	if blocks := req.Envelope.Body.Blocks; len(blocks) > 0 {
 		raw = blocks[0].Raw
 	}
-	// A canonical body is the request's own (possibly pooled) buffer, which
-	// dies with the delivery; the handler reads it during the call only, as
-	// transport.Handler's msg.Body.
-	body, _, err := canonicalBody(raw)
-	if err != nil {
-		return nil, soap.NewFault(soap.CodeSender, "malformed membership body: "+err.Error())
+	// The body is the request's own (possibly pooled) buffer, or its rewrite,
+	// and dies with the delivery; the handler reads it during the call only,
+	// as transport.Handler's msg.Body.
+	body := raw
+	from, _, ok := openBody(raw)
+	var err error
+	if !ok {
+		if body, _, err = canonicalBody(raw); err == nil {
+			from, _, _ = openBody(body)
+		}
 	}
 	e.mu.Lock()
 	h := e.handler
 	e.mu.Unlock()
-	if h == nil {
-		return nil, nil
+	if err == nil && h != nil {
+		err = h(ctx, transport.Message{From: from.Symbol(), To: e.addr, Action: req.Action(), Body: body})
 	}
-	from, _, _ := openBody(body)
-	_ = h(ctx, transport.Message{
-		From:   from.Symbol(),
-		To:     e.addr,
-		Action: req.Action(),
-		Body:   body,
-	})
+	if err != nil {
+		return nil, soap.NewFault(soap.CodeSender, "malformed membership body: "+err.Error())
+	}
 	return nil, nil
 }

@@ -14,10 +14,13 @@
 // The protocol is four one-way SOAP actions under urn:wsgossip:probe, sent
 // over the RAW caller rather than the delivery plane, so probe traffic is
 // subject to the same link faults as the payload traffic it adjudicates —
-// and never consults the breaker it exists to second-guess. Nonces are
-// deterministic ("self#seq"), timers ride clock.Clock, and helper sampling
-// uses the caller-seeded RNG, so whole confirmation rounds replay exactly
-// under clock.Virtual.
+// and never consults the breaker it exists to second-guess. Its rules are
+// the unexported machine (machine.go), which does no I/O: nonces are
+// deterministic ("self#seq" for a round, "self*seq" for a relay), and every
+// timeout is a due instant. The Prober is its binding: one lock, one
+// clock.Clock timer armed at the machine's earliest due instant, and the
+// caller-seeded RNG, drawn for helpers only when a round opens, so whole
+// confirmation rounds replay exactly under clock.Virtual.
 //
 // Exported metrics: delivery_indirect_probes_total{result},
 // membership_suspicions_averted_total, probe_messages_total{type}.

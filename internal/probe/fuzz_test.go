@@ -89,16 +89,16 @@ func FuzzProbeActions(f *testing.F) {
 			t.Fatal(err)
 		}
 		deliver(ActionPingReq, relay)
-		if len(p.pending) != 1 || len(p.relayed) != 1 {
-			t.Fatalf("setup: %d open rounds and %d relayed pings, want 1 and 1", len(p.pending), len(p.relayed))
+		if len(p.m.rounds) != 1 || len(p.m.relays) != 1 {
+			t.Fatalf("setup: %d open rounds and %d relayed pings, want 1 and 1", len(p.m.rounds), len(p.m.relays))
 		}
 		for _, action := range []string{ActionPingReq, ActionPing, ActionPingAck, ActionPingReqAck} {
 			deliver(action, soap.Block{Raw: raw})
 		}
 		clk.Advance(fuzzTimeout)
-		if len(p.relayed) != 0 || len(p.pending) != 0 {
-			t.Fatalf("after the probe timeout: %d relayed pings and %d open rounds left, want none (body %q)",
-				len(p.relayed), len(p.pending), raw)
+		if len(p.m.relays) != 0 || len(p.m.rounds) != 0 || len(p.m.queue) != 0 {
+			t.Fatalf("after the probe timeout: %d relayed pings, %d open rounds and %d queued expiries left, want none (body %q)",
+				len(p.m.relays), len(p.m.rounds), len(p.m.queue), raw)
 		}
 	})
 }

@@ -3,9 +3,9 @@ package probe
 import (
 	"context"
 	"encoding/xml"
-	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -78,13 +78,6 @@ type Config struct {
 	OnAverted func(target string)
 }
 
-// proberMetrics is the prober's registry-resolved series.
-type proberMetrics struct {
-	rounds  *metrics.CounterVec // delivery_indirect_probes_total{result}
-	averted *metrics.Counter    // membership_suspicions_averted_total
-	msgs    *metrics.CounterVec // probe_messages_total{type}
-}
-
 // Prober is the SWIM-style indirect reachability confirmer: when a
 // delivery circuit opens for a peer, Confirm asks K other peers to ping
 // the target on our behalf before the failure is escalated to membership.
@@ -95,31 +88,22 @@ type proberMetrics struct {
 //
 // All four wire actions are served by the same Prober, so every node that
 // registers one can originate confirmations, relay pings, and answer them.
+// It is the binding of its machine (machine.go) to a lock, a clock timer,
+// the caller, the counters and the callbacks.
 type Prober struct {
-	cfg Config
-	m   proberMetrics
+	cfg     Config
+	rounds  *metrics.CounterVec // delivery_indirect_probes_total{result}
+	averted *metrics.Counter    // membership_suspicions_averted_total
+	msgs    *metrics.CounterVec // probe_messages_total{type}
 
-	mu       sync.Mutex
-	closed   bool
-	rng      *rand.Rand
-	seq      uint64
-	pending  map[string]*pendingConfirm
-	relayed  map[string]relayEntry
-	degraded map[string]bool
-}
-
-// pendingConfirm is one open confirmation round at the origin.
-type pendingConfirm struct {
-	nonce string
-	stop  func() bool
-}
-
-// relayEntry is one forwarded ping awaiting its ack at a helper.
-type relayEntry struct {
-	origin string
-	target string
-	nonce  string      // the origin's round nonce, echoed back on success
-	stop   func() bool // cancels the entry's expiry timer
+	mu    sync.Mutex
+	rng   *rand.Rand
+	m     *machine
+	armed bool        // a timer is armed at or before the machine's due instant
+	stop  func() bool // cancels it
+	// busy counts the sends and callbacks under way outside the lock, so
+	// Close can wait them out; it only grows while the machine is open.
+	busy sync.WaitGroup
 }
 
 // New returns a Prober for cfg.
@@ -136,6 +120,9 @@ func New(cfg Config) *Prober {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
+	if cfg.Peers == nil {
+		cfg.Peers = gossip.NewStaticPeers(nil)
+	}
 	rng := cfg.RNG
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
@@ -145,16 +132,12 @@ func New(cfg Config) *Prober {
 		reg = metrics.NewRegistry()
 	}
 	return &Prober{
-		cfg: cfg,
-		m: proberMetrics{
-			rounds:  reg.CounterVec("delivery_indirect_probes_total", "result"),
-			averted: reg.Counter("membership_suspicions_averted_total"),
-			msgs:    reg.CounterVec("probe_messages_total", "type"),
-		},
-		rng:      rng,
-		pending:  make(map[string]*pendingConfirm),
-		relayed:  make(map[string]relayEntry),
-		degraded: make(map[string]bool),
+		cfg:     cfg,
+		rounds:  reg.CounterVec("delivery_indirect_probes_total", "result"),
+		averted: reg.Counter("membership_suspicions_averted_total"),
+		msgs:    reg.CounterVec("probe_messages_total", "type"),
+		rng:     rng,
+		m:       newMachine(cfg.Self, cfg.K, cfg.Timeout),
 	}
 }
 
@@ -203,156 +186,81 @@ type pingReqAckBody struct {
 // repeated circuit openings do not stack suspicions. Confirm returns
 // immediately; resolution happens on the clock's firing goroutine.
 func (p *Prober) Confirm(target string) {
+	// The candidates are the whole view but self, shuffled: any prefix is a
+	// uniform sample.
+	draw := func() []string { return p.cfg.Peers.SelectPeers(p.rng, -1, p.cfg.Self) }
+	p.step(func(now time.Duration) outcome { return p.m.confirm(target, draw, now) })
+}
+
+// step applies one input to the machine under the lock and keeps the one
+// timer armed at or before the machine's next due instant. It then carries
+// the outcome out unlocked: each ended round counted and called back, then
+// each message sent. Close waits for that part through busy.
+func (p *Prober) step(input func(now time.Duration) outcome) {
 	p.mu.Lock()
-	if _, open := p.pending[target]; open || p.closed {
-		p.mu.Unlock()
-		return
+	now := p.cfg.Clock.Now()
+	o := input(now)
+	if at, ok := p.m.due(); ok && !p.armed {
+		p.armed, p.stop = true, p.cfg.Clock.AfterFunc(at-now, p.fire)
 	}
-	helpers := p.helpersLocked(target)
-	if len(helpers) == 0 {
-		p.mu.Unlock()
-		p.m.rounds.With(ResultNoHelpers).Inc()
-		if p.cfg.OnDown != nil {
-			p.cfg.OnDown(target)
-		}
-		return
+	act := len(o.sends) > 0 || len(o.targets) > 0
+	if act {
+		p.busy.Add(1)
 	}
-	p.seq++
-	nonce := fmt.Sprintf("%s#%d", p.cfg.Self, p.seq)
-	pc := &pendingConfirm{nonce: nonce}
-	p.pending[target] = pc
-	pc.stop = p.cfg.Clock.AfterFunc(p.cfg.Timeout, func() { p.expire(target, nonce) })
 	p.mu.Unlock()
-	for _, h := range helpers {
-		p.send(ActionPingReq, h, pingReqBody{Origin: p.cfg.Self, Target: target, Nonce: nonce}, "ping_req")
+	if !act {
+		return
+	}
+	defer p.busy.Done()
+	for _, target := range o.targets {
+		p.rounds.With(o.result).Inc()
+		fn := p.cfg.OnDown
+		if o.result == ResultAverted {
+			p.averted.Inc()
+			fn = p.cfg.OnAverted
+		}
+		if fn != nil {
+			fn(target)
+		}
+	}
+	for _, msg := range o.sends {
+		p.send(msg.action, msg.to, msg.body, msg.typ)
 	}
 }
 
-// helpersLocked samples up to K helper candidates, excluding self and the
-// target.
-func (p *Prober) helpersLocked(target string) []string {
-	if p.cfg.Peers == nil {
-		return nil
-	}
-	cands := p.cfg.Peers.SelectPeers(p.rng, -1, p.cfg.Self)
-	out := cands[:0]
-	for _, c := range cands {
-		if c != target && c != p.cfg.Self {
-			out = append(out, c)
-		}
-	}
-	if p.cfg.K > 0 && len(out) > p.cfg.K {
-		out = out[:p.cfg.K] // SelectPeers shuffles, so a prefix is uniform
-	}
-	return out
-}
-
-// expire concedes a confirmation round: no helper vouched for the target
-// within the window.
-func (p *Prober) expire(target, nonce string) {
-	p.mu.Lock()
-	pc := p.pending[target]
-	if pc == nil || pc.nonce != nonce {
-		p.mu.Unlock()
-		return
-	}
-	delete(p.pending, target)
-	p.mu.Unlock()
-	p.m.rounds.With(ResultTimeout).Inc()
-	if p.cfg.OnDown != nil {
-		p.cfg.OnDown(target)
-	}
+// fire is the timer: it ends whatever is due, and step re-arms it.
+func (p *Prober) fire() {
+	p.step(func(now time.Duration) outcome {
+		p.armed = false
+		return p.m.expire(now)
+	})
 }
 
 // handleSOAP serves all four probe actions.
 func (p *Prober) handleSOAP(_ context.Context, req *soap.Request) (*soap.Envelope, error) {
+	var body any
+	var input func(now time.Duration) outcome
 	switch req.Action() {
 	case ActionPingReq:
-		var body pingReqBody
-		if err := req.Envelope.DecodeBody(&body); err != nil {
-			return nil, soap.NewFault(soap.CodeSender, "malformed ping-req: "+err.Error())
-		}
-		p.relayPing(body)
+		b := new(pingReqBody)
+		body, input = b, func(now time.Duration) outcome { return p.m.pingReq(*b, now) }
 	case ActionPing:
-		var body pingBody
-		if err := req.Envelope.DecodeBody(&body); err != nil {
-			return nil, soap.NewFault(soap.CodeSender, "malformed ping: "+err.Error())
-		}
-		p.send(ActionPingAck, body.From, pingAckBody{From: p.cfg.Self, Nonce: body.Nonce}, "ping_ack")
+		b := new(pingBody)
+		body, input = b, func(time.Duration) outcome { return p.m.ping(*b) }
 	case ActionPingAck:
-		var body pingAckBody
-		if err := req.Envelope.DecodeBody(&body); err != nil {
-			return nil, soap.NewFault(soap.CodeSender, "malformed ping-ack: "+err.Error())
-		}
-		p.reportBack(body)
+		b := new(pingAckBody)
+		body, input = b, func(time.Duration) outcome { return p.m.pingAck(*b) }
 	case ActionPingReqAck:
-		var body pingReqAckBody
-		if err := req.Envelope.DecodeBody(&body); err != nil {
-			return nil, soap.NewFault(soap.CodeSender, "malformed ping-req-ack: "+err.Error())
-		}
-		p.avert(body)
+		b := new(pingReqAckBody)
+		body, input = b, func(time.Duration) outcome { return p.m.pingReqAck(*b) }
+	default:
+		return nil, nil
 	}
+	if err := req.Envelope.DecodeBody(body); err != nil {
+		return nil, soap.NewFault(soap.CodeSender, "malformed "+strings.TrimPrefix(req.Action(), "urn:wsgossip:probe:")+": "+err.Error())
+	}
+	p.step(input)
 	return nil, nil
-}
-
-// relayPing serves the helper half: forward a direct ping to the target
-// and remember the round so the target's ack can be reported back.
-func (p *Prober) relayPing(body pingReqBody) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.seq++
-	relayNonce := fmt.Sprintf("%s*%d", p.cfg.Self, p.seq)
-	p.relayed[relayNonce] = relayEntry{
-		origin: body.Origin, target: body.Target, nonce: body.Nonce,
-		stop: p.cfg.Clock.AfterFunc(p.cfg.Timeout, func() {
-			p.mu.Lock()
-			delete(p.relayed, relayNonce)
-			p.mu.Unlock()
-		}),
-	}
-	p.mu.Unlock()
-	p.send(ActionPing, body.Target, pingBody{From: p.cfg.Self, Nonce: relayNonce}, "ping")
-}
-
-// reportBack serves the helper's second half: the target answered, tell
-// the origin.
-func (p *Prober) reportBack(body pingAckBody) {
-	p.mu.Lock()
-	e, ok := p.relayed[body.Nonce]
-	if ok {
-		delete(p.relayed, body.Nonce)
-	}
-	p.mu.Unlock()
-	if !ok {
-		return
-	}
-	p.send(ActionPingReqAck, e.origin, pingReqAckBody{From: p.cfg.Self, Target: e.target, Nonce: e.nonce}, "ping_req_ack")
-}
-
-// avert resolves an open round positively: the target is reachable via the
-// helper, so the failure is our link, not the peer.
-func (p *Prober) avert(body pingReqAckBody) {
-	p.mu.Lock()
-	pc := p.pending[body.Target]
-	if pc == nil || pc.nonce != body.Nonce {
-		p.mu.Unlock()
-		return
-	}
-	delete(p.pending, body.Target)
-	p.degraded[body.Target] = true
-	stop := pc.stop
-	p.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
-	p.m.rounds.With(ResultAverted).Inc()
-	p.m.averted.Inc()
-	if p.cfg.OnAverted != nil {
-		p.cfg.OnAverted(body.Target)
-	}
 }
 
 // send writes and fires one one-way probe message, counting it by type.
@@ -361,7 +269,7 @@ func (p *Prober) avert(body pingReqAckBody) {
 // once per confirmation round; the message around it is written straight
 // into the binding's wire buffer (soap.Message).
 func (p *Prober) send(action, to string, body any, typ string) {
-	p.m.msgs.With(typ).Inc()
+	p.msgs.With(typ).Inc()
 	var id [wsa.MessageIDLen]byte
 	m := soap.Message{To: to, Action: action, ID: wsa.AppendMessageID(id[:0])}
 	b, err := soap.MarshalBlock(body)
@@ -372,27 +280,21 @@ func (p *Prober) send(action, to string, body any, typ string) {
 	_ = m.Send(context.Background(), p.cfg.Caller, to)
 }
 
-// Close ends the prober's part in every exchange: the timeout timer of each
-// open confirmation round and of each relayed ping is cancelled, so no round
-// resolves afterwards — neither OnDown nor OnAverted runs again — and later
-// Confirm calls and ping requests are ignored. A node calls it when it stops;
-// it is idempotent.
+// Close ends the prober's part in every exchange: every open confirmation
+// round and relayed ping is dropped unresolved and the timer cancelled, so
+// no round resolves afterwards — neither OnDown nor OnAverted runs again —
+// and later Confirm calls and probe messages are ignored. Close returns once
+// the sends and callbacks already under way have finished, and from then on
+// the prober sends nothing; so OnDown and OnAverted must not call it. A node
+// calls it when it stops; it is idempotent.
 func (p *Prober) Close() {
 	p.mu.Lock()
-	p.closed = true
-	stops := make([]func() bool, 0, len(p.pending)+len(p.relayed))
-	for target, pc := range p.pending {
-		stops = append(stops, pc.stop)
-		delete(p.pending, target)
-	}
-	for nonce, e := range p.relayed {
-		stops = append(stops, e.stop)
-		delete(p.relayed, nonce)
+	p.m.close()
+	if p.armed {
+		p.stop()
 	}
 	p.mu.Unlock()
-	for _, stop := range stops {
-		stop()
-	}
+	p.busy.Wait()
 }
 
 // ClearDegraded drops target from the degraded-link set — wire it to the
@@ -400,7 +302,7 @@ func (p *Prober) Close() {
 func (p *Prober) ClearDegraded(target string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	delete(p.degraded, target)
+	p.m.clearDegraded(target)
 }
 
 // Degraded returns the sorted peers whose direct link is marked
@@ -409,11 +311,11 @@ func (p *Prober) ClearDegraded(target string) {
 func (p *Prober) Degraded() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.degraded))
-	for a := range p.degraded {
+	out := make([]string, 0, len(p.m.degraded))
+	for a := range p.m.degraded {
 		out = append(out, a)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -421,7 +323,7 @@ func (p *Prober) Degraded() []string {
 func (p *Prober) IsDegraded(target string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.degraded[target]
+	return p.m.degraded[target]
 }
 
 // Stats is the prober's health-endpoint summary.
@@ -442,12 +344,12 @@ type Stats struct {
 func (p *Prober) Stats() Stats {
 	st := Stats{
 		Degraded:      p.Degraded(),
-		Averted:       p.m.averted.Value(),
-		ConfirmedDown: p.m.rounds.With(ResultTimeout).Value(),
-		NoHelpers:     p.m.rounds.With(ResultNoHelpers).Value(),
+		Averted:       p.averted.Value(),
+		ConfirmedDown: p.rounds.With(ResultTimeout).Value(),
+		NoHelpers:     p.rounds.With(ResultNoHelpers).Value(),
 	}
 	p.mu.Lock()
-	st.Pending = len(p.pending)
+	st.Pending = len(p.m.rounds)
 	p.mu.Unlock()
 	return st
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // Membership peers that are well-formed but wrong: a leave that lists other
-// members besides its sender, and a leave that names another member as its
-// sender.
+// members besides its sender, a leave that names another member as its
+// sender, and an exchange between two members that tombstoned each other.
 
 // lastExchange is an endpoint that keeps a copy of the body of the last view
 // exchange its Service sent.
@@ -186,4 +186,55 @@ func listsMember(svc *membership.Service, addr string) bool {
 		}
 	}
 	return false
+}
+
+// TestScenarioTombstonedPairTradesNoStorm: a hostile member forges a leave
+// each way between two honest nodes, so each holds the other as a
+// tombstone, then forges one exchange from one to the other. A node answers
+// an exchange only when its merge admitted the sender, so the forged exchange
+// draws no reply, and for 10 virtual seconds no view exchange passes between
+// the pair. Were a sender the view cannot admit answered, the two would trade
+// whole views, each reply answering the last, for as long as the run lasted.
+func TestScenarioTombstonedPairTradesNoStorm(t *testing.T) {
+	const n = 8
+	const a, b = "mem://node001", "mem://node003"
+	c, ep := joinHostile(t, n)
+	ctx := context.Background()
+	forged := func(from string) []byte {
+		return []byte(`<Membership xmlns="urn:wsgossip:membership"><From>` + from + `</From>` +
+			`<Members><M><A>` + from + `</A><H>1</H></M></Members></Membership>`)
+	}
+	between := 0 // view exchanges a and b receive from each other
+	for _, pair := range [][2]string{{a, b}, {b, a}} {
+		to, from := pair[0], pair[1]
+		inner := c.nodes[to].Handler()
+		c.bus.Register(to, soap.HandlerFunc(func(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
+			if blocks := req.Envelope.Body.Blocks; req.Action() == membership.ActionExchange && len(blocks) > 0 &&
+				bytes.Contains(blocks[0].Raw, []byte("<From>"+from+"</From>")) {
+				between++
+			}
+			return inner.HandleSOAP(ctx, req)
+		}))
+		if err := ep.Send(ctx, transport.Message{To: to, Action: membership.ActionLeave, Body: forged(from)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.clk.Advance(100 * time.Millisecond)
+	if listsMember(c.nodes[a].Membership(), b) || listsMember(c.nodes[b].Membership(), a) {
+		t.Fatal("the forged leaves did not tombstone the pair")
+	}
+	between = 0
+
+	if err := ep.Send(ctx, transport.Message{To: a, Action: membership.ActionExchange, Body: forged(b)}); err != nil {
+		t.Fatal(err)
+	}
+	c.clk.Advance(10 * time.Second)
+	if between > 1 {
+		t.Fatalf("one forged exchange set off %d view exchanges between %s and %s in 10s, want only itself", between, a, b)
+	}
+	for _, addr := range c.order {
+		if got := c.nodes[addr].Membership().Size(); addr != a && addr != b && got < n-1 {
+			t.Fatalf("%s holds %d members after the incident, want at least %d", addr, got, n-1)
+		}
+	}
 }
