@@ -34,6 +34,7 @@ type allocBudget struct {
 	IWantSend         float64 `json:"iwant_send_max_allocs"`
 	AnnounceRound     float64 `json:"announce_round4_f8_max_allocs"`
 	IHaveRoundHeld    float64 `json:"ihave_round4_held_max_allocs"`
+	InitiatorNotify   float64 `json:"initiator_notify_f4_max_allocs"`
 }
 
 func checkAllocBudget(t *testing.T, what string, allocs, budget float64) {
@@ -565,4 +566,19 @@ func TestIHaveRoundHeldAllocBudget(t *testing.T) {
 		t.Fatalf("stats = %+v", stats)
 	}
 	checkAllocBudget(t, "IHAVE of 4 held notifications", allocs, budget.IHaveRoundHeld)
+}
+
+// TestInitiatorNotifyAllocBudget: a published notification to 4 peers over
+// MemBus is the message ID string Notify returns. The ID and the gossip
+// header are written on the stack, the body into pooled scratch by a pooled
+// encoder, and the template and its 4 copies into pooled buffers the bus
+// recycles.
+func TestInitiatorNotifyAllocBudget(t *testing.T) {
+	budget := testkit.LoadBudget[allocBudget](t)
+	notify := notifyBench(t)
+	allocs := testing.AllocsPerRun(100, notify)
+	if allocs != budget.InitiatorNotify {
+		t.Errorf("Notify to 4 peers = %.1f allocs/op, budget exactly %.0f (testdata/alloc_budget.json)", allocs, budget.InitiatorNotify)
+	}
+	t.Logf("Notify to 4 peers: %.1f allocs/op (budget %.0f)", allocs, budget.InitiatorNotify)
 }

@@ -256,3 +256,42 @@ func BenchmarkDigestReceipt(b *testing.B) {
 		})
 	}
 }
+
+// notifyBench is an initiator that publishes over MemBus to 4 no-op peers,
+// its interaction as StartInteraction returns it, and a body with one 256 B
+// string field.
+func notifyBench(tb testing.TB) (notify func()) {
+	tb.Helper()
+	bus := soap.NewMemBus()
+	noop := soap.HandlerFunc(func(context.Context, *soap.Request) (*soap.Envelope, error) { return nil, nil })
+	inter := goldenInteraction(tb, "urn:bench:interaction", ProtocolPushGossip)
+	inter.Params.Targets = nil
+	for i := range 4 {
+		addr := "mem://peer" + strconv.Itoa(i)
+		bus.Register(addr, noop)
+		inter.Params.Targets = append(inter.Params.Targets, addr)
+	}
+	init, err := NewInitiator(InitiatorConfig{Address: "mem://init", Caller: bus, Activation: "mem://coordinator"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body := &benchNote{Data: strings.Repeat("x", 256)}
+	ctx := context.Background()
+	return func() {
+		if _, sent, err := init.Notify(ctx, inter, body); err != nil || sent != 4 {
+			tb.Fatalf("Notify sent %d, %v", sent, err)
+		}
+	}
+}
+
+// BenchmarkInitiatorNotify measures one published notification: its ID, its
+// header and body written once into a pooled template, and 4 rendered copies
+// the bus delivers to no-op peers and recycles.
+func BenchmarkInitiatorNotify(b *testing.B) {
+	notify := notifyBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		notify()
+	}
+}

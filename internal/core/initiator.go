@@ -26,9 +26,10 @@ type Interaction struct {
 	Params   GossipParameters
 
 	// contextBlock is blockContext as the header block every notification
-	// of the interaction carries, built once by StartProtocolInteraction. An
-	// Interaction assembled by hand, or whose Context was changed since, is
-	// marshaled by each Notify instead.
+	// of the interaction carries, marshaled once by StartProtocolInteraction
+	// and written by each Notify as it is. The context of an Interaction
+	// assembled by hand, or whose Context was changed since, is marshaled by
+	// each Notify call instead (wscoord.ContextBlock).
 	contextBlock soap.Block
 	blockContext wscoord.CoordinationContext
 }
@@ -126,25 +127,53 @@ func (i *Initiator) StartProtocolInteraction(ctx context.Context, protocol strin
 // initiator's assigned targets with the interaction's full hop budget. It
 // returns the notification's message ID and the number of targets the send
 // succeeded to (gossip redundancy tolerates individual failures). The
-// notification is serialized exactly once; only the wsa:To header is
-// rendered per target (encode-once wire path).
+// notification is written, not built: its message ID and gossip header into
+// scratch on the stack, the body marshaled once into pooled scratch
+// (soap.AppendMarshal), and all of it, with the interaction's context block,
+// straight into one pooled template (soap.Message.Fanout) that is rendered
+// per target with only its wsa:To added. With the assigned targets, the
+// returned ID is the one allocation left.
 func (i *Initiator) Notify(ctx context.Context, inter *Interaction, body any) (wsa.MessageID, int, error) {
 	if inter == nil {
 		return "", 0, fmt.Errorf("core: notify without an interaction")
 	}
-	msgID := wsa.NewMessageID()
-	env, err := i.buildNotification(inter, msgID, body)
+	var idBuf [wsa.MessageIDLen]byte
+	id := wsa.AppendMessageID(idBuf[:0])
+	msgID := wsa.MessageID(id)
+	cb := inter.contextBlock
+	if cb.Raw == nil || inter.blockContext != inter.Context {
+		var err error
+		if cb, err = wscoord.ContextBlock(inter.Context); err != nil {
+			return msgID, 0, err
+		}
+	}
+	scratch := bodyScratch.Get().(*[]byte)
+	defer bodyScratch.Put(scratch)
+	b, err := soap.AppendMarshal((*scratch)[:0], body)
 	if err != nil {
 		return msgID, 0, err
 	}
+	*scratch = b.Raw[:0]
+	protocol := inter.Protocol
+	if protocol == ProtocolPushGossip {
+		protocol = "" // wire compatibility: empty means push
+	}
+	var gossipBuf [512]byte
+	header := [2]soap.Block{cb, {XMLName: gossipName, Raw: appendGossipBlock(gossipBuf[:0], inter.Context.Identifier, string(msgID), inter.Params.Hops, protocol)}}
+	m := soap.Message{Action: ActionNotify, ID: id, Header: header[:], Body: []soap.Block{b}}
 	targets := i.seedTargets(inter)
-	sent, failed := soap.Fanout(ctx, i.cfg.Caller, env, targets)
+	sent, failed := m.Fanout(ctx, i.cfg.Caller, targets)
 	i.sendErrors.Add(int64(len(failed)))
 	if len(targets) > 0 && sent == 0 {
 		return msgID, 0, fmt.Errorf("core: notification reached none of %d targets", len(targets))
 	}
 	return msgID, sent, nil
 }
+
+// bodyScratch holds the buffers Notify marshals a body into. A buffer goes
+// back once the fan-out has returned: the template copied the body, and every
+// rendered copy the template.
+var bodyScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // seedTargets picks the endpoints the initial notification is sent to. The
 // classic path uses the coordinator-assigned target list verbatim; with a
@@ -164,39 +193,6 @@ func (i *Initiator) seedTargets(inter *Interaction) []string {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return SelectTargets(nil, nil, i.cfg.Peers, i.rng, want, i.cfg.Address, inter.Params.Targets)
-}
-
-// buildNotification assembles the target-independent notification: the
-// addressing omits To, which the fan-out loop splices per target.
-func (i *Initiator) buildNotification(inter *Interaction, msgID wsa.MessageID, body any) (*soap.Envelope, error) {
-	env := soap.NewEnvelope()
-	if err := env.SetAddressing(wsa.Headers{
-		Action:    ActionNotify,
-		MessageID: msgID,
-	}); err != nil {
-		return nil, err
-	}
-	if inter.contextBlock.Raw != nil && inter.blockContext == inter.Context {
-		wscoord.AttachContextBlock(env, inter.contextBlock)
-	} else if err := wscoord.AttachContext(env, inter.Context); err != nil {
-		return nil, err
-	}
-	protocol := inter.Protocol
-	if protocol == ProtocolPushGossip {
-		protocol = "" // wire compatibility: empty means push
-	}
-	if err := SetGossipHeader(env, GossipHeader{
-		InteractionID: inter.Context.Identifier,
-		MessageID:     string(msgID),
-		Hops:          inter.Params.Hops,
-		Protocol:      protocol,
-	}); err != nil {
-		return nil, err
-	}
-	if err := env.SetBody(body); err != nil {
-		return nil, err
-	}
-	return env, nil
 }
 
 // SubscribeClient sends a Subscribe to a Coordinator on behalf of endpoint.

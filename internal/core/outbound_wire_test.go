@@ -84,28 +84,29 @@ func TestOutboundWireGolden(t *testing.T) {
 		return rec.msgs[0]
 	}
 
-	t.Run("initiator", func(t *testing.T) {
-		cctx := wscoord.CoordinationContext{
-			Identifier:          interaction,
-			CoordinationType:    CoordinationTypeGossip,
-			RegistrationService: wscoord.ServiceRef{Address: "mem://coordinator"},
-		}
-		block, err := wscoord.ContextBlock(cctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inter := &Interaction{
-			Context: cctx, Protocol: ProtocolPushGossip, Params: GossipParameters{Fanout: 2, Hops: 4},
-			contextBlock: block, blockContext: cctx,
-		}
-		env, err := (&Initiator{}).buildNotification(inter, "urn:uuid:notification", quoteBody{Symbol: "WSG", Price: 1.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := &wireRecorder{}
-		soap.Fanout(ctx, rec, env, []string{"mem://a"})
-		checkWireGolden(t, "notify", only(rec, "Notify"))
-	})
+	for _, tc := range []struct{ name, golden, protocol string }{
+		{"initiator", "notify", ProtocolPushGossip},
+		{"initiator_pull", "notify_pull", ProtocolPullGossip},
+		{"initiator_context_changed", "notify_context_changed", ProtocolPushGossip},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inter := goldenInteraction(t, interaction, tc.protocol)
+			if tc.golden == "notify_context_changed" {
+				// Changed since Start: the prebuilt block is stale, and the
+				// context is marshaled by the Notify call.
+				inter.Context.ExpiresMillis = 30000
+			}
+			rec := &wireRecorder{}
+			init, err := NewInitiator(InitiatorConfig{Address: "mem://init", Caller: rec, Activation: "mem://coordinator"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, sent, err := init.Notify(ctx, inter, quoteBody{Symbol: "WSG", Price: 1.5}); err != nil || sent != 1 {
+				t.Fatalf("Notify sent %d, %v", sent, err)
+			}
+			checkWireGolden(t, tc.golden, only(rec, "Notify"))
+		})
+	}
 
 	t.Run("announce", func(t *testing.T) {
 		d, rec := newRecorded()
@@ -191,6 +192,55 @@ func requestWithBody(t *testing.T, action string, body soap.Block) *soap.Request
 		t.Fatal(err)
 	}
 	return &soap.Request{Envelope: back}
+}
+
+// goldenInteraction is an interaction as StartProtocolInteraction returns it,
+// with its context block prebuilt, targeting mem://a.
+func goldenInteraction(t testing.TB, id, protocol string) *Interaction {
+	t.Helper()
+	cctx := wscoord.CoordinationContext{
+		Identifier:          id,
+		CoordinationType:    CoordinationTypeGossip,
+		RegistrationService: wscoord.ServiceRef{Address: "mem://coordinator"},
+	}
+	block, err := wscoord.ContextBlock(cctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Interaction{
+		Context: cctx, Protocol: protocol, Params: GossipParameters{Fanout: 2, Hops: 4, Targets: []string{"mem://a"}},
+		contextBlock: block, blockContext: cctx,
+	}
+}
+
+// builtNotification is the notification Notify writes, built as an envelope
+// field by field instead — the construction Notify replaced, and its oracle:
+// addressing without To (the fan-out adds each target's), the coordination
+// context, the gossip header and the body.
+func builtNotification(inter *Interaction, msgID wsa.MessageID, body any) (*soap.Envelope, error) {
+	env := soap.NewEnvelope()
+	if err := env.SetAddressing(wsa.Headers{Action: ActionNotify, MessageID: msgID}); err != nil {
+		return nil, err
+	}
+	if err := wscoord.AttachContext(env, inter.Context); err != nil {
+		return nil, err
+	}
+	protocol := inter.Protocol
+	if protocol == ProtocolPushGossip {
+		protocol = ""
+	}
+	if err := SetGossipHeader(env, GossipHeader{
+		InteractionID: inter.Context.Identifier,
+		MessageID:     string(msgID),
+		Hops:          inter.Params.Hops,
+		Protocol:      protocol,
+	}); err != nil {
+		return nil, err
+	}
+	if err := env.SetBody(body); err != nil {
+		return nil, err
+	}
+	return env, nil
 }
 
 // TestForwardMatchesRenotify: a forward — a push to two peers, and a

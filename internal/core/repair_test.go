@@ -67,7 +67,7 @@ func repairPair(t *testing.T) (bus *soap.MemBus, a, b *Disseminator, bApp *Colle
 		t.Fatal(err)
 	}
 	// Deliver straight to A only, simulating B having lost its copy.
-	env, err := init.buildNotification(inter, "urn:uuid:lost-msg", quoteBody{Symbol: "RPR", Price: 7})
+	env, err := builtNotification(inter, "urn:uuid:lost-msg", quoteBody{Symbol: "RPR", Price: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestTickRepairRoundTrip(t *testing.T) {
 	if _, _, err := init.Notify(ctx, inter, quoteBody{Symbol: "N1", Price: 1}); err != nil {
 		t.Fatal(err)
 	}
-	env, err := init.buildNotification(inter, "urn:uuid:only-a", quoteBody{Symbol: "N2", Price: 2})
+	env, err := builtNotification(inter, "urn:uuid:only-a", quoteBody{Symbol: "N2", Price: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package soap
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"wsgossip/internal/metrics"
@@ -21,6 +22,7 @@ type allocBudget struct {
 	PoolCycleMaxAllocs float64 `json:"pool_cycle_max_allocs"`
 	OutboundMaxAllocs  float64 `json:"outbound_build_max_allocs"`
 	OneWayMaxAllocs    float64 `json:"membus_one_way_delivery_max_allocs"`
+	MarshalMaxAllocs   float64 `json:"marshal_block_max_allocs"`
 }
 
 func TestDecodeAllocBudget(t *testing.T) {
@@ -181,6 +183,29 @@ func TestMemBusOneWayAllocBudget(t *testing.T) {
 	}
 	t.Logf("one-way MemBus delivery: %.1f allocs/op (budget %.0f)", allocs, budget.OneWayMaxAllocs)
 }
+
+// TestMarshalBlockAllocBudget: MarshalBlock of a value with one string field
+// is the block's exactly sized copy; the encoder, its buffers and the scratch
+// it writes into are pooled, and the block's name is interned.
+func TestMarshalBlockAllocBudget(t *testing.T) {
+	budget := testkit.LoadBudget[allocBudget](t)
+	v := &benchPayload{Data: strings.Repeat("x", 256)}
+	allocs := testing.AllocsPerRun(200, func() {
+		b, err := MarshalBlock(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinkBlock = b
+	})
+	if allocs != budget.MarshalMaxAllocs {
+		t.Errorf("MarshalBlock = %.1f allocs/op, budget exactly %.0f (testdata/alloc_budget.json)",
+			allocs, budget.MarshalMaxAllocs)
+	}
+	t.Logf("MarshalBlock: %.1f allocs/op (budget %.0f)", allocs, budget.MarshalMaxAllocs)
+}
+
+// sinkBlock keeps a measured block live, so the compiler cannot elide it.
+var sinkBlock Block
 
 // sinkEnv keeps a measured copy live, so the compiler cannot elide it.
 var sinkEnv *Envelope

@@ -179,3 +179,17 @@ func BenchmarkMemBusOneWay(b *testing.B) {
 		deliver()
 	}
 }
+
+// BenchmarkMarshalBlock measures MarshalBlock of a value with one 256 B
+// string field: the pooled encoder's write and the block's one copy.
+func BenchmarkMarshalBlock(b *testing.B) {
+	v := &benchPayload{Data: strings.Repeat("x", 256)}
+	b.ReportAllocs()
+	for range b.N {
+		blk, err := MarshalBlock(v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkBlock = blk
+	}
+}

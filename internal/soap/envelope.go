@@ -244,28 +244,6 @@ func (e *Envelope) ensureHeader() {
 	e.Header = &Header{}
 }
 
-// MarshalBlock marshals v into a captured Block — what AddHeader and SetBody
-// attach, for a caller that attaches the same value to many envelopes and
-// marshals it once (AddHeaderBlock, SetBodyBlock). The block's name is read
-// off the start tag xml.Marshal just wrote (blockName); only output the byte
-// walk declines is parsed a second time to learn it.
-func MarshalBlock(v any) (Block, error) {
-	raw, err := xml.Marshal(v)
-	if err != nil {
-		return Block{}, fmt.Errorf("soap: marshal block: %w", err)
-	}
-	if name, ok := blockName(raw); ok {
-		return Block{XMLName: name, Raw: raw}, nil
-	}
-	var probe struct {
-		XMLName xml.Name
-	}
-	if err := xml.Unmarshal(raw, &probe); err != nil {
-		return Block{}, fmt.Errorf("soap: probe block name: %w", err)
-	}
-	return Block{XMLName: probe.XMLName, Raw: raw}, nil
-}
-
 // blockName derives the qualified name of the single element in raw from
 // its start tag — `<Local xmlns="uri" …>`, `<Local>`, or self-closing — with
 // the wire scanner's byte walk, which also checks the element is well formed

@@ -7,12 +7,12 @@ import (
 	"wsgossip/internal/wsa"
 )
 
-// Message is a one-way message the stack originates — an announcement or a
-// fetch, a digest, a push-sum exchange or its ack, a membership view, a
-// probe — described by value, so that it is written, not built: the one wire
-// writer puts the description straight into a pooled wire buffer, with no
-// Envelope, no block buffer and no MessageID string in between, and hands it
-// to SendEncoded. The wire bytes are those of an envelope built with
+// Message is a one-way message the stack originates — a published
+// notification, an announcement or a fetch, a digest, a push-sum exchange or
+// its ack, a membership view, a probe — described by value, so that it is
+// written, not built: the one wire writer puts the description straight into
+// a pooled wire buffer, with no Envelope, no block buffer and no MessageID
+// string in between, and hands it to SendEncoded. The wire bytes are those of an envelope built with
 // NewEnvelope, SetAddressing (To, Action and MessageID), AddHeaderBlock for
 // each Header block and SetBodyBlock (or a Body.Blocks list for more than one
 // child), and then encoded, or fanned out, like any other. A Header or Body

@@ -31,9 +31,10 @@ import (
 // The canonical format declares every namespace with a default xmlns
 // attribute on the element that introduces it; the only prefixes in it are
 // those a block declares for its own attributes. Every block the stack can
-// hold — scanned, captured by the fallback, flat-written, or from
-// MarshalBlock — is spliced; a block the splice declines, which only a hand
-// can build, is an error (ErrNotSpliceable), never a re-encode.
+// hold — scanned, captured by the fallback, flat-written, or written by the
+// pooled encoding/xml marshaler (MarshalBlock, AppendMarshal; marshal.go) —
+// is spliced; a block the splice declines, which only a hand can build, is
+// an error (ErrNotSpliceable), never a re-encode.
 
 // Fixed scaffolding of the canonical wire format. Blocks are spliced
 // between the container tags; Header and Body inherit the envelope's
@@ -473,9 +474,9 @@ type EncodedSender interface {
 // block the splice writer declines fails them all. A ctx cancelled
 // mid-fanout stops issuing new sends; the not-yet-attempted targets are
 // reported as failed so the caller's accounting stays exact. The
-// multi-target sends the stack originates go through Message.Fanout, and
-// forwards through Forward, which render the same way; this is the path for
-// an envelope already built, such as the Initiator's notification.
+// multi-target sends the stack originates, the Initiator's notification
+// included, go through Message.Fanout, and forwards through Forward, which
+// render the same way; this is the path for an envelope already built.
 func Fanout(ctx context.Context, caller Caller, env *Envelope, targets []string) (sent int, failed []string) {
 	d := env.templateDraft()
 	return d.fanout(ctx, caller, targets)

@@ -7,8 +7,8 @@
 // Key types:
 //
 //   - CoordinationContext — the context header; ContextBlock marshals it
-//     once per activity, AttachContext/AttachContextBlock put it on an
-//     envelope, and ContextFrom/ContextFor read it back.
+//     once per activity, AttachContext puts it on an envelope, and
+//     ContextFrom/ContextFor read it back.
 //   - CreateCoordinationContext, Register and their responses — the
 //     request and response bodies.
 //   - ActivationClient / RegistrationClient — the caller side.

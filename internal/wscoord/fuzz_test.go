@@ -61,7 +61,7 @@ func FuzzCoordinationContext(f *testing.F) {
 			t.Fatalf("accepted context %+v does not marshal: %v", ctx, err)
 		}
 		out := soap.NewEnvelope()
-		AttachContextBlock(out, b)
+		out.AddHeaderBlock(b)
 		data, err := out.Encode()
 		if err != nil {
 			t.Fatalf("encode: %v", err)

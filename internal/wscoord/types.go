@@ -64,13 +64,14 @@ func (c CoordinationContext) Validate() error {
 
 // AttachContext adds the context as a SOAP header block, replacing any
 // existing context header. It marshals ctx; a sender that puts one context
-// on many messages builds the block once (ContextBlock) and attaches that.
+// on many messages marshals the block once (ContextBlock) and writes that.
 func AttachContext(env *soap.Envelope, ctx CoordinationContext) error {
 	b, err := ContextBlock(ctx)
 	if err != nil {
 		return err
 	}
-	AttachContextBlock(env, b)
+	env.RemoveHeader(Namespace, "CoordinationContext")
+	env.AddHeaderBlock(b)
 	return nil
 }
 
@@ -78,13 +79,6 @@ func AttachContext(env *soap.Envelope, ctx CoordinationContext) error {
 // block is immutable and may be attached to any number of envelopes.
 func ContextBlock(ctx CoordinationContext) (soap.Block, error) {
 	return soap.MarshalBlock(ctx)
-}
-
-// AttachContextBlock adds a block built by ContextBlock as the envelope's
-// context header, replacing any existing one.
-func AttachContextBlock(env *soap.Envelope, b soap.Block) {
-	env.RemoveHeader(Namespace, "CoordinationContext")
-	env.AddHeaderBlock(b)
 }
 
 // ContextFrom extracts the coordination context header from the envelope.
