@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -26,6 +27,7 @@ type allocBudget struct {
 	ForwardHeaders    float64 `json:"forward_headers_max_allocs"`
 	DigestReceipt     float64 `json:"digest_receipt_nothing_missing_max_allocs"`
 	DigestEnvelope    float64 `json:"tick_repair_digest_envelope_max_allocs"`
+	TickPull          float64 `json:"tick_pull_max_allocs"`
 	IHaveHeld         float64 `json:"ihave_held_max_allocs"`
 	IWantServe        float64 `json:"iwant_serve_max_allocs"`
 	DigestOneMissing  float64 `json:"digest_receipt_one_missing_max_allocs"`
@@ -49,7 +51,7 @@ func TestForwardFanoutAllocBudget(t *testing.T) {
 	budget := testkit.LoadBudget[allocBudget](t)
 	fb := newForwardBench(t, 8, 1<<10)
 	allocs := testing.AllocsPerRun(100, func() {
-		fb.d.transfer(fb.ctx, fb.env, fb.n, fb.state, pushTransfer)
+		fb.d.spread(fb.ctx, fb.env, fb.n, fb.state, pushTransfer)
 	})
 	if stats := fb.d.Stats(); stats.Forwarded == 0 || stats.SendErrors != 0 {
 		t.Fatalf("stats = %+v", stats)
@@ -214,13 +216,13 @@ func TestForwardHeadersAllocBudget(t *testing.T) {
 // asWritten leaves a digest body as the writer spelled it.
 func asWritten(body []byte) []byte { return body }
 
-// fullDigestResponder is a responder holding digestCap notifications and a
+// fullDigestResponder is a responder holding gossip.DigestCap notifications and a
 // received repair digest listing all of them — the round with nothing to say
 // — spelled by spell (asWritten, or respell to force the fallback).
 func fullDigestResponder(t testing.TB, spell func([]byte) []byte) (*Disseminator, *soap.Request) {
 	t.Helper()
-	d, _ := newDigestResponder(t, digestCap)
-	for i := 0; i < digestCap; i++ {
+	d, _ := newDigestResponder(t, gossip.DigestCap)
+	for i := 0; i < gossip.DigestCap; i++ {
 		storeNotification(t, d, string(wsa.NewMessageID()))
 	}
 	req, _ := receivedRequest(t, ActionDigest, spell(digestBlock("mem://peer", heldSumsOf(d), false).Raw))
@@ -261,8 +263,8 @@ func TestDigestReceiptAllocBudget(t *testing.T) {
 // stack.
 func TestDigestOneMissingAllocBudget(t *testing.T) {
 	budget := testkit.LoadBudget[allocBudget](t)
-	d, _ := newDigestResponder(t, digestCap)
-	for i := 0; i < digestCap; i++ {
+	d, _ := newDigestResponder(t, gossip.DigestCap)
+	for i := 0; i < gossip.DigestCap; i++ {
 		storeNotification(t, d, string(wsa.NewMessageID()))
 	}
 	d.cfg.Caller = dropCaller{}
@@ -279,49 +281,69 @@ func TestDigestOneMissingAllocBudget(t *testing.T) {
 	checkAllocBudget(t, "128-sum digest receipt, one missing", allocs, budget.DigestOneMissing)
 }
 
-// tickRepairDigest sends what TickRepair sends once per round to one peer
-// over MemBus: the sums written from the store into scratch on the stack, and
-// from there, with the message ID, straight into the wire buffer, which the
-// bus recycles once the peer's no-op handler has returned.
-func tickRepairDigest(tb testing.TB, d *Disseminator) {
-	var scratch [8 * digestCap]byte
-	d.mu.Lock()
-	sums, truncated := d.m.Digest(scratch[:0])
-	d.mu.Unlock()
-	d.sendDigest(context.Background(), false, sums, truncated, []string{"mem://peer"})
-}
-
-// digestSender is d sending through a MemBus on which mem://peer is a no-op
-// handler.
-func digestSender(d *Disseminator) *Disseminator {
+// digestRounds is a node holding 128 notifications in n pulling
+// interactions, each with two peers of its own, on a MemBus whose handlers do
+// nothing, so each round sends every interaction's peers a digest the bus
+// recycles.
+func digestRounds(tb testing.TB, n int) *Disseminator {
+	d, _ := fullDigestResponder(tb, asWritten)
 	bus := soap.NewMemBus()
-	bus.Register("mem://peer", soap.HandlerFunc(func(context.Context, *soap.Request) (*soap.Envelope, error) {
+	noop := soap.HandlerFunc(func(context.Context, *soap.Request) (*soap.Envelope, error) {
 		return nil, nil
-	}))
+	})
+	for i := range n {
+		id := fmt.Sprint("urn:uuid:round-", i)
+		targets := []string{fmt.Sprint("mem://a", i), fmt.Sprint("mem://b", i)}
+		for _, peer := range targets {
+			bus.Register(peer, noop)
+		}
+		d.interactions[id] = newInteractionState(id, ProtocolPullGossip, GossipParameters{Fanout: 2, Hops: 3, Targets: targets})
+	}
 	d.cfg.Caller = bus
 	return d
 }
 
-// TestDigestEnvelopeAllocBudget: what TickRepair writes and sends once per
-// round for a 128-entry store.
+// checkDigestRound holds a round of d's, run 101 times, to its budget: with n
+// interactions it sends 2n digests.
+func checkDigestRound(t *testing.T, name string, n int, round func(context.Context), sent func() int64, budget float64) {
+	t.Helper()
+	allocs := testing.AllocsPerRun(100, func() { round(context.Background()) })
+	if got := sent(); got != int64(101*2*n) {
+		t.Fatalf("%d digests sent, want %d", got, 101*2*n)
+	}
+	checkAllocBudget(t, fmt.Sprintf("%s of 128 sums, %d interactions", name, n), allocs, budget)
+}
+
+// TestDigestEnvelopeAllocBudget: a TickRepair round with 1 and 4
+// interactions. The sums are written from the store into scratch on the
+// stack, the interactions visited in the sorted order kept since the last
+// was added, their targets drawn into scratch on the stack, and the digest
+// written once, with its message ID, straight into a pooled wire buffer and
+// rendered per target.
 func TestDigestEnvelopeAllocBudget(t *testing.T) {
 	budget := testkit.LoadBudget[allocBudget](t)
-	d, _ := fullDigestResponder(t, asWritten)
-	digestSender(d)
-	allocs := testing.AllocsPerRun(100, func() { tickRepairDigest(t, d) })
-	if sent := d.Stats().DigestsSent; sent != 101 {
-		t.Fatalf("%d digests sent, want 101", sent)
+	for _, n := range []int{1, 4} {
+		d := digestRounds(t, n)
+		checkDigestRound(t, "TickRepair", n, d.TickRepair, func() int64 { return d.Stats().DigestsSent }, budget.DigestEnvelope)
 	}
-	checkAllocBudget(t, "TickRepair digest, 128 sums, to one peer", allocs, budget.DigestEnvelope)
+}
+
+// TestTickPullAllocBudget: a TickPull round, likewise.
+func TestTickPullAllocBudget(t *testing.T) {
+	budget := testkit.LoadBudget[allocBudget](t)
+	for _, n := range []int{1, 4} {
+		d := digestRounds(t, n)
+		checkDigestRound(t, "TickPull", n, d.TickPull, func() int64 { return d.Stats().PullsSent }, budget.TickPull)
+	}
 }
 
 func BenchmarkTickRepairDigest(b *testing.B) {
-	d, _ := fullDigestResponder(b, asWritten)
-	digestSender(d)
+	d := digestRounds(b, 1)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tickRepairDigest(b, d)
+		d.TickRepair(ctx)
 	}
 }
 
@@ -491,7 +513,7 @@ func TestIHaveAnnounceAllocBudget(t *testing.T) {
 	budget := testkit.LoadBudget[allocBudget](t)
 	fb := newForwardBench(t, 8, 1<<10)
 	allocs := testing.AllocsPerRun(100, func() {
-		fb.d.transfer(fb.ctx, nil, fb.n, fb.state, announceTransfer)
+		fb.d.spread(fb.ctx, nil, fb.n, fb.state, announceTransfer)
 	})
 	if stats := fb.d.Stats(); stats.Announced != 8*101 || stats.SendErrors != 0 {
 		t.Fatalf("stats = %+v", stats)
@@ -504,20 +526,22 @@ func BenchmarkIHaveAnnounce(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fb.d.transfer(fb.ctx, nil, fb.n, fb.state, announceTransfer)
+		fb.d.spread(fb.ctx, nil, fb.n, fb.state, announceTransfer)
 	}
 }
 
 // TestAnnounceRoundAllocBudget: an announce round of 4 notifications at
-// fanout 8 over MemBus. The round's targets are drawn once, on the stack,
-// and each peer's IHAVE — one Announce child per notification — is written
-// once straight into a pooled template and rendered per peer into pooled
-// buffers the bus recycles: 8 envelopes, not 32.
+// fanout 8 over MemBus. Queueing copies each ID into the round's arena, the
+// round's targets are drawn once into its buffer, and each peer's IHAVE —
+// one Announce child per notification — is written once straight into a
+// pooled template and rendered per peer into pooled buffers the bus
+// recycles: 8 envelopes, not 32. The round's buffers are handed back and
+// refilled by the next.
 func TestAnnounceRoundAllocBudget(t *testing.T) {
 	budget := testkit.LoadBudget[allocBudget](t)
 	fb := newForwardBench(t, 8, 1<<10)
 	round := announceRoundOf(fb, 4)
-	allocs := testing.AllocsPerRun(100, func() { fb.d.announce(fb.ctx, round) })
+	allocs := testing.AllocsPerRun(100, round)
 	if stats := fb.d.Stats(); stats.Announced != 8*101 || stats.SendErrors != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
@@ -530,17 +554,24 @@ func BenchmarkAnnounceRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fb.d.announce(fb.ctx, round)
+		round()
 	}
 }
 
-// announceRoundOf is a round of n queued announcements of fb's interaction.
-func announceRoundOf(fb *forwardBench, n int) []pendingAnnounce {
-	round := make([]pendingAnnounce, n)
-	for i := range round {
-		round[i] = pendingAnnounce{n: notice{messageID: []byte(string(wsa.NewMessageID())), hops: 4}, state: fb.state, t: announceTransfer}
+// announceRoundOf defers fb's announcements and returns one round: n
+// notifications of fb's interaction queued, then announced.
+func announceRoundOf(fb *forwardBench, n int) func() {
+	fb.d.DeferAnnouncements()
+	notices := make([]notice, n)
+	for i := range notices {
+		notices[i] = notice{messageID: []byte(string(wsa.NewMessageID())), hops: 4}
 	}
-	return round
+	return func() {
+		for _, n := range notices {
+			fb.d.spread(fb.ctx, nil, n, fb.state, announceTransfer)
+		}
+		fb.d.TickAnnounce(fb.ctx)
+	}
 }
 
 // TestIHaveRoundHeldAllocBudget: an IHAVE listing 4 notifications the node

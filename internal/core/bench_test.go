@@ -87,7 +87,7 @@ func BenchmarkForwardFanout(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fb.d.transfer(fb.ctx, fb.env, fb.n, fb.state, pushTransfer)
+				fb.d.spread(fb.ctx, fb.env, fb.n, fb.state, pushTransfer)
 			}
 			stats := fb.d.Stats()
 			if stats.Forwarded == 0 || stats.SendErrors != 0 {
@@ -116,11 +116,16 @@ func BenchmarkRetransmit(b *testing.B) {
 		}
 		fb.d.m.Hold(gossip.IDSum(gh.MessageID), storedOf(env))
 	}
-	var have heldSums // an empty digest: everything stored is missing
+	// An empty digest: everything stored is missing.
+	req, _ := receivedRequest(b, ActionDigest, digestBlock(fb.targets[0], nil, false).Raw)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n := fb.d.retransmitMissing(fb.ctx, fb.targets[0], have, 16); n != 16 {
+		before := fb.d.Stats().Repaired
+		if _, err := fb.d.handleDigest(fb.ctx, req); err != nil {
+			b.Fatal(err)
+		}
+		if n := fb.d.Stats().Repaired - before; n != 16 {
 			b.Fatalf("retransmitted %d", n)
 		}
 	}

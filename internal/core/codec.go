@@ -172,27 +172,24 @@ func scanAnnounce(raw []byte) (f announceFields, ok bool) {
 }
 
 // Rejections of an IHAVE's shape are fixed values, like a digest's.
-var (
-	errAnnouncesLong   = errors.New("IHAVE lists more than " + strconv.Itoa(digestCap) + " notifications")
-	errAnnounceHolders = errors.New("IHAVE names more than one holder")
-)
+var errAnnounceHolders = errors.New("IHAVE names more than one holder")
 
 // announcesFrom decodes the Announce children of env's body into what
 // handleIHave acts on: the announced MessageIDs as lookup bytes, appended to
 // dst in body order, and the holder they name, interned. Of a canonical
 // child the ID is read in place (see soap.FlatText.Key), a view that must
 // not outlive the delivery; any other child decodes through encoding/xml.
-// An IHAVE lists at most gossip.DigestCap notifications, all held by one
-// peer, whom the IWANTs go to: any other body, like an empty one or a
-// malformed child, is an error, and nothing of it is returned.
+// An IHAVE's notifications are all held by one peer, whom the IWANTs go to:
+// any other body, like an empty one or a malformed child, is an error, and
+// nothing of it is returned. How many an IHAVE may list is the machine's to
+// decide (gossip.Machine.IHave); only the first gossip.DigestCap+1 children
+// are read, enough for it to refuse more.
 func announcesFrom(env *soap.Envelope, dst [][]byte) (ids [][]byte, holder string, err error) {
 	blocks := env.Body.Blocks
-	switch {
-	case len(blocks) == 0:
+	if len(blocks) == 0 {
 		return nil, "", soap.ErrEmptyBody
-	case len(blocks) > digestCap:
-		return nil, "", errAnnouncesLong
 	}
+	blocks = blocks[:min(len(blocks), gossip.DigestCap+1)]
 	var first []byte // the first child's holder, as lookup bytes
 	for i := range blocks {
 		id, by, err := readAnnounce(blocks[i], i == 0)
@@ -330,21 +327,21 @@ type heldSums struct {
 // own (gossip.ParseSums): a bad digest costs the responder nothing to refuse.
 var (
 	errSumsBase64 = errors.New("Sums is not base64")
-	errSumsLong   = errors.New("Sums is longer than " + strconv.Itoa(digestCap) + " sums encode to")
+	errSumsLong   = errors.New("Sums is longer than " + strconv.Itoa(gossip.DigestCap) + " sums encode to")
 )
 
-// decodeSums decodes a <Sums> text into scratch: at most digestCap sums, or
+// decodeSums decodes a <Sums> text into scratch: at most gossip.DigestCap sums, or
 // an error. The text is padded base64 with zero trailing bits, as the writer
 // spells it; the line breaks base64 decoders skip are refused too, so the
 // text's length bounds the bytes it decodes to. gossip.ParseSums reads those.
-func decodeSums(scratch *[digestCap]uint64, text []byte) ([]uint64, error) {
+func decodeSums(scratch *[gossip.DigestCap]uint64, text []byte) ([]uint64, error) {
 	if bytes.ContainsAny(text, "\r\n") {
 		return nil, errSumsBase64
 	}
-	if len(text) > base64.StdEncoding.EncodedLen(8*digestCap) {
+	if len(text) > base64.StdEncoding.EncodedLen(8*gossip.DigestCap) {
 		return nil, errSumsLong
 	}
-	var raw [8*digestCap + 2]byte // room for the 2 bytes past 1,024 that 1,368 characters can hold
+	var raw [8*gossip.DigestCap + 2]byte // room for the 2 bytes past 1,024 that 1,368 characters can hold
 	n, err := base64.StdEncoding.Strict().Decode(raw[:], text)
 	if err != nil {
 		return nil, errSumsBase64
@@ -383,7 +380,7 @@ func scanDigest(raw []byte, pull bool) (peer, sums soap.FlatText, truncated bool
 // encoding/xml — into the peer to answer (interned: a peer sends a digest
 // every round), the sums it lists, decoded into scratch, and, of a
 // PullRequest, its Max.
-func digestFrom(env *soap.Envelope, pull bool, scratch *[digestCap]uint64) (peer string, held heldSums, max int, err error) {
+func digestFrom(env *soap.Envelope, pull bool, scratch *[gossip.DigestCap]uint64) (peer string, held heldSums, max int, err error) {
 	if len(env.Body.Blocks) > 0 {
 		if peer, sums, truncated, max, ok := scanDigest(env.Body.Blocks[0].Raw, pull); ok {
 			held.sums, err = decodeSums(scratch, sums.Key())

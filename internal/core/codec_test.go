@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -253,6 +252,20 @@ func blockNames(env *soap.Envelope) []xml.Name {
 	return out
 }
 
+// announced lists what a round's IHAVEs announce, in send order, as
+// "interaction ID hops".
+func announced(r *gossip.Round) (out []string) {
+	if r == nil {
+		return nil
+	}
+	for _, list := range r.IHaves {
+		for _, a := range list {
+			out = append(out, fmt.Sprint(a.Group, " ", string(a.ID), " ", a.Hops))
+		}
+	}
+	return out
+}
+
 // TestGossipLayerNeverAliasesReceiveBuffer: the transport recycles a
 // delivery's buffer as soon as the handler returns. Nothing the stack
 // returns or retains — the interned action and block names a handler reads,
@@ -315,8 +328,12 @@ func TestGossipLayerNeverAliasesReceiveBuffer(t *testing.T) {
 		if !d.m.Seen(gossip.IDSum(id)) {
 			t.Errorf("seen cache lost %q once the buffer changed", id)
 		}
-		if len(d.pendingAnn) != 1 || !reflect.DeepEqual(d.pendingAnn[0].n, noticeOf(want)) || d.pendingAnn[0].state.id != want.InteractionID {
-			t.Errorf("deferred announcement changed with the buffer: %+v", d.pendingAnn)
+		round := d.m.AnnounceRound(d.drawLocked, false)
+		if got, want := announced(round), []string{fmt.Sprint(want.InteractionID, " ", id, " ", want.Hops-1)}; !slices.Equal(got, want) {
+			t.Errorf("deferred announcement changed with the buffer: %q, want %q", got, want)
+		}
+		if round != nil {
+			d.m.Done(round)
 		}
 		held, ok := d.m.Get(gossip.IDSum(id))
 		if !ok {
@@ -434,11 +451,12 @@ func FuzzGossipHeaderCodec(f *testing.F) {
 // FuzzAnnounceCodec holds the IHAVE reader to encoding/xml on bodies of
 // several children: n children alternating between two fuzzed ones. Each
 // child must read as xml.Unmarshal reads it — the flat reader in place when
-// it accepts the child, encoding/xml otherwise — and the body is refused
-// exactly when it has more than gossip.DigestCap children, a child that does
-// not decode, or children naming different holders. handleIHave then sends
-// one IWANT per distinct announced notification, and none for a refused
-// body, which it answers with a Sender fault.
+// it accepts the child, encoding/xml otherwise. announcesFrom reads the first
+// gossip.DigestCap+1 children and refuses the body exactly when one of them
+// does not decode or they name different holders. handleIHave refuses that
+// body and one of more than gossip.DigestCap children (gossip.Machine.IHave)
+// with a Sender fault and sends no IWANT, and otherwise sends one IWANT per
+// distinct announced notification.
 func FuzzAnnounceCodec(f *testing.F) {
 	for i, s := range codecTexts {
 		other := codecTexts[(i+1)%len(codecTexts)]
@@ -457,14 +475,14 @@ func FuzzAnnounceCodec(f *testing.F) {
 		n = max(n, 1)
 		env := soap.NewEnvelope()
 		refs := make([]Announce, n)
-		refused := int(n) > gossip.DigestCap
+		refused, tooMany := false, int(n) > gossip.DigestCap
 		for i := range int(n) {
 			raw := one
 			if i%2 == 1 {
 				raw = two
 			}
 			env.Body.Blocks = append(env.Body.Blocks, soap.Block{XMLName: announceName, Raw: raw})
-			if xml.Unmarshal(raw, &refs[i]) != nil || refs[i].Holder != refs[0].Holder {
+			if (xml.Unmarshal(raw, &refs[i]) != nil || refs[i].Holder != refs[0].Holder) && i <= gossip.DigestCap {
 				refused = true
 			}
 			if fields, ok := scanAnnounce(raw); ok && fields.announce() != refs[i] {
@@ -477,14 +495,16 @@ func FuzzAnnounceCodec(f *testing.F) {
 		}
 		distinct := map[uint64]bool{}
 		if !refused {
-			if len(ids) != int(n) || holder != refs[0].Holder {
-				t.Fatalf("announcesFrom = %d IDs by %q, want %d by %q", len(ids), holder, n, refs[0].Holder)
+			if want := min(int(n), gossip.DigestCap+1); len(ids) != want || holder != refs[0].Holder {
+				t.Fatalf("announcesFrom = %d IDs by %q, want %d by %q", len(ids), holder, want, refs[0].Holder)
 			}
 			for i, id := range ids {
 				if string(id) != refs[i].MessageID {
 					t.Fatalf("child %d announces %q; encoding/xml: %q", i, id, refs[i].MessageID)
 				}
-				distinct[gossip.IDSum(id)] = true
+				if !tooMany {
+					distinct[gossip.IDSum(id)] = true
+				}
 			}
 		}
 		rec := &wireRecorder{}
@@ -494,8 +514,8 @@ func FuzzAnnounceCodec(f *testing.F) {
 		}
 		_, err = d.handleIHave(context.Background(), &soap.Request{Envelope: env})
 		var fault *soap.Fault
-		if refused != (errors.As(err, &fault) && fault.Code.Value == soap.CodeSender) || len(rec.msgs) != len(distinct) {
-			t.Fatalf("handleIHave = %v with %d IWANTs; want refused %v, %d IWANTs", err, len(rec.msgs), refused, len(distinct))
+		if (refused || tooMany) != (errors.As(err, &fault) && fault.Code.Value == soap.CodeSender) || len(rec.msgs) != len(distinct) {
+			t.Fatalf("handleIHave = %v with %d IWANTs; want refused %v, %d IWANTs", err, len(rec.msgs), refused || tooMany, len(distinct))
 		}
 	})
 }
@@ -527,21 +547,21 @@ func testIDs(n int) []string {
 // and not), one, a full digest, all-zero and all-one sums, and the sums of
 // every awkward text.
 func digestSumLists() [][]byte {
-	return [][]byte{nil, {}, sumsOf("urn:uuid:a"), sumsOf(testIDs(digestCap)...),
+	return [][]byte{nil, {}, sumsOf("urn:uuid:a"), sumsOf(testIDs(gossip.DigestCap)...),
 		make([]byte, 16), bytes.Repeat([]byte{0xff}, 24), sumsOf(codecTexts...)}
 }
 
-var digestMaxes = []int{0, 1, -1, -5, digestCap, digestCap + 1, 999999999, -999999999, 1 << 40}
+var digestMaxes = []int{0, 1, -1, -5, gossip.DigestCap, gossip.DigestCap + 1, 999999999, -999999999, 1 << 40}
 
 // sumsOracle reads a <Sums> text by the rule stated on the wire: padded
 // base64 with no line breaks and zero trailing bits, whose bytes are a whole
-// number of 8-byte big-endian sums, at most digestCap of them.
+// number of 8-byte big-endian sums, at most gossip.DigestCap of them.
 func sumsOracle(text string) ([]uint64, bool) {
 	if strings.ContainsAny(text, "\r\n") {
 		return nil, false
 	}
 	raw, err := base64.StdEncoding.Strict().DecodeString(text)
-	if err != nil || len(raw)%8 != 0 || len(raw)/8 > digestCap {
+	if err != nil || len(raw)%8 != 0 || len(raw)/8 > gossip.DigestCap {
 		return nil, false
 	}
 	sums := make([]uint64, len(raw)/8)
@@ -580,11 +600,11 @@ func TestDigestCodecWritersMatchMarshal(t *testing.T) {
 // full store writes it, stays under 1,500 bytes (it was ~8,800 while it
 // listed 128 <MessageID> elements).
 func TestDigestBodyOfAFullStoreIsSmall(t *testing.T) {
-	body := digestBlock("http://127.0.0.1:18072/", sumsOf(testIDs(digestCap)...), false).Raw
+	body := digestBlock("http://127.0.0.1:18072/", sumsOf(testIDs(gossip.DigestCap)...), false).Raw
 	if len(body) > 1500 {
-		t.Fatalf("a %d-sum digest body is %d bytes, want ≤ 1,500", digestCap, len(body))
+		t.Fatalf("a %d-sum digest body is %d bytes, want ≤ 1,500", gossip.DigestCap, len(body))
 	}
-	t.Logf("a %d-sum digest body is %d bytes", digestCap, len(body))
+	t.Logf("a %d-sum digest body is %d bytes", gossip.DigestCap, len(body))
 }
 
 // checkDigestReaders runs the Digest and PullRequest readers differentially
@@ -596,7 +616,7 @@ func checkDigestReaders(t testing.TB, raw []byte) (okDigest, okPull bool) {
 	t.Helper()
 	env := soap.NewEnvelope()
 	env.SetBodyBlock(soap.Block{Raw: raw})
-	var scratch [digestCap]uint64
+	var scratch [gossip.DigestCap]uint64
 
 	var refDig Digest
 	errDig := xml.Unmarshal(raw, &refDig)
@@ -688,7 +708,7 @@ var badSums = map[string]string{
 	"not a multiple of 8":     "AAAAAAAAAA==", // 7 bytes
 	"missing padding":         "AAAAAAAAAAA",
 	"nonzero trailing bits":   "AAAAAAAAAAB=",
-	"more than digestCap":     base64.StdEncoding.EncodeToString(make([]byte, 8*(digestCap+1))),
+	"more than digestCap":     base64.StdEncoding.EncodeToString(make([]byte, 8*(gossip.DigestCap+1))),
 	"far more than digestCap": base64.StdEncoding.EncodeToString(make([]byte, 8*10000)),
 }
 
@@ -741,7 +761,7 @@ func TestDigestCodecDeclinesNonCanonical(t *testing.T) {
 			}
 			env := soap.NewEnvelope()
 			env.SetBodyBlock(soap.Block{Raw: []byte(doc)})
-			var scratch [digestCap]uint64
+			var scratch [gossip.DigestCap]uint64
 			if _, _, _, err := digestFrom(env, okPull, &scratch); err == nil {
 				t.Errorf("%s: digestFrom accepted %.200s", label, doc)
 			}

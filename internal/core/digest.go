@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/xml"
+	"maps"
 	"slices"
 
 	"wsgossip/internal/gossip"
@@ -21,13 +22,9 @@ import (
 // ActionDigest is the anti-entropy digest exchange action.
 const ActionDigest = Namespace + ":digest"
 
-// digestCap bounds the sums listed per digest and the envelopes retransmitted
-// per exchange: the engine's digests list as many.
-const digestCap = gossip.DigestCap
-
 // Digest advertises the notifications a node holds: Sums is the base64 of
 // their MessageIDs' sums (gossip.IDSum), newest first, as big-endian bytes,
-// and Truncated says the sender holds more than the digestCap it lists.
+// and Truncated says the sender holds more than the gossip.DigestCap it lists.
 // TickRepair writes it and handleDigest reads it with the flat-element codec
 // (codec.go); the struct is the encoding/xml fallback's target and the tests'
 // oracle.
@@ -49,13 +46,16 @@ func (d *Disseminator) TickRepair(ctx context.Context) { d.digestRound(ctx, fals
 func (d *Disseminator) TickPull(ctx context.Context) { d.digestRound(ctx, true) }
 
 // digestRound sends one round of the repair or (pull) the WS-PullGossip
-// exchange: the machine's digest of the newest held sums, written into
-// scratch on the stack, to the round's targets.
+// exchange: the machine's digest to the round's targets, both written into
+// scratch on the stack, so a round allocates nothing.
 func (d *Disseminator) digestRound(ctx context.Context, pull bool) {
-	var scratch [8 * digestCap]byte
+	var (
+		scratch [8 * gossip.DigestCap]byte
+		buf     [32]string
+	)
 	d.mu.Lock()
 	sums, truncated := d.m.Digest(scratch[:0])
-	targets := d.roundTargetsLocked(pull)
+	targets := d.roundTargetsLocked(buf[:0], pull)
 	d.mu.Unlock()
 	if len(targets) > 0 {
 		d.sendDigest(ctx, pull, sums, truncated, targets)
@@ -76,7 +76,7 @@ func (d *Disseminator) sendDigest(ctx context.Context, pull bool, sums []byte, t
 	if pull {
 		m.Action, m.Name, sent = ActionPullRequest, pullName, d.stats.pullsSent
 		m.Write = func(dst []byte, _ int) []byte {
-			return appendPullRequest(dst, d.cfg.Address, sums, truncated, digestCap)
+			return appendPullRequest(dst, d.cfg.Address, sums, truncated, gossip.DigestCap)
 		}
 	}
 	start := d.now()
@@ -84,26 +84,23 @@ func (d *Disseminator) sendDigest(ctx context.Context, pull bool, sums []byte, t
 	sent.Add(int64(d.fanned(start, n, failed)))
 }
 
-// roundTargetsLocked collects one digest round's targets: up to fanout
-// peers per interaction (pulling ones only when pullOnly), each sampled
-// from the node's one RNG. Interactions are visited in sorted key order and
-// the distinct targets returned sorted, so a seed fixes both the draws and
-// the send sequence — map order decides nothing.
-func (d *Disseminator) roundTargetsLocked(pullOnly bool) []string {
-	keys := make([]string, 0, len(d.interactions))
-	for key, state := range d.interactions {
+// roundTargetsLocked appends to dst one digest round's targets: up to fanout
+// peers per interaction (pulling ones only when pullOnly) from the node's one
+// RNG. Interactions are drawn in key order, sorted anew only when one was
+// added, and the distinct targets returned sorted, so a seed fixes the draws
+// and the sends: map order decides nothing.
+func (d *Disseminator) roundTargetsLocked(dst []string, pullOnly bool) []string {
+	if len(d.keys) != len(d.interactions) {
+		d.keys = slices.Sorted(maps.Keys(d.interactions))
+	}
+	for _, key := range d.keys {
+		state := d.interactions[key]
 		if !pullOnly || state.style.Pulls() {
-			keys = append(keys, key)
+			dst = append(dst, SelectTargets(dst[len(dst):], &d.live, d.cfg.Peers, d.rng, state.params.Fanout, d.cfg.Address, state.params.Targets)...)
 		}
 	}
-	slices.Sort(keys)
-	var targets []string
-	for _, key := range keys {
-		state := d.interactions[key]
-		targets = append(targets, SelectTargets(nil, &d.live, d.cfg.Peers, d.rng, state.params.Fanout, d.cfg.Address, state.params.Targets)...)
-	}
-	slices.Sort(targets)
-	return slices.Compact(targets)
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // handleDigest answers an anti-entropy Digest.
@@ -116,16 +113,16 @@ func (d *Disseminator) handlePullRequest(ctx context.Context, req *soap.Request)
 	return d.respond(ctx, req, true)
 }
 
-// respond is the one digest responder: it retransmits the stored
-// notifications the digest's sender lacks — at most digestCap, or a
-// PullRequest's smaller Max. The listed sums are decoded into scratch on the
-// stack.
+// respond is the one digest responder: it retransmits to the digest's
+// sender what it lacks (gossip.Machine.Missing, bounded by a PullRequest's
+// Max). The sums are decoded, and the missing slots collected, into scratch
+// on the stack, so a digest allocates nothing of its own.
 func (d *Disseminator) respond(ctx context.Context, req *soap.Request, pull bool) (*soap.Envelope, error) {
 	body, peerless, served := "Digest", "digest without sender", d.stats.repaired
 	if pull {
 		body, peerless, served = "PullRequest", "pull request without requester", d.stats.pullServed
 	}
-	var scratch [digestCap]uint64
+	var scratch [gossip.DigestCap]uint64
 	peer, held, max, err := digestFrom(req.Envelope, pull, &scratch)
 	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "malformed "+body+": "+err.Error())
@@ -133,41 +130,11 @@ func (d *Disseminator) respond(ctx context.Context, req *soap.Request, pull bool
 	if peer == "" {
 		return nil, soap.NewFault(soap.CodeSender, peerless)
 	}
-	if max <= 0 || max > digestCap {
-		max = digestCap
-	}
-	if n := d.retransmitMissing(ctx, peer, held, max); n > 0 {
-		served.Add(n)
-		d.bumpActivity()
-	}
+	var slots [gossip.DigestCap]*stored
+	d.mu.Lock()
+	missing := d.m.Missing(slots[:0], held.sums, held.truncated, max)
+	pin(missing, 1)
+	d.mu.Unlock()
+	d.retransmit(ctx, peer, missing, served)
 	return nil, nil
-}
-
-// retransmitMissing serves every stored notification the digest's sender
-// does not hold to it (up to max ≤ digestCap, newest first) and returns the
-// number of successful retransmissions. The missing slots are collected into
-// scratch on the stack and referenced until the last is served, so no first
-// receipt refills one under a serve. A digest allocates nothing of its own.
-func (d *Disseminator) retransmitMissing(ctx context.Context, to string, held heldSums, max int) int64 {
-	var scratch [digestCap]*stored
-	d.mu.Lock()
-	missing := d.m.Missing(scratch[:0], held.sums, held.truncated, max)
-	for _, slot := range missing {
-		slot.refs++
-	}
-	d.mu.Unlock()
-	var served int64
-	for _, slot := range missing {
-		if !d.serve(ctx, to, slot) {
-			d.stats.sendErrors.Add(1)
-			continue
-		}
-		served++
-	}
-	d.mu.Lock()
-	for _, slot := range missing {
-		slot.refs--
-	}
-	d.mu.Unlock()
-	return served
 }

@@ -69,7 +69,7 @@ type counters struct {
 	pullsSent     *metrics.Counter // gossip_sends_total{protocol="pull"}
 	pullServed    *metrics.Counter // gossip_retransmits_total{protocol="pull"}
 	failovers     *metrics.Counter // registrations served by a successor coordinator
-	annDropped    *metrics.Counter // deferred announcements beyond maxPendingAnnounces
+	annDropped    *metrics.Counter // deferred announcements beyond gossip.QueueCap
 	fanoutSeconds *metrics.BucketHistogram
 }
 
@@ -212,28 +212,12 @@ type Disseminator struct {
 	// live is the buffer a live view draws targets into (SelectTargets).
 	live     []string
 	deferAnn bool
-	// pendingAnn is the deferred-announcement queue, and annIDs the arena
-	// its MessageIDs are copied into; each round hands both back emptied
-	// (TickAnnounce).
-	pendingAnn []pendingAnnounce
-	annIDs     []byte
-	stats      counters
-	now        func() time.Duration
+	// keys are the interactions' keys, sorted, for the digest rounds; they
+	// are sorted anew only when an interaction was added.
+	keys  []string
+	stats counters
+	now   func() time.Duration
 }
-
-// pendingAnnounce is one lazy-push advertisement queued for the next
-// announce round (deferred mode, see DeferAnnouncements). It outlives the
-// delivery that queued it, so its notice's MessageID is a copy, in the
-// queue's arena.
-type pendingAnnounce struct {
-	n     notice
-	state *interactionState
-	t     gossip.Transfer
-}
-
-// fanout is how many peers the advertisement goes to; an announcement never
-// floods (gossip.Machine.Spread), so it is the interaction's fanout.
-func (p *pendingAnnounce) fanout() int { return p.t.Peers(p.state.params.Fanout) }
 
 // NewDisseminator returns a disseminator node.
 func NewDisseminator(cfg DisseminatorConfig) (*Disseminator, error) {
@@ -500,48 +484,28 @@ func (d *Disseminator) JoinInteraction(ctx context.Context, cctx wscoord.Coordin
 }
 
 // spread carries out the machine's decision t for a notification of the
-// interaction state: a forward of env, or an IHAVE — queued for the next
-// announce round while announcements are deferred, with a copy of the
-// MessageID in the queue's arena, or dropped and counted when the queue is
-// full.
+// interaction state: an IHAVE naming it — queued for the next announce round
+// while announcements are deferred (dropped and counted when the queue is
+// full), else announced now as a round of one — or env's payload re-headed,
+// at the hop budget t sets, to targets drawn from the live peer view when one
+// is installed (and non-empty), else from the interaction's
+// coordinator-assigned static list, into a buffer on the stack.
 func (d *Disseminator) spread(ctx context.Context, env *soap.Envelope, n notice, state *interactionState, t gossip.Transfer) {
 	switch {
 	case state == nil || t.Send == gossip.SendNothing:
 		return
 	case t.Send == gossip.SendAnnounce:
+		var r *gossip.Round
 		d.mu.Lock()
-		deferred, dropped := d.deferAnn, false
-		if deferred {
-			if dropped = len(d.pendingAnn) >= maxPendingAnnounces; !dropped {
-				// A growth of the arena leaves the IDs queued before it
-				// where they are, in the arena's previous array.
-				start := len(d.annIDs)
-				d.annIDs = append(d.annIDs, n.messageID...)
-				n.messageID = d.annIDs[start:len(d.annIDs):len(d.annIDs)]
-				d.pendingAnn = append(d.pendingAnn, pendingAnnounce{n: n, state: state, t: t})
-			}
+		queued := d.m.Queue(t, n.messageID, n.hops, state.params.Fanout, state.id, state.params.Targets)
+		if !d.deferAnn {
+			r = d.m.AnnounceRound(d.drawLocked, false)
 		}
 		d.mu.Unlock()
-		if dropped {
+		if !queued {
 			d.stats.annDropped.Inc()
 		}
-		if deferred {
-			return
-		}
-	}
-	d.transfer(ctx, env, n, state, t)
-}
-
-// transfer sends t's copies of a notification of the interaction state: an
-// IHAVE naming it, as a round of one (announce), or env's payload re-headed,
-// at the hop budget t sets, to targets drawn now. The targets are drawn from
-// the live peer view when one is installed (and non-empty), else from the
-// interaction's coordinator-assigned static list, into a buffer on the
-// stack.
-func (d *Disseminator) transfer(ctx context.Context, env *soap.Envelope, n notice, state *interactionState, t gossip.Transfer) {
-	if t.Send == gossip.SendAnnounce {
-		one := [1]pendingAnnounce{{n: n, state: state, t: t}}
-		d.announce(ctx, one[:])
+		d.announce(ctx, r)
 		return
 	}
 	var scratch [16]string

@@ -27,14 +27,15 @@
 //
 // The Disseminator is a SOAP binding of gossip.Machine, the one
 // implementation of the dissemination protocol (gossip.Engine is the
-// other): the machine holds the state and decides every spread; the
-// Disseminator decodes, registers on first contact, queues deferred
-// announcements, draws targets, encodes and sends. An announce round
-// (TickAnnounce) draws its targets once and sends each peer one IHAVE whose
-// body holds one Announce child per notification addressed to it, at most
-// gossip.DigestCap of them and all naming one holder; a peer fetches each
-// unseen one with an IWANT of its own (DESIGN.md, "An announce round is one
-// envelope per peer"). Anti-entropy repair and
+// other): the machine holds the state and decides every spread and every
+// round — which announcements go to which peer, which announced IDs are
+// fetched, what an IWANT or a digest is served; the Disseminator decodes,
+// registers on first contact, draws targets from its peer source, encodes
+// and sends. An announce round (TickAnnounce) draws its targets once and
+// sends each peer one IHAVE whose body holds one Announce child per
+// notification addressed to it, at most gossip.DigestCap of them and all
+// naming one holder; a peer fetches each unseen one with an IWANT of its own
+// (DESIGN.md, "The rounds are the machine's"). Anti-entropy repair and
 // WS-PullGossip are one digest exchange (digest.go): one round, one responder.
 // A digest is the machine's (store.Digest): the 64-bit sums of the newest
 // held MessageIDs (gossip.IDSum), at most gossip.DigestCap, and whether its
@@ -49,9 +50,10 @@
 // the envelope, refilled in place once the store is full, and a forward, a
 // served copy, an IHAVE and the IWANT that answers one write the ID from
 // bytes already held — the received header's, or the stored copy's
-// (notice). Only a deferred announcement,
-// which outlives its delivery, copies the ID, and GossipHeaderFrom still
-// returns strings (DESIGN.md, "One identity per notification").
+// (notice). Only a queued announcement,
+// which outlives its delivery, is copied (into the machine's round), and
+// GossipHeaderFrom still returns strings (DESIGN.md, "One identity per
+// notification").
 //
 // Key types beyond the roles:
 //

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"wsgossip/internal/gossip"
@@ -294,7 +295,7 @@ func announcedTo(t *testing.T, msgs [][]byte, holder string) map[string][]string
 }
 
 // TestFullAnnounceQueueCountsDrops: with announcements deferred and no round
-// ticking, the queue holds maxPendingAnnounces advertisements; the next one
+// ticking, the queue holds gossip.QueueCap advertisements; the next one
 // is dropped and counted in gossip_announce_dropped_total. The round then
 // announces every queued one exactly once to each of its fanout's peers, in
 // the order they were queued, across IHAVEs of at most gossip.DigestCap, and
@@ -343,12 +344,12 @@ func TestFullAnnounceQueueCountsDrops(t *testing.T) {
 	}
 	dropped := reg.Counter("gossip_announce_dropped_total")
 
-	announce(0, maxPendingAnnounces+1)
+	announce(0, gossip.QueueCap+1)
 	if got := dropped.Value(); got != 1 {
 		t.Fatalf("gossip_announce_dropped_total = %d, want 1", got)
 	}
 	d.TickAnnounce(ctx)
-	announced(0, maxPendingAnnounces)
+	announced(0, gossip.QueueCap)
 
 	announce(1, 3)
 	d.TickAnnounce(ctx)
@@ -399,7 +400,7 @@ func TestUnansweredFetchIsReleasedByTheAnnounceRound(t *testing.T) {
 	const id = "urn:uuid:lost-once"
 	state := newInteractionState("urn:uuid:i", ProtocolPushGossip, GossipParameters{Fanout: 1, Hops: 3, Targets: []string{"mem://fetcher"}})
 	announceFrom := func(d *Disseminator) {
-		d.transfer(ctx, nil, notice{messageID: []byte(id), hops: 3}, state, announceTransfer)
+		d.spread(ctx, nil, notice{messageID: []byte(id), hops: 3}, state, announceTransfer)
 	}
 	for _, d := range []*Disseminator{lossy, second} {
 		storeNotification(t, d, id)
@@ -472,7 +473,7 @@ func TestIHaveRoundFetchesEachUnheldChild(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.m.Receive(gossip.IDSum("urn:uuid:held"), false)
-	d.m.Want(gossip.IDSum("urn:uuid:requested"))
+	d.m.IHave([][]byte{[]byte("urn:uuid:requested")})
 	// Its children in another order: the flat reader declines it.
 	foreign := soap.Block{XMLName: announceName, Raw: []byte(`<Announce xmlns="urn:wsgossip:2008"><Holder>mem://holder</Holder>` +
 		`<MessageID>urn:uuid:foreign</MessageID><Hops>2</Hops><InteractionID>urn:uuid:i</InteractionID></Announce>`)}
@@ -640,5 +641,117 @@ func TestAnnounceRoundsAreAFunctionOfTheSeed(t *testing.T) {
 				t.Fatal("two seeds drew the same 50 rounds")
 			}
 		})
+	}
+}
+
+// TestAnnounceRoundConcurrentUse runs intercept, TickAnnounce and handleIHave
+// at once on one deferred lazy-push node whose IHAVEs and IWANTs go over a
+// MemBus (run with -race -cpu 1,2,4,8). Two producers deliver notifications,
+// whose announcements intake queues while rounds take the queue and hand its
+// buffers back, and IHAVEs for some of the same notifications arrive
+// meanwhile. Once the last round has run, every notification has been
+// announced exactly once: none lost to the hand-off between rounds, none
+// sent twice, none dropped.
+func TestAnnounceRoundConcurrentUse(t *testing.T) {
+	ctx := context.Background()
+	bus := soap.NewMemBus()
+	var mu sync.Mutex
+	announced := map[string]int{}
+	bus.Register("mem://sink", soap.HandlerFunc(func(_ context.Context, req *soap.Request) (*soap.Envelope, error) {
+		ids, _, err := announcesFrom(req.Envelope, nil)
+		if err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		for _, id := range ids {
+			announced[string(id)]++
+		}
+		mu.Unlock()
+		return nil, nil
+	}))
+	bus.Register("mem://holder", soap.HandlerFunc(func(context.Context, *soap.Request) (*soap.Envelope, error) { return nil, nil }))
+	reg := metrics.NewRegistry()
+	d, err := NewDisseminator(DisseminatorConfig{Address: "mem://node", Caller: bus, RNG: rand.New(rand.NewSource(1)), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.DeferAnnouncements()
+	const interaction = "urn:uuid:concurrent"
+	d.interactions[interaction] = newInteractionState(interaction, ProtocolPushGossip,
+		GossipParameters{Fanout: 1, Hops: 3, Style: gossip.StyleLazyPush.String(), Targets: []string{"mem://sink"}})
+
+	const producers, each = 2, 300
+	notes := make([][][]byte, producers)
+	var ihaves [][]byte
+	for p := range notes {
+		for i := range each {
+			id := fmt.Sprintf("urn:uuid:n-%d-%d", p, i)
+			notes[p] = append(notes[p], capturedNotification(t, GossipHeader{InteractionID: interaction, MessageID: id, Hops: 3}, "mem://node"))
+			if i%10 == 0 {
+				data, err := ihaveRequest(t, announceBlock(interaction, id, 2, "mem://holder")).Envelope.Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ihaves = append(ihaves, data)
+			}
+		}
+	}
+	// handle decodes data, which nothing recycles, and passes it to h.
+	handle := func(h soap.HandlerFunc, data []byte) {
+		env, err := soap.Decode(data)
+		if err == nil {
+			_, err = h(ctx, &soap.Request{Envelope: env})
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	var producing, background sync.WaitGroup
+	stop := make(chan struct{})
+	for p := range notes {
+		producing.Add(1)
+		go func() {
+			defer producing.Done()
+			for _, data := range notes[p] {
+				handle(d.intercept, data)
+			}
+		}()
+	}
+	producing.Add(1)
+	go func() {
+		defer producing.Done()
+		for range 3 {
+			for _, data := range ihaves {
+				handle(d.handleIHave, data)
+			}
+		}
+	}()
+	background.Add(1)
+	go func() {
+		defer background.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				d.TickAnnounce(ctx)
+			}
+		}
+	}()
+	producing.Wait()
+	close(stop)
+	background.Wait()
+	d.TickAnnounce(ctx)
+
+	if dropped := reg.Counter("gossip_announce_dropped_total").Value(); dropped != 0 {
+		t.Fatalf("%d announcements dropped", dropped)
+	}
+	if len(announced) != producers*each {
+		t.Fatalf("%d notifications announced, want %d", len(announced), producers*each)
+	}
+	for id, n := range announced {
+		if n != 1 {
+			t.Fatalf("%s announced %d times", id, n)
+		}
 	}
 }

@@ -112,7 +112,7 @@ func TestOutboundWireGolden(t *testing.T) {
 		d, rec := newRecorded()
 		state := newInteractionState(interaction, ProtocolPushGossip, GossipParameters{Fanout: 1, Hops: 4, Targets: []string{"mem://a"}})
 		announce := gossip.Transfer{Send: gossip.SendAnnounce}
-		d.transfer(ctx, nil, noticeOf(GossipHeader{InteractionID: interaction, MessageID: "urn:uuid:notification", Hops: 4}), state, announce)
+		d.spread(ctx, nil, noticeOf(GossipHeader{InteractionID: interaction, MessageID: "urn:uuid:notification", Hops: 4}), state, announce)
 		checkWireGolden(t, "ihave", only(rec, "announce"))
 	})
 
@@ -120,10 +120,10 @@ func TestOutboundWireGolden(t *testing.T) {
 		d, rec := newRecorded()
 		state := newInteractionState(interaction, ProtocolPushGossip, GossipParameters{Fanout: 1, Hops: 4, Targets: []string{"mem://a"}})
 		announce := gossip.Transfer{Send: gossip.SendAnnounce}
-		d.announce(ctx, []pendingAnnounce{
-			{n: noticeOf(GossipHeader{InteractionID: interaction, MessageID: "urn:uuid:notification", Hops: 4}), state: state, t: announce},
-			{n: noticeOf(GossipHeader{InteractionID: interaction, MessageID: "urn:uuid:notification-2", Hops: 2}), state: state, t: announce},
-		})
+		d.DeferAnnouncements()
+		d.spread(ctx, nil, noticeOf(GossipHeader{InteractionID: interaction, MessageID: "urn:uuid:notification", Hops: 4}), state, announce)
+		d.spread(ctx, nil, noticeOf(GossipHeader{InteractionID: interaction, MessageID: "urn:uuid:notification-2", Hops: 2}), state, announce)
+		d.TickAnnounce(ctx)
 		checkWireGolden(t, "ihave_round", only(rec, "announce round"))
 	})
 
@@ -151,8 +151,9 @@ func TestOutboundWireGolden(t *testing.T) {
 	t.Run("retransmitMissing", func(t *testing.T) {
 		d, rec := newRecorded()
 		storeNotification(t, d, "urn:uuid:stored")
-		if n := d.retransmitMissing(ctx, "mem://puller", heldSums{}, 8); n != 1 {
-			t.Fatalf("retransmitted %d, want 1", n)
+		req, _ := receivedRequest(t, ActionDigest, digestBlock("mem://puller", nil, false).Raw)
+		if _, err := d.handleDigest(ctx, req); err != nil || d.Stats().Repaired != 1 {
+			t.Fatalf("retransmitted %d (%v), want 1", d.Stats().Repaired, err)
 		}
 		checkWireGolden(t, "retransmit", only(rec, "retransmitMissing"))
 	})

@@ -38,23 +38,17 @@ type PeerView = gossip.PeerProvider
 // without AppendPeers, or a nil live, draws a slice of its own. Either way
 // the view draws from rng exactly as SelectPeers does.
 func SelectTargets(scratch []string, live *[]string, view PeerView, rng *rand.Rand, n int, exclude string, static []string) []string {
-	if picked := liveTargets(scratch, live, view, rng, n, exclude); len(picked) > 0 {
+	var picked []string
+	if a, ok := view.(peerAppender); ok && live != nil {
+		*live = a.AppendPeers((*live)[:0], rng, n, exclude)
+		picked = append(scratch[:0], *live...)
+	} else if view != nil {
+		picked = view.SelectPeers(rng, n, exclude)
+	}
+	if len(picked) > 0 {
 		return picked
 	}
 	return gossip.AppendSample(scratch[:0], rng, static, n, exclude)
-}
-
-// liveTargets is SelectTargets' draw from the live view alone: empty when
-// none is installed or it is empty.
-func liveTargets(scratch []string, live *[]string, view PeerView, rng *rand.Rand, n int, exclude string) []string {
-	if view == nil {
-		return nil
-	}
-	if a, ok := view.(peerAppender); ok && live != nil {
-		*live = a.AppendPeers((*live)[:0], rng, n, exclude)
-		return append(scratch[:0], *live...)
-	}
-	return view.SelectPeers(rng, n, exclude)
 }
 
 // peerAppender is a PeerView that draws into a caller's buffer.

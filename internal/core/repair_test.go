@@ -422,7 +422,7 @@ func respell(canonical []byte) []byte {
 }
 
 // TestDigestResponderMatchesAcrossSpellings drives one disseminator with
-// random store contents — fewer than, exactly and more than digestCap
+// random store contents — fewer than, exactly and more than gossip.DigestCap
 // entries, with and without eviction — and random digests (subsets,
 // supersets, duplicates, unknown and escaped IDs, the empty digest, truncated
 // or not), each sent as the canonical body the in-place reader takes and as a
@@ -433,9 +433,9 @@ func respell(canonical []byte) []byte {
 func TestDigestResponderMatchesAcrossSpellings(t *testing.T) {
 	rng := rand.New(rand.NewSource(20081201))
 	ctx := context.Background()
-	storeSizes := []int{64, digestCap, 200}
-	fills := []int{0, 1, 40, digestCap - 1, digestCap, digestCap + 1, 150, 260}
-	maxes := []int{0, -4, 1, 5, digestCap, digestCap + 300}
+	storeSizes := []int{64, gossip.DigestCap, 200}
+	fills := []int{0, 1, 40, gossip.DigestCap - 1, gossip.DigestCap, gossip.DigestCap + 1, 150, 260}
+	maxes := []int{0, -4, 1, 5, gossip.DigestCap, gossip.DigestCap + 300}
 	for trial := 0; trial < 72; trial++ {
 		storeSize := storeSizes[trial%len(storeSizes)]
 		fill := fills[rng.Intn(len(fills))]
@@ -472,7 +472,7 @@ func TestDigestResponderMatchesAcrossSpellings(t *testing.T) {
 				}
 				rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 			}
-			ids = ids[:min(len(ids), digestCap)]
+			ids = ids[:min(len(ids), gossip.DigestCap)]
 			held := map[string]bool{}
 			for _, id := range ids {
 				held[id] = true
@@ -480,8 +480,8 @@ func TestDigestResponderMatchesAcrossSpellings(t *testing.T) {
 			truncated := rng.Intn(3) == 0
 			pull := rng.Intn(2) == 0
 			max := maxes[rng.Intn(len(maxes))]
-			limit := digestCap
-			if pull && max > 0 && max < digestCap {
+			limit := gossip.DigestCap
+			if pull && max > 0 && max < gossip.DigestCap {
 				limit = max
 			}
 			var want []string
@@ -581,7 +581,7 @@ func TestDigestNeverAliasesReceiveBuffer(t *testing.T) {
 // never retransmits an ID the digest listed and always retransmits the
 // stored IDs it did not.
 func TestConcurrentDigestsPullsAndNotifies(t *testing.T) {
-	d, rec := newDigestResponder(t, 256) // holds everything below: nothing is evicted or cut at digestCap
+	d, rec := newDigestResponder(t, 256) // holds everything below: nothing is evicted or cut at gossip.DigestCap
 	// Pull: stored, never forwarded.
 	d.interactions["urn:uuid:i"] = newInteractionState("urn:uuid:i", ProtocolPullGossip, GossipParameters{Fanout: 2, Hops: 3})
 	var base []string
@@ -602,7 +602,7 @@ func TestConcurrentDigestsPullsAndNotifies(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				action, body, handle := ActionDigest, digestBlock(peer, sumsOf(held...), false).Raw, d.handleDigest
 				if r%2 == 1 {
-					action, body, handle = ActionPullRequest, pullRequestBlock(peer, sumsOf(held...), false, digestCap).Raw, d.handlePullRequest
+					action, body, handle = ActionPullRequest, pullRequestBlock(peer, sumsOf(held...), false, gossip.DigestCap).Raw, d.handlePullRequest
 				}
 				if r%4 >= 2 {
 					body = respell(body)
@@ -658,7 +658,7 @@ func TestConcurrentDigestsPullsAndNotifies(t *testing.T) {
 
 // TestTruncatedDigestEndsTheRepairStorm: two disseminators with StoreSize
 // 1024 hold the same 300 notifications. B's repair digest lists its newest
-// digestCap sums and says it holds more, so A serves only what is newer, in
+// gossip.DigestCap sums and says it holds more, so A serves only what is newer, in
 // its own store, than the oldest sum listed: nothing. (While a digest could
 // not say so, everything older than the 128 listed looked missing and A
 // retransmitted 128 duplicates per digest.) A notification newer than that
@@ -707,10 +707,10 @@ func TestTruncatedDigestEndsTheRepairStorm(t *testing.T) {
 }
 
 // TestOversizedDigestIsRefused: one Digest listing 10,000 sums, far past
-// digestCap, is answered with a Sender fault, and the responder sends
+// gossip.DigestCap, is answered with a Sender fault, and the responder sends
 // nothing.
 func TestOversizedDigestIsRefused(t *testing.T) {
-	d, rec := newDigestResponder(t, digestCap)
+	d, rec := newDigestResponder(t, gossip.DigestCap)
 	storeNotification(t, d, "urn:uuid:held")
 	req, _ := receivedRequest(t, ActionDigest, digestBlock("mem://peer", make([]byte, 8*10000), false).Raw)
 	_, err := d.handleDigest(context.Background(), req)

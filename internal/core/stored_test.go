@@ -131,7 +131,12 @@ func FuzzStoredServe(f *testing.F) {
 		rh := soap.Rehead{Name: gossipName, Action: ActionNotify, ID: n.messageID, Direct: true}
 		want := forwardedBytes(t, clone, rh, appendGossipBlock(nil, string(interaction), n.messageID, n.hops, n.protocol))
 		rec.msgs = nil
-		if served := d.serve(context.Background(), "mem://peer", slot); served != (want != nil) {
+		before, slots := d.Stats().Served, []*stored{slot}
+		d.mu.Lock()
+		pin(slots, 1)
+		d.mu.Unlock()
+		d.retransmit(context.Background(), "mem://peer", slots, d.stats.served)
+		if served := d.Stats().Served > before; served != (want != nil) {
 			t.Fatalf("serve = %v, a forward of the clone %q", served, want)
 		}
 		if want == nil {

@@ -76,7 +76,7 @@ func TestForwardEncodeOnce(t *testing.T) {
 		Fanout: 4, Hops: 5,
 		Targets: []string{"mem://peer0", "mem://peer1", "mem://peer2", "mem://peer3"},
 	})
-	d.transfer(context.Background(), env, noticeOf(gh), state, pushTransfer)
+	d.spread(context.Background(), env, noticeOf(gh), state, pushTransfer)
 
 	if len(received) != 4 {
 		t.Fatalf("deliveries = %d, want 4", len(received))
@@ -150,7 +150,7 @@ func TestForwardSpliceFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := newInteractionState(gh.InteractionID, ProtocolPushGossip, GossipParameters{Fanout: 2, Hops: 2, Targets: []string{"mem://peer0", "mem://peer1"}})
-	d.transfer(context.Background(), env, noticeOf(gh), state, pushTransfer)
+	d.spread(context.Background(), env, noticeOf(gh), state, pushTransfer)
 	if deliveries["mem://peer0"] != 1 || deliveries["mem://peer1"] != 1 {
 		t.Fatalf("deliveries = %v, want one at each peer", deliveries)
 	}

@@ -318,12 +318,16 @@ func ParseSums(scratch *[DigestCap]uint64, raw []byte) ([]uint64, error) {
 
 // Missing answers a digest that lists sums, newest first: it appends to dst
 // the held values whose ID's sum the digest does not list, newest first, at
-// most max of them. A truncated digest — its sender holds more than it lists
+// most max of them, and never more than DigestCap (a max ≤ 0 asks for that
+// many). A truncated digest — its sender holds more than it lists
 // — speaks only for what is newer than its oldest listed sum, so the walk
 // stops at the slot holding that sum; a responder that holds no such slot
 // takes every value as a candidate. Missing sorts sums in place and
 // allocates nothing unless dst must grow.
 func (s *store[V]) Missing(dst []V, sums []uint64, truncated bool, max int) []V {
+	if max <= 0 || max > DigestCap {
+		max = DigestCap
+	}
 	cut := truncated && len(sums) > 0
 	var oldest uint64
 	if cut {

@@ -14,20 +14,29 @@
 //   - Machine — the one implementation of the protocol: all dissemination
 //     state and every decision, with no lock, no clock and no I/O. It knows
 //     a notification by one 64-bit identity, IDSum (the FNV-1a of its ID),
-//     which a binding takes from the ID's bytes where they lie: the seen
-//     cache, the store, the outstanding requests and the counter-mongering
-//     counts are all keyed by it, every method takes it, and no ID string
-//     is kept. Two IDs with one sum are one notification to it — a missed
-//     delivery, never a duplicate one. Its store writes the one digest both
-//     bindings send (Digest: the sums of the newest DigestCap held values,
-//     and whether it holds more) and answers one: Missing returns the held
-//     values whose sum is not listed, and for a truncated digest only those
-//     newer than its oldest listed sum. ParseSums reads a digest's sums
-//     back. The engine's pull request carries them raw, a SOAP digest in
-//     base64.
+//     which it takes from the ID's bytes where they lie: the seen cache,
+//     the store, the outstanding requests and the counter-mongering counts
+//     are all keyed by it, and no ID string is kept. Two IDs with one sum
+//     are one notification to it — a missed delivery, never a duplicate
+//     one. It decides each receipt (Receive, Spread) and each round: Queue
+//     and AnnounceRound make an announce round, whose IHaves are the
+//     per-peer IHAVE lists, in queue order, at most DigestCap each, peers
+//     drawn one after another that get the same list sharing one; the
+//     round's draws go through the binding's Draw, and Done takes the
+//     round back once sent. IHave decides which announced IDs are fetched
+//     (an IHAVE of more than DigestCap is refused), IWant what an IWANT is
+//     served (each held rumor once, at most DigestCap), and ReleaseStale,
+//     which an ending announce round runs, which fetches are taken for
+//     lost. Its store writes the one digest both bindings send (Digest: the
+//     sums of the newest DigestCap held values, and whether it holds more)
+//     and answers one: Missing returns at most DigestCap held values whose
+//     sum is not listed, and for a truncated digest only those newer than
+//     its oldest listed sum. ParseSums reads a digest's sums back. The
+//     engine's pull request carries them raw, a SOAP digest in base64.
 //   - Engine — the Machine bound to a transport.Endpoint, what the simulator
 //     runs (core.Disseminator binds it over SOAP); Publish injects a rumor,
-//     Tick runs an anti-entropy round for the styles that pull.
+//     Tick ends a request round and, for the styles that pull, runs an
+//     anti-entropy round. A lazy-push receipt is an announce round of one.
 //   - Bimodal Multicast (pbcast) is a configuration, not a type: a
 //     StyleFlood publisher with Hops 1 and StylePull receivers
 //     (experiments.pbcastGroup, E4).

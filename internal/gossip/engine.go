@@ -18,7 +18,9 @@ const (
 	DefaultStoreSize     = 1 << 12
 )
 
-// pullBatch bounds the rumors one pull response serves.
+// pullBatch bounds the rumors one pull response serves. A SOAP node serves a
+// digest up to DigestCap; the engine keeps 64, which every seeded pull run
+// of the simulator was recorded with.
 const pullBatch = 64
 
 // Config configures an Engine.
@@ -188,15 +190,6 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.SeenCacheSize <= 0 {
-		cfg.SeenCacheSize = DefaultSeenCacheSize
-	}
-	if cfg.StoreSize <= 0 {
-		cfg.StoreSize = DefaultStoreSize
-	}
-	if cfg.CounterK <= 0 {
-		cfg.CounterK = 2
-	}
 	rng := cfg.RNG
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
@@ -312,42 +305,57 @@ func receiveLocked[T string | []byte](e *Engine, ctx context.Context, id, origin
 	e.sendLocked(ctx, h.view(), e.m.Spread(sum, e.cfg.Style, hops, viaPull))
 }
 
-// sendLocked carries out the machine's decision t for v: the payload, at
-// t's hop budget, or an IHAVE naming it (at the budget it is held with), to
-// t's share of random peers — one body, written into a pooled buffer, shared
-// by every send.
+// sendLocked carries out the machine's decision t for v: the payload to t's
+// share of random peers, or an IHAVE naming it, as an announce round of one.
+// Each body is written once into a pooled buffer shared by its sends.
 func (e *Engine) sendLocked(ctx context.Context, v rumorView, t Transfer) {
 	if t.Send == SendNothing {
 		return
 	}
-	var buf [8]string
-	peers := e.selectPeersLocked(&buf, t.Peers(e.cfg.Fanout))
-	action, sent := ActionPush, &e.stats.Forwarded
-	bp := getBody()
-	var body []byte
 	if t.Send == SendAnnounce {
-		action, sent = ActionIHave, &e.stats.IHaveSent
-		body = appendRef(appendBatch(*bp, wireRefs, 1), v.id, v.hops)
-	} else {
-		v.hops = t.Hops(v.hops)
-		body = appendRumor(appendBatch(*bp, wireRumors, 1), v)
+		e.m.Queue(t, v.id, v.hops, e.cfg.Fanout, "", nil)
+		r := e.m.AnnounceRound(e.drawLocked, false)
+		for peers, list := range r.IHaves {
+			bp := getBody()
+			body := appendBatch(*bp, wireRefs, len(list))
+			for _, a := range list {
+				body = appendRef(body, a.ID, a.Hops)
+			}
+			e.sendAllLocked(ctx, peers, ActionIHave, body, &e.stats.IHaveSent)
+			putBody(bp, body)
+		}
+		e.m.Done(r)
+		return
 	}
+	var buf [8]string
+	v.hops = t.Hops(v.hops)
+	bp := getBody()
+	body := appendRumor(appendBatch(*bp, wireRumors, 1), v)
+	e.sendAllLocked(ctx, e.drawLocked(buf[:0], nil, t.Peers(e.cfg.Fanout)), ActionPush, body, &e.stats.Forwarded)
+	putBody(bp, body)
+}
+
+// sendAllLocked sends body to each of peers, counting each send in sent.
+func (e *Engine) sendAllLocked(ctx context.Context, peers []string, action string, body []byte, sent *int64) {
 	for _, p := range peers {
 		e.sendOneLocked(ctx, p, action, body)
 		*sent++
 	}
-	putBody(bp, body)
 }
 
-// selectPeersLocked draws up to n peers. A UniformPeers, the provider of
-// the simulator at scale, draws into buf, so a draw that fits costs nothing;
-// it is asked by its concrete type because a buffer handed through the
-// PeerProvider interface would escape to the heap.
-func (e *Engine) selectPeersLocked(buf *[8]string, n int) []string {
-	if u, ok := e.cfg.Peers.(*UniformPeers); ok {
-		return u.AppendPeers(buf[:0], e.rng, n, e.cfg.Endpoint.Addr())
+// drawLocked is the engine's Draw, and its draw for every send: n peers from
+// its one peer source, so a round draws once, never per group. A
+// UniformPeers, the simulator's provider at scale, draws into dst, asked by
+// its concrete type, since a buffer handed through the PeerProvider
+// interface would escape to the heap.
+func (e *Engine) drawLocked(dst []string, a *Announcement, n int) []string {
+	if a != nil {
+		return dst
 	}
-	return e.cfg.Peers.SelectPeers(e.rng, n, e.cfg.Endpoint.Addr())
+	if u, ok := e.cfg.Peers.(*UniformPeers); ok {
+		return u.AppendPeers(dst, e.rng, n, e.cfg.Endpoint.Addr())
+	}
+	return append(dst, e.cfg.Peers.SelectPeers(e.rng, n, e.cfg.Endpoint.Addr())...)
 }
 
 // sendOneLocked sends one message, counting a failure.
@@ -388,38 +396,35 @@ func (e *Engine) receiveBatch(ctx context.Context, body []byte, viaPull bool) er
 	return nil
 }
 
-// handleIHave answers announcements by requesting unseen rumors. A refused
-// IWANT releases its requests, so a later announcer can retrigger them.
+// handleIHave requests the rumors the machine wants (Machine.IHave) in one
+// IWANT, whose hop fields are 0: a rumor is served at the budget it is held
+// with. An IWANT that cannot be sent releases its requests.
 func (e *Engine) handleIHave(ctx context.Context, msg transport.Message) error {
 	rd, err := readWire(msg.Body, wireRefs)
 	if err != nil {
 		return err
 	}
+	var inline [8][]byte
+	ids := inline[:0]
+	for rd.n > 0 && len(ids) <= DigestCap { // enough for the machine to refuse more
+		ref, _ := rd.ref()
+		ids = append(ids, ref.id)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var spare [8]refView
-	want := spare[:0]
-	for rd.n > 0 {
-		ref, _ := rd.ref()
-		ok, seen := e.m.Want(IDSum(ref.id))
-		if seen {
-			e.stats.Duplicates++
-		}
-		if ok {
-			want = append(want, ref)
-		}
-	}
-	if len(want) == 0 {
-		return nil
+	ids, held, err := e.m.IHave(ids)
+	e.stats.Duplicates += int64(held)
+	if err != nil || len(ids) == 0 {
+		return err
 	}
 	bp := getBody()
-	body := appendBatch(*bp, wireRefs, len(want))
-	for _, ref := range want {
-		body = appendRef(body, ref.id, ref.hops)
+	body := appendBatch(*bp, wireRefs, len(ids))
+	for _, id := range ids {
+		body = appendRef(body, id, 0)
 	}
 	if e.sendOneLocked(ctx, msg.From, ActionIWant, body) != nil {
-		for _, ref := range want {
-			e.m.Release(IDSum(ref.id))
+		for _, id := range ids {
+			e.m.Release(IDSum(id))
 		}
 	}
 	putBody(bp, body)
@@ -427,31 +432,30 @@ func (e *Engine) handleIHave(ctx context.Context, msg transport.Message) error {
 	return nil
 }
 
-// handleIWant serves requested rumor bodies, each transfer costing one hop.
+// handleIWant serves the held rumors an IWANT asks for (Machine.IWant).
 func (e *Engine) handleIWant(ctx context.Context, msg transport.Message) error {
 	rd, err := readWire(msg.Body, wireRefs)
 	if err != nil {
 		return err
 	}
+	var inline [8][]byte
+	ids := inline[:0]
+	for rd.n > 0 {
+		ref, _ := rd.ref()
+		ids = append(ids, ref.id)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var spare [8]held
-	out := spare[:0]
-	for rd.n > 0 {
-		ref, _ := rd.ref()
-		if h, ok := e.m.Get(IDSum(ref.id)); ok {
-			out = append(out, h)
-		}
-	}
-	if len(out) > 0 {
+	if out := e.m.IWant(spare[:0], ids); len(out) > 0 {
 		e.serveLocked(ctx, msg.From, ActionPush, out)
 		e.stats.Forwarded += int64(len(out))
 	}
 	return nil
 }
 
-// serveLocked sends hs, held rumors asked for, in one body written straight
-// from their slots, each transfer costing one hop.
+// serveLocked sends hs in one body written straight from their slots, each
+// transfer costing one hop.
 func (e *Engine) serveLocked(ctx context.Context, to, action string, hs []held) {
 	bp := getBody()
 	body := appendBatch(*bp, wireRumors, len(hs))
@@ -464,13 +468,10 @@ func (e *Engine) serveLocked(ctx context.Context, to, action string, hs []held) 
 	putBody(bp, body)
 }
 
-// Tick runs one periodic round. It releases the IWANTs unanswered since
-// before the previous round (Machine.ReleaseStale), so a lost request or
-// answer does not keep a lazy-push engine from fetching the rumor when it is
-// next announced. For the styles that pull it then starts an anti-entropy
-// exchange with f random peers, sending the digest a SOAP node sends: the
-// sums of the newest held rumors, written from scratch on the stack. Callers
-// drive every engine uniformly.
+// Tick runs one periodic round: it ends the request round
+// (Machine.ReleaseStale), and for the styles that pull sends f random peers
+// the machine's digest, written from scratch on the stack. Callers drive
+// every engine uniformly.
 func (e *Engine) Tick(ctx context.Context) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -479,25 +480,17 @@ func (e *Engine) Tick(ctx context.Context) {
 		return
 	}
 	var buf [8]string
-	peers := e.selectPeersLocked(&buf, e.cfg.Fanout)
-	if len(peers) == 0 {
-		return
-	}
 	var scratch [8 * DigestCap]byte
 	sums, truncated := e.m.Digest(scratch[:0])
 	bp := getBody()
 	body := appendPull(*bp, sums, truncated)
-	for _, p := range peers {
-		e.sendOneLocked(ctx, p, ActionPullReq, body)
-		e.stats.PullReqs++
-	}
+	e.sendAllLocked(ctx, e.drawLocked(buf[:0], nil, e.cfg.Fanout), ActionPullReq, body, &e.stats.PullReqs)
 	putBody(bp, body)
 }
 
-// handlePullReq answers a digest with the rumors the requester is missing,
-// at most pullBatch, each transfer costing one hop. The sums are read into
-// scratch on the stack and go, with the truncated flag, to the one Missing
-// the SOAP binding's digests reach too.
+// handlePullReq answers a digest with the rumors the requester is missing
+// (Machine.Missing), at most pullBatch, each transfer costing one hop. The
+// sums are read into scratch on the stack.
 func (e *Engine) handlePullReq(ctx context.Context, msg transport.Message) error {
 	var scratch [DigestCap]uint64
 	sums, truncated, err := readPull(&scratch, msg.Body)

@@ -547,11 +547,11 @@ func TestEngineDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.cfg.SeenCacheSize != DefaultSeenCacheSize {
-		t.Fatalf("seen cache default = %d", eng.cfg.SeenCacheSize)
+	if eng.m.seen.cap != DefaultSeenCacheSize {
+		t.Fatalf("seen cache default = %d", eng.m.seen.cap)
 	}
-	if eng.cfg.StoreSize != DefaultStoreSize {
-		t.Fatalf("store default = %d", eng.cfg.StoreSize)
+	if eng.m.store.cap != DefaultStoreSize {
+		t.Fatalf("store default = %d", eng.m.store.cap)
 	}
 }
 
@@ -691,7 +691,7 @@ func TestCounterKDefaultApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.cfg.CounterK != 2 {
-		t.Fatalf("CounterK default = %d", eng.cfg.CounterK)
+	if eng.m.counterK != 2 {
+		t.Fatalf("CounterK default = %d", eng.m.counterK)
 	}
 }

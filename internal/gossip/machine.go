@@ -1,32 +1,34 @@
 package gossip
 
-import "math"
+import (
+	"errors"
+	"math"
+	"slices"
+	"strconv"
+)
 
 // Machine is one node's dissemination protocol with no lock, no clock and no
 // I/O. It owns all dissemination state — the seen cache, the store, the
-// outstanding IWANTs and the counter-mongering counts — and makes every
-// decision: the hop rule and the one switch on Style. A binding calls it under
-// its own mutex and keeps only decoding, target sampling, encoding, sending
-// and its counters: Engine on a transport.Endpoint, core.Disseminator on SOAP.
+// outstanding IWANTs, the announce queue and the counter-mongering counts —
+// and makes every decision: the hop rule, the one switch on Style, whom an
+// announce round sends what, which announced IDs are fetched and what an
+// IWANT or a digest earns. A binding calls it under its own mutex and keeps
+// decoding, its peer source, encoding, sending and its counters: Engine on a
+// transport.Endpoint, core.Disseminator on SOAP.
 //
-// The machine knows a notification by one 64-bit identity, the sum of its ID
-// (IDSum), which the binding takes once per receipt from the ID's bytes where
-// they lie. Every question takes that sum, so no state here holds an ID
-// string, and asking about a received ID — first receipt or duplicate —
-// builds nothing.
-//
-// Every decision comes back as a value (Transfer), never as a list of sends,
-// so each binding draws its targets at the point in its RNG stream it always
-// has. V is what a store slot holds: the engine's held rumor, one slab, or a
-// SOAP node's slot record, its copy of the envelope; both are refilled in
-// place when evicted (Evictee).
+// It knows a notification by the sum of its ID (IDSum), taken from the ID's
+// bytes where they lie, so no state here holds an ID string and asking about
+// a received ID builds nothing. Every decision comes back as a value, never
+// a send, and a round's draws go through the binding's Draw, at the point in
+// its RNG stream the binding always drew. V is what a store slot holds: the
+// engine's held rumor or a SOAP node's slot record, both refilled in place
+// when evicted (Evictee).
 type Machine[V any] struct {
-	store[V]  // Hold, Evictee, Get, Len, Digest, Missing
-	seen      seenCache
-	requested map[uint64]uint32 // outstanding IWANTs, each with the round it was made in
-	counters  map[uint64]int    // StyleCounter: duplicates heard per rumor still mongered
-	counterK  int32
-	round     uint32 // advanced by ReleaseStale
+	store[V] // Hold, Evictee, Get, Len, Digest, Missing
+	seen     seenCache
+	counters map[uint64]int // StyleCounter: duplicates heard per rumor still mongered
+	counterK int32
+	r        *rounds // nil until the first request or queued announcement
 }
 
 // NewMachine returns a machine holding seenCap sums and storeCap values,
@@ -43,8 +45,8 @@ func NewMachine[V any](seenCap, storeCap, counterK int) Machine[V] {
 	if counterK <= 0 {
 		counterK = 2
 	}
-	// requested and counters stay nil until a style writes them: most
-	// engines of a large simulation push, and never do.
+	// r and counters stay nil until a style writes them: most engines of a
+	// large simulation push, and never do.
 	return Machine[V]{store: newStore[V](storeCap), seen: newSeenCache(seenCap), counterK: int32(min(counterK, math.MaxInt32))}
 }
 
@@ -114,7 +116,9 @@ func (s Style) Pulls() bool { return s == StylePull || s == StylePushPull }
 // repairs — never a second delivery of either.
 func (m *Machine[V]) Receive(sum uint64, viaPull bool) (first bool, t Transfer) {
 	if m.seen.Add(sum) {
-		delete(m.requested, sum)
+		if m.r != nil {
+			delete(m.r.requested, sum)
+		}
 		return true, Transfer{}
 	}
 	count, active := m.counters[sum]
@@ -156,41 +160,68 @@ func (m *Machine[V]) Spread(sum uint64, style Style, hops int, viaPull bool) Tra
 	return Transfer{}
 }
 
-// Want decides an announcement of the notification whose ID sums to sum.
-// held reports that the seen cache holds it: the announcement is a
-// duplicate. want reports that it should be fetched — neither held nor
-// already requested — and the request is then outstanding until Receive,
-// Release or ReleaseStale settles it.
-func (m *Machine[V]) Want(sum uint64) (want, held bool) {
-	if m.seen.Contains(sum) {
-		return false, true
+// errIHaveLong refuses an IHAVE listing more than DigestCap notifications.
+var errIHaveLong = errors.New("IHAVE lists more than " + strconv.Itoa(DigestCap) + " notifications")
+
+// IHave decides a received IHAVE listing ids: it returns, filtered in place,
+// the IDs to fetch — neither held nor already requested — each then
+// outstanding until Receive, Release or ReleaseStale settles it, and how many
+// it holds. An IHAVE of more than DigestCap IDs is refused, and nothing
+// requested.
+func (m *Machine[V]) IHave(ids [][]byte) (wanted [][]byte, held int, err error) {
+	if len(ids) > DigestCap {
+		return nil, 0, errIHaveLong
 	}
-	if _, pending := m.requested[sum]; pending {
-		return false, false
+	r, wanted := m.rounds(), ids[:0]
+	for _, id := range ids {
+		sum := IDSum(id)
+		_, pending := r.requested[sum]
+		switch {
+		case m.seen.Contains(sum):
+			held++
+		case !pending:
+			r.requested[sum] = r.round
+			wanted = append(wanted, id)
+		}
 	}
-	if m.requested == nil {
-		m.requested = make(map[uint64]uint32)
-	}
-	m.requested[sum] = m.round
-	return true, false
+	return wanted, held, nil
 }
 
-// Release settles a request whose IWANT could not be sent, so a later
-// announcement of the rumor fetches it again.
-func (m *Machine[V]) Release(sum uint64) { delete(m.requested, sum) }
+// Release settles a request of IHave's whose IWANT could not be sent, so a
+// later announcement of the rumor fetches it again.
+func (m *Machine[V]) Release(sum uint64) { delete(m.r.requested, sum) }
 
 // ReleaseStale ends a request round: it settles every request made before
 // the previous call, whose IWANT or answer has had a whole round to arrive
 // and is taken for lost, so a later announcement of the rumor fetches it
-// again. A request outlives at least one full round. A binding calls it once
-// per announce round.
+// again. A request outlives at least one full round.
 func (m *Machine[V]) ReleaseStale() {
-	for sum, round := range m.requested {
-		if round != m.round {
-			delete(m.requested, sum)
+	if m.r == nil {
+		return
+	}
+	for sum, round := range m.r.requested {
+		if round != m.r.round {
+			delete(m.r.requested, sum)
 		}
 	}
-	m.round++
+	m.r.round++
+}
+
+// IWant decides a received IWANT listing ids: it appends to dst the held
+// values asked for, in the order asked, each at most once and at most
+// DigestCap of them.
+func (m *Machine[V]) IWant(dst []V, ids [][]byte) []V {
+	var served [DigestCap]uint64
+	n := 0
+	for _, id := range ids {
+		sum := IDSum(id)
+		if v, ok := m.Get(sum); ok && n < DigestCap && !slices.Contains(served[:n], sum) {
+			dst = append(dst, v)
+			served[n] = sum
+			n++
+		}
+	}
+	return dst
 }
 
 // Seen reports whether the seen cache holds sum, without refreshing it.

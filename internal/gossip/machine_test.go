@@ -143,8 +143,12 @@ func runMachineModel(t *testing.T, style Style) (missed int) {
 			model.hold(sum)
 			checkSpread(m.Spread(sum, style, hops, viaPull), model, style, sum, hops, viaPull, fail)
 		case 3: // an IHAVE, and sometimes its IWANT refused
-			want, held := m.Want(sum)
+			wanted, heldN, err := m.IHave([][]byte{[]byte(id)})
+			want, held := len(wanted) == 1, heldN == 1
 			_, pending := model.outstanding[sum]
+			if err != nil {
+				fail("IHave of one ID: %v", err)
+			}
 			if held != model.holds(sum) || want != (!held && !pending) {
 				fail("Want = (%v, held %v), model holds %v, outstanding %v", want, held, model.holds(sum), pending)
 			}
@@ -171,8 +175,8 @@ func runMachineModel(t *testing.T, style Style) (missed int) {
 				}
 			}
 			model.round++
-			if len(m.requested) != len(model.outstanding) {
-				fail("%d requests outstanding after a round, model has %d", len(m.requested), len(model.outstanding))
+			if m.r != nil && len(m.r.requested) != len(model.outstanding) {
+				fail("%d requests outstanding after a round, model has %d", len(m.r.requested), len(model.outstanding))
 			}
 		case 5: // a digest
 			var listed []uint64
@@ -184,7 +188,11 @@ func runMachineModel(t *testing.T, style Style) (missed int) {
 			for _, r := range m.Missing(nil, slices.Clone(listed), truncated, max) {
 				got = append(got, IDSum(r.ID))
 			}
-			for i := len(model.stored) - 1; i >= 0 && len(want) < max; i-- {
+			limit := max
+			if limit <= 0 {
+				limit = DigestCap // what a digest without its own bound is answered with
+			}
+			for i := len(model.stored) - 1; i >= 0 && len(want) < limit; i-- {
 				if truncated && len(listed) > 0 && model.stored[i] == listed[len(listed)-1] {
 					break // the truncated digest's oldest listed sum
 				}

@@ -3,7 +3,9 @@ package gossip
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"wsgossip/internal/testkit"
@@ -56,7 +58,8 @@ func capturedBodies(tb testing.TB) map[string][]byte {
 // claims and whether it accepts or rejects; what
 // it accepts re-encodes to exactly the bytes it read and decodes again to the
 // same value; and every handler agrees with it — a rejected body is an error
-// that leaves the engine untouched, an accepted one is applied.
+// that leaves the engine untouched, an accepted one is applied, except an
+// IHAVE the machine refuses for listing more than DigestCap refs.
 func FuzzGossipWire(f *testing.F) {
 	captured := capturedBodies(f)
 	for _, action := range wireActions {
@@ -73,6 +76,12 @@ func FuzzGossipWire(f *testing.F) {
 	for _, bad := range badPullRequests() {
 		f.Add(bad.body)
 	}
+	var many []RumorRef
+	for i := range DigestCap + 1 {
+		many = append(many, RumorRef{ID: fmt.Sprint("n", i), Hops: 2})
+	}
+	f.Add(encodeRefs(many...))                                                     // an IHAVE the machine refuses
+	f.Add(encodeRefs(slices.Repeat([]RumorRef{{ID: "held-0", Hops: 1}}, 1000)...)) // one rumor asked for 1,000 times
 	f.Fuzz(func(t *testing.T, body []byte) {
 		m, err := decodeWire(body)
 		if !testkit.Race {
@@ -92,7 +101,8 @@ func FuzzGossipWire(f *testing.F) {
 		eng, handlers, kinds := wireHandlers(t, 1)
 		msg := transport.Message{From: "peer", To: "a", Body: body}
 		for name, h := range handlers {
-			accepts := err == nil && body[0] == kinds[name]
+			// The machine refuses an IHAVE of more than DigestCap refs.
+			accepts := err == nil && body[0] == kinds[name] && !(name == "ihave" && len(m.Refs) > DigestCap)
 			if herr := h(context.Background(), msg); (herr == nil) != accepts {
 				t.Fatalf("%s returned %v on % x, decodeWire %v", name, herr, body, err)
 			}
