@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"wsgossip/internal/clock"
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/simnet"
 	"wsgossip/internal/transport"
@@ -81,5 +82,61 @@ func TestSimNodePushSumConvergence(t *testing.T) {
 	}
 	if math.Abs(massWeight-n) > 1e-9 {
 		t.Fatalf("weight mass not conserved: got %.6f want %d", massWeight, n)
+	}
+}
+
+// refusingEndpoint is a transport endpoint that delivers nothing: Send
+// accepts (and drops) a message, or refuses it while refuse is set.
+type refusingEndpoint struct {
+	addr   string
+	refuse bool
+}
+
+func (e *refusingEndpoint) Addr() string                 { return e.addr }
+func (e *refusingEndpoint) SetHandler(transport.Handler) {}
+func (e *refusingEndpoint) Send(context.Context, transport.Message) error {
+	if e.refuse {
+		return transport.ErrUnreachable
+	}
+	return nil
+}
+
+// TestSimNodeReclaimAsymmetry is TestContinuousReclaimAsymmetry's rule on the
+// simulator's binding: a refused first send is reclaimed on the spot, but a
+// refused retry stays pending, since its first copy may have arrived.
+func TestSimNodeReclaimAsymmetry(t *testing.T) {
+	ep := &refusingEndpoint{addr: "a"}
+	node, err := NewSimNode(SimNodeConfig{
+		Endpoint: ep,
+		Peers:    gossip.NewStaticPeers([]string{"a", "b"}),
+		Fanout:   1,
+		TaskID:   "t1",
+		Func:     FuncSum,
+		Value:    1,
+		Root:     true,
+		Window:   time.Hour,
+		Clock:    clock.NewVirtual(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	node.Tick(ctx) // a first send, accepted and never acked: it stays pending
+	pending := node.Outstanding()
+	if pending == 0 || node.SimStats().SharesSent != 1 {
+		t.Fatalf("after an accepted first send: outstanding %g, sent %d", pending, node.SimStats().SharesSent)
+	}
+
+	ep.refuse = true
+	node.Tick(ctx) // the retry and a fresh share, both refused
+	st := node.SimStats()
+	if st.Recovered != 1 || st.SendErrors != 1 {
+		t.Fatalf("recovered %d and counted %d refusals, want the fresh share reclaimed and the retry counted", st.Recovered, st.SendErrors)
+	}
+	if got := node.Outstanding(); got != pending {
+		t.Fatalf("outstanding %g after a refused retry, want the retried share's %g still pending", got, pending)
+	}
+	if e := node.MassError(); e != 0 {
+		t.Fatalf("mass error %g, want exactly 0", e)
 	}
 }

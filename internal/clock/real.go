@@ -31,6 +31,10 @@ func NewWall() *Real {
 // Now returns the elapsed wall time since the epoch.
 func (r *Real) Now() time.Duration { return time.Since(r.epoch) }
 
+// Wall returns the wall-clock instant at which Now reads d, for what takes
+// a time.Time, such as a context deadline.
+func (r *Real) Wall(d time.Duration) time.Time { return r.epoch.Add(d) }
+
 // AfterFunc schedules fn on the wall clock.
 func (r *Real) AfterFunc(d time.Duration, fn func()) func() bool {
 	t := time.AfterFunc(d, fn)

@@ -10,7 +10,8 @@ import (
 
 // attemptCtx is the context one attempt hands its binding: the caller's
 // context, cancelled as well once AttemptTimeout has elapsed on the plane's
-// clock or the attempt has returned. It arms nothing up front. A synchronous
+// clock or the attempt has returned, and reporting that instant as its
+// deadline when the clock is wall time. It arms nothing up front. A synchronous
 // binding (MemBus, the virtual fabric) returns without asking for Done, and
 // the attempt then costs no timer and no allocation of its own: the context
 // is carved from a slab (newAttemptCtx). Until then Err works the timeout
@@ -77,9 +78,25 @@ func (c *attemptCtx) begin(p *Plane, parent context.Context) time.Duration {
 	return start
 }
 
-// Deadline is the caller's: the attempt timeout runs on the plane's clock,
-// which need not be wall time.
-func (c *attemptCtx) Deadline() (time.Time, bool) { return c.parent.Deadline() }
+// wallClock is a clock whose time is wall time (clock.Real): Wall gives the
+// instant at which Now reads d.
+type wallClock interface {
+	Wall(d time.Duration) time.Time
+}
+
+// Deadline is the earlier of the caller's and, when the plane's clock is
+// wall time, the instant AttemptTimeout elapses: a binding that bounds its
+// own requests (soap.HTTPClient) then adds no timer of its own. On any other
+// clock (clock.Virtual) it is the caller's alone.
+func (c *attemptCtx) Deadline() (time.Time, bool) {
+	dl, ok := c.parent.Deadline()
+	if w, wall := c.clock.(wallClock); wall {
+		if at := w.Wall(c.deadline); !ok || at.Before(dl) {
+			return at, true
+		}
+	}
+	return dl, ok
+}
 
 // Value is the caller's, read through the cancelCtx once Done has made it.
 func (c *attemptCtx) Value(key any) any {

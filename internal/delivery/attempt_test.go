@@ -3,6 +3,9 @@ package delivery
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -435,4 +438,69 @@ func TestAttemptDoneRacesReturn(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestAttemptDeadlineOnWallClock: on the wall clock an attempt's Deadline is
+// the instant its AttemptTimeout elapses, unless the caller's is earlier;
+// under clock.Virtual it stays the caller's (TestAttemptValuePassesThrough).
+func TestAttemptDeadlineOnWallClock(t *testing.T) {
+	var got time.Time
+	var ok bool
+	bind := &ctxBinding{fn: func(ctx context.Context) error {
+		got, ok = ctx.Deadline()
+		return nil
+	}}
+	p := NewPlane(testConfig(bind, clock.NewReal(), nil))
+	defer p.Close()
+	soon := time.Now().Add(500 * time.Millisecond) // before any attempt's AttemptTimeout (1 s) elapses
+	early, cancel := context.WithDeadline(context.Background(), soon)
+	defer cancel()
+	for _, op := range attemptOps {
+		ok = false
+		before := time.Now()
+		if err := op.do(p, context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		after := time.Now()
+		if !ok || got.Before(before.Add(time.Second)) || got.After(after.Add(time.Second)) {
+			t.Fatalf("%s: Deadline = %v, %v, want the attempt's, between %v and %v",
+				op.name, got, ok, before.Add(time.Second), after.Add(time.Second))
+		}
+		ok = false
+		if err := op.do(p, early); err != nil {
+			t.Fatal(err)
+		}
+		if !ok || !got.Equal(soon) {
+			t.Fatalf("%s: Deadline = %v, %v, want the caller's earlier %v", op.name, got, ok, soon)
+		}
+	}
+}
+
+// TestAttemptOverHTTPEndsAtAttemptTimeout: a plane on the wall clock over the
+// HTTP binding, whose http.Client Timeout is far longer, cancels a stalled
+// attempt once AttemptTimeout has elapsed.
+func TestAttemptOverHTTPEndsAtAttemptTimeout(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		select {
+		case <-r.Context().Done():
+		case <-time.After(5 * time.Second):
+			w.WriteHeader(http.StatusAccepted)
+		}
+	}))
+	defer srv.Close()
+	client := soap.NewHTTPClient(&http.Client{Transport: srv.Client().Transport, Timeout: time.Minute})
+	cfg := testConfig(client, clock.NewReal(), nil)
+	cfg.AttemptTimeout = 150 * time.Millisecond
+	p := NewPlane(cfg)
+	defer p.Close()
+	start := time.Now()
+	_, err := p.Call(context.Background(), srv.URL, soap.NewEnvelope())
+	took := time.Since(start)
+	if err == nil {
+		t.Fatal("a stalled Call succeeded")
+	}
+	if took < cfg.AttemptTimeout || took > 2*time.Second {
+		t.Fatalf("the attempt ended after %v, want about %v (%v)", took, cfg.AttemptTimeout, err)
+	}
 }

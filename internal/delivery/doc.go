@@ -39,13 +39,15 @@
 // counts, and TestPlaneLaws holds it to its laws over random schedules.
 //
 // The context a binding receives for one attempt carries the caller's
-// values and deadline, and is cancelled when the caller's context ends,
-// when AttemptTimeout has elapsed on the plane's clock, or when the attempt
-// returns. Err reports that without arming anything. The first Done makes
-// a context.WithCancel child of the caller's context and arms the timeout
-// timer that cancels it, so a synchronous binding that never asks for Done
-// (MemBus, the virtual fabric) pays for neither; net/http asks on every
-// request. A binding may keep the context past return: it stays cancelled,
+// values. Its deadline is the caller's, or, when the plane's clock is wall
+// time (clock.Real), the instant AttemptTimeout elapses if that is earlier —
+// so soap.HTTPClient adds no timeout context of its own. It is cancelled
+// when the caller's context ends, when AttemptTimeout has elapsed on the
+// plane's clock, or when the attempt returns. Err reports that without
+// arming anything. The first Done makes a context.WithCancel child of the
+// caller's context and arms the timeout timer that cancels it, so a
+// synchronous binding that never asks for Done (MemBus, the virtual fabric)
+// pays for neither; net/http asks on every request. A binding may keep the context past return: it stays cancelled,
 // and a retry gets a fresh one. So no context is ever handed out twice; each
 // is carved from a slab of 64, so an attempt does not allocate one of its
 // own. The item that carries a message through its peer's queue never

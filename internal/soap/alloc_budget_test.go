@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/testkit"
@@ -23,6 +24,7 @@ type allocBudget struct {
 	OutboundMaxAllocs  float64 `json:"outbound_build_max_allocs"`
 	OneWayMaxAllocs    float64 `json:"membus_one_way_delivery_max_allocs"`
 	MarshalMaxAllocs   float64 `json:"marshal_block_max_allocs"`
+	HTTPSendMaxAllocs  float64 `json:"http_send_encoded_max_allocs"`
 }
 
 func TestDecodeAllocBudget(t *testing.T) {
@@ -209,3 +211,22 @@ var sinkBlock Block
 
 // sinkEnv keeps a measured copy live, so the compiler cannot elide it.
 var sinkEnv *Envelope
+
+// TestHTTPSendEncodedAllocBudget: a one-way SendEncoded over loopback HTTP,
+// with a deadline earlier than the client's Timeout as a delivery plane's
+// attempt on the wall clock has, costs no more than its budget — counting
+// both ends, since the server runs in this process. net/http is most of it.
+func TestHTTPSendEncodedAllocBudget(t *testing.T) {
+	budget := testkit.LoadBudget[allocBudget](t)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	send, stop := httpOneWay(t, ctx)
+	defer stop()
+	send() // open the connection outside the measurement
+	allocs := testing.AllocsPerRun(200, send)
+	if allocs > budget.HTTPSendMaxAllocs {
+		t.Errorf("HTTP SendEncoded = %.1f allocs/op, budget %.0f (testdata/alloc_budget.json)",
+			allocs, budget.HTTPSendMaxAllocs)
+	}
+	t.Logf("HTTP SendEncoded: %.1f allocs/op (budget %.0f)", allocs, budget.HTTPSendMaxAllocs)
+}

@@ -1,8 +1,12 @@
 package soap
 
 import (
+	"context"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"wsgossip/internal/wsa"
 )
@@ -191,5 +195,54 @@ func BenchmarkMarshalBlock(b *testing.B) {
 			b.Fatal(err)
 		}
 		sinkBlock = blk
+	}
+}
+
+// httpOneWay returns one one-way exchange over loopback HTTP — a rendered,
+// pooled 1 KiB envelope handed to SendEncoded with ctx, read, decoded and
+// handled by the server, answered 202 — and the server's Close. The client
+// is made as the deployments make theirs, with a 10 s Timeout.
+func httpOneWay(tb testing.TB, ctx context.Context) (send func(), stop func()) {
+	tb.Helper()
+	srv := httptest.NewServer(NewHTTPServer(HandlerFunc(func(context.Context, *Request) (*Envelope, error) {
+		return nil, nil
+	})))
+	client := NewHTTPClient(&http.Client{Transport: srv.Client().Transport, Timeout: 10 * time.Second})
+	tmpl, err := benchEnvelope(tb, 1<<10).EncodeTemplate()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		if err := client.SendEncoded(ctx, srv.URL, tmpl.RenderTo(srv.URL)); err != nil {
+			tb.Fatal(err)
+		}
+	}, srv.Close
+}
+
+// BenchmarkHTTPSendEncoded measures a one-way SendEncoded over loopback HTTP,
+// with no deadline (the client's Timeout bounds it) and with an earlier one,
+// as a delivery plane's attempt on the wall clock has. Its allocations are
+// both ends', since the server runs in this process.
+func BenchmarkHTTPSendEncoded(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		deadline bool
+	}{{"timeout", false}, {"deadline", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			ctx := context.Background()
+			if c.deadline {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, 5*time.Second)
+				defer cancel()
+			}
+			send, stop := httpOneWay(b, ctx)
+			defer stop()
+			send() // open the connection outside the measurement
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				send()
+			}
+		})
 	}
 }

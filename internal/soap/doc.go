@@ -14,6 +14,14 @@
 //   - Caller — the client side, which HTTPClient and MemBus implement. Every
 //     Caller takes bytes (its EncodedSender half): what the stack sends is
 //     written into a pooled buffer and handed to SendEncoded.
+//   - HTTPClient — the HTTP binding's client. It posts through the
+//     http.Client's Transport by RoundTrip and uses nothing else of the
+//     client: redirects are not followed, no cookie jar is kept, and the
+//     client's Timeout bounds each request unless the context's deadline is
+//     earlier. Only a 2xx answer is delivery; any other status is an error
+//     (the fault the body carries, or one naming the status). Every request
+//     shares one header map and its address's parsed URL, and a delivered
+//     send's buffer goes back to the wire pool.
 //   - Fault — SOAP 1.2 faults, with NewFault/AsFault/FaultFrom helpers.
 //
 // The codec is the gossip hot path. It has one writer out, and one scanner

@@ -1,13 +1,15 @@
 package soap
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
+	"sync"
 	"time"
 )
 
@@ -203,29 +205,49 @@ type Caller interface {
 	Send(ctx context.Context, to string, env *Envelope) error
 }
 
-// HTTPClient is a SOAP 1.2 client over net/http.
+// HTTPClient is a SOAP 1.2 client over net/http. Every POST goes straight
+// through the Transport of the http.Client it was made from, by RoundTrip.
 type HTTPClient struct {
-	hc *http.Client
+	rt      http.RoundTripper
+	timeout time.Duration
+	urls    urlCache
 }
 
 var _ Caller = (*HTTPClient)(nil)
 
-// NewHTTPClient wraps hc (nil means http.DefaultClient).
+// NewHTTPClient wraps hc (nil means http.DefaultClient). Of hc it uses only
+// the Transport (http.DefaultTransport when nil) and the Timeout: redirects
+// are not followed — a 3xx answer is an error, as is every answer that is
+// not 2xx — no cookie jar is kept, and Timeout bounds each request unless
+// the context's deadline is earlier.
 func NewHTTPClient(hc *http.Client) *HTTPClient {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	return &HTTPClient{hc: hc}
+	rt := hc.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	return &HTTPClient{rt: rt, timeout: hc.Timeout}
 }
 
-// Call posts the envelope to the endpoint and decodes the response envelope.
-// A SOAP fault in the response is returned as a *Fault error.
+// Call posts the envelope to the endpoint and decodes the response envelope;
+// a 2xx answer without a body (202 for a one-way handler) returns nil. A SOAP
+// fault in the response is returned as a *Fault error, and any other answer
+// that is not 2xx as an error naming its status.
 func (c *HTTPClient) Call(ctx context.Context, to string, env *Envelope) (*Envelope, error) {
-	respBody, status, err := c.post(ctx, to, env)
+	data, err := env.Encode()
 	if err != nil {
 		return nil, err
 	}
-	if status == http.StatusAccepted || len(respBody) == 0 {
+	status, respBody, err := c.post(ctx, to, newPostBody(data), true)
+	if err != nil {
+		return nil, err
+	}
+	if !is2xx(status) {
+		return nil, statusError("call", to, status, respBody)
+	}
+	if len(respBody) == 0 {
 		return nil, nil
 	}
 	resp, err := Decode(respBody)
@@ -234,9 +256,6 @@ func (c *HTTPClient) Call(ctx context.Context, to string, env *Envelope) (*Envel
 	}
 	if f := FaultFrom(resp); f != nil {
 		return nil, f
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("call %s: unexpected status %d", to, status)
 	}
 	return resp, nil
 }
@@ -251,57 +270,186 @@ func (c *HTTPClient) Send(ctx context.Context, to string, env *Envelope) error {
 }
 
 // SendEncoded posts an already-serialized envelope, skipping the redundant
-// encode of the fan-out hot path.
+// encode of the fan-out hot path. Only a 2xx answer is delivery: a fault is
+// returned as a *Fault error, any other status as an error naming it. Once
+// the answer is 2xx, data goes back to the wire buffer pool, as
+// EncodedSender allows; on an error it stays with the caller, intact.
 func (c *HTTPClient) SendEncoded(ctx context.Context, to string, data []byte) error {
-	respBody, status, err := c.postBytes(ctx, to, data)
+	b := newPostBody(data)
+	status, respBody, err := c.post(ctx, to, b, false)
+	b.seal()
 	if err != nil {
 		return err
 	}
-	if status >= 400 {
-		if resp, derr := Decode(respBody); derr == nil {
-			if f := FaultFrom(resp); f != nil {
-				return f
-			}
-		}
-		return fmt.Errorf("send %s: unexpected status %d", to, status)
+	if !is2xx(status) {
+		return statusError("send", to, status, respBody)
 	}
+	putBytes(data)
 	return nil
 }
 
-func (c *HTTPClient) post(ctx context.Context, to string, env *Envelope) ([]byte, int, error) {
-	data, err := env.Encode()
-	if err != nil {
-		return nil, 0, err
+// is2xx reports whether an HTTP status means the exchange succeeded.
+func is2xx(status int) bool { return status/100 == 2 }
+
+// statusError is the error of an answer that is not 2xx: the SOAP fault its
+// body carries, or else one naming the status.
+func statusError(op, to string, status int, body []byte) error {
+	if resp, err := Decode(body); err == nil {
+		if f := FaultFrom(resp); f != nil {
+			return f
+		}
 	}
-	return c.postBytes(ctx, to, data)
+	return fmt.Errorf("%s %s: unexpected status %d", op, to, status)
 }
 
-func (c *HTTPClient) postBytes(ctx context.Context, to string, data []byte) ([]byte, int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, to, bytes.NewReader(data))
+// postHeader is every POST's header, shared by all of them: a RoundTripper
+// does not modify its request, and nothing here writes it after init.
+var postHeader = http.Header{"Content-Type": {ContentType + "; charset=utf-8"}}
+
+// post sends b to the address through the transport and returns the
+// answer's status. The body of the answer is read and returned when keep is
+// set or the status is not 2xx (it may carry a fault); otherwise it is
+// drained unread, so the connection goes back to the transport's idle pool.
+//
+// The client's timeout is a context of its own only when ctx has no earlier
+// deadline: an attempt of the delivery plane on the wall clock reports its
+// own, and a second timer-backed context on top of it would never fire first.
+func (c *HTTPClient) post(ctx context.Context, to string, b *postBody, keep bool) (int, []byte, error) {
+	u, err := c.urls.get(to)
 	if err != nil {
-		return nil, 0, fmt.Errorf("post %s: %w", to, err)
+		return 0, nil, fmt.Errorf("post %s: %w", to, err)
 	}
-	req.Header.Set("Content-Type", ContentType+"; charset=utf-8")
-	resp, err := c.hc.Do(req)
+	if c.timeout > 0 {
+		if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > c.timeout {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, c.timeout)
+			defer cancel()
+		}
+	}
+	req := (&http.Request{
+		Method:        http.MethodPost,
+		URL:           u,
+		Header:        postHeader,
+		Body:          &b.first,
+		GetBody:       b.reopen,
+		ContentLength: int64(len(b.data)),
+		Host:          u.Host,
+	}).WithContext(ctx)
+	resp, err := c.rt.RoundTrip(req)
 	if err != nil {
-		return nil, 0, fmt.Errorf("post %s: %w", to, err)
+		return 0, nil, fmt.Errorf("post %s: %w", to, err)
 	}
 	defer resp.Body.Close()
+	if !keep && is2xx(resp.StatusCode) {
+		if resp.ContentLength != 0 {
+			if _, err := io.Copy(io.Discard, io.LimitReader(resp.Body, maxEnvelopeBytes)); err != nil {
+				return 0, nil, fmt.Errorf("read response from %s: %w", to, err)
+			}
+		}
+		return resp.StatusCode, nil, nil
+	}
 	// Responses escape to the caller (the decoded envelope aliases them),
 	// so they are not pooled — but a declared Content-Length still buys an
 	// exactly-sized single read instead of ReadAll's doubling copies.
 	if n := resp.ContentLength; n >= 0 && n <= maxEnvelopeBytes {
 		body := make([]byte, n)
 		if _, err := io.ReadFull(resp.Body, body); err != nil {
-			return nil, 0, fmt.Errorf("read response from %s: %w", to, err)
+			return 0, nil, fmt.Errorf("read response from %s: %w", to, err)
 		}
-		return body, resp.StatusCode, nil
+		return resp.StatusCode, body, nil
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxEnvelopeBytes))
 	if err != nil {
-		return nil, 0, fmt.Errorf("read response from %s: %w", to, err)
+		return 0, nil, fmt.Errorf("read response from %s: %w", to, err)
 	}
-	return body, resp.StatusCode, nil
+	return resp.StatusCode, body, nil
+}
+
+// postBody is the request body of one POST: the wire bytes, read by the
+// transport through readings that a seal ends. A RoundTripper may go on
+// reading a request body after RoundTrip has returned — net/http's HTTP/1
+// write loop reads past the declared length to check for extra bytes, and
+// closes the body from its own goroutine — so the client seals the body
+// before it takes the bytes back. From then on every reading reports io.EOF
+// and none touches data; reads and the seal share one mutex, so a read in
+// progress finishes first.
+type postBody struct {
+	mu     sync.Mutex
+	data   []byte
+	sealed bool
+	first  postReader // the request's Body
+}
+
+// postReader is one reading of a postBody from the start: the request's
+// own, or one the transport asked GetBody for, to resend the request on a
+// fresh connection. Close leaves the bytes alone; only the seal ends reading.
+type postReader struct {
+	b   *postBody
+	off int
+}
+
+func newPostBody(data []byte) *postBody {
+	b := &postBody{data: data}
+	b.first.b = b
+	return b
+}
+
+// reopen is the request's GetBody.
+func (b *postBody) reopen() (io.ReadCloser, error) { return &postReader{b: b}, nil }
+
+// seal ends every reading of b.
+func (b *postBody) seal() {
+	b.mu.Lock()
+	b.sealed = true
+	b.mu.Unlock()
+}
+
+func (r *postReader) Read(p []byte) (int, error) {
+	b := r.b
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.sealed || r.off >= len(b.data) {
+		return 0, io.EOF
+	}
+	n := copy(p, b.data[r.off:])
+	r.off += n
+	return n, nil
+}
+
+func (r *postReader) Close() error { return nil }
+
+// maxCachedURLs bounds a client's parsed-URL cache. Addresses can come from
+// body fields a peer writes, so a full cache is emptied, not grown.
+const maxCachedURLs = 1024
+
+// urlCache maps an address to its parsed URL, which every request to it
+// shares (a RoundTripper does not modify its request).
+type urlCache struct {
+	mu sync.RWMutex
+	m  map[string]*url.URL
+}
+
+// get returns the parsed URL of addr, with an empty port removed from its
+// host as http.NewRequest removes it.
+func (c *urlCache) get(addr string) (*url.URL, error) {
+	c.mu.RLock()
+	u, ok := c.m[addr]
+	c.mu.RUnlock()
+	if ok {
+		return u, nil
+	}
+	u, err := url.Parse(addr)
+	if err != nil {
+		return nil, err
+	}
+	u.Host = strings.TrimSuffix(u.Host, ":")
+	c.mu.Lock()
+	if c.m == nil || len(c.m) >= maxCachedURLs {
+		c.m = make(map[string]*url.URL)
+	}
+	c.m[strings.Clone(addr)] = u
+	c.mu.Unlock()
+	return u, nil
 }
 
 // ErrUnknownEndpoint reports a send to an address not present on the bus.

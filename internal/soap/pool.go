@@ -19,11 +19,11 @@ import (
 // server recycles its request-read buffer once the response is written;
 // each recycles the decoded request (receivedPool) at the same point. A
 // handler that panics leaves both to the GC.
-// HTTPClient.SendEncoded deliberately does NOT recycle the buffers it is
-// handed: net/http's transport can still be draining the request-body
-// reader when Do returns (early server responses, redirect GetBody
-// re-reads), so the last reference is not provably released — those
-// buffers are left to the GC, which the network-bound path can afford.
+// HTTPClient.SendEncoded recycles the buffer of a send answered 2xx, once it
+// has sealed the request body it handed the transport: net/http may go on
+// reading a body after RoundTrip returns, and after the seal every read
+// reports EOF without touching the buffer. A failed send's buffer stays
+// with its caller, unrecycled.
 
 const (
 	minBufBits = 9  // smallest pooled class: 512 B
