@@ -2,12 +2,18 @@ package delivery
 
 import (
 	"context"
+	"encoding/xml"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"wsgossip/internal/clock"
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/testkit"
+	"wsgossip/internal/wsa"
 )
 
 // Allocation-budget regression guard for the plane's attempt path, which
@@ -17,6 +23,7 @@ import (
 type allocBudget struct {
 	SendEncodedMaxAllocs float64 `json:"send_encoded_max_allocs"`
 	CallMaxAllocs        float64 `json:"call_max_allocs"`
+	HTTPSendMaxAllocs    float64 `json:"http_send_encoded_max_allocs"`
 }
 
 func TestPlaneAllocBudget(t *testing.T) {
@@ -77,4 +84,75 @@ func BenchmarkPlaneSendEncoded(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestPlaneOverHTTPAllocBudget: one one-way message through a plane on the
+// wall clock, over soap.HTTPClient into a soap.HTTPServer, with a cancellable
+// caller's context as a handler's r.Context() is, costs no more than its
+// budget — both ends counted, since the server runs in this process. Beside
+// the POST itself it is the attempt context's first Done: a
+// context.WithCancel child of the caller's context and the AttemptTimeout
+// timer.
+func TestPlaneOverHTTPAllocBudget(t *testing.T) {
+	budget := testkit.LoadBudget[allocBudget](t)
+	send, stop := planeOverHTTP(t)
+	defer stop()
+	send() // open the connection outside the measurement
+	allocs := testing.AllocsPerRun(200, send)
+	if allocs > budget.HTTPSendMaxAllocs {
+		t.Errorf("plane SendEncoded over HTTP = %.1f allocs/op, budget %.0f (testdata/alloc_budget.json)",
+			allocs, budget.HTTPSendMaxAllocs)
+	}
+	t.Logf("plane SendEncoded over HTTP: %.1f allocs/op (budget %.0f)", allocs, budget.HTTPSendMaxAllocs)
+}
+
+// BenchmarkPlaneOverHTTP measures one one-way message through a plane on the
+// wall clock, over loopback HTTP.
+func BenchmarkPlaneOverHTTP(b *testing.B) {
+	send, stop := planeOverHTTP(b)
+	defer stop()
+	send() // open the connection outside the measurement
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		send()
+	}
+}
+
+// planeOverHTTP returns one one-way exchange through a plane on clock.Real
+// over loopback HTTP — a rendered, pooled 1 KiB envelope handed to the
+// plane's SendEncoded with a cancellable context, posted by a soap.HTTPClient
+// made as the deployments make theirs, read, decoded and handled by a
+// soap.HTTPServer, answered 202 — and what stops it all.
+func planeOverHTTP(tb testing.TB) (send func(), stop func()) {
+	tb.Helper()
+	srv := httptest.NewServer(soap.NewHTTPServer(soap.HandlerFunc(func(context.Context, *soap.Request) (*soap.Envelope, error) {
+		return nil, nil
+	})))
+	client := soap.NewHTTPClient(&http.Client{Transport: srv.Client().Transport, Timeout: 10 * time.Second})
+	p := NewPlane(testConfig(client, clock.NewReal(), metrics.NewRegistry()))
+	env := soap.NewEnvelope()
+	if err := env.SetAddressing(wsa.Headers{Action: "urn:bench:op", MessageID: "urn:uuid:planeoverhttp"}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := env.SetBody(struct {
+		XMLName xml.Name `xml:"urn:bench Payload"`
+		Data    string   `xml:"Data"`
+	}{Data: strings.Repeat("x", 1<<10)}); err != nil {
+		tb.Fatal(err)
+	}
+	tmpl, err := env.EncodeTemplate()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	return func() {
+			if err := p.SendEncoded(ctx, srv.URL, tmpl.RenderTo(srv.URL)); err != nil {
+				tb.Fatal(err)
+			}
+		}, func() {
+			cancel()
+			p.Close()
+			srv.Close()
+		}
 }

@@ -21,7 +21,16 @@
 //     earlier. Only a 2xx answer is delivery; any other status is an error
 //     (the fault the body carries, or one naming the status). Every request
 //     shares one header map and its address's parsed URL, and a delivered
-//     send's buffer goes back to the wire pool.
+//     send's buffer goes back to the wire pool. A POST carries Host,
+//     Content-Length, Content-Type and Accept-Encoding: identity, and no
+//     User-Agent: a compressed answer is neither requested nor decoded, and
+//     an intermediary that refuses requests lacking a User-Agent refuses
+//     every POST.
+//   - HTTPServer — the HTTP binding's server. It reads a request body into a
+//     buffer that starts at the declared length, or 64 KiB if less, and
+//     grows as its bytes arrive, never past the declared length or
+//     MaxEnvelopeBytes; a body read in full is closed before the handler
+//     runs, so net/http discards nothing after it.
 //   - Fault — SOAP 1.2 faults, with NewFault/AsFault/FaultFrom helpers.
 //
 // The codec is the gossip hot path. It has one writer out, and one scanner

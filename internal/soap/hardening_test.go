@@ -5,10 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"wsgossip/internal/metrics"
@@ -291,6 +294,89 @@ func TestHTTPServerRejectCountsAreDistinct(t *testing.T) {
 	} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("snapshot missing %s:\n%s", want, joined)
+		}
+	}
+}
+
+// stallingBody yields a few bytes and then fails, as a connection does whose
+// peer sent a head declaring a large body and stopped.
+type stallingBody struct{ sent bool }
+
+func (b *stallingBody) Read(p []byte) (int, error) {
+	if b.sent {
+		return 0, io.ErrUnexpectedEOF
+	}
+	b.sent = true
+	return copy(p, "<Envelope>"), nil
+}
+
+// TestHTTPDeclaredLengthHoldsWhatArrived: a request declaring the envelope
+// cap whose body yields ten bytes and then fails costs the server memory in
+// proportion to what arrived, not to what was declared — under 1 MiB, where
+// an exactly sized read of the declared length takes the whole 8 MiB before
+// the first byte — and is still rejected as truncated.
+func TestHTTPDeclaredLengthHoldsWhatArrived(t *testing.T) {
+	reg := metrics.NewRegistry()
+	InstallWireMetrics(reg)
+	defer InstallWireMetrics(nil)
+
+	req := httptest.NewRequest(http.MethodPost, "/", &stallingBody{})
+	req.ContentLength = maxEnvelopeBytes
+	rec := httptest.NewRecorder()
+	srv := NewHTTPServer(echoHandler())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a declared %d-byte body that sent 10 bytes allocated %d bytes, want under 1 MiB", maxEnvelopeBytes, grew)
+	}
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", rec.Code)
+	}
+	if got := reg.CounterVec("soap_inbound_rejects_total", "reason").With("truncated").Value(); got != 1 {
+		t.Fatalf("truncated rejects = %d, want 1", got)
+	}
+}
+
+// TestHTTPDeclaredLongBody: a body declared longer than firstReadBytes,
+// arriving a little at a time, grows its buffer to exactly its declared
+// length — no byte past it — and is served; one that ends short of it is
+// truncated, and an empty one too.
+func TestHTTPDeclaredLongBody(t *testing.T) {
+	env := NewEnvelope()
+	if err := env.SetBody(testBody{Value: strings.Repeat("x", 3*firstReadBytes)}); err != nil {
+		t.Fatal(err)
+	}
+	full, err := env.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailing := bytes.NewReader(append(bytes.Clone(full), "trailing"...))
+	req := httptest.NewRequest(http.MethodPost, "/", iotest.HalfReader(trailing))
+	req.ContentLength = int64(len(full))
+	data, err := readRequestBody(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, full) || trailing.Len() != len("trailing") {
+		t.Fatalf("read %d bytes leaving %d unread, want the %d declared leaving %d",
+			len(data), trailing.Len(), len(full), len("trailing"))
+	}
+	putBytes(data)
+
+	rec := postRecorded(t, string(full), int64(len(full)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+	for _, c := range []struct {
+		body string
+		want error
+	}{{string(full[:len(full)-1]), io.ErrUnexpectedEOF}, {"", io.EOF}} {
+		req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(c.body))
+		req.ContentLength = int64(len(full))
+		if _, err := readRequestBody(req); err != c.want {
+			t.Fatalf("a %d-byte body declared %d: err = %v, want %v", len(c.body), len(full), err, c.want)
 		}
 	}
 }

@@ -43,7 +43,9 @@ func NewHTTPServer(h Handler) *HTTPServer {
 // that the decoded envelope aliases for the duration of the exchange, and a
 // scanned request is drawn from its pool; both go back once the handler has
 // returned and its response has been written (copying whatever blocks it
-// shared), so a handler that keeps its request must Clone it.
+// shared), so a handler that keeps its request must Clone it. A body read in
+// full is closed before the handler runs; one that failed to read is left
+// open, so closing it never waits on a stalled peer.
 func (s *HTTPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "soap endpoint requires POST", http.StatusMethodNotAllowed)
@@ -68,6 +70,9 @@ func (s *HTTPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, NewFault(CodeSender, "read request: "+err.Error()))
 		return
 	}
+	// The body is read to its end, so closing it costs nothing; an unclosed
+	// one has net/http copy whatever follows to io.Discard after the handler.
+	_ = r.Body.Close()
 	req, rec, err := decodeRequest(data, true)
 	if err != nil {
 		putBytes(data)
@@ -109,30 +114,39 @@ func writeResponse(w http.ResponseWriter, resp *Envelope, err error) {
 // past the envelope cap.
 var errBodyOversize = errors.New("request body exceeds the envelope size cap")
 
-// readRequestBody reads the request body into a pooled buffer: one
-// exactly-sized read when Content-Length is declared, a doubling read
-// through the pool otherwise. A body shorter than its declared length
-// surfaces as io.ErrUnexpectedEOF (or io.EOF when empty); an undeclared
-// body still producing bytes at maxEnvelopeBytes surfaces as
+// firstReadBytes is the most of a request body's buffer taken before its
+// bytes arrive: the first buffer is the declared length up to this, and it
+// doubles as bytes come in. A peer that declares the envelope cap and then
+// stalls holds no more than this, plus what it has sent; every body up to
+// it, which is every gossip message short of a membership view of about
+// 1,800 members, is read into one buffer.
+const firstReadBytes = 64 << 10
+
+// readRequestBody reads the request body into a pooled buffer that starts at
+// the declared Content-Length, or firstReadBytes if less, and doubles as
+// bytes arrive, never past the declared length or, with none,
+// maxEnvelopeBytes. A body shorter than its declared length surfaces as
+// io.ErrUnexpectedEOF (or io.EOF when empty), as io.ReadFull reports it; an
+// undeclared body still producing bytes at maxEnvelopeBytes surfaces as
 // errBodyOversize — neither ever blocks past the bytes actually sent or
 // reads past the cap. The caller recycles with putBytes.
 func readRequestBody(r *http.Request) ([]byte, error) {
-	if n := r.ContentLength; n >= 0 && n <= maxEnvelopeBytes {
-		buf := getBytes(int(n))[:n]
-		if _, err := io.ReadFull(r.Body, buf); err != nil {
-			putBytes(buf)
-			return nil, err
-		}
-		return buf, nil
+	declared := r.ContentLength >= 0
+	limit := maxEnvelopeBytes
+	if declared {
+		limit = int(r.ContentLength) // ServeHTTP has refused a declared length past the cap
 	}
-	// Views are clamped to the cap so the doubling can never read past
-	// maxEnvelopeBytes, whatever capacity the pool handed back.
-	buf := getBytes(4096)
-	buf = buf[:min(cap(buf), maxEnvelopeBytes)]
+	// Views are clamped to the limit so the read can never pass it, whatever
+	// capacity the pool handed back.
+	buf := getBytes(min(limit, firstReadBytes))
+	buf = buf[:min(cap(buf), limit)]
 	total := 0
 	for {
 		if total == len(buf) {
-			if total >= maxEnvelopeBytes {
+			if total >= limit {
+				if declared {
+					return buf, nil
+				}
 				// At the cap: the body is oversized unless it ends here.
 				var probe [1]byte
 				n, err := r.Body.Read(probe[:])
@@ -145,8 +159,8 @@ func readRequestBody(r *http.Request) ([]byte, error) {
 				}
 				return nil, err
 			}
-			bigger := getBytes(2 * len(buf))
-			bigger = bigger[:min(cap(bigger), maxEnvelopeBytes)]
+			bigger := getBytes(min(2*len(buf), limit))
+			bigger = bigger[:min(cap(bigger), limit)]
 			copy(bigger, buf[:total])
 			putBytes(buf)
 			buf = bigger
@@ -154,6 +168,14 @@ func readRequestBody(r *http.Request) ([]byte, error) {
 		n, err := r.Body.Read(buf[total:])
 		total += n
 		if err == io.EOF {
+			if declared && total < limit {
+				err = io.ErrUnexpectedEOF
+				if total == 0 {
+					err = io.EOF
+				}
+				putBytes(buf)
+				return nil, err
+			}
 			return buf[:total], nil
 		}
 		if err != nil {
@@ -220,6 +242,15 @@ var _ Caller = (*HTTPClient)(nil)
 // are not followed — a 3xx answer is an error, as is every answer that is
 // not 2xx — no cookie jar is kept, and Timeout bounds each request unless
 // the context's deadline is earlier.
+//
+// A POST carries Host, Content-Length, Content-Type (application/soap+xml;
+// charset=utf-8) and Accept-Encoding: identity, and no User-Agent. A
+// compressed answer is neither requested nor decoded: the SOAP binding's
+// answers are small, and its server never compresses. With no User-Agent the
+// POSTs are not what RFC 9110 recommends a user agent send, and an
+// intermediary that refuses requests lacking one (some reverse proxies and
+// WAF rule sets do) refuses every POST: peers are to be reached directly or
+// through an intermediary that does not.
 func NewHTTPClient(hc *http.Client) *HTTPClient {
 	if hc == nil {
 		hc = http.DefaultClient
@@ -303,8 +334,17 @@ func statusError(op, to string, status int, body []byte) error {
 }
 
 // postHeader is every POST's header, shared by all of them: a RoundTripper
-// does not modify its request, and nothing here writes it after init.
-var postHeader = http.Header{"Content-Type": {ContentType + "; charset=utf-8"}}
+// does not modify its request, and nothing here writes it after init. Beside
+// the content type it carries only what keeps net/http from adding lines
+// neither end reads: Accept-Encoding: identity, so the Transport neither asks
+// for gzip (through a per-request header map) nor wraps the answer in a
+// decompressor, and an empty User-Agent, which net/http writes as no line at
+// all rather than its default.
+var postHeader = http.Header{
+	"Content-Type":    {ContentType + "; charset=utf-8"},
+	"Accept-Encoding": {"identity"},
+	"User-Agent":      {""},
+}
 
 // post sends b to the address through the transport and returns the
 // answer's status. The body of the answer is read and returned when keep is

@@ -1,6 +1,8 @@
 package soap
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"hash/crc32"
@@ -8,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -342,5 +345,170 @@ func TestHTTPClientURLCacheIsBounded(t *testing.T) {
 	}
 	if u.Host != "host" {
 		t.Fatalf("empty port: host %q, want host", u.Host)
+	}
+}
+
+// TestHTTPPostHeaderSet: a POST's head, as a raw listener reads it off the
+// wire, carries exactly Host, Content-Length, Content-Type and
+// Accept-Encoding: identity — no User-Agent, and no request for gzip — for
+// SendEncoded and Call alike, and Call still decodes the reply.
+func TestHTTPPostHeaderSet(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	reply := NewEnvelope()
+	if err := reply.SetBody(testBody{Value: "answer"}); err != nil {
+		t.Fatal(err)
+	}
+	replyBytes, err := reply.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := []string{
+		"HTTP/1.1 202 Accepted\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Type: " + ContentType + "; charset=utf-8\r\nContent-Length: " +
+			strconv.Itoa(len(replyBytes)) + "\r\n\r\n" + string(replyBytes),
+	}
+	heads := make(chan []string, len(answers))
+	go func() {
+		defer close(heads)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		for _, answer := range answers {
+			var head []string
+			length := 0
+			for {
+				line, err := br.ReadString('\n')
+				if err != nil {
+					return
+				}
+				if line == "\r\n" {
+					break
+				}
+				head = append(head, line)
+				if v, ok := strings.CutPrefix(line, "Content-Length: "); ok {
+					length, _ = strconv.Atoi(strings.TrimSpace(v))
+				}
+			}
+			if _, err := io.ReadFull(br, make([]byte, length)); err != nil {
+				return
+			}
+			heads <- head
+			if _, err := io.WriteString(conn, answer); err != nil {
+				return
+			}
+		}
+	}()
+
+	transport := &http.Transport{}
+	defer transport.CloseIdleConnections()
+	client := NewHTTPClient(&http.Client{Transport: transport, Timeout: 5 * time.Second})
+	addr := ln.Addr().String()
+	data := pooledEnvelope(t, "head")
+	want := func(length int) []string {
+		return []string{
+			"POST /soap HTTP/1.1\r\n",
+			"Host: " + addr + "\r\n",
+			"Content-Length: " + strconv.Itoa(length) + "\r\n",
+			"Accept-Encoding: identity\r\n",
+			"Content-Type: " + ContentType + "; charset=utf-8\r\n",
+		}
+	}
+	check := func(what string, head []string, want []string) {
+		t.Helper()
+		if len(head) == 0 {
+			t.Fatalf("%s: the listener read no request head", what)
+		}
+		slices.Sort(head[1:])
+		slices.Sort(want[1:])
+		if !slices.Equal(head, want) {
+			t.Fatalf("%s head:\n%q\nwant\n%q", what, head, want)
+		}
+	}
+	sendWant := want(len(data))
+	if err := client.SendEncoded(context.Background(), "http://"+addr+"/soap", data); err != nil {
+		t.Fatal(err)
+	}
+	check("SendEncoded", <-heads, sendWant)
+
+	env := NewEnvelope()
+	if err := env.SetBody(testBody{Value: "question"}); err != nil {
+		t.Fatal(err)
+	}
+	callBytes, err := env.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := client.Call(context.Background(), "http://"+addr+"/soap", env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Call", <-heads, want(len(callBytes)))
+	var got testBody
+	if err := resp.DecodeBody(&got); err != nil || got.Value != "answer" {
+		t.Fatalf("Call's reply = %+v, %v; want Value answer", got, err)
+	}
+}
+
+// closeRecorder is a request body that records whether it was closed.
+type closeRecorder struct {
+	io.Reader
+	closed bool
+}
+
+func (c *closeRecorder) Close() error {
+	c.closed = true
+	return nil
+}
+
+// TestHTTPServerClosesBodyReadInFull: the server closes a request body it
+// has read to its end, before the handler runs, so net/http has nothing to
+// discard after it; a body it could not read in full — short of its declared
+// length, or failing mid-read — it leaves open, so that closing never waits
+// on a peer that has stopped sending.
+func TestHTTPServerClosesBodyReadInFull(t *testing.T) {
+	env := NewEnvelope()
+	if err := env.SetBody(testBody{Value: "v"}); err != nil {
+		t.Fatal(err)
+	}
+	full, err := env.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name       string
+		body       io.Reader
+		length     int64
+		wantClosed bool
+	}{
+		{"declared", bytes.NewReader(full), int64(len(full)), true},
+		{"undeclared", bytes.NewReader(full), -1, true},
+		{"short", strings.NewReader("short"), 100, false},
+		{"short-of-large-declared", bytes.NewReader(full), int64(len(full)) + firstReadBytes, false},
+		{"read-error", errReader{errors.New("conn reset")}, -1, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			body := &closeRecorder{Reader: c.body}
+			req := httptest.NewRequest(http.MethodPost, "/", body)
+			req.ContentLength = c.length
+			var closedInHandler bool
+			rec := httptest.NewRecorder()
+			NewHTTPServer(HandlerFunc(func(context.Context, *Request) (*Envelope, error) {
+				closedInHandler = body.closed
+				return nil, nil
+			})).ServeHTTP(rec, req)
+			if body.closed != c.wantClosed {
+				t.Fatalf("body closed = %v, want %v (status %d)", body.closed, c.wantClosed, rec.Code)
+			}
+			if c.wantClosed && (!closedInHandler || rec.Code != http.StatusAccepted) {
+				t.Fatalf("closed before the handler = %v, status %d; want true, 202", closedInHandler, rec.Code)
+			}
+		})
 	}
 }
