@@ -39,6 +39,34 @@ import (
 	"wsgossip/internal/soap"
 )
 
+// The bounds every HTTP server of the node puts on a peer. A request's head
+// must arrive within readHeaderTimeout, and the whole request, body included,
+// within readTimeout of its first byte: postTimeout, the longest this command
+// waits for a POST of its own. A peer that stalls mid-body thus holds a
+// connection and its goroutine no longer than a sender would wait, and a
+// handler still running then finds its request's context canceled, as it
+// would had the sender hung up. A kept-alive connection idle for idleTimeout
+// is closed; that is longer than net/http's default client keeps one idle
+// (90 s), so a client never reuses a connection the server has just closed.
+const (
+	postTimeout       = 10 * time.Second
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = postTimeout
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer returns the HTTP server for handler at addr, with the node's
+// bounds.
+func newServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // noteBody is the demonstration notification payload.
 type noteBody struct {
 	XMLName xml.Name `xml:"urn:wsgossip:demo Note"`
@@ -58,7 +86,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	client := soap.NewHTTPClient(&http.Client{Timeout: 10 * time.Second})
+	client := soap.NewHTTPClient(&http.Client{Timeout: postTimeout})
 	switch o.role {
 	case "coordinator":
 		return runCoordinator(o.listen, o.node.Address, o.style, o.activityTTL, o.pruneEvery, o.metricsAddr)
@@ -244,20 +272,12 @@ func serve(listen string, handler soap.Handler, reg *metrics.Registry, health fu
 	if reg != nil {
 		root = obs.Mount(root, reg, health)
 	}
-	srv := &http.Server{
-		Addr:              listen,
-		Handler:           root,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := newServer(listen, root)
 	errCh := make(chan error, 2)
 	go func() { errCh <- srv.ListenAndServe() }()
 	var msrv *http.Server
 	if reg != nil && metricsAddr != "" {
-		msrv = &http.Server{
-			Addr:              metricsAddr,
-			Handler:           obs.Handler(reg, health),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
+		msrv = newServer(metricsAddr, obs.Handler(reg, health))
 		go func() { errCh <- msrv.ListenAndServe() }()
 		slog.Info("metrics at /metrics, health at /healthz", "addr", metricsAddr)
 	}

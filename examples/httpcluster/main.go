@@ -57,6 +57,19 @@ func (r *recorder) count() int {
 	return len(r.texts)
 }
 
+// The bounds each server puts on a peer: the head within readHeaderTimeout,
+// the whole request, body included, within readTimeout, which is
+// postTimeout, the longest the example's client waits for a POST; so a peer
+// that stalls mid-body holds a connection no longer than a sender waits. A
+// kept-alive connection idle for idleTimeout, longer than net/http's default
+// client keeps one (90 s), is closed.
+const (
+	postTimeout       = 5 * time.Second
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = postTimeout
+	idleTimeout       = 2 * time.Minute
+)
+
 // serveSOAP starts an HTTP server for the handler on an ephemeral port and
 // returns its base URL and a shutdown function.
 func serveSOAP(h soap.Handler) (string, func(), error) {
@@ -64,7 +77,12 @@ func serveSOAP(h soap.Handler) (string, func(), error) {
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: soap.NewHTTPServer(h), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{
+		Handler:           soap.NewHTTPServer(h),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go func() { _ = srv.Serve(ln) }()
 	url := fmt.Sprintf("http://%s/", ln.Addr().String())
 	stop := func() {
@@ -85,7 +103,7 @@ func main() {
 func run() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	client := soap.NewHTTPClient(&http.Client{Timeout: 5 * time.Second})
+	client := soap.NewHTTPClient(&http.Client{Timeout: postTimeout})
 
 	// Coordinator, served over real HTTP. Its public address is only known
 	// after the listener binds, so construct it in two steps.

@@ -95,6 +95,7 @@ type allocBudget struct {
 	AckIntake        float64 `json:"ack_intake_max_allocs"`
 	TickTwoTasks     float64 `json:"service_tick_two_tasks_max_allocs"`
 	ExchangeSend     float64 `json:"exchange_send_max_allocs"`
+	ExchangeKnown    float64 `json:"exchange_send_known_max_allocs"`
 	AckSend          float64 `json:"ack_send_max_allocs"`
 }
 
@@ -133,8 +134,10 @@ const serviceExchangeTask = "urn:uuid:service-exchange"
 // continuous task whose only target is b; b learns the task from a's first
 // share — first contact: it reads the coordination context off the message
 // and tries to register, in vain, there being no coordinator, so it joins
-// without targets and from then on only absorbs and acks. One a.Tick is thus
-// exactly one share and its ack, and MemBus drains both before Tick returns.
+// without targets and from then on only absorbs and acks. Its first ack
+// proves it holds the task, so every later share goes without the context.
+// One a.Tick is thus exactly one share and its ack, and MemBus drains both
+// before Tick returns.
 func newServiceExchangePair(t testing.TB) (a, b *Service) {
 	t.Helper()
 	bus := soap.NewMemBus()
@@ -181,9 +184,10 @@ func checkServiceExchange(t testing.TB, a, b *Service, n int64) {
 
 // TestServiceExchangeAllocBudget is the Service binding's companion of
 // TestWindowedExchangeAllocBudget: one steady-state share and its ack
-// between two Services over MemBus — envelopes, addressing, the coordination
-// context header, encode, decode and dispatch included. The context block is
-// built once per task and wscoord.ContextFrom runs at first contact only;
+// between two Services over MemBus — envelopes, addressing, encode, decode
+// and dispatch included; the share goes to a known holder, without the
+// coordination context header. The context block is built once per task and
+// wscoord.ContextFrom runs at first contact only;
 // either one back on the per-message path (an xml.Marshal, an xml.Unmarshal)
 // costs more than the budget's 15 % headroom.
 func TestServiceExchangeAllocBudget(t *testing.T) {
@@ -250,7 +254,8 @@ var twoTasks = [2]string{"urn:uuid:tick-count", "urn:uuid:tick-load"}
 // round's one sample names all three peers, and each task takes the whole of
 // it. Each peer learns both tasks from the first round's envelope — a
 // passive join through each task's own context, whose registration fails,
-// there being no coordinator — and from then on only absorbs and acks. One
+// there being no coordinator — and from then on only absorbs and acks; its
+// first acks prove it holds both, so later envelopes carry no context. One
 // a.Tick is thus three exchange envelopes of two shares each and three ack
 // envelopes of two acks each, and MemBus drains them all before it returns.
 func newTwoTaskTick(t testing.TB) (a *Service, peers []*Service) {
@@ -342,16 +347,18 @@ func BenchmarkShareExchangeService(b *testing.B) {
 }
 
 // exchangeSends is what a round sends one peer, and what the peer answers:
-// two tasks' shares in one exchange envelope, and their two acks in one ack
-// envelope, each sent over a MemBus on which the peer is a no-op handler.
-func exchangeSends(tb testing.TB) (shares func(), acks func()) {
+// two tasks' shares in one exchange envelope — with both tasks' contexts, to
+// a peer not known to hold them (shares), and with none, to a known holder
+// (known) — and their two acks in one ack envelope, each sent over a MemBus
+// on which the peer is a no-op handler.
+func exchangeSends(tb testing.TB) (shares, known, acks func()) {
 	tb.Helper()
 	bus := soap.NewMemBus()
 	bus.Register("mem://b", soap.HandlerFunc(func(context.Context, *soap.Request) (*soap.Envelope, error) {
 		return nil, nil
 	}))
 	ctx := context.Background()
-	var batch []staged
+	var batch, held []staged
 	var answers []ExchangeAck
 	for i, id := range twoTasks {
 		cctx := wscoord.CoordinationContext{
@@ -363,11 +370,19 @@ func exchangeSends(tb testing.TB) (shares func(), acks func()) {
 			TaskID: id, Function: string(FuncAvg), From: "mem://a", Sum: 1.5, Weight: 0.25,
 			WindowMillis: 1000, Epoch: 7, Seq: uint64(i + 1), Root: "mem://a",
 		}
-		batch = append(batch, staged{taskID: id, cctx: contextBlock(cctx), p: &pendingShare{to: "mem://b", share: sh}})
+		st := staged{taskID: id, cctx: contextBlock(cctx), p: &pendingShare{to: "mem://b", share: sh}, join: true}
+		batch = append(batch, st)
+		st.join = false
+		held = append(held, st)
 		answers = append(answers, ExchangeAck{TaskID: id, From: "mem://b", Epoch: 7, Seq: uint64(i + 1)})
 	}
 	shares = func() {
 		if err := sendShareBatch(ctx, bus, batch); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	known = func() {
+		if err := sendShareBatch(ctx, bus, held); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -376,24 +391,26 @@ func exchangeSends(tb testing.TB) (shares func(), acks func()) {
 			tb.Fatal(err)
 		}
 	}
-	return shares, acks
+	return shares, known, acks
 }
 
-// TestExchangeSendAllocBudget: an exchange envelope of two shares and an ack
-// envelope of two acks are each written — the message ID, the tasks'
-// prebuilt context blocks, and every share or ack from its fields — straight
-// into one pooled wire buffer, which the bus recycles. The sends allocate
-// nothing, and neither does the receiver, whose decoded request holds the
-// two body children inline. The budgets are exact.
+// TestExchangeSendAllocBudget: an exchange envelope of two shares, with and
+// without the tasks' contexts, and an ack envelope of two acks are each
+// written — the message ID, the tasks' prebuilt context blocks, and every
+// share or ack from its fields — straight into one pooled wire buffer, which
+// the bus recycles. The sends allocate nothing, and neither does the
+// receiver, whose decoded request holds the two body children inline. The
+// budgets are exact.
 func TestExchangeSendAllocBudget(t *testing.T) {
 	budget := testkit.LoadBudget[allocBudget](t)
-	shares, acks := exchangeSends(t)
+	shares, known, acks := exchangeSends(t)
 	for _, row := range []struct {
 		what   string
 		budget float64
 		op     func()
 	}{
 		{"exchange send", budget.ExchangeSend, shares},
+		{"exchange send to a known holder", budget.ExchangeKnown, known},
 		{"ack send", budget.AckSend, acks},
 	} {
 		allocs := testing.AllocsPerRun(200, row.op)
@@ -405,7 +422,7 @@ func TestExchangeSendAllocBudget(t *testing.T) {
 }
 
 func BenchmarkExchangeSend(b *testing.B) {
-	shares, _ := exchangeSends(b)
+	shares, _, _ := exchangeSends(b)
 	b.ReportAllocs()
 	for range b.N {
 		shares()
@@ -413,7 +430,7 @@ func BenchmarkExchangeSend(b *testing.B) {
 }
 
 func BenchmarkAckSend(b *testing.B) {
-	_, acks := exchangeSends(b)
+	_, _, acks := exchangeSends(b)
 	b.ReportAllocs()
 	for range b.N {
 		acks()

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -225,20 +227,100 @@ func maxFanout(svc *Service) int {
 	return n
 }
 
+// holderModel replays the exchange machine's evidence rule over a wire log,
+// envelope by envelope, to say which contexts each exchange envelope must
+// hold. A sender holds peer p as a holder of task t from an ack of p's that
+// commits a share of t sent to p, or a share of t from p that it absorbed,
+// until the roll into the second epoch without such evidence. On a lossless
+// MemBus every share is acked once, on the sending goroutine, before the
+// sender stages anything else; a share still pending belongs to its sender's
+// live epoch, so the share's epoch is the epoch of the evidence either way.
+type holderModel struct {
+	// evidence is the epoch of the latest evidence, keyed by the node that
+	// holds it, the task and the peer it is about.
+	evidence map[[3]string]uint64
+	// sent marks every share sent, keyed by sender, task and seq, and
+	// committed every one an ack committed.
+	sent, committed map[[3]string]bool
+	exchanges       map[string]sentEnvelope
+}
+
+func newHolderModel() *holderModel {
+	return &holderModel{evidence: map[[3]string]uint64{}, sent: map[[3]string]bool{},
+		committed: map[[3]string]bool{}, exchanges: map[string]sentEnvelope{}}
+}
+
+// shareKey names share sh sent by from.
+func shareKey(from string, sh Share) [3]string {
+	return [3]string{from, sh.TaskID, strconv.FormatUint(sh.Seq, 10)}
+}
+
+// contexts returns the contexts exchange envelope e must hold, in task
+// order: those of the tasks with a retry or a share to a peer not yet proven
+// a holder. Then it records e's shares as sent.
+func (m *holderModel) contexts(e sentEnvelope) (tasks, want []string) {
+	for _, sh := range e.shares {
+		if len(tasks) == 0 || tasks[len(tasks)-1] != sh.TaskID {
+			tasks = append(tasks, sh.TaskID)
+		}
+		ep, proven := m.evidence[[3]string{e.from, sh.TaskID, e.to}]
+		join := m.sent[shareKey(e.from, sh)] || !proven || ep+1 < sh.Epoch
+		if join && (len(want) == 0 || want[len(want)-1] != sh.TaskID) {
+			want = append(want, sh.TaskID)
+		}
+	}
+	for _, sh := range e.shares {
+		m.sent[shareKey(e.from, sh)] = true
+	}
+	m.exchanges[e.id] = e
+	return tasks, want
+}
+
+// acked records the evidence ack envelope e gives: each ack commits its
+// share at the share's sender unless an earlier ack did, and proves there
+// that the acking peer holds the task; each ack in the share's own epoch is
+// an absorbed share, and proves at the acking peer that the sender holds it.
+func (m *holderModel) acked(e sentEnvelope) {
+	orig := m.exchanges[e.answers]
+	for k, a := range e.acks {
+		if k >= len(orig.shares) {
+			return
+		}
+		sh := orig.shares[k]
+		if key := shareKey(orig.from, sh); !m.committed[key] && a.From == orig.to {
+			m.committed[key] = true
+			m.prove(orig.from, sh.TaskID, e.from, sh.Epoch)
+		}
+		if a.Epoch == sh.Epoch {
+			m.prove(e.from, sh.TaskID, orig.from, sh.Epoch)
+		}
+	}
+}
+
+func (m *holderModel) prove(node, task, peer string, epoch uint64) {
+	key := [3]string{node, task, peer}
+	m.evidence[key] = max(m.evidence[key], epoch)
+}
+
 // TestBatchedRoundOneEnvelopePerPeer: eight services and the querier keep
 // three continuous queries over one live view. In every round each node
 // sends at most one exchange envelope per target of its round's one sample —
 // at most fanout, where a round of separately drawn, separately sent shares
-// can reach three times that — and each envelope holds one context per task
-// it carries. Each ack envelope answers exactly one exchange envelope, with
-// no context, acking shares of it alone. The mass error is exactly zero after
-// every step, and every frozen estimate is its query's truth.
+// can reach three times that — and each envelope holds, in task order, the
+// contexts of exactly the tasks it carries a retry of or a share to a peer
+// not yet proven to hold them (holderModel); once the nodes have heard from
+// each other, envelopes go without. Each ack envelope answers exactly one
+// exchange envelope, with no context, acking shares of it alone. The mass
+// error is exactly zero after every step, and every frozen estimate is its
+// query's truth.
 func TestBatchedRoundOneEnvelopePerPeer(t *testing.T) {
 	const n = 8
 	window := time.Second
 	c := newBatchCluster(t, n, 71, window)
 	ctx := context.Background()
+	model := newHolderModel()
 	multi := 0 // exchange envelopes carrying more than one task
+	bare := 0  // exchange envelopes, after the first epochs, carrying no context
 	for step := 0; step < 70; step++ {
 		mark := len(c.log.sent)
 		c.clk.Advance(50 * time.Millisecond)
@@ -253,26 +335,20 @@ func TestBatchedRoundOneEnvelopePerPeer(t *testing.T) {
 		}
 		envelopes := map[string]int{}
 		for _, e := range c.log.sent[mark:] {
-			if e.action != ActionExchange {
+			if e.action == ActionExchangeAck {
+				model.acked(e)
 				continue
 			}
 			envelopes[e.from]++
-			tasks := []string{}
-			for _, sh := range e.shares {
-				if len(tasks) == 0 || tasks[len(tasks)-1] != sh.TaskID {
-					tasks = append(tasks, sh.TaskID)
-				}
-			}
+			tasks, want := model.contexts(e)
 			if len(tasks) > 1 {
 				multi++
 			}
-			if len(e.contexts) != len(tasks) {
-				t.Fatalf("step %d: envelope %s -> %s holds contexts %v for tasks %v", step, e.from, e.to, e.contexts, tasks)
+			if !slices.Equal(e.contexts, want) {
+				t.Fatalf("step %d: envelope %s -> %s holds contexts %v for tasks %v, want %v", step, e.from, e.to, e.contexts, tasks, want)
 			}
-			for k := range tasks {
-				if e.contexts[k] != tasks[k] {
-					t.Fatalf("step %d: envelope %s -> %s holds contexts %v for tasks %v", step, e.from, e.to, e.contexts, tasks)
-				}
+			if step >= 40 && len(e.contexts) == 0 {
+				bare++
 			}
 		}
 		for _, svc := range c.nodes() {
@@ -283,6 +359,9 @@ func TestBatchedRoundOneEnvelopePerPeer(t *testing.T) {
 	}
 	if multi == 0 {
 		t.Fatal("no exchange envelope carried two tasks: the round did not batch")
+	}
+	if bare == 0 {
+		t.Fatal("after two epochs every exchange envelope still carried a context: no peer was proven a holder")
 	}
 
 	// Every ack envelope answers one exchange envelope, sent to its sender.

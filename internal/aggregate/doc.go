@@ -65,9 +65,17 @@
 // A Service round is one envelope per peer. Tick draws the round's targets
 // from the live view once, at the largest fanout any task asks for, and
 // each task takes its prefix of that sample; the round's shares for one
-// peer, every task's, travel in one envelope with one coordination-context
-// header per task. The receiver reads every child before applying any — one
-// bad child faults the whole envelope — and answers with one ack envelope
-// without a context. A refused envelope reclaims each first send in it and
-// counts each retry as a send error, the per-share rule above.
+// peer, every task's, travel in one envelope. A task's coordination-context
+// header rides along only when the peer may lack the task: the machine keeps
+// the peers with recent evidence of holding it (an ack from the peer
+// committing a share sent to it, or a share absorbed from it), and a fresh
+// share to one of them goes without; a retry, or a share to any other peer,
+// carries it. A peer that lost the task refuses a share without its context
+// as a Sender fault, and the per-share rule above recovers the mass either
+// way. The receiver reads every child before applying any — one bad child
+// faults the whole envelope — and answers with one ack envelope without a
+// context. A refused envelope reclaims each first send in it, forgetting
+// that its peer held the task, and counts each retry as a send error; a
+// share whose refusal the binding never sees (a delivery plane queued it)
+// stays pending and is retried, with the context, the next round.
 package aggregate

@@ -50,6 +50,22 @@ type exchange struct {
 	// contributed is the weight this node injected into the live epoch
 	// (contribution plus anchor) — the conservation tests' ground truth.
 	contributed float64
+	// holders lists the peers with evidence of holding the task — an ack
+	// from a peer committing a share sent to it, or a share absorbed from
+	// it — each with the live epoch of its latest evidence. A fresh share to
+	// a listed peer needs no join data (pendingShare.join). A peer leaves the
+	// list when a first send to it is reclaimed, and at the roll into the
+	// second epoch without evidence from it, so under churn the list holds
+	// only the peers heard from lately. It is kept only when trackHolders is
+	// set: the Service's shares carry join data, the SimNode's never do.
+	holders      []holder
+	trackHolders bool
+}
+
+// holder is one entry of exchange.holders.
+type holder struct {
+	peer  string
+	epoch uint64
 }
 
 // pendingShare is one outstanding transfer: the share as sent (so retries are
@@ -58,12 +74,21 @@ type pendingShare struct {
 	to    string
 	share Share
 	tries int
+	// known is set when the share was split for a peer with evidence of
+	// holding the task.
+	known bool
 }
 
 // retry reports whether a staged send re-sends a share that already went out
 // once. A refused retry proves nothing — an earlier copy may have arrived —
 // so only a refused first send may be reclaimed.
 func (p *pendingShare) retry() bool { return p.tries > 0 }
+
+// join reports whether a staged send must carry what a peer needs to join
+// the task (on the Service's wire, the task's coordination context): a first
+// send to a peer not known to hold the task does, and so does every retry,
+// because a missing ack means the peer may have lost the task.
+func (p *pendingShare) join() bool { return p.retry() || !p.known }
 
 // exchangeCounts counts the protocol events of one exchange.
 type exchangeCounts struct {
@@ -172,6 +197,7 @@ func (x *exchange) roll(k uint64, now time.Duration) {
 	}
 	x.counts.unacked += int64(len(x.pending))
 	x.pending = make(map[uint64]*pendingShare)
+	x.holders = slices.DeleteFunc(x.holders, func(h holder) bool { return h.epoch+1 < k })
 	x.seen = make(map[string]map[uint64]struct{})
 	x.epoch = k
 	var value float64
@@ -194,8 +220,9 @@ func (x *exchange) roll(k uint64, now time.Duration) {
 // absorbed exactly once and simply re-acked), then one fresh share per
 // target. targets is the binding's sample for this round; it is filtered in
 // place of targets whose oldest pending share has timed out (suspectTries).
-// A send the transport refuses synchronously goes to reclaim unless it is a
-// retry.
+// A fresh share to a peer in holders is known, so its first send needs no
+// join data. A send the transport refuses synchronously goes to reclaim
+// unless it is a retry.
 func (x *exchange) tick(now time.Duration, targets []string) []*pendingShare {
 	x.roll(EpochAt(now, x.window), now)
 	sends := make([]*pendingShare, 0, len(x.pending)+len(targets))
@@ -217,7 +244,7 @@ func (x *exchange) tick(now time.Duration, targets []string) []*pendingShare {
 	sum, w := x.state.Split(len(targets))
 	for _, tg := range targets {
 		x.nextSeq++
-		p := &pendingShare{to: tg, share: Share{
+		p := &pendingShare{to: tg, known: x.holds(tg), share: Share{
 			TaskID:       x.taskID,
 			Function:     string(x.state.fn),
 			From:         x.addr,
@@ -270,6 +297,7 @@ func (x *exchange) absorb(now time.Duration, sh *Share) (ack ExchangeAck, reply 
 			x.state.Absorb(*sh)
 			x.led.in += sh.Weight
 			x.counts.absorbed++
+			x.prove(sh.From)
 		}
 	} else {
 		x.counts.stale++
@@ -291,15 +319,19 @@ func (x *exchange) commit(now time.Duration, ack *ExchangeAck) {
 		x.led.outstanding -= p.share.Weight
 		x.led.out += p.share.Weight
 		x.counts.commits++
+		if p.to == ack.From {
+			x.prove(p.to)
+		}
 	}
 	x.roll(ack.Epoch, now)
 }
 
 // reclaim takes back a share whose first send was refused synchronously: it
 // provably never left this node, so the mass moves straight from outstanding
-// back to held (in/out untouched, the cancellation stays term-exact). It
-// reports false for a share no longer pending — committed, or retired with
-// its epoch, while the send was in progress.
+// back to held (in/out untouched, the cancellation stays term-exact). The
+// refusal may be a peer's that lost the task, so the peer is no longer known
+// to hold it. It reports false for a share no longer pending — committed, or
+// retired with its epoch, while the send was in progress.
 func (x *exchange) reclaim(p *pendingShare) bool {
 	if x.pending[p.share.Seq] != p {
 		return false
@@ -308,5 +340,32 @@ func (x *exchange) reclaim(p *pendingShare) bool {
 	x.state.Absorb(p.share)
 	x.led.outstanding -= p.share.Weight
 	x.counts.recovered++
+	x.holders = slices.DeleteFunc(x.holders, func(h holder) bool { return h.peer == p.to })
 	return true
+}
+
+// holds reports whether peer has shown evidence of holding the task in the
+// live epoch or the one before: every transition but reclaim rolls first,
+// and a roll drops older entries.
+func (x *exchange) holds(peer string) bool {
+	for i := range x.holders {
+		if x.holders[i].peer == peer {
+			return true
+		}
+	}
+	return false
+}
+
+// prove records evidence, in the live epoch, that peer holds the task.
+func (x *exchange) prove(peer string) {
+	if !x.trackHolders || peer == "" || peer == x.addr {
+		return
+	}
+	for i := range x.holders {
+		if x.holders[i].peer == peer {
+			x.holders[i].epoch = x.epoch
+			return
+		}
+	}
+	x.holders = append(x.holders, holder{peer: peer, epoch: x.epoch})
 }

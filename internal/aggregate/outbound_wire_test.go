@@ -16,8 +16,9 @@ import (
 
 // Wire-identity guard for the messages an aggregation Service originates —
 // the exchange envelope and its ack, for one share and for a batch of two
-// tasks, and the start flood: the encoded bytes, with the message ID
-// replaced by a fixed one, must equal the committed testdata/wire/*.xml.
+// tasks (to a peer not known to hold them, and to one known to), and the
+// start flood: the encoded bytes, with the message ID replaced by a fixed
+// one, must equal the committed testdata/wire/*.xml.
 // A change that moves them on purpose rewrites them with
 // `go test ./internal/aggregate/ -run TestOutboundWireGolden -update`.
 
@@ -112,8 +113,14 @@ func TestOutboundWireGolden(t *testing.T) {
 		Sum: 1.25, Weight: 0.5, HasExtremes: true, Min: 1, Max: 3,
 		WindowMillis: 1000, Epoch: 7, Seq: 42, Root: "mem://root", Metric: "load",
 	}
-	stage := func(c wscoord.CoordinationContext, sh Share) staged {
-		return staged{taskID: c.Identifier, cctx: contextBlock(c), p: &pendingShare{to: "mem://b", share: sh}}
+	// stage stages sh as the Service does: join is set for a retry and for a
+	// first send to a peer not known to hold the task.
+	stage := func(c wscoord.CoordinationContext, sh Share, retry, known bool) staged {
+		p := &pendingShare{to: "mem://b", share: sh, known: known}
+		if retry {
+			p.tries = 1
+		}
+		return staged{taskID: c.Identifier, cctx: contextBlock(c), p: p, retry: p.retry(), join: p.join()}
 	}
 	// check sends one message and holds what it put on the wire to the
 	// golden bytes, and to ref: the envelope built field by field under the
@@ -146,23 +153,31 @@ func TestOutboundWireGolden(t *testing.T) {
 		}
 	}
 	one, both := []wscoord.CoordinationContext{cctx}, []wscoord.CoordinationContext{cctx, other}
-	check("share", func(c soap.Caller) error { return sendShareBatch(ctx, c, []staged{stage(cctx, share)}) },
+	check("share", func(c soap.Caller) error { return sendShareBatch(ctx, c, []staged{stage(cctx, share, false, false)}) },
 		func(id string) (*soap.Envelope, error) { return fieldBuilt(ActionExchange, id, one, share) })
 	ack := ExchangeAck{TaskID: cctx.Identifier, From: "mem://b", Epoch: 7, Seq: 42}
 	check("ack", func(c soap.Caller) error { return sendAcks(ctx, c, "mem://a", []ExchangeAck{ack}) },
 		func(id string) (*soap.Envelope, error) { return fieldBuilt(ActionExchangeAck, id, nil, ack) })
 
-	// A round's shares for one peer: a retry and a fresh share of one task,
-	// then a fresh share of another count task — one context per task.
+	// A round's shares for a peer not known to hold either task: a retry and
+	// a fresh share of one task, then a fresh share of another count task —
+	// one context per task.
 	retry, count := share, Share{
 		TaskID: other.Identifier, Function: string(FuncCount), From: "mem://a",
 		Sum: 0.5, Weight: 0.25, WindowMillis: 1000, Epoch: 7, Seq: 9, Root: "mem://root", Metric: "nodes",
 	}
 	retry.Seq, retry.Sum, retry.Weight = 41, 2.5, 1
 	check("share_batch", func(c soap.Caller) error {
-		return sendShareBatch(ctx, c, []staged{stage(cctx, retry), stage(cctx, share), stage(other, count)})
+		return sendShareBatch(ctx, c, []staged{stage(cctx, retry, true, false), stage(cctx, share, false, false), stage(other, count, false, false)})
 	}, func(id string) (*soap.Envelope, error) {
 		return fieldBuilt(ActionExchange, id, both, retry, share, count)
+	})
+	// The same shares for a peer known to hold both tasks: only the task
+	// with a retry needs its context, for the peer may have lost it since.
+	check("share_batch_known", func(c soap.Caller) error {
+		return sendShareBatch(ctx, c, []staged{stage(cctx, retry, true, true), stage(cctx, share, false, true), stage(other, count, false, true)})
+	}, func(id string) (*soap.Envelope, error) {
+		return fieldBuilt(ActionExchange, id, one, retry, share, count)
 	})
 	acks := []ExchangeAck{
 		{TaskID: cctx.Identifier, From: "mem://b", Epoch: 7, Seq: 41},

@@ -100,9 +100,9 @@ type ServiceConfig struct {
 
 // task is one aggregation interaction this node participates in: the
 // exchange machine holding its mass, and what the binding needs to move it.
-// ctx is the interaction's coordination context as the header block every
-// envelope carrying the task's shares holds, built once when the task learns
-// the context.
+// ctx is the interaction's coordination context as the header block an
+// envelope carries when a share of the task in it needs join data, built
+// once when the task learns the context.
 type task struct {
 	x      *exchange
 	params core.AggregateParameters
@@ -468,24 +468,29 @@ func floodStart(ctx context.Context, caller soap.Caller, cctx wscoord.Coordinati
 // sendShareBatch sends the one exchange envelope that carries batch, a
 // round's shares for one peer in task-ID order and then machine order,
 // through caller: one AggregateShare body child per share, in batch order,
-// and one coordination-context header block per task, in the same order
-// after the addressing, so a node the share reaches first can join each task
-// through its own context. It carries no To. The shares are written straight
-// into the wire buffer. A batch of one is byte for byte the single-share
-// message.
+// and, after the addressing and in the same task order, the
+// coordination-context header block of each task some share of which needs
+// join data (staged.join): a retry, or a first send to a peer not known to
+// hold the task. A node the share reaches first thus joins each task through
+// its own context, and a peer known to hold every task gets none. It carries
+// no To. The shares are written straight into the wire buffer. A batch of
+// one is byte for byte the single-share message.
 func sendShareBatch(ctx context.Context, caller soap.Caller, batch []staged) error {
 	var id [wsa.MessageIDLen]byte
 	m := soap.Message{Action: ActionExchange, ID: wsa.AppendMessageID(id[:0])}
 	var inline [inlineChildren]soap.Block
 	contexts := inline[:0]
+	last := "" // the task whose context was written last
 	for i := range batch {
-		if i == 0 || batch[i].taskID != batch[i-1].taskID {
-			if err := checkContext(batch[i].cctx); err != nil {
+		st := &batch[i]
+		if st.join && (len(contexts) == 0 || st.taskID != last) {
+			if err := checkContext(st.cctx); err != nil {
 				return err
 			}
-			contexts = append(contexts, batch[i].cctx)
+			contexts = append(contexts, st.cctx)
+			last = st.taskID
 		}
-		m.Size += shareSize(&batch[i].p.share)
+		m.Size += shareSize(&st.p.share)
 	}
 	m.Header, m.Name, m.Parts = contexts, shareName, len(batch)
 	m.Write = func(dst []byte, i int) []byte { return appendShare(dst, &batch[i].p.share) }
@@ -527,6 +532,7 @@ func (s *Service) forwardStart(ctx context.Context, start Start, cctx wscoord.Co
 // if this node is the root. Value sources run under s.mu.
 func (s *Service) newContinuousTask(taskID string, fn Func, window time.Duration, root, metric string, params core.AggregateParameters, cctx wscoord.CoordinationContext) *task {
 	x := newExchange(taskID, s.cfg.Address, fn, window, root, metric)
+	x.trackHolders = true
 	x.contribute = func() (float64, bool, bool) {
 		isRoot := x.root != "" && x.root == s.cfg.Address
 		f := s.cfg.Value
@@ -626,8 +632,8 @@ type staged struct {
 	taskID string
 	cctx   soap.Block
 	p      *pendingShare
-	// retry is p.retry() as read under the lock.
-	retry bool
+	// retry and join are p.retry() and p.join() as read under the lock.
+	retry, join bool
 	// peer is the index of the round's first send to the same target: the
 	// key that groups the round's sends into one envelope per peer.
 	peer int
@@ -656,7 +662,7 @@ func (s *Service) Tick(ctx context.Context) {
 	for _, id := range ids {
 		t := s.tasks[id]
 		for _, p := range t.x.tick(now, s.targetsLocked(t, sample)) {
-			sends = append(sends, staged{taskID: id, cctx: t.ctx, p: p, retry: p.retry()})
+			sends = append(sends, staged{taskID: id, cctx: t.ctx, p: p, retry: p.retry(), join: p.join()})
 		}
 		s.stats.drain(&t.x.counts)
 	}

@@ -87,9 +87,22 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer os.RemoveAll(dir)
+	report, bad := replayAll(ms, dir)
+	os.RemoveAll(dir)
+	for _, r := range report {
+		fmt.Println(r)
+	}
+	fmt.Printf("%d mutants, %d killed, %d not\n", len(ms), len(ms)-bad, bad)
+	if bad > 0 {
+		os.Exit(1)
+	}
+}
 
-	results := make([]string, len(ms))
+// replayAll replays ms, jobs at a time, each with scratch space under dir,
+// and returns one report line per mutant, in order, opening with its verdict,
+// and how many were not killed.
+func replayAll(ms []mutant, dir string) (report []string, bad int) {
+	report = make([]string, len(ms))
 	failed := make([]bool, len(ms))
 	sem := make(chan struct{}, jobs)
 	var wg sync.WaitGroup
@@ -101,25 +114,20 @@ func main() {
 			defer func() { <-sem }()
 			start := time.Now()
 			verdict, err := replay(m, filepath.Join(dir, m.ID))
-			results[i] = fmt.Sprintf("%-9s %s (PR %s, %s, %.1fs)", verdict, m.ID, m.PR, m.Run, time.Since(start).Seconds())
+			report[i] = fmt.Sprintf("%-9s %s (PR %s, %s, %.1fs)", verdict, m.ID, m.PR, m.Run, time.Since(start).Seconds())
 			if err != nil {
-				results[i] += "\n          " + strings.ReplaceAll(err.Error(), "\n", "\n          ")
+				report[i] += "\n          " + strings.ReplaceAll(err.Error(), "\n", "\n          ")
 				failed[i] = true
 			}
 		}()
 	}
 	wg.Wait()
-	bad := 0
-	for i, r := range results {
-		fmt.Println(r)
-		if failed[i] {
+	for _, f := range failed {
+		if f {
 			bad++
 		}
 	}
-	fmt.Printf("%d mutants, %d killed, %d not\n", len(ms), len(ms)-bad, bad)
-	if bad > 0 {
-		os.Exit(1)
-	}
+	return report, bad
 }
 
 func fatal(err error) {

@@ -103,3 +103,27 @@ func TestRegistryIsCurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestReplaysFixtureMutant: the fixture package (testdata/fixture) holds one
+// law and the test that holds it, and its registry one mutant of the law.
+// Replayed against that test the mutant is reported killed; against a test
+// blind to it, reported surviving and counted. A tool that stops replaying a
+// mutant, or calls every mutant killed, fails here.
+func TestReplaysFixtureMutant(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "fixture", "mutants.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := parse(string(data))
+	if err != nil || len(ms) != 1 {
+		t.Fatalf("fixture registry: %d entries, %v; want one", len(ms), err)
+	}
+	blind := ms[0]
+	blind.ID, blind.Run = "fixture-blind", "TestBlind"
+	report, bad := replayAll([]mutant{ms[0], blind}, t.TempDir())
+	if len(report) != 2 || bad != 1 ||
+		!strings.HasPrefix(report[0], "killed    fixture-clamp-high ") ||
+		!strings.HasPrefix(report[1], "SURVIVED  fixture-blind ") {
+		t.Fatalf("replaying the fixture reported %d not killed:\n%s", bad, strings.Join(report, "\n"))
+	}
+}
