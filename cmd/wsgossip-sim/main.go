@@ -791,22 +791,22 @@ func runAggregate(n, fanout int, fnName string, loss float64, seed int64, dumpRe
 	net.Run() // drain in-flight shares and acks from the final rounds
 	sampleMass()
 
-	var stats aggregate.SimNodeStats
+	var stats aggregate.Stats
 	for _, node := range nodes {
-		st := node.SimStats()
+		st := node.Stats()
 		stats.SharesSent += st.SharesSent
 		stats.SharesAbsorbed += st.SharesAbsorbed
-		stats.Duplicates += st.Duplicates
-		stats.Stale += st.Stale
+		stats.DuplicateShares += st.DuplicateShares
+		stats.StaleShares += st.StaleShares
 		stats.Commits += st.Commits
 		stats.Retries += st.Retries
 		stats.Recovered += st.Recovered
-		stats.UnackedDiscarded += st.UnackedDiscarded
+		stats.UnackedDropped += st.UnackedDropped
 	}
 	st := net.Stats()
 	fmt.Printf("  exchange: sent=%d absorbed=%d committed=%d retried=%d dup=%d stale=%d recovered=%d retired=%d\n",
 		stats.SharesSent, stats.SharesAbsorbed, stats.Commits, stats.Retries,
-		stats.Duplicates, stats.Stale, stats.Recovered, stats.UnackedDiscarded)
+		stats.DuplicateShares, stats.StaleShares, stats.Recovered, stats.UnackedDropped)
 	fmt.Printf("  mass error: %d violation(s), worst %g (gate: exactly 0 everywhere, always)\n",
 		massViolations, worstMassErr)
 	fmt.Printf("  network: sent=%d delivered=%d dropped=%d bytes=%d\n", st.Sent, st.Delivered, st.Dropped, st.Bytes)

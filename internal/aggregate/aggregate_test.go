@@ -153,7 +153,7 @@ func (c *cluster) totalMass(taskID string) (float64, float64) {
 			weight += w
 		}
 	}
-	s, w, _ := c.querier.svc.Mass(taskID)
+	s, w, _ := c.querier.Mass(taskID)
 	return sum + s, weight + w
 }
 

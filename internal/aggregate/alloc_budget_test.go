@@ -109,7 +109,7 @@ func TestWindowedExchangeAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		a.Tick(ctx)
 	})
-	st := a.SimStats()
+	st := a.Stats()
 	if st.Commits == 0 || st.Recovered != 0 {
 		t.Fatalf("bench pair did not exercise the commit path: %+v", st)
 	}
@@ -162,7 +162,7 @@ func newServiceExchangePair(t testing.TB) (a, b *Service) {
 		RegistrationService: wscoord.ServiceRef{Address: "mem://no-coordinator"},
 	}
 	params := core.AggregateParameters{Fanout: 1, Targets: []string{"mem://b"}}
-	a.startContinuousLocal(serviceExchangeTask, FuncAvg, cctx, params, time.Second, "")
+	a.install(serviceExchangeTask, FuncAvg, time.Second, a.Address(), "", params, cctx)
 	return a, b
 }
 
@@ -286,7 +286,7 @@ func newTwoTaskTick(t testing.TB) (a *Service, peers []*Service) {
 			CoordinationType:    core.CoordinationTypeGossip,
 			RegistrationService: wscoord.ServiceRef{Address: "mem://no-coordinator"},
 		}
-		a.startContinuousLocal(id, FuncAvg, cctx, core.AggregateParameters{Fanout: 3}, time.Second, "")
+		a.install(id, FuncAvg, time.Second, a.Address(), "", core.AggregateParameters{Fanout: 3}, cctx)
 	}
 	return a, peers
 }
@@ -370,7 +370,7 @@ func exchangeSends(tb testing.TB) (shares, known, acks func()) {
 			TaskID: id, Function: string(FuncAvg), From: "mem://a", Sum: 1.5, Weight: 0.25,
 			WindowMillis: 1000, Epoch: 7, Seq: uint64(i + 1), Root: "mem://a",
 		}
-		st := staged{taskID: id, cctx: contextBlock(cctx), p: &pendingShare{to: "mem://b", share: sh}, join: true}
+		st := staged{cctx: contextBlock(cctx), p: &pendingShare{to: "mem://b", share: sh}, join: true}
 		batch = append(batch, st)
 		st.join = false
 		held = append(held, st)

@@ -213,7 +213,14 @@ func newBatchCluster(t *testing.T, n int, seed int64, window time.Duration) *bat
 
 // nodes returns every participant: the services, then the querier's.
 func (c *batchCluster) nodes() []*Service {
-	return append(append([]*Service(nil), c.services...), c.querier.svc)
+	return append(append([]*Service(nil), c.services...), c.querier.Service)
+}
+
+// heldTasks lists the IDs of the tasks svc holds, sorted.
+func heldTasks(svc *Service) []string {
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	return slices.Clone(svc.m.ids)
 }
 
 // maxFanout is the largest fanout any of svc's tasks asks for.
@@ -221,8 +228,8 @@ func maxFanout(svc *Service) int {
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
 	n := 0
-	for _, t := range svc.tasks {
-		n = max(n, svc.fanoutLocked(t))
+	for _, t := range svc.m.tasks {
+		n = max(n, svc.m.fanout(t))
 	}
 	return n
 }
@@ -532,7 +539,7 @@ func TestPassiveJoinUsesTheSharesContext(t *testing.T) {
 	if !errors.As(err, &fault) || fault.Code.Value != soap.CodeSender {
 		t.Fatalf("a share whose task no context names answered %v, want a Sender fault", err)
 	}
-	if st := orphan.Stats(); st.PassiveJoins != 0 || st.SharesAbsorbed != 0 || len(orphan.ContinuousEstimates()) != 0 {
+	if st := orphan.Stats(); st.PassiveJoins != 0 || st.SharesAbsorbed != 0 || len(heldTasks(orphan)) != 0 {
 		t.Fatalf("the faulted share joined or absorbed: %+v", st)
 	}
 }
@@ -580,12 +587,12 @@ func TestIntakeDoesNotAliasTheReceiveBuffer(t *testing.T) {
 	share.Seq = 2
 	deliver(ActionExchange, shareBlock(&share), svc.handleExchange) // a task the node holds
 	deliver(ActionExchangeAck, ackBlock(&ExchangeAck{TaskID: task, From: "mem://peer", Epoch: 1, Seq: 9}), svc.handleExchangeAck)
-	ests := svc.ContinuousEstimates()
-	if len(ests) != 1 || ests[0].TaskID != task || svc.EpochOf(task) == 0 {
+	ests := heldTasks(svc)
+	if len(ests) != 1 || ests[0] != task || svc.EpochOf(task) == 0 {
 		t.Fatalf("after scribbling the receive buffers the node holds %+v, want the one task %s", ests, task)
 	}
 	svc.mu.Lock()
-	id := svc.tasks[task].x.taskID
+	id := svc.m.tasks[task].x.taskID
 	svc.mu.Unlock()
 	if id != task {
 		t.Fatalf("the task's own ID reads %q after scribbling, want %q", id, task)

@@ -1,91 +1,50 @@
 package aggregate
 
-import (
-	"sort"
-	"time"
-)
+// The per-task accessors: the live estimate and mass, the epoch, the frozen
+// estimate of the last closed epoch, and the accounting hooks the
+// conservation tests read, each through one lookup in the task machine.
 
-// The consumer view of a node's tasks: the frozen estimate of each closed
-// epoch, the live one still mixing, and the accounting hooks the
-// conservation tests read.
-
-// ContinuousEstimate is one task's consumer view: the frozen
-// estimate from the last closed epoch (the stable value — at most one
-// window plus one exchange round stale) and the still-mixing live one.
-type ContinuousEstimate struct {
-	TaskID   string
-	Metric   string
-	Function Func
-	Window   time.Duration
-	// Epoch is the live epoch the node is currently mixing.
-	Epoch uint64
-	// Frozen is the last closed epoch's final estimate; nil while the
-	// first window is still open.
-	Frozen *EpochEstimate
-	// Live is the current epoch's (unconverged) estimate.
-	Live        float64
-	LiveDefined bool
-}
-
-// ContinuousEstimates snapshots every task, sorted by task ID.
-func (s *Service) ContinuousEstimates() []ContinuousEstimate {
+// read calls f with task taskID's exchange under the lock and reports
+// whether the node holds the task: the one lookup every per-task accessor
+// reads through.
+func (s *Service) read(taskID string, f func(x *exchange)) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]ContinuousEstimate, 0)
-	ids := make([]string, 0, len(s.tasks))
-	for id := range s.tasks {
-		ids = append(ids, id)
+	t := s.m.tasks[taskID]
+	if t != nil {
+		f(t.x)
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		x := s.tasks[id].x
-		live, ok := x.state.Estimate()
-		ce := ContinuousEstimate{
-			TaskID:      id,
-			Metric:      x.metric,
-			Function:    x.state.Func(),
-			Window:      x.window,
-			Epoch:       x.epoch,
-			Live:        live,
-			LiveDefined: ok,
-		}
-		if x.frozen != nil {
-			f := *x.frozen
-			ce.Frozen = &f
-		}
-		out = append(out, ce)
-	}
-	return out
+	return t != nil
+}
+
+// Estimate returns the node's current estimate for the task.
+func (s *Service) Estimate(taskID string) (est float64, ok bool) {
+	s.read(taskID, func(x *exchange) { est, ok = x.state.Estimate() })
+	return est, ok
+}
+
+// Mass returns the node's conserved (sum, weight) pair for the task.
+func (s *Service) Mass(taskID string) (sum, weight float64, ok bool) {
+	ok = s.read(taskID, func(x *exchange) { sum, weight = x.state.Mass() })
+	return sum, weight, ok
 }
 
 // EpochOf returns the live epoch of a task (0 if unknown).
-func (s *Service) EpochOf(taskID string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.tasks[taskID]; ok {
-		return t.x.epoch
-	}
-	return 0
+func (s *Service) EpochOf(taskID string) (epoch uint64) {
+	s.read(taskID, func(x *exchange) { epoch = x.epoch })
+	return epoch
 }
 
 // FrozenEstimate returns the last closed epoch's estimate for a task.
-func (s *Service) FrozenEstimate(taskID string) (EpochEstimate, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.tasks[taskID]; ok && t.x.frozen != nil {
-		return *t.x.frozen, true
-	}
-	return EpochEstimate{}, false
+func (s *Service) FrozenEstimate(taskID string) (est EpochEstimate, ok bool) {
+	s.read(taskID, func(x *exchange) { est, ok = x.frozenEstimate() })
+	return est, ok
 }
 
 // Outstanding returns a task's unacked outstanding weight and
 // the weight this node contributed into the live epoch — the conservation
 // property tests' accounting hooks.
 func (s *Service) Outstanding(taskID string) (outstanding, contributed float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.tasks[taskID]; ok {
-		return t.x.led.outstanding, t.x.contributed
-	}
-	return 0, 0
+	s.read(taskID, func(x *exchange) { outstanding, contributed = x.led.outstanding, x.contributed })
+	return outstanding, contributed
 }

@@ -280,8 +280,8 @@ func TestContinuousAckWithheldGaugeExactAtCommitPoints(t *testing.T) {
 	c.step(ctx, 50*time.Millisecond)
 
 	outstanding := 0.0
-	for _, e := range c.querier.svc.ContinuousEstimates() {
-		o, _ := c.querier.svc.Outstanding(e.TaskID)
+	for _, id := range heldTasks(c.querier.Service) {
+		o, _ := c.querier.Outstanding(id)
 		outstanding += o
 	}
 	if outstanding == 0 {
@@ -523,11 +523,11 @@ func checkMixedRefusal(t *testing.T) {
 	}
 	a, _ := mk("mem://a", reg), mk("mem://b", nil)
 	start := func(id string) {
-		a.startContinuousLocal(id, FuncAvg, wscoord.CoordinationContext{
+		a.install(id, FuncAvg, time.Second, a.Address(), "", core.AggregateParameters{Fanout: 1, Targets: []string{"mem://b"}}, wscoord.CoordinationContext{
 			Identifier:          id,
 			CoordinationType:    core.CoordinationTypeGossip,
 			RegistrationService: wscoord.ServiceRef{Address: "mem://no-coordinator"},
-		}, core.AggregateParameters{Fanout: 1, Targets: []string{"mem://b"}}, time.Second, "")
+		})
 	}
 	ctx := context.Background()
 	start("urn:uuid:a")
@@ -535,7 +535,7 @@ func checkMixedRefusal(t *testing.T) {
 	a.Tick(ctx) // A's first share goes out; its ack is parked
 	// A draws no more targets, so its next round is its retry alone.
 	a.mu.Lock()
-	a.tasks["urn:uuid:a"].params = core.AggregateParameters{}
+	a.m.tasks["urn:uuid:a"].params = core.AggregateParameters{}
 	a.mu.Unlock()
 	start("urn:uuid:b")
 	var offered []Share
@@ -705,7 +705,7 @@ func TestStartContinuousFailureLeavesNoTask(t *testing.T) {
 	if _, ok := w.Task("ones"); !ok {
 		t.Fatal("the query did not start once its participants were reachable")
 	}
-	if got := len(c.querier.svc.ContinuousEstimates()); got != 1 {
+	if got := len(heldTasks(c.querier.Service)); got != 1 {
 		t.Fatalf("querier holds %d tasks, want exactly the one started query", got)
 	}
 }

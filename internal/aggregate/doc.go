@@ -13,15 +13,17 @@
 //     Registration service exactly like a Disseminator does), and exchanges
 //     push-sum shares each round — with coordinator-assigned peers, or with
 //     peers sampled from a live membership view when ServiceConfig.Peers is
-//     set (core.PeerView).
-//   - A Querier activates an aggregation interaction, seeds the weight that
-//     anchors count/sum queries, and disseminates the start message over the
-//     assigned overlay.
+//     set (core.PeerView). It is the SOAP binding of the task machine.
+//   - A Querier is a Service that also activates an aggregation
+//     interaction, seeds the weight that anchors count/sum queries, and
+//     disseminates the start message over the assigned overlay. It embeds
+//     its Service, so it exchanges like any other node.
 //   - A Window keeps a set of queries (ContinuousQuery) fresh: driven as the
 //     querier's Runner loop, it starts each once and reports the frozen
 //     estimate of every closed epoch.
-//   - A SimNode is the transport-level participant for simulator-scale runs
-//     (cmd/wsgossip-sim -mode aggregate).
+//   - A SimNode is the simnet binding of the same task machine, with one
+//     configured task, for simulator-scale runs (cmd/wsgossip-sim -mode
+//     aggregate).
 //
 // Exchange rounds fire from a core.Runner loop that ticks the Service (or
 // the Window); with wsgossip.NodeConfig.QuiescentMax set, NewNode makes that
@@ -52,20 +54,29 @@
 // internal/scenario holds it there under generated loss/churn/partition
 // schedules.
 //
-// The protocol is written once. The unexported exchange type (exchange.go)
-// is one task's State, ledger, epoch, pending and seen shares and event
-// counts behind the transitions roll, tick, absorb, commit and reclaim, with
-// no lock, clock or I/O. Service and SimNode are bindings of it: they choose
-// targets, supply the contribution at a roll, read the clock and move bytes
-// — the Service under its mutex with sends outside the lock, the SimNode
-// inline on the simulator's event loop. A share and its ack have one wire
-// form (wire.go), on soap's flat-element codec: the SimNode sends one as the
-// transport.Message body, the Service as children of a SOAP body.
+// The protocol is written once, in two sans-IO layers with no lock, clock
+// or I/O. The task machine (machine.go) is the node's policy: the task
+// table — install, passive join (contributeFrom) and drop — each round's
+// fan-out and every task's prefix of the round's one draw, the verdict on
+// each send (sent; a refused retry counted; a refused first send
+// reclaimed), and the count of every event, one Stats for both bindings.
+// Under it, the unexported exchange type (exchange.go) is one task's State,
+// ledger, epoch, pending and seen shares behind the transitions roll, tick,
+// absorb (which answers with the ack), commit and reclaim. Service and
+// SimNode are bindings of the machine and decide nothing: they read the
+// clock, supply the contribution at a roll, and move bytes. The Service
+// keeps its mutex, with sends outside it, the Register calls, the start
+// flood, and the SOAP framing of a round as one envelope per peer
+// (sendShareBatch, sendAcks); the SimNode runs inline on the simulator's
+// event loop and sends each share and ack as its own message, in machine
+// order. A share and its ack have one wire form (wire.go), on soap's
+// flat-element codec: the SimNode sends one as the transport.Message body,
+// the Service as children of a SOAP body.
 //
-// A Service round is one envelope per peer. Tick draws the round's targets
-// from the live view once, at the largest fanout any task asks for, and
-// each task takes its prefix of that sample; the round's shares for one
-// peer, every task's, travel in one envelope. A task's coordination-context
+// A Service round is one envelope per peer. The machine draws the round's
+// targets from the live view once, at the largest fanout any task asks
+// for, and each task takes its prefix of that sample; the round's shares
+// for one peer, every task's, travel in one envelope. A task's coordination-context
 // header rides along only when the peer may lack the task: the machine keeps
 // the peers with recent evidence of holding it (an ack from the peer
 // committing a share sent to it, or a share absorbed from it), and a fresh

@@ -9,20 +9,19 @@ import (
 
 // exchange is one task's push-sum custody, written once for both bindings:
 // the State, its conservation ledger, the epoch, and the seq/ack machinery
-// that makes a transfer pairwise-atomic. It is the sans-IO half of the
-// protocol: no lock, no clock, no sends. A binding (Service under its mutex,
-// SimNode on the simulator's event loop) serializes the calls, passes in the
-// time and the targets it chose, supplies the node's contribution at each
-// roll, and moves the bytes of whatever a transition hands back; everything
-// the protocol decides is decided here. Every transition — tick, absorb,
-// commit — rolls the epoch first when due; reclaim never does.
+// that makes a transfer pairwise-atomic. It is the sans-IO half of a task:
+// no lock, no clock, no sends. The task machine (machine.go) owns it and
+// passes in the time and the targets it drew; the binding that serializes
+// the machine supplies the node's contribution at each roll and moves the
+// bytes of whatever a transition hands back. Every transition — tick,
+// absorb, commit — rolls the epoch first when due; reclaim never does.
 type exchange struct {
 	// taskID and addr are stamped on every outgoing share and ack.
 	taskID, addr string
 	state        *State
 	led          ledger
-	// counts holds the events since the binding last drained them.
-	counts exchangeCounts
+	// counts is the machine's: every transition counts its events there.
+	counts *Stats
 
 	// window, root and metric also ride on every share, so a node that never
 	// saw the start can join from one.
@@ -90,11 +89,6 @@ func (p *pendingShare) retry() bool { return p.tries > 0 }
 // because a missing ack means the peer may have lost the task.
 func (p *pendingShare) join() bool { return p.retry() || !p.known }
 
-// exchangeCounts counts the protocol events of one exchange.
-type exchangeCounts struct {
-	epochs, rounds, absorbed, dups, stale, commits, retries, recovered, unacked int64
-}
-
 // suspectTries is the per-target timeout, measured in exchange rounds: a
 // target whose oldest unacked share has been retried this many times is
 // excluded from new share fan-out for the rest of the epoch. The pending
@@ -132,10 +126,11 @@ func (l *ledger) balance(held float64) float64 {
 	return bal
 }
 
-// newExchange returns task taskID's machine at addr for function fn, not yet
-// rolled into any epoch: it holds no mass until the first roll contributes.
-func newExchange(taskID, addr string, fn Func, window time.Duration, root, metric string) *exchange {
-	return &exchange{taskID: taskID, addr: addr, state: NewState(fn, 0, false, true), window: window, root: root, metric: metric}
+// newExchange returns task taskID's exchange at addr for function fn,
+// counting into counts, not yet rolled into any epoch: it holds no mass
+// until the first roll contributes.
+func newExchange(taskID, addr string, fn Func, window time.Duration, root, metric string, counts *Stats) *exchange {
+	return &exchange{taskID: taskID, addr: addr, state: NewState(fn, 0, false, true), window: window, root: root, metric: metric, counts: counts}
 }
 
 // massError is the conservation residual: exactly zero at every commit point
@@ -144,6 +139,15 @@ func newExchange(taskID, addr string, fn Func, window time.Duration, root, metri
 func (x *exchange) massError() float64 {
 	_, w := x.state.Mass()
 	return x.led.balance(w)
+}
+
+// frozenEstimate returns the last closed epoch's final estimate; false
+// while the first window is still open.
+func (x *exchange) frozenEstimate() (EpochEstimate, bool) {
+	if x.frozen == nil {
+		return EpochEstimate{}, false
+	}
+	return *x.frozen, true
 }
 
 // admissible reports whether every number sh would add to local state is
@@ -195,7 +199,7 @@ func (x *exchange) roll(k uint64, now time.Duration) {
 			ClosedAt: now,
 		}
 	}
-	x.counts.unacked += int64(len(x.pending))
+	x.counts.UnackedDropped += int64(len(x.pending))
 	x.pending = make(map[uint64]*pendingShare)
 	x.holders = slices.DeleteFunc(x.holders, func(h holder) bool { return h.epoch+1 < k })
 	x.seen = make(map[string]map[uint64]struct{})
@@ -211,36 +215,39 @@ func (x *exchange) roll(k uint64, now time.Duration) {
 	_, w := x.state.Mass()
 	x.led = ledger{in: w}
 	x.contributed = w
-	x.counts.epochs++
+	x.counts.Epochs++
 }
 
-// tick runs one round at time now and returns the sends to perform, in
-// order: every outstanding share again, in seq order (the receiver dedups on
-// (From, Seq), so a share whose first copy arrived but whose ack was lost is
-// absorbed exactly once and simply re-acked), then one fresh share per
-// target. targets is the binding's sample for this round; it is filtered in
+// tick runs one round at time now and appends the sends to perform to dst,
+// in order: every outstanding share again, in seq order (the receiver dedups
+// on (From, Seq), so a share whose first copy arrived but whose ack was lost
+// is absorbed exactly once and simply re-acked), then one fresh share per
+// target. targets is the round's sample for the task; it is filtered in
 // place of targets whose oldest pending share has timed out (suspectTries).
 // A fresh share to a peer in holders is known, so its first send needs no
 // join data. A send the transport refuses synchronously goes to reclaim
 // unless it is a retry.
-func (x *exchange) tick(now time.Duration, targets []string) []*pendingShare {
+func (x *exchange) tick(now time.Duration, targets []string, dst []staged) []staged {
 	x.roll(EpochAt(now, x.window), now)
-	sends := make([]*pendingShare, 0, len(x.pending)+len(targets))
+	base := len(dst)
 	for _, p := range x.pending {
-		sends = append(sends, p)
+		dst = append(dst, staged{p: p})
 	}
-	slices.SortFunc(sends, func(a, b *pendingShare) int { return cmp.Compare(a.share.Seq, b.share.Seq) })
-	for _, p := range sends {
+	retries := dst[base:]
+	slices.SortFunc(retries, func(a, b staged) int { return cmp.Compare(a.p.share.Seq, b.p.share.Seq) })
+	for i := range retries {
+		p := retries[i].p
 		p.tries++
+		retries[i].retry, retries[i].join = p.retry(), p.join()
 		if p.tries >= suspectTries {
 			targets = slices.DeleteFunc(targets, func(tg string) bool { return tg == p.to })
 		}
 	}
-	x.counts.retries += int64(len(sends))
+	x.counts.Retries += int64(len(retries))
 	if len(targets) == 0 {
-		return sends
+		return dst
 	}
-	x.counts.rounds++
+	x.counts.Rounds++
 	sum, w := x.state.Split(len(targets))
 	for _, tg := range targets {
 		x.nextSeq++
@@ -263,9 +270,9 @@ func (x *exchange) tick(now time.Duration, targets []string) []*pendingShare {
 		// Outstanding is charged per share (not batched) so a later
 		// per-share reclaim or commit cancels its entry term-for-term.
 		x.led.outstanding += w
-		sends = append(sends, p)
+		dst = append(dst, staged{p: p, retry: p.retry(), join: p.join()})
 	}
-	return sends
+	return dst
 }
 
 // absorb takes one inbound share at time now and returns the ack for it;
@@ -289,18 +296,18 @@ func (x *exchange) absorb(now time.Duration, sh *Share) (ack ExchangeAck, reply 
 			x.seen[sh.From] = m
 		}
 		if _, dup := m[sh.Seq]; dup {
-			x.counts.dups++
+			x.counts.DuplicateShares++
 		} else if !x.fits(sh) {
 			return ack, false
 		} else {
 			m[sh.Seq] = struct{}{}
 			x.state.Absorb(*sh)
 			x.led.in += sh.Weight
-			x.counts.absorbed++
+			x.counts.SharesAbsorbed++
 			x.prove(sh.From)
 		}
 	} else {
-		x.counts.stale++
+		x.counts.StaleShares++
 	}
 	ack = ExchangeAck{TaskID: x.taskID, From: x.addr, Epoch: x.epoch, Seq: sh.Seq}
 	return ack, sh.From != "" && sh.From != x.addr
@@ -318,7 +325,7 @@ func (x *exchange) commit(now time.Duration, ack *ExchangeAck) {
 		delete(x.pending, ack.Seq)
 		x.led.outstanding -= p.share.Weight
 		x.led.out += p.share.Weight
-		x.counts.commits++
+		x.counts.Commits++
 		if p.to == ack.From {
 			x.prove(p.to)
 		}
@@ -339,7 +346,7 @@ func (x *exchange) reclaim(p *pendingShare) bool {
 	delete(x.pending, p.share.Seq)
 	x.state.Absorb(p.share)
 	x.led.outstanding -= p.share.Weight
-	x.counts.recovered++
+	x.counts.Recovered++
 	x.holders = slices.DeleteFunc(x.holders, func(h holder) bool { return h.peer == p.to })
 	return true
 }

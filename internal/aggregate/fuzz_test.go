@@ -229,7 +229,7 @@ func FuzzExchangeBatch(f *testing.F) {
 		}
 		var contexts []soap.Block
 		for _, id := range twoTasks {
-			svc.startContinuousLocal(id, FuncAvg, batchContext(id), core.AggregateParameters{Fanout: 1, Targets: []string{"mem://peer"}}, time.Second, "load")
+			svc.install(id, FuncAvg, time.Second, svc.Address(), "load", core.AggregateParameters{Fanout: 1, Targets: []string{"mem://peer"}}, batchContext(id))
 			contexts = append(contexts, contextBlock(batchContext(id)))
 		}
 		svc.Tick(context.Background()) // one pending share per task

@@ -24,11 +24,11 @@ import (
 // fresh share it split for to, failing if there is none.
 func freshTo(t *testing.T, x *exchange, now time.Duration, to string) *pendingShare {
 	t.Helper()
-	sends := x.tick(now, []string{to})
-	if len(sends) == 0 || sends[len(sends)-1].retry() || sends[len(sends)-1].to != to {
+	sends := x.tick(now, []string{to}, nil)
+	if len(sends) == 0 || sends[len(sends)-1].retry || sends[len(sends)-1].p.to != to {
 		t.Fatalf("tick at %v split no fresh share for %s", now, to)
 	}
-	return sends[len(sends)-1]
+	return sends[len(sends)-1].p
 }
 
 // settle commits every share x has pending with an ack that names a peer no
@@ -49,7 +49,7 @@ func settle(x *exchange, now time.Duration) {
 func TestHolderEvidenceLaws(t *testing.T) {
 	const w = time.Second
 	newX := func(track bool) *exchange {
-		x := newExchange("urn:uuid:laws", "a", FuncSum, w, "a", "")
+		x := newExchange("urn:uuid:laws", "a", FuncSum, w, "a", "", new(Stats))
 		x.contribute = func() (float64, bool, bool) { return 1, true, true }
 		x.trackHolders = track
 		return x
@@ -74,9 +74,9 @@ func TestHolderEvidenceLaws(t *testing.T) {
 	if p = freshTo(t, x, now, "b"); p.join() {
 		t.Fatal("b's ack committing a share sent to b did not make it a known holder")
 	}
-	sends := x.tick(now, []string{"b"})
-	if len(sends) != 2 || !sends[0].retry() || !sends[0].join() || sends[1].join() {
-		t.Fatalf("a retry and a fresh share to a known holder: join = %v, want the retry's only", []bool{sends[0].join(), sends[1].join()})
+	sends := x.tick(now, []string{"b"}, nil)
+	if len(sends) != 2 || !sends[0].retry || !sends[0].join || sends[1].join {
+		t.Fatalf("a retry and a fresh share to a known holder: join = %v, want the retry's only", []bool{sends[0].join, sends[1].join})
 	}
 	settle(x, now)
 
@@ -208,7 +208,7 @@ func lostTask(t *testing.T, answer bool) {
 		CoordinationType:    core.CoordinationTypeGossip,
 		RegistrationService: wscoord.ServiceRef{Address: "mem://no-coordinator"},
 	}
-	a.startContinuousLocal(task, FuncSum, cctx, core.AggregateParameters{Fanout: 1, Targets: []string{b}}, window, "")
+	a.install(task, FuncSum, window, a.Address(), "", core.AggregateParameters{Fanout: 1, Targets: []string{b}}, cctx)
 
 	var peer *Service
 	var peerReg *metrics.Registry
@@ -338,7 +338,7 @@ func TestHolderSetConcurrentUse(t *testing.T) {
 		bus.Register(addr, svc.Handler())
 		svcs[i] = svc
 	}
-	svcs[0].startContinuousLocal(task, FuncSum, cctx, core.AggregateParameters{Fanout: 3}, 500*time.Millisecond, "")
+	svcs[0].install(task, FuncSum, 500*time.Millisecond, svcs[0].Address(), "", core.AggregateParameters{Fanout: 3}, cctx)
 
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -411,7 +411,7 @@ func TestHolderSetConcurrentUse(t *testing.T) {
 			t.Errorf("node %d aggregate_mass_error = %g, want exactly 0", i, e)
 		}
 		svc.mu.Lock()
-		tk, ok := svc.tasks[task]
+		tk, ok := svc.m.tasks[task]
 		known := ok && len(tk.x.holders) > 0
 		svc.mu.Unlock()
 		if !known {

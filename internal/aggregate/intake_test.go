@@ -153,7 +153,7 @@ func TestOneShotPoisonShareRejected(t *testing.T) {
 	sum0, w0, _ := svc.Mass(task)
 	windowless := share
 	windowless.WindowMillis = 0
-	env, err := handBuilt(ActionExchange, svc.tasks[task].ctx)
+	env, err := handBuilt(ActionExchange, svc.m.tasks[task].cctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestOneShotPoisonShareRejected(t *testing.T) {
 	if est, _ := node.State().Estimate(); est != est0 {
 		t.Fatalf("windowless shares moved the min estimate %g -> %g", est0, est)
 	}
-	if st := node.SimStats(); st.SharesAbsorbed != 0 || st.AcksSent != 0 {
+	if st := node.Stats(); st.SharesAbsorbed != 0 || st.AcksSent != 0 {
 		t.Fatalf("windowless shares were absorbed or acked: %+v", st)
 	}
 	if e := node.MassError(); e != 0 {

@@ -100,7 +100,7 @@ func TestAggregateMetricsViews(t *testing.T) {
 			t.Fatalf("node %d registry absorbed = %d, stats = %d", i, got, stats.SharesAbsorbed)
 		}
 		svc.mu.Lock()
-		want := int64(svc.tasks[tk.ID].x.state.Rounds())
+		want := int64(svc.m.tasks[tk.ID].x.state.Rounds())
 		svc.mu.Unlock()
 		if got := regs[i].Counter("aggregate_rounds_total").Value(); got != want || want == 0 {
 			t.Fatalf("node %d rounds counter = %d, state rounds = %d", i, got, want)

@@ -44,11 +44,13 @@ type QuerierConfig struct {
 // Querier is the aggregation counterpart of the Initiator role: the one
 // node whose application code changes. It activates an aggregation
 // interaction, seeds the anchor weight that count/sum queries need every
-// epoch, and disseminates the start message.
+// epoch, and disseminates the start message. Its embedded Service is the
+// participant it exchanges as, like any other node.
 type Querier struct {
-	cfg        QuerierConfig
-	svc        *Service
+	*Service
 	activation *wscoord.ActivationClient
+	// coordinator is the Coordinator's Activation service address.
+	coordinator string
 }
 
 // Task is one activated aggregation interaction as seen by its querier.
@@ -89,23 +91,11 @@ func NewQuerier(cfg QuerierConfig) (*Querier, error) {
 		return nil, err
 	}
 	return &Querier{
-		cfg:        cfg,
-		svc:        svc,
-		activation: wscoord.NewActivationClient(cfg.Caller, cfg.Address),
+		Service:     svc,
+		activation:  wscoord.NewActivationClient(cfg.Caller, cfg.Address),
+		coordinator: cfg.Activation,
 	}, nil
 }
-
-// Address returns the querier's endpoint address.
-func (q *Querier) Address() string { return q.cfg.Address }
-
-// Handler returns the querier's SOAP handler (it participates in exchanges
-// like any aggregation service).
-func (q *Querier) Handler() soap.Handler { return q.svc.Handler() }
-
-// RegisterActions installs the querier's aggregation actions on an existing
-// dispatcher, for stacks that colocate the querier with other services
-// (e.g. a Disseminator) on one endpoint.
-func (q *Querier) RegisterActions(d *soap.Dispatcher) { q.svc.RegisterActions(d) }
 
 // StartContinuous activates an epoch-windowed aggregation: it registers
 // the querier (obtaining fanout, hop budget and targets), installs the task
@@ -122,19 +112,19 @@ func (q *Querier) StartContinuous(ctx context.Context, name string, fn Func, win
 	if window <= 0 {
 		return nil, fmt.Errorf("aggregate: continuous aggregation requires a positive window, got %v", window)
 	}
-	cctx, err := q.activation.Create(ctx, q.cfg.Activation, core.CoordinationTypeGossip)
+	cctx, err := q.activation.Create(ctx, q.coordinator, core.CoordinationTypeGossip)
 	if err != nil {
 		return nil, fmt.Errorf("aggregate: activate interaction: %w", err)
 	}
-	params, err := q.svc.registerTask(ctx, cctx)
+	params, err := q.registerTask(ctx, cctx)
 	if err != nil {
 		return nil, fmt.Errorf("aggregate: register querier: %w", err)
 	}
-	q.svc.startContinuousLocal(cctx.Identifier, fn, cctx, params, window, name)
+	q.install(cctx.Identifier, fn, window, q.Address(), name, params, cctx)
 	start := Start{
 		TaskID:       cctx.Identifier,
 		Function:     string(fn),
-		Root:         q.cfg.Address,
+		Root:         q.Address(),
 		Hops:         params.Hops,
 		WindowMillis: window.Milliseconds(),
 		Metric:       name,
@@ -144,41 +134,16 @@ func (q *Querier) StartContinuous(ctx context.Context, name string, fn Func, win
 		// per-target copy rendered at wsa:To (encode-once wire path).
 		sent, failed, err := floodStart(ctx, q.cfg.Caller, cctx, start, params.Targets)
 		if err != nil {
-			q.svc.dropTask(cctx.Identifier)
+			q.dropTask(cctx.Identifier)
 			return nil, err
 		}
-		q.svc.stats.sendErrors.Add(int64(len(failed)))
+		q.mu.Lock()
+		q.m.flooded(0, len(failed))
+		q.unlock()
 		if sent == 0 {
-			q.svc.dropTask(cctx.Identifier)
+			q.dropTask(cctx.Identifier)
 			return nil, fmt.Errorf("aggregate: start reached none of %d targets", len(params.Targets))
 		}
 	}
 	return &Task{ID: cctx.Identifier, Func: fn, Params: params, Context: cctx}, nil
 }
-
-// Tick runs one of the querier's own exchange rounds.
-func (q *Querier) Tick(ctx context.Context) { q.svc.Tick(ctx) }
-
-// EpochOf returns the querier's live epoch for a task.
-func (q *Querier) EpochOf(taskID string) uint64 { return q.svc.EpochOf(taskID) }
-
-// FrozenEstimate returns the querier's last closed-epoch estimate for a
-// task.
-func (q *Querier) FrozenEstimate(taskID string) (EpochEstimate, bool) {
-	return q.svc.FrozenEstimate(taskID)
-}
-
-// ActivityCount is the querier participant's monotonic traffic counter
-// (see Service.ActivityCount); it lets an adaptive Runner pace the
-// querier's exchange loop.
-func (q *Querier) ActivityCount() uint64 { return q.svc.ActivityCount() }
-
-// OnActivity registers the adaptive Runner's snap-back callback (see
-// Service.OnActivity).
-func (q *Querier) OnActivity(fn func()) { q.svc.OnActivity(fn) }
-
-// Estimate returns the querier's live local estimate for the task.
-func (q *Querier) Estimate(taskID string) (float64, bool) { return q.svc.Estimate(taskID) }
-
-// Stats returns the querier's participant counters.
-func (q *Querier) Stats() ServiceStats { return q.svc.Stats() }

@@ -1,66 +1,22 @@
 package aggregate
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
-	"sort"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"wsgossip/internal/clock"
 	"wsgossip/internal/core"
-	"wsgossip/internal/gossip"
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/soap"
 	"wsgossip/internal/wsa"
 	"wsgossip/internal/wscoord"
 )
-
-// passiveFanout is the exchange fanout a passive joiner without registered
-// parameters uses when a live peer view lets it relay anyway.
-const passiveFanout = 3
-
-// ServiceStats counts aggregation activity at one node.
-type ServiceStats struct {
-	// Started counts aggregation tasks this node joined via a start
-	// message.
-	Started int64
-	// PassiveJoins counts tasks joined through an exchange share alone
-	// (the start message never arrived; the node relays mass anyway).
-	PassiveJoins int64
-	// SharesSent counts outgoing push-sum shares.
-	SharesSent int64
-	// SharesAbsorbed counts incoming shares merged into local state.
-	SharesAbsorbed int64
-	// StartsForwarded counts start-message re-floods.
-	StartsForwarded int64
-	// SendErrors counts failed sends.
-	SendErrors int64
-	// Epochs counts epoch rolls.
-	Epochs int64
-	// AcksSent counts exchange acks sent for absorbed or stale shares.
-	AcksSent int64
-	// Commits counts outstanding shares whose transfer an ack committed.
-	Commits int64
-	// Retries counts re-sends of unacked outstanding shares.
-	Retries int64
-	// Recovered counts shares whose mass was reclaimed after a synchronous
-	// send refusal (the only mid-epoch recovery: the share is known unsent).
-	Recovered int64
-	// StaleShares counts shares from already-retired epochs (acked but not
-	// absorbed).
-	StaleShares int64
-	// DuplicateShares counts retried shares deduplicated on (From, Seq).
-	DuplicateShares int64
-	// UnackedDropped counts outstanding shares discarded with their epoch
-	// at a roll — the per-target-timeout mass recovery path.
-	UnackedDropped int64
-}
 
 // ServiceConfig configures an aggregation Service.
 type ServiceConfig struct {
@@ -98,20 +54,9 @@ type ServiceConfig struct {
 	Values map[string]func() float64
 }
 
-// task is one aggregation interaction this node participates in: the
-// exchange machine holding its mass, and what the binding needs to move it.
-// ctx is the interaction's coordination context as the header block an
-// envelope carries when a share of the task in it needs join data, built
-// once when the task learns the context.
-type task struct {
-	x      *exchange
-	params core.AggregateParameters
-	ctx    soap.Block
-}
-
 // contextBlock marshals a task's coordination context into its header block.
 // A context encoding/xml cannot marshal yields the zero block, on which a
-// message that would carry it fails (checkContext).
+// message that would carry it fails (errContext).
 func contextBlock(cctx wscoord.CoordinationContext) soap.Block {
 	b, err := wscoord.ContextBlock(cctx)
 	if err != nil {
@@ -122,79 +67,24 @@ func contextBlock(cctx wscoord.CoordinationContext) soap.Block {
 
 // Service is the aggregation participant role: application code supplies
 // local values; the middleware joins aggregation interactions on first
-// contact and gossips push-sum shares, restarting every epoch.
+// contact and gossips push-sum shares, restarting every epoch. It is the
+// SOAP binding of the task machine (machine.go): it holds the lock every
+// machine call runs under, makes the Register calls and the start flood,
+// frames each round's shares as one envelope per peer, and moves the bytes.
 type Service struct {
 	cfg      ServiceConfig
 	register *wscoord.RegistrationClient
 	// wake, when set (Runner adaptive mode), runs on every absorbed share
 	// or task join so quiescence-backed-off exchange rounds snap back.
 	wake atomic.Pointer[func()]
+	// counters publish the machine's counts, one per Stats field in field
+	// order, and massErr the tasks' conservation residual.
+	counters []*metrics.Counter
+	massErr  *metrics.FloatGauge
 
-	mu    sync.Mutex
-	rng   *rand.Rand
-	clk   clock.Clock
-	tasks map[string]*task
-	stats aggCounters
-	// scratch holds one task's targets during Tick (targetsLocked).
-	scratch []string
-}
-
-// aggCounters is the aggregation layer's registry-resolved series;
-// ServiceStats snapshots are views over the same counters.
-type aggCounters struct {
-	started         *metrics.Counter
-	passiveJoins    *metrics.Counter
-	sharesSent      *metrics.Counter
-	sharesAbsorbed  *metrics.Counter
-	startsForwarded *metrics.Counter
-	sendErrors      *metrics.Counter
-	rounds          *metrics.Counter
-	massErr         *metrics.FloatGauge
-	epochs          *metrics.Counter
-	acksSent        *metrics.Counter
-	commits         *metrics.Counter
-	retries         *metrics.Counter
-	recovered       *metrics.Counter
-	stale           *metrics.Counter
-	dups            *metrics.Counter
-	unacked         *metrics.Counter
-}
-
-func newAggCounters(reg *metrics.Registry) aggCounters {
-	return aggCounters{
-		started:         reg.Counter("aggregate_tasks_started_total"),
-		passiveJoins:    reg.Counter("aggregate_passive_joins_total"),
-		sharesSent:      reg.Counter("aggregate_shares_sent_total"),
-		sharesAbsorbed:  reg.Counter("aggregate_shares_absorbed_total"),
-		startsForwarded: reg.Counter("aggregate_starts_forwarded_total"),
-		sendErrors:      reg.Counter("aggregate_send_errors_total"),
-		rounds:          reg.Counter("aggregate_rounds_total"),
-		massErr:         reg.FloatGauge("aggregate_mass_error"),
-		epochs:          reg.Counter("aggregate_epochs_total"),
-		acksSent:        reg.Counter("aggregate_acks_sent_total"),
-		commits:         reg.Counter("aggregate_exchange_commits_total"),
-		retries:         reg.Counter("aggregate_exchange_retries_total"),
-		recovered:       reg.Counter("aggregate_shares_recovered_total"),
-		stale:           reg.Counter("aggregate_stale_shares_total"),
-		dups:            reg.Counter("aggregate_duplicate_shares_total"),
-		unacked:         reg.Counter("aggregate_unacked_discarded_total"),
-	}
-}
-
-// drain moves an exchange's event counts into the registry series. Caller
-// holds the service lock, so a scrape never sees an event the task's state
-// does not yet reflect.
-func (c *aggCounters) drain(n *exchangeCounts) {
-	c.epochs.Add(n.epochs)
-	c.rounds.Add(n.rounds)
-	c.sharesAbsorbed.Add(n.absorbed)
-	c.dups.Add(n.dups)
-	c.stale.Add(n.stale)
-	c.commits.Add(n.commits)
-	c.retries.Add(n.retries)
-	c.recovered.Add(n.recovered)
-	c.unacked.Add(n.unacked)
-	*n = exchangeCounts{}
+	mu  sync.Mutex
+	clk clock.Clock
+	m   *machine
 }
 
 // NewService returns an aggregation service node.
@@ -218,38 +108,65 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		// moments must still agree on which epoch is open.
 		clk = clock.NewWall()
 	}
-	return &Service{
+	s := &Service{
 		cfg:      cfg,
 		register: wscoord.NewRegistrationClient(cfg.Caller, cfg.Address),
-		rng:      rng,
+		massErr:  reg.FloatGauge("aggregate_mass_error"),
 		clk:      clk,
-		tasks:    make(map[string]*task),
-		stats:    newAggCounters(reg),
-	}, nil
+	}
+	fields := reflect.TypeFor[Stats]()
+	for i := range fields.NumField() {
+		s.counters = append(s.counters, reg.Counter(fields.Field(i).Tag.Get("metric")))
+	}
+	s.m = newMachine(cfg.Address, rng, cfg.Peers, true, s.contribution)
+	return s, nil
+}
+
+// contribution is a task's contribution at each roll: the metric's local
+// value source (the named entry in Values, else the default Value, else
+// none: passive) and the anchor weight if this node is the task's root.
+// Value sources run under s.mu.
+func (s *Service) contribution(x *exchange) (value float64, root, ok bool) {
+	root = x.root != "" && x.root == s.cfg.Address
+	f := s.cfg.Value
+	if named := s.cfg.Values[x.metric]; x.metric != "" && named != nil {
+		f = named
+	}
+	if f == nil {
+		return 0, root, false
+	}
+	return f(), root, true
 }
 
 // Address returns the node's endpoint address.
 func (s *Service) Address() string { return s.cfg.Address }
 
+// unlock publishes what the machine counted since the last unlock, and the
+// tasks' conservation residual, then releases s.mu. Every machine call that
+// changes a task runs under the lock and ends here, so a scrape never sees
+// an event the tasks' state does not yet reflect, nor a stale or phantom
+// residual mid-round.
+func (s *Service) unlock() {
+	counts := reflect.ValueOf(&s.m.counts).Elem()
+	for i, c := range s.counters {
+		if n := counts.Field(i).Int(); n != 0 {
+			c.Add(n)
+		}
+	}
+	s.m.counts = Stats{}
+	s.massErr.Set(s.m.massError())
+	s.mu.Unlock()
+}
+
 // Stats returns a snapshot of the counters. The snapshot is a view over
 // the same registry series a scrape reads, so the two cannot drift.
-func (s *Service) Stats() ServiceStats {
-	return ServiceStats{
-		Started:         s.stats.started.Value(),
-		PassiveJoins:    s.stats.passiveJoins.Value(),
-		SharesSent:      s.stats.sharesSent.Value(),
-		SharesAbsorbed:  s.stats.sharesAbsorbed.Value(),
-		StartsForwarded: s.stats.startsForwarded.Value(),
-		SendErrors:      s.stats.sendErrors.Value(),
-		Epochs:          s.stats.epochs.Value(),
-		AcksSent:        s.stats.acksSent.Value(),
-		Commits:         s.stats.commits.Value(),
-		Retries:         s.stats.retries.Value(),
-		Recovered:       s.stats.recovered.Value(),
-		StaleShares:     s.stats.stale.Value(),
-		DuplicateShares: s.stats.dups.Value(),
-		UnackedDropped:  s.stats.unacked.Value(),
+func (s *Service) Stats() Stats {
+	var st Stats
+	fields := reflect.ValueOf(&st).Elem()
+	for i, c := range s.counters {
+		fields.Field(i).SetInt(c.Value())
 	}
+	return st
 }
 
 // ActivityCount is a monotonic counter of aggregation traffic at this node:
@@ -257,9 +174,8 @@ func (s *Service) Stats() ServiceStats {
 // exchange round — an unchanged count between two fires means no task is
 // exchanging (none has started yet) and the exchange period may back off.
 func (s *Service) ActivityCount() uint64 {
-	return uint64(s.stats.started.Value()) +
-		uint64(s.stats.passiveJoins.Value()) +
-		uint64(s.stats.sharesAbsorbed.Value())
+	st := s.Stats()
+	return uint64(st.Started + st.PassiveJoins + st.SharesAbsorbed)
 }
 
 // OnActivity registers fn to run whenever ActivityCount advances — an
@@ -298,45 +214,12 @@ func (s *Service) RegisterActions(d *soap.Dispatcher) {
 	d.Register(ActionExchangeAck, soap.HandlerFunc(s.handleExchangeAck))
 }
 
-// evalMassLocked re-evaluates the aggregate_mass_error gauge from the
-// per-task residuals. It runs after every machine transition, so the gauge
-// can never show a stale or phantom value mid-round. Caller holds s.mu.
-func (s *Service) evalMassLocked() {
-	var err float64
-	for _, t := range s.tasks {
-		err += t.x.massError()
-	}
-	s.stats.massErr.Set(err)
-}
-
-// Estimate returns the node's current estimate for the task.
-func (s *Service) Estimate(taskID string) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tasks[taskID]
-	if !ok {
-		return 0, false
-	}
-	return t.x.state.Estimate()
-}
-
-// Mass returns the node's conserved (sum, weight) pair for the task.
-func (s *Service) Mass(taskID string) (sum, weight float64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, found := s.tasks[taskID]
-	if !found {
-		return 0, 0, false
-	}
-	sum, weight = t.x.state.Mass()
-	return sum, weight, true
-}
-
 // handleStart joins an aggregation task: register with the interaction's
 // Registration service for the aggregation protocol, roll into the current
 // epoch (which contributes the local value), and re-flood the start over the
 // assigned overlay while hop budget remains. A start without a window is
-// refused.
+// refused. A start of a task the node holds only completes a passive join
+// (task.confirm, task.assign).
 func (s *Service) handleStart(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
 	var start Start
 	if err := req.Envelope.DecodeBody(&start); err != nil {
@@ -353,62 +236,38 @@ func (s *Service) handleStart(ctx context.Context, req *soap.Request) (*soap.Env
 	if err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "aggregate start without coordination context: "+err.Error())
 	}
+	// A start of a task the node holds is usually a duplicate flood copy —
+	// but if an exchange share outran the start (passive join), the start
+	// confirms the root and metric and, if registration failed back then,
+	// brings targets.
 	s.mu.Lock()
-	existing, known := s.tasks[start.TaskID]
+	t := s.m.tasks[start.TaskID]
+	register := t == nil || t.confirm(start.Root, start.Metric)
 	s.mu.Unlock()
-	if known {
-		// Usually a duplicate flood copy — but if an exchange share outran
-		// the start (passive join), this start confirms the root and metric
-		// and, if registration failed back then, brings targets.
-		s.completePassiveJoin(ctx, existing, start, cctx)
+	if !register {
 		return nil, nil
 	}
 	params, err := s.registerTask(ctx, cctx)
-	if err != nil {
+	switch {
+	case err != nil && t == nil:
 		return nil, err
-	}
-	window := time.Duration(start.WindowMillis) * time.Millisecond
-	if !s.install(s.newContinuousTask(start.TaskID, fn, window, start.Root, start.Metric, params, cctx)) {
+	case err != nil:
 		return nil, nil
+	case t == nil:
+		window := time.Duration(start.WindowMillis) * time.Millisecond
+		if !s.install(start.TaskID, fn, window, start.Root, start.Metric, params, cctx) {
+			return nil, nil
+		}
+	default:
+		block := contextBlock(cctx)
+		s.mu.Lock()
+		t.assign(params, block)
+		s.mu.Unlock()
 	}
 	if start.Hops > 0 {
 		s.forwardStart(ctx, start, cctx, params.Targets)
 	}
 	return nil, nil
-}
-
-// completePassiveJoin is a start's effect on a task the node already holds.
-// A node that joined through a share keeps the contribution deferral the
-// join set (it contributes from the next epoch boundary, never retroactively
-// mid-window); the start only fills in what the share lacked, and retries
-// registration when the passive join's attempt failed and left it without
-// targets.
-func (s *Service) completePassiveJoin(ctx context.Context, t *task, start Start, cctx wscoord.CoordinationContext) {
-	s.mu.Lock()
-	if t.x.root == "" {
-		t.x.root = start.Root
-	}
-	if t.x.metric == "" {
-		t.x.metric = start.Metric
-	}
-	needTargets := len(t.params.Targets) == 0
-	s.mu.Unlock()
-	if !needTargets {
-		return
-	}
-	params, err := s.registerTask(ctx, cctx)
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	if len(t.params.Targets) == 0 {
-		t.params = params
-		t.ctx = contextBlock(cctx)
-	}
-	s.mu.Unlock()
-	if start.Hops > 0 {
-		s.forwardStart(ctx, start, cctx, params.Targets)
-	}
 }
 
 // registerTask performs the first-contact Register call for the aggregation
@@ -426,16 +285,9 @@ func (s *Service) registerTask(ctx context.Context, cctx wscoord.CoordinationCon
 }
 
 // errContext fails a message that would carry a coordination context
-// encoding/xml could not marshal: contextBlock's zero block.
+// encoding/xml could not marshal: contextBlock's zero block, whose Raw is
+// nil.
 var errContext = errors.New("aggregate: coordination context did not marshal")
-
-// checkContext fails the zero block of a context that did not marshal.
-func checkContext(cctx soap.Block) error {
-	if cctx.Raw == nil {
-		return errContext
-	}
-	return nil
-}
 
 // startMessage is the start flood's message: the action and id, cctx's
 // block as its one header block after them, and start marshalled by
@@ -443,8 +295,8 @@ func checkContext(cctx soap.Block) error {
 // own, each copy's rendered per target.
 func startMessage(cctx wscoord.CoordinationContext, start Start, id []byte) (soap.Message, error) {
 	block := contextBlock(cctx)
-	if err := checkContext(block); err != nil {
-		return soap.Message{}, err
+	if block.Raw == nil {
+		return soap.Message{}, errContext
 	}
 	body, err := soap.MarshalBlock(start)
 	if err != nil {
@@ -483,12 +335,12 @@ func sendShareBatch(ctx context.Context, caller soap.Caller, batch []staged) err
 	last := "" // the task whose context was written last
 	for i := range batch {
 		st := &batch[i]
-		if st.join && (len(contexts) == 0 || st.taskID != last) {
-			if err := checkContext(st.cctx); err != nil {
-				return err
+		if st.join && (len(contexts) == 0 || st.p.share.TaskID != last) {
+			if st.cctx.Raw == nil {
+				return errContext
 			}
 			contexts = append(contexts, st.cctx)
-			last = st.taskID
+			last = st.p.share.TaskID
 		}
 		m.Size += shareSize(&st.p.share)
 	}
@@ -518,206 +370,67 @@ func (s *Service) forwardStart(ctx context.Context, start Start, cctx wscoord.Co
 	next := start
 	next.Hops = start.Hops - 1
 	sent, failed, err := floodStart(ctx, s.cfg.Caller, cctx, next, targets)
+	refused := len(failed)
 	if err != nil {
-		s.stats.sendErrors.Add(int64(len(targets)))
-		return
+		refused = len(targets)
 	}
-	s.stats.startsForwarded.Add(int64(sent))
-	s.stats.sendErrors.Add(int64(len(failed)))
-}
-
-// newContinuousTask builds a task that has not rolled yet. Its contribution
-// at each roll is the metric's local value source (the named entry in
-// Values, else the default Value, else none: passive) and the anchor weight
-// if this node is the root. Value sources run under s.mu.
-func (s *Service) newContinuousTask(taskID string, fn Func, window time.Duration, root, metric string, params core.AggregateParameters, cctx wscoord.CoordinationContext) *task {
-	x := newExchange(taskID, s.cfg.Address, fn, window, root, metric)
-	x.trackHolders = true
-	x.contribute = func() (float64, bool, bool) {
-		isRoot := x.root != "" && x.root == s.cfg.Address
-		f := s.cfg.Value
-		if named := s.cfg.Values[x.metric]; x.metric != "" && named != nil {
-			f = named
-		}
-		if f == nil {
-			return 0, isRoot, false
-		}
-		return f(), isRoot, true
-	}
-	return &task{x: x, params: params, ctx: contextBlock(cctx)}
-}
-
-// startContinuousLocal installs a task created by this node (the Querier's
-// path): the node is the root.
-func (s *Service) startContinuousLocal(taskID string, fn Func, cctx wscoord.CoordinationContext, params core.AggregateParameters, window time.Duration, metric string) {
-	s.install(s.newContinuousTask(taskID, fn, window, s.cfg.Address, metric, params, cctx))
-}
-
-// install adds t unless its task is already known, rolling it into the
-// current epoch on the spot — which contributes the local value and seeds
-// the anchor if this node is the root — and reports whether it did.
-func (s *Service) install(t *task) bool {
 	s.mu.Lock()
-	if _, known := s.tasks[t.x.taskID]; known {
-		s.mu.Unlock()
-		return false
+	s.m.flooded(sent, refused)
+	s.unlock()
+}
+
+// install adds a task started here or by a start message (machine.install)
+// and reports whether the node did not hold it yet.
+func (s *Service) install(taskID string, fn Func, window time.Duration, root, metric string, params core.AggregateParameters, cctx wscoord.CoordinationContext) bool {
+	t := s.m.newTask(taskID, fn, window, root, metric, params, contextBlock(cctx))
+	s.mu.Lock()
+	ok := s.m.install(t, s.clk.Now())
+	s.unlock()
+	if ok {
+		// A new task is traffic too: snap a backed-off exchange loop to base
+		// pace so its first push-sum round is not delayed by a stretched
+		// quiescent interval.
+		s.bumpActivity()
 	}
-	now := s.clk.Now()
-	t.x.roll(EpochAt(now, t.x.window), now)
-	s.stats.drain(&t.x.counts)
-	s.tasks[t.x.taskID] = t
-	s.stats.started.Inc()
-	s.evalMassLocked()
-	s.mu.Unlock()
-	// A new task is traffic too: snap a backed-off exchange loop to base
-	// pace so its first push-sum round is not delayed by a stretched
-	// quiescent interval.
-	s.bumpActivity()
-	return true
+	return ok
 }
 
 // dropTask forgets a task this node started but could not announce.
 func (s *Service) dropTask(taskID string) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.tasks, taskID)
-	s.evalMassLocked()
+	s.m.drop(taskID)
+	s.unlock()
 }
 
-// fanoutLocked is how many targets a task asks for each round. A passive
-// joiner whose registration failed has no parameters; with a live view (or
-// assigned targets) it still relays at the default fanout. Caller holds s.mu.
-func (s *Service) fanoutLocked(t *task) int {
-	switch {
-	case t.params.Fanout > 0:
-		return t.params.Fanout
-	case s.cfg.Peers == nil && len(t.params.Targets) == 0:
-		return 0
-	}
-	return passiveFanout
-}
-
-// sampleLocked draws the round's targets from the live view once: n of
-// them, the largest fanout any task asks for. Each task then takes its
-// prefix (targetsLocked). Every PeerView samples without replacement, one
-// uniform pick after another (gossip.SamplePeers is a partial Fisher–Yates),
-// so each prefix is itself a uniform sample, and a node with one task draws
-// exactly what that task alone would. Nil without a live view, or while it
-// is empty. Caller holds s.mu.
-func (s *Service) sampleLocked(n int) []string {
-	if s.cfg.Peers == nil || n == 0 {
-		return nil
-	}
-	return s.cfg.Peers.SelectPeers(s.rng, n, s.cfg.Address)
-}
-
-// targetsLocked returns a task's exchange targets for one round: its prefix
-// of the round's sample, copied into the service's scratch slice because the
-// machine filters its targets in place, or, without a sample, its own draw
-// from the coordinator-assigned list. Caller holds s.mu.
-func (s *Service) targetsLocked(t *task, sample []string) []string {
-	n := s.fanoutLocked(t)
-	if n == 0 {
-		return nil
-	}
-	if len(sample) > 0 {
-		s.scratch = append(s.scratch[:0], sample[:min(n, len(sample))]...)
-		return s.scratch
-	}
-	return gossip.SamplePeers(s.rng, t.params.Targets, n, s.cfg.Address)
-}
-
-// staged is one share send chosen under the lock and performed outside it.
-type staged struct {
-	taskID string
-	cctx   soap.Block
-	p      *pendingShare
-	// retry and join are p.retry() and p.join() as read under the lock.
-	retry, join bool
-	// peer is the index of the round's first send to the same target: the
-	// key that groups the round's sends into one envelope per peer.
-	peer int
-}
-
-// Tick runs one push-sum round for every task, in task-ID order: the
-// machine rolls the epoch when the clock crossed a boundary, retries unacked
-// shares and splits fresh ones for this round's targets, drawn once for all
-// tasks (sampleLocked). The sends happen outside the lock, one envelope per
-// peer, the peers in the order the round first names them (sendShares). Call
-// it from a timer at the deployment's exchange interval.
+// Tick runs one push-sum round for every task (machine.round). The sends
+// happen outside the lock, one envelope per peer (sendShareBatch), the
+// peers in the order the round first names them, each peer's shares in
+// task-ID and then machine order. The transport's verdict on an envelope is
+// every share's in it (machine.sent). Call it from a timer at the
+// deployment's exchange interval.
 func (s *Service) Tick(ctx context.Context) {
 	s.mu.Lock()
-	ids := make([]string, 0, len(s.tasks))
-	most, widest := 0, 0 // the round's sends at most; the largest fanout
-	for id, t := range s.tasks {
-		ids = append(ids, id)
-		n := s.fanoutLocked(t)
-		most += len(t.x.pending) + n
-		widest = max(widest, n)
-	}
-	sort.Strings(ids)
-	sends := make([]staged, 0, most)
-	sample := s.sampleLocked(widest)
-	now := s.clk.Now()
-	for _, id := range ids {
-		t := s.tasks[id]
-		for _, p := range t.x.tick(now, s.targetsLocked(t, sample)) {
-			sends = append(sends, staged{taskID: id, cctx: t.ctx, p: p, retry: p.retry(), join: p.join()})
-		}
-		s.stats.drain(&t.x.counts)
-	}
-	s.evalMassLocked()
-	s.mu.Unlock()
-	for i := range sends {
-		sends[i].peer = i
-		for j := range i {
-			if sends[j].p.to == sends[i].p.to {
-				sends[i].peer = sends[j].peer
-				break
+	sends := s.m.round(s.clk.Now())
+	s.unlock()
+	for len(sends) > 0 {
+		// Move the first peer's shares to the front, keeping both their
+		// order and the others'.
+		n := 0
+		for i := range sends {
+			if st := sends[i]; st.p.to == sends[0].p.to {
+				copy(sends[n+1:i+1], sends[n:i])
+				sends[n] = st
+				n++
 			}
 		}
-	}
-	// Stable: each peer's shares stay in task-ID and then machine order.
-	slices.SortStableFunc(sends, func(a, b staged) int { return cmp.Compare(a.peer, b.peer) })
-	for len(sends) > 0 {
-		n := 1
-		for n < len(sends) && sends[n].peer == sends[0].peer {
-			n++
+		err := sendShareBatch(ctx, s.cfg.Caller, sends[:n])
+		s.mu.Lock()
+		for i := range n {
+			s.m.sent(&sends[i], err)
 		}
-		s.sendShares(ctx, sends[:n])
+		s.unlock()
 		sends = sends[n:]
 	}
-}
-
-// sendShares sends one peer's shares of the round in one envelope. The
-// transport's verdict on the envelope is every share's, each taken by the
-// per-share rule: a refused first send goes back to its machine, which
-// reclaims the mass, and a refused retry only counts.
-func (s *Service) sendShares(ctx context.Context, batch []staged) {
-	err := sendShareBatch(ctx, s.cfg.Caller, batch)
-	for _, st := range batch {
-		switch {
-		case err == nil:
-			s.stats.sharesSent.Inc()
-		case st.retry:
-			s.stats.sendErrors.Inc()
-		default:
-			s.reclaim(st.taskID, st.p)
-		}
-	}
-}
-
-// reclaim hands a share whose first send was refused back to its task.
-func (s *Service) reclaim(taskID string, p *pendingShare) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tasks[taskID]
-	if !ok || !t.x.reclaim(p) {
-		return
-	}
-	s.stats.drain(&t.x.counts)
-	s.stats.sendErrors.Inc()
-	s.evalMassLocked()
 }
 
 // inlineChildren is how many children of an inbound exchange or ack
@@ -727,11 +440,13 @@ const inlineChildren = 4
 
 // shareIn is one child of an inbound exchange envelope: the share, its
 // TaskID's wire bytes (a view into the receive buffer, see scanShare) and,
-// once resolved, its task.
+// once resolved, its task — or, for a task the node must join, the context
+// that names it.
 type shareIn struct {
-	sh Share
-	id []byte
-	t  *task
+	sh   Share
+	id   []byte
+	t    *task
+	cctx wscoord.CoordinationContext
 }
 
 // handleExchange takes one exchange envelope. It reads every share in it
@@ -754,23 +469,19 @@ func (s *Service) handleExchange(ctx context.Context, req *soap.Request) (*soap.
 	s.mu.Lock()
 	now := s.clk.Now()
 	for i := range in {
-		x := in[i].t.x
-		if ack, reply := x.absorb(now, &in[i].sh); reply {
+		if ack, reply := in[i].t.x.absorb(now, &in[i].sh); reply {
 			acks = append(acks, ack)
 		}
-		s.stats.drain(&x.counts)
 	}
-	s.evalMassLocked()
-	s.mu.Unlock()
+	s.unlock()
 	s.bumpActivity()
 	if len(acks) == 0 {
 		return nil, nil
 	}
-	if err := sendAcks(ctx, s.cfg.Caller, in[0].sh.From, acks); err == nil {
-		s.stats.acksSent.Add(int64(len(acks)))
-	} else {
-		s.stats.sendErrors.Add(int64(len(acks)))
-	}
+	err = sendAcks(ctx, s.cfg.Caller, in[0].sh.From, acks)
+	s.mu.Lock()
+	s.m.acked(len(acks), err)
+	s.unlock()
 	return nil, nil
 }
 
@@ -807,68 +518,53 @@ func (s *Service) resolve(ctx context.Context, env *soap.Envelope, in []shareIn)
 	missing := false
 	s.mu.Lock()
 	for i := range in {
-		if t, ok := s.tasks[string(in[i].id)]; ok {
-			in[i].t = t
-		} else {
-			missing = true
-		}
+		in[i].t = s.m.tasks[string(in[i].id)]
+		missing = missing || in[i].t == nil
 	}
 	s.mu.Unlock()
 	if !missing {
 		return nil
 	}
-	type join struct {
-		fn   Func
-		cctx wscoord.CoordinationContext
-	}
-	joins := make([]join, len(in))
 	for i := range in {
 		if in[i].t != nil {
 			continue
 		}
-		fn, err := ParseFunc(in[i].sh.Function)
-		if err != nil {
+		if _, err := ParseFunc(in[i].sh.Function); err != nil {
 			return soap.NewFault(soap.CodeSender, err.Error())
 		}
-		cctx, err := wscoord.ContextFor(env, string(in[i].id))
-		if err != nil {
+		var err error
+		if in[i].cctx, err = wscoord.ContextFor(env, string(in[i].id)); err != nil {
 			return soap.NewFault(soap.CodeSender, "aggregate share without coordination context: "+err.Error())
 		}
-		joins[i] = join{fn: fn, cctx: cctx}
 	}
 	for i := range in {
 		if in[i].t == nil {
-			in[i].t = s.joinPassive(ctx, joins[i].fn, &in[i].sh, joins[i].cctx)
+			in[i].t = s.joinPassive(ctx, &in[i])
 		}
 	}
 	return nil
 }
 
-// joinPassive installs cctx's task, which sh belongs to, as a mid-window
-// joiner that relays passively for the rest of this window and contributes
-// from the next boundary on — unless the node holds the task by now: an
-// earlier share of the same envelope, or a concurrent one, joined it first.
-func (s *Service) joinPassive(ctx context.Context, fn Func, sh *Share, cctx wscoord.CoordinationContext) *task {
-	taskID := cctx.Identifier
+// joinPassive joins the task of in, a share of a task the node did not
+// hold, from the share alone (machine.join), registering first; a node that
+// holds the task by now — an earlier share of the same envelope, or a
+// concurrent one, joined it — keeps the one it holds.
+func (s *Service) joinPassive(ctx context.Context, in *shareIn) *task {
+	id := in.cctx.Identifier
 	s.mu.Lock()
-	t, known := s.tasks[taskID]
+	t := s.m.tasks[id]
 	s.mu.Unlock()
-	if known {
+	if t != nil {
 		return t
 	}
 	// Registration can fail (coordinator down); the node still holds the
 	// mass it absorbs, so the totals stay conserved.
-	params, _ := s.registerTask(ctx, cctx)
-	window := time.Duration(sh.WindowMillis) * time.Millisecond
-	t = s.newContinuousTask(taskID, fn, window, sh.Root, sh.Metric, params, cctx)
+	params, _ := s.registerTask(ctx, in.cctx)
+	window := time.Duration(in.sh.WindowMillis) * time.Millisecond
+	t = s.m.newTask(id, Func(in.sh.Function), window, in.sh.Root, in.sh.Metric, params, contextBlock(in.cctx))
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if existing, raced := s.tasks[taskID]; raced {
-		return existing
-	}
-	t.x.contributeFrom = EpochAt(s.clk.Now(), window) + 1
-	s.tasks[taskID] = t
-	s.stats.passiveJoins.Inc()
+	t = s.m.join(t, s.clk.Now())
+	s.unlock()
 	return t
 }
 
@@ -898,14 +594,10 @@ func (s *Service) handleExchangeAck(_ context.Context, req *soap.Request) (*soap
 		in = append(in, ackIn{a: a, id: id})
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	now := s.clk.Now()
 	for i := range in {
-		if t, ok := s.tasks[string(in[i].id)]; ok {
-			t.x.commit(now, &in[i].a)
-			s.stats.drain(&t.x.counts)
-		}
+		s.m.commit(in[i].id, now, &in[i].a)
 	}
-	s.evalMassLocked()
+	s.unlock()
 	return nil, nil
 }

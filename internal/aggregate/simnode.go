@@ -7,48 +7,20 @@ import (
 	"time"
 
 	"wsgossip/internal/clock"
+	"wsgossip/internal/core"
 	"wsgossip/internal/gossip"
+	"wsgossip/internal/soap"
 	"wsgossip/internal/transport"
 )
 
-// Transport-level push-sum node: the same exchange machine as the SOAP-level
+// Transport-level push-sum node: the same task machine as the SOAP-level
 // Service, attached directly to a transport.Endpoint. It is what lets
 // cmd/wsgossip-sim drive aggregation over the deterministic simulator at
 // scales (and loss rates) the SOAP harness does not reach, mirroring how
 // the dissemination engine has both a SOAP binding and a simnet binding.
-// The protocol is the Service's (exchange.go) and so is the share on the
-// wire (wire.go): the node only samples peers, reads the clock and moves
-// bodies.
-
-// SimNodeStats counts one simulator node's exchange events.
-type SimNodeStats struct {
-	// Epochs is how many epoch rolls the node has performed.
-	Epochs int64
-	// SharesSent counts shares handed to the network without a synchronous
-	// refusal (first sends and retries alike).
-	SharesSent int64
-	// SharesAbsorbed counts shares merged into local mass.
-	SharesAbsorbed int64
-	// Duplicates counts re-deliveries dropped by (sender, seq) dedup.
-	Duplicates int64
-	// Stale counts shares from retired epochs (acked, not absorbed).
-	Stale int64
-	// AcksSent counts acknowledgements handed to the network.
-	AcksSent int64
-	// Commits counts pending shares settled by an ack.
-	Commits int64
-	// Retries counts re-sends of still-unacked shares.
-	Retries int64
-	// Recovered counts shares reclaimed after a synchronous first-send
-	// refusal (the only case where mid-epoch recovery is sound).
-	Recovered int64
-	// UnackedDiscarded counts pending shares retired wholesale at epoch
-	// boundaries.
-	UnackedDiscarded int64
-	// SendErrors counts synchronous send refusals that did not recover mass
-	// (retries and acks).
-	SendErrors int64
-}
+// The protocol is the Service's (machine.go, exchange.go) and so is the
+// share on the wire (wire.go): the node only reads the clock and moves
+// bodies, one bare share or ack per message.
 
 // SimNodeConfig configures a simulator aggregation node.
 type SimNodeConfig struct {
@@ -75,14 +47,12 @@ type SimNodeConfig struct {
 	Clock clock.Clock
 }
 
-// SimNode is one simulator participant. All calls arrive from the
-// simulator's single-threaded event loop, so no locking is needed.
+// SimNode is one simulator participant: a machine with one configured task
+// that never joins another. All calls arrive from the simulator's
+// single-threaded event loop, so no locking is needed.
 type SimNode struct {
 	cfg SimNodeConfig
-	rng *rand.Rand
-	x   *exchange
-	// The transport's verdicts on what the machine asked to send.
-	sharesSent, acksSent, sendErrors int64
+	m   *machine
 }
 
 // NewSimNode validates cfg and returns a node with its initial state.
@@ -103,19 +73,12 @@ func NewSimNode(cfg SimNodeConfig) (*SimNode, error) {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	n := &SimNode{cfg: cfg, rng: rng}
-	// Passive until the first roll. A node created mid-window is absorbed at
-	// the NEXT epoch boundary: it relays and holds mass for the in-progress
-	// epoch but contributes its own value only from the first epoch that
-	// starts after it exists — the same deferral the Service applies to
-	// passive joiners, so a joiner never retroactively pollutes an epoch it
-	// did not fully live.
-	n.x = newExchange(cfg.TaskID, cfg.Endpoint.Addr(), cfg.Func, cfg.Window, "", "")
-	n.x.contribute = func() (float64, bool, bool) { return n.cfg.Value, n.cfg.Root, true }
-	n.x.contributeFrom = EpochAt(cfg.Clock.Now(), cfg.Window)
-	if cfg.Clock.Now()%cfg.Window != 0 {
-		n.x.contributeFrom++
-	}
+	n := &SimNode{cfg: cfg}
+	value, root := cfg.Value, cfg.Root
+	n.m = newMachine(cfg.Endpoint.Addr(), rng, cfg.Peers, false, func(*exchange) (float64, bool, bool) {
+		return value, root, true
+	})
+	n.m.configure(n.m.newTask(cfg.TaskID, cfg.Func, cfg.Window, "", "", core.AggregateParameters{Fanout: cfg.Fanout}, soap.Block{}), cfg.Clock.Now())
 	return n, nil
 }
 
@@ -135,91 +98,60 @@ func (n *SimNode) handle(ctx context.Context, msg transport.Message) error {
 	return n.handleExchange(ctx, msg)
 }
 
+// x is the node's one task's exchange.
+func (n *SimNode) x() *exchange { return n.m.tasks[n.cfg.TaskID].x }
+
 // State exposes the node's push-sum state for the live epoch.
-func (n *SimNode) State() *State { return n.x.state }
+func (n *SimNode) State() *State { return n.x().state }
 
 // Epoch returns the live epoch (0 = not yet rolled).
-func (n *SimNode) Epoch() uint64 { return n.x.epoch }
+func (n *SimNode) Epoch() uint64 { return n.x().epoch }
 
 // Frozen returns the last closed epoch's final estimate.
-func (n *SimNode) Frozen() (EpochEstimate, bool) {
-	if n.x.frozen == nil {
-		return EpochEstimate{}, false
-	}
-	return *n.x.frozen, true
-}
+func (n *SimNode) Frozen() (EpochEstimate, bool) { return n.x().frozenEstimate() }
 
 // Outstanding returns the unacked split weight awaiting commit.
-func (n *SimNode) Outstanding() float64 { return n.x.led.outstanding }
+func (n *SimNode) Outstanding() float64 { return n.x().led.outstanding }
 
 // Contributed returns the weight this node injected into the live epoch.
-func (n *SimNode) Contributed() float64 { return n.x.contributed }
+func (n *SimNode) Contributed() float64 { return n.x().contributed }
 
-// SimStats returns the exchange counters.
-func (n *SimNode) SimStats() SimNodeStats {
-	c := n.x.counts
-	return SimNodeStats{
-		Epochs:           c.epochs,
-		SharesSent:       n.sharesSent,
-		SharesAbsorbed:   c.absorbed,
-		Duplicates:       c.dups,
-		Stale:            c.stale,
-		AcksSent:         n.acksSent,
-		Commits:          c.commits,
-		Retries:          c.retries,
-		Recovered:        c.recovered,
-		UnackedDiscarded: c.unacked,
-		SendErrors:       n.sendErrors,
-	}
-}
+// Stats returns the node's counters.
+func (n *SimNode) Stats() Stats { return n.m.counts }
 
 // MassError returns the node's conservation residual: held plus outstanding
 // weight minus the ledger's net injections, snapped to exactly zero within
 // float tolerance. Under the acked exchange it must be zero at every commit
 // point regardless of loss — the aggregate chaos gates assert exactly that.
-func (n *SimNode) MassError() float64 { return n.x.massError() }
+func (n *SimNode) MassError() float64 { return n.m.massError() }
 
 // send moves one share or ack body.
 func (n *SimNode) send(ctx context.Context, to, action string, body []byte) error {
 	return n.cfg.Endpoint.Send(ctx, transport.Message{To: to, Action: action, Body: body})
 }
 
-// Tick runs one push-sum round: the machine's tick — roll when the clock
-// crossed a boundary, retry unacked shares, split fresh acked shares for the
-// sampled peers — with a refused first send handed straight back.
+// Tick runs one push-sum round (machine.round), sending each share as its
+// own message in machine order, and hands each verdict back (machine.sent).
 func (n *SimNode) Tick(ctx context.Context) {
-	peers := n.cfg.Peers.SelectPeers(n.rng, n.cfg.Fanout, n.cfg.Endpoint.Addr())
-	for _, p := range n.x.tick(n.cfg.Clock.Now(), peers) {
-		switch err := n.send(ctx, p.to, ActionExchange, shareBlock(&p.share).Raw); {
-		case err == nil:
-			n.sharesSent++
-		case p.retry():
-			n.sendErrors++
-		default:
-			n.x.reclaim(p)
-		}
+	for _, st := range n.m.round(n.cfg.Clock.Now()) {
+		n.m.sent(&st, n.send(ctx, st.p.to, ActionExchange, shareBlock(&st.p.share).Raw))
 	}
 }
 
 // handleExchange absorbs one share of the node's task and acks it. A share
-// without a window is dropped unacked.
+// of another task, or without a window, is dropped unacked.
 func (n *SimNode) handleExchange(ctx context.Context, msg transport.Message) error {
 	sh, id, err := decodeShare(msg.Body)
 	if err != nil {
 		return err
 	}
-	if string(id) != n.cfg.TaskID || sh.WindowMillis <= 0 {
+	t := n.m.tasks[string(id)]
+	if t == nil || sh.WindowMillis <= 0 {
 		return nil
 	}
-	ack, reply := n.x.absorb(n.cfg.Clock.Now(), &sh)
-	if !reply {
-		return nil
+	if ack, reply := t.x.absorb(n.cfg.Clock.Now(), &sh); reply {
+		n.m.acked(1, n.send(ctx, sh.From, ActionExchangeAck, ackBlock(&ack).Raw))
 	}
-	if err := n.send(ctx, sh.From, ActionExchangeAck, ackBlock(&ack).Raw); err != nil {
-		n.sendErrors++
-		return nil
-	}
-	n.acksSent++
 	return nil
 }
 
@@ -230,8 +162,6 @@ func (n *SimNode) handleAck(_ context.Context, msg transport.Message) error {
 	if err != nil {
 		return err
 	}
-	if string(id) == n.cfg.TaskID {
-		n.x.commit(n.cfg.Clock.Now(), &ack)
-	}
+	n.m.commit(id, n.cfg.Clock.Now(), &ack)
 	return nil
 }

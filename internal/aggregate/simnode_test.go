@@ -123,15 +123,15 @@ func TestSimNodeReclaimAsymmetry(t *testing.T) {
 	ctx := context.Background()
 	node.Tick(ctx) // a first send, accepted and never acked: it stays pending
 	pending := node.Outstanding()
-	if pending == 0 || node.SimStats().SharesSent != 1 {
-		t.Fatalf("after an accepted first send: outstanding %g, sent %d", pending, node.SimStats().SharesSent)
+	if pending == 0 || node.Stats().SharesSent != 1 {
+		t.Fatalf("after an accepted first send: outstanding %g, sent %d", pending, node.Stats().SharesSent)
 	}
 
 	ep.refuse = true
 	node.Tick(ctx) // the retry and a fresh share, both refused
-	st := node.SimStats()
-	if st.Recovered != 1 || st.SendErrors != 1 {
-		t.Fatalf("recovered %d and counted %d refusals, want the fresh share reclaimed and the retry counted", st.Recovered, st.SendErrors)
+	st := node.Stats()
+	if st.Recovered != 1 || st.SendErrors != 2 {
+		t.Fatalf("recovered %d and counted %d refusals, want the fresh share reclaimed and both refusals counted", st.Recovered, st.SendErrors)
 	}
 	if got := node.Outstanding(); got != pending {
 		t.Fatalf("outstanding %g after a refused retry, want the retried share's %g still pending", got, pending)

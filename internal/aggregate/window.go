@@ -122,10 +122,6 @@ type ClusterEstimate struct {
 
 // Estimates snapshots every started query, ordered as configured.
 func (w *Window) Estimates() []ClusterEstimate {
-	byTask := make(map[string]ContinuousEstimate)
-	for _, ce := range w.cfg.Querier.svc.ContinuousEstimates() {
-		byTask[ce.TaskID] = ce
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	out := make([]ClusterEstimate, 0, len(w.cfg.Queries))
@@ -134,25 +130,16 @@ func (w *Window) Estimates() []ClusterEstimate {
 		if !ok {
 			continue
 		}
-		ce, ok := byTask[tk.ID]
-		if !ok {
-			continue
+		est := ClusterEstimate{Query: q.Name, TaskID: tk.ID}
+		if w.cfg.Querier.read(tk.ID, func(x *exchange) {
+			est.Function, est.Window, est.Epoch = string(x.state.Func()), x.window.String(), x.epoch
+			est.Live, est.LiveDefined = x.state.Estimate()
+			if f, ok := x.frozenEstimate(); ok {
+				est.Estimate, est.Defined, est.FrozenEpoch = f.Estimate, f.Defined, f.Epoch
+			}
+		}) {
+			out = append(out, est)
 		}
-		est := ClusterEstimate{
-			Query:       q.Name,
-			Function:    string(ce.Function),
-			TaskID:      ce.TaskID,
-			Window:      ce.Window.String(),
-			Epoch:       ce.Epoch,
-			Live:        ce.Live,
-			LiveDefined: ce.LiveDefined,
-		}
-		if ce.Frozen != nil {
-			est.Estimate = ce.Frozen.Estimate
-			est.Defined = ce.Frozen.Defined
-			est.FrozenEpoch = ce.Frozen.Epoch
-		}
-		out = append(out, est)
 	}
 	return out
 }

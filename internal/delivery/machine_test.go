@@ -25,8 +25,11 @@ type lawBinding struct {
 	mode   map[string]int // index into lawModes
 	landed map[string][]int
 	once   map[string]bool // every message that has landed
-	step   int
-	seed   int64
+	// failedAt is, per peer, when a one-way attempt to it last failed in
+	// transport.
+	failedAt map[string]time.Duration
+	step     int
+	seed     int64
 }
 
 // lawModes are a peer's outcome weights: ok, Sender fault, retry-after,
@@ -68,6 +71,9 @@ func (b *lawBinding) Call(_ context.Context, to string, _ *soap.Envelope) (*soap
 
 func (b *lawBinding) SendEncoded(_ context.Context, to string, data []byte) error {
 	if err := b.outcome(to); err != nil {
+		if err == errConnRefused {
+			b.failedAt[to] = b.clk.Now()
+		}
 		return err
 	}
 	id := string(data)
@@ -97,7 +103,9 @@ func (b *lawBinding) SendEncoded(_ context.Context, to string, data []byte) erro
 //     the cooldown (lawBinding);
 //   - no queue exceeds QueueCap, and the queue and in-flight gauges and the
 //     OnPeerDown/OnPeerUp hooks agree with the peers' state;
-//   - each peer's messages land in the order they were sent.
+//   - each peer's messages land in the order they were sent;
+//   - a transport failure of a message backs its peer off into the future,
+//     by at least the smallest backoff the jitter allows (BackoffBase/2).
 //
 // A run not closed ends by healing every peer under steady traffic: each
 // circuit must be closed within BackoffMax + BreakerCooldown.
@@ -129,7 +137,7 @@ func runPlaneLaws(t *testing.T, seed int64) *metrics.Registry {
 	clk := clock.NewVirtual()
 	reg := metrics.NewRegistry()
 	b := &lawBinding{t: t, rng: rng, clk: clk, seed: seed,
-		mode: map[string]int{}, landed: map[string][]int{}, once: map[string]bool{}}
+		mode: map[string]int{}, landed: map[string][]int{}, once: map[string]bool{}, failedAt: map[string]time.Duration{}}
 	cfg := Config{
 		Caller:           b,
 		Clock:            clk,
@@ -200,6 +208,10 @@ func runPlaneLaws(t *testing.T, seed int64) *metrics.Registry {
 			}
 			if up[peer] == pe.br.open {
 				fail("%s: circuit open %v, hooks say up %v", peer, pe.br.open, up[peer])
+			}
+			if at, ok := b.failedAt[peer]; ok && pe.backoffUntil < at+cfg.BackoffBase/2 {
+				fail("%s: a transport failure at %v backed it off until %v, before the least jittered backoff %v",
+					peer, at, pe.backoffUntil, cfg.BackoffBase/2)
 			}
 			for _, it := range pe.queue {
 				queued[string(it.data)] = true

@@ -94,9 +94,9 @@ func E12WindowSizing(opt Options) ([]Table, error) {
 				continue
 			}
 			worstErr = math.Max(worstErr, math.Abs(fr.Estimate-float64(n))/float64(n))
-			st := node.SimStats()
+			st := node.Stats()
 			retries += st.Retries
-			dups += st.Duplicates
+			dups += st.DuplicateShares
 		}
 		st := net.Stats()
 		t.AddRow(

@@ -132,6 +132,23 @@ func runMachineProperties(t *testing.T, seed int64, maxView int) {
 		}
 	}
 	check(false)
+	// exchange merges entries from from and holds the machine to the
+	// self-refutation law: shown its own address at a heartbeat above its
+	// own, a node moves its heartbeat past that copy, so its propagated
+	// heartbeat never looks stale to a peer that saw the copy.
+	exchange := func(from string, entries []wireEntry) {
+		t.Helper()
+		before, shown := m.self.Heartbeat, uint64(0)
+		for _, e := range entries {
+			if e.Addr == m.self.Addr {
+				shown = max(shown, e.Heartbeat)
+			}
+		}
+		m.exchange(from, exchangeBody(t, from, entries), now)
+		if shown > before && m.self.Heartbeat <= shown {
+			t.Fatalf("step %d: shown its own heartbeat at %d, above its %d, the node's heartbeat is %d", step, shown, before, m.self.Heartbeat)
+		}
+	}
 	for ; step < steps; step++ {
 		for _, a := range propPool[:8] {
 			switch {
@@ -158,14 +175,14 @@ func runMachineProperties(t *testing.T, seed int64, maxView int) {
 			}
 			entries := w.entries()
 			if maxView == 0 {
-				m.exchange(from, exchangeBody(t, from, entries), now)
+				exchange(from, entries)
 				check(false)
 				break
 			}
 			// A capped view may evict a member for one entry and re-admit it
 			// for the next, so the view is checked entry by entry.
 			for _, e := range entries {
-				m.exchange(from, exchangeBody(t, from, []wireEntry{e}), now)
+				exchange(from, []wireEntry{e})
 				check(false)
 			}
 		case op == 7:

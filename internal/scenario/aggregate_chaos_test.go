@@ -183,7 +183,7 @@ func TestAggregateChaosChurnMidWindow(t *testing.T) {
 	net.Run()
 	var sharesSent, acksSent int64
 	for _, node := range nodes {
-		st := node.SimStats()
+		st := node.Stats()
 		sharesSent += st.SharesSent
 		acksSent += st.AcksSent
 	}
@@ -241,7 +241,7 @@ func TestAggregateChaosSustainedLinkLoss(t *testing.T) {
 		for i, node := range nodes {
 			if e := node.MassError(); e != 0 {
 				t.Fatalf("t=%v node %s mass error %g under %d%% loss, want exactly 0\nstats=%+v",
-					net.Now(), addrs[i], e, int(lossRate*100), node.SimStats())
+					net.Now(), addrs[i], e, int(lossRate*100), node.Stats())
 			}
 		}
 	}
@@ -261,10 +261,10 @@ func TestAggregateChaosSustainedLinkLoss(t *testing.T) {
 		if rel := math.Abs(fr.Estimate-n) / n; rel > 0.01 {
 			t.Fatalf("node %s: lossy-epoch count %.3f, want %d within 1%%", addrs[i], fr.Estimate, n)
 		}
-		st := node.SimStats()
+		st := node.Stats()
 		retries += st.Retries
 		recovered += st.Recovered
-		duplicates += st.Duplicates
+		duplicates += st.DuplicateShares
 	}
 	// The run must actually have exercised the loss machinery: drops
 	// occurred, retries repaired them, and redeliveries were deduped.

@@ -141,7 +141,7 @@ func (c *aggCluster) checkMass(stage string, plan *conservationPlan) {
 		}
 		if e := node.MassError(); e != 0 {
 			c.t.Fatalf("%s: node %s mass error = %g, want exactly 0\nepoch=%d outstanding=%g contributed=%g stats=%+v\nplan: %+v",
-				stage, c.addrs[i], e, node.Epoch(), node.Outstanding(), node.Contributed(), node.SimStats(), plan)
+				stage, c.addrs[i], e, node.Epoch(), node.Outstanding(), node.Contributed(), node.Stats(), plan)
 		}
 	}
 }
