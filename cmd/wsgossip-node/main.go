@@ -10,6 +10,12 @@
 //	wsgossip-node -role initiator -coordinator http://localhost:8070/ -message "hello gossip"
 //
 // Disseminators and consumers print every notification they deliver.
+//
+// Every server role serves its SOAP endpoint, with /metrics and /healthz
+// mounted beside it (and, with -metrics-addr, on a listener of their own),
+// through soap.Serve until SIGINT or SIGTERM, so a peer gets the HTTP
+// binding's bounds: a request must arrive whole within 10 s, as long as
+// every role's own POSTs wait.
 package main
 
 import (
@@ -39,34 +45,6 @@ import (
 	"wsgossip/internal/soap"
 )
 
-// The bounds every HTTP server of the node puts on a peer. A request's head
-// must arrive within readHeaderTimeout, and the whole request, body included,
-// within readTimeout of its first byte: postTimeout, the longest this command
-// waits for a POST of its own. A peer that stalls mid-body thus holds a
-// connection and its goroutine no longer than a sender would wait, and a
-// handler still running then finds its request's context canceled, as it
-// would had the sender hung up. A kept-alive connection idle for idleTimeout
-// is closed; that is longer than net/http's default client keeps one idle
-// (90 s), so a client never reuses a connection the server has just closed.
-const (
-	postTimeout       = 10 * time.Second
-	readHeaderTimeout = 5 * time.Second
-	readTimeout       = postTimeout
-	idleTimeout       = 2 * time.Minute
-)
-
-// newServer returns the HTTP server for handler at addr, with the node's
-// bounds.
-func newServer(addr string, handler http.Handler) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readTimeout,
-		IdleTimeout:       idleTimeout,
-	}
-}
-
 // noteBody is the demonstration notification payload.
 type noteBody struct {
 	XMLName xml.Name `xml:"urn:wsgossip:demo Note"`
@@ -86,7 +64,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	client := soap.NewHTTPClient(&http.Client{Timeout: postTimeout})
+	client := soap.NewHTTPClient(nil)
 	switch o.role {
 	case "coordinator":
 		return runCoordinator(o.listen, o.node.Address, o.style, o.activityTTL, o.pruneEvery, o.metricsAddr)
@@ -263,41 +241,41 @@ func publicURL(public, listen string) string {
 	return "http://localhost" + listen + "/"
 }
 
-// serve runs the node's SOAP endpoint with the observability endpoints
-// (/metrics, /healthz) mounted on the same binding; a non-empty metricsAddr
-// additionally serves them on a dedicated listener, the usual arrangement
-// when the scrape port must stay off the service port.
+// serve runs the node's SOAP endpoint, with the observability endpoints
+// (/metrics, /healthz) mounted on the same binding, until SIGINT or SIGTERM;
+// a non-empty metricsAddr also serves them on a listener of its own, the
+// usual arrangement when the scrape port must stay off the service port. The
+// first listener to fail stops both.
 func serve(listen string, handler soap.Handler, reg *metrics.Registry, health func() obs.Health, metricsAddr string) error {
-	var root http.Handler = soap.NewHTTPServer(handler)
-	if reg != nil {
-		root = obs.Mount(root, reg, health)
-	}
-	srv := newServer(listen, root)
-	errCh := make(chan error, 2)
-	go func() { errCh <- srv.ListenAndServe() }()
-	var msrv *http.Server
-	if reg != nil && metricsAddr != "" {
-		msrv = newServer(metricsAddr, obs.Handler(reg, health))
-		go func() { errCh <- msrv.ListenAndServe() }()
-		slog.Info("metrics at /metrics, health at /healthz", "addr", metricsAddr)
-	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	shutdown := func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		if msrv != nil {
-			_ = msrv.Shutdown(ctx)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errs, serving := make(chan error, 2), 0
+	start := func(addr string, h http.Handler) error {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			return err
 		}
-		return srv.Shutdown(ctx)
+		serving++
+		go func() {
+			errs <- soap.Serve(ctx, ln, h)
+			stop()
+		}()
+		return nil
 	}
-	select {
-	case err := <-errCh:
-		_ = shutdown()
-		return err
-	case <-sig:
-		return shutdown()
+	err := start(listen, obs.Mount(soap.NewHTTPServer(handler), reg, health))
+	if err == nil && metricsAddr != "" {
+		slog.Info("metrics at /metrics, health at /healthz", "addr", metricsAddr)
+		err = start(metricsAddr, obs.Handler(reg, health))
 	}
+	if err != nil {
+		stop()
+	}
+	for ; serving > 0; serving-- {
+		if e := <-errs; err == nil {
+			err = e
+		}
+	}
+	return err
 }
 
 func runCoordinator(listen, addr, styleName string, activityTTL, pruneEvery time.Duration, metricsAddr string) error {

@@ -170,12 +170,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	if *n < 2 {
+		return fmt.Errorf("gossip mode needs -n of at least 2, got %d", *n)
+	}
 	if *hops == 0 {
-		h := 1
-		for size := 1; size < *n; size *= 2 {
-			h++
-		}
-		*hops = h + 1
+		_, *hops = core.DefaultParamPolicy(*n)
 	}
 	if *loss < 0 || *loss >= 1 || *crash < 0 || *crash >= 1 {
 		return fmt.Errorf("loss and crash must be in [0,1)")

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"sync"
 	"time"
@@ -57,40 +56,15 @@ func (r *recorder) count() int {
 	return len(r.texts)
 }
 
-// The bounds each server puts on a peer: the head within readHeaderTimeout,
-// the whole request, body included, within readTimeout, which is
-// postTimeout, the longest the example's client waits for a POST; so a peer
-// that stalls mid-body holds a connection no longer than a sender waits. A
-// kept-alive connection idle for idleTimeout, longer than net/http's default
-// client keeps one (90 s), is closed.
-const (
-	postTimeout       = 5 * time.Second
-	readHeaderTimeout = 5 * time.Second
-	readTimeout       = postTimeout
-	idleTimeout       = 2 * time.Minute
-)
-
-// serveSOAP starts an HTTP server for the handler on an ephemeral port and
-// returns its base URL and a shutdown function.
-func serveSOAP(h soap.Handler) (string, func(), error) {
+// listen opens a listener on an ephemeral port and returns it with the base
+// URL it serves: an endpoint's address is known before its coordinator or
+// node is built.
+func listen() (net.Listener, string, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return "", nil, err
+		return nil, "", err
 	}
-	srv := &http.Server{
-		Handler:           soap.NewHTTPServer(h),
-		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readTimeout,
-		IdleTimeout:       idleTimeout,
-	}
-	go func() { _ = srv.Serve(ln) }()
-	url := fmt.Sprintf("http://%s/", ln.Addr().String())
-	stop := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}
-	return url, stop, nil
+	return ln, fmt.Sprintf("http://%s/", ln.Addr()), nil
 }
 
 func main() {
@@ -102,44 +76,50 @@ func main() {
 
 func run() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	client := soap.NewHTTPClient(&http.Client{Timeout: postTimeout})
+	client := soap.NewHTTPClient(nil)
 
-	// Coordinator, served over real HTTP. Its public address is only known
-	// after the listener binds, so construct it in two steps.
-	var coordinator *wsgossip.Coordinator
-	coordHandler := soap.HandlerFunc(func(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
-		return coordinator.Handler().HandleSOAP(ctx, req)
-	})
-	coordURL, stopCoord, err := serveSOAP(coordHandler)
+	// Every endpoint serves until run returns, and run returns once each
+	// has shut down.
+	var servers sync.WaitGroup
+	defer func() {
+		cancel()
+		servers.Wait()
+	}()
+	serve := func(ln net.Listener, h soap.Handler) {
+		servers.Add(1)
+		go func() {
+			defer servers.Done()
+			if err := soap.Serve(ctx, ln, soap.NewHTTPServer(h)); err != nil {
+				log.Printf("serving %s: %v", ln.Addr(), err)
+			}
+		}()
+	}
+
+	// Coordinator, served over real HTTP.
+	ln, coordURL, err := listen()
 	if err != nil {
 		return err
 	}
-	defer stopCoord()
-	coordinator = wsgossip.NewCoordinator(wsgossip.CoordinatorConfig{Address: coordURL})
+	coordinator := wsgossip.NewCoordinator(wsgossip.CoordinatorConfig{Address: coordURL})
+	serve(ln, coordinator.Handler())
 	log.Printf("coordinator at %s", coordURL)
 
 	// Six disseminators and one unchanged consumer, each a Node served over
-	// HTTP. A node's address is its listener's URL, so the handler is bound
-	// before the node exists. Start subscribes in the background (retrying
-	// until the coordinator answers); wait until all seven have.
+	// HTTP at its listener's URL. Start subscribes in the background
+	// (retrying until the coordinator answers); wait until all seven have.
 	const disseminators = 6
-	var stops []func()
+	var nodes []*wsgossip.Node
 	defer func() {
-		for _, stop := range stops {
-			stop()
+		for _, node := range nodes {
+			node.Stop()
 		}
 	}()
 	startNode := func(role string, rec *recorder) (string, error) {
-		var node *wsgossip.Node
-		url, stop, err := serveSOAP(soap.HandlerFunc(func(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
-			return node.Handler().HandleSOAP(ctx, req)
-		}))
+		ln, url, err := listen()
 		if err != nil {
 			return "", err
 		}
-		stops = append(stops, stop)
-		node, err = wsgossip.NewNode(wsgossip.NodeConfig{
+		node, err := wsgossip.NewNode(wsgossip.NodeConfig{
 			Address:     url,
 			Role:        role,
 			Caller:      client,
@@ -147,9 +127,11 @@ func run() error {
 			Coordinator: coordURL,
 		})
 		if err != nil {
+			ln.Close()
 			return "", err
 		}
-		stops = append(stops, node.Stop)
+		serve(ln, node.Handler())
+		nodes = append(nodes, node)
 		return url, node.Start(ctx)
 	}
 	recorders := make([]*recorder, disseminators)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -309,4 +311,139 @@ func runPlaneLaws(t *testing.T, seed int64) *metrics.Registry {
 		}
 	}
 	return reg
+}
+
+// holdBinding is the binding under TestPlaneAdmissionLaws. It holds the
+// one-way attempt named hold until the test sends its outcome on release,
+// answers every other attempt at once (a Call with callErr, a one-way
+// message with fail's entry for it, nil when there is none), and records
+// when each message lands. It fails the test on a second attempt to a peer
+// while one is in flight.
+type holdBinding struct {
+	t        *testing.T
+	clk      *clock.Virtual
+	hold     string
+	arrived  chan struct{}
+	release  chan error
+	callErr  error
+	fail     map[string]error
+	mu       sync.Mutex
+	inflight map[string]int
+	landed   []string
+	landedAt map[string]time.Duration
+}
+
+func (b *holdBinding) Send(context.Context, string, *soap.Envelope) error { return nil }
+
+func (b *holdBinding) Call(context.Context, string, *soap.Envelope) (*soap.Envelope, error) {
+	return nil, b.callErr
+}
+
+func (b *holdBinding) SendEncoded(_ context.Context, to string, data []byte) error {
+	id := string(data)
+	b.mu.Lock()
+	b.inflight[to]++
+	if n := b.inflight[to]; n > 1 {
+		b.t.Errorf("%s attempted while %d other attempts to %s are in flight", id, n-1, to)
+	}
+	b.mu.Unlock()
+	err := b.fail[id]
+	if id == b.hold {
+		b.arrived <- struct{}{}
+		err = <-b.release
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.inflight[to]--
+	if err == nil {
+		b.landed = append(b.landed, id)
+		b.landedAt[id] = b.clk.Now()
+	}
+	return err
+}
+
+// TestPlaneAdmissionLaws holds the plane's admission of fresh traffic to its
+// laws, with an attempt held in flight where the law needs one:
+//   - fresh traffic to a peer with an attempt in flight, or with a queue, is
+//     queued behind it: the peer's messages land in the order they were
+//     sent, and never are two attempts to one peer in flight at once;
+//   - fresh traffic inside a retry-after deferral, or inside the backoff of
+//     a transport failure, waits until it ends, even with nothing ahead.
+func TestPlaneAdmissionLaws(t *testing.T) {
+	ctx := context.Background()
+	clk := clock.NewVirtual()
+	b := &holdBinding{t: t, clk: clk, hold: "a/1",
+		arrived: make(chan struct{}), release: make(chan error),
+		fail:     map[string]error{"c/1": errConnRefused},
+		inflight: map[string]int{}, landedAt: map[string]time.Duration{}}
+	p := NewPlane(Config{Caller: b, Clock: clk, MaxAttempts: 1, BreakerThreshold: 100})
+	defer p.Close()
+	send := func(id string) {
+		t.Helper()
+		if err := p.SendEncoded(ctx, id[:1], []byte(id)); err != nil {
+			t.Fatalf("send %s: %v", id, err)
+		}
+	}
+	landed := func(want ...string) {
+		t.Helper()
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		if !slices.Equal(b.landed, want) {
+			t.Fatalf("at %v landed %v, want %v", clk.Now(), b.landed, want)
+		}
+	}
+
+	// Behind an attempt in flight, then behind a queue with nothing in
+	// flight: a/4 comes while a/2 and a/3 still wait for their pump.
+	first := make(chan error)
+	go func() { first <- p.SendEncoded(ctx, "a", []byte("a/1")) }()
+	<-b.arrived
+	send("a/2")
+	send("a/3")
+	landed()
+	b.release <- nil
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	send("a/4")
+	landed("a/1")
+	clk.Advance(0)
+	landed("a/1", "a/2", "a/3", "a/4")
+
+	// Inside a retry-after deferral, which a shed Call set with nothing
+	// queued.
+	const hint = 500 * time.Millisecond
+	b.callErr = soap.NewOverloadedFault("busy", hint)
+	deferredUntil := clk.Now() + hint
+	if _, err := p.Call(ctx, "b", nil); err == nil {
+		t.Fatal("the shed Call returned nil")
+	}
+	send("b/1")
+	clk.Advance(hint - time.Millisecond)
+	landed("a/1", "a/2", "a/3", "a/4")
+	clk.Advance(time.Millisecond)
+	if at, ok := b.landedAt["b/1"]; !ok || at < deferredUntil {
+		t.Fatalf("b/1 landed %v at %v, inside the deferral to %v", ok, at, deferredUntil)
+	}
+
+	// Inside the backoff of a transport failure whose message the budget
+	// dropped, with nothing queued.
+	if err := p.SendEncoded(ctx, "c", []byte("c/1")); err == nil {
+		t.Fatal("a failed attempt with no budget left returned nil")
+	}
+	p.mu.Lock()
+	backoffUntil := p.mach.peers["c"].backoffUntil
+	p.mu.Unlock()
+	if backoffUntil <= clk.Now() {
+		t.Fatalf("a transport failure at %v backed c off until %v", clk.Now(), backoffUntil)
+	}
+	send("c/2")
+	clk.Advance(backoffUntil - clk.Now() - 1)
+	if _, ok := b.landedAt["c/2"]; ok {
+		t.Fatalf("c/2 landed inside the backoff to %v", backoffUntil)
+	}
+	clk.Advance(1)
+	if at, ok := b.landedAt["c/2"]; !ok || at < backoffUntil {
+		t.Fatalf("c/2 landed %v at %v, backoff to %v", ok, at, backoffUntil)
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"wsgossip/internal/core"
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/simnet"
 	"wsgossip/internal/transport"
@@ -155,12 +156,11 @@ func (c *engineCluster) totalStats() gossip.Stats {
 	return t
 }
 
-// defaultHops returns the standard epidemic hop budget for n nodes.
+// defaultHops returns the standard epidemic hop budget for n nodes, the
+// coordinator's default policy's.
 func defaultHops(n int) int {
-	if n < 2 {
-		return 1
-	}
-	return int(math.Ceil(math.Log2(float64(n)))) + 2
+	_, hops := core.DefaultParamPolicy(n)
+	return hops
 }
 
 // quantile returns the q-quantile of vals (nearest rank); 0 for empty input.

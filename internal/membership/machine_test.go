@@ -59,6 +59,8 @@ func exchangeBody(t *testing.T, from string, entries []wireEntry) []byte {
 //   - a member that left is never re-admitted;
 //   - a member the view evicted is re-admitted only at a heartbeat above
 //     the one it stalled at;
+//   - a tick's outcome counts as evicted exactly the members it removed,
+//     and as suspected exactly the ones it turned suspect;
 //
 // and, every few steps on an uncapped view, that merging the same exchanges
 // at one instant in any order yields the same addresses, heartbeats and
@@ -166,7 +168,23 @@ func runMachineProperties(t *testing.T, seed int64, maxView int) {
 		switch op := rng.Intn(10); {
 		case op < 3:
 			now += time.Duration(rng.Intn(250)) * time.Millisecond
-			m.tick(now)
+			before := make(map[string]bool, len(m.members)) // member → suspect
+			for addr, mb := range m.members {
+				before[addr] = mb.State == StateSuspect
+			}
+			o := m.tick(now)
+			evicted, suspected := 0, 0
+			for addr, wasSuspect := range before {
+				if mb, ok := m.members[addr]; !ok {
+					evicted++
+				} else if !wasSuspect && mb.State == StateSuspect {
+					suspected++
+				}
+			}
+			if o.evicted != evicted || o.suspected != suspected {
+				t.Fatalf("step %d: tick counted %d evicted and %d suspected; it removed %d and turned %d suspect",
+					step, o.evicted, o.suspected, evicted, suspected)
+			}
 			check(true)
 		case op < 7:
 			from := propPool[rng.Intn(8)]

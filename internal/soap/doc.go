@@ -17,8 +17,8 @@
 //   - HTTPClient — the HTTP binding's client. It posts through the
 //     http.Client's Transport by RoundTrip and uses nothing else of the
 //     client: redirects are not followed, no cookie jar is kept, and the
-//     client's Timeout bounds each request unless the context's deadline is
-//     earlier. Only a 2xx answer is delivery; any other status is an error
+//     client's Timeout (Serve's 10 s wire bound when it sets none) bounds
+//     each request unless the context's deadline is earlier. Only a 2xx answer is delivery; any other status is an error
 //     (the fault the body carries, or one naming the status). Every request
 //     shares one header map and its address's parsed URL, and a delivered
 //     send's buffer goes back to the wire pool. A POST carries Host,
@@ -31,6 +31,10 @@
 //     grows as its bytes arrive, never past the declared length or
 //     MaxEnvelopeBytes; a body read in full is closed before the handler
 //     runs, so net/http discards nothing after it.
+//   - Serve — the one way to serve the binding: it serves a handler on a
+//     net.Listener until a context ends, with the bounds a peer gets (the
+//     whole request within the 10 s a sender waits, idle keep-alives closed
+//     after 2 min), and then shuts down within a fixed grace.
 //   - Fault — SOAP 1.2 faults, with NewFault/AsFault/FaultFrom helpers.
 //
 // The codec is the gossip hot path. It has one writer out, and one scanner

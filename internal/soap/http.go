@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -21,6 +22,50 @@ const MaxEnvelopeBytes = 8 << 20
 
 // maxEnvelopeBytes is the package-internal shorthand for the cap.
 const maxEnvelopeBytes = MaxEnvelopeBytes
+
+// wireTimeout is the HTTP binding's one rule for both of its ends: a peer
+// that stalls mid-request holds a connection no longer than a sender waits
+// for one. Serve wants a request whole, body included, within wireTimeout of
+// its first byte, and an HTTPClient made with no Timeout waits as long for a
+// POST; a handler still running past it finds its request's context
+// canceled, as it would had the sender hung up.
+const wireTimeout = 10 * time.Second
+
+// Serve serves h on ln with the HTTP binding's bounds until ctx ends: a
+// request's head must arrive within 5 s and the whole request within 10 s,
+// the longest an HTTPClient without a Timeout of its own waits for a POST,
+// and a kept-alive connection idle for 2 min is closed. When ctx ends, Serve
+// stops accepting, waits up to 3 s for the requests in flight, closes every
+// connection still open and returns nil. An error that stops serving first
+// is returned at once, the listener closed. h is typically an HTTPServer,
+// possibly with other routes mounted beside it.
+//
+// A connection a client opened but never sent a request on holds the whole
+// grace: net/http cannot tell it from one whose first request is on its way.
+func Serve(ctx context.Context, ln net.Listener, h http.Handler) error {
+	srv := &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       wireTimeout,
+		// Longer than net/http's default client keeps a connection idle
+		// (90 s), so a client never reuses one the server has just closed.
+		IdleTimeout: 2 * time.Minute,
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		_ = srv.Close()
+		return err
+	case <-ctx.Done():
+	}
+	sctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	_ = srv.Shutdown(sctx) // past the grace, Close ends what is left
+	_ = srv.Close()
+	<-served
+	return nil
+}
 
 // HTTPServer adapts a Handler to the SOAP 1.2 HTTP binding.
 type HTTPServer struct {
@@ -241,7 +286,9 @@ var _ Caller = (*HTTPClient)(nil)
 // the Transport (http.DefaultTransport when nil) and the Timeout: redirects
 // are not followed — a 3xx answer is an error, as is every answer that is
 // not 2xx — no cookie jar is kept, and Timeout bounds each request unless
-// the context's deadline is earlier.
+// the context's deadline is earlier. A Timeout of 0 or less (hc nil
+// included) is Serve's wire bound, 10 s: a sender waits for a peer no longer
+// than the peer's server lets a request take.
 //
 // A POST carries Host, Content-Length, Content-Type (application/soap+xml;
 // charset=utf-8) and Accept-Encoding: identity, and no User-Agent. A
@@ -259,7 +306,11 @@ func NewHTTPClient(hc *http.Client) *HTTPClient {
 	if rt == nil {
 		rt = http.DefaultTransport
 	}
-	return &HTTPClient{rt: rt, timeout: hc.Timeout}
+	timeout := hc.Timeout
+	if timeout <= 0 {
+		timeout = wireTimeout
+	}
+	return &HTTPClient{rt: rt, timeout: timeout}
 }
 
 // Call posts the envelope to the endpoint and decodes the response envelope;
@@ -359,12 +410,10 @@ func (c *HTTPClient) post(ctx context.Context, to string, b *postBody, keep bool
 	if err != nil {
 		return 0, nil, fmt.Errorf("post %s: %w", to, err)
 	}
-	if c.timeout > 0 {
-		if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > c.timeout {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, c.timeout)
-			defer cancel()
-		}
+	if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > c.timeout {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
+		defer cancel()
 	}
 	req := (&http.Request{
 		Method:        http.MethodPost,

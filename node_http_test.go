@@ -2,8 +2,8 @@ package wsgossip_test
 
 import (
 	"context"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
@@ -12,18 +12,22 @@ import (
 	"wsgossip/internal/soap"
 )
 
-// serveLater is an httptest server whose address is known before its
-// handler exists: a node's address is its listener's URL.
-func serveLater() (*httptest.Server, string) {
-	srv := httptest.NewUnstartedServer(nil)
-	return srv, "http://" + srv.Listener.Addr().String() + "/"
+// listen opens a loopback listener and returns it with its base URL: a
+// node's address is its listener's URL, known before the node is built.
+func listen(t *testing.T) (net.Listener, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln, "http://" + ln.Addr().String() + "/"
 }
 
 // TestNodeHTTPStopLeavesNoGoroutine runs a coordinator and two nodes, each
 // with a delivery plane and a live view, as real HTTP servers talking through
 // one soap.HTTPClient; it publishes a notification to both, stops both
-// nodes, closes the servers and the client's idle connections, and then no
-// goroutine the run started may be left.
+// nodes, closes the client's idle connections, shuts the servers down, and
+// then no goroutine the run started may be left.
 func TestNodeHTTPStopLeavesNoGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -31,22 +35,28 @@ func TestNodeHTTPStopLeavesNoGoroutine(t *testing.T) {
 	transport := &http.Transport{}
 	client := soap.NewHTTPClient(&http.Client{Transport: transport, Timeout: 5 * time.Second})
 
-	coordSrv, coordURL := serveLater()
+	serving, stopServing := context.WithCancel(context.Background())
+	defer stopServing()
+	served := make(chan error, 3)
+	serve := func(ln net.Listener, h soap.Handler) {
+		go func() { served <- soap.Serve(serving, ln, soap.NewHTTPServer(h)) }()
+	}
+
+	coordLn, coordURL := listen(t)
 	coord := wsgossip.NewCoordinator(wsgossip.CoordinatorConfig{Address: coordURL})
-	coordSrv.Config.Handler = soap.NewHTTPServer(coord.Handler())
-	coordSrv.Start()
+	serve(coordLn, coord.Handler())
 
 	got := make(chan struct{}, 4)
 	app := soap.HandlerFunc(func(context.Context, *soap.Request) (*soap.Envelope, error) {
 		got <- struct{}{}
 		return nil, nil
 	})
-	var servers []*httptest.Server
+	var lns []net.Listener
 	var nodes []*wsgossip.Node
 	var urls []string
 	for i := 0; i < 2; i++ {
-		srv, url := serveLater()
-		servers, urls = append(servers, srv), append(urls, url)
+		ln, url := listen(t)
+		lns, urls = append(lns, ln), append(urls, url)
 	}
 	for i, url := range urls {
 		node, err := wsgossip.NewNode(wsgossip.NodeConfig{
@@ -64,8 +74,7 @@ func TestNodeHTTPStopLeavesNoGoroutine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		servers[i].Config.Handler = soap.NewHTTPServer(node.Handler())
-		servers[i].Start()
+		serve(lns[i], node.Handler())
 		nodes = append(nodes, node)
 		if err := node.Start(ctx); err != nil {
 			t.Fatal(err)
@@ -103,10 +112,13 @@ func TestNodeHTTPStopLeavesNoGoroutine(t *testing.T) {
 	for _, node := range nodes {
 		node.Stop()
 	}
-	for _, srv := range append(servers, coordSrv) {
-		srv.Close()
-	}
 	transport.CloseIdleConnections()
+	stopServing()
+	for range cap(served) {
+		if err := <-served; err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := 0; runtime.NumGoroutine() > base; i++ {
 		if i == 400 {
 			buf := make([]byte, 1<<16)
