@@ -32,21 +32,26 @@ var (
 // plus the text lengths, and append covers escaped text.
 const flatOverhead = 160
 
-// gossipBlock writes a gossip header block; the MessageID may be given as a
-// string (a GossipHeader's) or as the bytes of a header read in place.
-func gossipBlock[ID string | []byte](interactionID string, messageID ID, hops int, protocol string) soap.Block {
-	buf := make([]byte, 0, flatOverhead+len(interactionID)+len(messageID)+len(protocol))
-	return soap.Block{XMLName: gossipName, Raw: appendGossipBlock(buf, interactionID, messageID, hops, protocol)}
+// gossipBlock writes a gossip header block.
+func gossipBlock(interactionID string, hops int, protocol, from string) soap.Block {
+	buf := make([]byte, 0, flatOverhead+len(interactionID)+len(protocol)+len(from))
+	return soap.Block{XMLName: gossipName, Raw: appendGossipBlock(buf, interactionID, hops, protocol, from)}
 }
 
-// appendGossipBlock writes gossipBlock's bytes to dst.
-func appendGossipBlock[ID string | []byte](dst []byte, interactionID string, messageID ID, hops int, protocol string) []byte {
+// appendGossipBlock writes gossipBlock's bytes to dst: xml.Marshal of a
+// GossipHeader with no MessageID. The notification's MessageID is its
+// wsa:MessageID, which every notify carries, so the gossip header does not
+// repeat it; from names the sender on a copy without the coordination
+// context (a bare copy), and is empty on any other.
+func appendGossipBlock(dst []byte, interactionID string, hops int, protocol, from string) []byte {
 	dst = soap.AppendFlatOpen(dst, Namespace, "Gossip")
 	dst = soap.AppendFlatText(dst, "InteractionID", interactionID)
-	dst = soap.AppendFlatText(dst, "MessageID", messageID)
 	dst = soap.AppendFlatInt(dst, "Hops", int64(hops))
 	if protocol != "" {
 		dst = soap.AppendFlatText(dst, "Protocol", protocol)
+	}
+	if from != "" {
+		dst = soap.AppendFlatText(dst, "From", from)
 	}
 	return soap.AppendFlatClose(dst, "Gossip")
 }
@@ -54,13 +59,15 @@ func appendGossipBlock[ID string | []byte](dst []byte, interactionID string, mes
 // gossipFields is a canonical gossip header read in place: the text fields
 // are views of the block's (still escaped) bytes, which alias the
 // transport's receive buffer and must not outlive the delivery. header
-// materializes them.
+// materializes them. messageID is set only on a header of the older form,
+// which repeated wsa:MessageID.
 type gossipFields struct {
-	interactionID, messageID, protocol soap.FlatText
-	hops                               int
+	interactionID, messageID, protocol, from soap.FlatText
+	hops                                     int
 }
 
-// scanGossipHeader reads a canonical gossip header block without allocating.
+// scanGossipHeader reads a canonical gossip header block without allocating:
+// the current form, and the older one with a MessageID child.
 func scanGossipHeader(raw []byte) (f gossipFields, ok bool) {
 	r, ok := soap.OpenFlat(raw, Namespace, "Gossip")
 	if !ok {
@@ -69,13 +76,12 @@ func scanGossipHeader(raw []byte) (f gossipFields, ok bool) {
 	if f.interactionID, ok = r.Text("InteractionID"); !ok {
 		return f, false
 	}
-	if f.messageID, ok = r.Text("MessageID"); !ok {
-		return f, false
-	}
+	f.messageID, _ = r.Text("MessageID") // written by older senders only
 	if f.hops, ok = r.Int("Hops"); !ok {
 		return f, false
 	}
 	f.protocol, _ = r.Text("Protocol") // omitted when empty
+	f.from, _ = r.Text("From")         // on a bare copy only
 	return f, r.Close("Gossip")
 }
 
@@ -83,8 +89,8 @@ func scanGossipHeader(raw []byte) (f gossipFields, ok bool) {
 // xml.Unmarshal of the block yields. The MessageID and the InteractionID are
 // fresh copies: one is minted per notification, the other per coordination
 // context, so interning either would fill the table with values that stop
-// recurring. The protocol is one of the few the stack defines and resolves
-// through the intern table.
+// recurring. The protocol and the sender are among the few values a
+// deployment bounds and resolve through the intern table.
 func (f gossipFields) header() GossipHeader {
 	return GossipHeader{
 		XMLName:       gossipName,
@@ -92,6 +98,7 @@ func (f gossipFields) header() GossipHeader {
 		MessageID:     f.messageID.String(),
 		Hops:          f.hops,
 		Protocol:      f.protocol.Symbol(),
+		From:          f.from.Symbol(),
 	}
 }
 
@@ -106,19 +113,35 @@ type notice struct {
 	protocol  string
 }
 
-// readNotice reads a gossip header block into the InteractionID to look the
-// interaction up with and the notice to act on: the canonical form in place,
-// its IDs views of the block (copied only to unescape), anything else
-// through encoding/xml.
-func readNotice(b soap.Block) (interaction []byte, n notice, err error) {
+// Rejections of a gossip header's content are fixed values.
+var errNoMessageID = errors.New("core: gossip header without a MessageID")
+
+// readNotice reads the gossip header block b of env into the InteractionID
+// to look the interaction up with, the notice to act on, and the sender a
+// bare copy names (empty on any other): the canonical form in place, its IDs
+// views of the block (copied only to unescape), anything else through
+// encoding/xml. The MessageID is env's wsa:MessageID, read in place too, or
+// on a header of the older form the copy it carries.
+func readNotice(env *soap.Envelope, b soap.Block) (interaction []byte, n notice, from []byte, err error) {
+	var id []byte
 	if f, ok := scanGossipHeader(b.Raw); ok {
-		return f.interactionID.Key(), notice{f.messageID.Key(), f.hops, f.protocol.Symbol()}, nil
+		interaction, id, from = f.interactionID.Key(), f.messageID.Key(), f.from.Key()
+		n = notice{hops: f.hops, protocol: f.protocol.Symbol()}
+	} else {
+		var gh GossipHeader
+		if err = b.Decode(&gh); err != nil {
+			return nil, n, nil, err
+		}
+		interaction, id, from = []byte(gh.InteractionID), []byte(gh.MessageID), []byte(gh.From)
+		n = notice{hops: gh.Hops, protocol: gh.Protocol}
 	}
-	var gh GossipHeader
-	if err = b.Decode(&gh); err != nil {
-		return nil, n, err
+	if len(id) == 0 {
+		if id = env.MessageIDKey(); len(id) == 0 {
+			return nil, n, nil, errNoMessageID
+		}
 	}
-	return []byte(gh.InteractionID), notice{[]byte(gh.MessageID), gh.Hops, gh.Protocol}, nil
+	n.messageID = id
+	return interaction, n, from, nil
 }
 
 // decodeGossipHeader decodes a gossip header block: the canonical form in
@@ -133,7 +156,7 @@ func decodeGossipHeader(b soap.Block) (GossipHeader, error) {
 }
 
 // appendAnnounce writes an Announce body block to dst; the MessageID is a
-// string or bytes, as gossipBlock's.
+// string, or the bytes of a header read in place.
 func appendAnnounce[ID string | []byte](dst []byte, interactionID string, messageID ID, hops int, holder string) []byte {
 	dst = soap.AppendFlatOpen(dst, Namespace, "Announce")
 	dst = soap.AppendFlatText(dst, "InteractionID", interactionID)
@@ -232,7 +255,7 @@ func readAnnounce(b soap.Block, name bool) (id []byte, holder announceHolder, er
 }
 
 // appendFetch writes a Fetch body block to dst; the MessageID is a string or
-// bytes, as gossipBlock's.
+// bytes, as appendAnnounce's.
 func appendFetch[ID string | []byte](dst []byte, messageID ID, requester string) []byte {
 	dst = soap.AppendFlatOpen(dst, Namespace, "Fetch")
 	dst = soap.AppendFlatText(dst, "MessageID", messageID)

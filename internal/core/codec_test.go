@@ -53,11 +53,11 @@ func TestFlatCodecWritersMatchMarshal(t *testing.T) {
 		for _, hops := range codecHops {
 			other := codecTexts[(i+1)%len(codecTexts)]
 			for _, protocol := range []string{"", ProtocolPullGossip, s} {
-				gh := GossipHeader{InteractionID: s, MessageID: other, Hops: hops, Protocol: protocol}
-				want := mustMarshal(t, gh)
-				// The MessageID given as a string and as bytes read in place.
-				for _, got := range []soap.Block{headerBlock(gh), gossipBlock(s, []byte(other), hops, protocol)} {
-					if got.XMLName != gossipName || !bytes.Equal(got.Raw, want) {
+				// A copy with its context, and a bare one naming its sender.
+				for _, from := range []string{"", other} {
+					gh := GossipHeader{InteractionID: s, Hops: hops, Protocol: protocol, From: from}
+					want := mustMarshal(t, gh)
+					if got := headerBlock(gh); got.XMLName != gossipName || !bytes.Equal(got.Raw, want) {
 						t.Fatalf("gossip header %+v:\n got %s\nwant %s", gh, got.Raw, want)
 					}
 				}
@@ -137,11 +137,16 @@ func TestFlatCodecReadersMatchUnmarshal(t *testing.T) {
 	for i, s := range codecTexts {
 		for _, hops := range codecHops {
 			other := codecTexts[(i+1)%len(codecTexts)]
-			gh := GossipHeader{InteractionID: s, MessageID: other, Hops: hops, Protocol: codecTexts[(i+2)%len(codecTexts)]}
-			// Everything the writer emits is read in place, except hop
-			// counts wider than the reader's nine digits.
-			if ok, wide := checkReaders(t, headerBlock(gh).Raw), hops > 999999999; ok == wide {
-				t.Fatalf("gossip reader accepted=%v for %s", ok, headerBlock(gh).Raw)
+			gh := GossipHeader{InteractionID: s, Hops: hops, Protocol: codecTexts[(i+2)%len(codecTexts)], From: other}
+			old := gh
+			old.MessageID = other
+			// Everything the writer emits is read in place, and so is the
+			// older form that repeated the MessageID, except hop counts wider
+			// than the reader's nine digits.
+			for _, raw := range [][]byte{headerBlock(gh).Raw, mustMarshal(t, old)} {
+				if ok, wide := checkReaders(t, raw), hops > 999999999; ok == wide {
+					t.Fatalf("gossip reader accepted=%v for %s", ok, raw)
+				}
 			}
 			raw := announceOf(Announce{InteractionID: s, MessageID: other, Hops: hops, Holder: s}).Raw
 			checkReaders(t, raw)
@@ -425,6 +430,9 @@ func FuzzGossipHeaderCodec(f *testing.F) {
 			f.Fatal("captured notification without a gossip header")
 		}
 		f.Add(b.Raw)
+		f.Add(mustMarshal(f, gh)) // the older form, which repeated the MessageID
+		gh.From = "mem://sender"
+		f.Add(headerBlock(gh).Raw) // a bare copy's
 		f.Add(announceOf(Announce{InteractionID: s, MessageID: gh.MessageID, Hops: gh.Hops, Holder: s}).Raw)
 		f.Add(fetchOf(Fetch{MessageID: s, Requester: gh.MessageID}).Raw)
 	}
@@ -438,6 +446,7 @@ func FuzzGossipHeaderCodec(f *testing.F) {
 			return
 		}
 		gh.XMLName = xml.Name{} // as callers build one
+		gh.MessageID = ""       // the writer leaves it to wsa:MessageID
 		written := headerBlock(gh).Raw
 		if want := mustMarshal(t, gh); !bytes.Equal(written, want) {
 			t.Fatalf("writer for %+v:\n got %s\nwant %s", gh, written, want)
@@ -842,7 +851,7 @@ func sumsBytes(sums []uint64) []byte {
 // headerBlock, announceOf and fetchOf write a header or body struct through
 // the byte-level writers.
 func headerBlock(gh GossipHeader) soap.Block {
-	return gossipBlock(gh.InteractionID, gh.MessageID, gh.Hops, gh.Protocol)
+	return gossipBlock(gh.InteractionID, gh.Hops, gh.Protocol, gh.From)
 }
 
 func announceOf(a Announce) soap.Block {

@@ -70,37 +70,50 @@ const (
 var ErrNoGossipHeader = errors.New("core: no gossip header")
 
 // GossipHeader is the SOAP header block that rides on every gossiped
-// notification: it names the interaction (the coordination activity), the
-// notification, and the remaining hop budget. Protocol names the
-// coordination protocol the interaction runs (empty means WS-PushGossip,
-// for wire compatibility with pre-registry senders), so a disseminator's
-// first-contact registration asks for the right parameter set.
+// notification: it names the interaction (the coordination activity) and the
+// remaining hop budget. Protocol names the coordination protocol the
+// interaction runs (empty means WS-PushGossip, for wire compatibility with
+// pre-registry senders), so a disseminator's first-contact registration asks
+// for the right parameter set. From names the sender on a bare copy — one
+// that omits the CoordinationContext because its sender has handed the peer
+// the context before — so a peer that does not hold the interaction can
+// refuse it (see Disseminator). The notification itself is named by its
+// wsa:MessageID: the header's own MessageID child is written by older senders
+// only, and GossipHeaderFrom fills the field from wsa:MessageID when the
+// header omits it.
 type GossipHeader struct {
 	XMLName       xml.Name `xml:"urn:wsgossip:2008 Gossip"`
 	InteractionID string   `xml:"InteractionID"`
-	MessageID     string   `xml:"MessageID"`
+	MessageID     string   `xml:"MessageID,omitempty"`
 	Hops          int      `xml:"Hops"`
 	Protocol      string   `xml:"Protocol,omitempty"`
+	From          string   `xml:"From,omitempty"`
 }
 
 // SetGossipHeader writes gh into the envelope, replacing any existing gossip
-// header. The error is always nil; the signature predates the byte-level
-// writer.
+// header. gh.MessageID is not written: the envelope's wsa:MessageID
+// (SetAddressing) names the notification. The error is always nil; the
+// signature predates the byte-level writer.
 func SetGossipHeader(env *soap.Envelope, gh GossipHeader) error {
 	env.RemoveHeader(Namespace, "Gossip")
-	env.AddHeaderBlock(gossipBlock(gh.InteractionID, gh.MessageID, gh.Hops, gh.Protocol))
+	env.AddHeaderBlock(gossipBlock(gh.InteractionID, gh.Hops, gh.Protocol, gh.From))
 	return nil
 }
 
-// GossipHeaderFrom extracts the gossip header, or ErrNoGossipHeader. The
-// returned strings are copies: they stay valid after the envelope's receive
-// buffer is recycled.
+// GossipHeaderFrom extracts the gossip header, or ErrNoGossipHeader. Its
+// MessageID is the envelope's wsa:MessageID unless the header is of the older
+// form that carried its own. The returned strings are copies: they stay valid
+// after the envelope's receive buffer is recycled.
 func GossipHeaderFrom(env *soap.Envelope) (GossipHeader, error) {
 	b, ok := env.HeaderBlock(Namespace, "Gossip")
 	if !ok {
 		return GossipHeader{}, ErrNoGossipHeader
 	}
-	return decodeGossipHeader(b)
+	gh, err := decodeGossipHeader(b)
+	if err == nil && gh.MessageID == "" {
+		gh.MessageID = string(env.MessageIDKey())
+	}
+	return gh, err
 }
 
 // GossipParameters is the registration-response extension through which the

@@ -10,6 +10,7 @@ import (
 
 	"wsgossip/internal/epidemic"
 	"wsgossip/internal/soap"
+	"wsgossip/internal/wsa"
 	"wsgossip/internal/wscoord"
 )
 
@@ -296,6 +297,9 @@ func TestDisseminatorWithoutContextStillDelivers(t *testing.T) {
 func TestGossipHeaderRoundTrip(t *testing.T) {
 	env := soap.NewEnvelope()
 	gh := GossipHeader{InteractionID: "ia", MessageID: "mb", Hops: 5}
+	if err := env.SetAddressing(wsa.Headers{MessageID: wsa.MessageID(gh.MessageID)}); err != nil {
+		t.Fatal(err)
+	}
 	if err := SetGossipHeader(env, gh); err != nil {
 		t.Fatal(err)
 	}

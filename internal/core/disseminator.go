@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/xml"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,6 +47,11 @@ type DisseminatorStats struct {
 	// PullServed counts notifications retransmitted in response to pull
 	// requests.
 	PullServed int64
+	// Refused counts refusals sent: each answers a bare copy of a
+	// notification of an interaction the node does not hold.
+	Refused int64
+	// Refusals counts refusals received.
+	Refusals int64
 }
 
 // counters is the live, lock-free form of DisseminatorStats. Every field is
@@ -70,6 +77,8 @@ type counters struct {
 	pullServed    *metrics.Counter // gossip_retransmits_total{protocol="pull"}
 	failovers     *metrics.Counter // registrations served by a successor coordinator
 	annDropped    *metrics.Counter // deferred announcements beyond gossip.QueueCap
+	refused       *metrics.Counter // gossip_refusals_total{side="sent"}
+	refusals      *metrics.Counter // gossip_refusals_total{side="received"}
 	fanoutSeconds *metrics.BucketHistogram
 }
 
@@ -77,6 +86,7 @@ type counters struct {
 func newCounters(reg *metrics.Registry) counters {
 	sends := reg.CounterVec("gossip_sends_total", "protocol")
 	retransmits := reg.CounterVec("gossip_retransmits_total", "protocol")
+	refusals := reg.CounterVec("gossip_refusals_total", "side")
 	return counters{
 		received:      reg.Counter("gossip_received_total"),
 		delivered:     reg.Counter("gossip_delivered_total"),
@@ -93,6 +103,8 @@ func newCounters(reg *metrics.Registry) counters {
 		served:        retransmits.With("lazypush"),
 		pullServed:    retransmits.With("pull"),
 		repaired:      retransmits.With("repair"),
+		refused:       refusals.With("sent"),
+		refusals:      refusals.With("received"),
 		fanoutSeconds: reg.BucketHistogram("gossip_fanout_seconds", metrics.DefLatencyBuckets),
 	}
 }
@@ -112,6 +124,8 @@ func (c *counters) snapshot() DisseminatorStats {
 		Repaired:      c.repaired.Value(),
 		PullsSent:     c.pullsSent.Value(),
 		PullServed:    c.pullServed.Value(),
+		Refused:       c.refused.Value(),
+		Refusals:      c.refusals.Value(),
 	}
 }
 
@@ -158,11 +172,27 @@ type DisseminatorConfig struct {
 // InteractionID the state is kept under: a received or served notification of
 // the interaction takes its header's InteractionID from here instead of
 // copying it out of the message.
+//
+// context is the interaction's CoordinationContext header block, kept once,
+// and given the peers this node has handed a copy carrying it (see forward):
+// a copy to one of them goes bare. A peer joins given when a copy with the
+// context to it is a send the binding reported done, and leaves it when it
+// refuses a bare copy (handleRefuse). The node's own successful sends are
+// the only evidence: no message from a peer adds one, so a forged message
+// can cost a peer the context at most until its next refusal. given holds at
+// most maxGiven peers; a copy to any other carries the context. A state with
+// no context block (one built by hand) forwards a copy's own context as
+// received. given is guarded by the Disseminator's mu.
 type interactionState struct {
-	id     string
-	params GossipParameters
-	style  gossip.Style
+	id      string
+	params  GossipParameters
+	style   gossip.Style
+	context soap.Block
+	given   map[string]struct{}
 }
+
+// maxGiven bounds an interaction's given peers.
+const maxGiven = 1024
 
 // newInteractionState parses the style of the interaction id, registered for
 // protocol: WS-PullGossip is pull whatever the parameters say, and an unknown
@@ -178,14 +208,37 @@ func newInteractionState(id, protocol string, params GossipParameters) *interact
 	return &interactionState{id: id, params: params, style: style}
 }
 
-// interactionIDLocked returns the InteractionID a gossip header names, given
-// as the bytes read from it: the interaction state's own string when the node
-// knows the interaction, so nothing is copied, and a copy otherwise.
-func (d *Disseminator) interactionIDLocked(id []byte) string {
-	if state, ok := d.interactions[string(id)]; ok {
-		return state.id
+// bareLocked returns which of targets were handed the context, as a mask in
+// target order: their copies go bare. Only the first 64 targets can be.
+// Caller holds d.mu.
+func (s *interactionState) bareLocked(targets []string) (mask uint64) {
+	for i, t := range targets[:min(len(targets), 64)] {
+		if _, ok := s.given[t]; ok {
+			mask |= 1 << i
+		}
 	}
-	return string(id)
+	return mask
+}
+
+// contextName is the name of the context block s writes on each copy, which
+// a stored copy therefore leaves out; zero for a nil state or one without a
+// context block, whose stored copies keep their own.
+func (s *interactionState) contextName() xml.Name {
+	if s == nil || s.context.Raw == nil {
+		return xml.Name{}
+	}
+	return s.context.XMLName
+}
+
+// giveLocked records that peer was sent a copy carrying the context. Caller
+// holds d.mu.
+func (s *interactionState) giveLocked(peer string) {
+	if s.given == nil {
+		s.given = make(map[string]struct{})
+	}
+	if len(s.given) < maxGiven {
+		s.given[peer] = struct{}{}
+	}
 }
 
 // defaultStoreSize is the store's capacity when DisseminatorConfig.StoreSize
@@ -311,11 +364,14 @@ func (d *Disseminator) RegisterActions(dispatcher *soap.Dispatcher) {
 	dispatcher.Register(ActionIWant, soap.HandlerFunc(d.handleIWant))
 	dispatcher.Register(ActionDigest, soap.HandlerFunc(d.handleDigest))
 	dispatcher.Register(ActionPullRequest, soap.HandlerFunc(d.handlePullRequest))
+	dispatcher.Register(ActionRefuse, soap.HandlerFunc(d.handleRefuse))
 }
 
 // intercept is the gossip layer on the notify action: dedup, first-contact
 // registration, local delivery to cfg.App, and re-routing as the machine
-// decides.
+// decides. A bare copy of an interaction the node does not hold — its first
+// copy lost, its registration failed, or the node restarted at the same
+// address — is delivered and refused (refuse), first receipt or duplicate.
 func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
 	block, ok := req.Envelope.HeaderBlock(Namespace, "Gossip")
 	if !ok {
@@ -329,7 +385,7 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.
 	// MessageID either: the store keeps a copy of the envelope, and a forward
 	// writes the ID from the view. A header the byte-level reader declines is
 	// decoded up front.
-	interaction, n, err := readNotice(block)
+	interaction, n, from, err := readNotice(req.Envelope, block)
 	if err != nil {
 		return d.deliver(ctx, req) // malformed header: not gossip either
 	}
@@ -340,11 +396,14 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.
 	first, t := d.m.Receive(sum, false)
 	state := d.interactions[string(interaction)]
 	if first {
-		d.retainLocked(sum, req.Envelope)
+		d.retainLocked(sum, req.Envelope, state)
 	}
 	d.mu.Unlock()
 	if !first {
 		d.stats.duplicates.Add(1)
+		if state == nil {
+			d.refuse(ctx, req.Envelope, interaction, from)
+		}
 		// Counter mongering: a duplicate of a rumor still being mongered
 		// bursts it again.
 		d.spread(ctx, req.Envelope, n, state, t)
@@ -365,12 +424,14 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.
 	// suppressed on the gossip path.
 	_, appErr := d.deliver(ctx, req)
 
-	if state != nil {
-		d.mu.Lock()
-		t := d.m.Spread(sum, state.style, n.hops, false)
-		d.mu.Unlock()
-		d.spread(ctx, req.Envelope, n, state, t)
+	if state == nil {
+		d.refuse(ctx, req.Envelope, interaction, from)
+		return nil, appErr
 	}
+	d.mu.Lock()
+	t = d.m.Spread(sum, state.style, n.hops, false)
+	d.mu.Unlock()
+	d.spread(ctx, req.Envelope, n, state, t)
 	return nil, appErr
 }
 
@@ -385,8 +446,10 @@ type stored struct {
 }
 
 // retainLocked keeps a copy of env, the first receipt of the notification
-// whose ID's sum is sum. The store outlives this delivery, whose inbound
-// buffer the transport recycles once the handler returns, so the one
+// whose ID's sum is sum, of the interaction state holds (nil for one the
+// node does not hold yet). The copy leaves out a context the state holds: a
+// serve writes the state's (forward). The store outlives this delivery, whose
+// inbound buffer the transport recycles once the handler returns, so the one
 // retention point in the stack copies what a retransmission reads (see
 // soap.Retained). Once the store is full the copy refills the slot of the
 // entry it evicts, unless a serve is still reading that one, which is then
@@ -395,7 +458,7 @@ type stored struct {
 // entry's. The copy, about a kilobyte, is made under d.mu: it is paid once
 // per unique message, duplicates, the bulk of gossip traffic, never get
 // here, and a refill must not overlap the serves that check refs.
-func (d *Disseminator) retainLocked(sum uint64, env *soap.Envelope) {
+func (d *Disseminator) retainLocked(sum uint64, env *soap.Envelope, state *interactionState) {
 	if _, held := d.m.Get(sum); held {
 		return
 	}
@@ -403,7 +466,7 @@ func (d *Disseminator) retainLocked(sum uint64, env *soap.Envelope) {
 	if !ok || slot.refs > 0 {
 		slot = new(stored)
 	}
-	slot.Retain(env)
+	slot.Retain(env, state.contextName())
 	d.m.Hold(sum, slot)
 }
 
@@ -432,7 +495,8 @@ func (d *Disseminator) registerInteraction(ctx context.Context, env *soap.Envelo
 }
 
 // registerProtocol performs the Register call for one (interaction,
-// protocol) pair and caches the returned parameters under cacheKey. When
+// protocol) pair and caches the returned parameters under cacheKey, with the
+// context's header block, the one copy every forward writes it from. When
 // the context's primary Registration service is unreachable, the configured
 // successor coordinators are tried in order (coordinator failover): the
 // coordination context is re-aimed at each successor, which can serve the
@@ -461,6 +525,9 @@ func (d *Disseminator) registerProtocol(ctx context.Context, cctx wscoord.Coordi
 		return nil, fmt.Errorf("core: registration response without parameters: %w", err)
 	}
 	state := newInteractionState(cacheKey, protocol, params)
+	if block, err := wscoord.ContextBlock(cctx); err == nil {
+		state.context = block
+	}
 	d.mu.Lock()
 	d.interactions[cacheKey] = state
 	d.mu.Unlock()
@@ -517,20 +584,58 @@ func (d *Disseminator) spread(ctx context.Context, env *soap.Envelope, n notice,
 	}
 	n.hops = t.Hops(n.hops)
 	start := d.now()
-	sent, failed := d.forward(ctx, env, state.id, n, false, targets)
+	sent, failed := d.forward(ctx, env, state, n, false, targets)
 	d.stats.forwarded.Add(int64(d.fanned(start, sent, failed)))
 }
 
 // forward is the one way a notification travels on: a copy of env re-headed
-// for another transfer — a gossip header naming interaction and carrying n,
-// the notify action and the notification's own MessageID, written from n's
-// bytes — sent to targets through soap.Forward. direct marks a
-// retransmission to one peer (soap.Rehead.Direct). The gossip header is
+// for another transfer — a gossip header naming state's interaction and
+// carrying n, the notify action and the notification's own MessageID, written
+// from n's bytes — sent to targets through soap.Forward. direct marks a
+// retransmission to one peer (soap.Rehead.Direct).
+//
+// The copy's coordination context is the state's: env's own is left out. A
+// target in the state's given peers gets a bare copy, without the context
+// and naming this node in the gossip header's From; every other target gets
+// the context, and each such copy the binding reports sent adds the target
+// to given. Targets are sent in order, each run of alike copies through one
+// soap.Forward. A state without a context block (an unknown interaction's, or
+// one built by hand) forwards env's context as it is. The gossip header is
 // written into scratch on the stack; soap.Forward copies it where it goes.
-func (d *Disseminator) forward(ctx context.Context, env *soap.Envelope, interaction string, n notice, direct bool, targets []string) (sent int, failed []string) {
+func (d *Disseminator) forward(ctx context.Context, env *soap.Envelope, state *interactionState, n notice, direct bool, targets []string) (sent int, failed []string) {
 	var scratch [512]byte
 	rh := soap.Rehead{Name: gossipName, Action: ActionNotify, ID: n.messageID, Direct: direct}
-	return soap.Forward(ctx, d.cfg.Caller, env, rh, appendGossipBlock(scratch[:0], interaction, n.messageID, n.hops, n.protocol), targets)
+	if state.context.Raw == nil {
+		return soap.Forward(ctx, d.cfg.Caller, env, rh, appendGossipBlock(scratch[:0], state.id, n.hops, n.protocol, ""), targets)
+	}
+	rh.Lead.XMLName = state.context.XMLName
+	d.mu.Lock()
+	bare := state.bareLocked(targets)
+	d.mu.Unlock()
+	for len(targets) > 0 {
+		k, isBare := 1, bare&1 != 0
+		for k < len(targets) && (bare>>k&1 != 0) == isBare {
+			k++
+		}
+		from, lead := "", state.context.Raw
+		if isBare {
+			from, lead = d.cfg.Address, nil
+		}
+		rh.Lead.Raw = lead
+		s, f := soap.Forward(ctx, d.cfg.Caller, env, rh, appendGossipBlock(scratch[:0], state.id, n.hops, n.protocol, from), targets[:k])
+		if !isBare && s > 0 {
+			d.mu.Lock()
+			for _, t := range targets[:k] {
+				if !slices.Contains(f, t) {
+					state.giveLocked(t)
+				}
+			}
+			d.mu.Unlock()
+		}
+		sent, failed = sent+s, append(failed, f...)
+		targets, bare = targets[k:], bare>>k
+	}
+	return sent, failed
 }
 
 // fanned accounts for one fan-out begun at start: its latency, and a send

@@ -45,7 +45,8 @@
 // oldest sum listed (DESIGN.md, "Digests of sums").
 //
 // The machine knows a notification only by that sum. intercept takes it from
-// the MessageID where it lies in the received header, so a first receipt,
+// the wsa:MessageID where it lies in the received header (the gossip header
+// does not repeat it), so a first receipt,
 // like a duplicate, builds no MessageID string: the store holds a copy of
 // the envelope, refilled in place once the store is full, and a forward, a
 // served copy, an IHAVE and the IWANT that answers one write the ID from
@@ -54,6 +55,14 @@
 // which outlives its delivery, is copied (into the machine's round), and
 // GossipHeaderFrom still returns strings (DESIGN.md, "One identity per
 // notification").
+//
+// A notification carries each fact once (DESIGN.md, "A notification carries
+// each fact once"): a Disseminator keeps each interaction's coordination
+// context once and writes it only on a copy to a peer it has not handed the
+// context yet; any other copy goes bare, naming its sender in the gossip
+// header's From, and a node that gets a bare copy of an interaction it does
+// not hold refuses it to that sender (refuse.go), whose next copy carries
+// the context.
 //
 // Key types beyond the roles:
 //

@@ -159,7 +159,7 @@ func (i *Initiator) Notify(ctx context.Context, inter *Interaction, body any) (w
 		protocol = "" // wire compatibility: empty means push
 	}
 	var gossipBuf [512]byte
-	header := [2]soap.Block{cb, {XMLName: gossipName, Raw: appendGossipBlock(gossipBuf[:0], inter.Context.Identifier, string(msgID), inter.Params.Hops, protocol)}}
+	header := [2]soap.Block{cb, {XMLName: gossipName, Raw: appendGossipBlock(gossipBuf[:0], inter.Context.Identifier, inter.Params.Hops, protocol, "")}}
 	m := soap.Message{Action: ActionNotify, ID: id, Header: header[:], Body: []soap.Block{b}}
 	targets := i.seedTargets(inter)
 	sent, failed := m.Fanout(ctx, i.cfg.Caller, targets)

@@ -142,18 +142,24 @@ func pin(slots []*stored, by int) {
 // retransmit serves slots, which the caller pinned, to one peer, each
 // transfer costing one hop, counts what went out in served, and unpins them.
 // A copy is re-headed with the MessageID read in place from its slot and the
-// InteractionID the interaction state holds (copied only for one unknown).
+// interaction state's InteractionID and context, so a copy stored bare goes
+// out with the context when the peer needs it (forward). A copy of an
+// interaction the node does not hold names it by a copy of its ID and goes
+// out with whatever context it was stored with.
 func (d *Disseminator) retransmit(ctx context.Context, to string, slots []*stored, served *metrics.Counter) {
 	var sent int64
 	for _, slot := range slots {
 		env := slot.Envelope()
 		if b, ok := env.HeaderBlock(Namespace, "Gossip"); ok {
-			if interaction, n, err := readNotice(b); err == nil {
+			if interaction, n, _, err := readNotice(env, b); err == nil {
 				d.mu.Lock()
-				id := d.interactionIDLocked(interaction)
+				state := d.interactions[string(interaction)]
 				d.mu.Unlock()
+				if state == nil {
+					state = &interactionState{id: string(interaction)}
+				}
 				n.hops = gossip.ServedHops(n.hops)
-				if out, _ := d.forward(ctx, env, id, n, true, []string{to}); out == 1 {
+				if out, _ := d.forward(ctx, env, state, n, true, []string{to}); out == 1 {
 					sent++
 					continue
 				}

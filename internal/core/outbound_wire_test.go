@@ -270,7 +270,7 @@ func TestForwardMatchesRenotify(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no gossip header", name)
 		}
-		interaction, n, err := readNotice(b)
+		interaction, n, _, err := readNotice(env, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +278,7 @@ func TestForwardMatchesRenotify(t *testing.T) {
 		renotify := func(to string) *soap.Envelope {
 			out := env.Snapshot()
 			out.RemoveHeader(Namespace, "Gossip")
-			out.AddHeaderBlock(gossipBlock(string(interaction), n.messageID, n.hops, n.protocol))
+			out.AddHeaderBlock(gossipBlock(string(interaction), n.hops, n.protocol, ""))
 			_ = out.SetAddressing(wsa.Headers{To: to, Action: ActionNotify, MessageID: wsa.MessageID(n.messageID)})
 			return out
 		}
@@ -298,7 +298,7 @@ func TestForwardMatchesRenotify(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sent, failed := d.forward(ctx, env, string(interaction), n, direct, targets); sent != len(targets) || failed != nil {
+			if sent, failed := d.forward(ctx, env, &interactionState{id: string(interaction)}, n, direct, targets); sent != len(targets) || failed != nil {
 				t.Fatalf("%s: forward sent %d, failed %v", name, sent, failed)
 			}
 			if len(got.msgs) != len(want.msgs) {

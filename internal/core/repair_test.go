@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/xml"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/soap"
+	"wsgossip/internal/wsa"
 )
 
 // repairPair builds two disseminators on one bus, with A holding a gossiped
@@ -367,7 +369,10 @@ func newDigestResponder(t testing.TB, storeSize int) (*Disseminator, *retransmit
 func storeNotification(t testing.TB, d *Disseminator, id string) {
 	t.Helper()
 	env := soap.NewEnvelope()
-	if err := SetGossipHeader(env, GossipHeader{InteractionID: "urn:uuid:i", MessageID: id, Hops: 3}); err != nil {
+	if err := env.SetAddressing(wsa.Headers{MessageID: wsa.MessageID(id)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := SetGossipHeader(env, GossipHeader{InteractionID: "urn:uuid:i", Hops: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := env.SetBody(quoteBody{Symbol: "DIG", Price: 1}); err != nil {
@@ -382,7 +387,7 @@ func storeNotification(t testing.TB, d *Disseminator, id string) {
 // it.
 func storedOf(env *soap.Envelope) *stored {
 	s := new(stored)
-	s.Retain(env)
+	s.Retain(env, xml.Name{})
 	return s
 }
 

@@ -92,9 +92,9 @@ func FuzzStoredServe(f *testing.F) {
 			t.Fatal(err)
 		}
 		d.mu.Lock()
-		d.retainLocked(gossip.IDSum("a"), envA)
+		d.retainLocked(gossip.IDSum("a"), envA, nil)
 		slot, _ := d.m.Get(gossip.IDSum("a"))
-		d.retainLocked(gossip.IDSum("b"), envB)
+		d.retainLocked(gossip.IDSum("b"), envB, nil)
 		refilled, _ := d.m.Get(gossip.IDSum("b"))
 		_, aHeld := d.m.Get(gossip.IDSum("a"))
 		d.mu.Unlock()
@@ -107,7 +107,7 @@ func FuzzStoredServe(f *testing.F) {
 
 		for _, direct := range []bool{false, true} {
 			rh := soap.Rehead{Name: gossipName, Action: ActionNotify, ID: []byte("urn:uuid:fuzz"), Direct: direct}
-			block := appendGossipBlock(nil, "urn:uuid:i", rh.ID, 2, "")
+			block := appendGossipBlock(nil, "urn:uuid:i", 2, "", "")
 			got, want := forwardedBytes(t, slot.Envelope(), rh, block), forwardedBytes(t, clone, rh, block)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("direct=%v: the refilled slot forwards\n%s\nits clone\n%s", direct, got, want)
@@ -123,13 +123,13 @@ func FuzzStoredServe(f *testing.F) {
 		if !ok {
 			return
 		}
-		interaction, n, err := readNotice(gh)
+		interaction, n, _, err := readNotice(clone, gh)
 		if err != nil {
 			return
 		}
 		n.hops = gossip.ServedHops(n.hops)
 		rh := soap.Rehead{Name: gossipName, Action: ActionNotify, ID: n.messageID, Direct: true}
-		want := forwardedBytes(t, clone, rh, appendGossipBlock(nil, string(interaction), n.messageID, n.hops, n.protocol))
+		want := forwardedBytes(t, clone, rh, appendGossipBlock(nil, string(interaction), n.hops, n.protocol, ""))
 		rec.msgs = nil
 		before, slots := d.Stats().Served, []*stored{slot}
 		d.mu.Lock()
@@ -239,7 +239,10 @@ func TestStoredSlotNeverRefilledUnderServe(t *testing.T) {
 	wires := make([][]byte, receipts)
 	for seq := range wires {
 		env := soap.NewEnvelope()
-		if err := SetGossipHeader(env, GossipHeader{InteractionID: interID, MessageID: stressID(seq), Hops: 3}); err != nil {
+		if err := env.SetAddressing(wsa.Headers{MessageID: wsa.MessageID(stressID(seq))}); err != nil {
+			t.Fatal(err)
+		}
+		if err := SetGossipHeader(env, GossipHeader{InteractionID: interID, Hops: 3}); err != nil {
 			t.Fatal(err)
 		}
 		if err := env.SetBody(newStressNote(seq)); err != nil {

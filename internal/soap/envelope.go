@@ -828,6 +828,28 @@ func (e *Envelope) Action() string {
 	return ""
 }
 
+// MessageIDKey returns the wsa:MessageID property as bytes to look up or
+// write with, like FlatText.Key, without building the rest of Addressing:
+// the text of the first wsa:MessageID header block where it lies when it
+// stands for itself — a view of the block, dying with the delivery's receive
+// buffer — and otherwise Addressing's parse of it, copied. Nil when the
+// header has none.
+func (e *Envelope) MessageIDKey() []byte {
+	for _, b := range e.headerBlocks() {
+		if b.XMLName.Local != "MessageID" || b.XMLName.Space != wsa.Namespace {
+			continue
+		}
+		if text, ok := headerChars(b.Raw); ok && FlatText(text).IsLiteral() {
+			return text
+		}
+		if id := e.Addressing().MessageID; id != "" {
+			return []byte(id)
+		}
+		return nil
+	}
+	return nil
+}
+
 // headerText extracts the character content of a simple captured element —
 // no child elements, comments, or CDATA — unescaping entity references and
 // normalizing line endings exactly as encoding/xml chardata capture would.

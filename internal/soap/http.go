@@ -40,9 +40,12 @@ const wireTimeout = 10 * time.Second
 // is returned at once, the listener closed. h is typically an HTTPServer,
 // possibly with other routes mounted beside it.
 //
-// A connection a client opened but never sent a request on holds the whole
-// grace: net/http cannot tell it from one whose first request is on its way.
+// A connection a client opened but never sent a request on — a spare one an
+// http.Transport dialed — is closed when ctx ends, and so is one opened
+// after: net/http would count it as busy, as if its first request were on
+// the way, and wait out the grace for it.
 func Serve(ctx context.Context, ln net.Listener, h http.Handler) error {
+	var fresh freshConns
 	srv := &http.Server{
 		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
@@ -50,6 +53,7 @@ func Serve(ctx context.Context, ln net.Listener, h http.Handler) error {
 		// Longer than net/http's default client keeps a connection idle
 		// (90 s), so a client never reuses one the server has just closed.
 		IdleTimeout: 2 * time.Minute,
+		ConnState:   fresh.track,
 	}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()
@@ -59,12 +63,50 @@ func Serve(ctx context.Context, ln net.Listener, h http.Handler) error {
 		return err
 	case <-ctx.Done():
 	}
+	fresh.closeAll()
 	sctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	_ = srv.Shutdown(sctx) // past the grace, Close ends what is left
 	_ = srv.Close()
 	<-served
 	return nil
+}
+
+// freshConns tracks a server's connections that have not begun a request
+// (http.StateNew), so a shutdown can close them.
+type freshConns struct {
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{}
+	closing bool
+}
+
+// track is the server's ConnState hook: it keeps a new connection until its
+// first request begins, and closes one that arrives once closeAll has run.
+func (f *freshConns) track(c net.Conn, s http.ConnState) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case s != http.StateNew:
+		delete(f.conns, c)
+	case f.closing:
+		_ = c.Close()
+	default:
+		if f.conns == nil {
+			f.conns = make(map[net.Conn]struct{})
+		}
+		f.conns[c] = struct{}{}
+	}
+}
+
+// closeAll closes every connection that has not begun a request, and every
+// one that arrives after.
+func (f *freshConns) closeAll() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.closing = true
+	for c := range f.conns {
+		_ = c.Close()
+	}
 }
 
 // HTTPServer adapts a Handler to the SOAP 1.2 HTTP binding.

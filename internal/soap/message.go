@@ -74,6 +74,6 @@ func (m *Message) Fanout(ctx context.Context, caller Caller, targets []string) (
 	// Each copy's To goes in the header, and replaces any To block m.Header
 	// holds, as Fanout's template does.
 	d := m.draft()
-	d.header, d.drop = true, xml.Name{Space: wsa.Namespace, Local: "To"}
+	d.header, d.drop[0] = true, xml.Name{Space: wsa.Namespace, Local: "To"}
 	return d.fanout(ctx, caller, targets)
 }

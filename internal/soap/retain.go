@@ -1,10 +1,14 @@
 package soap
 
-import "slices"
+import (
+	"encoding/xml"
+	"slices"
+)
 
 // Retained is a received envelope's copy as a store keeps it to retransmit
-// later: what Forward reads of it — every header block but the WS-Addressing
-// properties, which Forward drops and writes anew, and the body — with every
+// later: what a retransmission reads of it — every header block but the
+// WS-Addressing properties Forward drops and writes anew, the wsa:MessageID
+// that names the message kept among them, and the body — with every
 // kept block's bytes in one slab the Retained owns. Retain refills it in
 // place, reusing its block list and slab whenever they are large enough, so a
 // store that refills the slot of the entry it evicts allocates nothing in
@@ -19,16 +23,19 @@ type Retained struct {
 // Envelope returns the copy. It stays r's: the next Retain rewrites it.
 func (r *Retained) Envelope() *Envelope { return &r.env }
 
-// Retain makes r a copy of src, leaving out src's WS-Addressing properties.
+// Retain makes r a copy of src, leaving out src's WS-Addressing properties
+// but its wsa:MessageID (Envelope.MessageIDKey reads the copy's), and the
+// header blocks named leave (a Local "" names none): a block the store's
+// owner keeps one copy of itself and writes on each retransmission.
 // Nothing of src is referenced afterwards, so src's receive buffer may be
 // recycled. The block list grows only when src has more blocks than any copy
 // r held before, and the slab only when src's kept bytes outgrow it; a new
 // slab takes its whole size class, so copies of nearly the same size keep
 // refilling it.
-func (r *Retained) Retain(src *Envelope) {
+func (r *Retained) Retain(src *Envelope, leave xml.Name) {
 	n, size := len(src.Body.Blocks), 0
 	for _, b := range src.headerBlocks() {
-		if !isAddressingName(b.XMLName) {
+		if retained(b, leave) {
 			n++
 			size += len(b.Raw)
 		}
@@ -49,7 +56,7 @@ func (r *Retained) Retain(src *Envelope) {
 		blocks = append(blocks, Block{XMLName: b.XMLName, Raw: slab[start:len(slab):len(slab)]})
 	}
 	for _, b := range src.headerBlocks() {
-		if !isAddressingName(b.XMLName) {
+		if retained(b, leave) {
 			keep(b)
 		}
 	}
@@ -68,4 +75,13 @@ func (r *Retained) Retain(src *Envelope) {
 	}
 	r.env.Body = Body{XMLName: src.Body.XMLName, Blocks: slices.Clip(blocks[nh:])}
 	r.env.addr.Store(nil) // the addressing blocks are gone; a read parses what is left
+}
+
+// retained reports whether Retain, leaving out the blocks named leave, keeps
+// the header block b.
+func retained(b Block, leave xml.Name) bool {
+	if leave.Local != "" && b.XMLName == leave {
+		return false
+	}
+	return !isAddressingName(b.XMLName) || b.XMLName.Local == "MessageID"
 }

@@ -39,18 +39,19 @@ func retainSource(t testing.TB, n int) (*Envelope, []byte) {
 }
 
 // TestRetainedKeepsWhatForwardReads: the copy is the source's header blocks
-// other than the WS-Addressing properties, in order, and its body, none of
-// it in the source's buffer; its addressing reads as empty.
+// other than the WS-Addressing properties but wsa:MessageID, in order, and
+// its body, none of it in the source's buffer; its addressing reads as the
+// MessageID alone.
 func TestRetainedKeepsWhatForwardReads(t *testing.T) {
 	src, wire := retainSource(t, 64)
 	if src.Addressing().MessageID == "" {
 		t.Fatal("source without addressing")
 	}
 	var r Retained
-	r.Retain(src)
+	r.Retain(src, xml.Name{})
 	var kept []Block
 	for _, b := range src.Header.Blocks {
-		if !isAddressingName(b.XMLName) {
+		if !isAddressingName(b.XMLName) || b.XMLName.Local == "MessageID" {
 			kept = append(kept, Block{XMLName: b.XMLName, Raw: bytes.Clone(b.Raw)})
 		}
 	}
@@ -59,7 +60,7 @@ func TestRetainedKeepsWhatForwardReads(t *testing.T) {
 		wire[i] = '#' // the transport recycles the receive buffer
 	}
 	env := r.Envelope()
-	if len(kept) != 1 || !slices.EqualFunc(env.Header.Blocks, kept, func(a, b Block) bool {
+	if len(kept) != 2 || !slices.EqualFunc(env.Header.Blocks, kept, func(a, b Block) bool {
 		return a.XMLName == b.XMLName && bytes.Equal(a.Raw, b.Raw)
 	}) {
 		t.Fatalf("header = %v, want %v", env.Header.Blocks, kept)
@@ -67,14 +68,29 @@ func TestRetainedKeepsWhatForwardReads(t *testing.T) {
 	if len(env.Body.Blocks) != 1 || !bytes.Equal(env.Body.Blocks[0].Raw, body) {
 		t.Fatalf("body = %v", env.Body.Blocks)
 	}
-	if h := env.Addressing(); h != (wsa.Headers{}) {
-		t.Fatalf("addressing = %+v, want none", h)
+	if h := env.Addressing(); h != (wsa.Headers{MessageID: "urn:uuid:r1"}) {
+		t.Fatalf("addressing = %+v, want the MessageID alone", h)
+	}
+	if id := env.MessageIDKey(); string(id) != "urn:uuid:r1" {
+		t.Fatalf("MessageIDKey = %q", id)
 	}
 	// An append to one block never writes into the next.
 	header := env.Header.Blocks[0].Raw
 	_ = append(header, '!')
 	if !bytes.Equal(env.Body.Blocks[0].Raw, body) {
 		t.Fatal("an append to a header block wrote into the body")
+	}
+}
+
+// TestRetainedLeavesOutANamedBlock: a block its owner writes itself is left
+// out of the copy, and the rest is kept as without it.
+func TestRetainedLeavesOutANamedBlock(t *testing.T) {
+	src, _ := retainSource(t, 64)
+	var r Retained
+	r.Retain(src, xml.Name{Space: "urn:trace", Local: "Trace"})
+	env := r.Envelope()
+	if len(env.Header.Blocks) != 1 || env.Header.Blocks[0].XMLName.Local != "MessageID" || len(env.Body.Blocks) != 1 {
+		t.Fatalf("copy = %+v", env)
 	}
 }
 
@@ -88,13 +104,13 @@ func TestRetainedRefillsInPlace(t *testing.T) {
 	a, _ := retainSource(t, 200)
 	b, _ := retainSource(t, 190)
 	var r Retained
-	r.Retain(a)
+	r.Retain(a, xml.Name{})
 	flip := false
 	allocs := testing.AllocsPerRun(100, func() {
 		if flip = !flip; flip {
-			r.Retain(b)
+			r.Retain(b, xml.Name{})
 		} else {
-			r.Retain(a)
+			r.Retain(a, xml.Name{})
 		}
 	})
 	if allocs != 0 {
@@ -102,16 +118,16 @@ func TestRetainedRefillsInPlace(t *testing.T) {
 	}
 	small := cap(r.slab)
 	large, _ := retainSource(t, 4096)
-	r.Retain(large)
+	r.Retain(large, xml.Name{})
 	if cap(r.slab) <= small || cap(r.slab) < 4096 {
 		t.Fatalf("slab of %d bytes after a refill with a 4 KiB body, %d before", cap(r.slab), small)
 	}
-	if allocs := testing.AllocsPerRun(10, func() { r.Retain(a) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(10, func() { r.Retain(a, xml.Name{}) }); allocs != 0 {
 		t.Fatalf("refill with a smaller envelope after a larger = %.1f allocs, want 0", allocs)
 	}
 	bare := NewEnvelope()
 	bare.SetBodyBlock(Block{XMLName: xml.Name{Space: "urn:test", Local: "Bare"}, Raw: []byte(`<Bare xmlns="urn:test"/>`)})
-	r.Retain(bare)
+	r.Retain(bare, xml.Name{})
 	if env := r.Envelope(); env.Header != nil || len(env.Body.Blocks) != 1 || string(env.Body.Blocks[0].Raw) != `<Bare xmlns="urn:test"/>` {
 		t.Fatalf("refilled with a headerless envelope: header %v, body %v", env.Header, env.Body.Blocks)
 	}

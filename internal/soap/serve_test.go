@@ -145,6 +145,56 @@ func TestServeStopsOnItsError(t *testing.T) {
 	}
 }
 
+// TestServeClosesConnectionsThatNeverSentARequest: a peer that opened a
+// connection and sent nothing on it — the spare one an http.Transport dials —
+// does not hold Serve's shutdown grace: Serve returns within 100 ms of its
+// context ending, not after the 3 s grace.
+func TestServeClosesConnectionsThatNeverSentARequest(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan struct{}, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- Serve(ctx, countingListener{ln, accepted}, http.NotFoundHandler()) }()
+	idle, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	<-accepted
+	time.Sleep(20 * time.Millisecond) // the server has taken it up as a new connection
+	cancel()
+	start := time.Now()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve = %v", err)
+	}
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("Serve returned %v after its context ended, with a connection that never sent a request", took)
+	}
+	if _, err := idle.Read(make([]byte, 1)); err == nil {
+		t.Fatal("the idle connection is still open")
+	}
+}
+
+// countingListener signals each connection it accepts.
+type countingListener struct {
+	net.Listener
+	accepted chan<- struct{}
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		select {
+		case l.accepted <- struct{}{}:
+		default:
+		}
+	}
+	return c, err
+}
+
 // TestHTTPClientDefaultsToWireBound: a client made from an http.Client with
 // no positive Timeout, or from none, waits for a POST as long as Serve lets a
 // request take; one that sets a Timeout keeps it.

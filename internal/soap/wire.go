@@ -38,7 +38,10 @@ import (
 
 // Fixed scaffolding of the canonical wire format. Blocks are spliced
 // between the container tags; Header and Body inherit the envelope's
-// default namespace, and every block carries its own xmlns declaration.
+// default namespace, and every block carries its own xmlns declaration. A
+// message starts at its Envelope: XML 1.0 makes the declaration optional for
+// UTF-8 and SOAP 1.2 asks for none, so the writer spends no 39 bytes on one;
+// the scanner still accepts it, and any prolog, from other stacks.
 const (
 	wireEnvOpen     = `<Envelope xmlns="` + Namespace + `">`
 	wireHeaderOpen  = `<Header>`
@@ -219,16 +222,16 @@ func appendBlock(dst []byte, b Block, p spliceParts) []byte {
 // draft is a message as the one wire writer takes it — what Encode, a
 // fan-out template, Forward's re-head and a Message all write through. Its
 // header is, in order: lead; own; the addressing properties To, Action and
-// MessageID, each only when set; then tail. The blocks drops names are left
+// MessageID, each only when set; then tail. The blocks drop names are left
 // out of lead and tail, and without header there is no Header element at
 // all. Its body is body, then the parts children write appends. Every block
 // is spliced verbatim into the canonical scaffold (blockSplice); what write
 // appends is the caller's own canonical bytes.
 type draft struct {
 	lead []Block
-	// drop names the blocks of lead and tail to leave out (Local "" leaves
-	// out none), and dropAddressing their WS-Addressing properties too.
-	drop           xml.Name
+	// drop names the blocks of lead and tail to leave out (a Local "" names
+	// none), and dropAddressing their WS-Addressing properties too.
+	drop           [2]xml.Name
 	dropAddressing bool
 	own            []Block
 	to, action     string
@@ -248,8 +251,15 @@ type draft struct {
 
 // drops reports whether b, one of lead's or tail's blocks, is left out.
 func (d *draft) drops(b Block) bool {
-	return d.dropAddressing && isAddressingName(b.XMLName) ||
-		d.drop.Local != "" && b.XMLName.Local == d.drop.Local && (d.drop.Space == "" || b.XMLName.Space == d.drop.Space)
+	if d.dropAddressing && isAddressingName(b.XMLName) {
+		return true
+	}
+	for _, n := range d.drop {
+		if n.Local != "" && b.XMLName.Local == n.Local && (n.Space == "" || b.XMLName.Space == n.Space) {
+			return true
+		}
+	}
+	return false
 }
 
 // encode writes d in two passes: the first plans every block's splice and
@@ -282,7 +292,7 @@ func (d *draft) encode(pooled bool) (out []byte, split int, ok bool) {
 			plan.size += p.size()
 		}
 	}
-	n := len(xml.Header) + len(wireEnvOpen) + len(wireBodyOpen) + len(wireBodyClose) + len(wireEnvClose) + plan.size + d.size
+	n := len(wireEnvOpen) + len(wireBodyOpen) + len(wireBodyClose) + len(wireEnvClose) + plan.size + d.size
 	if d.header {
 		n += len(wireHeaderOpen) + len(wireHeaderClose)
 	}
@@ -291,7 +301,6 @@ func (d *draft) encode(pooled bool) (out []byte, split int, ok bool) {
 	} else {
 		out = make([]byte, 0, n)
 	}
-	out = append(out, xml.Header...)
 	out = append(out, wireEnvOpen...)
 	if d.header {
 		out = append(out, wireHeaderOpen...)
@@ -371,7 +380,7 @@ func (e *Envelope) EncodeTemplate() (*WireTemplate, error) {
 // templateDraft is e as a fan-out template's draft: a wsa:To block is left
 // out where it lies, so the envelope is not copied to drop it.
 func (e *Envelope) templateDraft() draft {
-	return draft{lead: e.headerBlocks(), drop: xml.Name{Space: wsa.Namespace, Local: "To"}, body: e.Body.Blocks, header: true}
+	return draft{lead: e.headerBlocks(), drop: [2]xml.Name{{Space: wsa.Namespace, Local: "To"}}, body: e.Body.Blocks, header: true}
 }
 
 // template writes d as a fan-out template, by value, so a caller that renders
