@@ -31,8 +31,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -51,7 +53,7 @@ import (
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/profile"
 	"wsgossip/internal/simnet"
-	"wsgossip/internal/transport"
+	"wsgossip/internal/testbed"
 )
 
 // roundPeriod is the nominal virtual-time round interval self-clocking
@@ -61,75 +63,49 @@ const (
 	roundJitter = 2 * time.Millisecond
 )
 
-// startRunners attaches one self-clocking Runner per alive node to the
-// network's virtual clock, so protocol rounds fire from node-owned timers
-// on the shared timeline instead of harness tick loops. It returns the
-// runners for shutdown.
-func startRunners(net *simnet.Network, addrs []string, seed int64, reg *metrics.Registry, tick func(i int) func(context.Context)) ([]*core.Runner, error) {
-	runners := make([]*core.Runner, 0, len(addrs))
-	for i, addr := range addrs {
-		if net.Crashed(addr) {
-			continue
-		}
-		r, err := core.NewRunner(core.RunnerConfig{
-			Clock:   net.Clock(),
-			Metrics: reg,
-			RNG:     rand.New(rand.NewSource(seed*2693 + int64(i))),
-			Loops: []core.Loop{{
-				Name:   "round",
-				Period: roundPeriod,
-				Jitter: roundJitter,
-				Tick:   tick(i),
-			}},
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := r.Start(context.Background()); err != nil {
-			return nil, err
-		}
-		runners = append(runners, r)
-	}
-	return runners, nil
-}
-
-func stopRunners(runners []*core.Runner) {
-	for _, r := range runners {
-		r.Stop()
-	}
+// round is a node's protocol round: a loop of its Runner.
+func round(tick func(context.Context)) core.Loop {
+	return core.Loop{Name: "round", Period: roundPeriod, Jitter: roundJitter, Tick: tick}
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "wsgossip-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run runs the command line args, writing the report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("wsgossip-sim", flag.ContinueOnError)
 	var (
-		mode       = flag.String("mode", "gossip", "workload: gossip (dissemination), aggregate (push-sum), or churn (membership-driven dissemination under join/leave)")
-		n          = flag.Int("n", 256, "number of nodes")
-		fanout     = flag.Int("fanout", 3, "gossip fanout f")
-		hops       = flag.Int("hops", 0, "hop budget r (0 = ceil(log2 n)+2)")
-		styleName  = flag.String("style", "push", "gossip style: push, pull, pushpull, lazypush, flood")
-		loss       = flag.Float64("loss", 0, "message loss probability [0,1); not with -faults, whose plan sets loss with a '0s loss <p>' op")
-		crash      = flag.Float64("crash", 0, "crashed-node fraction [0,1)")
-		seed       = flag.Int64("seed", 1, "simulation seed")
-		ticks      = flag.Int("ticks", 0, "anti-entropy rounds after the push phase (pull styles)")
-		events     = flag.Int("events", 1, "number of rumors published")
-		aggName    = flag.String("agg", "avg", "aggregate mode function: count, sum, avg, min, max")
-		epochs     = flag.Int("epochs", 3, "aggregate mode: number of epoch windows to run (>= 1)")
-		window     = flag.Duration("window", 500*time.Millisecond, "aggregate mode epoch window length")
-		dumpReg    = flag.Bool("metrics", false, "dump the run's metrics-registry snapshot at end of run")
-		minCov     = flag.Float64("min-coverage", 0, "coverage budget: exit non-zero when the run's coverage falls below this fraction, 0 disables")
-		expName    = flag.String("exp", "", "large-N scaling experiment: coverage (E1-style point) or churn (E9-style point); uses the memory-diet harness, N=10^5..10^6 is the design target")
-		maxRSSMB   = flag.Int("max-rss-mb", 0, "memory budget for -exp runs: exit non-zero when peak RSS (VmHWM) exceeds this many MiB, 0 disables")
-		faultPath  = flag.String("faults", "", "fault plan file scheduled on the simulation clock (gossip, churn and aggregate modes); events apply as virtual time advances, so plan times should land inside the run's horizon")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+		mode       = fs.String("mode", "gossip", "workload: gossip (dissemination), aggregate (push-sum), or churn (membership-driven dissemination under join/leave)")
+		n          = fs.Int("n", 256, "number of nodes")
+		fanout     = fs.Int("fanout", 3, "gossip fanout f")
+		hops       = fs.Int("hops", 0, "hop budget r (0 = ceil(log2 n)+2)")
+		styleName  = fs.String("style", "push", "gossip style: push, pull, pushpull, lazypush, flood")
+		loss       = fs.Float64("loss", 0, "message loss probability [0,1); not with -faults, whose plan sets loss with a '0s loss <p>' op")
+		crash      = fs.Float64("crash", 0, "crashed-node fraction [0,1)")
+		seed       = fs.Int64("seed", 1, "simulation seed")
+		ticks      = fs.Int("ticks", 0, "anti-entropy rounds after the push phase (pull styles)")
+		events     = fs.Int("events", 1, "number of rumors published")
+		aggName    = fs.String("agg", "avg", "aggregate mode function: count, sum, avg, min, max")
+		epochs     = fs.Int("epochs", 3, "aggregate mode: number of epoch windows to run (>= 1)")
+		window     = fs.Duration("window", 500*time.Millisecond, "aggregate mode epoch window length")
+		dumpReg    = fs.Bool("metrics", false, "dump the run's metrics-registry snapshot at end of run")
+		minCov     = fs.Float64("min-coverage", 0, "coverage budget: exit non-zero when the run's coverage falls below this fraction, 0 disables")
+		expName    = fs.String("exp", "", "large-N scaling experiment: coverage (E1-style point) or churn (E9-style point); uses the memory-diet harness, N=10^5..10^6 is the design target")
+		maxRSSMB   = fs.Int("max-rss-mb", 0, "memory budget for -exp runs: exit non-zero when peak RSS (VmHWM) exceeds this many MiB, 0 disables")
+		faultPath  = fs.String("faults", "", "fault plan file scheduled on the simulation clock (gossip, churn and aggregate modes); events apply as virtual time advances, so plan times should land inside the run's horizon")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 	stop, err := profile.Start(*cpuprofile, *memprofile, "wsgossip-sim")
 	if err != nil {
 		return err
@@ -153,14 +129,14 @@ func run() error {
 	}
 
 	if *expName != "" {
-		return runExp(*expName, *n, *fanout, *hops, *loss, *crash, *seed, *events, *minCov, *maxRSSMB)
+		return runExp(w, *expName, *n, *fanout, *hops, *loss, *crash, *seed, *events, *minCov, *maxRSSMB)
 	}
 
 	if *mode == "aggregate" {
-		return runAggregate(*n, *fanout, *aggName, *loss, *seed, *dumpReg, *minCov, *epochs, *window, plan)
+		return runAggregate(w, *n, *fanout, *aggName, *loss, *seed, *dumpReg, *minCov, *epochs, *window, plan)
 	}
 	if *mode == "churn" {
-		return runChurn(*n, *fanout, *loss, *crash, *seed, *ticks, *dumpReg, *minCov, plan)
+		return runChurn(w, *n, *fanout, *loss, *crash, *seed, *ticks, *dumpReg, *minCov, plan)
 	}
 	if *mode != "gossip" {
 		return fmt.Errorf("unknown mode %q (want gossip, aggregate, or churn)", *mode)
@@ -181,44 +157,22 @@ func run() error {
 	}
 
 	reg := metrics.NewRegistry()
-	net := simnet.New(simnet.DefaultConfig(*seed))
-	if err := installFaults(net, plan); err != nil {
+	var sim *testbed.Sim[gossip.Config]
+	sim, err = testbed.Engines(testbed.Spec[gossip.Config]{
+		N: *n, Seed: *seed, Addr: "n%05d", Stream: testbed.Stream{Mul: 7919},
+		Config: gossip.Config{Style: style, Fanout: *fanout, Hops: *hops},
+		// Anti-entropy rounds fire from per-node self-clocking runners on
+		// the shared virtual clock, not from a harness loop.
+		Loops:   func(i int) []core.Loop { return []core.Loop{round(sim.Engines[i].Tick)} },
+		Metrics: reg, Plan: plan,
+	})
+	if err != nil {
 		return err
 	}
-	addrs := make([]string, *n)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("n%05d", i)
-	}
-	peers := gossip.NewStaticPeers(addrs)
-	engines := make([]*gossip.Engine, *n)
-	deliveries := make([]map[string]time.Duration, *n)
-	for i := range addrs {
-		i := i
-		deliveries[i] = make(map[string]time.Duration)
-		eng, err := gossip.New(gossip.Config{
-			Style:    style,
-			Fanout:   *fanout,
-			Hops:     *hops,
-			Endpoint: net.Node(addrs[i]),
-			Peers:    peers,
-			RNG:      rand.New(rand.NewSource(*seed*7919 + int64(i))),
-			Deliver: func(r gossip.Rumor) {
-				if _, ok := deliveries[i][r.ID]; !ok {
-					deliveries[i][r.ID] = net.Now()
-				}
-			},
-		})
-		if err != nil {
-			return err
-		}
-		mux := transport.NewMux()
-		eng.Register(mux)
-		mux.Bind(net.Node(addrs[i]))
-		engines[i] = eng
-	}
+	net := sim.Net
 	net.Faults().SetLoss(*loss)
 	rng := rand.New(rand.NewSource(*seed))
-	crashed := gossip.SamplePeers(rng, addrs, int(float64(*n)**crash), addrs[0])
+	crashed := gossip.SamplePeers(rng, sim.Addrs, int(float64(*n)**crash), sim.Addrs[0])
 	for _, a := range crashed {
 		net.Crash(a)
 	}
@@ -227,7 +181,7 @@ func run() error {
 	ids := make([]string, 0, *events)
 	t0 := net.Now()
 	for e := 0; e < *events; e++ {
-		r, err := engines[e%*n].Publish(ctx, []byte("event"))
+		r, err := sim.Engines[e%*n].Publish(ctx, []byte("event"))
 		if err != nil {
 			return err
 		}
@@ -235,16 +189,11 @@ func run() error {
 	}
 	net.Run()
 	if *ticks > 0 {
-		// Anti-entropy rounds fire from per-node self-clocking runners on
-		// the shared virtual clock, not from a harness loop.
-		runners, err := startRunners(net, addrs, *seed, reg, func(i int) func(context.Context) {
-			return engines[i].Tick
-		})
-		if err != nil {
+		if err := sim.Start(); err != nil {
 			return err
 		}
 		net.RunFor(time.Duration(*ticks) * roundPeriod)
-		stopRunners(runners)
+		sim.Stop()
 		net.Run() // drain in-flight deliveries from the final rounds
 	}
 
@@ -252,17 +201,12 @@ func run() error {
 	var covSum float64
 	var times []float64
 	for _, id := range ids {
-		reached := 0
-		for i := range engines {
-			if net.Crashed(addrs[i]) {
-				continue
-			}
-			if at, ok := deliveries[i][id]; ok {
-				reached++
-				times = append(times, float64(at-t0)/float64(time.Millisecond))
+		covSum += sim.Coverage(id)
+		for i, addr := range sim.Addrs {
+			if d, ok := sim.Delivered(i, id); ok && !net.Crashed(addr) {
+				times = append(times, float64(d.At-t0)/float64(time.Millisecond))
 			}
 		}
-		covSum += float64(reached) / float64(alive)
 	}
 	sort.Float64s(times)
 	pct := func(q float64) float64 {
@@ -279,44 +223,25 @@ func run() error {
 		return times[idx]
 	}
 
-	var total gossip.Stats
-	for _, e := range engines {
-		s := e.Stats()
-		total.Forwarded += s.Forwarded
-		total.Duplicates += s.Duplicates
-		total.IHaveSent += s.IHaveSent
-		total.IWantSent += s.IWantSent
-		total.PullReqs += s.PullReqs
-		total.PullResps += s.PullResps
-	}
-	st := net.Stats()
+	total := sim.GossipStats()
 
-	fmt.Printf("wsgossip-sim: N=%d style=%s f=%d r=%d loss=%.2f crash=%.2f seed=%d events=%d\n",
+	fmt.Fprintf(w, "wsgossip-sim: N=%d style=%s f=%d r=%d loss=%.2f crash=%.2f seed=%d events=%d\n",
 		*n, style, *fanout, *hops, *loss, *crash, *seed, *events)
-	fmt.Printf("  coverage (alive nodes):   %.4f\n", covSum/float64(len(ids)))
+	fmt.Fprintf(w, "  coverage (alive nodes):   %.4f\n", covSum/float64(len(ids)))
 	if predicted, err := epidemic.ExpectedCoverageLossy(alive, *fanout, *hops, *loss); err == nil && style == gossip.StylePush {
-		fmt.Printf("  analytic prediction:      %.4f\n", predicted)
+		fmt.Fprintf(w, "  analytic prediction:      %.4f\n", predicted)
 	}
-	fmt.Printf("  delivery latency ms:      p50=%.2f p99=%.2f max=%.2f\n", pct(0.50), pct(0.99), pct(1))
-	fmt.Printf("  payload forwards:         %d (%.2f per node)\n", total.Forwarded, float64(total.Forwarded)/float64(*n))
-	fmt.Printf("  duplicates suppressed:    %d\n", total.Duplicates)
-	fmt.Printf("  control msgs:             %d\n", total.IHaveSent+total.IWantSent+total.PullReqs+total.PullResps)
-	fmt.Printf("  network: sent=%d delivered=%d dropped=%d bytes=%d\n", st.Sent, st.Delivered, st.Dropped, st.Bytes)
-	fmt.Printf("  virtual time:             %v\n", net.Now())
-	if plan != nil {
-		reg.Counter("net_fault_refused_total").Add(st.FaultRefused)
-		reg.Counter("net_fault_dropped_total").Add(st.FaultDropped)
-		if err := reportFaults(net.Faults(), st); err != nil {
-			return err
-		}
+	fmt.Fprintf(w, "  delivery latency ms:      p50=%.2f p99=%.2f max=%.2f\n", pct(0.50), pct(0.99), pct(1))
+	fmt.Fprintf(w, "  payload forwards:         %d (%.2f per node)\n", total.Forwarded, float64(total.Forwarded)/float64(*n))
+	fmt.Fprintf(w, "  duplicates suppressed:    %d\n", total.Duplicates)
+	fmt.Fprintf(w, "  control msgs:             %d\n", total.IHaveSent+total.IWantSent+total.PullReqs+total.PullResps)
+	if err := reportNet(w, reg, net, plan); err != nil {
+		return err
 	}
 	reg.Counter("gossip_forwarded_total").Add(total.Forwarded)
 	reg.Counter("gossip_duplicates_total").Add(total.Duplicates)
-	reg.Counter("net_sent_total").Add(st.Sent)
-	reg.Counter("net_delivered_total").Add(st.Delivered)
-	reg.Counter("net_dropped_total").Add(st.Dropped)
-	reg.Counter("net_bytes_total").Add(st.Bytes)
-	return finish(reg, *dumpReg, covSum/float64(len(ids)), *minCov)
+	reg.Counter("net_bytes_total").Add(net.Stats().Bytes)
+	return finish(w, reg, *dumpReg, covSum/float64(len(ids)), *minCov)
 }
 
 // loadFaultPlan reads and parses a fault plan file.
@@ -332,18 +257,23 @@ func loadFaultPlan(path string) (*faults.Plan, error) {
 	return plan, nil
 }
 
-// installFaults schedules the plan's timeline, if there is one, on the
-// simulation clock, writing its link ops to the network's fault table and
-// binding its crash/recover ops to the fabric's node lifecycle.
-func installFaults(net *simnet.Network, plan *faults.Plan) error {
-	if plan == nil {
-		return nil
+// reportNet prints the network's totals and the virtual time, and the fault
+// counters if a plan ran, and records the totals in reg.
+func reportNet(w io.Writer, reg *metrics.Registry, net *simnet.Network, plan *faults.Plan) error {
+	st := net.Stats()
+	fmt.Fprintf(w, "  network: sent=%d delivered=%d dropped=%d bytes=%d\n", st.Sent, st.Delivered, st.Dropped, st.Bytes)
+	fmt.Fprintf(w, "  virtual time:             %v\n", net.Now())
+	if plan != nil {
+		reg.Counter("net_fault_refused_total").Add(st.FaultRefused)
+		reg.Counter("net_fault_dropped_total").Add(st.FaultDropped)
+		if err := reportFaults(w, net.Faults(), st); err != nil {
+			return err
+		}
 	}
-	return plan.Schedule(net.Clock(), faults.Applier{
-		Table:   net.Faults(),
-		Crash:   net.Crash,
-		Recover: net.Recover,
-	})
+	reg.Counter("net_sent_total").Add(st.Sent)
+	reg.Counter("net_delivered_total").Add(st.Delivered)
+	reg.Counter("net_dropped_total").Add(st.Dropped)
+	return nil
 }
 
 // reportFaults prints the per-rule fault counters (sorted by rule name) and
@@ -351,16 +281,16 @@ func installFaults(net *simnet.Network, plan *faults.Plan) error {
 // show up in the network's FaultRefused, and every cut/partition/link-loss
 // drop in FaultDropped. A mismatch means a consumer miscounted — that is a
 // bug in the harness, so the run fails rather than printing a wrong report.
-func reportFaults(tbl *faults.Table, st simnet.Stats) error {
+func reportFaults(w io.Writer, tbl *faults.Table, st simnet.Stats) error {
 	counts := tbl.Counts()
 	names := make([]string, 0, len(counts))
 	for name := range counts {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fmt.Printf("  faults: refused=%d dropped=%d\n", st.FaultRefused, st.FaultDropped)
+	fmt.Fprintf(w, "  faults: refused=%d dropped=%d\n", st.FaultRefused, st.FaultDropped)
 	for _, name := range names {
-		fmt.Printf("    rule %-24s %d\n", name, counts[name])
+		fmt.Fprintf(w, "    rule %-24s %d\n", name, counts[name])
 	}
 	tot := tbl.Totals()
 	if tot.Refused != st.FaultRefused || tot.Dropped+tot.Lost != st.FaultDropped {
@@ -374,12 +304,12 @@ func reportFaults(tbl *faults.Table, st simnet.Stats) error {
 // when requested, and enforces the coverage budget: a run below budget
 // exits non-zero so scripted sweeps fail loudly instead of just printing a
 // bad number.
-func finish(reg *metrics.Registry, dump bool, coverage, minCov float64) error {
+func finish(w io.Writer, reg *metrics.Registry, dump bool, coverage, minCov float64) error {
 	reg.FloatGauge("sim_coverage").Set(coverage)
 	if dump {
-		fmt.Println("  metrics registry snapshot:")
+		fmt.Fprintln(w, "  metrics registry snapshot:")
 		for _, line := range strings.Split(strings.TrimRight(reg.Snapshot(), "\n"), "\n") {
-			fmt.Println("    " + line)
+			fmt.Fprintln(w, "    "+line)
 		}
 	}
 	if minCov > 0 && coverage < minCov {
@@ -395,7 +325,7 @@ func finish(reg *metrics.Registry, dump bool, coverage, minCov float64) error {
 // fits in single-digit GiB, and the report ends with the process's heap and
 // peak-RSS numbers so regressions in per-node footprint are visible — and
 // enforceable via -max-rss-mb.
-func runExp(name string, n, fanout, hops int, loss, churn float64, seed int64, events int, minCov float64, maxRSSMB int) error {
+func runExp(w io.Writer, name string, n, fanout, hops int, loss, churn float64, seed int64, events int, minCov float64, maxRSSMB int) error {
 	opt := experiments.ScaleOptions{
 		N: n, Fanout: fanout, Hops: hops, Events: events,
 		Loss: loss, Churn: churn, Seed: seed,
@@ -408,13 +338,13 @@ func runExp(name string, n, fanout, hops int, loss, churn float64, seed int64, e
 			return err
 		}
 		coverage = s.Coverage
-		fmt.Printf("wsgossip-sim exp=coverage: N=%d f=%d r=%d loss=%.2f seed=%d events=%d\n",
+		fmt.Fprintf(w, "wsgossip-sim exp=coverage: N=%d f=%d r=%d loss=%.2f seed=%d events=%d\n",
 			s.N, s.Fanout, s.Hops, s.Loss, seed, s.Events)
-		fmt.Printf("  coverage:                 %.4f (analytic %.4f)\n", s.Coverage, s.Analytic)
-		fmt.Printf("  delivery latency ms:      p50=%.2f p99=%.2f max=%.2f depth=%d\n", s.P50, s.P99, s.MaxMs, s.MaxDepth)
-		fmt.Printf("  payload forwards:         %.2f per node\n", s.MsgsPerNode)
-		fmt.Printf("  network: sent=%d delivered=%d dropped=%d bytes=%d\n", s.Sent, s.Delivered, s.Dropped, s.Bytes)
-		fmt.Printf("  virtual time:             %.2fms\n", s.VirtualMs)
+		fmt.Fprintf(w, "  coverage:                 %.4f (analytic %.4f)\n", s.Coverage, s.Analytic)
+		fmt.Fprintf(w, "  delivery latency ms:      p50=%.2f p99=%.2f max=%.2f depth=%d\n", s.P50, s.P99, s.MaxMs, s.MaxDepth)
+		fmt.Fprintf(w, "  payload forwards:         %.2f per node\n", s.MsgsPerNode)
+		fmt.Fprintf(w, "  network: sent=%d delivered=%d dropped=%d bytes=%d\n", s.Sent, s.Delivered, s.Dropped, s.Bytes)
+		fmt.Fprintf(w, "  virtual time:             %.2fms\n", s.VirtualMs)
 	case "churn":
 		if opt.Churn == 0 {
 			opt.Churn = 0.2 // -crash carries the churned-out fraction; default to a meaningful one
@@ -424,18 +354,18 @@ func runExp(name string, n, fanout, hops int, loss, churn float64, seed int64, e
 			return err
 		}
 		coverage = s.PostCoverage
-		fmt.Printf("wsgossip-sim exp=churn: N=%d (-%d departed) f=%d r=%d loss=%.2f seed=%d\n",
+		fmt.Fprintf(w, "wsgossip-sim exp=churn: N=%d (-%d departed) f=%d r=%d loss=%.2f seed=%d\n",
 			s.N, s.Departed, s.Fanout, s.Hops, s.Loss, seed)
-		fmt.Printf("  pre-churn coverage:       %.4f of full population\n", s.PreCoverage)
-		fmt.Printf("  post-churn coverage:      %.4f of %d survivors (analytic %.4f at eff-loss %.2f)\n",
+		fmt.Fprintf(w, "  pre-churn coverage:       %.4f of full population\n", s.PreCoverage)
+		fmt.Fprintf(w, "  post-churn coverage:      %.4f of %d survivors (analytic %.4f at eff-loss %.2f)\n",
 			s.PostCoverage, s.Alive, s.Analytic, s.EffLoss)
-		fmt.Printf("  pending after depart:     %d timers\n", s.PendingAfterDepart)
-		fmt.Printf("  network: sent=%d delivered=%d dropped=%d\n", s.Sent, s.Delivered, s.Dropped)
-		fmt.Printf("  virtual time:             %.2fms\n", s.VirtualMs)
+		fmt.Fprintf(w, "  pending after depart:     %d timers\n", s.PendingAfterDepart)
+		fmt.Fprintf(w, "  network: sent=%d delivered=%d dropped=%d\n", s.Sent, s.Delivered, s.Dropped)
+		fmt.Fprintf(w, "  virtual time:             %.2fms\n", s.VirtualMs)
 	default:
 		return fmt.Errorf("unknown exp %q (want coverage or churn)", name)
 	}
-	peakMB := memReport()
+	peakMB := memReport(w)
 	if maxRSSMB > 0 && peakMB > 0 && peakMB > maxRSSMB {
 		return fmt.Errorf("peak RSS %d MiB exceeds budget %d MiB", peakMB, maxRSSMB)
 	}
@@ -449,12 +379,12 @@ func runExp(name string, n, fanout, hops int, loss, churn float64, seed int64, e
 // returns the peak RSS in MiB (0 when unavailable). The numbers are
 // intentionally outside the deterministic summary: byte-identical simulation
 // output stays diffable across runs while the memory lines vary.
-func memReport() int {
+func memReport(w io.Writer) int {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	const mib = 1 << 20
-	fmt.Printf("  mem: heap=%dMiB total-alloc=%dMiB sys=%dMiB gc=%d\n",
+	fmt.Fprintf(w, "  mem: heap=%dMiB total-alloc=%dMiB sys=%dMiB gc=%d\n",
 		ms.HeapAlloc/mib, ms.TotalAlloc/mib, ms.Sys/mib, ms.NumGC)
 	peak := 0
 	if body, err := os.ReadFile("/proc/self/status"); err == nil {
@@ -464,7 +394,7 @@ func memReport() int {
 				if len(fields) >= 2 {
 					var kb int
 					if _, err := fmt.Sscanf(fields[1], "%d", &kb); err == nil {
-						fmt.Printf("  mem: %s %dMiB\n", strings.TrimSuffix(fields[0], ":"), kb/1024)
+						fmt.Fprintf(w, "  mem: %s %dMiB\n", strings.TrimSuffix(fields[0], ":"), kb/1024)
 						if fields[0] == "VmHWM:" {
 							peak = kb / 1024
 						}
@@ -481,7 +411,7 @@ func memReport() int {
 // exists anywhere), a crash-fraction of nodes leaves mid-run, fresh nodes
 // join, and a rumor published after the churn must still cover the final
 // population through view-driven push-pull rounds.
-func runChurn(n, fanout int, loss, leaveFrac float64, seed int64, ticks int, dumpReg bool, minCov float64, plan *faults.Plan) error {
+func runChurn(w io.Writer, n, fanout int, loss, leaveFrac float64, seed int64, ticks int, dumpReg bool, minCov float64, plan *faults.Plan) error {
 	if n < 4 || fanout < 1 {
 		return fmt.Errorf("churn mode needs n >= 4 and fanout >= 1")
 	}
@@ -492,103 +422,53 @@ func runChurn(n, fanout int, loss, leaveFrac float64, seed int64, ticks int, dum
 		ticks = 30
 	}
 	joiners := n / 4
-	total := n + joiners
 	// One registry for the whole simulated cluster: per-node series sum, so
 	// the snapshot reads as cluster totals.
 	reg := metrics.NewRegistry()
-	net := simnet.New(simnet.DefaultConfig(seed))
-	clk := net.Clock()
-	if err := installFaults(net, plan); err != nil {
-		return err
-	}
-
-	type churnNode struct {
-		addr   string
-		msvc   *membership.Service
-		engine *gossip.Engine
-		runner *core.Runner
-		got    map[string]bool
-	}
-	nodes := make([]*churnNode, 0, total)
-	boot := func(i int) (*churnNode, error) {
-		addr := fmt.Sprintf("n%05d", i)
-		node := &churnNode{addr: addr, got: make(map[string]bool)}
-		ep := net.Node(addr)
-		msvc, err := membership.New(membership.Config{
-			Endpoint:     ep,
-			Clock:        net,
-			RNG:          rand.New(rand.NewSource(seed*131 + int64(i))),
+	var sim *testbed.Sim[gossip.Config]
+	sim, err := testbed.Engines(testbed.Spec[gossip.Config]{
+		N: n, Seed: seed, Addr: "n%05d", Stream: testbed.Stream{Mul: 7919},
+		// The live view IS the peer provider.
+		Members: &membership.Config{
 			Fanout:       3,
 			SuspectAfter: 10 * roundPeriod,
 			RemoveAfter:  20 * roundPeriod,
 			Metrics:      reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		eng, err := gossip.New(gossip.Config{
-			Style:    gossip.StylePushPull,
-			Fanout:   fanout,
-			Hops:     12,
-			Endpoint: ep,
-			Peers:    msvc, // the live view IS the peer provider
-			RNG:      rand.New(rand.NewSource(seed*7919 + int64(i))),
-			Deliver:  func(r gossip.Rumor) { node.got[r.ID] = true },
-		})
-		if err != nil {
-			return nil, err
-		}
-		mux := transport.NewMux()
-		eng.Register(mux)
-		msvc.Register(mux)
-		mux.Bind(ep)
-		runner, err := core.NewRunner(core.RunnerConfig{
-			Clock:   clk,
-			Metrics: reg,
-			RNG:     rand.New(rand.NewSource(seed*2693 + int64(i))),
-			Loops: []core.Loop{
-				{Name: "membership", Period: 2 * roundPeriod, Tick: msvc.Tick},
-				{Name: "round", Period: roundPeriod, Jitter: roundJitter, Tick: eng.Tick},
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := runner.Start(context.Background()); err != nil {
-			return nil, err
-		}
-		node.msvc = msvc
-		node.engine = eng
-		node.runner = runner
-		nodes = append(nodes, node)
-		return node, nil
+		},
+		MemberStream: testbed.Stream{Mul: 131},
+		Config:       gossip.Config{Style: gossip.StylePushPull, Fanout: fanout, Hops: 12},
+		Loops: func(i int) []core.Loop {
+			return []core.Loop{
+				{Name: "membership", Period: 2 * roundPeriod, Tick: sim.Members[i].Tick},
+				round(sim.Engines[i].Tick),
+			}
+		},
+		Metrics: reg, Plan: plan,
+	})
+	if err != nil {
+		return err
 	}
-	ctx := context.Background()
-	for i := 0; i < n; i++ {
-		node, err := boot(i)
-		if err != nil {
-			return err
-		}
-		if i > 0 {
-			node.msvc.Join(ctx, []string{"n00000"})
-		}
+	if err := sim.Start(); err != nil {
+		return err
 	}
-	meanView := func(ns []*churnNode) float64 {
-		if len(ns) == 0 {
-			return 0
+	net := sim.Net
+	meanView := func() float64 {
+		sum, alive := 0, 0
+		for i, m := range sim.Members {
+			if !net.Departed(sim.Addrs[i]) {
+				sum += m.Size()
+				alive++
+			}
 		}
-		sum := 0
-		for _, node := range ns {
-			sum += node.msvc.Size()
-		}
-		return float64(sum) / float64(len(ns))
+		return float64(sum) / float64(alive)
 	}
 	net.Faults().SetLoss(loss)
 	net.RunFor(time.Duration(ticks) * roundPeriod) // views assemble
-	viewBefore := meanView(nodes)
+	viewBefore := meanView()
 
 	// Event 1 on the assembled overlay.
-	if _, err := nodes[0].engine.Publish(ctx, []byte("pre-churn")); err != nil {
+	ctx := context.Background()
+	if _, err := sim.Engines[0].Publish(ctx, []byte("pre-churn")); err != nil {
 		return err
 	}
 	net.RunFor(time.Duration(ticks) * roundPeriod)
@@ -596,78 +476,54 @@ func runChurn(n, fanout int, loss, leaveFrac float64, seed int64, ticks int, dum
 	// Churn: leavers announce and crash; joiners bootstrap from node 0.
 	rng := rand.New(rand.NewSource(seed * 31))
 	leaving := rng.Perm(n - 1)[:int(float64(n)*leaveFrac)]
-	down := make(map[string]bool, len(leaving))
 	for _, idx := range leaving {
-		node := nodes[idx+1] // never the seed node
-		node.msvc.Leave(ctx)
-		node.runner.Stop()
+		i := idx + 1 // never the seed node
+		sim.Members[i].Leave(ctx)
+		sim.Runners[i].Stop()
 		// Leavers are gone for good: Depart (not Crash) drops traffic to them
 		// at enqueue, so the churned-out cohort does not keep filling the
 		// timer queue with deliveries that would only be dropped on arrival.
-		net.Depart(node.addr)
-		down[node.addr] = true
+		net.Depart(sim.Addrs[i])
 	}
 	for i := 0; i < joiners; i++ {
-		node, err := boot(n + i)
-		if err != nil {
+		if err := sim.Add(); err != nil {
 			return err
 		}
-		node.msvc.Join(ctx, []string{"n00000"})
 	}
 	net.RunFor(time.Duration(ticks) * roundPeriod)
 
 	// Event 2 over the churned overlay: joiners must get it from views
 	// they assembled themselves, leavers must not resurrect.
-	r2, err := nodes[0].engine.Publish(ctx, []byte("post-churn"))
+	r2, err := sim.Engines[0].Publish(ctx, []byte("post-churn"))
 	if err != nil {
 		return err
 	}
 	net.RunFor(time.Duration(2*ticks) * roundPeriod)
-	for _, node := range nodes {
-		if !down[node.addr] {
-			node.runner.Stop()
-		}
-	}
+	sim.Stop()
 	net.Run()
 
 	alive, covered, joinCovered := 0, 0, 0
-	for i, node := range nodes {
-		if down[node.addr] {
+	for i, addr := range sim.Addrs {
+		if net.Departed(addr) {
 			continue
 		}
 		alive++
-		if node.got[r2.ID] {
+		if _, ok := sim.Delivered(i, r2.ID); ok {
 			covered++
 			if i >= n {
 				joinCovered++
 			}
 		}
 	}
-	aliveNodes := make([]*churnNode, 0, alive)
-	for _, node := range nodes {
-		if !down[node.addr] {
-			aliveNodes = append(aliveNodes, node)
-		}
-	}
-	viewAfter := meanView(aliveNodes)
-	st := net.Stats()
-	fmt.Printf("wsgossip-sim churn: N=%d (+%d joined, -%d left) f=%d loss=%.2f seed=%d\n",
+	viewAfter := meanView()
+	fmt.Fprintf(w, "wsgossip-sim churn: N=%d (+%d joined, -%d left) f=%d loss=%.2f seed=%d\n",
 		n, joiners, len(leaving), fanout, loss, seed)
-	fmt.Printf("  mean view size:           %.1f before churn, %.1f after\n", viewBefore, viewAfter)
-	fmt.Printf("  post-churn coverage:      %d/%d alive (%d/%d joiners)\n", covered, alive, joinCovered, joiners)
-	fmt.Printf("  network: sent=%d delivered=%d dropped=%d bytes=%d\n", st.Sent, st.Delivered, st.Dropped, st.Bytes)
-	fmt.Printf("  virtual time:             %v\n", net.Now())
-	if plan != nil {
-		reg.Counter("net_fault_refused_total").Add(st.FaultRefused)
-		reg.Counter("net_fault_dropped_total").Add(st.FaultDropped)
-		if err := reportFaults(net.Faults(), st); err != nil {
-			return err
-		}
+	fmt.Fprintf(w, "  mean view size:           %.1f before churn, %.1f after\n", viewBefore, viewAfter)
+	fmt.Fprintf(w, "  post-churn coverage:      %d/%d alive (%d/%d joiners)\n", covered, alive, joinCovered, joiners)
+	if err := reportNet(w, reg, net, plan); err != nil {
+		return err
 	}
-	reg.Counter("net_sent_total").Add(st.Sent)
-	reg.Counter("net_delivered_total").Add(st.Delivered)
-	reg.Counter("net_dropped_total").Add(st.Dropped)
-	return finish(reg, dumpReg, float64(covered)/float64(alive), minCov)
+	return finish(w, reg, dumpReg, float64(covered)/float64(alive), minCov)
 }
 
 // runAggregate drives aggregate mode: n SimNodes over a static peer list,
@@ -678,7 +534,7 @@ func runChurn(n, fanout int, loss, leaveFrac float64, seed int64, ticks int, dum
 // any sampled instant fails the run with a non-zero exit — this is the CI
 // smoke gate for the loss-tolerance claim. plan is scheduled on the
 // network's clock.
-func runAggregate(n, fanout int, fnName string, loss float64, seed int64, dumpReg bool, minCov float64, epochs int, window time.Duration, plan *faults.Plan) error {
+func runAggregate(w io.Writer, n, fanout int, fnName string, loss float64, seed int64, dumpReg bool, minCov float64, epochs int, window time.Duration, plan *faults.Plan) error {
 	fn, err := aggregate.ParseFunc(fnName)
 	if err != nil {
 		return err
@@ -696,44 +552,29 @@ func runAggregate(n, fanout int, fnName string, loss float64, seed int64, dumpRe
 		return fmt.Errorf("window %v too short: epochs need several %v rounds to mix", window, roundPeriod)
 	}
 	reg := metrics.NewRegistry()
-	net := simnet.New(simnet.DefaultConfig(seed))
-	if err := installFaults(net, plan); err != nil {
-		return err
-	}
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("n%05d", i)
-	}
-	peers := gossip.NewStaticPeers(addrs)
-	nodes := make([]*aggregate.SimNode, n)
 	rng := rand.New(rand.NewSource(seed))
+	values := make([]float64, n)
 	var truthSum float64
 	truthMin, truthMax := math.Inf(1), math.Inf(-1)
-	for i, addr := range addrs {
+	for i := range values {
 		v := rng.Float64() * 1000
+		values[i] = v
 		truthSum += v
 		truthMin = math.Min(truthMin, v)
 		truthMax = math.Max(truthMax, v)
-		node, err := aggregate.NewSimNode(aggregate.SimNodeConfig{
-			Endpoint: net.Node(addr),
-			Peers:    peers,
-			Fanout:   fanout,
-			TaskID:   "sim",
-			Func:     fn,
-			Value:    v,
-			Root:     i == 0,
-			RNG:      rand.New(rand.NewSource(seed*6151 + int64(i))),
-			Window:   window,
-			Clock:    net,
-		})
-		if err != nil {
-			return err
-		}
-		mux := transport.NewMux()
-		node.Register(mux)
-		mux.Bind(net.Node(addr))
-		nodes[i] = node
 	}
+	var sim *testbed.Sim[aggregate.SimNodeConfig]
+	sim, err = testbed.SimNodes(testbed.Spec[aggregate.SimNodeConfig]{
+		N: n, Seed: seed, Addr: "n%05d", Stream: testbed.Stream{Mul: 6151},
+		Config:  aggregate.SimNodeConfig{Fanout: fanout, TaskID: "sim", Func: fn, Window: window},
+		Shape:   func(i int, cfg *aggregate.SimNodeConfig) { cfg.Value = values[i] },
+		Loops:   func(i int) []core.Loop { return []core.Loop{round(sim.Aggs[i].Tick)} },
+		Metrics: reg, Plan: plan,
+	})
+	if err != nil {
+		return err
+	}
+	net, nodes := sim.Net, sim.Aggs
 	net.Faults().SetLoss(loss)
 	truth := map[aggregate.Func]float64{
 		aggregate.FuncCount: float64(n),
@@ -742,13 +583,10 @@ func runAggregate(n, fanout int, fnName string, loss float64, seed int64, dumpRe
 		aggregate.FuncMin:   truthMin,
 		aggregate.FuncMax:   truthMax,
 	}[fn]
-	runners, err := startRunners(net, addrs, seed, reg, func(i int) func(context.Context) {
-		return nodes[i].Tick
-	})
-	if err != nil {
+	if err := sim.Start(); err != nil {
 		return err
 	}
-	fmt.Printf("wsgossip-sim aggregate (windowed): N=%d f=%d fn=%s epochs=%d window=%v loss=%.2f seed=%d faults=%v\n",
+	fmt.Fprintf(w, "wsgossip-sim aggregate (windowed): N=%d f=%d fn=%s epochs=%d window=%v loss=%.2f seed=%d faults=%v\n",
 		n, fanout, fn, epochs, window, loss, seed, plan != nil)
 
 	// Sample the conservation residual every round on every node; the gate
@@ -783,43 +621,22 @@ func runAggregate(n, fanout int, fnName string, loss float64, seed int64, dumpRe
 			defined++
 			worstErr = math.Max(worstErr, math.Abs(fr.Estimate-truth)/math.Max(math.Abs(truth), 1e-12))
 		}
-		fmt.Printf("  epoch %d: estimates %d/%d defined, worst rel err %.3e\n", e, defined, n, worstErr)
+		fmt.Fprintf(w, "  epoch %d: estimates %d/%d defined, worst rel err %.3e\n", e, defined, n, worstErr)
 		reg.FloatGauge("aggregate_worst_rel_error").Set(worstErr)
 	}
-	stopRunners(runners)
+	sim.Stop()
 	net.Run() // drain in-flight shares and acks from the final rounds
 	sampleMass()
 
-	var stats aggregate.Stats
-	for _, node := range nodes {
-		st := node.Stats()
-		stats.SharesSent += st.SharesSent
-		stats.SharesAbsorbed += st.SharesAbsorbed
-		stats.DuplicateShares += st.DuplicateShares
-		stats.StaleShares += st.StaleShares
-		stats.Commits += st.Commits
-		stats.Retries += st.Retries
-		stats.Recovered += st.Recovered
-		stats.UnackedDropped += st.UnackedDropped
-	}
-	st := net.Stats()
-	fmt.Printf("  exchange: sent=%d absorbed=%d committed=%d retried=%d dup=%d stale=%d recovered=%d retired=%d\n",
+	stats := sim.AggStats()
+	fmt.Fprintf(w, "  exchange: sent=%d absorbed=%d committed=%d retried=%d dup=%d stale=%d recovered=%d retired=%d\n",
 		stats.SharesSent, stats.SharesAbsorbed, stats.Commits, stats.Retries,
 		stats.DuplicateShares, stats.StaleShares, stats.Recovered, stats.UnackedDropped)
-	fmt.Printf("  mass error: %d violation(s), worst %g (gate: exactly 0 everywhere, always)\n",
+	fmt.Fprintf(w, "  mass error: %d violation(s), worst %g (gate: exactly 0 everywhere, always)\n",
 		massViolations, worstMassErr)
-	fmt.Printf("  network: sent=%d delivered=%d dropped=%d bytes=%d\n", st.Sent, st.Delivered, st.Dropped, st.Bytes)
-	fmt.Printf("  virtual time:             %v\n", net.Now())
-	if plan != nil {
-		reg.Counter("net_fault_refused_total").Add(st.FaultRefused)
-		reg.Counter("net_fault_dropped_total").Add(st.FaultDropped)
-		if err := reportFaults(net.Faults(), st); err != nil {
-			return err
-		}
+	if err := reportNet(w, reg, net, plan); err != nil {
+		return err
 	}
-	reg.Counter("net_sent_total").Add(st.Sent)
-	reg.Counter("net_delivered_total").Add(st.Delivered)
-	reg.Counter("net_dropped_total").Add(st.Dropped)
 	reg.FloatGauge("aggregate_mass_error").Set(worstMassErr)
 	if massViolations > 0 {
 		return fmt.Errorf("mass conservation violated %d time(s), worst residual %g: the acked exchange must hold aggregate_mass_error at exactly 0 under loss",
@@ -833,5 +650,5 @@ func runAggregate(n, fanout int, fnName string, loss float64, seed int64, dumpRe
 			finalDefined++
 		}
 	}
-	return finish(reg, dumpReg, float64(finalDefined)/float64(n), minCov)
+	return finish(w, reg, dumpReg, float64(finalDefined)/float64(n), minCov)
 }

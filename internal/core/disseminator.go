@@ -267,10 +267,19 @@ type Disseminator struct {
 	deferAnn bool
 	// keys are the interactions' keys, sorted, for the digest rounds; they
 	// are sorted anew only when an interaction was added.
-	keys  []string
-	stats counters
-	now   func() time.Duration
+	keys []string
+	// unspread holds the sums of notifications whose first receipt the node
+	// delivered but could not spread, holding no interaction state, oldest
+	// first and at most unspreadCap: a later copy that brings the state
+	// spreads one of them once (intercept).
+	unspread []uint64
+	stats    counters
+	now      func() time.Duration
 }
+
+// unspreadCap bounds Disseminator.unspread: past it the oldest entry is
+// forgotten, and its notification stays unspread here.
+const unspreadCap = 64
 
 // NewDisseminator returns a disseminator node.
 func NewDisseminator(cfg DisseminatorConfig) (*Disseminator, error) {
@@ -371,7 +380,10 @@ func (d *Disseminator) RegisterActions(dispatcher *soap.Dispatcher) {
 // registration, local delivery to cfg.App, and re-routing as the machine
 // decides. A bare copy of an interaction the node does not hold — its first
 // copy lost, its registration failed, or the node restarted at the same
-// address — is delivered and refused (refuse), first receipt or duplicate.
+// address — is delivered and refused (refuse), first receipt or duplicate,
+// and its sum kept in d.unspread: the first later copy that finds the
+// interaction held, or brings its context, spreads it as a first receipt
+// would have.
 func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
 	block, ok := req.Envelope.HeaderBlock(Namespace, "Gossip")
 	if !ok {
@@ -398,9 +410,16 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.
 	if first {
 		d.retainLocked(sum, req.Envelope, state)
 	}
+	// A duplicate of a notification left unspread spreads now if the node
+	// has since taken the interaction, or if this copy carries the context
+	// to take it from: one attempt per notification, whatever it costs.
+	late := !first && len(d.unspread) > 0 &&
+		(state != nil || hasContext(req.Envelope)) && d.takeUnspreadLocked(sum)
 	d.mu.Unlock()
 	if !first {
 		d.stats.duplicates.Add(1)
+	}
+	if !first && !late {
 		if state == nil {
 			d.refuse(ctx, req.Envelope, interaction, from)
 		}
@@ -418,13 +437,23 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.
 			state = nil
 		}
 	}
-
-	d.stats.delivered.Add(1)
-	// Gossiped notifications are one-way: the application's response is
-	// suppressed on the gossip path.
-	_, appErr := d.deliver(ctx, req)
+	var appErr error
+	if first {
+		d.stats.delivered.Add(1)
+		// Gossiped notifications are one-way: the application's response
+		// is suppressed on the gossip path.
+		_, appErr = d.deliver(ctx, req)
+	}
 
 	if state == nil {
+		if first {
+			d.mu.Lock()
+			if len(d.unspread) == unspreadCap {
+				d.unspread = append(d.unspread[:0], d.unspread[1:]...)
+			}
+			d.unspread = append(d.unspread, sum)
+			d.mu.Unlock()
+		}
 		d.refuse(ctx, req.Envelope, interaction, from)
 		return nil, appErr
 	}
@@ -433,6 +462,23 @@ func (d *Disseminator) intercept(ctx context.Context, req *soap.Request) (*soap.
 	d.mu.Unlock()
 	d.spread(ctx, req.Envelope, n, state, t)
 	return nil, appErr
+}
+
+// takeUnspreadLocked removes sum from d.unspread and reports whether it was
+// there. Caller holds d.mu.
+func (d *Disseminator) takeUnspreadLocked(sum uint64) bool {
+	i := slices.Index(d.unspread, sum)
+	if i < 0 {
+		return false
+	}
+	d.unspread = slices.Delete(d.unspread, i, i+1)
+	return true
+}
+
+// hasContext reports whether env carries a coordination context header.
+func hasContext(env *soap.Envelope) bool {
+	_, ok := env.HeaderBlock(wscoord.Namespace, "CoordinationContext")
+	return ok
 }
 
 // stored is one store slot: a retained notification, kept so fetches and

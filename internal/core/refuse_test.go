@@ -298,16 +298,25 @@ func TestForgedRefusalOnlyPutsTheContextBack(t *testing.T) {
 // bareCopy is a bare notify as a sender naming from would write it for to,
 // with no hop left for its receiver to forward it on.
 func bareCopy(t *testing.T, to, interaction, from string) []byte {
+	return notifyCopy(t, to, interaction, wsa.NewMessageID(), from, nil)
+}
+
+// notifyCopy is bareCopy of message id, carrying cctx if it is set.
+func notifyCopy(t *testing.T, to, interaction string, id wsa.MessageID, from string, cctx *wscoord.CoordinationContext) []byte {
 	t.Helper()
 	body, err := soap.MarshalBlock(quoteBody{Symbol: "X", Price: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := soap.Message{
-		To: to, Action: ActionNotify, ID: []byte(wsa.NewMessageID()),
-		Header: []soap.Block{{XMLName: gossipName, Raw: appendGossipBlock(nil, interaction, 0, "", from)}},
-		Body:   []soap.Block{body},
+	header := []soap.Block{{XMLName: gossipName, Raw: appendGossipBlock(nil, interaction, 0, "", from)}}
+	if cctx != nil {
+		block, err := wscoord.ContextBlock(*cctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header = append(header, block)
 	}
+	m := soap.Message{To: to, Action: ActionNotify, ID: []byte(id), Header: header, Body: []soap.Block{body}}
 	rec := &wireRecorder{}
 	if err := m.Send(context.Background(), rec, to); err != nil {
 		t.Fatal(err)
@@ -375,6 +384,60 @@ func TestForgedFromCostsOneSmallRefusal(t *testing.T) {
 	p.b.forward(ctx, env, state, notice{messageID: env.MessageIDKey()}, false, []string{"mem://a"})
 	if got := p.rec.events[mark:]; len(got) != 1 || !got[0].withContext {
 		t.Fatalf("B's first copy to A after forged copies naming A: %+v, want it with the context", got)
+	}
+}
+
+// registerCalls counts the Calls a node makes: its Register attempts.
+type registerCalls struct {
+	*soap.MemBus
+	calls int
+}
+
+func (c *registerCalls) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.Envelope, error) {
+	c.calls++
+	return c.MemBus.Call(ctx, to, env)
+}
+
+// TestUnspreadCostsOneRegisterAttempt: a node that got a notification bare,
+// holding no interaction, tries to register once when copies with the
+// context follow, however many, and however unreachable the coordinator they
+// name; it keeps at most unspreadCap such notifications.
+func TestUnspreadCostsOneRegisterAttempt(t *testing.T) {
+	bus := soap.NewMemBus()
+	caller := &registerCalls{MemBus: bus}
+	d, err := NewDisseminator(DisseminatorConfig{Address: "mem://b", Caller: caller, RNG: rand.New(rand.NewSource(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus.Register("mem://b", d.Handler())
+	ctx := context.Background()
+	cctx := &wscoord.CoordinationContext{
+		Identifier: "urn:uuid:unheld", CoordinationType: CoordinationTypeGossip,
+		RegistrationService: wscoord.ServiceRef{Address: "mem://gone"},
+	}
+	id := wsa.NewMessageID()
+	copies := [][]byte{notifyCopy(t, "mem://b", cctx.Identifier, id, "mem://a", nil)}
+	for range 3 {
+		copies = append(copies, notifyCopy(t, "mem://b", cctx.Identifier, id, "", cctx))
+	}
+	for _, c := range copies {
+		if err := bus.SendEncoded(ctx, "mem://b", c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if caller.calls != 1 {
+		t.Fatalf("%d Register attempts for one notification left unspread, want 1", caller.calls)
+	}
+	if st := d.Stats(); st.Delivered != 1 || st.Duplicates != 3 || st.Registrations != 0 {
+		t.Fatalf("B: %+v", st)
+	}
+	for range unspreadCap + 1 {
+		if err := bus.SendEncoded(ctx, "mem://b", bareCopy(t, "mem://b", cctx.Identifier, "mem://a")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(d.unspread) != unspreadCap {
+		t.Fatalf("%d notifications kept unspread, want the cap %d", len(d.unspread), unspreadCap)
 	}
 }
 

@@ -34,31 +34,31 @@ func A1Styles(opt Options) ([]Table, error) {
 		{gossip.StyleCounter, 0},
 		{gossip.StyleFlood, 0},
 	} {
-		c, err := newEngineCluster(n, opt.Seed+int64(sr.style)*111, engineParams{
-			style:    sr.style,
-			fanout:   3,
-			hops:     defaultHops(n) + 2,
-			counterK: 4,
+		c, err := newEngineCluster(n, opt.Seed+int64(sr.style)*111, gossip.Config{
+			Style:    sr.style,
+			Fanout:   3,
+			Hops:     defaultHops(n) + 2,
+			CounterK: 4,
 		})
 		if err != nil {
 			return nil, err
 		}
 		ctx := context.Background()
-		t0 := c.net.Now()
-		r, err := c.engines[0].Publish(ctx, []byte("evt"))
+		t0 := c.Net.Now()
+		r, err := c.Engines[0].Publish(ctx, []byte("evt"))
 		if err != nil {
 			return nil, err
 		}
-		c.net.Run()
+		c.Net.Run()
 		if sr.ticks > 0 {
 			c.tickAll(ctx, sr.ticks, 20*time.Millisecond)
 		}
-		st := c.totalStats()
+		st := c.GossipStats()
 		control := st.IHaveSent + st.IWantSent + st.PullReqs + st.PullResps
-		elapsed := float64(c.net.Now()-t0) / float64(time.Millisecond)
+		elapsed := float64(c.Net.Now()-t0) / float64(time.Millisecond)
 		t.AddRow(
 			sr.style.String(),
-			f3(c.coverage(r.ID)),
+			f3(c.Coverage(r.ID)),
 			i642s(st.Forwarded),
 			i642s(control),
 			f2(elapsed),
@@ -88,29 +88,29 @@ func A2DedupCache(opt Options) ([]Table, error) {
 	// the shortfall. Sizes are chosen so the worst case stays tractable
 	// while the redelivery cliff is clearly visible.
 	for _, size := range []int{16, 64, 256, 4096} {
-		c, err := newEngineCluster(n, opt.Seed+int64(size), engineParams{
-			style:     gossip.StylePush,
-			fanout:    3,
-			hops:      defaultHops(n) + 2,
-			seenCache: size,
+		c, err := newEngineCluster(n, opt.Seed+int64(size), gossip.Config{
+			Style:         gossip.StylePush,
+			Fanout:        3,
+			Hops:          defaultHops(n) + 2,
+			SeenCacheSize: size,
 		})
 		if err != nil {
 			return nil, err
 		}
 		ctx := context.Background()
 		for e := 0; e < events; e++ {
-			if _, err := c.engines[e%n].Publish(ctx, []byte("evt")); err != nil {
+			if _, err := c.Engines[e%n].Publish(ctx, []byte("evt")); err != nil {
 				return nil, err
 			}
 			// Interleave publishes with partial network drains so many
 			// rumors circulate concurrently, stressing the cache.
 			if e%8 == 7 {
-				c.net.RunFor(2 * time.Millisecond)
+				c.Net.RunFor(2 * time.Millisecond)
 			}
 		}
-		c.net.Run()
-		st := c.totalStats()
-		t.AddRow(i2s(size), i2s(c.redeliveries), i642s(st.Duplicates))
+		c.Net.Run()
+		st := c.GossipStats()
+		t.AddRow(i2s(size), i2s(c.Redeliveries), i642s(st.Duplicates))
 	}
 	t.Notes = "once the cache comfortably exceeds the number of concurrently circulating rumors, redeliveries drop to zero; " +
 		"the default (65536) is far above any realistic concurrent-rumor count."

@@ -4,13 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"wsgossip/internal/aggregate"
-	"wsgossip/internal/gossip"
-	"wsgossip/internal/simnet"
-	"wsgossip/internal/transport"
+	"wsgossip/internal/testbed"
 )
 
 // E12WindowSizing is the share-sizing ablation for the epoch-windowed,
@@ -41,43 +38,22 @@ func E12WindowSizing(opt Options) ([]Table, error) {
 		},
 	}
 	for _, fanout := range []int{1, 2, 4, 8} {
-		net := simnet.New(simnet.DefaultConfig(opt.Seed + int64(fanout)))
+		s, err := testbed.SimNodes(testbed.Spec[aggregate.SimNodeConfig]{
+			N: n, Seed: opt.Seed + int64(fanout), Addr: "e12n%04d",
+			Stream: testbed.Stream{Add: opt.Seed*131 + int64(fanout)*1000},
+			Config: aggregate.SimNodeConfig{Fanout: fanout, TaskID: "e12", Func: aggregate.FuncCount, Value: 1, Window: window},
+		})
+		if err != nil {
+			return nil, err
+		}
+		net, nodes := s.Net, s.Aggs
 		net.Faults().SetLoss(lossRate)
-		addrs := make([]string, n)
-		for i := range addrs {
-			addrs[i] = fmt.Sprintf("e12n%04d", i)
-		}
-		peers := gossip.NewStaticPeers(addrs)
-		nodes := make([]*aggregate.SimNode, n)
-		for i, addr := range addrs {
-			node, err := aggregate.NewSimNode(aggregate.SimNodeConfig{
-				Endpoint: net.Node(addr),
-				Peers:    peers,
-				Fanout:   fanout,
-				TaskID:   "e12",
-				Func:     aggregate.FuncCount,
-				Value:    1,
-				Root:     i == 0,
-				RNG:      rand.New(rand.NewSource(opt.Seed*131 + int64(fanout)*1000 + int64(i))),
-				Window:   window,
-				Clock:    net,
-			})
-			if err != nil {
-				return nil, err
-			}
-			mux := transport.NewMux()
-			node.Register(mux)
-			mux.Bind(net.Node(addr))
-			nodes[i] = node
-		}
 		ctx := context.Background()
 		var massErrMax float64
 		horizon := time.Duration(epochs+1) * window
 		for net.Now() < horizon {
 			net.RunFor(tick)
-			for _, node := range nodes {
-				node.Tick(ctx)
-			}
+			s.Tick(ctx)
 			for _, node := range nodes {
 				massErrMax = math.Max(massErrMax, math.Abs(node.MassError()))
 			}
@@ -86,7 +62,6 @@ func E12WindowSizing(opt Options) ([]Table, error) {
 			return nil, fmt.Errorf("e12: fanout %d broke conservation: mass error %g", fanout, massErrMax)
 		}
 		var worstErr float64
-		var retries, dups int64
 		for _, node := range nodes {
 			fr, ok := node.Frozen()
 			if !ok || !fr.Defined {
@@ -94,10 +69,9 @@ func E12WindowSizing(opt Options) ([]Table, error) {
 				continue
 			}
 			worstErr = math.Max(worstErr, math.Abs(fr.Estimate-float64(n))/float64(n))
-			st := node.Stats()
-			retries += st.Retries
-			dups += st.DuplicateShares
 		}
+		sum := s.AggStats()
+		retries, dups := sum.Retries, sum.DuplicateShares
 		st := net.Stats()
 		t.AddRow(
 			i2s(fanout),

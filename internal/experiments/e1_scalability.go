@@ -29,23 +29,23 @@ func E1Scalability(opt Options) ([]Table, error) {
 		},
 	}
 	for _, n := range sizes {
-		c, err := newEngineCluster(n, opt.Seed+int64(n), engineParams{
-			style:  gossip.StylePush,
-			fanout: 3,
-			hops:   defaultHops(n) + 2,
+		c, err := newEngineCluster(n, opt.Seed+int64(n), gossip.Config{
+			Style:  gossip.StylePush,
+			Fanout: 3,
+			Hops:   defaultHops(n) + 2,
 		})
 		if err != nil {
 			return nil, err
 		}
 		ctx := context.Background()
-		t0 := c.net.Now()
-		r, err := c.engines[0].Publish(ctx, []byte("evt"))
+		t0 := c.Net.Now()
+		r, err := c.Engines[0].Publish(ctx, []byte("evt"))
 		if err != nil {
 			return nil, err
 		}
-		c.net.Run()
+		c.Net.Run()
 		times := c.deliveryTimes(r.ID, t0)
-		stats := c.totalStats()
+		stats := c.GossipStats()
 		msgsPerNode := float64(stats.Forwarded) / float64(n)
 
 		// Sequential unicast baseline: one sender, N-1 sends spaced by
@@ -58,7 +58,7 @@ func E1Scalability(opt Options) ([]Table, error) {
 		}
 		t.AddRow(
 			i2s(n),
-			f3(c.coverage(r.ID)),
+			f3(c.Coverage(r.ID)),
 			i2s(c.maxDepth(r.ID)),
 			f2(quantile(times, 0.5)),
 			f2(quantile(times, 0.99)),
@@ -75,10 +75,10 @@ func E1Scalability(opt Options) ([]Table, error) {
 // sequentialUnicast simulates one sender delivering to n-1 receivers one at
 // a time and returns the completion time (last delivery) in milliseconds.
 func sequentialUnicast(n int, seed int64, gap time.Duration) (float64, error) {
-	c, err := newEngineCluster(n, seed, engineParams{
-		style:  gossip.StylePush,
-		fanout: 1,
-		hops:   0, // receivers must not forward; this is pure unicast fan-out
+	c, err := newEngineCluster(n, seed, gossip.Config{
+		Style:  gossip.StylePush,
+		Fanout: 1,
+		Hops:   0, // receivers must not forward; this is pure unicast fan-out
 	})
 	if err != nil {
 		return 0, err
@@ -91,14 +91,14 @@ func sequentialUnicast(n int, seed int64, gap time.Duration) (float64, error) {
 	for i := 1; i < n; i++ {
 		i := i
 		at := time.Duration(i-1) * gap
-		c.net.AfterFunc(at, func() {
-			c.engines[i].Inject(ctx, gossip.Rumor{ID: "uni", Origin: c.addrs[0], Hops: 0, Payload: []byte("evt")})
+		c.Net.AfterFunc(at, func() {
+			c.Engines[i].Inject(ctx, gossip.Rumor{ID: "uni", Origin: c.Addrs[0], Hops: 0, Payload: []byte("evt")})
 		})
 	}
-	c.net.Run()
+	c.Net.Run()
 	for i := 1; i < n; i++ {
-		if at, ok := c.deliveries[i]["uni"]; ok && at > last {
-			last = at
+		if d, ok := c.Delivered(i, "uni"); ok && d.At > last {
+			last = d.At
 		}
 	}
 	// Add one link latency (the injection shortcut skips the wire; a real

@@ -30,21 +30,21 @@ func E2FanoutCoverage(opt Options) ([]Table, error) {
 		var covSum float64
 		atomic := 0
 		for trial := 0; trial < trials; trial++ {
-			c, err := newEngineCluster(n, opt.Seed+int64(f*1000+trial), engineParams{
-				style:  gossip.StylePush,
-				fanout: f,
-				hops:   hops,
+			c, err := newEngineCluster(n, opt.Seed+int64(f*1000+trial), gossip.Config{
+				Style:  gossip.StylePush,
+				Fanout: f,
+				Hops:   hops,
 			})
 			if err != nil {
 				return nil, err
 			}
 			origin := trial % n
-			r, err := c.engines[origin].Publish(context.Background(), []byte("evt"))
+			r, err := c.Engines[origin].Publish(context.Background(), []byte("evt"))
 			if err != nil {
 				return nil, err
 			}
-			c.net.Run()
-			cov := c.coverage(r.ID)
+			c.Net.Run()
+			cov := c.Coverage(r.ID)
 			covSum += cov
 			if cov == 1.0 {
 				atomic++

@@ -8,7 +8,7 @@ import (
 
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/simnet"
-	"wsgossip/internal/transport"
+	"wsgossip/internal/testbed"
 	"wsgossip/internal/wsn"
 )
 
@@ -92,28 +92,28 @@ func gossipUnderCrash(n int, seed int64, crashPct, trials int, style gossip.Styl
 func crashTrials(n int, seed int64, crashPct, trials int, style gossip.Style, repair bool) ([]float64, error) {
 	covs := make([]float64, 0, trials)
 	for trial := 0; trial < trials; trial++ {
-		c, err := newEngineCluster(n, seed+int64(trial)*31, engineParams{
-			style:  style,
-			fanout: 4,
-			hops:   defaultHops(n) + 2,
+		c, err := newEngineCluster(n, seed+int64(trial)*31, gossip.Config{
+			Style:  style,
+			Fanout: 4,
+			Hops:   defaultHops(n) + 2,
 		})
 		if err != nil {
 			return nil, err
 		}
 		rng := rand.New(rand.NewSource(seed + int64(trial)))
-		crashed := gossip.SamplePeers(rng, c.addrs, n*crashPct/100, c.addrs[0])
+		crashed := gossip.SamplePeers(rng, c.Addrs, n*crashPct/100, c.Addrs[0])
 		for _, a := range crashed {
-			c.net.Crash(a)
+			c.Net.Crash(a)
 		}
-		r, err := c.engines[0].Publish(context.Background(), []byte("evt"))
+		r, err := c.Engines[0].Publish(context.Background(), []byte("evt"))
 		if err != nil {
 			return nil, err
 		}
-		c.net.Run()
+		c.Net.Run()
 		if repair {
 			c.tickAll(context.Background(), 10, 20*time.Millisecond)
 		}
-		covs = append(covs, c.coverage(r.ID))
+		covs = append(covs, c.Coverage(r.ID))
 	}
 	return covs, nil
 }
@@ -121,24 +121,24 @@ func crashTrials(n int, seed int64, crashPct, trials int, style gossip.Style, re
 func gossipUnderLoss(n int, seed int64, loss float64, trials int, style gossip.Style, repair bool) (float64, error) {
 	var sum float64
 	for trial := 0; trial < trials; trial++ {
-		c, err := newEngineCluster(n, seed+int64(trial)*37, engineParams{
-			style:  style,
-			fanout: 4,
-			hops:   defaultHops(n) + 2,
+		c, err := newEngineCluster(n, seed+int64(trial)*37, gossip.Config{
+			Style:  style,
+			Fanout: 4,
+			Hops:   defaultHops(n) + 2,
 		})
 		if err != nil {
 			return 0, err
 		}
-		c.net.Faults().SetLoss(loss)
-		r, err := c.engines[0].Publish(context.Background(), []byte("evt"))
+		c.Net.Faults().SetLoss(loss)
+		r, err := c.Engines[0].Publish(context.Background(), []byte("evt"))
 		if err != nil {
 			return 0, err
 		}
-		c.net.Run()
+		c.Net.Run()
 		if repair {
 			c.tickAll(context.Background(), 10, 20*time.Millisecond)
 		}
-		sum += c.coverage(r.ID)
+		sum += c.Coverage(r.ID)
 	}
 	return sum / float64(trials), nil
 }
@@ -151,17 +151,13 @@ func brokerUnderCrash(n int, seed int64, crashPct, trials int, loss float64) (fl
 	for trial := 0; trial < trials; trial++ {
 		net := simnet.New(simnet.DefaultConfig(seed + int64(trial)*41))
 		broker := wsn.NewBroker(net.Node("broker"))
-		bmux := transport.NewMux()
-		broker.Register(bmux)
-		bmux.Bind(net.Node("broker"))
+		testbed.Bind(net.Node("broker"), broker)
 		consumers := make([]*wsn.Consumer, n)
 		addrs := make([]string, n)
 		for i := 0; i < n; i++ {
 			addrs[i] = fmt.Sprintf("c%04d", i)
 			consumers[i] = wsn.NewConsumer(net.Node(addrs[i]))
-			mux := transport.NewMux()
-			consumers[i].Register(mux)
-			mux.Bind(net.Node(addrs[i]))
+			testbed.Bind(net.Node(addrs[i]), consumers[i])
 			broker.SubscribeLocal(addrs[i])
 		}
 		rng := rand.New(rand.NewSource(seed + int64(trial)))

@@ -8,7 +8,7 @@ import (
 
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/simnet"
-	"wsgossip/internal/transport"
+	"wsgossip/internal/testbed"
 )
 
 // E4Throughput regenerates the Bimodal Multicast throughput-under-
@@ -78,9 +78,7 @@ func pbcastGroup(net *simnet.Network, n int, seed int64) ([]*gossip.Engine, erro
 		if err != nil {
 			return nil, err
 		}
-		mux := transport.NewMux()
-		eng.Register(mux)
-		mux.Bind(net.Node(addr))
+		testbed.Bind(net.Node(addr), eng)
 		members[i] = eng
 	}
 	return members, nil

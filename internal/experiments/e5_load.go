@@ -6,7 +6,7 @@ import (
 
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/simnet"
-	"wsgossip/internal/transport"
+	"wsgossip/internal/testbed"
 	"wsgossip/internal/wsn"
 )
 
@@ -27,20 +27,20 @@ func E5Load(opt Options) ([]Table, error) {
 		},
 	}
 	for _, n := range sizes {
-		c, err := newEngineCluster(n, opt.Seed+int64(n), engineParams{
-			style:  gossip.StylePush,
-			fanout: 3,
-			hops:   defaultHops(n) + 2,
+		c, err := newEngineCluster(n, opt.Seed+int64(n), gossip.Config{
+			Style:  gossip.StylePush,
+			Fanout: 3,
+			Hops:   defaultHops(n) + 2,
 		})
 		if err != nil {
 			return nil, err
 		}
-		if _, err := c.engines[0].Publish(context.Background(), []byte("evt")); err != nil {
+		if _, err := c.Engines[0].Publish(context.Background(), []byte("evt")); err != nil {
 			return nil, err
 		}
-		c.net.Run()
+		c.Net.Run()
 		var total, max int64
-		for _, e := range c.engines {
+		for _, e := range c.Engines {
 			f := e.Stats().Forwarded
 			total += f
 			if f > max {
@@ -66,15 +66,11 @@ func E5Load(opt Options) ([]Table, error) {
 func brokerLoad(n int, seed int64) (int64, error) {
 	net := simnet.New(simnet.DefaultConfig(seed))
 	broker := wsn.NewBroker(net.Node("broker"))
-	mux := transport.NewMux()
-	broker.Register(mux)
-	mux.Bind(net.Node("broker"))
+	testbed.Bind(net.Node("broker"), broker)
 	for i := 0; i < n; i++ {
 		addr := fmt.Sprintf("c%04d", i)
 		cons := wsn.NewConsumer(net.Node(addr))
-		cmux := transport.NewMux()
-		cons.Register(cmux)
-		cmux.Bind(net.Node(addr))
+		testbed.Bind(net.Node(addr), cons)
 		broker.SubscribeLocal(addr)
 	}
 	if err := broker.Publish(context.Background(), wsn.Notification{ID: "evt"}); err != nil {

@@ -27,20 +27,20 @@ func E6ParameterTable(opt Options) ([]Table, error) {
 		for _, r := range rounds {
 			var sum float64
 			for trial := 0; trial < trials; trial++ {
-				c, err := newEngineCluster(n, opt.Seed+int64(f*100000+r*100+trial), engineParams{
-					style:  gossip.StylePush,
-					fanout: f,
-					hops:   r,
+				c, err := newEngineCluster(n, opt.Seed+int64(f*100000+r*100+trial), gossip.Config{
+					Style:  gossip.StylePush,
+					Fanout: f,
+					Hops:   r,
 				})
 				if err != nil {
 					return nil, err
 				}
-				rumor, err := c.engines[trial%n].Publish(context.Background(), []byte("evt"))
+				rumor, err := c.Engines[trial%n].Publish(context.Background(), []byte("evt"))
 				if err != nil {
 					return nil, err
 				}
-				c.net.Run()
-				sum += c.coverage(rumor.ID)
+				c.Net.Run()
+				sum += c.Coverage(rumor.ID)
 			}
 			measured := sum / float64(trials)
 			predicted, err := epidemic.ExpectedCoverage(n, f, r)

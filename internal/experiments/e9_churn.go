@@ -8,8 +8,7 @@ import (
 
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/membership"
-	"wsgossip/internal/simnet"
-	"wsgossip/internal/transport"
+	"wsgossip/internal/testbed"
 )
 
 // E9Churn measures dissemination quality while the membership itself is in
@@ -51,97 +50,39 @@ type churnResult struct {
 	joinersCaughtUp int
 }
 
-type churnNode struct {
-	addr   string
-	member *membership.Service
-	engine *gossip.Engine
-	got    map[string]bool
-}
-
 func runChurn(n, eventsPerPhase, churnOps int, seed int64) (churnResult, error) {
-	net := simnet.New(simnet.DefaultConfig(seed))
+	s, err := testbed.Engines(testbed.Spec[gossip.Config]{
+		N: n, Seed: seed, Addr: "ch%04d",
+		Stream:       testbed.Stream{Mul: 1, Add: 5000},
+		Members:      &membership.Config{Fanout: 3, SuspectAfter: 400 * time.Millisecond, RemoveAfter: time.Second},
+		MemberStream: testbed.Stream{Mul: 1},
+		Config:       gossip.Config{Style: gossip.StylePushPull, Fanout: 4, Hops: defaultHops(n) + 2},
+	})
+	if err != nil {
+		return churnResult{}, err
+	}
+	net := s.Net
 	rng := rand.New(rand.NewSource(seed + 999))
-	nodes := make(map[string]*churnNode, n)
-
-	newNode := func(idx int) (*churnNode, error) {
-		addr := fmt.Sprintf("ch%04d", idx)
-		node := &churnNode{addr: addr, got: make(map[string]bool)}
-		ep := net.Node(addr)
-		member, err := membership.New(membership.Config{
-			Endpoint:     ep,
-			Clock:        net,
-			RNG:          rand.New(rand.NewSource(seed + int64(idx))),
-			Fanout:       3,
-			SuspectAfter: 400 * time.Millisecond,
-			RemoveAfter:  time.Second,
-		})
-		if err != nil {
-			return nil, err
-		}
-		node.member = member
-		engine, err := gossip.New(gossip.Config{
-			Style:    gossip.StylePushPull,
-			Fanout:   4,
-			Hops:     defaultHops(n) + 2,
-			Endpoint: ep,
-			Peers:    member,
-			RNG:      rand.New(rand.NewSource(seed + 5000 + int64(idx))),
-			Deliver:  func(r gossip.Rumor) { node.got[r.ID] = true },
-		})
-		if err != nil {
-			return nil, err
-		}
-		node.engine = engine
-		mux := transport.NewMux()
-		member.Register(mux)
-		engine.Register(mux)
-		mux.Bind(ep)
-		return node, nil
-	}
-
 	ctx := context.Background()
-	// order keeps iteration deterministic; Go map order is randomized and
-	// would break run-to-run reproducibility.
-	var order []string
-	for i := 0; i < n; i++ {
-		node, err := newNode(i)
-		if err != nil {
-			return churnResult{}, err
-		}
-		nodes[node.addr] = node
-		order = append(order, node.addr)
-	}
-	// Bootstrap membership.
-	seedAddr := fmt.Sprintf("ch%04d", 0)
-	for _, addr := range order {
-		if addr != seedAddr {
-			nodes[addr].member.Join(ctx, []string{seedAddr})
-		}
-	}
+	seedAddr := s.Addrs[0]
 	net.Run()
 	tickAll := func(rounds int) {
 		for r := 0; r < rounds; r++ {
-			for _, addr := range order {
-				if net.Crashed(addr) {
-					continue
-				}
-				nodes[addr].member.Tick(ctx)
-				nodes[addr].engine.Tick(ctx)
-			}
+			s.Tick(ctx)
 			net.RunFor(50 * time.Millisecond)
 		}
 	}
 	tickAll(12)
 
 	stable := make(map[string]bool, n)
-	for _, addr := range order {
+	for _, addr := range s.Addrs {
 		stable[addr] = true
 	}
-	aliveAddrs := func() []string {
-		var out []string
-		for _, addr := range order {
+	aliveNodes := func() []int {
+		var out []int
+		for i, addr := range s.Addrs {
 			if !net.Crashed(addr) {
-				out = append(out, addr)
+				out = append(out, i)
 			}
 		}
 		return out
@@ -149,9 +90,8 @@ func runChurn(n, eventsPerPhase, churnOps int, seed int64) (churnResult, error) 
 	publish := func(count int) []string {
 		ids := make([]string, 0, count)
 		for e := 0; e < count; e++ {
-			alive := aliveAddrs()
-			origin := nodes[alive[rng.Intn(len(alive))]]
-			r, err := origin.engine.Publish(ctx, []byte("evt"))
+			alive := aliveNodes()
+			r, err := s.Engines[alive[rng.Intn(len(alive))]].Publish(ctx, []byte("evt"))
 			if err != nil {
 				continue
 			}
@@ -160,6 +100,10 @@ func runChurn(n, eventsPerPhase, churnOps int, seed int64) (churnResult, error) 
 		}
 		return ids
 	}
+	got := func(i int, id string) bool {
+		_, ok := s.Delivered(i, id)
+		return ok
+	}
 	coverageOf := func(ids []string) float64 {
 		if len(ids) == 0 {
 			return 0
@@ -167,12 +111,12 @@ func runChurn(n, eventsPerPhase, churnOps int, seed int64) (churnResult, error) 
 		var sum float64
 		for _, id := range ids {
 			total, reached := 0, 0
-			for addr, node := range nodes {
+			for i, addr := range s.Addrs {
 				if !stable[addr] || net.Crashed(addr) {
 					continue
 				}
 				total++
-				if node.got[id] {
+				if got(i, id) {
 					reached++
 				}
 			}
@@ -188,25 +132,20 @@ func runChurn(n, eventsPerPhase, churnOps int, seed int64) (churnResult, error) 
 	tickAll(6)
 
 	// Phase 2: churn — interleave crashes, joins, and publishes.
-	var joinersList []string
+	var joiners []int
 	midIDs := make([]string, 0, eventsPerPhase)
 	for op := 0; op < churnOps; op++ {
 		// Crash one random stable node (never the seed used by joiners).
-		alive := aliveAddrs()
-		victim := alive[rng.Intn(len(alive))]
-		if victim != seedAddr {
+		alive := aliveNodes()
+		if victim := s.Addrs[alive[rng.Intn(len(alive))]]; victim != seedAddr {
 			net.Crash(victim)
 			stable[victim] = false
 		}
-		// One fresh node joins.
-		joiner, err := newNode(n + op)
-		if err != nil {
+		// One fresh node joins through the seed.
+		if err := s.Add(); err != nil {
 			return churnResult{}, err
 		}
-		nodes[joiner.addr] = joiner
-		order = append(order, joiner.addr)
-		joinersList = append(joinersList, joiner.addr)
-		joiner.member.Join(ctx, []string{seedAddr})
+		joiners = append(joiners, len(s.Addrs)-1)
 		// Publish during the turbulence.
 		if op < eventsPerPhase {
 			midIDs = append(midIDs, publish(1)...)
@@ -221,11 +160,10 @@ func runChurn(n, eventsPerPhase, churnOps int, seed int64) (churnResult, error) 
 
 	// Joiners caught up: a joiner that received every post-churn event.
 	caughtUp := 0
-	for _, addr := range joinersList {
-		node := nodes[addr]
+	for _, i := range joiners {
 		all := true
 		for _, id := range postIDs {
-			if !node.got[id] {
+			if !got(i, id) {
 				all = false
 			}
 		}
@@ -237,7 +175,7 @@ func runChurn(n, eventsPerPhase, churnOps int, seed int64) (churnResult, error) 
 		preCoverage:     coverageOf(preIDs),
 		midCoverage:     coverageOf(midIDs),
 		postCoverage:    coverageOf(postIDs),
-		joiners:         len(joinersList),
+		joiners:         len(joiners),
 		joinersCaughtUp: caughtUp,
 	}, nil
 }

@@ -13,8 +13,7 @@ import (
 
 	"wsgossip/internal/aggregate"
 	"wsgossip/internal/gossip"
-	"wsgossip/internal/simnet"
-	"wsgossip/internal/transport"
+	"wsgossip/internal/testbed"
 )
 
 const (
@@ -33,30 +32,19 @@ func (m *liveSet) SelectPeers(rng *rand.Rand, n int, exclude string) []string {
 	return gossip.SamplePeers(rng, m.addrs, n, exclude)
 }
 
-// addAggNode builds one windowed count node on net and binds it. peers
-// should span the full eventual membership: sends to addresses that do not
-// exist yet fail synchronously, which the exchange recovers from.
-func addAggNode(t *testing.T, net *simnet.Network, peers gossip.PeerProvider, addr string, root bool, seed int64) *aggregate.SimNode {
+// aggChaosNodes builds n windowed count nodes on one simnet seeded seed.
+// peers should span the full eventual membership: sends to addresses that
+// do not exist yet fail synchronously, which the exchange recovers from.
+func aggChaosNodes(t *testing.T, seed int64, n int, stream testbed.Stream, peers gossip.PeerProvider) *testbed.Sim[aggregate.SimNodeConfig] {
 	t.Helper()
-	node, err := aggregate.NewSimNode(aggregate.SimNodeConfig{
-		Endpoint: net.Node(addr),
-		Peers:    peers,
-		Fanout:   2,
-		TaskID:   "chaos",
-		Func:     aggregate.FuncCount,
-		Value:    1,
-		Root:     root,
-		RNG:      rand.New(rand.NewSource(seed)),
-		Window:   aggChaosWindow,
-		Clock:    net,
+	s, err := testbed.SimNodes(testbed.Spec[aggregate.SimNodeConfig]{
+		N: n, Seed: seed, Addr: consAddrFormat, Stream: stream, Peers: peers,
+		Config: aggregate.SimNodeConfig{Fanout: 2, TaskID: "chaos", Func: aggregate.FuncCount, Value: 1, Window: aggChaosWindow},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := transport.NewMux()
-	node.Register(mux)
-	mux.Bind(net.Node(addr))
-	return node
+	return s
 }
 
 // TestAggregateChaosChurnMidWindow crashes 25% of a 16-node cluster and
@@ -72,7 +60,6 @@ func TestAggregateChaosChurnMidWindow(t *testing.T) {
 		crashes = 4 // 25% of initial
 		joins   = 2
 	)
-	net := simnet.New(simnet.DefaultConfig(seed))
 	addrs := make([]string, initial+joins)
 	for i := range addrs {
 		addrs[i] = consAddr(i)
@@ -80,21 +67,13 @@ func TestAggregateChaosChurnMidWindow(t *testing.T) {
 	// Membership starts as the sixteen initial nodes; the churn event
 	// rewrites it, exactly as the failure-detector plane would.
 	peers := &liveSet{addrs: addrs[:initial]}
-	nodes := make([]*aggregate.SimNode, 0, initial+joins)
-	for i := 0; i < initial; i++ {
-		nodes = append(nodes, addAggNode(t, net, peers, addrs[i], i == 0, seed*6151+int64(i)))
-	}
-	down := make(map[string]bool)
+	s := aggChaosNodes(t, seed, initial, testbed.Stream{Mul: 6151}, peers)
+	net, nodes := s.Net, s.Aggs
 	ctx := context.Background()
 
 	tick := func() {
 		net.RunFor(aggChaosTick)
-		for i, node := range nodes {
-			if down[addrs[i]] {
-				continue
-			}
-			node.Tick(ctx)
-		}
+		s.Tick(ctx)
 	}
 	// Run two full epochs pre-churn; the closed epoch 2 must count all 16.
 	for net.Now() < 2*aggChaosWindow+aggChaosTick {
@@ -120,11 +99,13 @@ func TestAggregateChaosChurnMidWindow(t *testing.T) {
 	}
 	for i := initial - crashes; i < initial; i++ {
 		net.Crash(addrs[i])
-		down[addrs[i]] = true
 	}
 	for i := initial; i < initial+joins; i++ {
-		nodes = append(nodes, addAggNode(t, net, peers, addrs[i], false, seed*6151+int64(i)))
+		if err := s.Add(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	nodes = s.Aggs
 	peers.addrs = append(append([]string(nil), addrs[:initial-crashes]...), addrs[initial:]...)
 	const alive = initial - crashes + joins
 
@@ -145,7 +126,7 @@ func TestAggregateChaosChurnMidWindow(t *testing.T) {
 	checkFrozen := func(epoch uint64) {
 		t.Helper()
 		for i, node := range nodes {
-			if down[addrs[i]] {
+			if net.Crashed(addrs[i]) {
 				continue
 			}
 			if e := node.MassError(); e != 0 {
@@ -181,12 +162,8 @@ func TestAggregateChaosChurnMidWindow(t *testing.T) {
 	// recipient. Joins add nothing here — sends to a not-yet-joined address
 	// fail synchronously and are not counted as network sends.
 	net.Run()
-	var sharesSent, acksSent int64
-	for _, node := range nodes {
-		st := node.Stats()
-		sharesSent += st.SharesSent
-		acksSent += st.AcksSent
-	}
+	sum := s.AggStats()
+	sharesSent, acksSent := sum.SharesSent, sum.AcksSent
 	st := net.Stats()
 	if st.Sent != sharesSent+acksSent {
 		t.Errorf("network sent %d, nodes sent %d shares + %d acks = %d",
@@ -216,25 +193,15 @@ func TestAggregateChaosSustainedLinkLoss(t *testing.T) {
 		n        = 12
 		lossRate = 0.10
 	)
-	net := simnet.New(simnet.DefaultConfig(seed))
+	s := aggChaosNodes(t, seed, n, testbed.Stream{Mul: 9377}, nil)
+	net, addrs, nodes := s.Net, s.Addrs, s.Aggs
 	tbl := net.Faults()
 	tbl.SetLoss(lossRate)
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = consAddr(i)
-	}
-	peers := gossip.NewStaticPeers(addrs)
-	nodes := make([]*aggregate.SimNode, n)
-	for i := range addrs {
-		nodes[i] = addAggNode(t, net, peers, addrs[i], i == 0, seed*9377+int64(i))
-	}
 	ctx := context.Background()
 
 	for net.Now() < 5*aggChaosWindow {
 		net.RunFor(aggChaosTick)
-		for _, node := range nodes {
-			node.Tick(ctx)
-		}
+		s.Tick(ctx)
 		// The loss-tolerance contract, checked at every observable instant:
 		// lost shares sit in the outstanding ledger until acked or retired,
 		// never in the residual.
@@ -249,7 +216,6 @@ func TestAggregateChaosSustainedLinkLoss(t *testing.T) {
 	// The final tick (t=2.5s) rolled every node into epoch 6, freezing epoch
 	// 5: four full epochs ran lossy, and despite the loss every node's
 	// closing estimate tracks the true count.
-	var retries, recovered, duplicates int64
 	for i, node := range nodes {
 		fr, ok := node.Frozen()
 		if !ok || fr.Epoch != 5 {
@@ -261,11 +227,9 @@ func TestAggregateChaosSustainedLinkLoss(t *testing.T) {
 		if rel := math.Abs(fr.Estimate-n) / n; rel > 0.01 {
 			t.Fatalf("node %s: lossy-epoch count %.3f, want %d within 1%%", addrs[i], fr.Estimate, n)
 		}
-		st := node.Stats()
-		retries += st.Retries
-		recovered += st.Recovered
-		duplicates += st.DuplicateShares
 	}
+	sum := s.AggStats()
+	retries, recovered, duplicates := sum.Retries, sum.Recovered, sum.DuplicateShares
 	// The run must actually have exercised the loss machinery: drops
 	// occurred, retries repaired them, and redeliveries were deduped.
 	if retries == 0 || duplicates == 0 {

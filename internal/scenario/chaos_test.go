@@ -18,21 +18,11 @@ import (
 
 // repairedTotal sums the repair retransmit counters across all nodes.
 func (c *cluster) repairedTotal() int64 {
-	var total int64
-	for _, reg := range c.regs {
-		total += reg.CounterVec("gossip_retransmits_total", "protocol").With("repair").Value()
-	}
-	return total
+	return c.SumLabeled("gossip_retransmits_total", "protocol", "repair")
 }
 
 // duplicatesTotal sums the duplicate-suppression counters across all nodes.
-func (c *cluster) duplicatesTotal() int64 {
-	var total int64
-	for _, reg := range c.regs {
-		total += reg.Counter("gossip_duplicates_total").Value()
-	}
-	return total
-}
+func (c *cluster) duplicatesTotal() int64 { return c.SumCounter("gossip_duplicates_total") }
 
 // TestChaosHealingPartition splits a pushing cluster in half mid-interaction
 // and heals it. The metrics must trace the incident: repair retransmits
@@ -44,17 +34,11 @@ func TestChaosHealingPartition(t *testing.T) {
 		n: n, seed: 133,
 		repairEvery: 200 * time.Millisecond,
 	})
-	ctx := context.Background()
 
-	inter, err := c.init.StartInteraction(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inter := start(t, c.init, core.ProtocolPushGossip)
 	// Event 1 pre-partition: every node registers the interaction.
-	if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if w := advanceUntil(c.clk, 200*time.Millisecond, 20, func() bool {
+	notify(t, c.init, inter, 1)
+	if w := advanceUntil(c.Clock, 200*time.Millisecond, 20, func() bool {
 		return c.coverage(nil, 1) == n
 	}); w > 20 {
 		t.Fatalf("pre-partition event covered %d/%d", c.coverage(nil, 1), n)
@@ -62,16 +46,14 @@ func TestChaosHealingPartition(t *testing.T) {
 
 	// Partition: nodes 0..15 plus the (unstamped) initiator on side A,
 	// nodes 16..31 on side B. The control plane stays connected.
-	c.bus.Faults().Partition("split", c.addrs[n/2:])
+	c.Bus.Faults().Partition("split", c.Addrs[n/2:])
 
-	if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 2}); err != nil {
-		t.Fatal(err)
-	}
+	notify(t, c.init, inter, 2)
 	// Coverage stalls: side B is unreachable, and even inside side A a node
 	// whose static target list points across the cut cannot initiate its own
 	// repair. Whatever level the stall settles at, it must hold there.
 	for w := 0; w < 10; w++ {
-		c.clk.Advance(200 * time.Millisecond)
+		c.Clock.Advance(200 * time.Millisecond)
 	}
 	stalled := c.coverage(nil, 2)
 	if stalled == 0 || stalled >= n {
@@ -79,7 +61,7 @@ func TestChaosHealingPartition(t *testing.T) {
 	}
 	repairedBeforeHeal := c.repairedTotal()
 	for w := 0; w < 5; w++ {
-		c.clk.Advance(200 * time.Millisecond)
+		c.Clock.Advance(200 * time.Millisecond)
 	}
 	if got := c.coverage(nil, 2); got != stalled {
 		t.Fatalf("coverage moved %d -> %d during partition", stalled, got)
@@ -87,8 +69,8 @@ func TestChaosHealingPartition(t *testing.T) {
 
 	// Heal. Cross-side repair digests now land and retransmits close the
 	// other half within the repair budget.
-	c.bus.Faults().Heal("split")
-	if w := advanceUntil(c.clk, 200*time.Millisecond, 30, func() bool {
+	c.Bus.Faults().Heal("split")
+	if w := advanceUntil(c.Clock, 200*time.Millisecond, 30, func() bool {
 		return c.coverage(nil, 2) == n
 	}); w > 30 {
 		t.Fatalf("heal left coverage at %d/%d after budget", c.coverage(nil, 2), n)
@@ -104,7 +86,7 @@ func TestChaosHealingPartition(t *testing.T) {
 	dupSettled := c.duplicatesTotal()
 	repairSettled := c.repairedTotal()
 	for w := 0; w < 5; w++ {
-		c.clk.Advance(200 * time.Millisecond)
+		c.Clock.Advance(200 * time.Millisecond)
 	}
 	if got := c.repairedTotal(); got != repairSettled {
 		t.Fatalf("repair retransmits still growing after convergence: %d -> %d", repairSettled, got)
@@ -170,36 +152,26 @@ func TestChaosStraggler(t *testing.T) {
 	c := newCluster(t, clusterConfig{
 		n: n, seed: 150,
 		pullEvery: 100 * time.Millisecond,
-		nodeClock: func(i int, shared *clock.Virtual) clock.Clock {
+		nodeClock: func(i int, shared clock.Clock) clock.Clock {
 			if i == straggler {
 				return &skewClock{inner: shared, step: step}
 			}
 			return nil
 		},
 	})
-	ctx := context.Background()
 
-	inter, err := c.init.StartProtocolInteraction(ctx, core.ProtocolPullGossip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range c.dissems {
-		if err := d.JoinInteraction(ctx, inter.Context, core.ProtocolPullGossip); err != nil {
-			t.Fatal(err)
-		}
-	}
+	inter := start(t, c.init, core.ProtocolPullGossip)
+	notify(t, c.init, inter, 1)
+	joinAll(t, c.dissems(), inter, core.ProtocolPullGossip)
 	const budget = 40
-	if w := advanceUntil(c.clk, 100*time.Millisecond, budget, func() bool {
+	if w := advanceUntil(c.Clock, 100*time.Millisecond, budget, func() bool {
 		return c.coverage(nil, 1) == n
 	}); w > budget {
 		t.Fatalf("straggler held coverage to %d/%d past the budget", c.coverage(nil, 1), n)
 	}
 
 	tickHist := func(i int) *metrics.BucketHistogram {
-		return c.regs[i].BucketHistogramVec("runner_tick_seconds", metrics.DefLatencyBuckets, "loop").With("pull")
+		return c.Nodes[i].Registry().BucketHistogramVec("runner_tick_seconds", metrics.DefLatencyBuckets, "loop").With("pull")
 	}
 	slow := tickHist(straggler)
 	if slow.Count() == 0 {
@@ -274,17 +246,12 @@ func TestChaosDuplicateReplayer(t *testing.T) {
 	ctx := context.Background()
 
 	// Tee node 3's handler to capture a forwarded notification verbatim.
-	tap := &captureHandler{inner: c.dissems[3].Handler()}
-	c.bus.Register(c.addrs[3], tap)
+	tap := &captureHandler{inner: c.Nodes[3].Disseminator().Handler()}
+	c.Bus.Register(c.Addrs[3], tap)
 
-	inter, err := c.init.StartInteraction(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if w := advanceUntil(c.clk, 100*time.Millisecond, 20, func() bool {
+	inter := start(t, c.init, core.ProtocolPushGossip)
+	notify(t, c.init, inter, 1)
+	if w := advanceUntil(c.Clock, 100*time.Millisecond, 20, func() bool {
 		return c.coverage(nil, 1) == n
 	}); w > 20 {
 		t.Fatalf("event covered %d/%d", c.coverage(nil, 1), n)
@@ -295,21 +262,21 @@ func TestChaosDuplicateReplayer(t *testing.T) {
 	}
 
 	dupBefore := make([]int64, n)
-	for i, reg := range c.regs {
-		dupBefore[i] = reg.Counter("gossip_duplicates_total").Value()
+	for i, n := range c.Nodes {
+		dupBefore[i] = n.Registry().Counter("gossip_duplicates_total").Value()
 	}
 
 	// The rogue replays the same envelope (same wsa MessageID) at the
 	// victim over and over.
 	for r := 0; r < replays; r++ {
-		if err := c.bus.SendEncoded(ctx, c.addrs[victim], data); err != nil {
+		if err := c.Bus.SendEncoded(ctx, c.Addrs[victim], data); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.clk.Advance(100 * time.Millisecond)
+	c.Clock.Advance(100 * time.Millisecond)
 
-	for i, reg := range c.regs {
-		delta := reg.Counter("gossip_duplicates_total").Value() - dupBefore[i]
+	for i, n := range c.Nodes {
+		delta := n.Registry().Counter("gossip_duplicates_total").Value() - dupBefore[i]
 		switch i {
 		case victim:
 			if delta != replays {
@@ -322,14 +289,14 @@ func TestChaosDuplicateReplayer(t *testing.T) {
 		}
 	}
 	// Duplicate suppression held: every app still saw the event exactly once.
-	for i, app := range c.apps {
+	for i, app := range c.Apps {
 		if app.Count() != 1 {
 			t.Fatalf("node %d delivered %d copies, want exactly 1", i, app.Count())
 		}
 	}
 	// The victim's scrape shows the incident.
 	var sb strings.Builder
-	if err := c.regs[victim].WritePrometheus(&sb); err != nil {
+	if err := c.Nodes[victim].Registry().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "gossip_duplicates_total") {

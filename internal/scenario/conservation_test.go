@@ -18,10 +18,7 @@ import (
 	"time"
 
 	"wsgossip/internal/aggregate"
-	"wsgossip/internal/faults"
-	"wsgossip/internal/gossip"
-	"wsgossip/internal/simnet"
-	"wsgossip/internal/transport"
+	"wsgossip/internal/testbed"
 )
 
 // faultOp is one scheduled fault action, applied just before tick `step`.
@@ -62,72 +59,37 @@ const (
 // continuous count query ("how many nodes are alive?") with node 0 as the
 // anchor root.
 type aggCluster struct {
-	t     *testing.T
-	net   *simnet.Network
-	tbl   *faults.Table
-	addrs []string
-	nodes []*aggregate.SimNode
-	down  map[string]bool
+	*testbed.Sim[aggregate.SimNodeConfig]
+	t *testing.T
 }
 
-func consAddr(i int) string { return fmt.Sprintf("agg%03d", i) }
+func consAddr(i int) string { return fmt.Sprintf(consAddrFormat, i) }
 
+const consAddrFormat = "agg%03d"
+
+// newAggCluster builds nodes live nodes and late more that start crashed:
+// they exist on the network (their inbound deliveries drop) but neither
+// tick nor contribute until a join op.
 func newAggCluster(t *testing.T, seed int64, nodes, late int, window time.Duration) *aggCluster {
 	t.Helper()
-	total := nodes + late
-	net := simnet.New(simnet.DefaultConfig(seed))
-	c := &aggCluster{
-		t:     t,
-		net:   net,
-		tbl:   net.Faults(),
-		addrs: make([]string, total),
-		nodes: make([]*aggregate.SimNode, total),
-		down:  make(map[string]bool),
+	s, err := testbed.SimNodes(testbed.Spec[aggregate.SimNodeConfig]{
+		N: nodes + late, Seed: seed, Addr: consAddrFormat, Stream: testbed.Stream{Mul: 7907},
+		Config: aggregate.SimNodeConfig{Fanout: 2, TaskID: "conserve", Func: aggregate.FuncCount, Value: 1, Window: window},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range c.addrs {
-		c.addrs[i] = consAddr(i)
+	for _, addr := range s.Addrs[nodes:] {
+		s.Net.Crash(addr)
 	}
-	peers := gossip.NewStaticPeers(c.addrs)
-	for i, addr := range c.addrs {
-		node, err := aggregate.NewSimNode(aggregate.SimNodeConfig{
-			Endpoint: c.net.Node(addr),
-			Peers:    peers,
-			Fanout:   2,
-			TaskID:   "conserve",
-			Func:     aggregate.FuncCount,
-			Value:    1,
-			Root:     i == 0,
-			RNG:      rand.New(rand.NewSource(seed*7907 + int64(i))),
-			Window:   window,
-			Clock:    c.net,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mux := transport.NewMux()
-		node.Register(mux)
-		mux.Bind(c.net.Node(addr))
-		c.nodes[i] = node
-	}
-	// Late joiners start crashed: they exist on the network (their inbound
-	// deliveries drop) but neither tick nor contribute until a join op.
-	for i := nodes; i < total; i++ {
-		c.net.Crash(c.addrs[i])
-		c.down[c.addrs[i]] = true
-	}
-	return c
+	return &aggCluster{Sim: s, t: t}
 }
 
 // tick advances one round: deliver everything due, then run one push-sum
 // round on every live node in index order (determinism).
 func (c *aggCluster) tick(ctx context.Context) {
-	c.net.RunFor(consTick)
-	for i, node := range c.nodes {
-		if c.down[c.addrs[i]] {
-			continue
-		}
-		node.Tick(ctx)
-	}
+	c.Net.RunFor(consTick)
+	c.Tick(ctx)
 }
 
 // checkMass asserts the conservation contract on every live node. The
@@ -135,40 +97,35 @@ func (c *aggCluster) tick(ctx context.Context) {
 // commit and recovery terms exactly and snaps sub-tolerance float dust.
 func (c *aggCluster) checkMass(stage string, plan *conservationPlan) {
 	c.t.Helper()
-	for i, node := range c.nodes {
-		if c.down[c.addrs[i]] {
+	for i, node := range c.Aggs {
+		if c.Net.Crashed(c.Addrs[i]) {
 			continue
 		}
 		if e := node.MassError(); e != 0 {
 			c.t.Fatalf("%s: node %s mass error = %g, want exactly 0\nepoch=%d outstanding=%g contributed=%g stats=%+v\nplan: %+v",
-				stage, c.addrs[i], e, node.Epoch(), node.Outstanding(), node.Contributed(), node.Stats(), plan)
+				stage, c.Addrs[i], e, node.Epoch(), node.Outstanding(), node.Contributed(), node.Stats(), plan)
 		}
 	}
 }
 
 // apply executes one fault op against the network and table.
 func (c *aggCluster) apply(op faultOp) {
+	tbl := c.Net.Faults()
 	switch op.kind {
 	case "loss":
-		c.tbl.SetLoss(op.rate)
+		tbl.SetLoss(op.rate)
 	case "linkloss":
-		c.tbl.LinkLoss("op-linkloss", []string{op.a}, []string{op.b}, op.rate)
+		tbl.LinkLoss("op-linkloss", []string{op.a}, []string{op.b}, op.rate)
 	case "cut":
-		c.tbl.CutBoth("op-cut", []string{op.a}, []string{op.b})
+		tbl.CutBoth("op-cut", []string{op.a}, []string{op.b})
 	case "partition":
-		c.tbl.Partition("op-partition", op.grp)
+		tbl.Partition("op-partition", op.grp)
 	case "healall":
-		c.tbl.HealAll()
+		tbl.HealAll()
 	case "crash":
-		if !c.down[op.a] {
-			c.net.Crash(op.a)
-			c.down[op.a] = true
-		}
+		c.Net.Crash(op.a)
 	case "recover", "join":
-		if c.down[op.a] {
-			c.net.Recover(op.a)
-			c.down[op.a] = false
-		}
+		c.Net.Recover(op.a)
 	default:
 		c.t.Fatalf("unknown fault op kind %q", op.kind)
 	}
@@ -197,16 +154,13 @@ func runConservation(t *testing.T, plan conservationPlan) {
 
 	// Heal everything and recover every node, then cross into a fresh epoch
 	// so all nodes restart from clean contributions.
-	c.tbl.HealAll()
-	for _, addr := range c.addrs {
-		if c.down[addr] {
-			c.net.Recover(addr)
-			c.down[addr] = false
-		}
+	c.Net.Faults().HealAll()
+	for _, addr := range c.Addrs {
+		c.Net.Recover(addr)
 	}
-	now := c.net.Now()
+	now := c.Net.Now()
 	nextBoundary := now.Truncate(plan.window) + plan.window
-	c.net.RunFor(nextBoundary - now)
+	c.Net.RunFor(nextBoundary - now)
 
 	// One clean window of rounds, checking mass throughout.
 	cleanRounds := int(plan.window/consTick) - 1
@@ -216,20 +170,20 @@ func runConservation(t *testing.T, plan conservationPlan) {
 	}
 	// Drain all in-flight shares and acks. With no faults every share lands
 	// and every ack commits, so nothing stays outstanding.
-	c.net.Run()
+	c.Net.Run()
 	c.checkMass("after drain", &plan)
 
 	total := plan.nodes + plan.late
-	epoch := c.nodes[0].Epoch()
+	epoch := c.Aggs[0].Epoch()
 	var heldWeight, contributed float64
-	for i, node := range c.nodes {
+	for i, node := range c.Aggs {
 		if got := node.Epoch(); got != epoch {
 			t.Fatalf("node %s in epoch %d, node %s in epoch %d after clean window\nplan: %+v",
-				c.addrs[i], got, c.addrs[0], epoch, plan)
+				c.Addrs[i], got, c.Addrs[0], epoch, plan)
 		}
 		if out := node.Outstanding(); out != 0 {
 			t.Fatalf("node %s still has outstanding weight %g after no-fault drain\nplan: %+v",
-				c.addrs[i], out, plan)
+				c.Addrs[i], out, plan)
 		}
 		_, w := node.State().Mass()
 		heldWeight += w
@@ -242,7 +196,7 @@ func runConservation(t *testing.T, plan conservationPlan) {
 			heldWeight, contributed, diff, plan)
 	}
 	// And the continuous count query tracks the (fully recovered) truth.
-	est, ok := c.nodes[0].State().Estimate()
+	est, ok := c.Aggs[0].State().Estimate()
 	if !ok {
 		t.Fatalf("root has no estimate after clean window\nplan: %+v", plan)
 	}

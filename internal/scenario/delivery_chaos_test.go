@@ -20,37 +20,25 @@ import (
 // sumCounter totals one plain counter across every node registry plus the
 // initiator's.
 func (c *cluster) sumCounter(name string) int64 {
-	total := c.initReg.Counter(name).Value()
-	for _, reg := range c.regs {
-		total += reg.Counter(name).Value()
-	}
-	return total
+	return c.initReg.Counter(name).Value() + c.SumCounter(name)
 }
 
 // sumLabeled totals one labeled counter across every node registry plus
 // the initiator's.
 func (c *cluster) sumLabeled(name, label, value string) int64 {
-	total := c.initReg.CounterVec(name, label).With(value).Value()
-	for _, reg := range c.regs {
-		total += reg.CounterVec(name, label).With(value).Value()
-	}
-	return total
+	return c.initReg.CounterVec(name, label).With(value).Value() + c.SumLabeled(name, label, value)
 }
 
 // sumGauge totals one gauge across every node registry plus the initiator's.
 func (c *cluster) sumGauge(name string) int64 {
-	total := c.initReg.Gauge(name).Value()
-	for _, reg := range c.regs {
-		total += reg.Gauge(name).Value()
-	}
-	return total
+	return c.initReg.Gauge(name).Value() + c.SumGauge(name)
 }
 
 // queuedTotal sums the outbound backlog across every delivery plane.
 func (c *cluster) queuedTotal() int {
 	total := 0
-	for _, p := range c.planes {
-		if p != nil {
+	for _, n := range c.Nodes {
+		if p := n.Plane(); p != nil {
 			total += p.Stats().Queued
 		}
 	}
@@ -99,24 +87,14 @@ func runFlappingLink(t *testing.T, seed int64) {
 			}
 		},
 	})
-	ctx := context.Background()
 
-	inter, err := c.init.StartInteraction(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inter := start(t, c.init, core.ProtocolPushGossip)
 	// Every node registers up front, so anti-entropy repairs a node the eager
 	// push happened to miss — an unregistered node sends no digests.
-	for _, d := range c.dissems {
-		if err := d.JoinInteraction(ctx, inter.Context, core.ProtocolPushGossip); err != nil {
-			t.Fatal(err)
-		}
-	}
+	joinAll(t, c.dissems(), inter, core.ProtocolPushGossip)
 	// Event 1 on a healthy overlay: the planes must be transparent.
-	if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if w := advanceUntil(c.clk, 200*time.Millisecond, 20, func() bool {
+	notify(t, c.init, inter, 1)
+	if w := advanceUntil(c.Clock, 200*time.Millisecond, 20, func() bool {
 		return c.coverage(nil, 1) == n
 	}); w > 20 {
 		t.Fatalf("healthy-overlay event covered %d/%d", c.coverage(nil, 1), n)
@@ -126,26 +104,24 @@ func runFlappingLink(t *testing.T, seed int64) {
 	}
 
 	// The victim's inbound link starts refusing connections.
-	victimAddr := c.addrs[victim]
-	c.bus.Faults().RefuseLink("victim", nil, []string{victimAddr})
-	if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 2}); err != nil {
-		t.Fatal(err)
-	}
+	victimAddr := c.Addrs[victim]
+	c.Bus.Faults().RefuseLink("victim", nil, []string{victimAddr})
+	notify(t, c.init, inter, 2)
 	others := make(map[int]bool, n)
 	for i := 0; i < n; i++ {
 		others[i] = i != victim
 	}
-	if w := advanceUntil(c.clk, 200*time.Millisecond, 20, func() bool {
+	if w := advanceUntil(c.Clock, 200*time.Millisecond, 20, func() bool {
 		return c.coverage(others, 2) == n-1
 	}); w > 20 {
 		t.Fatalf("event 2 covered %d/%d live nodes during the flap", c.coverage(others, 2), n-1)
 	}
-	if c.apps[victim].Count() >= 2 {
+	if c.Apps[victim].Count() >= 2 {
 		t.Fatal("victim received event 2 through a refused link")
 	}
 	// Every attempt that reached the wire was refused; the planes' transport
 	// failure counters must tell exactly that story — no more, no less.
-	if fails, refused := c.sumLabeled("delivery_attempt_failures_total", "kind", "transport"), int64(c.bus.Refused()); fails != refused {
+	if fails, refused := c.sumLabeled("delivery_attempt_failures_total", "kind", "transport"), int64(c.Bus.Refused()); fails != refused {
 		t.Fatalf("transport failures %d != refused sends %d", fails, refused)
 	}
 	opened := c.sumLabeled("delivery_breaker_transitions_total", "to", "open")
@@ -158,8 +134,8 @@ func runFlappingLink(t *testing.T, seed int64) {
 
 	// Heal. Repair digests reach the victim again and anti-entropy delivers
 	// the missed event.
-	c.bus.Faults().Heal("victim")
-	if w := advanceUntil(c.clk, 200*time.Millisecond, 40, func() bool {
+	c.Bus.Faults().Heal("victim")
+	if w := advanceUntil(c.Clock, 200*time.Millisecond, 40, func() bool {
 		return c.coverage(nil, 2) == n
 	}); w > 40 {
 		t.Fatalf("after heal: event 2 covered %d/%d", c.coverage(nil, 2), n)
@@ -175,12 +151,10 @@ func runFlappingLink(t *testing.T, seed int64) {
 			t.Fatalf("after heal: %d circuits still open after %d more events", c.sumGauge("delivery_breaker_open"), maxEvents)
 		}
 		last++
-		if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: last}); err != nil {
-			t.Fatal(err)
-		}
-		c.clk.Advance(200 * time.Millisecond)
+		notify(t, c.init, inter, last)
+		c.Clock.Advance(200 * time.Millisecond)
 	}
-	if w := advanceUntil(c.clk, 200*time.Millisecond, 60, func() bool {
+	if w := advanceUntil(c.Clock, 200*time.Millisecond, 60, func() bool {
 		return c.coverage(nil, last) == n && c.sumGauge("delivery_breaker_open") == 0
 	}); w > 60 {
 		t.Fatalf("after heal: coverage %d/%d, %d circuits still open",
@@ -196,7 +170,7 @@ func runFlappingLink(t *testing.T, seed int64) {
 		t.Fatalf("connection refusal produced %d retry-after deferrals", got)
 	}
 	t.Logf("flapping link: %d refused sends, %d circuits opened and all re-closed after %d post-heal events, victim repaired",
-		c.bus.Refused(), openedNow, last-2)
+		c.Bus.Refused(), openedNow, last-2)
 }
 
 // TestChaosSaturatedReceiver is the overload contract end to end: one
@@ -224,38 +198,28 @@ func TestChaosSaturatedReceiver(t *testing.T) {
 	c := newCluster(t, clusterConfig{n: n, seed: 223, plane: planeCfg,
 		fanout: 6, hops: 8,
 		repairEvery: 500 * time.Millisecond})
-	ctx := context.Background()
 
 	// Synchronous bus: a shed fault comes back on the send, as over HTTP.
-	c.bus.SetSync(true)
+	c.Bus.SetSync(true)
 
 	// The victim sheds data-plane notifications beyond 10/s (burst 1); the
 	// control plane and repair stay exempt — overload must not eject the
 	// node from coordination.
 	gate := delivery.NewGate(delivery.GateConfig{
-		Clock:   c.clk,
+		Clock:   c.Clock,
 		Rate:    10,
 		Burst:   1,
-		Metrics: c.regs[victim],
+		Metrics: c.Nodes[victim].Registry(),
 		Exempt:  func(action string) bool { return action != core.ActionNotify },
 	})
-	c.bus.Register(c.addrs[victim], soap.Chain(c.dissems[victim].Handler(), gate.Middleware()))
+	c.Bus.Register(c.Addrs[victim], soap.Chain(c.Nodes[victim].Disseminator().Handler(), gate.Middleware()))
 
-	inter, err := c.init.StartInteraction(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inter := start(t, c.init, core.ProtocolPushGossip)
 	// Every node registers the interaction up front so anti-entropy can
 	// backstop any edge the eager push lost to hop exhaustion — the victim
 	// forwards admitted copies late, possibly with no hop budget left.
-	for _, d := range c.dissems {
-		if err := d.JoinInteraction(ctx, inter.Context, core.ProtocolPushGossip); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
+	joinAll(t, c.dissems(), inter, core.ProtocolPushGossip)
+	notify(t, c.init, inter, 1)
 
 	// Budget: the analytic push rounds (instant on the synchronous bus)
 	// plus one 100ms admission window per message the victim must absorb —
@@ -265,7 +229,7 @@ func TestChaosSaturatedReceiver(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := analytic + n + 4
-	windows := advanceUntil(c.clk, 100*time.Millisecond, budget, func() bool {
+	windows := advanceUntil(c.Clock, 100*time.Millisecond, budget, func() bool {
 		return c.coverage(nil, 1) == n && c.queuedTotal() == 0
 	})
 	if windows > budget {
@@ -276,7 +240,7 @@ func TestChaosSaturatedReceiver(t *testing.T) {
 	// Exact fault accounting. Every shed the gate issued was seen by some
 	// plane as a deferral, and every deferral was resolved by exactly one
 	// retry (the queues are drained, and nothing hit its attempt budget).
-	shed := c.regs[victim].Counter("delivery_shed_total").Value()
+	shed := c.Nodes[victim].Registry().Counter("delivery_shed_total").Value()
 	if shed == 0 {
 		t.Fatal("the victim never shed — the scenario exerted no overload")
 	}
@@ -299,12 +263,12 @@ func TestChaosSaturatedReceiver(t *testing.T) {
 	if got := c.sumLabeled("delivery_attempt_failures_total", "kind", "transport"); got != 0 {
 		t.Fatalf("saturation produced %d transport failures", got)
 	}
-	for i, app := range c.apps {
+	for i, app := range c.Apps {
 		if app.Count() != 1 {
 			t.Fatalf("node %d delivered %d copies, want exactly 1", i, app.Count())
 		}
 	}
-	if got := c.regs[victim].CounterVec("shed_requests_total", "result").With("exempt").Value(); got == 0 {
+	if got := c.Nodes[victim].Registry().CounterVec("shed_requests_total", "result").With("exempt").Value(); got == 0 {
 		t.Fatal("no exempt request passed the gate — the exemption was never exercised")
 	}
 	t.Logf("saturated receiver: %d sheds all deferred and retried, coverage in %d/%d windows (analytic %d)",
@@ -333,14 +297,11 @@ func TestChaosMisbehavingEnvelopes(t *testing.T) {
 
 	// An envelope one byte over the wire cap.
 	oversize := make([]byte, soap.MaxEnvelopeBytes+1)
-	if err := c.bus.SendEncoded(ctx, c.addrs[target], oversize); err != nil {
+	if err := c.Bus.SendEncoded(ctx, c.Addrs[target], oversize); err != nil {
 		t.Fatal(err)
 	}
 	// A legitimate notification torn off mid-stream.
-	inter, err := c.init.StartInteraction(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inter := start(t, c.init, core.ProtocolPushGossip)
 	env := soap.NewEnvelope()
 	if err := env.SetBody(eventBody{Seq: 99}); err != nil {
 		t.Fatal(err)
@@ -349,10 +310,10 @@ func TestChaosMisbehavingEnvelopes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.bus.SendEncoded(ctx, c.addrs[target], whole[:len(whole)/2]); err != nil {
+	if err := c.Bus.SendEncoded(ctx, c.Addrs[target], whole[:len(whole)/2]); err != nil {
 		t.Fatal(err)
 	}
-	c.clk.Advance(50 * time.Millisecond)
+	c.Clock.Advance(50 * time.Millisecond)
 
 	if got := decodeErrors("oversize"); got != 1 {
 		t.Fatalf("oversize decode errors = %d, want exactly 1", got)
@@ -360,7 +321,7 @@ func TestChaosMisbehavingEnvelopes(t *testing.T) {
 	if got := decodeErrors("malformed"); got != 1 {
 		t.Fatalf("malformed decode errors = %d, want exactly 1", got)
 	}
-	for i, app := range c.apps {
+	for i, app := range c.Apps {
 		if app.Count() != 0 {
 			t.Fatalf("node %d delivered %d events off garbage bytes", i, app.Count())
 		}
@@ -368,10 +329,8 @@ func TestChaosMisbehavingEnvelopes(t *testing.T) {
 
 	// The overlay shrugs: a real event still covers everyone, and the
 	// garbage counters stay frozen.
-	if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if w := advanceUntil(c.clk, 100*time.Millisecond, 20, func() bool {
+	notify(t, c.init, inter, 1)
+	if w := advanceUntil(c.Clock, 100*time.Millisecond, 20, func() bool {
 		return c.coverage(nil, 1) == n
 	}); w > 20 {
 		t.Fatalf("post-garbage event covered %d/%d", c.coverage(nil, 1), n)

@@ -24,6 +24,7 @@
 // replaying captured envelopes must be isolated by exactly the victim's
 // duplicate counter.
 //
-// The package is test-only: its fabric (virtBus) and cluster builders live
-// in _test files.
+// The package is test-only. Its fabric (testbed.Bus) and its cluster
+// builder (testbed.Nodes, testbed.SimNodes) live in internal/testbed, which
+// the experiments and the simulator share.
 package scenario

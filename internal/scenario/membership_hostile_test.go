@@ -8,6 +8,7 @@ import (
 
 	"wsgossip/internal/membership"
 	"wsgossip/internal/soap"
+	"wsgossip/internal/testbed"
 	"wsgossip/internal/transport"
 )
 
@@ -33,40 +34,37 @@ const hostileMember = "mem://hostile"
 
 // joinHostile starts an n-node overlay with a hostile member in it, run by
 // an ordinary Service, and returns once every node knows every other.
-func joinHostile(t *testing.T, n int) (*memberCluster, *lastExchange) {
+func joinHostile(t *testing.T, n int) (*overlay, *lastExchange) {
 	t.Helper()
 	c := newMemberCluster(t, 131)
 	ctx := context.Background()
-	c.addNode(0, nil)
-	for i := 1; i < n; i++ {
-		c.addNode(i, []string{"mem://node000"})
+	for i := 0; i < n; i++ {
+		c.addNode()
 	}
-	ep := &lastExchange{SOAPEndpoint: membership.NewSOAPEndpoint(hostileMember, &nodeCaller{bus: c.bus, from: hostileMember})}
+	ep := &lastExchange{SOAPEndpoint: membership.NewSOAPEndpoint(hostileMember, c.Bus.Caller(hostileMember))}
 	svc, err := membership.New(membership.Config{
-		Endpoint: ep, Clock: c.clk, Fanout: 3,
+		Endpoint: ep, Clock: c.Clock, Fanout: 3,
 		SuspectAfter: memberSuspectAfter, RemoveAfter: memberRemoveAfter,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := transport.NewMux()
-	svc.Register(mux)
-	mux.Bind(ep)
+	testbed.Bind(ep, svc)
 	dispatcher := soap.NewDispatcher()
 	ep.RegisterActions(dispatcher)
-	c.bus.Register(hostileMember, dispatcher)
+	c.Bus.Register(hostileMember, dispatcher)
 	svc.Join(ctx, []string{"mem://node000"})
-	c.clk.Advance(1500 * time.Millisecond)
+	c.Clock.Advance(1500 * time.Millisecond)
 
 	svc.Tick(ctx)
 	if ep.body == nil || svc.Size() != n {
 		t.Fatalf("hostile view holds %d members, want all %d honest nodes", svc.Size(), n)
 	}
-	for _, addr := range c.order {
+	for _, addr := range c.Addrs {
 		if !listsMember(c.nodes[addr].Membership(), hostileMember) {
 			t.Fatalf("%s never learned the hostile member", addr)
 		}
-		for _, peer := range c.order {
+		for _, peer := range c.Addrs {
 			if peer != addr && !listsMember(c.nodes[addr].Membership(), peer) {
 				t.Fatalf("%s never learned %s", addr, peer)
 			}
@@ -86,20 +84,20 @@ func TestScenarioLeaveEvictsOnlyItsSender(t *testing.T) {
 	c, ep := joinHostile(t, n)
 	ctx := context.Background()
 	leaves := make(map[string]int64, n)
-	for _, addr := range c.order {
+	for _, addr := range c.Addrs {
 		leaves[addr] = c.nodes[addr].Registry().Counter("membership_leaves_total").Value()
 	}
 
-	for _, addr := range c.order {
+	for _, addr := range c.Addrs {
 		if err := ep.Send(ctx, transport.Message{To: addr, Action: membership.ActionLeave, Body: ep.body}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.clk.Advance(100 * time.Millisecond)
+	c.Clock.Advance(100 * time.Millisecond)
 
-	for _, addr := range c.order {
+	for _, addr := range c.Addrs {
 		node := c.nodes[addr]
-		for _, peer := range c.order {
+		for _, peer := range c.Addrs {
 			if peer != addr && !listsMember(node.Membership(), peer) {
 				t.Fatalf("%s lost %s to one hostile leave", addr, peer)
 			}
@@ -119,8 +117,8 @@ func TestScenarioLeaveEvictsOnlyItsSender(t *testing.T) {
 
 	// The overlay keeps working: a second round of exchanges leaves every
 	// honest view whole, and the tombstone keeps the leaver out.
-	c.clk.Advance(time.Second)
-	for _, addr := range c.order {
+	c.Clock.Advance(time.Second)
+	for _, addr := range c.Addrs {
 		if got := c.nodes[addr].Membership().Size(); got != n-1 {
 			t.Fatalf("%s holds %d members after the incident, want %d", addr, got, n-1)
 		}
@@ -147,7 +145,7 @@ func TestScenarioForgedLeaveEvictsTheNamedMember(t *testing.T) {
 	if err := ep.Send(context.Background(), transport.Message{To: receiver, Action: membership.ActionLeave, Body: forged}); err != nil {
 		t.Fatal(err)
 	}
-	c.clk.Advance(100 * time.Millisecond)
+	c.Clock.Advance(100 * time.Millisecond)
 
 	if listsMember(c.nodes[receiver].Membership(), victim) {
 		t.Fatalf("%s kept %s: a leave's sender is no longer the From its body declares", receiver, victim)
@@ -161,8 +159,8 @@ func TestScenarioForgedLeaveEvictsTheNamedMember(t *testing.T) {
 
 	// Rounds of exchanges carry the victim's advancing heartbeat to every
 	// node, yet the receiver's tombstone keeps it out for good.
-	c.clk.Advance(memberRemoveAfter)
-	for _, addr := range c.order {
+	c.Clock.Advance(memberRemoveAfter)
+	for _, addr := range c.Addrs {
 		if addr == receiver || addr == victim {
 			continue
 		}
@@ -208,7 +206,7 @@ func TestScenarioTombstonedPairTradesNoStorm(t *testing.T) {
 	for _, pair := range [][2]string{{a, b}, {b, a}} {
 		to, from := pair[0], pair[1]
 		inner := c.nodes[to].Handler()
-		c.bus.Register(to, soap.HandlerFunc(func(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
+		c.Bus.Register(to, soap.HandlerFunc(func(ctx context.Context, req *soap.Request) (*soap.Envelope, error) {
 			if blocks := req.Envelope.Body.Blocks; req.Action() == membership.ActionExchange && len(blocks) > 0 &&
 				bytes.Contains(blocks[0].Raw, []byte("<From>"+from+"</From>")) {
 				between++
@@ -219,7 +217,7 @@ func TestScenarioTombstonedPairTradesNoStorm(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.clk.Advance(100 * time.Millisecond)
+	c.Clock.Advance(100 * time.Millisecond)
 	if listsMember(c.nodes[a].Membership(), b) || listsMember(c.nodes[b].Membership(), a) {
 		t.Fatal("the forged leaves did not tombstone the pair")
 	}
@@ -228,11 +226,11 @@ func TestScenarioTombstonedPairTradesNoStorm(t *testing.T) {
 	if err := ep.Send(ctx, transport.Message{To: a, Action: membership.ActionExchange, Body: forged(b)}); err != nil {
 		t.Fatal(err)
 	}
-	c.clk.Advance(10 * time.Second)
+	c.Clock.Advance(10 * time.Second)
 	if between > 1 {
 		t.Fatalf("one forged exchange set off %d view exchanges between %s and %s in 10s, want only itself", between, a, b)
 	}
-	for _, addr := range c.order {
+	for _, addr := range c.Addrs {
 		if got := c.nodes[addr].Membership().Size(); addr != a && addr != b && got < n-1 {
 			t.Fatalf("%s holds %d members after the incident, want at least %d", addr, got, n-1)
 		}

@@ -10,32 +10,40 @@ import (
 
 	"wsgossip"
 	"wsgossip/internal/aggregate"
-	"wsgossip/internal/clock"
 	"wsgossip/internal/core"
 	"wsgossip/internal/epidemic"
+	"wsgossip/internal/soap"
+	"wsgossip/internal/testbed"
 )
 
-// memberNode is one membership-driven node: a disseminator whose fan-outs
-// sample the live membership view, with both the gossip actions and the
-// membership exchange actions served on a single SOAP endpoint.
-type memberNode struct {
+// overlayNode is one membership-driven node: a disseminator whose fan-outs
+// sample the live membership view, with the gossip and membership actions
+// served on a single SOAP endpoint.
+type overlayNode struct {
 	*wsgossip.Node
 	addr string
 	app  *core.CollectingApp
+	seen map[int]bool // chaos events taken, by sequence number
 }
 
-// memberCluster is a coordinator-light deployment: the Coordinator still
-// hosts Activation/Registration (it hands out fanout and hops) but has no
-// subscribers, so every registration returns an empty target list and all
-// dissemination targets come from the membership overlay.
-type memberCluster struct {
+// overlay is a deployment whose nodes learn of each other only through
+// membership: every node after the first joins through node 0. nodes holds
+// the nodes that have not left, by address; Addrs every node ever added.
+type overlay struct {
+	*testbed.Fabric
 	t     *testing.T
-	clk   *clock.Virtual
-	bus   *virtBus
-	coord *core.Coordinator
-	seed  int64
-	nodes map[string]*memberNode
-	order []string // insertion-ordered addresses for deterministic asserts
+	nodes map[string]*overlayNode
+}
+
+func newOverlay(t *testing.T, spec testbed.Spec[wsgossip.NodeConfig]) *overlay {
+	t.Helper()
+	spec.Stream = nodeStream
+	fab, err := testbed.Nodes(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fab.Close)
+	return &overlay{Fabric: fab, t: t, nodes: make(map[string]*overlayNode)}
 }
 
 const (
@@ -45,90 +53,65 @@ const (
 	memberRemoveAfter   = 4 * time.Second
 )
 
-func newMemberCluster(t *testing.T, seed int64) *memberCluster {
-	t.Helper()
-	clk := clock.NewVirtual()
-	bus := newVirtBus(clk, seed, time.Millisecond, 5*time.Millisecond)
-	c := &memberCluster{
-		t: t, clk: clk, bus: bus, seed: seed,
-		nodes: make(map[string]*memberNode),
-	}
-	c.coord = core.NewCoordinator(core.CoordinatorConfig{
-		Address: "mem://coordinator",
-		RNG:     rand.New(rand.NewSource(seed)),
+// newMemberCluster is a coordinator-light overlay: the Coordinator still
+// hosts Activation/Registration (it hands out fanout and hops) but has no
+// subscribers, so every registration returns an empty target list and all
+// dissemination targets come from the membership overlay.
+func newMemberCluster(t *testing.T, seed int64) *overlay {
+	return newOverlay(t, testbed.Spec[wsgossip.NodeConfig]{
+		Seed: seed, Addr: "mem://node%03d",
 		// No subscribers ever register, so the parameter policy must not
 		// depend on the subscription count: classic epidemic sizing for the
 		// deployment's design capacity.
-		Params: func(int) (int, int) { return 3, 9 },
-	})
-	bus.Register("mem://coordinator", c.coord.Handler())
-	t.Cleanup(func() {
-		for _, n := range c.nodes {
-			n.Stop()
-		}
-	})
-	return c
-}
-
-// addNode boots a membership-driven node and joins it to the overlay
-// through the given seed addresses — the only way any node ever learns of
-// any other. Returns the node.
-func (c *memberCluster) addNode(idx int, seeds []string) *memberNode {
-	c.t.Helper()
-	ctx := context.Background()
-	addr := fmt.Sprintf("mem://node%03d", idx)
-	app := core.NewCollectingApp()
-	node, err := wsgossip.NewNode(wsgossip.NodeConfig{
-		Address:    addr,
-		Caller:     c.bus,
-		App:        app,
-		Clock:      c.clk,
-		Seed:       nodeSeed(c.seed, idx),
-		PullEvery:  memberPullEvery,
-		JitterFrac: 0.2,
-		Membership: &wsgossip.NodeMembership{
-			Seeds:        seeds,
-			Every:        memberExchangeEvery,
-			SuspectAfter: memberSuspectAfter,
-			RemoveAfter:  memberRemoveAfter,
+		Coordinator: &core.CoordinatorConfig{Address: "mem://coordinator", Params: func(int) (int, int) { return 3, 9 }},
+		Config: wsgossip.NodeConfig{
+			PullEvery:  memberPullEvery,
+			JitterFrac: 0.2,
+			Membership: &wsgossip.NodeMembership{
+				Every:        memberExchangeEvery,
+				SuspectAfter: memberSuspectAfter,
+				RemoveAfter:  memberRemoveAfter,
+			},
 		},
 	})
+}
+
+// addNode boots the next node; it joins the overlay as it is added.
+func (c *overlay) addNode() *overlayNode {
+	c.t.Helper()
+	node, err := c.Add()
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	c.bus.Register(addr, node.Handler())
-	if err := node.Start(ctx); err != nil {
-		c.t.Fatal(err)
-	}
-	c.clk.Advance(0) // fire Start's zero-delay join: the node joins as it is added
-	n := &memberNode{Node: node, addr: addr, app: app}
-	c.nodes[addr] = n
-	c.order = append(c.order, addr)
+	i := len(c.Nodes) - 1
+	n := &overlayNode{Node: node, addr: c.Addrs[i], app: c.Apps[i], seen: make(map[int]bool)}
+	node.Dispatcher().Register(actionChaosEvent, soap.HandlerFunc(func(_ context.Context, req *soap.Request) (*soap.Envelope, error) {
+		var ev chaosEvent
+		if err := req.Envelope.DecodeBody(&ev); err != nil {
+			return nil, soap.NewFault(soap.CodeSender, "malformed chaos event: "+err.Error())
+		}
+		if !n.seen[ev.Seq] {
+			n.seen[ev.Seq] = true
+			c.flood(n, ev.Seq)
+		}
+		return nil, nil
+	}))
+	c.nodes[n.addr] = n
 	return n
 }
 
 // leave removes a node gracefully: it announces departure over the
 // membership protocol, stops its rounds, and then crashes off the bus.
-func (c *memberCluster) leave(n *memberNode) {
+func (c *overlay) leave(n *overlayNode) {
 	n.Membership().Leave(context.Background())
 	n.Stop()
-	c.bus.Crash(n.addr)
+	c.Bus.Crash(n.addr)
 	delete(c.nodes, n.addr)
 }
 
 // coverage counts live nodes whose app saw at least want events.
-func (c *memberCluster) coverage(want int) (covered, total int) {
-	for _, addr := range c.order {
-		n, alive := c.nodes[addr]
-		if !alive {
-			continue
-		}
-		total++
-		if n.app.Count() >= want {
-			covered++
-		}
-	}
-	return covered, total
+func (c *overlay) coverage(want int) (covered, total int) {
+	return c.Coverage(want, func(i int) bool { return c.nodes[c.Addrs[i]] != nil })
 }
 
 // TestScenarioMembershipDrivenDissemination is the live-view end-to-end
@@ -147,12 +130,11 @@ func TestScenarioMembershipDrivenDissemination(t *testing.T) {
 
 	// Bootstrap: every node knows exactly one seed (node 0); the overlay
 	// self-assembles through view exchanges.
-	c.addNode(0, nil)
-	for i := 1; i < nStart; i++ {
-		c.addNode(i, []string{"mem://node000"})
+	for i := 0; i < nStart; i++ {
+		c.addNode()
 	}
-	c.clk.Advance(1500 * time.Millisecond)
-	for _, addr := range c.order {
+	c.Clock.Advance(1500 * time.Millisecond)
+	for _, addr := range c.Addrs {
 		if got := c.nodes[addr].Membership().Size(); got < nStart*3/4 {
 			t.Fatalf("%s discovered only %d/%d peers through exchanges", addr, got, nStart-1)
 		}
@@ -163,7 +145,7 @@ func TestScenarioMembershipDrivenDissemination(t *testing.T) {
 	n0 := c.nodes["mem://node000"]
 	init, err := core.NewInitiator(core.InitiatorConfig{
 		Address:    n0.addr,
-		Caller:     c.bus,
+		Caller:     c.Bus,
 		Activation: "mem://coordinator",
 		Peers:      n0.Membership(),
 		RNG:        rand.New(rand.NewSource(7)),
@@ -171,28 +153,23 @@ func TestScenarioMembershipDrivenDissemination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inter, err := init.StartProtocolInteraction(ctx, core.ProtocolPullGossip)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inter := start(t, init, core.ProtocolPullGossip)
 	if len(inter.Params.Targets) != 0 {
 		t.Fatalf("coordinator assigned %d static targets; the scenario must run on the live view alone",
 			len(inter.Params.Targets))
 	}
-	for _, addr := range c.order {
+	for _, addr := range c.Addrs {
 		if err := c.nodes[addr].Disseminator().JoinInteraction(ctx, inter.Context, core.ProtocolPullGossip); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := init.Notify(ctx, inter, eventBody{Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
+	notify(t, init, inter, 1)
 	analytic, err := epidemic.RoundsForCoverage(nStart, 3, 0.9, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := 4*analytic + 6
-	windows := advanceUntil(c.clk, memberPullEvery, budget, func() bool {
+	windows := advanceUntil(c.Clock, memberPullEvery, budget, func() bool {
 		covered, total := c.coverage(1)
 		return covered == total
 	})
@@ -203,9 +180,9 @@ func TestScenarioMembershipDrivenDissemination(t *testing.T) {
 
 	// Churn mid-interaction: joiners bootstrap from node 0, leavers say
 	// goodbye. Nobody edits a target list anywhere.
-	joined := make([]*memberNode, 0, nJoin)
+	joined := make([]*overlayNode, 0, nJoin)
 	for i := 0; i < nJoin; i++ {
-		n := c.addNode(nStart+i, []string{"mem://node000"})
+		n := c.addNode()
 		if err := n.Disseminator().JoinInteraction(ctx, inter.Context, core.ProtocolPullGossip); err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +195,7 @@ func TestScenarioMembershipDrivenDissemination(t *testing.T) {
 		left = append(left, addr)
 		c.leave(c.nodes[addr])
 	}
-	windows = advanceUntil(c.clk, memberPullEvery, budget, func() bool {
+	windows = advanceUntil(c.Clock, memberPullEvery, budget, func() bool {
 		covered, total := c.coverage(1)
 		return covered == total
 	})
@@ -235,10 +212,8 @@ func TestScenarioMembershipDrivenDissemination(t *testing.T) {
 
 	// A second event over the churned overlay: the survivors plus joiners
 	// converge again, still with zero static targets.
-	if _, _, err := init.Notify(ctx, inter, eventBody{Seq: 2}); err != nil {
-		t.Fatal(err)
-	}
-	windows = advanceUntil(c.clk, memberPullEvery, budget, func() bool {
+	notify(t, init, inter, 2)
+	windows = advanceUntil(c.Clock, memberPullEvery, budget, func() bool {
 		covered, total := c.coverage(2)
 		return covered == total
 	})
@@ -250,8 +225,8 @@ func TestScenarioMembershipDrivenDissemination(t *testing.T) {
 	// Failure detection: once RemoveAfter elapses, every survivor's view
 	// has shed the leavers (tombstoned or aged out) — sends stop targeting
 	// the dead.
-	c.clk.Advance(memberRemoveAfter + memberSuspectAfter)
-	for _, addr := range c.order {
+	c.Clock.Advance(memberRemoveAfter + memberSuspectAfter)
+	for _, addr := range c.Addrs {
 		n, alive := c.nodes[addr]
 		if !alive {
 			continue
@@ -265,7 +240,7 @@ func TestScenarioMembershipDrivenDissemination(t *testing.T) {
 		}
 	}
 	// Exactly-once delivery held throughout the churn.
-	for _, addr := range c.order {
+	for _, addr := range c.Addrs {
 		if n, alive := c.nodes[addr]; alive && n.app.Count() > 2 {
 			t.Fatalf("%s delivered %d copies of 2 events", addr, n.app.Count())
 		}
@@ -278,9 +253,8 @@ func TestScenarioMembershipDrivenDissemination(t *testing.T) {
 // dissemination still reaches everyone within the eager-push window.
 func TestScenarioCoordinatorFailover(t *testing.T) {
 	const n = 48
-	clk := clock.NewVirtual()
-	bus := newVirtBus(clk, 211, time.Millisecond, 5*time.Millisecond)
-	ctx := context.Background()
+	f := newFabric(t, 211, nil)
+	clk, bus := f.Clock, f.Bus
 
 	successor := core.NewCoordinator(core.CoordinatorConfig{
 		Address:             "mem://coord-b",
@@ -297,45 +271,11 @@ func TestScenarioCoordinatorFailover(t *testing.T) {
 	})
 	bus.Register("mem://coord-a", primary.Handler())
 
-	apps := make([]*core.CollectingApp, n)
-	var runners []*core.Runner
-	defer func() {
-		for _, r := range runners {
-			r.Stop()
-		}
-	}()
-	for i := 0; i < n; i++ {
-		addr := fmt.Sprintf("mem://node%03d", i)
-		apps[i] = core.NewCollectingApp()
-		d, err := core.NewDisseminator(core.DisseminatorConfig{
-			Address:      addr,
-			Caller:       bus,
-			App:          apps[i],
-			RNG:          rand.New(rand.NewSource(211*31 + int64(i))),
-			Coordinators: []string{"mem://coord-b"},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bus.Register(addr, d.Handler())
-		// Subscribing at the primary replicates the record to the
-		// successor, so both coordinators share one assignment base.
-		if err := core.SubscribeClient(ctx, bus, "mem://coord-a", addr, core.RoleDisseminator); err != nil {
-			t.Fatal(err)
-		}
-		r, err := core.NewRunner(core.RunnerConfig{
-			Clock: clk,
-			RNG:   rand.New(rand.NewSource(211*977 + int64(i))),
-			Loops: []core.Loop{{Name: "repair", Period: 200 * time.Millisecond, Jitter: 40 * time.Millisecond, Tick: d.TickRepair}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
-		runners = append(runners, r)
-	}
+	// Subscribing at the primary replicates the record to the successor, so
+	// both coordinators share one assignment base.
+	_, apps := disseminators(t, f, 211, n, "mem://coord-a", []string{"mem://coord-b"}, func(d *core.Disseminator) core.Loop {
+		return core.Loop{Name: "repair", Period: 200 * time.Millisecond, Jitter: 40 * time.Millisecond, Tick: d.TickRepair}
+	})
 
 	init, err := core.NewInitiator(core.InitiatorConfig{
 		Address: "mem://initiator", Caller: bus, Activation: "mem://coord-a",
@@ -343,10 +283,7 @@ func TestScenarioCoordinatorFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inter, err := init.StartInteraction(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inter := start(t, init, core.ProtocolPushGossip)
 	// Activity replication is one-way traffic riding the bus: let it land.
 	clk.Advance(10 * time.Millisecond)
 	if got := successor.LiveActivities(); got != 1 {
@@ -356,26 +293,12 @@ func TestScenarioCoordinatorFailover(t *testing.T) {
 	// The primary dies while the first epidemic wave is in flight: only
 	// the nodes the wave reached within ~one link delay have registered.
 	clk.AfterFunc(3*time.Millisecond, func() { bus.Crash("mem://coord-a") })
-	if _, _, err := init.Notify(ctx, inter, eventBody{Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
+	notify(t, init, inter, 1)
 	windows := advanceUntil(clk, 100*time.Millisecond, 10, func() bool {
-		covered := 0
-		for _, app := range apps {
-			if app.Count() >= 1 {
-				covered++
-			}
-		}
-		return covered == n
+		return covered(apps, 1) == n
 	})
 	if windows > 10 {
-		covered := 0
-		for _, app := range apps {
-			if app.Count() >= 1 {
-				covered++
-			}
-		}
-		t.Fatalf("failover dissemination covered %d/%d", covered, n)
+		t.Fatalf("failover dissemination covered %d/%d", covered(apps, 1), n)
 	}
 	// (Eager push alone predicts ~0.94 coverage at these parameters; the
 	// anti-entropy repair loop is the backstop that makes full coverage a
@@ -403,82 +326,26 @@ func TestScenarioQuiescenceBackoff(t *testing.T) {
 		quiescent = 1600 * time.Millisecond
 		idle      = 20 * time.Second
 	)
-	build := func(adaptive bool) (*clock.Virtual, *virtBus, []*core.Disseminator, []*core.Runner, []*core.CollectingApp) {
-		clk := clock.NewVirtual()
-		bus := newVirtBus(clk, 303, time.Millisecond, 5*time.Millisecond)
-		coord := core.NewCoordinator(core.CoordinatorConfig{
-			Address: "mem://coordinator",
-			RNG:     rand.New(rand.NewSource(303)),
-		})
-		bus.Register("mem://coordinator", coord.Handler())
-		var ds []*core.Disseminator
-		var rs []*core.Runner
-		var apps []*core.CollectingApp
-		for i := 0; i < n; i++ {
-			addr := fmt.Sprintf("mem://node%03d", i)
-			app := core.NewCollectingApp()
-			d, err := core.NewDisseminator(core.DisseminatorConfig{
-				Address: addr,
-				Caller:  bus,
-				App:     app,
-				RNG:     rand.New(rand.NewSource(303*31 + int64(i))),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bus.Register(addr, d.Handler())
-			if err := core.SubscribeClient(context.Background(), bus, "mem://coordinator", addr, core.RoleDisseminator); err != nil {
-				t.Fatal(err)
-			}
+	build := func(adaptive bool) (*testbed.Fabric, []*core.Disseminator, []*core.CollectingApp) {
+		f := newFabric(t, 303, &core.CoordinatorConfig{Address: "mem://coordinator"})
+		ds, apps := disseminators(t, f, 303, n, "mem://coordinator", nil, func(d *core.Disseminator) core.Loop {
 			pull := core.Loop{Name: "pull", Period: pullEvery, Jitter: pullEvery / 5, Tick: d.TickPull}
 			if adaptive {
 				pull.MaxPeriod, pull.Activity = quiescent, d.ActivityCount
 			}
-			r, err := core.NewRunner(core.RunnerConfig{
-				Clock: clk,
-				RNG:   rand.New(rand.NewSource(303*977 + int64(i))),
-				Loops: []core.Loop{pull},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if adaptive {
-				d.OnActivity(r.Wake)
-			}
-			if err := r.Start(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			ds = append(ds, d)
-			rs = append(rs, r)
-			apps = append(apps, app)
-		}
-		return clk, bus, ds, rs, apps
-	}
-	fires := func(rs []*core.Runner) int64 {
-		var total int64
-		for _, r := range rs {
-			total += r.FireCount("pull")
-		}
-		return total
+			return pull
+		})
+		return f, ds, apps
 	}
 
-	fclk, _, _, fixedRunners, _ := build(false)
-	defer func() {
-		for _, r := range fixedRunners {
-			r.Stop()
-		}
-	}()
-	fclk.Advance(idle)
-	fixed := fires(fixedRunners)
+	fixedFabric, _, _ := build(false)
+	fixedFabric.Clock.Advance(idle)
+	fixed := fixedFabric.FireCount("pull")
 
-	clk, bus, ds, adaptiveRunners, apps := build(true)
-	defer func() {
-		for _, r := range adaptiveRunners {
-			r.Stop()
-		}
-	}()
+	f, ds, apps := build(true)
+	clk, bus := f.Clock, f.Bus
 	clk.Advance(idle)
-	adaptive := fires(adaptiveRunners)
+	adaptive := f.FireCount("pull")
 
 	// The fixed runtime fires ~idle/period rounds per node; backoff holds
 	// the adaptive runtime near idle/quiescentMax plus the settle ramp.
@@ -494,47 +361,25 @@ func TestScenarioQuiescenceBackoff(t *testing.T) {
 	// Traffic snaps the backed-off loops to base pace: a pull interaction
 	// seeded at one node must still reach everyone within the same budget
 	// the fixed-period scenario suite uses.
-	ctx := context.Background()
 	init, err := core.NewInitiator(core.InitiatorConfig{
 		Address: "mem://initiator", Caller: bus, Activation: "mem://coordinator",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inter, err := init.StartProtocolInteraction(ctx, core.ProtocolPullGossip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range ds {
-		if err := d.JoinInteraction(ctx, inter.Context, core.ProtocolPullGossip); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := init.Notify(ctx, inter, eventBody{Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
+	inter := start(t, init, core.ProtocolPullGossip)
+	joinAll(t, ds, inter, core.ProtocolPullGossip)
+	notify(t, init, inter, 1)
 	analytic, err := epidemic.RoundsForCoverage(n, inter.Params.Fanout, 0.9, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := 4*analytic + 6
 	windows := advanceUntil(clk, pullEvery, budget, func() bool {
-		covered := 0
-		for _, app := range apps {
-			if app.Count() >= 1 {
-				covered++
-			}
-		}
-		return covered == n
+		return covered(apps, 1) == n
 	})
 	if windows > budget {
-		covered := 0
-		for _, app := range apps {
-			if app.Count() >= 1 {
-				covered++
-			}
-		}
-		t.Fatalf("woken adaptive runtime covered %d/%d after %d windows (analytic %d)", covered, n, budget, analytic)
+		t.Fatalf("woken adaptive runtime covered %d/%d after %d windows (analytic %d)", covered(apps, 1), n, budget, analytic)
 	}
 	t.Logf("snap-back: coverage complete in %d windows after %v of quiescence (analytic %d)", windows, idle, analytic)
 }
@@ -548,77 +393,14 @@ func TestScenarioQuiescentAggregation(t *testing.T) {
 		exchangeEvery = 100 * time.Millisecond
 		quiescent     = 1600 * time.Millisecond
 	)
-	clk := clock.NewVirtual()
-	bus := newVirtBus(clk, 401, time.Millisecond, 5*time.Millisecond)
+	f := newFabric(t, 401, &core.CoordinatorConfig{Address: "mem://coordinator"})
+	clk := f.Clock
 	ctx := context.Background()
-	coord := core.NewCoordinator(core.CoordinatorConfig{
-		Address: "mem://coordinator",
-		RNG:     rand.New(rand.NewSource(401)),
-	})
-	bus.Register("mem://coordinator", coord.Handler())
-
-	var runners []*core.Runner
-	defer func() {
-		for _, r := range runners {
-			r.Stop()
-		}
-	}()
-	addRunner := func(svc interface {
-		Tick(context.Context)
-		ActivityCount() uint64
-		OnActivity(func())
-	}, seed int64) *core.Runner {
-		t.Helper()
-		r, err := core.NewRunner(core.RunnerConfig{
-			Clock: clk,
-			RNG:   rand.New(rand.NewSource(seed)),
-			Loops: []core.Loop{{
-				Name: "aggregate", Period: exchangeEvery, Jitter: exchangeEvery / 5, Tick: svc.Tick,
-				MaxPeriod: quiescent, Activity: svc.ActivityCount,
-			}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc.OnActivity(r.Wake)
-		if err := r.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
-		runners = append(runners, r)
-		return r
-	}
-	valueRNG := rand.New(rand.NewSource(401 * 7))
 	var truthSum float64
-	for i := 0; i < n; i++ {
-		addr := fmt.Sprintf("mem://svc%03d", i)
-		v := 10 + valueRNG.Float64()*90
+	for _, v := range aggServices(t, f, 401, n, exchangeEvery, quiescent) {
 		truthSum += v
-		val := v
-		svc, err := aggregate.NewService(aggregate.ServiceConfig{
-			Address: addr,
-			Caller:  bus,
-			Value:   func() float64 { return val },
-			RNG:     rand.New(rand.NewSource(401*13 + int64(i))),
-			Clock:   clk,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bus.Register(addr, svc.Handler())
-		if err := core.SubscribeClient(ctx, bus, "mem://coordinator", addr,
-			core.RoleDisseminator, core.ProtocolAggregate); err != nil {
-			t.Fatal(err)
-		}
-		addRunner(svc, 401*17+int64(i))
 	}
-
-	fires := func() int64 {
-		var total int64
-		for _, r := range runners {
-			total += r.FireCount("aggregate")
-		}
-		return total
-	}
+	fires := func() int64 { return f.FireCount("aggregate") }
 	// Idle before any task: every exchange loop must back off.
 	clk.Advance(10 * time.Second)
 	idleFires := fires()
@@ -630,22 +412,7 @@ func TestScenarioQuiescentAggregation(t *testing.T) {
 
 	// A query starts: loops snap back, push-sum converges inside the usual
 	// analytic budget, estimates land on truth.
-	querier, err := aggregate.NewQuerier(aggregate.QuerierConfig{
-		Address:    "mem://querier",
-		Caller:     bus,
-		Activation: "mem://coordinator",
-		RNG:        rand.New(rand.NewSource(401 * 19)),
-		Clock:      clk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("mem://querier", querier.Handler())
-	if err := core.SubscribeClient(ctx, bus, "mem://coordinator", "mem://querier",
-		core.RoleDisseminator, core.ProtocolAggregate); err != nil {
-		t.Fatal(err)
-	}
-	addRunner(querier, 401*23)
+	querier := aggQuerier(t, f, 401, exchangeEvery, quiescent)
 	before := fires()
 	task, err := querier.StartContinuous(ctx, "value", aggregate.FuncAvg, time.Hour)
 	if err != nil {

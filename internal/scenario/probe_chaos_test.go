@@ -3,24 +3,23 @@ package scenario
 import (
 	"context"
 	"encoding/xml"
-	"fmt"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"wsgossip"
-	"wsgossip/internal/clock"
 	"wsgossip/internal/delivery"
 	"wsgossip/internal/faults"
 	"wsgossip/internal/membership"
 	"wsgossip/internal/probe"
 	"wsgossip/internal/soap"
+	"wsgossip/internal/testbed"
 	"wsgossip/internal/wsa"
 )
 
 // This file holds the asymmetric-failure chaos scenarios: full nodes —
-// membership view + delivery plane + indirect prober — over the virtBus
+// membership view + delivery plane + indirect prober — over the testbed.Bus
 // fault table, asserting that one-way link faults, NAT'd nodes, and
 // multi-fault plan compositions degrade links instead of evicting healthy
 // peers, with exact metric accounting.
@@ -37,132 +36,60 @@ type chaosEvent struct {
 	Seq     int      `xml:"Seq"`
 }
 
-// chaosNode is one full node: membership for the live view, a delivery
-// plane for payload fan-out, and a prober adjudicating circuit openings.
-type chaosNode struct {
-	*wsgossip.Node
-	addr string
-	seen map[int]bool
-}
-
-// chaosCluster wires chaosNodes over one virtBus. Payloads spread by
-// flooding: first receipt forwards to every alive peer through the
-// delivery plane, so every node exercises its breaker against every link.
-type chaosCluster struct {
-	t    *testing.T
-	clk  *clock.Virtual
-	bus  *virtBus
-	seed int64
-	k    int // prober helper cap; 0 = ask all
-	// shape, when set, edits each node's config before it is built — the
-	// way a scenario switches on the layers the probe scenarios leave off.
-	shape func(idx int, cfg *wsgossip.NodeConfig)
-	nodes map[string]*chaosNode
-	order []string
-}
-
-func newChaosCluster(t *testing.T, seed int64, n, k int) *chaosCluster {
+func newChaosCluster(t *testing.T, seed int64, n, k int) *overlay {
 	t.Helper()
-	c := newChaosFabric(t, seed, k)
+	c := newChaosFabric(t, seed, k, nil)
 	c.addNodes(n)
 	return c
 }
 
-// newChaosFabric is a chaosCluster with its bus and clock and no nodes yet.
-func newChaosFabric(t *testing.T, seed int64, k int) *chaosCluster {
+// newChaosFabric is an overlay of full nodes — membership for the live
+// view, a delivery plane for payload fan-out, and a prober adjudicating
+// circuit openings — with no nodes yet. Payloads spread by flooding: first
+// receipt forwards to every alive peer through the delivery plane, so every
+// node exercises its breaker against every link. k caps the prober's
+// helpers (0 = ask all); shape, when set, edits each node's config before
+// it is built — the way a scenario switches on the layers the probe
+// scenarios leave off.
+func newChaosFabric(t *testing.T, seed int64, k int, shape func(idx int, cfg *wsgossip.NodeConfig)) *overlay {
 	t.Helper()
-	clk := clock.NewVirtual()
-	c := &chaosCluster{
-		t: t, clk: clk, seed: seed, k: k,
-		bus:   newVirtBus(clk, seed, time.Millisecond, 5*time.Millisecond),
-		nodes: make(map[string]*chaosNode),
-	}
-	t.Cleanup(func() {
-		for _, nd := range c.nodes {
-			nd.Stop()
-		}
-	})
-	return c
-}
-
-// addNodes adds nodes 0…n-1, each joining through node 0.
-func (c *chaosCluster) addNodes(n int) {
-	c.t.Helper()
-	for i := 0; i < n; i++ {
-		var seeds []string
-		if i > 0 {
-			seeds = []string{c.addrOf(0)}
-		}
-		c.addNode(i, seeds)
-	}
-}
-
-func (c *chaosCluster) addrOf(idx int) string { return fmt.Sprintf("mem://node%02d", idx) }
-
-func (c *chaosCluster) addNode(idx int, seeds []string) *chaosNode {
-	c.t.Helper()
-	addr := c.addrOf(idx)
-	probeK := c.k
-	if probeK == 0 {
-		probeK = -1 // NodeConfig spells "ask every helper" as negative; 0 would disable probing
+	if k == 0 {
+		k = -1 // NodeConfig spells "ask every helper" as negative; 0 would disable probing
 	}
 	// No round intervals: the scenarios tick membership by hand, in
-	// lockstep windows. Start only joins through the seeds.
-	cfg := wsgossip.NodeConfig{
-		Address: addr,
-		Caller:  &nodeCaller{bus: c.bus, from: addr},
-		Clock:   c.clk,
-		Seed:    nodeSeed(c.seed, idx),
-		Membership: &wsgossip.NodeMembership{
-			Seeds:        seeds,
-			SuspectAfter: chaosSuspect,
-			RemoveAfter:  chaosRemove,
+	// lockstep windows. Start only joins through node 0.
+	return newOverlay(t, testbed.Spec[wsgossip.NodeConfig]{
+		Seed: seed, Addr: "mem://node%02d", Shape: shape,
+		Config: wsgossip.NodeConfig{
+			Membership: &wsgossip.NodeMembership{SuspectAfter: chaosSuspect, RemoveAfter: chaosRemove},
+			Delivery: &delivery.Config{
+				QueueCap:         16,
+				AttemptTimeout:   time.Second,
+				MaxAttempts:      3,
+				BackoffBase:      50 * time.Millisecond,
+				BackoffMax:       400 * time.Millisecond,
+				BreakerThreshold: 3,
+				BreakerCooldown:  400 * time.Millisecond,
+			},
+			ProbeK:       k,
+			ProbeTimeout: 500 * time.Millisecond,
 		},
-		Delivery: &delivery.Config{
-			QueueCap:         16,
-			AttemptTimeout:   time.Second,
-			MaxAttempts:      3,
-			BackoffBase:      50 * time.Millisecond,
-			BackoffMax:       400 * time.Millisecond,
-			BreakerThreshold: 3,
-			BreakerCooldown:  400 * time.Millisecond,
-		},
-		ProbeK:       probeK,
-		ProbeTimeout: 500 * time.Millisecond,
-	}
-	if c.shape != nil {
-		c.shape(idx, &cfg)
-	}
-	node, err := wsgossip.NewNode(cfg)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	n := &chaosNode{Node: node, addr: addr, seen: make(map[int]bool)}
-	dispatcher := node.Dispatcher()
-	dispatcher.Register(actionChaosEvent, soap.HandlerFunc(func(_ context.Context, req *soap.Request) (*soap.Envelope, error) {
-		var ev chaosEvent
-		if err := req.Envelope.DecodeBody(&ev); err != nil {
-			return nil, soap.NewFault(soap.CodeSender, "malformed chaos event: "+err.Error())
-		}
-		if !n.seen[ev.Seq] {
-			n.seen[ev.Seq] = true
-			c.flood(n, ev.Seq)
-		}
-		return nil, nil
-	}))
-	c.bus.Register(addr, node.Handler())
-	c.nodes[addr] = n
-	c.order = append(c.order, addr)
-	if err := node.Start(context.Background()); err != nil {
-		c.t.Fatal(err)
-	}
-	c.clk.Advance(0) // fire Start's zero-delay join: the node joins as it is added
-	return n
+	})
 }
+
+// addNodes adds n nodes, each joining through node 0.
+func (c *overlay) addNodes(n int) {
+	c.t.Helper()
+	for i := 0; i < n; i++ {
+		c.addNode()
+	}
+}
+
+func (c *overlay) addrOf(idx int) string { return c.Addrs[idx] }
 
 // flood forwards seq from n to every alive peer through n's delivery
 // plane. Send errors are the plane's business (retry, breaker, probe).
-func (c *chaosCluster) flood(n *chaosNode, seq int) {
+func (c *overlay) flood(n *overlayNode, seq int) {
 	for _, peer := range n.Membership().Alive() {
 		env := soap.NewEnvelope()
 		if err := env.SetAddressing(wsa.Headers{To: peer, Action: actionChaosEvent, MessageID: wsa.NewMessageID()}); err != nil {
@@ -176,7 +103,7 @@ func (c *chaosCluster) flood(n *chaosNode, seq int) {
 }
 
 // broadcast starts an epidemic: the origin delivers seq locally and floods.
-func (c *chaosCluster) broadcast(origin string, seq int) {
+func (c *overlay) broadcast(origin string, seq int) {
 	n := c.nodes[origin]
 	n.seen[seq] = true
 	c.flood(n, seq)
@@ -185,13 +112,13 @@ func (c *chaosCluster) broadcast(origin string, seq int) {
 // runWindows drives up to budget windows — every node's membership tick,
 // then one window of virtual time — returning the window count at which
 // done first held, or budget+1. A nil done runs the full budget.
-func (c *chaosCluster) runWindows(budget int, done func() bool) int {
+func (c *overlay) runWindows(budget int, done func() bool) int {
 	ctx := context.Background()
 	for w := 1; w <= budget; w++ {
-		for _, addr := range c.order {
-			c.nodes[addr].Membership().Tick(ctx)
+		for _, n := range c.Nodes {
+			n.Membership().Tick(ctx)
 		}
-		c.clk.Advance(chaosWindow)
+		c.Clock.Advance(chaosWindow)
 		if done != nil && done() {
 			return w
 		}
@@ -203,20 +130,20 @@ func (c *chaosCluster) runWindows(budget int, done func() bool) int {
 }
 
 // bootstrap assembles the full-view overlay and asserts it converged.
-func (c *chaosCluster) bootstrap() {
+func (c *overlay) bootstrap() {
 	c.t.Helper()
 	c.runWindows(20, nil)
-	for _, addr := range c.order {
-		if got := c.nodes[addr].Membership().Size(); got != len(c.order)-1 {
-			c.t.Fatalf("%s bootstrapped %d/%d peers", addr, got, len(c.order)-1)
+	for _, addr := range c.Addrs {
+		if got := c.nodes[addr].Membership().Size(); got != len(c.Addrs)-1 {
+			c.t.Fatalf("%s bootstrapped %d/%d peers", addr, got, len(c.Addrs)-1)
 		}
 	}
 }
 
 // covered reports which nodes have seen seq, as a deterministic bitmask.
-func (c *chaosCluster) covered(seq int) string {
+func (c *overlay) covered(seq int) string {
 	var b strings.Builder
-	for _, addr := range c.order {
+	for _, addr := range c.Addrs {
 		if c.nodes[addr].seen[seq] {
 			b.WriteByte('1')
 		} else {
@@ -226,26 +153,8 @@ func (c *chaosCluster) covered(seq int) string {
 	return b.String()
 }
 
-func (c *chaosCluster) fullCoverage(seq int) bool {
+func (c *overlay) fullCoverage(seq int) bool {
 	return !strings.Contains(c.covered(seq), "0")
-}
-
-// chaosSumCounter sums one plain counter family across every node.
-func (c *chaosCluster) chaosSumCounter(name string) int64 {
-	var sum int64
-	for _, addr := range c.order {
-		sum += c.nodes[addr].Registry().Counter(name).Value()
-	}
-	return sum
-}
-
-// chaosSumLabeled sums one labeled counter value across every node.
-func (c *chaosCluster) chaosSumLabeled(family, label, value string) int64 {
-	var sum int64
-	for _, addr := range c.order {
-		sum += c.nodes[addr].Registry().CounterVec(family, label).With(value).Value()
-	}
-	return sum
 }
 
 func aliveContains(s *membership.Service, addr string) bool {
@@ -268,7 +177,7 @@ func TestChaosAsymmetricLinkNoFalseSuspicion(t *testing.T) {
 	c := newChaosCluster(t, 1201, 8, 3)
 	c.bootstrap()
 	a, b := c.addrOf(1), c.addrOf(2)
-	c.bus.Faults().RefuseLink("oneway", []string{a}, []string{b})
+	c.Bus.Faults().RefuseLink("oneway", []string{a}, []string{b})
 
 	c.broadcast(a, 1)
 	const budget = 20
@@ -290,7 +199,7 @@ func TestChaosAsymmetricLinkNoFalseSuspicion(t *testing.T) {
 	if got := na.Registry().CounterVec("delivery_indirect_probes_total", "result").With(probe.ResultAverted).Value(); got != 1 {
 		t.Fatalf("averted probe rounds = %d, want 1", got)
 	}
-	if got := c.chaosSumCounter("membership_suspects_total"); got != 0 {
+	if got := c.SumCounter("membership_suspects_total"); got != 0 {
 		t.Fatalf("membership_suspects_total = %d across the cluster, want 0: the one-way link must not produce false suspicions", got)
 	}
 	if !aliveContains(na.Membership(), b) {
@@ -300,11 +209,11 @@ func TestChaosAsymmetricLinkNoFalseSuspicion(t *testing.T) {
 		t.Fatalf("%s -> %s not marked asymmetric-degraded", a, b)
 	}
 	// The rest of the cluster never even opened a circuit.
-	if got := c.chaosSumLabeled("delivery_breaker_transitions_total", "to", "open"); got != 1 {
+	if got := c.SumLabeled("delivery_breaker_transitions_total", "to", "open"); got != 1 {
 		t.Fatalf("cluster-wide breaker openings = %d, want 1 (only the faulted direction)", got)
 	}
 	// Exact fault accounting: every bus refusal is the named rule's.
-	if got, want := int64(c.bus.Refused()), c.bus.Faults().Counts()["oneway"]; got != want {
+	if got, want := int64(c.Bus.Refused()), c.Bus.Faults().Counts()["oneway"]; got != want {
 		t.Fatalf("bus refusals %d != rule count %d", got, want)
 	}
 }
@@ -318,7 +227,7 @@ func TestChaosNATReachableOnlyViaRelays(t *testing.T) {
 	c.bootstrap()
 	nat := c.addrOf(6)
 	relays := []string{c.addrOf(1), c.addrOf(2)}
-	c.bus.Faults().SetNAT(nat, relays...)
+	c.Bus.Faults().SetNAT(nat, relays...)
 
 	c.broadcast(c.addrOf(0), 1)
 	const budget = 20
@@ -329,7 +238,7 @@ func TestChaosNATReachableOnlyViaRelays(t *testing.T) {
 
 	isRelay := map[string]bool{relays[0]: true, relays[1]: true}
 	var totalOpened, totalAverted int64
-	for _, addr := range c.order {
+	for _, addr := range c.Addrs {
 		n := c.nodes[addr]
 		opened := n.Registry().CounterVec("delivery_breaker_transitions_total", "to").With("open").Value()
 		averted := n.Registry().Counter("membership_suspicions_averted_total").Value()
@@ -355,11 +264,11 @@ func TestChaosNATReachableOnlyViaRelays(t *testing.T) {
 	if totalAverted != totalOpened {
 		t.Fatalf("averted %d != opened %d: exact adjudication accounting broken", totalAverted, totalOpened)
 	}
-	if got := c.chaosSumCounter("membership_suspects_total"); got != 0 {
+	if got := c.SumCounter("membership_suspects_total"); got != 0 {
 		t.Fatalf("membership_suspects_total = %d, want 0: NAT must degrade links, not evict the node", got)
 	}
 	// Every refusal on the bus is the NAT matrix's doing.
-	if got, want := int64(c.bus.Refused()), c.bus.Faults().Counts()[faults.RuleNATPrefix+nat]; got != want {
+	if got, want := int64(c.Bus.Refused()), c.Bus.Faults().Counts()[faults.RuleNATPrefix+nat]; got != want {
 		t.Fatalf("bus refusals %d != NAT rule count %d", got, want)
 	}
 }
@@ -398,19 +307,14 @@ func TestChaosFourFaultComposition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = p.Schedule(c.clk, faults.Applier{
-			Table:   c.bus.Faults(),
-			Crash:   c.bus.Crash,
-			Recover: c.bus.Recover,
-		})
-		if err != nil {
+		if err := c.Bus.Schedule(p); err != nil {
 			t.Fatal(err)
 		}
 		// Event 1 lands while loss + the one-way refuse are active and the
 		// partition is about to bite; flooding is one-shot, so its coverage
 		// may legitimately be partial — what matters is determinism and that
 		// no healthy node gets suspected.
-		c.clk.Advance(20 * time.Millisecond)
+		c.Clock.Advance(20 * time.Millisecond)
 		c.broadcast(c.addrOf(1), 1)
 		c.runWindows(10, nil) // drive through the whole 700ms plan and settle
 
@@ -423,21 +327,21 @@ func TestChaosFourFaultComposition(t *testing.T) {
 		}
 
 		s := compoSummary{
-			counts:   c.bus.Faults().Counts(),
-			suspects: c.chaosSumCounter("membership_suspects_total"),
-			averted:  c.chaosSumCounter("membership_suspicions_averted_total"),
-			opened:   c.chaosSumLabeled("delivery_breaker_transitions_total", "to", "open"),
+			counts:   c.Bus.Faults().Counts(),
+			suspects: c.SumCounter("membership_suspects_total"),
+			averted:  c.SumCounter("membership_suspicions_averted_total"),
+			opened:   c.SumLabeled("delivery_breaker_transitions_total", "to", "open"),
 			seen1:    c.covered(1),
 			seen2:    c.covered(2),
 		}
-		s.sent, s.dropped, s.delivered = c.bus.Stats()
-		s.refused = c.bus.Refused()
+		s.sent, s.dropped, s.delivered = c.Bus.Stats()
+		s.refused = c.Bus.Refused()
 
 		n1 := c.nodes[c.addrOf(1)]
 		if !aliveContains(n1.Membership(), c.addrOf(3)) {
 			t.Fatalf("node01 dropped node03 (healthy, one-way-refused) from its alive view")
 		}
-		if !n1.Prober().IsDegraded(c.addrOf(3)) && c.bus.Faults().Active() {
+		if !n1.Prober().IsDegraded(c.addrOf(3)) && c.Bus.Faults().Active() {
 			t.Fatal("node01 did not degrade the refused link")
 		}
 		return s
@@ -491,7 +395,7 @@ func TestChaosHalfOpenProbeDegradedNotDown(t *testing.T) {
 	c := newChaosCluster(t, 1501, 5, 0)
 	c.bootstrap()
 	a, b := c.addrOf(1), c.addrOf(2)
-	c.bus.Faults().RefuseLink("oneway", []string{a}, []string{b})
+	c.Bus.Faults().RefuseLink("oneway", []string{a}, []string{b})
 	na := c.nodes[a]
 
 	// A long stretch of virtual time with steady traffic pressure: each
@@ -518,13 +422,13 @@ func TestChaosHalfOpenProbeDegradedNotDown(t *testing.T) {
 	if !na.Prober().IsDegraded(b) || !aliveContains(na.Membership(), b) {
 		t.Fatalf("b must be degraded-but-alive at a (degraded=%v)", na.Prober().IsDegraded(b))
 	}
-	if got := c.chaosSumCounter("membership_suspects_total"); got != 0 {
+	if got := c.SumCounter("membership_suspects_total"); got != 0 {
 		t.Fatalf("suspects = %d, want 0", got)
 	}
 
 	// Heal: the next due probe succeeds, the circuit closes, OnPeerUp
 	// clears the degraded mark, and payloads flow directly again.
-	c.bus.Faults().Heal("oneway")
+	c.Bus.Faults().Heal("oneway")
 	for i := 0; i < 10 && trans.With("closed").Value() == 0; i++ {
 		seq++
 		c.broadcast(a, seq)

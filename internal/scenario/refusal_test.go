@@ -15,7 +15,9 @@ import (
 	"wsgossip/internal/clock"
 	"wsgossip/internal/core"
 	"wsgossip/internal/delivery"
+	"wsgossip/internal/gossip"
 	"wsgossip/internal/soap"
+	"wsgossip/internal/testbed"
 )
 
 // A Disseminator sends a peer it has handed the coordination context bare
@@ -226,9 +228,9 @@ func memBusNet() refusalNet {
 	}
 }
 
-func virtBusNet(bus *virtBus, clk *clock.Virtual) refusalNet {
+func virtBusNet(bus *testbed.Bus, clk *clock.Virtual) refusalNet {
 	return refusalNet{
-		caller: func(addr string) soap.Caller { return &nodeCaller{bus: bus, from: addr} },
+		caller: func(addr string) soap.Caller { return bus.Caller(addr) },
 		bind:   bus.Register,
 		settle: func(cond func() bool) bool {
 			for i := 0; i < 100 && !cond(); i++ {
@@ -336,7 +338,7 @@ func TestRestartedNodeRefusesBareCopy(t *testing.T) {
 	t.Run("http-plane", func(t *testing.T) { checkRestart(t, httpPlaneNet(t)) })
 	t.Run("virtbus", func(t *testing.T) {
 		clk := clock.NewVirtual()
-		checkRestart(t, virtBusNet(newVirtBus(clk, 7, time.Millisecond, 5*time.Millisecond), clk))
+		checkRestart(t, virtBusNet(testbed.NewBus(clk, 7, time.Millisecond, 5*time.Millisecond), clk))
 	})
 }
 
@@ -346,7 +348,7 @@ func TestRestartedNodeRefusesBareCopy(t *testing.T) {
 // after carries the context again.
 func TestLostFirstCopyIsRefused(t *testing.T) {
 	clk := clock.NewVirtual()
-	bus := newVirtBus(clk, 7, time.Millisecond, 5*time.Millisecond)
+	bus := testbed.NewBus(clk, 7, time.Millisecond, 5*time.Millisecond)
 	c := newRefusalCluster(t, virtBusNet(bus, clk))
 	bus.Faults().Cut("first", []string{"virt://a"}, []string{"virt://b"})
 	if _, _, err := c.init.Notify(context.Background(), c.inter, &refusalNote{Seq: 1}); err != nil {
@@ -371,5 +373,72 @@ func TestLostFirstCopyIsRefused(t *testing.T) {
 	}
 	if st := c.b.d.Stats(); st.Registrations != 1 || st.Refused != 1 {
 		t.Fatalf("B after A's next copy: %+v", st)
+	}
+}
+
+// TestOvertakenContextCopySpreads: on the testbed bus, a restarted B gets a
+// notification first as a bare copy from A, which gave B the context before
+// the restart, and then with the context from C, which never did. B delivers
+// and refuses the bare copy, and has no state to spread it with; the copy
+// with the context registers B and spreads the notification once. B forwards
+// exactly once, and its application takes the notification exactly once.
+func TestOvertakenContextCopySpreads(t *testing.T) {
+	const coordAddr, a, b, c = "virt://coordinator", "virt://a", "virt://b", "virt://c"
+	clk := clock.NewVirtual()
+	bus := testbed.NewBus(clk, 7, time.Millisecond, 5*time.Millisecond)
+	ctx := context.Background()
+	coord := core.NewCoordinator(core.CoordinatorConfig{
+		Address: coordAddr, RNG: rand.New(rand.NewSource(1)),
+		Params: func(int) (int, int) { return 2, 4 },
+	})
+	bus.Register(coordAddr, coord.Handler())
+	// node starts a Disseminator at addr (anew on a restart) that forwards
+	// to peers only.
+	node := func(addr string, peers ...string) *refusalNode {
+		n := &refusalNode{seen: make(map[int]int)}
+		d, err := core.NewDisseminator(core.DisseminatorConfig{
+			Address: addr, Caller: bus.Caller(addr), App: n,
+			RNG: rand.New(rand.NewSource(2)), Peers: gossip.NewStaticPeers(peers),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.d = d
+		bus.Register(addr, d.Handler())
+		return n
+	}
+	nodeA := node(a, b, c)
+	nodeB := node(b, a)
+	if err := core.SubscribeClient(ctx, bus, coordAddr, a, core.RoleDisseminator); err != nil {
+		t.Fatal(err)
+	}
+	init, err := core.NewInitiator(core.InitiatorConfig{
+		Address: "virt://initiator", Caller: onlyTo{Caller: bus.Caller("virt://initiator"), to: a}, Activation: coordAddr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inter := start(t, init, core.ProtocolPushGossip)
+	notify := func(seq int) {
+		if _, _, err := init.Notify(ctx, inter, &refusalNote{Seq: seq}); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(time.Second)
+	}
+	// A gives B the context; C does not exist yet, so A's copy to it fails
+	// and C is never given it.
+	notify(1)
+	if st := nodeB.d.Stats(); st.Registrations != 1 {
+		t.Fatalf("B before the restart: %+v", st)
+	}
+	nodeB = node(b, a)
+	node(c, b)
+	bus.Faults().LinkDelay("late", []string{c}, []string{b}, 50*time.Millisecond)
+	notify(2)
+	if got := nodeA.d.Stats().Refusals; got != 1 {
+		t.Fatalf("A took %d refusals, want B's one", got)
+	}
+	if st := nodeB.d.Stats(); nodeB.count(2) != 1 || st.Refused != 1 || st.Registrations != 1 || st.Forwarded != 1 {
+		t.Fatalf("restarted B: delivered %d, %+v; want it delivered, refused, registered and forwarded once each", nodeB.count(2), st)
 	}
 }

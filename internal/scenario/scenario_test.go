@@ -21,6 +21,7 @@ import (
 	"wsgossip/internal/gossip"
 	"wsgossip/internal/metrics"
 	"wsgossip/internal/soap"
+	"wsgossip/internal/testbed"
 )
 
 type eventBody struct {
@@ -31,21 +32,10 @@ type eventBody struct {
 // cluster is one dissemination deployment on a virtual clock: coordinator,
 // n disseminator nodes each running its own rounds, and an initiator.
 type cluster struct {
-	clk     *clock.Virtual
-	bus     *virtBus
-	coord   *core.Coordinator
-	init    *core.Initiator
-	addrs   []string
-	nodes   []*wsgossip.Node
-	dissems []*core.Disseminator
-	apps    []*core.CollectingApp
-	// regs holds one metrics registry per node, so scenario assertions can
-	// attribute counters to individual nodes.
-	regs []*metrics.Registry
-	// planes holds each node's delivery plane when clusterConfig.plane is
-	// set (indexed like dissems), plus the initiator's. Nil entries mean
-	// that sender goes to the bus directly.
-	planes    []*delivery.Plane
+	*testbed.Fabric
+	init *core.Initiator
+	// initPlane is the initiator's delivery plane, when clusterConfig.plane
+	// gives it one; nil means it sends on the bus directly.
 	initPlane *delivery.Plane
 	// initReg is the initiator's own metrics registry (the initiator is not
 	// a cluster node but its plane's counters matter to delivery accounting).
@@ -62,12 +52,11 @@ type clusterConfig struct {
 	pullEvery     time.Duration
 	repairEvery   time.Duration
 	announceEvery time.Duration
-	minDelay      time.Duration
 	maxDelay      time.Duration
 	// nodeClock, when set, overrides node i's clock (the straggler scenario
 	// wraps the shared virtual clock in a skewing one). Nil or a nil return
 	// keeps the shared clock.
-	nodeClock func(i int, shared *clock.Virtual) clock.Clock
+	nodeClock func(i int, shared clock.Clock) clock.Clock
 	// plane, when set, wraps each sender's caller in a delivery plane built
 	// from the returned budgets; a nil return leaves that sender on the raw
 	// bus. It is called once per node and once with i == -1 for the
@@ -75,85 +64,65 @@ type clusterConfig struct {
 	plane func(i int) *delivery.Config
 }
 
+// nodeStream spaces the node seeds of one cluster 8 apart: a Node draws its
+// six component streams from seed+0 … seed+5.
+var nodeStream = testbed.Stream{Mul: 1024, Step: 8}
+
 func newCluster(t *testing.T, cfg clusterConfig) *cluster {
 	t.Helper()
-	if cfg.minDelay == 0 {
-		cfg.minDelay = time.Millisecond
-	}
-	if cfg.maxDelay == 0 {
-		cfg.maxDelay = 5 * time.Millisecond
-	}
-	clk := clock.NewVirtual()
-	bus := newVirtBus(clk, cfg.seed, cfg.minDelay, cfg.maxDelay)
-	c := &cluster{clk: clk, bus: bus}
-
-	ccfg := core.CoordinatorConfig{
-		Address:              "mem://coordinator",
-		RNG:                  rand.New(rand.NewSource(cfg.seed)),
-		TargetsPerRegistrant: cfg.targets,
-	}
+	coord := &core.CoordinatorConfig{Address: "mem://coordinator", TargetsPerRegistrant: cfg.targets}
 	if cfg.fanout > 0 {
 		f, h := cfg.fanout, cfg.hops
-		ccfg.Params = func(int) (int, int) { return f, h }
+		coord.Params = func(int) (int, int) { return f, h }
 	}
 	if cfg.style == "lazypush" {
-		ccfg.Style = gossip.StyleLazyPush
+		coord.Style = gossip.StyleLazyPush
 	}
-	c.coord = core.NewCoordinator(ccfg)
-	bus.Register("mem://coordinator", c.coord.Handler())
-
-	ctx := context.Background()
-	for i := 0; i < cfg.n; i++ {
-		addr := fmt.Sprintf("mem://node%03d", i)
-		app := core.NewCollectingApp()
-		ncfg := wsgossip.NodeConfig{
-			Address:       addr,
-			Caller:        &nodeCaller{bus: bus, from: addr},
-			App:           app,
-			Clock:         clk,
-			Seed:          nodeSeed(cfg.seed, i),
+	fab, err := testbed.Nodes(testbed.Spec[wsgossip.NodeConfig]{
+		Seed: cfg.seed, Addr: "mem://node%03d", Stream: nodeStream,
+		Coordinator: coord, MaxDelay: cfg.maxDelay,
+		Config: wsgossip.NodeConfig{
 			Coordinator:   "mem://coordinator",
 			PullEvery:     cfg.pullEvery,
 			RepairEvery:   cfg.repairEvery,
 			AnnounceEvery: cfg.announceEvery,
 			JitterFrac:    0.2,
-		}
-		if cfg.plane != nil {
-			ncfg.Delivery = cfg.plane(i)
-		}
-		if cfg.nodeClock != nil {
-			if c := cfg.nodeClock(i, clk); c != nil {
-				ncfg.Clock = c
+		},
+		Shape: func(i int, ncfg *wsgossip.NodeConfig) {
+			if cfg.plane != nil {
+				ncfg.Delivery = cfg.plane(i)
 			}
+			if cfg.nodeClock != nil {
+				if c := cfg.nodeClock(i, ncfg.Clock); c != nil {
+					ncfg.Clock = c
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &cluster{Fabric: fab, initReg: metrics.NewRegistry()}
+	t.Cleanup(func() {
+		c.Close()
+		if c.initPlane != nil {
+			c.initPlane.Close()
 		}
-		node, err := wsgossip.NewNode(ncfg)
-		if err != nil {
+	})
+	for i := 0; i < cfg.n; i++ {
+		if _, err := c.Add(); err != nil {
 			t.Fatal(err)
 		}
-		bus.Register(addr, node.Handler())
-		if err := node.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
-		// Start's subscribe is a zero-delay timer: fire it now, so nodes
-		// subscribe in index order before any traffic.
-		clk.Advance(0)
-		if got := len(c.coord.Subscribers()); got != i+1 {
+		if got := len(c.Coord.Subscribers()); got != i+1 {
 			t.Fatalf("%d subscribers after starting node %d, want %d", got, i, i+1)
 		}
-		c.addrs = append(c.addrs, addr)
-		c.nodes = append(c.nodes, node)
-		c.dissems = append(c.dissems, node.Disseminator())
-		c.apps = append(c.apps, app)
-		c.planes = append(c.planes, node.Plane())
-		c.regs = append(c.regs, node.Registry())
 	}
-	c.initReg = metrics.NewRegistry()
-	var initCaller soap.Caller = bus
+	var initCaller soap.Caller = c.Bus
 	if cfg.plane != nil {
 		if pc := cfg.plane(-1); pc != nil {
 			filled := *pc
-			filled.Caller = bus
-			filled.Clock = clk
+			filled.Caller = c.Bus
+			filled.Clock = c.Clock
 			filled.Metrics = c.initReg
 			if filled.RNG == nil {
 				filled.RNG = rand.New(rand.NewSource(cfg.seed*7919 - 1))
@@ -162,7 +131,6 @@ func newCluster(t *testing.T, cfg clusterConfig) *cluster {
 			initCaller = c.initPlane
 		}
 	}
-	var err error
 	c.init, err = core.NewInitiator(core.InitiatorConfig{
 		Address:    "mem://initiator",
 		Caller:     initCaller,
@@ -172,39 +140,28 @@ func newCluster(t *testing.T, cfg clusterConfig) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		for _, n := range c.nodes {
-			n.Stop()
-		}
-		if c.initPlane != nil {
-			c.initPlane.Close()
-		}
-	})
 	return c
 }
 
-// nodeSeed spaces the node seeds of one cluster 8 apart: a Node draws its
-// six component streams from seed+0 … seed+5.
-func nodeSeed(clusterSeed int64, i int) int64 { return clusterSeed*1024 + int64(i)*8 }
+// dissems returns every node's disseminator.
+func (c *cluster) dissems() []*core.Disseminator {
+	out := make([]*core.Disseminator, len(c.Nodes))
+	for i, n := range c.Nodes {
+		out[i] = n.Disseminator()
+	}
+	return out
+}
 
 // crash kills node i at the current instant: the bus drops its traffic and
 // the node stops scheduling rounds.
 func (c *cluster) crash(i int) {
-	c.bus.Crash(c.addrs[i])
-	c.nodes[i].Stop()
+	c.Bus.Crash(c.Addrs[i])
+	c.Nodes[i].Stop()
 }
 
 // coverage counts nodes in alive whose app received at least want events.
 func (c *cluster) coverage(alive map[int]bool, want int) int {
-	covered := 0
-	for i, app := range c.apps {
-		if alive != nil && !alive[i] {
-			continue
-		}
-		if app.Count() >= want {
-			covered++
-		}
-	}
+	covered, _ := c.Coverage(want, func(i int) bool { return alive == nil || alive[i] })
 	return covered
 }
 
@@ -245,6 +202,172 @@ func converging(est func() (float64, bool)) func() bool {
 	}
 }
 
+// newFabric is a testbed fabric with no nodes yet: a virtual clock, a bus
+// seeded seed and, if coord is set, that coordinator, its RNG seeded seed.
+// It closes when t ends.
+func newFabric(t *testing.T, seed int64, coord *core.CoordinatorConfig) *testbed.Fabric {
+	t.Helper()
+	f, err := testbed.Nodes(testbed.Spec[wsgossip.NodeConfig]{Seed: seed, Coordinator: coord})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	return f
+}
+
+// runLoop starts loop on a runner of f seeded seed; a loop with an Activity
+// snaps back when wake's activity advances.
+func runLoop(t *testing.T, f *testbed.Fabric, seed int64, loop core.Loop, wake interface{ OnActivity(func()) }) {
+	t.Helper()
+	r, err := f.Run(seed, loop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loop.Activity != nil {
+		wake.OnActivity(r.Wake)
+	}
+}
+
+// disseminators serves n Disseminators on f's bus at mem://node000…, node i
+// drawing from the stream seeded seed*31+i and failing over to successors,
+// each subscribed at coord and running loop(d) on a runner seeded
+// seed*977+i.
+func disseminators(t *testing.T, f *testbed.Fabric, seed int64, n int, coord string, successors []string, loop func(d *core.Disseminator) core.Loop) ([]*core.Disseminator, []*core.CollectingApp) {
+	t.Helper()
+	var ds []*core.Disseminator
+	var apps []*core.CollectingApp
+	for i := 0; i < n; i++ {
+		addr := fmt.Sprintf("mem://node%03d", i)
+		app := core.NewCollectingApp()
+		d, err := core.NewDisseminator(core.DisseminatorConfig{
+			Address:      addr,
+			Caller:       f.Bus,
+			App:          app,
+			RNG:          rand.New(rand.NewSource(seed*31 + int64(i))),
+			Coordinators: successors,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Bus.Register(addr, d.Handler())
+		if err := core.SubscribeClient(context.Background(), f.Bus, coord, addr, core.RoleDisseminator); err != nil {
+			t.Fatal(err)
+		}
+		runLoop(t, f, seed*977+int64(i), loop(d), d)
+		ds, apps = append(ds, d), append(apps, app)
+	}
+	return ds, apps
+}
+
+// start starts an interaction of protocol at init.
+func start(t *testing.T, init *core.Initiator, protocol string) *core.Interaction {
+	t.Helper()
+	inter, err := init.StartProtocolInteraction(context.Background(), protocol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inter
+}
+
+// notify publishes event seq on inter from init.
+func notify(t *testing.T, init *core.Initiator, inter *core.Interaction, seq int) {
+	t.Helper()
+	if _, _, err := init.Notify(context.Background(), inter, eventBody{Seq: seq}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// joinAll registers every one of ds in inter under protocol.
+func joinAll(t *testing.T, ds []*core.Disseminator, inter *core.Interaction, protocol string) {
+	t.Helper()
+	for _, d := range ds {
+		if err := d.JoinInteraction(context.Background(), inter.Context, protocol); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// covered counts the apps that received at least want events.
+func covered(apps []*core.CollectingApp, want int) int {
+	n := 0
+	for _, app := range apps {
+		if app.Count() >= want {
+			n++
+		}
+	}
+	return n
+}
+
+// aggParticipant is an aggregation participant on the bus: a Service or a
+// Querier.
+type aggParticipant interface {
+	Handler() soap.Handler
+	Tick(context.Context)
+	ActivityCount() uint64
+	OnActivity(func())
+}
+
+// joinAggregation serves p at addr, subscribes it for aggregation, and
+// runs its exchange every period on a runner seeded seed, backing off to
+// quiescent when idle if quiescent is set.
+func joinAggregation(t *testing.T, f *testbed.Fabric, addr string, p aggParticipant, seed int64, every, quiescent time.Duration) {
+	t.Helper()
+	f.Bus.Register(addr, p.Handler())
+	if err := core.SubscribeClient(context.Background(), f.Bus, "mem://coordinator", addr,
+		core.RoleDisseminator, core.ProtocolAggregate); err != nil {
+		t.Fatal(err)
+	}
+	loop := core.Loop{Name: "aggregate", Period: every, Jitter: every / 5, Tick: p.Tick}
+	if quiescent > 0 {
+		loop.MaxPeriod, loop.Activity = quiescent, p.ActivityCount
+	}
+	runLoop(t, f, seed, loop, p)
+}
+
+// aggServices joins n aggregation services at mem://svc000…, service i
+// holding the i-th value drawn from the stream seeded seed*7, drawing from
+// seed*13+i, its runner from seed*17+i. It returns the values.
+func aggServices(t *testing.T, f *testbed.Fabric, seed int64, n int, every, quiescent time.Duration) []float64 {
+	t.Helper()
+	valueRNG := rand.New(rand.NewSource(seed * 7))
+	values := make([]float64, n)
+	for i := range values {
+		addr := fmt.Sprintf("mem://svc%03d", i)
+		v := 10 + valueRNG.Float64()*90
+		values[i] = v
+		svc, err := aggregate.NewService(aggregate.ServiceConfig{
+			Address: addr,
+			Caller:  f.Bus,
+			Value:   func() float64 { return v },
+			RNG:     rand.New(rand.NewSource(seed*13 + int64(i))),
+			Clock:   f.Clock,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		joinAggregation(t, f, addr, svc, seed*17+int64(i), every, quiescent)
+	}
+	return values
+}
+
+// aggQuerier joins a querier at mem://querier, drawing from the stream
+// seeded seed*19, its runner from seed*23.
+func aggQuerier(t *testing.T, f *testbed.Fabric, seed int64, every, quiescent time.Duration) *aggregate.Querier {
+	t.Helper()
+	q, err := aggregate.NewQuerier(aggregate.QuerierConfig{
+		Address:    "mem://querier",
+		Caller:     f.Bus,
+		Activation: "mem://coordinator",
+		RNG:        rand.New(rand.NewSource(seed * 19)),
+		Clock:      f.Clock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	joinAggregation(t, f, "mem://querier", q, seed*23, every, quiescent)
+	return q
+}
+
 // TestScenarioDissemination is the virtual-time table suite for the
 // dissemination protocols: push with mid-stream loss closed by anti-entropy
 // repair, pull-only rounds, deferred lazy push, slow links, and node churn
@@ -268,25 +391,17 @@ func TestScenarioDissemination(t *testing.T) {
 				repairEvery: 200 * time.Millisecond,
 			},
 			run: func(t *testing.T, c *cluster) {
-				ctx := context.Background()
-				inter, err := c.init.StartInteraction(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 1}); err != nil {
-					t.Fatal(err)
-				}
-				c.clk.Advance(100 * time.Millisecond) // push phase: a few link delays deep
+				inter := start(t, c.init, core.ProtocolPushGossip)
+				notify(t, c.init, inter, 1)
+				c.Clock.Advance(100 * time.Millisecond) // push phase: a few link delays deep
 				if got := c.coverage(nil, 1); got != n {
 					t.Fatalf("lossless push covered %d/%d", got, n)
 				}
 
 				const loss = 0.40
-				c.bus.SetLoss(loss)
-				if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 2}); err != nil {
-					t.Fatal(err)
-				}
-				c.clk.Advance(100 * time.Millisecond)
+				c.Bus.SetLoss(loss)
+				notify(t, c.init, inter, 2)
+				c.Clock.Advance(100 * time.Millisecond)
 				partial := c.coverage(nil, 2)
 				if partial == n {
 					t.Fatalf("40%% loss still covered everyone eagerly; scenario exerts no repair pressure")
@@ -298,7 +413,7 @@ func TestScenarioDissemination(t *testing.T) {
 						t.Fatalf("eager coverage %.2f implausibly far from analytic %.2f", frac, pred)
 					}
 				}
-				windows := advanceUntil(c.clk, 200*time.Millisecond, 30, func() bool {
+				windows := advanceUntil(c.Clock, 200*time.Millisecond, 30, func() bool {
 					return c.coverage(nil, 2) == n
 				})
 				if windows > 30 {
@@ -316,20 +431,10 @@ func TestScenarioDissemination(t *testing.T) {
 				pullEvery: 100 * time.Millisecond,
 			},
 			run: func(t *testing.T, c *cluster) {
-				ctx := context.Background()
-				inter, err := c.init.StartProtocolInteraction(ctx, core.ProtocolPullGossip)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 1}); err != nil {
-					t.Fatal(err)
-				}
-				for _, d := range c.dissems {
-					if err := d.JoinInteraction(ctx, inter.Context, core.ProtocolPullGossip); err != nil {
-						t.Fatal(err)
-					}
-				}
-				c.clk.Advance(20 * time.Millisecond)
+				inter := start(t, c.init, core.ProtocolPullGossip)
+				notify(t, c.init, inter, 1)
+				joinAll(t, c.dissems(), inter, core.ProtocolPullGossip)
+				c.Clock.Advance(20 * time.Millisecond)
 				if got := c.coverage(nil, 1); got == 0 || got == n {
 					t.Fatalf("seeding covered %d/%d, want partial", got, n)
 				}
@@ -343,14 +448,14 @@ func TestScenarioDissemination(t *testing.T) {
 					t.Fatal(err)
 				}
 				budget := 4*analytic + 6
-				windows := advanceUntil(c.clk, 100*time.Millisecond, budget, func() bool {
+				windows := advanceUntil(c.Clock, 100*time.Millisecond, budget, func() bool {
 					return c.coverage(nil, 1) == n
 				})
 				if windows > budget {
 					t.Fatalf("pull rounds left %d/%d covered after %d windows (analytic %d)",
 						c.coverage(nil, 1), n, budget, analytic)
 				}
-				for i, app := range c.apps {
+				for i, app := range c.Apps {
 					if app.Count() != 1 {
 						t.Fatalf("node %d delivered %d copies, want exactly 1", i, app.Count())
 					}
@@ -371,18 +476,12 @@ func TestScenarioDissemination(t *testing.T) {
 				maxDelay:      15 * time.Millisecond,
 			},
 			run: func(t *testing.T, c *cluster) {
-				ctx := context.Background()
-				inter, err := c.init.StartInteraction(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
+				inter := start(t, c.init, core.ProtocolPushGossip)
 				// Event 1 spreads loss-free: every node registers the
 				// interaction (a node never contacted at all has no state
 				// to repair from).
-				if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 1}); err != nil {
-					t.Fatal(err)
-				}
-				warm := advanceUntil(c.clk, 100*time.Millisecond, 40, func() bool {
+				notify(t, c.init, inter, 1)
+				warm := advanceUntil(c.Clock, 100*time.Millisecond, 40, func() bool {
 					return c.coverage(nil, 1) == n
 				})
 				if warm > 40 {
@@ -390,17 +489,15 @@ func TestScenarioDissemination(t *testing.T) {
 				}
 				// Event 2 fights 10% loss on announcements, fetches, and
 				// payloads; announce retries and repair close it.
-				c.bus.SetLoss(0.10)
-				if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 2}); err != nil {
-					t.Fatal(err)
-				}
-				windows := advanceUntil(c.clk, 100*time.Millisecond, 40, func() bool {
+				c.Bus.SetLoss(0.10)
+				notify(t, c.init, inter, 2)
+				windows := advanceUntil(c.Clock, 100*time.Millisecond, 40, func() bool {
 					return c.coverage(nil, 2) == n
 				})
 				if windows > 40 {
 					t.Fatalf("lossy lazy push covered %d/%d after budget", c.coverage(nil, 2), n)
 				}
-				for i, app := range c.apps {
+				for i, app := range c.Apps {
 					if app.Count() != 2 {
 						t.Fatalf("node %d delivered %d copies, want exactly 2", i, app.Count())
 					}
@@ -418,19 +515,9 @@ func TestScenarioDissemination(t *testing.T) {
 				pullEvery: 100 * time.Millisecond,
 			},
 			run: func(t *testing.T, c *cluster) {
-				ctx := context.Background()
-				inter, err := c.init.StartProtocolInteraction(ctx, core.ProtocolPullGossip)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := c.init.Notify(ctx, inter, eventBody{Seq: 1}); err != nil {
-					t.Fatal(err)
-				}
-				for _, d := range c.dissems {
-					if err := d.JoinInteraction(ctx, inter.Context, core.ProtocolPullGossip); err != nil {
-						t.Fatal(err)
-					}
-				}
+				inter := start(t, c.init, core.ProtocolPullGossip)
+				notify(t, c.init, inter, 1)
+				joinAll(t, c.dissems(), inter, core.ProtocolPullGossip)
 				// Crash every 4th node 150ms in — mid-pull-round.
 				crashRNG := rand.New(rand.NewSource(99))
 				alive := make(map[int]bool, n)
@@ -442,13 +529,13 @@ func TestScenarioDissemination(t *testing.T) {
 					crashed = append(crashed, i)
 					alive[i] = false
 				}
-				c.clk.AfterFunc(150*time.Millisecond, func() {
+				c.Clock.AfterFunc(150*time.Millisecond, func() {
 					for _, i := range crashed {
 						c.crash(i)
 					}
 				})
 				budget := 40
-				windows := advanceUntil(c.clk, 100*time.Millisecond, budget, func() bool {
+				windows := advanceUntil(c.Clock, 100*time.Millisecond, budget, func() bool {
 					return c.coverage(alive, 1) == n-len(crashed)
 				})
 				if windows > budget {
@@ -457,7 +544,7 @@ func TestScenarioDissemination(t *testing.T) {
 				}
 				// The dead must not have taken deliveries after crashing:
 				// counts are frozen at 0 or 1 and no app saw duplicates.
-				for i, app := range c.apps {
+				for i, app := range c.Apps {
 					if app.Count() > 1 {
 						t.Fatalf("node %d delivered %d copies, want at most 1", i, app.Count())
 					}
@@ -496,79 +583,16 @@ func TestScenarioAggregation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			clk := clock.NewVirtual()
-			bus := newVirtBus(clk, tc.seed, time.Millisecond, 5*time.Millisecond)
+			f := newFabric(t, tc.seed, &core.CoordinatorConfig{Address: "mem://coordinator"})
+			clk, bus := f.Clock, f.Bus
 			ctx := context.Background()
-
-			coord := core.NewCoordinator(core.CoordinatorConfig{
-				Address: "mem://coordinator",
-				RNG:     rand.New(rand.NewSource(tc.seed)),
-			})
-			bus.Register("mem://coordinator", coord.Handler())
-
-			valueRNG := rand.New(rand.NewSource(tc.seed * 7))
-			var truthSum, truthMax float64
-			truthMax = math.Inf(-1)
-			var runners []*core.Runner
-			defer func() {
-				for _, r := range runners {
-					r.Stop()
-				}
-			}()
-			startRunner := func(svc interface{ Tick(context.Context) }, seed int64) {
-				t.Helper()
-				r, err := core.NewRunner(core.RunnerConfig{
-					Clock: clk,
-					RNG:   rand.New(rand.NewSource(seed)),
-					Loops: []core.Loop{{Name: "aggregate", Period: exchangeEvery, Jitter: exchangeEvery / 5, Tick: svc.Tick}},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := r.Start(ctx); err != nil {
-					t.Fatal(err)
-				}
-				runners = append(runners, r)
-			}
-			for i := 0; i < tc.n; i++ {
-				addr := fmt.Sprintf("mem://svc%03d", i)
-				v := 10 + valueRNG.Float64()*90
+			values := aggServices(t, f, tc.seed, tc.n, exchangeEvery, 0)
+			truthSum, truthMax := 0.0, math.Inf(-1)
+			for _, v := range values {
 				truthSum += v
 				truthMax = math.Max(truthMax, v)
-				val := v
-				svc, err := aggregate.NewService(aggregate.ServiceConfig{
-					Address: addr,
-					Caller:  bus,
-					Value:   func() float64 { return val },
-					RNG:     rand.New(rand.NewSource(tc.seed*13 + int64(i))),
-					Clock:   clk,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				bus.Register(addr, svc.Handler())
-				if err := core.SubscribeClient(ctx, bus, "mem://coordinator", addr,
-					core.RoleDisseminator, core.ProtocolAggregate); err != nil {
-					t.Fatal(err)
-				}
-				startRunner(svc, tc.seed*17+int64(i))
 			}
-			querier, err := aggregate.NewQuerier(aggregate.QuerierConfig{
-				Address:    "mem://querier",
-				Caller:     bus,
-				Activation: "mem://coordinator",
-				RNG:        rand.New(rand.NewSource(tc.seed * 19)),
-				Clock:      clk,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bus.Register("mem://querier", querier.Handler())
-			if err := core.SubscribeClient(ctx, bus, "mem://coordinator", "mem://querier",
-				core.RoleDisseminator, core.ProtocolAggregate); err != nil {
-				t.Fatal(err)
-			}
-			startRunner(querier, tc.seed*23)
+			querier := aggQuerier(t, f, tc.seed, exchangeEvery, 0)
 
 			bus.SetLoss(tc.loss)
 			task, err := querier.StartContinuous(ctx, "value", tc.fn, time.Hour)

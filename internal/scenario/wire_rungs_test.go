@@ -35,15 +35,8 @@ func TestChaosFullStackStaysOnScanner(t *testing.T) {
 		coord string
 		style gossip.Style
 	}{{lazyCoord, gossip.StyleLazyPush}, {pullCoord, gossip.StylePull}}
-	c := newChaosFabric(t, 1601, 0)
-	for _, s := range styles {
-		coord := core.NewCoordinator(core.CoordinatorConfig{Address: s.coord, RNG: rand.New(rand.NewSource(1601)), Style: s.style})
-		c.bus.Register(s.coord, coord.Handler())
-	}
-	apps := make([]*core.CollectingApp, 10)
-	c.shape = func(idx int, cfg *wsgossip.NodeConfig) {
-		apps[idx] = core.NewCollectingApp()
-		cfg.App = apps[idx]
+	const nodes = 10
+	c := newChaosFabric(t, 1601, 0, func(idx int, cfg *wsgossip.NodeConfig) {
 		cfg.Coordinator = lazyCoord
 		cfg.PullEvery, cfg.RepairEvery, cfg.AnnounceEvery = chaosWindow, chaosWindow, chaosWindow/2
 		cfg.JitterFrac = 0.2
@@ -52,26 +45,27 @@ func TestChaosFullStackStaysOnScanner(t *testing.T) {
 			cfg.Queries = []wsgossip.ContinuousQuery{{Name: "nodes", Func: wsgossip.FuncCount}}
 			cfg.QueryWindow = 5 * chaosWindow
 		}
+	})
+	for _, s := range styles {
+		coord := core.NewCoordinator(core.CoordinatorConfig{Address: s.coord, RNG: rand.New(rand.NewSource(1601)), Style: s.style})
+		c.Bus.Register(s.coord, coord.Handler())
 	}
-	c.addNodes(len(apps))
+	c.addNodes(nodes)
 	c.bootstrap()
 	ctx := context.Background()
 	var inits []*core.Initiator
 	var inters []*core.Interaction
-	for _, addr := range c.order {
-		if err := core.SubscribeClient(ctx, c.bus, pullCoord, addr, core.RoleDisseminator); err != nil {
+	for _, addr := range c.Addrs {
+		if err := core.SubscribeClient(ctx, c.Bus, pullCoord, addr, core.RoleDisseminator); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, s := range styles {
-		init, err := core.NewInitiator(core.InitiatorConfig{Address: "mem://initiator", Caller: c.bus, Activation: s.coord})
+		init, err := core.NewInitiator(core.InitiatorConfig{Address: "mem://initiator", Caller: c.Bus, Activation: s.coord})
 		if err != nil {
 			t.Fatal(err)
 		}
-		inter, err := init.StartInteraction(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inter := start(t, init, core.ProtocolPushGossip)
 		inits, inters = append(inits, init), append(inters, inter)
 	}
 
@@ -79,7 +73,7 @@ func TestChaosFullStackStaysOnScanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Schedule(c.clk, faults.Applier{Table: c.bus.Faults(), Crash: c.bus.Crash, Recover: c.bus.Recover}); err != nil {
+	if err := c.Bus.Schedule(p); err != nil {
 		t.Fatal(err)
 	}
 	// Per window, through the whole plan: one notification on each
@@ -92,13 +86,13 @@ func TestChaosFullStackStaysOnScanner(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		c.broadcast(c.addrOf(seq%len(apps)), seq)
+		c.broadcast(c.addrOf(seq%nodes), seq)
 		c.runWindows(1, nil)
 	}
 	c.runWindows(30, nil)
 
 	// Every layer must have spoken, or a zero below proves nothing.
-	for i, app := range apps {
+	for i, app := range c.Apps {
 		if app.Count() != 2*events {
 			t.Errorf("node%02d took %d of %d notifications", i, app.Count(), 2*events)
 		}
@@ -108,7 +102,7 @@ func TestChaosFullStackStaysOnScanner(t *testing.T) {
 		"delivery_attempts_total", "aggregate_shares_sent_total", "aggregate_acks_sent_total",
 		"aggregate_epochs_total",
 	} {
-		if c.chaosSumCounter(family) == 0 {
+		if c.SumCounter(family) == 0 {
 			t.Errorf("%s never moved: that layer sent nothing", family)
 		}
 	}
@@ -119,7 +113,7 @@ func TestChaosFullStackStaysOnScanner(t *testing.T) {
 		{"probe_messages_total", "type", "ping_req"},
 		{"probe_messages_total", "type", "ping_req_ack"},
 	} {
-		if c.chaosSumLabeled(lv[0], lv[1], lv[2]) == 0 {
+		if c.SumLabeled(lv[0], lv[1], lv[2]) == 0 {
 			t.Errorf("%s{%s} never moved: that layer sent nothing", lv[0], lv[2])
 		}
 	}

@@ -1,4 +1,4 @@
-package scenario
+package testbed
 
 import (
 	"context"
@@ -12,15 +12,15 @@ import (
 	"wsgossip/internal/soap"
 )
 
-// virtBus is a SOAP binding for virtual-time scenario tests: one-way
-// exchanges (the gossip traffic) ride the virtual clock with seeded link
-// delay, seeded loss, and crash faults, while request-response exchanges
-// (the WS-Coordination control plane) stay synchronous and reliable — the
-// coordinator is not the component under stress here.
+// Bus is a SOAP binding on a virtual clock: one-way exchanges (the gossip
+// traffic) ride the clock with seeded link delay, seeded loss, and crash
+// faults, while request-response exchanges (the WS-Coordination control
+// plane) stay synchronous and reliable — the coordinator is not the
+// component under stress here.
 //
 // All delivery callbacks fire inside clock.Virtual.Advance, so a scenario
 // is one goroutine advancing time and asserting; there is nothing to await.
-type virtBus struct {
+type Bus struct {
 	clk *clock.Virtual
 
 	mu       sync.Mutex
@@ -33,8 +33,8 @@ type virtBus struct {
 	// synchronously with a connection-refused transport error (the signal a
 	// sender's delivery plane retries and eventually circuit-breaks on),
 	// while cut/partition/loss rules swallow the message after a successful
-	// send. Rules only see a sender when the message went through a
-	// nodeCaller (which stamps its origin); unstamped sends pass "".
+	// send. Rules only see a sender when the message went through a Caller
+	// (which stamps its origin); unstamped sends pass "".
 	faults *faults.Table
 	// sync, when true, delivers one-way sends inline (no link delay) and
 	// returns the handler's error to the sender — the behaviour of a
@@ -46,13 +46,16 @@ type virtBus struct {
 	sent, dropped, delivered, refused int
 }
 
-var _ soap.Caller = (*virtBus)(nil)
+var _ soap.Caller = (*Bus)(nil)
 
-func newVirtBus(clk *clock.Virtual, seed int64, minDelay, maxDelay time.Duration) *virtBus {
+// NewBus returns a bus on clk whose one-way sends take a delay drawn
+// uniformly from [minDelay, maxDelay], and whose delay and loss draws come
+// from one stream seeded with seed.
+func NewBus(clk *clock.Virtual, seed int64, minDelay, maxDelay time.Duration) *Bus {
 	if maxDelay < minDelay {
 		maxDelay = minDelay
 	}
-	return &virtBus{
+	return &Bus{
 		clk:      clk,
 		rng:      rand.New(rand.NewSource(seed)),
 		handlers: make(map[string]soap.Handler),
@@ -63,7 +66,8 @@ func newVirtBus(clk *clock.Virtual, seed int64, minDelay, maxDelay time.Duration
 	}
 }
 
-func (b *virtBus) Register(addr string, h soap.Handler) {
+// Register serves addr with h, replacing any handler it had.
+func (b *Bus) Register(addr string, h soap.Handler) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.handlers[addr] = h
@@ -71,46 +75,50 @@ func (b *virtBus) Register(addr string, h soap.Handler) {
 
 // Crash marks addr down: its inbound messages are dropped, including ones
 // already in flight.
-func (b *virtBus) Crash(addr string) {
+func (b *Bus) Crash(addr string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.down[addr] = true
 }
 
-// Recover clears a crash: addr receives traffic again. With Crash it forms
-// the churn surface a faults.Plan drives through its Applier.
-func (b *virtBus) Recover(addr string) {
+// Recover clears a crash: addr receives traffic again.
+func (b *Bus) Recover(addr string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	delete(b.down, addr)
 }
 
 // Faults exposes the bus's fault table: the full directional rule set —
-// partitions, refusals, cuts, NAT, per-link loss and delay, fault plans.
-// It covers the one-way gossip path only; the control plane (Call) stays
-// connected, since the coordinator is not the component under stress.
-func (b *virtBus) Faults() *faults.Table { return b.faults }
+// partitions, refusals, cuts, NAT, per-link loss and delay. It covers the
+// one-way gossip path only; the control plane (Call) stays connected.
+func (b *Bus) Faults() *faults.Table { return b.faults }
+
+// Schedule schedules p on the bus's clock from now: its link ops write the
+// fault table, its crash and recover ops take addresses down and up.
+func (b *Bus) Schedule(p *faults.Plan) error {
+	return p.Schedule(b.clk, faults.Applier{Table: b.faults, Crash: b.Crash, Recover: b.Recover})
+}
 
 // SetLoss changes the one-way message loss probability.
-func (b *virtBus) SetLoss(p float64) { b.faults.SetLoss(p) }
+func (b *Bus) SetLoss(p float64) { b.faults.SetLoss(p) }
 
 // SetSync switches one-way delivery between the default delayed/lossy mode
 // and the synchronous fault-propagating mode.
-func (b *virtBus) SetSync(on bool) {
+func (b *Bus) SetSync(on bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.sync = on
 }
 
 // Stats returns (sent, dropped, delivered) one-way message counts.
-func (b *virtBus) Stats() (sent, dropped, delivered int) {
+func (b *Bus) Stats() (sent, dropped, delivered int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.sent, b.dropped, b.delivered
 }
 
-// Refused returns how many one-way sends the refuse hook failed.
-func (b *virtBus) Refused() int {
+// Refused returns how many one-way sends the fault table refused.
+func (b *Bus) Refused() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.refused
@@ -118,13 +126,13 @@ func (b *virtBus) Refused() int {
 
 // Call is the reliable, synchronous control plane (Activation,
 // Registration, Subscribe).
-func (b *virtBus) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.Envelope, error) {
+func (b *Bus) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.Envelope, error) {
 	b.mu.Lock()
 	h := b.handlers[to]
 	down := b.down[to]
 	b.mu.Unlock()
 	if h == nil || down {
-		return nil, fmt.Errorf("virtbus: unreachable endpoint %s", to)
+		return nil, fmt.Errorf("testbed: unreachable endpoint %s", to)
 	}
 	data, err := env.Encode()
 	if err != nil {
@@ -145,33 +153,34 @@ func (b *virtBus) Call(ctx context.Context, to string, env *soap.Envelope) (*soa
 }
 
 // Send is the lossy, delayed one-way path every gossip exchange takes.
-func (b *virtBus) Send(ctx context.Context, to string, env *soap.Envelope) error {
-	data, err := env.Encode()
-	if err != nil {
-		return err
-	}
-	return b.SendEncoded(ctx, to, data)
+func (b *Bus) Send(ctx context.Context, to string, env *soap.Envelope) error {
+	return b.Caller("").Send(ctx, to, env)
 }
 
 // SendEncoded implements the encode-once fan-out path.
-func (b *virtBus) SendEncoded(ctx context.Context, to string, data []byte) error {
-	return b.sendEncodedFrom(ctx, "", to, data)
+func (b *Bus) SendEncoded(ctx context.Context, to string, data []byte) error {
+	return b.sendFrom("", to, data)
 }
 
-// sendEncodedFrom is SendEncoded with a sender identity, so an installed
-// partition or refuse hook can rule on the (from, to) link.
-func (b *virtBus) sendEncodedFrom(_ context.Context, from, to string, data []byte) error {
+// Caller returns the bus as from sends on it: one-way sends carry their
+// origin, which the fault table's link rules match on. Request-response
+// calls go unstamped (the control plane ignores link rules anyway).
+func (b *Bus) Caller(from string) soap.Caller { return &caller{bus: b, from: from} }
+
+// sendFrom is SendEncoded with a sender identity, so a fault rule can rule
+// on the (from, to) link.
+func (b *Bus) sendFrom(from, to string, data []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	h := b.handlers[to]
 	if h == nil {
-		return fmt.Errorf("virtbus: unknown endpoint %s", to)
+		return fmt.Errorf("testbed: unknown endpoint %s", to)
 	}
 	b.sent++
 	switch d := b.faults.Check(from, to); d.Outcome {
 	case faults.Refuse:
 		b.refused++
-		return fmt.Errorf("virtbus: connection refused: %s -> %s", from, to)
+		return fmt.Errorf("testbed: connection refused: %s -> %s", from, to)
 	case faults.Drop:
 		b.dropped++
 		return nil
@@ -224,28 +233,24 @@ func (b *virtBus) sendEncodedFrom(_ context.Context, from, to string, data []byt
 	return nil
 }
 
-// nodeCaller binds a bus to one node's address so one-way sends carry their
-// origin — the hook partition rules need. Request-response calls delegate
-// unstamped (the control plane ignores partitions anyway).
-type nodeCaller struct {
-	bus  *virtBus
+// caller is a Bus bound to one sender's address (Bus.Caller).
+type caller struct {
+	bus  *Bus
 	from string
 }
 
-var _ soap.Caller = (*nodeCaller)(nil)
-
-func (c *nodeCaller) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.Envelope, error) {
+func (c *caller) Call(ctx context.Context, to string, env *soap.Envelope) (*soap.Envelope, error) {
 	return c.bus.Call(ctx, to, env)
 }
 
-func (c *nodeCaller) Send(ctx context.Context, to string, env *soap.Envelope) error {
+func (c *caller) Send(_ context.Context, to string, env *soap.Envelope) error {
 	data, err := env.Encode()
 	if err != nil {
 		return err
 	}
-	return c.bus.sendEncodedFrom(ctx, c.from, to, data)
+	return c.bus.sendFrom(c.from, to, data)
 }
 
-func (c *nodeCaller) SendEncoded(ctx context.Context, to string, data []byte) error {
-	return c.bus.sendEncodedFrom(ctx, c.from, to, data)
+func (c *caller) SendEncoded(_ context.Context, to string, data []byte) error {
+	return c.bus.sendFrom(c.from, to, data)
 }

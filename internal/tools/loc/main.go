@@ -1,5 +1,6 @@
 // Command loc prints, per package directory, the lines of Go code in its
-// non-test files: every line a token other than a comment touches. Blank
+// non-test files and, in a second column, in its _test.go files: every line
+// a token other than a comment touches. Blank
 // lines and lines holding only comments do not count; a line of code with a
 // trailing comment does, and so does every line of a multi-line string
 // literal. This is the counting rule a simplicity change states its net
@@ -11,7 +12,9 @@
 //
 // An argument ending in /... is walked recursively (testdata directories
 // are skipped); any other argument is one package directory. It prints one
-// line per directory holding non-test Go files, then the total.
+// line per directory holding Go files, code lines then test lines, then the
+// totals. A change that moves code between test and non-test files states
+// both numbers.
 package main
 
 import (
@@ -53,9 +56,9 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	total := 0
+	var total, totalTest int
 	for _, dir := range dirs {
-		n, files, err := countDir(dir)
+		code, test, files, err := countDir(dir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "loc:", err)
 			os.Exit(2)
@@ -63,36 +66,40 @@ func main() {
 		if files == 0 {
 			continue
 		}
-		total += n
-		fmt.Printf("%6d  %s\n", n, filepath.ToSlash(dir))
+		total, totalTest = total+code, totalTest+test
+		fmt.Printf("%6d %6d  %s\n", code, test, filepath.ToSlash(dir))
 	}
-	fmt.Printf("%6d  total\n", total)
+	fmt.Printf("%6d %6d  total\n", total, totalTest)
 }
 
-// countDir returns the code lines of dir's non-test Go files and how many
-// such files it has.
-func countDir(dir string) (lines, files int, err error) {
+// countDir returns the code lines of dir's non-test and of its _test.go Go
+// files, and how many Go files it has.
+func countDir(dir string) (code, test, files int, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
 		src, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 		n, err := count(name, src)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
-		lines += n
+		if strings.HasSuffix(name, "_test.go") {
+			test += n
+		} else {
+			code += n
+		}
 		files++
 	}
-	return lines, files, nil
+	return code, test, files, nil
 }
 
 // count returns the lines of src that a token other than a comment touches.
